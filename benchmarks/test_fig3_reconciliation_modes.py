@@ -15,7 +15,7 @@ from repro.workload import WorkloadConfig, WorkloadGenerator
 from benchmarks.conftest import emit
 
 
-def run_mode(network_centric: bool):
+def run_mode(network_centric: str):
     config = ConfederationConfig(
         store="memory",
         peers=tuple(range(1, 9)),
@@ -51,9 +51,9 @@ def run_mode(network_centric: bool):
 
 def test_fig3_network_centric_trades_communication_for_local_work(benchmark):
     client_local, client_messages, client_decisions = benchmark.pedantic(
-        lambda: run_mode(False), rounds=1, iterations=1
+        lambda: run_mode("client"), rounds=1, iterations=1
     )
-    network_local, network_messages, network_decisions = run_mode(True)
+    network_local, network_messages, network_decisions = run_mode("store")
 
     emit(
         "Figure 3 quantified — central store, 8 peers:\n"

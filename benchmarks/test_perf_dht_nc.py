@@ -84,7 +84,7 @@ def _run(network_centric, ship_context_free=True):
 
 def test_perf_dht_store_computed_batches(benchmark):
     client_report, client_decisions, client_msgs, client_bytes = _run(
-        network_centric=False, ship_context_free=False
+        network_centric="client", ship_context_free=False
     )
     store_report, store_decisions, store_msgs, store_bytes = benchmark.pedantic(
         lambda: _run(network_centric="store"), rounds=1, iterations=1

@@ -29,9 +29,6 @@ The public API is the **unified confederation layer** (:mod:`repro.confed`):
   ``on_cache_stats``, ``on_reconcile``; the timing and cache metrics
   are ordinary subscribers (:mod:`repro.metrics.subscribers`).
 
-The legacy ``CDSS`` / ``Simulation`` entry points remain as thin
-deprecation shims delegating to :class:`Confederation`.
-
 See ``examples/quickstart.py`` for a complete runnable tour.
 """
 
@@ -71,12 +68,7 @@ from repro.model import (
     updates_conflict,
 )
 
-from repro.cdss import (
-    CDSS,
-    Participant,
-    Simulation,
-    SimulationConfig,
-)
+from repro.cdss import Participant
 from repro.confed import (
     Confederation,
     ConfederationConfig,
@@ -129,7 +121,6 @@ __version__ = "2.0.0"
 
 __all__ = [
     "AcceptanceRule",
-    "CDSS",
     "CentralUpdateStore",
     "Confederation",
     "ConfederationConfig",
@@ -154,8 +145,6 @@ __all__ = [
     "Reconciler",
     "Resolution",
     "SerialScheduler",
-    "Simulation",
-    "SimulationConfig",
     "SqliteInstance",
     "StoreCapabilities",
     "ThreadedScheduler",

@@ -1,27 +1,16 @@
-"""CDSS orchestration: participants and whole-system drivers.
+"""CDSS orchestration: the participant.
 
-* :class:`repro.cdss.participant.Participant` — one autonomous peer: a
-  local instance, a trust policy, a reconciler, and the publish /
-  reconcile / resolve lifecycle of Definition 1;
-* :class:`repro.cdss.system.CDSS` — **deprecated** shim over
-  :class:`repro.confed.Confederation`;
-* :class:`repro.cdss.simulation.Simulation` — **deprecated** shim over
-  :meth:`repro.confed.Confederation.run`.
-
-New code should use :mod:`repro.confed`: a declarative
+:class:`repro.cdss.participant.Participant` is one autonomous peer: a
+local instance, a trust policy, a reconciler, and the publish /
+reconcile / resolve lifecycle of Definition 1.  Whole-system drivers
+live in :mod:`repro.confed`: a declarative
 :class:`~repro.confed.config.ConfederationConfig` plus the
 :class:`~repro.confed.confederation.Confederation` facade.
 """
 
 from repro.cdss.participant import Participant, ReconcileTiming
-from repro.cdss.simulation import Simulation, SimulationConfig, SimulationReport
-from repro.cdss.system import CDSS
 
 __all__ = [
-    "CDSS",
     "Participant",
     "ReconcileTiming",
-    "Simulation",
-    "SimulationConfig",
-    "SimulationReport",
 ]

@@ -21,9 +21,6 @@ This is the public entry point for building and running a CDSS:
   :class:`~repro.confed.scheduler.ThreadedScheduler` /
   :class:`~repro.confed.scheduler.AsyncScheduler`, selected by
   ``config.schedule_mode``).
-
-The legacy ``repro.cdss.CDSS`` / ``repro.cdss.Simulation`` entry points
-remain as deprecation shims delegating here.
 """
 
 from repro.confed.config import (

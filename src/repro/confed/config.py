@@ -12,7 +12,7 @@ and version control instead of scattered constructor calls.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.net.faults import FaultPlan
@@ -21,13 +21,11 @@ from repro.workload.generator import WorkloadConfig
 #: Instance backends a participant's local replica can use, by name.
 INSTANCE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 
-#: Accepted values of ``ConfederationConfig.network_centric``.  The
-#: named forms are canonical since PR 5: ``"client"`` (the paper's
-#: client-centric reconciliation) and ``"store"`` (the store computes
-#: per-participant extensions and conflict adjacency —
-#: ``begin_network_reconciliation``).  The booleans are their legacy
-#: spellings and round-trip unchanged.
-NETWORK_CENTRIC_MODES: Tuple[object, ...] = (False, True, "client", "store")
+#: Accepted values of ``ConfederationConfig.network_centric``:
+#: ``"client"`` (the paper's client-centric reconciliation) and
+#: ``"store"`` (the store computes per-participant extensions and
+#: conflict adjacency — ``begin_network_reconciliation``).
+NETWORK_CENTRIC_MODES: Tuple[str, ...] = ("client", "store")
 
 #: Epoch-scheduler modes :meth:`repro.confed.Confederation.run` can use
 #: (see :mod:`repro.confed.scheduler`).
@@ -51,9 +49,9 @@ class ConfederationConfig:
       ``trust_priority``, so conflicts can only be resolved manually;
     * ``network_centric`` / ``engine_caching`` — engine knobs.
       ``network_centric`` picks Figure 3's reconciliation column:
-      ``"client"`` (or ``False``, the default) computes extensions and
-      conflicts at each participant; ``"store"`` (or the legacy ``True``)
-      asks the store for fully-assembled batches
+      ``"client"`` (the default) computes extensions and conflicts
+      at each participant; ``"store"`` asks the store for
+      fully-assembled batches
       (``begin_network_reconciliation`` — requires a backend declaring
       ``network_centric_batches``, which every built-in backend
       does).  ``engine_caching`` toggles the PR 1 incremental caches;
@@ -86,7 +84,7 @@ class ConfederationConfig:
     peers: Tuple[int, ...] = ()
     trust: Optional[Dict[int, Dict[int, int]]] = None
     trust_priority: int = 1
-    network_centric: Union[bool, str] = False
+    network_centric: str = "client"
     engine_caching: bool = True
     workload: Optional[WorkloadConfig] = None
     reconciliation_interval: int = 4
@@ -141,15 +139,13 @@ class ConfederationConfig:
             )
         if self.schedule_workers is not None and self.schedule_workers < 1:
             raise ConfigError("schedule_workers must be >= 1 (or None)")
-        if not any(
-            type(self.network_centric) is type(mode)
-            and self.network_centric == mode
-            for mode in NETWORK_CENTRIC_MODES
-        ):
+        # A JSON config file from before the named modes carries a
+        # boolean: refuse it naming the replacement, never coerce it.
+        if self.network_centric not in NETWORK_CENTRIC_MODES:
             raise ConfigError(
                 f"unknown network_centric mode {self.network_centric!r}; "
-                f"accepted: False/'client' (client-centric), "
-                f"True/'store' (store-computed batches)"
+                f"accepted: 'client' (client-centric, was False), "
+                f"'store' (store-computed batches, was True)"
             )
         if self.faults is not None:
             self.faults.validate()
@@ -164,9 +160,8 @@ class ConfederationConfig:
 
     @property
     def network_centric_store(self) -> bool:
-        """True when the config asks for store-computed batches
-        (``network_centric`` is ``"store"`` or the legacy ``True``)."""
-        return self.network_centric is True or self.network_centric == "store"
+        """True when the config asks for store-computed batches."""
+        return self.network_centric == "store"
 
     # ------------------------------------------------------------------
     # Dict round-trip

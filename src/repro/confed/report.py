@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.confed.config import ConfederationConfig
 from repro.core.cache import CacheStats
 from repro.metrics.subscribers import FaultSummary
 from repro.metrics.timing import TimingAggregate
@@ -20,14 +21,10 @@ from repro.metrics.timing import TimingAggregate
 
 @dataclass
 class ConfederationReport:
-    """Everything a benchmark needs from one confederation run.
+    """Everything a benchmark needs from one confederation run."""
 
-    ``config`` is whatever configuration object drove the run (a
-    :class:`~repro.confed.config.ConfederationConfig`, or the legacy
-    ``SimulationConfig`` when produced through the deprecated shim).
-    """
-
-    config: object
+    #: The configuration that drove the run.
+    config: ConfederationConfig
     state_ratio: float
     timings: Dict[int, TimingAggregate]
     transactions_published: int

@@ -49,6 +49,12 @@ strategy object selected from
   event loop interleaves whole synchronous segments deterministically,
   the async mode's *global* stream is reproducible as well.
 
+The threaded and async modes are two *drivers* of one round plan
+(:meth:`_PhasedScheduler.round_plan` states the phased round once, as
+data) and fail the same way: a failure in any phase aborts the run with
+a :class:`~repro.errors.SchedulerError` naming the lowest-id failing
+participant, chained from its cause.  The serial mode raises it raw.
+
 Wall-clock wins come from overlapping whatever does not hold the store
 lock: the GIL-free portions of local work (sqlite instances release it)
 and, chiefly, store latency — with a ``real_latency`` store the injected
@@ -65,7 +71,7 @@ from __future__ import annotations
 import abc
 import asyncio
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Type
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple, Type
 
 from repro.errors import ConfigError, SchedulerError
 from repro.net.clock import AsyncLatencyClock
@@ -74,6 +80,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.cdss.participant import Participant
     from repro.confed.confederation import Confederation
     from repro.confed.config import ConfederationConfig
+
+#: One phase of a phased round: its name, the per-participant work, the
+#: roster it runs over (ascending participant id), and whether that work
+#: must *start* in roster order (the publish barrier) or in any order.
+Phase = Tuple[str, Callable[["Participant"], object], List["Participant"], bool]
 
 
 class EpochScheduler(abc.ABC):
@@ -131,7 +142,100 @@ class SerialScheduler(EpochScheduler):
                 participant.reconcile()
 
 
-class ThreadedScheduler(EpochScheduler):
+class _PhasedScheduler(EpochScheduler):
+    """What the threaded and async schedulers share: the round plan,
+    the ``workers`` cap, and the fail-fast contract.
+
+    A subclass is only a *driver*: it takes each :data:`Phase` from
+    :meth:`round_plan` and runs its work across the roster with its own
+    concurrency primitive (pool threads, asyncio tasks).
+    """
+
+    def __init__(self, workers: Optional[int] = None) -> None:
+        """``workers`` caps how many participants a phase drives at
+        once; ``None`` leaves the sizing to the driver.
+
+        A non-positive count is a configuration error, never a silent
+        fall-back to the default sizing."""
+        if workers is not None and workers < 1:
+            raise ConfigError(
+                f"{type(self).__name__} needs at least one worker, "
+                f"got {workers}"
+            )
+        self._workers = workers
+
+    def round_plan(self, confederation: "Confederation") -> Iterator[Phase]:
+        """The phased schedule, stated once, as data.
+
+        Yields each phase for the driver to run to completion; the
+        per-participant epoch-end step runs here, between phases, on
+        whatever thread or task advances the plan.  Work is written as
+        attribute lookups on the live objects at call time
+        (``p.publish()``, not a method bound when the plan is built):
+        callers replace those methods on the instances — tests inject
+        failures that way, the end-to-end benchmark its clocks.
+        """
+        config = confederation.config
+        if not confederation.participants:
+            return
+        published: Dict[int, int] = {}
+
+        def edit(participant: "Participant") -> None:
+            """Edit, and note what the epoch-end step must report."""
+            published[participant.id] = self.edit_phase(
+                confederation, participant
+            )
+
+        for round_index in range(config.rounds):
+            # Re-read the roster every round: a fault-plan restart
+            # (fired at the end of the previous round's steps) replaces
+            # a participant object, and the phases must drive the
+            # rebuilt one, not a stale reference.
+            roster = confederation.participants
+            yield "edit", edit, roster, False
+            # Deterministic publish-order barrier: epochs allocated in
+            # ascending participant id, every round.
+            yield "publish", lambda p: p.publish(), roster, True
+            yield "reconcile", lambda p: p.reconcile(), roster, False
+            for participant in roster:
+                confederation.finish_scheduled_epoch(
+                    participant, round_index, published[participant.id]
+                )
+        if config.final_reconcile:
+            roster = confederation.participants
+            yield "reconcile", lambda p: p.reconcile(), roster, False
+
+    @staticmethod
+    def raise_lowest_failure(
+        phase: str,
+        roster: List["Participant"],
+        outcomes: List[object],
+        done: Set[object],
+    ) -> None:
+        """Fail the phase if a finished outcome holds an exception.
+
+        ``outcomes`` are the roster's futures or tasks (both answer
+        ``exception()``) and ``done`` the ones that finished; the
+        driver has already cancelled the rest and let started work
+        drain, so nothing mutates the round after the raise and the
+        next phase never runs against a half-finished one.  The
+        :class:`SchedulerError` names the lowest-id failing participant
+        and chains its exception as the cause — the same report
+        whichever driver, and whichever phase, failed.
+        """
+        failures = [
+            (participant.id, outcome.exception())
+            for participant, outcome in zip(roster, outcomes)
+            if outcome in done and outcome.exception() is not None
+        ]
+        if failures:
+            pid, error = min(failures, key=lambda pair: pair[0])
+            raise SchedulerError(
+                f"{phase} phase failed for participant {pid}: {error}"
+            ) from error
+
+
+class ThreadedScheduler(_PhasedScheduler):
     """Concurrent edit/reconcile phases with a publish-order barrier."""
 
     name = "threaded"
@@ -142,189 +246,92 @@ class ThreadedScheduler(EpochScheduler):
     #: the CPU count: overlapping waits needs threads, not cores.
     MAX_DEFAULT_WORKERS = 32
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        """``workers=None`` sizes the pool as
-        ``min(peer count, MAX_DEFAULT_WORKERS)`` at run time.
-
-        A non-positive worker count is a configuration error — it used
-        to silently fall back to the default sizing through a truthiness
-        check, which hid the mistake."""
-        if workers is not None and workers < 1:
-            raise ConfigError(
-                f"ThreadedScheduler needs at least one worker, got {workers}"
-            )
-        self._workers = workers
-
-    @staticmethod
-    def _parallel_phase(
-        pool: ThreadPoolExecutor,
-        participants: List["Participant"],
-        work: Callable[["Participant"], object],
-        phase: str,
-    ) -> List[object]:
+    def _run_phase(self, pool: ThreadPoolExecutor, phase: Phase) -> None:
         """Run one phase across the pool, failing fast.
 
-        A worker exception used to surface only while draining
-        ``pool.map`` results; now the phase waits with
-        ``FIRST_EXCEPTION``, cancels what has not started, lets
-        already-running workers drain (so nothing mutates the round
-        after the raise), and aborts with a :class:`SchedulerError`
-        naming the failing participant — the publish barrier and the
-        reconcile phase never run against a half-edited round.
+        The phase waits with ``FIRST_EXCEPTION`` and cancels what has
+        not started; already-running workers drain before the raise.
+        An ordered phase submits the next participant only once the
+        previous one finished cleanly — the barrier is serial in wall
+        time.
         """
-        futures = {pool.submit(work, p): p for p in participants}
+        name, work, roster, ordered = phase
+        futures = []
+        for participant in roster:
+            futures.append(pool.submit(work, participant))
+            if ordered and futures[-1].exception() is not None:
+                break
         done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        failures = [
-            (futures[future], future.exception())
-            for future in done
-            if future.exception() is not None
-        ]
-        if failures:
-            for future in pending:
-                future.cancel()
-            wait(pending)
-            participant, error = min(failures, key=lambda pair: pair[0].id)
-            raise SchedulerError(
-                f"{phase} phase failed for participant {participant.id}: "
-                f"{error}"
-            ) from error
-        return [future.result() for future in futures]
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        self.raise_lowest_failure(name, roster, futures, done)
 
     def run(self, confederation: "Confederation") -> None:
-        """Drive the phased parallel schedule to completion."""
-        config = confederation.config
-        if not confederation.participants:
-            return
-        workers = (
-            self._workers
-            if self._workers is not None
-            else max(
-                1,
-                min(len(confederation.participants), self.MAX_DEFAULT_WORKERS),
-            )
+        """Drive the round plan on a thread pool
+        (``workers=None``: ``min(peer count, MAX_DEFAULT_WORKERS)``)."""
+        workers = self._workers or max(
+            1, min(len(confederation.participants), self.MAX_DEFAULT_WORKERS)
         )
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="epoch"
         ) as pool:
-            for round_index in range(config.rounds):
-                # Re-read the roster every round: a fault-plan restart
-                # (fired at the end of the previous round's steps)
-                # replaces a participant object, and workers must drive
-                # the rebuilt one, not a stale reference.
-                participants = confederation.participants
-                counts: List[int] = self._parallel_phase(
-                    pool,
-                    participants,
-                    lambda p: self.edit_phase(confederation, p),
-                    "edit",
-                )
-                # Deterministic publish-order barrier: epochs allocated
-                # in ascending participant id, every round.
-                for participant in participants:
-                    participant.publish()
-                self._parallel_phase(
-                    pool, participants, lambda p: p.reconcile(), "reconcile"
-                )
-                for participant, published in zip(participants, counts):
-                    confederation.finish_scheduled_epoch(
-                        participant, round_index, published
-                    )
-            if config.final_reconcile:
-                self._parallel_phase(
-                    pool,
-                    confederation.participants,
-                    lambda p: p.reconcile(),
-                    "reconcile",
-                )
+            for phase in self.round_plan(confederation):
+                self._run_phase(pool, phase)
 
 
-class AsyncScheduler(EpochScheduler):
+class AsyncScheduler(_PhasedScheduler):
     """Pipelined epochs: participants as tasks on one event loop.
 
-    Structurally the threaded schedule — parallel edit, deterministic
-    publish-order barrier, parallel reconcile, fail-fast
-    :class:`~repro.errors.SchedulerError` before the barrier — but the
-    concurrency primitive is an asyncio task, and injected latency is
-    awaited through an :class:`~repro.net.clock.AsyncLatencyClock`
-    instead of blocking a pool thread.  Everything synchronous (store
-    calls under the lock, session compute, ``HookBus.emit``) runs on
-    the single loop thread, so within a phase whole segments interleave
+    The same round plan as the threaded schedule, but the concurrency
+    primitive is an asyncio task, and injected latency is awaited
+    through an :class:`~repro.net.clock.AsyncLatencyClock` instead of
+    blocking a pool thread.  Everything synchronous (store calls under
+    the lock, session compute, ``HookBus.emit``) runs on the single
+    loop thread, so within a phase whole segments interleave
     deterministically in task order; only the latency waits overlap.
+    ``workers=None`` lets every participant be in flight at once (tasks
+    are cheap — the cap exists for stores where even *queued* work has
+    a footprint).
     """
 
     name = "async"
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        """``workers`` caps the in-flight tasks per phase;
-        ``None`` lets every participant be in flight at once (tasks are
-        cheap — the cap exists for stores where even *queued* work has
-        a footprint).
-
-        A non-positive count is a configuration error, exactly as for
-        :class:`ThreadedScheduler`."""
-        if workers is not None and workers < 1:
-            raise ConfigError(
-                f"AsyncScheduler needs at least one in-flight task, "
-                f"got {workers}"
-            )
-        self._workers = workers
-
-    async def _parallel_phase(
-        self,
-        participants: List["Participant"],
-        work: Callable[["Participant"], object],
-        phase: str,
-        clock: AsyncLatencyClock,
-        limit: int,
-    ) -> List[object]:
+    async def _run_phase(self, clock: AsyncLatencyClock, phase: Phase) -> None:
         """Run one phase as tasks, failing fast like the threaded pool.
 
         Tasks are created in ascending participant id and the event
         loop starts them in creation order (``call_soon`` is FIFO; the
         semaphore grants waiters FIFO too), so each participant's
         lock-held synchronous segment runs in a deterministic global
-        order — this is what makes the *publish* phase a deterministic
-        barrier without serializing its latency: participant *i* hits
-        ``clock.drain()`` and awaits while participant *i+1* allocates
-        its epoch.  On a failure the pending tasks are cancelled
-        (started segments always run to their await point — synchronous
-        code cannot be interrupted mid-segment) and the phase aborts
-        with a :class:`SchedulerError` naming the lowest-id failing
-        participant, matching the threaded scheduler.
+        order — every phase is ordered, which is what makes *publish* a
+        deterministic barrier without serializing its latency:
+        participant *i* hits ``clock.drain()`` and awaits while
+        participant *i+1* allocates its epoch.  On a failure the pending
+        tasks are cancelled (started segments always run to their await
+        point — synchronous code cannot be interrupted mid-segment).
         """
-        semaphore = asyncio.Semaphore(limit)
+        name, work, roster, _ordered = phase
+        semaphore = asyncio.Semaphore(self._workers or len(roster))
 
-        async def step(participant: "Participant") -> object:
+        async def step(participant: "Participant") -> None:
             """One participant's phase: sync segment, then the debt."""
             async with semaphore:
-                result = work(participant)
+                work(participant)
                 await clock.drain()
-                return result
 
-        tasks = [asyncio.create_task(step(p)) for p in participants]
+        tasks = [asyncio.create_task(step(p)) for p in roster]
         done, pending = await asyncio.wait(
             tasks, return_when=asyncio.FIRST_EXCEPTION
         )
-        failures = [
-            (participant, task.exception())
-            for participant, task in zip(participants, tasks)
-            if task in done and task.exception() is not None
-        ]
-        if failures:
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending)
-            participant, error = min(failures, key=lambda pair: pair[0].id)
-            raise SchedulerError(
-                f"{phase} phase failed for participant {participant.id}: "
-                f"{error}"
-            ) from error
-        return [task.result() for task in tasks]
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.wait(pending)
+        self.raise_lowest_failure(name, roster, tasks, done)
 
     async def _run(self, confederation: "Confederation") -> None:
         """The schedule, inside the event loop ``run`` owns."""
-        config = confederation.config
         store = confederation.store
         clock = AsyncLatencyClock()
         # Swap the store's latency clock for the run: payments accrue
@@ -334,54 +341,19 @@ class AsyncScheduler(EpochScheduler):
         if previous is not None:
             store.clock = clock
         try:
-            for round_index in range(config.rounds):
-                # Re-read the roster every round: a fault-plan restart
-                # replaces a participant object, and tasks must drive
-                # the rebuilt one, not a stale reference.
-                participants = confederation.participants
-                limit = self._workers or max(1, len(participants))
-                counts: List[int] = await self._parallel_phase(
-                    participants,
-                    lambda p: self.edit_phase(confederation, p),
-                    "edit",
-                    clock,
-                    limit,
-                )
-                # Deterministic publish-order barrier, pipelined:
-                # epochs allocated in ascending participant id, while
-                # earlier participants' latency awaits overlap later
-                # allocations (see _parallel_phase).
-                await self._parallel_phase(
-                    participants, lambda p: p.publish(), "publish", clock, limit
-                )
-                await self._parallel_phase(
-                    participants, lambda p: p.reconcile(), "reconcile",
-                    clock, limit,
-                )
-                for participant, published in zip(participants, counts):
-                    confederation.finish_scheduled_epoch(
-                        participant, round_index, published
-                    )
-                # Epoch-end work (fault-plan restarts rebuild replicas
-                # through the store) charges latency to *this* task.
+            for phase in self.round_plan(confederation):
+                # The plan's epoch-end work (fault-plan restarts rebuild
+                # replicas through the store) charges latency to *this*
+                # task: pay it before the next phase, and after the last.
                 await clock.drain()
-            if config.final_reconcile:
-                participants = confederation.participants
-                await self._parallel_phase(
-                    participants,
-                    lambda p: p.reconcile(),
-                    "reconcile",
-                    clock,
-                    self._workers or max(1, len(participants)),
-                )
+                await self._run_phase(clock, phase)
+            await clock.drain()
         finally:
             if previous is not None:
                 store.clock = previous
 
     def run(self, confederation: "Confederation") -> None:
-        """Drive the pipelined schedule on a fresh event loop."""
-        if not confederation.participants:
-            return
+        """Drive the round plan on a fresh event loop."""
         asyncio.run(self._run(confederation))
 
 
@@ -403,6 +375,6 @@ def create_scheduler(config: "ConfederationConfig") -> EpochScheduler:
             f"unknown schedule mode {config.schedule_mode!r}; "
             f"available: {', '.join(sorted(SCHEDULERS))}"
         )
-    if scheduler_cls in (ThreadedScheduler, AsyncScheduler):
+    if issubclass(scheduler_cls, _PhasedScheduler):
         return scheduler_cls(workers=config.schedule_workers)
     return scheduler_cls()

@@ -36,7 +36,6 @@ accounted — a second time; copies are never re-intercepted), or
 from __future__ import annotations
 
 import abc
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
@@ -177,28 +176,9 @@ class Network:
     ) -> None:
         """Convenience wrapper around :meth:`post`.
 
-        ``fragments`` and ``size_bytes`` are the public sizing contract
-        (see :class:`Message`).  The historical underscore-prefixed
-        spellings ``_fragments``/``_size_bytes`` are still accepted as
-        deprecated aliases; protocol payload keys must not collide with
-        either spelling.
+        ``fragments`` and ``size_bytes`` are the sizing contract (see
+        :class:`Message`); every other keyword is protocol payload.
         """
-        if "_fragments" in payload:
-            warnings.warn(
-                "Network.send(_fragments=...) is deprecated; "
-                "use fragments=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            fragments = payload.pop("_fragments")
-        if "_size_bytes" in payload:
-            warnings.warn(
-                "Network.send(_size_bytes=...) is deprecated; "
-                "use size_bytes=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            size_bytes = payload.pop("_size_bytes")
         self.post(
             Message(sender, recipient, kind, payload, fragments, size_bytes)
         )

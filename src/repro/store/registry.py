@@ -58,13 +58,6 @@ class StoreCapabilities:
     durable: bool = False
     network_centric_batches: bool = False
 
-    @property
-    def network_centric(self) -> bool:
-        """Deprecated alias for :attr:`network_centric_batches` (the
-        pre-PR 5 flag name).  Attribute reads only: the constructor
-        takes the new name, and :meth:`as_dict` emits the new key."""
-        return self.network_centric_batches
-
     def as_dict(self) -> Dict[str, bool]:
         """The flags as a plain dict (for reports and snapshots)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -204,7 +204,9 @@ class TestRegressionGate:
         )
         assert main([str(fresh), "--baseline", str(baseline)]) == 1
 
-    def test_legacy_flat_baseline_still_understood(self, tmp_path):
+    def test_baseline_without_a_benchmarks_map_is_an_error(self, tmp_path):
+        import pytest as _pytest
+
         from benchmarks.check_regression import main
 
         baseline = self._write(
@@ -215,7 +217,8 @@ class TestRegressionGate:
             tmp_path / "e.json",
             {"benchmark": "engine_reconciliation", "speedup": 4.1},
         )
-        assert main([str(fresh), "--baseline", str(baseline)]) == 0
+        with _pytest.raises(SystemExit, match="no 'benchmarks' map"):
+            main([str(fresh), "--baseline", str(baseline)])
 
     def test_unknown_benchmark_name_is_an_error(self, tmp_path):
         import pytest as _pytest

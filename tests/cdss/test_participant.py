@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdss import CDSS
+from repro.confed import Confederation
 from repro.errors import ConfigError, ConstraintViolation
 from repro.model import Insert, Modify
 from repro.policy import TrustPolicy
@@ -18,50 +18,50 @@ MOUSE2 = ("mouse", "prot2", "immune")
 
 
 @pytest.fixture
-def cdss(schema):
-    return CDSS(MemoryUpdateStore(schema))
+def confed(schema):
+    return Confederation(store=MemoryUpdateStore(schema)).open()
 
 
 class TestLocalEditing:
-    def test_execute_applies_locally_and_queues(self, cdss):
-        [p1] = cdss.add_mutually_trusting_participants([1])
+    def test_execute_applies_locally_and_queues(self, confed):
+        [p1] = confed.add_mutually_trusting_participants([1])
         txn = p1.execute([Insert("F", RAT1, 1)])
         assert p1.instance.contains_row("F", RAT1)
         assert p1.unpublished == (txn,)
         assert txn.tid.participant == 1
 
-    def test_execute_constraint_violation_rolls_back(self, cdss):
-        [p1] = cdss.add_mutually_trusting_participants([1])
+    def test_execute_constraint_violation_rolls_back(self, confed):
+        [p1] = confed.add_mutually_trusting_participants([1])
         p1.execute([Insert("F", RAT1, 1)])
         with pytest.raises(ConstraintViolation):
             p1.execute([Insert("F", RAT1_IMMUNE, 1)])
         assert len(p1.unpublished) == 1
 
-    def test_sequence_numbers_increase(self, cdss):
-        [p1] = cdss.add_mutually_trusting_participants([1])
+    def test_sequence_numbers_increase(self, confed):
+        [p1] = confed.add_mutually_trusting_participants([1])
         t0 = p1.execute([Insert("F", RAT1, 1)])
         t1 = p1.execute([Modify("F", RAT1, RAT1_IMMUNE, 1)])
         assert t1.tid.sequence == t0.tid.sequence + 1
 
 
 class TestPublishReconcile:
-    def test_two_peer_sync(self, cdss):
-        p1, p2 = cdss.add_mutually_trusting_participants([1, 2])
+    def test_two_peer_sync(self, confed):
+        p1, p2 = confed.add_mutually_trusting_participants([1, 2])
         p1.execute([Insert("F", RAT1, 1)])
         p1.publish_and_reconcile()
         result = p2.publish_and_reconcile()
         assert len(result.accepted) == 1
         assert p2.instance.contains_row("F", RAT1)
-        assert cdss.state_ratio() == 1.0
+        assert confed.state_ratio() == 1.0
 
-    def test_publish_clears_queue(self, cdss):
-        [p1] = cdss.add_mutually_trusting_participants([1])
+    def test_publish_clears_queue(self, confed):
+        [p1] = confed.add_mutually_trusting_participants([1])
         p1.execute([Insert("F", RAT1, 1)])
         p1.publish()
         assert p1.unpublished == ()
 
-    def test_chain_across_peers(self, cdss):
-        p1, p2, p3 = cdss.add_mutually_trusting_participants([1, 2, 3])
+    def test_chain_across_peers(self, confed):
+        p1, p2, p3 = confed.add_mutually_trusting_participants([1, 2, 3])
         p1.execute([Insert("F", RAT1, 1)])
         p1.publish_and_reconcile()
         p2.publish_and_reconcile()  # p2 imports the insert
@@ -71,8 +71,8 @@ class TestPublishReconcile:
         assert p3.instance.contains_row("F", RAT1_IMMUNE)
         assert not p3.instance.contains_row("F", RAT1)
 
-    def test_divergence_with_equal_trust(self, cdss):
-        p1, p2, p3 = cdss.add_mutually_trusting_participants([1, 2, 3])
+    def test_divergence_with_equal_trust(self, confed):
+        p1, p2, p3 = confed.add_mutually_trusting_participants([1, 2, 3])
         p1.execute([Insert("F", RAT1_IMMUNE, 1)])
         p1.publish_and_reconcile()
         p2.execute([Insert("F", RAT1_RESP, 2)])
@@ -81,14 +81,14 @@ class TestPublishReconcile:
         # both instances keep their own rows: tolerated disagreement.
         assert p1.instance.contains_row("F", RAT1_IMMUNE)
         assert p2.instance.contains_row("F", RAT1_RESP)
-        assert cdss.state_ratio() > 1.0
+        assert confed.state_ratio() > 1.0
         # p3 sees both, trusts both equally: defers.
         result = p3.publish_and_reconcile()
         assert len(result.deferred) == 2
         assert len(p3.open_conflicts()) == 1
 
-    def test_timings_recorded(self, cdss):
-        p1, p2 = cdss.add_mutually_trusting_participants([1, 2])
+    def test_timings_recorded(self, confed):
+        p1, p2 = confed.add_mutually_trusting_participants([1, 2])
         p1.execute([Insert("F", RAT1, 1)])
         p1.publish_and_reconcile()
         p2.publish_and_reconcile()
@@ -105,10 +105,10 @@ class TestPublishReconcile:
 
 
 class TestResolutionThroughParticipant:
-    def test_resolve_reports_to_store(self, cdss):
+    def test_resolve_reports_to_store(self, confed):
         from repro.core import Resolution
 
-        p1, p2, p3 = cdss.add_mutually_trusting_participants([1, 2, 3])
+        p1, p2, p3 = confed.add_mutually_trusting_participants([1, 2, 3])
         p1.execute([Insert("F", RAT1_IMMUNE, 1)])
         p1.publish_and_reconcile()
         p2.execute([Insert("F", RAT1_RESP, 2)])
@@ -136,23 +136,23 @@ class TestResolutionThroughParticipant:
 
 
 class TestCDSS:
-    def test_duplicate_participant_rejected(self, cdss):
+    def test_duplicate_participant_rejected(self, confed):
         # A duplicate id is a caller error (ConfigError), not a store
         # fault (StoreError).
-        cdss.add_participant(1, TrustPolicy())
+        confed.add_participant(1, TrustPolicy())
         with pytest.raises(ConfigError):
-            cdss.add_participant(1, TrustPolicy())
+            confed.add_participant(1, TrustPolicy())
 
-    def test_lookup_and_len(self, cdss):
-        cdss.add_mutually_trusting_participants([1, 2, 3])
-        assert len(cdss) == 3
-        assert cdss.participant(2).id == 2
+    def test_lookup_and_len(self, confed):
+        confed.add_mutually_trusting_participants([1, 2, 3])
+        assert len(confed) == 3
+        assert confed.participant(2).id == 2
         with pytest.raises(ConfigError):
-            cdss.participant(9)
+            confed.participant(9)
 
-    def test_participants_ordered_by_id(self, cdss):
-        cdss.add_mutually_trusting_participants([3, 1, 2])
-        assert [p.id for p in cdss.participants] == [1, 2, 3]
+    def test_participants_ordered_by_id(self, confed):
+        confed.add_mutually_trusting_participants([3, 1, 2])
+        assert [p.id for p in confed.participants] == [1, 2, 3]
 
-    def test_schema_property(self, cdss, schema):
-        assert cdss.schema is schema
+    def test_schema_property(self, confed, schema):
+        assert confed.schema is schema

@@ -198,25 +198,61 @@ class TestSnapshotRestore:
 
 
 class TestRunAndReport:
-    def test_run_matches_legacy_simulation(self):
-        config = ConfederationConfig(
-            peers=(1, 2, 3, 4),
-            reconciliation_interval=2,
-            rounds=2,
-            workload=WorkloadConfig(seed=11),
+    def test_small_run_produces_sane_report(self):
+        config = ConfederationConfig.evaluation(
+            4, reconciliation_interval=2, rounds=2
         )
-        with Confederation(config) as confed:
-            report = confed.run()
+        report = Confederation.from_config(config).run()
+        assert 1.0 <= report.state_ratio <= 4.0
         assert report.transactions_published == 4 * 2 * 2
+        assert report.store_messages > 0
         assert set(report.timings) == {1, 2, 3, 4}
         for agg in report.timings.values():
             assert agg.reconciliations == 2
-        assert report.store_messages > 0
-        assert 1.0 <= report.state_ratio <= 4.0
         # The default in-process store has no simulated network: the
         # wire-metric maps are present but empty.
         assert report.kind_counts == {}
         assert report.kind_bytes == {}
+
+    def test_deterministic_given_seed(self):
+        def run(seed):
+            config = ConfederationConfig.evaluation(
+                4,
+                reconciliation_interval=2,
+                rounds=2,
+                workload=WorkloadConfig(seed=seed),
+            )
+            return Confederation.from_config(config).run().state_ratio
+
+        assert run(11) == run(11)
+
+    def test_custom_store(self):
+        store = MemoryUpdateStore(curated_schema())
+        confed = Confederation(
+            ConfederationConfig.evaluation(
+                3, reconciliation_interval=1, rounds=1
+            ),
+            store=store,
+        ).open()
+        report = confed.run()
+        assert confed.store is store
+        assert report.transactions_published == 3
+
+    def test_report_means(self):
+        config = ConfederationConfig.evaluation(
+            3, reconciliation_interval=2, rounds=1
+        )
+        report = Confederation.from_config(config).run()
+        assert report.mean_total_seconds_per_participant > 0
+        assert report.mean_seconds_per_reconciliation > 0
+        assert report.mean_store_seconds_per_participant >= 0
+        assert (
+            report.mean_total_seconds_per_participant
+            == pytest.approx(
+                report.mean_store_seconds_per_participant
+                + report.mean_local_seconds_per_participant
+            )
+        )
 
     def test_report_wire_metrics_mirror_the_dht_network(self):
         config = ConfederationConfig(

@@ -24,7 +24,7 @@ class TestRoundTrip:
             peers=(1, 2, 5),
             trust={1: {2: 3, 5: 1}, 2: {1: 1}},
             trust_priority=2,
-            network_centric=True,
+            network_centric="store",
             engine_caching=False,
             workload=WorkloadConfig(transaction_size=3, seed=9),
             reconciliation_interval=7,
@@ -45,12 +45,8 @@ class TestRoundTrip:
     def test_peers_normalised_to_tuple(self):
         assert ConfederationConfig(peers=[3, 1]).peers == (3, 1)
 
-    @pytest.mark.parametrize("mode", [False, True, "client", "store"])
+    @pytest.mark.parametrize("mode", ["client", "store"])
     def test_network_centric_mode_round_trips_exactly(self, mode):
-        # The named modes ("client"/"store") and their legacy boolean
-        # spellings are distinct dict values and must survive the round
-        # trip verbatim — a config file saying "store" must not come
-        # back as True.
         cfg = ConfederationConfig(network_centric=mode).validate()
         wire = json.loads(json.dumps(cfg.to_dict()))
         assert wire["network_centric"] == mode
@@ -60,7 +56,6 @@ class TestRoundTrip:
 
     def test_network_centric_store_helper(self):
         assert ConfederationConfig(network_centric="store").network_centric_store
-        assert ConfederationConfig(network_centric=True).network_centric_store
         assert not ConfederationConfig(network_centric="client").network_centric_store
         assert not ConfederationConfig().network_centric_store
 
@@ -86,13 +81,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match="network_centric"):
             ConfederationConfig(network_centric="controller").validate()
 
+    @pytest.mark.parametrize("legacy, replacement", [(True, "store"), (False, "client")])
+    def test_boolean_network_centric_is_refused_by_name(self, legacy, replacement):
+        # An old JSON config file is outside input: the boolean
+        # spellings are gone, and must be refused naming the
+        # replacement — never coerced, never silently client-centric.
+        wire = json.loads(json.dumps({"network_centric": legacy}))
+        for cfg in (
+            ConfederationConfig(network_centric=legacy),
+            ConfederationConfig.from_dict(wire),
+            ConfederationConfig(network_centric=int(legacy)),
+        ):
+            with pytest.raises(
+                ConfigError, match=f"'{replacement}' .*was {legacy}"
+            ):
+                cfg.validate()
+            with pytest.raises(ConfigError, match="network_centric"):
+                Confederation(cfg)
+
     def test_network_centric_modes_constant_is_what_validate_accepts(self):
         # NETWORK_CENTRIC_MODES is the public accepted-values list
         # (config UIs iterate it); validate() consults the same tuple,
         # so the two can never drift apart.
         from repro.confed import NETWORK_CENTRIC_MODES
 
-        assert NETWORK_CENTRIC_MODES == (False, True, "client", "store")
+        assert NETWORK_CENTRIC_MODES == ("client", "store")
         for mode in NETWORK_CENTRIC_MODES:
             assert (
                 ConfederationConfig(network_centric=mode).validate()

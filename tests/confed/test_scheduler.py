@@ -14,7 +14,7 @@ from repro.confed import (
     create_scheduler,
 )
 from repro.core.session import ReconcileSession
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SchedulerError, StoreError
 from repro.workload import WorkloadConfig
 
 
@@ -102,19 +102,15 @@ class TestSelection:
             ConfederationConfig(schedule_workers=0).validate()
 
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_direct_construction_rejects_non_positive_workers(self, workers):
-        # ThreadedScheduler(workers=0) used to silently fall back to the
-        # default pool sizing through `self._workers or ...`; it is now
-        # a hard error at construction, matching the config validation.
+    @pytest.mark.parametrize("scheduler_cls", [ThreadedScheduler, AsyncScheduler])
+    def test_direct_construction_rejects_non_positive_workers(
+        self, scheduler_cls, workers
+    ):
+        # workers=0 used to silently fall back to the default sizing
+        # through `self._workers or ...`; it is a hard error at
+        # construction for both phased schedulers, with one message.
         with pytest.raises(ConfigError, match="at least one worker"):
-            ThreadedScheduler(workers=workers)
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_async_construction_rejects_non_positive_workers(self, workers):
-        # schedule_workers=0 is a ConfigError for async exactly as for
-        # threaded — never a silent fall-back to the default sizing.
-        with pytest.raises(ConfigError, match="at least one in-flight"):
-            AsyncScheduler(workers=workers)
+            scheduler_cls(workers=workers)
 
     def test_async_bad_worker_count_rejected_by_validation(self):
         with pytest.raises(ConfigError, match="schedule_workers"):
@@ -230,15 +226,14 @@ class TestAsyncSchedule:
             assert isinstance(confed.store.clock, BlockingLatencyClock)
 
 
+@pytest.mark.parametrize("mode", ["threaded", "async"])
 class TestFailFast:
-    def test_edit_phase_failure_aborts_before_the_publish_barrier(self):
+    def test_edit_phase_failure_aborts_before_the_publish_barrier(self, mode):
         # A worker exception in the parallel edit phase must abort the
         # round before anything publishes — a half-edited round leaking
         # through the barrier would feed every peer inconsistent epochs
         # — and the raised error must name the failing participant.
-        from repro.errors import SchedulerError
-
-        with Confederation(_config(schedule_mode="threaded")) as confed:
+        with Confederation(_config(schedule_mode=mode)) as confed:
             broken = confed.participant(3)
 
             def explode(updates):
@@ -254,44 +249,32 @@ class TestFailFast:
             assert confed.store.current_epoch() == 0
             assert confed.report().transactions_published == 0
 
-    def test_reconcile_phase_failure_names_the_participant(self):
-        from repro.errors import SchedulerError
-
-        with Confederation(_config(schedule_mode="threaded")) as confed:
+    def test_publish_barrier_failure_is_wrapped_and_stops_the_round(self, mode):
+        # A store error during the barrier used to escape raw from the
+        # threaded scheduler and wrapped from the async one; both now
+        # raise the wrapped form with the cause chained.
+        reconciled = []
+        hooks = HookBus()
+        hooks.on_reconcile(lambda **kw: reconciled.append(kw["participant"]))
+        with Confederation(_config(schedule_mode=mode), hooks=hooks) as confed:
             broken = confed.participant(2)
 
             def explode():
-                raise RuntimeError("session crashed")
+                raise StoreError("store unreachable")
 
-            broken.reconcile = explode
+            broken.publish = explode
             with pytest.raises(
                 SchedulerError,
-                match="reconcile phase failed for participant 2",
-            ):
-                confed.run()
-
-    def test_async_edit_failure_aborts_before_the_publish_barrier(self):
-        from repro.errors import SchedulerError
-
-        with Confederation(_config(schedule_mode="async")) as confed:
-            broken = confed.participant(3)
-
-            def explode(updates):
-                raise RuntimeError("disk on fire")
-
-            broken.execute = explode
-            with pytest.raises(
-                SchedulerError, match="edit phase failed for participant 3"
+                match="publish phase failed for participant 2: store unreachable",
             ) as excinfo:
                 confed.run()
-            assert isinstance(excinfo.value.__cause__, RuntimeError)
-            assert confed.store.current_epoch() == 0
+            assert isinstance(excinfo.value.__cause__, StoreError)
+            # The reconcile phase never ran against the torn barrier.
+            assert reconciled == []
             assert confed.report().transactions_published == 0
 
-    def test_async_reconcile_failure_names_the_participant(self):
-        from repro.errors import SchedulerError
-
-        with Confederation(_config(schedule_mode="async")) as confed:
+    def test_reconcile_phase_failure_names_the_participant(self, mode):
+        with Confederation(_config(schedule_mode=mode)) as confed:
             broken = confed.participant(2)
 
             def explode():

@@ -2,8 +2,9 @@
 
 Imports the checks from ``tools/check_docs.py`` (stdlib-only) so that a
 missing public docstring, a broken relative link in the checked markdown
-files, or a docs snippet quoting a CLI flag that does not exist fails
-the ordinary test suite — not just the dedicated CI docs job.
+files, a docs snippet quoting a CLI flag that does not exist, or the
+library outgrowing its source-line ceiling fails the ordinary test suite
+— not just the dedicated CI docs job.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ def test_markdown_links_resolve():
 
 def test_cli_snippets_are_honest():
     assert check_docs.check_cli_snippets() == []
+
+
+def test_source_lines_stay_under_the_ratchet():
+    assert check_docs.check_source_lines() == []
 
 
 def test_gate_runs_as_a_script():

@@ -56,7 +56,7 @@ def run_confederation(
     store_options,
     seed,
     faults=None,
-    network_centric=False,
+    network_centric="client",
     schedule_mode="serial",
 ):
     """Replay the seeded evaluation schedule, recording every decision

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdss import CDSS
+from repro.confed import Confederation
 from repro.model import Insert
 from repro.policy import TrustPolicy, policy_from_priorities
 from repro.store import CentralUpdateStore, DhtUpdateStore, MemoryUpdateStore
@@ -36,7 +36,7 @@ def store_factory(request):
 
 def run_workload(store, network_centric: bool):
     """A seeded conflict-heavy run; returns snapshots and decision sets."""
-    cdss = CDSS(store)
+    confed = Confederation(store=store).open()
     peer_ids = [1, 2, 3, 4]
     participants = []
     for pid in peer_ids:
@@ -45,7 +45,7 @@ def run_workload(store, network_centric: bool):
             if other != pid:
                 policy.trust_participant(other, 1)
         participants.append(
-            cdss.add_participant(pid, policy)
+            confed.add_participant(pid, policy)
         )
         participants[-1].network_centric = network_centric
 
@@ -79,10 +79,10 @@ class TestNetworkCentricEquivalence:
 
     def test_deferred_transactions_reconsidered(self, store_factory):
         store = store_factory()
-        cdss = CDSS(store)
-        p1 = cdss.add_participant(1, policy_from_priorities([(2, 1), (3, 1)]))
-        p2 = cdss.add_participant(2, policy_from_priorities([(1, 1), (3, 1)]))
-        p3 = cdss.add_participant(3, policy_from_priorities([(1, 1), (2, 1)]))
+        confed = Confederation(store=store).open()
+        p1 = confed.add_participant(1, policy_from_priorities([(2, 1), (3, 1)]))
+        p2 = confed.add_participant(2, policy_from_priorities([(1, 1), (3, 1)]))
+        p3 = confed.add_participant(3, policy_from_priorities([(1, 1), (2, 1)]))
         p3.network_centric = True
 
         p1.execute([Insert("F", RAT_IMMUNE, 1)])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdss import CDSS
+from repro.confed import Confederation
 from repro.core import Resolution
 from repro.model import Insert, Modify
 from repro.policy import policy_from_priorities
@@ -23,20 +23,20 @@ MOUSE = ("mouse", "prot2", "immune")
 
 
 @pytest.fixture(params=["memory", "central", "dht"])
-def cdss(request, schema):
+def confed(request, schema):
     if request.param == "memory":
-        yield CDSS(MemoryUpdateStore(schema))
+        yield Confederation(store=MemoryUpdateStore(schema)).open()
     elif request.param == "central":
         with CentralUpdateStore(schema) as store:
-            yield CDSS(store)
+            yield Confederation(store=store).open()
     else:
-        yield CDSS(DhtUpdateStore(schema, hosts=3))
+        yield Confederation(store=DhtUpdateStore(schema, hosts=3)).open()
 
 
-def build_figure1_topology(cdss):
-    p1 = cdss.add_participant(1, policy_from_priorities([(2, 1), (3, 1)]))
-    p2 = cdss.add_participant(2, policy_from_priorities([(1, 2), (3, 1)]))
-    p3 = cdss.add_participant(3, policy_from_priorities([(2, 1)]))
+def build_figure1_topology(confed):
+    p1 = confed.add_participant(1, policy_from_priorities([(2, 1), (3, 1)]))
+    p2 = confed.add_participant(2, policy_from_priorities([(1, 2), (3, 1)]))
+    p3 = confed.add_participant(3, policy_from_priorities([(2, 1)]))
     return p1, p2, p3
 
 
@@ -57,8 +57,8 @@ def run_figure2_epochs(p1, p2, p3):
 
 
 class TestFigure2EndToEnd:
-    def test_all_four_epochs(self, cdss):
-        p1, p2, p3 = build_figure1_topology(cdss)
+    def test_all_four_epochs(self, confed):
+        p1, p2, p3 = build_figure1_topology(confed)
         result2, result3, result4 = run_figure2_epochs(p1, p2, p3)
 
         # Epoch 2: p2 rejects p3's rat chain, keeps its own state.
@@ -86,8 +86,8 @@ class TestFigure2EndToEnd:
         assert group.key == ("F", ("rat", "prot1"))
         assert len(group.options) == 3
 
-    def test_resolution_after_figure2(self, cdss):
-        p1, p2, p3 = build_figure1_topology(cdss)
+    def test_resolution_after_figure2(self, confed):
+        p1, p2, p3 = build_figure1_topology(confed)
         run_figure2_epochs(p1, p2, p3)
         [group] = p1.open_conflicts()
         immune = next(
@@ -105,20 +105,20 @@ class TestFigure2EndToEnd:
         assert follow_up.accepted == []
         assert follow_up.deferred == []
 
-    def test_state_ratio_reflects_figure2_divergence(self, cdss):
-        p1, p2, p3 = build_figure1_topology(cdss)
+    def test_state_ratio_reflects_figure2_divergence(self, confed):
+        p1, p2, p3 = build_figure1_topology(confed)
         run_figure2_epochs(p1, p2, p3)
         # mouse key: all agree (p1, p2, p3 share it); rat key: p1 absent,
         # p2 has cell-resp, p3 has immune -> 3 states.
-        ratio = cdss.state_ratio()
+        ratio = confed.state_ratio()
         assert ratio == pytest.approx((1 + 3) / 2)
 
 
 class TestSection42Scenario:
-    def test_revision_unblocks_conflicting_import(self, cdss):
+    def test_revision_unblocks_conflicting_import(self, confed):
         """Section 4.2's X3:2/X3:3: a revised-away insert must not block
         importing another peer's insert at the vacated key."""
-        p1, p2, p3 = build_figure1_topology(cdss)
+        p1, p2, p3 = build_figure1_topology(confed)
         p3.execute([Insert("F", ("mouse", "prot2", "cell-resp"), 3)])
         p3.execute(
             [

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdss import CDSS, Participant, Simulation, SimulationConfig
+from repro.cdss import Participant
+from repro.confed import Confederation, ConfederationConfig
 from repro.model import Insert
 from repro.store import (
     CentralUpdateStore,
@@ -38,16 +39,16 @@ def build_store(kind, schema, path=None):
 def test_rebuilt_participant_matches_live(kind, tmp_path):
     schema = curated_schema()
     store = build_store(kind, schema, path=str(tmp_path / "rebuild.db"))
-    config = SimulationConfig(
-        participants=4,
+    config = ConfederationConfig.evaluation(
+        4,
         reconciliation_interval=3,
         rounds=3,
         workload=WorkloadConfig(transaction_size=2, seed=23),
     )
-    simulation = Simulation(config, store=store)
-    simulation.run()
+    confed = Confederation(config, store=store).open()
+    confed.run()
 
-    for live in simulation.cdss.participants:
+    for live in confed.participants:
         rebuilt = Participant.rebuild(live.id, store, live.policy)
         assert rebuilt.instance.snapshot() == live.instance.snapshot()
         assert rebuilt.state.applied == live.state.applied
@@ -62,8 +63,8 @@ def test_rebuilt_participant_matches_live(kind, tmp_path):
 def test_rebuilt_participant_continues_operating():
     schema = curated_schema()
     store = MemoryUpdateStore(schema)
-    cdss = CDSS(store)
-    p1, p2 = cdss.add_mutually_trusting_participants([1, 2])
+    confed = Confederation(store=store).open()
+    p1, p2 = confed.add_mutually_trusting_participants([1, 2])
     p1.execute([Insert("F", ("rat", "prot1", "immune"), 1)])
     p1.publish_and_reconcile()
     p2.publish_and_reconcile()
@@ -85,8 +86,8 @@ def test_central_store_survives_restart(tmp_path):
     path = str(tmp_path / "store.db")
 
     with CentralUpdateStore(schema, path) as store:
-        cdss = CDSS(store)
-        p1, p2 = cdss.add_mutually_trusting_participants([1, 2])
+        confed = Confederation(store=store).open()
+        p1, p2 = confed.add_mutually_trusting_participants([1, 2])
         p1.execute([Insert("F", ("rat", "prot1", "immune"), 1)])
         p1.publish_and_reconcile()
         p2.publish_and_reconcile()

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdss import Simulation, SimulationConfig
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.store import (
     CentralUpdateStore,
@@ -37,24 +36,22 @@ def run_with(store_name: str, seed: int):
         store = DurableUpdateStore(schema, cache_size=8)
     else:
         store = DhtUpdateStore(schema, hosts=5)
-    config = SimulationConfig(
-        participants=5,
+    config = ConfederationConfig.evaluation(
+        5,
         reconciliation_interval=3,
         rounds=3,
         workload=WorkloadConfig(transaction_size=2, seed=seed),
     )
-    simulation = Simulation(config, store=store)
-    report = simulation.run()
-    snapshots = {
-        p.id: p.instance.snapshot() for p in simulation.cdss.participants
-    }
+    confed = Confederation(config, store=store).open()
+    report = confed.run()
+    snapshots = {p.id: p.instance.snapshot() for p in confed.participants}
     decisions = {
         p.id: (
             sorted(map(str, p.state.applied)),
             sorted(map(str, p.state.rejected)),
             sorted(map(str, p.state.deferred)),
         )
-        for p in simulation.cdss.participants
+        for p in confed.participants
     }
     return snapshots, decisions, report.state_ratio
 
@@ -78,7 +75,7 @@ def run_with_decision_log(
     store_name,
     store_options,
     seed,
-    network_centric=False,
+    network_centric="client",
     schedule_mode="serial",
 ):
     """Replay the seeded evaluation schedule, recording every decision

@@ -1,15 +1,12 @@
-"""Tests for the simulation driver and metrics."""
+"""The evaluation metrics: state ratio and timing aggregation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cdss import Simulation, SimulationConfig
 from repro.instance import MemoryInstance
 from repro.metrics import aggregate_timings, divergence_by_key, state_ratio
 from repro.model import Insert
-from repro.store import MemoryUpdateStore
-from repro.workload import WorkloadConfig, curated_schema
 
 
 class TestStateRatio:
@@ -64,67 +61,6 @@ class TestStateRatio:
         b.apply(Insert("F", ("rat", "p1", "y"), 2))
         counts = divergence_by_key({1: a, 2: b})
         assert counts[("F", ("rat", "p1"))] == 2
-
-
-class TestSimulation:
-    def test_small_run_produces_sane_report(self):
-        config = SimulationConfig(
-            participants=4, reconciliation_interval=2, rounds=2
-        )
-        report = Simulation(config).run()
-        assert 1.0 <= report.state_ratio <= 4.0
-        assert report.transactions_published == 4 * 2 * 2
-        assert report.store_messages > 0
-        assert set(report.timings) == {1, 2, 3, 4}
-        for agg in report.timings.values():
-            assert agg.reconciliations == 2
-
-    def test_deterministic_given_seed(self):
-        def run(seed):
-            config = SimulationConfig(
-                participants=4,
-                reconciliation_interval=2,
-                rounds=2,
-                workload=WorkloadConfig(seed=seed),
-            )
-            return Simulation(config).run().state_ratio
-
-        assert run(11) == run(11)
-
-    def test_custom_store(self):
-        store = MemoryUpdateStore(curated_schema())
-        sim = Simulation(
-            SimulationConfig(participants=3, reconciliation_interval=1, rounds=1),
-            store=store,
-        )
-        report = sim.run()
-        assert sim.cdss.store is store
-        assert report.transactions_published == 3
-
-    def test_store_and_factory_mutually_exclusive(self):
-        store = MemoryUpdateStore(curated_schema())
-        with pytest.raises(ValueError):
-            Simulation(
-                SimulationConfig(participants=2),
-                store=store,
-                store_factory=lambda: store,
-            )
-
-    def test_report_means(self):
-        config = SimulationConfig(
-            participants=3, reconciliation_interval=2, rounds=1
-        )
-        report = Simulation(config).run()
-        assert report.mean_total_seconds_per_participant > 0
-        assert report.mean_seconds_per_reconciliation > 0
-        assert report.mean_store_seconds_per_participant >= 0
-        assert (
-            report.mean_total_seconds_per_participant
-            == pytest.approx(
-                report.mean_store_seconds_per_participant
-                + report.mean_local_seconds_per_participant
-            )
-        )
 
 
 class TestTimingAggregation:

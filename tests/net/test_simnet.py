@@ -61,22 +61,6 @@ class TestNetwork:
         }
         assert sum(net.kind_bytes.values()) == net.bytes_delivered
 
-    def test_deprecated_underscore_sizing_aliases(self):
-        net = Network(latency=0.001)
-        a, b = EchoNode("a"), EchoNode("b")
-        net.add_node(a)
-        net.add_node(b)
-        with pytest.warns(DeprecationWarning):
-            net.send("a", "b", "probe", _fragments=2)
-        with pytest.warns(DeprecationWarning):
-            net.send("a", "b", "probe", _size_bytes=640)
-        net.run()
-        # Aliases feed the real sizing fields, not the payload.
-        assert net.messages_delivered == 3  # 2 fragments + 1
-        assert net.bytes_delivered == 2 * 256 + 640
-        assert all("_fragments" not in m.payload for m in b.received)
-        assert all("_size_bytes" not in m.payload for m in b.received)
-
     def test_duplicate_node_rejected(self):
         net = Network()
         net.add_node(EchoNode("a"))

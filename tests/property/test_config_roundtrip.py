@@ -136,9 +136,7 @@ def confederation_configs(draw) -> ConfederationConfig:
         peers=peers,
         trust=trust,
         trust_priority=draw(st.integers(min_value=0, max_value=5)),
-        network_centric=draw(
-            st.sampled_from((False, True, "client", "store"))
-        ),
+        network_centric=draw(st.sampled_from(("client", "store"))),
         engine_caching=draw(st.booleans()),
         workload=draw(st.none() | workload_configs()),
         reconciliation_interval=draw(st.integers(min_value=0, max_value=10)),

@@ -24,7 +24,7 @@ from typing import Dict, List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cdss import CDSS
+from repro.confed import Confederation
 from repro.model import Delete, Insert, Modify
 from repro.policy import TrustPolicy
 from repro.store import MemoryUpdateStore
@@ -35,14 +35,14 @@ def run_random_history(seed: int, steps: int = 40):
     """Drive a small random CDSS; returns the system and a decision log."""
     rng = random.Random(seed)
     schema = curated_schema()
-    cdss = CDSS(MemoryUpdateStore(schema))
+    confed = Confederation(store=MemoryUpdateStore(schema)).open()
     peer_ids = [1, 2, 3, 4]
     for pid in peer_ids:
         policy = TrustPolicy()
         for other in peer_ids:
             if other != pid:
                 policy.trust_participant(other, rng.choice([1, 1, 2]))
-        cdss.add_participant(pid, policy)
+        confed.add_participant(pid, policy)
 
     keys = [("rat", f"p{i}") for i in range(4)]
     functions = [f"fn{i}" for i in range(3)]
@@ -51,7 +51,7 @@ def run_random_history(seed: int, steps: int = 40):
     }
 
     for _step in range(steps):
-        participant = cdss.participant(rng.choice(peer_ids))
+        participant = confed.participant(rng.choice(peer_ids))
         action = rng.random()
         if action < 0.6:
             _random_edit(rng, participant, keys, functions)
@@ -67,7 +67,7 @@ def run_random_history(seed: int, steps: int = 40):
             )
     # Final pass so that every peer has at least one recorded decision set.
     for pid in peer_ids:
-        participant = cdss.participant(pid)
+        participant = confed.participant(pid)
         participant.publish_and_reconcile()
         state = participant.state
         decision_history[pid].append(
@@ -77,7 +77,7 @@ def run_random_history(seed: int, steps: int = 40):
                 "deferred": set(state.deferred),
             }
         )
-    return cdss, decision_history
+    return confed, decision_history
 
 
 def _random_edit(rng, participant, keys, functions):
@@ -106,8 +106,8 @@ def _random_edit(rng, participant, keys, functions):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_decision_sets_partition(seed):
-    cdss, _history = run_random_history(seed)
-    for participant in cdss.participants:
+    confed, _history = run_random_history(seed)
+    for participant in confed.participants:
         state = participant.state
         applied, rejected = state.applied, state.rejected
         deferred = set(state.deferred)
@@ -138,8 +138,8 @@ def test_decisions_are_never_retracted(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_conflict_groups_offer_choices(seed):
-    cdss, _history = run_random_history(seed)
-    for participant in cdss.participants:
+    confed, _history = run_random_history(seed)
+    for participant in confed.participants:
         for group in participant.open_conflicts():
             assert len(group.options) >= 2
             involved = group.transactions()
@@ -150,8 +150,8 @@ def test_conflict_groups_offer_choices(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_dirty_keys_cover_deferred_extensions(seed):
-    cdss, _history = run_random_history(seed)
-    for participant in cdss.participants:
+    confed, _history = run_random_history(seed)
+    for participant in confed.participants:
         state = participant.state
         if state.deferred:
             assert state.dirty_keys, (
@@ -165,6 +165,6 @@ def test_dirty_keys_cover_deferred_extensions(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
 def test_state_ratio_within_bounds(seed):
-    cdss, _history = run_random_history(seed)
-    ratio = cdss.state_ratio()
-    assert 1.0 <= ratio <= len(cdss)
+    confed, _history = run_random_history(seed)
+    ratio = confed.state_ratio()
+    assert 1.0 <= ratio <= len(confed)

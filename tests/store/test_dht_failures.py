@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdss import CDSS
+from repro.confed import Confederation
 from repro.errors import StoreError
 from repro.model import Insert
 from repro.store import DhtUpdateStore
@@ -14,14 +14,14 @@ from repro.store import DhtUpdateStore
 
 def build_system(schema, hosts=6):
     store = DhtUpdateStore(schema, hosts=hosts)
-    cdss = CDSS(store)
-    peers = cdss.add_mutually_trusting_participants([1, 2, 3])
-    return store, cdss, peers
+    confed = Confederation(store=store).open()
+    peers = confed.add_mutually_trusting_participants([1, 2, 3])
+    return store, confed, peers
 
 
 class TestAllocatorRecovery:
     def test_counter_reconstructed_after_allocator_failure(self, schema):
-        store, cdss, (p1, p2, p3) = build_system(schema)
+        store, confed, (p1, p2, p3) = build_system(schema)
         # Generate some history and let everyone catch up.
         p1.execute([Insert("F", ("rat", "prot1", "immune"), 1)])
         p1.publish_and_reconcile()
@@ -42,7 +42,7 @@ class TestAllocatorRecovery:
         assert epoch == recovered + 1
 
     def test_publishing_continues_after_recovery(self, schema):
-        store, cdss, (p1, p2, p3) = build_system(schema)
+        store, confed, (p1, p2, p3) = build_system(schema)
         p1.execute([Insert("F", ("rat", "prot1", "immune"), 1)])
         p1.publish_and_reconcile()
         p2.publish_and_reconcile()

@@ -47,7 +47,7 @@ class TestCapabilityFlags:
             caps = store_capabilities(name)
             assert caps.ships_context_free
             assert caps.shared_pair_memo
-            assert caps.network_centric
+            assert caps.network_centric_batches
 
     def test_dht_flags_are_honest(self):
         # Since PR 3 the DHT derives context-free extensions at publish
@@ -57,8 +57,6 @@ class TestCapabilityFlags:
         assert caps.ships_context_free
         assert caps.shared_pair_memo
         assert caps.network_centric_batches
-        # The pre-PR 5 flag name keeps reading the same truth.
-        assert caps.network_centric
 
     def test_dht_shipping_opt_out_downgrades_instance_flags(self):
         # ship_context_free=False restores the paper's client-compute-only

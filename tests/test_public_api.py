@@ -6,7 +6,12 @@ API change and must show up in review as an edit to this file.
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 import repro
+import repro.cdss
 from repro.confed.hooks import EVENTS
 from repro.store import available_stores, store_capabilities
 
@@ -17,10 +22,6 @@ EXPECTED_ALL = {
     "ConfederationReport",
     "HookBus",
     "ParticipantSnapshot",
-    # Legacy entry points (deprecation shims)
-    "CDSS",
-    "Simulation",
-    "SimulationConfig",
     # Participants, the engine, and the session/scheduler layers (PR 3)
     "Decision",
     "Participant",
@@ -108,6 +109,15 @@ def test_public_all_is_exactly_the_snapshot():
 def test_every_public_name_resolves():
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
+
+
+@pytest.mark.parametrize("module", ["repro.cdss.system", "repro.cdss.simulation"])
+def test_deleted_entry_points_stay_deleted(module):
+    # CDSS / Simulation / SimulationConfig / SimulationReport are gone,
+    # not shimmed: Confederation is the one way in.
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
+    assert repro.cdss.__all__ == ["Participant", "ReconcileTiming"]
 
 
 def test_builtin_registry_contents():

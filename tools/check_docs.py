@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation gate: docstring coverage, link integrity, honest snippets.
+"""Documentation gate: docstring coverage, link integrity, honest snippets,
+and the source-line ratchet.
 
-Three checks, all stdlib-only so the gate runs anywhere the tests run
+Four checks, all stdlib-only so the gate runs anywhere the tests run
 (CI additionally runs ``ruff check`` with the D100-D103 rules — this
 tool mirrors that docstring contract for environments without ruff):
 
@@ -19,6 +20,13 @@ tool mirrors that docstring contract for environments without ruff):
    invocation quoted in the docs names only flags the real parser
    accepts, and every rule code passed to ``--select`` is a registered
    rule.  Docs that drift from the CLI fail the build.
+
+4. **Source-line ratchet** — the total line count of
+   ``src/repro/**/*.py`` (what ``wc -l`` reports) must not exceed
+   ``SOURCE_LINE_CEILING``.  ROADMAP tracks library size as a number
+   that goes *down*: a PR that shrinks the library lowers the ceiling
+   to the count this tool prints; one that must grow it raises the
+   ceiling in the same diff, where review sees it.
 
 Usage:
     PYTHONPATH=src python tools/check_docs.py
@@ -43,6 +51,9 @@ MARKDOWN_FILES = (
     "docs/ARCHITECTURE.md",
     "docs/BENCHMARKS.md",
 )
+
+#: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
+SOURCE_LINE_CEILING = 15361
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -152,15 +163,42 @@ def check_cli_snippets() -> list:
     return problems
 
 
+def source_lines() -> int:
+    """Total lines under src/repro, counted the way ``wc -l`` does."""
+    return sum(
+        path.read_text().count("\n") for path in DOCSTRING_ROOT.rglob("*.py")
+    )
+
+
+def check_source_lines() -> list:
+    """The library outgrowing its ratcheted line ceiling."""
+    lines = source_lines()
+    if lines <= SOURCE_LINE_CEILING:
+        return []
+    return [
+        f"src/repro: {lines} source lines exceed the ceiling "
+        f"{SOURCE_LINE_CEILING} (SOURCE_LINE_CEILING in tools/check_docs.py)"
+    ]
+
+
 def main() -> int:
-    """Run all three checks; print findings; exit non-zero on any."""
-    problems = check_docstrings() + check_links() + check_cli_snippets()
+    """Run all four checks; print findings; exit non-zero on any."""
+    problems = (
+        check_docstrings()
+        + check_links()
+        + check_cli_snippets()
+        + check_source_lines()
+    )
+    print(
+        f"check_docs: src/repro is {source_lines()} lines "
+        f"(ceiling {SOURCE_LINE_CEILING})"
+    )
     for problem in problems:
         print(problem)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
         return 1
-    print("check_docs: docstrings, links, and CLI snippets all clean")
+    print("check_docs: docstrings, links, CLI snippets, and line count all clean")
     return 0
 
 
