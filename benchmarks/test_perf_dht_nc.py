@@ -33,6 +33,7 @@ from pathlib import Path
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.workload import WorkloadConfig
 
+from benchmarks.check_regression import DEFAULT_BASELINE, baseline_points
 from benchmarks.conftest import emit
 
 PEERS = 16
@@ -53,6 +54,10 @@ LOCAL_SECONDS_CEILING = 0.60
 #: against the committed baseline's budget entries.
 MESSAGE_RATIO_CEILING = 1.8
 BYTE_RATIO_CEILING = 1.5
+
+#: Seeded and exact: these must *equal* the committed baseline entry, so
+#: a refactor of the store cannot move a message or a byte unnoticed.
+WIRE_FIELDS = ("client_messages", "store_messages", "client_bytes", "store_bytes")
 
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_dht_nc.json"
 
@@ -154,6 +159,11 @@ def test_perf_dht_store_computed_batches(benchmark):
     # Identical outcomes: the decision stream, order included.
     assert store_decisions == client_decisions
     assert store_report.state_ratio == client_report.state_ratio
+    # The wire did not move: every count equals the committed baseline.
+    baseline = baseline_points(DEFAULT_BASELINE)["dht_network_centric"]
+    assert {name: point[name] for name in WIRE_FIELDS} == {
+        name: baseline[name] for name in WIRE_FIELDS
+    }
     # Figure 3's trade, measured: the client does materially less...
     assert ratio <= LOCAL_SECONDS_CEILING, (
         f"store-computed batches left the client {ratio:.2f}x of the "

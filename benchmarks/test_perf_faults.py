@@ -34,6 +34,7 @@ from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.net import FaultPlan, HostCrash
 from repro.workload import WorkloadConfig
 
+from benchmarks.check_regression import DEFAULT_BASELINE, baseline_points
 from benchmarks.conftest import emit
 
 PEERS = 5
@@ -52,6 +53,13 @@ RECOVERY_MESSAGE_CEILING = 1.3
 CRASH_PLAN = FaultPlan(
     seed=6,
     crashes=(HostCrash("host:2", at_epoch=5, recover_at_epoch=10),),
+)
+
+#: Seeded and exact: these must *equal* the committed baseline entry, so
+#: a refactor of the store cannot move a message or a byte unnoticed.
+WIRE_FIELDS = (
+    "k1_messages", "k2_messages", "crash_messages",
+    "k1_bytes", "k2_bytes", "crash_bytes",
 )
 
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
@@ -149,6 +157,11 @@ def test_perf_fault_tolerance(benchmark):
     assert crash_report.state_ratio == k1_report.state_ratio
     assert crash_report.faults.injected == {"crash": 1}
     assert crash_report.faults.recoveries == 1
+    # The wire did not move: every count equals the committed baseline.
+    baseline = baseline_points(DEFAULT_BASELINE)["fault_tolerance"]
+    assert {name: point[name] for name in WIRE_FIELDS} == {
+        name: baseline[name] for name in WIRE_FIELDS
+    }
     # The priced costs stay within their ceilings.
     assert replication_ratio <= REPLICATION_MESSAGE_CEILING, (
         f"replication cost {replication_ratio:.2f}x of the unreplicated "

@@ -75,7 +75,7 @@ class ModuleContext:
     ``path`` is the repo-relative (or as-given) path; ``realm`` is the
     outermost anchor directory (``"other"`` when none matches);
     ``subpackage`` is the first package under ``src/repro`` (e.g.
-    ``"store"`` for ``src/repro/store/dht.py``), or ``None`` outside
+    ``"store"`` for ``src/repro/store/dht/wire.py``), or ``None`` outside
     ``src``.
     """
 

@@ -22,9 +22,10 @@ RPR007   No iteration over set expressions feeding ordered output —
          wrap in ``sorted(...)`` so decision-adjacent order is stable.
 RPR008   ``@dataclass`` classes with ``to_dict``/``from_dict`` keep the
          dict keys in exact parity with their fields.
-RPR009   Message kinds passed to ``Network.send`` and handled by
-         ``_on_<kind>`` methods come from the module-level ``KINDS``
-         registry — a typo'd kind silently burns the retry budget.
+RPR009   Message kinds passed to ``Network.send`` and named in the
+         protocol tables (``REPLIES``, ``HANDLERS``) come from the
+         ``KINDS`` registry — the module's own or the one it imports
+         from — a typo'd kind silently burns the retry budget.
 RPR010   No direct ``time.sleep`` outside the
          :class:`~repro.net.clock.LatencyClock` implementations
          (``net/clock.py``) — a blocking sleep on the async schedule
@@ -42,6 +43,7 @@ review next to its justification.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext, Rule
@@ -620,35 +622,76 @@ class DictRoundTripRule(Rule):
 
 
 class KindsRegistryRule(Rule):
-    """RPR009: message kinds come from the module's KINDS registry."""
+    """RPR009: message kinds come from the package's KINDS registry."""
 
     code = "RPR009"
     name = "message-kind-registry"
     summary = (
-        "message kinds passed to Network.send and handled by "
-        "_on_<kind> methods must come from the module-level KINDS "
-        "registry — a typo'd kind silently produces an unanswered "
-        "request that burns the whole retry budget"
+        "message kinds passed to Network.send and named in the protocol "
+        "tables (REPLIES, HANDLERS) must come from the KINDS registry — "
+        "a typo'd kind silently produces an unanswered request that "
+        "burns the whole retry budget"
     )
+
+    #: Module-level dict literals whose string keys *and* values are
+    #: message kinds: request -> reply, and kind -> handler.  A reply is
+    #: sent as ``REPLIES[kind]``, not as a literal, so without this arm a
+    #: typo'd reply kind would pass the send check.
+    TABLE_NAMES: Tuple[str, ...] = ("REPLIES", "HANDLERS")
 
     def applies(self, context: ModuleContext) -> bool:
         """All src/ modules."""
         return context.realm == "src"
 
     @staticmethod
-    def _declared_kinds(tree: ast.Module) -> Optional[Set[str]]:
-        """String members of a module-level ``KINDS = frozenset({...})``
-        (or any literal collection), or None when undeclared."""
+    def _assigned(tree: ast.Module, names: Sequence[str]) -> Iterator[ast.AST]:
+        """Values of module-level ``NAME = ...`` / ``NAME: T = ...``."""
         for node in tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and target.id == "KINDS":
-                    return {
-                        literal.value
-                        for literal in ast.walk(node.value)
-                        if isinstance(literal, ast.Constant)
-                        and isinstance(literal.value, str)
-                    }
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+                target = (
+                    node.target if isinstance(node, ast.AnnAssign)
+                    else node.targets[0]
+                )
+                if isinstance(target, ast.Name) and target.id in names:
+                    yield node.value
+
+    @staticmethod
+    def _literals(node: ast.AST) -> List[ast.Constant]:
+        """Every string literal under ``node``."""
+        return [
+            literal
+            for literal in ast.walk(node)
+            if isinstance(literal, ast.Constant)
+            and isinstance(literal.value, str)
+        ]
+
+    def _declared_kinds(
+        self, tree: ast.Module, context: ModuleContext
+    ) -> Optional[Set[str]]:
+        """String members of the module-level ``KINDS = frozenset({...})``
+        (or any literal collection) — the module's own, or, one hop away,
+        that of a module it imports (``from <package> import wire`` or
+        ``from <package>.wire import ...``, resolved by path under
+        ``src/``).  None when undeclared."""
+        parts = Path(context.path).parts
+        root = Path(*parts[: parts.index("src") + 1]) if "src" in parts else None
+
+        def modules() -> Iterator[ast.Module]:
+            """This module, then (parsed on demand) the ones it imports."""
+            yield tree
+            for node in tree.body:
+                if not (root and isinstance(node, ast.ImportFrom) and node.module):
+                    continue
+                package = root.joinpath(*node.module.split("."))
+                sources = [package.with_suffix(".py")]
+                sources += [package / f"{alias.name}.py" for alias in node.names]
+                for source in sources:
+                    if source.is_file():
+                        yield ast.parse(source.read_text(encoding="utf-8"))
+
+        for module in modules():
+            for value in self._assigned(module, ("KINDS",)):
+                return {literal.value for literal in self._literals(value)}
         return None
 
     @staticmethod
@@ -674,51 +717,37 @@ class KindsRegistryRule(Rule):
         return None
 
     def check(self, tree: ast.Module, context: ModuleContext) -> Iterator[Finding]:
-        """Flag literal kinds missing from the module's KINDS registry."""
-        # Engage only for modules that actually speak the wire protocol
-        # (at least one literal-kind send) — hook-bus subscribers also
-        # name methods ``_on_<event>`` and must not be swept in.
-        sends = [
+        """Flag literal kinds missing from the KINDS registry."""
+        # Engage only for modules that actually speak the wire protocol:
+        # at least one literal-kind send, or a protocol table.
+        kinds = [
             kind_node
             for node in ast.walk(tree)
             if (kind_node := self._send_kind(node)) is not None
         ]
-        if not sends:
+        for table in self._assigned(tree, self.TABLE_NAMES):
+            if isinstance(table, ast.Dict):
+                for entry in (*table.keys, *table.values):
+                    kinds.extend(self._literals(entry) if entry else ())
+        if not kinds:
             return
-        declared = self._declared_kinds(tree)
-        if declared is None:
-            for kind_node in sends:
-                yield super().finding(
-                    context,
-                    kind_node,
-                    f"message kind {kind_node.value!r} is sent but the "
-                    f"module declares no KINDS registry to check it "
-                    f"against",
+        declared = self._declared_kinds(tree, context)
+        for kind_node in kinds:
+            if declared is None:
+                problem = (
+                    "is used but neither the module nor a module it imports "
+                    "from declares a KINDS registry to check it against"
                 )
-            return
-        for kind_node in sends:
-            if kind_node.value not in declared:
-                yield super().finding(
-                    context,
-                    kind_node,
-                    f"message kind {kind_node.value!r} is not in the "
-                    f"module's KINDS registry — a typo here burns the "
-                    f"whole retry budget before surfacing",
+            elif kind_node.value not in declared:
+                problem = (
+                    "is not in the KINDS registry — a typo here burns the "
+                    "whole retry budget before surfacing"
                 )
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_on_")
-                and node.name[4:]
-                and node.name[4:] not in declared
-            ):
-                yield super().finding(
-                    context,
-                    node,
-                    f"handler {node.name}() matches no kind in the "
-                    f"module's KINDS registry — it can never be "
-                    f"dispatched",
-                )
+            else:
+                continue
+            yield super().finding(
+                context, kind_node, f"message kind {kind_node.value!r} {problem}"
+            )
 
 
 class BlockingSleepRule(Rule):

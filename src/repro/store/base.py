@@ -177,7 +177,6 @@ class UpdateStore(abc.ABC):
     ) -> None:
         """Add a participant and its trust policy to the confederation."""
 
-    @abc.abstractmethod
     def publish(
         self, participant: int, transactions: Sequence[Transaction]
     ) -> int:
@@ -190,7 +189,16 @@ class UpdateStore(abc.ABC):
 
         ``publish`` is the one-shot form of the decoupled protocol below:
         ``begin_publish`` + ``write_transactions`` + ``finish_publish``.
+        The epoch is finished even when the write fails, so it never
+        blocks the stable-epoch computation forever (a rejected batch
+        contributes an empty epoch).
         """
+        epoch = self.begin_publish(participant)
+        try:
+            self.write_transactions(participant, epoch, transactions)
+        finally:
+            self.finish_publish(participant, epoch)
+        return epoch
 
     # ------------------------------------------------------------------
     # Decoupled publication (Section 5.2.1)

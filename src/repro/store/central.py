@@ -190,20 +190,6 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
     # ------------------------------------------------------------------
     # Publication (begin epoch -> write transactions -> finish epoch)
 
-    def publish(
-        self, participant: int, transactions: Sequence[Transaction]
-    ) -> int:
-        """Publish a batch under a fresh epoch; see the base class."""
-        epoch = self.begin_publish(participant)
-        try:
-            self.write_transactions(participant, epoch, transactions)
-        finally:
-            # Mark the epoch finished even on failure so it never blocks
-            # the stable-epoch computation forever (aborted publications
-            # contribute an empty epoch).
-            self.finish_publish(participant, epoch)
-        return epoch
-
     def begin_publish(self, participant: int) -> int:
         """Allocate an epoch and record that publishing has started."""
         self._policy_of(participant)

@@ -1,0 +1,484 @@
+"""Fully network-centric batches over the ring (PR 5, wire protocol PR 8).
+
+``begin_network_reconciliation`` closes the last quadrant of Figure 3:
+a *distributed* store whose batches arrive fully assembled.  Transaction
+controllers already learn every participant's verdicts about their
+transactions through the ``record_decision`` feedback; the reconciling
+peer's driver groups its candidate roots by owning controller and sends
+each controller one ``nc_request`` carrying all of them.  The
+controller derives each root's update extension *against that
+participant's applied set*, walking the antecedent closure with
+*batched* verdict queries: bodies cached from earlier derivations
+(``cf_bodies``) make the closure structure locally known, so the walk
+expands through them speculatively and collects every unresolved
+member, then asks each member's controller in one
+``nc_fetch_batch``/``nc_member_batch`` round trip per member controller
+(the per-participant verdict must be refetched every round — the
+mode's honest extra chatter — while bodies ride along only until this
+controller has cached them).  The finished extensions and any bodies
+the participant lacks return *coalesced*, as one sized ``nc_data``
+message per (controller, participant); the driver — standing in for
+the peer coordinator, as it already does for antecedent lookups — runs
+the pairwise conflict assembly and prices the adjacency as a final
+``nc_adjacency`` message.  Controllers memoize the derived extension
+per (participant, applied-version) together with a stable content
+digest, so the repeated-deferral rounds the paper worries about are
+*delta-encoded*: when the client proves (by echoing the digest) that it
+still retains the previous round's assembled payload, the controller
+answers with a tiny ``nc_unchanged`` token instead of re-shipping
+bodies — O(delta) re-delivery cost, not O(state) — with a full-payload
+fallback when the client no longer holds it.  The comparison is by
+*content*, not version: when the applied set moved, the controller
+re-derives and still answers with the token whenever the fresh digest
+matches the echo (the root's closure was disjoint from whatever was
+newly applied — the common case).  First deliveries are cheap too: the
+derived extension travels dictionary-encoded against the member bodies
+in the same reply, so only genuinely composed operations pay full
+update bytes.  A final verdict retires the memo entry.  The client then
+runs only ``CheckState``, ``DoGroup``, and application — decisions stay
+byte-identical to every other path on the equivalence matrix.
+
+This module is the controller side: the per-token batch state machine
+``nc_request`` -> (``nc_fetch_batch`` / ``nc_member_batch``)* ->
+``nc_unchanged`` + ``nc_data``.  The driver side is
+``DhtUpdateStore.begin_network_reconciliation``.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List, Optional, Set
+
+from repro.core.extensions import UpdateExtension
+from repro.model.transactions import TransactionId
+from repro.net.simnet import Message, Network
+from repro.store.dht import wire
+from repro.store.dht.controllers import (
+    _cf_local_body,
+    _derive,
+    _first_delivery,
+    _standing,
+)
+from repro.store.dht.replication import record
+
+
+def on_nc_request(host, network: Network, message: Message) -> None:
+    """Open one participant's batch of candidate roots."""
+    payload = message.payload
+    token: str = payload["token"]
+    if token in host.nc_batches or token in host.nc_served:
+        return  # an injected duplicate of a batch already accepted
+    host.nc_served.add(token)
+    participant: int = payload["participant"]
+    version: int = payload["version"]
+    batch: Dict[str, Any] = {
+        "client": payload["client"],
+        "participant": participant,
+        "version": version,
+        # Per-root derivation state, and the roots still walking.
+        "roots": {},
+        "open": set(),
+        # Coalesced reply under construction: per-root entries, the
+        # provably-unchanged digests, and the accumulated pricing.
+        "entries": {},
+        "unchanged": {},
+        "fragments": 0,
+        "size": wire.HEADER_WIRE_BYTES,
+        # Member verdicts resolved this round (shared across the
+        # batch's roots — one wire query per member per round), the
+        # members already queried, the frontier still to query, and
+        # which roots wait on which member.
+        "resolved": {},
+        "asked": set(),
+        "to_ask": set(),
+        "waiters": {},
+    }
+    host.nc_batches[token] = batch
+    for entry in payload["roots"]:
+        tid: TransactionId = entry["tid"]
+        held = record(host, network, "txn", tid)
+        if held is None:
+            # Same terminal answer a client-centric request_txn gets
+            # for a lost record: the root drops out of the batch
+            # identically in both modes.
+            batch["entries"][tid] = {"tid": tid, "status": "unknown"}
+            continue
+        verdict, priority = _standing(host, held, participant)
+        if verdict in ("applied", "rejected") or priority <= 0:
+            batch["entries"][tid] = {"tid": tid, "status": "irrelevant"}
+            continue
+        memo = host.nc_memo.get((participant, tid))
+        if (
+            memo is not None
+            and memo[0] == version
+            and memo[1].priority == priority
+        ):
+            if entry.get("digest") == memo[2]:
+                # The client proved it retains the identical
+                # assembled payload: the digest token alone answers
+                # this root (the delta-encoded re-ship).
+                batch["unchanged"][tid] = memo[2]
+                continue
+            if _stage_from_memo(host, batch, held, priority, memo[1], memo[2]):
+                continue
+        rstate: Dict[str, Any] = {
+            "tid": tid,
+            "record": held,
+            "priority": priority,
+            # The digest of the payload the client retains, if any:
+            # a stale-version re-derivation that lands on the same
+            # content still answers with a token, not bodies.
+            "want_digest": entry.get("digest"),
+            "bodies": {tid: wire.body(held)},
+            "applied": set(),
+            "waiting": set(),
+        }
+        batch["roots"][tid] = rstate
+        batch["open"].add(tid)
+        _expand(host, batch, rstate, held["antecedents"])
+    _pump(host, network, token)
+
+
+def _expand(host, batch: Dict[str, Any], rstate: Dict[str, Any], tids) -> None:
+    """Advance one root's closure walk as far as local knowledge
+    allows: absorb members whose verdict this controller holds (its
+    own transactions) or that another root of this batch already
+    resolved, expand *structurally* through the ``cf_bodies`` cache
+    even before the member's verdict is back (the verdict only
+    decides where flattening stops — fetching it is exactly what the
+    batched query is for), and queue everything unresolved for the
+    next ``nc_fetch_batch`` round."""
+    participant = batch["participant"]
+    worklist = list(tids)
+    while worklist:
+        tid = worklist.pop()
+        if (
+            tid in rstate["bodies"]
+            or tid in rstate["applied"]
+            or tid in rstate["waiting"]
+        ):
+            continue
+        resolution = batch["resolved"].get(tid)
+        if resolution is None:
+            held = host.txns.get(tid)
+            if held is not None:
+                # Our own transaction: verdict and body are local.
+                if held["decisions"].get(participant) == "applied":
+                    resolution = ("applied", None)
+                else:
+                    resolution = ("body", wire.body(held))
+                batch["resolved"][tid] = resolution
+        if resolution is None:
+            # Remote member: its controller owes us the verdict
+            # (and the body, unless cached).  Walk the known
+            # structure now so the whole frontier lands in one
+            # query round.
+            rstate["waiting"].add(tid)
+            batch["waiters"].setdefault(tid, set()).add(rstate["tid"])
+            batch["to_ask"].add(tid)
+            body = host.cf_bodies.get(tid)
+            if body is not None:
+                rstate["bodies"][tid] = body
+                worklist.extend(body[1])
+            continue
+        kind, body = resolution
+        if kind == "applied":
+            rstate["applied"].add(tid)
+        elif kind == "body":
+            rstate["bodies"][tid] = body
+            worklist.extend(body[1])
+        # An "unknown" member leaves a hole; _finish_root fails
+        # the root only if the hole is actually reachable.
+
+
+def _pump(host, network: Network, token: str) -> None:
+    """Finish roots whose walk completed, flush the batched member
+    queries, and ship the coalesced replies once nothing is open."""
+    batch = host.nc_batches.get(token)
+    if batch is None:
+        return
+    for tid in sorted(batch["open"]):
+        if not batch["roots"][tid]["waiting"]:
+            batch["open"].discard(tid)
+            _finish_root(host, batch, tid)
+    queries: Dict[str, List[TransactionId]] = {}
+    for tid in sorted(batch["to_ask"]):
+        if tid in batch["asked"]:
+            continue
+        batch["asked"].add(tid)
+        queries.setdefault(host.ring.owner(wire.txn_key(tid)), []).append(tid)
+    batch["to_ask"] = set()
+    for controller in sorted(queries):
+        members = queries[controller]
+        network.send(
+            host.name,
+            controller,
+            "nc_fetch_batch",
+            size_bytes=wire.HEADER_WIRE_BYTES + len(members) * wire.TID_WIRE_BYTES,
+            token=token,
+            participant=batch["participant"],
+            reply_to=host.name,
+            members=[
+                {"tid": tid, "need_body": tid not in host.cf_bodies}
+                for tid in members
+            ],
+        )
+    if not batch["open"]:
+        _flush_batch(host, network, token)
+
+
+def on_nc_fetch_batch(host, network: Network, message: Message) -> None:
+    """Answer a batched member query: the participant's verdict for
+    every member this controller owns, plus the bodies the asking
+    controller does not hold yet — one reply per (controller,
+    controller, round) instead of one per member."""
+    payload = message.payload
+    participant: int = payload["participant"]
+    entries: List[Dict[str, Any]] = []
+    fragments = 0
+    size = wire.HEADER_WIRE_BYTES
+    for member in payload["members"]:
+        tid: TransactionId = member["tid"]
+        size += wire.TID_WIRE_BYTES
+        held = record(host, network, "txn", tid)
+        if held is None:
+            entries.append({"tid": tid, "status": "unknown"})
+            continue
+        applied = held["decisions"].get(participant) == "applied"
+        transaction = None
+        if not applied and member["need_body"]:
+            transaction = held["transaction"]
+            fragments += wire.payload_fragments(transaction)
+            size += wire.body_bytes(transaction)
+        entries.append(
+            {
+                "tid": tid,
+                "status": "member",
+                "applied": applied,
+                "transaction": transaction,
+                "antecedents": held["antecedents"],
+                "order": held["order"],
+            }
+        )
+    network.send(
+        host.name,
+        payload["reply_to"],
+        "nc_member_batch",
+        fragments=max(1, fragments),
+        size_bytes=size,
+        token=payload["token"],
+        entries=entries,
+    )
+
+
+def on_nc_member_batch(host, network: Network, message: Message) -> None:
+    """Absorb a member controller's verdicts and bodies into the batch."""
+    payload = message.payload
+    batch = host.nc_batches.get(payload["token"])
+    if batch is None:
+        return  # stale traffic for a finished or abandoned batch
+    for entry in payload["entries"]:
+        tid: TransactionId = entry["tid"]
+        if tid in batch["resolved"]:
+            continue  # an injected duplicate reply
+        if entry["status"] == "unknown":
+            resolution = ("unknown", None)
+        elif entry["applied"]:
+            resolution = ("applied", None)
+        else:
+            if entry["transaction"] is not None:
+                body = wire.body(entry)
+                host.cf_bodies.setdefault(tid, body)
+            else:
+                body = host.cf_bodies.get(tid)
+            if body is None:  # pragma: no cover - protocol guarantee
+                resolution = ("unknown", None)
+            else:
+                resolution = ("body", body)
+        batch["resolved"][tid] = resolution
+        for root_tid in sorted(batch["waiters"].pop(tid, ())):
+            rstate = batch["roots"][root_tid]
+            rstate["waiting"].discard(tid)
+            kind, body = resolution
+            if kind == "applied":
+                rstate["applied"].add(tid)
+            elif kind == "body":
+                # The speculative walk may already hold this body
+                # from cf_bodies; absorbing it again is a no-op.
+                had = tid in rstate["bodies"]
+                rstate["bodies"][tid] = body
+                if not had:
+                    _expand(host, batch, rstate, body[1])
+            else:
+                rstate["bodies"].pop(tid, None)
+    _pump(host, network, payload["token"])
+
+
+def _finish_root(host, batch: Dict[str, Any], root_tid: TransactionId) -> None:
+    """Derive and stage one finished root of the batch."""
+    rstate = batch["roots"].pop(root_tid)
+    held = rstate["record"]
+    # The precise closure: reachable from the root through the
+    # gathered bodies, stopping at the participant's applied
+    # transactions.  The speculative cf_bodies expansion may have
+    # walked past an applied stop; anything beyond it is neither
+    # shipped nor required to have resolved.
+    needed: Dict[TransactionId, wire.Body] = {}
+    missing = False
+    worklist: List[TransactionId] = [root_tid]
+    while worklist:
+        tid = worklist.pop()
+        if tid in needed or tid in rstate["applied"]:
+            continue
+        body = rstate["bodies"].get(tid)
+        if body is None:
+            missing = True
+            continue
+        needed[tid] = body
+        worklist.extend(body[1])
+    if missing:
+        # Part of the closure is gone (a controller lost the record
+        # beyond the replication budget): the driver falls back to
+        # the classic Figure-7 retrieval for this root and the
+        # client computes — and decides — locally.
+        batch["entries"][root_tid] = {"tid": root_tid, "status": "failed"}
+        return
+    # No extension (the closure does not flatten): ship the bodies
+    # alone — the client's fallback recomputation reaches the same
+    # FlattenError and rejects the root, byte-identically to the
+    # client-centric path.
+    extension = _derive(
+        host.schema,
+        needed.values(),
+        wire.root(held, rstate["priority"]),
+        frozenset(rstate["applied"]),
+    )
+    digest = None
+    if extension is not None:
+        digest = wire.extension_digest(extension)
+        host.nc_memo[(batch["participant"], root_tid)] = (
+            batch["version"], extension, digest,
+        )
+        if digest == rstate.get("want_digest"):
+            # The applied-set version moved, but the freshly derived
+            # extension is content-identical to the payload the
+            # client retains (its closure is disjoint from whatever
+            # was newly applied).  The digest token answers the
+            # root; no body or extension byte travels again.
+            batch["unchanged"][root_tid] = digest
+            return
+    _stage_data(host, batch, held, rstate["priority"], extension, digest, needed)
+
+
+def _stage_from_memo(
+    host,
+    batch: Dict[str, Any],
+    held: Dict[str, Any],
+    priority: int,
+    extension: UpdateExtension,
+    digest: str,
+) -> bool:
+    """Stage a full re-ship of a memoized extension (the client
+    holds no matching retained payload); False when a member body
+    has been lost locally, forcing a fresh derivation."""
+    bodies = {}
+    for member in extension.members:
+        body = _cf_local_body(host, member)
+        if body is None:  # pragma: no cover - bodies cache is unbounded
+            return False
+        bodies[member] = body
+    _stage_data(host, batch, held, priority, extension, digest, bodies)
+    return True
+
+
+def _stage_data(
+    host,
+    batch: Dict[str, Any],
+    held: Dict[str, Any],
+    priority: int,
+    extension: Optional[UpdateExtension],
+    digest: Optional[str],
+    bodies: Dict[TransactionId, wire.Body],
+) -> None:
+    """Stage one root's payload into the coalesced ``nc_data``.
+
+    Pricing mirrors ``txn_data``: each body not yet delivered to the
+    participant (as this controller knows it — a body another
+    controller delivered may be re-priced, a deliberately
+    conservative estimate) pays its fragments and bytes; the derived
+    extension rides dictionary-encoded against the member bodies the
+    client holds (``wire.encoded_extension_cost``); everything already
+    held client-side — and every coalesced root beyond the first —
+    rides in the one shared header.
+    """
+    participant = batch["participant"]
+    tid = held["transaction"].tid
+    members = []
+    for member, body in sorted(bodies.items(), key=lambda item: item[1][2]):
+        if _first_delivery(host, participant, member):
+            batch["fragments"] += wire.payload_fragments(body[0])
+            batch["size"] += wire.body_bytes(body[0])
+        if member != tid:
+            members.append(body)
+    if extension is not None:
+        pool: Set[str] = set()
+        for member in extension.members:
+            body = bodies.get(member)
+            if body is None:
+                body = _cf_local_body(host, member)
+            if body is not None:
+                pool.update(repr(update) for update in body[0].updates)
+        ext_fragments, ext_bytes = wire.encoded_extension_cost(extension, pool)
+        batch["fragments"] += ext_fragments
+        batch["size"] += ext_bytes
+    batch["entries"][tid] = {
+        "tid": tid,
+        "status": "data",
+        "transaction": held["transaction"],
+        "antecedents": held["antecedents"],
+        "order": held["order"],
+        "priority": priority,
+        "extension": extension,
+        "members": members,
+        "digest": digest,
+    }
+
+
+def _flush_batch(host, network: Network, token: str) -> None:
+    """Ship the coalesced replies: one tiny ``nc_unchanged`` token
+    message for the provably-unchanged roots, and one sized
+    ``nc_data`` carrying everything else this controller owes the
+    participant this round."""
+    batch = host.nc_batches.pop(token)
+    client = batch["client"]
+    if batch["unchanged"]:
+        network.send(
+            host.name,
+            client,
+            "nc_unchanged",
+            size_bytes=(
+                wire.HEADER_WIRE_BYTES
+                + len(batch["unchanged"])
+                * (wire.TID_WIRE_BYTES + wire.DIGEST_WIRE_BYTES)
+            ),
+            token=token,
+            entries=[
+                {"tid": tid, "digest": batch["unchanged"][tid]}
+                for tid in sorted(batch["unchanged"])
+            ],
+        )
+    if batch["entries"]:
+        entries = [batch["entries"][tid] for tid in sorted(batch["entries"])]
+        # Terminal non-data entries (irrelevant/unknown/failed) ride
+        # as tiny per-root markers in the shared header's message.
+        size = batch["size"] + sum(
+            wire.TID_WIRE_BYTES for entry in entries if entry["status"] != "data"
+        )
+        network.send(
+            host.name,
+            client,
+            "nc_data",
+            fragments=max(1, batch["fragments"]),
+            size_bytes=size,
+            token=token,
+            entries=entries,
+        )

@@ -107,15 +107,6 @@ class MemoryUpdateStore(NetworkCentricMixin, UpdateStore):
 
     # ------------------------------------------------------------------
 
-    def publish(
-        self, participant: int, transactions: Sequence[Transaction]
-    ) -> int:
-        """Publish a batch under a fresh epoch; see the base class."""
-        epoch = self.begin_publish(participant)
-        self.write_transactions(participant, epoch, transactions)
-        self.finish_publish(participant, epoch)
-        return epoch
-
     def begin_publish(self, participant: int) -> int:
         """Allocate an epoch and mark it as publishing."""
         self._record_of(participant)

@@ -77,7 +77,7 @@ def test_fixtures_are_invisible_to_directory_walks():
 
 
 def test_module_context_scoping():
-    context = ModuleContext.from_path("src/repro/store/dht.py")
+    context = ModuleContext.from_path("src/repro/store/dht/wire.py")
     assert context.realm == "src"
     assert context.subpackage == "store"
     top_level = ModuleContext.from_path("src/repro/errors.py")
@@ -118,6 +118,26 @@ def test_select_narrows_and_rejects_unknown_codes():
     assert len(run_analysis([fixture], select=["rpr002"])) == 2
     with pytest.raises(ValueError, match="RPR999"):
         run_analysis([fixture], select=["RPR999"])
+
+
+def test_rpr009_resolves_the_registry_one_import_hop_away(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "wire.py").write_text('KINDS = frozenset({"ping", "pong"})\n')
+    sender = package / "node.py"
+    for import_line in ("from pkg import wire", "from pkg.wire import KINDS"):
+        sender.write_text(
+            f"{import_line}\n"
+            'HANDLERS = {"ping": None, "pnig": None}\n'
+            "def reply(network):\n"
+            '    network.send("a", "b", "pong")\n'
+            '    network.send("a", "b", "pnog")\n'
+        )
+        findings = run_analysis([str(sender)], select=["RPR009"])
+        assert sorted(f.line for f in findings) == [2, 5], import_line
+    # No registry in reach: every kind is flagged, not silently accepted.
+    sender.write_text('def reply(network):\n    network.send("a", "b", "pong")\n')
+    assert len(run_analysis([str(sender)], select=["RPR009"])) == 1
 
 
 def test_unparseable_file_degrades_to_rpr000(tmp_path):

@@ -35,6 +35,14 @@ def test_source_lines_stay_under_the_ratchet():
     assert check_docs.check_source_lines() == []
 
 
+def test_an_oversized_module_is_named(monkeypatch):
+    sizes = check_docs.module_lines()
+    largest = max(sizes, key=sizes.get)
+    monkeypatch.setattr(check_docs, "MODULE_LINE_CEILING", sizes[largest] - 1)
+    (problem,) = check_docs.check_source_lines()
+    assert problem.startswith(f"{largest}: {sizes[largest]} lines exceed")
+
+
 def test_gate_runs_as_a_script():
     completed = subprocess.run(
         [sys.executable, str(REPO / "tools" / "check_docs.py")],

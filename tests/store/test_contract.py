@@ -83,6 +83,18 @@ class TestPublication:
         with pytest.raises(StoreError):
             store.publish(1, [make_transaction(2, 0, [Insert("F", RAT1, 2)])])
 
+    def test_rejected_publication_does_not_wedge_the_epoch_clock(self, store):
+        # The failed batch's epoch is still finished (as an empty one), so
+        # the stable-epoch scan passes it and later epochs are delivered.
+        register_trusting_peers(store)
+        with pytest.raises(StoreError):
+            store.publish(1, [make_transaction(2, 0, [Insert("F", RAT1, 2)])])
+        good = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        epoch = store.publish(1, [good])
+        batch = store.begin_reconciliation(2)
+        assert batch.recno == epoch
+        assert [root.transaction.tid for root in batch.roots] == [good.tid]
+
     def test_empty_publication_advances_epoch(self, store):
         register_trusting_peers(store)
         before = store.current_epoch()

@@ -14,15 +14,17 @@ import pytest
 
 from repro.core.decisions import ReconcileResult
 from repro.errors import RetryExhaustedError, StoreError
-from repro.model import Insert, make_transaction
+from repro.model import Insert, Modify, make_transaction
 from repro.net import FaultPlan, MessageFault
 from repro.net.faults import FaultInjector
 from repro.policy import TrustPolicy
 from repro.store import DhtUpdateStore
+from repro.store.dht.wire import ROLES
 
 
 ROW_A = ("rat", "prot1", "immune")
 ROW_B = ("mouse", "prot2", "defense")
+ROW_A2 = ("rat", "prot1", "cell-resp")
 
 
 def register_trusting_peers(store, peers=(1, 2, 3), priority=1):
@@ -40,6 +42,39 @@ def replicated_store(schema, hosts=5, k=2, **options):
     )
     register_trusting_peers(store)
     return store
+
+
+def store_with_a_record_per_role(schema):
+    """A k=2 store holding one record of every replicated role, and
+    ``{role: key}``: peer 1 publishes one transaction (a ``txn``, its
+    ``epoch``, the ``producer`` of its row) and peer 2 reconciles (its
+    ``peer`` coordinator record)."""
+    store = replicated_store(schema)
+    txn = make_transaction(1, 0, [Insert("F", ROW_A, 1)])
+    epoch = store.publish(1, [txn])
+    store.begin_reconciliation(2)
+    return store, {
+        "txn": txn.tid,
+        "epoch": epoch,
+        "producer": ("F", ROW_A),
+        "peer": 2,
+    }
+
+
+def primary_holder(store, role, key):
+    """The one host holding ``(role, key)`` as a primary record."""
+    (name,) = [
+        name
+        for name, host in store._hosts.items()
+        if key in getattr(host, ROLES[role].table)
+    ]
+    return name
+
+
+def replica_holders(store, role, key):
+    return [
+        name for name, host in store._hosts.items() if (role, key) in host.replicas
+    ]
 
 
 class TestConfiguration:
@@ -64,26 +99,32 @@ class TestConfiguration:
 
 
 class TestSuccessorReplication:
-    def test_txn_records_reach_successors(self, schema):
-        store = replicated_store(schema)
-        txn = make_transaction(1, 0, [Insert("F", ROW_A, 1)])
-        store.publish(1, [txn])
-        holders = [
-            name
-            for name, host in store._hosts.items()
-            if txn.tid in host.txns or ("txn", txn.tid) in host.replicas
-        ]
-        assert len(holders) == 2  # primary plus one successor replica
+    @pytest.mark.parametrize("role", sorted(ROLES))
+    def test_records_reach_successors(self, schema, role):
+        store, keys = store_with_a_record_per_role(schema)
+        key = keys[role]
+        # The primary sits at the key's ring owner, plus one successor replica.
+        owner = store._owner(ROLES[role].ring_key(key))
+        assert primary_holder(store, role, key) == owner
+        (replica,) = replica_holders(store, role, key)
+        assert replica != owner
 
-    def test_epoch_records_reach_successors(self, schema):
-        store = replicated_store(schema)
-        epoch = store.publish(1, [make_transaction(1, 0, [Insert("F", ROW_A, 1)])])
-        holders = [
-            name
-            for name, host in store._hosts.items()
-            if epoch in host.epochs or ("epoch", epoch) in host.replicas
-        ]
-        assert len(holders) == 2
+    @pytest.mark.parametrize("role", sorted(ROLES))
+    def test_takeover_owner_promotes_its_replica_on_read(self, schema, role):
+        store, keys = store_with_a_record_per_role(schema)
+        key = keys[role]
+        (successor,) = replica_holders(store, role, key)
+        store.fail_host(primary_holder(store, role, key))
+        # Read every role through the protocols: peer 2's reconciliation
+        # reads its peer record, peer 3's the epoch and txn records, and
+        # the publish looks the producer up.
+        store.begin_reconciliation(2)
+        store.begin_reconciliation(3)
+        store.publish(1, [make_transaction(1, 1, [Modify("F", ROW_A, ROW_A2, 1)])])
+        # The successor serves the record as its primary now, and has
+        # re-replicated it so the copy count recovered.
+        assert primary_holder(store, role, key) == successor
+        assert len(replica_holders(store, role, key)) == 1
 
     def test_crash_is_masked_end_to_end(self, schema):
         store = replicated_store(schema)
@@ -133,18 +174,20 @@ class TestRecoverHost:
         store.recover_host(primary)
         assert store._owner(f"txn:{txn.tid}") == primary
 
-    def test_rebalance_reships_records_to_recovered_host(self, schema):
-        store = replicated_store(schema)
-        txn = make_transaction(1, 0, [Insert("F", ROW_A, 1)])
-        store.publish(1, [txn])
-        primary = store._owner(f"txn:{txn.tid}")
+    @pytest.mark.parametrize("role", sorted(ROLES))
+    def test_rebalance_reships_records_to_recovered_host(self, schema, role):
+        store, keys = store_with_a_record_per_role(schema)
+        key = keys[role]
+        primary = primary_holder(store, role, key)
         store.fail_host(primary)  # wipes the primary's state
-        assert txn.tid not in store._hosts[primary].txns
+        assert key not in getattr(store._hosts[primary], ROLES[role].table)
         store.recover_host(primary)
-        # The crash wiped the host; rebalance must re-ship the record.
-        assert txn.tid in store._hosts[primary].txns
-        batch = store.begin_reconciliation(2)
-        assert [r.transaction.tid for r in batch.roots] == [txn.tid]
+        # The crash wiped the host; rebalance must re-ship the record,
+        # and the successor goes back to holding a replica.
+        assert primary_holder(store, role, key) == primary
+        assert len(replica_holders(store, role, key)) == 1
+        batch = store.begin_reconciliation(3)
+        assert [r.transaction.tid for r in batch.roots] == [keys["txn"]]
 
     def test_full_cycle_preserves_reconciliation(self, schema):
         store = replicated_store(schema)
