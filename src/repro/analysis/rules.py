@@ -55,7 +55,8 @@ STORE_CLASS_NAMES: Tuple[str, ...] = (
     "MemoryUpdateStore",
     "CentralUpdateStore",
     "DhtUpdateStore",
-    "NetworkCentricMixin",
+    "DurableUpdateStore",
+    "DirectLogStore",
 )
 
 #: Wall-clock reads that would make a decision path time-dependent.

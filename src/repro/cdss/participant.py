@@ -30,15 +30,19 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.cache import ExtensionCache
 from repro.core.decisions import ReconcileResult
 from repro.core.engine import Reconciler
+from repro.core.extensions import RelevantTransaction
 from repro.core.resolution import Resolution, resolve_conflicts
 from repro.core.session import ReconcileSession
 from repro.core.state import ParticipantState
+from repro.errors import ConstraintViolation, FlattenError
 from repro.instance.base import Instance
 from repro.instance.memory import MemoryInstance
+from repro.model.flatten import flatten
 from repro.model.transactions import Transaction, TransactionId
 from repro.model.updates import Update
 from repro.policy.acceptance import TrustPolicy
 from repro.store.base import PerfCounters, UpdateStore
+from repro.store.logic import antecedent_closure
 
 
 @dataclass
@@ -134,11 +138,6 @@ class Participant:
         together with their successors until the combined footprint
         applies — exactly the net effect the live engine installed.
         """
-        from repro.core.extensions import RelevantTransaction
-        from repro.errors import ConstraintViolation, FlattenError
-        from repro.model.flatten import flatten
-        from repro.store.logic import antecedent_closure
-
         participant = cls(
             participant_id,
             store,

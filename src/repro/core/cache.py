@@ -35,10 +35,10 @@ the :class:`~repro.core.engine.Reconciler`, store-side per registered
 peer in network-centric mode) and are pruned to the still-deferred roots
 after each reconciliation, so they hold O(deferred) entries, not
 O(history).  :class:`ConflictCache` is used two ways: per participant by
-the network-centric store mixin, and as the *confederation-shared* pair
+the direct-log stores, and as the *confederation-shared* pair
 memo the store ships on every batch (identity validation makes sharing
 across participants exact — see
-:meth:`repro.store.network_centric.NetworkCentricMixin.shared_pair_cache`).
+:meth:`repro.store.network_centric.DirectLogStore.shared_pair_cache`).
 """
 
 from __future__ import annotations

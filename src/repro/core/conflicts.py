@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import FlattenError
 from repro.model.flatten import flatten
 from repro.model.schema import Schema
 from repro.model.transactions import TransactionId
@@ -106,6 +107,15 @@ def direct_conflict_points(
     Shared member transactions are excluded from both sides before
     comparing; when the extensions share nothing, the precomputed flattened
     operations (and, if given, their key indexes) are compared directly.
+
+    A shared member can sit *inside* a chain (it produced the row a later
+    member consumes), so a residual need not flatten on its own.  That
+    side is then compared update by update: Definition 4 asks whether
+    "some update" of one footprint conflicts with some update of the
+    other, and every row a net update would read or write is read or
+    written, under the same key, by a raw update of its chain.  The
+    fallback therefore errs toward extra conflict points (more deferral),
+    and is reached only where the flattened comparison had no answer.
     """
     left_set = left.member_set()
     right_set = right.member_set()
@@ -122,9 +132,22 @@ def direct_conflict_points(
     right_members = [tid for tid in right.members if tid not in shared]
     if not left_members or not right_members:
         return []
-    left_ops = flatten(schema, update_footprint(graph, left_members))
-    right_ops = flatten(schema, update_footprint(graph, right_members))
-    return _conflict_points(schema, left_ops, right_ops)
+    return _conflict_points(
+        schema,
+        _residual_ops(schema, graph, left_members),
+        _residual_ops(schema, graph, right_members),
+    )
+
+
+def _residual_ops(
+    schema: Schema, graph: TransactionGraph, members: Sequence[TransactionId]
+) -> Sequence[Update]:
+    """One side's non-shared footprint: flattened, or raw if it cannot be."""
+    footprint = update_footprint(graph, members)
+    try:
+        return flatten(schema, footprint)
+    except FlattenError:
+        return footprint
 
 
 def directly_conflict(

@@ -5,24 +5,27 @@ antecedent edges at publish time, applies trust predicates, assembles
 reconciliation batches, and records each participant's decisions so no
 transaction is delivered twice.
 
-Four implementations share the :class:`repro.store.base.UpdateStore`
-interface and are registered in the **driver registry**
-(:mod:`repro.store.registry`) so backends are selected by name with
-honest capability flags:
+Three implementations share the :class:`repro.store.base.UpdateStore`
+interface and are registered under four names in the **driver
+registry** (:mod:`repro.store.registry`) so backends are selected by
+name with honest capability flags.  Two of them read their own log and
+derive from :class:`repro.store.network_centric.DirectLogStore`, which
+holds the shared context-free/pair memos and the store-computed batch:
 
 * ``memory`` — :class:`repro.store.memory.MemoryUpdateStore` — plain
   in-process state; fastest, used by the state-ratio simulations; ships
   context-free extensions and the shared pair memo;
 * ``central`` — :class:`repro.store.central.CentralUpdateStore` — the
-  paper's central relational store (Section 5.2.1), here on sqlite3,
-  with the epoch begin/finish protocol and stable-epoch computation;
-  durable, ships context-free extensions and the shared pair memo;
+  paper's central relational store (Section 5.2.1), here on sqlite3
+  (``:memory:`` by default, or a database file), with the epoch
+  begin/finish protocol and stable-epoch computation, WAL mode, crash
+  recovery and adopt-on-reopen, transaction bodies paged through a
+  bounded LRU so resident memory is O(open frontier), and retired
+  shared-memo entries spilled to the database instead of dropped;
+  charges the simulated per-call JDBC overhead of a remote RDBMS;
 * ``durable`` — :class:`repro.store.durable.DurableUpdateStore` — the
-  persistent quadrant (PR 9): the central store's append-only schema on
-  a real database file (WAL mode, crash recovery, adopt-on-reopen),
-  transaction bodies paged through a bounded LRU so resident memory is
-  O(open frontier), and retired shared-memo entries spilled to disk
-  instead of dropped;
+  same sqlite store as an embedded database: no call overhead, and by
+  convention given a real ``path`` (PR 9's persistent quadrant);
 * ``dht`` — :class:`repro.store.dht.DhtUpdateStore` — the paper's
   distributed store (Section 5.2.2), simulated over a Pastry-style ring
   with per-message latency and byte accounting (Figures 6-7); since
@@ -56,26 +59,15 @@ from repro.store.registry import (
     unregister_store,
 )
 
-register_store(
-    "memory",
-    lambda schema, **options: MemoryUpdateStore(schema, **options),
-    MemoryUpdateStore.capabilities,
-)
-register_store(
-    "central",
-    lambda schema, **options: CentralUpdateStore(schema, **options),
-    CentralUpdateStore.capabilities,
-)
-register_store(
-    "dht",
-    lambda schema, **options: DhtUpdateStore(schema, **options),
-    DhtUpdateStore.capabilities,
-)
-register_store(
-    "durable",
-    lambda schema, **options: DurableUpdateStore(schema, **options),
-    DurableUpdateStore.capabilities,
-)
+# A store class is already a ``factory(schema, **options)``: one
+# registry row per name.
+for _name, _store_class in (
+    ("memory", MemoryUpdateStore),
+    ("central", CentralUpdateStore),
+    ("dht", DhtUpdateStore),
+    ("durable", DurableUpdateStore),
+):
+    register_store(_name, _store_class, _store_class.capabilities)
 
 __all__ = [
     "CentralUpdateStore",

@@ -19,29 +19,68 @@ stands in.  The design points the paper highlights are reproduced:
 Trust policies themselves are Python callables and are held by the store
 process rather than serialised into SQL; the paper's store likewise knows
 each peer's trust conditions.
+
+The paper assumes update stores are persistent, so this one store is
+also the honest persistent quadrant — on a database file or, by
+default, on ``:memory:``, with no code path that asks which:
+
+* the **append-only schema** (epochs, transaction bodies, antecedent
+  edges, producers, verdicts, reconciliation records) is written in WAL
+  mode, reusing the :mod:`repro.instance.sqlite_instance` idioms —
+  explicit transactions, ``repr``/``ast.literal_eval`` row codecs;
+* **bounded resident memory**: transaction bodies page from the
+  database through a :class:`repro.core.cache.PageCache` (LRU,
+  ``cache_size`` entries), so reconciling over a
+  multi-hundred-thousand-transaction history keeps O(cache) bodies in
+  RAM, not O(history);
+* **spill-aware retention**: the shared context-free extension memo's
+  retired entries
+  (:meth:`~repro.store.network_centric.DirectLogStore.retire_shared_entries`)
+  move to the ``retired_extensions`` table instead of being dropped, so
+  a participant registered after retirement pages them back in rather
+  than recomputing (an in-memory database simply spills to RAM);
+* **crash recovery** on every open
+  (:meth:`CentralUpdateStore._recover`): O(delta), never a full-history
+  replay, and a no-op on a fresh database.
+
+Reopening a confederation from disk composes with the facade's
+soft-state machinery: ``Confederation.open()`` re-registers the
+configured peers (:meth:`CentralUpdateStore.register_participant`
+*adopts* a row already on disk) and ``Confederation.restore()``
+rebuilds each participant's replica and soft state from the persisted
+decisions.
+
+Two registry names select this class.  ``central`` models the paper's
+remote commercial RDBMS and charges a per-call JDBC overhead (see
+:attr:`CentralUpdateStore.DEFAULT_CALL_OVERHEAD`); ``durable``
+(:mod:`repro.store.durable`) models an embedded store — the paper's
+participants each hold "a complete copy of the shared database" — and
+charges none.
 """
 
 from __future__ import annotations
 
 import ast
 import sqlite3
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.cache import PageCache
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import (
     ReconciliationBatch,
     RelevantTransaction,
     TransactionGraph,
+    UpdateExtension,
 )
 from repro.errors import StoreError, UnknownTransactionError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.model.updates import Delete, Insert, Modify, Update
 from repro.policy.acceptance import TrustPolicy
-from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
+from repro.store.base import DEFAULT_MESSAGE_LATENCY
 from repro.store.logic import antecedent_closure, compute_antecedents
-from repro.store.network_centric import NetworkCentricMixin
-from repro.store.registry import StoreCapabilities
+from repro.store.network_centric import DirectLogStore
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS epochs (
@@ -91,8 +130,19 @@ CREATE TABLE IF NOT EXISTS reconciliations (
     recno INTEGER NOT NULL,
     epoch INTEGER NOT NULL
 );
+CREATE TABLE IF NOT EXISTS applied_versions (
+    participant INTEGER PRIMARY KEY,
+    version INTEGER NOT NULL DEFAULT 0
+);
+CREATE TABLE IF NOT EXISTS retired_extensions (
+    participant INTEGER NOT NULL,
+    seq INTEGER NOT NULL,
+    payload TEXT NOT NULL,
+    PRIMARY KEY (participant, seq)
+);
 CREATE INDEX IF NOT EXISTS idx_txns_epoch ON txns (epoch);
 CREATE INDEX IF NOT EXISTS idx_decisions ON decisions (participant, verdict);
+CREATE INDEX IF NOT EXISTS idx_decisions_ord ON decisions (ord);
 """
 
 
@@ -104,15 +154,69 @@ def _decode_row(text: Optional[str]) -> Optional[Tuple]:
     return None if text is None else ast.literal_eval(text)
 
 
-class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
-    """Centralised update store persisted in sqlite3."""
+_KIND_OF = {Insert: "insert", Delete: "delete", Modify: "modify"}
 
-    capabilities = StoreCapabilities(
-        ships_context_free=True,
-        shared_pair_memo=True,
-        durable=True,
-        network_centric_batches=True,
+
+def _explode(update: Update) -> Tuple:
+    """Decompose an update into ``(kind, relation, old_row, new_row,
+    origin)`` for storage."""
+    return (
+        _KIND_OF[type(update)],
+        update.relation,
+        update.read_row(),
+        update.written_row(),
+        update.origin,
     )
+
+
+def _implode(kind: str, relation: str, old_row, new_row, origin: int) -> Update:
+    """The inverse of :func:`_explode`."""
+    if kind == "insert":
+        return Insert(relation, new_row, origin)
+    if kind == "delete":
+        return Delete(relation, old_row, origin)
+    return Modify(relation, old_row, new_row, origin)
+
+
+def _encode_extension(extension: UpdateExtension) -> str:
+    """Serialise an extension as a ``repr`` literal (see sqlite_instance).
+
+    Every field is literal-representable: transaction ids become
+    ``(participant, sequence)`` pairs, updates become :func:`_explode`
+    tuples, and the touched-key set is sorted so the encoding is
+    deterministic.
+    """
+    payload = (
+        (extension.root.participant, extension.root.sequence),
+        extension.priority,
+        tuple((m.participant, m.sequence) for m in extension.members),
+        tuple(_explode(update) for update in extension.operations),
+        tuple(sorted(extension.touched)),
+    )
+    return repr(payload)
+
+
+def _decode_extension(text: str) -> UpdateExtension:
+    """Rebuild an :func:`_encode_extension` payload.
+
+    The decoded extension is *value*-equal to the one spilled; the
+    identity-keyed shared pair memo therefore misses against it and
+    re-compares, which is exactly the semantics of a cache re-fill.
+    """
+    root_pair, priority, members, operations, touched = ast.literal_eval(text)
+    return UpdateExtension(
+        root=TransactionId(*root_pair),
+        members=tuple(TransactionId(*pair) for pair in members),
+        operations=tuple(_implode(*operation) for operation in operations),
+        touched=frozenset(touched),
+        priority=priority,
+    )
+
+
+class CentralUpdateStore(DirectLogStore):
+    """The relational update store: one sqlite database, memory or file."""
+
+    capabilities = replace(DirectLogStore.capabilities, durable=True)
 
     #: Default simulated cost per store API call, in seconds.  The paper's
     #: central store was a commercial RDBMS on a separate server reached
@@ -126,27 +230,52 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
     #: procedure call against a commercial DBMS over switched Ethernet.
     DEFAULT_CALL_OVERHEAD = 0.025
 
+    #: Default transaction-body page-cache capacity (entries, not bytes):
+    #: large enough that an evaluation-schedule frontier never thrashes,
+    #: small enough that resident memory is visibly O(cache), not
+    #: O(history), at benchmark scale.
+    DEFAULT_CACHE_SIZE = 1024
+
     def __init__(
         self,
         schema: Schema,
         path: str = ":memory:",
+        *,
         message_latency: float = DEFAULT_MESSAGE_LATENCY,
-        call_overhead_seconds: float = DEFAULT_CALL_OVERHEAD,
+        call_overhead_seconds: Optional[float] = None,
+        cache_size: int = DEFAULT_CACHE_SIZE,
         real_latency: bool = False,
     ) -> None:
+        """``path`` is the database file (the default ":memory:"
+        obviously cannot survive a process restart);
+        ``call_overhead_seconds`` defaults to the class's
+        :attr:`DEFAULT_CALL_OVERHEAD`; ``cache_size`` bounds the
+        resident transaction bodies."""
         super().__init__(schema, message_latency, real_latency=real_latency)
-        self._call_overhead = call_overhead_seconds
-        # Store calls are serialized under ``self.lock`` by every caller
-        # (`RPR004`), so the connection may cross scheduler worker
-        # threads without its own thread affinity check.
+        self._call_overhead = (
+            self.DEFAULT_CALL_OVERHEAD
+            if call_overhead_seconds is None
+            else call_overhead_seconds
+        )
+        # The threaded epoch scheduler calls into the store from worker
+        # threads; every call already holds the reentrant store.lock
+        # (Participant._store_call, `RPR004`), so cross-thread use of one
+        # connection is serialised and safe without sqlite's own thread
+        # affinity check.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
+        # The standard WAL pairing: commits append to the WAL without an
+        # fsync of the main database; the log itself stays consistent, so
+        # crash recovery is unaffected — only the most recent commits can
+        # be lost, never torn.
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA_SQL)
         self._policies: Dict[int, TrustPolicy] = {}
         # Per-participant applied-set versions for the network-centric
-        # caches.  Held in memory only: a fresh store object starts at
-        # version 0 with empty caches, which is trivially consistent.
+        # caches, mirrored in the ``applied_versions`` table.
         self._applied_versions: Dict[int, int] = {}
+        self._page_cache = PageCache(cache_size)
+        self._recover()
 
     def close(self) -> None:
         """Close the sqlite connection."""
@@ -158,18 +287,48 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _recover(self) -> None:
+        """Resume from whatever the database holds (nothing, when fresh).
+
+        Opening the connection already replayed sqlite's WAL.  Two
+        pieces of soft state are then rebuilt in O(delta):
+
+        * any epoch still marked unfinished belongs to a publisher that
+          died between ``begin_publish`` and ``finish_publish``; its
+          batch either committed atomically (``write_transactions`` is
+          one sqlite transaction) or not at all, so the epoch is simply
+          marked finished and stops blocking the stable-epoch
+          computation;
+        * the per-participant applied-set version counters are loaded
+          from the ``applied_versions`` table — no history replay.
+        """
+        with self._conn:
+            self._conn.execute("UPDATE epochs SET finished = 1 WHERE finished = 0")
+        for pid, version in self._conn.execute(
+            "SELECT participant, version FROM applied_versions ORDER BY participant"
+        ).fetchall():
+            self._applied_versions[int(pid)] = int(version)
+
     # ------------------------------------------------------------------
 
     def register_participant(
         self, participant: int, policy: TrustPolicy
     ) -> None:
-        """Add a participant and its trust policy."""
+        """Register a participant, adopting its on-disk record if any.
+
+        Re-registering an id already attached *in this process* is
+        still an error; an id present only in the database (a previous
+        incarnation of the confederation) is adopted — its decisions,
+        reconciliation epoch, and version counter all resume.  This is
+        what lets ``Confederation.open()`` reopen a database file.
+        """
         if participant in self._policies:
             raise StoreError(f"participant {participant} already registered")
         self._policies[participant] = policy
         with self._conn:
             self._conn.execute(
-                "INSERT INTO participants (id) VALUES (?)", (participant,)
+                "INSERT OR IGNORE INTO participants (id) VALUES (?)",
+                (participant,),
             )
         self._charge_call()
 
@@ -253,7 +412,7 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
             ) from None
         ord_ = int(cursor.lastrowid)
         for idx, update in enumerate(transaction.updates):
-            kind, old_row, new_row = _explode(update)
+            kind, relation, old_row, new_row, _origin = _explode(update)
             self._conn.execute(
                 "INSERT INTO txn_updates (ord, idx, kind, relation, old_row,"
                 " new_row) VALUES (?, ?, ?, ?, ?, ?)",
@@ -261,7 +420,7 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
                     ord_,
                     idx,
                     kind,
-                    update.relation,
+                    relation,
                     _encode_row(old_row),
                     _encode_row(new_row),
                 ),
@@ -357,12 +516,11 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
                 )
             )
 
-        applied = self._decided_ords(participant, "applied")
         graph = TransactionGraph()
         closure = antecedent_closure(
             lambda tid: self._antecedent_tids(self._ord_of(tid)),
             [root.tid for root in roots],
-            stop={self._tid_of(o) for o in applied},
+            stop=self._nc_applied_tids(participant),
         )
         for tid in closure:
             ord_ = self._ord_of(tid)
@@ -380,7 +538,7 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
         )
         # Derived data riding along with the closure transactions: the
         # flattened context-free extensions, computed once per published
-        # transaction for the whole confederation (see the mixin).
+        # transaction for the whole confederation (see DirectLogStore).
         self.ship_context_free_extensions(batch)
         return batch
 
@@ -400,28 +558,81 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
         self.retire_shared_entries(self._fully_decided(result))
         self._charge_call()
 
+    # ------------------------------------------------------------------
+    # Set-based decision bookkeeping
+    #
+    # One COUNT query per transaction is fine at the evaluation
+    # schedule's scale but quadratic over a benchmark-sized history
+    # (each count scans the growing decisions table).  ``decisions
+    # (ord)`` is indexed and a whole reconciliation's retirement set is
+    # resolved in O(result) chunked queries.
+
+    #: sqlite bind-parameter batches stay well under SQLITE_MAX_VARIABLE_NUMBER.
+    _SQL_CHUNK = 400
+
+    def _ords_for(
+        self, tids: Sequence[TransactionId]
+    ) -> Dict[TransactionId, int]:
+        """The ``txns.ord`` of every given transaction id, batched."""
+        mapping: Dict[TransactionId, int] = {}
+        for start in range(0, len(tids), self._SQL_CHUNK):
+            chunk = tids[start : start + self._SQL_CHUNK]
+            clause = " OR ".join(
+                "(participant = ? AND seq = ?)" for _ in chunk
+            )
+            params = [
+                value
+                for tid in chunk
+                for value in (tid.participant, tid.sequence)
+            ]
+            for pid, seq, ord_ in self._conn.execute(
+                f"SELECT participant, seq, ord FROM txns WHERE {clause}",
+                params,
+            ).fetchall():
+                mapping[TransactionId(pid, seq)] = ord_
+        return mapping
+
     def _fully_decided(
         self, result: ReconcileResult
     ) -> List[TransactionId]:
-        """Roots of this result now finally decided by every participant."""
-        candidates = set(result.applied) | set(result.rejected)
+        """Roots of this result now finally decided by every participant,
+        in O(result) grouped queries against the ``decisions (ord)`` index."""
+        candidates = sorted(set(result.applied) | set(result.rejected))
         if not candidates:
             return []
         total = len(self._policies)
-        retired: List[TransactionId] = []
-        for tid in sorted(candidates):
-            (count,) = self._conn.execute(
-                "SELECT COUNT(DISTINCT participant) FROM decisions"
-                " WHERE ord = ? AND verdict IN ('applied', 'rejected')",
-                (self._ord_of(tid),),
-            ).fetchone()
-            if count >= total:
-                retired.append(tid)
-        return retired
+        ords = self._ords_for(candidates)
+        decided = set()
+        ord_list = sorted(ords.values())
+        for start in range(0, len(ord_list), self._SQL_CHUNK):
+            chunk = ord_list[start : start + self._SQL_CHUNK]
+            placeholders = ", ".join("?" for _ in chunk)
+            rows = self._conn.execute(
+                f"SELECT ord FROM decisions WHERE ord IN ({placeholders})"
+                " AND verdict IN ('applied', 'rejected')"
+                " GROUP BY ord HAVING COUNT(DISTINCT participant) >= ?",
+                (*chunk, total),
+            ).fetchall()
+            decided.update(ord_ for (ord_,) in rows)
+        return [tid for tid in candidates if ords.get(tid) in decided]
+
+    def _write(self, sql: str, rows: Sequence[Tuple]) -> None:
+        """Run ``sql`` once per row: inside the caller's open transaction
+        (covered by its commit) or in one transaction of its own."""
+        if self._conn.in_transaction:
+            self._conn.executemany(sql, rows)
+        else:
+            with self._conn:
+                self._conn.executemany(sql, rows)
 
     def _bump_applied_version(self, participant: int) -> None:
-        self._applied_versions[participant] = (
-            self._applied_versions.get(participant, 0) + 1
+        """Bump the counter in RAM and persist it."""
+        version = self._applied_versions.get(participant, 0) + 1
+        self._applied_versions[participant] = version
+        self._write(
+            "INSERT INTO applied_versions (participant, version) VALUES (?, ?)"
+            " ON CONFLICT(participant) DO UPDATE SET version = excluded.version",
+            [(participant, version)],
         )
 
     def _record_decision(
@@ -434,7 +645,50 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
         )
 
     # ------------------------------------------------------------------
+    # Spill-aware shared-memo retention (the DirectLogStore seam)
+
+    def _spill_retired(
+        self, entries: List[Tuple[TransactionId, UpdateExtension]]
+    ) -> None:
+        """Move retired/evicted context-free extensions to the database:
+        one commit per batch, not one per entry."""
+        self._write(
+            "INSERT OR REPLACE INTO retired_extensions"
+            " (participant, seq, payload) VALUES (?, ?, ?)",
+            [
+                (tid.participant, tid.sequence, _encode_extension(extension))
+                for tid, extension in entries
+            ],
+        )
+
+    def _load_retired(self, tid: TransactionId) -> Optional[UpdateExtension]:
+        """Page a spilled context-free extension back in, if present."""
+        record = self._conn.execute(
+            "SELECT payload FROM retired_extensions"
+            " WHERE participant = ? AND seq = ?",
+            (tid.participant, tid.sequence),
+        ).fetchone()
+        if record is None:
+            return None
+        return _decode_extension(record[0])
+
+    def retired_extension_count(self) -> int:
+        """How many retired extensions have been spilled to the database."""
+        record = self._conn.execute(
+            "SELECT COUNT(*) FROM retired_extensions"
+        ).fetchone()
+        return int(record[0])
+
+    # ------------------------------------------------------------------
     # Introspection
+
+    def resident_bodies(self) -> int:
+        """How many transaction bodies are currently resident in RAM."""
+        return len(self._page_cache)
+
+    def page_cache_stats(self) -> dict:
+        """The body page cache's counters (JSON-friendly)."""
+        return self._page_cache.as_dict()
 
     def current_epoch(self) -> int:
         """The highest epoch allocated so far."""
@@ -548,31 +802,28 @@ class CentralUpdateStore(NetworkCentricMixin, UpdateStore):
         return {int(r[0]) for r in rows}
 
     def _load_transaction(self, ord_: int) -> Transaction:
+        """A transaction body, served from the LRU page cache when hot."""
+        cached = self._page_cache.get(ord_)
+        if cached is not None:
+            return cached
         tid = self._tid_of(ord_)
         rows = self._conn.execute(
             "SELECT kind, relation, old_row, new_row FROM txn_updates"
             " WHERE ord = ? ORDER BY idx",
             (ord_,),
         ).fetchall()
-        updates: List[Update] = []
-        for kind, relation, old_text, new_text in rows:
-            old_row = _decode_row(old_text)
-            new_row = _decode_row(new_text)
-            if kind == "insert":
-                updates.append(Insert(relation, new_row, tid.participant))
-            elif kind == "delete":
-                updates.append(Delete(relation, old_row, tid.participant))
-            else:
-                updates.append(
-                    Modify(relation, old_row, new_row, tid.participant)
+        transaction = Transaction(
+            tid,
+            tuple(
+                _implode(
+                    kind,
+                    relation,
+                    _decode_row(old_text),
+                    _decode_row(new_text),
+                    tid.participant,
                 )
-        return Transaction(tid, tuple(updates))
-
-
-def _explode(update: Update) -> Tuple[str, Optional[Tuple], Optional[Tuple]]:
-    """Decompose an update into (kind, old_row, new_row) for storage."""
-    if isinstance(update, Insert):
-        return "insert", None, update.row
-    if isinstance(update, Delete):
-        return "delete", update.row, None
-    return "modify", update.old_row, update.new_row
+                for kind, relation, old_text, new_text in rows
+            ),
+        )
+        self._page_cache.put(ord_, transaction)
+        return transaction

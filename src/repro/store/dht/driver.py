@@ -54,7 +54,7 @@ from repro.store.dht import wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.dht.replication import _install, allocator_counter, held_copy
 from repro.store.network_centric import (
-    NetworkCentricMixin,
+    DirectLogStore,
     attach_assembled_payload,
 )
 from repro.store.registry import StoreCapabilities
@@ -171,9 +171,9 @@ class DhtUpdateStore(UpdateStore):
         # identity, so every participant at one priority must receive the
         # *same* extension object.  Retention (complete_reconciliation)
         # is the primary eviction; the FIFO limit is the same backstop
-        # the central stores' shared memos carry.
+        # the direct-log stores' shared memos carry.
         self._shared_pairs = ConflictCache(
-            limit=NetworkCentricMixin.SHARED_MEMO_LIMIT
+            limit=DirectLogStore.SHARED_MEMO_LIMIT
         )
         self._cf_priority_memo: Dict[
             Tuple[TransactionId, int],

@@ -1,391 +1,22 @@
-"""The durable update store: full history on disk, RAM O(open frontier).
+"""The ``durable`` registry name: the sqlite store as an embedded database.
 
-The paper assumes update stores are persistent — a participant's entire
-state is reconstructible from the store alone (Section 5.2) — but until
-this backend every registered driver kept its log in RAM (the
-``central`` driver defaults to an in-memory sqlite database and holds
-its applied-set version counters in Python dicts).  ``durable`` is the
-honest persistent quadrant:
-
-* the **append-only schema** of the central store (epochs, transaction
-  bodies, antecedent edges, producers, verdicts, reconciliation
-  records) written to a real database file in WAL mode, reusing the
-  :mod:`repro.instance.sqlite_instance` idioms — explicit transactions,
-  ``repr``/``ast.literal_eval`` row codecs;
-* **bounded resident memory**: transaction bodies page from disk
-  through a :class:`repro.core.cache.PageCache` (LRU, ``cache_size``
-  entries), so reconciling over a multi-hundred-thousand-transaction
-  history keeps O(cache) bodies in RAM, not O(history);
-* **spill-aware retention**: the shared context-free extension memo's
-  retired entries (:meth:`~repro.store.network_centric.NetworkCentricMixin.retire_shared_entries`)
-  move to the ``retired_extensions`` table instead of being dropped, so
-  a participant registered after retirement pages them back in rather
-  than recomputing;
-* **crash recovery**: reopening a database left by a crashed process
-  replays sqlite's WAL, closes any epoch whose publisher died
-  mid-publication (publication batches are transactional, so a torn
-  batch is impossible — the dangling epoch is simply finished empty),
-  and resumes the persisted per-participant applied-set version
-  counters — recovery cost is O(delta), never a full-history replay.
-
-Reopening a confederation from disk composes with the facade's
-soft-state machinery: ``Confederation.open()`` re-registers the
-configured peers (this store *adopts* a participant row that already
-exists on disk) and ``Confederation.restore()`` rebuilds each
-participant's replica and soft state from the persisted decisions.
-
-Unlike the ``central`` driver this backend charges no per-call JDBC
-overhead: it models an embedded durable store (the paper's participants
-each hold "a complete copy of the shared database"), not a remote
-commercial RDBMS.
+Persistence, recovery, paging and spill all live in
+:mod:`repro.store.central`; this name differs only in the default cost
+model — no simulated JDBC call overhead.
 """
 
 from __future__ import annotations
 
-import ast
-import sqlite3
-from typing import Dict, List, Optional, Sequence
-
-from repro.core.cache import PageCache
-from repro.core.decisions import ReconcileResult
-from repro.core.extensions import UpdateExtension
-from repro.errors import StoreError
-from repro.model.schema import Schema
-from repro.model.transactions import Transaction, TransactionId
-from repro.model.updates import Delete, Insert, Modify
-from repro.policy.acceptance import TrustPolicy
-from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
-from repro.store.central import _SCHEMA_SQL, CentralUpdateStore, _explode
-from repro.store.registry import StoreCapabilities
-
-_DURABLE_SCHEMA_SQL = """
-CREATE TABLE IF NOT EXISTS applied_versions (
-    participant INTEGER PRIMARY KEY,
-    version INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS retired_extensions (
-    participant INTEGER NOT NULL,
-    seq INTEGER NOT NULL,
-    payload TEXT NOT NULL,
-    PRIMARY KEY (participant, seq)
-);
-CREATE INDEX IF NOT EXISTS idx_decisions_ord ON decisions (ord);
-"""
-
-
-def _encode_extension(extension: UpdateExtension) -> str:
-    """Serialise an extension as a ``repr`` literal (see sqlite_instance).
-
-    Every field is literal-representable: transaction ids become
-    ``(participant, sequence)`` pairs, updates become
-    ``(kind, relation, old_row, new_row, origin)`` tuples, and the
-    touched-key set is sorted so the encoding is deterministic.
-    """
-    operations = []
-    for update in extension.operations:
-        kind, old_row, new_row = _explode(update)
-        operations.append((kind, update.relation, old_row, new_row, update.origin))
-    payload = (
-        (extension.root.participant, extension.root.sequence),
-        extension.priority,
-        tuple((m.participant, m.sequence) for m in extension.members),
-        tuple(operations),
-        tuple(sorted(extension.touched)),
-    )
-    return repr(payload)
-
-
-def _decode_extension(text: str) -> UpdateExtension:
-    """Rebuild an :func:`_encode_extension` payload.
-
-    The decoded extension is *value*-equal to the one spilled; the
-    identity-keyed shared pair memo therefore misses against it and
-    re-compares, which is exactly the semantics of a cache re-fill.
-    """
-    root_pair, priority, members, operations, touched = ast.literal_eval(text)
-    updates = []
-    for kind, relation, old_row, new_row, origin in operations:
-        if kind == "insert":
-            updates.append(Insert(relation, new_row, origin))
-        elif kind == "delete":
-            updates.append(Delete(relation, old_row, origin))
-        else:
-            updates.append(Modify(relation, old_row, new_row, origin))
-    return UpdateExtension(
-        root=TransactionId(*root_pair),
-        members=tuple(TransactionId(*pair) for pair in members),
-        operations=tuple(updates),
-        touched=frozenset(touched),
-        priority=priority,
-    )
+# The spill codec is re-exported: tests/store/test_durable.py pins its
+# round trip under this module path.
+from repro.store.central import (  # noqa: F401
+    CentralUpdateStore,
+    _decode_extension,
+    _encode_extension,
+)
 
 
 class DurableUpdateStore(CentralUpdateStore):
-    """Disk-backed update store with crash recovery and paged bodies.
+    """The sqlite store without the simulated JDBC call overhead."""
 
-    Inherits the central store's schema, publication protocol
-    (begin/write/finish epoch), stable-epoch computation, and
-    network-centric accessors; overrides persistence-relevant seams:
-    the connection (a real file, shareable across scheduler threads —
-    every access is serialised under ``store.lock``), participant
-    registration (adopt-on-reopen), applied-set version counters
-    (persisted), body loading (paged through a bounded LRU), the
-    retention spill seam, and the per-call cost model (embedded, so no
-    simulated JDBC overhead).
-    """
-
-    capabilities = StoreCapabilities(
-        ships_context_free=True,
-        shared_pair_memo=True,
-        durable=True,
-        network_centric_batches=True,
-    )
-
-    #: Default transaction-body page-cache capacity (entries, not bytes):
-    #: large enough that an evaluation-schedule frontier never thrashes,
-    #: small enough that resident memory is visibly O(cache), not
-    #: O(history), at benchmark scale.
-    DEFAULT_CACHE_SIZE = 1024
-
-    def __init__(
-        self,
-        schema: Schema,
-        path: str = ":memory:",
-        message_latency: float = DEFAULT_MESSAGE_LATENCY,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        real_latency: bool = False,
-    ) -> None:
-        """``path`` is the database file (":memory:" supported for
-        tests, though it obviously cannot survive a process restart);
-        ``cache_size`` bounds the resident transaction bodies."""
-        # Deliberately skip CentralUpdateStore.__init__: the connection
-        # settings differ (file path, cross-thread access) and the JDBC
-        # call overhead does not apply to an embedded store.
-        UpdateStore.__init__(
-            self, schema, message_latency, real_latency=real_latency
-        )
-        self._call_overhead = 0.0
-        self.path = path
-        # The threaded epoch scheduler calls into the store from worker
-        # threads; every call already holds the reentrant store.lock
-        # (Participant._store_call), so cross-thread use of one
-        # connection is serialised and safe.
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        # The standard WAL pairing: commits append to the WAL without an
-        # fsync of the main database; the log itself stays consistent, so
-        # crash recovery is unaffected — only the most recent commits can
-        # be lost, never torn.
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_SCHEMA_SQL)
-        self._conn.executescript(_DURABLE_SCHEMA_SQL)
-        self._policies = {}
-        self._applied_versions = {}
-        self._page_cache = PageCache(cache_size)
-        self._recover()
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-
-    def _recover(self) -> None:
-        """Resume from whatever the database file holds.
-
-        Opening the connection already replayed sqlite's WAL.  Two
-        pieces of soft state are then rebuilt in O(delta):
-
-        * any epoch still marked unfinished belongs to a publisher that
-          died between ``begin_publish`` and ``finish_publish``; its
-          batch either committed atomically (``write_transactions`` is
-          one sqlite transaction) or not at all, so the epoch is simply
-          marked finished and stops blocking the stable-epoch
-          computation;
-        * the per-participant applied-set version counters are loaded
-          from the ``applied_versions`` table — no history replay.
-        """
-        with self._conn:
-            self._conn.execute("UPDATE epochs SET finished = 1 WHERE finished = 0")
-        for pid, version in self._conn.execute(
-            "SELECT participant, version FROM applied_versions ORDER BY participant"
-        ).fetchall():
-            self._applied_versions[int(pid)] = int(version)
-
-    # ------------------------------------------------------------------
-    # Registration: adopt participants already on disk
-
-    def register_participant(
-        self, participant: int, policy: TrustPolicy
-    ) -> None:
-        """Register a participant, adopting its on-disk record if any.
-
-        Re-registering an id already attached *in this process* is
-        still an error; an id present only in the database (a previous
-        incarnation of the confederation) is adopted — its decisions,
-        reconciliation epoch, and version counter all resume.  This is
-        what lets ``Confederation.open()`` reopen a database file.
-        """
-        if participant in self._policies:
-            raise StoreError(f"participant {participant} already registered")
-        self._policies[participant] = policy
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO participants (id) VALUES (?)",
-                (participant,),
-            )
-            self._conn.execute(
-                "INSERT OR IGNORE INTO applied_versions (participant, version)"
-                " VALUES (?, 0)",
-                (participant,),
-            )
-        self._applied_versions.setdefault(participant, 0)
-        self._charge_call()
-
-    # ------------------------------------------------------------------
-    # Persisted applied-set version counters
-
-    def _bump_applied_version(self, participant: int) -> None:
-        """Bump the counter in RAM and persist it.
-
-        May run inside an open publication transaction (covered by the
-        caller's commit) or standalone (committed here immediately).
-        """
-        super()._bump_applied_version(participant)
-        in_txn = self._conn.in_transaction
-        self._conn.execute(
-            "INSERT INTO applied_versions (participant, version) VALUES (?, ?)"
-            " ON CONFLICT(participant) DO UPDATE SET version = excluded.version",
-            (participant, self._applied_versions[participant]),
-        )
-        if not in_txn:
-            self._conn.commit()
-
-    # ------------------------------------------------------------------
-    # Set-based decision bookkeeping
-    #
-    # The central store's per-transaction COUNT query is fine at the
-    # evaluation schedule's scale but quadratic over a benchmark-sized
-    # history (each count scans the growing decisions table).  The
-    # durable backend indexes ``decisions (ord)`` and resolves a whole
-    # reconciliation's retirement set in O(result) chunked queries.
-
-    #: sqlite bind-parameter batches stay well under SQLITE_MAX_VARIABLE_NUMBER.
-    _SQL_CHUNK = 400
-
-    def _ords_for(
-        self, tids: Sequence[TransactionId]
-    ) -> Dict[TransactionId, int]:
-        """The ``txns.ord`` of every given transaction id, batched."""
-        mapping: Dict[TransactionId, int] = {}
-        for start in range(0, len(tids), self._SQL_CHUNK):
-            chunk = tids[start : start + self._SQL_CHUNK]
-            clause = " OR ".join(
-                "(participant = ? AND seq = ?)" for _ in chunk
-            )
-            params = [
-                value
-                for tid in chunk
-                for value in (tid.participant, tid.sequence)
-            ]
-            for pid, seq, ord_ in self._conn.execute(
-                f"SELECT participant, seq, ord FROM txns WHERE {clause}",
-                params,
-            ).fetchall():
-                mapping[TransactionId(pid, seq)] = ord_
-        return mapping
-
-    def _fully_decided(
-        self, result: ReconcileResult
-    ) -> List[TransactionId]:
-        """Roots now finally decided by every participant (batched).
-
-        Same answer as the central store's per-transaction counts, in
-        O(result) grouped queries against the ``decisions (ord)`` index.
-        """
-        candidates = sorted(set(result.applied) | set(result.rejected))
-        if not candidates:
-            return []
-        total = len(self._policies)
-        ords = self._ords_for(candidates)
-        decided = set()
-        ord_list = sorted(ords.values())
-        for start in range(0, len(ord_list), self._SQL_CHUNK):
-            chunk = ord_list[start : start + self._SQL_CHUNK]
-            placeholders = ", ".join("?" for _ in chunk)
-            rows = self._conn.execute(
-                f"SELECT ord FROM decisions WHERE ord IN ({placeholders})"
-                " AND verdict IN ('applied', 'rejected')"
-                " GROUP BY ord HAVING COUNT(DISTINCT participant) >= ?",
-                (*chunk, total),
-            ).fetchall()
-            decided.update(ord_ for (ord_,) in rows)
-        return [tid for tid in candidates if ords.get(tid) in decided]
-
-    def retire_shared_entries(self, roots) -> None:
-        """Retire memo entries, batching their spills into one commit.
-
-        The mixin retires entry by entry; without an enclosing
-        transaction every spilled extension would pay its own commit.
-        """
-        if self._conn.in_transaction:
-            super().retire_shared_entries(roots)
-            return
-        self._conn.execute("BEGIN")
-        try:
-            super().retire_shared_entries(roots)
-        except BaseException:
-            self._conn.rollback()
-            raise
-        self._conn.commit()
-
-    # ------------------------------------------------------------------
-    # Paged transaction bodies
-
-    def _load_transaction(self, ord_: int) -> Transaction:
-        """A transaction body, served from the LRU page cache when hot."""
-        cached = self._page_cache.get(ord_)
-        if cached is not None:
-            return cached
-        transaction = super()._load_transaction(ord_)
-        self._page_cache.put(ord_, transaction)
-        return transaction
-
-    def resident_bodies(self) -> int:
-        """How many transaction bodies are currently resident in RAM."""
-        return len(self._page_cache)
-
-    def page_cache_stats(self) -> dict:
-        """The body page cache's counters (JSON-friendly)."""
-        return self._page_cache.as_dict()
-
-    # ------------------------------------------------------------------
-    # Spill-aware shared-memo retention
-
-    def _spill_retired(
-        self, tid: TransactionId, extension: UpdateExtension
-    ) -> None:
-        """Move a retired/evicted context-free extension to disk."""
-        in_txn = self._conn.in_transaction
-        self._conn.execute(
-            "INSERT OR REPLACE INTO retired_extensions"
-            " (participant, seq, payload) VALUES (?, ?, ?)",
-            (tid.participant, tid.sequence, _encode_extension(extension)),
-        )
-        if not in_txn:
-            self._conn.commit()
-
-    def _load_retired(self, tid: TransactionId) -> Optional[UpdateExtension]:
-        """Page a spilled context-free extension back in, if present."""
-        record = self._conn.execute(
-            "SELECT payload FROM retired_extensions"
-            " WHERE participant = ? AND seq = ?",
-            (tid.participant, tid.sequence),
-        ).fetchone()
-        if record is None:
-            return None
-        return _decode_extension(record[0])
-
-    def retired_extension_count(self) -> int:
-        """How many retired extensions have been spilled to disk."""
-        record = self._conn.execute(
-            "SELECT COUNT(*) FROM retired_extensions"
-        ).fetchone()
-        return int(record[0])
+    DEFAULT_CALL_OVERHEAD = 0.0

@@ -25,9 +25,8 @@ from repro.errors import StoreError, UnknownTransactionError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.policy.acceptance import TrustPolicy
-from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
-from repro.store.network_centric import NetworkCentricMixin
-from repro.store.registry import StoreCapabilities
+from repro.store.base import DEFAULT_MESSAGE_LATENCY
+from repro.store.network_centric import DirectLogStore
 from repro.store.logic import (
     ProducerIndex,
     antecedent_closure,
@@ -60,15 +59,8 @@ class _ParticipantRecord:
     deferred: Set[TransactionId] = field(default_factory=set)
 
 
-class MemoryUpdateStore(NetworkCentricMixin, UpdateStore):
+class MemoryUpdateStore(DirectLogStore):
     """The reference in-process update store."""
-
-    capabilities = StoreCapabilities(
-        ships_context_free=True,
-        shared_pair_memo=True,
-        durable=False,
-        network_centric_batches=True,
-    )
 
     def __init__(
         self,
@@ -215,7 +207,7 @@ class MemoryUpdateStore(NetworkCentricMixin, UpdateStore):
         )
         # Derived data riding along with the closure transactions: the
         # flattened context-free extensions, computed once per published
-        # transaction for the whole confederation (see the mixin).
+        # transaction for the whole confederation (see DirectLogStore).
         self.ship_context_free_extensions(batch)
         return batch
 

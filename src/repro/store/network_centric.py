@@ -7,9 +7,11 @@ reconciliation, which "distributes almost all of the work across the
 network" at the price of more communication; the paper leaves it as
 future work.
 
-:class:`NetworkCentricMixin` implements the store side of that mode for
-stores with direct access to their log (the in-memory and central-sqlite
-stores — the "central store + network-centric" quadrant of Figure 3):
+:class:`DirectLogStore` implements the store side of that mode for
+stores with direct access to their log (the in-memory store and the one
+sqlite store — the "central store + network-centric" quadrant of
+Figure 3): it is the base class of both, sitting between
+:class:`~repro.store.base.UpdateStore` and the two logs.
 :meth:`begin_network_reconciliation` returns a batch whose flattened
 update extensions and direct-conflict adjacency are already computed,
 covering both newly relevant transactions and the participant's deferred
@@ -17,34 +19,34 @@ ones (which the store tracks).  The client then only runs ``CheckState``
 (it alone holds the materialised instance, dirty values, and its own
 delta), the cheap greedy ``DoGroup``, and application.
 
-The distributed store does not use this mixin — it has no direct log
-access.  Since PR 3 its transaction controllers derive context-free
-extensions at publish time and ship them on fetch, and since PR 5 it
-implements the *fully* network-centric batch too: controllers derive
-each participant's extensions against that participant's applied set
-over the ring protocol, and the driver assembles the conflict adjacency
-through the same :func:`attach_assembled_payload` helper the mixin uses
-here — so every built-in backend serves
-``begin_network_reconciliation`` (see :mod:`repro.store.dht`).
+The distributed store does not derive from this class — it has no
+direct log access.  Its transaction controllers derive context-free
+extensions at publish time, and each participant's extensions against
+that participant's applied set over the ring protocol; the driver
+assembles the conflict adjacency through the same
+:func:`attach_assembled_payload` helper this class uses — so every
+built-in backend serves ``begin_network_reconciliation`` (see
+:mod:`repro.store.dht`).
 
 Shared-memo retention: the context-free extension memo and the shared
 pair memo grow with the published history, but an entry is only ever
 consulted for roots some participant has still to decide.  Both memos
 are therefore pruned by *reconciliation-aware retention*
-(:meth:`NetworkCentricMixin.retire_shared_entries`): once every
+(:meth:`DirectLogStore.retire_shared_entries`): once every
 registered participant holds a final verdict (applied or rejected) for
 a root, its entry — and every pair-memo entry it participates in — is
-dropped.  For RAM-only stores retirement is pure cache eviction: a
-participant registered later simply recomputes on miss.  A durable
-store overrides the :meth:`NetworkCentricMixin._spill_retired` /
-:meth:`NetworkCentricMixin._load_retired` seam to move retired entries
-to disk instead, so that later miss is a page-in.
+dropped.  For the in-memory store retirement is pure cache eviction: a
+participant registered later simply recomputes on miss.  The sqlite
+store overrides the :meth:`DirectLogStore._spill_retired` /
+:meth:`DirectLogStore._load_retired` seam to move retired entries
+to its database instead, so that later miss is a page-in.
 """
 
 from __future__ import annotations
 
+import abc
 from dataclasses import replace
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import ConflictCache, ExtensionCache
 from repro.core.extensions import (
@@ -56,17 +58,21 @@ from repro.core.extensions import (
 )
 from repro.core.conflicts import find_conflicts
 from repro.errors import FlattenError
+from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
+from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
 from repro.store.logic import antecedent_closure
+from repro.store.registry import StoreCapabilities
 
 
 def assembled_payload_fragments(extensions, adjacency) -> int:
     """Message fragments a fully-assembled batch payload costs to ship.
 
     One fragment per flattened update of every derived extension, plus
-    one per (undirected) conflict edge — the pricing both the mixin and
-    the DHT driver charge for moving the precomputed structures to the
-    reconciling client (Figures 6-7's size-bounded-message regime).
+    one per (undirected) conflict edge — the pricing both
+    :class:`DirectLogStore` and the DHT driver charge for moving the
+    precomputed structures to the reconciling client (Figures 6-7's
+    size-bounded-message regime).
     """
     shipped = sum(len(ext.operations) for ext in extensions.values())
     shipped += sum(len(adj) for adj in adjacency.values()) // 2
@@ -83,11 +89,11 @@ def attach_assembled_payload(
 
     The shared back half of ``begin_network_reconciliation`` for every
     backend: given the per-participant extensions (derived from direct
-    log access by the mixin, or collected from transaction controllers
-    over the ring by the DHT driver), run the pairwise conflict analysis
-    against the per-participant ``pair_cache``, attach extensions and
-    adjacency to the batch, and return the fragment count the shipped
-    payload is priced at.
+    log access by :class:`DirectLogStore`, or collected from transaction
+    controllers over the ring by the DHT driver), run the pairwise
+    conflict analysis against the per-participant ``pair_cache``, attach
+    extensions and adjacency to the batch, and return the fragment count
+    the shipped payload is priced at.
     """
     analysis = find_conflicts(schema, batch.graph, extensions, cache=pair_cache)
     batch.extensions = extensions
@@ -95,17 +101,13 @@ def attach_assembled_payload(
     return assembled_payload_fragments(extensions, analysis.adjacency)
 
 
-class NetworkCentricMixin:
-    """Store-side precomputation of extensions and conflicts.
+class DirectLogStore(UpdateStore):
+    """An update store that reads its own log: store-side precomputation
+    of extensions and conflicts, written once for every such log.
 
-    Concrete stores provide four accessors over their log:
-
-    * ``_nc_deferred_tids(participant)`` — the participant's deferred
-      transaction ids;
-    * ``_nc_applied_tids(participant)`` — its applied transaction ids;
-    * ``_nc_applied_version(participant)`` — a monotone counter bumped
-      whenever that applied set grows (drives cache invalidation);
-    * ``_nc_lookup(tid)`` — ``(transaction, antecedents, order)``.
+    A concrete store supplies the log itself (the store contract of
+    :class:`~repro.store.base.UpdateStore`) and the five ``_nc_*``
+    accessors below; a subclass missing one cannot be instantiated.
 
     Precomputation reuses the same :mod:`repro.core.cache` machinery as
     the client engine, held per participant: a deferred transaction's
@@ -114,44 +116,74 @@ class NetworkCentricMixin:
     rather than once per reconciliation.
     """
 
+    #: What this class implements for every log; whether the log itself
+    #: is ``durable`` is the subclass's to declare.
+    capabilities = StoreCapabilities(
+        ships_context_free=True,
+        shared_pair_memo=True,
+        network_centric_batches=True,
+    )
+
+    def __init__(
+        self,
+        schema: Schema,
+        message_latency: float = DEFAULT_MESSAGE_LATENCY,
+        real_latency: bool = False,
+    ) -> None:
+        super().__init__(schema, message_latency, real_latency=real_latency)
+        # Created here rather than on first use: the runtime
+        # lock-discipline proxies guard the containers they find in
+        # ``vars(store)`` when instrumentation starts, so a memo born
+        # during the first reconciliation would never be guarded.
+        self._nc_caches: Dict[int, Tuple[ExtensionCache, ConflictCache]] = {}
+        self._nc_context_free: Dict[
+            TransactionId, Optional[UpdateExtension]
+        ] = {}
+        self._nc_shared_pairs = ConflictCache(limit=self.SHARED_MEMO_LIMIT)
+
+    @abc.abstractmethod
     def _nc_deferred_tids(self, participant: int) -> List[TransactionId]:
-        raise NotImplementedError
+        """The participant's deferred transaction ids, in publish order."""
 
+    @abc.abstractmethod
     def _nc_applied_tids(self, participant: int) -> Set[TransactionId]:
-        raise NotImplementedError
+        """The participant's applied transaction ids."""
 
+    @abc.abstractmethod
     def _nc_applied_version(self, participant: int) -> int:
-        raise NotImplementedError
+        """A monotone counter bumped whenever that applied set grows
+        (drives cache invalidation)."""
 
+    @abc.abstractmethod
     def _nc_lookup(
         self, tid: TransactionId
     ) -> Tuple[Transaction, Tuple[TransactionId, ...], int]:
-        raise NotImplementedError
+        """``(transaction, antecedents, order)`` of a logged transaction
+        (also the one log read ``Participant.rebuild`` needs)."""
 
+    @abc.abstractmethod
     def _nc_priority(self, participant: int, transaction: Transaction) -> int:
-        raise NotImplementedError
+        """The participant's trust priority for ``transaction``."""
 
-    # ------------------------------------------------------------------
-    # Per-participant store-side caches (lazily created: the mixin has no
-    # __init__ of its own to avoid perturbing store construction chains).
-
-    def _nc_extension_cache(self, participant: int) -> ExtensionCache:
-        caches = getattr(self, "_nc_ext_caches", None)
+    def _nc_caches_of(
+        self, participant: int
+    ) -> Tuple[ExtensionCache, ConflictCache]:
+        """The participant's store-side extension and pair caches (one
+        shared :class:`~repro.core.cache.CacheStats`)."""
+        caches = self._nc_caches.get(participant)
         if caches is None:
-            caches = self._nc_ext_caches = {}
-        if participant not in caches:
-            caches[participant] = ExtensionCache()
-        return caches[participant]
+            extensions = ExtensionCache()
+            caches = extensions, ConflictCache(stats=extensions.stats)
+            self._nc_caches[participant] = caches
+        return caches
 
-    def _nc_conflict_cache(self, participant: int) -> ConflictCache:
-        caches = getattr(self, "_nc_pair_caches", None)
-        if caches is None:
-            caches = self._nc_pair_caches = {}
-        if participant not in caches:
-            caches[participant] = ConflictCache(
-                stats=self._nc_extension_cache(participant).stats
-            )
-        return caches[participant]
+    def _add_closure(self, graph: TransactionGraph, roots, stop) -> None:
+        """Add the antecedent closure of ``roots`` to ``graph``, not
+        descending into ``stop``."""
+        for member in antecedent_closure(
+            lambda tid: self._nc_lookup(tid)[1], roots, stop=stop
+        ):
+            graph.add(*self._nc_lookup(member))
 
     # ------------------------------------------------------------------
     # Context-free extensions: computed once per published transaction,
@@ -166,17 +198,20 @@ class NetworkCentricMixin:
     SHARED_MEMO_LIMIT = 65536
 
     # ------------------------------------------------------------------
-    # Spill seam: a durable store can keep evicted/retired memo entries
-    # instead of dropping them.  The defaults make eviction pure cache
-    # behaviour (drop; recompute on the next miss), exactly as before.
+    # Spill seam: a store with somewhere to put them can keep
+    # evicted/retired memo entries instead of dropping them.  The
+    # defaults make eviction pure cache behaviour (drop; recompute on
+    # the next miss).
 
-    def _spill_retired(self, tid: TransactionId, extension) -> None:
-        """Hook: a memo entry is leaving RAM (retired or FIFO-evicted).
+    def _spill_retired(
+        self, entries: List[Tuple[TransactionId, UpdateExtension]]
+    ) -> None:
+        """Hook: memo entries are leaving RAM (retired or FIFO-evicted).
 
-        The default drops it — retirement is pure cache eviction.  A
-        durable backend overrides this to move the entry to disk so a
-        later miss (e.g. a participant registered after retirement) is
-        a page-in, not a recomputation.
+        The default drops them — retirement is pure cache eviction.  The
+        sqlite store overrides this to move the batch to its database in
+        one commit, so a later miss (e.g. a participant registered after
+        retirement) is a page-in, not a recomputation.
         """
 
     def _load_retired(self, tid: TransactionId):
@@ -185,14 +220,6 @@ class NetworkCentricMixin:
         The default knows no spill medium and always misses.
         """
         return None
-
-    def _evict_fifo(self, memo, limit: int) -> None:
-        """Evict oldest memo entries past ``limit``, spilling each one."""
-        while len(memo) > limit:
-            tid = next(iter(memo))
-            extension = memo.pop(tid)
-            if extension is not None:
-                self._spill_retired(tid, extension)
 
     def context_free_extension(
         self, root: RelevantTransaction
@@ -213,31 +240,26 @@ class NetworkCentricMixin:
         None when the footprint does not flatten (the engine rejects
         such roots locally).
         """
-        memo = getattr(self, "_nc_context_free", None)
-        if memo is None:
-            memo = self._nc_context_free = {}
+        memo = self._nc_context_free
         tid = root.tid
         if tid in memo:
             return memo[tid]
-        spilled = self._load_retired(tid)
-        if spilled is not None:
-            memo[tid] = spilled
-            self._evict_fifo(memo, self.SHARED_MEMO_LIMIT)
-            return spilled
-        graph = TransactionGraph()
-        for member in antecedent_closure(
-            lambda t: self._nc_lookup(t)[1], [tid], stop=frozenset()
-        ):
-            transaction, antecedents, order = self._nc_lookup(member)
-            graph.add(transaction, antecedents, order)
-        try:
-            extension = compute_update_extension(
-                self.schema, graph, root, frozenset()
-            )
-        except FlattenError:
-            extension = None
+        extension = self._load_retired(tid)
+        if extension is None:
+            graph = TransactionGraph()
+            self._add_closure(graph, [tid], stop=frozenset())
+            try:
+                extension = compute_update_extension(
+                    self.schema, graph, root, frozenset()
+                )
+            except FlattenError:
+                pass  # memoised as None: the engine rejects such roots
         memo[tid] = extension
-        self._evict_fifo(memo, self.SHARED_MEMO_LIMIT)
+        while len(memo) > self.SHARED_MEMO_LIMIT:  # the FIFO backstop
+            oldest = next(iter(memo))
+            evicted = memo.pop(oldest)
+            if evicted is not None:
+                self._spill_retired([(oldest, evicted)])
         return extension
 
     def shared_pair_cache(self) -> ConflictCache:
@@ -251,14 +273,9 @@ class NetworkCentricMixin:
         participant holding a locally recomputed extension simply misses
         and compares as before.
         """
-        cache = getattr(self, "_nc_shared_pairs", None)
-        if cache is None:
-            cache = self._nc_shared_pairs = ConflictCache(
-                limit=self.SHARED_MEMO_LIMIT
-            )
-        return cache
+        return self._nc_shared_pairs
 
-    def retire_shared_entries(self, roots) -> None:
+    def retire_shared_entries(self, roots: List[TransactionId]) -> None:
         """Reconciliation-aware retention for the shared memos.
 
         ``roots`` are transaction ids every registered participant has
@@ -268,8 +285,8 @@ class NetworkCentricMixin:
         every shared pair-memo entry it participates in, is dead weight
         in RAM and leaves here (dropped, or spilled to disk when the
         store overrides :meth:`_spill_retired`).  (Deferred roots are
-        *not* retired: in
-        network-centric mode the store reconsiders them every round.)
+        *not* retired: in network-centric mode the store reconsiders
+        them every round.)
 
         With retention as the primary policy, memory tracks the
         confederation's *open* frontier — O(undecided roots) — instead
@@ -277,18 +294,14 @@ class NetworkCentricMixin:
         :attr:`SHARED_MEMO_LIMIT` backstop) when retention cannot keep
         up, e.g. a registered participant that stopped reconciling.
         """
-        roots = [tid for tid in roots]
-        if not roots:
-            return
-        memo = getattr(self, "_nc_context_free", None)
-        if memo:
-            for tid in roots:
-                extension = memo.pop(tid, None)
-                if extension is not None:
-                    self._spill_retired(tid, extension)
-        pairs = getattr(self, "_nc_shared_pairs", None)
-        if pairs is not None:
-            pairs.discard(roots)
+        retired = []
+        for tid in roots:
+            extension = self._nc_context_free.pop(tid, None)
+            if extension is not None:
+                retired.append((tid, extension))
+        if retired:
+            self._spill_retired(retired)
+        self._nc_shared_pairs.discard(roots)
 
     def ship_context_free_extensions(
         self, batch: ReconciliationBatch
@@ -308,8 +321,7 @@ class NetworkCentricMixin:
         and one without ``shared_pair_memo`` omits the pair cache —
         keeping the declared flags and the wire behaviour in lockstep.
         """
-        capabilities = getattr(self, "capabilities", None)
-        if capabilities is None or capabilities.ships_context_free:
+        if self.capabilities.ships_context_free:
             shipped = {
                 root.tid: extension
                 for root in batch.roots
@@ -319,7 +331,7 @@ class NetworkCentricMixin:
         # Independent of the extension flag: the pair memo is useful on
         # its own (it validates by object identity, so it simply misses
         # against locally recomputed extensions).
-        if capabilities is None or capabilities.shared_pair_memo:
+        if self.capabilities.shared_pair_memo:
             batch.pair_cache = self.shared_pair_cache()
 
     # ------------------------------------------------------------------
@@ -344,16 +356,10 @@ class NetworkCentricMixin:
                     transaction=transaction, priority=priority, order=order
                 )
             )
-            closure = antecedent_closure(
-                lambda t: self._nc_lookup(t)[1], [tid], stop=applied
-            )
-            for member in closure:
-                member_txn, member_antes, member_order = self._nc_lookup(member)
-                batch.graph.add(member_txn, member_antes, member_order)
+            self._add_closure(batch.graph, [tid], stop=applied)
         batch.roots.sort(key=lambda root: root.order)
 
-        ext_cache = self._nc_extension_cache(participant)
-        pair_cache = self._nc_conflict_cache(participant)
+        ext_cache, pair_cache = self._nc_caches_of(participant)
         version = self._nc_applied_version(participant)
         extensions = {}
         for root in batch.roots:

@@ -22,7 +22,7 @@ can do:
   the pairwise conflict adjacency store-side, and hands the engine a
   fully-assembled batch.  Every built-in declares it —
   memory/central/durable through direct log access
-  (:class:`~repro.store.network_centric.NetworkCentricMixin`), the DHT
+  (:class:`~repro.store.network_centric.DirectLogStore`), the DHT
   through its ring protocol (:mod:`repro.store.dht`).
 
 The built-in backends (``memory``, ``central``, ``durable``, ``dht``)

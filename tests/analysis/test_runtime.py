@@ -207,6 +207,33 @@ def test_instrumented_threaded_chaos_run_is_clean_and_identical():
     assert guarded[2].faults.recoveries == 2
 
 
+@pytest.mark.parametrize("store", ["memory", "central", "durable"])
+def test_shared_memo_is_guarded_from_birth(store):
+    """Instrumenting a direct-log store *before its first
+    reconciliation* guards the confederation-wide context-free memo and
+    the per-participant extension/pair-cache dict too: the base class
+    creates them in its constructor, not on first use (when they were
+    born after the proxies went in, the detector never saw them)."""
+    config = ConfederationConfig(
+        store=store,
+        peers=(1, 2, 3, 4),
+        reconciliation_interval=3,
+        rounds=2,
+        final_reconcile=True,
+        network_centric="store",
+        schedule_mode="threaded",
+        workload=WorkloadConfig(transaction_size=2, seed=CHAOS_SEED),
+    )
+    with Confederation(config) as confed:
+        with lock_discipline(confed.store) as handle:
+            assert {"_nc_context_free", "_nc_caches"} <= set(handle.wrapped)
+            confed.run()  # every touch of them held the lock
+            with pytest.raises(LockDisciplineError, match="_nc_context_free"):
+                len(confed.store._nc_context_free)
+            with confed.store.lock:
+                assert set(confed.store._nc_caches) == {1, 2, 3, 4}
+
+
 def test_instrumented_async_chaos_run_is_clean_and_identical():
     """PR 10's column: the pipelined scheduler's reconcile phase over
     the replicated DHT with the maskable fault plan, every store touch

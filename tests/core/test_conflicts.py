@@ -20,6 +20,10 @@ RAT1 = ("rat", "prot1", "cell-metab")
 RAT1_IMMUNE = ("rat", "prot1", "immune")
 RAT1_RESP = ("rat", "prot1", "cell-resp")
 MOUSE2 = ("mouse", "prot2", "immune")
+MOUSE2_RESP = ("mouse", "prot2", "cell-resp")
+MOUSE2_METAB = ("mouse", "prot2", "cell-metab")
+FLY3 = ("fruitfly", "prot3", "transport")
+FLY3_RESP = ("fruitfly", "prot3", "cell-resp")
 
 
 def extension_of(schema, builder, txn, priority=1, applied=()):
@@ -105,6 +109,52 @@ class TestDirectConflicts:
         assert not directly_conflict(
             schema, builder.graph, ext_revise, ext_extend
         )
+
+    def test_shared_member_inside_a_chain(self, schema):
+        # Shrunk from WorkloadConfig(transaction_size=2, seed=5) on four
+        # peers.  `revise` consumes a row value an already-applied
+        # transaction of another peer re-produced, so value-based
+        # provenance gives it no edge to `base`; `back` reaches `base`
+        # through the mouse row.  Removing the shared `revise` leaves
+        # [insert RAT1 ..., replace RAT1_IMMUNE -> RAT1]: a residual that
+        # does not flatten on its own (FlattenError before the fix).
+        builder = GraphBuilder()
+        base = make_transaction(
+            1, 0, [Insert("F", RAT1, 1), Insert("F", MOUSE2, 1)]
+        )
+        revise = make_transaction(
+            1, 1, [Modify("F", RAT1, RAT1_IMMUNE, 1), Insert("F", FLY3, 1)]
+        )
+        back = make_transaction(
+            1, 2,
+            [Modify("F", RAT1_IMMUNE, RAT1, 1), Modify("F", MOUSE2, MOUSE2_RESP, 1)],
+        )
+        aside = make_transaction(1, 3, [Modify("F", FLY3, FLY3_RESP, 1)])
+        clash = make_transaction(
+            1, 4, [Delete("F", FLY3, 1), Insert("F", MOUSE2_METAB, 1)]
+        )
+        builder.add(base)
+        builder.add(revise)
+        builder.add(back, antecedents=[revise.tid, base.tid])
+        builder.add(aside, antecedents=[revise.tid])
+        builder.add(clash, antecedents=[revise.tid])
+        ext_back = extension_of(schema, builder, back)
+        assert ext_back.members == (base.tid, revise.tid, back.tid)
+        ext_aside = extension_of(schema, builder, aside)
+        assert direct_conflict_points(
+            schema, builder.graph, ext_back, ext_aside
+        ) == []
+        # The unflattened side is still compared: a real clash is seen.
+        ext_clash = extension_of(schema, builder, clash)
+        assert ("insert/insert", ("F", ("mouse", "prot2"))) in (
+            direct_conflict_points(schema, builder.graph, ext_back, ext_clash)
+        )
+        analysis = find_conflicts(
+            schema,
+            builder.graph,
+            {e.root: e for e in (ext_back, ext_aside, ext_clash)},
+        )
+        assert analysis.adjacency[back.tid] == {clash.tid}
 
 
 class TestFindConflicts:

@@ -12,7 +12,12 @@ import pytest
 from repro.confed import Confederation
 from repro.model import Insert
 from repro.policy import TrustPolicy, policy_from_priorities
-from repro.store import CentralUpdateStore, DhtUpdateStore, MemoryUpdateStore
+from repro.store import (
+    CentralUpdateStore,
+    DhtUpdateStore,
+    DurableUpdateStore,
+    MemoryUpdateStore,
+)
 from repro.workload import WorkloadConfig, WorkloadGenerator, curated_schema
 
 
@@ -21,7 +26,7 @@ RAT_RESP = ("rat", "prot1", "cell-resp")
 MOUSE = ("mouse", "prot2", "immune")
 
 
-@pytest.fixture(params=["memory", "central", "dht"])
+@pytest.fixture(params=["memory", "central", "durable", "dht"])
 def store_factory(request):
     def factory():
         schema = curated_schema()
@@ -29,6 +34,8 @@ def store_factory(request):
             return MemoryUpdateStore(schema)
         if request.param == "dht":
             return DhtUpdateStore(schema, hosts=4)
+        if request.param == "durable":
+            return DurableUpdateStore(schema, path=":memory:", cache_size=8)
         return CentralUpdateStore(schema)
 
     return factory

@@ -13,7 +13,12 @@ from repro.confed import Confederation
 from repro.core import Resolution
 from repro.model import Insert, Modify
 from repro.policy import policy_from_priorities
-from repro.store import CentralUpdateStore, DhtUpdateStore, MemoryUpdateStore
+from repro.store import (
+    CentralUpdateStore,
+    DhtUpdateStore,
+    DurableUpdateStore,
+    MemoryUpdateStore,
+)
 
 
 RAT_METAB = ("rat", "prot1", "cell-metab")
@@ -22,12 +27,15 @@ RAT_RESP = ("rat", "prot1", "cell-resp")
 MOUSE = ("mouse", "prot2", "immune")
 
 
-@pytest.fixture(params=["memory", "central", "dht"])
+@pytest.fixture(params=["memory", "central", "durable", "dht"])
 def confed(request, schema):
     if request.param == "memory":
         yield Confederation(store=MemoryUpdateStore(schema)).open()
     elif request.param == "central":
         with CentralUpdateStore(schema) as store:
+            yield Confederation(store=store).open()
+    elif request.param == "durable":
+        with DurableUpdateStore(schema, path=":memory:", cache_size=8) as store:
             yield Confederation(store=store).open()
     else:
         yield Confederation(store=DhtUpdateStore(schema, hosts=3)).open()

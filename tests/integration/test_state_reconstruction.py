@@ -92,13 +92,17 @@ def test_central_store_survives_restart(tmp_path):
         p1.publish_and_reconcile()
         p2.publish_and_reconcile()
         live_snapshot = p2.instance.snapshot()
-        policy2 = p2.policy
+        policy1, policy2 = p1.policy, p2.policy
+        live_version = store._nc_applied_version(2)
+        assert live_version > 0
 
     # Process restart: a brand-new store object over the same file.
     with CentralUpdateStore(schema, path) as reopened:
-        # Policies are process state; re-attach them.
-        reopened._policies[1] = policy2  # not used below, but realistic
-        reopened._policies[2] = policy2
+        # Policies are process state; registering again re-attaches
+        # them and adopts the participant rows already on disk.
+        reopened.register_participant(1, policy1)
+        reopened.register_participant(2, policy2)
+        assert reopened._nc_applied_version(2) == live_version
         rebuilt = Participant.rebuild(2, reopened, policy2)
         assert rebuilt.instance.snapshot() == live_snapshot
         assert reopened.transaction_count() == 1

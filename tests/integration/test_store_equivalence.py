@@ -26,7 +26,16 @@ from repro.store import (
 from repro.workload import WorkloadConfig, curated_schema
 
 
-def run_with(store_name: str, seed: int):
+#: The evaluation schedule every seed below replays, and the 4-peer one
+#: on which two extensions share a member *inside* a chain (PR 11's
+#: finding: ``direct_conflict_points`` let FlattenError escape).
+EVALUATION = dict(peers=5, reconciliation_interval=3, rounds=3)
+CHAIN_SHARING = dict(
+    peers=4, reconciliation_interval=4, rounds=6, final_reconcile=True
+)
+
+
+def run_with(store_name: str, seed: int, peers, engine_caching=True, **schedule):
     schema = curated_schema()
     if store_name == "memory":
         store = MemoryUpdateStore(schema)
@@ -37,10 +46,10 @@ def run_with(store_name: str, seed: int):
     else:
         store = DhtUpdateStore(schema, hosts=5)
     config = ConfederationConfig.evaluation(
-        5,
-        reconciliation_interval=3,
-        rounds=3,
+        peers,
+        engine_caching=engine_caching,
         workload=WorkloadConfig(transaction_size=2, seed=seed),
+        **schedule,
     )
     confed = Confederation(config, store=store).open()
     report = confed.run()
@@ -56,15 +65,19 @@ def run_with(store_name: str, seed: int):
     return snapshots, decisions, report.state_ratio
 
 
-@pytest.mark.parametrize("seed", [3, 17])
-def test_stores_produce_identical_outcomes(seed):
-    memory = run_with("memory", seed)
-    central = run_with("central", seed)
-    durable = run_with("durable", seed)
-    dht = run_with("dht", seed)
-    assert memory[0] == central[0] == durable[0] == dht[0]  # instances
-    assert memory[1] == central[1] == durable[1] == dht[1]  # decisions
-    assert memory[2] == central[2] == durable[2] == dht[2]  # state ratio
+@pytest.mark.parametrize(
+    "seed, schedule",
+    [(3, EVALUATION), (17, EVALUATION), (5, CHAIN_SHARING)],
+    ids=["3", "17", "5-chain-sharing"],
+)
+def test_stores_produce_identical_outcomes(seed, schedule):
+    memory = run_with("memory", seed, **schedule)
+    uncached = run_with("memory", seed, engine_caching=False, **schedule)
+    central = run_with("central", seed, **schedule)
+    durable = run_with("durable", seed, **schedule)
+    dht = run_with("dht", seed, **schedule)
+    for other in (uncached, central, durable, dht):
+        assert other == memory  # instances, decisions, state ratio
 
 
 # ----------------------------------------------------------------------

@@ -124,7 +124,7 @@ def confederation_configs(draw) -> ConfederationConfig:
         }
     faults = draw(st.none() | fault_plans(peers))
     return ConfederationConfig(
-        store=draw(st.sampled_from(("memory", "central", "dht"))),
+        store=draw(st.sampled_from(("memory", "central", "durable", "dht"))),
         store_options=draw(
             st.dictionaries(
                 st.sampled_from(("hosts", "replication_factor", "path")),

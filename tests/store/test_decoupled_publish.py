@@ -13,20 +13,28 @@ import pytest
 from repro.errors import StoreError
 from repro.model import Insert, make_transaction
 from repro.policy import TrustPolicy
-from repro.store import CentralUpdateStore, DhtUpdateStore, MemoryUpdateStore
+from repro.store import (
+    CentralUpdateStore,
+    DhtUpdateStore,
+    DurableUpdateStore,
+    MemoryUpdateStore,
+)
 
 
 RAT1 = ("rat", "prot1", "immune")
 MOUSE2 = ("mouse", "prot2", "immune")
 
 
-@pytest.fixture(params=["memory", "central", "dht"])
+@pytest.fixture(params=["memory", "central", "durable", "dht"])
 def store(request, schema):
     if request.param == "memory":
         yield MemoryUpdateStore(schema)
     elif request.param == "central":
         with CentralUpdateStore(schema) as central:
             yield central
+    elif request.param == "durable":
+        with DurableUpdateStore(schema, path=":memory:", cache_size=8) as durable:
+            yield durable
     else:
         yield DhtUpdateStore(schema, hosts=4)
 

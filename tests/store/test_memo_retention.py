@@ -63,10 +63,14 @@ class TestRetention:
             2, ReconcileResult(recno=1, applied=[txn.tid])
         )
         assert txn.tid in store._nc_context_free
+        extension = store._nc_context_free[txn.tid]
         store.complete_reconciliation(
             3, ReconcileResult(recno=1, rejected=[txn.tid])
         )
         assert txn.tid not in store._nc_context_free
+        # Retired, not lost: the sqlite store spilled it (to RAM, on the
+        # default in-memory database) and pages it back in value-equal.
+        assert store._load_retired(txn.tid) == extension
 
     def test_deferred_roots_are_not_retired(self):
         store = mutual_store(MemoryUpdateStore)

@@ -72,6 +72,27 @@ class TestCapabilityFlags:
         assert not store_capabilities("memory").durable
         assert not store_capabilities("dht").durable
 
+    def test_central_and_durable_differ_only_in_a_default(self):
+        # One sqlite store under two cost models: the durable class
+        # defines no method at all, it only zeroes the JDBC overhead.
+        from repro.store import DurableUpdateStore
+
+        assert not [n for n, v in vars(DurableUpdateStore).items() if callable(v)]
+        schema = curated_schema()
+        assert create_store("central", schema)._call_overhead == 0.025
+        assert create_store("durable", schema)._call_overhead == 0.0
+        tuned = create_store("durable", schema, call_overhead_seconds=0.5)
+        assert tuned._call_overhead == 0.5
+
+    def test_direct_log_accessors_are_abstract(self):
+        from repro.store.network_centric import DirectLogStore
+
+        class NoLookup(MemoryUpdateStore):
+            _nc_lookup = DirectLogStore._nc_lookup
+
+        with pytest.raises(TypeError, match="_nc_lookup"):
+            NoLookup(curated_schema())
+
     def test_instances_carry_their_flags(self):
         # The registry's flags and the class's flags are the same object
         # of truth — batch.capabilities comes from the instance.
