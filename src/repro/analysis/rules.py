@@ -303,20 +303,10 @@ class DirectStoreCallRule(Rule):
         """The transport layer: src/repro/cdss."""
         return context.realm == "src" and context.subpackage == "cdss"
 
-    @staticmethod
-    def _exempt(stack: Tuple[str, ...]) -> bool:
-        """Calls inside ``_store_call`` itself are the mechanism, and
-        the ``*_locked`` naming convention marks helper callables that
-        are only ever *executed through* ``_store_call`` (so the lock is
-        held when their body runs)."""
-        return any(
-            name == "_store_call" or name.endswith("_locked") for name in stack
-        )
-
     def check(self, tree: ast.Module, context: ModuleContext) -> Iterator[Finding]:
         """Flag ``.store.method(...)`` calls outside ``_store_call``."""
         for node, stack in _walk_with_function_stack(tree):
-            if self._exempt(stack):
+            if "_store_call" in stack:  # the mechanism itself
                 continue
             if not isinstance(node, ast.Call):
                 continue

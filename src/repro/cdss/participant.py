@@ -42,7 +42,6 @@ from repro.model.transactions import Transaction, TransactionId
 from repro.model.updates import Update
 from repro.policy.acceptance import TrustPolicy
 from repro.store.base import PerfCounters, UpdateStore
-from repro.store.logic import antecedent_closure
 
 
 @dataclass
@@ -172,59 +171,34 @@ class Participant:
             participant.instance.apply_set(flatten(store.schema, buffered))
         participant.state.record_rejected(rejected)
 
-        def fetch_closure_locked(roots, applied_set):
-            """Graph entries of the antecedent closure of ``roots``.
-
-            The ``*_locked`` suffix is the transport convention: this
-            helper is only ever executed *through* ``_store_call``, so
-            its store lookups run under the store lock.
-            """
-            closure = antecedent_closure(
-                lambda t: store._nc_lookup(t)[1], roots, stop=applied_set
-            )
-            return [store._nc_lookup(member) for member in closure]
-
-        if rejected:
+        graph = participant.state.graph
+        if rejected or deferred:
             # Future roots may name rejected transactions as antecedents;
             # the engine then needs their bodies and publish orders from
-            # the local graph (the store ships only undecided members).
-            applied_set = set(participant.state.applied)
+            # the local graph (the store ships only undecided members);
+            # deferred roots need their closures to be reconsidered.
             entries, _, _ = participant._store_call(
-                fetch_closure_locked, rejected, applied_set
+                store.closure_entries,
+                [*rejected, *deferred],
+                participant.state.applied,
             )
-            for body, antes, member_order in entries:
-                participant.state.graph.add(body, antes, member_order)
-
-        if deferred:
-            applied_set = set(participant.state.applied)
-
-            def fetch_deferred_locked(tids):
-                """Each deferred root with its closure's graph entries
-                (executed through ``_store_call``, see above)."""
-                fetched = []
-                for tid in tids:
-                    transaction, _antes, order = store._nc_lookup(tid)
-                    fetched.append(
-                        (transaction, order, fetch_closure_locked([tid], applied_set))
-                    )
-                return fetched
-
-            fetched, _, _ = participant._store_call(fetch_deferred_locked, deferred)
-            for transaction, order, entries in fetched:
-                if transaction.origin == participant_id:  # pragma: no cover
-                    participant._sequence = max(
-                        participant._sequence, transaction.tid.sequence + 1
-                    )
-                for body, antes, member_order in entries:
-                    participant.state.graph.add(body, antes, member_order)
-                participant.state.record_deferred(
-                    RelevantTransaction(
-                        transaction=transaction,
-                        priority=policy.priority_of(store.schema, transaction),
-                        order=order,
-                    ),
-                    recno=0,
+            for entry in entries:
+                graph.add(*entry)
+        for tid in deferred:
+            transaction = graph.transaction(tid)
+            if transaction.origin == participant_id:  # pragma: no cover
+                participant._sequence = max(
+                    participant._sequence, transaction.tid.sequence + 1
                 )
+            participant.state.record_deferred(
+                RelevantTransaction(
+                    transaction=transaction,
+                    priority=policy.priority_of(store.schema, transaction),
+                    order=graph.order_of(tid),
+                ),
+                recno=0,
+            )
+        if deferred:
             # Rebuild soft state (dirty keys, conflict groups) from the
             # deferred set without re-deciding anything — re-evaluation
             # belongs to the next real reconciliation.
@@ -282,15 +256,8 @@ class Participant:
         part of the :class:`~repro.store.base.UpdateStore` contract (it
         used to be reached through ``getattr``, which let a third-party
         driver missing the method skip latency payment silently).
-        Stores without the ``lock`` attribute (minimal test doubles
-        that are not real :class:`UpdateStore`\\ s) are called directly
-        and charge nothing, so there is nothing to pay.
         """
         store = self.store
-        if getattr(store, "lock", None) is None:
-            started = time.perf_counter()
-            result = method(*args)
-            return result, PerfCounters(), time.perf_counter() - started
         result, delta, elapsed = self._store_phase(method, *args)
         store.pay_latency(delta.simulated_seconds)
         return result, delta, elapsed

@@ -44,7 +44,7 @@ across participants exact — see
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.model.schema import Schema
@@ -206,8 +206,18 @@ class ExtensionCache:
         root: RelevantTransaction,
         applied: Set[TransactionId],
         version: int,
+        shipped: Optional[UpdateExtension] = None,
     ) -> UpdateExtension:
-        """The root's extension, from cache when valid.
+        """The root's extension: cached, adopted, or computed — in that
+        order.
+
+        ``shipped`` is the store's *context-free* extension of the root
+        (derived against an empty applied set), if it sent one.  It
+        equals the local computation exactly when none of its members
+        is applied — the closure walk stops only at applied
+        transactions — and is then adopted, re-priced to this
+        participant's priority for the root.  A disabled cache never
+        adopts: it is the recompute-everything oracle.
 
         Propagates :class:`~repro.errors.FlattenError` from the underlying
         computation (the engine rejects such roots); failures are not
@@ -217,8 +227,18 @@ class ExtensionCache:
         extension = self.lookup(root.tid, version, applied, root.priority)
         if extension is not None:
             return extension
-        self.stats.misses += 1
-        extension = compute_update_extension(schema, graph, root, applied)
+        if (
+            self.enabled
+            and shipped is not None
+            and shipped.member_set().isdisjoint(applied)
+        ):
+            if shipped.priority != root.priority:
+                shipped = replace(shipped, priority=root.priority)
+            extension = shipped
+            self.stats.shipped += 1
+        else:
+            self.stats.misses += 1
+            extension = compute_update_extension(schema, graph, root, applied)
         self.store(root.tid, version, extension)
         return extension
 

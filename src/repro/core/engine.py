@@ -67,7 +67,6 @@ counter deltas are exposed on :attr:`ReconcileResult.cache_stats`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConstraintViolation, FlattenError
@@ -197,44 +196,21 @@ class Reconciler:
             if batch.extensions is not None
             and not batch.network_centric
             and ships_context_free
-            else None
+            else {}
         )
         for root in roots:
-            extension = None
-            if precomputed is not None:
-                extension = precomputed.get(root.tid)
-                if extension is not None:
-                    # Adopted without re-deriving: the store assembled
-                    # this batch per participant, so the extension is
-                    # exact for our applied set.  Count it with the
-                    # shipped context-free adoptions — both are local
-                    # computations the store saved us.
-                    self._cache.stats.shipped += 1
-                    self._cache.store(
-                        root.tid, state.applied_version, extension
-                    )
-            elif self._cache.enabled:
-                extension = self._cache.lookup(
-                    root.tid,
-                    state.applied_version,
-                    state.applied,
-                    root.priority,
-                )
-                if extension is None and shipped is not None:
-                    candidate = shipped.get(root.tid)
-                    if candidate is not None and candidate.member_set().isdisjoint(
-                        state.applied
-                    ):
-                        if candidate.priority != root.priority:
-                            candidate = replace(
-                                candidate, priority=root.priority
-                            )
-                        extension = candidate
-                        self._cache.stats.shipped += 1
-                        self._cache.store(
-                            root.tid, state.applied_version, extension
-                        )
-            if extension is None:
+            extension = (
+                precomputed.get(root.tid) if precomputed is not None else None
+            )
+            if extension is not None:
+                # Adopted without re-deriving: the store assembled this
+                # batch per participant, so the extension is exact for
+                # our applied set.  Count it with the shipped
+                # context-free adoptions — both are local computations
+                # the store saved us.
+                self._cache.stats.shipped += 1
+                self._cache.store(root.tid, state.applied_version, extension)
+            else:
                 try:
                     extension = self._cache.get_or_compute(
                         self._schema,
@@ -242,6 +218,7 @@ class Reconciler:
                         root,
                         state.applied,
                         state.applied_version,
+                        shipped=shipped.get(root.tid),
                     )
                 except FlattenError:
                     # An internally inconsistent chain can never be applied.

@@ -14,7 +14,10 @@ client reconciliation time."  Our interface (all implementations):
   transactions with priorities and the antecedent closure, and return a
   :class:`~repro.core.extensions.ReconciliationBatch`;
 * :meth:`UpdateStore.complete_reconciliation` — record the participant's
-  accept/reject/defer decisions so nothing is delivered twice.
+  accept/reject/defer decisions so nothing is delivered twice;
+* :meth:`UpdateStore.closure_entries` — the one read of the log: a set
+  of transactions with their antecedent closure, for batch assembly and
+  for rebuilding a participant's soft state.
 
 The batch protocol is the **single store contract** the session layer
 consumes: :meth:`UpdateStore.reconciliation_batch` dispatches to the
@@ -44,7 +47,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import ReconciliationBatch
@@ -52,12 +55,21 @@ from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.net.clock import BlockingLatencyClock, LatencyClock
 from repro.policy.acceptance import TrustPolicy
+from repro.store.logic import antecedent_closure
 from repro.store.registry import StoreCapabilities
 
 #: One-way latency charged per simulated message, in seconds (paper: the
 #: distributed experiments added "a delay of at least 500 microseconds ...
 #: to every message (and reply) transmission").
 DEFAULT_MESSAGE_LATENCY = 500e-6
+
+#: One logged transaction as the log hands it out:
+#: ``(transaction, antecedents, publish order)``.
+LogEntry = Tuple[Transaction, Tuple[TransactionId, ...], int]
+
+#: The entries one caller (a batch assembly) has read so far, by
+#: transaction id; see :meth:`UpdateStore.closure_entries`.
+EntryTable = Dict[TransactionId, LogEntry]
 
 
 @dataclass
@@ -294,3 +306,39 @@ class UpdateStore(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support state reconstruction"
         )
+
+    @abc.abstractmethod
+    def _nc_lookup(self, tid: TransactionId) -> LogEntry:
+        """The log entry of one published transaction — the per-backend
+        primitive under :meth:`closure_entries`."""
+
+    def closure_entries(
+        self,
+        roots: Iterable[TransactionId],
+        stop: Set[TransactionId],
+        table: Optional[EntryTable] = None,
+    ) -> List[LogEntry]:
+        """The one read of the log: the entries of ``roots`` and their
+        antecedent closure, not descending into ``stop`` (roots are
+        always included).
+
+        Batch assembly, context-free shipping and state reconstruction
+        all read the log through here.  ``table`` holds the entries a
+        caller has already read and is extended in place, so several
+        walks that share one (a batch's graph, then each root's
+        context-free closure) look every member up once.
+        """
+        if table is None:
+            table = {}
+
+        def antecedents_of(tid: TransactionId) -> Tuple[TransactionId, ...]:
+            """``tid``'s antecedents: its entry is read on first sight."""
+            entry = table.get(tid)
+            if entry is None:
+                entry = table[tid] = self._nc_lookup(tid)
+            return entry[1]
+
+        # The walk asks for the antecedents of every member it returns,
+        # so all of them are in the table by now.
+        closure = antecedent_closure(antecedents_of, roots, stop)
+        return [table[tid] for tid in closure]

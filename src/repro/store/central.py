@@ -63,23 +63,18 @@ from __future__ import annotations
 import ast
 import sqlite3
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import PageCache
 from repro.core.decisions import ReconcileResult
-from repro.core.extensions import (
-    ReconciliationBatch,
-    RelevantTransaction,
-    TransactionGraph,
-    UpdateExtension,
-)
+from repro.core.extensions import UpdateExtension
 from repro.errors import StoreError, UnknownTransactionError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.model.updates import Delete, Insert, Modify, Update
 from repro.policy.acceptance import TrustPolicy
 from repro.store.base import DEFAULT_MESSAGE_LATENCY
-from repro.store.logic import antecedent_closure, compute_antecedents
+from repro.store.logic import compute_antecedents
 from repro.store.network_centric import DirectLogStore
 
 _SCHEMA_SQL = """
@@ -332,12 +327,6 @@ class CentralUpdateStore(DirectLogStore):
             )
         self._charge_call()
 
-    def _charge_call(self) -> None:
-        """Account one client-server procedure call (request + reply,
-        plus the simulated DBMS round-trip overhead)."""
-        self.perf.charge(2, self._message_latency)
-        self.perf.simulated_seconds += self._call_overhead
-
     def _policy_of(self, participant: int) -> TrustPolicy:
         try:
             return self._policies[participant]
@@ -381,6 +370,8 @@ class CentralUpdateStore(DirectLogStore):
         with self._conn:
             for transaction in transactions:
                 self._write_transaction(participant, epoch, transaction)
+            if transactions:  # the publisher applied them: one bump a batch
+                self._bump_applied_version(participant)
         self._charge_call()
 
     def finish_publish(self, participant: int, epoch: int) -> None:
@@ -399,8 +390,7 @@ class CentralUpdateStore(DirectLogStore):
             raise StoreError(
                 f"participant {participant} cannot publish {transaction.tid}"
             )
-        producers = self._producer_lookup(transaction)
-        antecedents = compute_antecedents(producers, transaction)
+        antecedents = compute_antecedents(self._producer_of, transaction)
         try:
             cursor = self._conn.execute(
                 "INSERT INTO txns (participant, seq, epoch) VALUES (?, ?, ?)",
@@ -445,35 +435,25 @@ class CentralUpdateStore(DirectLogStore):
             " VALUES (?, ?, 'applied')",
             (participant, ord_),
         )
-        self._bump_applied_version(participant)
 
-    def _producer_lookup(self, transaction: Transaction):
-        """A mapping view good enough for ``compute_antecedents``."""
-        store = self
-
-        class _View(dict):
-            # Intentional docstring gap: this is dict.get's contract
-            # verbatim, narrowed to the producers table.
-            def get(self, key, default=None):  # noqa: D102
-                relation, row = key
-                record = store._conn.execute(
-                    "SELECT ord FROM producers WHERE relation = ? AND row = ?",
-                    (relation, _encode_row(row)),
-                ).fetchone()
-                if record is None:
-                    return default
-                return store._tid_of(int(record[0]))
-
-        return _View()
+    def _producer_of(
+        self, key: Tuple[str, Tuple]
+    ) -> Optional[TransactionId]:
+        """The transaction that most recently produced row ``key``."""
+        relation, row = key
+        record = self._conn.execute(
+            "SELECT t.participant, t.seq FROM producers p"
+            " JOIN txns t ON t.ord = p.ord WHERE p.relation = ? AND p.row = ?",
+            (relation, _encode_row(row)),
+        ).fetchone()
+        return None if record is None else TransactionId(*record)
 
     # ------------------------------------------------------------------
-    # Reconciliation
+    # Reconciliation (the batch itself is DirectLogStore's)
 
-    def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
-        """Assemble the next batch; see the base class."""
-        policy = self._policy_of(participant)
+    def _nc_advance(self, participant: int) -> Tuple[int, int]:
+        self._policy_of(participant)
         last = self.last_reconciliation_epoch(participant)
-
         # Stable epoch: largest prefix of finished epochs.  The paper holds
         # the epochs-table lock just long enough to read this and record
         # the reconciliation; sqlite's connection-level transaction gives
@@ -484,63 +464,28 @@ class CentralUpdateStore(DirectLogStore):
                 " (SELECT COALESCE(MAX(epoch), 0) FROM epochs))"
                 " FROM epochs WHERE finished = 0"
             ).fetchone()
-            recon_epoch = int(record[0])
+            stable = int(record[0])
             self._conn.execute(
                 "INSERT INTO reconciliations (participant, recno, epoch)"
                 " VALUES (?, ?, ?)",
-                (participant, recon_epoch, recon_epoch),
+                (participant, stable, stable),
             )
             self._conn.execute(
                 "UPDATE participants SET last_recon_epoch = ? WHERE id = ?",
-                (recon_epoch, participant),
+                (stable, participant),
             )
+        return last, stable
 
+    def _nc_candidates(self, participant: int, last: int, stable: int):
         rows = self._conn.execute(
-            "SELECT t.ord FROM txns t"
+            "SELECT t.ord, t.participant, t.seq FROM txns t"
             " WHERE t.epoch > ? AND t.epoch <= ? AND t.participant != ?"
             " AND NOT EXISTS (SELECT 1 FROM decisions d WHERE"
             "   d.participant = ? AND d.ord = t.ord)"
             " ORDER BY t.ord",
-            (last, recon_epoch, participant, participant),
+            (last, stable, participant, participant),
         ).fetchall()
-
-        roots: List[RelevantTransaction] = []
-        for (ord_,) in rows:
-            transaction = self._load_transaction(ord_)
-            priority = policy.priority_of(self._schema, transaction)
-            if priority <= 0:
-                continue
-            roots.append(
-                RelevantTransaction(
-                    transaction=transaction, priority=priority, order=ord_
-                )
-            )
-
-        graph = TransactionGraph()
-        closure = antecedent_closure(
-            lambda tid: self._antecedent_tids(self._ord_of(tid)),
-            [root.tid for root in roots],
-            stop=self._nc_applied_tids(participant),
-        )
-        for tid in closure:
-            ord_ = self._ord_of(tid)
-            graph.add(
-                self._load_transaction(ord_),
-                self._antecedent_tids(ord_),
-                ord_,
-            )
-
-        self._charge_call()
-        batch = ReconciliationBatch(
-            recno=recon_epoch,
-            roots=sorted(roots, key=lambda r: r.order),
-            graph=graph,
-        )
-        # Derived data riding along with the closure transactions: the
-        # flattened context-free extensions, computed once per published
-        # transaction for the whole confederation (see DirectLogStore).
-        self.ship_context_free_extensions(batch)
-        return batch
+        return [self._entry(ord_, TransactionId(p, s)) for ord_, p, s in rows]
 
     def complete_reconciliation(
         self, participant: int, result: ReconcileResult
@@ -728,37 +673,33 @@ class CentralUpdateStore(DirectLogStore):
 
     def decided_transactions(self, participant: int):
         """Applied transactions (publish order) plus rejected/deferred ids."""
-        applied_ords = sorted(self._decided_ords(participant, "applied"))
         return (
-            [self._load_transaction(ord_) for ord_ in applied_ords],
-            sorted(
-                self._tid_of(o)
-                for o in self._decided_ords(participant, "rejected")
-            ),
-            sorted(
-                self._tid_of(o)
-                for o in self._decided_ords(participant, "deferred")
-            ),
+            [
+                self._load_transaction(ord_, tid)
+                for ord_, tid in self._decided(participant, "applied")
+            ],
+            sorted(tid for _, tid in self._decided(participant, "rejected")),
+            sorted(tid for _, tid in self._decided(participant, "deferred")),
         )
 
     # ------------------------------------------------------------------
-    # Network-centric accessors (see repro.store.network_centric)
+    # Log accessors (see repro.store.network_centric)
 
     def _nc_deferred_tids(self, participant: int):
-        ords = sorted(self._decided_ords(participant, "deferred"))
-        return [self._tid_of(o) for o in ords]
+        return [tid for _, tid in self._decided(participant, "deferred")]
 
     def _nc_applied_tids(self, participant: int):
-        return {
-            self._tid_of(o) for o in self._decided_ords(participant, "applied")
-        }
+        return {tid for _, tid in self._decided(participant, "applied")}
 
     def _nc_applied_version(self, participant: int) -> int:
         return self._applied_versions.get(participant, 0)
 
     def _nc_lookup(self, tid: TransactionId):
-        ord_ = self._ord_of(tid)
-        return self._load_transaction(ord_), self._antecedent_tids(ord_), ord_
+        return self._entry(self._ord_of(tid), tid)
+
+    def _entry(self, ord_: int, tid: TransactionId):
+        """The log entry of ``tid``, published as row ``ord_``."""
+        return self._load_transaction(ord_, tid), self._antecedent_tids(ord_), ord_
 
     def _nc_priority(self, participant: int, transaction: Transaction) -> int:
         return self._policy_of(participant).priority_of(
@@ -777,14 +718,6 @@ class CentralUpdateStore(DirectLogStore):
             raise UnknownTransactionError(str(tid))
         return int(record[0])
 
-    def _tid_of(self, ord_: int) -> TransactionId:
-        record = self._conn.execute(
-            "SELECT participant, seq FROM txns WHERE ord = ?", (ord_,)
-        ).fetchone()
-        if record is None:
-            raise UnknownTransactionError(f"ord={ord_}")
-        return TransactionId(int(record[0]), int(record[1]))
-
     def _antecedent_tids(self, ord_: int) -> Tuple[TransactionId, ...]:
         rows = self._conn.execute(
             "SELECT t.participant, t.seq FROM antecedents a"
@@ -794,19 +727,24 @@ class CentralUpdateStore(DirectLogStore):
         ).fetchall()
         return tuple(TransactionId(int(p), int(s)) for p, s in rows)
 
-    def _decided_ords(self, participant: int, verdict: str) -> Set[int]:
+    def _decided(
+        self, participant: int, verdict: str
+    ) -> List[Tuple[int, TransactionId]]:
+        """``(ord, tid)`` of the participant's decisions with ``verdict``,
+        in publish order: one joined query however long the history."""
         rows = self._conn.execute(
-            "SELECT ord FROM decisions WHERE participant = ? AND verdict = ?",
+            "SELECT d.ord, t.participant, t.seq FROM decisions d"
+            " JOIN txns t ON t.ord = d.ord"
+            " WHERE d.participant = ? AND d.verdict = ? ORDER BY d.ord",
             (participant, verdict),
         ).fetchall()
-        return {int(r[0]) for r in rows}
+        return [(ord_, TransactionId(p, s)) for ord_, p, s in rows]
 
-    def _load_transaction(self, ord_: int) -> Transaction:
+    def _load_transaction(self, ord_: int, tid: TransactionId) -> Transaction:
         """A transaction body, served from the LRU page cache when hot."""
         cached = self._page_cache.get(ord_)
         if cached is not None:
             return cached
-        tid = self._tid_of(ord_)
         rows = self._conn.execute(
             "SELECT kind, relation, old_row, new_row FROM txn_updates"
             " WHERE ord = ? ORDER BY idx",

@@ -53,6 +53,7 @@ from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
 from repro.store.dht import wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.dht.replication import _install, allocator_counter, held_copy
+from repro.store.logic import compute_antecedents
 from repro.store.network_centric import (
     DirectLogStore,
     attach_assembled_payload,
@@ -379,8 +380,23 @@ class DhtUpdateStore(UpdateStore):
                 raise StoreError(
                     f"participant {participant} cannot publish {transaction.tid}"
                 )
+
+        def producer_of(key: Tuple[str, Tuple]) -> Optional[TransactionId]:
+            """One round trip to the row's value controller.  Earlier
+            transactions of the same batch have already registered
+            their producers, so this resolves dependencies within a
+            batch too."""
+            relation, row = key
+            return self._request(
+                client,
+                wire.value_key(relation, row),
+                "lookup_producer",
+                relation=relation,
+                row=row,
+            )["producer"]
+
         for transaction in transactions:
-            antecedents = self._compute_antecedents_remote(client, transaction)
+            antecedents = compute_antecedents(producer_of, transaction)
             order = epoch * wire.EPOCH_STRIDE + len(ids)
             self._request(
                 client,
@@ -422,43 +438,6 @@ class DhtUpdateStore(UpdateStore):
             ids=ids,
         )
         client.drain()
-
-    def _compute_antecedents_remote(
-        self, client: _ClientNode, transaction: Transaction
-    ) -> List[TransactionId]:
-        """Antecedents via value-controller lookups (one round trip each).
-
-        Rows produced earlier inside the same transaction are internal
-        chains, not antecedent edges; earlier transactions of the same
-        batch have already registered their producers, so the remote
-        lookup resolves cross-transaction dependencies within a batch too.
-        """
-        antecedents: List[TransactionId] = []
-        produced_in_txn: Set[Tuple[str, Tuple]] = set()
-        for update in transaction.updates:
-            read = update.read_row()
-            if read is not None:
-                key = (update.relation, read)
-                if key in produced_in_txn:
-                    produced_in_txn.discard(key)
-                else:
-                    producer = self._request(
-                        client,
-                        wire.value_key(update.relation, read),
-                        "lookup_producer",
-                        relation=update.relation,
-                        row=read,
-                    )["producer"]
-                    if (
-                        producer is not None
-                        and producer != transaction.tid
-                        and producer not in antecedents
-                    ):
-                        antecedents.append(producer)
-            written = update.written_row()
-            if written is not None:
-                produced_in_txn.add((update.relation, written))
-        return antecedents
 
     # ------------------------------------------------------------------
     # Reconciliation (Figure 7)

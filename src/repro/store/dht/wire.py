@@ -16,6 +16,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 from repro.core.extensions import RelevantTransaction, UpdateExtension
 from repro.model.transactions import Transaction, TransactionId
 from repro.net.simnet import DEFAULT_FRAGMENT_BYTES
+from repro.store.base import LogEntry
 
 #: Publish order is (epoch, index within epoch) flattened to one integer.
 EPOCH_STRIDE = 1_000_000
@@ -122,9 +123,8 @@ def extension_digest(extension: UpdateExtension) -> str:
     return hashlib.sha1(content.encode("utf-8")).hexdigest()
 
 
-#: A closure body as it travels and is cached: the transaction, its
-#: antecedents and its publish order.
-Body = Tuple[Transaction, Tuple[TransactionId, ...], int]
+#: A closure body as it travels and is cached: the log entry itself.
+Body = LogEntry
 
 
 def body(held: Dict[str, Any]) -> Body:

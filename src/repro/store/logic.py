@@ -2,7 +2,9 @@
 
 * :func:`compute_antecedents` — discover ``ante(X)`` at publish time by
   looking up, for every row value a transaction consumes, which earlier
-  published transaction produced that value (the *producer index*);
+  published transaction produced that value (the *producer index*: a
+  dict, a table or a ring of value controllers — the caller passes the
+  lookup);
 * :func:`register_producers` — extend the producer index with the values a
   newly published transaction produces;
 * :func:`stable_epoch` — the paper's "latest epoch not preceded by an
@@ -11,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.model.transactions import Transaction, TransactionId
 
@@ -23,13 +25,17 @@ ProducerIndex = Dict[Tuple[str, Tuple], TransactionId]
 
 
 def compute_antecedents(
-    producers: ProducerIndex, transaction: Transaction
+    producer_of: Callable[[Tuple[str, Tuple]], Optional[TransactionId]],
+    transaction: Transaction,
 ) -> List[TransactionId]:
     """The direct antecedents ``ante(X)`` of a transaction being published.
 
     A transaction's update that deletes or modifies a row depends on the
     transaction that inserted, or modified *to*, that row — unless the row
     was produced earlier inside the same transaction (an internal chain).
+    ``producer_of((relation, row))`` is the store's producer index: a
+    dict's ``get``, a table query, or a request to the row's value
+    controller — it is asked once per consumed row, in update order.
     """
     antecedents: List[TransactionId] = []
     produced_locally: Set[Tuple[str, Tuple]] = set()
@@ -40,7 +46,7 @@ def compute_antecedents(
             if key in produced_locally:
                 produced_locally.discard(key)
             else:
-                producer = producers.get(key)
+                producer = producer_of(key)
                 if producer is not None and producer != transaction.tid:
                     if producer not in antecedents:
                         antecedents.append(producer)

@@ -16,11 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.decisions import ReconcileResult
-from repro.core.extensions import (
-    ReconciliationBatch,
-    RelevantTransaction,
-    TransactionGraph,
-)
 from repro.errors import StoreError, UnknownTransactionError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
@@ -29,7 +24,6 @@ from repro.store.base import DEFAULT_MESSAGE_LATENCY
 from repro.store.network_centric import DirectLogStore
 from repro.store.logic import (
     ProducerIndex,
-    antecedent_closure,
     compute_antecedents,
     register_producers,
     stable_epoch,
@@ -87,7 +81,7 @@ class MemoryUpdateStore(DirectLogStore):
         if participant in self._participants:
             raise StoreError(f"participant {participant} already registered")
         self._participants[participant] = _ParticipantRecord(policy=policy)
-        self.perf.charge(2, self._message_latency)
+        self._charge_call()
 
     def _record_of(self, participant: int) -> _ParticipantRecord:
         try:
@@ -107,7 +101,7 @@ class MemoryUpdateStore(DirectLogStore):
         self._epoch_finished[epoch] = False
         self._by_epoch[epoch] = []
         self._epoch_publisher[epoch] = participant
-        self.perf.charge(2, self._message_latency)
+        self._charge_call()
         return epoch
 
     def _validate_open_epoch(self, participant: int, epoch: int) -> None:
@@ -133,10 +127,9 @@ class MemoryUpdateStore(DirectLogStore):
                 raise StoreError(
                     f"transaction {transaction.tid} was already published"
                 )
+        producer_of = self._producers.get
         for transaction in transactions:
-            antecedents = tuple(
-                compute_antecedents(self._producers, transaction)
-            )
+            antecedents = tuple(compute_antecedents(producer_of, transaction))
             entry = _PublishedTransaction(
                 transaction=transaction,
                 epoch=epoch,
@@ -150,66 +143,33 @@ class MemoryUpdateStore(DirectLogStore):
             record.applied.add(transaction.tid)
         if transactions:
             record.applied_version += 1
-        self.perf.charge(2, self._message_latency)
+        self._charge_call()
 
     def finish_publish(self, participant: int, epoch: int) -> None:
         """Mark the epoch finished."""
         self._validate_open_epoch(participant, epoch)
         self._epoch_finished[epoch] = True
-        self.perf.charge(2, self._message_latency)
+        self._charge_call()
 
     # ------------------------------------------------------------------
 
-    def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
-        """Assemble the next batch; see the base class."""
+    def _nc_advance(self, participant: int) -> Tuple[int, int]:
         record = self._record_of(participant)
-        recon_epoch = stable_epoch(self._epoch_finished, self._epoch)
+        last = record.last_recon_epoch
+        record.last_recon_epoch = stable_epoch(self._epoch_finished, self._epoch)
+        return last, record.last_recon_epoch
 
-        roots: List[RelevantTransaction] = []
-        for epoch in range(record.last_recon_epoch + 1, recon_epoch + 1):
-            for tid in self._by_epoch.get(epoch, ()):
-                entry = self._log[tid]
-                if entry.transaction.origin == participant:
-                    continue
-                if tid in record.applied or tid in record.rejected:
-                    continue
-                if tid in record.deferred:
-                    continue  # the client caches and reconsiders these
-                priority = record.policy.priority_of(
-                    self._schema, entry.transaction
-                )
-                if priority <= 0:
-                    continue
-                roots.append(
-                    RelevantTransaction(
-                        transaction=entry.transaction,
-                        priority=priority,
-                        order=entry.order,
-                    )
-                )
-
-        graph = TransactionGraph()
-        closure = antecedent_closure(
-            lambda tid: self._log[tid].antecedents,
-            [root.tid for root in roots],
-            stop=record.applied,
-        )
-        for tid in closure:
-            entry = self._log[tid]
-            graph.add(entry.transaction, entry.antecedents, entry.order)
-
-        record.last_recon_epoch = recon_epoch
-        self.perf.charge(2, self._message_latency)
-        batch = ReconciliationBatch(
-            recno=recon_epoch,
-            roots=sorted(roots, key=lambda r: r.order),
-            graph=graph,
-        )
-        # Derived data riding along with the closure transactions: the
-        # flattened context-free extensions, computed once per published
-        # transaction for the whole confederation (see DirectLogStore).
-        self.ship_context_free_extensions(batch)
-        return batch
+    def _nc_candidates(self, participant: int, last: int, stable: int):
+        record = self._record_of(participant)
+        return [
+            self._nc_lookup(tid)
+            for epoch in range(last + 1, stable + 1)
+            for tid in self._by_epoch.get(epoch, ())
+            if tid.participant != participant
+            and tid not in record.applied
+            and tid not in record.rejected
+            and tid not in record.deferred
+        ]
 
     # ------------------------------------------------------------------
 
@@ -233,7 +193,7 @@ class MemoryUpdateStore(DirectLogStore):
         for tid in result.deferred:
             record.deferred.add(tid)
         self.retire_shared_entries(self._fully_decided(result))
-        self.perf.charge(2, self._message_latency)
+        self._charge_call()
 
     def _fully_decided(self, result: ReconcileResult) -> List[TransactionId]:
         """Roots of this result now finally decided by every participant."""
@@ -296,7 +256,7 @@ class MemoryUpdateStore(DirectLogStore):
         return sorted(record.deferred, key=lambda tid: self._log[tid].order)
 
     def _nc_applied_tids(self, participant: int):
-        return set(self._record_of(participant).applied)
+        return self._record_of(participant).applied
 
     def _nc_applied_version(self, participant: int) -> int:
         return self._record_of(participant).applied_version

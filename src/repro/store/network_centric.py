@@ -1,23 +1,33 @@
-"""Network-centric reconciliation support (Figure 3's other column).
+"""The batch read path of a store that reads its own log — both
+columns of Figure 3.
 
-In client-centric reconciliation (the paper's implementation, and our
-default) the reconciling participant computes update extensions and
-detects conflicts itself.  Figure 3 contrasts this with *network-centric*
-reconciliation, which "distributes almost all of the work across the
-network" at the price of more communication; the paper leaves it as
-future work.
+:class:`DirectLogStore` is the base class of the two stores with direct
+access to their log (the in-memory store and the one sqlite store),
+sitting between :class:`~repro.store.base.UpdateStore` and the logs.  A
+log supplies storage — publication, decision records and the ``_nc_*``
+accessors — and everything that *reads* it to assemble a batch is
+written here, once:
 
-:class:`DirectLogStore` implements the store side of that mode for
-stores with direct access to their log (the in-memory store and the one
-sqlite store — the "central store + network-centric" quadrant of
-Figure 3): it is the base class of both, sitting between
-:class:`~repro.store.base.UpdateStore` and the two logs.
-:meth:`begin_network_reconciliation` returns a batch whose flattened
-update extensions and direct-conflict adjacency are already computed,
-covering both newly relevant transactions and the participant's deferred
-ones (which the store tracks).  The client then only runs ``CheckState``
-(it alone holds the materialised instance, dirty values, and its own
-delta), the cheap greedy ``DoGroup``, and application.
+* :meth:`DirectLogStore.begin_reconciliation`, the client-centric batch
+  (the paper's implementation, and our default): advance to the stable
+  epoch, take the window's undecided foreign transactions, apply the
+  trust policy, and ship the trusted roots with their antecedent closure
+  (:meth:`~repro.store.base.UpdateStore.closure_entries`, stopping at
+  the applied set) and their context-free extensions.  The reconciling
+  participant computes update extensions and detects conflicts itself.
+* :meth:`DirectLogStore.begin_network_reconciliation`, Figure 3's
+  *network-centric* column, which "distributes almost all of the work
+  across the network" at the price of more communication (the paper
+  leaves it as future work): the same batch with the participant's
+  deferred transactions (which the store tracks) folded in as roots,
+  and flattened update extensions and direct-conflict adjacency already
+  computed.  The client then only runs ``CheckState`` (it alone holds
+  the materialised instance, dirty values, and its own delta), the
+  cheap greedy ``DoGroup``, and application.
+
+One batch reads each log entry once: the entry table of the batch's
+closure walk also feeds every root's context-free closure and the
+deferred roots.
 
 The distributed store does not derive from this class — it has no
 direct log access.  Its transaction controllers derive context-free
@@ -45,7 +55,6 @@ to its database instead, so that later miss is a page-in.
 from __future__ import annotations
 
 import abc
-from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import ConflictCache, ExtensionCache
@@ -60,8 +69,12 @@ from repro.core.conflicts import find_conflicts
 from repro.errors import FlattenError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
-from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
-from repro.store.logic import antecedent_closure
+from repro.store.base import (
+    DEFAULT_MESSAGE_LATENCY,
+    EntryTable,
+    LogEntry,
+    UpdateStore,
+)
 from repro.store.registry import StoreCapabilities
 
 
@@ -102,12 +115,13 @@ def attach_assembled_payload(
 
 
 class DirectLogStore(UpdateStore):
-    """An update store that reads its own log: store-side precomputation
-    of extensions and conflicts, written once for every such log.
+    """An update store that reads its own log: batch assembly and
+    store-side precomputation of extensions and conflicts, written once
+    for every such log.
 
     A concrete store supplies the log itself (the store contract of
-    :class:`~repro.store.base.UpdateStore`) and the five ``_nc_*``
-    accessors below; a subclass missing one cannot be instantiated.
+    :class:`~repro.store.base.UpdateStore`) and the ``_nc_*`` accessors
+    below; a subclass missing one cannot be instantiated.
 
     Precomputation reuses the same :mod:`repro.core.cache` machinery as
     the client engine, held per participant: a deferred transaction's
@@ -131,6 +145,9 @@ class DirectLogStore(UpdateStore):
         real_latency: bool = False,
     ) -> None:
         super().__init__(schema, message_latency, real_latency=real_latency)
+        #: Simulated seconds every API call costs on top of its two
+        #: messages; only a log that models a remote DBMS sets one.
+        self._call_overhead = 0.0
         # Created here rather than on first use: the runtime
         # lock-discipline proxies guard the containers they find in
         # ``vars(store)`` when instrumentation starts, so a memo born
@@ -141,25 +158,41 @@ class DirectLogStore(UpdateStore):
         ] = {}
         self._nc_shared_pairs = ConflictCache(limit=self.SHARED_MEMO_LIMIT)
 
+    def _charge_call(self) -> None:
+        """Account one client-server procedure call: request + reply —
+        the paper's "constant number of procedures are invoked during
+        each reconciliation" — plus the log's per-call overhead."""
+        self.perf.charge(2, self._message_latency)
+        self.perf.simulated_seconds += self._call_overhead
+
+    @abc.abstractmethod
+    def _nc_advance(self, participant: int) -> Tuple[int, int]:
+        """Record a reconciliation at the stable epoch — the latest not
+        preceded by an unfinished one — and return the window
+        ``(previous reconciliation epoch, stable epoch)``."""
+
+    @abc.abstractmethod
+    def _nc_candidates(
+        self, participant: int, last: int, stable: int
+    ) -> List[LogEntry]:
+        """The entries of the transactions other participants published
+        in epochs ``last < e <= stable`` for which ``participant`` has
+        no decision on record — applied, rejected or deferred (the
+        client caches and reconsiders deferred ones itself)."""
+
     @abc.abstractmethod
     def _nc_deferred_tids(self, participant: int) -> List[TransactionId]:
         """The participant's deferred transaction ids, in publish order."""
 
     @abc.abstractmethod
     def _nc_applied_tids(self, participant: int) -> Set[TransactionId]:
-        """The participant's applied transaction ids."""
+        """The participant's applied transaction ids (read-only: a log
+        may hand out its live set)."""
 
     @abc.abstractmethod
     def _nc_applied_version(self, participant: int) -> int:
         """A monotone counter bumped whenever that applied set grows
         (drives cache invalidation)."""
-
-    @abc.abstractmethod
-    def _nc_lookup(
-        self, tid: TransactionId
-    ) -> Tuple[Transaction, Tuple[TransactionId, ...], int]:
-        """``(transaction, antecedents, order)`` of a logged transaction
-        (also the one log read ``Participant.rebuild`` needs)."""
 
     @abc.abstractmethod
     def _nc_priority(self, participant: int, transaction: Transaction) -> int:
@@ -176,14 +209,6 @@ class DirectLogStore(UpdateStore):
             caches = extensions, ConflictCache(stats=extensions.stats)
             self._nc_caches[participant] = caches
         return caches
-
-    def _add_closure(self, graph: TransactionGraph, roots, stop) -> None:
-        """Add the antecedent closure of ``roots`` to ``graph``, not
-        descending into ``stop``."""
-        for member in antecedent_closure(
-            lambda tid: self._nc_lookup(tid)[1], roots, stop=stop
-        ):
-            graph.add(*self._nc_lookup(member))
 
     # ------------------------------------------------------------------
     # Context-free extensions: computed once per published transaction,
@@ -222,9 +247,10 @@ class DirectLogStore(UpdateStore):
         return None
 
     def context_free_extension(
-        self, root: RelevantTransaction
+        self, root: RelevantTransaction, table: Optional[EntryTable] = None
     ) -> Optional[UpdateExtension]:
-        """The root's update extension against an *empty* applied set.
+        """The root's update extension against an *empty* applied set
+        (``table``: the entries the calling batch has already read).
 
         A transaction's full antecedent closure — and hence its flattened
         extension with no applied-set filtering — is fixed at publish
@@ -247,7 +273,8 @@ class DirectLogStore(UpdateStore):
         extension = self._load_retired(tid)
         if extension is None:
             graph = TransactionGraph()
-            self._add_closure(graph, [tid], stop=frozenset())
+            for entry in self.closure_entries([tid], frozenset(), table):
+                graph.add(*entry)
             try:
                 extension = compute_update_extension(
                     self.schema, graph, root, frozenset()
@@ -304,9 +331,10 @@ class DirectLogStore(UpdateStore):
         self._nc_shared_pairs.discard(roots)
 
     def ship_context_free_extensions(
-        self, batch: ReconciliationBatch
+        self, batch: ReconciliationBatch, table: Optional[EntryTable] = None
     ) -> None:
-        """Attach precomputed context-free extensions to a batch.
+        """Attach precomputed context-free extensions to a batch
+        (``table``: the entries its assembly has already read).
 
         Done for every reconciliation batch (client-centric included):
         the payload is derived data — the batch already carries the
@@ -325,7 +353,8 @@ class DirectLogStore(UpdateStore):
             shipped = {
                 root.tid: extension
                 for root in batch.roots
-                if (extension := self.context_free_extension(root)) is not None
+                if (extension := self.context_free_extension(root, table))
+                is not None
             }
             batch.extensions = shipped or None
         # Independent of the extension flag: the pair memo is useful on
@@ -335,63 +364,85 @@ class DirectLogStore(UpdateStore):
             batch.pair_cache = self.shared_pair_cache()
 
     # ------------------------------------------------------------------
+    # The batch read path
+
+    def _assemble(
+        self, participant: int
+    ) -> Tuple[ReconciliationBatch, Set[TransactionId], EntryTable]:
+        """The client-centric batch, with the applied set it stopped at
+        and the log entries it read (the network-centric assembly goes
+        on from both)."""
+        last, stable = self._nc_advance(participant)
+        table: EntryTable = {}
+        roots: List[RelevantTransaction] = []
+        for entry in self._nc_candidates(participant, last, stable):
+            transaction, _antecedents, order = entry
+            table[transaction.tid] = entry
+            priority = self._nc_priority(participant, transaction)
+            if priority > 0:
+                roots.append(RelevantTransaction(transaction, priority, order))
+        roots.sort(key=lambda root: root.order)
+
+        applied = self._nc_applied_tids(participant)
+        graph = TransactionGraph()
+        for entry in self.closure_entries(
+            [root.tid for root in roots], applied, table
+        ):
+            graph.add(*entry)
+        self._charge_call()
+        batch = ReconciliationBatch(recno=stable, roots=roots, graph=graph)
+        # Derived data riding along with the closure transactions: the
+        # flattened context-free extensions, computed once per published
+        # transaction for the whole confederation.
+        self.ship_context_free_extensions(batch, table)
+        return batch, applied, table
+
+    def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
+        """Assemble the next batch; see the base class."""
+        return self._assemble(participant)[0]
 
     def begin_network_reconciliation(
         self, participant: int
     ) -> ReconciliationBatch:
         """A batch with store-computed extensions and conflict adjacency."""
-        batch = self.begin_reconciliation(participant)
-        applied = self._nc_applied_tids(participant)
+        batch, applied, table = self._assemble(participant)
 
         # Fold the participant's deferred transactions in as roots: in
         # network-centric mode the store recomputes their standing too.
         present = {root.tid for root in batch.roots}
-        for tid in self._nc_deferred_tids(participant):
-            if tid in present:
-                continue
-            transaction, _antes, order = self._nc_lookup(tid)
+        deferred = [
+            tid
+            for tid in self._nc_deferred_tids(participant)
+            if tid not in present
+        ]
+        for entry in self.closure_entries(deferred, applied, table):
+            batch.graph.add(*entry)
+        for tid in deferred:
+            transaction, _antecedents, order = table[tid]
             priority = self._nc_priority(participant, transaction)
-            batch.roots.append(
-                RelevantTransaction(
-                    transaction=transaction, priority=priority, order=order
-                )
-            )
-            self._add_closure(batch.graph, [tid], stop=applied)
+            batch.roots.append(RelevantTransaction(transaction, priority, order))
         batch.roots.sort(key=lambda root: root.order)
 
         ext_cache, pair_cache = self._nc_caches_of(participant)
         version = self._nc_applied_version(participant)
         extensions = {}
         for root in batch.roots:
-            extension = ext_cache.lookup(
-                root.tid, version, applied, root.priority
-            )
-            if extension is None:
-                # Work that only depends on the applied set is shared:
-                # a context-free extension valid for this participant is
+            try:
+                # Work that only depends on the applied set is shared: a
+                # context-free extension valid for this participant is
                 # adopted instead of recomputing per participant.
-                shared = self.context_free_extension(root)
-                if shared is not None and shared.member_set().isdisjoint(
-                    applied
-                ):
-                    if shared.priority != root.priority:
-                        shared = replace(shared, priority=root.priority)
-                    extension = shared
-                    ext_cache.stats.shipped += 1
-                    ext_cache.store(root.tid, version, extension)
-            if extension is None:
-                try:
-                    extension = compute_update_extension(
-                        self.schema, batch.graph, root, applied
-                    )
-                except FlattenError:
-                    # Leave it out; the client's fallback recomputation
-                    # will reach the same FlattenError and reject the
-                    # root.
-                    continue
-                ext_cache.stats.misses += 1
-                ext_cache.store(root.tid, version, extension)
-            extensions[root.tid] = extension
+                extensions[root.tid] = ext_cache.get_or_compute(
+                    self.schema,
+                    batch.graph,
+                    root,
+                    applied,
+                    version,
+                    shipped=self.context_free_extension(root, table),
+                )
+            except FlattenError:
+                # Leave it out; the client's fallback recomputation will
+                # reach the same FlattenError and reject the root.
+                continue
         shipped = attach_assembled_payload(
             self.schema, batch, extensions, pair_cache
         )

@@ -129,6 +129,47 @@ class TestExtensionCache:
         assert len(cache) == 0
 
 
+    def test_adopts_a_shipped_extension_only_when_it_is_exact(self, schema):
+        """The shipped context-free extension is adopted (re-priced) when
+        none of its members is applied, derived locally otherwise, and
+        never adopted by a disabled cache."""
+        builder = GraphBuilder()
+        base = make_transaction(3, 0, [Insert("F", RAT1, 3)])
+        revision = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
+        builder.add(base)
+        builder.add(revision, antecedents=[base.tid])
+        root = relevant(builder, revision, priority=2)
+        shipped = compute_update_extension(
+            schema, builder.graph, relevant(builder, revision, 1), set()
+        )
+
+        cache = ExtensionCache()
+        adopted = cache.get_or_compute(
+            schema, builder.graph, root, set(), 0, shipped=shipped
+        )
+        assert adopted.operations is shipped.operations
+        assert adopted.priority == 2 and shipped.priority == 1
+        assert (cache.stats.shipped, cache.stats.misses) == (1, 0)
+        again = cache.get_or_compute(
+            schema, builder.graph, root, set(), 0, shipped=shipped
+        )
+        assert again is adopted and cache.stats.hits == 1
+
+        derived = ExtensionCache()
+        local = derived.get_or_compute(
+            schema, builder.graph, root, {base.tid}, 1, shipped=shipped
+        )
+        assert set(local.members) == {revision.tid}
+        assert (derived.stats.shipped, derived.stats.misses) == (0, 1)
+
+        oracle = ExtensionCache(enabled=False)
+        recomputed = oracle.get_or_compute(
+            schema, builder.graph, root, set(), 0, shipped=shipped
+        )
+        assert recomputed.operations is not shipped.operations
+        assert (oracle.stats.shipped, oracle.stats.misses) == (0, 1)
+
+
 class TestConflictCache:
     def test_identity_keyed_lookup_and_invalidation(self, schema):
         builder = GraphBuilder()

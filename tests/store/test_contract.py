@@ -260,6 +260,80 @@ class TestReconciliationBatches:
         assert orders == sorted(orders)
 
 
+class TestClosureEntries:
+    """``closure_entries`` is the one read of the log every backend serves."""
+
+    def _publish_chain(self, store):
+        register_trusting_peers(store)
+        x10 = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        x11 = make_transaction(1, 1, [Modify("F", RAT1, RAT1_IMMUNE, 1)])
+        x30 = make_transaction(3, 0, [Modify("F", RAT1_IMMUNE, RAT1_RESP, 3)])
+        for transaction in (x10, x11, x30):
+            store.publish(transaction.origin, [transaction])
+        return x10, x11, x30
+
+    def test_roots_closure_and_stop(self, store):
+        x10, x11, x30 = self._publish_chain(store)
+        entries = store.closure_entries([x30.tid], stop=set())
+        assert {entry[0].tid for entry in entries} == {x10.tid, x11.tid, x30.tid}
+        for entry in entries:
+            transaction, antecedents, order = entry
+            assert entry == store._nc_lookup(transaction.tid)
+            assert tuple(antecedents) == store.antecedents_of(transaction.tid)
+        # The walk does not descend into ``stop`` ...
+        stopped = store.closure_entries([x30.tid], stop={x11.tid})
+        assert [entry[0].tid for entry in stopped] == [x30.tid]
+        # ... but a root is delivered even when it is a member of it.
+        rooted = store.closure_entries([x11.tid], stop={x11.tid, x10.tid})
+        assert [entry[0].tid for entry in rooted] == [x11.tid]
+
+    def test_a_shared_table_is_filled_once(self, store):
+        x10, x11, x30 = self._publish_chain(store)
+        table = {}
+        store.closure_entries([x11.tid], set(), table)
+        assert set(table) == {x10.tid, x11.tid}
+        looked_up = count_lookups(store)
+        entries = store.closure_entries([x30.tid], set(), table)
+        assert len(entries) == 3 and set(table) == {x10.tid, x11.tid, x30.tid}
+        assert looked_up == {x30.tid: 1}
+
+    @pytest.mark.parametrize("network_centric", [False, True])
+    def test_a_batch_looks_each_entry_up_once(self, store, network_centric):
+        x10, x11, x30 = self._publish_chain(store)
+        looked_up = count_lookups(store)
+        batch = store.reconciliation_batch(2, network_centric)
+        assert [root.tid for root in batch.roots] == [x10.tid, x11.tid, x30.tid]
+        assert all(count == 1 for count in looked_up.values()), looked_up
+
+        # Second round: a deferred root, an applied prefix to stop at, and
+        # a new root whose context-free closure runs through both.
+        result = ReconcileResult(recno=batch.recno)
+        result.applied = result.accepted = [x10.tid, x11.tid]
+        result.deferred = [x30.tid]
+        store.complete_reconciliation(2, result)
+        x31 = make_transaction(3, 1, [Modify("F", RAT1_RESP, RAT1, 3)])
+        store.publish(3, [x31])
+        looked_up.clear()
+        batch = store.reconciliation_batch(2, network_centric)
+        assert x31.tid in batch.graph and x30.tid in batch.graph
+        assert x11.tid not in batch.graph
+        assert all(count == 1 for count in looked_up.values()), looked_up
+
+
+def count_lookups(store):
+    """Count the store's ``_nc_lookup`` calls per transaction id from
+    here on (a counting override on the instance)."""
+    counts = {}
+    lookup = store._nc_lookup
+
+    def counting_lookup(tid):
+        counts[tid] = counts.get(tid, 0) + 1
+        return lookup(tid)
+
+    store._nc_lookup = counting_lookup
+    return counts
+
+
 class TestPerfAccounting:
     def test_messages_are_counted(self, store):
         register_trusting_peers(store)

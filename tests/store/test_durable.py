@@ -172,6 +172,40 @@ def test_applied_versions_persist_across_reopen(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# One read of the log: statements per transaction, flat in history depth
+
+
+def test_statement_count_is_per_transaction_not_per_history():
+    epochs, batch = 6, 64
+    config = ConfederationConfig(
+        store="durable",
+        store_options={"path": ":memory:", "cache_size": 16},
+        peers=(1, 2),
+    )
+    with Confederation(config) as confed:
+        statements = []
+        confed.store._conn.set_trace_callback(statements.append)
+        publisher, consumer = confed.participant(1), confed.participant(2)
+        publishes, reconciles = [], []
+        for epoch in range(epochs):
+            for serial in range(epoch * batch, (epoch + 1) * batch):
+                publisher.execute([Insert("F", (f"k{serial}", "p", "v"), 1)])
+            statements.clear()
+            publisher.publish()
+            publishes.append(len(statements))
+            statements.clear()
+            result = consumer.reconcile()
+            reconciles.append(len(statements))
+            assert len(result.accepted) == batch
+    # Every log entry is read once per batch and no query is issued per
+    # row of the decided history, so an epoch costs the same at any depth.
+    assert max(reconciles) <= 10 * batch
+    assert reconciles[-1] - reconciles[0] <= 8
+    # One applied-version upsert per published batch, not per transaction.
+    assert max(publishes) <= 4 * batch + 16
+
+
+# ----------------------------------------------------------------------
 # Bounded paging: a tiny cache changes cost, never outcomes
 
 

@@ -84,14 +84,28 @@ class TestCapabilityFlags:
         tuned = create_store("durable", schema, call_overhead_seconds=0.5)
         assert tuned._call_overhead == 0.5
 
+    def test_the_batch_read_path_is_written_once(self):
+        # One begin_reconciliation for every direct log: the logs only
+        # supply storage and the accessors the shared method reads.
+        from repro.store import CentralUpdateStore
+        from repro.store.network_centric import DirectLogStore
+
+        assert "begin_reconciliation" in vars(DirectLogStore)
+        for log in (MemoryUpdateStore, CentralUpdateStore):
+            assert "begin_reconciliation" not in vars(log)
+            assert "begin_network_reconciliation" not in vars(log)
+
     def test_direct_log_accessors_are_abstract(self):
         from repro.store.network_centric import DirectLogStore
 
-        class NoLookup(MemoryUpdateStore):
-            _nc_lookup = DirectLogStore._nc_lookup
-
-        with pytest.raises(TypeError, match="_nc_lookup"):
-            NoLookup(curated_schema())
+        for accessor in ("_nc_lookup", "_nc_advance", "_nc_candidates"):
+            incomplete = type(
+                "Incomplete",
+                (MemoryUpdateStore,),
+                {accessor: getattr(DirectLogStore, accessor)},
+            )
+            with pytest.raises(TypeError, match=accessor):
+                incomplete(curated_schema())
 
     def test_instances_carry_their_flags(self):
         # The registry's flags and the class's flags are the same object

@@ -56,11 +56,11 @@ MARKDOWN_FILES = (
 )
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 15245
+SOURCE_LINE_CEILING = 15181
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (one class on purpose — docs/ARCHITECTURE.md).
-MODULE_LINE_CEILING = 1097
+MODULE_LINE_CEILING = 1076
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
