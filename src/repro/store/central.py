@@ -26,13 +26,21 @@ default, on ``:memory:``, with no code path that asks which:
 
 * the **append-only schema** (epochs, transaction bodies, antecedent
   edges, producers, verdicts, reconciliation records) is written in WAL
-  mode, reusing the :mod:`repro.instance.sqlite_instance` idioms —
-  explicit transactions, ``repr``/``ast.literal_eval`` row codecs;
+  mode, one explicit transaction per store call.  Rows are text in a
+  self-describing codec — a JSON array when every value is exactly a
+  ``str``/``int``/``bool``/``None``, the ``repr`` literal otherwise, the
+  decoder choosing by the first character: the common row decodes
+  without compiling anything, any hashable literal round-trips
+  type-exactly, a database written as ``repr`` throughout still opens,
+  and nothing read from the file is ever executed;
+* a **reconciliation costs what its window costs**: its bodies, its
+  antecedent edges (each saying whether the reconciling participant
+  applied the antecedent) and its spilled extensions are one chunked
+  ``IN`` read each, the verdicts one ``executemany`` under the ``ord``
+  the batch carried — nothing sized by the history is read or built;
 * **bounded resident memory**: transaction bodies page from the
   database through a :class:`repro.core.cache.PageCache` (LRU,
-  ``cache_size`` entries), so reconciling over a
-  multi-hundred-thousand-transaction history keeps O(cache) bodies in
-  RAM, not O(history);
+  ``cache_size`` entries): O(cache) bodies in RAM, not O(history);
 * **spill-aware retention**: the shared context-free extension memo's
   retired entries
   (:meth:`~repro.store.network_centric.DirectLogStore.retire_shared_entries`)
@@ -41,29 +49,25 @@ default, on ``:memory:``, with no code path that asks which:
   than recomputing (an in-memory database simply spills to RAM);
 * **crash recovery** on every open
   (:meth:`CentralUpdateStore._recover`): O(delta), never a full-history
-  replay, and a no-op on a fresh database.
+  replay, and a no-op on a fresh database — which is what lets
+  ``Confederation.open()`` re-register the configured peers
+  (:meth:`CentralUpdateStore.register_participant` *adopts* a row
+  already on disk) and ``Confederation.restore()`` rebuild each
+  replica from the persisted decisions.
 
-Reopening a confederation from disk composes with the facade's
-soft-state machinery: ``Confederation.open()`` re-registers the
-configured peers (:meth:`CentralUpdateStore.register_participant`
-*adopts* a row already on disk) and ``Confederation.restore()``
-rebuilds each participant's replica and soft state from the persisted
-decisions.
-
-Two registry names select this class.  ``central`` models the paper's
-remote commercial RDBMS and charges a per-call JDBC overhead (see
-:attr:`CentralUpdateStore.DEFAULT_CALL_OVERHEAD`); ``durable``
-(:mod:`repro.store.durable`) models an embedded store — the paper's
-participants each hold "a complete copy of the shared database" — and
-charges none.
+Two registry names select this class: ``central`` charges a per-call
+JDBC overhead (:attr:`CentralUpdateStore.DEFAULT_CALL_OVERHEAD`),
+``durable`` (:mod:`repro.store.durable`) none.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import sqlite3
+from contextlib import AbstractContextManager
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import PageCache
 from repro.core.decisions import ReconcileResult
@@ -73,7 +77,7 @@ from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.model.updates import Delete, Insert, Modify, Update
 from repro.policy.acceptance import TrustPolicy
-from repro.store.base import DEFAULT_MESSAGE_LATENCY
+from repro.store.base import DEFAULT_MESSAGE_LATENCY, LogEntry
 from repro.store.logic import compute_antecedents
 from repro.store.network_centric import DirectLogStore
 
@@ -141,31 +145,50 @@ CREATE INDEX IF NOT EXISTS idx_decisions_ord ON decisions (ord);
 """
 
 
+#: The value types JSON keeps apart from one another; a row holding
+#: anything else (``AttributeDef.dtype=None`` admits any hashable
+#: literal: a ``float``, ``bytes``, a nested tuple) is its ``repr``.
+_PLAIN = frozenset((str, int, bool, type(None)))
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _encode_row(row: Optional[Tuple]) -> Optional[str]:
-    return None if row is None else repr(row)
+    if row is None:
+        return None
+    return _to_json(row) if _PLAIN.issuperset(map(type, row)) else repr(row)
+
+
+class _NonFinite(ast.NodeTransformer):
+    def visit_Name(self, node: ast.Name) -> ast.AST:
+        """``repr`` writes ``inf`` and ``nan`` as names, which are no literals."""
+        return ast.Constant(float(node.id)) if node.id in ("inf", "nan") else node
+
+
+def _decode(text: str):
+    """Parse a row or an extension payload: ``[`` opens the JSON form,
+    anything else is a ``repr`` literal.  The database file outlives
+    the process and is an input — neither parser executes it."""
+    if text[0] == "[":
+        return json.loads(text)
+    try:
+        return ast.literal_eval(text)
+    except ValueError:  # maybe only an ``inf`` or a ``nan``: see _NonFinite
+        return ast.literal_eval(_NonFinite().visit(ast.parse(text, mode="eval")))
+
+
+def _row(values) -> Optional[Tuple]:
+    return None if values is None else tuple(values)
 
 
 def _decode_row(text: Optional[str]) -> Optional[Tuple]:
-    return None if text is None else ast.literal_eval(text)
+    return None if text is None else tuple(_decode(text))
 
 
 _KIND_OF = {Insert: "insert", Delete: "delete", Modify: "modify"}
 
 
-def _explode(update: Update) -> Tuple:
-    """Decompose an update into ``(kind, relation, old_row, new_row,
-    origin)`` for storage."""
-    return (
-        _KIND_OF[type(update)],
-        update.relation,
-        update.read_row(),
-        update.written_row(),
-        update.origin,
-    )
-
-
 def _implode(kind: str, relation: str, old_row, new_row, origin: int) -> Update:
-    """The inverse of :func:`_explode`."""
+    """An update from its stored ``(kind, relation, old, new, origin)``."""
     if kind == "insert":
         return Insert(relation, new_row, origin)
     if kind == "delete":
@@ -174,21 +197,28 @@ def _implode(kind: str, relation: str, old_row, new_row, origin: int) -> Update:
 
 
 def _encode_extension(extension: UpdateExtension) -> str:
-    """Serialise an extension as a ``repr`` literal (see sqlite_instance).
+    """Serialise an extension in the row codec: JSON when every row and
+    touched key in it is plain, else one ``repr`` literal.
 
-    Every field is literal-representable: transaction ids become
-    ``(participant, sequence)`` pairs, updates become :func:`_explode`
-    tuples, and the touched-key set is sorted so the encoding is
-    deterministic.
+    Transaction ids become ``(participant, sequence)`` pairs, updates
+    ``(kind, relation, old, new, origin)`` tuples, and the touched-key
+    set is sorted so the encoding is deterministic.
     """
+    operations = tuple(
+        (_KIND_OF[type(u)], u.relation, u.read_row(), u.written_row(), u.origin)
+        for u in extension.operations
+    )
     payload = (
         (extension.root.participant, extension.root.sequence),
         extension.priority,
         tuple((m.participant, m.sequence) for m in extension.members),
-        tuple(_explode(update) for update in extension.operations),
+        operations,
         tuple(sorted(extension.touched)),
     )
-    return repr(payload)
+    rows = [row for operation in operations for row in operation[2:4] if row]
+    rows += [key for _relation, key in payload[4]]
+    plain = all(_PLAIN.issuperset(map(type, row)) for row in rows)
+    return _to_json(payload) if plain else repr(payload)
 
 
 def _decode_extension(text: str) -> UpdateExtension:
@@ -198,17 +228,57 @@ def _decode_extension(text: str) -> UpdateExtension:
     identity-keyed shared pair memo therefore misses against it and
     re-compares, which is exactly the semantics of a cache re-fill.
     """
-    root_pair, priority, members, operations, touched = ast.literal_eval(text)
+    root_pair, priority, members, operations, touched = _decode(text)
     return UpdateExtension(
         root=TransactionId(*root_pair),
         members=tuple(TransactionId(*pair) for pair in members),
-        operations=tuple(_implode(*operation) for operation in operations),
-        touched=frozenset(touched),
+        operations=tuple(
+            _implode(kind, relation, _row(old), _row(new), origin)
+            for kind, relation, old, new, origin in operations
+        ),
+        touched=frozenset((relation, tuple(key)) for relation, key in touched),
         priority=priority,
     )
 
 
-class CentralUpdateStore(DirectLogStore):
+class _AppliedTids(set):
+    """One participant's applied set as one batch sees it: window-sized.
+
+    Holds the applied ids the batch has *asked about*: ``in`` asks the
+    database, once per id, and the antecedent read (``_entries``)
+    answers for a whole window beforehand.  The network-centric caches'
+    ``members & applied`` / ``members.isdisjoint(applied)`` run on what
+    is held and test only emptiness, for which that is exact: a closure
+    walk asks about every antecedent of every unapplied member it
+    reaches, so the first applied member on any path from a root is
+    held before an extension of that root is looked at.
+    """
+
+    def __init__(self, conn: sqlite3.Connection, participant: int) -> None:
+        self._conn = conn  # (the set itself starts empty)
+        self.participant = participant
+        self._unapplied: Set[TransactionId] = set()
+
+    def learn(self, tid: TransactionId, applied: bool) -> bool:
+        """Remember the database's answer for ``tid`` (and return it)."""
+        (self.add if applied else self._unapplied.add)(tid)
+        return applied
+
+    def __contains__(self, tid: object) -> bool:
+        if super().__contains__(tid):
+            return True
+        if tid in self._unapplied:
+            return False
+        found = self._conn.execute(
+            "SELECT 1 FROM txns t JOIN decisions d ON d.ord = t.ord"
+            " WHERE t.participant = ? AND t.seq = ? AND d.participant = ?"
+            " AND d.verdict = 'applied'",
+            (tid.participant, tid.sequence, self.participant),
+        ).fetchone()
+        return self.learn(tid, found is not None)
+
+
+class CentralUpdateStore(DirectLogStore, AbstractContextManager):
     """The relational update store: one sqlite database, memory or file."""
 
     capabilities = replace(DirectLogStore.capabilities, durable=True)
@@ -218,11 +288,9 @@ class CentralUpdateStore(DirectLogStore):
     #: over switched 100Mb Ethernet; each of the "constant number of
     #: procedures invoked during each reconciliation" paid a network round
     #: trip plus DBMS request processing.  Our in-process sqlite pays
-    #: neither, so we charge this per-call overhead to preserve the
-    #: fixed-cost-per-reconciliation behaviour that drives Figure 10
-    #: (frequent reconciliation is expensive on the central store).  The
-    #: value is calibrated to the order of magnitude of a 2006-era JDBC
-    #: procedure call against a commercial DBMS over switched Ethernet.
+    #: neither, so this per-call overhead — the order of magnitude of a
+    #: 2006-era JDBC call — preserves the fixed cost per reconciliation
+    #: that drives Figure 10 (frequent reconciliation is expensive here).
     DEFAULT_CALL_OVERHEAD = 0.025
 
     #: Default transaction-body page-cache capacity (entries, not bytes):
@@ -247,22 +315,18 @@ class CentralUpdateStore(DirectLogStore):
         :attr:`DEFAULT_CALL_OVERHEAD`; ``cache_size`` bounds the
         resident transaction bodies."""
         super().__init__(schema, message_latency, real_latency=real_latency)
-        self._call_overhead = (
-            self.DEFAULT_CALL_OVERHEAD
-            if call_overhead_seconds is None
-            else call_overhead_seconds
-        )
-        # The threaded epoch scheduler calls into the store from worker
-        # threads; every call already holds the reentrant store.lock
-        # (Participant._store_call, `RPR004`), so cross-thread use of one
-        # connection is serialised and safe without sqlite's own thread
-        # affinity check.
+        if call_overhead_seconds is None:
+            call_overhead_seconds = self.DEFAULT_CALL_OVERHEAD
+        self._call_overhead = call_overhead_seconds
+        # The threaded epoch scheduler calls in from worker threads, each
+        # call holding the reentrant store.lock (Participant._store_call,
+        # `RPR004`): cross-thread use of the one connection is serialised
+        # and safe without sqlite's own thread-affinity check.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         # The standard WAL pairing: commits append to the WAL without an
-        # fsync of the main database; the log itself stays consistent, so
-        # crash recovery is unaffected — only the most recent commits can
-        # be lost, never torn.
+        # fsync of the main database; the log stays consistent, so a crash
+        # can lose the most recent commits but never tear one.
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA_SQL)
         self._policies: Dict[int, TrustPolicy] = {}
@@ -270,14 +334,18 @@ class CentralUpdateStore(DirectLogStore):
         # caches, mirrored in the ``applied_versions`` table.
         self._applied_versions: Dict[int, int] = {}
         self._page_cache = PageCache(cache_size)
+        # Kept of the batch each participant is deciding, window-sized:
+        # the ``ord`` of every transaction delivered (its verdict is
+        # written under it) and the applied set as that batch sees it.
+        self._outstanding: Dict[int, Tuple[dict, _AppliedTids]] = {}
+        # The last window's spilled-extension payloads (None: not
+        # spilled), read with the window; see ``_load_retired``.
+        self._probed: Dict[TransactionId, Optional[str]] = {}
         self._recover()
 
     def close(self) -> None:
         """Close the sqlite connection."""
         self._conn.close()
-
-    def __enter__(self) -> "CentralUpdateStore":
-        return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
@@ -286,44 +354,36 @@ class CentralUpdateStore(DirectLogStore):
         """Resume from whatever the database holds (nothing, when fresh).
 
         Opening the connection already replayed sqlite's WAL.  Two
-        pieces of soft state are then rebuilt in O(delta):
-
-        * any epoch still marked unfinished belongs to a publisher that
-          died between ``begin_publish`` and ``finish_publish``; its
-          batch either committed atomically (``write_transactions`` is
-          one sqlite transaction) or not at all, so the epoch is simply
-          marked finished and stops blocking the stable-epoch
-          computation;
-        * the per-participant applied-set version counters are loaded
-          from the ``applied_versions`` table — no history replay.
+        pieces of soft state are then rebuilt in O(delta): an epoch
+        still marked unfinished belongs to a publisher that died between
+        ``begin_publish`` and ``finish_publish`` — its batch committed
+        atomically (``write_transactions`` is one sqlite transaction) or
+        not at all, so it is marked finished and stops blocking the
+        stable-epoch computation; and the applied-set version counters
+        are loaded from ``applied_versions`` — no history replay.
         """
         with self._conn:
             self._conn.execute("UPDATE epochs SET finished = 1 WHERE finished = 0")
-        for pid, version in self._conn.execute(
-            "SELECT participant, version FROM applied_versions ORDER BY participant"
-        ).fetchall():
-            self._applied_versions[int(pid)] = int(version)
+        self._applied_versions.update(
+            self._conn.execute("SELECT participant, version FROM applied_versions")
+        )
 
     # ------------------------------------------------------------------
 
-    def register_participant(
-        self, participant: int, policy: TrustPolicy
-    ) -> None:
+    def register_participant(self, participant: int, policy: TrustPolicy) -> None:
         """Register a participant, adopting its on-disk record if any.
 
         Re-registering an id already attached *in this process* is
         still an error; an id present only in the database (a previous
         incarnation of the confederation) is adopted — its decisions,
-        reconciliation epoch, and version counter all resume.  This is
-        what lets ``Confederation.open()`` reopen a database file.
+        reconciliation epoch, and version counter all resume.
         """
         if participant in self._policies:
             raise StoreError(f"participant {participant} already registered")
         self._policies[participant] = policy
         with self._conn:
             self._conn.execute(
-                "INSERT OR IGNORE INTO participants (id) VALUES (?)",
-                (participant,),
+                "INSERT OR IGNORE INTO participants (id) VALUES (?)", (participant,)
             )
         self._charge_call()
 
@@ -331,9 +391,7 @@ class CentralUpdateStore(DirectLogStore):
         try:
             return self._policies[participant]
         except KeyError:
-            raise StoreError(
-                f"participant {participant} is not registered"
-            ) from None
+            raise StoreError(f"participant {participant} is not registered") from None
 
     # ------------------------------------------------------------------
     # Publication (begin epoch -> write transactions -> finish epoch)
@@ -342,34 +400,84 @@ class CentralUpdateStore(DirectLogStore):
         """Allocate an epoch and record that publishing has started."""
         self._policy_of(participant)
         with self._conn:
-            cursor = self._conn.execute(
-                "INSERT INTO epochs (participant, finished) VALUES (?, 0)",
-                (participant,),
-            )
-            epoch = int(cursor.lastrowid)
+            epoch = self._conn.execute(
+                "INSERT INTO epochs (participant) VALUES (?)", (participant,)
+            ).lastrowid
         self._charge_call()
         return epoch
 
     def _validate_open_epoch(self, participant: int, epoch: int) -> None:
         record = self._conn.execute(
-            "SELECT participant, finished FROM epochs WHERE epoch = ?",
-            (epoch,),
+            "SELECT participant, finished FROM epochs WHERE epoch = ?", (epoch,)
         ).fetchone()
         if record is None or int(record[0]) != participant:
-            raise StoreError(
-                f"epoch {epoch} is not being published by {participant}"
-            )
+            raise StoreError(f"epoch {epoch} is not being published by {participant}")
         if int(record[1]):
             raise StoreError(f"epoch {epoch} is already finished")
 
     def write_transactions(
         self, participant: int, epoch: int, transactions: Sequence[Transaction]
     ) -> None:
-        """Write transactions under an open epoch."""
+        """Write transactions under an open epoch, in one sqlite
+        transaction: a ``txns`` insert each (it allocates the ``ord``),
+        every other row of the batch in one ``executemany`` per table."""
         self._validate_open_epoch(participant, epoch)
+        updates, edges, verdicts = [], [], []
+        # The producer-index rows this batch adds, probed before the
+        # table so a transaction sees those written earlier in its own
+        # batch.  The key is ``(relation, repr(row))``: it is matched,
+        # never decoded, and ``repr`` is the cheapest exact text.
+        produced: Dict[Tuple[str, str], Tuple[TransactionId, int]] = {}
+
+        def producer_of(key: Tuple[str, Tuple]) -> Optional[TransactionId]:
+            """The transaction that most recently produced row ``key``."""
+            key = key[0], repr(key[1])
+            if key in produced:
+                return produced[key][0]
+            record = self._conn.execute(
+                "SELECT t.participant, t.seq FROM producers p"
+                " JOIN txns t ON t.ord = p.ord"
+                " WHERE p.relation = ? AND p.row = ?",
+                key,
+            ).fetchone()
+            return None if record is None else TransactionId(*record)
+
         with self._conn:
             for transaction in transactions:
-                self._write_transaction(participant, epoch, transaction)
+                tid = transaction.tid
+                if transaction.origin != participant:
+                    raise StoreError(f"participant {participant} cannot publish {tid}")
+                antecedents = compute_antecedents(producer_of, transaction)
+                try:
+                    ord_ = self._conn.execute(
+                        "INSERT INTO txns (participant, seq, epoch) VALUES (?, ?, ?)",
+                        (tid.participant, tid.sequence, epoch),
+                    ).lastrowid
+                except sqlite3.IntegrityError:
+                    raise StoreError(
+                        f"transaction {tid} was already published"
+                    ) from None
+                for idx, update in enumerate(transaction.updates):
+                    old_row, new_row = update.read_row(), update.written_row()
+                    row = ord_, idx, _KIND_OF[type(update)], update.relation
+                    updates.append(row + (_encode_row(old_row), _encode_row(new_row)))
+                    if new_row is not None:
+                        produced[update.relation, repr(new_row)] = tid, ord_
+                edges += [(ord_, a.participant, a.sequence) for a in antecedents]
+                # The publisher has, by definition, applied its own.
+                verdicts.append((participant, ord_, "applied"))
+            many = self._conn.executemany  # positional: _SCHEMA_SQL's order
+            many("INSERT INTO txn_updates VALUES (?, ?, ?, ?, ?, ?)", updates)
+            many(
+                "INSERT OR REPLACE INTO producers VALUES (?, ?, ?)",
+                [(*key, found[1]) for key, found in produced.items()],
+            )
+            many(
+                "INSERT OR IGNORE INTO antecedents SELECT ?, ord FROM txns"
+                " WHERE participant = ? AND seq = ?",
+                edges,
+            )
+            many(self._VERDICT_SQL, verdicts)
             if transactions:  # the publisher applied them: one bump a batch
                 self._bump_applied_version(participant)
         self._charge_call()
@@ -383,71 +491,6 @@ class CentralUpdateStore(DirectLogStore):
             )
         self._charge_call()
 
-    def _write_transaction(
-        self, participant: int, epoch: int, transaction: Transaction
-    ) -> None:
-        if transaction.origin != participant:
-            raise StoreError(
-                f"participant {participant} cannot publish {transaction.tid}"
-            )
-        antecedents = compute_antecedents(self._producer_of, transaction)
-        try:
-            cursor = self._conn.execute(
-                "INSERT INTO txns (participant, seq, epoch) VALUES (?, ?, ?)",
-                (transaction.tid.participant, transaction.tid.sequence, epoch),
-            )
-        except sqlite3.IntegrityError:
-            raise StoreError(
-                f"transaction {transaction.tid} was already published"
-            ) from None
-        ord_ = int(cursor.lastrowid)
-        for idx, update in enumerate(transaction.updates):
-            kind, relation, old_row, new_row, _origin = _explode(update)
-            self._conn.execute(
-                "INSERT INTO txn_updates (ord, idx, kind, relation, old_row,"
-                " new_row) VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    ord_,
-                    idx,
-                    kind,
-                    relation,
-                    _encode_row(old_row),
-                    _encode_row(new_row),
-                ),
-            )
-            written = update.written_row()
-            if written is not None:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO producers (relation, row, ord)"
-                    " VALUES (?, ?, ?)",
-                    (update.relation, _encode_row(written), ord_),
-                )
-        for ante in antecedents:
-            ante_ord = self._ord_of(ante)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO antecedents (ord, ante_ord)"
-                " VALUES (?, ?)",
-                (ord_, ante_ord),
-            )
-        # The publisher has, by definition, applied its own transaction.
-        self._conn.execute(
-            "INSERT OR REPLACE INTO decisions (participant, ord, verdict)"
-            " VALUES (?, ?, 'applied')",
-            (participant, ord_),
-        )
-
-    def _producer_of(
-        self, key: Tuple[str, Tuple]
-    ) -> Optional[TransactionId]:
-        """The transaction that most recently produced row ``key``."""
-        relation, row = key
-        record = self._conn.execute(
-            "SELECT t.participant, t.seq FROM producers p"
-            " JOIN txns t ON t.ord = p.ord WHERE p.relation = ? AND p.row = ?",
-            (relation, _encode_row(row)),
-        ).fetchone()
-        return None if record is None else TransactionId(*record)
-
     # ------------------------------------------------------------------
     # Reconciliation (the batch itself is DirectLogStore's)
 
@@ -456,18 +499,15 @@ class CentralUpdateStore(DirectLogStore):
         last = self.last_reconciliation_epoch(participant)
         # Stable epoch: largest prefix of finished epochs.  The paper holds
         # the epochs-table lock just long enough to read this and record
-        # the reconciliation; sqlite's connection-level transaction gives
-        # the same effect.
+        # the reconciliation; sqlite's transaction gives the same effect.
         with self._conn:
-            record = self._conn.execute(
+            stable = self._scalar(
                 "SELECT COALESCE(MIN(epoch) - 1, "
                 " (SELECT COALESCE(MAX(epoch), 0) FROM epochs))"
                 " FROM epochs WHERE finished = 0"
-            ).fetchone()
-            stable = int(record[0])
+            )
             self._conn.execute(
-                "INSERT INTO reconciliations (participant, recno, epoch)"
-                " VALUES (?, ?, ?)",
+                "INSERT INTO reconciliations VALUES (?, ?, ?)",
                 (participant, stable, stable),
             )
             self._conn.execute(
@@ -477,116 +517,147 @@ class CentralUpdateStore(DirectLogStore):
         return last, stable
 
     def _nc_candidates(self, participant: int, last: int, stable: int):
+        # The window's undecided foreign transactions, each with its
+        # spilled extension if it has one (see ``_load_retired``).
         rows = self._conn.execute(
-            "SELECT t.ord, t.participant, t.seq FROM txns t"
+            "SELECT t.ord, t.participant, t.seq, r.payload FROM txns t"
+            " LEFT JOIN retired_extensions r"
+            " ON r.participant = t.participant AND r.seq = t.seq"
             " WHERE t.epoch > ? AND t.epoch <= ? AND t.participant != ?"
-            " AND NOT EXISTS (SELECT 1 FROM decisions d WHERE"
-            "   d.participant = ? AND d.ord = t.ord)"
-            " ORDER BY t.ord",
+            " AND NOT EXISTS (SELECT 1 FROM decisions d"
+            " WHERE d.participant = ? AND d.ord = t.ord) ORDER BY t.ord",
             (last, stable, participant, participant),
         ).fetchall()
-        return [self._entry(ord_, TransactionId(p, s)) for ord_, p, s in rows]
+        refs = [(ord_, TransactionId(pid, seq)) for ord_, pid, seq, _ in rows]
+        self._probed.clear()
+        self._probed.update((ref[1], row[3]) for ref, row in zip(refs, rows))
+        applied = _AppliedTids(self._conn, participant)
+        self._outstanding[participant] = {t: o for o, t in refs}, applied
+        return self._entries(refs, applied)
+
+    _VERDICT_SQL = "INSERT OR REPLACE INTO decisions VALUES (?, ?, ?)"
 
     def complete_reconciliation(
         self, participant: int, result: ReconcileResult
     ) -> None:
-        """Record decisions; see the base class."""
+        """Record decisions (see the base class): the verdicts, the version
+        bump and the retired extensions' spill commit together or not at all."""
+        ords = self._outstanding.pop(participant, ({}, None))[0]
+        verdicts = [(tid, "applied") for tid in result.applied]
+        verdicts += [(tid, "rejected") for tid in result.rejected]
+        verdicts += [(tid, "deferred") for tid in result.deferred]
+        # Roots the client had cached (deferred in an earlier round) were
+        # not in the batch: only their ords are still to look up.
+        ords.update(self._ords_for([t for t, _ in verdicts if t not in ords]))
         with self._conn:
-            for tid in result.applied:
-                self._record_decision(participant, tid, "applied")
-            for tid in result.rejected:
-                self._record_decision(participant, tid, "rejected")
-            for tid in result.deferred:
-                self._record_decision(participant, tid, "deferred")
-        if result.applied:
-            self._bump_applied_version(participant)
-        self.retire_shared_entries(self._fully_decided(result))
+            self._conn.executemany(
+                self._VERDICT_SQL,
+                [(participant, ords[tid], verdict) for tid, verdict in verdicts],
+            )
+            if result.applied:
+                self._bump_applied_version(participant)
+            self.retire_shared_entries(self._fully_decided(result, ords))
         self._charge_call()
 
     # ------------------------------------------------------------------
-    # Set-based decision bookkeeping
-    #
-    # One COUNT query per transaction is fine at the evaluation
-    # schedule's scale but quadratic over a benchmark-sized history
-    # (each count scans the growing decisions table).  ``decisions
-    # (ord)`` is indexed and a whole reconciliation's retirement set is
-    # resolved in O(result) chunked queries.
-
-    #: sqlite bind-parameter batches stay well under SQLITE_MAX_VARIABLE_NUMBER.
+    # Set-based reads: every key is in hand before the statement runs, so
+    # a window is read in chunked ``IN`` statements, never row by row —
+    # chunks that stay well under SQLITE_MAX_VARIABLE_NUMBER.
     _SQL_CHUNK = 400
 
-    def _ords_for(
-        self, tids: Sequence[TransactionId]
-    ) -> Dict[TransactionId, int]:
-        """The ``txns.ord`` of every given transaction id, batched."""
-        mapping: Dict[TransactionId, int] = {}
-        for start in range(0, len(tids), self._SQL_CHUNK):
-            chunk = tids[start : start + self._SQL_CHUNK]
-            clause = " OR ".join(
-                "(participant = ? AND seq = ?)" for _ in chunk
+    def _select_in(
+        self, sql: str, keys: Sequence[int], *leading: object
+    ) -> Iterator[Tuple]:
+        """The rows of ``sql`` — whose ``{}`` is an ``IN`` list — for
+        ``keys``, a chunk at a time; ``leading`` binds before the keys."""
+        for start in range(0, len(keys), self._SQL_CHUNK):
+            chunk = keys[start : start + self._SQL_CHUNK]
+            yield from self._conn.execute(
+                sql.format(", ".join("?" * len(chunk))), (*leading, *chunk)
             )
-            params = [
-                value
-                for tid in chunk
-                for value in (tid.participant, tid.sequence)
-            ]
-            for pid, seq, ord_ in self._conn.execute(
-                f"SELECT participant, seq, ord FROM txns WHERE {clause}",
-                params,
-            ).fetchall():
-                mapping[TransactionId(pid, seq)] = ord_
-        return mapping
+
+    def _ords_for(self, tids: Sequence[TransactionId]) -> Dict[TransactionId, int]:
+        """The ``txns.ord`` of every given id: a chunked read per publisher."""
+        ords: Dict[TransactionId, int] = {}
+        for pid in sorted({tid.participant for tid in tids}):
+            for seq, ord_ in self._select_in(
+                "SELECT seq, ord FROM txns WHERE participant = ? AND seq IN ({})",
+                [tid.sequence for tid in tids if tid.participant == pid],
+                pid,
+            ):
+                ords[TransactionId(pid, seq)] = ord_
+        for tid in tids:
+            if tid not in ords:
+                raise UnknownTransactionError(str(tid))
+        return ords
+
+    def _entries(
+        self,
+        refs: Sequence[Tuple[int, TransactionId]],
+        applied: Optional[_AppliedTids] = None,
+    ) -> List[LogEntry]:
+        """The log entries of ``refs`` (``(ord, tid)`` pairs), in two
+        chunked reads: the bodies the page cache misses (paged in as they
+        are built), and every antecedent edge — each saying whether
+        ``applied``'s participant applied the antecedent, which is all of
+        its history a batch asks for."""
+        cache = self._page_cache
+        bodies = {ord_: cache.get(ord_) for ord_, _tid in refs}
+        missing = {ord_: tid for ord_, tid in refs if bodies[ord_] is None}
+        updates: Dict[int, List[Update]] = {ord_: [] for ord_ in missing}
+        for ord_, kind, relation, old_text, new_text in self._select_in(
+            "SELECT ord, kind, relation, old_row, new_row FROM txn_updates"
+            " WHERE ord IN ({}) ORDER BY ord, idx",
+            list(missing),
+        ):
+            rows = _decode_row(old_text), _decode_row(new_text)
+            origin = missing[ord_].participant
+            updates[ord_].append(_implode(kind, relation, *rows, origin))
+        for ord_, tid in missing.items():
+            bodies[ord_] = Transaction(tid, tuple(updates[ord_]))
+            cache.put(ord_, bodies[ord_])
+        edges: Dict[int, List[TransactionId]] = {ord_: [] for ord_ in bodies}
+        for ord_, pid, seq, is_applied in self._select_in(
+            "SELECT a.ord, t.participant, t.seq, EXISTS (SELECT 1 FROM"
+            " decisions d WHERE d.participant = ? AND d.ord = a.ante_ord"
+            " AND d.verdict = 'applied') FROM antecedents a"
+            " JOIN txns t ON t.ord = a.ante_ord"
+            " WHERE a.ord IN ({}) ORDER BY a.ord, a.ante_ord",
+            list(bodies),
+            None if applied is None else applied.participant,
+        ):
+            edges[ord_].append(TransactionId(pid, seq))
+            if applied is not None:
+                applied.learn(edges[ord_][-1], is_applied)
+        return [(bodies[ord_], tuple(edges[ord_]), ord_) for ord_, _ in refs]
 
     def _fully_decided(
-        self, result: ReconcileResult
+        self, result: ReconcileResult, ords: Dict[TransactionId, int]
     ) -> List[TransactionId]:
         """Roots of this result now finally decided by every participant,
-        in O(result) grouped queries against the ``decisions (ord)`` index."""
+        in O(result) grouped reads of the ``decisions (ord)`` index."""
         candidates = sorted(set(result.applied) | set(result.rejected))
-        if not candidates:
-            return []
-        total = len(self._policies)
-        ords = self._ords_for(candidates)
-        decided = set()
-        ord_list = sorted(ords.values())
-        for start in range(0, len(ord_list), self._SQL_CHUNK):
-            chunk = ord_list[start : start + self._SQL_CHUNK]
-            placeholders = ", ".join("?" for _ in chunk)
-            rows = self._conn.execute(
-                f"SELECT ord FROM decisions WHERE ord IN ({placeholders})"
-                " AND verdict IN ('applied', 'rejected')"
-                " GROUP BY ord HAVING COUNT(DISTINCT participant) >= ?",
-                (*chunk, total),
-            ).fetchall()
-            decided.update(ord_ for (ord_,) in rows)
-        return [tid for tid in candidates if ords.get(tid) in decided]
-
-    def _write(self, sql: str, rows: Sequence[Tuple]) -> None:
-        """Run ``sql`` once per row: inside the caller's open transaction
-        (covered by its commit) or in one transaction of its own."""
-        if self._conn.in_transaction:
-            self._conn.executemany(sql, rows)
-        else:
-            with self._conn:
-                self._conn.executemany(sql, rows)
+        decided = {
+            ord_
+            for ord_, voters in self._select_in(
+                "SELECT ord, COUNT(DISTINCT participant) FROM decisions"
+                " WHERE verdict IN ('applied', 'rejected') AND ord IN ({})"
+                " GROUP BY ord",
+                sorted(ords[tid] for tid in candidates),
+            )
+            if voters >= len(self._policies)
+        }
+        return [tid for tid in candidates if ords[tid] in decided]
 
     def _bump_applied_version(self, participant: int) -> None:
-        """Bump the counter in RAM and persist it."""
+        """Bump the counter in RAM and persist it, inside the caller's
+        transaction: it commits with the verdicts that caused it."""
         version = self._applied_versions.get(participant, 0) + 1
         self._applied_versions[participant] = version
-        self._write(
+        self._conn.execute(
             "INSERT INTO applied_versions (participant, version) VALUES (?, ?)"
             " ON CONFLICT(participant) DO UPDATE SET version = excluded.version",
-            [(participant, version)],
-        )
-
-    def _record_decision(
-        self, participant: int, tid: TransactionId, verdict: str
-    ) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO decisions (participant, ord, verdict)"
-            " VALUES (?, ?, ?)",
-            (participant, self._ord_of(tid), verdict),
+            (participant, version),
         )
 
     # ------------------------------------------------------------------
@@ -596,62 +667,56 @@ class CentralUpdateStore(DirectLogStore):
         self, entries: List[Tuple[TransactionId, UpdateExtension]]
     ) -> None:
         """Move retired/evicted context-free extensions to the database:
-        one commit per batch, not one per entry."""
-        self._write(
-            "INSERT OR REPLACE INTO retired_extensions"
-            " (participant, seq, payload) VALUES (?, ?, ?)",
-            [
-                (tid.participant, tid.sequence, _encode_extension(extension))
-                for tid, extension in entries
-            ],
+        in the caller's open transaction (a reconciliation's verdicts)
+        or, for the FIFO backstop, one of its own."""
+        self._probed.clear()  # a probe from before this spill is stale
+        standalone = not self._conn.in_transaction
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO retired_extensions VALUES (?, ?, ?)",
+            [(t.participant, t.sequence, _encode_extension(e)) for t, e in entries],
         )
+        if standalone:
+            self._conn.commit()
 
     def _load_retired(self, tid: TransactionId) -> Optional[UpdateExtension]:
-        """Page a spilled context-free extension back in, if present."""
-        record = self._conn.execute(
-            "SELECT payload FROM retired_extensions"
-            " WHERE participant = ? AND seq = ?",
-            (tid.participant, tid.sequence),
-        ).fetchone()
-        if record is None:
-            return None
-        return _decode_extension(record[0])
+        """Page a spilled context-free extension back in, if present:
+        from the window's one probe when ``tid`` was in it."""
+        if tid in self._probed:
+            payload = self._probed.pop(tid)
+        else:
+            payload = self._conn.execute(
+                "SELECT MAX(payload) FROM retired_extensions"
+                " WHERE participant = ? AND seq = ?",
+                (tid.participant, tid.sequence),
+            ).fetchone()[0]
+        return None if payload is None else _decode_extension(payload)
 
     def retired_extension_count(self) -> int:
         """How many retired extensions have been spilled to the database."""
-        record = self._conn.execute(
-            "SELECT COUNT(*) FROM retired_extensions"
-        ).fetchone()
-        return int(record[0])
+        return self._scalar("SELECT COUNT(*) FROM retired_extensions")
 
     # ------------------------------------------------------------------
     # Introspection
-
-    def resident_bodies(self) -> int:
-        """How many transaction bodies are currently resident in RAM."""
-        return len(self._page_cache)
 
     def page_cache_stats(self) -> dict:
         """The body page cache's counters (JSON-friendly)."""
         return self._page_cache.as_dict()
 
+    def _scalar(self, sql: str) -> int:
+        return int(self._conn.execute(sql).fetchone()[0])
+
     def current_epoch(self) -> int:
         """The highest epoch allocated so far."""
-        record = self._conn.execute(
-            "SELECT COALESCE(MAX(epoch), 0) FROM epochs"
-        ).fetchone()
-        return int(record[0])
+        return self._scalar("SELECT COALESCE(MAX(epoch), 0) FROM epochs")
 
     def transaction_count(self) -> int:
         """Total number of transactions ever published."""
-        record = self._conn.execute("SELECT COUNT(*) FROM txns").fetchone()
-        return int(record[0])
+        return self._scalar("SELECT COUNT(*) FROM txns")
 
     def last_reconciliation_epoch(self, participant: int) -> int:
         """The participant's most recent reconciliation epoch."""
         record = self._conn.execute(
-            "SELECT last_recon_epoch FROM participants WHERE id = ?",
-            (participant,),
+            "SELECT last_recon_epoch FROM participants WHERE id = ?", (participant,)
         ).fetchone()
         if record is None:
             raise StoreError(f"participant {participant} is not registered")
@@ -659,25 +724,13 @@ class CentralUpdateStore(DirectLogStore):
 
     def antecedents_of(self, tid: TransactionId) -> Tuple[TransactionId, ...]:
         """The antecedents computed for ``tid`` at publish time."""
-        return self._antecedent_tids(self._ord_of(tid))
-
-    def epoch_of(self, tid: TransactionId) -> int:
-        """The epoch ``tid`` was published in."""
-        record = self._conn.execute(
-            "SELECT epoch FROM txns WHERE participant = ? AND seq = ?",
-            (tid.participant, tid.sequence),
-        ).fetchone()
-        if record is None:
-            raise UnknownTransactionError(str(tid))
-        return int(record[0])
+        return self._nc_lookup(tid)[1]
 
     def decided_transactions(self, participant: int):
         """Applied transactions (publish order) plus rejected/deferred ids."""
+        applied = self._entries(self._decided(participant, "applied"))
         return (
-            [
-                self._load_transaction(ord_, tid)
-                for ord_, tid in self._decided(participant, "applied")
-            ],
+            [transaction for transaction, _antecedents, _ord in applied],
             sorted(tid for _, tid in self._decided(participant, "rejected")),
             sorted(tid for _, tid in self._decided(participant, "deferred")),
         )
@@ -689,49 +742,22 @@ class CentralUpdateStore(DirectLogStore):
         return [tid for _, tid in self._decided(participant, "deferred")]
 
     def _nc_applied_tids(self, participant: int):
-        return {tid for _, tid in self._decided(participant, "applied")}
+        return self._outstanding[participant][1]
 
     def _nc_applied_version(self, participant: int) -> int:
         return self._applied_versions.get(participant, 0)
 
     def _nc_lookup(self, tid: TransactionId):
-        return self._entry(self._ord_of(tid), tid)
-
-    def _entry(self, ord_: int, tid: TransactionId):
-        """The log entry of ``tid``, published as row ``ord_``."""
-        return self._load_transaction(ord_, tid), self._antecedent_tids(ord_), ord_
+        return self._entries([(self._ords_for([tid])[tid], tid)])[0]
 
     def _nc_priority(self, participant: int, transaction: Transaction) -> int:
-        return self._policy_of(participant).priority_of(
-            self._schema, transaction
-        )
-
-    # ------------------------------------------------------------------
-    # Row/transaction codecs
-
-    def _ord_of(self, tid: TransactionId) -> int:
-        record = self._conn.execute(
-            "SELECT ord FROM txns WHERE participant = ? AND seq = ?",
-            (tid.participant, tid.sequence),
-        ).fetchone()
-        if record is None:
-            raise UnknownTransactionError(str(tid))
-        return int(record[0])
-
-    def _antecedent_tids(self, ord_: int) -> Tuple[TransactionId, ...]:
-        rows = self._conn.execute(
-            "SELECT t.participant, t.seq FROM antecedents a"
-            " JOIN txns t ON t.ord = a.ante_ord WHERE a.ord = ?"
-            " ORDER BY t.ord",
-            (ord_,),
-        ).fetchall()
-        return tuple(TransactionId(int(p), int(s)) for p, s in rows)
+        return self._policy_of(participant).priority_of(self._schema, transaction)
 
     def _decided(
         self, participant: int, verdict: str
     ) -> List[Tuple[int, TransactionId]]:
         """``(ord, tid)`` of the participant's decisions with ``verdict``,
-        in publish order: one joined query however long the history."""
+        in publish order: one joined query however many there are."""
         rows = self._conn.execute(
             "SELECT d.ord, t.participant, t.seq FROM decisions d"
             " JOIN txns t ON t.ord = d.ord"
@@ -739,29 +765,3 @@ class CentralUpdateStore(DirectLogStore):
             (participant, verdict),
         ).fetchall()
         return [(ord_, TransactionId(p, s)) for ord_, p, s in rows]
-
-    def _load_transaction(self, ord_: int, tid: TransactionId) -> Transaction:
-        """A transaction body, served from the LRU page cache when hot."""
-        cached = self._page_cache.get(ord_)
-        if cached is not None:
-            return cached
-        rows = self._conn.execute(
-            "SELECT kind, relation, old_row, new_row FROM txn_updates"
-            " WHERE ord = ? ORDER BY idx",
-            (ord_,),
-        ).fetchall()
-        transaction = Transaction(
-            tid,
-            tuple(
-                _implode(
-                    kind,
-                    relation,
-                    _decode_row(old_text),
-                    _decode_row(new_text),
-                    tid.participant,
-                )
-                for kind, relation, old_text, new_text in rows
-            ),
-        )
-        self._page_cache.put(ord_, transaction)
-        return transaction

@@ -7,13 +7,7 @@ model — no simulated JDBC call overhead.
 
 from __future__ import annotations
 
-# The spill codec is re-exported: tests/store/test_durable.py pins its
-# round trip under this module path.
-from repro.store.central import (  # noqa: F401
-    CentralUpdateStore,
-    _decode_extension,
-    _encode_extension,
-)
+from repro.store.central import CentralUpdateStore
 
 
 class DurableUpdateStore(CentralUpdateStore):

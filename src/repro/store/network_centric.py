@@ -186,8 +186,9 @@ class DirectLogStore(UpdateStore):
 
     @abc.abstractmethod
     def _nc_applied_tids(self, participant: int) -> Set[TransactionId]:
-        """The participant's applied transaction ids (read-only: a log
-        may hand out its live set)."""
+        """The participant's applied transaction ids, for the batch whose
+        ``_nc_candidates`` were just read (read-only: a log may hand out
+        its live set, or only the applied ids that batch's walks meet)."""
 
     @abc.abstractmethod
     def _nc_applied_version(self, participant: int) -> int:

@@ -19,16 +19,19 @@ The durable backend's contract beyond the shared store interface:
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.analysis.runtime import lock_discipline
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.core.cache import PageCache
+from repro.core.decisions import ReconcileResult
 from repro.errors import StoreError
 from repro.model import Insert, Transaction, TransactionId
 from repro.policy import TrustPolicy
 from repro.store import DurableUpdateStore
-from repro.store.durable import _decode_extension, _encode_extension
+from repro.store.central import _decode_extension, _encode_extension
 from repro.workload import WorkloadConfig, curated_schema
 
 SEED = 23
@@ -172,37 +175,129 @@ def test_applied_versions_persist_across_reopen(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# One read of the log: statements per transaction, flat in history depth
+# One set-based read of the log: a reconciliation costs what its window
+# costs — in statements, in reads, and in sqlite's own work
 
 
-def test_statement_count_is_per_transaction_not_per_history():
-    epochs, batch = 6, 64
+def history_run(epochs, batch, observe):
+    """One publisher, one consumer, ``epochs`` x ``batch`` single-insert
+    transactions; ``observe(conn)`` installs a counter on the store's
+    connection and returns ``(reset, read)``.  Returns the per-epoch
+    readings of the publish and of the reconcile."""
     config = ConfederationConfig(
         store="durable",
         store_options={"path": ":memory:", "cache_size": 16},
         peers=(1, 2),
     )
     with Confederation(config) as confed:
-        statements = []
-        confed.store._conn.set_trace_callback(statements.append)
+        reset, read = observe(confed.store._conn)
         publisher, consumer = confed.participant(1), confed.participant(2)
         publishes, reconciles = [], []
         for epoch in range(epochs):
             for serial in range(epoch * batch, (epoch + 1) * batch):
                 publisher.execute([Insert("F", (f"k{serial}", "p", "v"), 1)])
-            statements.clear()
+            reset()
             publisher.publish()
-            publishes.append(len(statements))
-            statements.clear()
+            publishes.append(read())
+            reset()
             result = consumer.reconcile()
-            reconciles.append(len(statements))
+            reconciles.append(read())
             assert len(result.accepted) == batch
-    # Every log entry is read once per batch and no query is issued per
-    # row of the decided history, so an epoch costs the same at any depth.
-    assert max(reconciles) <= 10 * batch
-    assert reconciles[-1] - reconciles[0] <= 8
+    return publishes, reconciles
+
+
+def statements(conn):
+    """Observe every sqlite statement (BEGIN/COMMIT and each row of an
+    ``executemany`` included)."""
+    seen = []
+    conn.set_trace_callback(seen.append)
+    return seen.clear, lambda: list(seen)
+
+
+def reads(trace):
+    return [sql for sql in trace if sql.lstrip().upper().startswith(("SELECT", "WITH"))]
+
+
+@pytest.mark.parametrize("batch", [64, 256])
+def test_statement_count_is_per_transaction_not_per_history(batch):
+    publishes, reconciles = history_run(6, batch, statements)
+    # A reconciliation reads its window in a constant number of SELECTs,
+    # whatever the batch size and however deep the history ...
+    assert {len(reads(trace)) for trace in reconciles} == {len(reads(reconciles[0]))}
+    assert len(reads(reconciles[0])) <= 16
+    # ... writes one verdict and one spilled extension per transaction ...
+    assert max(map(len, reconciles)) <= 2 * batch + 24
+    assert len(reconciles[-1]) == len(reconciles[0])
+    # ... in two commits: the reconciliation record, then everything
+    # ``complete_reconciliation`` writes.
+    assert {trace.count("COMMIT") for trace in reconciles} == {2}
     # One applied-version upsert per published batch, not per transaction.
-    assert max(publishes) <= 4 * batch + 16
+    assert max(map(len, publishes)) <= 4 * batch + 16
+
+
+def test_reconcile_cost_is_flat_in_history_depth():
+    """sqlite's own work per reconciliation, in virtual-machine steps:
+    a statement count cannot see a join over the whole applied set."""
+
+    def vm_steps(conn):
+        ticks = [0]
+
+        def tick():
+            ticks[0] += 1
+            return 0
+
+        conn.set_progress_handler(tick, 100)
+        return (lambda: ticks.__setitem__(0, 0)), (lambda: ticks[0])
+
+    _publishes, reconciles = history_run(12, 64, vm_steps)
+    assert max(reconciles) <= 1.1 * min(reconciles), reconciles
+
+
+def test_verdicts_version_and_spill_commit_together(tmp_path, monkeypatch):
+    path = str(tmp_path / "store.db")
+    store = DurableUpdateStore(curated_schema(), path=path)
+    store.register_participant(1, TrustPolicy())
+    store.register_participant(2, TrustPolicy().trust_participant(1, 1))
+    x10 = Transaction(TransactionId(1, 0), (Insert("F", ("a", "b", "c"), 1),))
+    store.publish(1, [x10])
+    batch = store.begin_reconciliation(2)
+    result = ReconcileResult(recno=batch.recno)
+    result.applied = result.accepted = [x10.tid]
+
+    def committed():
+        """What a second connection — a restarted process — would see."""
+        other = sqlite3.connect(path)
+        try:
+            return (
+                other.execute(
+                    "SELECT verdict FROM decisions WHERE participant = 2"
+                ).fetchall(),
+                other.execute(
+                    "SELECT version FROM applied_versions WHERE participant = 2"
+                ).fetchall(),
+                other.execute("SELECT COUNT(*) FROM retired_extensions").fetchone(),
+            )
+        finally:
+            other.close()
+
+    before = committed()
+    assert before == ([], [], (0,))
+
+    def crash(*_args):
+        raise RuntimeError("crashed after the verdict write")
+
+    # The verdicts and the version bump are written by then; the spill is not.
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_fully_decided", crash)
+        with pytest.raises(RuntimeError):
+            store.complete_reconciliation(2, result)
+    assert committed() == before  # nothing of the half-done completion
+    assert not store._conn.in_transaction
+
+    store.complete_reconciliation(2, result)
+    verdicts, versions, spilled = committed()
+    assert verdicts == [("applied",)] and len(versions) == 1 and spilled == (1,)
+    store.close()
 
 
 # ----------------------------------------------------------------------
