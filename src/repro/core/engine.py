@@ -3,7 +3,8 @@
 One :class:`Reconciler` belongs to one participant.  Each call to
 :meth:`Reconciler.reconcile` processes one reconciliation batch:
 
-1. merge the batch's transactions into the participant's graph cache and
+1. merge the batch's transactions into the participant's graph (its
+   open frontier: entries leave again as step 6 applies them) and
    gather the roots to consider — newly delivered trusted transactions
    plus every previously deferred transaction (they are reconsidered on
    every run, as in the paper);
@@ -11,7 +12,7 @@ One :class:`Reconciler` belongs to one participant.  Each call to
 3. ``CheckState`` — defer roots touching dirty values, reject roots whose
    extension contains an already-rejected transaction, is incompatible
    with the local instance, or conflicts with the participant's own
-   just-published delta;
+   just-published delta (flattened when the first root gets that far);
 4. ``FindConflicts`` — pairwise direct conflicts (Definition 4), skipping
    subsumed pairs;
 5. ``DoGroup`` per priority level in decreasing order — reject roots that
@@ -19,7 +20,8 @@ One :class:`Reconciler` belongs to one participant.  Each call to
    with deferred higher-priority roots, and defer both sides of any
    conflict inside one priority level;
 6. apply the accepted roots' extensions (recomputing against the ``Used``
-   set so overlapping antecedents are applied exactly once);
+   set, where it holds a member, so overlapping antecedents are applied
+   exactly once);
 7. ``UpdateSoftState`` — rebuild the dirty-value set and conflict groups
    from the transactions that remain deferred.
 
@@ -67,7 +69,8 @@ counter deltas are exposed on :attr:`ReconcileResult.cache_stats`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConstraintViolation, FlattenError
 from repro.instance.base import Instance
@@ -162,12 +165,16 @@ class Reconciler:
 
         extensions: Dict[TransactionId, UpdateExtension] = {}
         decision: Dict[TransactionId, Decision] = {}
-        own_delta = list(flatten(self._schema, own_updates)) if own_updates else []
-        own_keys = frozenset(
-            key
-            for update in own_delta
-            for key in update.keys_touched(self._schema)
-        )
+
+        @functools.cache
+        def own() -> Tuple[List[Update], frozenset]:
+            """CheckState line 7's operand — the flattened own delta and
+            the keys it touches — traced by the first root that reaches
+            that test: a run none of whose roots gets there never is."""
+            delta = flatten(self._schema, own_updates) if own_updates else []
+            return delta, frozenset(
+                key for update in delta for key in update.keys_touched(self._schema)
+            )
 
         # Figure 4 lines 5-8: flattened extensions and CheckState.  In
         # network-centric mode the store precomputed the extensions (and
@@ -226,10 +233,7 @@ class Reconciler:
                     continue
             extensions[root.tid] = extension
             decision[root.tid] = self._check_state(
-                extension,
-                own_delta,
-                own_keys,
-                dirty_exempt=root.tid in previously_deferred,
+                extension, own, dirty_exempt=root.tid in previously_deferred
             )
 
         # Figure 4 line 9 (store-side in network-centric mode).  The
@@ -360,8 +364,7 @@ class Reconciler:
     def _check_state(
         self,
         extension: UpdateExtension,
-        own_delta: Sequence[Update],
-        own_keys: frozenset,
+        own: Callable[[], Tuple[Sequence[Update], frozenset]],
         dirty_exempt: bool,
     ) -> Decision:
         state = self._state
@@ -376,10 +379,11 @@ class Reconciler:
         # Own-delta conflicts require a shared key (``own_keys`` indexes
         # the delta's touched keys); extensions elsewhere skip the
         # pairwise scan entirely.
+        own_delta, own_keys = own()
         if own_keys and not extension.touched.isdisjoint(own_keys):
             for update in extension.operations:
-                for own in own_delta:
-                    if updates_conflict(self._schema, update, own):
+                for mine in own_delta:
+                    if updates_conflict(self._schema, update, mine):
                         return Decision.REJECT
         return Decision.ACCEPT
 
@@ -473,9 +477,12 @@ class Reconciler:
         for root in sorted(accepted, key=lambda r: r.order):
             extension = extensions[root.tid]
             residual = [tid for tid in extension.members if tid not in used]
-            operations = flatten(
-                self._schema, update_footprint(state.graph, residual)
-            )
+            if len(residual) == len(extension.members):
+                operations = extension.operations  # nothing to leave out
+            else:
+                operations = flatten(
+                    self._schema, update_footprint(state.graph, residual)
+                )
             try:
                 self._instance.apply_set(operations)
             except ConstraintViolation:
@@ -494,8 +501,8 @@ class Reconciler:
             if root.tid in accepted_ids:
                 applied_now.update(extensions[root.tid].members)
                 result.accepted.append(root.tid)
-        state.record_applied(applied_now)
         result.applied = sorted(applied_now, key=state.graph.order_of)
+        state.record_applied(applied_now)  # which drops them from the graph
 
     def rebuild_soft_state(self) -> None:
         """Recompute dirty values and conflict groups from the current

@@ -15,7 +15,7 @@ This module consumes those edges through :class:`TransactionGraph`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReconciliationError
 from repro.model.flatten import flatten_once
@@ -43,19 +43,53 @@ class RelevantTransaction:
         return self.transaction.tid
 
 
-class TransactionGraph:
-    """Published transactions plus antecedent edges and publish order.
+def antecedent_closure(
+    antecedents_of: Callable[[TransactionId], Iterable[TransactionId]],
+    roots: Iterable[TransactionId],
+    stop: Set[TransactionId],
+) -> List[TransactionId]:
+    """All transactions reachable from ``roots`` via antecedent edges —
+    the one closure walk, over a graph or over a store's log.
 
-    The reconciling participant accumulates one of these across its
-    lifetime: every transaction it has ever fetched stays available so
-    previously deferred transactions can be reconsidered without another
-    round trip (the paper's soft-state cache).
+    Walks ``antecedents_of(tid)`` transitively, not descending into
+    transactions in ``stop`` (already applied by the requesting
+    participant — the store prunes them to save bandwidth, exactly as the
+    paper's transaction controllers answer "not relevant").  Roots are
+    always included, even one in ``stop``: re-reconciling an applied root
+    is a caller bug that surfaces elsewhere.
+    """
+    closure: List[TransactionId] = []
+    seen: Set[TransactionId] = set()
+    stack = list(roots)
+    while stack:
+        tid = stack.pop()
+        if tid in seen:
+            continue
+        seen.add(tid)
+        closure.append(tid)
+        for ante in antecedents_of(tid):
+            if ante not in seen and ante not in stop:
+                stack.append(ante)
+    return closure
+
+
+class TransactionGraph:
+    """Transactions with their antecedent edges and publish order.
+
+    A batch carries one (its roots plus the closure needed to build their
+    extensions), and a reconciling participant keeps one as the paper's
+    soft-state cache of its *open frontier*: what it has fetched and not
+    applied — undecided, deferred and rejected closures — so deferred
+    transactions can be reconsidered without another round trip.  An
+    entry leaves when its transaction is applied
+    (:meth:`~repro.core.state.ParticipantState.record_applied`): closure
+    walks stop at the applied set, so nothing reads it again.
     """
 
     def __init__(self) -> None:
-        self._transactions: Dict[TransactionId, Transaction] = {}
-        self._antecedents: Dict[TransactionId, Tuple[TransactionId, ...]] = {}
-        self._order: Dict[TransactionId, int] = {}
+        self._nodes: Dict[
+            TransactionId, Tuple[Transaction, Tuple[TransactionId, ...], int]
+        ] = {}
 
     def add(
         self,
@@ -64,30 +98,29 @@ class TransactionGraph:
         order: int,
     ) -> None:
         """Register a transaction with its direct antecedents and order."""
-        tid = transaction.tid
-        self._transactions[tid] = transaction
-        self._antecedents[tid] = tuple(antecedents)
-        self._order[tid] = order
+        self._nodes[transaction.tid] = (transaction, tuple(antecedents), order)
 
     def merge(self, other: "TransactionGraph") -> None:
         """Absorb every entry of ``other`` (idempotent on duplicates)."""
-        self._transactions.update(other._transactions)
-        self._antecedents.update(other._antecedents)
-        self._order.update(other._order)
+        self._nodes.update(other._nodes)
+
+    def discard(self, tid: TransactionId) -> None:
+        """Forget ``tid``'s entry, if there is one."""
+        self._nodes.pop(tid, None)
 
     def __contains__(self, tid: TransactionId) -> bool:
-        return tid in self._transactions
+        return tid in self._nodes
 
     def __len__(self) -> int:
-        return len(self._transactions)
+        return len(self._nodes)
 
     def transaction(self, tid: TransactionId) -> Transaction:
         """Return the transaction for ``tid``.
 
-        Raises :class:`ReconciliationError` if it was never registered.
+        Raises :class:`ReconciliationError` if it is not registered.
         """
         try:
-            return self._transactions[tid]
+            return self._nodes[tid][0]
         except KeyError:
             raise ReconciliationError(
                 f"transaction {tid} is referenced but was never fetched"
@@ -95,12 +128,13 @@ class TransactionGraph:
 
     def antecedents_of(self, tid: TransactionId) -> Tuple[TransactionId, ...]:
         """Direct antecedents of ``tid`` (empty if none registered)."""
-        return self._antecedents.get(tid, ())
+        entry = self._nodes.get(tid)
+        return entry[1] if entry is not None else ()
 
     def order_of(self, tid: TransactionId) -> int:
         """Global publish index of ``tid``."""
         try:
-            return self._order[tid]
+            return self._nodes[tid][2]
         except KeyError:
             raise ReconciliationError(
                 f"transaction {tid} has no recorded publish order"
@@ -109,24 +143,11 @@ class TransactionGraph:
     def extension(
         self, tid: TransactionId, applied: Set[TransactionId]
     ) -> List[TransactionId]:
-        """The transaction extension ``te_i|e(tid)``.
-
-        Transitive closure over antecedents, skipping transactions in
-        ``applied`` (already part of the participant's instance), sorted
-        by publish order.  The root is always included, even if somehow in
-        ``applied`` — re-reconciling an applied root is a caller bug that
-        surfaces elsewhere.
+        """The transaction extension ``te_i|e(tid)``: the
+        :func:`antecedent_closure` of ``tid`` that stops at ``applied``
+        (already part of the participant's instance), in publish order.
         """
-        closure: Set[TransactionId] = set()
-        stack: List[TransactionId] = [tid]
-        while stack:
-            current = stack.pop()
-            if current in closure:
-                continue
-            closure.add(current)
-            for ante in self.antecedents_of(current):
-                if ante not in applied and ante not in closure:
-                    stack.append(ante)
+        closure = antecedent_closure(self.antecedents_of, [tid], applied)
         return sorted(closure, key=self.order_of)
 
 
@@ -188,29 +209,44 @@ def update_footprint(
     return footprint
 
 
+def flattened_extension(
+    schema: Schema, root: RelevantTransaction, members: Sequence[Transaction]
+) -> UpdateExtension:
+    """``root``'s update extension over ``members``, its transaction
+    extension in publish order — however the caller walked the closure.
+
+    The footprint is traced exactly once: :func:`flatten_once` yields the
+    net operations and the touched-key set from a single chain pass.
+    Raises :class:`~repro.errors.FlattenError` if the chain is internally
+    inconsistent.
+    """
+    flat = flatten_once(
+        schema, [update for member in members for update in member.updates]
+    )
+    return UpdateExtension(
+        root=root.tid,
+        members=tuple(member.tid for member in members),
+        operations=flat.operations,
+        touched=flat.keys_touched,
+        priority=root.priority,
+    )
+
+
 def compute_update_extension(
     schema: Schema,
     graph: TransactionGraph,
     root: RelevantTransaction,
     applied: Set[TransactionId],
 ) -> UpdateExtension:
-    """Build the flattened update extension of ``root`` for a participant.
-
-    The footprint is traced exactly once: :func:`flatten_once` yields the
-    net operations and the touched-key set from a single chain pass.
+    """Build the flattened update extension of ``root`` for a participant
+    (:func:`flattened_extension` of the closure ``graph`` holds).
 
     Raises :class:`~repro.errors.FlattenError` (propagated) if the chain is
     internally inconsistent — the engine treats that as a rejection.
     """
     members = graph.extension(root.tid, applied)
-    footprint = update_footprint(graph, members)
-    flat = flatten_once(schema, footprint)
-    return UpdateExtension(
-        root=root.tid,
-        members=tuple(members),
-        operations=flat.operations,
-        touched=flat.keys_touched,
-        priority=root.priority,
+    return flattened_extension(
+        schema, root, [graph.transaction(tid) for tid in members]
     )
 
 

@@ -12,8 +12,8 @@ each reconciling peer:
 * ``dirty_keys`` — keys read or written by deferred transactions; any
   transaction touching one must itself be deferred;
 * ``conflict_groups`` — the open conflicts, grouped for resolution;
-* ``graph`` — a cache of every transaction (plus antecedent edges) this
-  participant has ever fetched.
+* ``graph`` — the open frontier: the transactions (plus antecedent edges)
+  this participant has fetched and not applied.
 """
 
 from __future__ import annotations
@@ -86,13 +86,15 @@ class ParticipantState:
         Applied is the strongest verdict: the transaction's effects are in
         the instance, so it leaves the deferred set, and a rejection
         recorded for it *as a root proposal* is superseded (its updates
-        live on inside a longer accepted chain).
+        live on inside a longer accepted chain).  Its graph entry goes
+        too: closure walks stop at ``applied``, so nothing reads it again.
         """
         before = len(self.applied)
         for tid in tids:
             self.applied.add(tid)
             self.deferred.pop(tid, None)
             self.rejected.discard(tid)
+            self.graph.discard(tid)
         if len(self.applied) != before:
             self.applied_version += 1
 

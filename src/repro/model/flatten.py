@@ -53,8 +53,9 @@ runs in :func:`trace_runs` so tests can pin the one-pass guarantee.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import FlattenError
 from repro.model.schema import Schema
@@ -237,23 +238,30 @@ def _minimise(schema: Schema, nets: List[Update]) -> List[Update]:
     carry at most one reader and one writer per key (the tracer enforces
     this and :func:`_compose_pair` preserves it), so every key is examined
     O(1) times per composition that touches it instead of restarting a
-    full O(n²) scan after every composition.
+    full O(n²) scan after every composition.  The worklist is first-in
+    first-out and a key already waiting is not queued again, so keys are
+    visited in the order they were first (re-)enqueued.
     """
     alive: Dict[int, Update] = {}  # id -> update, insertion-ordered
     readers: Dict[QualifiedKey, Update] = {}
     writers: Dict[QualifiedKey, Update] = {}
-    pending: Dict[QualifiedKey, None] = {}  # insertion-ordered key worklist
+    pending: Deque[QualifiedKey] = deque()  # the key worklist ...
+    waiting: Set[QualifiedKey] = set()  # ... and what is on it
 
     def _add(update: Update) -> None:
         alive[id(update)] = update
         read_key = _reader_at(schema, update)
         if read_key is not None:
             readers[read_key] = update
-            pending[read_key] = None
+            if read_key not in waiting:
+                waiting.add(read_key)
+                pending.append(read_key)
         write_key = _writer_at(schema, update)
         if write_key is not None:
             writers[write_key] = update
-            pending[write_key] = None
+            if write_key not in waiting:
+                waiting.add(write_key)
+                pending.append(write_key)
 
     def _remove(update: Update) -> None:
         del alive[id(update)]
@@ -267,8 +275,8 @@ def _minimise(schema: Schema, nets: List[Update]) -> List[Update]:
     for update in nets:
         _add(update)
     while pending:
-        key = next(iter(pending))
-        del pending[key]
+        key = pending.popleft()
+        waiting.discard(key)
         reader = readers.get(key)
         writer = writers.get(key)
         if reader is None or writer is None or reader is writer:

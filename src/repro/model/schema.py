@@ -191,8 +191,15 @@ class Schema:
             raise SchemaError("schema contains duplicate relation names")
         self._relations: Dict[str, RelationSchema] = {r.name: r for r in rels}
         self.foreign_keys = tuple(foreign_keys)
+        # Every constraint check asks for a relation's foreign keys, so
+        # they are grouped once, here.
+        self._fks_from: Dict[str, Tuple[ForeignKey, ...]] = {}
+        self._fks_into: Dict[str, Tuple[ForeignKey, ...]] = {}
         for fk in self.foreign_keys:
             self._validate_foreign_key(fk)
+            source, target = fk.source_relation, fk.target_relation
+            self._fks_from[source] = self._fks_from.get(source, ()) + (fk,)
+            self._fks_into[target] = self._fks_into.get(target, ()) + (fk,)
 
     def _validate_foreign_key(self, fk: ForeignKey) -> None:
         if fk.source_relation not in self._relations:
@@ -239,15 +246,11 @@ class Schema:
 
     def foreign_keys_from(self, relation: str) -> Tuple[ForeignKey, ...]:
         """Foreign keys whose source is ``relation``."""
-        return tuple(
-            fk for fk in self.foreign_keys if fk.source_relation == relation
-        )
+        return self._fks_from.get(relation, ())
 
     def foreign_keys_into(self, relation: str) -> Tuple[ForeignKey, ...]:
         """Foreign keys whose target is ``relation``."""
-        return tuple(
-            fk for fk in self.foreign_keys if fk.target_relation == relation
-        )
+        return self._fks_into.get(relation, ())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Schema({', '.join(self._relations)})"

@@ -58,9 +58,12 @@ class TransactionId:
         return f"X{self.participant}:{self.sequence}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
-    """An ordered, non-empty group of updates with a single originator."""
+    """An ordered, non-empty group of updates with a single originator.
+
+    Slotted: a store keeps one per published transaction for good.
+    """
 
     tid: TransactionId
     updates: Tuple[Update, ...]

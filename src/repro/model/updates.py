@@ -34,22 +34,53 @@ from repro.model.schema import Schema
 from repro.model.tuples import QualifiedKey
 
 
-class _SlottedFrozen:
-    """Pickle support for frozen, ``__slots__``-carrying update classes.
+#: The slots of an update's key memo (see :class:`_SlottedFrozen`).
+_KEY_MEMO = ("_keys_schema", "_keys")
 
-    The default slot pickling path assigns attributes with ``setattr``,
-    which a frozen dataclass forbids; route restoration through
-    ``object.__setattr__`` instead.  The per-schema key memo is transient
-    and is not serialised.
+
+class _SlottedFrozen:
+    """What the frozen, ``__slots__``-carrying update classes share: the
+    memo of the keys an update touches, and pickle support.
+
+    The memo is two slots — the schema it was computed for and the keys —
+    written keys first, so a reader that finds its schema finds that
+    schema's keys; it is transient and is not serialised.  The default
+    slot pickling path assigns attributes with ``setattr``, which a
+    frozen dataclass forbids; restoration goes through
+    ``object.__setattr__`` instead.
     """
 
     __slots__ = ()
+
+    def keys_touched(self, schema: Schema) -> Tuple[QualifiedKey, ...]:
+        """Qualified keys this update reads or writes (memoized).
+
+        The key it consumes a row at comes first; a key-changing
+        replacement appends the key it produces one at.
+        (:func:`updates_conflict` relies on this order.)
+        """
+        try:  # inline memo fast path: this runs millions of times
+            if self._keys_schema is schema:
+                return self._keys
+        except AttributeError:
+            pass
+        relation = self.relation
+        key_of = schema.relation(relation).key_of
+        read, written = self.read_row(), self.written_row()
+        if read is None or written is None:
+            keys = ((relation, key_of(written if read is None else read)),)
+        else:
+            old_key, new_key = (relation, key_of(read)), (relation, key_of(written))
+            keys = (old_key,) if old_key == new_key else (old_key, new_key)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_keys_schema", schema)
+        return keys
 
     def __getstate__(self):
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "_keys_memo" and hasattr(self, slot)
+            if slot not in _KEY_MEMO and hasattr(self, slot)
         }
 
     def __setstate__(self, state):
@@ -61,7 +92,7 @@ class _SlottedFrozen:
 class Insert(_SlottedFrozen):
     """Insert ``row`` into ``relation``; published by participant ``origin``."""
 
-    __slots__ = ("relation", "row", "origin", "_keys_memo")
+    __slots__ = ("relation", "row", "origin", *_KEY_MEMO)
 
     relation: str
     row: Tuple
@@ -75,19 +106,6 @@ class Insert(_SlottedFrozen):
         """The pre-existing row this update consumes (none for an insert)."""
         return None
 
-    def keys_touched(self, schema: Schema) -> Tuple[QualifiedKey, ...]:
-        """Qualified keys this update reads or writes (memoized)."""
-        try:  # inline memo fast path: this runs millions of times
-            memo = self._keys_memo
-            if memo[0] is schema:
-                return memo[1]
-        except AttributeError:
-            pass
-        rel = schema.relation(self.relation)
-        keys = ((self.relation, rel.key_of(self.row)),)
-        object.__setattr__(self, "_keys_memo", (schema, keys))
-        return keys
-
     def __str__(self) -> str:
         return f"+{self.relation}({', '.join(map(str, self.row))}; {self.origin})"
 
@@ -96,7 +114,7 @@ class Insert(_SlottedFrozen):
 class Delete(_SlottedFrozen):
     """Delete ``row`` from ``relation``; published by participant ``origin``."""
 
-    __slots__ = ("relation", "row", "origin", "_keys_memo")
+    __slots__ = ("relation", "row", "origin", *_KEY_MEMO)
 
     relation: str
     row: Tuple
@@ -110,19 +128,6 @@ class Delete(_SlottedFrozen):
         """The pre-existing row this update consumes (the deleted row)."""
         return self.row
 
-    def keys_touched(self, schema: Schema) -> Tuple[QualifiedKey, ...]:
-        """Qualified keys this update reads or writes (memoized)."""
-        try:  # inline memo fast path: this runs millions of times
-            memo = self._keys_memo
-            if memo[0] is schema:
-                return memo[1]
-        except AttributeError:
-            pass
-        rel = schema.relation(self.relation)
-        keys = ((self.relation, rel.key_of(self.row)),)
-        object.__setattr__(self, "_keys_memo", (schema, keys))
-        return keys
-
     def __str__(self) -> str:
         return f"-{self.relation}({', '.join(map(str, self.row))}; {self.origin})"
 
@@ -135,7 +140,7 @@ class Modify(_SlottedFrozen):
     target rows may have different key values (a key-changing replacement).
     """
 
-    __slots__ = ("relation", "old_row", "new_row", "origin", "_keys_memo")
+    __slots__ = ("relation", "old_row", "new_row", "origin", *_KEY_MEMO)
 
     relation: str
     old_row: Tuple
@@ -156,25 +161,6 @@ class Modify(_SlottedFrozen):
     def read_row(self) -> Optional[Tuple]:
         """The pre-existing row this update consumes (the replaced row)."""
         return self.old_row
-
-    def keys_touched(self, schema: Schema) -> Tuple[QualifiedKey, ...]:
-        """Qualified keys this update reads or writes (memoized).
-
-        The source key comes first; a key-changing replacement appends the
-        target key.  (:func:`updates_conflict` relies on this order.)
-        """
-        try:  # inline memo fast path: this runs millions of times
-            memo = self._keys_memo
-            if memo[0] is schema:
-                return memo[1]
-        except AttributeError:
-            pass
-        rel = schema.relation(self.relation)
-        old_key = (self.relation, rel.key_of(self.old_row))
-        new_key = (self.relation, rel.key_of(self.new_row))
-        keys = (old_key,) if old_key == new_key else (old_key, new_key)
-        object.__setattr__(self, "_keys_memo", (schema, keys))
-        return keys
 
     def __str__(self) -> str:
         old = ", ".join(map(str, self.old_row))

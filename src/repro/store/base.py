@@ -50,12 +50,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.decisions import ReconcileResult
-from repro.core.extensions import ReconciliationBatch
+from repro.core.extensions import ReconciliationBatch, antecedent_closure
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.net.clock import BlockingLatencyClock, LatencyClock
 from repro.policy.acceptance import TrustPolicy
-from repro.store.logic import antecedent_closure
 from repro.store.registry import StoreCapabilities
 
 #: One-way latency charged per simulated message, in seconds (paper: the

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.model.transactions import Transaction, TransactionId
 
@@ -71,45 +71,18 @@ def register_producers(
             producers[(update.relation, written)] = transaction.tid
 
 
-def stable_epoch(finished: Dict[int, bool], current: int) -> int:
+def stable_epoch(finished: Dict[int, bool], current: int, stable: int = 0) -> int:
     """The largest epoch ``e`` with no unfinished epoch at or before it.
 
     ``finished`` maps allocated epoch numbers to completion flags;
     ``current`` is the highest allocated epoch.  Gaps (aborted epochs that
     never began publishing) do not block stability only if recorded as
     finished; callers mark abandoned epochs finished explicitly.
+    ``stable`` is an earlier answer to resume from: a finished epoch
+    never becomes unfinished again.
     """
-    stable = 0
-    for epoch in range(1, current + 1):
+    for epoch in range(stable + 1, current + 1):
         if not finished.get(epoch, False):
             break
         stable = epoch
     return stable
-
-
-def antecedent_closure(
-    antecedents_of,
-    roots: Iterable[TransactionId],
-    stop: Set[TransactionId],
-) -> List[TransactionId]:
-    """All transactions reachable from ``roots`` via antecedent edges.
-
-    Walks ``antecedents_of(tid)`` transitively, not descending into
-    transactions in ``stop`` (already applied by the requesting
-    participant — the store prunes them to save bandwidth, exactly as the
-    paper's transaction controllers answer "not relevant").  Roots are
-    always included.
-    """
-    closure: List[TransactionId] = []
-    seen: Set[TransactionId] = set()
-    stack = list(roots)
-    while stack:
-        tid = stack.pop()
-        if tid in seen:
-            continue
-        seen.add(tid)
-        closure.append(tid)
-        for ante in antecedents_of(tid):
-            if ante not in seen and ante not in stop:
-                stack.append(ante)
-    return closure

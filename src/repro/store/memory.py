@@ -2,7 +2,9 @@
 
 Implements the full store contract in plain Python structures.  The
 central sqlite store and the simulated DHT store must behave identically;
-their tests compare against this one.
+their tests compare against this one.  The log is a dict from transaction
+id to the ``(transaction, antecedents, publish order)`` entry every read
+hands out, so a published transaction costs the store that one tuple.
 
 Message accounting: one request/reply pair (2 messages) per public API
 call, matching a client talking to a single server with batched
@@ -20,7 +22,7 @@ from repro.errors import StoreError, UnknownTransactionError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.policy.acceptance import TrustPolicy
-from repro.store.base import DEFAULT_MESSAGE_LATENCY
+from repro.store.base import DEFAULT_MESSAGE_LATENCY, EntryTable
 from repro.store.network_centric import DirectLogStore
 from repro.store.logic import (
     ProducerIndex,
@@ -28,16 +30,6 @@ from repro.store.logic import (
     register_producers,
     stable_epoch,
 )
-
-
-@dataclass
-class _PublishedTransaction:
-    """A transaction as logged by the store."""
-
-    transaction: Transaction
-    epoch: int
-    order: int  # global publish index
-    antecedents: Tuple[TransactionId, ...]
 
 
 @dataclass
@@ -64,10 +56,13 @@ class MemoryUpdateStore(DirectLogStore):
     ) -> None:
         super().__init__(schema, message_latency, real_latency=real_latency)
         self._participants: Dict[int, _ParticipantRecord] = {}
-        self._log: Dict[TransactionId, _PublishedTransaction] = {}
+        self._log: EntryTable = {}
         self._by_epoch: Dict[int, List[TransactionId]] = {}
         self._producers: ProducerIndex = {}
         self._epoch = 0
+        #: The stable-epoch watermark: epochs only ever go from unfinished
+        #: to finished, so each scan resumes where the last one stopped.
+        self._stable = 0
         self._epoch_finished: Dict[int, bool] = {}
         self._epoch_publisher: Dict[int, int] = {}
         self._order = 0
@@ -130,14 +125,8 @@ class MemoryUpdateStore(DirectLogStore):
         producer_of = self._producers.get
         for transaction in transactions:
             antecedents = tuple(compute_antecedents(producer_of, transaction))
-            entry = _PublishedTransaction(
-                transaction=transaction,
-                epoch=epoch,
-                order=self._order,
-                antecedents=antecedents,
-            )
+            self._log[transaction.tid] = (transaction, antecedents, self._order)
             self._order += 1
-            self._log[transaction.tid] = entry
             self._by_epoch[epoch].append(transaction.tid)
             register_producers(self._producers, transaction)
             record.applied.add(transaction.tid)
@@ -156,8 +145,10 @@ class MemoryUpdateStore(DirectLogStore):
     def _nc_advance(self, participant: int) -> Tuple[int, int]:
         record = self._record_of(participant)
         last = record.last_recon_epoch
-        record.last_recon_epoch = stable_epoch(self._epoch_finished, self._epoch)
-        return last, record.last_recon_epoch
+        self._stable = record.last_recon_epoch = stable_epoch(
+            self._epoch_finished, self._epoch, self._stable
+        )
+        return last, self._stable
 
     def _nc_candidates(self, participant: int, last: int, stable: int):
         record = self._record_of(participant)
@@ -226,24 +217,14 @@ class MemoryUpdateStore(DirectLogStore):
 
     def antecedents_of(self, tid: TransactionId) -> Tuple[TransactionId, ...]:
         """The antecedents the store computed for ``tid`` at publish time."""
-        try:
-            return self._log[tid].antecedents
-        except KeyError:
-            raise UnknownTransactionError(str(tid)) from None
-
-    def epoch_of(self, tid: TransactionId) -> int:
-        """The epoch ``tid`` was published in."""
-        try:
-            return self._log[tid].epoch
-        except KeyError:
-            raise UnknownTransactionError(str(tid)) from None
+        return self._nc_lookup(tid)[1]
 
     def decided_transactions(self, participant: int):
         """Applied transactions (publish order) plus rejected/deferred ids."""
         record = self._record_of(participant)
-        applied = sorted(record.applied, key=lambda tid: self._log[tid].order)
+        applied = sorted(record.applied, key=lambda tid: self._log[tid][2])
         return (
-            [self._log[tid].transaction for tid in applied],
+            [self._log[tid][0] for tid in applied],
             sorted(record.rejected),
             sorted(record.deferred),
         )
@@ -253,7 +234,7 @@ class MemoryUpdateStore(DirectLogStore):
 
     def _nc_deferred_tids(self, participant: int):
         record = self._record_of(participant)
-        return sorted(record.deferred, key=lambda tid: self._log[tid].order)
+        return sorted(record.deferred, key=lambda tid: self._log[tid][2])
 
     def _nc_applied_tids(self, participant: int):
         return self._record_of(participant).applied
@@ -263,10 +244,9 @@ class MemoryUpdateStore(DirectLogStore):
 
     def _nc_lookup(self, tid: TransactionId):
         try:
-            entry = self._log[tid]
+            return self._log[tid]
         except KeyError:
             raise UnknownTransactionError(str(tid)) from None
-        return entry.transaction, entry.antecedents, entry.order
 
     def _nc_priority(self, participant: int, transaction: Transaction) -> int:
         record = self._record_of(participant)

@@ -63,7 +63,7 @@ from repro.core.extensions import (
     RelevantTransaction,
     TransactionGraph,
     UpdateExtension,
-    compute_update_extension,
+    flattened_extension,
 )
 from repro.core.conflicts import find_conflicts
 from repro.errors import FlattenError
@@ -273,12 +273,11 @@ class DirectLogStore(UpdateStore):
             return memo[tid]
         extension = self._load_retired(tid)
         if extension is None:
-            graph = TransactionGraph()
-            for entry in self.closure_entries([tid], frozenset(), table):
-                graph.add(*entry)
+            closure = self.closure_entries([tid], frozenset(), table)
+            closure.sort(key=lambda entry: entry[2])  # publish order
             try:
-                extension = compute_update_extension(
-                    self.schema, graph, root, frozenset()
+                extension = flattened_extension(
+                    self.schema, root, [entry[0] for entry in closure]
                 )
             except FlattenError:
                 pass  # memoised as None: the engine rejects such roots

@@ -14,6 +14,7 @@ from repro.store import MemoryUpdateStore
 RAT1 = ("rat", "prot1", "cell-metab")
 RAT1_IMMUNE = ("rat", "prot1", "immune")
 RAT1_RESP = ("rat", "prot1", "cell-resp")
+RAT1_DEFENSE = ("rat", "prot1", "defense")
 MOUSE2 = ("mouse", "prot2", "immune")
 
 
@@ -133,6 +134,161 @@ class TestResolutionThroughParticipant:
         p1.publish_and_reconcile()
         result2 = p3.publish_and_reconcile()
         assert [str(t) for t in result2.accepted] == ["X1:1"]
+
+
+class TestOpenFrontier:
+    """A participant's graph is its open frontier: an entry leaves when
+    its transaction is applied, and nothing decided afterwards misses it."""
+
+    def test_own_delta_is_not_traced_without_a_foreign_root(self, confed):
+        from repro.model.flatten import trace_runs
+
+        p1, _p2 = confed.add_mutually_trusting_participants([1, 2])
+        p1.execute([Insert("F", RAT1, 1)])
+        p1.execute([Insert("F", MOUSE2, 1)])
+        before = trace_runs()
+        result = p1.publish_and_reconcile()
+        assert result.decisions == {}
+        assert trace_runs() == before  # the parent flattened the delta: +1
+
+    def test_graph_is_empty_after_accept_only_epochs(self, confed):
+        publisher, consumer = confed.add_mutually_trusting_participants([1, 2])
+        for epoch in range(5):
+            for serial in range(8):
+                row = ("rat", f"p{epoch}-{serial}", "immune")
+                publisher.execute([Insert("F", row, 1)])
+            publisher.publish_and_reconcile()
+            assert len(consumer.publish_and_reconcile().accepted) == 8
+            # The parent kept every one: 8, 16, ... 40.
+            assert len(consumer.state.graph) == 0
+        assert len(publisher.state.graph) == 0
+
+    def test_tracked_objects_retained_per_transaction(self, confed):
+        """The ratchet on what one accepted transaction leaves on the heap
+        for the collector to walk, inputs not counted: 2,048 single-insert
+        transactions retained 10,455 GC-tracked objects at the parent (5.1
+        each: the ``Transaction``, its id, its updates tuple, the store's
+        ``_PublishedTransaction`` and each update's ``(schema, keys)`` memo
+        tuple) and retain 8,192 now (4.0: the log entry is one tuple, the
+        memo two slots).  The counts repeat exactly."""
+        import gc
+
+        publisher, consumer = confed.add_mutually_trusting_participants([1, 2])
+        batches = [
+            [[Insert("F", ("rat", f"p{epoch}-{serial}", "immune"), 1)]
+             for serial in range(256)]
+            for epoch in range(9)
+        ]
+
+        def run(batch):
+            for updates in batch:
+                publisher.execute(updates)
+            publisher.publish()
+            assert len(consumer.reconcile().accepted) == len(batch)
+
+        run(batches[0])  # lazy set-up is not retention
+        gc.collect()
+        before = len(gc.get_objects())
+        for batch in batches[1:]:
+            run(batch)
+        gc.collect()
+        retained = len(gc.get_objects()) - before
+        assert retained <= 4.1 * 2048
+
+    def chain_on_rat1(self, confed, rival: bool):
+        """p3's view of ``X1:0 = +RAT1`` revised two ways — ``X1:1`` to
+        immune, ``X4:0`` to defense — and, with ``rival``, of p2's
+        competing insert ``X2:0`` published in between."""
+        p1, p2, p3, p4 = confed.add_mutually_trusting_participants([1, 2, 3, 4])
+        p1.execute([Insert("F", RAT1, 1)])
+        p1.publish_and_reconcile()
+        p4.publish_and_reconcile()
+        if rival:
+            p2.execute([Insert("F", RAT1_RESP, 2)])
+            p2.publish_and_reconcile()
+            assert len(p3.publish_and_reconcile().deferred) == 2
+        p1.execute([Modify("F", RAT1, RAT1_IMMUNE, 1)])
+        p1.publish_and_reconcile()
+        p4.execute([Modify("F", RAT1, RAT1_DEFENSE, 4)])
+        p4.publish_and_reconcile()
+        return p2, p3
+
+    @staticmethod
+    def deferred_members(participant):
+        """Each deferred root's transaction extension, as the engine's
+        extension cache holds it after a reconciliation."""
+        return {
+            str(tid): list(map(str, extension.members))
+            for tid, (_version, extension) in sorted(
+                participant.reconciler.cache._entries.items()
+            )
+        }
+
+    @staticmethod
+    def in_graph(participant):
+        state = participant.state
+        decided = state.applied | state.rejected | set(state.deferred)
+        assert len(state.graph) == sum(tid in state.graph for tid in decided)
+        return sorted(str(tid) for tid in decided if tid in state.graph)
+
+    @staticmethod
+    def choose(participant, kind, effect):
+        from repro.core import Resolution
+
+        [group] = [g for g in participant.open_conflicts() if g.group_id[0] == kind]
+        [index] = [i for i, o in enumerate(group.options) if o.effect == effect]
+        return participant.resolve([Resolution(group.group_id, index)])
+
+    def test_deferred_chain_applied_with_its_antecedent_by_a_resolution(
+        self, confed
+    ):
+        _p2, p3 = self.chain_on_rat1(confed, rival=True)
+        result = p3.publish_and_reconcile()  # both revisions: dirty key
+        assert sorted(map(str, result.deferred)) == [
+            "X1:0", "X1:1", "X2:0", "X4:0",
+        ]
+        assert self.deferred_members(p3) == {
+            "X1:0": ["X1:0"],
+            "X2:0": ["X2:0"],
+            "X1:1": ["X1:0", "X1:1"],
+            "X4:0": ["X1:0", "X4:0"],
+        }
+
+        # Epochs later the user picks the immune revision: its antecedent
+        # is applied with it, the rival and the other revision rejected.
+        result = self.choose(p3, "insert/insert", RAT1_IMMUNE)
+        assert list(map(str, result.accepted)) == ["X1:0", "X1:1"]
+        assert list(map(str, result.applied)) == ["X1:0", "X1:1"]
+        assert sorted(map(str, result.rejected)) == ["X2:0", "X4:0"]
+        assert p3.instance.snapshot()["F"] == {("rat", "prot1"): RAT1_IMMUNE}
+        assert p3.open_conflicts() == []
+        # Rejected closures stay (a later root may name one); applied left.
+        assert self.in_graph(p3) == ["X2:0", "X4:0"]
+
+    def test_deferred_chain_outlives_its_applied_antecedent(self, confed):
+        p2, p3 = self.chain_on_rat1(confed, rival=False)
+        result = p3.publish_and_reconcile()
+        assert list(map(str, result.accepted)) == ["X1:0"]
+        assert sorted(map(str, result.deferred)) == ["X1:1", "X4:0"]
+        # The chain was X1:0 + revision when CheckState saw it; with X1:0
+        # applied (and gone from the graph) soft state recomputed it.
+        assert self.deferred_members(p3) == {"X1:1": ["X1:1"], "X4:0": ["X4:0"]}
+        assert self.in_graph(p3) == ["X1:1", "X4:0"]
+
+        p2.execute([Insert("F", MOUSE2, 2)])
+        p2.publish_and_reconcile()
+        later = p3.publish_and_reconcile()  # a later epoch: still deferred
+        assert list(map(str, later.accepted)) == ["X2:0"]
+        assert sorted(map(str, later.deferred)) == ["X1:1", "X4:0"]
+
+        result = self.choose(p3, "replace/replace", RAT1_DEFENSE)
+        assert list(map(str, result.accepted)) == ["X4:0"]
+        assert list(map(str, result.rejected)) == ["X1:1"]
+        assert p3.instance.snapshot()["F"] == {
+            ("rat", "prot1"): RAT1_DEFENSE,
+            ("mouse", "prot2"): MOUSE2,
+        }
+        assert self.in_graph(p3) == ["X1:1"]
 
 
 class TestCDSS:

@@ -3,10 +3,12 @@ against ``Reconciler`` with hand-built batches."""
 
 from __future__ import annotations
 
+import pytest
 
-from repro.core import ParticipantState, Reconciler
+from repro.core import Decision, ExtensionCache, ParticipantState, Reconciler
 from repro.instance import MemoryInstance
 from repro.model import Delete, Insert, Modify, make_transaction
+from repro.model.flatten import trace_runs
 
 from tests.core.helpers import GraphBuilder
 
@@ -19,10 +21,10 @@ MOUSE2_RESP = ("mouse", "prot2", "cell-resp")
 MOUSE3_RESP = ("mouse", "prot3", "cell-resp")
 
 
-def make_reconciler(schema, participant):
+def make_reconciler(schema, participant, cache=None):
     instance = MemoryInstance(schema)
     state = ParticipantState(participant)
-    return Reconciler(schema, instance, state), instance, state
+    return Reconciler(schema, instance, state, cache=cache), instance, state
 
 
 class TestSimpleAcceptance:
@@ -51,6 +53,22 @@ class TestSimpleAcceptance:
         assert set(result.applied) == {x30.tid, x31.tid}
         assert instance.contains_row("F", RAT1_IMMUNE)
         assert state.applied == {x30.tid, x31.tid}
+
+    def test_accepted_chain_is_flattened_once(self, schema):
+        # With no member applied by an earlier root of the run, what is
+        # applied *is* the extension CheckState examined: one trace, where
+        # the parent flattened the same footprint again to apply it.
+        reconciler, instance, _state = make_reconciler(schema, 1)
+        builder = GraphBuilder()
+        x30 = make_transaction(3, 0, [Insert("F", RAT1, 3)])
+        x31 = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
+        builder.add(x30)
+        builder.add(x31, antecedents=[x30.tid])
+        before = trace_runs()
+        result = reconciler.reconcile(builder.batch(1, [(x31, 1)]))
+        assert trace_runs() == before + 1
+        assert result.updates_applied == 1
+        assert instance.snapshot()["F"] == {("rat", "prot1"): RAT1_IMMUNE}
 
     def test_incremental_reconciliation_applies_only_residual(self, schema):
         reconciler, instance, state = make_reconciler(schema, 1)
@@ -338,3 +356,76 @@ class TestMonotonicity:
         result = reconciler.reconcile(builder.batch(2, [(revision, 1)]))
         assert result.accepted == [revision.tid]
         assert instance.contains_row("F", RAT1_RESP)
+
+
+class TestOwnDeltaOnDemand:
+    """CheckState line 7's operand — the flattened own delta — is traced
+    by the first root that reaches that test, at most once, and not at
+    all when none does; every decision is what flattening it up front
+    gave."""
+
+    #: Two deletions the participant made this epoch (two updates: a
+    #: single one is its own net effect and is never traced).
+    OWN = [Delete("F", RAT1, 1), Delete("F", MOUSE2, 1)]
+
+    @staticmethod
+    def traces(run):
+        before = trace_runs()
+        result = run()
+        return trace_runs() - before, result
+
+    def test_roots_decided_before_line_7_do_not_trace(self, schema):
+        def run(own_updates):
+            reconciler, _instance, state = make_reconciler(schema, 1)
+            builder = GraphBuilder()
+            bad = make_transaction(3, 0, [Insert("F", RAT1, 3)])
+            child = make_transaction(3, 1, [Modify("F", RAT1, RAT1_RESP, 3)])
+            dirty = make_transaction(2, 0, [Insert("F", MOUSE3_RESP, 2)])
+            builder.add(bad)
+            builder.add(child, antecedents=[bad.tid])
+            builder.add(dirty)
+            state.graph.merge(builder.graph)
+            state.record_rejected([bad.tid])
+            state.replace_soft_state({("F", ("mouse", "prot3"))}, {})
+            batch = builder.batch(1, [(child, 1), (dirty, 1)])
+            traced, result = self.traces(
+                lambda: reconciler.reconcile(batch, own_updates=own_updates)
+            )
+            assert result.decisions == {
+                child.tid: Decision.REJECT,  # a member is rejected
+                dirty.tid: Decision.DEFER,  # touches a dirty key
+            }
+            return traced
+
+        # (The child's own two-update footprint is traced either way.)
+        assert run(self.OWN) == run([])
+
+    @pytest.mark.parametrize("caching", [True, False])
+    def test_second_root_reaches_line_7_first_and_traces_once(
+        self, schema, caching
+    ):
+        reconciler, instance, state = make_reconciler(
+            schema, 1, cache=ExtensionCache(enabled=caching)
+        )
+        state.replace_soft_state({("F", ("mouse", "prot3"))}, {})
+        builder = GraphBuilder()
+        dirty = make_transaction(2, 0, [Insert("F", MOUSE3_RESP, 2)])
+        clash = make_transaction(3, 0, [Insert("F", RAT1_IMMUNE, 3)])
+        clash_too = make_transaction(4, 0, [Insert("F", MOUSE2_RESP, 4)])
+        free = make_transaction(5, 0, [Insert("F", ("rat", "prot7", "x"), 5)])
+        for txn in (dirty, clash, clash_too, free):
+            builder.add(txn)
+        batch = builder.batch(
+            1, [(dirty, 1), (clash, 1), (clash_too, 1), (free, 1)]
+        )
+        traced, result = self.traces(
+            lambda: reconciler.reconcile(batch, own_updates=self.OWN)
+        )
+        assert traced == 1
+        assert result.decisions == {
+            dirty.tid: Decision.DEFER,
+            clash.tid: Decision.REJECT,  # fits the instance; own delta wins
+            clash_too.tid: Decision.REJECT,
+            free.tid: Decision.ACCEPT,
+        }
+        assert instance.snapshot()["F"] == {("rat", "prot7"): free.updates[0].row}

@@ -21,6 +21,7 @@ from repro.store import (
     DhtUpdateStore,
     DurableUpdateStore,
     MemoryUpdateStore,
+    available_stores,
 )
 from repro.workload import WorkloadConfig, curated_schema
 
@@ -107,3 +108,43 @@ def test_central_store_survives_restart(tmp_path):
         assert rebuilt.instance.snapshot() == live_snapshot
         assert reopened.transaction_count() == 1
         assert reopened.last_reconciliation_epoch(2) >= 1
+
+
+@pytest.mark.parametrize("name", available_stores())
+def test_rebuilt_twins_decide_like_the_live_participants(name):
+    """A rebuilt participant starts with none of the applied transactions
+    in its graph and a live one drops them as it applies them: from the
+    same store state both must emit the same decisions, epoch after epoch."""
+
+    def second_run(rebuild: bool):
+        config = ConfederationConfig.evaluation(
+            4,
+            store=name,
+            reconciliation_interval=3,
+            rounds=3,
+            workload=WorkloadConfig(transaction_size=2, seed=23),
+        )
+        with Confederation.from_config(config) as confed:
+            confed.run()
+            if rebuild:
+                confed.restore()
+            stream = []
+            confed.hooks.on_decision(
+                lambda **event: stream.append(
+                    (event["participant"], event["recno"], str(event["tid"]),
+                     event["decision"].name)
+                )
+            )
+            confed.run()
+            return stream, {
+                p.id: (p.instance.snapshot(), sorted(map(str, p.state.deferred)))
+                for p in confed.participants
+            }
+
+    live_stream, live_state = second_run(rebuild=False)
+    twin_stream, twin_state = second_run(rebuild=True)
+    assert twin_stream == live_stream
+    assert twin_state == live_state
+    assert {verdict for *_root, verdict in live_stream} == {
+        "ACCEPT", "REJECT", "DEFER",
+    }

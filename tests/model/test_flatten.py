@@ -261,3 +261,49 @@ class TestFlattenOnce:
             ("F", ("rat", "prot1")),
             ("F", ("rat", "tmp")),
         }
+
+
+class TestMinimiseWorklist:
+    """The order `_minimise` visits keys in — first in, first out, a key
+    already waiting not queued again — decides the order of its output;
+    both examples fail on a worklist that visits in any other order."""
+
+    @staticmethod
+    def row(key, value):
+        return ("rat", key, value)
+
+    def test_key_enqueued_again_while_waiting_keeps_its_place(self, schema):
+        from repro.model.flatten import _minimise
+
+        row = self.row
+        nets = [
+            Delete("F", row("k1", "a"), 3),
+            Modify("F", row("k2", "x"), row("k1", "a"), 3),
+            Insert("F", row("k2", "y"), 3),
+            Delete("F", row("k3", "p"), 3),
+            Insert("F", row("k3", "q"), 3),
+        ]
+        # Visiting k1 cancels the first pair into Delete(k2, x), whose key
+        # is still waiting behind k1 and ahead of k3: k2 composes first.
+        assert _minimise(schema, nets) == [
+            Modify("F", row("k2", "x"), row("k2", "y"), 3),
+            Modify("F", row("k3", "p"), row("k3", "q"), 3),
+        ]
+
+    def test_key_enqueued_again_after_its_visit_goes_to_the_back(self, schema):
+        from repro.model.flatten import _minimise
+
+        row = self.row
+        nets = [
+            Insert("F", row("k1", "a"), 3),
+            Delete("F", row("k3", "c"), 3),
+            Modify("F", row("k1", "z"), row("k3", "c"), 3),
+            Delete("F", row("k4", "p"), 3),
+            Insert("F", row("k4", "q"), 3),
+        ]
+        # k1 is visited first and has nothing to compose; visiting k3
+        # leaves Delete(k1, z), so k1 is queued again — behind k4.
+        assert _minimise(schema, nets) == [
+            Modify("F", row("k4", "p"), row("k4", "q"), 3),
+            Modify("F", row("k1", "z"), row("k1", "a"), 3),
+        ]

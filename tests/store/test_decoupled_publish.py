@@ -82,6 +82,31 @@ class TestDecoupledPublish:
         batch = store.begin_reconciliation(2)
         assert sorted(str(r.tid) for r in batch.roots) == ["X1:0", "X3:0"]
 
+    def test_stable_epoch_resumes_where_the_last_reconciliation_left_it(
+        self, peers
+    ):
+        # The stable epoch is the store's, not a participant's: whoever
+        # reconciles next picks the scan up from the last answer, and an
+        # epoch still open behind that answer holds it there.
+        store = peers
+        first = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        store.publish(1, [first])
+        assert store.begin_reconciliation(2).recno == 1
+
+        slow_epoch = store.begin_publish(1)
+        fast = make_transaction(3, 0, [Insert("F", MOUSE2, 3)])
+        fast_epoch = store.publish(3, [fast])
+        assert store.begin_reconciliation(2).recno == 1
+        batch = store.begin_reconciliation(3)  # its first: same answer
+        assert (batch.recno, [str(r.tid) for r in batch.roots]) == (1, ["X1:0"])
+
+        store.finish_publish(1, slow_epoch)
+        batch = store.begin_reconciliation(2)
+        assert (batch.recno, [str(r.tid) for r in batch.roots]) == (
+            fast_epoch, ["X3:0"],
+        )
+        assert store.begin_reconciliation(3).recno == fast_epoch
+
     def test_write_to_foreign_epoch_rejected(self, peers):
         store = peers
         epoch = store.begin_publish(1)
