@@ -433,6 +433,8 @@ class Confederation:
         self._ensure_open()
         timings = self._timing.timings
         network = getattr(self.store, "network", None)
+        with self.store.lock:
+            store_cache_stats = self.store.derivation_stats()
         return ConfederationReport(
             config=self.config,
             state_ratio=self.state_ratio(relation=relation),
@@ -446,6 +448,7 @@ class Confederation:
             # A snapshot, not the live collector: a report's counters
             # must not mutate when the confederation keeps running.
             cache_stats=self._cache_stats.total.snapshot(),
+            store_cache_stats=store_cache_stats,
             faults=self._fault_collector.snapshot(),
             kind_counts=dict(
                 getattr(network, "kind_counts", None) or {}

@@ -36,6 +36,10 @@ class ConfederationReport:
     scheduler: str = "serial"
     #: Engine cache counters summed over all participants.
     cache_stats: CacheStats = field(default_factory=CacheStats)
+    #: The store's own derivation counters (``derivation_stats()``):
+    #: store-side extension caches on the direct-log stores, the
+    #: controllers' derivation tables on the DHT; empty otherwise.
+    store_cache_stats: CacheStats = field(default_factory=CacheStats)
     #: Fault activity of the run: injected faults by action, store
     #: retries, degraded fallbacks, recoveries.  All zero on a
     #: fault-free run (the default).

@@ -291,10 +291,6 @@ class ReconciliationBatch:
     #: pair memo; ``None`` (hand-built batches in tests) is permissive.
     capabilities: Optional[object] = None
 
-    def root_ids(self) -> List[TransactionId]:
-        """Ids of the batch's root transactions."""
-        return [root.tid for root in self.roots]
-
     @property
     def network_centric(self) -> bool:
         """True when the store precomputed extensions and conflicts."""

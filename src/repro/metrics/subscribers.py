@@ -20,7 +20,6 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.cache import CacheStats
 from repro.metrics.state_ratio import state_ratio
-from repro.metrics.timing import TimingAggregate, aggregate_timings
 
 
 class TimingCollector:
@@ -42,13 +41,6 @@ class TimingCollector:
 
     def __call__(self, *, participant: int, timing, **_ignored) -> None:
         self.timings.setdefault(participant, []).append(timing)
-
-    def aggregate(self) -> Dict[int, TimingAggregate]:
-        """Per-participant timing aggregates."""
-        return {
-            participant: aggregate_timings(records)
-            for participant, records in self.timings.items()
-        }
 
 
 class CacheStatsCollector:

@@ -49,6 +49,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.cache import CacheStats
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import ReconciliationBatch, antecedent_closure
 from repro.model.schema import Schema
@@ -292,6 +293,11 @@ class UpdateStore(abc.ABC):
     def last_reconciliation_epoch(self, participant: int) -> int:
         """The epoch of the participant's most recent reconciliation."""
 
+    def derivation_stats(self) -> CacheStats:
+        """How often the store itself derived update extensions, and how
+        often it reused one instead (empty: this store keeps no count)."""
+        return CacheStats()
+
     def decided_transactions(
         self, participant: int
     ) -> Tuple[List[Transaction], List[TransactionId], List[TransactionId]]:
@@ -310,6 +316,10 @@ class UpdateStore(abc.ABC):
     def _nc_lookup(self, tid: TransactionId) -> LogEntry:
         """The log entry of one published transaction — the per-backend
         primitive under :meth:`closure_entries`."""
+
+    def antecedents_of(self, tid: TransactionId) -> Tuple[TransactionId, ...]:
+        """The antecedents the store computed for ``tid`` at publish time."""
+        return self._nc_lookup(tid)[1]
 
     def closure_entries(
         self,

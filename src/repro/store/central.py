@@ -722,10 +722,6 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
             raise StoreError(f"participant {participant} is not registered")
         return int(record[0])
 
-    def antecedents_of(self, tid: TransactionId) -> Tuple[TransactionId, ...]:
-        """The antecedents computed for ``tid`` at publish time."""
-        return self._nc_lookup(tid)[1]
-
     def decided_transactions(self, participant: int):
         """Applied transactions (publish order) plus rejected/deferred ids."""
         applied = self._entries(self._decided(participant, "applied"))

@@ -44,13 +44,15 @@ behaviour (and honestly downgrades the instance's capability flags).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from operator import itemgetter
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.extensions import (
     RelevantTransaction,
-    TransactionGraph,
     UpdateExtension,
-    compute_update_extension,
+    flattened_extension,
 )
 from repro.errors import FlattenError, StoreError
 from repro.model.schema import Schema
@@ -58,6 +60,7 @@ from repro.model.transactions import Transaction, TransactionId
 from repro.net.simnet import Message, Network
 from repro.store.dht import wire
 from repro.store.dht.replication import allocator_counter, record, replicate, ship
+from repro.store.network_centric import DirectLogStore
 
 # -- shared by the Figure-7 and the network-centric retrieval ------------
 
@@ -67,11 +70,17 @@ def _standing(
 ) -> Tuple[Optional[str], int]:
     """``(verdict, priority)``: what ``participant`` has decided about
     the record's transaction, and — because trust conditions live in the
-    store — the priority its policy gives it (0: untrusted)."""
+    store — the priority its policy gives it (0: untrusted), walked once
+    per policy state (rules are append-only) and transaction."""
     priority = 0
     policy = host.policies.get(participant)
     if policy is not None:
-        priority = policy.priority_of(host.schema, txn_record["transaction"])
+        transaction = txn_record["transaction"]
+        key = (policy, len(policy), transaction.tid)
+        priority = host.priorities.get(key)
+        if priority is None:
+            priority = policy.priority_of(host.schema, transaction)
+            host.priorities[key] = priority
     return txn_record["decisions"].get(participant), priority
 
 
@@ -86,30 +95,79 @@ def _first_delivery(host, participant: int, tid: TransactionId) -> bool:
     return first
 
 
-def _cf_local_body(host, tid: TransactionId) -> Optional[wire.Body]:
-    """A body this controller can serve without a network fetch."""
-    held = host.txns.get(tid)
-    if held is not None:
-        return wire.body(held)
-    return host.cf_bodies.get(tid)
-
-
 def _derive(
-    schema: Schema,
-    bodies: Iterable[wire.Body],
-    root: RelevantTransaction,
-    applied: FrozenSet[TransactionId],
+    schema: Schema, root: RelevantTransaction, bodies: Sequence[wire.Body]
 ) -> Optional[UpdateExtension]:
-    """``root``'s update extension over the closure ``bodies``, stopping
-    at ``applied``; ``None`` when the closure does not flatten (the
+    """``root``'s update extension over its member closure ``bodies``
+    (in publish order); ``None`` when the closure does not flatten (the
     client's own computation reaches the same ``FlattenError``)."""
-    graph = TransactionGraph()
-    for body in bodies:
-        graph.add(*body)
     try:
-        return compute_update_extension(schema, graph, root, applied)
+        return flattened_extension(schema, root, [body[0] for body in bodies])
     except FlattenError:
         return None
+
+
+@dataclass(eq=False)
+class Derivation:
+    """One row of a controller's derivation table: what a root derives
+    to over one member closure, for whoever asks.
+
+    An extension is a pure function of its root and member set — the
+    closure graph is fixed at publish, a participant's applied set only
+    decides where the walk stops — so every participant whose walk ends
+    on the same closure shares the row: the priority-agnostic extension,
+    one re-priced copy and digest per priority (the pair memos validate
+    by object identity), and the dictionary-encoded shipping price.
+    """
+
+    #: The closure's bodies, in publish order.
+    bodies: Sequence[wire.Body]
+    #: Its extension at priority 0; ``None`` when it does not flatten —
+    #: such a root ships bodies only and the client rejects it.
+    extension: Optional[UpdateExtension]
+    _priced: Dict[int, Tuple[UpdateExtension, str]] = field(default_factory=dict, init=False)
+
+    def at(
+        self, priority: int
+    ) -> Tuple[Optional[UpdateExtension], Optional[str]]:
+        """``(extension, digest)`` as a participant at ``priority`` is
+        served them — the same objects on every call."""
+        if self.extension is None:
+            return None, None
+        priced = self._priced.get(priority)
+        if priced is None:
+            extension = replace(self.extension, priority=priority)
+            priced = (extension, wire.extension_digest(extension))
+            self._priced[priority] = priced
+        return priced
+
+    @cached_property
+    def cost(self) -> Tuple[int, int]:
+        """``(fragments, bytes)`` of the extension dictionary-encoded
+        against the member bodies (``wire.encoded_extension_cost``)."""
+        pool = {repr(update) for body in self.bodies for update in body[0].updates}
+        return wire.encoded_extension_cost(self.extension, pool)
+
+
+def _derivation(
+    host, held: Dict[str, Any], bodies: Dict[TransactionId, wire.Body]
+) -> Derivation:
+    """The derivation-table row of ``held``'s transaction over the member
+    closure ``bodies`` — derived on a miss, never twice."""
+    rows = host.derived.setdefault(held["transaction"].tid, {})
+    if len(host.derived) > DirectLogStore.SHARED_MEMO_LIMIT:
+        del host.derived[next(iter(host.derived))]  # the FIFO backstop
+    closure = frozenset(bodies)
+    row = rows.get(closure)
+    if row is None:
+        ordered = sorted(bodies.values(), key=itemgetter(2))
+        row = rows[closure] = Derivation(
+            ordered, _derive(host.schema, wire.root(held, 0), ordered)
+        )
+        host.derive_stats.misses += 1
+    else:
+        host.derive_stats.revalidations += 1
+    return row
 
 
 # -- registration ---------------------------------------------------------
@@ -341,9 +399,16 @@ def on_request_txn(host, network: Network, message: Message) -> None:
     first_delivery = _first_delivery(host, participant, tid)
     # Ship the derived context-free extension with root deliveries
     # (the reconciling engine only consults shipped extensions for
-    # roots).  It is derived data, but it still travels: the first
-    # delivery to each participant pays its fragments and bytes.
-    context_free = held.get("context_free") if as_root else None
+    # roots), re-priced for the requester by its table row — every
+    # participant at one priority receives the identical object, which
+    # the shared pair memo validates by (a row the backstop evicted
+    # ships nothing; the client computes).  It is derived data, but it
+    # still travels: the first delivery to each participant pays its
+    # fragments and bytes.
+    row = None
+    if as_root and held.get("context_free") is not None:
+        row = host.derived.get(tid, {}).get(held["context_free"].member_set())
+    context_free = row.at(priority)[0] if row is not None else None
     fragments = wire.payload_fragments(transaction) if first_delivery else 1
     size = wire.body_bytes(transaction) if first_delivery else wire.HEADER_WIRE_BYTES
     if context_free is not None and first_delivery:
@@ -394,25 +459,27 @@ def on_record_decision(host, network: Network, message: Message) -> None:
         return
     held["decisions"][participant] = verdict
     ship(host, network, "txn_decision", tid, (participant, verdict))
-    # A final verdict retires the per-participant derived extension:
-    # this participant can never be served this root again.  A
-    # deferral keeps it — the next round's re-derivation becomes a
-    # memo hit while the applied set is unchanged.
+    # A final verdict retires the participant's pointer into the
+    # derivation table: it can never be served this root again.  A
+    # deferral keeps it — the next round is answered without a walk
+    # while the applied set is unchanged.
     if verdict in ("applied", "rejected"):
         host.nc_memo.pop((participant, tid), None)
     # Reconciliation-aware retention: once every registered
-    # participant holds a final verdict the derived extension can
-    # never be requested again — drop it and tell the driver so it
-    # retires the shared pair-memo entries too.
+    # participant holds a final verdict the root can never be requested
+    # again — drop everything derived from it (the context-free
+    # extension and the table's rows) and tell the driver so it retires
+    # the shared pair-memo entries too.
     retired = False
-    if held.get("context_free") is not None:
+    if held.get("context_free") is not None or tid in host.derived:
         decisions = held["decisions"]
         if all(
             decisions.get(pid) in ("applied", "rejected")
             for pid in host.policies
         ):
+            retired = held.get("context_free") is not None
             held["context_free"] = None
-            retired = True
+            host.derived.pop(tid, None)
     host._reply(network, message, tid=tid, retired=retired)
 
 
@@ -456,7 +523,8 @@ def _cf_request(
         tid = worklist.pop()
         if tid in derivation["bodies"] or tid in derivation["pending"]:
             continue
-        body = _cf_local_body(host, tid)
+        held = host.txns.get(tid)
+        body = wire.body(held) if held is not None else host.cf_bodies.get(tid)
         if body is not None:
             derivation["bodies"][tid] = body
             worklist.extend(body[1])
@@ -527,15 +595,15 @@ def on_cf_unknown(host, network: Network, message: Message) -> None:
 
 
 def _finish_cf_derivation(host, token: str) -> None:
-    """Derive against the empty applied set and file the result."""
+    """Derive against the empty applied set and file the result: on the
+    record for ``txn_data`` root deliveries, and as the derivation
+    table's full-closure row for the store-computed batches."""
     derivation = host.derivations.pop(token)
     held = host.txns[derivation["tid"]]
-    # Priority 0 marks "participant-agnostic"; the driver substitutes
-    # each requester's priority (memoized, so object identity — which
-    # the shared pair memo validates by — is preserved per priority).
-    held["context_free"] = _derive(
-        host.schema, derivation["bodies"].values(), wire.root(held, 0), frozenset()
-    )
+    # Priority 0 marks "participant-agnostic"; each requester is served
+    # the row's copy at its own priority (``Derivation.at``).
+    held["context_free"] = _derivation(host, held, derivation["bodies"]).extension
+    host.derive_stats.shipped += 1
 
 
 # -- peer coordinators ----------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cache import ConflictCache
+from repro.core.cache import CacheStats, ConflictCache
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import (
     ReconciliationBatch,
@@ -163,23 +163,16 @@ class DhtUpdateStore(UpdateStore):
         self._clients: Dict[int, _ClientNode] = {}
         self._policies: Dict[int, TrustPolicy] = {}
         self._token_counter = 0
-        self._failed_hosts: set = set()
         self._open_epochs: Dict[Tuple[int, int], List[TransactionId]] = {}
-        # The confederation-wide pair memo (attached to every batch) and
-        # the per-(transaction, priority) memo that re-prices controller
-        # extensions (derived at priority 0) for each requester while
-        # preserving object identity — the pair memo validates entries by
-        # identity, so every participant at one priority must receive the
-        # *same* extension object.  Retention (complete_reconciliation)
-        # is the primary eviction; the FIFO limit is the same backstop
-        # the direct-log stores' shared memos carry.
+        # The confederation-wide pair memo, attached to every batch: it
+        # validates entries by identity, and the controllers serve every
+        # participant at one priority the *same* extension object.
+        # Retention (complete_reconciliation) is the primary eviction;
+        # the FIFO limit is the same backstop the direct-log stores'
+        # shared memos carry.
         self._shared_pairs = ConflictCache(
             limit=DirectLogStore.SHARED_MEMO_LIMIT
         )
-        self._cf_priority_memo: Dict[
-            Tuple[TransactionId, int],
-            Tuple[UpdateExtension, UpdateExtension],
-        ] = {}
         # Peer-coordinator bookkeeping for the fully network-centric
         # batch (PR 5), maintained from the same ``record_decision``
         # feedback the controllers receive: the participant's open
@@ -331,7 +324,7 @@ class DhtUpdateStore(UpdateStore):
         self._policies[participant] = policy
         self.network.add_node(client)
         for host in self._hosts:
-            if host in self._failed_hosts:
+            if host in self._ring.failed:
                 continue  # re-sent by recover_host when it returns
             self._request(
                 client,
@@ -588,11 +581,8 @@ class DhtUpdateStore(UpdateStore):
         shipped: Dict[TransactionId, UpdateExtension] = {}
         for tid, payload in root_payloads.items():
             roots.append(wire.root(payload, payload["priority"]))
-            extension = payload.get("context_free")
-            if extension is not None:
-                shipped[tid] = self._cf_with_priority(
-                    tid, extension, payload["priority"]
-                )
+            if payload.get("context_free") is not None:
+                shipped[tid] = payload["context_free"]
         batch = ReconciliationBatch(
             recno=stable,
             roots=sorted(roots, key=lambda r: r.order),
@@ -602,25 +592,6 @@ class DhtUpdateStore(UpdateStore):
             batch.extensions = shipped or None
             batch.pair_cache = self._shared_pairs
         return batch
-
-    def _cf_with_priority(
-        self,
-        tid: TransactionId,
-        extension: UpdateExtension,
-        priority: int,
-    ) -> UpdateExtension:
-        """The controller's extension re-priced to the requester's
-        priority, memoized per (transaction, priority) so every
-        participant at one priority sees the identical object (the
-        shared pair memo validates by object identity)."""
-        if extension.priority == priority:
-            return extension
-        key = (tid, priority)
-        entry = self._cf_priority_memo.get(key)
-        if entry is None or entry[0] is not extension:
-            entry = (extension, replace(extension, priority=priority))
-            self._cf_priority_memo[key] = entry
-        return entry[1]
 
     # ------------------------------------------------------------------
     # Fully network-centric reconciliation (PR 5)
@@ -701,9 +672,8 @@ class DhtUpdateStore(UpdateStore):
                 for tid in by_controller[controller]:
                     # Echo the retained payload's digest even across
                     # applied-version bumps: the controller compares it
-                    # against the *freshly derived* extension's digest,
-                    # so a content-identical re-derivation still comes
-                    # back as a token instead of bodies.
+                    # with the digest of the closure its walk ends on,
+                    # so an unchanged one still comes back as a token.
                     held = retained.get(tid)
                     digest = held["digest"] if held is not None else None
                     roots_payload.append({"tid": tid, "digest": digest})
@@ -896,12 +866,8 @@ class DhtUpdateStore(UpdateStore):
                 del retained[tid]
         if retired_set:
             # Controllers dropped their derived extensions; retire the
-            # driver-side shared memos for the same roots.
+            # shared pair-memo entries of the same roots.
             self._shared_pairs.discard(sorted(retired_set))
-            for key in [
-                k for k in self._cf_priority_memo if k[0] in retired_set
-            ]:
-                del self._cf_priority_memo[key]
 
     # ------------------------------------------------------------------
     # Failure injection and recovery (Section 5.2.2's sketch)
@@ -922,12 +888,11 @@ class DhtUpdateStore(UpdateStore):
         """
         if host_name not in self._hosts:
             raise StoreError(f"unknown host {host_name!r}")
-        live = set(self._hosts) - self._failed_hosts - {host_name}
+        live = set(self._hosts) - self._ring.failed - {host_name}
         if not live:
             raise StoreError("cannot fail the last live host")
         self.network.fail_node(host_name)
         self._hosts[host_name].wipe()
-        self._failed_hosts.add(host_name)
         self._ring.failed.add(host_name)
         self._emit("fault", action="crash", host=host_name)
 
@@ -945,10 +910,9 @@ class DhtUpdateStore(UpdateStore):
         """
         if host_name not in self._hosts:
             raise StoreError(f"unknown host {host_name!r}")
-        if host_name not in self._failed_hosts:
+        if host_name not in self._ring.failed:
             raise StoreError(f"host {host_name!r} is not failed")
         self.network.recover_node(host_name)
-        self._failed_hosts.discard(host_name)
         self._ring.failed.discard(host_name)
         client = next(iter(self._clients.values()), None)
         sender = client.name if client is not None else host_name
@@ -961,7 +925,7 @@ class DhtUpdateStore(UpdateStore):
                 policy=policy,
             )
         for name in self._hosts:
-            if name == host_name or name in self._failed_hosts:
+            if name == host_name or name in self._ring.failed:
                 continue
             self.network.send(sender, name, "rebalance", target=host_name)
         self._run()
@@ -982,7 +946,7 @@ class DhtUpdateStore(UpdateStore):
         """
         client = self._client(participant)
         live_hosts = [
-            name for name in self._hosts if name not in self._failed_hosts
+            name for name in self._hosts if name not in self._ring.failed
         ]
         largest = 0
         for host in live_hosts:
@@ -1021,9 +985,13 @@ class DhtUpdateStore(UpdateStore):
         record = held_copy(coordinator, "peer", participant)
         return record["last_recon_epoch"] if record else 0
 
-    def antecedents_of(self, tid: TransactionId) -> Tuple[TransactionId, ...]:
-        """The antecedents stored at the transaction's controller."""
-        return self._nc_lookup(tid)[1]
+    def derivation_stats(self) -> CacheStats:
+        """The controllers' derivation-table counters, summed over the
+        hosts (a crash resets its host's, like the rest of its state)."""
+        total = CacheStats()
+        for host in self._hosts.values():
+            total.add(host.derive_stats)
+        return total
 
     def decided_transactions(self, participant: int):
         """Applied transactions (publish order) plus rejected/deferred ids.

@@ -11,9 +11,9 @@ table is :data:`repro.store.dht.wire.REPLIES`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Set, Tuple
 
-from repro.core.extensions import UpdateExtension
+from repro.core.cache import CacheStats
 from repro.errors import StoreError
 from repro.model.schema import Schema
 from repro.model.transactions import TransactionId
@@ -107,18 +107,36 @@ class _HostNode(Node):
         self.delivered: Set[Tuple[int, TransactionId]] = set()
         # Fully network-centric mode (PR 5, batched wire protocol PR 8):
         # in-flight per-(participant, token) batches of extension
-        # derivations, the tokens already accepted (so an injected
-        # duplicate ``nc_request`` cannot restart a batch), and the
-        # (participant, tid) -> (applied-version, extension, digest)
-        # memo that makes repeated deferral rounds O(1) — a digest-token
-        # re-ship when the client retains the payload, a full re-ship
-        # otherwise, never a re-derivation.  Entries leave when the
-        # participant's final verdict arrives (record_decision).
+        # derivations and the tokens already accepted (so an injected
+        # duplicate ``nc_request`` cannot restart a batch).
         self.nc_batches: Dict[str, Dict[str, Any]] = {}
         self.nc_served: Set[str] = set()
-        self.nc_memo: Dict[
-            Tuple[int, TransactionId], Tuple[int, UpdateExtension, str]
+        # The derivation table, root tid -> member closure -> row: an
+        # extension is a pure function of its root and member set, so a
+        # closure is flattened, digested and priced once for every
+        # participant and round whose walk ends on it (the publish-time
+        # context-free derivation seeds the full-closure row).  A root's
+        # rows leave with its ``context_free`` — every registered
+        # participant final — behind a FIFO backstop.  Soft state only:
+        # never on a record, which replication ships.
+        self.derived: Dict[
+            TransactionId, Dict[FrozenSet[TransactionId], controllers.Derivation]
         ] = {}
+        # (participant, tid) -> (applied-version, row).  The version is
+        # only the no-traffic short-circuit: while it stands the row
+        # answers the root with no verdict walk (no ``nc_fetch_batch``);
+        # once it moved the walk runs again and the table, keyed by what
+        # the walk ends on, still spares the derivation.  An entry
+        # leaves with the participant's final verdict.
+        self.nc_memo: Dict[
+            Tuple[int, TransactionId], Tuple[int, controllers.Derivation]
+        ] = {}
+        # This controller's derivations (``misses``), table reuses after
+        # a walk (``revalidations``), walks skipped (``hits``) and rows
+        # seeded at publish (``shipped``).
+        self.derive_stats = CacheStats()
+        # ``_standing``'s memo: (policy, its rule count, tid) -> priority.
+        self.priorities: Dict[Tuple[TrustPolicy, int, TransactionId], int] = {}
         # Successor replication (PR 6): the replicas this host holds for
         # keys it does not own, keyed by (role, key).
         self.replicas: Dict[Tuple[str, Any], Any] = {}

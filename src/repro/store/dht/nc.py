@@ -6,7 +6,7 @@ controllers already learn every participant's verdicts about their
 transactions through the ``record_decision`` feedback; the reconciling
 peer's driver groups its candidate roots by owning controller and sends
 each controller one ``nc_request`` carrying all of them.  The
-controller derives each root's update extension *against that
+controller answers each root with its update extension *against that
 participant's applied set*, walking the antecedent closure with
 *batched* verdict queries: bodies cached from earlier derivations
 (``cf_bodies``) make the closure structure locally known, so the walk
@@ -15,28 +15,40 @@ member, then asks each member's controller in one
 ``nc_fetch_batch``/``nc_member_batch`` round trip per member controller
 (the per-participant verdict must be refetched every round — the
 mode's honest extra chatter — while bodies ride along only until this
-controller has cached them).  The finished extensions and any bodies
-the participant lacks return *coalesced*, as one sized ``nc_data``
-message per (controller, participant); the driver — standing in for
-the peer coordinator, as it already does for antecedent lookups — runs
-the pairwise conflict assembly and prices the adjacency as a final
-``nc_adjacency`` message.  Controllers memoize the derived extension
-per (participant, applied-version) together with a stable content
-digest, so the repeated-deferral rounds the paper worries about are
-*delta-encoded*: when the client proves (by echoing the digest) that it
-still retains the previous round's assembled payload, the controller
-answers with a tiny ``nc_unchanged`` token instead of re-shipping
-bodies — O(delta) re-delivery cost, not O(state) — with a full-payload
-fallback when the client no longer holds it.  The comparison is by
-*content*, not version: when the applied set moved, the controller
-re-derives and still answers with the token whenever the fresh digest
-matches the echo (the root's closure was disjoint from whatever was
-newly applied — the common case).  First deliveries are cheap too: the
-derived extension travels dictionary-encoded against the member bodies
+controller has cached them).  The extensions and any bodies the
+participant lacks return *coalesced*, as one sized ``nc_data`` message
+per (controller, participant); the driver — standing in for the peer
+coordinator, as it already does for antecedent lookups — runs the
+pairwise conflict assembly and prices the adjacency as a final
+``nc_adjacency`` message.  The client then runs only ``CheckState``,
+``DoGroup``, and application — decisions stay byte-identical to every
+other path on the equivalence matrix.
+
+What a walk ends on — the root and the member closure left once it
+stopped at the participant's applied transactions — is all an extension
+depends on, so each controller keeps one *derivation table* keyed by
+exactly that (:class:`~repro.store.dht.controllers.Derivation`): a
+closure is flattened, digested and priced once, however many
+participants and rounds land on it, and the publish-time context-free
+derivation seeds its full-closure row.  The per-(participant, root)
+memo is only a pointer into the table stamped with the participant's
+applied-set version: while the version stands it answers the root with
+*no walk at all* (no ``nc_fetch_batch``); once it moved the verdicts
+are refetched and only the derivation is reused.  A final verdict
+retires the participant's pointer, the last participant's the rows.
+
+Either way the repeated-deferral rounds the paper worries about are
+*delta-encoded*: when the client proves (by echoing the row's content
+digest) that it still retains the previous round's assembled payload,
+the controller answers with a tiny ``nc_unchanged`` token instead of
+re-shipping bodies — O(delta) re-delivery cost, not O(state) — with a
+full-payload fallback when the client no longer holds it.  The
+comparison is by *content*, not version: a walk that ends on the same
+closure as before (disjoint from whatever was newly applied — the
+common case) still answers with the token.  First deliveries are cheap
+too: the extension travels dictionary-encoded against the member bodies
 in the same reply, so only genuinely composed operations pay full
-update bytes.  A final verdict retires the memo entry.  The client then
-runs only ``CheckState``, ``DoGroup``, and application — decisions stay
-byte-identical to every other path on the equivalence matrix.
+update bytes.
 
 This module is the controller side: the per-token batch state machine
 ``nc_request`` -> (``nc_fetch_batch`` / ``nc_member_batch``)* ->
@@ -46,15 +58,14 @@ This module is the controller side: the per-token batch state machine
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
-from repro.core.extensions import UpdateExtension
 from repro.model.transactions import TransactionId
 from repro.net.simnet import Message, Network
 from repro.store.dht import wire
 from repro.store.dht.controllers import (
-    _cf_local_body,
-    _derive,
+    Derivation,
+    _derivation,
     _first_delivery,
     _standing,
 )
@@ -65,7 +76,7 @@ def on_nc_request(host, network: Network, message: Message) -> None:
     """Open one participant's batch of candidate roots."""
     payload = message.payload
     token: str = payload["token"]
-    if token in host.nc_batches or token in host.nc_served:
+    if token in host.nc_served:
         return  # an injected duplicate of a batch already accepted
     host.nc_served.add(token)
     participant: int = payload["participant"]
@@ -74,9 +85,8 @@ def on_nc_request(host, network: Network, message: Message) -> None:
         "client": payload["client"],
         "participant": participant,
         "version": version,
-        # Per-root derivation state, and the roots still walking.
+        # Per-root walk state of the roots still walking.
         "roots": {},
-        "open": set(),
         # Coalesced reply under construction: per-root entries, the
         # provably-unchanged digests, and the accumulated pricing.
         "entries": {},
@@ -107,40 +117,32 @@ def on_nc_request(host, network: Network, message: Message) -> None:
             batch["entries"][tid] = {"tid": tid, "status": "irrelevant"}
             continue
         memo = host.nc_memo.get((participant, tid))
-        if (
-            memo is not None
-            and memo[0] == version
-            and memo[1].priority == priority
-        ):
-            if entry.get("digest") == memo[2]:
-                # The client proved it retains the identical
-                # assembled payload: the digest token alone answers
-                # this root (the delta-encoded re-ship).
-                batch["unchanged"][tid] = memo[2]
-                continue
-            if _stage_from_memo(host, batch, held, priority, memo[1], memo[2]):
-                continue
+        if memo is not None and memo[0] == version:
+            # The applied set has not moved: the row the last walk ended
+            # on still answers the root, with no verdict query at all.
+            host.derive_stats.hits += 1
+            _stage(host, batch, held, priority, memo[1], entry.get("digest"))
+            continue
         rstate: Dict[str, Any] = {
             "tid": tid,
             "record": held,
             "priority": priority,
-            # The digest of the payload the client retains, if any:
-            # a stale-version re-derivation that lands on the same
-            # content still answers with a token, not bodies.
+            # The digest of the payload the client retains, if any (a
+            # walk that ends on the same closure answers with a token).
             "want_digest": entry.get("digest"),
-            "bodies": {tid: wire.body(held)},
-            "applied": set(),
+            # The members the walk has visited, and those whose verdict
+            # it still waits for.
+            "seen": {tid},
             "waiting": set(),
         }
         batch["roots"][tid] = rstate
-        batch["open"].add(tid)
         _expand(host, batch, rstate, held["antecedents"])
     _pump(host, network, token)
 
 
 def _expand(host, batch: Dict[str, Any], rstate: Dict[str, Any], tids) -> None:
     """Advance one root's closure walk as far as local knowledge
-    allows: absorb members whose verdict this controller holds (its
+    allows: resolve members whose verdict this controller holds (its
     own transactions) or that another root of this batch already
     resolved, expand *structurally* through the ``cf_bodies`` cache
     even before the member's verdict is back (the verdict only
@@ -151,12 +153,9 @@ def _expand(host, batch: Dict[str, Any], rstate: Dict[str, Any], tids) -> None:
     worklist = list(tids)
     while worklist:
         tid = worklist.pop()
-        if (
-            tid in rstate["bodies"]
-            or tid in rstate["applied"]
-            or tid in rstate["waiting"]
-        ):
+        if tid in rstate["seen"]:
             continue
+        rstate["seen"].add(tid)
         resolution = batch["resolved"].get(tid)
         if resolution is None:
             held = host.txns.get(tid)
@@ -176,29 +175,20 @@ def _expand(host, batch: Dict[str, Any], rstate: Dict[str, Any], tids) -> None:
             batch["waiters"].setdefault(tid, set()).add(rstate["tid"])
             batch["to_ask"].add(tid)
             body = host.cf_bodies.get(tid)
-            if body is not None:
-                rstate["bodies"][tid] = body
-                worklist.extend(body[1])
-            continue
-        kind, body = resolution
-        if kind == "applied":
-            rstate["applied"].add(tid)
-        elif kind == "body":
-            rstate["bodies"][tid] = body
+        else:
+            # An applied member stops the walk; an unknown one leaves a
+            # hole that fails the root only if it is actually reachable.
+            body = resolution[1]
+        if body is not None:
             worklist.extend(body[1])
-        # An "unknown" member leaves a hole; _finish_root fails
-        # the root only if the hole is actually reachable.
 
 
 def _pump(host, network: Network, token: str) -> None:
     """Finish roots whose walk completed, flush the batched member
     queries, and ship the coalesced replies once nothing is open."""
-    batch = host.nc_batches.get(token)
-    if batch is None:
-        return
-    for tid in sorted(batch["open"]):
+    batch = host.nc_batches[token]
+    for tid in sorted(batch["roots"]):
         if not batch["roots"][tid]["waiting"]:
-            batch["open"].discard(tid)
             _finish_root(host, batch, tid)
     queries: Dict[str, List[TransactionId]] = {}
     for tid in sorted(batch["to_ask"]):
@@ -222,7 +212,7 @@ def _pump(host, network: Network, token: str) -> None:
                 for tid in members
             ],
         )
-    if not batch["open"]:
+    if not batch["roots"]:
         _flush_batch(host, network, token)
 
 
@@ -298,136 +288,88 @@ def on_nc_member_batch(host, network: Network, message: Message) -> None:
         for root_tid in sorted(batch["waiters"].pop(tid, ())):
             rstate = batch["roots"][root_tid]
             rstate["waiting"].discard(tid)
-            kind, body = resolution
-            if kind == "applied":
-                rstate["applied"].add(tid)
-            elif kind == "body":
-                # The speculative walk may already hold this body
-                # from cf_bodies; absorbing it again is a no-op.
-                had = tid in rstate["bodies"]
-                rstate["bodies"][tid] = body
-                if not had:
-                    _expand(host, batch, rstate, body[1])
-            else:
-                rstate["bodies"].pop(tid, None)
+            if resolution[0] == "body":
+                # A no-op where the speculative walk already went
+                # through this body from cf_bodies.
+                _expand(host, batch, rstate, resolution[1][1])
     _pump(host, network, payload["token"])
 
 
 def _finish_root(host, batch: Dict[str, Any], root_tid: TransactionId) -> None:
-    """Derive and stage one finished root of the batch."""
+    """Look up (or derive) and stage one finished root of the batch."""
     rstate = batch["roots"].pop(root_tid)
     held = rstate["record"]
-    # The precise closure: reachable from the root through the
-    # gathered bodies, stopping at the participant's applied
-    # transactions.  The speculative cf_bodies expansion may have
-    # walked past an applied stop; anything beyond it is neither
-    # shipped nor required to have resolved.
-    needed: Dict[TransactionId, wire.Body] = {}
-    missing = False
-    worklist: List[TransactionId] = [root_tid]
+    # The precise closure: reachable from the root through the resolved
+    # bodies, stopping at the participant's applied transactions (the
+    # speculative cf_bodies expansion may have walked past such a stop;
+    # nothing beyond it ships).
+    needed: Dict[TransactionId, wire.Body] = {root_tid: wire.body(held)}
+    worklist: List[TransactionId] = list(held["antecedents"])
     while worklist:
         tid = worklist.pop()
-        if tid in needed or tid in rstate["applied"]:
+        if tid in needed:
             continue
-        body = rstate["bodies"].get(tid)
-        if body is None:
-            missing = True
-            continue
-        needed[tid] = body
-        worklist.extend(body[1])
-    if missing:
-        # Part of the closure is gone (a controller lost the record
-        # beyond the replication budget): the driver falls back to
-        # the classic Figure-7 retrieval for this root and the
-        # client computes — and decides — locally.
-        batch["entries"][root_tid] = {"tid": root_tid, "status": "failed"}
-        return
-    # No extension (the closure does not flatten): ship the bodies
-    # alone — the client's fallback recomputation reaches the same
-    # FlattenError and rejects the root, byte-identically to the
-    # client-centric path.
-    extension = _derive(
-        host.schema,
-        needed.values(),
-        wire.root(held, rstate["priority"]),
-        frozenset(rstate["applied"]),
-    )
-    digest = None
-    if extension is not None:
-        digest = wire.extension_digest(extension)
-        host.nc_memo[(batch["participant"], root_tid)] = (
-            batch["version"], extension, digest,
-        )
-        if digest == rstate.get("want_digest"):
-            # The applied-set version moved, but the freshly derived
-            # extension is content-identical to the payload the
-            # client retains (its closure is disjoint from whatever
-            # was newly applied).  The digest token answers the
-            # root; no body or extension byte travels again.
-            batch["unchanged"][root_tid] = digest
+        kind, body = batch["resolved"][tid]
+        if kind == "body":
+            needed[tid] = body
+            worklist.extend(body[1])
+        elif kind == "unknown":
+            # Part of the closure is gone (a controller lost the record
+            # beyond the replication budget): the driver falls back to
+            # the classic Figure-7 retrieval for this root and the
+            # client computes — and decides — locally.
+            batch["entries"][root_tid] = {"tid": root_tid, "status": "failed"}
             return
-    _stage_data(host, batch, held, rstate["priority"], extension, digest, needed)
+    row = _derivation(host, held, needed)
+    if row.extension is not None:
+        host.nc_memo[(batch["participant"], root_tid)] = (batch["version"], row)
+    _stage(host, batch, held, rstate["priority"], row, rstate["want_digest"])
 
 
-def _stage_from_memo(
+def _stage(
     host,
     batch: Dict[str, Any],
     held: Dict[str, Any],
     priority: int,
-    extension: UpdateExtension,
-    digest: str,
-) -> bool:
-    """Stage a full re-ship of a memoized extension (the client
-    holds no matching retained payload); False when a member body
-    has been lost locally, forcing a fresh derivation."""
-    bodies = {}
-    for member in extension.members:
-        body = _cf_local_body(host, member)
-        if body is None:  # pragma: no cover - bodies cache is unbounded
-            return False
-        bodies[member] = body
-    _stage_data(host, batch, held, priority, extension, digest, bodies)
-    return True
-
-
-def _stage_data(
-    host,
-    batch: Dict[str, Any],
-    held: Dict[str, Any],
-    priority: int,
-    extension: Optional[UpdateExtension],
-    digest: Optional[str],
-    bodies: Dict[TransactionId, wire.Body],
+    row: Derivation,
+    want_digest: Optional[str],
 ) -> None:
-    """Stage one root's payload into the coalesced ``nc_data``.
+    """Stage one root's answer — its closure's derivation-table row —
+    into the coalesced reply: a digest token, or the full payload.
 
-    Pricing mirrors ``txn_data``: each body not yet delivered to the
-    participant (as this controller knows it — a body another
-    controller delivered may be re-priced, a deliberately
+    When the row's digest is the one the client echoed (``want_digest``)
+    the client retains the identical assembled payload — even if its
+    applied-set version moved, the closure the walk ended on is disjoint
+    from whatever was newly applied — and the token alone answers the
+    root; no body or extension byte travels again.
+
+    Otherwise the payload ships, priced like ``txn_data``: each body
+    not yet delivered to the participant (as this controller knows it —
+    a body another controller delivered may be re-priced, a deliberately
     conservative estimate) pays its fragments and bytes; the derived
     extension rides dictionary-encoded against the member bodies the
-    client holds (``wire.encoded_extension_cost``); everything already
-    held client-side — and every coalesced root beyond the first —
-    rides in the one shared header.
+    client holds (``Derivation.cost``); everything already held
+    client-side — and every coalesced root beyond the first — rides in
+    the one shared header.  A closure that does not flatten has no
+    extension: its bodies ship alone, and the client's fallback
+    recomputation reaches the same FlattenError and rejects the root,
+    byte-identically to the client-centric path.
     """
     participant = batch["participant"]
     tid = held["transaction"].tid
+    extension, digest = row.at(priority)
+    if digest is not None and digest == want_digest:
+        batch["unchanged"][tid] = digest
+        return
     members = []
-    for member, body in sorted(bodies.items(), key=lambda item: item[1][2]):
-        if _first_delivery(host, participant, member):
+    for body in row.bodies:
+        if _first_delivery(host, participant, body[0].tid):
             batch["fragments"] += wire.payload_fragments(body[0])
             batch["size"] += wire.body_bytes(body[0])
-        if member != tid:
+        if body[0].tid != tid:
             members.append(body)
     if extension is not None:
-        pool: Set[str] = set()
-        for member in extension.members:
-            body = bodies.get(member)
-            if body is None:
-                body = _cf_local_body(host, member)
-            if body is not None:
-                pool.update(repr(update) for update in body[0].updates)
-        ext_fragments, ext_bytes = wire.encoded_extension_cost(extension, pool)
+        ext_fragments, ext_bytes = row.cost
         batch["fragments"] += ext_fragments
         batch["size"] += ext_bytes
     batch["entries"][tid] = {

@@ -215,10 +215,6 @@ class MemoryUpdateStore(DirectLogStore):
     # ------------------------------------------------------------------
     # Extra introspection used by tests
 
-    def antecedents_of(self, tid: TransactionId) -> Tuple[TransactionId, ...]:
-        """The antecedents the store computed for ``tid`` at publish time."""
-        return self._nc_lookup(tid)[1]
-
     def decided_transactions(self, participant: int):
         """Applied transactions (publish order) plus rejected/deferred ids."""
         record = self._record_of(participant)

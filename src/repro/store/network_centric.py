@@ -57,7 +57,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.cache import ConflictCache, ExtensionCache
+from repro.core.cache import CacheStats, ConflictCache, ExtensionCache
 from repro.core.extensions import (
     ReconciliationBatch,
     RelevantTransaction,
@@ -210,6 +210,13 @@ class DirectLogStore(UpdateStore):
             caches = extensions, ConflictCache(stats=extensions.stats)
             self._nc_caches[participant] = caches
         return caches
+
+    def derivation_stats(self) -> CacheStats:
+        """The per-participant store-side caches' counters, summed."""
+        total = CacheStats()
+        for extensions, _pairs in self._nc_caches.values():
+            total.add(extensions.stats)
+        return total
 
     # ------------------------------------------------------------------
     # Context-free extensions: computed once per published transaction,

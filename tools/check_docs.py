@@ -60,7 +60,7 @@ SOURCE_LINE_CEILING = 15172
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (one class on purpose — docs/ARCHITECTURE.md).
-MODULE_LINE_CEILING = 1076
+MODULE_LINE_CEILING = 1044
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
