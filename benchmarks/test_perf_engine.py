@@ -50,10 +50,9 @@ from repro.core.conflicts import (
     ConflictGroup,
     Option,
     _conflict_points,
-    _effect_at_key,
     find_conflicts,
 )
-from repro.core.extensions import UpdateExtension, update_footprint
+from repro.core.extensions import UpdateExtension, index_by_key, update_footprint
 from repro.model.flatten import flatten, keys_touched
 from repro.model.transactions import TransactionId
 from repro.model.updates import Delete, Insert, Modify
@@ -92,18 +91,37 @@ def _seed_compute_update_extension(schema, graph, root, applied):
     )
 
 
-def _seed_direct_conflict_points(schema, graph, left, right):
+def _seed_conflict_points(schema, left_ops, right_ops):
     """Seed behaviour: indexes rebuilt from scratch for every pair."""
+    return _conflict_points(
+        schema, index_by_key(schema, left_ops), index_by_key(schema, right_ops)
+    )
+
+
+def _seed_effect_at_key(schema, extension, key):
+    """What the seed grouped options by: the row an extension leaves at
+    ``key``, or None (the library partitions by ``_option_signature``)."""
+    for update in extension.operations:
+        written = update.written_row()
+        if written is not None:
+            rel = schema.relation(update.relation)
+            if (update.relation, rel.key_of(written)) == key:
+                return written
+    return None
+
+
+def _seed_direct_conflict_points(schema, graph, left, right):
+    """The seed's pairwise comparison, without the memoized key indexes."""
     shared = left.member_set() & right.member_set()
     if not shared:
-        return _conflict_points(schema, left.operations, right.operations)
+        return _seed_conflict_points(schema, left.operations, right.operations)
     left_members = [tid for tid in left.members if tid not in shared]
     right_members = [tid for tid in right.members if tid not in shared]
     if not left_members or not right_members:
         return []
     left_ops = flatten(schema, update_footprint(graph, left_members))
     right_ops = flatten(schema, update_footprint(graph, right_members))
-    return _conflict_points(schema, left_ops, right_ops)
+    return _seed_conflict_points(schema, left_ops, right_ops)
 
 
 def _seed_build_conflict_groups(schema, graph, deferred, cache=None, analysis=None):
@@ -124,7 +142,7 @@ def _seed_build_conflict_groups(schema, graph, deferred, cache=None, analysis=No
     for (kind, key), tids in members.items():
         by_effect: Dict[object, List] = {}
         for tid in sorted(tids):
-            effect = _effect_at_key(schema, deferred[tid], key)
+            effect = _seed_effect_at_key(schema, deferred[tid], key)
             by_effect.setdefault(effect, []).append(tid)
         options = [
             Option(transactions=tuple(tids_for_effect), effect=effect)

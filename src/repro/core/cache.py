@@ -102,44 +102,23 @@ class CacheStats:
 
     def snapshot(self) -> "CacheStats":
         """An immutable-by-convention copy of the current counters."""
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            revalidations=self.revalidations,
-            shipped=self.shipped,
-            pair_hits=self.pair_hits,
-            pair_misses=self.pair_misses,
-        )
+        return replace(self)
 
     def add(self, other: "CacheStats") -> None:
         """Accumulate ``other``'s counters into this one (aggregation)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.revalidations += other.revalidations
-        self.shipped += other.shipped
-        self.pair_hits += other.pair_hits
-        self.pair_misses += other.pair_misses
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
     def minus(self, other: "CacheStats") -> "CacheStats":
         """The counter delta since ``other`` (an earlier snapshot)."""
         return CacheStats(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            revalidations=self.revalidations - other.revalidations,
-            shipped=self.shipped - other.shipped,
-            pair_hits=self.pair_hits - other.pair_hits,
-            pair_misses=self.pair_misses - other.pair_misses,
+            **{name: count - getattr(other, name) for name, count in vars(self).items()}
         )
 
     def as_dict(self) -> Dict[str, float]:
         """A JSON-friendly view (used by the perf benchmark)."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "revalidations": self.revalidations,
-            "shipped": self.shipped,
-            "pair_hits": self.pair_hits,
-            "pair_misses": self.pair_misses,
+            **vars(self),
             "hit_rate": self.hit_rate,
             "pair_hit_rate": self.pair_hit_rate,
         }
@@ -233,7 +212,7 @@ class ExtensionCache:
             and shipped.member_set().isdisjoint(applied)
         ):
             if shipped.priority != root.priority:
-                shipped = replace(shipped, priority=root.priority)
+                shipped = shipped.repriced(root.priority)
             extension = shipped
             self.stats.shipped += 1
         else:

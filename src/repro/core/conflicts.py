@@ -28,7 +28,12 @@ from repro.model.tuples import QualifiedKey
 from repro.model.updates import Delete, Insert, Modify, Update, updates_conflict
 
 from repro.core.cache import CacheStats, ConflictCache
-from repro.core.extensions import TransactionGraph, UpdateExtension, update_footprint
+from repro.core.extensions import (
+    TransactionGraph,
+    UpdateExtension,
+    index_by_key,
+    update_footprint,
+)
 
 
 def classify_conflict(left: Update, right: Update) -> str:
@@ -37,46 +42,24 @@ def classify_conflict(left: Update, right: Update) -> str:
     The paper groups conflicts "with the same type that involve the same
     key value" into conflict groups.
     """
-    kinds = sorted((_kind(left), _kind(right)))
-    return "/".join(kinds)
+    return "/".join(sorted((_KIND[type(left)], _KIND[type(right)])))
 
 
-def _kind(update: Update) -> str:
-    if isinstance(update, Insert):
-        return "insert"
-    if isinstance(update, Delete):
-        return "delete"
-    return "replace"
-
-
-def _index_by_key(
-    schema: Schema, ops: Sequence[Update]
-) -> Dict[QualifiedKey, List[Update]]:
-    """Index updates by every qualified key they touch."""
-    index: Dict[QualifiedKey, List[Update]] = {}
-    for update in ops:
-        for key in update.keys_touched(schema):
-            index.setdefault(key, []).append(update)
-    return index
+_KIND = {Insert: "insert", Delete: "delete", Modify: "replace"}
 
 
 def _conflict_points(
     schema: Schema,
-    left_ops: Sequence[Update],
-    right_ops: Sequence[Update],
-    left_index: Optional[Dict[QualifiedKey, List[Update]]] = None,
-    right_index: Optional[Dict[QualifiedKey, List[Update]]] = None,
+    left_index: Dict[QualifiedKey, List[Update]],
+    right_index: Dict[QualifiedKey, List[Update]],
 ) -> List[Tuple[str, QualifiedKey]]:
-    """All ``(type, key)`` pairs at which two footprints conflict.
+    """All ``(type, key)`` pairs at which two footprints, each given as
+    its :func:`~repro.core.extensions.index_by_key`, conflict.
 
     Updates can only conflict when they touch a shared key, so candidates
     are drawn from the key-index intersection (the paper's "hash
     table-based conflict detection").
     """
-    if left_index is None:
-        left_index = _index_by_key(schema, left_ops)
-    if right_index is None:
-        right_index = _index_by_key(schema, right_ops)
     # Probe the smaller index into the larger one instead of materialising
     # the key intersection; most footprints share at most one key.
     if len(left_index) > len(right_index):
@@ -99,14 +82,12 @@ def direct_conflict_points(
     graph: TransactionGraph,
     left: UpdateExtension,
     right: UpdateExtension,
-    left_index: Optional[Dict[QualifiedKey, List[Update]]] = None,
-    right_index: Optional[Dict[QualifiedKey, List[Update]]] = None,
 ) -> List[Tuple[str, QualifiedKey]]:
     """Definition 4, reporting *where* the extensions conflict.
 
     Shared member transactions are excluded from both sides before
-    comparing; when the extensions share nothing, the precomputed flattened
-    operations (and, if given, their key indexes) are compared directly.
+    comparing; when the extensions share nothing, their memoized key
+    indexes are compared directly.
 
     A shared member can sit *inside* a chain (it produced the row a later
     member consumes), so a residual need not flatten on its own.  That
@@ -120,12 +101,8 @@ def direct_conflict_points(
     left_set = left.member_set()
     right_set = right.member_set()
     if left_set.isdisjoint(right_set):  # common case: no allocation
-        if left_index is None:
-            left_index = left.key_index(schema)
-        if right_index is None:
-            right_index = right.key_index(schema)
         return _conflict_points(
-            schema, left.operations, right.operations, left_index, right_index
+            schema, left.key_index(schema), right.key_index(schema)
         )
     shared = left_set & right_set
     left_members = [tid for tid in left.members if tid not in shared]
@@ -134,8 +111,8 @@ def direct_conflict_points(
         return []
     return _conflict_points(
         schema,
-        _residual_ops(schema, graph, left_members),
-        _residual_ops(schema, graph, right_members),
+        index_by_key(schema, _residual_ops(schema, graph, left_members)),
+        index_by_key(schema, _residual_ops(schema, graph, right_members)),
     )
 
 
@@ -223,20 +200,9 @@ def find_conflicts(
         left, right = extensions[left_tid], extensions[right_tid]
         if left.subsumes(right) or right.subsumes(left):
             continue
-        points: Optional[Tuple] = None
-        if cache is not None:
-            points = cache.lookup(pair, left, right)
+        points = cache.lookup(pair, left, right) if cache is not None else None
         if points is None:
-            points = tuple(
-                direct_conflict_points(
-                    schema,
-                    graph,
-                    left,
-                    right,
-                    left.key_index(schema),
-                    right.key_index(schema),
-                )
-            )
+            points = tuple(direct_conflict_points(schema, graph, left, right))
             if cache is not None:
                 cache.store(pair, left, right, points)
         if points:
@@ -465,24 +431,6 @@ class ConflictGroup:
         return "\n".join(lines)
 
 
-def _effect_at_key(
-    schema: Schema, extension: UpdateExtension, key: QualifiedKey
-) -> Optional[Tuple]:
-    """What an extension leaves at ``key``: the written row or None.
-
-    This is the ``effect`` surfaced on :class:`Option` for resolution
-    UIs.  It is *not* sufficient to decide option sharing — see
-    :func:`_option_signature`.
-    """
-    for update in extension.operations:
-        written = update.written_row()
-        if written is not None:
-            rel = schema.relation(update.relation)
-            if (update.relation, rel.key_of(written)) == key:
-                return written
-    return None
-
-
 def _option_signature(
     schema: Schema, extension: UpdateExtension, key: QualifiedKey
 ) -> Tuple:
@@ -499,29 +447,22 @@ def _option_signature(
     from the key (and, for a replacement moving the row away, where it
     goes).
     """
-    for update in extension.operations:
+    at_key = extension.key_index(schema).get(key, ())
+    for update in at_key:
         written = update.written_row()
-        if written is not None:
-            rel = schema.relation(update.relation)
-            if (update.relation, rel.key_of(written)) == key:
-                return ("write", written)
-    for update in extension.operations:
-        if isinstance(update, Delete):
-            rel = schema.relation(update.relation)
-            if (update.relation, rel.key_of(update.row)) == key:
-                return ("delete", update.row)
-        elif isinstance(update, Modify):
-            rel = schema.relation(update.relation)
-            if (update.relation, rel.key_of(update.old_row)) == key:
-                return ("replace", update.old_row, update.new_row)
-    return ("none",)
+        if written is not None and update.keys_touched(schema)[-1] == key:
+            return ("write", written)
+    if not at_key:
+        return ("none",)
+    # Nothing writes here, so what touches the key consumes its row.
+    read, written = at_key[0].read_row(), at_key[0].written_row()
+    return ("delete", read) if written is None else ("replace", read, written)
 
 
 def build_conflict_groups(
     schema: Schema,
     graph: TransactionGraph,
     deferred: Dict[TransactionId, UpdateExtension],
-    cache: Optional["ConflictCache"] = None,
     analysis: Optional[ConflictAnalysis] = None,
 ) -> Dict[Tuple[str, QualifiedKey], ConflictGroup]:
     """The grouping step of ``UpdateSoftState`` (Figure 5, lines 7-16).
@@ -536,7 +477,7 @@ def build_conflict_groups(
     deferred extensions this epoch pass the result in.
     """
     if analysis is None:
-        analysis = find_conflicts(schema, graph, deferred, cache=cache)
+        analysis = find_conflicts(schema, graph, deferred)
     members: Dict[Tuple[str, QualifiedKey], Set[TransactionId]] = {}
     for (tid, other), points in analysis.points.items():
         for point in points:

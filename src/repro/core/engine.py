@@ -56,7 +56,10 @@ reconciliations pay only for what changed since the last one:
   participant to compare two shipped extensions serve every other;
 * ``can_apply_set`` verdicts are memoized against the instance's
   mutation counter, so unchanged deferred roots skip re-validation
-  against an unchanged replica.
+  against an unchanged replica; a check that does run, and the
+  application after it, probe the extension's compiled footprint
+  (:meth:`UpdateExtension.footprint`) instead of re-deriving keys, row
+  validity and foreign-key targets from its operations.
 
 Cache validity never depends on heuristics: extensions are exact for a
 given applied set (reuse only when provably unchanged), conflict points
@@ -190,25 +193,15 @@ class Reconciler:
         # The serving store's declared capabilities decide whether its
         # shipped payloads are eligible at all (absent flags — batches
         # built by hand in tests — are permissive).
-        capabilities = batch.capabilities
-        ships_context_free = capabilities is None or getattr(
-            capabilities, "ships_context_free", True
-        )
-        shares_pair_memo = capabilities is None or getattr(
-            capabilities, "shared_pair_memo", True
-        )
-        precomputed = batch.extensions if batch.network_centric else None
+        ships_context_free = getattr(batch.capabilities, "ships_context_free", True)
+        precomputed = batch.extensions if batch.network_centric else {}
         shipped = (
-            batch.extensions
-            if batch.extensions is not None
-            and not batch.network_centric
-            and ships_context_free
+            batch.extensions or {}
+            if ships_context_free and not batch.network_centric
             else {}
         )
         for root in roots:
-            extension = (
-                precomputed.get(root.tid) if precomputed is not None else None
-            )
+            extension = precomputed.get(root.tid)
             if extension is not None:
                 # Adopted without re-deriving: the store assembled this
                 # batch per participant, so the extension is exact for
@@ -239,11 +232,8 @@ class Reconciler:
         # Figure 4 line 9 (store-side in network-centric mode).  The
         # incremental index restricts the pairwise work to pairs involving
         # at least one extension that changed since the previous epoch.
-        self._shared_pairs = (
-            batch.pair_cache
-            if self._cache.enabled and shares_pair_memo
-            else None
-        )
+        shares = self._cache.enabled and getattr(batch.capabilities, "shared_pair_memo", True)
+        self._shared_pairs = batch.pair_cache if shares else None
         if batch.network_centric and set(batch.conflicts) >= set(extensions):
             adjacency = batch.conflicts
         else:
@@ -287,9 +277,7 @@ class Reconciler:
         # again (the conflict index pruned itself to the deferred set
         # inside UpdateSoftState).
         self._cache.prune(state.deferred)
-        for tid in [
-            t for t in self._applicability if t not in state.deferred
-        ]:
+        for tid in [t for t in self._applicability if t not in state.deferred]:
             del self._applicability[tid]
         result.cache_stats = self._cache.stats.minus(stats_before)
 
@@ -315,7 +303,7 @@ class Reconciler:
             return
         state = self._state
         if hooks.has("decision"):
-            for root in sorted(roots, key=lambda r: r.order):
+            for root in roots:  # ``_gather_roots`` sorted them
                 verdict = decision.get(root.tid)
                 if verdict is None:
                     continue
@@ -349,9 +337,7 @@ class Reconciler:
     ) -> List[RelevantTransaction]:
         """New trusted roots plus reconsidered deferred roots, in order."""
         state = self._state
-        roots: Dict[TransactionId, RelevantTransaction] = {}
-        for root in state.deferred_roots():
-            roots[root.tid] = root
+        roots = {root.tid: root for root in state.deferred_roots()}
         for root in batch.roots:
             if state.is_decided(root.tid):
                 continue  # the store should not re-deliver, but be safe
@@ -371,8 +357,7 @@ class Reconciler:
         dirty = state.dirty_keys
         if not dirty_exempt and dirty and not extension.touched.isdisjoint(dirty):
             return Decision.DEFER
-        rejected = state.rejected
-        if rejected and any(member in rejected for member in extension.members):
+        if not extension.member_set().isdisjoint(state.rejected):
             return Decision.REJECT
         if not self._can_apply(extension):
             return Decision.REJECT
@@ -395,19 +380,14 @@ class Reconciler:
         change either.  Disabled together with the extension cache so the
         uncached baseline re-validates like the seed did.
         """
-        if not self._cache.enabled:
-            return self._instance.can_apply_set(list(extension.operations))
         version = self._instance.mutation_count
         memo = self._applicability.get(extension.root)
-        if (
-            memo is not None
-            and memo[0] is extension
-            and memo[1] == version
-        ):
-            return memo[2]
-        verdict = self._instance.can_apply_set(list(extension.operations))
-        self._applicability[extension.root] = (extension, version, verdict)
-        return verdict
+        if memo is None or memo[0] is not extension or memo[1] != version:
+            verdict = self._instance.can_apply_set(extension.footprint(self._schema))
+            memo = (extension, version, verdict)
+            if self._cache.enabled:
+                self._applicability[extension.root] = memo
+        return memo[2]
 
     # ------------------------------------------------------------------
     # Step 5: DoGroup (Figure 5)
@@ -468,23 +448,25 @@ class Reconciler:
         ]
         accepted_ids = {root.tid for root in accepted}
 
-        # Roots are processed in publish order with a shared ``Used`` set, so
-        # overlapping antecedents are applied exactly once.  (The paper
-        # iterates only maximal roots; processing every accepted root in
-        # order with residual extensions is equivalent — an antecedent root
-        # applied first simply leaves nothing extra for its dependents.)
+        # Roots are processed in publish order (as ``_gather_roots`` left
+        # them) with a shared ``Used`` set, so overlapping antecedents are
+        # applied exactly once.  (The paper iterates only maximal roots;
+        # processing every accepted root in order with residual extensions
+        # is equivalent — an antecedent root applied first simply leaves
+        # nothing extra for its dependents.)
         used: Set[TransactionId] = set()
-        for root in sorted(accepted, key=lambda r: r.order):
+        for root in accepted:
             extension = extensions[root.tid]
             residual = [tid for tid in extension.members if tid not in used]
-            if len(residual) == len(extension.members):
-                operations = extension.operations  # nothing to leave out
-            else:
-                operations = flatten(
+            if len(residual) == len(extension.members):  # nothing to leave out
+                operations = extension.operations
+                update_set = extension.footprint(self._schema)
+            else:  # a fresh set: the instance compiles it, for this once
+                operations = update_set = flatten(
                     self._schema, update_footprint(state.graph, residual)
                 )
             try:
-                self._instance.apply_set(operations)
+                self._instance.apply_set(update_set)
             except ConstraintViolation:
                 # Accepted extensions are mutually conflict-free, so this
                 # indicates overlapping chains beyond what the conflict
@@ -543,9 +525,7 @@ class Reconciler:
             except FlattenError:  # pragma: no cover - defensive
                 continue
             deferred_extensions[root.tid] = extension
-        dirty: Set = set()
-        for extension in deferred_extensions.values():
-            dirty.update(extension.touched)
+        dirty = set().union(*(e.touched for e in deferred_extensions.values()))
         analysis = self._conflict_index.update(
             self._schema, state.graph, deferred_extensions, self._shared_pairs
         )

@@ -14,10 +14,12 @@ This module consumes those edges through :class:`TransactionGraph`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReconciliationError
+from repro.instance.base import Footprint, compile_footprint
 from repro.model.flatten import flatten_once
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
@@ -151,7 +153,7 @@ class TransactionGraph:
         return sorted(closure, key=self.order_of)
 
 
-@dataclass
+@dataclass(slots=True)
 class UpdateExtension:
     """The flattened update extension of one root (Section 4.2).
 
@@ -161,6 +163,11 @@ class UpdateExtension:
     * ``touched`` — every qualified key the raw (unflattened) footprint
       read or wrote, used for dirty-value deferral;
     * ``priority`` — ``pri_i`` of the root.
+
+    Everything else it answers — the member set, the key index, the
+    instance footprint — is a function of those fields and is derived at
+    most once, also on behalf of every :meth:`repriced` copy.  Slotted:
+    a batch builds one per root.
     """
 
     root: TransactionId
@@ -168,10 +175,16 @@ class UpdateExtension:
     operations: Tuple[Update, ...]
     touched: frozenset
     priority: int
+    _members_set: frozenset = field(init=False, repr=False, compare=False)
+    #: What ``operations`` alone determine, as derived for ``_schema``; a
+    #: re-priced copy reads and writes them on ``_origin``, its original.
+    _origin: Optional["UpdateExtension"] = field(default=None, init=False, repr=False, compare=False)
+    _schema: Optional[Schema] = field(default=None, init=False, repr=False, compare=False)
+    _key_index: Optional[Dict] = field(default=None, init=False, repr=False, compare=False)
+    _footprint: Optional[Footprint] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._members_set = frozenset(self.members)
-        self._key_index: Optional[Tuple[Schema, Dict]] = None
 
     def member_set(self) -> frozenset:
         """The members as a set (for subsumption and sharing tests)."""
@@ -181,22 +194,59 @@ class UpdateExtension:
         """True if this extension's members are a superset of ``other``'s."""
         return self.member_set() >= other.member_set()
 
-    def key_index(self, schema: Schema) -> Dict[QualifiedKey, List[Update]]:
-        """The operations indexed by every qualified key they touch.
+    def repriced(self, priority: int) -> "UpdateExtension":
+        """A distinct extension object at ``priority`` (memos validated by
+        object identity tell the two apart) sharing everything that is a
+        function of the operations and not of the price: the member set,
+        and the key index and footprint, whichever of the two derives first.
+        """
+        twin = copy.copy(self)  # no ``__post_init__``: the member set is shared
+        twin.priority = priority
+        twin._origin = self._origin or self
+        return twin
 
-        Memoized on the extension: conflict detection consults the index
-        from both ``FindConflicts`` and ``UpdateSoftState``, and an
-        extension's operations never change after construction.  Callers
+    def _derived(self, slot: str, schema: Schema, derive: Callable):
+        """``derive(schema, operations)``, memoized in ``slot`` for one
+        schema at a time.  An extension's operations never change after
+        construction; under the threaded scheduler two participants may
+        race to write the same value."""
+        holder = self._origin or self
+        if holder._schema is not schema:
+            holder._key_index = holder._footprint = None
+            holder._schema = schema
+        value = getattr(holder, slot)
+        if value is None:
+            value = derive(schema, self.operations)
+            setattr(holder, slot, value)
+        return value
+
+    def key_index(self, schema: Schema) -> Dict[QualifiedKey, List[Update]]:
+        """The operations indexed by every qualified key they touch
+        (:func:`index_by_key`, memoized: conflict detection consults it
+        from both ``FindConflicts`` and ``UpdateSoftState``).  Callers
         must not mutate the returned mapping.
         """
-        if self._key_index is not None and self._key_index[0] is schema:
-            return self._key_index[1]
-        index: Dict[QualifiedKey, List[Update]] = {}
-        for update in self.operations:
-            for key in update.keys_touched(schema):
-                index.setdefault(key, []).append(update)
-        self._key_index = (schema, index)
-        return index
+        return self._derived("_key_index", schema, index_by_key)
+
+    def footprint(self, schema: Schema) -> Footprint:
+        """The operations' compiled instance footprint
+        (:func:`~repro.instance.base.compile_footprint`, memoized): what
+        ``CheckState`` and application probe the instance with.  A
+        context-free extension is one object confederation-wide, so the
+        first participant to check it compiles for all of them.
+        """
+        return self._derived("_footprint", schema, compile_footprint)
+
+
+def index_by_key(
+    schema: Schema, operations: Iterable[Update]
+) -> Dict[QualifiedKey, List[Update]]:
+    """``operations`` indexed by every qualified key they touch."""
+    index: Dict[QualifiedKey, List[Update]] = {}
+    for update in operations:
+        for key in update.keys_touched(schema):
+            index.setdefault(key, []).append(update)
+    return index
 
 
 def update_footprint(

@@ -19,7 +19,7 @@ never trusts anything).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import PolicyError
 from repro.model.schema import Schema
@@ -51,10 +51,21 @@ class AcceptanceRule:
 
 
 class TrustPolicy:
-    """The full acceptance-rule set ``A(p_i)`` of one participant."""
+    """The full acceptance-rule set ``A(p_i)`` of one participant.
+
+    ``pri_i`` is a max over matching rules, so the rules that only name
+    an origin (``origin_is`` — one per arc of the paper's Figure 1) are
+    kept as an ``{origin: highest priority}`` index beside the declared
+    list: an update costs one lookup plus a scan of the *other* rules,
+    however many participants are trusted.
+    """
 
     def __init__(self, rules: Iterable[AcceptanceRule] = ()) -> None:
-        self._rules: List[AcceptanceRule] = list(rules)
+        self._rules: List[AcceptanceRule] = []
+        self._by_origin: Dict[int, int] = {}
+        self._scanned: List[AcceptanceRule] = []
+        for rule in rules:
+            self.add_rule(rule)
 
     @property
     def rules(self) -> Tuple[AcceptanceRule, ...]:
@@ -64,6 +75,11 @@ class TrustPolicy:
     def add_rule(self, rule: AcceptanceRule) -> "TrustPolicy":
         """Append a rule; returns self for chaining."""
         self._rules.append(rule)
+        if type(rule.predicate) is origin_is:
+            origin = rule.predicate.participant
+            self._by_origin[origin] = max(self._by_origin.get(origin, 0), rule.priority)
+        else:
+            self._scanned.append(rule)
         return self
 
     def trust(self, predicate: Predicate, priority: int) -> "TrustPolicy":
@@ -87,8 +103,8 @@ class TrustPolicy:
 
     def priority_of_update(self, schema: Schema, update: Update) -> int:
         """Max priority of any matching rule; 0 if none match positively."""
-        best = 0
-        for rule in self._rules:
+        best = self._by_origin.get(update.origin, 0)
+        for rule in self._scanned:
             if rule.priority > best and rule.matches(schema, update):
                 best = rule.priority
         return best

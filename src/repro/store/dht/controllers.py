@@ -44,7 +44,7 @@ behaviour (and honestly downgrades the instance's capability flags).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -136,7 +136,7 @@ class Derivation:
             return None, None
         priced = self._priced.get(priority)
         if priced is None:
-            extension = replace(self.extension, priority=priority)
+            extension = self.extension.repriced(priority)
             priced = (extension, wire.extension_digest(extension))
             self._priced[priority] = priced
         return priced

@@ -226,6 +226,37 @@ class TestRunAndReport:
 
         assert run(11) == run(11)
 
+    def test_rows_are_validated_once_per_extension_not_per_check(
+        self, monkeypatch
+    ):
+        """The ratchet on what CheckState re-derives: the ``eval-conflict``
+        schedule at smoke scale (10 peers, interval 4, 2 rounds + final,
+        seed 7000) called ``RelationSchema.validate_row`` 7,387 times at
+        the parent commit — every written row of every extension, per
+        participant per check and again per apply — and calls it 1,156
+        times now: once per row at ``execute``, once per compiled
+        footprint.  Seeded and exact; the state ratio pins the outcome."""
+        from repro.model.schema import RelationSchema
+
+        calls = []
+        validate_row = RelationSchema.validate_row
+        monkeypatch.setattr(
+            RelationSchema,
+            "validate_row",
+            lambda rel, row: calls.append(row) or validate_row(rel, row),
+        )
+        config = ConfederationConfig(
+            store="memory",
+            peers=tuple(range(1, 11)),
+            workload=WorkloadConfig(transaction_size=1, seed=7000),
+            reconciliation_interval=4,
+            rounds=2,
+            final_reconcile=True,
+        )
+        report = Confederation.from_config(config).run()
+        assert report.state_ratio == pytest.approx(53 / 31)
+        assert len(calls) <= 1156
+
     def test_custom_store(self):
         store = MemoryUpdateStore(curated_schema())
         confed = Confederation(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Decision, ExtensionCache, ParticipantState, Reconciler
+from repro.core.extensions import compute_update_extension
 from repro.instance import MemoryInstance
 from repro.model import Delete, Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
@@ -429,3 +430,82 @@ class TestOwnDeltaOnDemand:
             free.tid: Decision.ACCEPT,
         }
         assert instance.snapshot()["F"] == {("rat", "prot7"): free.updates[0].row}
+
+
+class TestFootprintCompiledOnce:
+    """An extension's instance footprint is a function of its operations:
+    compiled by whoever checks the object first, for everyone holding it
+    and for every re-priced copy.  The parent commit re-derived it inside
+    every ``can_apply_set`` / ``apply_set``: once per participant per
+    check."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Who compiled: ``"extension"`` (the memo) or ``"raw"`` (the
+        instance, handed an update list)."""
+        import repro.core.extensions as extensions_module
+        import repro.instance.base as base_module
+
+        calls = []
+        compile_footprint = base_module.compile_footprint
+
+        def counting(label):
+            def compile_and_count(schema, updates):
+                calls.append(label)
+                return compile_footprint(schema, updates)
+
+            return compile_and_count
+
+        monkeypatch.setattr(extensions_module, "compile_footprint", counting("extension"))
+        monkeypatch.setattr(base_module, "compile_footprint", counting("raw"))
+        return calls
+
+    def test_one_shipped_extension_three_participants(self, schema, compiled):
+        builder = GraphBuilder()
+        txn = make_transaction(9, 0, [Insert("F", RAT1, 9), Insert("F", MOUSE2, 9)])
+        builder.add(txn)
+        [root] = builder.batch(1, [(txn, 1)]).roots
+        shipped = compute_update_extension(schema, builder.graph, root, set())
+        instances = []
+        for participant, priority in ((1, 1), (2, 1), (3, 2)):
+            reconciler, instance, _state = make_reconciler(schema, participant)
+            batch = builder.batch(1, [(txn, priority)])
+            batch.extensions = {txn.tid: shipped}
+            result = reconciler.reconcile(batch)
+            assert result.accepted == [txn.tid]
+            assert result.cache_stats.shipped == 1
+            instances.append(instance)
+        # Checked three times and applied three times, the third time as
+        # a copy re-priced to 2: compiled once.
+        assert compiled == ["extension"]
+        assert instances[0] == instances[1] == instances[2]
+        assert instances[0].count("F") == 2
+
+    def test_a_repriced_copy_shares_whatever_derives_first(self, schema, compiled):
+        builder = GraphBuilder()
+        txn = make_transaction(9, 0, [Insert("F", RAT1, 9)])
+        builder.add(txn)
+        [root] = builder.batch(1, [(txn, 1)]).roots
+        original = compute_update_extension(schema, builder.graph, root, set())
+        copy = original.repriced(5)
+        assert copy is not original and copy.priority == 5 and original.priority == 1
+        assert copy.member_set() is original.member_set()
+        footprint = copy.footprint(schema)  # the copy derives first ...
+        assert original.footprint(schema) is footprint  # ... for the original too
+        assert original.repriced(7).key_index(schema) is copy.key_index(schema)
+        assert compiled == ["extension"]
+
+    def test_the_residual_path_compiles_its_own(self, schema, compiled):
+        reconciler, instance, _state = make_reconciler(schema, 1)
+        builder = GraphBuilder()
+        x30 = make_transaction(3, 0, [Insert("F", RAT1, 3)])
+        x31 = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
+        builder.add(x30)
+        builder.add(x31, antecedents=[x30.tid])
+        result = reconciler.reconcile(builder.batch(1, [(x30, 1), (x31, 1)]))
+        assert result.accepted == [x30.tid, x31.tid]
+        # Each extension once for CheckState (x30's again to apply it:
+        # memoized); x31 applies without its applied member x30 — a fresh
+        # flatten, handed over raw.
+        assert compiled == ["extension", "extension", "raw"]
+        assert instance.snapshot()["F"] == {("rat", "prot1"): RAT1_IMMUNE}

@@ -187,3 +187,47 @@ class TestSqliteSpecific:
 
         with pytest.raises(ValueError):
             _table_name("evil; DROP TABLE")
+
+
+class TestSetApplication:
+    """An update set is tested by probing its compiled footprint: what
+    the set itself decides costs no ``get`` (a ``SELECT`` on sqlite)."""
+
+    CHILDREN = [
+        Insert("Xref", ("rat", "prot1", "db", f"a{serial}"), 3) for serial in range(7)
+    ]
+
+    @staticmethod
+    def probes(instance, monkeypatch):
+        probed = []
+        get = instance.get
+        monkeypatch.setattr(
+            instance, "get", lambda *key: probed.append(key) or get(*key)
+        )
+        return probed
+
+    def test_a_shared_parent_is_probed_once(self, xref_instance, monkeypatch):
+        xref_instance.apply(Insert("F", RAT1, 3))
+        probed = self.probes(xref_instance, monkeypatch)
+        assert xref_instance.can_apply_set(self.CHILDREN)
+        # Seven landing slots and one parent; the parent commit probed
+        # the parent once per child: 14.
+        assert len(probed) == 8
+        assert probed.count(("F", ("rat", "prot1"))) == 1
+        xref_instance.apply_set(self.CHILDREN)
+        assert xref_instance.count("Xref") == 7
+
+    def test_a_parent_the_set_writes_is_not_probed_for(
+        self, xref_instance, monkeypatch
+    ):
+        probed = self.probes(xref_instance, monkeypatch)
+        assert xref_instance.can_apply_set([Insert("F", RAT1, 3), *self.CHILDREN])
+        assert len(probed) == 8
+        assert probed.count(("F", ("rat", "prot1"))) == 1  # its own landing slot
+        # A parent replaced in place answers the reference the same way.
+        xref_instance.apply_set([Insert("F", RAT1, 3)])
+        del probed[:]
+        revised = [Modify("F", RAT1, RAT1_IMMUNE, 3), *self.CHILDREN]
+        assert xref_instance.can_apply_set(revised)
+        assert len(probed) == 8
+        assert probed.count(("F", ("rat", "prot1"))) == 1  # the consumed row

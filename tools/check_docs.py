@@ -56,7 +56,7 @@ MARKDOWN_FILES = (
 )
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 15172
+SOURCE_LINE_CEILING = 15171
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (one class on purpose — docs/ARCHITECTURE.md).
