@@ -22,7 +22,8 @@ RPR007   No iteration over set expressions feeding ordered output —
          wrap in ``sorted(...)`` so decision-adjacent order is stable.
 RPR008   ``@dataclass`` classes with ``to_dict``/``from_dict`` keep the
          dict keys in exact parity with their fields.
-RPR009   Message kinds passed to ``Network.send`` and named in the
+RPR009   Message kinds passed to ``Network.send`` or the DHT request
+         engine (``request``/``exchange``/``tell``) and named in the
          protocol tables (``REPLIES``, ``HANDLERS``) come from the
          ``KINDS`` registry — the module's own or the one it imports
          from — a typo'd kind silently burns the retry budget.
@@ -618,8 +619,9 @@ class KindsRegistryRule(Rule):
     code = "RPR009"
     name = "message-kind-registry"
     summary = (
-        "message kinds passed to Network.send and named in the protocol "
-        "tables (REPLIES, HANDLERS) must come from the KINDS registry — "
+        "message kinds passed to Network.send or the DHT request engine "
+        "and named in the protocol tables (REPLIES, HANDLERS) must come "
+        "from the KINDS registry — "
         "a typo'd kind silently produces an unanswered request that "
         "burns the whole retry budget"
     )
@@ -685,19 +687,27 @@ class KindsRegistryRule(Rule):
                 return {literal.value for literal in self._literals(value)}
         return None
 
-    @staticmethod
-    def _send_kind(node: ast.AST) -> Optional[ast.Constant]:
-        """The literal kind of a ``....send(sender, recipient, kind)``
-        call (third positional or ``kind=``), else None."""
+    #: Callee -> position of its message-kind argument: ``Network.send(sender,
+    #: recipient, kind)`` and the DHT request engine's entry points, through
+    #: which a driver sends (``client.exchange(store, node, kind)``,
+    #: ``.request(store, node, key, kind)``, ``.tell(store, sender, to, kind)``).
+    KIND_POSITION = {"send": 2, "exchange": 2, "request": 3, "tell": 3}
+
+    @classmethod
+    def _send_kind(cls, node: ast.AST) -> Optional[ast.Constant]:
+        """The literal kind a call puts on the wire — the positional
+        argument :data:`KIND_POSITION` names for the callee, or
+        ``kind=`` — else None."""
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "send"
+            and node.func.attr in cls.KIND_POSITION
         ):
             return None
+        position = cls.KIND_POSITION[node.func.attr]
         candidate: Optional[ast.AST] = None
-        if len(node.args) >= 3:
-            candidate = node.args[2]
+        if len(node.args) > position:
+            candidate = node.args[position]
         for keyword in node.keywords:
             if keyword.arg == "kind":
                 candidate = keyword.value

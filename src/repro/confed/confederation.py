@@ -23,6 +23,7 @@ a confederation owns the participant lifecycle:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from difflib import get_close_matches
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdss.participant import Participant
@@ -160,10 +161,12 @@ class Confederation:
 
         A plan naming faults the store cannot suffer is a configuration
         error at ``open()``, not a silent no-op at fire time: message
-        faults need the store's simulated network, host crashes need the
-        ``fail_host``/``recover_host`` surface.  The checks are
-        duck-typed (capability, not concrete type) so third-party
-        drivers qualify by exposing the same surface.
+        faults need the store's simulated network and — where the store
+        says which kinds it carries (``message_kinds``) — a kind it can
+        carry, host crashes need the ``fail_host``/``recover_host``
+        surface.  The checks are duck-typed (capability, not concrete
+        type) so third-party drivers qualify by exposing the same
+        surface.
         """
         store = self._store
         if plan.messages:
@@ -174,6 +177,15 @@ class Confederation:
                     f"simulated network; message faults need a networked "
                     f"store (e.g. 'dht')"
                 )
+            kinds = getattr(store, "message_kinds", None)
+            for fault in plan.messages if kinds is not None else ():
+                if fault.kind not in kinds:
+                    close = get_close_matches(fault.kind, sorted(kinds))
+                    raise ConfigError(
+                        f"store backend {type(store).__name__} carries no "
+                        f"{fault.kind!r} messages, so that fault would never "
+                        f"fire; close matches: {', '.join(close) or 'none'}"
+                    )
             network.injector = FaultInjector(
                 plan,
                 latency=store.message_latency,

@@ -238,7 +238,7 @@ def on_epoch_begun(host, network: Network, message: Message) -> None:
     network.send(
         host.name,
         payload["reply_to"],
-        wire.REPLIES["request_epoch"],
+        wire.REPLIES["request_epoch"][0],
         epoch=payload["epoch"],
         req=payload.get("req"),
     )

@@ -1,39 +1,19 @@
 """The store driver: ``DhtUpdateStore`` over the simulated ring.
 
-The driver is the client side of every protocol: it speaks for the
-publishing/reconciling peers (one ``_ClientNode`` inbox each), routes
-each request to the live owner of its key, and drains the network after
-every step.  It also stands in for the participant's peer coordinator
-where the paper leaves placement open (antecedent lookups, the
-network-centric conflict assembly).
-
-Fault tolerance, driver side (PR 6)
------------------------------------
-
-Successor replication lives with the hosts
-(:mod:`repro.store.dht.replication`); the other two mechanisms that
-close Section 5.2.2's failure sketch live here:
-
-* **retry with request ids** — every request/reply exchange carries a
-  request id that is stable across retries and echoed by the handler;
-  the driver retries a missing reply with deterministic exponential
-  backoff (bounded by ``max_retries``, then
-  :class:`~repro.errors.RetryExhaustedError`).  Handlers are idempotent
-  and the epoch allocator deduplicates ``request_epoch`` by id, so
-  retries and injected duplicates never burn an epoch or skew a
-  decision stream.
-* **degradation** — cascaded retrievals (``request_txn``,
-  ``nc_request``) are retried batch-wise under fresh tokens (the
-  controllers' per-token dedup would silently absorb a same-token
-  re-request); a store-computed derivation that still fails falls back
-  to the client-computed path for that root (surfaced as a
-  ``degraded`` hook event), preserving byte-identical decisions.
+The driver is the client side of every protocol, written as scripts
+over the request engine (:mod:`repro.store.dht.client`): it speaks for
+the publishing/reconciling peers (one :class:`_Peer` record each), says
+which ring key or host each request goes to and what its answers mean,
+and leaves sending, waiting, retrying and giving up — the driver side of
+Section 5.2.2's failure sketch — to the engine.  It also stands in for
+the participant's peer coordinator where the paper leaves placement open
+(antecedent lookups, the network-centric conflict assembly).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ConflictCache
 from repro.core.decisions import ReconcileResult
@@ -43,14 +23,14 @@ from repro.core.extensions import (
     TransactionGraph,
     UpdateExtension,
 )
-from repro.errors import RetryExhaustedError, StoreError, UnknownTransactionError
+from repro.errors import StoreError, UnknownTransactionError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.net.ring import HashRing
-from repro.net.simnet import Message, Network, Node
+from repro.net.simnet import Message, Network
 from repro.policy.acceptance import TrustPolicy
 from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
-from repro.store.dht import wire
+from repro.store.dht import client, wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.dht.replication import _install, allocator_counter, held_copy
 from repro.store.logic import compute_antecedents
@@ -61,21 +41,37 @@ from repro.store.network_centric import (
 from repro.store.registry import StoreCapabilities
 
 
-class _ClientNode(Node):
-    """The reconciling/publishing peer's endpoint: an inbox."""
+class _Peer:
+    """Everything the driver keeps for one registered participant."""
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.inbox: List[Message] = []
+    __slots__ = (
+        "participant", "node", "policy", "version", "deferred", "pairs", "retained",
+    )
 
-    def handle(self, network: Network, message: Message) -> None:
-        """Collect replies for the store driver to consume."""
-        self.inbox.append(message)
-
-    def drain(self) -> List[Message]:
-        """Return and clear the inbox."""
-        messages, self.inbox = self.inbox, []
-        return messages
+    def __init__(self, participant: int, policy: TrustPolicy) -> None:
+        self.participant = participant
+        #: The participant's endpoint on the network: its inbox.
+        self.node = client._ClientNode(f"client:{participant}")
+        #: Its trust conditions, re-sent to a host that recovers.
+        self.policy = policy
+        # Peer-coordinator bookkeeping for the fully network-centric
+        # batch (PR 5), maintained from the same ``record_decision``
+        # feedback the controllers receive: a monotone applied-set
+        # version that drives the controllers' per-participant extension
+        # memos, and the participant's open deferred set (those roots
+        # re-enter every store-computed batch).
+        self.version = 0
+        self.deferred: Set[TransactionId] = set()
+        #: The conflict-pair cache of its batch assembly (the peer
+        #: coordinator's working memory, held driver-side like the other
+        #: coordinator mirrors).
+        self.pairs = ConflictCache()
+        #: The client half of the delta-encoded re-ship (PR 8): the
+        #: assembled payloads it retains (``nc_data`` entries, which
+        #: carry the controller's digest), by root.  The driver echoes
+        #: the digest in ``nc_request`` and re-attaches the payload on
+        #: an ``nc_unchanged`` answer instead of receiving it again.
+        self.retained: Dict[TransactionId, Dict[str, Any]] = {}
 
 
 class DhtUpdateStore(UpdateStore):
@@ -96,6 +92,10 @@ class DhtUpdateStore(UpdateStore):
         durable=False,
         network_centric_batches=True,
     )
+
+    #: Every message kind the store's network carries: what a fault
+    #: plan's ``MessageFault.kind`` is checked against at ``open()``.
+    message_kinds = wire.KINDS
 
     def __init__(
         self,
@@ -156,13 +156,17 @@ class DhtUpdateStore(UpdateStore):
             self.network.add_node(node)
         #: Copies kept per record (1 = primary only).
         self.replication_factor = replication_factor
+        # The request engine's state (:mod:`repro.store.dht.client`):
+        # the retry budget, and the request-id and token counters.
         self._max_retries = max_retries
         self._req_counter = 0
+        self._token_counter = 0
         #: Retries performed so far (surfaced by reports and tests).
         self.retries = 0
-        self._clients: Dict[int, _ClientNode] = {}
-        self._policies: Dict[int, TrustPolicy] = {}
-        self._token_counter = 0
+        # One record per registered participant.  A dict on the store
+        # object, created here: the runtime lock-discipline proxies
+        # guard the containers they find in ``vars(store)``.
+        self._peers: Dict[int, _Peer] = {}
         self._open_epochs: Dict[Tuple[int, int], List[TransactionId]] = {}
         # The confederation-wide pair memo, attached to every batch: it
         # validates entries by identity, and the controllers serve every
@@ -173,142 +177,29 @@ class DhtUpdateStore(UpdateStore):
         self._shared_pairs = ConflictCache(
             limit=DirectLogStore.SHARED_MEMO_LIMIT
         )
-        # Peer-coordinator bookkeeping for the fully network-centric
-        # batch (PR 5), maintained from the same ``record_decision``
-        # feedback the controllers receive: the participant's open
-        # deferred set (those roots re-enter every store-computed batch)
-        # and a monotone applied-set version that drives the
-        # controllers' per-participant extension memos.
-        self._nc_peers: Dict[int, Dict[str, Any]] = {}
-        # Per-participant conflict-pair caches for batch assembly (the
-        # peer coordinator's working memory, held driver-side like the
-        # other coordinator mirrors).
-        self._nc_pair_caches: Dict[int, ConflictCache] = {}
-        # The client half of the delta-encoded re-ship (PR 8): each
-        # participant's retained assembled payloads (``nc_data`` entries,
-        # which carry the controller's digest), keyed by root.  The
-        # driver echoes the digest in ``nc_request`` and re-attaches the
-        # payload on an ``nc_unchanged`` answer instead of receiving it
-        # again.
-        self._nc_retained: Dict[
-            int, Dict[TransactionId, Dict[str, Any]]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Plumbing
 
-    def _client(self, participant: int) -> _ClientNode:
+    def _peer(self, participant: int) -> _Peer:
         try:
-            return self._clients[participant]
+            return self._peers[participant]
         except KeyError:
             raise StoreError(
                 f"participant {participant} is not registered"
             ) from None
 
-    def _run(self) -> None:
-        """Drain the network and mirror its counters into ``perf``."""
-        before_msgs = self.network.messages_delivered
-        before_secs = self.network.simulated_seconds
-        self.network.run()
-        self.perf.charge(self.network.messages_delivered - before_msgs, 0.0)
-        self.perf.simulated_seconds += (
-            self.network.simulated_seconds - before_secs
-        )
-
     def _owner(self, key: str) -> str:
         return self._ring.owner(key)
 
-    # ------------------------------------------------------------------
-    # Retryable request/reply transport (PR 6)
+    def _controller(self, tid: TransactionId) -> str:
+        return self._owner(wire.txn_key(tid))
 
-    def _request(
-        self,
-        client: _ClientNode,
-        key: Optional[str],
-        kind: str,
-        *,
-        recipient: Optional[str] = None,
-        fragments: int = 1,
-        size_bytes: int = 0,
-        **payload: Any,
-    ) -> Dict[str, Any]:
-        """One request/reply exchange with bounded deterministic retry.
-
-        The reply awaited is the one the protocol table pairs with
-        ``kind`` (:data:`~repro.store.dht.wire.REPLIES`).  The request
-        id stays stable across attempts (handlers are idempotent, and
-        the epoch allocator deduplicates by it), the
-        recipient is re-resolved from the ring per attempt when
-        addressed by ``key`` (so a retry lands on the takeover owner),
-        and each retry charges exponential backoff to the perf clock as
-        its timeout cost.  Runs out of attempts ->
-        :class:`~repro.errors.RetryExhaustedError`.
-        """
-        reply_kind = wire.REPLIES[kind]
-        self._req_counter += 1
-        req = self._req_counter
-        target = recipient
-        last_error: Optional[StoreError] = None
-        for attempt in range(self._max_retries + 1):
-            if key is not None:
-                target = self._owner(key)
-            if attempt:
-                self._note_retry(kind, target, attempt)
-            self.network.send(
-                client.name,
-                target,
-                kind,
-                fragments=fragments,
-                size_bytes=size_bytes,
-                req=req,
-                **payload,
-            )
-            self._run()
-            try:
-                return self._expect(client, reply_kind, target, kind, req)
-            except StoreError as error:
-                last_error = error
-        raise RetryExhaustedError(
-            f"no {reply_kind!r} reply from {target!r} to {kind!r} "
-            f"(request id {req}) after {self._max_retries + 1} attempts"
-        ) from last_error
-
-    def _expect(
-        self,
-        client: _ClientNode,
-        reply_kind: str,
-        target: Optional[str],
-        kind: str,
-        req: int,
-    ) -> Dict[str, Any]:
-        """Pop the first ``reply_kind`` message answering request ``req``
-        from the inbox; error if absent, naming the pending request so a
-        timeout is diagnosable."""
-        for index, message in enumerate(client.inbox):
-            if message.kind == reply_kind and message.payload.get("req") == req:
-                client.inbox.pop(index)
-                return message.payload
-        raise StoreError(
-            f"expected a {reply_kind!r} reply (pending request: {kind!r} "
-            f"to {target!r}, request id {req!r}); inbox has "
-            f"{[m.kind for m in client.inbox]}"
-        )
-
-    def _note_retry(
-        self, kind: str, recipient: Optional[str], attempt: int
-    ) -> None:
-        """Charge a retry's timeout backoff and surface it as an event."""
-        self.perf.simulated_seconds += self._message_latency * (2 ** attempt)
-        self.retries += 1
-        self._emit("retry", kind=kind, recipient=recipient, attempt=attempt)
-
-    def _exhausted(self, what: str, pending) -> RetryExhaustedError:
-        """The error for cascaded replies still missing for the
-        transactions ``pending`` once the retry budget is spent."""
-        missing = sorted(str(tid) for tid in pending)
-        return RetryExhaustedError(
-            f"{what} {missing} after {self._max_retries + 1} attempts"
-        )
+    def _live_hosts(self, besides: Optional[str] = None) -> List[str]:
+        return [
+            name for name in self._hosts
+            if name not in self._ring.failed and name != besides
+        ]
 
     # ------------------------------------------------------------------
     # Registration
@@ -316,25 +207,20 @@ class DhtUpdateStore(UpdateStore):
     def register_participant(
         self, participant: int, policy: TrustPolicy
     ) -> None:
-        """Join the confederation; trust conditions replicate to all hosts."""
-        if participant in self._clients:
+        """Join the confederation; trust conditions replicate to all hosts
+        (a failed one is sent them by ``recover_host`` when it returns)."""
+        if participant in self._peers:
             raise StoreError(f"participant {participant} already registered")
-        client = _ClientNode(f"client:{participant}")
-        self._clients[participant] = client
-        self._policies[participant] = policy
-        self.network.add_node(client)
-        for host in self._hosts:
-            if host in self._ring.failed:
-                continue  # re-sent by recover_host when it returns
-            self._request(
-                client,
-                None,
-                "register_policy",
-                recipient=host,
-                participant=participant,
-                policy=policy,
-            )
-        client.drain()
+        peer = self._peers[participant] = _Peer(participant, policy)
+        self.network.add_node(peer.node)
+        for host in self._live_hosts():
+            self._register_policy(peer, peer, host)
+
+    def _register_policy(self, sender: _Peer, peer: _Peer, host: str) -> None:
+        client.request(
+            self, sender.node, None, "register_policy", recipient=host,
+            participant=peer.participant, policy=peer.policy,
+        )
 
     # ------------------------------------------------------------------
     # Publication (Figure 6)
@@ -346,15 +232,10 @@ class DhtUpdateStore(UpdateStore):
         re-drives the same epoch for a retried (or duplicated) request,
         so a lost ``begin_publishing`` reply never burns an epoch.
         """
-        client = self._client(participant)
-        reply = self._request(
-            client,
-            wire.ALLOCATOR_KEY,
-            "request_epoch",
-            publisher=participant,
-        )
-        client.drain()
-        epoch = reply["epoch"]
+        node = self._peer(participant).node
+        epoch = client.request(
+            self, node, wire.ALLOCATOR_KEY, "request_epoch", publisher=participant
+        )["epoch"]
         self._open_epochs[(participant, epoch)] = []
         return epoch
 
@@ -362,7 +243,7 @@ class DhtUpdateStore(UpdateStore):
         self, participant: int, epoch: int, transactions: Sequence[Transaction]
     ) -> None:
         """Ship transactions to their controllers under an open epoch."""
-        client = self._client(participant)
+        node = self._peer(participant).node
         ids = self._open_epochs.get((participant, epoch))
         if ids is None:
             raise StoreError(
@@ -380,21 +261,16 @@ class DhtUpdateStore(UpdateStore):
             their producers, so this resolves dependencies within a
             batch too."""
             relation, row = key
-            return self._request(
-                client,
-                wire.value_key(relation, row),
-                "lookup_producer",
-                relation=relation,
-                row=row,
+            return client.request(
+                self, node, wire.value_key(relation, row), "lookup_producer",
+                relation=relation, row=row,
             )["producer"]
 
         for transaction in transactions:
             antecedents = compute_antecedents(producer_of, transaction)
             order = epoch * wire.EPOCH_STRIDE + len(ids)
-            self._request(
-                client,
-                wire.txn_key(transaction.tid),
-                "store_txn",
+            client.request(
+                self, node, wire.txn_key(transaction.tid), "store_txn",
                 fragments=wire.payload_fragments(transaction),
                 size_bytes=wire.body_bytes(transaction),
                 transaction=transaction,
@@ -404,40 +280,29 @@ class DhtUpdateStore(UpdateStore):
             for update in transaction.updates:
                 written = update.written_row()
                 if written is not None:
-                    self._request(
-                        client,
-                        wire.value_key(update.relation, written),
+                    client.request(
+                        self, node, wire.value_key(update.relation, written),
                         "register_producer",
-                        relation=update.relation,
-                        row=written,
-                        tid=transaction.tid,
+                        relation=update.relation, row=written, tid=transaction.tid,
                     )
-            client.drain()
             ids.append(transaction.tid)
 
     def finish_publish(self, participant: int, epoch: int) -> None:
         """Figure 6, messages 5-6: hand the id list to the epoch controller."""
-        client = self._client(participant)
+        node = self._peer(participant).node
         ids = self._open_epochs.pop((participant, epoch), None)
         if ids is None:
             raise StoreError(
                 f"epoch {epoch} is not being published by {participant}"
             )
-        self._request(
-            client,
-            wire.epoch_key(epoch),
-            "publish_ids",
-            epoch=epoch,
-            ids=ids,
+        client.request(
+            self, node, wire.epoch_key(epoch), "publish_ids", epoch=epoch, ids=ids
         )
-        client.drain()
 
     # ------------------------------------------------------------------
     # Reconciliation (Figure 7)
 
-    def _discover_stable(
-        self, participant: int, client: _ClientNode
-    ) -> Tuple[int, List[TransactionId]]:
+    def _discover_stable(self, peer: _Peer) -> Tuple[int, List[TransactionId]]:
         """The retrieval front half shared by both reconciliation modes:
         find the most recent stable epoch, fetch the contents of every
         newly stable epoch (one batched request per distinct epoch
@@ -445,14 +310,12 @@ class DhtUpdateStore(UpdateStore):
         coordinator.  Returns ``(stable, tids)``: the newly stable
         transactions other participants published, in publish order —
         the candidate roots."""
-        current = self._request(client, wire.ALLOCATOR_KEY, "get_current_epoch")[
-            "epoch"
-        ]
-
-        last = self._request(
-            client,
-            wire.peer_key(participant),
-            "get_last_recon",
+        participant, node = peer.participant, peer.node
+        current = client.request(
+            self, node, wire.ALLOCATOR_KEY, "get_current_epoch"
+        )["epoch"]
+        last = client.request(
+            self, node, wire.peer_key(participant), "get_last_recon",
             participant=participant,
         )["epoch"]
 
@@ -462,12 +325,9 @@ class DhtUpdateStore(UpdateStore):
             by_controller.setdefault(controller, []).append(epoch)
         per_epoch: Dict[int, Dict] = {}
         for controller, epochs in by_controller.items():
-            reply = self._request(
-                client,
-                None,
-                "get_epoch_contents",
-                recipient=controller,
-                epochs=epochs,
+            reply = client.request(
+                self, node, None, "get_epoch_contents",
+                recipient=controller, epochs=epochs,
             )
             for entry in reply["results"]:
                 per_epoch[entry["epoch"]] = entry
@@ -482,107 +342,93 @@ class DhtUpdateStore(UpdateStore):
             )
             stable = epoch
 
-        self._request(
-            client,
-            wire.peer_key(participant),
-            "record_recon",
-            participant=participant,
-            epoch=stable,
+        client.request(
+            self, node, wire.peer_key(participant), "record_recon",
+            participant=participant, epoch=stable,
         )
         return stable, foreign
 
     def _retrieve_roots(
-        self,
-        participant: int,
-        client: _ClientNode,
-        root_tids: Set[TransactionId],
-        graph: TransactionGraph,
-    ) -> Dict[TransactionId, Dict[str, Any]]:
-        """Figure-7 retrieval of ``root_tids`` with bounded batch retry.
-
-        Adds every closure body delivered (roots included) to ``graph``
-        and returns the as-root ``txn_data`` payloads.
-        After each round the driver checks closure completeness — every
-        antecedent of a delivered body must itself have been answered
-        (``txn_data`` / ``txn_irrelevant`` / ``txn_unknown``) — and
-        re-requests losses under a *fresh* token, because the
-        controllers' per-token dedup would silently absorb a same-token
-        re-request.  Losses that persist past ``max_retries`` raise
-        :class:`~repro.errors.RetryExhaustedError`; a record that is
-        genuinely gone answers ``txn_unknown`` and is not retried.
-        """
-        root_payloads: Dict[TransactionId, Dict[str, Any]] = {}
+        self, peer: _Peer, root_tids: Iterable[TransactionId]
+    ) -> Iterable[Dict[str, Any]]:
+        """Figure-7 retrieval of ``root_tids``: the ``txn_data`` payload
+        of every closure body delivered, a root's the one answered *as*
+        a root (``as_root``)."""
+        roots = set(root_tids)
         bodies: Dict[TransactionId, Dict[str, Any]] = {}
-        answered: Set[TransactionId] = set()
-        root_answered: Set[TransactionId] = set()
-        pending_roots = set(root_tids)
-        pending_members: Set[TransactionId] = set()
-        for attempt in range(self._max_retries + 1):
-            if not pending_roots and not pending_members:
-                break
-            if attempt:
-                self._note_retry("request_txn", None, attempt)
-            self._token_counter += 1
-            token = f"recon:{participant}:{self._token_counter}"
-            for pending, as_root in (
-                (pending_roots, True), (pending_members, False)
-            ):
-                for tid in sorted(pending):
-                    self.network.send(
-                        client.name,
-                        self._owner(wire.txn_key(tid)),
-                        "request_txn",
-                        tid=tid,
-                        participant=participant,
-                        client=client.name,
-                        token=token,
-                        as_root=as_root,
-                    )
-            self._run()
-            for message in client.drain():
-                payload = message.payload
-                if message.kind == "txn_data":
-                    tid = payload["tid"]
-                    answered.add(tid)
-                    bodies.setdefault(tid, payload)
-                    if payload["as_root"] and tid in root_tids:
-                        root_answered.add(tid)
-                        root_payloads.setdefault(tid, payload)
-                elif message.kind in ("txn_irrelevant", "txn_unknown"):
-                    tid = payload["tid"]
-                    answered.add(tid)
-                    root_answered.add(tid)
-            pending_roots = set(root_tids) - root_answered
-            needed: Set[TransactionId] = set()
-            for payload in bodies.values():
-                needed.update(payload["antecedents"])
-            pending_members = needed - answered
-        if pending_roots or pending_members:
-            raise self._exhausted(
-                f"reconciliation retrieval for participant {participant} "
-                f"is missing replies for",
-                pending_roots | pending_members,
-            )
-        for payload in bodies.values():
+        as_roots: Dict[TransactionId, Dict[str, Any]] = {}
+        closed: Set[TransactionId] = set()  # irrelevant or unknown
+
+        def pending(token: str) -> List[client.Send]:
+            """What the closure still lacks after a round: every root
+            must be answered as one, and every antecedent of a delivered
+            body itself answered (``txn_data`` / ``txn_irrelevant`` /
+            ``txn_unknown``).  A record that is genuinely gone answers
+            ``txn_unknown`` and is not asked for again."""
+            needed = {tid for held in bodies.values() for tid in held["antecedents"]}
+            return [
+                (
+                    self._controller(tid),
+                    [tid],
+                    dict(
+                        tid=tid, participant=peer.participant,
+                        client=peer.node.name, token=token, as_root=as_root,
+                    ),
+                )
+                for tids, as_root in (
+                    (roots - closed - as_roots.keys(), True),
+                    (needed - closed - bodies.keys(), False),
+                )
+                for tid in sorted(tids)
+            ]
+
+        def absorb(message: Message) -> None:
+            """Keep a tid's first body, and its first as a root."""
+            payload = message.payload
+            if message.kind != "txn_data":
+                closed.add(payload["tid"])
+                return
+            bodies.setdefault(payload["tid"], payload)
+            if payload["as_root"]:
+                as_roots.setdefault(payload["tid"], payload)
+
+        client.exchange(self, peer.node, "request_txn", pending, absorb)
+        return {**bodies, **as_roots}.values()
+
+    @staticmethod
+    def _fold(
+        payloads: Iterable[Dict[str, Any]],
+        graph: TransactionGraph,
+        shipped: Optional[str],
+    ) -> Tuple[List[RelevantTransaction], Dict[TransactionId, UpdateExtension]]:
+        """The payload -> batch fold every retrieval ends in.  Each
+        payload's body joins ``graph`` (a coalesced ``nc_data`` entry
+        brings its member bodies along); each one answered as a root —
+        every ``nc_data`` entry, a ``txn_data`` flagged ``as_root`` —
+        becomes a root at the priority its controller computed, and the
+        extension it carries under ``shipped`` (``None``: adopt none) is
+        kept by root."""
+        roots: List[RelevantTransaction] = []
+        extensions: Dict[TransactionId, UpdateExtension] = {}
+        for payload in payloads:
             graph.add(*wire.body(payload))
-        return root_payloads
+            for member in payload.get("members", ()):
+                graph.add(*member)
+            if payload.get("as_root", True):
+                roots.append(wire.root(payload, payload["priority"]))
+                if shipped is not None and payload[shipped] is not None:
+                    extensions[payload["tid"]] = payload[shipped]
+        return roots, extensions
 
     def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
         """Assemble the next batch via the distributed retrieval protocol."""
-        client = self._client(participant)
-        stable, foreign = self._discover_stable(participant, client)
-
+        peer = self._peer(participant)
+        stable, foreign = self._discover_stable(peer)
         # Request every candidate root; controllers forward antecedents.
         graph = TransactionGraph()
-        root_payloads = self._retrieve_roots(
-            participant, client, set(foreign), graph
+        roots, shipped = self._fold(
+            self._retrieve_roots(peer, foreign), graph, "context_free"
         )
-        roots: List[RelevantTransaction] = []
-        shipped: Dict[TransactionId, UpdateExtension] = {}
-        for tid, payload in root_payloads.items():
-            roots.append(wire.root(payload, payload["priority"]))
-            if payload.get("context_free") is not None:
-                shipped[tid] = payload["context_free"]
         batch = ReconciliationBatch(
             recno=stable,
             roots=sorted(roots, key=lambda r: r.order),
@@ -596,11 +442,76 @@ class DhtUpdateStore(UpdateStore):
     # ------------------------------------------------------------------
     # Fully network-centric reconciliation (PR 5)
 
-    def _nc_peer(self, participant: int) -> Dict[str, Any]:
-        """The driver's peer-coordinator record for ``participant``."""
-        return self._nc_peers.setdefault(
-            participant, {"version": 0, "deferred": set()}
-        )
+    def _derive_roots(
+        self, peer: _Peer, candidates: List[TransactionId]
+    ) -> Tuple[Dict[TransactionId, Dict[str, Any]], List[TransactionId]]:
+        """The ``nc_request`` exchange.  Returns the ``data`` entries by
+        root and the roots whose derivation ``failed``."""
+        answered: Set[TransactionId] = set()
+        data: Dict[TransactionId, Dict[str, Any]] = {}
+        failed: List[TransactionId] = []
+
+        def pending(token: str) -> List[client.Send]:
+            """One request per owning controller for the roots with *no*
+            answer yet — transport losses (stale in-flight traffic of a
+            lost attempt references a dead batch key and is ignored)."""
+            by_controller: Dict[str, List[Dict[str, Any]]] = {}
+            for tid in candidates:
+                if tid in answered:
+                    continue
+                # Echo the retained payload's digest even across
+                # applied-version bumps: the controller compares it
+                # with the digest of the closure its walk ends on,
+                # so an unchanged one still comes back as a token.
+                held = peer.retained.get(tid)
+                digest = held["digest"] if held is not None else None
+                by_controller.setdefault(self._controller(tid), []).append(
+                    {"tid": tid, "digest": digest}
+                )
+            return [
+                (
+                    controller,
+                    [root["tid"] for root in asked],
+                    dict(
+                        size_bytes=wire.HEADER_WIRE_BYTES
+                        + len(asked) * (wire.TID_WIRE_BYTES + wire.DIGEST_WIRE_BYTES),
+                        roots=asked, participant=peer.participant,
+                        version=peer.version, client=peer.node.name, token=token,
+                    ),
+                )
+                for controller, asked in sorted(by_controller.items())
+            ]
+
+        def absorb(message: Message) -> None:
+            """Each root's terminal answer arrives inside its
+            controller's coalesced reply: a ``data`` entry carries the
+            payload, an ``irrelevant``/``unknown`` entry ends the root's
+            retrieval without one (a decided/untrusted root, or one
+            whose controller lost its record, drops out of the batch
+            exactly as it does on the client-centric path), a ``failed``
+            entry degrades the root to Figure-7 retrieval, and an
+            ``nc_unchanged`` digest token re-attaches the retained
+            payload of an earlier round."""
+            for entry in message.payload["entries"]:
+                tid = entry["tid"]
+                if message.kind == "nc_unchanged":
+                    held = peer.retained.get(tid)
+                    if held is None or held["digest"] != entry["digest"]:
+                        # A token for a payload the client no longer
+                        # holds is not an answer: the root stays
+                        # pending and the retry carries no digest,
+                        # forcing the full-payload fallback.
+                        continue
+                    entry = held
+                answered.add(tid)
+                if entry["status"] == "data":
+                    data.setdefault(tid, entry)
+                elif entry["status"] == "failed":
+                    if tid not in data and tid not in failed:
+                        failed.append(tid)
+
+        client.exchange(self, peer.node, "nc_request", pending, absorb)
+        return data, failed
 
     def begin_network_reconciliation(
         self, participant: int
@@ -631,122 +542,24 @@ class DhtUpdateStore(UpdateStore):
         the client computes — and decides — exactly as it would have
         client-centrically.
         """
-        client = self._client(participant)
-        stable, candidates = self._discover_stable(participant, client)
-        peer = self._nc_peer(participant)
-        for tid in sorted(peer["deferred"]):
+        peer = self._peer(participant)
+        stable, candidates = self._discover_stable(peer)
+        for tid in sorted(peer.deferred):
             if tid not in candidates:
                 candidates.append(tid)
+        data, failed = self._derive_roots(peer, candidates)
 
-        token = ""
-        retained = self._nc_retained.setdefault(participant, {})
-        pending = list(candidates)
-        answered: Set[TransactionId] = set()
-        data_payloads: Dict[TransactionId, Dict[str, Any]] = {}
-        failed: List[TransactionId] = []
-        # Each root's terminal answer arrives inside its controller's
-        # coalesced reply: a ``data`` entry carries the payload, an
-        # ``irrelevant``/``unknown`` entry ends the root's retrieval
-        # without one (a decided/untrusted root, or one whose controller
-        # lost its record, drops out of the batch exactly as it does on
-        # the client-centric path), a ``failed`` entry degrades the root
-        # to Figure-7 retrieval, and an ``nc_unchanged`` digest token
-        # re-attaches the retained payload of an earlier round.  Roots
-        # with *no* answer are transport losses, retried under a fresh
-        # token (stale in-flight batch traffic then references a dead
-        # batch key and is ignored).
-        for attempt in range(self._max_retries + 1):
-            if not pending:
-                break
-            if attempt:
-                self._note_retry("nc_request", None, attempt)
-            self._token_counter += 1
-            token = f"ncrecon:{participant}:{self._token_counter}"
-            by_controller: Dict[str, List[TransactionId]] = {}
-            for tid in pending:
-                by_controller.setdefault(
-                    self._owner(wire.txn_key(tid)), []
-                ).append(tid)
-            for controller in sorted(by_controller):
-                roots_payload = []
-                for tid in by_controller[controller]:
-                    # Echo the retained payload's digest even across
-                    # applied-version bumps: the controller compares it
-                    # with the digest of the closure its walk ends on,
-                    # so an unchanged one still comes back as a token.
-                    held = retained.get(tid)
-                    digest = held["digest"] if held is not None else None
-                    roots_payload.append({"tid": tid, "digest": digest})
-                self.network.send(
-                    client.name,
-                    controller,
-                    "nc_request",
-                    size_bytes=(
-                        wire.HEADER_WIRE_BYTES
-                        + len(roots_payload)
-                        * (wire.TID_WIRE_BYTES + wire.DIGEST_WIRE_BYTES)
-                    ),
-                    roots=roots_payload,
-                    participant=participant,
-                    version=peer["version"],
-                    client=client.name,
-                    token=token,
-                )
-            self._run()
-            for message in client.drain():
-                payload = message.payload
-                if message.kind == "nc_data":
-                    for entry in payload["entries"]:
-                        tid = entry["tid"]
-                        answered.add(tid)
-                        if entry["status"] == "data":
-                            data_payloads.setdefault(tid, entry)
-                        elif entry["status"] == "failed":
-                            if tid not in data_payloads and tid not in failed:
-                                failed.append(tid)
-                elif message.kind == "nc_unchanged":
-                    for entry in payload["entries"]:
-                        tid = entry["tid"]
-                        held = retained.get(tid)
-                        if (
-                            held is not None
-                            and held["digest"] == entry["digest"]
-                        ):
-                            answered.add(tid)
-                            data_payloads.setdefault(tid, held)
-                        # A token for a payload the client no longer
-                        # holds is not an answer: the root stays
-                        # pending and the retry carries no digest,
-                        # forcing the full-payload fallback.
-            pending = [tid for tid in pending if tid not in answered]
-        if pending:
-            raise self._exhausted(
-                f"network-centric retrieval for participant {participant} "
-                f"is missing replies for",
-                pending,
-            )
-
-        roots: List[RelevantTransaction] = []
         graph = TransactionGraph()
-        derived: Dict[TransactionId, UpdateExtension] = {}
-        for payload in data_payloads.values():
-            graph.add(*wire.body(payload))
-            for member in payload["members"]:
-                graph.add(*member)
-            roots.append(wire.root(payload, payload["priority"]))
-            if payload["extension"] is not None:
-                derived[payload["tid"]] = payload["extension"]
-
+        roots, derived = self._fold(data.values(), graph, "extension")
         # Retain this round's assembled payloads client-side: while the
         # applied-set version is unchanged, the next round's controllers
         # answer with ``nc_unchanged`` digest tokens and the retained
         # entry is re-attached instead of re-shipped — the delta
         # encoding's client half.  (complete_reconciliation prunes the
         # retention to the still-deferred roots.)
-        for tid, payload in data_payloads.items():
-            if payload["extension"] is not None and payload.get("digest"):
-                retained[tid] = payload
-
+        for tid in derived:
+            if data[tid].get("digest"):
+                peer.retained[tid] = data[tid]
         if failed:
             # Degraded roots travel the classic client-centric protocol;
             # the engine recomputes their extensions locally, reaching
@@ -756,10 +569,7 @@ class DhtUpdateStore(UpdateStore):
                 participant=participant,
                 roots=[str(tid) for tid in failed],
             )
-            for payload in self._retrieve_roots(
-                participant, client, set(failed), graph
-            ).values():
-                roots.append(wire.root(payload, payload["priority"]))
+            roots += self._fold(self._retrieve_roots(peer, failed), graph, None)[0]
 
         roots.sort(key=lambda root: root.order)
         batch = ReconciliationBatch(recno=stable, roots=roots, graph=graph)
@@ -768,27 +578,18 @@ class DhtUpdateStore(UpdateStore):
             for root in roots
             if root.tid in derived
         }
-        pair_cache = self._nc_pair_caches.get(participant)
-        if pair_cache is None:
-            pair_cache = self._nc_pair_caches[participant] = ConflictCache()
-        attach_assembled_payload(self.schema, batch, extensions, pair_cache)
-        pair_cache.prune(extensions)
+        attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
+        peer.pairs.prune(extensions)
 
         # The assembled adjacency travels from the peer coordinator as
         # one sized message (extensions already paid their fragments on
         # each nc_data delivery).
         edges = sum(len(adj) for adj in batch.conflicts.values()) // 2
-        self.network.send(
-            self._owner(wire.peer_key(participant)),
-            client.name,
-            "nc_adjacency",
-            fragments=1 + edges,
-            size_bytes=wire.HEADER_WIRE_BYTES * (1 + edges),
-            token=token,
+        client.tell(
+            self, self._owner(wire.peer_key(participant)), [peer.node.name],
+            "nc_adjacency", client=peer.node,
+            fragments=1 + edges, size_bytes=wire.HEADER_WIRE_BYTES * (1 + edges),
         )
-        self._run()
-        client.drain()
-
         if self._ship_context_free:
             # The engine's incremental conflict index consults the
             # batch's pair memo when it rebuilds soft state.  The pairs
@@ -798,7 +599,7 @@ class DhtUpdateStore(UpdateStore):
             # that one (as this path once did) could never hit.
             # Identity validation keeps the reuse exact, so decisions
             # are unchanged; only the redundant re-comparisons go away.
-            batch.pair_cache = pair_cache
+            batch.pair_cache = peer.pairs
         return batch
 
     # ------------------------------------------------------------------
@@ -806,68 +607,55 @@ class DhtUpdateStore(UpdateStore):
     def complete_reconciliation(
         self, participant: int, result: ReconcileResult
     ) -> None:
-        """Notify each transaction controller of the decision.
-
-        Acks are matched per transaction id; unacknowledged decisions
-        are re-sent (recording is idempotent) up to the retry budget.
-        """
-        client = self._client(participant)
-        pending: Dict[TransactionId, str] = {}
+        """Notify each transaction controller of the decision."""
+        peer = self._peer(participant)
+        verdicts: Dict[TransactionId, str] = {}
         for tid in result.applied:
-            pending[tid] = "applied"
+            verdicts[tid] = "applied"
         for tid in result.rejected:
-            pending[tid] = "rejected"
+            verdicts[tid] = "rejected"
         for tid in result.deferred:
-            pending[tid] = "deferred"
-        retired_set: Set[TransactionId] = set()
-        for attempt in range(self._max_retries + 1):
-            if not pending:
-                break
-            if attempt:
-                self._note_retry("record_decision", None, attempt)
-            for tid in sorted(pending):
-                self.network.send(
-                    client.name,
-                    self._owner(wire.txn_key(tid)),
-                    "record_decision",
-                    tid=tid,
-                    participant=participant,
-                    verdict=pending[tid],
+            verdicts[tid] = "deferred"
+        retired: Set[TransactionId] = set()
+
+        def absorb(message: Message) -> None:
+            """Acks are matched per transaction id."""
+            verdicts.pop(message.payload["tid"], None)
+            if message.payload.get("retired"):
+                retired.add(message.payload["tid"])
+
+        def pending(_token: str) -> List[client.Send]:
+            """Unacknowledged decisions are re-sent (recording is
+            idempotent) up to the retry budget."""
+            return [
+                (
+                    self._controller(tid),
+                    [tid],
+                    dict(tid=tid, participant=participant, verdict=verdicts[tid]),
                 )
-            self._run()
-            for message in client.drain():
-                if message.kind != "decision_recorded":
-                    continue
-                pending.pop(message.payload["tid"], None)
-                if message.payload.get("retired"):
-                    retired_set.add(message.payload["tid"])
-        if pending:
-            raise self._exhausted(
-                f"decisions for participant {participant} unacknowledged for",
-                pending,
-            )
+                for tid in sorted(verdicts)
+            ]
+
+        client.exchange(self, peer.node, "record_decision", pending, absorb)
         # Peer-coordinator upkeep for the store-computed batch: the open
         # deferred set re-enters every network-centric batch, and the
         # applied-set version validates the controllers' per-participant
         # extension memos.  (Upstream results carry only *newly* deferred
         # roots; removal happens on the eventual final verdict.)
-        peer = self._nc_peer(participant)
-        peer["deferred"].update(result.deferred)
-        peer["deferred"].difference_update(result.applied)
-        peer["deferred"].difference_update(result.rejected)
+        peer.deferred.update(result.deferred)
+        peer.deferred.difference_update(result.applied)
+        peer.deferred.difference_update(result.rejected)
         if result.applied:
-            peer["version"] += 1
+            peer.version += 1
         # Only still-deferred roots can ever be answered with an
         # ``nc_unchanged`` token again, so the client's retained
         # payloads shrink to exactly that set.
-        retained = self._nc_retained.get(participant)
-        if retained is not None:
-            for tid in [t for t in retained if t not in peer["deferred"]]:
-                del retained[tid]
-        if retired_set:
+        for tid in [t for t in peer.retained if t not in peer.deferred]:
+            del peer.retained[tid]
+        if retired:
             # Controllers dropped their derived extensions; retire the
             # shared pair-memo entries of the same roots.
-            self._shared_pairs.discard(sorted(retired_set))
+            self._shared_pairs.discard(sorted(retired))
 
     # ------------------------------------------------------------------
     # Failure injection and recovery (Section 5.2.2's sketch)
@@ -888,8 +676,7 @@ class DhtUpdateStore(UpdateStore):
         """
         if host_name not in self._hosts:
             raise StoreError(f"unknown host {host_name!r}")
-        live = set(self._hosts) - self._ring.failed - {host_name}
-        if not live:
+        if not self._live_hosts(besides=host_name):
             raise StoreError("cannot fail the last live host")
         self.network.fail_node(host_name)
         self._hosts[host_name].wipe()
@@ -901,12 +688,17 @@ class DhtUpdateStore(UpdateStore):
 
         The returning host rejoins with empty state: ownership routes
         back to it immediately, the driver re-sends every trust policy
-        (policies replicate to all hosts at registration), and a
+        (policies replicate to all hosts at registration) as the
+        request/reply exchange registration uses — a lost one is
+        retried, because a host without a participant's policy answers
+        that participant's every root ``irrelevant`` — and a
         ``rebalance`` sweep makes each live host re-ship every record
         the returning host should hold — as owner or replica successor
         — and re-file its own copies under the restored ownership map.
-        All recovery traffic runs through the normal network
-        accounting, so its cost is measurable.
+        ``rebalance`` has no reply and stays fire-and-forget:
+        acknowledging it would add messages to every recovery.  All
+        recovery traffic runs through the normal network accounting, so
+        its cost is measurable.
         """
         if host_name not in self._hosts:
             raise StoreError(f"unknown host {host_name!r}")
@@ -914,23 +706,13 @@ class DhtUpdateStore(UpdateStore):
             raise StoreError(f"host {host_name!r} is not failed")
         self.network.recover_node(host_name)
         self._ring.failed.discard(host_name)
-        client = next(iter(self._clients.values()), None)
-        sender = client.name if client is not None else host_name
-        for participant, policy in self._policies.items():
-            self.network.send(
-                sender,
-                host_name,
-                "register_policy",
-                participant=participant,
-                policy=policy,
-            )
-        for name in self._hosts:
-            if name == host_name or name in self._ring.failed:
-                continue
-            self.network.send(sender, name, "rebalance", target=host_name)
-        self._run()
-        if client is not None:
-            client.drain()
+        sender = next(iter(self._peers.values()), None)
+        for peer in self._peers.values():
+            self._register_policy(sender, peer, host_name)
+        client.tell(
+            self, sender.node.name if sender is not None else host_name,
+            self._live_hosts(besides=host_name), "rebalance", target=host_name,
+        )
         self._emit("recovery", kind="host", host=host_name)
 
     def allocator_host(self) -> str:
@@ -944,24 +726,16 @@ class DhtUpdateStore(UpdateStore):
         the largest epoch it has seen and installs the maximum at the new
         allocator.  Returns the recovered epoch counter.
         """
-        client = self._client(participant)
-        live_hosts = [
-            name for name in self._hosts if name not in self._ring.failed
-        ]
+        node = self._peer(participant).node
         largest = 0
-        for host in live_hosts:
-            reply = self._request(
-                client, None, "poll_max_epoch", recipient=host
+        for host in self._live_hosts():
+            reply = client.request(
+                self, node, None, "poll_max_epoch", recipient=host
             )
             largest = max(largest, reply["epoch"])
-        reply = self._request(
-            client,
-            wire.ALLOCATOR_KEY,
-            "set_epoch_counter",
-            epoch=largest,
-        )
-        client.drain()
-        return reply["epoch"]
+        return client.request(
+            self, node, wire.ALLOCATOR_KEY, "set_epoch_counter", epoch=largest
+        )["epoch"]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -980,7 +754,7 @@ class DhtUpdateStore(UpdateStore):
 
     def last_reconciliation_epoch(self, participant: int) -> int:
         """The peer coordinator's record (read locally, no messages)."""
-        self._client(participant)  # validate registration
+        self._peer(participant)  # validate registration
         coordinator = self._hosts[self._owner(wire.peer_key(participant))]
         record = held_copy(coordinator, "peer", participant)
         return record["last_recon_epoch"] if record else 0
@@ -999,7 +773,7 @@ class DhtUpdateStore(UpdateStore):
         Aggregated across controllers by the driver (state reconstruction
         is a maintenance operation, not part of the timed protocols).
         """
-        self._client(participant)  # validate registration
+        self._peer(participant)  # validate registration
         # Collect the most advanced copy of each record (the merge
         # rule replication files primaries by): primaries first,
         # replicas filling the gaps a crash left behind.
@@ -1036,7 +810,7 @@ class DhtUpdateStore(UpdateStore):
         body, antecedents, and order are immutable, so every copy
         agrees.  (A maintenance read, not part of the timed protocols.)
         """
-        controller = self._hosts[self._owner(wire.txn_key(tid))]
+        controller = self._hosts[self._controller(tid)]
         for host in (controller, *self._hosts.values()):
             record = held_copy(host, "txn", tid)
             if record is not None:

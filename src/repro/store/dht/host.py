@@ -153,13 +153,14 @@ class _HostNode(Node):
         handler(self, network, message)
 
     def _reply(self, network: Network, message: Message, **fields: Any) -> None:
-        """Answer a request/reply exchange: the reply kind comes from
-        :data:`~repro.store.dht.wire.REPLIES` and the request id is
-        echoed, so the driver can match the reply across retries."""
+        """Answer a request/reply exchange: the reply kind is the one
+        :data:`~repro.store.dht.wire.REPLIES` pairs with the request and
+        the request id is echoed, so the driver can match the reply
+        across retries."""
         network.send(
             self.name,
             message.sender,
-            wire.REPLIES[message.kind],
+            wire.REPLIES[message.kind][0],
             req=message.payload.get("req"),
             **fields,
         )
@@ -167,8 +168,8 @@ class _HostNode(Node):
 
 #: The dispatch table: every message kind a host handles -> the function
 #: ``(host, network, message)`` that handles it.  Everything else in
-#: ``KINDS`` is either a reply (a value of ``REPLIES``) or consumed by
-#: the driver from a client's inbox.
+#: ``KINDS`` lands in a client's inbox: an answer (in a row of
+#: ``REPLIES``), or the unsolicited ``nc_adjacency``.
 HANDLERS: Dict[str, Callable[[_HostNode, Network, Message], None]] = {
     # replication and recovery
     "replicate": replication.on_replicate,

@@ -144,8 +144,9 @@ def root(held: Dict[str, Any], priority: int) -> RelevantTransaction:
 
 
 #: Every message kind this package puts on the wire or handles — the
-#: registry RPR009 checks ``Network.send`` literals and the keys and
-#: values of the protocol tables against.  A typo'd kind would otherwise
+#: registry RPR009 checks the literals sent (``Network.send`` and the
+#: request engine's entry points) and the keys and values of the
+#: protocol tables against.  A typo'd kind would otherwise
 #: fail silently as an unanswered request that burns the whole retry
 #: budget.
 KINDS = frozenset(
@@ -203,29 +204,35 @@ KINDS = frozenset(
     }
 )
 
-#: The request/reply exchanges: request kind -> the kind that answers it.
-#: Every one carries a request id (``req``) that is stable across retries
-#: and echoed in the reply.  ``request_epoch`` is answered at the end of
-#: the Figure-6 chain (``begin_epoch`` -> ``epoch_begun`` ->
-#: ``begin_publishing``); ``record_decision`` is sent in bulk by
-#: ``complete_reconciliation`` and matched per transaction id; the rest
-#: are one ``_request`` round trip.  The cascaded retrievals
-#: (``request_txn``, ``nc_request``, ``cf_fetch``, ``nc_fetch_batch``)
-#: have several possible answers and are not in this table.
-REPLIES: Dict[str, str] = {
-    "register_policy": "policy_registered",
-    "request_epoch": "begin_publishing",
-    "get_current_epoch": "current_epoch",
-    "poll_max_epoch": "max_epoch",
-    "set_epoch_counter": "epoch_counter_set",
-    "publish_ids": "epoch_finished",
-    "get_epoch_contents": "epoch_contents",
-    "lookup_producer": "producer_is",
-    "register_producer": "producer_registered",
-    "store_txn": "txn_stored",
-    "record_decision": "decision_recorded",
-    "record_recon": "recon_recorded",
-    "get_last_recon": "last_recon",
+#: The client column of the protocol table: request kind -> the kinds
+#: that may answer it; :func:`repro.store.dht.client.exchange` hands an
+#: exchange's caller the inbox messages of exactly these kinds.  A row
+#: with one answer is a request/reply pair whose handler answers through
+#: ``_reply``, echoing the request id (``req``) that stays stable across
+#: retries; ``request_epoch`` is answered at the end of the Figure-6
+#: chain (``begin_epoch`` -> ``epoch_begun`` -> ``begin_publishing``),
+#: and ``record_decision`` is sent in bulk by ``complete_reconciliation``
+#: and matched per transaction id.  ``request_txn`` and ``nc_request``
+#: are the cascades: controllers forward them along antecedent chains,
+#: each root ends in one of several answers, and a retry travels under a
+#: fresh token.  (``cf_fetch`` and ``nc_fetch_batch`` run between
+#: controllers; no client awaits them.)
+REPLIES: Dict[str, Tuple[str, ...]] = {
+    "register_policy": ("policy_registered",),
+    "request_epoch": ("begin_publishing",),
+    "get_current_epoch": ("current_epoch",),
+    "poll_max_epoch": ("max_epoch",),
+    "set_epoch_counter": ("epoch_counter_set",),
+    "publish_ids": ("epoch_finished",),
+    "get_epoch_contents": ("epoch_contents",),
+    "lookup_producer": ("producer_is",),
+    "register_producer": ("producer_registered",),
+    "store_txn": ("txn_stored",),
+    "record_decision": ("decision_recorded",),
+    "record_recon": ("recon_recorded",),
+    "get_last_recon": ("last_recon",),
+    "request_txn": ("txn_data", "txn_irrelevant", "txn_unknown"),
+    "nc_request": ("nc_data", "nc_unchanged"),
 }
 
 

@@ -116,27 +116,26 @@ class WorkloadGenerator:
             proteins_per_organism=self.config.proteins_per_organism,
             functions=self.config.functions,
         )
-        self._rngs: dict = {}
+        self._streams: dict = {}
         self._rng_lock = threading.Lock()
 
-    def _rng(self, participant: int) -> random.Random:
-        if participant not in self._rngs:
+    def _stream(
+        self, participant: int
+    ) -> Tuple[random.Random, ZipfSampler, ZipfSampler]:
+        """The participant's RNG substream with the key and value
+        samplers that draw from it, built once: a sampler depends on
+        the config alone, and building one draws nothing."""
+        if participant not in self._streams:
             with self._rng_lock:
-                self._rngs.setdefault(
-                    participant,
-                    random.Random((self.config.seed, participant).__hash__()),
-                )
-        return self._rngs[participant]
-
-    def _samplers(self, participant: int) -> Tuple[ZipfSampler, ZipfSampler]:
-        rng = self._rng(participant)
-        key_sampler = ZipfSampler(
-            self.vocabulary.key_count(), self.config.zipf_s, rng
-        )
-        value_sampler = ZipfSampler(
-            len(self.vocabulary.functions), self.config.zipf_s, rng
-        )
-        return key_sampler, value_sampler
+                if participant not in self._streams:
+                    rng = random.Random((self.config.seed, participant).__hash__())
+                    zipf_s = self.config.zipf_s
+                    self._streams[participant] = (
+                        rng,
+                        ZipfSampler(self.vocabulary.key_count(), zipf_s, rng),
+                        ZipfSampler(len(self.vocabulary.functions), zipf_s, rng),
+                    )
+        return self._streams[participant]
 
     # ------------------------------------------------------------------
 
@@ -150,8 +149,7 @@ class WorkloadGenerator:
         or a replacement (key present), and to replace from the row value
         actually held — updates must apply cleanly to the local instance.
         """
-        rng = self._rng(participant)
-        key_sampler, value_sampler = self._samplers(participant)
+        rng, key_sampler, value_sampler = self._stream(participant)
         updates: List[Update] = []
         touched: set = set()
 

@@ -8,10 +8,24 @@ has probability proportional to ``k ** -s``.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import random
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from repro.errors import WorkloadError
+
+
+@functools.lru_cache(maxsize=16)
+def _cumulative(n: int, s: float) -> Tuple[float, ...]:
+    """The cumulative rank probabilities — a function of ``(n, s)``
+    alone, so every sampler over one distribution (one per participant
+    substream) shares one table."""
+    weights = [rank ** -s for rank in range(1, n + 1)]
+    total = sum(weights)
+    cumulative = list(itertools.accumulate(weight / total for weight in weights))
+    cumulative[-1] = 1.0  # guard against float drift
+    return tuple(cumulative)
 
 
 class ZipfSampler:
@@ -27,15 +41,7 @@ class ZipfSampler:
         # Deterministic by default: an OS-seeded fallback RNG would make
         # two identically configured samplers diverge run to run.
         self._rng = rng if rng is not None else random.Random(0)
-        weights = [rank ** -s for rank in range(1, n + 1)]
-        total = sum(weights)
-        cumulative: List[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            cumulative.append(acc)
-        cumulative[-1] = 1.0  # guard against float drift
-        self._cumulative = cumulative
+        self._cumulative = _cumulative(n, s)
 
     def sample(self) -> int:
         """Draw one 0-based index (0 is the most popular rank)."""

@@ -42,7 +42,7 @@ FIXTURE_BY_CODE = {
     "RPR006": ("rpr006_memo_mutation.txt", 2),
     "RPR007": ("rpr007_set_iteration.txt", 2),
     "RPR008": ("rpr008_dict_parity.txt", 1),
-    "RPR009": ("rpr009_kinds_registry.txt", 2),
+    "RPR009": ("rpr009_kinds_registry.txt", 3),
     "RPR010": ("rpr010_blocking_sleep.txt", 2),
 }
 

@@ -32,6 +32,7 @@ from repro.errors import SchedulerError
 from repro.net import FaultPlan, HostCrash, MessageFault, ParticipantRestart
 from repro.store.memory import MemoryUpdateStore
 from repro.workload import WorkloadConfig
+from tests.conftest import decision_stream
 
 # ----------------------------------------------------------------------
 # Unit: the lock shim and the proxies
@@ -112,7 +113,7 @@ def maskable_plan(seed):
         crashes=(HostCrash("host:2", at_epoch=5, recover_at_epoch=10),),
         messages=(
             MessageFault("txn_stored", "drop", probability=0.2, times=4),
-            MessageFault("epoch_is", "duplicate", probability=0.5, times=3),
+            MessageFault("begin_publishing", "duplicate", probability=0.5, times=3),
         ),
         restarts=(ParticipantRestart(participant=3, at_epoch=8),),
     )
@@ -138,13 +139,8 @@ def run_confederation(
         workload=WorkloadConfig(transaction_size=2, seed=seed),
         faults=faults,
     )
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
         if instrument:
             with lock_discipline(confed.store) as handle:
@@ -204,6 +200,7 @@ def test_instrumented_threaded_chaos_run_is_clean_and_identical():
     assert per_participant(guarded[0]) == per_participant(plain[0])
     assert guarded[1] == plain[1]
     assert guarded[2].faults.injected.get("crash") == 1
+    assert guarded[2].faults.injected.get("duplicate", 0) >= 1
     assert guarded[2].faults.recoveries == 2
 
 
@@ -268,6 +265,7 @@ def test_instrumented_async_chaos_run_is_clean_and_identical():
     assert guarded[1] == plain[1]
     assert per_participant(guarded[0]) == per_participant(threaded[0])
     assert guarded[2].faults.injected.get("crash") == 1
+    assert guarded[2].faults.injected.get("duplicate", 0) >= 1
     assert guarded[2].faults.recoveries == 2
 
 

@@ -85,6 +85,18 @@ class TestOpenRefusesImpossiblePlans:
         with pytest.raises(ConfigError, match="fail_host"):
             Confederation(cfg).open()
 
+    def test_message_faults_must_name_a_kind_the_store_carries(self):
+        # A misnamed kind matches nothing, so the plan would pass as a
+        # silent no-op ("epoch_is" sat in three chaos plans that way; the
+        # allocator's reply is ``begin_publishing``).
+        cfg = ConfederationConfig(
+            store="dht",
+            peers=(1, 2),
+            faults=FaultPlan(messages=(MessageFault("txn_store", "duplicate"),)),
+        )
+        with pytest.raises(ConfigError, match="'txn_store' .* txn_stored"):
+            Confederation(cfg).open()
+
     def test_empty_plan_is_inert_on_any_store(self):
         cfg = ConfederationConfig(
             store="memory", peers=(1, 2), faults=FaultPlan(seed=5)

@@ -16,6 +16,7 @@ from repro.confed import (
 from repro.core.session import ReconcileSession
 from repro.errors import ConfigError, SchedulerError, StoreError
 from repro.workload import WorkloadConfig
+from tests.conftest import decision_stream
 
 
 def _config(**overrides):
@@ -31,13 +32,8 @@ def _config(**overrides):
 
 
 def _decision_log(config):
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
         report = confed.run()
         snapshots = {
@@ -50,13 +46,8 @@ def _decision_log(config):
 
 def _raw_decision_log(config):
     """Like ``_decision_log`` but keeps the global emission order."""
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
         confed.run()
     return log

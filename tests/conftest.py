@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.confed import HookBus
 from repro.model import (
     AttributeDef,
     ForeignKey,
@@ -51,3 +52,18 @@ def xref_schema(function_relation: RelationSchema) -> Schema:
             ForeignKey("Xref", ("organism", "protein"), "F", ("organism", "protein"))
         ],
     )
+
+
+def decision_stream(hooks: HookBus) -> list:
+    """Collect ``hooks``' decision events.  The returned list grows by one
+    ``(participant, recno, tid, decision)`` tuple per event, in emission
+    order: the decision stream the equivalence, chaos and durability
+    suites compare byte for byte (``from tests.conftest import
+    decision_stream``)."""
+    log = []
+    hooks.on_decision(
+        lambda **kw: log.append(
+            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
+        )
+    )
+    return log

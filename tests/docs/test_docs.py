@@ -43,6 +43,15 @@ def test_an_oversized_module_is_named(monkeypatch):
     assert problem.startswith(f"{largest}: {sizes[largest]} lines exceed")
 
 
+def test_an_oversized_function_is_named(monkeypatch):
+    sizes = check_docs.function_lines()
+    longest = max(sizes, key=sizes.get)
+    monkeypatch.setattr(check_docs, "FUNCTION_LINE_CEILING", sizes[longest] - 1)
+    (problem,) = check_docs.check_source_lines()
+    assert problem.startswith(f"{longest}: {sizes[longest]} lines exceed")
+    assert longest.endswith(": reconcile")
+
+
 def test_gate_runs_as_a_script():
     completed = subprocess.run(
         [sys.executable, str(REPO / "tools" / "check_docs.py")],

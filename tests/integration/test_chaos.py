@@ -28,6 +28,7 @@ from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.errors import RetryExhaustedError, SchedulerError
 from repro.net import FaultPlan, HostCrash, MessageFault, ParticipantRestart
 from repro.workload import WorkloadConfig
+from tests.conftest import decision_stream
 
 CHAOS_SEEDS = [11, 23, 47]
 
@@ -44,7 +45,7 @@ def maskable_plan(seed):
         messages=(
             MessageFault("txn_stored", "drop", probability=0.2, times=4),
             MessageFault("decision_recorded", "drop", probability=0.2, times=4),
-            MessageFault("epoch_is", "duplicate", probability=0.5, times=3),
+            MessageFault("begin_publishing", "duplicate", probability=0.5, times=3),
             MessageFault("txn_data", "delay", probability=0.1, times=5),
         ),
         restarts=(ParticipantRestart(participant=3, at_epoch=8),),
@@ -73,13 +74,8 @@ def run_confederation(
         workload=WorkloadConfig(transaction_size=2, seed=seed),
         faults=faults,
     )
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
         report = confed.run()
         snapshots = {
@@ -108,6 +104,7 @@ def test_maskable_faults_leave_decisions_byte_identical(seed):
     summary = chaotic[2].faults
     assert summary.injected.get("crash") == 1
     assert summary.injected.get("drop", 0) >= 1
+    assert summary.injected.get("duplicate", 0) >= 1
     assert summary.recoveries == 2  # host rejoin + participant restart
     assert summary.retries >= 1
 

@@ -24,6 +24,7 @@ from repro.store import (
     MemoryUpdateStore,
 )
 from repro.workload import WorkloadConfig, curated_schema
+from tests.conftest import decision_stream
 
 
 #: The evaluation schedule every seed below replays, and the 4-peer one
@@ -104,13 +105,8 @@ def run_with_decision_log(
         schedule_mode=schedule_mode,
         workload=WorkloadConfig(transaction_size=2, seed=seed),
     )
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
         report = confed.run()
         snapshots = {

@@ -60,7 +60,7 @@ def message_faults() -> st.SearchStrategy[MessageFault]:
     return st.builds(
         MessageFault,
         kind=st.sampled_from(
-            ("txn_stored", "decision_recorded", "epoch_is", "txn_data")
+            ("txn_stored", "decision_recorded", "begin_publishing", "txn_data")
         ),
         action=st.sampled_from(("drop", "duplicate", "delay")),
         probability=st.floats(

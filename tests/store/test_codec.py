@@ -44,6 +44,7 @@ from repro.store.central import (
     _encode_extension,
     _encode_row,
 )
+from tests.conftest import decision_stream
 
 scalars = st.one_of(
     st.none(),
@@ -252,13 +253,8 @@ def first_phase(path):
 
 def second_phase(path):
     """Reopen with a fourth peer; everyone goes on over the old history."""
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config(path, (1, 2, 3, 4)), hooks=hooks) as confed:
         confed.restore()
         # The newcomer's first window is the whole history: retired

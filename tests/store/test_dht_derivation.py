@@ -34,6 +34,7 @@ from repro.store.dht import controllers, nc, wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.logic import compute_antecedents
 from repro.workload import WorkloadConfig, curated_schema
+from tests.conftest import decision_stream
 from tests.property.strategies import PROP_SCHEMA, valid_update_sequences
 
 
@@ -294,7 +295,7 @@ class TestProtocol:
         fresh = batch.extensions[ring.b]
         assert fresh.members == (ring.b,)
         assert fresh is not first.extensions[ring.b]
-        retained = ring.store._nc_retained[ring.reader]
+        retained = ring.store._peers[ring.reader].retained
         assert retained[ring.b]["digest"] == wire.extension_digest(fresh)
         assert retained[ring.b]["digest"] != wire.extension_digest(first.extensions[ring.b])
         (rows,) = ring.rows(ring.b)
@@ -302,7 +303,7 @@ class TestProtocol:
 
     def test_a_client_that_dropped_its_payload_is_reshipped_from_the_table(self):
         ring, first = self.deferred_ring()
-        ring.store._nc_retained[ring.reader].clear()
+        ring.store._peers[ring.reader].retained.clear()
         data_bytes = ring.store.network.kind_bytes["nc_data"]
         batch, delta, stats = ring.round()
         assert delta["nc_data"] == 3 and "nc_unchanged" not in delta
@@ -380,13 +381,8 @@ def run(peers, hosts, rounds, faults=None, replication_factor=1):
         faults=faults,
         workload=WorkloadConfig(transaction_size=2, seed=73),
     )
-    decisions = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: decisions.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    decisions = decision_stream(hooks)
     with Confederation.from_config(config, hooks=hooks) as confed:
         return decisions, confed.run()
 

@@ -113,7 +113,7 @@ class TestProtocol:
         # the open deferred set the store reports.
         deferred = {TransactionId(1, 0), TransactionId(2, 0)}
         assert controller_memo_keys(store) == {(3, tid) for tid in deferred}
-        assert store._nc_peers[3]["deferred"] == deferred
+        assert store._peers[3].deferred == deferred
         _, _, store_deferred = store.decided_transactions(3)
         assert set(store_deferred) == deferred
 
@@ -152,7 +152,7 @@ class TestProtocol:
         assert len(result.deferred) == 2
         deferred = {TransactionId(1, 0), TransactionId(2, 0)}
 
-        store._nc_retained[3].clear()
+        store._peers[3].retained.clear()
         data_bytes_before = store.network.kind_bytes.get("nc_data", 0)
         batch = store.begin_network_reconciliation(3)
         assert set(batch.extensions) == deferred
@@ -183,7 +183,7 @@ class TestProtocol:
         assert not {
             key for key in controller_memo_keys(store) if key[0] == 3
         }
-        assert store._nc_peers[3]["deferred"] == set()
+        assert store._peers[3].deferred == set()
 
     def test_lost_root_degrades_like_the_client_centric_path(self):
         store = DhtUpdateStore(curated_schema(), hosts=3)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.core.decisions import ReconcileResult
 from repro.errors import RetryExhaustedError, StoreError
 from repro.model import Insert, Modify, make_transaction
@@ -20,6 +21,8 @@ from repro.net.faults import FaultInjector
 from repro.policy import TrustPolicy
 from repro.store import DhtUpdateStore
 from repro.store.dht.wire import ROLES
+from repro.workload import WorkloadConfig
+from tests.conftest import decision_stream
 
 
 ROW_A = ("rat", "prot1", "immune")
@@ -42,6 +45,10 @@ def replicated_store(schema, hosts=5, k=2, **options):
     )
     register_trusting_peers(store)
     return store
+
+
+def drop_plan(kind, times=1):
+    return FaultPlan(seed=5, messages=(MessageFault(kind, "drop", times=times),))
 
 
 def store_with_a_record_per_role(schema):
@@ -205,17 +212,58 @@ class TestRecoverHost:
             str(t2.tid),
         ]
 
+    @pytest.mark.parametrize("network_centric", ["client", "store"])
+    def test_a_lost_recovery_policy_is_retried(self, network_centric):
+        """Recovery re-sends the trust policies as request/reply
+        exchanges.  Sent unacknowledged (as they once were), one dropped
+        ``register_policy`` left the returning host without that
+        participant's policy: it answered priority 0 for every root it
+        controls, and the decision stream diverged with no error."""
+
+        def run(drop):
+            config = ConfederationConfig(
+                store="dht",
+                store_options={"hosts": 4, "replication_factor": 2},
+                peers=(1, 2, 3, 4),
+                reconciliation_interval=3,
+                rounds=2,
+                final_reconcile=True,
+                network_centric=network_centric,
+                workload=WorkloadConfig(transaction_size=1, seed=5),
+            )
+            hooks = HookBus()
+            decisions = decision_stream(hooks)
+            retries = []
+            hooks.on_retry(lambda **event: retries.append(event))
+            with Confederation(config, hooks=hooks) as confed:
+                store = confed.store
+                confed.run()
+                store.fail_host("host:1")
+                if drop:
+                    store.network.injector = FaultInjector(
+                        drop_plan("register_policy"), latency=store.message_latency
+                    )
+                store.recover_host("host:1")
+                store.network.injector = None
+                confed.run()
+                return decisions, retries, store
+
+        expected, no_retries, _store = run(drop=False)
+        decisions, retries, store = run(drop=True)
+        assert no_retries == []
+        assert retries == [
+            {"kind": "register_policy", "recipient": "host:1", "attempt": 1}
+        ]
+        assert store.retries == 1
+        assert sorted(store._hosts["host:1"].policies) == [1, 2, 3, 4]
+        assert decisions == expected
+
 
 class TestRetryTransport:
-    def plan(self, kind, times=1):
-        return FaultPlan(
-            seed=5, messages=(MessageFault(kind, "drop", times=times),)
-        )
-
     def test_dropped_reply_is_retried(self, schema):
         store = replicated_store(schema)
         store.network.injector = FaultInjector(
-            self.plan("txn_stored", times=2), latency=store.message_latency
+            drop_plan("txn_stored", times=2), latency=store.message_latency
         )
         txn = make_transaction(1, 0, [Insert("F", ROW_A, 1)])
         store.publish(1, [txn])
@@ -230,17 +278,18 @@ class TestRetryTransport:
         store.network.injector = FaultInjector(
             FaultPlan(
                 seed=5,
-                messages=(MessageFault("epoch_is", "duplicate"),),
+                messages=(MessageFault("begin_publishing", "duplicate"),),
             ),
             latency=store.message_latency,
         )
         epoch = store.publish(1, [make_transaction(1, 0, [Insert("F", ROW_A, 1)])])
         assert store.publish(1, []) == epoch + 1  # allocator still monotone
+        assert store.network.injector.counts["duplicate"] >= 1  # not vacuous
 
     def test_black_hole_exhausts_the_budget(self, schema):
         store = replicated_store(schema, max_retries=2)
         store.network.injector = FaultInjector(
-            self.plan("txn_stored", times=None), latency=store.message_latency
+            drop_plan("txn_stored", times=None), latency=store.message_latency
         )
         with pytest.raises(RetryExhaustedError) as excinfo:
             store.publish(1, [make_transaction(1, 0, [Insert("F", ROW_A, 1)])])
@@ -251,7 +300,7 @@ class TestRetryTransport:
     def test_retry_backoff_charges_latency(self, schema):
         store = replicated_store(schema)
         store.network.injector = FaultInjector(
-            self.plan("txn_stored", times=1), latency=store.message_latency
+            drop_plan("txn_stored", times=1), latency=store.message_latency
         )
         before = store.perf.simulated_seconds
         store.publish(1, [make_transaction(1, 0, [Insert("F", ROW_A, 1)])])

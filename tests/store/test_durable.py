@@ -33,6 +33,7 @@ from repro.policy import TrustPolicy
 from repro.store import DurableUpdateStore
 from repro.store.central import _decode_extension, _encode_extension
 from repro.workload import WorkloadConfig, curated_schema
+from tests.conftest import decision_stream
 
 SEED = 23
 PEERS = (1, 2, 3, 4)
@@ -52,13 +53,8 @@ def evaluation_config(path, cache_size=8, **overrides):
 
 
 def run_with_decisions(config):
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
         report = confed.run()
         snapshots = {p.id: p.instance.snapshot() for p in confed.participants}
@@ -358,13 +354,8 @@ def per_participant(log):
 
 def run_threaded(path, instrument):
     config = evaluation_config(path, schedule_mode="threaded")
-    log = []
     hooks = HookBus()
-    hooks.on_decision(
-        lambda **kw: log.append(
-            (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-        )
-    )
+    log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
         if instrument:
             with lock_discipline(confed.store) as handle:

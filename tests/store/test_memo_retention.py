@@ -15,6 +15,7 @@ from repro.model.transactions import Transaction, TransactionId
 from repro.policy import TrustPolicy
 from repro.store import CentralUpdateStore, MemoryUpdateStore
 from repro.workload import WorkloadConfig, curated_schema
+from tests.conftest import decision_stream
 
 
 def mutual_store(store_cls):
@@ -114,13 +115,8 @@ class TestRetention:
             schedule_mode=schedule_mode,
             workload=WorkloadConfig(transaction_size=2, seed=11),
         )
-        log = []
         hooks = HookBus()
-        hooks.on_decision(
-            lambda **kw: log.append(
-                (kw["participant"], kw["recno"], str(kw["tid"]), str(kw["decision"]))
-            )
-        )
+        log = decision_stream(hooks)
         with Confederation(config, hooks=hooks) as confed:
             if memo_limit is not None:
                 # Instance attribute shadows the class constant: both
