@@ -34,11 +34,13 @@ per epoch per participant:
 the :class:`~repro.core.engine.Reconciler`, store-side per registered
 peer in network-centric mode) and are pruned to the still-deferred roots
 after each reconciliation, so they hold O(deferred) entries, not
-O(history).  :class:`ConflictCache` is used two ways: per participant by
-the direct-log stores, and as the *confederation-shared* pair
-memo the store ships on every batch (identity validation makes sharing
-across participants exact — see
-:meth:`repro.store.network_centric.DirectLogStore.shared_pair_cache`).
+O(history).  :class:`ConflictCache` has one job: the
+*confederation-shared* pair memo a store ships on every batch (identity
+validation makes sharing across participants exact — see
+:meth:`repro.store.network_centric.DirectLogStore.shared_pair_cache`);
+what one participant has compared, client-side or in a store's batch
+assembly, lives in its
+:class:`~repro.core.conflicts.IncrementalConflictIndex`.
 """
 
 from __future__ import annotations
@@ -71,9 +73,12 @@ class CacheStats:
     proven disjoint from the applied set, and the per-participant
     extensions of a fully network-centric batch);
     ``misses`` are full recomputations (including cold entries);
-    ``pair_hits`` / ``pair_misses`` count conflict-pair comparisons served
-    from / added to the pair cache (or performed by the incremental
-    conflict index).
+    ``pair_misses`` counts the pairwise comparisons a conflict index
+    performed and ``pair_hits`` those a shared pair memo answered for it
+    instead.  A pair neither of whose extensions changed is never
+    examined again and counts as neither, so the store-side counters of
+    the direct-log stores (``derivation_stats()``), whose assembly
+    indexes consult no memo, read ``pair_hits == 0``.
     """
 
     hits: int = 0
@@ -303,41 +308,29 @@ class PageCache:
 
 
 class ConflictCache:
-    """Memoizes direct-conflict points per extension pair.
+    """The confederation-shared memo of direct-conflict points per
+    extension pair.
 
     Entries pin the two compared :class:`UpdateExtension` objects, so a
     recomputed (hence new) extension object naturally invalidates every
-    pair it participated in.  ``stats`` is shared with the owning
-    :class:`ExtensionCache` when the engine wires them together, so one
-    snapshot covers both.
+    pair it participated in.  Hits and comparisons are counted by the
+    :class:`~repro.core.conflicts.IncrementalConflictIndex` that asks.
 
-    Instances used as the *confederation-shared* pair memo are mutated
-    concurrently when the threaded epoch scheduler runs several
-    reconciliations at once, so every structural mutation is guarded by
-    an internal lock.  Races on content are benign by construction —
-    conflict points are a pure function of the two extension objects, so
-    two threads storing the same pair write the same value — but
-    unguarded pruning while another thread inserts would corrupt the
-    dict iteration.
+    The memo is mutated concurrently when the threaded epoch scheduler
+    runs several reconciliations at once, so every structural mutation
+    is guarded by an internal lock.  Races on content are benign by
+    construction — conflict points are a pure function of the two
+    extension objects, so two threads storing the same pair write the
+    same value — but unguarded retirement while another thread inserts
+    would corrupt the dict iteration.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        stats: Optional[CacheStats] = None,
-        limit: Optional[int] = None,
-    ) -> None:
+    def __init__(self, limit: Optional[int] = None) -> None:
         """``limit`` caps the entry count with FIFO eviction (an evicted
-        pair simply gets re-compared on its next miss); None = unbounded,
-        for callers that prune explicitly."""
-        self.enabled = enabled
-        self.stats = stats if stats is not None else CacheStats()
+        pair simply gets re-compared on its next miss); None = unbounded."""
         self.limit = limit
         self._lock = threading.Lock()
-        self._entries: Dict[
-            PairKey,
-            Tuple[UpdateExtension, UpdateExtension, Tuple],
-        ] = {}
+        self._entries: Dict[PairKey, Tuple[UpdateExtension, UpdateExtension, Tuple]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -348,18 +341,13 @@ class ConflictCache:
         return (left, right) if left < right else (right, left)
 
     def lookup(
-        self,
-        key: PairKey,
-        left: UpdateExtension,
-        right: UpdateExtension,
+        self, key: PairKey, left: UpdateExtension, right: UpdateExtension
     ) -> Optional[Tuple]:
         """Cached conflict points for the pair, or None if stale/absent.
 
         ``left``/``right`` may arrive in either order; the stored entry is
         keyed canonically and validated by object identity on both sides.
         """
-        if not self.enabled:
-            return None
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -367,35 +355,18 @@ class ConflictCache:
         if (cached_left is left and cached_right is right) or (
             cached_left is right and cached_right is left
         ):
-            self.stats.pair_hits += 1
             return points
         return None
 
     def store(
-        self,
-        key: PairKey,
-        left: UpdateExtension,
-        right: UpdateExtension,
-        points: Sequence,
+        self, key: PairKey, left: UpdateExtension, right: UpdateExtension, points: Sequence
     ) -> None:
         """Record the pair's conflict points (possibly empty — cached too)."""
-        if self.enabled:
-            self.stats.pair_misses += 1
-            with self._lock:
-                self._entries[key] = (left, right, tuple(points))
-                if self.limit is not None:
-                    while len(self._entries) > self.limit:
-                        self._entries.pop(next(iter(self._entries)))
-
-    def prune(self, keep: Iterable[TransactionId]) -> None:
-        """Drop pairs involving roots no longer under consideration."""
-        keep_set = set(keep)
         with self._lock:
-            for key in [
-                k for k in self._entries
-                if k[0] not in keep_set or k[1] not in keep_set
-            ]:
-                del self._entries[key]
+            self._entries[key] = (left, right, tuple(points))
+            if self.limit is not None:
+                while len(self._entries) > self.limit:
+                    self._entries.pop(next(iter(self._entries)))
 
     def discard(self, roots: Iterable[TransactionId]) -> None:
         """Drop every pair involving any of ``roots`` (retirement: the
@@ -411,6 +382,6 @@ class ConflictCache:
                 del self._entries[key]
 
     def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()

@@ -18,7 +18,7 @@ can later resolve each conflict by picking at most one option per group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FlattenError
 from repro.model.flatten import flatten
@@ -27,7 +27,7 @@ from repro.model.transactions import TransactionId
 from repro.model.tuples import QualifiedKey
 from repro.model.updates import Delete, Insert, Modify, Update, updates_conflict
 
-from repro.core.cache import CacheStats, ConflictCache
+from repro.core.cache import CacheStats, ConflictCache, PairKey
 from repro.core.extensions import (
     TransactionGraph,
     UpdateExtension,
@@ -150,88 +150,46 @@ class ConflictAnalysis:
     """
 
     adjacency: Dict[TransactionId, Set[TransactionId]]
-    points: Dict[
-        Tuple[TransactionId, TransactionId],
-        Tuple[Tuple[str, QualifiedKey], ...],
-    ]
+    points: Dict[PairKey, Tuple[Tuple[str, QualifiedKey], ...]]
 
 
 def find_conflicts(
     schema: Schema,
     graph: TransactionGraph,
     extensions: Dict[TransactionId, UpdateExtension],
-    cache: Optional["ConflictCache"] = None,
 ) -> ConflictAnalysis:
-    """The paper's ``FindConflicts``: pairwise direct conflicts.
-
-    Returns the symmetric adjacency map together with the conflict points
-    of every conflicting pair (see :class:`ConflictAnalysis`).  Pairs
-    where one extension subsumes the other are skipped (Figure 5,
-    FindConflicts line 4).  A key index over the flattened operations
-    keeps the common case near-linear, and a
-    :class:`~repro.core.cache.ConflictCache` (when provided) skips the
-    pairwise comparison entirely for pairs whose extensions are unchanged
-    since the last call — including non-conflicting pairs.
-    """
-    conflicts: Dict[TransactionId, Set[TransactionId]] = {
-        tid: set() for tid in extensions
-    }
-    points_by_pair: Dict[
-        Tuple[TransactionId, TransactionId],
-        Tuple[Tuple[str, QualifiedKey], ...],
-    ] = {}
-
-    by_key: Dict[QualifiedKey, List[TransactionId]] = {}
-    for tid, extension in extensions.items():
-        for key in extension.key_index(schema):
-            by_key.setdefault(key, []).append(tid)
-
-    # A dict used as an insertion-ordered set keeps iteration deterministic
-    # without a global sort over all candidate pairs.
-    candidate_pairs: Dict[Tuple[TransactionId, TransactionId], None] = {}
-    for tids in by_key.values():
-        for i, left in enumerate(tids):
-            for right in tids[i + 1 :]:
-                pair = (left, right) if left < right else (right, left)
-                candidate_pairs[pair] = None
-
-    for pair in candidate_pairs:
-        left_tid, right_tid = pair
-        left, right = extensions[left_tid], extensions[right_tid]
-        if left.subsumes(right) or right.subsumes(left):
-            continue
-        points = cache.lookup(pair, left, right) if cache is not None else None
-        if points is None:
-            points = tuple(direct_conflict_points(schema, graph, left, right))
-            if cache is not None:
-                cache.store(pair, left, right, points)
-        if points:
-            conflicts[left_tid].add(right_tid)
-            conflicts[right_tid].add(left_tid)
-            points_by_pair[pair] = points
-    return ConflictAnalysis(adjacency=conflicts, points=points_by_pair)
+    """The paper's ``FindConflicts`` from scratch: a fresh
+    :class:`IncrementalConflictIndex` brought to ``extensions`` — the
+    incremental procedure's case in which every extension is new."""
+    return IncrementalConflictIndex().update(schema, graph, extensions)
 
 
 class IncrementalConflictIndex:
-    """``FindConflicts`` maintained incrementally across epochs.
+    """``FindConflicts`` (Figure 5) maintained incrementally — the one
+    place extensions are bucketed by key, subsumed pairs are filtered
+    and a pair is compared.
 
-    The engine's extension set evolves slowly: previously deferred roots
-    keep their (cached) extension objects, decided roots leave, and new
-    roots arrive.  Conflicts are a pairwise property of two extensions,
-    so the analysis of the new set equals the previous analysis minus
-    pairs involving departed/changed extensions plus fresh comparisons
-    for pairs involving added/changed ones.  This index stores the
-    current analysis together with a key → roots map and applies exactly
-    that delta on :meth:`update` — the all-pairs candidate scan of
-    :func:`find_conflicts` is paid only for what changed, not per epoch.
+    Pairs where one extension subsumes the other are skipped
+    (FindConflicts line 4), and a key → roots map over the flattened
+    operations draws candidates only from extensions that share a key,
+    which keeps the common case near-linear.
+
+    An extension set evolves slowly: previously deferred roots keep
+    their (cached) extension objects, decided roots leave, and new roots
+    arrive.  Conflicts are a pairwise property of two extensions, so the
+    analysis of the new set equals the previous analysis minus pairs
+    involving departed/changed extensions plus fresh comparisons for
+    pairs involving added/changed ones; :meth:`update` applies exactly
+    that delta — an unchanged pair is never looked at again.
 
     Extensions are tracked by object identity (the extension cache
     returns the same object while an entry stays valid), so a recomputed
     extension is automatically treated as removed + added.
 
-    ``enabled=False`` degrades to a stateless full :func:`find_conflicts`
-    per call (the uncached baseline).  ``stats.pair_misses`` counts
-    pairwise comparisons actually performed.
+    ``enabled=False`` forgets everything before each update (the
+    uncached baseline: every call is the from-scratch case).
+    ``stats.pair_misses`` counts pairwise comparisons actually
+    performed, ``stats.pair_hits`` those a ``shared`` memo answered.
     """
 
     def __init__(self, enabled: bool = True, stats=None) -> None:
@@ -240,10 +198,7 @@ class IncrementalConflictIndex:
         self._extensions: Dict[TransactionId, UpdateExtension] = {}
         self._by_key: Dict[QualifiedKey, Dict[TransactionId, None]] = {}
         self._adjacency: Dict[TransactionId, Set[TransactionId]] = {}
-        self._points: Dict[
-            Tuple[TransactionId, TransactionId],
-            Tuple[Tuple[str, QualifiedKey], ...],
-        ] = {}
+        self._points: Dict[PairKey, Tuple[Tuple[str, QualifiedKey], ...]] = {}
 
     def __len__(self) -> int:
         return len(self._extensions)
@@ -253,49 +208,39 @@ class IncrementalConflictIndex:
         schema: Schema,
         graph: TransactionGraph,
         extensions: Dict[TransactionId, UpdateExtension],
-        shared: Optional["ConflictCache"] = None,
+        shared: Optional[object] = None,
     ) -> ConflictAnalysis:
-        """Bring the index to ``extensions`` and return its analysis.
+        """Bring the index to ``extensions`` and return its analysis: a
+        *live view* of the index (no per-epoch copying), valid until the
+        next :meth:`update`, :meth:`discard` or :meth:`clear`.
 
-        The result equals ``find_conflicts(schema, graph, extensions)``
-        but is a *live view* of the index (no per-epoch copying): it is
-        valid until the next :meth:`update` or :meth:`clear`.
-
-        ``shared`` is an optional cross-participant
-        :class:`~repro.core.cache.ConflictCache` (shipped by the store
-        alongside context-free extensions): pairwise points are a pure
-        function of the two extension objects, so a pair another
-        participant already compared — validated by object identity on
-        both sides — is reused instead of recomputed.
+        ``shared`` is an optional pair memo (see
+        :attr:`ReconciliationBatch.pair_cache`): pairwise points are a
+        pure function of the two extension objects, so a pair already
+        compared elsewhere — validated by object identity on both sides
+        — is reused instead of recomputed.
         """
         if not self.enabled:
-            return find_conflicts(schema, graph, extensions)
+            self.clear()
         removed = [
             tid
             for tid, extension in self._extensions.items()
             if extensions.get(tid) is not extension
         ]
-        added = [
-            tid
-            for tid, extension in extensions.items()
-            if self._extensions.get(tid) is not extension
-        ]
         for tid in removed:
             self._drop(schema, tid)
-        for tid in added:
-            self._add(schema, graph, tid, extensions[tid], shared)
-        return ConflictAnalysis(
-            adjacency=self._adjacency, points=self._points
-        )
+        for tid, extension in extensions.items():
+            if self._extensions.get(tid) is not extension:  # new, or replaced
+                self._add(schema, graph, tid, extension, shared)
+        return ConflictAnalysis(self._adjacency, self._points)
 
     def _drop(self, schema: Schema, tid: TransactionId) -> None:
         extension = self._extensions.pop(tid)
-        for key in extension.key_index(schema):
-            bucket = self._by_key.get(key)
-            if bucket is not None:
-                bucket.pop(tid, None)
-                if not bucket:
-                    del self._by_key[key]
+        for key in extension.key_index(schema):  # _add filed it under each
+            bucket = self._by_key[key]
+            del bucket[tid]
+            if not bucket:
+                del self._by_key[key]
         for other in self._adjacency.pop(tid, ()):  # symmetric edges
             self._adjacency[other].discard(tid)
             del self._points[ConflictCache.pair_key(tid, other)]
@@ -306,13 +251,13 @@ class IncrementalConflictIndex:
         graph: TransactionGraph,
         tid: TransactionId,
         extension: UpdateExtension,
-        shared: Optional["ConflictCache"] = None,
+        shared: Optional[object],
     ) -> None:
         self._extensions[tid] = extension
         neighbours = self._adjacency[tid] = set()
-        # Partners drawn from the key buckets — the same hash-based
-        # candidate generation as find_conflicts, restricted to the one
-        # new extension (dict-as-set keeps the order deterministic).
+        # Partners drawn from the key buckets — the paper's hash-based
+        # candidate generation, restricted to the one new extension
+        # (dict-as-set keeps the order deterministic).
         partners: Dict[TransactionId, None] = {}
         keys = extension.key_index(schema)
         for key in keys:
@@ -331,9 +276,9 @@ class IncrementalConflictIndex:
             points: Optional[Sequence] = None
             if shared is not None:
                 points = shared.lookup(pair, extension, other_extension)
-                if points is not None:
-                    self.stats.pair_hits += 1
-            if points is None:
+            if points is not None:
+                self.stats.pair_hits += 1
+            else:
                 self.stats.pair_misses += 1
                 other_operations = other_extension.operations
                 if (
@@ -367,8 +312,31 @@ class IncrementalConflictIndex:
         for key in keys:
             self._by_key.setdefault(key, {})[tid] = None
 
+    def lookup(
+        self, key: PairKey, left: UpdateExtension, right: UpdateExtension
+    ) -> Optional[Tuple]:
+        """The conflict points of a pair whose two extension *objects*
+        this index holds — it has compared every such pair that shares a
+        key and is not subsumed: its points, or ``()`` — else None.  With
+        :meth:`store`, what lets the index a batch was assembled on stand
+        as that batch's pair memo."""
+        first, second = self._extensions.get(key[0]), self._extensions.get(key[1])
+        if (first is left and second is right) or (first is right and second is left):
+            return self._points.get(key, ())
+        return None
+
+    def store(self, key: PairKey, left, right, points: Sequence) -> None:
+        """Nothing to keep: a pair :meth:`lookup` missed involves an
+        extension object outside this index's own set."""
+
+    def discard(self, schema: Schema, roots: Iterable[TransactionId]) -> None:
+        """Drop ``roots`` (retirement: they are finally decided)."""
+        for tid in roots:
+            if tid in self._extensions:
+                self._drop(schema, tid)
+
     def clear(self) -> None:
-        """Drop all state (used when a caller switches extension sets)."""
+        """Drop all state (what ``enabled=False`` does before every update)."""
         self._extensions.clear()
         self._by_key.clear()
         self._adjacency.clear()

@@ -49,11 +49,13 @@ reconciliations pay only for what changed since the last one:
   confederation-wide), the engine adopts the shipped object whenever its
   member closure is disjoint from the local applied set — the condition
   under which it provably equals the local computation;
-* ``FindConflicts`` runs against a per-participant incremental index:
-  only pairs involving an extension that changed since the previous
-  epoch are compared, ``UpdateSoftState`` reuses the same index (shrunk
-  to the deferred roots), and a store-shared pair memo lets the first
-  participant to compare two shipped extensions serve every other;
+* ``FindConflicts`` is one scanner, the incremental index (a store
+  assembling batches keeps one per participant too): only pairs
+  involving an extension that changed since the previous epoch are
+  compared, ``UpdateSoftState`` reuses the same index (shrunk to the
+  deferred roots), and the batch's one pair memo is asked first — the
+  store-shared one, where the first participant to compare two shipped
+  extensions serves every other, or a store-computed batch's own index;
 * ``can_apply_set`` verdicts are memoized against the instance's
   mutation counter, so unchanged deferred roots skip re-validation
   against an unchanged replica; a check that does run, and the
@@ -80,11 +82,13 @@ from repro.instance.base import Instance
 from repro.model.flatten import flatten
 from repro.model.schema import Schema
 from repro.model.transactions import TransactionId
-from repro.model.updates import Update, updates_conflict
+from repro.model.tuples import QualifiedKey
+from repro.model.updates import Update
 
 from repro.core.cache import ExtensionCache
 from repro.core.conflicts import (
     IncrementalConflictIndex,
+    _conflict_points,
     build_conflict_groups,
 )
 from repro.core.decisions import Decision, ReconcileResult
@@ -92,6 +96,7 @@ from repro.core.extensions import (
     ReconciliationBatch,
     RelevantTransaction,
     UpdateExtension,
+    index_by_key,
     update_footprint,
 )
 from repro.core.state import ParticipantState
@@ -130,8 +135,8 @@ class Reconciler:
         self._applicability: Dict[
             TransactionId, Tuple[UpdateExtension, int, bool]
         ] = {}
-        # The store-shared pair cache of the batch being reconciled, if
-        # any (see ReconciliationBatch.pair_cache).
+        # The pair memo of the batch being reconciled, if any (see
+        # ReconciliationBatch.pair_cache).
         self._shared_pairs = None
 
     @property
@@ -170,14 +175,13 @@ class Reconciler:
         decision: Dict[TransactionId, Decision] = {}
 
         @functools.cache
-        def own() -> Tuple[List[Update], frozenset]:
-            """CheckState line 7's operand — the flattened own delta and
-            the keys it touches — traced by the first root that reaches
-            that test: a run none of whose roots gets there never is."""
+        def own() -> Dict[QualifiedKey, List[Update]]:
+            """CheckState line 7's operand — the flattened own delta,
+            indexed by the keys it touches — traced by the first root
+            that reaches that test: a run none of whose roots gets there
+            never is."""
             delta = flatten(self._schema, own_updates) if own_updates else []
-            return delta, frozenset(
-                key for update in delta for key in update.keys_touched(self._schema)
-            )
+            return index_by_key(self._schema, delta)
 
         # Figure 4 lines 5-8: flattened extensions and CheckState.  In
         # network-centric mode the store precomputed the extensions (and
@@ -350,7 +354,7 @@ class Reconciler:
     def _check_state(
         self,
         extension: UpdateExtension,
-        own: Callable[[], Tuple[Sequence[Update], frozenset]],
+        own: Callable[[], Dict[QualifiedKey, List[Update]]],
         dirty_exempt: bool,
     ) -> Decision:
         state = self._state
@@ -361,15 +365,13 @@ class Reconciler:
             return Decision.REJECT
         if not self._can_apply(extension):
             return Decision.REJECT
-        # Own-delta conflicts require a shared key (``own_keys`` indexes
-        # the delta's touched keys); extensions elsewhere skip the
-        # pairwise scan entirely.
-        own_delta, own_keys = own()
-        if own_keys and not extension.touched.isdisjoint(own_keys):
-            for update in extension.operations:
-                for mine in own_delta:
-                    if updates_conflict(self._schema, update, mine):
-                        return Decision.REJECT
+        # Own-delta conflicts require a shared key: past the key test, the
+        # same keyed comparison FindConflicts makes between two extensions.
+        own_index = own()
+        if not extension.touched.isdisjoint(own_index) and _conflict_points(
+            self._schema, extension.key_index(self._schema), own_index
+        ):
+            return Decision.REJECT
         return Decision.ACCEPT
 
     def _can_apply(self, extension: UpdateExtension) -> bool:

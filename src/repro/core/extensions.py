@@ -315,17 +315,22 @@ class ReconciliationBatch:
       When present they must cover every root, including the
       participant's previously deferred transactions (the store tracks
       those).  The engine then skips its two most expensive phases.
+      The adjacency a store assembles is a view of that participant's
+      store-side conflict index, valid until the participant's
+      ``complete_reconciliation``.
 
     In *client-centric* mode ``extensions`` may still be populated with
     the store's **context-free** extensions (flattened against an empty
     applied set, computed once per published transaction); the engine
     adopts one only when its member closure is disjoint from the local
     applied set, which is exactly when it equals the local computation.
-    ``pair_cache`` (a :class:`repro.core.cache.ConflictCache`, typed
-    loosely to avoid an import cycle) is a store-shared memo of
-    direct-conflict points between those shipped extension objects —
-    pairwise conflicts are a pure function of the two extensions, so one
-    participant's comparison serves the whole confederation.
+    ``pair_cache`` is a memo of direct-conflict points between shipped
+    extension objects — anything that answers ``lookup`` by object
+    identity (and is told what it missed, ``store``): the store-shared
+    :class:`repro.core.cache.ConflictCache` (pairwise conflicts are a
+    pure function of the two extensions, so one participant's comparison
+    serves the whole confederation), or the conflict index a
+    store-computed batch was assembled on.
     """
 
     recno: int

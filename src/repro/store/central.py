@@ -557,6 +557,7 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
             if result.applied:
                 self._bump_applied_version(participant)
             self.retire_shared_entries(self._fully_decided(result, ords))
+        self._nc_retire(participant, result)
         self._charge_call()
 
     # ------------------------------------------------------------------

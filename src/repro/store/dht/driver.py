@@ -16,6 +16,7 @@ from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ConflictCache
+from repro.core.conflicts import IncrementalConflictIndex
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import (
     ReconciliationBatch,
@@ -62,10 +63,10 @@ class _Peer:
         # re-enter every store-computed batch).
         self.version = 0
         self.deferred: Set[TransactionId] = set()
-        #: The conflict-pair cache of its batch assembly (the peer
+        #: The conflict index of its batch assembly (the peer
         #: coordinator's working memory, held driver-side like the other
         #: coordinator mirrors).
-        self.pairs = ConflictCache()
+        self.pairs = IncrementalConflictIndex()
         #: The client half of the delta-encoded re-ship (PR 8): the
         #: assembled payloads it retains (``nc_data`` entries, which
         #: carry the controller's digest), by root.  The driver echoes
@@ -578,27 +579,18 @@ class DhtUpdateStore(UpdateStore):
             for root in roots
             if root.tid in derived
         }
-        attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
-        peer.pairs.prune(extensions)
-
+        edges = attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
         # The assembled adjacency travels from the peer coordinator as
         # one sized message (extensions already paid their fragments on
         # each nc_data delivery).
-        edges = sum(len(adj) for adj in batch.conflicts.values()) // 2
         client.tell(
             self, self._owner(wire.peer_key(participant)), [peer.node.name],
             "nc_adjacency", client=peer.node,
             fragments=1 + edges, size_bytes=wire.HEADER_WIRE_BYTES * (1 + edges),
         )
         if self._ship_context_free:
-            # The engine's incremental conflict index consults the
-            # batch's pair memo when it rebuilds soft state.  The pairs
-            # worth sharing here are the ones this assembly just
-            # compared — the per-participant extensions never appear in
-            # the confederation-wide context-free memo, so attaching
-            # that one (as this path once did) could never hit.
-            # Identity validation keeps the reuse exact, so decisions
-            # are unchanged; only the redundant re-comparisons go away.
+            # The assembly's own index answers the engine's soft-state
+            # rebuild by identity.
             batch.pair_cache = peer.pairs
         return batch
 
@@ -649,9 +641,11 @@ class DhtUpdateStore(UpdateStore):
             peer.version += 1
         # Only still-deferred roots can ever be answered with an
         # ``nc_unchanged`` token again, so the client's retained
-        # payloads shrink to exactly that set.
+        # payloads shrink to exactly that set; the assembly's conflict
+        # index lets go of the decided roots with them.
         for tid in [t for t in peer.retained if t not in peer.deferred]:
             del peer.retained[tid]
+        peer.pairs.discard(self.schema, (*result.applied, *result.rejected))
         if retired:
             # Controllers dropped their derived extensions; retire the
             # shared pair-memo entries of the same roots.

@@ -184,6 +184,7 @@ class MemoryUpdateStore(DirectLogStore):
         for tid in result.deferred:
             record.deferred.add(tid)
         self.retire_shared_entries(self._fully_decided(result))
+        self._nc_retire(participant, result)
         self._charge_call()
 
     def _fully_decided(self, result: ReconcileResult) -> List[TransactionId]:

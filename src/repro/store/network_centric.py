@@ -58,6 +58,8 @@ import abc
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cache import CacheStats, ConflictCache, ExtensionCache
+from repro.core.conflicts import IncrementalConflictIndex
+from repro.core.decisions import ReconcileResult
 from repro.core.extensions import (
     ReconciliationBatch,
     RelevantTransaction,
@@ -65,7 +67,6 @@ from repro.core.extensions import (
     UpdateExtension,
     flattened_extension,
 )
-from repro.core.conflicts import find_conflicts
 from repro.errors import FlattenError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
@@ -78,40 +79,25 @@ from repro.store.base import (
 from repro.store.registry import StoreCapabilities
 
 
-def assembled_payload_fragments(extensions, adjacency) -> int:
-    """Message fragments a fully-assembled batch payload costs to ship.
-
-    One fragment per flattened update of every derived extension, plus
-    one per (undirected) conflict edge — the pricing both
-    :class:`DirectLogStore` and the DHT driver charge for moving the
-    precomputed structures to the reconciling client (Figures 6-7's
-    size-bounded-message regime).
-    """
-    shipped = sum(len(ext.operations) for ext in extensions.values())
-    shipped += sum(len(adj) for adj in adjacency.values()) // 2
-    return shipped
-
-
 def attach_assembled_payload(
-    schema,
-    batch: ReconciliationBatch,
-    extensions,
-    pair_cache: Optional[ConflictCache] = None,
+    schema, batch: ReconciliationBatch, extensions, index: IncrementalConflictIndex
 ) -> int:
     """Finish a fully network-centric batch: store-side ``FindConflicts``.
 
     The shared back half of ``begin_network_reconciliation`` for every
     backend: given the per-participant extensions (derived from direct
     log access by :class:`DirectLogStore`, or collected from transaction
-    controllers over the ring by the DHT driver), run the pairwise
-    conflict analysis against the per-participant ``pair_cache``, attach
-    extensions and adjacency to the batch, and return the fragment count
-    the shipped payload is priced at.
+    controllers over the ring by the DHT driver), bring the
+    participant's store-side conflict ``index`` to them, attach
+    extensions and adjacency (a view of the index) to the batch, and
+    return the number of (undirected) conflict edges — shipping the
+    adjacency is priced at one fragment each (Figures 6-7's
+    size-bounded-message regime).
     """
-    analysis = find_conflicts(schema, batch.graph, extensions, cache=pair_cache)
+    analysis = index.update(schema, batch.graph, extensions)
     batch.extensions = extensions
     batch.conflicts = analysis.adjacency
-    return assembled_payload_fragments(extensions, analysis.adjacency)
+    return len(analysis.points)
 
 
 class DirectLogStore(UpdateStore):
@@ -123,11 +109,12 @@ class DirectLogStore(UpdateStore):
     :class:`~repro.store.base.UpdateStore`) and the ``_nc_*`` accessors
     below; a subclass missing one cannot be instantiated.
 
-    Precomputation reuses the same :mod:`repro.core.cache` machinery as
-    the client engine, held per participant: a deferred transaction's
-    extension — and every conflict pair untouched by new publications —
-    depends only on the applied set, so it is computed once per change
-    rather than once per reconciliation.
+    Precomputation reuses the client engine's machinery — an
+    :class:`ExtensionCache` and an :class:`IncrementalConflictIndex` —
+    held per participant: a deferred transaction's extension — and every
+    conflict pair untouched by new publications — depends only on the
+    applied set, so it is computed once per change rather than once per
+    reconciliation.
     """
 
     #: What this class implements for every log; whether the log itself
@@ -152,7 +139,9 @@ class DirectLogStore(UpdateStore):
         # lock-discipline proxies guard the containers they find in
         # ``vars(store)`` when instrumentation starts, so a memo born
         # during the first reconciliation would never be guarded.
-        self._nc_caches: Dict[int, Tuple[ExtensionCache, ConflictCache]] = {}
+        self._nc_caches: Dict[
+            int, Tuple[ExtensionCache, IncrementalConflictIndex]
+        ] = {}
         self._nc_context_free: Dict[
             TransactionId, Optional[UpdateExtension]
         ] = {}
@@ -201,15 +190,23 @@ class DirectLogStore(UpdateStore):
 
     def _nc_caches_of(
         self, participant: int
-    ) -> Tuple[ExtensionCache, ConflictCache]:
-        """The participant's store-side extension and pair caches (one
-        shared :class:`~repro.core.cache.CacheStats`)."""
+    ) -> Tuple[ExtensionCache, IncrementalConflictIndex]:
+        """The participant's store-side extension cache and conflict
+        index (one shared :class:`~repro.core.cache.CacheStats`)."""
         caches = self._nc_caches.get(participant)
         if caches is None:
             extensions = ExtensionCache()
-            caches = extensions, ConflictCache(stats=extensions.stats)
+            caches = extensions, IncrementalConflictIndex(stats=extensions.stats)
             self._nc_caches[participant] = caches
         return caches
+
+    def _nc_retire(self, participant: int, result: ReconcileResult) -> None:
+        """Bring the participant's store-side conflict index down to its
+        open deferred set: the roots ``result`` finally decides leave
+        (every log's ``complete_reconciliation`` ends here)."""
+        caches = self._nc_caches.get(participant)
+        if caches is not None:
+            caches[1].discard(self.schema, (*result.applied, *result.rejected))
 
     def derivation_stats(self) -> CacheStats:
         """The per-participant store-side caches' counters, summed."""
@@ -430,7 +427,7 @@ class DirectLogStore(UpdateStore):
             batch.roots.append(RelevantTransaction(transaction, priority, order))
         batch.roots.sort(key=lambda root: root.order)
 
-        ext_cache, pair_cache = self._nc_caches_of(participant)
+        ext_cache, index = self._nc_caches_of(participant)
         version = self._nc_applied_version(participant)
         extensions = {}
         for root in batch.roots:
@@ -450,17 +447,16 @@ class DirectLogStore(UpdateStore):
                 # Leave it out; the client's fallback recomputation will
                 # reach the same FlattenError and reject the root.
                 continue
-        shipped = attach_assembled_payload(
-            self.schema, batch, extensions, pair_cache
-        )
+        edges = attach_assembled_payload(self.schema, batch, extensions, index)
 
         # Deferred roots reappear in the next round's batch; anything else
-        # is decided by then, so cap both caches at this round's roots.
+        # is decided by then, so cap the cache at this round's roots (the
+        # index update has just dropped what left).
         ext_cache.prune(extensions)
-        pair_cache.prune(extensions)
 
         # Communication: shipping the precomputed structures costs
         # messages proportional to their size (one fragment per flattened
         # update, plus one per conflict edge).
+        shipped = sum(len(ext.operations) for ext in extensions.values()) + edges
         self.perf.charge(2 + shipped, self.message_latency)
         return batch

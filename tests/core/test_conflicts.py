@@ -188,6 +188,68 @@ class TestFindConflicts:
         assert conflicts[revision.tid] == set()
 
 
+    def test_single_update_pair_conflicts_where_both_touch(self, schema):
+        # The single-update fast path, reached from a from-scratch call:
+        # a replacement that moves its row touches two keys, and the
+        # pair conflicts only at the one the insertion touches too.
+        builder = GraphBuilder()
+        seed = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        move = make_transaction(1, 1, [Modify("F", RAT1, MOUSE2, 1)])
+        rival = make_transaction(2, 0, [Insert("F", MOUSE2_RESP, 2)])
+        builder.add(seed)
+        builder.add(move, antecedents=[seed.tid])
+        builder.add(rival)
+        ext_move = extension_of(schema, builder, move, applied=[seed.tid])
+        ext_rival = extension_of(schema, builder, rival)
+        assert len(ext_move.key_index(schema)) == 2
+        expected = direct_conflict_points(schema, builder.graph, ext_move, ext_rival)
+        assert expected == [("insert/replace", ("F", ("mouse", "prot2")))]
+        for first, second in ((ext_move, ext_rival), (ext_rival, ext_move)):
+            analysis = find_conflicts(
+                schema, builder.graph, {first.root: first, second.root: second}
+            )
+            assert analysis.adjacency == {move.tid: {rival.tid}, rival.tid: {move.tid}}
+            assert analysis.points == {(move.tid, rival.tid): tuple(expected)}
+
+    def test_key_cancelled_over_a_shared_antecedent_is_no_candidate(self, schema):
+        # A known gap, found by the index's property test and present in
+        # every scanner this repo has had: candidates are drawn from the
+        # *flattened* footprints' keys, so a key one chain cancels above
+        # a shared antecedent (insert, then delete) never meets the other
+        # chain's use of the same row — although Definition 4, which
+        # removes the shared antecedent first, makes the pair a conflict
+        # (the all-pairs reference says so).  The engine accepts both and
+        # the second application falls back to REJECT.  Flip this test
+        # when candidates are drawn from ``touched``; that moves decisions.
+        from repro.bench.ablations import naive_find_conflicts
+
+        builder = GraphBuilder()
+        base = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        drop = make_transaction(2, 0, [Insert("F", MOUSE2, 2), Delete("F", RAT1, 2)])
+        edit = make_transaction(3, 0, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
+        builder.add(base)
+        builder.add(drop, antecedents=[base.tid])
+        builder.add(edit, antecedents=[base.tid])
+        extensions = {
+            txn.tid: extension_of(schema, builder, txn) for txn in (base, drop, edit)
+        }
+        assert directly_conflict(
+            schema, builder.graph, extensions[drop.tid], extensions[edit.tid]
+        )
+        reference = naive_find_conflicts(schema, builder.graph, extensions)
+        assert reference[drop.tid] == {edit.tid}
+        analysis = find_conflicts(schema, builder.graph, extensions)
+        assert analysis.adjacency[drop.tid] == set()
+        # Once the shared antecedent is applied the same pair is found.
+        alone = {
+            txn.tid: extension_of(schema, builder, txn, applied=[base.tid])
+            for txn in (drop, edit)
+        }
+        assert find_conflicts(schema, builder.graph, alone).adjacency[drop.tid] == {
+            edit.tid
+        }
+
+
 class TestConflictGroups:
     def test_same_effect_transactions_share_an_option(self, schema):
         builder = GraphBuilder()

@@ -117,6 +117,48 @@ class TestNetworkCentricEquivalence:
         result = p3.publish_and_reconcile()
         assert [str(t) for t in result.accepted] == ["X1:1"]
 
+    def test_a_quiet_round_examines_no_pair_store_side(self, store_factory):
+        # The store-side FindConflicts is the incremental index: a batch
+        # assembled with no publication since the participant's last one
+        # re-delivers the same deferred extension objects, so it compares
+        # no pair and looks none up (the stateless scanner it replaced
+        # looked every open pair up again, counted as a ``pair_hit``).
+        store = store_factory()
+        confed = Confederation(store=store).open()
+        p1 = confed.add_participant(1, policy_from_priorities([(2, 1), (3, 1)]))
+        p2 = confed.add_participant(2, policy_from_priorities([(1, 1), (3, 1)]))
+        p3 = confed.add_participant(3, policy_from_priorities([(1, 1), (2, 1)]))
+        p3.network_centric = True
+
+        def store_side():
+            if isinstance(store, DhtUpdateStore):
+                index = store._peers[3].pairs
+            else:
+                index = store._nc_caches[3][1]
+                assert index.stats is store._nc_caches[3][0].stats
+                assert store.derivation_stats().pair_misses == index.stats.pair_misses
+            # complete_reconciliation retired it to the open deferred set.
+            assert len(index) == len(p3.state.deferred)
+            return index.stats.pair_hits, index.stats.pair_misses
+
+        p1.execute([Insert("F", RAT_IMMUNE, 1)])
+        p1.publish_and_reconcile()
+        p2.execute([Insert("F", RAT_RESP, 2)])
+        p2.publish_and_reconcile()
+        assert len(p3.reconcile().deferred) == 2
+        assert store_side() == (0, 1)
+
+        for _quiet_round in range(2):
+            assert len(p3.reconcile().deferred) == 2
+            assert store_side() == (0, 1)
+        assert len(p3.open_conflicts()) == 1
+
+        # A new publication is compared against what is open — once.
+        p1.execute([Insert("F", MOUSE, 1)])
+        p1.publish_and_reconcile()
+        assert [str(t) for t in p3.reconcile().accepted] == ["X1:1"]
+        assert store_side() == (0, 1)  # MOUSE shares no key with the open pair
+
     def test_client_only_store_declines_network_centric(self, schema):
         # The base contract still raises for backends that do not
         # implement the store-computed batch (PR 5 closed the gap for

@@ -120,6 +120,25 @@ def test_deleted_entry_points_stay_deleted(module):
     assert repro.cdss.__all__ == ["Participant", "ReconcileTiming"]
 
 
+def test_conflict_detection_has_one_scanner_and_one_memo():
+    # PR 21: ``find_conflicts`` is a fresh index, read — it takes no
+    # memo; ``ConflictCache`` is the confederation-shared memo and
+    # nothing else (a participant's own pairs live in its index).
+    from repro.core import ConflictCache, TransactionGraph
+    from repro.core.conflicts import find_conflicts
+
+    with pytest.raises(TypeError):
+        find_conflicts(None, TransactionGraph(), {}, cache=ConflictCache())
+    with pytest.raises(TypeError):
+        ConflictCache(enabled=False)
+    with pytest.raises(TypeError):
+        ConflictCache(stats=None)
+    assert ConflictCache(limit=4).limit == 4
+    assert not hasattr(ConflictCache, "prune")
+    public = {name for name in vars(ConflictCache) if not name.startswith("_")}
+    assert public == {"pair_key", "lookup", "store", "discard", "clear"}
+
+
 def test_builtin_registry_contents():
     assert available_stores() == ["central", "dht", "durable", "memory"]
 
