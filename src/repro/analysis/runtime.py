@@ -234,7 +234,7 @@ def instrument_store(store, skip: Iterable[str] = ()) -> StoreInstrumentation:
 
     Only attributes whose value is *exactly* ``dict``/``list``/``set``
     are wrapped (richer objects like ``PerfCounters`` or the shared
-    :class:`~repro.core.cache.ConflictCache` carry their own locking
+    :class:`~repro.core.cache.ConflictGraph` carry their own locking
     discipline).  ``skip`` names attributes to leave untouched.
     """
     lock = InstrumentedRLock(store.lock)

@@ -6,8 +6,9 @@
   ``te_i|e(X)`` and flattened update extensions (Definitions 3-4);
 * :mod:`repro.core.conflicts` — hash-based direct-conflict detection
   between update extensions, conflict groups, and options;
-* :mod:`repro.core.cache` — incremental extension and conflict-pair
-  caches keyed by applied-set versions (the reconciliation hot path);
+* :mod:`repro.core.cache` — the incremental extension cache keyed by
+  applied-set versions and the confederation-shared conflict graph (the
+  reconciliation hot path);
 * :mod:`repro.core.state` — the reconciling participant's persistent
   bookkeeping (applied / rejected / deferred sets, dirty values);
 * :mod:`repro.core.engine` — the client-centric ``ReconcileUpdates``
@@ -21,7 +22,7 @@
 """
 
 from repro.core.appendonly import reconcile_append_only
-from repro.core.cache import CacheStats, ConflictCache, ExtensionCache
+from repro.core.cache import CacheStats, ConflictGraph, ExtensionCache
 from repro.core.conflicts import (
     ConflictAnalysis,
     ConflictGroup,
@@ -42,7 +43,7 @@ from repro.core.state import ParticipantState
 __all__ = [
     "CacheStats",
     "ConflictAnalysis",
-    "ConflictCache",
+    "ConflictGraph",
     "ConflictGroup",
     "Decision",
     "ExtensionCache",

@@ -20,11 +20,14 @@ per epoch per participant:
   ``members ∩ applied``).  Only entries that fail revalidation are
   recomputed.
 
-* :class:`ConflictCache` memoizes the direct-conflict points of extension
-  *pairs*, keyed by the identity of the two extension objects.  Extensions
-  are immutable and :class:`ExtensionCache` returns the same object while
-  an entry stays valid, so identity equality is exact.  Negative results
-  (no conflict) are cached too — they are the overwhelmingly common case.
+* :class:`ConflictGraph` is what the confederation knows about *pairs*:
+  direct-conflict points are a pure function of two extension objects, so
+  an edge — the points, or ``()`` — hangs on the two objects themselves,
+  written by the first conflict index to hold both and read by every
+  other with one probe.  Extensions are immutable and an
+  :class:`ExtensionCache` returns the same object while an entry stays
+  valid, so identity is exact.  The same object keeps the one derivation
+  per (root, closure) that participants adopt from each other.
 
 * :class:`CacheStats` counts hits, misses, and revalidations; the engine
   exposes a per-reconciliation snapshot on
@@ -34,20 +37,19 @@ per epoch per participant:
 the :class:`~repro.core.engine.Reconciler`, store-side per registered
 peer in network-centric mode) and are pruned to the still-deferred roots
 after each reconciliation, so they hold O(deferred) entries, not
-O(history).  :class:`ConflictCache` has one job: the
-*confederation-shared* pair memo a store ships on every batch (identity
-validation makes sharing across participants exact — see
-:meth:`repro.store.network_centric.DirectLogStore.shared_pair_cache`);
-what one participant has compared, client-side or in a store's batch
-assembly, lives in its
-:class:`~repro.core.conflicts.IncrementalConflictIndex`.
+O(history).  There is one :class:`ConflictGraph` per store, shipped on
+every batch (see
+:meth:`repro.store.network_centric.DirectLogStore.shared_pair_cache`)
+and retired with the store's other shared memos; which pairs one
+participant holds, client-side or in a store's batch assembly, lives in
+its :class:`~repro.core.conflicts.IncrementalConflictIndex`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.model.schema import Schema
 from repro.model.transactions import TransactionId
@@ -59,26 +61,23 @@ from repro.core.extensions import (
     compute_update_extension,
 )
 
-#: An unordered extension pair, stored with the lower tid first.
-PairKey = Tuple[TransactionId, TransactionId]
-
 
 @dataclass
 class CacheStats:
     """Counters for one cache (or a snapshot/delta of them).
 
     ``hits`` are O(1) version matches; ``revalidations`` are O(|members|)
-    reuses after the applied set grew; ``shipped`` counts store-computed
-    extensions adopted instead of computing locally (context-free ones
-    proven disjoint from the applied set, and the per-participant
-    extensions of a fully network-centric batch);
-    ``misses`` are full recomputations (including cold entries);
-    ``pair_misses`` counts the pairwise comparisons a conflict index
-    performed and ``pair_hits`` those a shared pair memo answered for it
-    instead.  A pair neither of whose extensions changed is never
-    examined again and counts as neither, so the store-side counters of
-    the direct-log stores (``derivation_stats()``), whose assembly
-    indexes consult no memo, read ``pair_hits == 0``.
+    reuses after the applied set grew; ``shipped`` counts extensions
+    adopted instead of computed locally (context-free ones proven
+    disjoint from the applied set, ones another participant derived
+    over the same closure, and the per-participant extensions of a
+    fully network-centric batch); ``misses`` are full recomputations
+    (including cold entries).  ``pair_misses`` counts the pairwise
+    comparisons a conflict index performed and ``pair_hits`` the
+    candidate pairs the shared :class:`ConflictGraph` answered for it
+    instead — subsumed pairs included, which cost no comparison the
+    first time either.  A pair neither of whose extensions changed is
+    never examined again and counts as neither.
     """
 
     hits: int = 0
@@ -191,6 +190,7 @@ class ExtensionCache:
         applied: Set[TransactionId],
         version: int,
         shipped: Optional[UpdateExtension] = None,
+        shared: Optional["ConflictGraph"] = None,
     ) -> UpdateExtension:
         """The root's extension: cached, adopted, or computed — in that
         order.
@@ -199,9 +199,14 @@ class ExtensionCache:
         (derived against an empty applied set), if it sent one.  It
         equals the local computation exactly when none of its members
         is applied — the closure walk stops only at applied
-        transactions — and is then adopted, re-priced to this
-        participant's priority for the root.  A disabled cache never
-        adopts: it is the recompute-everything oracle.
+        transactions — and is then adopted.  Otherwise the closure is
+        walked, and ``shared`` (the batch's conflict graph, if it
+        carries one) is asked for what some participant already derived
+        over exactly that closure before anything is flattened; what is
+        flattened here is registered there for the next.  An adopted
+        extension is re-priced to this participant's priority for the
+        root.  A disabled cache never adopts: it is the
+        recompute-everything oracle.
 
         Propagates :class:`~repro.errors.FlattenError` from the underlying
         computation (the engine rejects such roots); failures are not
@@ -211,18 +216,23 @@ class ExtensionCache:
         extension = self.lookup(root.tid, version, applied, root.priority)
         if extension is not None:
             return extension
-        if (
-            self.enabled
-            and shipped is not None
-            and shipped.member_set().isdisjoint(applied)
-        ):
-            if shipped.priority != root.priority:
-                shipped = shipped.repriced(root.priority)
+        if not self.enabled:
+            shipped = shared = None
+        if shipped is not None and shipped.member_set().isdisjoint(applied):
             extension = shipped
+        elif shared is not None:
+            extension = shared.derived(
+                root.tid, tuple(graph.extension(root.tid, applied))
+            )
+        if extension is not None:
             self.stats.shipped += 1
         else:
             self.stats.misses += 1
             extension = compute_update_extension(schema, graph, root, applied)
+            if shared is not None:
+                extension = shared.intern(extension)
+        if extension.priority != root.priority:
+            extension = extension.repriced(root.priority)
         self.store(root.tid, version, extension)
         return extension
 
@@ -231,10 +241,6 @@ class ExtensionCache:
         keep_set = set(keep)
         for tid in [t for t in self._entries if t not in keep_set]:
             del self._entries[tid]
-
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self._entries.clear()
 
 
 class PageCache:
@@ -291,10 +297,6 @@ class PageCache:
         if len(self._entries) > self.peak_resident:
             self.peak_resident = len(self._entries)
 
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
-        self._entries.clear()
-
     def as_dict(self) -> Dict[str, int]:
         """A JSON-friendly view (used by the durable perf benchmark)."""
         return {
@@ -307,81 +309,101 @@ class PageCache:
         }
 
 
-class ConflictCache:
-    """The confederation-shared memo of direct-conflict points per
-    extension pair.
+class ConflictGraph:
+    """The confederation-shared conflict graph: what is known about
+    pairs of extension *objects*, hung on the objects themselves.
 
-    Entries pin the two compared :class:`UpdateExtension` objects, so a
-    recomputed (hence new) extension object naturally invalidates every
-    pair it participated in.  Hits and comparisons are counted by the
-    :class:`~repro.core.conflicts.IncrementalConflictIndex` that asks.
+    An extension is registered by its *origin* (re-priced twins share
+    one: points do not depend on the price), under its root.  A
+    registered origin carries its neighbourhood, ``id(other origin) ->
+    (other origin, points)``: an edge is written at both ends by the
+    first conflict index to hold both (:meth:`link`), says ``()`` for a
+    pair that does not conflict *or* of which one subsumes the other,
+    and is read by every later index with one probe and an identity
+    test.  An edge pins its two objects, so the ``id`` it is filed under
+    cannot be reused while it stands; a recomputed object has no edges.
 
-    The memo is mutated concurrently when the threaded epoch scheduler
-    runs several reconciliations at once, so every structural mutation
-    is guarded by an internal lock.  Races on content are benign by
-    construction — conflict points are a pure function of the two
-    extension objects, so two threads storing the same pair write the
-    same value — but unguarded retirement while another thread inserts
-    would corrupt the dict iteration.
+    The same registry is the one derivation per (root, closure): an
+    extension is a pure function of its root and member set, so the
+    first participant to flatten a closure (:meth:`intern`) serves every
+    other whose walk ends on it (:meth:`derived`).
+
+    Roots leave by the stores' retirement signal (:meth:`discard`),
+    O(degree) per origin, with ``limit`` as the backstop.  The threaded
+    scheduler reconciles concurrently, so every write takes the lock — a
+    neighbourhood is never written while :meth:`discard` walks it.
+    Reading an edge does not: a reader sees nothing or the truth.
     """
 
     def __init__(self, limit: Optional[int] = None) -> None:
-        """``limit`` caps the entry count with FIFO eviction (an evicted
-        pair simply gets re-compared on its next miss); None = unbounded."""
+        """``limit`` caps the registered roots with FIFO eviction (an
+        evicted root's edges and derivations are simply recomputed on
+        the next miss); None = unbounded."""
         self.limit = limit
         self._lock = threading.Lock()
-        self._entries: Dict[PairKey, Tuple[UpdateExtension, UpdateExtension, Tuple]] = {}
+        self._entries: Dict[TransactionId, List[UpdateExtension]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def pair_key(left: TransactionId, right: TransactionId) -> PairKey:
-        """The canonical unordered key for a pair of roots."""
-        return (left, right) if left < right else (right, left)
-
-    def lookup(
-        self, key: PairKey, left: UpdateExtension, right: UpdateExtension
-    ) -> Optional[Tuple]:
-        """Cached conflict points for the pair, or None if stale/absent.
-
-        ``left``/``right`` may arrive in either order; the stored entry is
-        keyed canonically and validated by object identity on both sides.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        cached_left, cached_right, points = entry
-        if (cached_left is left and cached_right is right) or (
-            cached_left is right and cached_right is left
-        ):
-            return points
+    def _find(
+        self, root: TransactionId, members: Tuple[TransactionId, ...]
+    ) -> Optional[UpdateExtension]:
+        for origin in self._entries.get(root, ()):
+            if origin.members == members:
+                return origin
         return None
 
-    def store(
-        self, key: PairKey, left: UpdateExtension, right: UpdateExtension, points: Sequence
-    ) -> None:
-        """Record the pair's conflict points (possibly empty — cached too)."""
+    def derived(
+        self, root: TransactionId, members: Tuple[TransactionId, ...]
+    ) -> Optional[UpdateExtension]:
+        """The registered extension of ``root`` over the closure
+        ``members`` (in publish order), if there is one."""
         with self._lock:
-            self._entries[key] = (left, right, tuple(points))
-            if self.limit is not None:
-                while len(self._entries) > self.limit:
-                    self._entries.pop(next(iter(self._entries)))
+            return self._find(root, members)
+
+    def intern(self, extension: UpdateExtension) -> UpdateExtension:
+        """Register a freshly derived extension as its (root, closure)'s
+        one derivation; returns the registered one — ``extension``
+        unless another thread derived the same closure first."""
+        with self._lock:
+            origin = self._find(extension.root, extension.members)
+            if origin is None:
+                self._register(origin := extension)
+        return origin
+
+    def _register(self, origin: UpdateExtension) -> None:
+        origin._hood = {}
+        self._entries.setdefault(origin.root, []).append(origin)
+        while self.limit is not None and len(self._entries) > self.limit:
+            self._unlink(next(iter(self._entries)))
+
+    def _unlink(self, root: TransactionId) -> None:
+        for origin in self._entries.pop(root, ()):
+            hood, origin._hood = origin._hood, None
+            for other, _points in hood.values():
+                del other._hood[id(origin)]
+
+    def link(
+        self, left: UpdateExtension, right: UpdateExtension, points: Tuple
+    ) -> None:
+        """Hang the edge between the origins ``left`` and ``right`` on
+        both (``points`` possibly empty — known too)."""
+        with self._lock:
+            if left._hood is None:
+                self._register(left)
+            if right._hood is None:
+                self._register(right)
+            # The backstop may have evicted one end to admit the other.
+            if left._hood is not None and right._hood is not None:
+                left._hood[id(right)] = (right, points)
+                right._hood[id(left)] = (left, points)
 
     def discard(self, roots: Iterable[TransactionId]) -> None:
-        """Drop every pair involving any of ``roots`` (retirement: the
-        roots have been finally decided by every participant, so no
-        reconciliation will compare their extensions again)."""
-        drop = set(roots)
-        if not drop:
-            return
+        """Unlink every origin of ``roots``, at both ends of each edge
+        (retirement: the roots have been finally decided by every
+        participant, so no reconciliation will hold their extensions
+        again)."""
         with self._lock:
-            for key in [
-                k for k in self._entries if k[0] in drop or k[1] in drop
-            ]:
-                del self._entries[key]
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._entries.clear()
+            for root in roots:
+                self._unlink(root)

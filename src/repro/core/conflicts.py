@@ -27,13 +27,17 @@ from repro.model.transactions import TransactionId
 from repro.model.tuples import QualifiedKey
 from repro.model.updates import Delete, Insert, Modify, Update, updates_conflict
 
-from repro.core.cache import CacheStats, ConflictCache, PairKey
+from repro.core.cache import CacheStats, ConflictGraph
 from repro.core.extensions import (
     TransactionGraph,
     UpdateExtension,
     index_by_key,
     update_footprint,
 )
+
+
+#: An unordered extension pair, stored with the lower tid first.
+PairKey = Tuple[TransactionId, TransactionId]
 
 
 def classify_conflict(left: Update, right: Update) -> str:
@@ -169,7 +173,7 @@ class IncrementalConflictIndex:
     place extensions are bucketed by key, subsumed pairs are filtered
     and a pair is compared.
 
-    Pairs where one extension subsumes the other are skipped
+    Pairs where one extension subsumes the other are not compared
     (FindConflicts line 4), and a key → roots map over the flattened
     operations draws candidates only from extensions that share a key,
     which keeps the common case near-linear.
@@ -189,7 +193,8 @@ class IncrementalConflictIndex:
     ``enabled=False`` forgets everything before each update (the
     uncached baseline: every call is the from-scratch case).
     ``stats.pair_misses`` counts pairwise comparisons actually
-    performed, ``stats.pair_hits`` those a ``shared`` memo answered.
+    performed, ``stats.pair_hits`` the candidate pairs the ``shared``
+    graph answered instead.
     """
 
     def __init__(self, enabled: bool = True, stats=None) -> None:
@@ -208,17 +213,16 @@ class IncrementalConflictIndex:
         schema: Schema,
         graph: TransactionGraph,
         extensions: Dict[TransactionId, UpdateExtension],
-        shared: Optional[object] = None,
+        shared: Optional[ConflictGraph] = None,
     ) -> ConflictAnalysis:
         """Bring the index to ``extensions`` and return its analysis: a
         *live view* of the index (no per-epoch copying), valid until the
         next :meth:`update`, :meth:`discard` or :meth:`clear`.
 
-        ``shared`` is an optional pair memo (see
-        :attr:`ReconciliationBatch.pair_cache`): pairwise points are a
-        pure function of the two extension objects, so a pair already
-        compared elsewhere — validated by object identity on both sides
-        — is reused instead of recomputed.
+        ``shared`` is the batch's conflict graph (see
+        :attr:`ReconciliationBatch.pair_cache`): an edge some index
+        already hung on two extension objects is read instead of
+        recomputed, and what this index computes is hung there.
         """
         if not self.enabled:
             self.clear()
@@ -243,7 +247,7 @@ class IncrementalConflictIndex:
                 del self._by_key[key]
         for other in self._adjacency.pop(tid, ()):  # symmetric edges
             self._adjacency[other].discard(tid)
-            del self._points[ConflictCache.pair_key(tid, other)]
+            del self._points[(tid, other) if tid < other else (other, tid)]
 
     def _add(
         self,
@@ -251,7 +255,7 @@ class IncrementalConflictIndex:
         graph: TransactionGraph,
         tid: TransactionId,
         extension: UpdateExtension,
-        shared: Optional[object],
+        shared: Optional[ConflictGraph],
     ) -> None:
         self._extensions[tid] = extension
         neighbours = self._adjacency[tid] = set()
@@ -264,70 +268,37 @@ class IncrementalConflictIndex:
             bucket = self._by_key.get(key)
             if bucket is not None:
                 partners.update(bucket)
-        operations = extension.operations
         members = extension.member_set()
+        # Edges hang on the origins (re-priced twins share them), so a
+        # partner visit is one probe of this origin's neighbourhood.
+        origin = extension._origin or extension
+        hood = (origin._hood if shared is not None else None) or {}
         for other in partners:
             other_extension = self._extensions[other]
-            if extension.subsumes(other_extension) or other_extension.subsumes(
-                extension
-            ):
-                continue
-            pair = ConflictCache.pair_key(tid, other)
-            points: Optional[Sequence] = None
-            if shared is not None:
-                points = shared.lookup(pair, extension, other_extension)
-            if points is not None:
+            other_origin = other_extension._origin or other_extension
+            edge = hood.get(id(other_origin))
+            if edge is not None and edge[0] is other_origin:
+                points = edge[1]
                 self.stats.pair_hits += 1
             else:
-                self.stats.pair_misses += 1
-                other_operations = other_extension.operations
-                if (
-                    len(operations) == 1
-                    and len(other_operations) == 1
-                    and members.isdisjoint(other_extension.member_set())
-                ):
-                    # Dominant case for fine-grained workloads: two
-                    # single-update footprints with nothing shared.  One
-                    # predicate call decides the pair; a conflict holds
-                    # at every key the two updates share.
-                    left, right = operations[0], other_operations[0]
-                    if updates_conflict(schema, left, right):
-                        kind = classify_conflict(left, right)
-                        other_keys = other_extension.key_index(schema)
-                        points = [
-                            (kind, key) for key in keys if key in other_keys
-                        ]
-                    else:
-                        points = []
+                other_members = other_extension.member_set()
+                if members >= other_members or other_members >= members:
+                    points = ()  # FindConflicts line 4: nothing to compare
                 else:
-                    points = direct_conflict_points(
-                        schema, graph, extension, other_extension
+                    self.stats.pair_misses += 1
+                    points = tuple(
+                        direct_conflict_points(
+                            schema, graph, extension, other_extension
+                        )
                     )
                 if shared is not None:
-                    shared.store(pair, extension, other_extension, points)
+                    shared.link(origin, other_origin, points)
             if points:
-                self._points[pair] = tuple(points)
+                self._points[(tid, other) if tid < other else (other, tid)] = points
                 neighbours.add(other)
                 self._adjacency[other].add(tid)
         for key in keys:
             self._by_key.setdefault(key, {})[tid] = None
-
-    def lookup(
-        self, key: PairKey, left: UpdateExtension, right: UpdateExtension
-    ) -> Optional[Tuple]:
-        """The conflict points of a pair whose two extension *objects*
-        this index holds — it has compared every such pair that shares a
-        key and is not subsumed: its points, or ``()`` — else None.  With
-        :meth:`store`, what lets the index a batch was assembled on stand
-        as that batch's pair memo."""
-        first, second = self._extensions.get(key[0]), self._extensions.get(key[1])
-        if (first is left and second is right) or (first is right and second is left):
-            return self._points.get(key, ())
-        return None
-
-    def store(self, key: PairKey, left, right, points: Sequence) -> None:
-        """Nothing to keep: a pair :meth:`lookup` missed involves an
-        extension object outside this index's own set."""
 
     def discard(self, schema: Schema, roots: Iterable[TransactionId]) -> None:
         """Drop ``roots`` (retirement: they are finally decided)."""

@@ -52,10 +52,11 @@ reconciliations pay only for what changed since the last one:
 * ``FindConflicts`` is one scanner, the incremental index (a store
   assembling batches keeps one per participant too): only pairs
   involving an extension that changed since the previous epoch are
-  compared, ``UpdateSoftState`` reuses the same index (shrunk to the
-  deferred roots), and the batch's one pair memo is asked first — the
-  store-shared one, where the first participant to compare two shipped
-  extensions serves every other, or a store-computed batch's own index;
+  examined, ``UpdateSoftState`` reuses the same index (shrunk to the
+  deferred roots), and the store's one conflict graph, on every batch,
+  is read first — the first index anywhere to hold two extension
+  objects leaves their edge on them — and asked for an extension
+  another participant already derived over the same closure;
 * ``can_apply_set`` verdicts are memoized against the instance's
   mutation counter, so unchanged deferred roots skip re-validation
   against an unchanged replica; a check that does run, and the
@@ -135,8 +136,7 @@ class Reconciler:
         self._applicability: Dict[
             TransactionId, Tuple[UpdateExtension, int, bool]
         ] = {}
-        # The pair memo of the batch being reconciled, if any (see
-        # ReconciliationBatch.pair_cache).
+        # The conflict graph of the batch being reconciled, if any.
         self._shared_pairs = None
 
     @property
@@ -198,6 +198,8 @@ class Reconciler:
         # shipped payloads are eligible at all (absent flags — batches
         # built by hand in tests — are permissive).
         ships_context_free = getattr(batch.capabilities, "ships_context_free", True)
+        shares = self._cache.enabled and getattr(batch.capabilities, "shared_pair_memo", True)
+        self._shared_pairs = batch.pair_cache if shares else None
         precomputed = batch.extensions if batch.network_centric else {}
         shipped = (
             batch.extensions or {}
@@ -223,6 +225,7 @@ class Reconciler:
                         state.applied,
                         state.applied_version,
                         shipped=shipped.get(root.tid),
+                        shared=self._shared_pairs,
                     )
                 except FlattenError:
                     # An internally inconsistent chain can never be applied.
@@ -236,8 +239,6 @@ class Reconciler:
         # Figure 4 line 9 (store-side in network-centric mode).  The
         # incremental index restricts the pairwise work to pairs involving
         # at least one extension that changed since the previous epoch.
-        shares = self._cache.enabled and getattr(batch.capabilities, "shared_pair_memo", True)
-        self._shared_pairs = batch.pair_cache if shares else None
         if batch.network_centric and set(batch.conflicts) >= set(extensions):
             adjacency = batch.conflicts
         else:
@@ -246,11 +247,7 @@ class Reconciler:
             )
             adjacency = analysis.adjacency
 
-        # Figure 4 lines 10-12: greedy, by decreasing priority.
-        priorities = sorted({root.priority for root in roots}, reverse=True)
-        roots_by_tid = {root.tid: root for root in roots}
-        for priority in priorities:
-            self._do_group(priority, roots_by_tid, adjacency, decision)
+        self._do_groups(roots, adjacency, decision)
 
         # Figure 4 lines 13-19: record decisions and apply accepted roots.
         self._apply_accepted(roots, extensions, decision, result)
@@ -394,27 +391,38 @@ class Reconciler:
     # ------------------------------------------------------------------
     # Step 5: DoGroup (Figure 5)
 
-    def _do_group(
+    def _do_groups(
         self,
-        priority: int,
-        roots_by_tid: Dict[TransactionId, RelevantTransaction],
+        roots: Sequence[RelevantTransaction],
         conflicts: Dict[TransactionId, Set[TransactionId]],
         decision: Dict[TransactionId, Decision],
     ) -> None:
-        group = [
-            tid
-            for tid, root in roots_by_tid.items()
-            if root.priority == priority and decision.get(tid) is not Decision.REJECT
-        ]
-        higher = {
-            tid
-            for tid, root in roots_by_tid.items()
-            if root.priority > priority
-        }
+        """Figure 4 lines 10-12: ``DoGroup`` per priority level, greedy
+        by decreasing priority.  The roots are bucketed by level once;
+        each level is handed its own tids and those of every level
+        above it."""
+        levels: Dict[int, List[TransactionId]] = {}
+        for root in roots:
+            levels.setdefault(root.priority, []).append(root.tid)
+        higher: Set[TransactionId] = set()
+        for priority in sorted(levels, reverse=True):
+            self._do_group(levels[priority], higher, conflicts, decision)
+            higher.update(levels[priority])
+
+    def _do_group(
+        self,
+        tids: List[TransactionId],
+        higher: Set[TransactionId],
+        conflicts: Dict[TransactionId, Set[TransactionId]],
+        decision: Dict[TransactionId, Decision],
+    ) -> None:
         # Lines 4-12: interactions with higher-priority roots.
         surviving: List[TransactionId] = []
-        for tid in sorted(group):
-            for other in conflicts.get(tid, ()):  # noqa: B007
+        for tid in sorted(tids):
+            if decision.get(tid) is Decision.REJECT:
+                continue
+            # (The top level has nothing above it: no scan.)
+            for other in conflicts.get(tid, ()) if higher else ():
                 if other not in higher:
                     continue
                 if decision.get(other) is Decision.ACCEPT:
@@ -523,6 +531,7 @@ class Reconciler:
                     root,
                     state.applied,
                     state.applied_version,
+                    shared=self._shared_pairs,
                 )
             except FlattenError:  # pragma: no cover - defensive
                 continue

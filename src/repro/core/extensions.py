@@ -38,11 +38,11 @@ class RelevantTransaction:
     transaction: Transaction
     priority: int
     order: int
+    #: The root transaction's id (``transaction.tid``, read once).
+    tid: TransactionId = field(init=False, repr=False, compare=False)
 
-    @property
-    def tid(self) -> TransactionId:
-        """The root transaction's id."""
-        return self.transaction.tid
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tid", self.transaction.tid)
 
 
 def antecedent_closure(
@@ -182,6 +182,10 @@ class UpdateExtension:
     _schema: Optional[Schema] = field(default=None, init=False, repr=False, compare=False)
     _key_index: Optional[Dict] = field(default=None, init=False, repr=False, compare=False)
     _footprint: Optional[Footprint] = field(default=None, init=False, repr=False, compare=False)
+    #: An origin's conflict edges, ``id(other origin) -> (other origin,
+    #: points)``: kept by the :class:`~repro.core.cache.ConflictGraph` it
+    #: is registered with (None: with none), which alone writes them.
+    _hood: Optional[Dict[int, Tuple["UpdateExtension", Tuple]]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._members_set = frozenset(self.members)
@@ -203,6 +207,7 @@ class UpdateExtension:
         twin = copy.copy(self)  # no ``__post_init__``: the member set is shared
         twin.priority = priority
         twin._origin = self._origin or self
+        twin._hood = None  # edges hang on the origin alone
         return twin
 
     def _derived(self, slot: str, schema: Schema, derive: Callable):
@@ -324,13 +329,11 @@ class ReconciliationBatch:
     applied set, computed once per published transaction); the engine
     adopts one only when its member closure is disjoint from the local
     applied set, which is exactly when it equals the local computation.
-    ``pair_cache`` is a memo of direct-conflict points between shipped
-    extension objects — anything that answers ``lookup`` by object
-    identity (and is told what it missed, ``store``): the store-shared
-    :class:`repro.core.cache.ConflictCache` (pairwise conflicts are a
-    pure function of the two extensions, so one participant's comparison
-    serves the whole confederation), or the conflict index a
-    store-computed batch was assembled on.
+    ``pair_cache`` is the store's :class:`repro.core.cache.ConflictGraph`
+    — one per confederation, on every batch, client- or store-computed:
+    conflict points are a pure function of two extension objects, so an
+    edge hangs on the two objects, written by the first conflict index
+    to hold both; it also keeps the one derivation per (root, closure).
     """
 
     recno: int

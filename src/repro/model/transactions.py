@@ -13,7 +13,7 @@ by the update store at publication time (Section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from repro.errors import UpdateError
 from repro.model.schema import Schema
@@ -21,8 +21,7 @@ from repro.model.tuples import QualifiedKey
 from repro.model.updates import Update
 
 
-@dataclass(frozen=True, order=True)
-class TransactionId:
+class TransactionId(NamedTuple):
     """The identifier ``Xi:j`` of a transaction.
 
     Ordering is lexicographic on ``(participant, sequence)``, matching the
@@ -30,29 +29,13 @@ class TransactionId:
     each participant.
 
     Transaction ids live in every hot set and dict of the reconciliation
-    engine, so the hash is precomputed at construction.
+    engine, so the id *is* the pair: hashing, equality and ordering are
+    the tuple's own and never enter the interpreter (and an id equals
+    the plain pair ``(participant, sequence)``).
     """
-
-    __slots__ = ("participant", "sequence", "_hash")
 
     participant: int
     sequence: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.participant, self.sequence))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self):
-        return (self.participant, self.sequence)
-
-    def __setstate__(self, state):
-        object.__setattr__(self, "participant", state[0])
-        object.__setattr__(self, "sequence", state[1])
-        object.__setattr__(self, "_hash", hash(state))
 
     def __str__(self) -> str:
         return f"X{self.participant}:{self.sequence}"

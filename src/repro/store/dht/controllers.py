@@ -25,10 +25,10 @@ Figure 3:
   extension, charged as extra fragments/bytes on the first delivery to
   each participant (clients cache it in soft state like bodies);
 * **shared pair memo** — the driver keeps one confederation-wide
-  :class:`~repro.core.cache.ConflictCache` attached to every batch;
+  :class:`~repro.core.cache.ConflictGraph` attached to every batch;
   because every client receives the *same* extension object for a given
-  (transaction, priority), the first client to compare a pair serves
-  all the others.
+  (transaction, closure), re-priced, the first conflict index to hold a
+  pair hangs its edge there for all the others.
 
 The reconciling engine adopts a shipped extension only when its member
 closure is disjoint from the local applied set — exactly the condition

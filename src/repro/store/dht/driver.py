@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cache import CacheStats, ConflictCache
+from repro.core.cache import CacheStats, ConflictGraph
 from repro.core.conflicts import IncrementalConflictIndex
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import (
@@ -169,13 +169,14 @@ class DhtUpdateStore(UpdateStore):
         # guard the containers they find in ``vars(store)``.
         self._peers: Dict[int, _Peer] = {}
         self._open_epochs: Dict[Tuple[int, int], List[TransactionId]] = {}
-        # The confederation-wide pair memo, attached to every batch: it
-        # validates entries by identity, and the controllers serve every
-        # participant at one priority the *same* extension object.
-        # Retention (complete_reconciliation) is the primary eviction;
-        # the FIFO limit is the same backstop the direct-log stores'
-        # shared memos carry.
-        self._shared_pairs = ConflictCache(
+        # The confederation-wide conflict graph, attached to every batch
+        # and read by every peer's assembly index: edges hang on the
+        # extension objects, and the controllers serve every participant
+        # the *same* object per (root, closure), re-priced.  Retention
+        # (complete_reconciliation) is the primary eviction; the FIFO
+        # limit is the same backstop the direct-log stores' shared memos
+        # carry.
+        self._shared_pairs = ConflictGraph(
             limit=DirectLogStore.SHARED_MEMO_LIMIT
         )
 
@@ -579,6 +580,8 @@ class DhtUpdateStore(UpdateStore):
             for root in roots
             if root.tid in derived
         }
+        if self._ship_context_free:
+            batch.pair_cache = self._shared_pairs
         edges = attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
         # The assembled adjacency travels from the peer coordinator as
         # one sized message (extensions already paid their fragments on
@@ -588,10 +591,6 @@ class DhtUpdateStore(UpdateStore):
             "nc_adjacency", client=peer.node,
             fragments=1 + edges, size_bytes=wire.HEADER_WIRE_BYTES * (1 + edges),
         )
-        if self._ship_context_free:
-            # The assembly's own index answers the engine's soft-state
-            # rebuild by identity.
-            batch.pair_cache = peer.pairs
         return batch
 
     # ------------------------------------------------------------------
@@ -647,8 +646,8 @@ class DhtUpdateStore(UpdateStore):
             del peer.retained[tid]
         peer.pairs.discard(self.schema, (*result.applied, *result.rejected))
         if retired:
-            # Controllers dropped their derived extensions; retire the
-            # shared pair-memo entries of the same roots.
+            # Controllers dropped their derived extensions; unlink the
+            # same roots from the shared conflict graph.
             self._shared_pairs.discard(sorted(retired))
 
     # ------------------------------------------------------------------

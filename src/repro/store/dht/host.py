@@ -36,9 +36,7 @@ class _RingView:
 
     def owner(self, key: str) -> str:
         """The live owner of ``key``, routing around failed hosts."""
-        if self.failed:
-            return self._ring.owner_excluding(key, self.failed)
-        return self._ring.owner(key)
+        return self._ring.owner_excluding(key, self.failed)
 
     def owners(self, key: str, count: int) -> List[str]:
         """The key's live owner followed by its live replica successors

@@ -39,15 +39,15 @@ built-in backend serves ``begin_network_reconciliation`` (see
 :mod:`repro.store.dht`).
 
 Shared-memo retention: the context-free extension memo and the shared
-pair memo grow with the published history, but an entry is only ever
-consulted for roots some participant has still to decide.  Both memos
+conflict graph grow with the published history, but an entry is only
+ever consulted for roots some participant has still to decide.  Both
 are therefore pruned by *reconciliation-aware retention*
 (:meth:`DirectLogStore.retire_shared_entries`): once every
 registered participant holds a final verdict (applied or rejected) for
-a root, its entry — and every pair-memo entry it participates in — is
-dropped.  For the in-memory store retirement is pure cache eviction: a
-participant registered later simply recomputes on miss.  The sqlite
-store overrides the :meth:`DirectLogStore._spill_retired` /
+a root, its entry — and every extension the graph holds for it, with
+its edges — is dropped.  For the in-memory store retirement is pure
+cache eviction: a participant registered later simply recomputes on
+miss.  The sqlite store overrides the :meth:`DirectLogStore._spill_retired` /
 :meth:`DirectLogStore._load_retired` seam to move retired entries
 to its database instead, so that later miss is a page-in.
 """
@@ -57,7 +57,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.cache import CacheStats, ConflictCache, ExtensionCache
+from repro.core.cache import CacheStats, ConflictGraph, ExtensionCache
 from repro.core.conflicts import IncrementalConflictIndex
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import (
@@ -88,13 +88,14 @@ def attach_assembled_payload(
     backend: given the per-participant extensions (derived from direct
     log access by :class:`DirectLogStore`, or collected from transaction
     controllers over the ring by the DHT driver), bring the
-    participant's store-side conflict ``index`` to them, attach
-    extensions and adjacency (a view of the index) to the batch, and
-    return the number of (undirected) conflict edges — shipping the
-    adjacency is priced at one fragment each (Figures 6-7's
-    size-bounded-message regime).
+    participant's store-side conflict ``index`` to them — over the
+    conflict graph the batch carries: the participants' indexes compare
+    a pair once between them — attach extensions and adjacency (a view
+    of the index) to the batch, and return the number of (undirected)
+    conflict edges — shipping the adjacency is priced at one fragment
+    each (Figures 6-7's size-bounded-message regime).
     """
-    analysis = index.update(schema, batch.graph, extensions)
+    analysis = index.update(schema, batch.graph, extensions, batch.pair_cache)
     batch.extensions = extensions
     batch.conflicts = analysis.adjacency
     return len(analysis.points)
@@ -145,7 +146,7 @@ class DirectLogStore(UpdateStore):
         self._nc_context_free: Dict[
             TransactionId, Optional[UpdateExtension]
         ] = {}
-        self._nc_shared_pairs = ConflictCache(limit=self.SHARED_MEMO_LIMIT)
+        self._nc_shared_pairs = ConflictGraph(limit=self.SHARED_MEMO_LIMIT)
 
     def _charge_call(self) -> None:
         """Account one client-server procedure call: request + reply —
@@ -293,16 +294,15 @@ class DirectLogStore(UpdateStore):
                 self._spill_retired([(oldest, evicted)])
         return extension
 
-    def shared_pair_cache(self) -> ConflictCache:
-        """One confederation-wide memo of pairwise conflict points.
+    def shared_pair_cache(self) -> ConflictGraph:
+        """The one confederation-wide conflict graph.
 
-        Direct-conflict points are a pure function of the two compared
-        extension objects, and every participant receives the *same*
-        context-free extension objects (from the store's memo), so the
-        first participant to compare a pair serves all the others.  The
-        cache validates entries by object identity on both sides, so a
-        participant holding a locally recomputed extension simply misses
-        and compares as before.
+        Every participant receives the *same* context-free extension
+        objects (from the store's memo), so the first conflict index to
+        hold a pair — a participant's, or one this store assembles
+        batches on — hangs the edge on the two objects for all the
+        others.  An extension a participant had to derive locally is
+        registered there too, once per (root, closure), for the next.
         """
         return self._nc_shared_pairs
 
@@ -313,9 +313,10 @@ class DirectLogStore(UpdateStore):
         finally decided (applied or rejected).  Such a root can never
         appear in a reconciliation batch again — the store delivers only
         undecided transactions — so its context-free extension, and
-        every shared pair-memo entry it participates in, is dead weight
-        in RAM and leaves here (dropped, or spilled to disk when the
-        store overrides :meth:`_spill_retired`).  (Deferred roots are
+        everything the conflict graph holds for it (its derivations and
+        their edges, unlinked at both ends), is dead weight in RAM and
+        leaves here (dropped, or spilled to disk when the store
+        overrides :meth:`_spill_retired`).  (Deferred roots are
         *not* retired: in network-centric mode the store reconsiders
         them every round.)
 
@@ -345,12 +346,12 @@ class DirectLogStore(UpdateStore):
         closure transactions themselves — so it costs no extra store
         messages, and it saves each reconciling participant from
         re-deriving the identical flattened footprint locally.  The
-        shared pair-point memo rides along for the same reason.
+        shared conflict graph rides along for the same reason.
 
         Both payloads are gated on the store's declared capabilities
         (:class:`repro.store.registry.StoreCapabilities`): a backend
         that does not advertise ``ships_context_free`` ships nothing,
-        and one without ``shared_pair_memo`` omits the pair cache —
+        and one without ``shared_pair_memo`` omits the graph —
         keeping the declared flags and the wire behaviour in lockstep.
         """
         if self.capabilities.ships_context_free:
@@ -361,9 +362,8 @@ class DirectLogStore(UpdateStore):
                 is not None
             }
             batch.extensions = shipped or None
-        # Independent of the extension flag: the pair memo is useful on
-        # its own (it validates by object identity, so it simply misses
-        # against locally recomputed extensions).
+        # Independent of the extension flag: the graph is useful on its
+        # own (locally derived extensions are registered in it too).
         if self.capabilities.shared_pair_memo:
             batch.pair_cache = self.shared_pair_cache()
 
@@ -442,6 +442,7 @@ class DirectLogStore(UpdateStore):
                     applied,
                     version,
                     shipped=self.context_free_extension(root, table),
+                    shared=batch.pair_cache,
                 )
             except FlattenError:
                 # Leave it out; the client's fallback recomputation will

@@ -11,8 +11,8 @@ can do:
   extensions once per published transaction and ships them with every
   reconciliation batch (see :mod:`repro.store.network_centric`); the
   engine only adopts shipped extensions from stores that declare this;
-* ``shared_pair_memo`` — the store maintains a confederation-wide memo
-  of pairwise conflict points between shipped extension objects;
+* ``shared_pair_memo`` — the store keeps one confederation-wide graph
+  of pairwise conflict points, hung on the extension objects it ships;
 * ``durable`` — published state survives process restarts (backed by
   disk rather than process memory);
 * ``network_centric_batches`` — the store implements

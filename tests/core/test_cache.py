@@ -10,15 +10,20 @@ already computed in the same ``reconcile`` call.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import repro.core.cache as cache_module
 from repro.core import ParticipantState, Reconciler
-from repro.core.cache import CacheStats, ConflictCache, ExtensionCache
+from repro.core.cache import CacheStats, ConflictGraph, ExtensionCache
 from repro.core.extensions import (
     RelevantTransaction,
+    UpdateExtension,
     compute_update_extension,
 )
+from repro.errors import FlattenError
 from repro.instance import MemoryInstance
 from repro.model import Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
@@ -170,52 +175,178 @@ class TestExtensionCache:
         assert (oracle.stats.shipped, oracle.stats.misses) == (0, 1)
 
 
-class TestConflictCache:
-    def test_identity_keyed_lookup_and_invalidation(self, schema):
-        builder = GraphBuilder()
-        a = make_transaction(1, 0, [Insert("F", MOUSE2, 1)])
-        b = make_transaction(2, 0, [Insert("F", MOUSE2_RESP, 2)])
-        builder.add(a)
-        builder.add(b)
-        ext_a = compute_update_extension(
-            schema, builder.graph, relevant(builder, a), set()
-        )
-        ext_b = compute_update_extension(
-            schema, builder.graph, relevant(builder, b), set()
-        )
-        cache = ConflictCache()
-        key = ConflictCache.pair_key(a.tid, b.tid)
-        assert cache.lookup(key, ext_a, ext_b) is None
-        cache.store(key, ext_a, ext_b, [("insert/insert", ("F", ("m",)))])
-        assert cache.lookup(key, ext_a, ext_b) == (
-            ("insert/insert", ("F", ("m",))),
-        )
-        # Either argument order resolves the same unordered pair.
-        assert cache.lookup(key, ext_b, ext_a) == (
-            ("insert/insert", ("F", ("m",))),
-        )
-        # A recomputed (new) extension object invalidates the entry.
-        ext_b2 = compute_update_extension(
-            schema, builder.graph, relevant(builder, b), set()
-        )
-        assert cache.lookup(key, ext_a, ext_b2) is None
+class TestInternedDerivations:
+    """One derivation per (root, closure), confederation-wide: the
+    conflict graph a batch carries is asked before anything is
+    flattened."""
 
-    def test_empty_points_are_cached_too(self, schema):
+    def _revision_over_an_applied_base(self, schema):
         builder = GraphBuilder()
-        a = make_transaction(1, 0, [Insert("F", MOUSE2, 1)])
-        b = make_transaction(2, 0, [Insert("F", MOUSE3, 2)])
-        builder.add(a)
-        builder.add(b)
-        ext_a = compute_update_extension(
-            schema, builder.graph, relevant(builder, a), set()
+        base = make_transaction(3, 0, [Insert("F", RAT1, 3)])
+        revision = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
+        builder.add(base)
+        builder.add(revision, antecedents=[base.tid])
+        # What the store ships covers the base, which everyone below
+        # has applied: each must derive the root over {revision} alone.
+        shipped = compute_update_extension(
+            schema, builder.graph, relevant(builder, revision), set()
         )
-        ext_b = compute_update_extension(
-            schema, builder.graph, relevant(builder, b), set()
+        return builder, base, revision, shipped
+
+    def test_second_participant_adopts_what_the_first_derived(self, schema):
+        builder, base, revision, shipped = self._revision_over_an_applied_base(schema)
+        shared = ConflictGraph()
+        first, second, third = ExtensionCache(), ExtensionCache(), ExtensionCache()
+
+        def derive(cache, priority):
+            return cache.get_or_compute(
+                schema, builder.graph, relevant(builder, revision, priority),
+                {base.tid}, 1, shipped=shipped, shared=shared,
+            )
+
+        origin = derive(first, 1)
+        assert origin.members == (revision.tid,) and origin is not shipped
+        assert (first.stats.misses, first.stats.shipped) == (1, 0)
+        # Same (root, closure), same price: the very same object.
+        assert derive(second, 1) is origin
+        assert (second.stats.misses, second.stats.shipped) == (0, 1)
+        # Another price: a re-priced twin of it, sharing what it derived.
+        twin = derive(third, 2)
+        assert twin is not origin and twin._origin is origin
+        assert twin.priority == 2 and origin.priority == 1
+        assert twin.operations is origin.operations
+        assert (third.stats.misses, third.stats.shipped) == (0, 1)
+        assert len(shared) == 1
+
+    def test_another_closure_of_the_same_root_is_another_derivation(self, schema):
+        builder, base, revision, shipped = self._revision_over_an_applied_base(schema)
+        shared = ConflictGraph()
+        root = relevant(builder, revision)
+        cut = ExtensionCache().get_or_compute(
+            schema, builder.graph, root, {base.tid}, 1, shared=shared
         )
-        cache = ConflictCache()
-        key = ConflictCache.pair_key(a.tid, b.tid)
-        cache.store(key, ext_a, ext_b, [])
-        assert cache.lookup(key, ext_a, ext_b) == ()
+        # No shipped extension to adopt: the full closure is derived —
+        # and registered beside the cut one, not confused with it.
+        full = ExtensionCache().get_or_compute(
+            schema, builder.graph, root, set(), 0, shared=shared
+        )
+        assert full.members == (base.tid, revision.tid) and full is not cut
+        assert shared.derived(revision.tid, (revision.tid,)) is cut
+        assert shared.derived(revision.tid, full.members) is full
+        assert shared.derived(revision.tid, (base.tid,)) is None
+        assert len(shared) == 1  # one root
+
+    def test_a_disabled_cache_neither_adopts_nor_registers(self, schema):
+        builder, base, revision, shipped = self._revision_over_an_applied_base(schema)
+        shared = ConflictGraph()
+        root = relevant(builder, revision)
+        origin = ExtensionCache().get_or_compute(
+            schema, builder.graph, root, {base.tid}, 1, shared=shared
+        )
+        oracle = ExtensionCache(enabled=False)
+        for _ in range(2):
+            fresh = oracle.get_or_compute(
+                schema, builder.graph, root, {base.tid}, 1, shipped=shipped, shared=shared
+            )
+            assert fresh == origin and fresh is not origin
+            assert fresh._origin is None and fresh._hood is None
+        assert (oracle.stats.misses, oracle.stats.shipped) == (2, 0)
+        assert shared.derived(revision.tid, (revision.tid,)) is origin
+
+    def test_a_chain_that_does_not_flatten_is_never_registered(self, schema):
+        builder = GraphBuilder()
+        # Two inserts of one key in one chain: internally inconsistent.
+        base = make_transaction(3, 0, [Insert("F", RAT1, 3)])
+        clash = make_transaction(3, 1, [Insert("F", RAT1_IMMUNE, 3)])
+        builder.add(base)
+        builder.add(clash, antecedents=[base.tid])
+        shared = ConflictGraph()
+        for _ in range(2):
+            with pytest.raises(FlattenError):
+                ExtensionCache().get_or_compute(
+                    schema, builder.graph, relevant(builder, clash), set(), 0, shared=shared
+                )
+        assert len(shared) == 0
+
+
+class _Tracked(UpdateExtension):
+    """An extension a test can hold a weak reference to."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestConflictGraph:
+    POINTS = (("insert/insert", ("F", ("mouse", "prot2"))),)
+
+    def _extensions(self, schema, count=2):
+        builder = GraphBuilder()
+        extensions = []
+        for participant in range(1, count + 1):
+            txn = make_transaction(
+                participant, 0, [Insert("F", ("mouse", "prot2", f"fn{participant}"), participant)]
+            )
+            builder.add(txn)
+            plain = compute_update_extension(
+                schema, builder.graph, relevant(builder, txn), set()
+            )
+            extensions.append(
+                _Tracked(plain.root, plain.members, plain.operations, plain.touched, 1)
+            )
+        return extensions
+
+    def test_an_edge_hangs_on_both_objects_until_either_is_discarded(self, schema):
+        a, b = self._extensions(schema)
+        graph = ConflictGraph()
+        assert a._hood is None and b._hood is None  # registered nowhere
+        graph.link(a, b, self.POINTS)
+        assert a._hood == {id(b): (b, self.POINTS)}
+        assert b._hood == {id(a): (a, self.POINTS)}
+        assert len(graph) == 2
+        # A re-priced twin carries no edges of its own: its origin's do.
+        twin = b.repriced(7)
+        assert twin._hood is None and twin._origin is b
+        graph.discard([b.root])
+        assert b._hood is None and a._hood == {} and len(graph) == 1
+        graph.discard([b.root, a.root])  # idempotent
+        assert a._hood is None and len(graph) == 0
+
+    def test_no_conflict_is_an_edge_too(self, schema):
+        a, b = self._extensions(schema)
+        graph = ConflictGraph()
+        graph.link(a, b, ())
+        assert a._hood[id(b)] == (b, ()) and b._hood[id(a)] == (a, ())
+
+    def test_a_discarded_object_is_referenced_by_no_neighbourhood(self, schema):
+        a, b, c = self._extensions(schema, 3)
+        graph = ConflictGraph()
+        graph.link(a, b, self.POINTS)
+        graph.link(b, c, ())
+        graph.link(a, c, self.POINTS)
+        gone = weakref.ref(b)
+        graph.discard([b.root])
+        gc.disable()  # reference counts alone must let it go
+        try:
+            del b
+            assert gone() is None
+        finally:
+            gc.enable()
+        assert set(a._hood) == {id(c)} and set(c._hood) == {id(a)}
+
+    def test_the_limit_evicts_whole_roots_oldest_first(self, schema):
+        a, b, c = self._extensions(schema, 3)
+        graph = ConflictGraph(limit=2)
+        graph.link(a, b, self.POINTS)
+        # Admitting c evicts a — with its edge, at both ends — and the
+        # new edge stands.
+        graph.link(b, c, ())
+        assert len(graph) == 2 and a._hood is None
+        assert b._hood == {id(c): (c, ())} and c._hood == {id(b): (b, ())}
+        # An edge whose one end the backstop evicts to admit the other
+        # is not kept half-written.
+        tiny = ConflictGraph(limit=1)
+        d, e = self._extensions(schema)
+        tiny.link(d, e, self.POINTS)
+        assert d._hood is None and e._hood == {} and len(tiny) == 1
 
 
 class TestCacheStats:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import NetworkError
@@ -178,6 +180,35 @@ class TestHashRing:
         ring = HashRing(["n0"])
         with pytest.raises(NetworkError):
             ring.owner_excluding("key", {"n0"})
+
+    def test_ownership_is_a_pure_function_of_key_and_membership(self):
+        """Positions and live views are memoized (a key's SHA-1 and the
+        live ring per excluded set are computed once); what they answer
+        is still the definition — first live node clockwise — whatever
+        was asked before, and a caller's set is never aliased."""
+        names = [f"host:{i}" for i in range(8)]
+        ring = HashRing(names)
+
+        def position(value):
+            return int.from_bytes(hashlib.sha1(value.encode()).digest()[:8], "big")
+
+        def clockwise(key, excluded):
+            live = sorted((position(n), n) for n in names if n not in excluded)
+            after = [n for p, n in live if p >= position(key)]
+            return (after + [n for _p, n in live])[: len(live)]
+
+        failed = set()
+        for crashed in (None, "host:2", "host:5", None, "host:2"):
+            # The caller mutates one set in place, as the DHT's ring
+            # view does at a crash and at a recovery.
+            failed.clear() if crashed is None else failed.add(crashed)
+            for _again in range(2):
+                for i in range(64):
+                    key = f"txn:{i % 7}:{i}"
+                    expected = clockwise(key, failed)
+                    assert ring.owner_excluding(key, failed) == expected[0]
+                    assert ring.successors(key, 3, excluded=failed) == expected[:3]
+                    assert ring.owner(key) == clockwise(key, ())[0]
 
     def test_nodes_in_ring_order(self):
         ring = HashRing(["n0", "n1", "n2"])

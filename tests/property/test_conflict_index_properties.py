@@ -9,7 +9,9 @@ extension sets then walks one index the way the engine and the stores do:
 roots arrive, roots leave, a root's extension is replaced by a fresh equal
 object, the set shrinks to a subset (``UpdateSoftState``).  After every
 ``update`` the index must say exactly what the reference says about the
-same set.
+same set — alone, and when two indexes work over one shared
+``ConflictGraph`` the way sixteen participants' do: each still equals the
+reference on its own set, and what one compared the other only reads.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.bench.ablations import naive_find_conflicts
 from repro.core import RelevantTransaction, TransactionGraph
-from repro.core.cache import ConflictCache
+from repro.core.cache import ConflictGraph
 from repro.core.conflicts import (
     IncrementalConflictIndex,
     direct_conflict_points,
@@ -90,8 +92,23 @@ def extension_of(graph: TransactionGraph, tid, applied):
 
 
 def pairs_of(extensions):
+    """Every unordered pair of roots, lower tid first (an analysis keys
+    its points the same way)."""
     tids = sorted(extensions)
     return [(a, b) for i, a in enumerate(tids) for b in tids[i + 1 :]]
+
+
+def origin_of(extension: UpdateExtension) -> UpdateExtension:
+    """The object a conflict graph hangs the extension's edges on."""
+    return extension._origin or extension
+
+
+def edge_between(left: UpdateExtension, right: UpdateExtension):
+    """The graph's edge between two extensions, read the way an index
+    reads it — one probe, validated by identity — or None."""
+    left, right = origin_of(left), origin_of(right)
+    edge = (left._hood or {}).get(id(right))
+    return edge[1] if edge is not None and edge[0] is right else None
 
 
 def context_free(graph: TransactionGraph, tids) -> Dict[TransactionId, UpdateExtension]:
@@ -120,7 +137,7 @@ def test_generator_reaches_the_residual_path():
     )
 
 
-def assert_matches_reference(index, graph, extensions, analysis):
+def assert_matches_reference(graph, extensions, analysis, shared=None):
     """The index's analysis of ``extensions`` is the reference's, over
     the pairs hash-based candidate generation compares: extensions whose
     flattened footprints share a key.  (All-pairs comparison also sees a
@@ -132,8 +149,8 @@ def assert_matches_reference(index, graph, extensions, analysis):
     assert set(analysis.adjacency) == set(extensions)
     assert scratch.adjacency == analysis.adjacency
     assert set(scratch.points) == set(analysis.points)
-    for left, right in pairs_of(extensions):
-        pair = ConflictCache.pair_key(left, right)
+    for pair in pairs_of(extensions):
+        left, right = pair
         candidate = not extensions[left].key_index(PROP_SCHEMA).keys().isdisjoint(
             extensions[right].key_index(PROP_SCHEMA)
         )
@@ -149,9 +166,13 @@ def assert_matches_reference(index, graph, extensions, analysis):
             assert sorted(analysis.points[pair]) == sorted(expected)
             assert sorted(scratch.points[pair]) == sorted(expected)
             assert len(set(expected)) == len(expected) > 0
-        # Two held objects: the pair's points, or () — never None.
-        held = index.lookup(pair, extensions[right], extensions[left])
-        assert held == analysis.points.get(pair, ())
+        if shared is not None:
+            # Every candidate pair an index over the graph holds hangs
+            # on its two objects, at both ends: the pair's points, or
+            # () — also where one subsumes the other; elsewhere nothing.
+            known = analysis.points.get(pair, ()) if candidate else None
+            assert edge_between(extensions[left], extensions[right]) == known
+            assert edge_between(extensions[right], extensions[left]) == known
 
 
 @given(histories(), st.data())
@@ -159,6 +180,7 @@ def assert_matches_reference(index, graph, extensions, analysis):
 def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
     graph, tids = history
     index = IncrementalConflictIndex()
+    shared = data.draw(st.sampled_from([None, ConflictGraph()]), label="shared")
     current: Dict[TransactionId, UpdateExtension] = {}
     for step in range(data.draw(st.integers(1, 6), label="steps")):
         actions = ["add", "drop", "replace", "shrink"] if step else ["add"]
@@ -190,15 +212,9 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
                 )
                 assert following[tid] == replaced[tid]
                 assert following[tid] is not replaced[tid]
-        analysis = index.update(PROP_SCHEMA, graph, following)
+        analysis = index.update(PROP_SCHEMA, graph, following, shared)
         assert len(index) == len(following)
-        assert_matches_reference(index, graph, following, analysis)
-        # As soon as either object was replaced, the pair is not held.
-        for tid, old in replaced.items():
-            for other, extension in following.items():
-                if other != tid:
-                    pair = ConflictCache.pair_key(tid, other)
-                    assert index.lookup(pair, old, extension) is None
+        assert_matches_reference(graph, following, analysis, shared)
         current = following
 
 
@@ -217,12 +233,105 @@ def test_discard_and_the_uncached_baseline_agree_with_a_fresh_index(history):
     before = index.stats.pair_misses
     analysis = index.update(PROP_SCHEMA, graph, kept)
     assert index.stats.pair_misses == before
-    assert_matches_reference(index, graph, kept, analysis)
+    assert_matches_reference(graph, kept, analysis)
     # enabled=False: every update is the from-scratch case, paid in full.
     uncached = IncrementalConflictIndex(enabled=False)
     uncached.update(PROP_SCHEMA, graph, extensions)
     again = uncached.update(PROP_SCHEMA, graph, kept)
-    assert_matches_reference(uncached, graph, kept, again)
+    assert_matches_reference(graph, kept, again)
     scratch = IncrementalConflictIndex()
     scratch.update(PROP_SCHEMA, graph, kept)
     assert uncached.stats.pair_misses == before + scratch.stats.pair_misses
+
+
+@given(histories(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_two_indexes_over_one_graph_compare_each_pair_once(history, data):
+    """Two participants' indexes over the one graph a store ships: the
+    objects are the store's (one per root, re-priced per participant),
+    the first index to hold a pair hangs the edge on them, and the
+    second — whatever it holds them as — only reads it."""
+    graph, tids = history
+    shared = ConflictGraph()
+    first, second = IncrementalConflictIndex(), IncrementalConflictIndex()
+    shipped = context_free(graph, tids)
+    every_object = list(shipped.values())
+    #: What the second index held after its last update, by root.
+    previous: Dict[TransactionId, UpdateExtension] = {}
+    for _step in range(data.draw(st.integers(1, 5), label="steps")):
+        action = data.draw(st.sampled_from(["meet", "meet", "replace", "retire"]))
+        chosen = data.draw(st.lists(st.sampled_from(tids), unique=True), label=action)
+        if action == "replace":
+            # The store re-derived these roots: fresh, equal objects,
+            # which no standing edge may answer for.
+            for tid in chosen:
+                if tid in shipped:
+                    shipped[tid] = extension_of(graph, tid, set())
+                    every_object.append(shipped[tid])
+            continue
+        if action == "retire":
+            # Every participant finally decided these roots: they leave
+            # both indexes and the graph, and no neighbourhood anywhere
+            # still references one of their objects.
+            for index in (first, second):
+                index.discard(PROP_SCHEMA, chosen)
+            shared.discard(chosen)
+            previous = {t: e for t, e in previous.items() if t not in chosen}
+            for extension in every_object:
+                if extension.root in chosen:
+                    assert extension._hood is None
+                for other, _points in (extension._hood or {}).values():
+                    assert other.root not in chosen
+            assert len(shared) <= len(set(shipped) - set(chosen))
+            continue
+        held = {tid: shipped[tid] for tid in chosen if tid in shipped}
+        analysis = first.update(PROP_SCHEMA, graph, held, shared)
+        assert_matches_reference(graph, held, analysis, shared)
+        # The second participant holds the same roots at its own prices.
+        priced = {
+            tid: extension.repriced(2) if data.draw(st.booleans()) else extension
+            for tid, extension in held.items()
+        }
+        # It examines each candidate pair with a side it did not hold...
+        examined = sum(
+            edge_between(priced[a], priced[b]) is not None
+            for a, b in pairs_of(priced)
+            if previous.get(a) is not priced[a] or previous.get(b) is not priced[b]
+        )
+        compared, answered = second.stats.pair_misses, second.stats.pair_hits
+        analysis = second.update(PROP_SCHEMA, graph, priced, shared)
+        assert_matches_reference(graph, priced, analysis, shared)
+        # ...and the graph answers every one — subsumed pairs (``()``)
+        # included — so it compares nothing.
+        assert second.stats.pair_misses == compared
+        assert second.stats.pair_hits == answered + examined
+        previous = priced
+
+
+def test_an_edge_filed_under_a_reused_id_misses_by_identity():
+    """``id()`` is only unique among live objects.  An edge pins both its
+    ends, so a standing edge's key cannot be reused — but whatever is
+    found under a key is still validated by identity, so an entry that
+    answers for another object (here: planted) is never believed."""
+    graph = TransactionGraph()
+    left = make_transaction(1, 0, [Insert("R", (0, 1), 1)])
+    right = make_transaction(2, 1, [Insert("R", (0, 2), 2)])
+    graph.add(left, (), 0)
+    graph.add(right, (), 1)
+    extensions = context_free(graph, [left.tid, right.tid])
+    shared = ConflictGraph()
+    index = IncrementalConflictIndex()
+    analysis = index.update(PROP_SCHEMA, graph, extensions, shared)
+    assert index.stats.pair_misses == 1 and analysis.points
+    # A fresh, equal right-hand object, with a lie filed under its id.
+    fresh = extension_of(graph, right.tid, set())
+    origin = extensions[left.tid]
+    origin._hood[id(fresh)] = (extensions[right.tid], ())
+    other = IncrementalConflictIndex()
+    # (The later arrival probes its own neighbourhood: ``origin``'s.)
+    again = other.update(
+        PROP_SCHEMA, graph, {right.tid: fresh, left.tid: origin}, shared
+    )
+    assert (other.stats.pair_hits, other.stats.pair_misses) == (0, 1)
+    assert again.points == analysis.points
+    assert edge_between(origin, fresh) == analysis.points[(left.tid, right.tid)]

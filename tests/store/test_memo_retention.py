@@ -1,16 +1,18 @@
 """Reconciliation-aware retention of the shared store-side memos.
 
-The context-free extension memo and the shared pair memo used to be
-FIFO-capped; they are now pruned when every registered participant holds
-a final verdict for a root — the memo tracks the confederation's open
+The context-free extension memo and the shared conflict graph used to
+be FIFO-capped; they are now pruned when every registered participant
+holds a final verdict for a root — they track the confederation's open
 frontier, not its history.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.core.decisions import ReconcileResult
-from repro.model import Insert
+from repro.model import Insert, Modify
 from repro.model.transactions import Transaction, TransactionId
 from repro.policy import TrustPolicy
 from repro.store import CentralUpdateStore, MemoryUpdateStore
@@ -91,16 +93,19 @@ class TestRetention:
         txn = self._publish_one(store)
         store.begin_reconciliation(2)
         pairs = store.shared_pair_cache()
-        # Plant a pair entry involving the root; retirement must drop it.
-        other = TransactionId(2, 99)
+        # Hang an edge on the root's extension; retirement must unlink
+        # it — at the other end too, which stays registered.
         extension = store._nc_context_free[txn.tid]
-        pairs.store(pairs.pair_key(txn.tid, other), extension, extension, ())
-        assert len(pairs) == 1
+        other = replace(extension, root=TransactionId(2, 99))
+        pairs.link(extension, other, ())
+        assert len(pairs) == 2
+        assert other._hood == {id(extension): (extension, ())}
         for pid in (2, 3):
             store.complete_reconciliation(
                 pid, ReconcileResult(recno=1, applied=[txn.tid])
             )
-        assert len(pairs) == 0
+        assert len(pairs) == 1
+        assert extension._hood is None and other._hood == {}
 
     def _threaded_retention_run(self, schedule_mode, memo_limit=None):
         """One seeded run; ``memo_limit`` shrinks the shared memos so
@@ -175,3 +180,60 @@ class TestRetention:
             for participant in confed.participants:
                 open_roots |= set(participant.state.deferred)
             assert set(memo) <= open_roots
+            # The conflict graph retires on the same signal: what it
+            # still registers (edges and interned derivations) is open.
+            assert set(store.shared_pair_cache()._entries) <= open_roots
+
+
+class TestSharedDerivations:
+    """An extension is derived once per (root, closure), whoever needs
+    it: the first participant to flatten a closure the shipped
+    context-free object does not cover leaves it on the conflict graph
+    every batch carries, and the next one adopts it."""
+
+    def _revision_of_an_applied_row(self, store, **options):
+        config = ConfederationConfig(
+            store=store, peers=(1, 2, 3), store_options=options
+        )
+        with Confederation.from_config(config, schema=curated_schema()) as confed:
+            author, second, third = confed.participants
+            held = {}
+            confed.hooks.on_cache_stats(
+                lambda participant, stats, **_: held.update({participant: stats})
+            )
+            row = ("rat", "p1", "fn-a")
+            author.execute([Insert("F", row, 1)])
+            author.publish_and_reconcile()
+            for reader in (second, third):
+                assert reader.reconcile().accepted  # the base is applied
+            author.execute([Modify("F", row, ("rat", "p1", "fn-b"), 1)])
+            author.publish_and_reconcile()
+            # The revision's shipped closure holds the applied base, so
+            # each reader needs the revision over {revision} alone.
+            for reader in (second, third):
+                assert reader.reconcile().accepted
+            return held[2], held[3]
+
+    def test_second_reader_adopts_the_first_readers_derivation(self):
+        for store, options in (("memory", {}), ("central", {}), ("dht", {"hosts": 3})):
+            first, second = self._revision_of_an_applied_row(store, **options)
+            assert (first.misses, first.shipped) == (1, 0), store
+            assert (second.misses, second.shipped) == (0, 1), store
+
+    def test_without_engine_caching_every_reader_derives(self):
+        config = ConfederationConfig(
+            store="memory", peers=(1, 2, 3), engine_caching=False
+        )
+        with Confederation.from_config(config, schema=curated_schema()) as confed:
+            author, second, third = confed.participants
+            row = ("rat", "p1", "fn-a")
+            author.execute([Insert("F", row, 1)])
+            author.publish_and_reconcile()
+            second.reconcile()
+            third.reconcile()
+            author.execute([Modify("F", row, ("rat", "p1", "fn-b"), 1)])
+            author.publish_and_reconcile()
+            for reader in (second, third):
+                stats = reader.reconcile().cache_stats
+                assert (stats.misses, stats.shipped) == (1, 0)
+            assert len(confed.store.shared_pair_cache()) == 0

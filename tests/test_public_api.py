@@ -122,21 +122,25 @@ def test_deleted_entry_points_stay_deleted(module):
 
 def test_conflict_detection_has_one_scanner_and_one_memo():
     # PR 21: ``find_conflicts`` is a fresh index, read — it takes no
-    # memo; ``ConflictCache`` is the confederation-shared memo and
-    # nothing else (a participant's own pairs live in its index).
-    from repro.core import ConflictCache, TransactionGraph
-    from repro.core.conflicts import find_conflicts
+    # memo.  PR 22: the confederation-shared memo is the
+    # ``ConflictGraph`` — edges on the extension objects — and it
+    # *replaced* ``ConflictCache``; the index neither is nor keeps one.
+    from repro.core import ConflictGraph, TransactionGraph
+    from repro.core.conflicts import IncrementalConflictIndex, find_conflicts
 
+    with pytest.raises(ImportError):
+        from repro.core import ConflictCache  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.core.cache import PairKey  # noqa: F401
     with pytest.raises(TypeError):
-        find_conflicts(None, TransactionGraph(), {}, cache=ConflictCache())
+        find_conflicts(None, TransactionGraph(), {}, cache=ConflictGraph())
     with pytest.raises(TypeError):
-        ConflictCache(enabled=False)
-    with pytest.raises(TypeError):
-        ConflictCache(stats=None)
-    assert ConflictCache(limit=4).limit == 4
-    assert not hasattr(ConflictCache, "prune")
-    public = {name for name in vars(ConflictCache) if not name.startswith("_")}
-    assert public == {"pair_key", "lookup", "store", "discard", "clear"}
+        ConflictGraph(enabled=False)
+    assert ConflictGraph(limit=4).limit == 4
+    public = {name for name in vars(ConflictGraph) if not name.startswith("_")}
+    assert public == {"derived", "intern", "link", "discard"}
+    for gone in ("lookup", "store", "pair_key"):
+        assert not hasattr(IncrementalConflictIndex, gone), gone
 
 
 def test_builtin_registry_contents():
