@@ -195,8 +195,7 @@ class Participant:
                     transaction=transaction,
                     priority=policy.priority_of(store.schema, transaction),
                     order=graph.order_of(tid),
-                ),
-                recno=0,
+                )
             )
         if deferred:
             # Rebuild soft state (dirty keys, conflict groups) from the

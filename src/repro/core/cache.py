@@ -169,7 +169,7 @@ class ExtensionCache:
         if cached_version == version:
             self.stats.hits += 1
             return extension
-        if not (extension.member_set() & applied):
+        if extension.member_set().isdisjoint(applied):
             self._entries[tid] = (version, extension)
             self.stats.revalidations += 1
             return extension

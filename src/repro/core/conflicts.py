@@ -18,7 +18,7 @@ can later resolve each conflict by picking at most one option per group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FlattenError
 from repro.model.flatten import flatten
@@ -38,6 +38,8 @@ from repro.core.extensions import (
 
 #: An unordered extension pair, stored with the lower tid first.
 PairKey = Tuple[TransactionId, TransactionId]
+#: Where two extensions conflict — and what a conflict group is named by.
+Point = Tuple[str, QualifiedKey]
 
 
 def classify_conflict(left: Update, right: Update) -> str:
@@ -143,18 +145,22 @@ def directly_conflict(
 
 @dataclass
 class ConflictAnalysis:
-    """What ``FindConflicts`` learned about a set of extensions.
+    """What ``FindConflicts`` learned about a set of extensions: a live
+    view of the index that produced it, valid until that index's next
+    :meth:`~IncrementalConflictIndex.update`, ``discard`` or ``clear``.
 
     * ``adjacency`` — the symmetric direct-conflict map the greedy
       ``DoGroup`` phase consumes;
     * ``points`` — per conflicting (unordered, lower-tid-first) pair, the
-      ``(type, key)`` points at which the pair conflicts.  Conflict-group
-      construction consumes these directly instead of re-running
-      :func:`direct_conflict_points` for every adjacent pair.
+      ``(type, key)`` points at which the pair conflicts;
+    * ``groups`` — that index's :meth:`~IncrementalConflictIndex.groups`:
+      the conflict groups of what it holds *when called*; one no pair
+      came to or left since the previous call is the same object.
     """
 
     adjacency: Dict[TransactionId, Set[TransactionId]]
-    points: Dict[PairKey, Tuple[Tuple[str, QualifiedKey], ...]]
+    points: Dict[PairKey, Tuple[Point, ...]]
+    groups: Callable[[Schema], Dict[Point, "ConflictGroup"]] = field(repr=False)
 
 
 def find_conflicts(
@@ -178,17 +184,20 @@ class IncrementalConflictIndex:
     operations draws candidates only from extensions that share a key,
     which keeps the common case near-linear.
 
-    An extension set evolves slowly: previously deferred roots keep
-    their (cached) extension objects, decided roots leave, and new roots
-    arrive.  Conflicts are a pairwise property of two extensions, so the
-    analysis of the new set equals the previous analysis minus pairs
-    involving departed/changed extensions plus fresh comparisons for
-    pairs involving added/changed ones; :meth:`update` applies exactly
-    that delta — an unchanged pair is never looked at again.
+    An extension set evolves slowly: deferred roots keep their (cached)
+    extension objects, decided roots leave, new roots arrive.  Conflicts
+    are a pairwise property of two extensions, so :meth:`update` applies
+    exactly that delta — pairs of a departed extension go, pairs of an
+    arrived one are compared, an unchanged pair is never looked at
+    again.  Extensions are tracked by object identity (the extension
+    cache returns the same object while an entry stays valid), so a
+    recomputed extension is removed + added.
 
-    Extensions are tracked by object identity (the extension cache
-    returns the same object while an entry stays valid), so a recomputed
-    extension is automatically treated as removed + added.
+    Conflict-group membership — per point, the pairs conflicting there —
+    moves by the same delta from the first time :meth:`groups` is asked
+    (a store's assembly index never is, and keeps no such books): a
+    point whose last pair goes, goes; a group no pair came to or left is
+    not rebuilt.
 
     ``enabled=False`` forgets everything before each update (the
     uncached baseline: every call is the from-scratch case).
@@ -203,7 +212,13 @@ class IncrementalConflictIndex:
         self._extensions: Dict[TransactionId, UpdateExtension] = {}
         self._by_key: Dict[QualifiedKey, Dict[TransactionId, None]] = {}
         self._adjacency: Dict[TransactionId, Set[TransactionId]] = {}
-        self._points: Dict[PairKey, Tuple[Tuple[str, QualifiedKey], ...]] = {}
+        self._points: Dict[PairKey, Tuple[Point, ...]] = {}
+        # The group view: per point, the pairs conflicting there (None
+        # until ``groups`` is first asked); the points a pair came to or
+        # left since it last was; the groups as then built.
+        self._standing: Optional[Dict[Point, Dict[PairKey, None]]] = None
+        self._moved: Dict[Point, None] = {}
+        self._groups: Dict[Point, ConflictGroup] = {}
 
     def __len__(self) -> int:
         return len(self._extensions)
@@ -215,9 +230,8 @@ class IncrementalConflictIndex:
         extensions: Dict[TransactionId, UpdateExtension],
         shared: Optional[ConflictGraph] = None,
     ) -> ConflictAnalysis:
-        """Bring the index to ``extensions`` and return its analysis: a
-        *live view* of the index (no per-epoch copying), valid until the
-        next :meth:`update`, :meth:`discard` or :meth:`clear`.
+        """Bring the index to ``extensions`` and return its analysis, a
+        live view of it (no per-epoch copying: :class:`ConflictAnalysis`).
 
         ``shared`` is the batch's conflict graph (see
         :attr:`ReconciliationBatch.pair_cache`): an edge some index
@@ -236,7 +250,7 @@ class IncrementalConflictIndex:
         for tid, extension in extensions.items():
             if self._extensions.get(tid) is not extension:  # new, or replaced
                 self._add(schema, graph, tid, extension, shared)
-        return ConflictAnalysis(self._adjacency, self._points)
+        return ConflictAnalysis(self._adjacency, self._points, self.groups)
 
     def _drop(self, schema: Schema, tid: TransactionId) -> None:
         extension = self._extensions.pop(tid)
@@ -247,7 +261,12 @@ class IncrementalConflictIndex:
                 del self._by_key[key]
         for other in self._adjacency.pop(tid, ()):  # symmetric edges
             self._adjacency[other].discard(tid)
-            del self._points[(tid, other) if tid < other else (other, tid)]
+            pair = (tid, other) if tid < other else (other, tid)
+            if self._standing is not None:
+                for point in self._points[pair]:  # ``groups`` sweeps an emptied one
+                    self._moved[point] = None
+                    del self._standing[point][pair]
+            del self._points[pair]
 
     def _add(
         self,
@@ -294,11 +313,54 @@ class IncrementalConflictIndex:
                 if shared is not None:
                     shared.link(origin, other_origin, points)
             if points:
-                self._points[(tid, other) if tid < other else (other, tid)] = points
+                pair = (tid, other) if tid < other else (other, tid)
+                self._points[pair] = points
                 neighbours.add(other)
                 self._adjacency[other].add(tid)
+                if self._standing is not None:
+                    self._stand(pair, points)
         for key in keys:
             self._by_key.setdefault(key, {})[tid] = None
+
+    def _stand(self, pair: PairKey, points: Tuple[Point, ...]) -> None:
+        """A pair came: it stands at each of its points."""
+        for point in points:
+            self._moved[point] = None
+            self._standing.setdefault(point, {})[pair] = None
+
+    def groups(self, schema: Schema) -> Dict[Point, "ConflictGroup"]:
+        """The conflict groups of the extensions now held (Figure 5,
+        lines 7-16), by ``(type, key)``: roots standing at one point,
+        those making the same modification there (see
+        :func:`_option_signature`) sharing an option.  Only a group a
+        pair moved at since the last call is built; to an index never
+        asked before, every standing pair is one that just came."""
+        if self._standing is None:
+            self._standing = {}
+            for pair, points in self._points.items():
+                self._stand(pair, points)
+        for point in self._moved:
+            pairs = self._standing[point]
+            if not pairs:  # the last pair went: so does the point
+                del self._standing[point]
+                self._groups.pop(point, None)
+                continue
+            roots = {tid for pair in pairs for tid in pair}
+            by_signature: Dict[Tuple, List[TransactionId]] = {}
+            for tid in sorted(roots):
+                signature = _option_signature(schema, self._extensions[tid], point[1])
+                by_signature.setdefault(signature, []).append(tid)
+            self._groups[point] = ConflictGroup(
+                *point,
+                [
+                    Option(tuple(tids), signature[1] if signature[0] == "write" else None)
+                    for signature, tids in sorted(
+                        by_signature.items(), key=lambda item: repr(item[0])
+                    )
+                ],
+            )
+        self._moved.clear()
+        return dict(self._groups)
 
     def discard(self, schema: Schema, roots: Iterable[TransactionId]) -> None:
         """Drop ``roots`` (retirement: they are finally decided)."""
@@ -308,10 +370,7 @@ class IncrementalConflictIndex:
 
     def clear(self) -> None:
         """Drop all state (what ``enabled=False`` does before every update)."""
-        self._extensions.clear()
-        self._by_key.clear()
-        self._adjacency.clear()
-        self._points.clear()
+        self.__init__(self.enabled, self.stats)
 
 
 # ----------------------------------------------------------------------
@@ -403,39 +462,10 @@ def build_conflict_groups(
     graph: TransactionGraph,
     deferred: Dict[TransactionId, UpdateExtension],
     analysis: Optional[ConflictAnalysis] = None,
-) -> Dict[Tuple[str, QualifiedKey], ConflictGroup]:
-    """The grouping step of ``UpdateSoftState`` (Figure 5, lines 7-16).
-
-    Finds conflicts among the deferred extensions, groups them by
-    ``(type, key)``, and combines compatible transactions (same
-    modification at the key — see :func:`_option_signature`) into shared
-    options.  The conflict *points* recorded by
-    :func:`find_conflicts` are consumed directly — the seed implementation
-    re-ran :func:`direct_conflict_points` for every adjacent pair here.
-    ``analysis`` lets a caller that already analysed (a superset of) the
-    deferred extensions this epoch pass the result in.
+) -> Dict[Point, ConflictGroup]:
+    """The grouping step of ``UpdateSoftState`` (Figure 5, lines 7-16):
+    the groups among ``deferred``, read off ``analysis`` — that of an
+    index holding exactly those extensions — or, without one, off a
+    fresh index: the same code, every group new.
     """
-    if analysis is None:
-        analysis = find_conflicts(schema, graph, deferred)
-    members: Dict[Tuple[str, QualifiedKey], Set[TransactionId]] = {}
-    for (tid, other), points in analysis.points.items():
-        for point in points:
-            members.setdefault(point, set()).update((tid, other))
-
-    groups: Dict[Tuple[str, QualifiedKey], ConflictGroup] = {}
-    for (kind, key), tids in members.items():
-        by_signature: Dict[Tuple, List[TransactionId]] = {}
-        for tid in sorted(tids):
-            signature = _option_signature(schema, deferred[tid], key)
-            by_signature.setdefault(signature, []).append(tid)
-        options = [
-            Option(
-                transactions=tuple(tids_for_signature),
-                effect=signature[1] if signature[0] == "write" else None,
-            )
-            for signature, tids_for_signature in sorted(
-                by_signature.items(), key=lambda item: repr(item[0])
-            )
-        ]
-        groups[(kind, key)] = ConflictGroup(kind=kind, key=key, options=options)
-    return groups
+    return (analysis or find_conflicts(schema, graph, deferred)).groups(schema)

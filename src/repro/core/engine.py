@@ -14,7 +14,8 @@ One :class:`Reconciler` belongs to one participant.  Each call to
    with the local instance, or conflicts with the participant's own
    just-published delta (flattened when the first root gets that far);
 4. ``FindConflicts`` — pairwise direct conflicts (Definition 4), skipping
-   subsumed pairs;
+   subsumed pairs, among the roots step 3 did not reject: nothing below
+   reads a rejected root's edges, so it is never bucketed or compared;
 5. ``DoGroup`` per priority level in decreasing order — reject roots that
    conflict with accepted higher-priority roots, defer roots that conflict
    with deferred higher-priority roots, and defer both sides of any
@@ -22,8 +23,9 @@ One :class:`Reconciler` belongs to one participant.  Each call to
 6. apply the accepted roots' extensions (recomputing against the ``Used``
    set, where it holds a member, so overlapping antecedents are applied
    exactly once);
-7. ``UpdateSoftState`` — rebuild the dirty-value set and conflict groups
-   from the transactions that remain deferred.
+7. ``UpdateSoftState`` — the dirty-value set and conflict groups of the
+   transactions that remain deferred: step 4's index brought down to
+   them, a group rebuilt only where a pair came or went.
 
 The dirty-value test in step 3 applies only to roots that were *not*
 already deferred: previously deferred roots are exactly the transactions
@@ -33,50 +35,43 @@ that conflict resolution can eventually accept them.
 Caching (the incremental hot path)
 ----------------------------------
 
-Steps 2, 4, and 7 are served by the incremental machinery of
-:mod:`repro.core.cache` and
-:class:`repro.core.conflicts.IncrementalConflictIndex` so repeated
-reconciliations pay only for what changed since the last one:
+Steps 2, 4 and 7 pay only for what changed since the last run
+(:mod:`repro.core.cache` and
+:class:`repro.core.conflicts.IncrementalConflictIndex` say how and why
+each reuse is exact):
 
-* update extensions are memoized against
-  :attr:`ParticipantState.applied_version`; a previously deferred root
-  whose antecedent closure is untouched by newly applied transactions is
-  an O(1) hit (or an O(|members|) revalidation), both in step 2 and again
-  in ``UpdateSoftState`` — the seed recomputed every deferred extension
-  twice per epoch;
-* for roots the store shipped a *context-free* extension for (flattened
-  against an empty applied set, derived once per published transaction
-  confederation-wide), the engine adopts the shipped object whenever its
-  member closure is disjoint from the local applied set — the condition
-  under which it provably equals the local computation;
+* step 2 memoizes extensions against
+  :attr:`ParticipantState.applied_version` — an untouched deferred root
+  is an O(1) hit or an O(|members|) revalidation — adopts the store's
+  *context-free* extension of a root whenever its closure is disjoint
+  from the local applied set, and asks the store's conflict graph for
+  what another participant derived over the same closure; step 7 takes
+  what step 2 returned, asking again only for a root whose closure this
+  run's applications cut (the seed derived every deferred extension
+  twice per epoch);
 * ``FindConflicts`` is one scanner, the incremental index (a store
-  assembling batches keeps one per participant too): only pairs
-  involving an extension that changed since the previous epoch are
-  examined, ``UpdateSoftState`` reuses the same index (shrunk to the
-  deferred roots), and the store's one conflict graph, on every batch,
-  is read first — the first index anywhere to hold two extension
-  objects leaves their edge on them — and asked for an extension
-  another participant already derived over the same closure;
-* ``can_apply_set`` verdicts are memoized against the instance's
-  mutation counter, so unchanged deferred roots skip re-validation
-  against an unchanged replica; a check that does run, and the
-  application after it, probe the extension's compiled footprint
-  (:meth:`UpdateExtension.footprint`) instead of re-deriving keys, row
-  validity and foreign-key targets from its operations.
+  assembling batches keeps one per participant too): only pairs with an
+  extension that changed since the previous epoch are examined — an
+  edge some index anywhere already left on the two objects is read, not
+  recomputed — and ``UpdateSoftState`` shrinks the same index to the
+  deferred roots;
+* conflict-group membership is a view that index keeps by the same
+  delta, so a group no pair came to or left is last epoch's
+  :class:`~repro.core.conflicts.ConflictGroup` object;
+* ``CheckState``'s ``can_apply_set`` and the application after it probe
+  the extension's compiled footprint (:meth:`UpdateExtension.footprint`).
 
-Cache validity never depends on heuristics: extensions are exact for a
-given applied set (reuse only when provably unchanged), conflict points
-depend only on the two extensions compared (validated by object
-identity), and applicability is versioned by instance mutations.
-Decisions are therefore byte-identical to an uncached run — the perf
-benchmark (``benchmarks/test_perf_engine.py``) pins this.  Per-run
-counter deltas are exposed on :attr:`ReconcileResult.cache_stats`.
+No reuse rests on a heuristic — extensions are exact for a given applied
+set, conflict points depend only on the two objects compared (validated
+by identity) — so decisions are byte-identical to an uncached run
+(``benchmarks/test_perf_engine.py`` pins this).  Per-run counter deltas
+are exposed on :attr:`ReconcileResult.cache_stats`.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import ConstraintViolation, FlattenError
 from repro.instance.base import Instance
@@ -129,13 +124,6 @@ class Reconciler:
         self._conflict_index = IncrementalConflictIndex(
             enabled=self._cache.enabled, stats=self._cache.stats
         )
-        # ``can_apply_set`` verdicts per root: (extension object, instance
-        # mutation count, verdict).  Exact — the verdict is a pure
-        # function of the extension's operations and the instance state,
-        # and both are versioned.
-        self._applicability: Dict[
-            TransactionId, Tuple[UpdateExtension, int, bool]
-        ] = {}
         # The conflict graph of the batch being reconciled, if any.
         self._shared_pairs = None
 
@@ -166,7 +154,6 @@ class Reconciler:
         state = self._state
         state.graph.merge(batch.graph)
 
-        previously_deferred = set(state.deferred)
         roots = self._gather_roots(batch)
         result = ReconcileResult(recno=batch.recno)
         stats_before = self._cache.stats.snapshot()
@@ -183,20 +170,13 @@ class Reconciler:
             delta = flatten(self._schema, own_updates) if own_updates else []
             return index_by_key(self._schema, delta)
 
-        # Figure 4 lines 5-8: flattened extensions and CheckState.  In
-        # network-centric mode the store precomputed the extensions (and
-        # must have covered every root, deferred ones included); any root
-        # it missed falls back to local computation.  Extensions for
-        # previously deferred roots are usually cache hits: they were
-        # stored last epoch and stay exact while no member of their
-        # antecedent closure becomes applied.  In client-centric mode the
-        # store may still ship *context-free* extensions (computed once
-        # per published transaction); one is adopted when this
-        # participant's applied set is disjoint from its closure — the
-        # condition under which it equals the locally computed extension.
-        # The serving store's declared capabilities decide whether its
-        # shipped payloads are eligible at all (absent flags — batches
-        # built by hand in tests — are permissive).
+        # Figure 4 lines 5-8: flattened extensions and CheckState.  A
+        # network-centric batch carries the extensions (any root it
+        # missed is computed here); a client-centric one may carry
+        # *context-free* ones, adopted where the module docstring says
+        # they are exact.  The serving store's declared capabilities
+        # decide whether its payloads are eligible at all (absent flags —
+        # batches built by hand in tests — are permissive).
         ships_context_free = getattr(batch.capabilities, "ships_context_free", True)
         shares = self._cache.enabled and getattr(batch.capabilities, "shared_pair_memo", True)
         self._shared_pairs = batch.pair_cache if shares else None
@@ -209,11 +189,9 @@ class Reconciler:
         for root in roots:
             extension = precomputed.get(root.tid)
             if extension is not None:
-                # Adopted without re-deriving: the store assembled this
-                # batch per participant, so the extension is exact for
-                # our applied set.  Count it with the shipped
-                # context-free adoptions — both are local computations
-                # the store saved us.
+                # Exact for our applied set: the store assembled this
+                # batch per participant.  Counted with the context-free
+                # adoptions — local computations the store saved us.
                 self._cache.stats.shipped += 1
                 self._cache.store(root.tid, state.applied_version, extension)
             else:
@@ -233,20 +211,10 @@ class Reconciler:
                     continue
             extensions[root.tid] = extension
             decision[root.tid] = self._check_state(
-                extension, own, dirty_exempt=root.tid in previously_deferred
+                extension, own, dirty_exempt=root.tid in state.deferred
             )
 
-        # Figure 4 line 9 (store-side in network-centric mode).  The
-        # incremental index restricts the pairwise work to pairs involving
-        # at least one extension that changed since the previous epoch.
-        if batch.network_centric and set(batch.conflicts) >= set(extensions):
-            adjacency = batch.conflicts
-        else:
-            analysis = self._conflict_index.update(
-                self._schema, state.graph, extensions, self._shared_pairs
-            )
-            adjacency = analysis.adjacency
-
+        adjacency = self._find_conflicts(batch, extensions, decision)
         self._do_groups(roots, adjacency, decision)
 
         # Figure 4 lines 13-19: record decisions and apply accepted roots.
@@ -266,20 +234,21 @@ class Reconciler:
                 state.record_rejected([root.tid])
                 result.rejected.append(root.tid)
             elif verdict is Decision.DEFER:
-                state.record_deferred(root, batch.recno)
+                state.record_deferred(root)
                 result.deferred.append(root.tid)
         result.decisions = dict(decision)
 
         # Figure 4 line 21: UpdateSoftState, reusing this epoch's
         # extensions and conflict analysis wherever they are still exact.
-        self._update_soft_state(result)
+        self._update_soft_state(roots, extensions)
+        result.conflict_groups = [
+            (group.group_id, len(group.options)) for group in state.open_conflicts()
+        ]
 
         # The extension cache only ever needs the still-deferred roots
         # again (the conflict index pruned itself to the deferred set
         # inside UpdateSoftState).
         self._cache.prune(state.deferred)
-        for tid in [t for t in self._applicability if t not in state.deferred]:
-            del self._applicability[tid]
         result.cache_stats = self._cache.stats.minus(stats_before)
 
         state.last_recno = batch.recno
@@ -302,33 +271,14 @@ class Reconciler:
         hooks = self._hooks
         if hooks is None:
             return
-        state = self._state
+        run = {"participant": self._state.participant, "recno": result.recno}
         if hooks.has("decision"):
             for root in roots:  # ``_gather_roots`` sorted them
-                verdict = decision.get(root.tid)
-                if verdict is None:
-                    continue
-                hooks.emit(
-                    "decision",
-                    participant=state.participant,
-                    recno=result.recno,
-                    tid=root.tid,
-                    decision=verdict,
-                )
+                hooks.emit("decision", **run, tid=root.tid, decision=decision[root.tid])
         if hooks.has("conflict"):
-            for group in state.open_conflicts():
-                hooks.emit(
-                    "conflict",
-                    participant=state.participant,
-                    recno=result.recno,
-                    group=group,
-                )
-        hooks.emit(
-            "cache_stats",
-            participant=state.participant,
-            recno=result.recno,
-            stats=result.cache_stats,
-        )
+            for group in self._state.open_conflicts():
+                hooks.emit("conflict", **run, group=group)
+        hooks.emit("cache_stats", **run, stats=result.cache_stats)
 
     # ------------------------------------------------------------------
     # Step 1: roots
@@ -338,11 +288,10 @@ class Reconciler:
     ) -> List[RelevantTransaction]:
         """New trusted roots plus reconsidered deferred roots, in order."""
         state = self._state
-        roots = {root.tid: root for root in state.deferred_roots()}
+        roots = dict(state.deferred)
         for root in batch.roots:
-            if state.is_decided(root.tid):
-                continue  # the store should not re-deliver, but be safe
-            roots.setdefault(root.tid, root)
+            if not state.is_decided(root.tid):  # (the store should not re-deliver)
+                roots.setdefault(root.tid, root)
         return sorted(roots.values(), key=lambda r: r.order)
 
     # ------------------------------------------------------------------
@@ -360,7 +309,7 @@ class Reconciler:
             return Decision.DEFER
         if not extension.member_set().isdisjoint(state.rejected):
             return Decision.REJECT
-        if not self._can_apply(extension):
+        if not self._instance.can_apply_set(extension.footprint(self._schema)):
             return Decision.REJECT
         # Own-delta conflicts require a shared key: past the key test, the
         # same keyed comparison FindConflicts makes between two extensions.
@@ -371,22 +320,32 @@ class Reconciler:
             return Decision.REJECT
         return Decision.ACCEPT
 
-    def _can_apply(self, extension: UpdateExtension) -> bool:
-        """Memoized ``can_apply_set`` for one extension.
+    # ------------------------------------------------------------------
+    # Step 4: FindConflicts (Figure 4 line 9)
 
-        Deferred roots are re-checked on every epoch; while neither their
-        extension object nor the instance changed, the verdict cannot
-        change either.  Disabled together with the extension cache so the
-        uncached baseline re-validates like the seed did.
-        """
-        version = self._instance.mutation_count
-        memo = self._applicability.get(extension.root)
-        if memo is None or memo[0] is not extension or memo[1] != version:
-            verdict = self._instance.can_apply_set(extension.footprint(self._schema))
-            memo = (extension, version, verdict)
-            if self._cache.enabled:
-                self._applicability[extension.root] = memo
-        return memo[2]
+    def _find_conflicts(
+        self,
+        batch: ReconciliationBatch,
+        extensions: Dict[TransactionId, UpdateExtension],
+        decision: Dict[TransactionId, Decision],
+    ) -> Dict[TransactionId, Set[TransactionId]]:
+        """The direct-conflict adjacency ``DoGroup`` reads: the store's,
+        if it assembled one covering every root, else the index's —
+        brought to the extensions ``CheckState`` did not reject.  No
+        later step reads a rejected root's edges (``_do_group`` skips it,
+        ignores it as a neighbour, keeps it out of the survivors; soft
+        state is made of deferred roots), so it is never bucketed or
+        compared, and one deferred until now leaves the index here."""
+        if batch.network_centric and set(batch.conflicts) >= set(extensions):
+            return batch.conflicts
+        standing = {
+            tid: extension
+            for tid, extension in extensions.items()
+            if decision[tid] is not Decision.REJECT
+        }
+        return self._conflict_index.update(
+            self._schema, self._state.graph, standing, self._shared_pairs
+        ).adjacency
 
     # ------------------------------------------------------------------
     # Step 5: DoGroup (Figure 5)
@@ -432,15 +391,14 @@ class Reconciler:
                     decision[tid] = Decision.DEFER
             if decision.get(tid) is not Decision.REJECT:
                 surviving.append(tid)
-        # Lines 13-17: conflicts inside the priority group defer both sides.
-        # Walk each survivor's (sparse) adjacency instead of enumerating
-        # all O(n²) survivor pairs.
+        # Lines 13-17: conflicts inside the priority group defer both
+        # sides — each survivor's (sparse) adjacency met with the
+        # survivors as sets, both ends marked.
         surviving_set = set(surviving)
         for tid in surviving:
-            for other in conflicts.get(tid, ()):
-                if other in surviving_set:
-                    decision[tid] = Decision.DEFER
-                    decision[other] = Decision.DEFER
+            inside = surviving_set.intersection(conflicts.get(tid, ()))
+            if inside:
+                decision.update(dict.fromkeys((tid, *inside), Decision.DEFER))
 
     # ------------------------------------------------------------------
     # Step 6: application (Figure 4 lines 14-19)
@@ -505,49 +463,51 @@ class Reconciler:
         an instance that may have moved on since they were deferred —
         that re-evaluation belongs to the next real reconciliation.
         """
-        self._update_soft_state(ReconcileResult(recno=self._state.last_recno))
+        self._update_soft_state(self._state.deferred_roots(), {})
 
     # ------------------------------------------------------------------
     # Step 7: UpdateSoftState (Figure 5)
 
-    def _update_soft_state(self, result: ReconcileResult) -> None:
+    def _update_soft_state(
+        self,
+        roots: Sequence[RelevantTransaction],
+        extensions: Dict[TransactionId, UpdateExtension],
+    ) -> None:
         """Rebuild dirty values and conflict groups for the deferred set.
 
-        Every deferred root was a root of the :meth:`reconcile` call this
-        runs inside of, so its extension is a cache hit unless application
-        made a member of its closure ``applied`` — the seed recomputed
-        every one of them here, a second full pass per epoch.  Likewise
-        the conflict analysis: bringing the incremental index down to the
-        deferred set only drops the decided roots and re-compares pairs
-        involving extensions that actually changed.
+        ``roots`` holds every deferred root, in publish order, and
+        ``extensions`` what the run this closes derived for them: still
+        exact unless application made a member of the closure
+        ``applied`` (the cache's own revalidation test), and only then —
+        or for a root the run did not see (:meth:`rebuild_soft_state`) —
+        is the cache asked.  Bringing the index down to the deferred set
+        drops the decided roots and re-compares only pairs involving an
+        extension that changed; only their groups are rebuilt.
         """
         state = self._state
         deferred_extensions: Dict[TransactionId, UpdateExtension] = {}
-        for root in state.deferred_roots():
-            try:
-                extension = self._cache.get_or_compute(
-                    self._schema,
-                    state.graph,
-                    root,
-                    state.applied,
-                    state.applied_version,
-                    shared=self._shared_pairs,
-                )
-            except FlattenError:  # pragma: no cover - defensive
+        for root in roots:
+            if root.tid not in state.deferred:
                 continue
+            extension = extensions.get(root.tid)
+            if extension is None or not extension.member_set().isdisjoint(state.applied):
+                try:
+                    extension = self._cache.get_or_compute(
+                        self._schema,
+                        state.graph,
+                        root,
+                        state.applied,
+                        state.applied_version,
+                        shared=self._shared_pairs,
+                    )
+                except FlattenError:  # pragma: no cover - defensive
+                    continue
             deferred_extensions[root.tid] = extension
         dirty = set().union(*(e.touched for e in deferred_extensions.values()))
         analysis = self._conflict_index.update(
             self._schema, state.graph, deferred_extensions, self._shared_pairs
         )
         groups = build_conflict_groups(
-            self._schema,
-            state.graph,
-            deferred_extensions,
-            analysis=analysis,
+            self._schema, state.graph, deferred_extensions, analysis=analysis
         )
         state.replace_soft_state(dirty, groups)
-        result.conflict_groups = [
-            (group_id, len(group.options))
-            for group_id, group in sorted(groups.items(), key=lambda kv: repr(kv[0]))
-        ]

@@ -73,12 +73,8 @@ def resolve_conflicts(
                 keep.update(option.transactions)
                 # The winners' antecedents must stay acceptable too.
                 for tid in option.transactions:
-                    entry = state.deferred.get(tid)
-                    if entry is None:
-                        continue
-                    keep.update(
-                        state.graph.extension(tid, state.applied)
-                    )
+                    if tid in state.deferred:
+                        keep.update(state.graph.extension(tid, state.applied))
             else:
                 to_reject.update(option.transactions)
 

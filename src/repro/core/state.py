@@ -7,8 +7,8 @@ each reconciling peer:
 * ``applied`` — every transaction whose effects are in the local instance;
 * ``rejected`` — transactions explicitly rejected (their dependents must
   also be rejected — Definition 5);
-* ``deferred`` — transactions awaiting user conflict resolution, with the
-  data needed to reconsider them without re-fetching;
+* ``deferred`` — transactions awaiting user conflict resolution, as the
+  roots to reconsider them by, without re-fetching;
 * ``dirty_keys`` — keys read or written by deferred transactions; any
   transaction touching one must itself be deferred;
 * ``conflict_groups`` — the open conflicts, grouped for resolution;
@@ -18,7 +18,6 @@ each reconciling peer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.model.transactions import TransactionId
@@ -26,14 +25,6 @@ from repro.model.tuples import QualifiedKey
 
 from repro.core.conflicts import ConflictGroup
 from repro.core.extensions import RelevantTransaction, TransactionGraph
-
-
-@dataclass
-class DeferredEntry:
-    """A deferred root transaction plus what is needed to retry it."""
-
-    root: RelevantTransaction
-    recno: int  # reconciliation at which it was (last) deferred
 
 
 class ParticipantState:
@@ -48,7 +39,7 @@ class ParticipantState:
         #: validity check instead of comparing sets).
         self.applied_version: int = 0
         self.rejected: Set[TransactionId] = set()
-        self.deferred: Dict[TransactionId, DeferredEntry] = {}
+        self.deferred: Dict[TransactionId, RelevantTransaction] = {}
         self.dirty_keys: Set[QualifiedKey] = set()
         self.conflict_groups: Dict[Tuple[str, QualifiedKey], ConflictGroup] = {}
         self.graph = TransactionGraph()
@@ -67,8 +58,7 @@ class ParticipantState:
 
     def deferred_roots(self) -> List[RelevantTransaction]:
         """The deferred transactions, as roots for reconsideration."""
-        entries = sorted(self.deferred.values(), key=lambda e: e.root.order)
-        return [entry.root for entry in entries]
+        return sorted(self.deferred.values(), key=lambda root: root.order)
 
     def open_conflicts(self) -> List[ConflictGroup]:
         """The current conflict groups, in a stable order."""
@@ -104,9 +94,10 @@ class ParticipantState:
             self.rejected.add(tid)
             self.deferred.pop(tid, None)
 
-    def record_deferred(self, root: RelevantTransaction, recno: int) -> None:
-        """Park a root transaction for later resolution."""
-        self.deferred[root.tid] = DeferredEntry(root=root, recno=recno)
+    def record_deferred(self, root: RelevantTransaction) -> None:
+        """Park a root transaction for later resolution (one already
+        parked keeps its place)."""
+        self.deferred[root.tid] = root
 
     def replace_soft_state(
         self,

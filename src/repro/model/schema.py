@@ -26,12 +26,6 @@ class AttributeDef:
     name: str
     dtype: Optional[type] = None
 
-    def accepts(self, value: object) -> bool:
-        """Return True if ``value`` is admissible for this attribute."""
-        if self.dtype is None:
-            return True
-        return isinstance(value, self.dtype)
-
 
 @dataclass(frozen=True)
 class ForeignKey:
@@ -96,6 +90,8 @@ class RelationSchema:
         self._positions: Dict[str, int] = {n: i for i, n in enumerate(names)}
         self._key_positions = tuple(self._positions[k] for k in key_names)
         self._arity = len(attr_defs)
+        # What ``validate_row`` tests: the typed attributes, by position.
+        self._typed = tuple((i, a) for i, a in enumerate(attr_defs) if a.dtype is not None)
         getter = operator.itemgetter(*self._key_positions)
         if len(self._key_positions) == 1:
             self._key_getter = lambda row: (getter(row),)
@@ -145,14 +141,14 @@ class RelationSchema:
             raise SchemaError(
                 f"rows of {self.name!r} must be tuples, got {type(row).__name__}"
             )
-        if len(row) != self.arity:
+        if len(row) != self._arity:
             raise SchemaError(
-                f"row for {self.name!r} has arity {len(row)}, expected {self.arity}"
+                f"row for {self.name!r} has arity {len(row)}, expected {self._arity}"
             )
-        for attr, value in zip(self.attributes, row):
-            if not attr.accepts(value):
+        for position, attr in self._typed:
+            if not isinstance(row[position], attr.dtype):
                 raise SchemaError(
-                    f"value {value!r} not admissible for attribute "
+                    f"value {row[position]!r} not admissible for attribute "
                     f"{self.name}.{attr.name} (expected {attr.dtype})"
                 )
 

@@ -6,9 +6,13 @@ move at all — with or without ``PYTHONHASHSEED``.  So the engine's hot
 path is budgeted in calls: a reduced ``eval-conflict`` schedule (the
 benchmark's 10 peers on a Zipf key pool, three rounds instead of ten —
 well under a second) must stay within 2 % of the count measured when the
-budget was last set, and must make no Python-level call to hash, compare
+budget was last set, must make no Python-level call to hash, compare
 or order a :class:`~repro.model.transactions.TransactionId` — the type
-is a tuple precisely so that identity arithmetic stays in C.
+is a tuple precisely so that identity arithmetic stays in C — and must
+compare no more extension pairs than it did then: the engine withholds
+the roots CheckState rejected from FindConflicts, which halved the
+pairwise comparisons, and a change that hands them back shows there
+long before it shows in the total.
 
 A change that trips the budget either made the engine do more (find out
 what: the failure lists the most-called functions) or knowingly traded
@@ -28,9 +32,13 @@ from repro.confed import Confederation, ConfederationConfig
 from repro.model.transactions import TransactionId
 from repro.workload import WorkloadConfig
 
-#: Calls ``Confederation.run()`` makes on the schedule below: 372,491
-#: as of PR 22 (548,882 before it), plus 2 %.
-CALL_BUDGET = 379_940
+#: Calls ``Confederation.run()`` makes on the schedule below: 336,323
+#: as of PR 23 (372,491 before it, 548,882 before PR 22), plus 2 %.
+CALL_BUDGET = 343_050
+
+#: ``direct_conflict_points`` calls among them — pairwise comparisons,
+#: all participants: 312 as of PR 23 (538 before it), plus 2 %.
+COMPARISON_BUDGET = 318
 
 _IDENTITY_DUNDERS = frozenset(
     f"__{name}__"
@@ -80,4 +88,9 @@ def test_the_engine_stays_inside_its_call_budget():
     )
     assert stats.total_calls <= CALL_BUDGET, (
         f"{stats.total_calls} calls, budget {CALL_BUDGET}; most called:\n{listing}"
+    )
+    compared = sum(row[1] for key, row in rows.items() if key[2] == "direct_conflict_points")
+    assert 0 < compared <= COMPARISON_BUDGET, (
+        f"{compared} pairwise comparisons, budget {COMPARISON_BUDGET}: is "
+        "FindConflicts being handed roots CheckState rejected?"
     )

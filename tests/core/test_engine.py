@@ -509,3 +509,102 @@ class TestFootprintCompiledOnce:
         # flatten, handed over raw.
         assert compiled == ["extension", "extension", "raw"]
         assert instance.snapshot()["F"] == {("rat", "prot1"): RAT1_IMMUNE}
+
+
+class TestWithheldRoots:
+    """FindConflicts is handed the roots CheckState did not reject: no
+    later step reads a rejected root's edges, so it is never bucketed or
+    compared — while a root CheckState *deferred* still is."""
+
+    @staticmethod
+    def sets_indexed(reconciler):
+        """Record the root sets the reconciler's index is brought to."""
+        index, seen = reconciler._conflict_index, []
+        update = index.update
+
+        def recording(schema, graph, extensions, shared=None):
+            seen.append(set(extensions))
+            return update(schema, graph, extensions, shared)
+
+        index.update = recording
+        return seen
+
+    @pytest.mark.parametrize("caching", [True, False])
+    def test_a_rejected_root_is_never_compared(self, schema, caching):
+        reconciler, instance, _state = make_reconciler(
+            schema, 1, cache=ExtensionCache(enabled=caching)
+        )
+        instance.apply(Insert("F", ("rat", "prot9", "x"), 1))
+        builder = GraphBuilder()
+        # ``bad`` does not fit the instance; it is ``good``'s only partner.
+        bad = make_transaction(3, 0, [Insert("F", ("rat", "prot9", "y"), 3)])
+        good = make_transaction(2, 0, [Insert("F", ("rat", "prot9", "x"), 2)])
+        builder.add(bad)
+        builder.add(good)
+        seen = self.sets_indexed(reconciler)
+        result = reconciler.reconcile(builder.batch(1, [(bad, 1), (good, 1)]))
+        assert result.decisions == {bad.tid: Decision.REJECT, good.tid: Decision.ACCEPT}
+        assert seen == [{good.tid}, set()]
+        assert len(reconciler._conflict_index) == 0
+        stats = reconciler.cache.stats
+        assert (stats.pair_hits, stats.pair_misses) == (0, 0)
+
+    def test_a_deferred_root_now_rejected_leaves_at_the_first_update(self, schema):
+        reconciler, instance, state = make_reconciler(schema, 1)
+        builder = GraphBuilder()
+        left = make_transaction(2, 0, [Insert("F", RAT1_IMMUNE, 2)])
+        right = make_transaction(3, 0, [Insert("F", RAT1_RESP, 3)])
+        builder.add(left)
+        builder.add(right)
+        reconciler.reconcile(builder.batch(1, [(left, 1), (right, 1)]))
+        assert set(state.deferred) == {left.tid, right.tid}
+        compared = reconciler.cache.stats.pair_misses
+        # The participant settles the key itself: neither fits any more.
+        instance.apply(Insert("F", RAT1, 1))
+        seen = self.sets_indexed(reconciler)
+        result = reconciler.reconcile(builder.batch(2, []))
+        assert set(result.rejected) == {left.tid, right.tid}
+        assert seen == [set(), set()]
+        assert reconciler.cache.stats.pair_misses == compared
+        assert state.conflict_groups == {} and state.dirty_keys == set()
+
+    @pytest.mark.parametrize("caching", [True, False])
+    def test_a_root_deferred_by_checkstate_still_stands(self, schema, caching):
+        # ``late`` touches a dirty key (CheckState: DEFER) and a clean
+        # one, where lower-priority ``low`` conflicts with it: ``low``
+        # must wait for ``late`` — which it can only see in the index.
+        reconciler, instance, state = make_reconciler(
+            schema, 1, cache=ExtensionCache(enabled=caching)
+        )
+        builder = GraphBuilder()
+        left = make_transaction(2, 0, [Insert("F", RAT1_IMMUNE, 2)])
+        right = make_transaction(3, 0, [Insert("F", RAT1_RESP, 3)])
+        builder.add(left)
+        builder.add(right)
+        reconciler.reconcile(builder.batch(1, [(left, 1), (right, 1)]))
+        late = make_transaction(
+            4, 0, [Insert("F", RAT1_IMMUNE, 4), Insert("F", MOUSE2, 4)]
+        )
+        low = make_transaction(5, 0, [Insert("F", MOUSE2_RESP, 5)])
+        builder.add(late)
+        builder.add(low)
+        result = reconciler.reconcile(builder.batch(2, [(late, 5), (low, 1)]))
+        assert result.decisions[late.tid] is Decision.DEFER
+        assert result.decisions[low.tid] is Decision.DEFER
+        assert instance.count("F") == 0
+        assert ("insert/insert", ("F", ("mouse", "prot2"))) in state.conflict_groups
+
+    def test_do_group_defers_both_ends_of_a_one_sided_edge(self, schema):
+        reconciler, _instance, _state = make_reconciler(schema, 1)
+        first, second, third = (
+            make_transaction(origin, 0, [Insert("F", MOUSE2, origin)]).tid
+            for origin in (2, 3, 4)
+        )
+        decision = dict.fromkeys((first, second, third), Decision.ACCEPT)
+        # A hand-built adjacency naming the edge at one end only.
+        reconciler._do_group([first, second, third], set(), {first: {second}}, decision)
+        assert decision == {
+            first: Decision.DEFER,
+            second: Decision.DEFER,
+            third: Decision.ACCEPT,
+        }

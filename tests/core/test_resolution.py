@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro.core import ParticipantState, Reconciler, Resolution, resolve_conflicts
+from repro.core import (
+    ParticipantState,
+    ReconciliationBatch,
+    Reconciler,
+    RelevantTransaction,
+    Resolution,
+    resolve_conflicts,
+)
 from repro.core.resolution import pending_resolutions
 from repro.errors import ResolutionError
 from repro.instance import MemoryInstance
@@ -132,8 +141,6 @@ class TestResolveConflicts:
         late = make_transaction(4, 0, [Insert("F", RAT1_IMMUNE, 4)])
         order = len(state.graph)
         state.graph.add(late, (), order + 100)
-        from repro.core import ReconciliationBatch, RelevantTransaction
-
         batch = ReconciliationBatch(
             recno=3,
             roots=[RelevantTransaction(late, priority=1, order=order + 100)],
@@ -141,3 +148,34 @@ class TestResolveConflicts:
         )
         result = reconciler.reconcile(batch)
         assert result.accepted == [late.tid]
+
+
+class TestGroupsOutliveTheEpoch:
+    """A conflict group no pair moved at is the same object epoch after
+    epoch (the index hands it back instead of rebuilding it), so nothing
+    that is handed one may write to it: resolution only reads."""
+
+    def test_an_untouched_group_is_reused_and_resolution_leaves_it_as_it_was(
+        self, schema
+    ):
+        reconciler, _instance, state, _txns = deferred_figure2_tail(schema)
+        left = make_transaction(4, 0, [Insert("F", ("mouse", "prot2", "immune"), 4)])
+        right = make_transaction(5, 0, [Insert("F", ("mouse", "prot2", "resp"), 5)])
+        roots = []
+        for order, txn in enumerate((left, right), start=100):
+            state.graph.add(txn, (), order)
+            roots.append(RelevantTransaction(txn, priority=1, order=order))
+        rat, mouse = (
+            ("insert/insert", ("F", ("rat", "prot1"))),
+            ("insert/insert", ("F", ("mouse", "prot2"))),
+        )
+        rat_group = state.conflict_groups[rat]
+        reconciler.reconcile(ReconciliationBatch(recno=2, roots=roots, graph=state.graph))
+        assert set(state.conflict_groups) == {rat, mouse}
+        assert state.conflict_groups[rat] is rat_group  # nothing moved there
+        mouse_group = state.conflict_groups[mouse]
+        before = copy.deepcopy((rat_group, mouse_group))
+        resolve_conflicts(reconciler, [Resolution(group_id=rat, chosen_option=None)])
+        assert set(state.conflict_groups) == {mouse}
+        assert state.conflict_groups[mouse] is mouse_group
+        assert (rat_group, mouse_group) == before

@@ -36,7 +36,7 @@ class TestParticipantState:
     def test_record_deferred_and_reconsider(self):
         state = ParticipantState(1)
         entry = root(2, 0, order=5)
-        state.record_deferred(entry, recno=3)
+        state.record_deferred(entry)
         assert state.is_deferred(entry.tid)
         assert state.deferred_roots() == [entry]
         state.record_applied([entry.tid])
@@ -46,8 +46,8 @@ class TestParticipantState:
         state = ParticipantState(1)
         late = root(2, 1, order=9)
         early = root(3, 0, order=2)
-        state.record_deferred(late, recno=1)
-        state.record_deferred(early, recno=1)
+        state.record_deferred(late)
+        state.record_deferred(early)
         assert [r.order for r in state.deferred_roots()] == [2, 9]
 
     def test_replace_soft_state(self):
@@ -60,7 +60,7 @@ class TestParticipantState:
     def test_rejection_leaves_deferred(self):
         state = ParticipantState(1)
         entry = root(2, 0, order=1)
-        state.record_deferred(entry, recno=1)
+        state.record_deferred(entry)
         state.record_rejected([entry.tid])
         assert not state.is_deferred(entry.tid)
         assert entry.tid in state.rejected

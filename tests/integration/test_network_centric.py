@@ -139,6 +139,10 @@ class TestNetworkCentricEquivalence:
                 assert store.derivation_stats().pair_misses == index.stats.pair_misses
             # complete_reconciliation retired it to the open deferred set.
             assert len(index) == len(p3.state.deferred)
+            # Nobody asks an assembly index for conflict groups, so it
+            # keeps no membership books; the client's own index does.
+            assert index._standing is None
+            assert p3.reconciler._conflict_index._standing is not None
             return index.stats.pair_hits, index.stats.pair_misses
 
         p1.execute([Insert("F", RAT_IMMUNE, 1)])

@@ -12,6 +12,12 @@ object, the set shrinks to a subset (``UpdateSoftState``).  After every
 same set — alone, and when two indexes work over one shared
 ``ConflictGraph`` the way sixteen participants' do: each still equals the
 reference on its own set, and what one compared the other only reads.
+
+The index's conflict *groups* move by the same delta, so the same walk
+checks them, asked at some steps and not at others: they equal a fresh
+index's over the same extensions, a point stands exactly while some
+pair conflicts there, a group no pair came to or left is the object it
+was, and one a member's extension object was replaced in is rebuilt.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from repro.core import RelevantTransaction, TransactionGraph
 from repro.core.cache import ConflictGraph
 from repro.core.conflicts import (
     IncrementalConflictIndex,
+    build_conflict_groups,
     direct_conflict_points,
     find_conflicts,
 )
@@ -175,15 +182,53 @@ def assert_matches_reference(graph, extensions, analysis, shared=None):
             assert edge_between(extensions[right], extensions[left]) == known
 
 
+def standing_pairs(extensions, analysis):
+    """Per point, the pairs conflicting there — each with the two
+    extension *objects* it holds between, so a replaced end shows."""
+    standing: Dict[Tuple, set] = {}
+    for (left, right), points in analysis.points.items():
+        for point in points:
+            standing.setdefault(point, set()).add(
+                (left, right, id(extensions[left]), id(extensions[right]))
+            )
+    return standing
+
+
+def assert_groups_follow(graph, extensions, analysis, asked):
+    """``analysis.groups`` against a fresh index over ``extensions`` and
+    against ``asked``, the ``(standing pairs, groups)`` of the last time
+    the walk asked (None: never); returns the pair for the next."""
+    groups = analysis.groups(PROP_SCHEMA)
+    assert groups == build_conflict_groups(PROP_SCHEMA, graph, extensions)
+    standing = standing_pairs(extensions, analysis)
+    # When the last pair at a point goes, the point goes.
+    assert set(groups) == set(standing)
+    for point, group in groups.items():
+        assert group.group_id == point
+        assert sorted(group.transactions()) == sorted(
+            {tid for left, right, *_ in standing[point] for tid in (left, right)}
+        )
+    was_standing, were = asked or ({}, {})
+    for point in set(groups) & set(were):
+        if standing[point] == was_standing[point]:
+            assert groups[point] is were[point]  # untouched: not rebuilt
+        else:  # a pair, or the object at one end of one, moved
+            assert groups[point] is not were[point]
+    return standing, groups
+
+
 @given(histories(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
     graph, tids = history
-    index = IncrementalConflictIndex()
+    index = IncrementalConflictIndex(enabled=data.draw(st.booleans(), label="enabled"))
     shared = data.draw(st.sampled_from([None, ConflictGraph()]), label="shared")
     current: Dict[TransactionId, UpdateExtension] = {}
+    #: Every object handed to the index stays alive: ``id`` tells them apart.
+    every_object: List[UpdateExtension] = []
+    asked = None
     for step in range(data.draw(st.integers(1, 6), label="steps")):
-        actions = ["add", "drop", "replace", "shrink"] if step else ["add"]
+        actions = ["add", "drop", "replace", "recut", "shrink"] if step else ["add"]
         action = data.draw(st.sampled_from(actions))
         chosen = set(data.draw(st.lists(st.sampled_from(tids), unique=True), label=action))
         replaced: Dict[TransactionId, UpdateExtension] = {}
@@ -202,6 +247,13 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
             following = {t: e for t, e in current.items() if t not in chosen}
         elif action == "shrink":
             following = {t: e for t, e in current.items() if t in chosen}
+        elif action == "recut":
+            # The applied set grew under these roots: re-derived, and
+            # what they do at a key may no longer be what it was.
+            applied = set(data.draw(st.lists(st.sampled_from(tids), unique=True))) - chosen
+            following = dict(current)
+            for tid in chosen & set(current):
+                following[tid] = extension_of(graph, tid, applied) or current[tid]
         else:
             # A fresh, equal object: same members, same operations.
             following = dict(current)
@@ -212,9 +264,14 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
                 )
                 assert following[tid] == replaced[tid]
                 assert following[tid] is not replaced[tid]
+        every_object.extend(following.values())
         analysis = index.update(PROP_SCHEMA, graph, following, shared)
         assert len(index) == len(following)
         assert_matches_reference(graph, following, analysis, shared)
+        if data.draw(st.booleans(), label="ask for groups"):
+            asked = assert_groups_follow(graph, following, analysis, asked)
+            if not index.enabled:
+                asked = None  # forgets everything: every group is rebuilt
         current = following
 
 

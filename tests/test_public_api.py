@@ -143,6 +143,21 @@ def test_conflict_detection_has_one_scanner_and_one_memo():
         assert not hasattr(IncrementalConflictIndex, gone), gone
 
 
+def test_names_the_withholding_pr_retired_stay_retired():
+    # PR 23: a deferred root is parked as itself — the ``DeferredEntry``
+    # wrapper and its never-read ``recno`` are gone, and with them
+    # ``record_deferred``'s second argument; ``validate_row`` tests the
+    # typed attributes inline, so ``AttributeDef.accepts`` had no caller.
+    import repro.core.state as state_module
+    from repro.core import ParticipantState
+    from repro.model import AttributeDef
+
+    assert not hasattr(state_module, "DeferredEntry")
+    assert not hasattr(AttributeDef, "accepts")
+    with pytest.raises(TypeError):
+        ParticipantState(1).record_deferred(None, 0)
+
+
 def test_builtin_registry_contents():
     assert available_stores() == ["central", "dht", "durable", "memory"]
 

@@ -57,7 +57,7 @@ MARKDOWN_FILES = (
 )
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 15101
+SOURCE_LINE_CEILING = 15073
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``analysis/rules.py`` (``store/dht/driver.py`` is 811).
@@ -65,7 +65,7 @@ MODULE_LINE_CEILING = 817
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
 #: to last line: the longest one, ``Reconciler.reconcile``.
-FUNCTION_LINE_CEILING = 134
+FUNCTION_LINE_CEILING = 115
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
