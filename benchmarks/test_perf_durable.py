@@ -9,8 +9,9 @@ prices that against the ``memory`` store on an identical schedule:
   65536-entry shared-memo limit) single-insert transactions with unique
   keys — 64 publication epochs;
 * a second participant reconciles after every epoch, so every body pages
-  from disk through the LRU and every fully-decided extension retires to
-  the ``retired_extensions`` table.
+  from disk through the LRU and every fully-decided extension retires —
+  dropped from the shared memo, as on every log: the file holds facts,
+  never derived data.
 
 The runs must emit **byte-identical decision streams** — persistence may
 only cost time, never outcomes — and the durable store's resident body
@@ -164,7 +165,7 @@ def test_perf_durable_history_scale(benchmark, tmp_path):
     # order included — are byte-identical.
     assert durable_decisions == memory_decisions
     # Bounded memory: resident bodies pinned at the cache capacity while
-    # the history is 256x larger, and retention really spilled to disk.
+    # the history is 256x larger, and retention let every extension go.
     assert cache_stats["peak_resident"] <= CACHE_SIZE
     assert cache_stats["evictions"] > 0
     assert retired == TOTAL

@@ -4,8 +4,8 @@
 The paper's Section 5.2 keeps *all* durable state in the update store;
 PR 9's ``durable`` backend takes that literally — the central append-only
 schema on a real database file (WAL), transaction bodies paged through a
-bounded LRU, retired shared-memo entries spilled to disk.  This example
-walks the claim end to end:
+bounded LRU, and nothing derived written to disk.  This example walks
+the claim end to end:
 
 1. a seeded confederation runs on a database file with a deliberately
    tiny body cache, so history pages from disk while RAM stays bounded;
@@ -14,7 +14,7 @@ walks the claim end to end:
    file* — the decision stream stays byte-identical to a fault-free
    in-memory run of the same workload;
 3. the report prices the run: state ratio, recoveries, cache traffic,
-   spilled memo entries, bytes on disk;
+   bytes on disk;
 4. the process "dies" (everything closed), and reopening the same path
    adopts the registered participants and restores a replica from
    persisted counters — O(delta), never a history replay.

@@ -20,8 +20,8 @@ holds the shared context-free/pair memos and the store-computed batch:
   (``:memory:`` by default, or a database file), with the epoch
   begin/finish protocol and stable-epoch computation, WAL mode, crash
   recovery and adopt-on-reopen, transaction bodies paged through a
-  bounded LRU so resident memory is O(open frontier), and retired
-  shared-memo entries spilled to the database instead of dropped;
+  bounded LRU so resident memory is O(open frontier), and only facts on
+  disk (retired shared-memo entries are dropped, as on ``memory``);
   charges the simulated per-call JDBC overhead of a remote RDBMS;
 * ``durable`` — :class:`repro.store.durable.DurableUpdateStore` — the
   same sqlite store as an embedded database: no call overhead, and by

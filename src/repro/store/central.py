@@ -26,27 +26,27 @@ default, on ``:memory:``, with no code path that asks which:
 
 * the **append-only schema** (epochs, transaction bodies, antecedent
   edges, producers, verdicts, reconciliation records) is written in WAL
-  mode, one explicit transaction per store call.  Rows are text in a
+  mode, one explicit transaction per store call.  It holds facts, never
+  derived data: a publication allocates its ``ord``s itself and writes
+  each table in one ``executemany``, and an extension is computed when
+  asked for, never stored.  Rows are text in a
   self-describing codec — a JSON array when every value is exactly a
   ``str``/``int``/``bool``/``None``, the ``repr`` literal otherwise, the
   decoder choosing by the first character: the common row decodes
   without compiling anything, any hashable literal round-trips
   type-exactly, a database written as ``repr`` throughout still opens,
   and nothing read from the file is ever executed;
-* a **reconciliation costs what its window costs**: its bodies, its
+* a **reconciliation costs what its window costs**: its bodies and its
   antecedent edges (each saying whether the reconciling participant
-  applied the antecedent) and its spilled extensions are one chunked
-  ``IN`` read each, the verdicts one ``executemany`` under the ``ord``
-  the batch carried — nothing sized by the history is read or built;
+  applied the antecedent) are one chunked ``IN`` read each, the verdicts
+  one ``executemany`` under the ``ord`` the batch carried — nothing
+  sized by the history is read or built;
 * **bounded resident memory**: transaction bodies page from the
   database through a :class:`repro.core.cache.PageCache` (LRU,
-  ``cache_size`` entries): O(cache) bodies in RAM, not O(history);
-* **spill-aware retention**: the shared context-free extension memo's
-  retired entries
+  ``cache_size`` entries): O(cache) bodies in RAM, not O(history); the
+  shared context-free extension memo is retired
   (:meth:`~repro.store.network_centric.DirectLogStore.retire_shared_entries`)
-  move to the ``retired_extensions`` table instead of being dropped, so
-  a participant registered after retirement pages them back in rather
-  than recomputing (an in-memory database simply spills to RAM);
+  by eviction, exactly as on every other log;
 * **crash recovery** on every open
   (:meth:`CentralUpdateStore._recover`): O(delta), never a full-history
   replay, and a no-op on a fresh database — which is what lets
@@ -71,7 +71,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import PageCache
 from repro.core.decisions import ReconcileResult
-from repro.core.extensions import UpdateExtension
 from repro.errors import StoreError, UnknownTransactionError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
@@ -133,12 +132,8 @@ CREATE TABLE IF NOT EXISTS applied_versions (
     participant INTEGER PRIMARY KEY,
     version INTEGER NOT NULL DEFAULT 0
 );
-CREATE TABLE IF NOT EXISTS retired_extensions (
-    participant INTEGER NOT NULL,
-    seq INTEGER NOT NULL,
-    payload TEXT NOT NULL,
-    PRIMARY KEY (participant, seq)
-);
+CREATE INDEX IF NOT EXISTS idx_epochs_unfinished ON epochs (epoch)
+    WHERE finished = 0;
 CREATE INDEX IF NOT EXISTS idx_txns_epoch ON txns (epoch);
 CREATE INDEX IF NOT EXISTS idx_decisions ON decisions (participant, verdict);
 CREATE INDEX IF NOT EXISTS idx_decisions_ord ON decisions (ord);
@@ -165,19 +160,15 @@ class _NonFinite(ast.NodeTransformer):
 
 
 def _decode(text: str):
-    """Parse a row or an extension payload: ``[`` opens the JSON form,
-    anything else is a ``repr`` literal.  The database file outlives
-    the process and is an input — neither parser executes it."""
+    """Parse a row: ``[`` opens the JSON form, anything else is a
+    ``repr`` literal.  The database file outlives the process and is an
+    input — neither parser executes it."""
     if text[0] == "[":
         return json.loads(text)
     try:
         return ast.literal_eval(text)
     except ValueError:  # maybe only an ``inf`` or a ``nan``: see _NonFinite
         return ast.literal_eval(_NonFinite().visit(ast.parse(text, mode="eval")))
-
-
-def _row(values) -> Optional[Tuple]:
-    return None if values is None else tuple(values)
 
 
 def _decode_row(text: Optional[str]) -> Optional[Tuple]:
@@ -194,51 +185,6 @@ def _implode(kind: str, relation: str, old_row, new_row, origin: int) -> Update:
     if kind == "delete":
         return Delete(relation, old_row, origin)
     return Modify(relation, old_row, new_row, origin)
-
-
-def _encode_extension(extension: UpdateExtension) -> str:
-    """Serialise an extension in the row codec: JSON when every row and
-    touched key in it is plain, else one ``repr`` literal.
-
-    Transaction ids become ``(participant, sequence)`` pairs, updates
-    ``(kind, relation, old, new, origin)`` tuples, and the touched-key
-    set is sorted so the encoding is deterministic.
-    """
-    operations = tuple(
-        (_KIND_OF[type(u)], u.relation, u.read_row(), u.written_row(), u.origin)
-        for u in extension.operations
-    )
-    payload = (
-        (extension.root.participant, extension.root.sequence),
-        extension.priority,
-        tuple((m.participant, m.sequence) for m in extension.members),
-        operations,
-        tuple(sorted(extension.touched)),
-    )
-    rows = [row for operation in operations for row in operation[2:4] if row]
-    rows += [key for _relation, key in payload[4]]
-    plain = all(_PLAIN.issuperset(map(type, row)) for row in rows)
-    return _to_json(payload) if plain else repr(payload)
-
-
-def _decode_extension(text: str) -> UpdateExtension:
-    """Rebuild an :func:`_encode_extension` payload.
-
-    The decoded extension is *value*-equal to the one spilled; the
-    identity-keyed shared pair memo therefore misses against it and
-    re-compares, which is exactly the semantics of a cache re-fill.
-    """
-    root_pair, priority, members, operations, touched = _decode(text)
-    return UpdateExtension(
-        root=TransactionId(*root_pair),
-        members=tuple(TransactionId(*pair) for pair in members),
-        operations=tuple(
-            _implode(kind, relation, _row(old), _row(new), origin)
-            for kind, relation, old, new, origin in operations
-        ),
-        touched=frozenset((relation, tuple(key)) for relation, key in touched),
-        priority=priority,
-    )
 
 
 class _AppliedTids(set):
@@ -338,9 +284,6 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         # the ``ord`` of every transaction delivered (its verdict is
         # written under it) and the applied set as that batch sees it.
         self._outstanding: Dict[int, Tuple[dict, _AppliedTids]] = {}
-        # The last window's spilled-extension payloads (None: not
-        # spilled), read with the window; see ``_load_retired``.
-        self._probed: Dict[TransactionId, Optional[str]] = {}
         self._recover()
 
     def close(self) -> None:
@@ -360,7 +303,10 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         atomically (``write_transactions`` is one sqlite transaction) or
         not at all, so it is marked finished and stops blocking the
         stable-epoch computation; and the applied-set version counters
-        are loaded from ``applied_versions`` — no history replay.
+        are loaded from ``applied_versions`` — no history replay.  The
+        unfinished epochs are found through ``idx_epochs_unfinished``,
+        which holds nothing else, and no other row is touched: a table
+        an earlier schema had and this one does not is left unread.
         """
         with self._conn:
             self._conn.execute("UPDATE epochs SET finished = 1 WHERE finished = 0")
@@ -419,10 +365,11 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         self, participant: int, epoch: int, transactions: Sequence[Transaction]
     ) -> None:
         """Write transactions under an open epoch, in one sqlite
-        transaction: a ``txns`` insert each (it allocates the ``ord``),
-        every other row of the batch in one ``executemany`` per table."""
+        transaction: one probe for ids already published, the batch's
+        ``ord``s allocated here in publish order, and every table's rows
+        in one ``executemany``."""
         self._validate_open_epoch(participant, epoch)
-        updates, edges, verdicts = [], [], []
+        txns, updates, edges, verdicts = [], [], [], []
         # The producer-index rows this batch adds, probed before the
         # table so a transaction sees those written earlier in its own
         # batch.  The key is ``(relation, repr(row))``: it is matched,
@@ -443,20 +390,29 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
             return None if record is None else TransactionId(*record)
 
         with self._conn:
+            # The write lock before the reads: ``ord`` is the global
+            # publish order, so nothing may publish between ``MAX(ord)``
+            # and this batch's rows.
+            self._conn.execute("BEGIN IMMEDIATE")
+            published = {
+                seq
+                for (seq,) in self._select_in(
+                    "SELECT seq FROM txns WHERE participant = ? AND seq IN ({})",
+                    [transaction.tid.sequence for transaction in transactions],
+                    participant,
+                )
+            }
+            ord_ = self._scalar("SELECT COALESCE(MAX(ord), 0) FROM txns")
             for transaction in transactions:
                 tid = transaction.tid
                 if transaction.origin != participant:
                     raise StoreError(f"participant {participant} cannot publish {tid}")
+                if tid.sequence in published:  # earlier, or in this batch
+                    raise StoreError(f"transaction {tid} was already published")
+                published.add(tid.sequence)
+                ord_ += 1
+                txns.append((ord_, participant, tid.sequence, epoch))
                 antecedents = compute_antecedents(producer_of, transaction)
-                try:
-                    ord_ = self._conn.execute(
-                        "INSERT INTO txns (participant, seq, epoch) VALUES (?, ?, ?)",
-                        (tid.participant, tid.sequence, epoch),
-                    ).lastrowid
-                except sqlite3.IntegrityError:
-                    raise StoreError(
-                        f"transaction {tid} was already published"
-                    ) from None
                 for idx, update in enumerate(transaction.updates):
                     old_row, new_row = update.read_row(), update.written_row()
                     row = ord_, idx, _KIND_OF[type(update)], update.relation
@@ -467,6 +423,7 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
                 # The publisher has, by definition, applied its own.
                 verdicts.append((participant, ord_, "applied"))
             many = self._conn.executemany  # positional: _SCHEMA_SQL's order
+            many("INSERT INTO txns VALUES (?, ?, ?, ?)", txns)
             many("INSERT INTO txn_updates VALUES (?, ?, ?, ?, ?, ?)", updates)
             many(
                 "INSERT OR REPLACE INTO producers VALUES (?, ?, ?)",
@@ -494,18 +451,22 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
     # ------------------------------------------------------------------
     # Reconciliation (the batch itself is DirectLogStore's)
 
+    #: Stable epoch: largest prefix of finished epochs — read through
+    #: ``idx_epochs_unfinished``, never by scanning ``epochs``.
+    _STABLE_EPOCH_SQL = (
+        "SELECT COALESCE(MIN(epoch) - 1,"
+        " (SELECT COALESCE(MAX(epoch), 0) FROM epochs))"
+        " FROM epochs WHERE finished = 0"
+    )
+
     def _nc_advance(self, participant: int) -> Tuple[int, int]:
         self._policy_of(participant)
         last = self.last_reconciliation_epoch(participant)
-        # Stable epoch: largest prefix of finished epochs.  The paper holds
-        # the epochs-table lock just long enough to read this and record
-        # the reconciliation; sqlite's transaction gives the same effect.
+        # The paper holds the epochs-table lock just long enough to read
+        # the stable epoch and record the reconciliation; sqlite's
+        # transaction gives the same effect.
         with self._conn:
-            stable = self._scalar(
-                "SELECT COALESCE(MIN(epoch) - 1, "
-                " (SELECT COALESCE(MAX(epoch), 0) FROM epochs))"
-                " FROM epochs WHERE finished = 0"
-            )
+            stable = self._scalar(self._STABLE_EPOCH_SQL)
             self._conn.execute(
                 "INSERT INTO reconciliations VALUES (?, ?, ?)",
                 (participant, stable, stable),
@@ -517,20 +478,15 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         return last, stable
 
     def _nc_candidates(self, participant: int, last: int, stable: int):
-        # The window's undecided foreign transactions, each with its
-        # spilled extension if it has one (see ``_load_retired``).
+        # The window's undecided foreign transactions.
         rows = self._conn.execute(
-            "SELECT t.ord, t.participant, t.seq, r.payload FROM txns t"
-            " LEFT JOIN retired_extensions r"
-            " ON r.participant = t.participant AND r.seq = t.seq"
+            "SELECT t.ord, t.participant, t.seq FROM txns t"
             " WHERE t.epoch > ? AND t.epoch <= ? AND t.participant != ?"
             " AND NOT EXISTS (SELECT 1 FROM decisions d"
             " WHERE d.participant = ? AND d.ord = t.ord) ORDER BY t.ord",
             (last, stable, participant, participant),
-        ).fetchall()
-        refs = [(ord_, TransactionId(pid, seq)) for ord_, pid, seq, _ in rows]
-        self._probed.clear()
-        self._probed.update((ref[1], row[3]) for ref, row in zip(refs, rows))
+        )
+        refs = [(ord_, TransactionId(pid, seq)) for ord_, pid, seq in rows]
         applied = _AppliedTids(self._conn, participant)
         self._outstanding[participant] = {t: o for o, t in refs}, applied
         return self._entries(refs, applied)
@@ -540,8 +496,8 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
     def complete_reconciliation(
         self, participant: int, result: ReconcileResult
     ) -> None:
-        """Record decisions (see the base class): the verdicts, the version
-        bump and the retired extensions' spill commit together or not at all."""
+        """Record decisions (see the base class): the verdicts and the
+        version bump commit together or not at all."""
         ords = self._outstanding.pop(participant, ({}, None))[0]
         verdicts = [(tid, "applied") for tid in result.applied]
         verdicts += [(tid, "rejected") for tid in result.rejected]
@@ -556,7 +512,8 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
             )
             if result.applied:
                 self._bump_applied_version(participant)
-            self.retire_shared_entries(self._fully_decided(result, ords))
+            decided = self._fully_decided(result, ords)
+        self.retire_shared_entries(decided)
         self._nc_retire(participant, result)
         self._charge_call()
 
@@ -660,41 +617,6 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
             " ON CONFLICT(participant) DO UPDATE SET version = excluded.version",
             (participant, version),
         )
-
-    # ------------------------------------------------------------------
-    # Spill-aware shared-memo retention (the DirectLogStore seam)
-
-    def _spill_retired(
-        self, entries: List[Tuple[TransactionId, UpdateExtension]]
-    ) -> None:
-        """Move retired/evicted context-free extensions to the database:
-        in the caller's open transaction (a reconciliation's verdicts)
-        or, for the FIFO backstop, one of its own."""
-        self._probed.clear()  # a probe from before this spill is stale
-        standalone = not self._conn.in_transaction
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO retired_extensions VALUES (?, ?, ?)",
-            [(t.participant, t.sequence, _encode_extension(e)) for t, e in entries],
-        )
-        if standalone:
-            self._conn.commit()
-
-    def _load_retired(self, tid: TransactionId) -> Optional[UpdateExtension]:
-        """Page a spilled context-free extension back in, if present:
-        from the window's one probe when ``tid`` was in it."""
-        if tid in self._probed:
-            payload = self._probed.pop(tid)
-        else:
-            payload = self._conn.execute(
-                "SELECT MAX(payload) FROM retired_extensions"
-                " WHERE participant = ? AND seq = ?",
-                (tid.participant, tid.sequence),
-            ).fetchone()[0]
-        return None if payload is None else _decode_extension(payload)
-
-    def retired_extension_count(self) -> int:
-        """How many retired extensions have been spilled to the database."""
-        return self._scalar("SELECT COUNT(*) FROM retired_extensions")
 
     # ------------------------------------------------------------------
     # Introspection

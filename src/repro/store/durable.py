@@ -1,6 +1,6 @@
 """The ``durable`` registry name: the sqlite store as an embedded database.
 
-Persistence, recovery, paging and spill all live in
+Persistence, recovery and paging all live in
 :mod:`repro.store.central`; this name differs only in the default cost
 model — no simulated JDBC call overhead.
 """

@@ -113,15 +113,14 @@ class MemoryUpdateStore(DirectLogStore):
         """Write transactions under an open epoch."""
         record = self._record_of(participant)
         self._validate_open_epoch(participant, epoch)
+        batch: Set[TransactionId] = set()
         for transaction in transactions:
+            tid = transaction.tid
             if transaction.origin != participant:
-                raise StoreError(
-                    f"participant {participant} cannot publish {transaction.tid}"
-                )
-            if transaction.tid in self._log:
-                raise StoreError(
-                    f"transaction {transaction.tid} was already published"
-                )
+                raise StoreError(f"participant {participant} cannot publish {tid}")
+            if tid in self._log or tid in batch:  # earlier, or in this batch
+                raise StoreError(f"transaction {tid} was already published")
+            batch.add(tid)
         producer_of = self._producers.get
         for transaction in transactions:
             antecedents = tuple(compute_antecedents(producer_of, transaction))

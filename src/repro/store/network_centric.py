@@ -45,11 +45,9 @@ are therefore pruned by *reconciliation-aware retention*
 (:meth:`DirectLogStore.retire_shared_entries`): once every
 registered participant holds a final verdict (applied or rejected) for
 a root, its entry — and every extension the graph holds for it, with
-its edges — is dropped.  For the in-memory store retirement is pure
-cache eviction: a participant registered later simply recomputes on
-miss.  The sqlite store overrides the :meth:`DirectLogStore._spill_retired` /
-:meth:`DirectLogStore._load_retired` seam to move retired entries
-to its database instead, so that later miss is a page-in.
+its edges — is dropped.  On every log retirement is cache eviction,
+and derived data is never persisted: a participant registered later
+simply recomputes on miss, in one closure walk over the log.
 """
 
 from __future__ import annotations
@@ -147,6 +145,8 @@ class DirectLogStore(UpdateStore):
             TransactionId, Optional[UpdateExtension]
         ] = {}
         self._nc_shared_pairs = ConflictGraph(limit=self.SHARED_MEMO_LIMIT)
+        # Context-free memo entries let go so far, retired or evicted.
+        self._nc_released = 0
 
     def _charge_call(self) -> None:
         """Account one client-server procedure call: request + reply —
@@ -224,33 +224,9 @@ class DirectLogStore(UpdateStore):
     #: (:meth:`retire_shared_entries`) is the primary eviction policy;
     #: this FIFO cap only bounds worst-case memory when retention cannot
     #: fire — e.g. a registered participant that stops reconciling would
-    #: otherwise pin every entry forever.  Eviction merely costs a
-    #: recomputation on the next miss.
+    #: otherwise pin every entry forever.  An evicted entry is dropped,
+    #: on every log, and merely costs a recomputation on the next miss.
     SHARED_MEMO_LIMIT = 65536
-
-    # ------------------------------------------------------------------
-    # Spill seam: a store with somewhere to put them can keep
-    # evicted/retired memo entries instead of dropping them.  The
-    # defaults make eviction pure cache behaviour (drop; recompute on
-    # the next miss).
-
-    def _spill_retired(
-        self, entries: List[Tuple[TransactionId, UpdateExtension]]
-    ) -> None:
-        """Hook: memo entries are leaving RAM (retired or FIFO-evicted).
-
-        The default drops them — retirement is pure cache eviction.  The
-        sqlite store overrides this to move the batch to its database in
-        one commit, so a later miss (e.g. a participant registered after
-        retirement) is a page-in, not a recomputation.
-        """
-
-    def _load_retired(self, tid: TransactionId):
-        """Hook: reload a previously spilled memo entry, or None.
-
-        The default knows no spill medium and always misses.
-        """
-        return None
 
     def context_free_extension(
         self, root: RelevantTransaction, table: Optional[EntryTable] = None
@@ -276,22 +252,18 @@ class DirectLogStore(UpdateStore):
         tid = root.tid
         if tid in memo:
             return memo[tid]
-        extension = self._load_retired(tid)
-        if extension is None:
-            closure = self.closure_entries([tid], frozenset(), table)
-            closure.sort(key=lambda entry: entry[2])  # publish order
-            try:
-                extension = flattened_extension(
-                    self.schema, root, [entry[0] for entry in closure]
-                )
-            except FlattenError:
-                pass  # memoised as None: the engine rejects such roots
+        closure = self.closure_entries([tid], frozenset(), table)
+        closure.sort(key=lambda entry: entry[2])  # publish order
+        try:
+            extension = flattened_extension(
+                self.schema, root, [entry[0] for entry in closure]
+            )
+        except FlattenError:
+            extension = None  # memoised as None: the engine rejects such roots
         memo[tid] = extension
         while len(memo) > self.SHARED_MEMO_LIMIT:  # the FIFO backstop
-            oldest = next(iter(memo))
-            evicted = memo.pop(oldest)
-            if evicted is not None:
-                self._spill_retired([(oldest, evicted)])
+            del memo[next(iter(memo))]
+            self._nc_released += 1
         return extension
 
     def shared_pair_cache(self) -> ConflictGraph:
@@ -315,10 +287,10 @@ class DirectLogStore(UpdateStore):
         undecided transactions — so its context-free extension, and
         everything the conflict graph holds for it (its derivations and
         their edges, unlinked at both ends), is dead weight in RAM and
-        leaves here (dropped, or spilled to disk when the store
-        overrides :meth:`_spill_retired`).  (Deferred roots are
-        *not* retired: in network-centric mode the store reconsiders
-        them every round.)
+        is dropped — on every log: it is derived data, never persisted,
+        and a later miss (a participant registered after retirement)
+        recomputes it from the log.  (Deferred roots are *not* retired:
+        in network-centric mode the store reconsiders them every round.)
 
         With retention as the primary policy, memory tracks the
         confederation's *open* frontier — O(undecided roots) — instead
@@ -326,14 +298,17 @@ class DirectLogStore(UpdateStore):
         :attr:`SHARED_MEMO_LIMIT` backstop) when retention cannot keep
         up, e.g. a registered participant that stopped reconciling.
         """
-        retired = []
+        memo = self._nc_context_free
         for tid in roots:
-            extension = self._nc_context_free.pop(tid, None)
-            if extension is not None:
-                retired.append((tid, extension))
-        if retired:
-            self._spill_retired(retired)
+            if tid in memo:
+                del memo[tid]
+                self._nc_released += 1
         self._nc_shared_pairs.discard(roots)
+
+    def retired_extension_count(self) -> int:
+        """How many context-free extensions the shared memo has let go
+        — retired or FIFO-evicted — since the store was opened."""
+        return self._nc_released
 
     def ship_context_free_extensions(
         self, batch: ReconciliationBatch, table: Optional[EntryTable] = None

@@ -7,11 +7,12 @@ are pinned here:
 
 * any hashable literal — nested tuples, ``bytes``, every ``float``,
   ``True`` next to ``1`` — round-trips with its *type*, through rows and
-  through spilled extension payloads;
+  so through every extension derived from them;
 * nothing read back from the database is executed;
 * a database whose rows were all written as ``repr`` text (every
-  database written before the JSON form existed) still reconciles to
-  the same decision stream.
+  database written before the JSON form existed), or one that still
+  holds the ``retired_extensions`` table derived data used to be
+  persisted in, opens and reconciles to the same decision stream.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
-from repro.core.extensions import UpdateExtension
 from repro.model import (
     AttributeDef,
     Delete,
@@ -37,13 +37,10 @@ from repro.model import (
     TransactionId,
 )
 from repro.policy import TrustPolicy
-from repro.store import DurableUpdateStore
-from repro.store.central import (
-    _decode_extension,
-    _decode_row,
-    _encode_extension,
-    _encode_row,
-)
+from repro.store import DurableUpdateStore, MemoryUpdateStore
+from repro.store.central import _decode_row, _encode_row
+from repro.store.network_centric import DirectLogStore
+from repro.workload import curated_schema
 from tests.conftest import decision_stream
 
 scalars = st.one_of(
@@ -128,54 +125,59 @@ def exploded(extension):
     )
 
 
+ANY_VALUE = Schema(
+    [
+        RelationSchema(
+            "R", [AttributeDef(name, None) for name in ("k", "v", "w")], key=("k",)
+        )
+    ]
+)
+
+
 @st.composite
-def extensions(draw):
-    operations = []
-    for _ in range(draw(st.integers(1, 3))):
-        key = draw(st.text(max_size=3))
-        old, new = (key, *draw(rows)), (key, *draw(rows), "new")
-        operations.append(
+def transactions(draw):
+    """One transaction of one to three updates on distinct keys, every
+    value any hashable literal."""
+    updates = []
+    for key in range(draw(st.integers(1, 3))):
+        old, new = (key, draw(literals), "old"), (key, draw(literals), "new")
+        updates.append(
             draw(
                 st.sampled_from(
                     [Insert("R", new, 1), Delete("R", old, 1), Modify("R", old, new, 1)]
                 )
             )
         )
-    members = tuple(TransactionId(1, seq) for seq in range(len(operations)))
-    touched = frozenset(("R", (u.written_row() or u.read_row())[:1]) for u in operations)
-    return UpdateExtension(
-        root=members[-1],
-        members=members,
-        operations=tuple(operations),
-        touched=touched,
-        priority=draw(st.integers(0, 3)),
-    )
+    return Transaction(TransactionId(1, 0), tuple(updates))
 
 
-@given(extensions())
-def test_extension_payloads_round_trip_type_exactly(extension):
-    decoded = _decode_extension(_encode_extension(extension))
-    assert same(exploded(decoded), exploded(extension))
+def shipped_extension(store, transaction):
+    """The context-free extension ``store`` ships for ``transaction``."""
+    store.register_participant(1, TrustPolicy())
+    store.register_participant(2, TrustPolicy().trust_participant(1, 1))
+    store.publish(1, [transaction])
+    return store.begin_reconciliation(2).extensions[transaction.tid]
 
 
-def test_a_plain_extension_takes_the_json_form():
-    tid = TransactionId(3, 7)
-    extension = UpdateExtension(
-        root=tid,
-        members=(tid,),
-        operations=(Insert("F", ("rat", "p1", "immune"), 3),),
-        touched=frozenset({("F", ("rat", "p1"))}),
-        priority=2,
-    )
-    assert _encode_extension(extension) == (
-        '[[3,7],2,[[3,7]],[["insert","F",null,["rat","p1","immune"],3]],'
-        '[["F",["rat","p1"]]]]'
-    )
-    assert legacy_payload(extension) == (
-        "((3, 7), 2, ((3, 7),), (('insert', 'F', None, ('rat', 'p1', 'immune'), 3),),"
-        " (('F', ('rat', 'p1')),))"
-    )
-    assert _decode_extension(legacy_payload(extension)) == extension
+@given(transactions())
+def test_extensions_derived_from_the_file_are_type_exact(transaction):
+    """Extensions are derived from decoded rows, never stored: on the
+    sqlite store (the body read back from the database) the shipped
+    extension is the one ``memory`` derives from the original objects."""
+    from_memory = shipped_extension(MemoryUpdateStore(ANY_VALUE), transaction)
+    with DurableUpdateStore(ANY_VALUE, cache_size=1) as store:
+        from_file = shipped_extension(store, transaction)
+    assert same(exploded(from_file), exploded(from_memory))
+
+
+def test_a_plain_row_takes_the_json_form_on_disk():
+    with DurableUpdateStore(curated_schema()) as store:
+        store.register_participant(3, TrustPolicy())
+        store.publish(
+            3, [Transaction(TransactionId(3, 7), (Insert("F", ("rat", "p1", "immune"), 3),))]
+        )
+        stored = store._conn.execute("SELECT old_row, new_row FROM txn_updates").fetchall()
+    assert stored == [(None, '["rat","p1","immune"]')]
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +185,7 @@ def test_a_plain_extension_takes_the_json_form():
 
 
 def legacy_payload(extension) -> str:
-    """A spilled extension exactly as the ``repr`` codec wrote it."""
+    """An extension exactly as the ``repr`` codec once spilled it."""
     root, priority, members, operations, touched = exploded(extension)
     kinds = {"Insert": "insert", "Delete": "delete", "Modify": "modify"}
     operations = tuple((kinds[kind], *rest) for kind, *rest in operations)
@@ -207,18 +209,8 @@ def rewrite_as_legacy(path) -> int:
                 (old, new, ord_, idx),
             )
             rewritten += 1
-        for pid, seq, payload in conn.execute(
-            "SELECT participant, seq, payload FROM retired_extensions"
-        ).fetchall():
-            conn.execute(
-                "UPDATE retired_extensions SET payload = ?"
-                " WHERE participant = ? AND seq = ?",
-                (legacy_payload(_decode_extension(payload)), pid, seq),
-            )
-            rewritten += 1
     texts = conn.execute(
         "SELECT old_row FROM txn_updates UNION ALL SELECT new_row FROM txn_updates"
-        " UNION ALL SELECT payload FROM retired_extensions"
         " UNION ALL SELECT row FROM producers"
     ).fetchall()
     conn.close()
@@ -258,7 +250,7 @@ def second_phase(path):
     with Confederation(config(path, (1, 2, 3, 4)), hooks=hooks) as confed:
         confed.restore()
         # The newcomer's first window is the whole history: retired
-        # extensions page back in, old bodies page from the log.
+        # extensions are derived again, old bodies page from the log.
         confed.participant(4).publish_and_reconcile()
         three = confed.participant(3)
         # An old row's producer is found, and its antecedent chain read.
@@ -276,12 +268,76 @@ def test_a_database_written_as_repr_resumes_to_the_same_decisions(tmp_path):
     control, legacy = str(tmp_path / "control.db"), str(tmp_path / "legacy.db")
     first_phase(control)
     first_phase(legacy)
-    assert rewrite_as_legacy(legacy) > 8
+    assert rewrite_as_legacy(legacy) == 8
     expected = second_phase(control)
     assert second_phase(legacy) == expected
     log, _instances, antecedents = expected
     assert antecedents == (TransactionId(2, 0),)  # found through the old index
     assert {event[0] for event in log} == {1, 2, 4}  # 3 only published
+
+
+#: The one table the schema had while retired extensions were persisted,
+#: as it was declared; every other table is unchanged since.
+SPILL_TABLE = """
+CREATE TABLE retired_extensions (
+    participant INTEGER NOT NULL,
+    seq INTEGER NOT NULL,
+    payload TEXT NOT NULL,
+    PRIMARY KEY (participant, seq)
+)
+"""
+
+
+def table_rows(path):
+    """Every row of every table in the database at ``path``."""
+    conn = sqlite3.connect(path)
+    try:
+        names = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        return {
+            name: sorted(conn.execute(f'SELECT * FROM "{name}"').fetchall(), key=repr)
+            for (name,) in names.fetchall()
+        }
+    finally:
+        conn.close()
+
+
+def test_a_database_holding_spilled_extensions_opens_and_ignores_them(
+    tmp_path, monkeypatch
+):
+    """A file from when retired extensions were spilled to the database:
+    it opens without a row written, nothing reads the spill, and the
+    confederation resumes to the decisions a file without one reaches."""
+    control, spilling = str(tmp_path / "control.db"), str(tmp_path / "spilling.db")
+    first_phase(control)
+    conn = sqlite3.connect(spilling)
+    conn.execute(SPILL_TABLE)
+    conn.close()
+    spilled = []
+    retire = DirectLogStore.retire_shared_entries
+
+    def retire_and_spill(store, roots):
+        """Retire as the old store did: each extension to the table."""
+        memo = store._nc_context_free
+        spilled.extend((tid, memo[tid]) for tid in roots if memo.get(tid) is not None)
+        retire(store, roots)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DirectLogStore, "retire_shared_entries", retire_and_spill)
+        first_phase(spilling)
+    conn = sqlite3.connect(spilling)
+    with conn:
+        conn.executemany(
+            "INSERT INTO retired_extensions VALUES (?, ?, ?)",
+            [(tid.participant, tid.sequence, legacy_payload(e)) for tid, e in spilled],
+        )
+    conn.close()
+    before = table_rows(spilling)
+    assert len(before["retired_extensions"]) == len(spilled) > 0
+
+    DurableUpdateStore(curated_schema(), path=spilling).close()
+    assert table_rows(spilling) == before  # recovery had nothing to do
+    assert second_phase(spilling) == second_phase(control)
+    assert table_rows(spilling)["retired_extensions"] == before["retired_extensions"]
 
 
 def test_float_and_nested_rows_survive_the_store(tmp_path):

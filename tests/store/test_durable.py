@@ -11,8 +11,9 @@ The durable backend's contract beyond the shared store interface:
   is never blocked;
 * transaction bodies page through a bounded LRU — a tiny cache limit
   changes residency and cost, never decisions;
-* retired shared-memo entries spill to disk and page back in
-  value-equal;
+* the file holds facts, never derived data: a retired shared-memo
+  entry is dropped as on every other log, and a participant registered
+  after retirement recomputes it — to the same decisions as ``memory``;
 * the threaded epoch scheduler drives it safely under the runtime
   lock-discipline proxies.
 """
@@ -30,8 +31,7 @@ from repro.core.decisions import ReconcileResult
 from repro.errors import StoreError
 from repro.model import Insert, Transaction, TransactionId
 from repro.policy import TrustPolicy
-from repro.store import DurableUpdateStore
-from repro.store.central import _decode_extension, _encode_extension
+from repro.store import DurableUpdateStore, MemoryUpdateStore
 from repro.workload import WorkloadConfig, curated_schema
 from tests.conftest import decision_stream
 
@@ -94,7 +94,7 @@ def test_page_cache_rejects_useless_capacity():
 def test_whole_confederation_reopens_from_disk(tmp_path):
     path = str(tmp_path / "store.db")
     first = run_with_decisions(evaluation_config(path))
-    assert first[4] > 0  # retirement spilled entries to disk
+    assert first[4] > 0  # retirement let shared-memo entries go
 
     # A brand-new process would do exactly this: same config, same file.
     reopened_config = ConfederationConfig(
@@ -221,14 +221,124 @@ def test_statement_count_is_per_transaction_not_per_history(batch):
     # whatever the batch size and however deep the history ...
     assert {len(reads(trace)) for trace in reconciles} == {len(reads(reconciles[0]))}
     assert len(reads(reconciles[0])) <= 16
-    # ... writes one verdict and one spilled extension per transaction ...
-    assert max(map(len, reconciles)) <= 2 * batch + 24
+    # ... writes one verdict per transaction ...
+    assert max(map(len, reconciles)) <= batch + RECONCILE_OVERHEAD
     assert len(reconciles[-1]) == len(reconciles[0])
     # ... in two commits: the reconciliation record, then everything
     # ``complete_reconciliation`` writes.
     assert {trace.count("COMMIT") for trace in reconciles} == {2}
     # One applied-version upsert per published batch, not per transaction.
     assert max(map(len, publishes)) <= 4 * batch + 16
+
+
+#: Statements a reconcile runs besides its verdicts (measured: 13 at
+#: batch 64 and at batch 256).
+RECONCILE_OVERHEAD = 13
+
+
+def stored_rows(conn):
+    """Observe how many rows the database holds, over every table."""
+
+    def read():
+        tables = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        return sum(
+            conn.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+            for (name,) in tables.fetchall()
+        )
+
+    return (lambda: None), read
+
+
+def test_a_published_transaction_is_five_rows():
+    """``txns``, ``txn_updates``, ``producers`` and two verdicts — the
+    publisher's and the consumer's — and nothing derived.  Two runs that
+    differ only in batch size: every per-epoch row cancels out."""
+    epochs, small, large = 3, 32, 64
+    rows_small = history_run(epochs, small, stored_rows)[1][-1]
+    rows_large = history_run(epochs, large, stored_rows)[1][-1]
+    assert (rows_large - rows_small) / (epochs * (large - small)) <= 5
+
+
+class CountingConnection:
+    """The store's connection, counting the Python-level calls made on it
+    (``executemany`` is one call however many rows it carries)."""
+
+    def __init__(self, conn):
+        self.conn, self.calls = conn, 0
+
+    def execute(self, *args):
+        self.calls += 1
+        return self.conn.execute(*args)
+
+    def executemany(self, *args):
+        self.calls += 1
+        return self.conn.executemany(*args)
+
+    def __enter__(self):
+        return self.conn.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.conn.__exit__(*exc_info)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+def test_a_publish_is_a_constant_number_of_calls():
+    """Inserts consume no row, so no producer lookup: whatever the batch
+    size, a publish is the same handful of ``execute``/``executemany``."""
+    store = DurableUpdateStore(curated_schema())
+    store.register_participant(1, TrustPolicy())
+    counting = store._conn = CountingConnection(store._conn)
+    calls, serial = [], 0
+    for batch in (8, 64, 256):
+        transactions = [
+            Transaction(TransactionId(1, seq), (Insert("F", (f"k{seq}", "p", "v"), 1),))
+            for seq in range(serial, serial + batch)
+        ]
+        serial += batch
+        counting.calls = 0
+        store.publish(1, transactions)
+        calls.append(counting.calls)
+    assert len(set(calls)) == 1, calls
+    store.close()
+
+
+@pytest.mark.parametrize("store_cls", [MemoryUpdateStore, DurableUpdateStore])
+def test_a_duplicate_publication_is_refused_alike(store_cls):
+    """Already published, or twice in one batch: the same ``StoreError``
+    on every log, and nothing of the refused batch is kept."""
+    store = store_cls(curated_schema())
+    store.register_participant(1, TrustPolicy())
+    first, second = (
+        Transaction(TransactionId(1, seq), (Insert("F", (f"k{seq}", "p", "v"), 1),))
+        for seq in (0, 1)
+    )
+    store.publish(1, [first])
+    before = store.decided_transactions(1)
+    for batch, named in (([second, first], first), ([second, second], second)):
+        with pytest.raises(StoreError) as refused:
+            store.publish(1, batch)
+        assert str(refused.value) == f"transaction {named.tid} was already published"
+        assert store.transaction_count() == 1
+        assert store.decided_transactions(1) == before
+    store.publish(1, [second])  # the refused batch left nothing in the way
+    assert store.transaction_count() == 2
+
+
+def test_the_stable_epoch_is_read_through_an_index():
+    """Neither the stable-epoch query nor recovery's ``UPDATE`` scans
+    ``epochs``: both go through the partial index of unfinished ones."""
+    store = DurableUpdateStore(curated_schema())
+    for sql in (
+        store._STABLE_EPOCH_SQL,
+        "UPDATE epochs SET finished = 1 WHERE finished = 0",
+    ):
+        plan = store._conn.execute(f"EXPLAIN QUERY PLAN {sql}").fetchall()
+        details = [row[-1] for row in plan]
+        assert any("idx_epochs_unfinished" in d for d in details), details
+        assert "SCAN epochs" not in details, details  # the table itself
+    store.close()
 
 
 def test_reconcile_cost_is_flat_in_history_depth():
@@ -249,7 +359,7 @@ def test_reconcile_cost_is_flat_in_history_depth():
     assert max(reconciles) <= 1.1 * min(reconciles), reconciles
 
 
-def test_verdicts_version_and_spill_commit_together(tmp_path, monkeypatch):
+def test_verdicts_and_version_commit_together(tmp_path, monkeypatch):
     path = str(tmp_path / "store.db")
     store = DurableUpdateStore(curated_schema(), path=path)
     store.register_participant(1, TrustPolicy())
@@ -271,18 +381,17 @@ def test_verdicts_version_and_spill_commit_together(tmp_path, monkeypatch):
                 other.execute(
                     "SELECT version FROM applied_versions WHERE participant = 2"
                 ).fetchall(),
-                other.execute("SELECT COUNT(*) FROM retired_extensions").fetchone(),
             )
         finally:
             other.close()
 
     before = committed()
-    assert before == ([], [], (0,))
+    assert before == ([], [])
 
     def crash(*_args):
         raise RuntimeError("crashed after the verdict write")
 
-    # The verdicts and the version bump are written by then; the spill is not.
+    # The verdicts and the version bump are written by then.
     with monkeypatch.context() as patch:
         patch.setattr(store, "_fully_decided", crash)
         with pytest.raises(RuntimeError):
@@ -291,8 +400,8 @@ def test_verdicts_version_and_spill_commit_together(tmp_path, monkeypatch):
     assert not store._conn.in_transaction
 
     store.complete_reconciliation(2, result)
-    verdicts, versions, spilled = committed()
-    assert verdicts == [("applied",)] and len(versions) == 1 and spilled == (1,)
+    verdicts, versions = committed()
+    assert verdicts == [("applied",)] and len(versions) == 1
     store.close()
 
 
@@ -317,28 +426,48 @@ def test_tiny_page_cache_keeps_decisions_byte_identical(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Spill-aware retention: retired memo entries live on disk
+# Retirement is eviction on every log: a newcomer recomputes
 
 
-def test_retired_extensions_spill_and_reload(tmp_path):
-    path = str(tmp_path / "store.db")
-    log, _snapshots, _report, _stats, retired, _state = run_with_decisions(
-        evaluation_config(path)
-    )
-    assert retired > 0
+def newcomer_run(store, tmp_path, memo_limit=None):
+    """Peers 1-3 run the evaluation schedule, retiring as they go; then
+    peer 4 joins and reconciles the whole history, every retired (or
+    evicted) extension recomputed from the log on its miss."""
+    options = {}
+    if store == "durable":
+        options = {"path": str(tmp_path / "store.db"), "cache_size": 8}
+    config = evaluation_config(None, store=store, store_options=options, peers=(1, 2, 3))
+    hooks = HookBus()
+    log = decision_stream(hooks)
+    with Confederation(config, hooks=hooks) as confed:
+        if memo_limit is not None:  # the FIFO backstop evicts mid-run
+            confed.store.SHARED_MEMO_LIMIT = memo_limit
+            confed.store.shared_pair_cache().limit = memo_limit
+        confed.run()
+        retired = confed.store.retired_extension_count()
+        policy = TrustPolicy()
+        for other in (1, 2, 3):
+            policy.trust_participant(other, 1)
+        newcomer = confed.add_participant(4, policy)
+        newcomer.reconcile()
+        recomputed = confed.store.retired_extension_count() - retired
+        return log, newcomer.instance.snapshot(), confed.snapshot(), retired, recomputed
 
-    store = DurableUpdateStore(curated_schema(), path=path)
-    rows = store._conn.execute(
-        "SELECT participant, seq FROM retired_extensions ORDER BY participant, seq"
-    ).fetchall()
-    assert len(rows) == retired
-    for participant, seq in rows:
-        extension = store._load_retired(TransactionId(participant, seq))
-        assert extension is not None
-        assert extension.root == TransactionId(participant, seq)
-        # The codec round-trips exactly.
-        assert _decode_extension(_encode_extension(extension)) == extension
-    store.close()
+
+@pytest.mark.parametrize("memo_limit", [None, 2])
+def test_a_participant_registered_after_retirement_decides_as_on_memory(
+    tmp_path, memo_limit
+):
+    durable = newcomer_run("durable", tmp_path, memo_limit)
+    memory = newcomer_run("memory", tmp_path, memo_limit)
+    assert durable[:3] == memory[:3]  # decision stream and both snapshots
+    assert any(event[0] == 4 for event in durable[0])
+    # Entries really were let go before peer 4 came, and re-derived for
+    # it (then let go again once it, too, had decided them).
+    assert durable[3] == memory[3] > 0
+    assert durable[4] == memory[4] > 0
+    if memo_limit is not None:
+        assert durable[:3] == newcomer_run("memory", tmp_path)[:3]
 
 
 # ----------------------------------------------------------------------

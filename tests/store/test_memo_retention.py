@@ -71,9 +71,12 @@ class TestRetention:
             3, ReconcileResult(recno=1, rejected=[txn.tid])
         )
         assert txn.tid not in store._nc_context_free
-        # Retired, not lost: the sqlite store spilled it (to RAM, on the
-        # default in-memory database) and pages it back in value-equal.
-        assert store._load_retired(txn.tid) == extension
+        assert store.retired_extension_count() == 1
+        # Dropped, as on every log — the next miss (a participant
+        # registered after retirement) re-derives it, value-equal.
+        store.register_participant(4, TrustPolicy().trust_participant(1, 1))
+        shipped = store.begin_reconciliation(4).extensions[txn.tid]
+        assert shipped == extension and shipped is not extension
 
     def test_deferred_roots_are_not_retired(self):
         store = mutual_store(MemoryUpdateStore)
