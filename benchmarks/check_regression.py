@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fail CI when a perf benchmark regresses past a threshold.
 
-Compares freshly emitted benchmark points (``BENCH_engine.json``,
-``BENCH_dht_nc.json``, ...) against the committed baseline
+Compares freshly emitted benchmark points (``BENCH_dht_nc.json``,
+``BENCH_faults.json``, ...) against the committed baseline
 (``benchmarks/BENCH_baseline.json``).  The primary metric of every point
 is its *speedup* ratio (both sides measured in the same process on the
 same host) because it is dimensionless — absolute seconds vary wildly
@@ -11,7 +11,7 @@ across CI runners, but both sides of the ratio move with the machine.
 The baseline file maps benchmark names to points::
 
     {"schema_version": 3,
-     "benchmarks": {"engine_reconciliation": {"speedup": ...},
+     "benchmarks": {"epoch_scheduler": {"speedup": ...},
                     "dht_network_centric": {"speedup": ...,
                                             "budgets": {
                                                 "message_ratio": 1.8,
@@ -31,8 +31,8 @@ Exit status 1 when any fresh speedup drops more than ``--threshold``
 ceiling.
 
 Usage:
-    python benchmarks/check_regression.py BENCH_engine.json \\
-        BENCH_dht_nc.json [--baseline benchmarks/BENCH_baseline.json] \\
+    python benchmarks/check_regression.py BENCH_dht_nc.json \\
+        BENCH_faults.json [--baseline benchmarks/BENCH_baseline.json] \\
         [--threshold 0.20]
 """
 

@@ -20,7 +20,7 @@ where the work happens may differ.
 Emits ``BENCH_dht_nc.json`` at the repository root — a machine-readable
 trajectory point gated by ``benchmarks/check_regression.py`` against
 ``benchmarks/BENCH_baseline.json`` and uploaded as a CI artifact
-alongside ``BENCH_engine.json``.
+alongside the other ``BENCH_*.json`` points.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.cache import ExtensionCache
 from repro.core.decisions import ReconcileResult
 from repro.core.engine import Reconciler
 from repro.core.extensions import RelevantTransaction
@@ -70,17 +69,14 @@ class Participant:
         instance: Optional[Instance] = None,
         network_centric: bool = False,
         register: bool = True,
-        engine_caching: bool = True,
         hooks: Optional[object] = None,
     ) -> None:
         """``network_centric=True`` delegates extension computation and
         conflict detection to the store (Figure 3's network-centric mode);
         requires a store that implements ``begin_network_reconciliation``.
         ``register=False`` re-attaches to an existing registration (used by
-        :meth:`rebuild`).  ``engine_caching=False`` disables the engine's
-        extension/conflict caches (every epoch recomputes from scratch —
-        the perf benchmark's baseline).  ``hooks`` is an optional event
-        bus (:class:`repro.confed.hooks.HookBus`, duck-typed to keep this
+        :meth:`rebuild`).  ``hooks`` is an optional event bus
+        (:class:`repro.confed.hooks.HookBus`, duck-typed to keep this
         module free of upward imports); publication and reconciliation
         emit lifecycle events into it."""
         self.id = participant_id
@@ -90,13 +86,7 @@ class Participant:
         self.hooks = hooks
         self.instance = instance or MemoryInstance(store.schema)
         self.state = ParticipantState(participant_id)
-        self.reconciler = Reconciler(
-            store.schema,
-            self.instance,
-            self.state,
-            cache=ExtensionCache(enabled=engine_caching),
-            hooks=hooks,
-        )
+        self.reconciler = Reconciler(store.schema, self.instance, self.state, hooks=hooks)
         self.session = ReconcileSession(self.reconciler, hooks=hooks)
         self.timings: List[ReconcileTiming] = []
         self._sequence = 0
@@ -115,7 +105,6 @@ class Participant:
         policy: TrustPolicy,
         instance: Optional[Instance] = None,
         network_centric: bool = False,
-        engine_caching: bool = True,
         hooks: Optional[object] = None,
     ) -> "Participant":
         """Reconstruct a participant entirely from the update store.
@@ -144,7 +133,6 @@ class Participant:
             instance,
             network_centric=network_centric,
             register=False,
-            engine_caching=engine_caching,
             hooks=hooks,
         )
         (applied, rejected, deferred), _, _ = participant._store_call(

@@ -286,7 +286,6 @@ class Confederation:
             policy,
             instance if instance is not None else self._make_instance(),
             network_centric=self.config.network_centric_store,
-            engine_caching=self.config.engine_caching,
             hooks=self.hooks,
         )
         self._participants[participant_id] = participant
@@ -425,7 +424,6 @@ class Confederation:
             current.policy,
             instance,
             network_centric=self.config.network_centric_store,
-            engine_caching=self.config.engine_caching,
             hooks=self.hooks,
         )
         self._participants[participant_id] = rebuilt

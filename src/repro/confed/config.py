@@ -47,14 +47,13 @@ class ConfederationConfig:
       (``{pid: {other_pid: priority}}``); ``None`` means the evaluation
       section's setting: every peer trusts every other at
       ``trust_priority``, so conflicts can only be resolved manually;
-    * ``network_centric`` / ``engine_caching`` — engine knobs.
-      ``network_centric`` picks Figure 3's reconciliation column:
+    * ``network_centric`` — Figure 3's reconciliation column:
       ``"client"`` (the default) computes extensions and conflicts
       at each participant; ``"store"`` asks the store for
       fully-assembled batches
       (``begin_network_reconciliation`` — requires a backend declaring
       ``network_centric_batches``, which every built-in backend
-      does).  ``engine_caching`` toggles the PR 1 incremental caches;
+      does);
     * ``workload`` plus ``reconciliation_interval`` / ``rounds`` /
       ``final_reconcile`` — the evaluation schedule
       :meth:`repro.confed.Confederation.run` executes;
@@ -85,7 +84,6 @@ class ConfederationConfig:
     trust: Optional[Dict[int, Dict[int, int]]] = None
     trust_priority: int = 1
     network_centric: str = "client"
-    engine_caching: bool = True
     workload: Optional[WorkloadConfig] = None
     reconciliation_interval: int = 4
     rounds: int = 4
@@ -186,7 +184,6 @@ class ConfederationConfig:
             },
             "trust_priority": self.trust_priority,
             "network_centric": self.network_centric,
-            "engine_caching": self.engine_caching,
             "workload": None if self.workload is None else asdict(self.workload),
             "reconciliation_interval": self.reconciliation_interval,
             "rounds": self.rounds,

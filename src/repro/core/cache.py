@@ -129,14 +129,9 @@ class CacheStats:
 
 
 class ExtensionCache:
-    """Memoizes update extensions against an applied-set version counter.
+    """Memoizes update extensions against an applied-set version counter."""
 
-    ``enabled=False`` turns every lookup into a recomputation (the
-    benchmark's uncached baseline) while keeping the interface identical.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.stats = CacheStats()
         self._entries: Dict[TransactionId, Tuple[int, UpdateExtension]] = {}
 
@@ -158,8 +153,6 @@ class ExtensionCache:
         docstring).  ``priority`` guards against trust-policy drift: a
         cached extension carrying a different root priority is discarded.
         """
-        if not self.enabled:
-            return None
         entry = self._entries.get(tid)
         if entry is None:
             return None
@@ -179,8 +172,7 @@ class ExtensionCache:
         self, tid: TransactionId, version: int, extension: UpdateExtension
     ) -> None:
         """Record ``extension`` as valid at applied-set ``version``."""
-        if self.enabled:
-            self._entries[tid] = (version, extension)
+        self._entries[tid] = (version, extension)
 
     def get_or_compute(
         self,
@@ -205,8 +197,7 @@ class ExtensionCache:
         over exactly that closure before anything is flattened; what is
         flattened here is registered there for the next.  An adopted
         extension is re-priced to this participant's priority for the
-        root.  A disabled cache never adopts: it is the
-        recompute-everything oracle.
+        root.
 
         Propagates :class:`~repro.errors.FlattenError` from the underlying
         computation (the engine rejects such roots); failures are not
@@ -216,8 +207,6 @@ class ExtensionCache:
         extension = self.lookup(root.tid, version, applied, root.priority)
         if extension is not None:
             return extension
-        if not self.enabled:
-            shipped = shared = None
         if shipped is not None and shipped.member_set().isdisjoint(applied):
             extension = shipped
         elif shared is not None:

@@ -147,7 +147,7 @@ def directly_conflict(
 class ConflictAnalysis:
     """What ``FindConflicts`` learned about a set of extensions: a live
     view of the index that produced it, valid until that index's next
-    :meth:`~IncrementalConflictIndex.update`, ``discard`` or ``clear``.
+    :meth:`~IncrementalConflictIndex.update` or ``discard``.
 
     * ``adjacency`` — the symmetric direct-conflict map the greedy
       ``DoGroup`` phase consumes;
@@ -199,15 +199,12 @@ class IncrementalConflictIndex:
     point whose last pair goes, goes; a group no pair came to or left is
     not rebuilt.
 
-    ``enabled=False`` forgets everything before each update (the
-    uncached baseline: every call is the from-scratch case).
     ``stats.pair_misses`` counts pairwise comparisons actually
     performed, ``stats.pair_hits`` the candidate pairs the ``shared``
     graph answered instead.
     """
 
-    def __init__(self, enabled: bool = True, stats=None) -> None:
-        self.enabled = enabled
+    def __init__(self, stats=None) -> None:
         self.stats = stats if stats is not None else CacheStats()
         self._extensions: Dict[TransactionId, UpdateExtension] = {}
         self._by_key: Dict[QualifiedKey, Dict[TransactionId, None]] = {}
@@ -238,8 +235,6 @@ class IncrementalConflictIndex:
         already hung on two extension objects is read instead of
         recomputed, and what this index computes is hung there.
         """
-        if not self.enabled:
-            self.clear()
         removed = [
             tid
             for tid, extension in self._extensions.items()
@@ -367,10 +362,6 @@ class IncrementalConflictIndex:
         for tid in roots:
             if tid in self._extensions:
                 self._drop(schema, tid)
-
-    def clear(self) -> None:
-        """Drop all state (what ``enabled=False`` does before every update)."""
-        self.__init__(self.enabled, self.stats)
 
 
 # ----------------------------------------------------------------------

@@ -33,9 +33,9 @@ class ReconcileResult:
     ``conflict_groups`` summarises the open conflicts after this run, as
     ``(group key, option count)`` pairs — full details live on the
     participant state; ``cache_stats`` is the extension/conflict-cache
-    counter delta for this run (always populated by the engine — an
-    uncached run simply reports every extension as a miss; None only on
-    results that never went through :meth:`Reconciler.reconcile`).
+    counter delta for this run (always populated by the engine; None
+    only on results that never went through
+    :meth:`Reconciler.reconcile`).
     """
 
     recno: int

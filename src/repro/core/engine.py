@@ -63,8 +63,10 @@ each reuse is exact):
 
 No reuse rests on a heuristic — extensions are exact for a given applied
 set, conflict points depend only on the two objects compared (validated
-by identity) — so decisions are byte-identical to an uncached run
-(``benchmarks/test_perf_engine.py`` pins this).  Per-run counter deltas
+by identity) — so decisions are those of the procedure run from scratch:
+``tests/reference/oracle.py``, which shares no code with this module,
+holds the engine to every decision, dirty key, conflict group and
+instance row (``tests/reference/mirror.py``).  Per-run counter deltas
 are exposed on :attr:`ReconcileResult.cache_stats`.
 """
 
@@ -106,24 +108,19 @@ class Reconciler:
         schema: Schema,
         instance: Instance,
         state: ParticipantState,
-        cache: Optional[ExtensionCache] = None,
         hooks: Optional[object] = None,
     ) -> None:
-        """``cache`` defaults to a fresh enabled :class:`ExtensionCache`;
-        pass ``ExtensionCache(enabled=False)`` to run every epoch from
-        scratch (the benchmark's uncached baseline).  ``hooks`` is an
-        optional event bus (:class:`repro.confed.hooks.HookBus`, duck-
-        typed to keep the engine free of upward imports); when present
-        the engine emits ``decision``, ``conflict``, and ``cache_stats``
-        events at the end of every reconciliation."""
+        """``hooks`` is an optional event bus
+        (:class:`repro.confed.hooks.HookBus`, duck-typed to keep the
+        engine free of upward imports); when present the engine emits
+        ``decision``, ``conflict``, and ``cache_stats`` events at the end
+        of every reconciliation."""
         self._schema = schema
         self._instance = instance
         self._state = state
         self._hooks = hooks
-        self._cache = cache if cache is not None else ExtensionCache()
-        self._conflict_index = IncrementalConflictIndex(
-            enabled=self._cache.enabled, stats=self._cache.stats
-        )
+        self._cache = ExtensionCache()
+        self._conflict_index = IncrementalConflictIndex(stats=self._cache.stats)
         # The conflict graph of the batch being reconciled, if any.
         self._shared_pairs = None
 
@@ -178,7 +175,7 @@ class Reconciler:
         # decide whether its payloads are eligible at all (absent flags —
         # batches built by hand in tests — are permissive).
         ships_context_free = getattr(batch.capabilities, "ships_context_free", True)
-        shares = self._cache.enabled and getattr(batch.capabilities, "shared_pair_memo", True)
+        shares = getattr(batch.capabilities, "shared_pair_memo", True)
         self._shared_pairs = batch.pair_cache if shares else None
         precomputed = batch.extensions if batch.network_centric else {}
         shipped = (

@@ -101,33 +101,33 @@ class TestRegressionGate:
         from benchmarks.check_regression import main
 
         baseline = self._baseline(
-            tmp_path, {"engine_reconciliation": 4.0, "dht_network_centric": 3.0}
+            tmp_path, {"epoch_scheduler": 4.0, "dht_network_centric": 3.0}
         )
-        engine = self._write(
+        scheduler = self._write(
             tmp_path / "e.json",
-            {"benchmark": "engine_reconciliation", "speedup": 3.9},
+            {"benchmark": "epoch_scheduler", "speedup": 3.9},
         )
         dht = self._write(
             tmp_path / "d.json",
             {"benchmark": "dht_network_centric", "speedup": 2.8},
         )
-        assert main([str(engine), str(dht), "--baseline", str(baseline)]) == 0
+        assert main([str(scheduler), str(dht), "--baseline", str(baseline)]) == 0
 
     def test_any_regressed_point_fails(self, tmp_path):
         from benchmarks.check_regression import main
 
         baseline = self._baseline(
-            tmp_path, {"engine_reconciliation": 4.0, "dht_network_centric": 3.0}
+            tmp_path, {"epoch_scheduler": 4.0, "dht_network_centric": 3.0}
         )
-        engine = self._write(
+        scheduler = self._write(
             tmp_path / "e.json",
-            {"benchmark": "engine_reconciliation", "speedup": 3.9},
+            {"benchmark": "epoch_scheduler", "speedup": 3.9},
         )
         dht = self._write(
             tmp_path / "d.json",
             {"benchmark": "dht_network_centric", "speedup": 2.0},
         )
-        assert main([str(engine), str(dht), "--baseline", str(baseline)]) == 1
+        assert main([str(scheduler), str(dht), "--baseline", str(baseline)]) == 1
 
     def test_budgeted_metrics_within_ceiling_pass(self, tmp_path):
         from benchmarks.check_regression import main
@@ -211,11 +211,11 @@ class TestRegressionGate:
 
         baseline = self._write(
             tmp_path / "baseline.json",
-            {"benchmark": "engine_reconciliation", "speedup": 4.0},
+            {"benchmark": "epoch_scheduler", "speedup": 4.0},
         )
         fresh = self._write(
             tmp_path / "e.json",
-            {"benchmark": "engine_reconciliation", "speedup": 4.1},
+            {"benchmark": "epoch_scheduler", "speedup": 4.1},
         )
         with _pytest.raises(SystemExit, match="no 'benchmarks' map"):
             main([str(fresh), "--baseline", str(baseline)])
@@ -225,7 +225,7 @@ class TestRegressionGate:
 
         from benchmarks.check_regression import main
 
-        baseline = self._baseline(tmp_path, {"engine_reconciliation": 4.0})
+        baseline = self._baseline(tmp_path, {"epoch_scheduler": 4.0})
         fresh = self._write(
             tmp_path / "x.json", {"benchmark": "mystery", "speedup": 1.0}
         )

@@ -25,7 +25,6 @@ class TestRoundTrip:
             trust={1: {2: 3, 5: 1}, 2: {1: 1}},
             trust_priority=2,
             network_centric="store",
-            engine_caching=False,
             workload=WorkloadConfig(transaction_size=3, seed=9),
             reconciliation_interval=7,
             rounds=2,

@@ -1,4 +1,5 @@
-"""Shared fixtures: the paper's running-example schema and helpers."""
+"""Shared fixtures: the paper's running-example schema and helpers, and
+the check that every armed fault injector fires."""
 
 from __future__ import annotations
 
@@ -11,6 +12,40 @@ from repro.model import (
     RelationSchema,
     Schema,
 )
+from repro.net.faults import FaultInjector
+
+from tests.reference.mirror import register_deep_profile
+
+# Before the Hypothesis plugin reads ``--hypothesis-profile``.
+register_deep_profile()
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "faults_may_not_fire: the test's point is that an armed message fault never fires",
+    )
+
+
+@pytest.fixture(autouse=True)
+def armed_faults_fire(request, monkeypatch):
+    """Every :class:`FaultInjector` built during a test whose plan lists a
+    message fault must have injected at least once by teardown: a plan
+    that matches nothing pins nothing.  A test whose point is that nothing
+    fires says so with ``@pytest.mark.faults_may_not_fire``."""
+    built = []
+    build = FaultInjector.__init__
+
+    def recording(injector, plan, *args, **kwargs):
+        build(injector, plan, *args, **kwargs)
+        built.append((injector, plan))
+
+    monkeypatch.setattr(FaultInjector, "__init__", recording)
+    yield
+    if request.node.get_closest_marker("faults_may_not_fire") is None:
+        for injector, plan in built:
+            if plan.messages:
+                assert sum(injector.counts.values()) >= 1, f"no fault fired: {plan.messages}"
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
 """Tests for the incremental reconciliation caches (repro.core.cache).
 
 Covers the cache contract directly (hits, revalidation, invalidation on
-applied-set growth, pruning) and its integration with the engine: cached
-and fresh extensions must be indistinguishable across deferral and
-acceptance cycles, ``compute_update_extension`` must trace each footprint
-exactly once, and ``UpdateSoftState`` must not recompute extensions it
-already computed in the same ``reconcile`` call.
+applied-set growth, pruning) and its integration with the engine: the
+cached engine must decide as the reference oracle does across deferral
+and acceptance cycles, ``compute_update_extension`` must trace each
+footprint exactly once, and ``UpdateSoftState`` must not recompute
+extensions it already computed in the same ``reconcile`` call.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from repro.model import Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
 
 from tests.core.helpers import GraphBuilder
+from tests.reference.mirror import assert_agree
+from tests.reference.oracle import Oracle, Peer
 
 
 RAT1 = ("rat", "prot1", "cell-metab")
@@ -38,13 +40,10 @@ MOUSE2_RESP = ("mouse", "prot2", "cell-resp")
 MOUSE3 = ("mouse", "prot3", "cell-metab")
 
 
-def make_reconciler(schema, participant, caching=True):
+def make_reconciler(schema, participant):
     instance = MemoryInstance(schema)
     state = ParticipantState(participant)
-    reconciler = Reconciler(
-        schema, instance, state, cache=ExtensionCache(enabled=caching)
-    )
-    return reconciler, instance, state
+    return Reconciler(schema, instance, state), instance, state
 
 
 def relevant(builder, txn, priority=1):
@@ -122,22 +121,10 @@ class TestExtensionCache:
         cache.prune([])
         assert len(cache) == 0
 
-    def test_disabled_cache_always_recomputes(self, schema):
-        builder = GraphBuilder()
-        txn = make_transaction(2, 0, [Insert("F", MOUSE2, 2)])
-        builder.add(txn)
-        root = relevant(builder, txn)
-        cache = ExtensionCache(enabled=False)
-        first = cache.get_or_compute(schema, builder.graph, root, set(), 0)
-        second = cache.get_or_compute(schema, builder.graph, root, set(), 0)
-        assert first is not second
-        assert len(cache) == 0
-
-
     def test_adopts_a_shipped_extension_only_when_it_is_exact(self, schema):
         """The shipped context-free extension is adopted (re-priced) when
-        none of its members is applied, derived locally otherwise, and
-        never adopted by a disabled cache."""
+        none of its members is applied — it is then what a derivation
+        from scratch gives — and derived locally otherwise."""
         builder = GraphBuilder()
         base = make_transaction(3, 0, [Insert("F", RAT1, 3)])
         revision = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
@@ -167,12 +154,8 @@ class TestExtensionCache:
         assert set(local.members) == {revision.tid}
         assert (derived.stats.shipped, derived.stats.misses) == (0, 1)
 
-        oracle = ExtensionCache(enabled=False)
-        recomputed = oracle.get_or_compute(
-            schema, builder.graph, root, set(), 0, shipped=shipped
-        )
-        assert recomputed.operations is not shipped.operations
-        assert (oracle.stats.shipped, oracle.stats.misses) == (0, 1)
+        scratch = compute_update_extension(schema, builder.graph, root, set())
+        assert scratch == adopted and scratch.operations is not adopted.operations
 
 
 class TestInternedDerivations:
@@ -236,21 +219,16 @@ class TestInternedDerivations:
         assert shared.derived(revision.tid, (base.tid,)) is None
         assert len(shared) == 1  # one root
 
-    def test_a_disabled_cache_neither_adopts_nor_registers(self, schema):
+    def test_the_interned_derivation_is_the_one_from_scratch(self, schema):
         builder, base, revision, shipped = self._revision_over_an_applied_base(schema)
         shared = ConflictGraph()
         root = relevant(builder, revision)
         origin = ExtensionCache().get_or_compute(
-            schema, builder.graph, root, {base.tid}, 1, shared=shared
+            schema, builder.graph, root, {base.tid}, 1, shipped=shipped, shared=shared
         )
-        oracle = ExtensionCache(enabled=False)
-        for _ in range(2):
-            fresh = oracle.get_or_compute(
-                schema, builder.graph, root, {base.tid}, 1, shipped=shipped, shared=shared
-            )
-            assert fresh == origin and fresh is not origin
-            assert fresh._origin is None and fresh._hood is None
-        assert (oracle.stats.misses, oracle.stats.shipped) == (2, 0)
+        fresh = compute_update_extension(schema, builder.graph, root, {base.tid})
+        assert fresh == origin and fresh is not origin
+        assert fresh._origin is None and fresh._hood is None  # registered nowhere
         assert shared.derived(revision.tid, (revision.tid,)) is origin
 
     def test_a_chain_that_does_not_flatten_is_never_registered(self, schema):
@@ -433,33 +411,27 @@ class TestEngineIntegration:
         # traces.
         assert trace_runs() - before == 2
 
-    def test_cached_engine_matches_uncached_across_cycles(self, schema):
-        """Deferral → new epoch → acceptance cycles decide identically
-        with and without caching."""
-        runs = {}
-        for caching in (True, False):
-            reconciler, instance, state = make_reconciler(
-                schema, 1, caching=caching
-            )
-            builder, a, b = self._conflicting_pair_batchset(schema)
-            log = []
-            r1 = reconciler.reconcile(builder.batch(1, [(a, 1), (b, 1)]))
-            log.append((sorted(r1.accepted), sorted(r1.rejected),
-                        sorted(r1.deferred), r1.conflict_groups))
-            # A higher-priority revision of MOUSE2 arrives: it conflicts
-            # with both deferred roots and wins, rejecting them.
-            c = make_transaction(4, 0, [Insert("F", MOUSE3, 4)])
-            builder.add(c)
-            r2 = reconciler.reconcile(builder.batch(2, [(c, 2)]))
-            log.append((sorted(r2.accepted), sorted(r2.rejected),
-                        sorted(r2.deferred), r2.conflict_groups))
-            r3 = reconciler.reconcile(builder.batch(3, []))
-            log.append((sorted(r3.accepted), sorted(r3.rejected),
-                        sorted(r3.deferred), r3.conflict_groups))
-            runs[caching] = (log, instance.snapshot(), set(state.applied),
-                             set(state.rejected), set(state.deferred),
-                             set(state.dirty_keys))
-        assert runs[True] == runs[False]
+    def test_cached_engine_matches_the_oracle_across_cycles(self, schema):
+        """Deferral → new epoch → acceptance cycles decide as the
+        reference oracle does, run after run."""
+        reconciler, instance, state = make_reconciler(schema, 1)
+        builder, a, b = self._conflicting_pair_batchset(schema)
+        oracle = Oracle(schema)
+        peer = Peer(oracle, 1, priority=None)  # handed its roots below
+        for txn in (a, b):
+            oracle.publish(txn.tid, txn.updates)
+        result = reconciler.reconcile(builder.batch(1, [(a, 1), (b, 1)]))
+        assert set(result.deferred) == {a.tid, b.tid}
+        assert_agree(state, instance, peer, result, peer.run({a.tid: 1, b.tid: 1}))
+        # A root at a higher priority arrives, then a run with nothing new.
+        c = make_transaction(4, 0, [Insert("F", MOUSE3, 4)])
+        builder.add(c)
+        oracle.publish(c.tid, c.updates)
+        result = reconciler.reconcile(builder.batch(2, [(c, 2)]))
+        assert result.accepted == [c.tid]
+        assert_agree(state, instance, peer, result, peer.run({c.tid: 2}))
+        result = reconciler.reconcile(builder.batch(3, []))
+        assert_agree(state, instance, peer, result, peer.run({}))
 
     def test_acceptance_invalidates_dependent_deferred_extension(self, schema):
         """When an antecedent of a deferred root is applied, the deferred
@@ -514,10 +486,8 @@ class TestEngineIntegration:
         assert refreshed.operations == fresh.operations
         assert refreshed.touched == fresh.touched
 
-    def test_result_reports_cache_stats_even_when_disabled(self, schema):
-        reconciler, _instance, _state = make_reconciler(
-            schema, 1, caching=False
-        )
+    def test_result_reports_cache_stats(self, schema):
+        reconciler, _instance, _state = make_reconciler(schema, 1)
         builder, a, b = self._conflicting_pair_batchset(schema)
         result = reconciler.reconcile(builder.batch(1, [(a, 1), (b, 1)]))
         assert result.cache_stats is not None

@@ -14,6 +14,7 @@ from repro.core.extensions import compute_update_extension
 from repro.model import Delete, Insert, Modify, make_transaction
 
 from tests.core.helpers import GraphBuilder
+from tests.reference.oracle import PAPER, Oracle
 
 
 RAT1 = ("rat", "prot1", "cell-metab")
@@ -218,11 +219,10 @@ class TestFindConflicts:
         # a shared antecedent (insert, then delete) never meets the other
         # chain's use of the same row — although Definition 4, which
         # removes the shared antecedent first, makes the pair a conflict
-        # (the all-pairs reference says so).  The engine accepts both and
-        # the second application falls back to REJECT.  Flip this test
-        # when candidates are drawn from ``touched``; that moves decisions.
-        from repro.bench.ablations import naive_find_conflicts
-
+        # (the reference oracle's all-pairs FindConflicts says so).  The
+        # engine accepts both and the second application falls back to
+        # REJECT.  Flip this test when candidates are drawn from
+        # ``touched``; that moves decisions.
         builder = GraphBuilder()
         base = make_transaction(1, 0, [Insert("F", RAT1, 1)])
         drop = make_transaction(2, 0, [Insert("F", MOUSE2, 2), Delete("F", RAT1, 2)])
@@ -236,8 +236,18 @@ class TestFindConflicts:
         assert directly_conflict(
             schema, builder.graph, extensions[drop.tid], extensions[edit.tid]
         )
-        reference = naive_find_conflicts(schema, builder.graph, extensions)
-        assert reference[drop.tid] == {edit.tid}
+        paper, engine = Oracle(schema, deviations=PAPER), Oracle(schema)
+        for oracle in (paper, engine):
+            for txn in (base, drop, edit):
+                oracle.publish(txn.tid, txn.updates, antecedents=builder.graph.antecedents_of(txn.tid))
+        reference, today = (
+            oracle.find_conflicts(
+                {txn.tid: oracle.extension(txn.tid, 1, set()) for txn in (base, drop, edit)}
+            )
+            for oracle in (paper, engine)
+        )
+        assert reference == {(drop.tid, edit.tid): {("delete/replace", ("F", ("rat", "prot1")))}}
+        assert today == {}  # the oracle's ``flattened_key_candidates`` predicate
         analysis = find_conflicts(schema, builder.graph, extensions)
         assert analysis.adjacency[drop.tid] == set()
         # Once the shared antecedent is applied the same pair is found.

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Decision, ExtensionCache, ParticipantState, Reconciler
+from repro.core import Decision, ParticipantState, Reconciler
 from repro.core.extensions import compute_update_extension
 from repro.instance import MemoryInstance
 from repro.model import Delete, Insert, Modify, make_transaction
@@ -22,10 +22,10 @@ MOUSE2_RESP = ("mouse", "prot2", "cell-resp")
 MOUSE3_RESP = ("mouse", "prot3", "cell-resp")
 
 
-def make_reconciler(schema, participant, cache=None):
+def make_reconciler(schema, participant):
     instance = MemoryInstance(schema)
     state = ParticipantState(participant)
-    return Reconciler(schema, instance, state, cache=cache), instance, state
+    return Reconciler(schema, instance, state), instance, state
 
 
 class TestSimpleAcceptance:
@@ -401,13 +401,8 @@ class TestOwnDeltaOnDemand:
         # (The child's own two-update footprint is traced either way.)
         assert run(self.OWN) == run([])
 
-    @pytest.mark.parametrize("caching", [True, False])
-    def test_second_root_reaches_line_7_first_and_traces_once(
-        self, schema, caching
-    ):
-        reconciler, instance, state = make_reconciler(
-            schema, 1, cache=ExtensionCache(enabled=caching)
-        )
+    def test_second_root_reaches_line_7_first_and_traces_once(self, schema):
+        reconciler, instance, state = make_reconciler(schema, 1)
         state.replace_soft_state({("F", ("mouse", "prot3"))}, {})
         builder = GraphBuilder()
         dirty = make_transaction(2, 0, [Insert("F", MOUSE3_RESP, 2)])
@@ -529,11 +524,8 @@ class TestWithheldRoots:
         index.update = recording
         return seen
 
-    @pytest.mark.parametrize("caching", [True, False])
-    def test_a_rejected_root_is_never_compared(self, schema, caching):
-        reconciler, instance, _state = make_reconciler(
-            schema, 1, cache=ExtensionCache(enabled=caching)
-        )
+    def test_a_rejected_root_is_never_compared(self, schema):
+        reconciler, instance, _state = make_reconciler(schema, 1)
         instance.apply(Insert("F", ("rat", "prot9", "x"), 1))
         builder = GraphBuilder()
         # ``bad`` does not fit the instance; it is ``good``'s only partner.
@@ -568,14 +560,11 @@ class TestWithheldRoots:
         assert reconciler.cache.stats.pair_misses == compared
         assert state.conflict_groups == {} and state.dirty_keys == set()
 
-    @pytest.mark.parametrize("caching", [True, False])
-    def test_a_root_deferred_by_checkstate_still_stands(self, schema, caching):
+    def test_a_root_deferred_by_checkstate_still_stands(self, schema):
         # ``late`` touches a dirty key (CheckState: DEFER) and a clean
         # one, where lower-priority ``low`` conflicts with it: ``low``
         # must wait for ``late`` — which it can only see in the index.
-        reconciler, instance, state = make_reconciler(
-            schema, 1, cache=ExtensionCache(enabled=caching)
-        )
+        reconciler, instance, state = make_reconciler(schema, 1)
         builder = GraphBuilder()
         left = make_transaction(2, 0, [Insert("F", RAT1_IMMUNE, 2)])
         right = make_transaction(3, 0, [Insert("F", RAT1_RESP, 3)])

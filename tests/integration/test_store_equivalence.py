@@ -3,7 +3,9 @@
 The same seeded workload, replayed through the memory, central-sqlite,
 durable-file, and simulated-DHT stores, must leave every participant
 with an identical instance and identical decision bookkeeping — the
-stores may only differ in cost and persistence, never in outcome.
+stores may only differ in cost and persistence, never in outcome — and
+on ``memory`` every reconcile must decide as the reference oracle
+(``tests/reference/oracle.py``) does.
 
 Since PR 3 this also pins the DHT's shipping parity: the DHT with
 store-derived context-free extensions (and the shared pair memo), the
@@ -25,6 +27,7 @@ from repro.store import (
 )
 from repro.workload import WorkloadConfig, curated_schema
 from tests.conftest import decision_stream
+from tests.reference.mirror import Mirror
 
 
 #: The evaluation schedule every seed below replays, and the 4-peer one
@@ -36,7 +39,7 @@ CHAIN_SHARING = dict(
 )
 
 
-def run_with(store_name: str, seed: int, peers, engine_caching=True, **schedule):
+def run_with(store_name: str, seed: int, peers, mirrored=False, **schedule):
     schema = curated_schema()
     if store_name == "memory":
         store = MemoryUpdateStore(schema)
@@ -48,12 +51,16 @@ def run_with(store_name: str, seed: int, peers, engine_caching=True, **schedule)
         store = DhtUpdateStore(schema, hosts=5)
     config = ConfederationConfig.evaluation(
         peers,
-        engine_caching=engine_caching,
         workload=WorkloadConfig(transaction_size=2, seed=seed),
         **schedule,
     )
     confed = Confederation(config, store=store).open()
+    mirror = Mirror(confed) if mirrored else None
     report = confed.run()
+    if mirror is not None:  # it compared every reconcile as it ran
+        assert mirror.compared == len(confed.participants) * (
+            schedule["rounds"] + schedule.get("final_reconcile", False)
+        )
     snapshots = {p.id: p.instance.snapshot() for p in confed.participants}
     decisions = {
         p.id: (
@@ -72,12 +79,11 @@ def run_with(store_name: str, seed: int, peers, engine_caching=True, **schedule)
     ids=["3", "17", "5-chain-sharing"],
 )
 def test_stores_produce_identical_outcomes(seed, schedule):
-    memory = run_with("memory", seed, **schedule)
-    uncached = run_with("memory", seed, engine_caching=False, **schedule)
+    memory = run_with("memory", seed, mirrored=True, **schedule)
     central = run_with("central", seed, **schedule)
     durable = run_with("durable", seed, **schedule)
     dht = run_with("dht", seed, **schedule)
-    for other in (uncached, central, durable, dht):
+    for other in (central, durable, dht):
         assert other == memory  # instances, decisions, state ratio
 
 

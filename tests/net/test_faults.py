@@ -121,6 +121,15 @@ class TestFaultInjector:
         assert len(b.received) == 1
         assert net.simulated_seconds == pytest.approx(0.001 + 0.010)
 
+    @pytest.mark.faults_may_not_fire
+    def test_a_rule_for_another_kind_injects_nothing(self):
+        plan = FaultPlan(messages=(MessageFault("pong", "drop"),))
+        net, a, b = make_net(FaultInjector(plan, latency=0.001))
+        net.send("a", "b", "ping")
+        net.run()
+        assert [m.kind for m in b.received] == ["ping"]
+        assert net.injector.counts == {}
+
     def test_times_caps_total_injections(self):
         plan = FaultPlan(messages=(MessageFault("ping", "drop", times=2),))
         net, a, b = make_net(FaultInjector(plan, latency=0.001))

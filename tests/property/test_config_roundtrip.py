@@ -137,7 +137,6 @@ def confederation_configs(draw) -> ConfederationConfig:
         trust=trust,
         trust_priority=draw(st.integers(min_value=0, max_value=5)),
         network_centric=draw(st.sampled_from(("client", "store"))),
-        engine_caching=draw(st.booleans()),
         workload=draw(st.none() | workload_configs()),
         reconciliation_interval=draw(st.integers(min_value=0, max_value=10)),
         rounds=draw(st.integers(min_value=0, max_value=10)),

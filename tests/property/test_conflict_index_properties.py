@@ -221,7 +221,7 @@ def assert_groups_follow(graph, extensions, analysis, asked):
 @settings(max_examples=200, deadline=None)
 def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
     graph, tids = history
-    index = IncrementalConflictIndex(enabled=data.draw(st.booleans(), label="enabled"))
+    index = IncrementalConflictIndex()
     shared = data.draw(st.sampled_from([None, ConflictGraph()]), label="shared")
     current: Dict[TransactionId, UpdateExtension] = {}
     #: Every object handed to the index stays alive: ``id`` tells them apart.
@@ -270,14 +270,12 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
         assert_matches_reference(graph, following, analysis, shared)
         if data.draw(st.booleans(), label="ask for groups"):
             asked = assert_groups_follow(graph, following, analysis, asked)
-            if not index.enabled:
-                asked = None  # forgets everything: every group is rebuilt
         current = following
 
 
 @given(histories())
 @settings(max_examples=100, deadline=None)
-def test_discard_and_the_uncached_baseline_agree_with_a_fresh_index(history):
+def test_discard_agrees_with_a_fresh_index(history):
     graph, _tids = history
     extensions = context_free(*history)
     index = IncrementalConflictIndex()
@@ -286,19 +284,16 @@ def test_discard_and_the_uncached_baseline_agree_with_a_fresh_index(history):
     index.discard(PROP_SCHEMA, gone)
     kept = {t: e for t, e in extensions.items() if t not in gone}
     # What is left is already the analysis of the kept set: updating to
-    # it compares nothing.
+    # it compares nothing ...
     before = index.stats.pair_misses
     analysis = index.update(PROP_SCHEMA, graph, kept)
     assert index.stats.pair_misses == before
     assert_matches_reference(graph, kept, analysis)
-    # enabled=False: every update is the from-scratch case, paid in full.
-    uncached = IncrementalConflictIndex(enabled=False)
-    uncached.update(PROP_SCHEMA, graph, extensions)
-    again = uncached.update(PROP_SCHEMA, graph, kept)
-    assert_matches_reference(graph, kept, again)
+    # ... and is what a fresh index, the from-scratch case, finds.
     scratch = IncrementalConflictIndex()
-    scratch.update(PROP_SCHEMA, graph, kept)
-    assert uncached.stats.pair_misses == before + scratch.stats.pair_misses
+    fresh = scratch.update(PROP_SCHEMA, graph, kept)
+    assert (fresh.adjacency, fresh.points) == (analysis.adjacency, analysis.points)
+    assert fresh.groups(PROP_SCHEMA) == analysis.groups(PROP_SCHEMA)
 
 
 @given(histories(), st.data())

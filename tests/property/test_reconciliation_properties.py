@@ -14,15 +14,11 @@ guarantees are checked over every participant at every step:
 4. *Instances follow decisions* — replaying each participant's applied
    transactions through its trust-ordered history reproduces its
    instance exactly (no phantom state).
-5. *The engine's shortcuts are Figure 4's* — the engine withholds
-   CheckState-rejected roots from FindConflicts and moves conflict
-   groups by the index's delta; a reference kernel that does neither
-   (every extension to a fresh ``find_conflicts``, every deferred
-   extension re-derived, every group rebuilt from every standing pair)
-   reaches the same decisions, dirty keys, conflict groups and
-   ``conflict`` events after every run of a generated schedule —
-   conflicts, chains, own-delta rejections, resolutions, soft-state
-   rebuilds — with the engine's caches on and off.
+5. *The engine decides as the paper does* — the reference oracle
+   (``tests/reference/oracle.py``, which shares no code with the engine)
+   reaches the same decisions, dirty keys, conflict groups and instance
+   rows after every run of a generated schedule — conflicts, chains,
+   own-delta rejections, resolutions, soft-state rebuilds.
 """
 
 from __future__ import annotations
@@ -30,25 +26,16 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.confed import Confederation, ConfederationConfig
-from repro.core import Resolution
-from repro.core.conflicts import (
-    ConflictGroup,
-    Option,
-    _option_signature,
-    find_conflicts,
-)
-from repro.core.engine import Reconciler
-from repro.core.extensions import compute_update_extension
-from repro.core.session import ReconcileSession
+from repro.confed import Confederation
 from repro.model import Delete, Insert, Modify
 from repro.policy import TrustPolicy
 from repro.store import MemoryUpdateStore
 from repro.workload import curated_schema
+
+from tests.reference.mirror import Mirror, examples
 
 
 def run_random_history(seed: int, steps: int = 40):
@@ -74,7 +61,9 @@ def run_random_history(seed: int, steps: int = 40):
         participant = confed.participant(rng.choice(peer_ids))
         action = rng.random()
         if action < 0.6:
-            _random_edit(rng, participant, keys, functions)
+            updates = _random_edit(rng, participant, keys, functions)
+            if updates:
+                participant.execute(updates)
         else:
             participant.publish_and_reconcile()
             state = participant.state
@@ -101,26 +90,18 @@ def run_random_history(seed: int, steps: int = 40):
 
 
 def _random_edit(rng, participant, keys, functions):
+    """One edit of a random key, as the updates to execute (None: the
+    draw changes nothing)."""
     organism, protein = rng.choice(keys)
     current = participant.instance.get("F", (organism, protein))
     function = rng.choice(functions)
     if current is None:
-        participant.execute(
-            [Insert("F", (organism, protein, function), participant.id)]
-        )
-    elif rng.random() < 0.25:
-        participant.execute([Delete("F", current, participant.id)])
-    elif current[2] != function:
-        participant.execute(
-            [
-                Modify(
-                    "F",
-                    current,
-                    (organism, protein, function),
-                    participant.id,
-                )
-            ]
-        )
+        return [Insert("F", (organism, protein, function), participant.id)]
+    if rng.random() < 0.25:
+        return [Delete("F", current, participant.id)]
+    if current[2] != function:
+        return [Modify("F", current, (organism, protein, function), participant.id)]
+    return None
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -191,97 +172,27 @@ def test_state_ratio_within_bounds(seed):
 
 
 # ----------------------------------------------------------------------
-# 5. The engine against Figure 4 read literally
+# 5. The engine against the reference oracle
 
 
-class ReferenceReconciler(Reconciler):
-    """The kernel without its two shortcuts: FindConflicts runs from
-    scratch over *every* extension, rejected roots included, and
-    UpdateSoftState re-derives every deferred extension, analyses them
-    afresh and rebuilds every group from every point of every pair."""
-
-    def _find_conflicts(self, batch, extensions, decision):
-        return find_conflicts(self._schema, self._state.graph, extensions).adjacency
-
-    def _update_soft_state(self, roots, extensions):
-        schema, state = self._schema, self._state
-        deferred = {
-            root.tid: compute_update_extension(schema, state.graph, root, state.applied)
-            for root in state.deferred_roots()
-        }
-        members: Dict[tuple, set] = {}
-        for pair, points in find_conflicts(schema, state.graph, deferred).points.items():
-            for point in points:
-                members.setdefault(point, set()).update(pair)
-        groups = {}
-        for (kind, key), tids in members.items():
-            by_signature: Dict[tuple, list] = {}
-            for tid in sorted(tids):
-                signature = _option_signature(schema, deferred[tid], key)
-                by_signature.setdefault(signature, []).append(tid)
-            groups[(kind, key)] = ConflictGroup(
-                kind,
-                key,
-                [
-                    Option(tuple(tids), signature[1] if signature[0] == "write" else None)
-                    for signature, tids in sorted(
-                        by_signature.items(), key=lambda item: repr(item[0])
-                    )
-                ],
-            )
-        dirty = set().union(*(extension.touched for extension in deferred.values()))
-        state.replace_soft_state(dirty, groups)
-
-
-def _system(rng_seed: int, caching: bool, reference: bool):
-    """Four peers at seeded trust priorities over one memory store, and
-    the ``conflict`` events their runs emit."""
+def _system(rng_seed: int):
+    """Four peers at seeded trust priorities over one memory store, with
+    the oracle shadowing every one of them."""
     rng = random.Random(rng_seed)
-    schema = curated_schema()
-    confed = Confederation(
-        ConfederationConfig(engine_caching=caching), store=MemoryUpdateStore(schema)
-    ).open()
-    events = []
-    confed.hooks.on_conflict(
-        lambda **kw: events.append((kw["participant"], kw["recno"], kw["group"]))
-    )
+    confed = Confederation(store=MemoryUpdateStore(curated_schema())).open()
     for pid in (1, 2, 3, 4):
         policy = TrustPolicy()
         for other in (1, 2, 3, 4):
             if other != pid:
                 policy.trust_participant(other, rng.choice([1, 1, 2]))
-        participant = confed.add_participant(pid, policy)
-        if reference:
-            participant.reconciler = ReferenceReconciler(
-                schema,
-                participant.instance,
-                participant.state,
-                cache=participant.reconciler.cache,
-                hooks=confed.hooks,
-            )
-            participant.session = ReconcileSession(participant.reconciler, hooks=confed.hooks)
-    return confed, events
+        confed.add_participant(pid, policy)
+    return confed, Mirror(confed)
 
 
-def _soft_state(participant, result=None):
-    state = participant.state
-    return (
-        result and (result.decisions, result.conflict_groups, result.applied),
-        state.dirty_keys,
-        state.conflict_groups,
-        set(state.deferred),
-        state.rejected,
-        participant.instance.snapshot(),
-    )
-
-
-@pytest.mark.parametrize("caching", [True, False])
 @given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=20, deadline=None)
-def test_engine_decides_as_the_literal_kernel_does(caching, seed):
-    (subject, events), (literal, literal_events) = (
-        _system(seed, caching, reference) for reference in (False, True)
-    )
+@settings(max_examples=examples(40), deadline=None)
+def test_engine_decides_as_the_literal_kernel_does(seed):
+    confed, mirror = _system(seed)
     rng = random.Random(seed + 1)
     keys = [("rat", f"p{i}") for i in range(3)]
     functions = [f"fn{i}" for i in range(3)]
@@ -290,27 +201,16 @@ def test_engine_decides_as_the_literal_kernel_does(caching, seed):
         # (Peer 4 only consumes: nothing of its own settles a key first,
         # so what conflicts there waits for a resolution.)
         pid = rng.choice((1, 2, 3) if action < 0.5 else (1, 2, 3, 4, 4))
-        pair = subject.participant(pid), literal.participant(pid)
+        participant = confed.participant(pid)
         if action < 0.5:
-            # The same draw edits both (their instances are equal).
-            state = rng.getstate()
-            for participant in pair:
-                rng.setstate(state)
-                _random_edit(rng, participant, keys, functions)
-            continue
-        if action > 0.92:
-            for participant in pair:
-                participant.reconciler.rebuild_soft_state()
-            results = [None, None]
-        elif action > 0.8 and pair[0].open_conflicts():
-            groups = pair[0].open_conflicts()
+            updates = _random_edit(rng, participant, keys, functions)
+            if updates:
+                mirror.execute(participant, updates)
+        elif action > 0.92:
+            mirror.rebuild_soft_state(participant)
+        elif action > 0.8 and participant.open_conflicts():
+            groups = participant.open_conflicts()
             group = groups[rng.randrange(len(groups))]
-            chosen = rng.choice([None, *range(len(group.options))])
-            results = [
-                participant.resolve([Resolution(group.group_id, chosen)])
-                for participant in pair
-            ]
+            mirror.resolve(participant, group.group_id, rng.choice([None, *range(len(group.options))]))
         else:
-            results = [participant.publish_and_reconcile() for participant in pair]
-        assert _soft_state(pair[0], results[0]) == _soft_state(pair[1], results[1])
-        assert events == literal_events
+            participant.publish_and_reconcile()  # the hooks compare it

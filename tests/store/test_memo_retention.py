@@ -222,21 +222,3 @@ class TestSharedDerivations:
             first, second = self._revision_of_an_applied_row(store, **options)
             assert (first.misses, first.shipped) == (1, 0), store
             assert (second.misses, second.shipped) == (0, 1), store
-
-    def test_without_engine_caching_every_reader_derives(self):
-        config = ConfederationConfig(
-            store="memory", peers=(1, 2, 3), engine_caching=False
-        )
-        with Confederation.from_config(config, schema=curated_schema()) as confed:
-            author, second, third = confed.participants
-            row = ("rat", "p1", "fn-a")
-            author.execute([Insert("F", row, 1)])
-            author.publish_and_reconcile()
-            second.reconcile()
-            third.reconcile()
-            author.execute([Modify("F", row, ("rat", "p1", "fn-b"), 1)])
-            author.publish_and_reconcile()
-            for reader in (second, third):
-                stats = reader.reconcile().cache_stats
-                assert (stats.misses, stats.shipped) == (1, 0)
-            assert len(confed.store.shared_pair_cache()) == 0

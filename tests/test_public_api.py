@@ -158,6 +158,32 @@ def test_names_the_withholding_pr_retired_stay_retired():
         ParticipantState(1).record_deferred(None, 0)
 
 
+def test_the_engine_has_one_mode():
+    # The uncached mode is deleted, not defaulted: neither cache takes a
+    # switch, the kernel builds its own cache, a participant has no knob,
+    # and a config file that still names it is refused like any typo.
+    from repro import ConfederationConfig, ConfigError, MemoryUpdateStore, TrustPolicy
+    from repro.cdss import Participant
+    from repro.core import ParticipantState, Reconciler
+    from repro.core.cache import ExtensionCache
+    from repro.core.conflicts import IncrementalConflictIndex
+    from repro.instance import MemoryInstance
+    from repro.workload import curated_schema
+
+    schema = curated_schema()
+    with pytest.raises(TypeError):
+        ExtensionCache(enabled=False)
+    with pytest.raises(TypeError):
+        IncrementalConflictIndex(enabled=False)
+    assert not hasattr(IncrementalConflictIndex, "clear")
+    with pytest.raises(TypeError):
+        Reconciler(schema, MemoryInstance(schema), ParticipantState(1), cache=ExtensionCache())
+    with pytest.raises(TypeError):
+        Participant(1, MemoryUpdateStore(schema), TrustPolicy(), engine_caching=False)
+    with pytest.raises(ConfigError, match="engine_caching"):
+        ConfederationConfig.from_dict({"peers": [1, 2], "engine_caching": True})
+
+
 def test_builtin_registry_contents():
     assert available_stores() == ["central", "dht", "durable", "memory"]
 
