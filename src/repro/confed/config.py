@@ -62,12 +62,12 @@ class ConfederationConfig:
       ``"threaded"`` (independent participants' edit and reconcile
       phases run concurrently on a thread pool between deterministic
       publish-order barriers; ``schedule_workers`` caps the pool, None
-      sizes it from the peer count), or ``"async"`` (participants run
-      as asyncio tasks on one event loop, injected latency is awaited
-      through the store's :class:`~repro.net.clock.AsyncLatencyClock`,
-      and the publish barrier pipelines; ``schedule_workers`` caps the
-      in-flight tasks, None lets every participant be in flight).  See
-      :mod:`repro.confed.scheduler`;
+      sizes it from the peer count), or ``"async"`` (one event loop
+      runs the store segments in the same order, and each participant
+      waits only for its own injected latency, through the store's
+      :class:`~repro.net.clock.AsyncLatencyClock`; ``schedule_workers``
+      caps how many participants have latency outstanding at once, None
+      leaves it uncapped).  See :mod:`repro.confed.scheduler`;
     * ``faults`` — an optional :class:`repro.net.faults.FaultPlan`: the
       seeded, declarative chaos schedule the run should suffer (host
       crashes and recoveries pinned to epochs, message drops /

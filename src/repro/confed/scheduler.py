@@ -32,28 +32,29 @@ strategy object selected from
   (under the serial schedule, participant 1 reconciles before
   participant 2 publishes).  Reports and decisions are reproducible for
   a given mode; the modes are distinct, equally valid schedules.
-* :class:`AsyncScheduler` (``"async"``) — the same three-phase round
-  as the threaded mode, but participants run as asyncio *tasks* on one
-  event loop instead of pool threads.  The store's latency clock is
-  swapped for an :class:`~repro.net.clock.AsyncLatencyClock` for the
-  duration of the run, so injected latency *accrues* to a task while
-  its synchronous segment runs and is then awaited — which pipelines
-  the publish barrier: epochs are still allocated strictly in
-  ascending participant id (tasks start in creation order and the
-  lock-held allocation runs synchronously to the first await), but
-  participant *i+1* allocates its epoch while participant *i*'s
-  latency awaits.  The threaded barrier, by contrast, is serial in
-  wall time.  Publish order and per-participant RNG substreams are
-  identical to the threaded schedule, so per-participant decision
-  streams are byte-identical between the two modes — and because one
-  event loop interleaves whole synchronous segments deterministically,
-  the async mode's *global* stream is reproducible as well.
+* :class:`AsyncScheduler` (``"async"``) — the same round on one event
+  loop, with the store's clock swapped for an
+  :class:`~repro.net.clock.AsyncLatencyClock` for the run: injected
+  latency accrues to the participant whose synchronous segment is
+  running, and only that participant waits it out.  The store-touching
+  segments (publish, reconcile, the plan's epoch-end step) run one at a
+  time in the threaded barriers' order, each once its own participant
+  is due, and a phase ends when its segments have run — so participant
+  *i+1* allocates its epoch while participant *i*'s latency is
+  outstanding, and a round's last reconcile does not stall the next
+  round.  An edit touches only its participant's replica and RNG
+  substream: it runs as soon as the participant is free, and the
+  barrier waits for it at that participant's turn.  Per-participant
+  decision streams are byte-identical to the threaded mode's, and the
+  global stream is reproducible and independent of latency.
 
 The threaded and async modes are two *drivers* of one round plan
 (:meth:`_PhasedScheduler.round_plan` states the phased round once, as
-data) and fail the same way: a failure in any phase aborts the run with
-a :class:`~repro.errors.SchedulerError` naming the lowest-id failing
-participant, chained from its cause.  The serial mode raises it raw.
+data).  A failure raises :class:`~repro.errors.SchedulerError` naming
+the participant, chained from its cause (serial raises it raw): the
+threaded driver names the phase's lowest-id failure, so a failed edit
+publishes nothing; the async driver stops at the first failure in store
+order, so a failed edit stops the barrier after the lower ids published.
 
 Wall-clock wins come from overlapping whatever does not hold the store
 lock: the GIL-free portions of local work (sqlite instances release it)
@@ -63,7 +64,7 @@ async schedulers overlap different participants' waits exactly as
 concurrent clients of a real networked store would
 (``benchmarks/test_perf_scheduler.py`` pins the threaded win on a
 16-peer run and the async-over-threaded win on a 64-peer high-latency
-run, where the pipelined barrier dominates).
+run, where the serial threaded barrier dominates).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from __future__ import annotations
 import abc
 import asyncio
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Set, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.errors import ConfigError, SchedulerError
 from repro.net.clock import AsyncLatencyClock
@@ -82,9 +83,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.confed.config import ConfederationConfig
 
 #: One phase of a phased round: its name, the per-participant work, the
-#: roster it runs over (ascending participant id), and whether that work
-#: must *start* in roster order (the publish barrier) or in any order.
-Phase = Tuple[str, Callable[["Participant"], object], List["Participant"], bool]
+#: roster it runs over (ascending participant id), whether that work
+#: must *start* in roster order (the publish barrier) or in any order,
+#: and whether it touches the store (then its segments keep one order).
+Phase = Tuple[str, Callable[["Participant"], object], List["Participant"], bool, bool]
 
 
 class EpochScheduler(abc.ABC):
@@ -143,17 +145,18 @@ class SerialScheduler(EpochScheduler):
 
 
 class _PhasedScheduler(EpochScheduler):
-    """What the threaded and async schedulers share: the round plan,
-    the ``workers`` cap, and the fail-fast contract.
+    """What the threaded and async schedulers share: the round plan and
+    the ``workers`` cap.
 
     A subclass is only a *driver*: it takes each :data:`Phase` from
     :meth:`round_plan` and runs its work across the roster with its own
-    concurrency primitive (pool threads, asyncio tasks).
+    concurrency primitive (pool threads, one event loop).
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        """``workers`` caps how many participants a phase drives at
-        once; ``None`` leaves the sizing to the driver.
+        """``workers`` caps how many participants run at once (pool
+        threads; in the async driver, participants with latency
+        outstanding); ``None`` leaves the sizing to the driver.
 
         A non-positive count is a configuration error, never a silent
         fall-back to the default sizing."""
@@ -192,47 +195,18 @@ class _PhasedScheduler(EpochScheduler):
             # a participant object, and the phases must drive the
             # rebuilt one, not a stale reference.
             roster = confederation.participants
-            yield "edit", edit, roster, False
+            yield "edit", edit, roster, False, False
             # Deterministic publish-order barrier: epochs allocated in
             # ascending participant id, every round.
-            yield "publish", lambda p: p.publish(), roster, True
-            yield "reconcile", lambda p: p.reconcile(), roster, False
+            yield "publish", lambda p: p.publish(), roster, True, True
+            yield "reconcile", lambda p: p.reconcile(), roster, False, True
             for participant in roster:
                 confederation.finish_scheduled_epoch(
                     participant, round_index, published[participant.id]
                 )
         if config.final_reconcile:
             roster = confederation.participants
-            yield "reconcile", lambda p: p.reconcile(), roster, False
-
-    @staticmethod
-    def raise_lowest_failure(
-        phase: str,
-        roster: List["Participant"],
-        outcomes: List[object],
-        done: Set[object],
-    ) -> None:
-        """Fail the phase if a finished outcome holds an exception.
-
-        ``outcomes`` are the roster's futures or tasks (both answer
-        ``exception()``) and ``done`` the ones that finished; the
-        driver has already cancelled the rest and let started work
-        drain, so nothing mutates the round after the raise and the
-        next phase never runs against a half-finished one.  The
-        :class:`SchedulerError` names the lowest-id failing participant
-        and chains its exception as the cause — the same report
-        whichever driver, and whichever phase, failed.
-        """
-        failures = [
-            (participant.id, outcome.exception())
-            for participant, outcome in zip(roster, outcomes)
-            if outcome in done and outcome.exception() is not None
-        ]
-        if failures:
-            pid, error = min(failures, key=lambda pair: pair[0])
-            raise SchedulerError(
-                f"{phase} phase failed for participant {pid}: {error}"
-            ) from error
+            yield "reconcile", lambda p: p.reconcile(), roster, False, True
 
 
 class ThreadedScheduler(_PhasedScheduler):
@@ -250,12 +224,13 @@ class ThreadedScheduler(_PhasedScheduler):
         """Run one phase across the pool, failing fast.
 
         The phase waits with ``FIRST_EXCEPTION`` and cancels what has
-        not started; already-running workers drain before the raise.
-        An ordered phase submits the next participant only once the
+        not started; already-running workers drain before the raise, so
+        the next phase never runs against a half-finished one.  An
+        ordered phase submits the next participant only once the
         previous one finished cleanly — the barrier is serial in wall
-        time.
+        time.  The error names the lowest-id failing participant.
         """
-        name, work, roster, ordered = phase
+        name, work, roster, ordered, _shared = phase
         futures = []
         for participant in roster:
             futures.append(pool.submit(work, participant))
@@ -265,7 +240,12 @@ class ThreadedScheduler(_PhasedScheduler):
         for future in pending:
             future.cancel()
         wait(pending)
-        self.raise_lowest_failure(name, roster, futures, done)
+        for participant, future in zip(roster, futures):
+            error = future.exception() if future in done else None
+            if error is not None:
+                raise SchedulerError(
+                    f"{name} phase failed for participant {participant.id}: {error}"
+                ) from error
 
     def run(self, confederation: "Confederation") -> None:
         """Drive the round plan on a thread pool
@@ -281,74 +261,66 @@ class ThreadedScheduler(_PhasedScheduler):
 
 
 class AsyncScheduler(_PhasedScheduler):
-    """Pipelined epochs: participants as tasks on one event loop.
+    """Participants on one event loop, each waiting only for itself.
 
-    The same round plan as the threaded schedule, but the concurrency
-    primitive is an asyncio task, and injected latency is awaited
-    through an :class:`~repro.net.clock.AsyncLatencyClock` instead of
-    blocking a pool thread.  Everything synchronous (store calls under
-    the lock, session compute, ``HookBus.emit``) runs on the single
-    loop thread, so within a phase whole segments interleave
-    deterministically in task order; only the latency waits overlap.
-    ``workers=None`` lets every participant be in flight at once (tasks
-    are cheap — the cap exists for stores where even *queued* work has
-    a footprint).
+    The same round plan as the threaded schedule, but injected latency
+    is awaited through an :class:`~repro.net.clock.AsyncLatencyClock`
+    instead of blocking a pool thread, and everything synchronous
+    (store calls under the lock, session compute, ``HookBus.emit``)
+    runs on the one loop thread.  ``workers=None`` lets every
+    participant have latency outstanding at once.
     """
 
     name = "async"
 
-    async def _run_phase(self, clock: AsyncLatencyClock, phase: Phase) -> None:
-        """Run one phase as tasks, failing fast like the threaded pool.
-
-        Tasks are created in ascending participant id and the event
-        loop starts them in creation order (``call_soon`` is FIFO; the
-        semaphore grants waiters FIFO too), so each participant's
-        lock-held synchronous segment runs in a deterministic global
-        order — every phase is ordered, which is what makes *publish* a
-        deterministic barrier without serializing its latency:
-        participant *i* hits ``clock.drain()`` and awaits while
-        participant *i+1* allocates its epoch.  On a failure the pending
-        tasks are cancelled (started segments always run to their await
-        point — synchronous code cannot be interrupted mid-segment).
-        """
-        name, work, roster, _ordered = phase
-        semaphore = asyncio.Semaphore(self._workers or len(roster))
-
-        async def step(participant: "Participant") -> None:
-            """One participant's phase: sync segment, then the debt."""
-            async with semaphore:
-                work(participant)
-                await clock.drain()
-
-        tasks = [asyncio.create_task(step(p)) for p in roster]
-        done, pending = await asyncio.wait(
-            tasks, return_when=asyncio.FIRST_EXCEPTION
-        )
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.wait(pending)
-        self.raise_lowest_failure(name, roster, tasks, done)
-
     async def _run(self, confederation: "Confederation") -> None:
-        """The schedule, inside the event loop ``run`` owns."""
+        """The schedule, inside the event loop ``run`` owns.
+
+        A store phase's segments run in roster order, each once its own
+        participant is due.  An edit is a task that runs as soon as its
+        participant is free; the publish barrier awaits it at that
+        participant's turn, so a failed edit stops the barrier there.
+        """
         store = confederation.store
-        clock = AsyncLatencyClock()
+        clock = AsyncLatencyClock(self._workers)
         # Swap the store's latency clock for the run: payments accrue
-        # to the paying task instead of blocking the loop.  (Minimal
+        # to the running segment instead of blocking the loop.  (Minimal
         # test doubles without a clock attribute pay nothing anyway.)
         previous = getattr(store, "clock", None)
         if previous is not None:
             store.clock = clock
+
+        async def step(name: str, work: Callable, participant: "Participant") -> None:
+            """One participant's segment of a phase; a failure names it."""
+            try:
+                await clock.segment(participant.id, work, participant)
+            except Exception as error:
+                raise SchedulerError(
+                    f"{name} phase failed for participant {participant.id}: {error}"
+                ) from error
+
+        edits: Dict[int, "asyncio.Task[None]"] = {}
         try:
-            for phase in self.round_plan(confederation):
+            for name, work, roster, _ordered, shared in self.round_plan(confederation):
                 # The plan's epoch-end work (fault-plan restarts rebuild
-                # replicas through the store) charges latency to *this*
-                # task: pay it before the next phase, and after the last.
+                # replicas through the store) ran outside any segment:
+                # pay it before the next phase.
                 await clock.drain()
-                await self._run_phase(clock, phase)
+                for participant in roster:
+                    if not shared:
+                        edits[participant.id] = asyncio.create_task(
+                            step(name, work, participant)
+                        )
+                        continue
+                    if participant.id in edits:
+                        await edits.pop(participant.id)
+                    await step(name, work, participant)
             await clock.drain()
+            await clock.settle()
         finally:
+            for task in edits.values():
+                task.cancel()
+            await asyncio.gather(*edits.values(), return_exceptions=True)
             if previous is not None:
                 store.clock = previous
 

@@ -20,7 +20,7 @@ count.  This package reproduces that regime deterministically:
   (simulated) latency and wall time:
   :class:`~repro.net.clock.BlockingLatencyClock` blocks the calling
   thread, :class:`~repro.net.clock.AsyncLatencyClock` accrues debt per
-  asyncio task for the pipelined epoch scheduler to await.
+  participant, which the asyncio epoch scheduler makes only it wait out.
 """
 
 from repro.net.clock import (

@@ -16,13 +16,13 @@ Two implementations:
   concurrent workers block *in parallel*, exactly like clients of a
   real networked store.
 * :class:`AsyncLatencyClock` — installed by the asyncio epoch scheduler
-  for the duration of a run: a payment made inside a task *accrues* to
-  that task's debt instead of blocking, and the scheduler awaits
-  :meth:`AsyncLatencyClock.drain` between a participant's synchronous
-  segments.  Coalescing a segment's payments into one
-  ``asyncio.sleep`` is wall-time equivalent (nothing yields between
-  them anyway) and is what lets participant *i+1* allocate its epoch
-  under the store lock while participant *i*'s latency awaits.
+  for the duration of a run: a payment made inside a participant's
+  synchronous segment *accrues* to that segment's debt instead of
+  blocking, and the segment's end plus its debt is the time the
+  participant is *due* again.  Coalescing a segment's payments into one
+  deadline is wall-time equivalent (nothing yields between them anyway)
+  and is what lets every other participant's segments run while one
+  participant's latency is outstanding.
 
 The store-side entry point is
 :meth:`repro.store.base.UpdateStore.pay_latency`, which consults the
@@ -35,7 +35,7 @@ from __future__ import annotations
 import abc
 import asyncio
 import time
-from typing import Dict
+from typing import Callable, Dict, Hashable, Optional
 
 
 class LatencyClock(abc.ABC):
@@ -60,44 +60,70 @@ class BlockingLatencyClock(LatencyClock):
 
 
 class AsyncLatencyClock(LatencyClock):
-    """Accrue latency per task; an async scheduler awaits the debt.
+    """Accrue latency per participant; each one waits only for its own.
 
-    :meth:`pay` never blocks when called from inside a running asyncio
-    task: the seconds are added to that task's outstanding debt, and
-    the scheduler awaits :meth:`drain` once the task's synchronous
-    segment is over — turning the wait into an ``asyncio.sleep`` that
-    yields the event loop to other participants.  Called with no
-    running task (a store used standalone while this clock happens to
-    be installed), it degrades to the blocking behaviour so latency is
-    never silently dropped.
+    Work runs as synchronous *segments* (:meth:`segment`).  :meth:`pay`
+    adds to the open segment's debt, and the participant is due again at
+    the segment's end plus that debt — a recorded deadline, not a timer
+    started at segment end (that would count only from when the loop
+    next got control).  Only that participant's next segment waits for
+    it; ``workers`` caps how many may have latency outstanding at once.
+    Debt accrued outside any segment is awaited by :meth:`drain`; with
+    no running loop (a store used standalone while this clock is
+    installed) :meth:`pay` blocks, so latency is never dropped.
     """
 
-    def __init__(self) -> None:
-        """Start with no outstanding debt and nothing paid."""
-        self._debts: Dict["asyncio.Task", float] = {}
-        #: Total seconds actually awaited through :meth:`drain`.
+    def __init__(self, workers: Optional[int] = None) -> None:
+        """Start with nothing due and nothing paid."""
+        self._workers = workers
+        self._due: Dict[Hashable, float] = {}
+        self._debt = 0.0  # accrued since a segment last closed
+        #: Total seconds charged through this clock and waited out.
         self.total_paid = 0.0
 
     def pay(self, seconds: float) -> None:
-        """Accrue ``seconds`` to the current task's outstanding debt."""
+        """Accrue ``seconds`` to the open segment's debt."""
         try:
-            task = asyncio.current_task()
+            asyncio.get_running_loop()
         except RuntimeError:
-            task = None
-        if task is None:
             time.sleep(seconds)
             return
-        self._debts[task] = self._debts.get(task, 0.0) + seconds
+        self._debt += seconds
 
     @property
-    def outstanding(self) -> float:
-        """Accrued seconds not yet drained, across all tasks."""
-        return sum(self._debts.values())
+    def outstanding(self) -> Dict[Hashable, float]:
+        """Participant -> due time, for every one not yet due."""
+        now = asyncio.get_running_loop().time()
+        return {key: due for key, due in self._due.items() if due > now}
+
+    async def segment(self, key: Hashable, work: Callable[..., object], *args) -> None:
+        """Run ``work(*args)`` as one synchronous segment of ``key``'s
+        once ``key`` is due and the ``workers`` cap admits it; the
+        segment's debt is ``key``'s alone."""
+        loop = asyncio.get_running_loop()
+        while True:
+            others = self.outstanding
+            until = others.pop(key, 0.0)
+            if self._workers is not None and len(others) >= self._workers:
+                until = max(until, sorted(others.values())[-self._workers])
+            if until <= loop.time():
+                break
+            await asyncio.sleep(until - loop.time())
+        try:
+            work(*args)
+        finally:
+            self._due[key] = loop.time() + self._debt
+            self.total_paid += self._debt
+            self._debt = 0.0
 
     async def drain(self) -> None:
-        """Await the calling task's accrued debt (no-op when zero)."""
-        task = asyncio.current_task()
-        debt = self._debts.pop(task, 0.0)
-        if debt > 0:
-            self.total_paid += debt
-            await asyncio.sleep(debt)
+        """Await the debt accrued outside any segment."""
+        debt, self._debt = self._debt, 0.0
+        self.total_paid += debt
+        await asyncio.sleep(debt)
+
+    async def settle(self) -> None:
+        """Wait until no participant has latency outstanding."""
+        while self.outstanding:
+            loop = asyncio.get_running_loop()
+            await asyncio.sleep(max(self._due.values()) - loop.time())

@@ -129,8 +129,8 @@ class UpdateStore(abc.ABC):
         #: How charged latency is paid in wall time (see
         #: :mod:`repro.net.clock`).  The asyncio epoch scheduler swaps
         #: this for an :class:`~repro.net.clock.AsyncLatencyClock`
-        #: while it runs, so payments accrue to tasks instead of
-        #: blocking the event loop.
+        #: while it runs, so payments accrue to the running participant
+        #: instead of blocking the event loop.
         self.clock: LatencyClock = BlockingLatencyClock()
         #: Serializes store access across the threaded epoch scheduler's
         #: workers; uncontended (and therefore near-free) under the

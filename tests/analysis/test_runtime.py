@@ -261,12 +261,23 @@ def test_instrumented_async_chaos_run_is_clean_and_identical():
         faults=maskable_plan(CHAOS_SEED),
         schedule_mode="threaded",
     )
+    # Paying real latency, segments overlap under the proxies too.
+    paying = run_confederation(
+        "dht",
+        {**DHT_K2, "message_latency": 0.0002, "real_latency": True},
+        CHAOS_SEED,
+        instrument=True,
+        faults=maskable_plan(CHAOS_SEED),
+        schedule_mode="async",
+    )
     assert guarded[0] == plain[0]  # async global order is deterministic
-    assert guarded[1] == plain[1]
-    assert per_participant(guarded[0]) == per_participant(threaded[0])
-    assert guarded[2].faults.injected.get("crash") == 1
-    assert guarded[2].faults.injected.get("duplicate", 0) >= 1
-    assert guarded[2].faults.recoveries == 2
+    assert paying[0] == plain[0]  # ... and does not depend on latency
+    for run in (guarded, paying):
+        assert run[1] == plain[1] == threaded[1]
+        assert per_participant(run[0]) == per_participant(threaded[0])
+        assert run[2].faults.injected.get("crash") == 1
+        assert run[2].faults.injected.get("duplicate", 0) >= 1
+        assert run[2].faults.recoveries == 2
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
+from typing import NamedTuple
+
 import pytest
 
 from repro.confed import (
@@ -217,13 +220,124 @@ class TestAsyncSchedule:
             assert isinstance(confed.store.clock, BlockingLatencyClock)
 
 
+class Segment(NamedTuple):
+    """One participant's synchronous segment, as the async driver ran it."""
+
+    name: str
+    participant: int
+    start: float
+    end: float
+    charged: float  # the latency the store charged inside it
+
+
+def _timeline(monkeypatch, workers=None):
+    """Run four peers on a real-latency ``memory`` store under the async
+    scheduler, participant 4 the farthest from it, recording every
+    segment (from the round plan's work) and every epoch end in the
+    order they ran; plus the clock the run paid through and the latency
+    the store charged during ``run()``."""
+    config = _config(
+        schedule_mode="async",
+        schedule_workers=workers,
+        store_options={"message_latency": 0.005, "real_latency": True},
+    )
+    log, clocks = [], []
+    hooks = HookBus()
+    hooks.on_epoch_end(lambda **kw: log.append(("epoch_end", kw["participant"])))
+    original = AsyncScheduler.round_plan
+    with Confederation(config, hooks=hooks) as confed:
+        store, perf = confed.store, confed.store.perf
+        complete = store.complete_reconciliation
+
+        def far(participant, result):
+            # Participant 4 is far away: its report costs five more round
+            # trips, so its reconcile's latency outlasts everyone's.
+            if participant == 4:
+                perf.charge(10, store.message_latency)
+            return complete(participant, result)
+
+        store.complete_reconciliation = far
+
+        def timed(name, work):
+            def run(participant):
+                loop = asyncio.get_running_loop()
+                clocks.append(store.clock)
+                charged, start = perf.simulated_seconds, loop.time()
+                work(participant)
+                log.append(Segment(
+                    name, participant.id, start, loop.time(),
+                    perf.simulated_seconds - charged,
+                ))
+
+            return run
+
+        def recording_plan(self, confederation):
+            for name, work, *rest in original(self, confederation):
+                yield (name, timed(name, work), *rest)
+
+        monkeypatch.setattr(AsyncScheduler, "round_plan", recording_plan)
+        before = perf.simulated_seconds
+        confed.run()
+        charged = perf.simulated_seconds - before
+    assert len(set(map(id, clocks))) == 1
+    return log, clocks[0], charged
+
+
+class TestAsyncTimeline:
+    """Each participant waits only for its own latency, and the store
+    segments keep the barrier driver's global order."""
+
+    PEERS = (1, 2, 3, 4)
+
+    def test_each_participant_waits_only_for_itself_in_the_barrier_order(
+        self, monkeypatch
+    ):
+        log, clock, charged = _timeline(monkeypatch)
+        # The store segments run in the barrier driver's global order.
+        order = [(entry[0], entry[1]) for entry in log if entry[0] != "edit"]
+        assert order == [
+            (step, pid)
+            for _round in range(2)
+            for step in ("publish", "reconcile", "epoch_end")
+            for pid in self.PEERS
+        ] + [("reconcile", pid) for pid in self.PEERS]
+        # No segment starts before its participant's previous one is due.
+        segments = [entry for entry in log if isinstance(entry, Segment)]
+        previous = {}
+        for segment in segments:
+            before = previous.get(segment.participant)
+            if before is not None:
+                assert segment.start >= before.end + before.charged
+            previous[segment.participant] = segment
+        # The overlap is real: a round-2 publish starts before the last
+        # round-1 reconcile is due.
+        last = [s for s in segments if s.name == "reconcile"][len(self.PEERS) - 1]
+        assert any(
+            s.start < last.end + last.charged
+            for s in [s for s in segments if s.name == "publish"][len(self.PEERS):]
+        )
+        assert charged > 0
+        assert clock.total_paid == pytest.approx(charged)
+
+    def test_one_worker_leaves_one_participant_with_latency_outstanding(
+        self, monkeypatch
+    ):
+        log, clock, charged = _timeline(monkeypatch, workers=1)
+        segments = [entry for entry in log if isinstance(entry, Segment)]
+        for before, after in zip(segments, segments[1:]):
+            assert after.start >= before.end + before.charged
+        assert clock.total_paid == pytest.approx(charged)
+
+
 @pytest.mark.parametrize("mode", ["threaded", "async"])
 class TestFailFast:
     def test_edit_phase_failure_aborts_before_the_publish_barrier(self, mode):
-        # A worker exception in the parallel edit phase must abort the
-        # round before anything publishes — a half-edited round leaking
-        # through the barrier would feed every peer inconsistent epochs
-        # — and the raised error must name the failing participant.
+        # A failed edit must stop the round before participant 3 would
+        # publish — a half-edited round leaking through the barrier
+        # would feed every peer inconsistent epochs — and the raised
+        # error must name the failing participant.  The threaded driver
+        # never starts the barrier; the async one stops it at 3, after
+        # the lower ids published (as after a failed publish).
         with Confederation(_config(schedule_mode=mode)) as confed:
             broken = confed.participant(3)
 
@@ -236,9 +350,53 @@ class TestFailFast:
             ) as excinfo:
                 confed.run()
             assert isinstance(excinfo.value.__cause__, RuntimeError)
-            # Nothing published: the barrier never ran.
-            assert confed.store.current_epoch() == 0
+            published = {"threaded": 0, "async": 2}[mode]
+            assert confed.store.current_epoch() == published
             assert confed.report().transactions_published == 0
+
+    def test_a_round_two_edit_failure_stops_that_round(self, mode):
+        # Round 2 is where the async driver overlaps one round's
+        # latency with the next round's work.
+        def run():
+            events = []
+            hooks = HookBus()
+
+            def record(event):
+                return lambda **kw: events.append(
+                    (event, kw["participant"], kw.get("round"))
+                )
+
+            for event in ("publish", "reconcile", "epoch_end"):
+                hooks.subscribe(event, record(event))
+            with Confederation(_config(schedule_mode=mode), hooks=hooks) as confed:
+                broken = confed.participant(3)
+                execute = broken.execute
+
+                def explode_in_round_two(updates):
+                    if ("epoch_end", 4, 0) in events:
+                        raise RuntimeError("disk on fire")
+                    return execute(updates)
+
+                broken.execute = explode_in_round_two
+                with pytest.raises(SchedulerError) as excinfo:
+                    confed.run()
+            return events, excinfo.value
+
+        events, error = run()
+        assert str(error).startswith("edit phase failed for participant 3")
+        assert isinstance(error.__cause__, RuntimeError)
+        round_one = [("publish", p, None) for p in (1, 2, 3, 4)]
+        round_one += [("reconcile", p, None) for p in (1, 2, 3, 4)]
+        round_one += [("epoch_end", p, 0) for p in (1, 2, 3, 4)]
+        if mode == "threaded":
+            # Round 2 published nothing (threaded reconciles interleave).
+            assert sorted(events) == sorted(round_one)
+        else:
+            # The lower ids' round-2 epochs stay published; no
+            # reconcile or epoch end of round 2 ran.
+            assert events == round_one + [("publish", 1, None), ("publish", 2, None)]
+            again, second = run()
+            assert again == events and str(second) == str(error)
 
     def test_publish_barrier_failure_is_wrapped_and_stops_the_round(self, mode):
         # A store error during the barrier used to escape raw from the

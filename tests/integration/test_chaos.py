@@ -85,6 +85,8 @@ def run_confederation(
 
 
 DHT_K2 = {"hosts": 5, "replication_factor": 2}
+#: ``DHT_K2`` with its per-message latency paid in wall time.
+PAYING_K2 = {**DHT_K2, "message_latency": 0.0002, "real_latency": True}
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -231,16 +233,25 @@ def test_maskable_faults_byte_identical_under_async_schedule(seed):
         schedule_mode="async",
     )
     threaded = run_confederation("dht", DHT_K2, seed, schedule_mode="threaded")
+    # The same plan paying real latency: segments overlap, and the
+    # crash, recovery and restart land while latency is outstanding.
+    paying = run_confederation(
+        "dht", PAYING_K2, seed, faults=maskable_plan(seed),
+        schedule_mode="async",
+    )
     assert chaotic[0] == fault_free[0]  # full stream, order included
     assert chaotic[1] == fault_free[1]
     assert chaotic[2].state_ratio == fault_free[2].state_ratio
-    assert per_participant(chaotic[0]) == per_participant(threaded[0])
-    assert chaotic[1] == threaded[1]
+    assert paying[0] == chaotic[0]  # the order does not depend on latency
+    for run in (chaotic, paying):
+        assert per_participant(run[0]) == per_participant(threaded[0])
+        assert run[1] == threaded[1]
     # ... and the faults really happened under the event loop too.
-    summary = chaotic[2].faults
-    assert summary.injected.get("crash") == 1
-    assert summary.recoveries == 2
-    assert summary.retries >= 1
+    for run in (chaotic, paying):
+        summary = run[2].faults
+        assert summary.injected.get("crash") == 1
+        assert summary.recoveries == 2
+        assert summary.retries >= 1
 
 
 def test_unmaskable_fault_raises_scheduler_error_async():

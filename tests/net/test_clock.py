@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import time
 
+import pytest
+
 from repro.net.clock import (
     AsyncLatencyClock,
     BlockingLatencyClock,
@@ -61,63 +63,100 @@ class TestBlockingClock:
 
 
 class TestAsyncClock:
-    def test_pay_accrues_per_task_and_drain_awaits(self):
+    def test_a_segment_makes_only_its_own_participant_wait(self):
         clock = AsyncLatencyClock()
-
-        async def worker(seconds):
-            clock.pay(seconds)
-            clock.pay(seconds)  # payments within a segment coalesce
-            assert clock.outstanding >= 2 * seconds
-            await clock.drain()
+        starts = []
 
         async def main():
+            loop = asyncio.get_running_loop()
+
+            def work(name, seconds):
+                starts.append((name, loop.time()))
+                clock.pay(seconds)
+                clock.pay(seconds)  # payments within a segment coalesce
+
+            await clock.segment(1, work, "1a", 0.02)
+            ended = loop.time()
+            # Due at the segment's end plus its debt: a recorded time.
+            due = clock.outstanding[1]
+            assert starts[0][1] + 0.04 <= due <= ended + 0.04
+            assert set(clock.outstanding) == {1}
+            await clock.segment(2, work, "2a", 0.0)  # not held up by 1
+            await clock.segment(1, work, "1b", 0.0)  # waits out its own
+            return due
+
+        due = asyncio.run(main())
+        times = dict(starts)
+        assert times["2a"] < due
+        assert times["1b"] >= due
+        assert clock.total_paid == 0.04
+
+    def test_the_workers_cap_bounds_participants_with_latency_outstanding(self):
+        clock = AsyncLatencyClock(workers=1)
+        starts = {}
+
+        async def main():
+            loop = asyncio.get_running_loop()
+
+            def work(name):
+                starts[name] = loop.time()
+                assert len(clock.outstanding) == 0
+                clock.pay(0.02)
+
+            await clock.segment(1, work, "1")
+            due = clock.outstanding[1]
+            await clock.segment(2, work, "2")
+            return due
+
+        due = asyncio.run(main())
+        assert starts["2"] >= due
+
+    def test_a_failed_segment_still_charges_its_participant(self):
+        clock = AsyncLatencyClock()
+
+        def work():
+            clock.pay(0.01)
+            raise RuntimeError("boom")
+
+        async def main():
+            with pytest.raises(RuntimeError):
+                await clock.segment(1, work)
+            return set(clock.outstanding)
+
+        assert asyncio.run(main()) == {1}
+        assert clock.total_paid == 0.01
+
+    def test_drain_awaits_what_was_paid_outside_any_segment(self):
+        clock = AsyncLatencyClock()
+
+        async def main():
+            clock.pay(0.02)
             started = time.perf_counter()
-            await asyncio.gather(worker(0.02), worker(0.02))
+            await clock.drain()
             return time.perf_counter() - started
 
-        elapsed = asyncio.run(main())
-        # Each task owes 0.04s; the two waits overlap on the loop.
-        assert elapsed >= 0.03
-        assert elapsed < 0.1
-        assert clock.outstanding == 0.0
-        assert clock.total_paid >= 0.08
+        assert asyncio.run(main()) >= 0.015
+        assert clock.total_paid == 0.02
 
-    def test_debts_are_isolated_per_task(self):
-        clock = AsyncLatencyClock()
-        seen = {}
-
-        async def worker(name, seconds):
-            clock.pay(seconds)
-            before = clock._debts[asyncio.current_task()]
-            await clock.drain()
-            seen[name] = before
-
-        asyncio.run(
-            asyncio.wait_for(
-                _gather(worker("a", 0.001), worker("b", 0.002)), timeout=5
-            )
-        )
-        assert seen == {"a": 0.001, "b": 0.002}
-
-    def test_drain_without_debt_is_a_no_op(self):
+    def test_settle_waits_until_no_latency_is_outstanding(self):
         clock = AsyncLatencyClock()
 
         async def main():
-            await clock.drain()
+            for key in (1, 2):
+                await clock.segment(key, clock.pay, 0.01 * key)
+            due = clock.outstanding[2]
+            await clock.settle()
+            assert clock.outstanding == {}
+            return asyncio.get_running_loop().time(), due
 
-        asyncio.run(main())
-        assert clock.total_paid == 0.0
+        now, due = asyncio.run(main())
+        assert now >= due
 
-    def test_pay_outside_a_task_degrades_to_blocking(self):
+    def test_pay_outside_a_running_loop_degrades_to_blocking(self):
         # A store used standalone while the async clock happens to be
         # installed must still pay — latency is never silently dropped.
         clock = AsyncLatencyClock()
         started = time.perf_counter()
         clock.pay(0.02)
         assert time.perf_counter() - started >= 0.015
-        assert clock.outstanding == 0.0
-
-
-async def _gather(*coroutines):
-    """``asyncio.gather`` as a coroutine (for ``wait_for``)."""
-    return await asyncio.gather(*coroutines)
+        assert clock.total_paid == 0.0

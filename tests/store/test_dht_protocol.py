@@ -27,8 +27,20 @@ CLIENT_CONSUMED = {kind for row in REPLIES.values() for kind in row} | {
 }
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_kind_has_exactly_one_row(kind):
+    """A host handles it, it answers a request, or it is the one
+    unsolicited client-bound kind: a kind added without a row fails here
+    by name."""
+    rows = [kind in HANDLERS, kind in CLIENT_CONSUMED - {"nc_adjacency"}]
+    rows.append(kind == "nc_adjacency")
+    assert rows.count(True) == 1, rows
+
+
 def test_every_kind_is_dispatched_replied_or_client_consumed():
-    assert set(HANDLERS) | CLIENT_CONSUMED == KINDS
+    # Every kind has a row (per kind, above), and the tables name no
+    # undeclared kind ...
+    assert set(HANDLERS) | CLIENT_CONSUMED <= KINDS
     # ... exactly once: hosts never handle what only clients receive,
     # and no kind answers two requests.
     assert not set(HANDLERS) & CLIENT_CONSUMED

@@ -57,7 +57,7 @@ MARKDOWN_FILES = (
 )
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 14929
+SOURCE_LINE_CEILING = 14927
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``analysis/rules.py`` (``store/dht/driver.py`` is 811).
