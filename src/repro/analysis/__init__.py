@@ -3,12 +3,11 @@
 Two halves, one contract:
 
 * **Static** — :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules`:
-  an AST lint engine with repo-specific rules ``RPR001``–``RPR008``
-  covering capability routing, seeded RNG substreams, wall-clock-free
-  decision paths, ``_store_call`` transport discipline, hook-bus
-  dispatch, memo lock helpers, ordered iteration, and exact config
-  round-trips.  Run as ``python -m repro.analysis src tests benchmarks
-  examples`` (the CI gate); suppress an intended exception with
+  an AST lint engine with the repo-specific rules ``RPR001``–``RPR010``,
+  one row each of :data:`~repro.analysis.rules.RULES`
+  (``python -m repro.analysis --list-rules`` prints the catalogue).
+  Run as ``python -m repro.analysis src tests benchmarks examples`` (the
+  CI gate); suppress an intended exception with
   ``# repro: allow[RPRnnn]`` on or above the line.
 * **Dynamic** — :mod:`repro.analysis.runtime`: debug-mode
   instrumentation that wraps a store's lock and container state with

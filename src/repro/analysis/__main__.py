@@ -18,12 +18,13 @@ from repro.analysis.rules import default_rules
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (also the docs' flag reference)."""
+    rules = default_rules()
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Determinism & lock-discipline checker: repo-specific AST "
-            "lint rules (RPR001-RPR009) over the given files and "
-            "directories."
+            f"Determinism & lock-discipline checker: repo-specific AST "
+            f"lint rules ({rules[0].code}-{rules[-1].code}) over the given "
+            f"files and directories."
         ),
     )
     parser.add_argument(

@@ -5,15 +5,17 @@ routing, seeded RNG substreams, ``_store_call`` transport discipline,
 serialized hook dispatch, exact config round-trips) are enforced by
 convention — a violation only surfaces if a decision-stream pin happens
 to catch it.  This engine checks them *statically*: each invariant is a
-:class:`Rule` with a stable ``RPRnnn`` code, rules visit a file's AST
-and yield :class:`Finding`\\ s, and the CLI gates CI on an empty result.
+:class:`Rule` record with a stable ``RPRnnn`` code — one row of the
+table in :mod:`repro.analysis.rules` — whose ``check`` visits a file's
+AST and yields the offending nodes; the engine turns each into a
+:class:`Finding`, and the CLI gates CI on an empty result.
 
 Scoping: a rule usually guards one layer (``core/`` must not read wall
 clocks, ``cdss/`` must not bypass ``_store_call``), so every checked
 file gets a :class:`ModuleContext` describing *where it lives* — its
 realm (``src`` / ``tests`` / ``benchmarks`` / ``examples``) and, for
-``src/repro`` modules, the subpackage.  Rules declare what they apply
-to through :meth:`Rule.applies`.
+``src/repro`` modules, the subpackage.  A row's ``applies`` predicate
+says which contexts it checks.
 
 Suppressions: a finding is silenced by ``# repro: allow[RPRnnn]`` on
 the offending line or the line directly above it.  Suppressions are
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: Path anchors that name a realm; the first match (outermost part) wins.
 REALM_ANCHORS: Tuple[str, ...] = ("src", "tests", "benchmarks", "examples")
@@ -92,56 +94,34 @@ class ModuleContext:
         for index, part in enumerate(parts):
             if part in REALM_ANCHORS:
                 realm = part
-                if part == "src" and len(parts) > index + 2:
+                if part == "src" and len(parts) > index + 3:
                     # src / repro / <subpackage> / ...  (a top-level
                     # module like src/repro/errors.py has no subpackage)
-                    if len(parts) > index + 3:
-                        subpackage = parts[index + 2]
+                    subpackage = parts[index + 2]
                 break
         return cls(path=str(Path(path).as_posix()), realm=realm, subpackage=subpackage)
-
-    @property
-    def filename(self) -> str:
-        """The basename of the (possibly pretended) module path."""
-        return Path(self.path).name
 
     def in_module(self, *suffixes: str) -> bool:
         """True when the context path ends with any of ``suffixes``."""
         return any(self.path.endswith(suffix) for suffix in suffixes)
 
 
+@dataclass(frozen=True)
 class Rule:
-    """One checkable invariant.
+    """One checkable invariant: a row of :data:`repro.analysis.rules.RULES`.
 
-    Subclasses set ``code``/``name``/``summary``, narrow
-    :meth:`applies`, and implement :meth:`check` as a generator of
-    :class:`Finding`\\ s.  Rules are stateless across files — any
-    per-file bookkeeping lives in locals of ``check``.
+    ``applies`` says whether the rule checks a file at a given
+    :class:`ModuleContext`; ``check`` yields ``(node, message)`` for
+    every violation in one parsed module, and :func:`analyze_source`
+    anchors the :class:`Finding` at ``node``.  Rules are stateless
+    across files — any per-file bookkeeping lives in locals of ``check``.
     """
 
-    code: str = "RPR000"
-    name: str = "abstract-rule"
-    summary: str = ""
-
-    def applies(self, context: ModuleContext) -> bool:
-        """Whether this rule checks files at ``context`` (default: all)."""
-        return True
-
-    def check(
-        self, tree: ast.Module, context: ModuleContext
-    ) -> Iterator[Finding]:
-        """Yield findings for one parsed module."""
-        raise NotImplementedError
-
-    def finding(self, context: ModuleContext, node: ast.AST, message: str) -> Finding:
-        """A :class:`Finding` anchored at ``node``."""
-        return Finding(
-            code=self.code,
-            path=context.path,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            message=message,
-        )
+    code: str
+    name: str
+    summary: str
+    applies: Callable[[ModuleContext], bool]
+    check: Callable[[ast.Module, ModuleContext], Iterable[Tuple[ast.AST, str]]]
 
 
 @dataclass
@@ -193,14 +173,14 @@ def analyze_source(
     for rule in rules:
         if not rule.applies(scope):
             continue
-        for finding in rule.check(tree, scope):
-            lines = (finding.line, finding.line - 1)
-            if any(finding.code in allowed.get(line, ()) for line in lines):
+        for node, message in rule.check(tree, scope):
+            line = node.lineno
+            if any(rule.code in allowed.get(at, ()) for at in (line, line - 1)):
                 report.suppressed += 1
                 continue
-            if finding.path != path:
-                finding = replace(finding, path=path)
-            report.findings.append(finding)
+            report.findings.append(
+                Finding(rule.code, path, line, node.col_offset + 1, message)
+            )
     return report
 
 

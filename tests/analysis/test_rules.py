@@ -4,7 +4,8 @@ Three layers of proof:
 
 * **fixtures** — one seeded-violation file per rule code under
   ``fixtures/`` (non-``.py`` extensions so directory walks never see
-  them); each must produce findings of exactly its own code;
+  them); each marks every line that must fire with ``# <- RPRnnn``,
+  and the findings must be exactly those markers;
 * **mechanics** — scoping, suppression comments, fixture impersonation,
   ``--select`` validation, RPR000 degradation on bad files;
 * **self-check** — the real tree (``src tests benchmarks examples``)
@@ -14,6 +15,8 @@ Three layers of proof:
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,19 +35,32 @@ from repro.analysis.report import render_json, render_text
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-#: rule code → (fixture file, expected number of findings)
+#: rule code → its fixture file
 FIXTURE_BY_CODE = {
-    "RPR001": ("rpr001_store_type_check.txt", 1),
-    "RPR002": ("rpr002_unseeded_random.txt", 2),
-    "RPR003": ("rpr003_wall_clock.txt", 1),
-    "RPR004": ("rpr004_direct_store_call.txt", 1),
-    "RPR005": ("rpr005_hook_event.txt", 2),
-    "RPR006": ("rpr006_memo_mutation.txt", 2),
-    "RPR007": ("rpr007_set_iteration.txt", 2),
-    "RPR008": ("rpr008_dict_parity.txt", 1),
-    "RPR009": ("rpr009_kinds_registry.txt", 3),
-    "RPR010": ("rpr010_blocking_sleep.txt", 2),
+    "RPR001": "rpr001_store_type_check.txt",
+    "RPR002": "rpr002_unseeded_random.txt",
+    "RPR003": "rpr003_wall_clock.txt",
+    "RPR004": "rpr004_direct_store_call.txt",
+    "RPR005": "rpr005_hook_event.txt",
+    "RPR006": "rpr006_memo_mutation.txt",
+    "RPR007": "rpr007_set_iteration.txt",
+    "RPR008": "rpr008_dict_parity.txt",
+    "RPR009": "rpr009_kinds_registry.txt",
+    "RPR010": "rpr010_blocking_sleep.txt",
 }
+
+_MARKER = re.compile(r"#\s*<-\s*(RPR\d{3})")
+
+
+def marked_findings(code):
+    """The ``(line, code)`` multiset a fixture's ``# <- RPRnnn`` markers
+    promise."""
+    text = (FIXTURES / FIXTURE_BY_CODE[code]).read_text()
+    return Counter(
+        (lineno, marker)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        for marker in _MARKER.findall(line)
+    )
 
 
 def test_fixture_table_covers_every_shipped_rule():
@@ -53,16 +69,19 @@ def test_fixture_table_covers_every_shipped_rule():
 
 @pytest.mark.parametrize("code", sorted(FIXTURE_BY_CODE))
 def test_rule_fires_on_its_fixture(code):
-    filename, expected_count = FIXTURE_BY_CODE[code]
-    findings = run_analysis([str(FIXTURES / filename)])
-    assert len(findings) == expected_count, [f.render() for f in findings]
-    # Exactly this rule and no other: fixtures are single-violation
+    path = str(FIXTURES / FIXTURE_BY_CODE[code])
+    expected = marked_findings(code)
+    assert expected, f"{path} marks no finding"
+    # Exactly this rule and no other: fixtures are single-rule
     # specimens, so cross-firing means a rule lost precision.
-    assert {f.code for f in findings} == {code}
+    assert {marker for _, marker in expected} == {code}
+    findings = run_analysis([path])
+    assert Counter((f.line, f.code) for f in findings) == expected, [
+        f.render() for f in findings
+    ]
     for finding in findings:
         # Findings point at the file on disk, not the impersonated path.
-        assert finding.path == str(FIXTURES / filename)
-        assert finding.line >= 1
+        assert finding.path == path
         assert finding.column >= 1
         assert finding.message
 
@@ -96,7 +115,7 @@ def test_fixture_header_overrides_scoping_but_not_reported_path():
     # Scoped as core/ (the impersonated module) …
     assert report.context.subpackage == "core"
     # … but findings carry the on-disk path.
-    assert [f.path for f in report.findings] == ["whatever/on/disk.txt"]
+    assert {f.path for f in report.findings} == {"whatever/on/disk.txt"}
 
 
 def test_suppression_comment_on_line_and_line_above():
@@ -113,9 +132,10 @@ def test_suppression_comment_on_line_and_line_above():
 
 
 def test_select_narrows_and_rejects_unknown_codes():
-    fixture = str(FIXTURES / FIXTURE_BY_CODE["RPR002"][0])
+    fixture = str(FIXTURES / FIXTURE_BY_CODE["RPR002"])
     assert run_analysis([fixture], select=["RPR003"]) == []
-    assert len(run_analysis([fixture], select=["rpr002"])) == 2
+    selected = run_analysis([fixture], select=["rpr002"])
+    assert len(selected) == sum(marked_findings("RPR002").values())
     with pytest.raises(ValueError, match="RPR999"):
         run_analysis([fixture], select=["RPR999"])
 
@@ -153,13 +173,14 @@ def test_unparseable_file_degrades_to_rpr000(tmp_path):
 
 
 def test_text_and_json_reporters():
-    findings = run_analysis([str(FIXTURES / FIXTURE_BY_CODE["RPR006"][0])])
+    findings = run_analysis([str(FIXTURES / FIXTURE_BY_CODE["RPR006"])])
+    total = sum(marked_findings("RPR006").values())
     text = render_text(findings)
     assert "RPR006" in text
-    assert "2 finding(s)" in text
+    assert f"{total} finding(s)" in text
     payload = json.loads(render_json(findings))
-    assert payload["total"] == 2
-    assert payload["counts"] == {"RPR006": 2}
+    assert payload["total"] == total
+    assert payload["counts"] == {"RPR006": total}
     assert {f["code"] for f in payload["findings"]} == {"RPR006"}
     assert render_text([]) == "0 findings"
 
@@ -167,7 +188,7 @@ def test_text_and_json_reporters():
 def test_cli_exit_codes(capsys):
     clean = main([str(REPO_ROOT / "src" / "repro" / "errors.py")])
     assert clean == 0
-    dirty = main([str(FIXTURES / FIXTURE_BY_CODE["RPR001"][0])])
+    dirty = main([str(FIXTURES / FIXTURE_BY_CODE["RPR001"])])
     assert dirty == 1
     assert main([]) == 2  # no paths
     assert main(["--select", "RPR999", "x.py"]) == 2  # unknown code
@@ -176,7 +197,7 @@ def test_cli_exit_codes(capsys):
 
 def test_cli_json_format(capsys):
     code = main(
-        [str(FIXTURES / FIXTURE_BY_CODE["RPR004"][0]), "--format", "json"]
+        [str(FIXTURES / FIXTURE_BY_CODE["RPR004"]), "--format", "json"]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)

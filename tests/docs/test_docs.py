@@ -2,9 +2,10 @@
 
 Imports the checks from ``tools/check_docs.py`` (stdlib-only) so that a
 missing public docstring, a broken relative link in the checked markdown
-files, a docs snippet quoting a CLI flag that does not exist, or the
-library outgrowing its source-line ceiling fails the ordinary test suite
-— not just the dedicated CI docs job.
+files, a docs snippet quoting a CLI flag that does not exist, an
+invariants table that drifts from the rule registry, or the library
+outgrowing its source-line ceiling fails the ordinary test suite — not
+just the dedicated CI docs job.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ def test_markdown_links_resolve():
 
 def test_cli_snippets_are_honest():
     assert check_docs.check_cli_snippets() == []
+
+
+def test_a_dropped_invariant_row_is_named(monkeypatch, tmp_path):
+    doc = (REPO / check_docs.INVARIANTS_DOC).read_text()
+    row = next(line for line in doc.splitlines() if line.startswith("| RPR007 |"))
+    copy = tmp_path / check_docs.INVARIANTS_DOC
+    copy.parent.mkdir(parents=True)
+    copy.write_text(doc.replace(row + "\n", ""))
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    (problem,) = check_docs.check_cli_snippets()
+    assert "missing rows: ['RPR007']" in problem
 
 
 def test_source_lines_stay_under_the_ratchet():

@@ -184,6 +184,35 @@ def test_the_engine_has_one_mode():
         ConfederationConfig.from_dict({"peers": [1, 2], "engine_caching": True})
 
 
+def test_analyzer_rules_are_records_not_subclasses():
+    # A lint rule is a row of ``RULES``: ``Rule`` is a frozen record of
+    # five fields with no ``finding`` helper (the engine anchors
+    # findings), and the ten per-rule subclasses are gone, not shimmed.
+    import dataclasses
+
+    import repro.analysis.rules as rules_module
+    from repro.analysis import RULES_BY_CODE, ModuleContext, Rule
+
+    fields = [field.name for field in dataclasses.fields(Rule)]
+    assert fields == ["code", "name", "summary", "applies", "check"]
+    assert not hasattr(Rule, "finding")
+    assert not hasattr(ModuleContext, "filename")
+    assert all(type(rule) is Rule for rule in RULES_BY_CODE.values())
+    for gone in (
+        "StoreTypeCheckRule",
+        "UnseededRandomRule",
+        "WallClockRule",
+        "DirectStoreCallRule",
+        "HookEventRule",
+        "MemoMutationRule",
+        "SetIterationRule",
+        "DictRoundTripRule",
+        "KindsRegistryRule",
+        "BlockingSleepRule",
+    ):
+        assert not hasattr(rules_module, gone), gone
+
+
 def test_builtin_registry_contents():
     assert available_stores() == ["central", "dht", "durable", "memory"]
 
