@@ -9,6 +9,8 @@ identical decisions.
 
 from __future__ import annotations
 
+import gc
+
 from repro.confed import Confederation, ConfederationConfig
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
@@ -16,6 +18,10 @@ from benchmarks.conftest import emit
 
 
 def run_mode(network_centric: str):
+    # Start from a collected heap: a full collection owed to what earlier
+    # tests in the session left behind would otherwise land in whichever
+    # run trips it and count as that mode's local reconciliation time.
+    gc.collect()
     config = ConfederationConfig(
         store="memory",
         peers=tuple(range(1, 9)),

@@ -5,8 +5,9 @@ a confederation owns the participant lifecycle:
 
 * ``open()`` builds the store through the driver registry, wires the
   event hook bus and its metric collectors, and registers the
-  configured peers with their trust policies; ``close()`` releases the
-  store.  Both are also available as a context manager;
+  configured peers with their trust policies through the epoch
+  scheduler; ``close()`` releases the store.  Both are also available
+  as a context manager;
 * participants publish/reconcile/resolve exactly as before — the facade
   adds by-name store selection, capability validation, and observability,
   not new reconciliation semantics;
@@ -14,10 +15,8 @@ a confederation owns the participant lifecycle:
   Section 5.2 (:meth:`repro.cdss.participant.Participant.rebuild`):
   everything a participant is can be re-derived from the update store;
 * ``run()`` executes the evaluation-section schedule through a
-  pluggable epoch scheduler (:mod:`repro.confed.scheduler` — the
-  paper's serial round-robin, or a threaded schedule that overlaps
-  independent participants' work) and ``report()`` collects the
-  paper's metrics from hook-bus subscribers.
+  pluggable epoch scheduler (:mod:`repro.confed.scheduler`) and
+  ``report()`` collects the paper's metrics from hook-bus subscribers.
 """
 
 from __future__ import annotations
@@ -122,10 +121,14 @@ class Confederation:
     # Lifecycle
 
     def open(self) -> "Confederation":
-        """Build the store and register the configured peers.
+        """Build the store and register the configured peers, in order.
 
-        Idempotence is deliberate ambiguity-free: opening twice, or
-        reopening after ``close()``, raises
+        Registration is the scheduler's first ordered store phase: under
+        ``schedule_mode="async"`` each peer waits only for its own round
+        trip (``schedule_workers`` caps how many are in flight), so
+        opening costs about one round trip, not one per peer; the serial
+        and threaded modes register one after another.  Opening twice,
+        or reopening after ``close()``, raises
         :class:`~repro.errors.ConfigError`.
         """
         if self._closed:
@@ -152,8 +155,9 @@ class Confederation:
         if self.config.faults is not None and not self.config.faults.is_empty():
             self._install_faults(self.config.faults)
         self._opened = True
-        for pid in self.config.peers:
-            self.add_participant(pid, self._policy_for(pid))
+        create_scheduler(self.config).register(
+            self, [(pid, self._policy_for(pid)) for pid in self.config.peers]
+        )
         return self
 
     def _install_faults(self, plan: FaultPlan) -> None:
@@ -300,10 +304,9 @@ class Confederation:
         automatically resolved" — the configuration all the paper's
         experiments use.
         """
-        return [
-            self.add_participant(pid, self._mutual_policy(pid, ids, priority))
-            for pid in ids
-        ]
+        return create_scheduler(self.config).register(
+            self, [(pid, self._mutual_policy(pid, ids, priority)) for pid in ids]
+        )
 
     def participant(self, participant_id: int) -> Participant:
         """Look up a participant by id."""
@@ -479,19 +482,12 @@ class Confederation:
         return self._generator
 
     def run(self, relation: Optional[str] = "F") -> ConfederationReport:
-        """Execute the configured schedule and return the report.
-
-        The schedule itself is a pluggable strategy
-        (:mod:`repro.confed.scheduler`, selected by
-        ``config.schedule_mode``): the default ``"serial"`` mode is the
-        paper's strict round-robin — every ``reconciliation_interval``
-        transactions each participant publishes and reconciles, for
-        ``rounds`` cycles — and ``"threaded"`` runs independent
-        participants' edit/reconcile phases concurrently between
-        deterministic publish-order barriers.  ``final_reconcile`` adds
-        one reconcile-only pass so every published transaction reaches
-        every peer.
-        """
+        """Execute the configured schedule and return the report: every
+        ``reconciliation_interval`` transactions each participant
+        publishes and reconciles, for ``rounds`` cycles, plus one
+        reconcile-only pass if ``final_reconcile`` is set, driven by the
+        scheduler ``config.schedule_mode`` names
+        (:mod:`repro.confed.scheduler`)."""
         self._ensure_open()
         create_scheduler(self.config).run(self)
         return self.report(relation=relation)

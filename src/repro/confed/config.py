@@ -66,8 +66,9 @@ class ConfederationConfig:
       runs the store segments in the same order, and each participant
       waits only for its own injected latency, through the store's
       :class:`~repro.net.clock.AsyncLatencyClock`; ``schedule_workers``
-      caps how many participants have latency outstanding at once, None
-      leaves it uncapped).  See :mod:`repro.confed.scheduler`;
+      caps how many participants have latency outstanding at once —
+      registrations in ``open()`` too — None leaves it uncapped).  See
+      :mod:`repro.confed.scheduler`;
     * ``faults`` — an optional :class:`repro.net.faults.FaultPlan`: the
       seeded, declarative chaos schedule the run should suffer (host
       crashes and recoveries pinned to epochs, message drops /
@@ -171,27 +172,18 @@ class ConfederationConfig:
         keys); :meth:`from_dict` converts them back, so the round trip
         — including a ``json.dumps``/``json.loads`` detour — is exact.
         """
-        return {
-            "store": self.store,
-            "store_options": dict(self.store_options),
-            "instance_backend": self.instance_backend,
-            "peers": list(self.peers),
-            "trust": None
-            if self.trust is None
-            else {
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            store_options=dict(self.store_options),
+            peers=list(self.peers),
+            trust=None if self.trust is None else {
                 str(pid): {str(other): pri for other, pri in edges.items()}
                 for pid, edges in self.trust.items()
             },
-            "trust_priority": self.trust_priority,
-            "network_centric": self.network_centric,
-            "workload": None if self.workload is None else asdict(self.workload),
-            "reconciliation_interval": self.reconciliation_interval,
-            "rounds": self.rounds,
-            "final_reconcile": self.final_reconcile,
-            "schedule_mode": self.schedule_mode,
-            "schedule_workers": self.schedule_workers,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-        }
+            workload=None if self.workload is None else asdict(self.workload),
+            faults=None if self.faults is None else self.faults.to_dict(),
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ConfederationConfig":

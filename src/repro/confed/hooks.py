@@ -74,17 +74,8 @@ from repro.errors import ConfigError
 
 #: Every event the bus can carry, in lifecycle order.
 EVENTS: Tuple[str, ...] = (
-    "publish",
-    "epoch_start",
-    "decision",
-    "conflict",
-    "cache_stats",
-    "reconcile",
-    "epoch_end",
-    "fault",
-    "retry",
-    "degraded",
-    "recovery",
+    "publish", "epoch_start", "decision", "conflict", "cache_stats", "reconcile",
+    "epoch_end", "fault", "retry", "degraded", "recovery",
 )
 
 Handler = Callable[..., None]

@@ -1,52 +1,32 @@
-"""Pluggable epoch schedulers for :meth:`Confederation.run`.
-
-The evaluation schedule — every ``reconciliation_interval`` transactions
-each participant publishes and reconciles, for ``rounds`` cycles — used
-to be a serial loop inlined in ``Confederation.run()``.  It is now a
-strategy object selected from
+"""Pluggable epoch schedulers for :meth:`Confederation.run`, selected by
 :attr:`~repro.confed.config.ConfederationConfig.schedule_mode`:
 
 * :class:`SerialScheduler` (``"serial"``, the default) — the paper's
   strict round-robin: one participant at a time edits, publishes, and
   reconciles.  Byte-for-byte the historical behaviour.
-* :class:`ThreadedScheduler` (``"threaded"``) — independent
-  participants' *edit* and *reconcile* phases run concurrently on a
-  thread pool; store access stays serialized by the store's lock (held
-  by the :class:`~repro.cdss.participant.Participant` transport around
-  every call).  Each round is three phases:
-
-  1. **edit** (parallel) — every participant generates and executes its
-     transactions.  Deterministic: the workload generator keeps an
-     independent RNG substream per participant, and a participant's
-     edits depend only on its own replica.
-  2. **publish barrier** (serial, ascending participant id) — epochs are
-     allocated in a deterministic global order, so the published prefix
-     every reconciliation sees is reproducible run to run.
-  3. **reconcile** (parallel) — sessions run concurrently.  After the
-     barrier the stable prefix is fixed and a reconciliation only reads
-     that prefix plus the participant's own record, so decisions do not
-     depend on worker interleaving.
-
-  The mode trades the paper's interleaving for throughput: within a
-  round every participant sees every other's publications of that round
-  (under the serial schedule, participant 1 reconciles before
-  participant 2 publishes).  Reports and decisions are reproducible for
-  a given mode; the modes are distinct, equally valid schedules.
+* :class:`ThreadedScheduler` (``"threaded"``) — each round is three
+  phases on a thread pool: a parallel **edit** (the workload generator
+  keeps an RNG substream per participant, and edits read only the own
+  replica), a serial **publish barrier** in ascending participant id
+  (epochs are allocated in a reproducible global order), and a parallel
+  **reconcile** (after the barrier the stable prefix is fixed, so
+  decisions do not depend on worker interleaving).  Store access stays
+  serialized by the store's lock.  Within a round every participant sees
+  every other's publications of that round, so the mode is a distinct,
+  equally valid schedule; its decisions are reproducible.
 * :class:`AsyncScheduler` (``"async"``) — the same round on one event
   loop, with the store's clock swapped for an
-  :class:`~repro.net.clock.AsyncLatencyClock` for the run: injected
-  latency accrues to the participant whose synchronous segment is
-  running, and only that participant waits it out.  The store-touching
-  segments (publish, reconcile, the plan's epoch-end step) run one at a
-  time in the threaded barriers' order, each once its own participant
-  is due, and a phase ends when its segments have run — so participant
-  *i+1* allocates its epoch while participant *i*'s latency is
-  outstanding, and a round's last reconcile does not stall the next
-  round.  An edit touches only its participant's replica and RNG
-  substream: it runs as soon as the participant is free, and the
-  barrier waits for it at that participant's turn.  Per-participant
-  decision streams are byte-identical to the threaded mode's, and the
-  global stream is reproducible and independent of latency.
+  :class:`~repro.net.clock.AsyncLatencyClock`: injected latency accrues
+  to the participant whose synchronous segment is running, and only that
+  participant waits it out.  The store segments (registration in
+  ``open()``, publish, reconcile, the plan's epoch-end step) run one at
+  a time in the threaded barriers' order, each once its own participant
+  is due, so participant *i+1* allocates its epoch while participant
+  *i*'s latency is outstanding.  An edit runs as soon as its participant
+  is free; the barrier waits for it at that participant's turn.
+  Per-participant decision streams are byte-identical to the threaded
+  mode's, and the global stream is reproducible and independent of
+  latency.
 
 The threaded and async modes are two *drivers* of one round plan
 (:meth:`_PhasedScheduler.round_plan` states the phased round once, as
@@ -55,16 +35,9 @@ the participant, chained from its cause (serial raises it raw): the
 threaded driver names the phase's lowest-id failure, so a failed edit
 publishes nothing; the async driver stops at the first failure in store
 order, so a failed edit stops the barrier after the lower ids published.
-
-Wall-clock wins come from overlapping whatever does not hold the store
-lock: the GIL-free portions of local work (sqlite instances release it)
-and, chiefly, store latency — with a ``real_latency`` store the injected
-per-message delays are paid outside the lock, and the threaded and
-async schedulers overlap different participants' waits exactly as
-concurrent clients of a real networked store would
-(``benchmarks/test_perf_scheduler.py`` pins the threaded win on a
-16-peer run and the async-over-threaded win on a 64-peer high-latency
-run, where the serial threaded barrier dominates).
+The wall-clock win is overlapped store latency (``real_latency``),
+pinned by ``benchmarks/test_perf_scheduler.py``; see "Epoch schedulers
+and the latency clock" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -72,6 +45,7 @@ from __future__ import annotations
 import abc
 import asyncio
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.errors import ConfigError, SchedulerError
@@ -81,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.cdss.participant import Participant
     from repro.confed.confederation import Confederation
     from repro.confed.config import ConfederationConfig
+    from repro.policy.acceptance import TrustPolicy
 
 #: One phase of a phased round: its name, the per-participant work, the
 #: roster it runs over (ascending participant id), whether that work
@@ -98,6 +73,14 @@ class EpochScheduler(abc.ABC):
     @abc.abstractmethod
     def run(self, confederation: "Confederation") -> None:
         """Run every configured round (and the final reconcile pass)."""
+
+    def register(
+        self, confederation: "Confederation", peers: List[Tuple[int, "TrustPolicy"]]
+    ) -> List["Participant"]:
+        """Add ``peers`` (``(id, policy)`` pairs) in the order given, one
+        blocking store round trip after another: the serial and threaded
+        modes' ordered store phases are serial in wall time."""
+        return [confederation.add_participant(pid, policy) for pid, policy in peers]
 
     # ------------------------------------------------------------------
 
@@ -273,6 +256,40 @@ class AsyncScheduler(_PhasedScheduler):
 
     name = "async"
 
+    @contextmanager
+    def _clock_on(self, store) -> Iterator[AsyncLatencyClock]:
+        """Swap the store's latency clock for a fresh async one while the
+        block runs: payments accrue to the running segment instead of
+        blocking the loop."""
+        previous, store.clock = store.clock, AsyncLatencyClock(self._workers)
+        try:
+            yield store.clock
+        finally:
+            store.clock = previous
+
+    def register(
+        self, confederation: "Confederation", peers: List[Tuple[int, "TrustPolicy"]]
+    ) -> List["Participant"]:
+        """Registration is this driver's first ordered store phase: one
+        segment per peer, in the order given, each waiting only for its
+        own round trip (``workers`` caps how many are in flight), and the
+        pass settles before it returns.  A failure raises as the serial
+        pass would.  Inside a running event loop, where ``asyncio.run``
+        cannot nest, it is the serial pass."""
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            return asyncio.run(self._register(confederation, peers))
+        return super().register(confederation, peers)
+
+    async def _register(self, confederation: "Confederation", peers) -> List["Participant"]:
+        """The registration pass, inside the event loop ``register`` owns."""
+        with self._clock_on(confederation.store) as clock:
+            for pid, policy in peers:
+                await clock.segment(pid, confederation.add_participant, pid, policy)
+            await clock.settle()
+        return [confederation.participant(pid) for pid, _policy in peers]
+
     async def _run(self, confederation: "Confederation") -> None:
         """The schedule, inside the event loop ``run`` owns.
 
@@ -281,15 +298,6 @@ class AsyncScheduler(_PhasedScheduler):
         participant is free; the publish barrier awaits it at that
         participant's turn, so a failed edit stops the barrier there.
         """
-        store = confederation.store
-        clock = AsyncLatencyClock(self._workers)
-        # Swap the store's latency clock for the run: payments accrue
-        # to the running segment instead of blocking the loop.  (Minimal
-        # test doubles without a clock attribute pay nothing anyway.)
-        previous = getattr(store, "clock", None)
-        if previous is not None:
-            store.clock = clock
-
         async def step(name: str, work: Callable, participant: "Participant") -> None:
             """One participant's segment of a phase; a failure names it."""
             try:
@@ -300,29 +308,28 @@ class AsyncScheduler(_PhasedScheduler):
                 ) from error
 
         edits: Dict[int, "asyncio.Task[None]"] = {}
-        try:
-            for name, work, roster, _ordered, shared in self.round_plan(confederation):
-                # The plan's epoch-end work (fault-plan restarts rebuild
-                # replicas through the store) ran outside any segment:
-                # pay it before the next phase.
+        with self._clock_on(confederation.store) as clock:
+            try:
+                for name, work, roster, _ordered, shared in self.round_plan(confederation):
+                    # The plan's epoch-end work (fault-plan restarts
+                    # rebuild replicas through the store) ran outside
+                    # any segment: pay it before the next phase.
+                    await clock.drain()
+                    for participant in roster:
+                        if not shared:
+                            edits[participant.id] = asyncio.create_task(
+                                step(name, work, participant)
+                            )
+                            continue
+                        if participant.id in edits:
+                            await edits.pop(participant.id)
+                        await step(name, work, participant)
                 await clock.drain()
-                for participant in roster:
-                    if not shared:
-                        edits[participant.id] = asyncio.create_task(
-                            step(name, work, participant)
-                        )
-                        continue
-                    if participant.id in edits:
-                        await edits.pop(participant.id)
-                    await step(name, work, participant)
-            await clock.drain()
-            await clock.settle()
-        finally:
-            for task in edits.values():
-                task.cancel()
-            await asyncio.gather(*edits.values(), return_exceptions=True)
-            if previous is not None:
-                store.clock = previous
+                await clock.settle()
+            finally:
+                for task in edits.values():
+                    task.cancel()
+                await asyncio.gather(*edits.values(), return_exceptions=True)
 
     def run(self, confederation: "Confederation") -> None:
         """Drive the round plan on a fresh event loop."""

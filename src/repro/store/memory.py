@@ -14,6 +14,7 @@ are invoked during each reconciliation".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -66,6 +67,9 @@ class MemoryUpdateStore(DirectLogStore):
         self._epoch_finished: Dict[int, bool] = {}
         self._epoch_publisher: Dict[int, int] = {}
         self._order = 0
+        #: Open tid -> how many participants hold a final verdict on it
+        #: (applied or rejected); dropped when the tid retires.
+        self._verdicts: Dict[TransactionId, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -76,6 +80,11 @@ class MemoryUpdateStore(DirectLogStore):
         if participant in self._participants:
             raise StoreError(f"participant {participant} already registered")
         self._participants[participant] = _ParticipantRecord(policy=policy)
+        # Recount: a retired tid is open again until the newcomer decides.
+        self._verdicts.clear()
+        self._verdicts.update(Counter(
+            tid for r in self._participants.values() for tid in r.applied | r.rejected
+        ))
         self._charge_call()
 
     def _record_of(self, participant: int) -> _ParticipantRecord:
@@ -129,6 +138,7 @@ class MemoryUpdateStore(DirectLogStore):
             self._by_epoch[epoch].append(transaction.tid)
             register_producers(self._producers, transaction)
             record.applied.add(transaction.tid)
+        self._verdicts.update(dict.fromkeys(batch, 1))  # the publisher's verdicts
         if transactions:
             record.applied_version += 1
         self._charge_call()
@@ -169,6 +179,10 @@ class MemoryUpdateStore(DirectLogStore):
         """Record decisions; see the base class."""
         record = self._record_of(participant)
         applied_before = len(record.applied)
+        final, verdicts = set(result.applied).union(result.rejected), self._verdicts
+        for tid in final:
+            if tid not in record.applied and tid not in record.rejected:
+                verdicts[tid] = verdicts.get(tid, 0) + 1
         for tid in result.applied:
             # One verdict per transaction: applied supersedes earlier
             # rejections (the engine's "applied wins" rule).
@@ -182,21 +196,19 @@ class MemoryUpdateStore(DirectLogStore):
             record.deferred.discard(tid)
         for tid in result.deferred:
             record.deferred.add(tid)
-        self.retire_shared_entries(self._fully_decided(result))
+        self.retire_shared_entries(self._fully_decided(final))
         self._nc_retire(participant, result)
         self._charge_call()
 
-    def _fully_decided(self, result: ReconcileResult) -> List[TransactionId]:
-        """Roots of this result now finally decided by every participant."""
-        records = self._participants.values()
-        return [
-            tid
-            for tid in sorted(set(result.applied) | set(result.rejected))
-            if all(
-                tid in record.applied or tid in record.rejected
-                for record in records
-            )
-        ]
+    def _fully_decided(self, roots: Set[TransactionId]) -> List[TransactionId]:
+        """The ``roots`` every participant has now finally decided, in
+        O(1) each; a root with no count retired earlier and is decided
+        still (a final verdict is never withdrawn)."""
+        everyone, verdicts = len(self._participants), self._verdicts
+        decided = [tid for tid in sorted(roots) if verdicts.get(tid, everyone) >= everyone]
+        for tid in decided:
+            verdicts.pop(tid, None)
+        return decided
 
     # ------------------------------------------------------------------
 

@@ -16,9 +16,12 @@ from repro.confed import (
     ThreadedScheduler,
     create_scheduler,
 )
+from repro.confed import scheduler as scheduler_module
 from repro.core.session import ReconcileSession
 from repro.errors import ConfigError, SchedulerError, StoreError
-from repro.workload import WorkloadConfig
+from repro.net.clock import AsyncLatencyClock, BlockingLatencyClock
+from repro.store.memory import MemoryUpdateStore
+from repro.workload import WorkloadConfig, curated_schema
 from tests.conftest import decision_stream
 
 
@@ -213,8 +216,6 @@ class TestAsyncSchedule:
         assert _per_participant(capped) == _per_participant(uncapped)
 
     def test_async_restores_the_blocking_clock_after_the_run(self):
-        from repro.net.clock import BlockingLatencyClock
-
         with Confederation(_config(schedule_mode="async")) as confed:
             confed.run()
             assert isinstance(confed.store.clock, BlockingLatencyClock)
@@ -327,6 +328,172 @@ class TestAsyncTimeline:
         for before, after in zip(segments, segments[1:]):
             assert after.start >= before.end + before.charged
         assert clock.total_paid == pytest.approx(charged)
+
+
+class RecordingBlockingClock(BlockingLatencyClock):
+    """Pays like the default clock and logs each payment in ``events``."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def pay(self, seconds):
+        self.events.append(("pay", seconds))
+        super().pay(seconds)
+
+
+class RecordingAsyncClock(AsyncLatencyClock):
+    """An async clock that logs every segment as ``(key, start, due)``:
+    the loop time its work started and the time it left its key due."""
+
+    instances = []
+
+    def __init__(self, workers=None):
+        super().__init__(workers)
+        self.segments = []
+        RecordingAsyncClock.instances.append(self)
+
+    async def segment(self, key, work, *args):
+        loop, started = asyncio.get_running_loop(), []
+
+        def timed(*inner):
+            started.append(loop.time())
+            return work(*inner)
+
+        await super().segment(key, timed, *args)
+        self.segments.append((key, started[0], self._due[key]))
+
+
+def _waves(segments):
+    """The longest chain of segments each starting once the previous
+    one's latency was paid: how many round trips the pass waited out."""
+    depth = []
+    for _key, start, _due in segments:
+        depth.append(1 + max(
+            (d for d, (_k, _s, due) in zip(depth, segments) if due <= start),
+            default=0,
+        ))
+    return max(depth)
+
+
+class TestRegistration:
+    """``open()`` registers the peers through the schedule's driver:
+    under ``async`` each registration is one clock segment, so the pass
+    pays about one round trip; ``serial`` and ``threaded`` pay one after
+    another.  Nothing asserted here reads elapsed wall time."""
+
+    PEERS = tuple(range(1, 9))
+    LATENCY = 0.02  # per message; a registration is one round trip
+
+    def _open(self, monkeypatch, mode, workers=None, fail_at=None):
+        """Open 8 peers on a real-latency ``memory`` store; returns the
+        store, its event log and the async clocks the pass used."""
+        monkeypatch.setattr(RecordingAsyncClock, "instances", [])
+        monkeypatch.setattr(scheduler_module, "AsyncLatencyClock", RecordingAsyncClock)
+        store = MemoryUpdateStore(
+            curated_schema(), message_latency=self.LATENCY, real_latency=True
+        )
+        events = []
+        store.clock = RecordingBlockingClock(events)
+        register = store.register_participant
+
+        def logged(participant, policy):
+            if participant == fail_at:
+                raise StoreError(f"participant {participant} refused")
+            register(participant, policy)
+            events.append(("register", participant))
+
+        store.register_participant = logged
+        config = _config(peers=self.PEERS, schedule_mode=mode, schedule_workers=workers)
+        Confederation(config, store=store).open()
+        return store, events, RecordingAsyncClock.instances
+
+    def test_async_pays_one_round_trip(self, monkeypatch):
+        store, events, [clock] = self._open(monkeypatch, "async")
+        assert [key for key, *_ in clock.segments] == list(self.PEERS)
+        assert _waves(clock.segments) == 1
+        assert clock.total_paid == pytest.approx(store.perf.simulated_seconds)
+        assert [kind for kind, _ in events] == ["register"] * len(self.PEERS)
+        assert isinstance(store.clock, RecordingBlockingClock)  # restored
+
+    def test_capped_async_pays_in_waves(self, monkeypatch):
+        _store, _events, [clock] = self._open(monkeypatch, "async", workers=2)
+        assert _waves(clock.segments) == 4
+
+    @pytest.mark.parametrize("mode", ["serial", "threaded"])
+    def test_serial_and_threaded_pay_each_round_trip_in_turn(self, monkeypatch, mode):
+        _store, events, clocks = self._open(monkeypatch, mode)
+        assert clocks == []
+        assert events[0::2] == [("register", pid) for pid in self.PEERS]
+        assert [kind for kind, _ in events[1::2]] == ["pay"] * len(self.PEERS)
+        assert [paid for _, paid in events[1::2]] == pytest.approx(
+            [2 * self.LATENCY] * len(self.PEERS)
+        )
+
+    def test_store_side_effects_are_the_same_in_every_mode(self, monkeypatch):
+        seen = set()
+        for mode in ("serial", "threaded", "async"):
+            store, events, _clocks = self._open(monkeypatch, mode)
+            seen.add((
+                tuple(entry for entry in events if entry[0] == "register"),
+                store.perf.messages,
+                store.perf.simulated_seconds,
+            ))
+        assert len(seen) == 1
+        [(order, messages, charged)] = seen
+        assert order == tuple(("register", pid) for pid in self.PEERS)
+        assert messages == 2 * len(self.PEERS)
+        assert charged == pytest.approx(2 * self.LATENCY * len(self.PEERS))
+
+    @pytest.mark.parametrize("mode", ["serial", "threaded", "async"])
+    def test_a_failed_registration_raises_raw_after_the_earlier_peers(
+        self, monkeypatch, mode
+    ):
+        with pytest.raises(StoreError) as excinfo:
+            self._open(monkeypatch, mode, fail_at=5)
+        assert not isinstance(excinfo.value, SchedulerError)
+        assert "participant 5 refused" in str(excinfo.value)
+
+    def test_a_failed_registration_leaves_the_earlier_peers_registered(self, monkeypatch):
+        store = None
+
+        def capture(self_, *args, **kwargs):
+            nonlocal store
+            store = self_
+            original(self_, *args, **kwargs)
+
+        original = MemoryUpdateStore.__init__
+        monkeypatch.setattr(MemoryUpdateStore, "__init__", capture)
+        with pytest.raises(StoreError):
+            self._open(monkeypatch, "async", fail_at=5)
+        for pid in (1, 2, 3, 4):
+            assert store.last_reconciliation_epoch(pid) == 0
+        with pytest.raises(StoreError):
+            store.last_reconciliation_epoch(5)
+        assert isinstance(store.clock, RecordingBlockingClock)
+
+    def test_open_inside_a_running_event_loop_registers_in_turn(self, monkeypatch):
+        async def inside():
+            return self._open(monkeypatch, "async")
+
+        _store, events, clocks = asyncio.run(inside())
+        assert clocks == []
+        assert events[0::2] == [("register", pid) for pid in self.PEERS]
+        assert [kind for kind, _ in events[1::2]] == ["pay"] * len(self.PEERS)
+
+    def test_add_mutually_trusting_participants_uses_the_same_pass(self, monkeypatch):
+        monkeypatch.setattr(RecordingAsyncClock, "instances", [])
+        monkeypatch.setattr(scheduler_module, "AsyncLatencyClock", RecordingAsyncClock)
+        config = _config(
+            peers=(),
+            schedule_mode="async",
+            store_options={"message_latency": self.LATENCY, "real_latency": True},
+        )
+        with Confederation(config) as confed:
+            added = confed.add_mutually_trusting_participants([3, 1, 2])
+            assert [p.id for p in added] == [3, 1, 2]
+        clock = RecordingAsyncClock.instances[-1]  # open() had no peers
+        assert [key for key, *_ in clock.segments] == [3, 1, 2]
+        assert _waves(clock.segments) == 1
 
 
 @pytest.mark.parametrize("mode", ["threaded", "async"])

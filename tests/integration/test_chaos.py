@@ -59,9 +59,11 @@ def run_confederation(
     faults=None,
     network_centric="client",
     schedule_mode="serial",
+    opened=None,
 ):
     """Replay the seeded evaluation schedule, recording every decision
-    event (participant, recno, tid, verdict) in emission order."""
+    event (participant, recno, tid, verdict) in emission order; with an
+    ``opened`` list, also append what ``open()`` left on the wire."""
     config = ConfederationConfig(
         store=store,
         store_options=store_options,
@@ -76,12 +78,23 @@ def run_confederation(
     )
     hooks = HookBus()
     log = decision_stream(hooks)
+    fired = []
+    hooks.on_fault(lambda **event: fired.append(event))
     with Confederation(config, hooks=hooks) as confed:
+        if opened is not None:
+            opened.append(registration_trace(confed.store.network, fired))
         report = confed.run()
         snapshots = {
             p.id: p.instance.snapshot() for p in confed.participants
         }
     return log, snapshots, report
+
+
+def registration_trace(network, fired):
+    """The registration's wire trace: messages delivered by kind, the
+    faults that fired (kind, sender, recipient, in order), and the fault
+    injector's RNG state — the draws it made, fired or not."""
+    return dict(network.kind_counts), list(fired), network.injector._rng.getstate()
 
 
 DHT_K2 = {"hosts": 5, "replication_factor": 2}
@@ -233,19 +246,36 @@ def test_maskable_faults_byte_identical_under_async_schedule(seed):
         schedule_mode="async",
     )
     threaded = run_confederation("dht", DHT_K2, seed, schedule_mode="threaded")
-    # The same plan paying real latency: segments overlap, and the
-    # crash, recovery and restart land while latency is outstanding.
+    # The same plan paying real latency, plus lost registrations: the
+    # peers register as overlapping segments, the crash, recovery and
+    # restart land while latency is outstanding.  The extra draws move
+    # every later one, so the retry budget covers the longest run of
+    # drops one request can suffer (4), keeping the plan maskable.
+    plan = maskable_plan(seed)
+    plan.messages += (MessageFault("register_policy", "drop", probability=0.3, times=2),)
+    options = {**PAYING_K2, "max_retries": 4}
+    paying_open, threaded_open = [], []
     paying = run_confederation(
-        "dht", PAYING_K2, seed, faults=maskable_plan(seed),
-        schedule_mode="async",
+        "dht", options, seed, faults=plan, schedule_mode="async", opened=paying_open
+    )
+    threaded_paying = run_confederation(
+        "dht", options, seed, faults=plan, schedule_mode="threaded",
+        opened=threaded_open,
     )
     assert chaotic[0] == fault_free[0]  # full stream, order included
     assert chaotic[1] == fault_free[1]
     assert chaotic[2].state_ratio == fault_free[2].state_ratio
     assert paying[0] == chaotic[0]  # the order does not depend on latency
-    for run in (chaotic, paying):
+    for run in (chaotic, paying, threaded_paying):
         assert per_participant(run[0]) == per_participant(threaded[0])
         assert run[1] == threaded[1]
+    # The pipelined open() sent and drew exactly what the sequential
+    # one did, lost registrations and their retries included.
+    assert paying_open == threaded_open
+    [(kinds, fired, _draws)] = paying_open
+    # 5 peers x 5 hosts, each delivered once: both drops were retried.
+    assert kinds == {"register_policy": 25, "policy_registered": 25}
+    assert [(e["action"], e["kind"]) for e in fired] == [("drop", "register_policy")] * 2
     # ... and the faults really happened under the event loop too.
     for run in (chaotic, paying):
         summary = run[2].faults

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.core.decisions import ReconcileResult
 from repro.model import Insert, Modify
@@ -18,6 +20,7 @@ from repro.policy import TrustPolicy
 from repro.store import CentralUpdateStore, MemoryUpdateStore
 from repro.workload import WorkloadConfig, curated_schema
 from tests.conftest import decision_stream
+from tests.integration.test_store_equivalence import CHAIN_SHARING, EVALUATION
 
 
 def mutual_store(store_cls):
@@ -32,7 +35,8 @@ def mutual_store(store_cls):
 
 
 class TestRetention:
-    def _publish_one(self, store):
+    @staticmethod
+    def _publish_one(store):
         txn = Transaction(
             TransactionId(1, 0), (Insert("F", ("rat", "p1", "fn-a"), 1),)
         )
@@ -186,6 +190,88 @@ class TestRetention:
             # The conflict graph retires on the same signal: what it
             # still registers (edges and interned derivations) is open.
             assert set(store.shared_pair_cache()._entries) <= open_roots
+
+
+def scan_checked(store):
+    """Check every ``complete_reconciliation`` of a memory store against
+    a scan of every participant's record — a root retires once each one
+    holds a final verdict on it — and return the roots each call retired."""
+    calls, complete, retire = [], store.complete_reconciliation, store.retire_shared_entries
+
+    def record(roots):
+        calls[-1].extend(roots)
+        retire(roots)
+
+    def checked(participant, result):
+        calls.append([])
+        complete(participant, result)
+        records = store._participants.values()
+        assert calls[-1] == [
+            tid
+            for tid in sorted(set(result.applied) | set(result.rejected))
+            if all(tid in r.applied or tid in r.rejected for r in records)
+        ]
+
+    store.retire_shared_entries = record
+    store.complete_reconciliation = checked
+    return calls
+
+
+class TestVerdictCounts:
+    """The memory store counts final verdicts per open root instead of
+    scanning every participant's record per decided root; it must
+    retire exactly what the scan would."""
+
+    @pytest.mark.parametrize(
+        "seed, schedule",
+        [(3, EVALUATION), (17, EVALUATION), (5, CHAIN_SHARING)],
+        ids=["3", "17", "5-chain-sharing"],
+    )
+    def test_retires_what_a_scan_retires(self, seed, schedule):
+        schedule = dict(schedule)
+        config = ConfederationConfig.evaluation(
+            schedule.pop("peers"),
+            workload=WorkloadConfig(transaction_size=2, seed=seed),
+            **schedule,
+        )
+        store = MemoryUpdateStore(curated_schema())
+        confed = Confederation(config, store=store).open()
+        calls = scan_checked(store)
+        confed.run()
+        assert sum(map(len, calls)) == store.retired_extension_count() > 0
+
+    def test_a_late_registration_reopens_and_retires_again(self):
+        config = ConfederationConfig(
+            store="memory",
+            peers=(1, 2, 3),
+            reconciliation_interval=2,
+            rounds=2,
+            final_reconcile=True,
+            workload=WorkloadConfig(transaction_size=1, seed=5),
+        )
+        with Confederation(config) as confed:
+            calls = scan_checked(confed.store)
+            confed.run()
+            retired = {tid for call in calls for tid in call}
+            assert retired
+            policy = TrustPolicy()
+            for other in (1, 2, 3):
+                policy.trust_participant(other, 1)
+            late = confed.add_participant(4, policy)
+            del calls[:]
+            late.reconcile()
+            # The newcomer's verdicts close what everyone else had
+            # already decided: those roots retire a second time.
+            assert retired & set(calls[-1])
+
+    def test_a_retired_root_decided_again_retires_again(self):
+        store = mutual_store(MemoryUpdateStore)
+        calls = scan_checked(store)
+        txn = TestRetention._publish_one(store)
+        store.complete_reconciliation(2, ReconcileResult(recno=1, applied=[txn.tid]))
+        store.complete_reconciliation(3, ReconcileResult(recno=1, rejected=[txn.tid]))
+        store.complete_reconciliation(3, ReconcileResult(recno=2, applied=[txn.tid]))
+        assert calls == [[], [txn.tid], [txn.tid]]
 
 
 class TestSharedDerivations:
