@@ -1,54 +1,26 @@
 """The client-centric ``ReconcileUpdates`` algorithm (Figures 4 and 5).
 
 One :class:`Reconciler` belongs to one participant.  Each call to
-:meth:`Reconciler.reconcile` processes one reconciliation batch:
-
-1. merge the batch's transactions into the participant's graph (its
-   open frontier: entries leave again as step 6 applies them) and
-   gather the roots to consider — newly delivered trusted transactions
-   plus every previously deferred transaction (they are reconsidered on
-   every run, as in the paper);
-2. compute each root's flattened update extension (Definition 3);
-3. ``CheckState`` — defer roots touching dirty values, reject roots whose
-   extension contains an already-rejected transaction, is incompatible
-   with the local instance, or conflicts with the participant's own
-   just-published delta (flattened when the first root gets that far);
-4. ``FindConflicts`` — pairwise direct conflicts (Definition 4), skipping
-   subsumed pairs, among the roots step 3 did not reject: nothing below
-   reads a rejected root's edges, so it is never bucketed or compared;
-5. ``DoGroup`` per priority level in decreasing order — reject roots that
-   conflict with accepted higher-priority roots, defer roots that conflict
-   with deferred higher-priority roots, and defer both sides of any
-   conflict inside one priority level;
-6. apply the accepted roots' extensions (recomputing against the ``Used``
-   set, where it holds a member, so overlapping antecedents are applied
-   exactly once);
-7. ``UpdateSoftState`` — the dirty-value set and conflict groups of the
-   transactions that remain deferred: step 4's index brought down to
-   them, a group rebuilt only where a pair came or went.
-
-The dirty-value test in step 3 applies only to roots that were *not*
-already deferred: previously deferred roots are exactly the transactions
-whose keys are dirty, and they must be re-evaluated on their own merits so
-that conflict resolution can eventually accept them.
+:meth:`Reconciler.reconcile` processes one reconciliation batch as
+Figure 4's fixed sequence of steps, one method each, in the order they
+are defined below; each step's docstring says what it does and why.
 
 Caching (the incremental hot path)
 ----------------------------------
 
-Steps 2, 4 and 7 pay only for what changed since the last run
-(:mod:`repro.core.cache` and
+Deriving extensions, ``FindConflicts`` and ``UpdateSoftState`` pay only
+for what changed since the last run (:mod:`repro.core.cache` and
 :class:`repro.core.conflicts.IncrementalConflictIndex` say how and why
 each reuse is exact):
 
-* step 2 memoizes extensions against
+* extensions are memoized against
   :attr:`ParticipantState.applied_version` — an untouched deferred root
-  is an O(1) hit or an O(|members|) revalidation — adopts the store's
-  *context-free* extension of a root whenever its closure is disjoint
-  from the local applied set, and asks the store's conflict graph for
-  what another participant derived over the same closure; step 7 takes
-  what step 2 returned, asking again only for a root whose closure this
-  run's applications cut (the seed derived every deferred extension
-  twice per epoch);
+  is an O(1) hit or an O(|members|) revalidation — the store's
+  *context-free* extension of a root is adopted whenever its closure is
+  disjoint from the local applied set, and the store's conflict graph is
+  asked for what another participant derived over the same closure;
+  ``UpdateSoftState`` takes what the run derived, asking again only for
+  a root whose closure this run's applications cut;
 * ``FindConflicts`` is one scanner, the incremental index (a store
   assembling batches keeps one per participant too): only pairs with an
   extension that changed since the previous epoch are examined — an
@@ -73,7 +45,7 @@ are exposed on :attr:`ReconcileResult.cache_stats`.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConstraintViolation, FlattenError
 from repro.instance.base import Instance
@@ -150,104 +122,22 @@ class Reconciler:
         """
         state = self._state
         state.graph.merge(batch.graph)
-
-        roots = self._gather_roots(batch)
-        result = ReconcileResult(recno=batch.recno)
         stats_before = self._cache.stats.snapshot()
-
-        extensions: Dict[TransactionId, UpdateExtension] = {}
-        decision: Dict[TransactionId, Decision] = {}
-
-        @functools.cache
-        def own() -> Dict[QualifiedKey, List[Update]]:
-            """CheckState line 7's operand — the flattened own delta,
-            indexed by the keys it touches — traced by the first root
-            that reaches that test: a run none of whose roots gets there
-            never is."""
-            delta = flatten(self._schema, own_updates) if own_updates else []
-            return index_by_key(self._schema, delta)
-
-        # Figure 4 lines 5-8: flattened extensions and CheckState.  A
-        # network-centric batch carries the extensions (any root it
-        # missed is computed here); a client-centric one may carry
-        # *context-free* ones, adopted where the module docstring says
-        # they are exact.  The serving store's declared capabilities
-        # decide whether its payloads are eligible at all (absent flags —
-        # batches built by hand in tests — are permissive).
-        ships_context_free = getattr(batch.capabilities, "ships_context_free", True)
-        shares = getattr(batch.capabilities, "shared_pair_memo", True)
-        self._shared_pairs = batch.pair_cache if shares else None
-        precomputed = batch.extensions if batch.network_centric else {}
-        shipped = (
-            batch.extensions or {}
-            if ships_context_free and not batch.network_centric
-            else {}
-        )
-        for root in roots:
-            extension = precomputed.get(root.tid)
-            if extension is not None:
-                # Exact for our applied set: the store assembled this
-                # batch per participant.  Counted with the context-free
-                # adoptions — local computations the store saved us.
-                self._cache.stats.shipped += 1
-                self._cache.store(root.tid, state.applied_version, extension)
-            else:
-                try:
-                    extension = self._cache.get_or_compute(
-                        self._schema,
-                        state.graph,
-                        root,
-                        state.applied,
-                        state.applied_version,
-                        shipped=shipped.get(root.tid),
-                        shared=self._shared_pairs,
-                    )
-                except FlattenError:
-                    # An internally inconsistent chain can never be applied.
-                    decision[root.tid] = Decision.REJECT
-                    continue
-            extensions[root.tid] = extension
-            decision[root.tid] = self._check_state(
-                extension, own, dirty_exempt=root.tid in state.deferred
-            )
-
+        roots = self._gather_roots(batch)
+        extensions, decision = self._derive_and_check(batch, roots, own_updates)
         adjacency = self._find_conflicts(batch, extensions, decision)
         self._do_groups(roots, adjacency, decision)
-
-        # Figure 4 lines 13-19: record decisions and apply accepted roots.
-        self._apply_accepted(roots, extensions, decision, result)
-
-        # Bookkeeping for rejected and deferred roots.  A root that was
-        # rejected or deferred *as a proposal* may still have been applied
-        # as a member of another accepted extension in this same run (its
-        # intermediate state was revised away by a longer trusted chain);
-        # "applied" is then the operative verdict — Definition 5 only
-        # excludes rejections recorded in earlier epochs.
-        for root in roots:
-            if root.tid in state.applied:
-                continue
-            verdict = decision.get(root.tid)
-            if verdict is Decision.REJECT:
-                state.record_rejected([root.tid])
-                result.rejected.append(root.tid)
-            elif verdict is Decision.DEFER:
-                state.record_deferred(root)
-                result.deferred.append(root.tid)
-        result.decisions = dict(decision)
-
-        # Figure 4 line 21: UpdateSoftState, reusing this epoch's
-        # extensions and conflict analysis wherever they are still exact.
+        applied, updates_applied = self._apply_accepted(roots, extensions, decision)
+        result = self._record(batch.recno, roots, decision, applied, updates_applied)
         self._update_soft_state(roots, extensions)
         result.conflict_groups = [
             (group.group_id, len(group.options)) for group in state.open_conflicts()
         ]
-
         # The extension cache only ever needs the still-deferred roots
         # again (the conflict index pruned itself to the deferred set
         # inside UpdateSoftState).
         self._cache.prune(state.deferred)
         result.cache_stats = self._cache.stats.minus(stats_before)
-
         state.last_recno = batch.recno
         self._emit_events(roots, decision, result)
         return result
@@ -278,12 +168,14 @@ class Reconciler:
         hooks.emit("cache_stats", **run, stats=result.cache_stats)
 
     # ------------------------------------------------------------------
-    # Step 1: roots
+    # Figure 4 lines 2-4: roots
 
     def _gather_roots(
         self, batch: ReconciliationBatch
     ) -> List[RelevantTransaction]:
-        """New trusted roots plus reconsidered deferred roots, in order."""
+        """The roots to consider: newly delivered trusted transactions
+        plus every previously deferred one (reconsidered on every run, as
+        in the paper), in publish order."""
         state = self._state
         roots = dict(state.deferred)
         for root in batch.roots:
@@ -292,7 +184,73 @@ class Reconciler:
         return sorted(roots.values(), key=lambda r: r.order)
 
     # ------------------------------------------------------------------
-    # Step 3: CheckState (Figure 5)
+    # Figure 4 lines 5-8: extensions and CheckState (Figure 5)
+
+    def _derive_and_check(
+        self,
+        batch: ReconciliationBatch,
+        roots: Sequence[RelevantTransaction],
+        own_updates: Sequence[Update],
+    ) -> Tuple[Dict[TransactionId, UpdateExtension], Dict[TransactionId, Decision]]:
+        """Each root's flattened update extension (Definition 3) and
+        CheckState's verdict on it.
+
+        A network-centric batch carries the extensions, exact for this
+        participant's applied set (any root it missed is computed here);
+        a client-centric one may carry *context-free* ones, adopted where
+        the module docstring says they are exact.  The serving store's
+        declared capabilities decide whether its payloads are eligible at
+        all (absent flags — batches built by hand in tests — are
+        permissive).  A root whose chain does not flatten is internally
+        inconsistent, can never be applied, and is rejected.
+        """
+        state = self._state
+        shares = getattr(batch.capabilities, "shared_pair_memo", True)
+        ships = getattr(batch.capabilities, "ships_context_free", True)
+        self._shared_pairs = batch.pair_cache if shares else None
+        precomputed = batch.extensions if batch.network_centric else {}
+        shipped = batch.extensions or {} if ships and not batch.network_centric else {}
+
+        @functools.cache
+        def own() -> Dict[QualifiedKey, List[Update]]:
+            """CheckState line 7's operand — the flattened own delta,
+            indexed by the keys it touches — traced by the first root
+            that reaches that test: a run none of whose roots gets there
+            never is."""
+            delta = flatten(self._schema, own_updates) if own_updates else []
+            return index_by_key(self._schema, delta)
+
+        extensions: Dict[TransactionId, UpdateExtension] = {}
+        decision: Dict[TransactionId, Decision] = {}
+        for root in roots:
+            extension = precomputed.get(root.tid)
+            if extension is not None:
+                # Counted with the context-free adoptions — local
+                # computations the store saved us.
+                self._cache.stats.shipped += 1
+                self._cache.store(root.tid, state.applied_version, extension)
+            else:
+                try:
+                    extension = self._extension(root, shipped.get(root.tid))
+                except FlattenError:
+                    decision[root.tid] = Decision.REJECT
+                    continue
+            extensions[root.tid] = extension
+            decision[root.tid] = self._check_state(
+                extension, own, dirty_exempt=root.tid in state.deferred
+            )
+        return extensions, decision
+
+    def _extension(
+        self, root: RelevantTransaction, shipped: Optional[UpdateExtension] = None
+    ) -> UpdateExtension:
+        """``root``'s extension over the participant's applied set,
+        through the cache (``shipped``: the store's context-free one)."""
+        state = self._state
+        return self._cache.get_or_compute(
+            self._schema, state.graph, root, state.applied, state.applied_version,
+            shipped=shipped, shared=self._shared_pairs,
+        )
 
     def _check_state(
         self,
@@ -300,6 +258,17 @@ class Reconciler:
         own: Callable[[], Dict[QualifiedKey, List[Update]]],
         dirty_exempt: bool,
     ) -> Decision:
+        """Figure 5's ``CheckState``: defer an extension touching dirty
+        values; reject one containing an already-rejected transaction,
+        incompatible with the local instance, or conflicting with the
+        participant's own just-published delta.
+
+        The dirty-value test applies only to roots that were *not*
+        already deferred (``dirty_exempt``): previously deferred roots
+        are exactly the transactions whose keys are dirty, and they must
+        be re-evaluated on their own merits so that conflict resolution
+        can eventually accept them.
+        """
         state = self._state
         dirty = state.dirty_keys
         if not dirty_exempt and dirty and not extension.touched.isdisjoint(dirty):
@@ -318,7 +287,7 @@ class Reconciler:
         return Decision.ACCEPT
 
     # ------------------------------------------------------------------
-    # Step 4: FindConflicts (Figure 4 line 9)
+    # Figure 4 line 9: FindConflicts
 
     def _find_conflicts(
         self,
@@ -345,7 +314,7 @@ class Reconciler:
         ).adjacency
 
     # ------------------------------------------------------------------
-    # Step 5: DoGroup (Figure 5)
+    # Figure 4 lines 10-12: DoGroup (Figure 5)
 
     def _do_groups(
         self,
@@ -353,10 +322,9 @@ class Reconciler:
         conflicts: Dict[TransactionId, Set[TransactionId]],
         decision: Dict[TransactionId, Decision],
     ) -> None:
-        """Figure 4 lines 10-12: ``DoGroup`` per priority level, greedy
-        by decreasing priority.  The roots are bucketed by level once;
-        each level is handed its own tids and those of every level
-        above it."""
+        """``DoGroup`` per priority level, greedy by decreasing priority.
+        The roots are bucketed by level once; each level is handed its
+        own tids and those of every level above it."""
         levels: Dict[int, List[TransactionId]] = {}
         for root in roots:
             levels.setdefault(root.priority, []).append(root.tid)
@@ -372,6 +340,10 @@ class Reconciler:
         conflicts: Dict[TransactionId, Set[TransactionId]],
         decision: Dict[TransactionId, Decision],
     ) -> None:
+        """One priority level: reject roots that conflict with accepted
+        higher-priority roots, defer roots that conflict with deferred
+        higher-priority roots, and defer both sides of any conflict
+        inside the level."""
         # Lines 4-12: interactions with higher-priority roots.
         surviving: List[TransactionId] = []
         for tid in sorted(tids):
@@ -398,29 +370,31 @@ class Reconciler:
                 decision.update(dict.fromkeys((tid, *inside), Decision.DEFER))
 
     # ------------------------------------------------------------------
-    # Step 6: application (Figure 4 lines 14-19)
+    # Figure 4 lines 13-19: application
 
     def _apply_accepted(
         self,
         roots: Sequence[RelevantTransaction],
         extensions: Dict[TransactionId, UpdateExtension],
         decision: Dict[TransactionId, Decision],
-        result: ReconcileResult,
-    ) -> None:
-        state = self._state
-        accepted = [
-            root for root in roots if decision.get(root.tid) is Decision.ACCEPT
-        ]
-        accepted_ids = {root.tid for root in accepted}
+    ) -> Tuple[Set[TransactionId], int]:
+        """Apply the accepted roots' extensions; return every transaction
+        applied (roots and antecedents) and the number of updates written.
 
-        # Roots are processed in publish order (as ``_gather_roots`` left
-        # them) with a shared ``Used`` set, so overlapping antecedents are
-        # applied exactly once.  (The paper iterates only maximal roots;
-        # processing every accepted root in order with residual extensions
-        # is equivalent — an antecedent root applied first simply leaves
-        # nothing extra for its dependents.)
+        Roots are processed in publish order (as ``_gather_roots`` left
+        them) with a shared ``Used`` set, so overlapping antecedents are
+        applied exactly once: a root some of whose members an earlier
+        root applied contributes only the residual, flattened afresh.
+        (The paper iterates only maximal roots; processing every accepted
+        root in order with residual extensions is equivalent — an
+        antecedent root applied first simply leaves nothing extra for its
+        dependents.)
+        """
         used: Set[TransactionId] = set()
-        for root in accepted:
+        updates_applied = 0
+        for root in roots:
+            if decision[root.tid] is not Decision.ACCEPT:
+                continue
             extension = extensions[root.tid]
             residual = [tid for tid in extension.members if tid not in used]
             if len(residual) == len(extension.members):  # nothing to leave out
@@ -428,7 +402,7 @@ class Reconciler:
                 update_set = extension.footprint(self._schema)
             else:  # a fresh set: the instance compiles it, for this once
                 operations = update_set = flatten(
-                    self._schema, update_footprint(state.graph, residual)
+                    self._schema, update_footprint(self._state.graph, residual)
                 )
             try:
                 self._instance.apply_set(update_set)
@@ -437,19 +411,54 @@ class Reconciler:
                 # indicates overlapping chains beyond what the conflict
                 # rules model; rejecting is the safe, documented fallback.
                 decision[root.tid] = Decision.REJECT
-                accepted_ids.discard(root.tid)
                 continue
             used.update(residual)
-            result.updates_applied += len(operations)
+            updates_applied += len(operations)
+        return used, updates_applied
 
-        # Everything applied (roots and antecedents) becomes "applied".
-        applied_now: Set[TransactionId] = set(used)
-        for root in accepted:
-            if root.tid in accepted_ids:
-                applied_now.update(extensions[root.tid].members)
+    # ------------------------------------------------------------------
+    # Figure 4 line 20: the record
+
+    def _record(
+        self,
+        recno: int,
+        roots: Sequence[RelevantTransaction],
+        decision: Dict[TransactionId, Decision],
+        applied: Set[TransactionId],
+        updates_applied: int,
+    ) -> ReconcileResult:
+        """Write every verdict of the run — to the participant's state and
+        to the result — from ``decision`` and what application applied:
+        the one place either is written.
+
+        Applied is the operative verdict.  A root rejected or deferred
+        *as a proposal* may still have been applied as a member of
+        another accepted extension in this same run (its intermediate
+        state was revised away by a longer trusted chain); it is then
+        neither rejected nor deferred — Definition 5 only excludes
+        rejections recorded in earlier epochs.
+        """
+        state = self._state
+        result = ReconcileResult(
+            recno=recno,
+            applied=sorted(applied, key=state.graph.order_of),
+            updates_applied=updates_applied,
+            decisions=decision,
+        )
+        state.record_applied(applied)  # which drops them from the graph
+        for root in roots:
+            verdict = decision[root.tid]
+            if verdict is Decision.ACCEPT:
                 result.accepted.append(root.tid)
-        result.applied = sorted(applied_now, key=state.graph.order_of)
-        state.record_applied(applied_now)  # which drops them from the graph
+            elif root.tid in state.applied:
+                continue
+            elif verdict is Decision.REJECT:
+                state.record_rejected([root.tid])
+                result.rejected.append(root.tid)
+            else:
+                state.record_deferred(root)
+                result.deferred.append(root.tid)
+        return result
 
     def rebuild_soft_state(self) -> None:
         """Recompute dirty values and conflict groups from the current
@@ -463,14 +472,16 @@ class Reconciler:
         self._update_soft_state(self._state.deferred_roots(), {})
 
     # ------------------------------------------------------------------
-    # Step 7: UpdateSoftState (Figure 5)
+    # Figure 4 line 21: UpdateSoftState (Figure 5)
 
     def _update_soft_state(
         self,
         roots: Sequence[RelevantTransaction],
         extensions: Dict[TransactionId, UpdateExtension],
     ) -> None:
-        """Rebuild dirty values and conflict groups for the deferred set.
+        """Rebuild dirty values and conflict groups for the deferred set:
+        the keys its extensions touch, and ``FindConflicts``' index
+        brought down to it.
 
         ``roots`` holds every deferred root, in publish order, and
         ``extensions`` what the run this closes derived for them: still
@@ -489,14 +500,7 @@ class Reconciler:
             extension = extensions.get(root.tid)
             if extension is None or not extension.member_set().isdisjoint(state.applied):
                 try:
-                    extension = self._cache.get_or_compute(
-                        self._schema,
-                        state.graph,
-                        root,
-                        state.applied,
-                        state.applied_version,
-                        shared=self._shared_pairs,
-                    )
+                    extension = self._extension(root)
                 except FlattenError:  # pragma: no cover - defensive
                     continue
             deferred_extensions[root.tid] = extension

@@ -2,12 +2,11 @@
 
 One :class:`ReconcileSession` wraps one participant's
 :class:`~repro.core.engine.Reconciler` (the pure decision kernel) and
-owns the *per-epoch* bookkeeping that used to be inlined in
-``Participant.reconcile``: emitting the ``epoch_start`` event, timing
-the kernel, and splitting the kernel's full result from the *upstream*
-result the store needs to hear about.
+owns the *per-epoch* bookkeeping around it: emitting the
+``epoch_start`` event, timing the kernel, and splitting the kernel's
+full result from the *upstream* result the store needs to hear about.
 
-The split of responsibilities after this extraction:
+The split of responsibilities:
 
 * **decision kernel** (:class:`~repro.core.engine.Reconciler`) — pure
   ``ReconcileUpdates`` over a :class:`ReconciliationBatch`; no store, no
@@ -36,7 +35,6 @@ from typing import Optional, Sequence
 from repro.core.decisions import ReconcileResult
 from repro.core.engine import Reconciler
 from repro.core.extensions import ReconciliationBatch
-from repro.core.state import ParticipantState
 from repro.model.updates import Update
 
 
@@ -71,16 +69,6 @@ class ReconcileSession:
         ``epoch_start`` before the kernel executes."""
         self._reconciler = reconciler
         self._hooks = hooks
-
-    @property
-    def reconciler(self) -> Reconciler:
-        """The wrapped decision kernel."""
-        return self._reconciler
-
-    @property
-    def state(self) -> ParticipantState:
-        """The participant's reconciliation bookkeeping."""
-        return self._reconciler.state
 
     def run(
         self,

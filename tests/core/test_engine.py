@@ -322,6 +322,29 @@ class TestSection42LeastInteraction:
         assert inst3.contains_row("F", MOUSE2)
         assert inst3.contains_row("F", MOUSE3_RESP)
 
+    def test_applied_is_the_operative_verdict(self, schema):
+        # X2:0 is deferred as a proposal (it collides with X4:0 at equal
+        # priority), but X2:1's flattened extension revised that insert
+        # away, so accepting X2:1 applies X2:0 as its member: the record
+        # of the run says applied, and no deferral or rejection of X2:0
+        # is kept.
+        reconciler, _instance, state = make_reconciler(schema, 1)
+        builder = GraphBuilder()
+        x20 = make_transaction(2, 0, [Insert("F", RAT1, 2)])
+        x21 = make_transaction(2, 1, [Modify("F", RAT1, MOUSE3_RESP, 2)])
+        x40 = make_transaction(4, 0, [Insert("F", RAT1_IMMUNE, 4)])
+        builder.add(x20)
+        builder.add(x21, antecedents=[x20.tid])
+        builder.add(x40)
+        result = reconciler.reconcile(
+            builder.batch(1, [(x20, 1), (x21, 1), (x40, 1)])
+        )
+        assert result.decisions[x20.tid] is Decision.DEFER
+        assert set(result.applied) == {x20.tid, x21.tid}
+        assert result.deferred == [x40.tid]
+        assert x20.tid not in state.deferred
+        assert x20.tid not in state.rejected
+
 
 class TestMonotonicity:
     def test_applied_transactions_never_roll_back(self, schema):

@@ -158,6 +158,15 @@ def test_names_the_withholding_pr_retired_stay_retired():
         ParticipantState(1).record_deferred(None, 0)
 
 
+def test_the_session_wraps_the_kernel_without_exposing_it():
+    # ``ReconcileSession.reconciler`` and ``.state`` had no reader: the
+    # participant holds the kernel and its state itself.
+    from repro.core import ReconcileSession
+
+    for gone in ("reconciler", "state"):
+        assert not hasattr(ReconcileSession, gone), gone
+
+
 def test_the_engine_has_one_mode():
     # The uncached mode is deleted, not defaulted: neither cache takes a
     # switch, the kernel builds its own cache, a participant has no knob,

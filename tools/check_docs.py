@@ -32,7 +32,7 @@ tool mirrors that docstring contract for environments without ruff):
    exceed ``MODULE_LINE_CEILING`` either — the size of the largest
    module — so a 1,400-line class is caught at review, and no single
    function ``FUNCTION_LINE_CEILING`` — the length of the longest one,
-   ``Reconciler.reconcile`` — so a 200-line method is.
+   ``Participant.rebuild`` — so a 200-line method is.
 
 Usage:
     PYTHONPATH=src python tools/check_docs.py
@@ -63,15 +63,15 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 14673
+SOURCE_LINE_CEILING = 14665
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (``store/central.py`` is 686).
 MODULE_LINE_CEILING = 811
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
-#: to last line: the longest one, ``Reconciler.reconcile``.
-FUNCTION_LINE_CEILING = 115
+#: to last line: the longest one, ``Participant.rebuild``.
+FUNCTION_LINE_CEILING = 96
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
