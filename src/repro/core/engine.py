@@ -216,8 +216,13 @@ class Reconciler:
             """CheckState line 7's operand — the flattened own delta,
             indexed by the keys it touches — traced by the first root
             that reaches that test: a run none of whose roots gets there
-            never is."""
-            delta = flatten(self._schema, own_updates) if own_updates else []
+            never is.  A delta spanning a resolution may not flatten as
+            one sequence; its raw updates are indexed then, as
+            Definition 4's residuals are."""
+            try:
+                delta = flatten(self._schema, own_updates) if own_updates else []
+            except FlattenError:
+                delta = own_updates
             return index_by_key(self._schema, delta)
 
         extensions: Dict[TransactionId, UpdateExtension] = {}

@@ -59,7 +59,9 @@ from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.net.simnet import Message, Network
 from repro.store.dht import wire
-from repro.store.dht.replication import allocator_counter, record, replicate, ship
+from repro.store.dht.replication import (
+    allocator_counter, record, replicate, ship, ship_verdicts,
+)
 from repro.store.network_centric import DirectLogStore
 
 # -- shared by the Figure-7 and the network-centric retrieval ------------
@@ -199,13 +201,8 @@ def on_request_epoch(host, network: Network, message: Message) -> None:
         host.last_alloc[publisher] = (req, epoch)
         ship(host, network, "epoch_counter", 0, epoch)
     network.send(
-        host.name,
-        host.ring.owner(wire.epoch_key(epoch)),
-        "begin_epoch",
-        epoch=epoch,
-        publisher=publisher,
-        reply_to=message.sender,
-        req=req,
+        host.name, host.ring.owner(wire.epoch_key(epoch)), "begin_epoch",
+        epoch=epoch, publisher=publisher, reply_to=message.sender, req=req,
     )
 
 
@@ -216,19 +213,11 @@ def on_begin_epoch(host, network: Network, message: Message) -> None:
     if record(host, network, "epoch", epoch) is None:
         # A duplicated begin_epoch must not reopen an existing
         # (possibly completed) epoch record.
-        host.epochs[epoch] = {
-            "publisher": payload["publisher"],
-            "ids": [],
-            "complete": False,
-        }
+        host.epochs[epoch] = {"publisher": payload["publisher"], "ids": [], "complete": False}
         replicate(host, network, "epoch", epoch)
     network.send(
-        host.name,
-        host.ring.owner(wire.ALLOCATOR_KEY),
-        "epoch_begun",
-        epoch=epoch,
-        reply_to=payload["reply_to"],
-        req=payload.get("req"),
+        host.name, host.ring.owner(wire.ALLOCATOR_KEY), "epoch_begun",
+        epoch=epoch, reply_to=payload["reply_to"], req=payload.get("req"),
     )
 
 
@@ -236,11 +225,8 @@ def on_epoch_begun(host, network: Network, message: Message) -> None:
     """Back at the allocator: answer the publisher's ``request_epoch``."""
     payload = message.payload
     network.send(
-        host.name,
-        payload["reply_to"],
-        wire.REPLIES["request_epoch"][0],
-        epoch=payload["epoch"],
-        req=payload.get("req"),
+        host.name, payload["reply_to"], wire.REPLIES["request_epoch"][0],
+        epoch=payload["epoch"], req=payload.get("req"),
     )
 
 
@@ -320,10 +306,7 @@ def on_lookup_producer(host, network: Network, message: Message) -> None:
     payload = message.payload
     key = (payload["relation"], payload["row"])
     host._reply(
-        network,
-        message,
-        relation=payload["relation"],
-        row=payload["row"],
+        network, message, relation=payload["relation"], row=payload["row"],
         producer=record(host, network, "producer", key),
     )
 
@@ -415,72 +398,60 @@ def on_request_txn(host, network: Network, message: Message) -> None:
         fragments += wire.extension_fragments(context_free)
         size += wire.extension_bytes(context_free)
     network.send(
-        host.name,
-        client,
-        "txn_data",
-        fragments=fragments,
-        size_bytes=size,
-        tid=tid,
-        transaction=transaction,
-        antecedents=held["antecedents"],
-        order=held["order"],
-        priority=priority,
-        as_root=as_root,
+        host.name, client, "txn_data", fragments=fragments, size_bytes=size,
+        tid=tid, transaction=transaction, antecedents=held["antecedents"],
+        order=held["order"], priority=priority, as_root=as_root,
         context_free=context_free,
     )
     # Forward requests for the antecedents directly to their
     # controllers (Figure 7, messages 3-4): the peer never has to ask.
     for ante in held["antecedents"]:
         network.send(
-            host.name,
-            host.ring.owner(wire.txn_key(ante)),
-            "request_txn",
-            tid=ante,
-            participant=participant,
-            client=client,
-            token=token,
+            host.name, host.ring.owner(wire.txn_key(ante)), "request_txn",
+            tid=ante, participant=participant, client=client, token=token,
             as_root=False,
         )
 
 
 def on_record_decision(host, network: Network, message: Message) -> None:
-    """Record one participant's verdict (the feedback that also drives
-    retention and the network-centric memos)."""
-    payload = message.payload
-    tid: TransactionId = payload["tid"]
-    participant: int = payload["participant"]
-    verdict: str = payload["verdict"]
-    held = record(host, network, "txn", tid)
-    if held is None:
-        # The record is gone (a crash beyond the replication
-        # budget): acknowledge so the client stops retrying — the
-        # verdict is lost with the record.
-        host._reply(network, message, tid=tid, retired=False)
-        return
-    held["decisions"][participant] = verdict
-    ship(host, network, "txn_decision", tid, (participant, verdict))
-    # A final verdict retires the participant's pointer into the
-    # derivation table: it can never be served this root again.  A
-    # deferral keeps it — the next round is answered without a walk
-    # while the applied set is unchanged.
-    if verdict in ("applied", "rejected"):
-        host.nc_memo.pop((participant, tid), None)
-    # Reconciliation-aware retention: once every registered
-    # participant holds a final verdict the root can never be requested
-    # again — drop everything derived from it (the context-free
-    # extension and the table's rows) and tell the driver so it retires
-    # the shared pair-memo entries too.
-    retired = False
-    if held.get("context_free") is not None or tid in host.derived:
-        decisions = held["decisions"]
-        if all(
-            decisions.get(pid) in ("applied", "rejected")
-            for pid in host.policies
+    """Record one participant's verdicts on this controller's
+    transactions (the feedback that also drives retention and the
+    network-centric memos), ship them to the successors as one delta
+    each, and acknowledge every entry as ``(tid, retired)``."""
+    participant: int = message.payload["participant"]
+    recorded = []
+    acks = []
+    for tid, verdict in message.payload["entries"]:
+        held = record(host, network, "txn", tid)
+        if held is None:
+            # The record is gone (a crash beyond the replication
+            # budget): acknowledge so the client stops retrying — the
+            # verdict is lost with the record.
+            acks.append((tid, False))
+            continue
+        held["decisions"][participant] = verdict
+        recorded.append((tid, verdict))
+        # A final verdict retires the participant's pointer into the
+        # derivation table: it can never be served this root again.  A
+        # deferral keeps it — the next round is answered without a walk
+        # while the applied set is unchanged.
+        if verdict in ("applied", "rejected"):
+            host.nc_memo.pop((participant, tid), None)
+        # Reconciliation-aware retention: once every registered
+        # participant holds a final verdict the root can never be
+        # requested again — drop everything derived from it (the
+        # context-free extension and the table's rows) and tell the
+        # driver so it retires the shared pair-memo entries too.
+        retired = False
+        if (held.get("context_free") is not None or tid in host.derived) and all(
+            held["decisions"].get(pid) in ("applied", "rejected") for pid in host.policies
         ):
             retired = held.get("context_free") is not None
             held["context_free"] = None
             host.derived.pop(tid, None)
-    host._reply(network, message, tid=tid, retired=retired)
+        acks.append((tid, retired))
+    ship_verdicts(host, network, participant, recorded)
+    host._reply(network, message, entries=acks, **wire.verdicts_sizing(len(acks)))
 
 
 # -- context-free derivation (derive once at publish) ---------------------
@@ -531,12 +502,8 @@ def _cf_request(
             continue
         derivation["pending"].add(tid)
         network.send(
-            host.name,
-            host.ring.owner(wire.txn_key(tid)),
-            "cf_fetch",
-            tid=tid,
-            token=token,
-            reply_to=host.name,
+            host.name, host.ring.owner(wire.txn_key(tid)), "cf_fetch",
+            tid=tid, token=token, reply_to=host.name,
         )
 
 
@@ -547,25 +514,16 @@ def on_cf_fetch(host, network: Network, message: Message) -> None:
     held = record(host, network, "txn", tid)
     if held is None:
         network.send(
-            host.name,
-            payload["reply_to"],
-            "cf_unknown",
-            tid=tid,
-            token=payload["token"],
+            host.name, payload["reply_to"], "cf_unknown", tid=tid, token=payload["token"]
         )
         return
     transaction = held["transaction"]
     network.send(
-        host.name,
-        payload["reply_to"],
-        "cf_data",
+        host.name, payload["reply_to"], "cf_data",
         fragments=wire.payload_fragments(transaction),
         size_bytes=wire.body_bytes(transaction),
-        tid=tid,
-        transaction=transaction,
-        antecedents=held["antecedents"],
-        order=held["order"],
-        token=payload["token"],
+        tid=tid, transaction=transaction, antecedents=held["antecedents"],
+        order=held["order"], token=payload["token"],
     )
 
 

@@ -321,11 +321,8 @@ class DhtUpdateStore(UpdateStore):
             participant=participant,
         )["epoch"]
 
-        by_controller: Dict[str, List[int]] = {}
-        for epoch in range(last + 1, current + 1):
-            controller = self._owner(wire.epoch_key(epoch))
-            by_controller.setdefault(controller, []).append(epoch)
         per_epoch: Dict[int, Dict] = {}
+        by_controller = self._ring.by_owner(range(last + 1, current + 1), wire.epoch_key)
         for controller, epochs in by_controller.items():
             reply = client.request(
                 self, node, None, "get_epoch_contents",
@@ -456,32 +453,24 @@ class DhtUpdateStore(UpdateStore):
         def pending(token: str) -> List[client.Send]:
             """One request per owning controller for the roots with *no*
             answer yet — transport losses (stale in-flight traffic of a
-            lost attempt references a dead batch key and is ignored)."""
-            by_controller: Dict[str, List[Dict[str, Any]]] = {}
-            for tid in candidates:
-                if tid in answered:
-                    continue
-                # Echo the retained payload's digest even across
-                # applied-version bumps: the controller compares it
-                # with the digest of the closure its walk ends on,
-                # so an unchanged one still comes back as a token.
-                held = peer.retained.get(tid)
-                digest = held["digest"] if held is not None else None
-                by_controller.setdefault(self._controller(tid), []).append(
-                    {"tid": tid, "digest": digest}
-                )
+            lost attempt references a dead batch key and is ignored).
+            Each root echoes the retained payload's digest even across
+            applied-version bumps: the controller compares it with the
+            digest of the closure its walk ends on, so an unchanged one
+            still comes back as a token."""
+            unanswered = [tid for tid in candidates if tid not in answered]
             return [
-                (
-                    controller,
-                    [root["tid"] for root in asked],
-                    dict(
-                        size_bytes=wire.HEADER_WIRE_BYTES
-                        + len(asked) * (wire.TID_WIRE_BYTES + wire.DIGEST_WIRE_BYTES),
-                        roots=asked, participant=peer.participant,
-                        version=peer.version, client=peer.node.name, token=token,
-                    ),
-                )
-                for controller, asked in sorted(by_controller.items())
+                (controller, asked, dict(
+                    size_bytes=wire.HEADER_WIRE_BYTES
+                    + len(asked) * (wire.TID_WIRE_BYTES + wire.DIGEST_WIRE_BYTES),
+                    roots=[
+                        {"tid": tid, "digest": peer.retained.get(tid, {}).get("digest")}
+                        for tid in asked
+                    ],
+                    participant=peer.participant,
+                    version=peer.version, client=peer.node.name, token=token,
+                ))
+                for controller, asked in sorted(self._ring.by_owner(unanswered).items())
             ]
 
         def absorb(message: Message) -> None:
@@ -598,33 +587,33 @@ class DhtUpdateStore(UpdateStore):
     def complete_reconciliation(
         self, participant: int, result: ReconcileResult
     ) -> None:
-        """Notify each transaction controller of the decision."""
+        """Notify the transaction controllers of the decisions: one
+        ``record_decision`` per owning controller, listing its
+        ``(tid, verdict)`` pairs."""
         peer = self._peer(participant)
-        verdicts: Dict[TransactionId, str] = {}
-        for tid in result.applied:
-            verdicts[tid] = "applied"
-        for tid in result.rejected:
-            verdicts[tid] = "rejected"
-        for tid in result.deferred:
-            verdicts[tid] = "deferred"
+        verdicts: Dict[TransactionId, str] = dict.fromkeys(result.applied, "applied")
+        verdicts.update(dict.fromkeys(result.rejected, "rejected"))
+        verdicts.update(dict.fromkeys(result.deferred, "deferred"))
         retired: Set[TransactionId] = set()
 
         def absorb(message: Message) -> None:
             """Acks are matched per transaction id."""
-            verdicts.pop(message.payload["tid"], None)
-            if message.payload.get("retired"):
-                retired.add(message.payload["tid"])
+            for tid, was_retired in message.payload["entries"]:
+                verdicts.pop(tid, None)
+                if was_retired:
+                    retired.add(tid)
 
         def pending(_token: str) -> List[client.Send]:
             """Unacknowledged decisions are re-sent (recording is
-            idempotent) up to the retry budget."""
+            idempotent) up to the retry budget, regrouped by their
+            current owner: a lost batch travels whole again, to the
+            takeover owner if its controller crashed."""
             return [
-                (
-                    self._controller(tid),
-                    [tid],
-                    dict(tid=tid, participant=participant, verdict=verdicts[tid]),
-                )
-                for tid in sorted(verdicts)
+                (controller, tids, dict(
+                    wire.verdicts_sizing(len(tids)), participant=participant,
+                    entries=[(tid, verdicts[tid]) for tid in tids],
+                ))
+                for controller, tids in sorted(self._ring.by_owner(sorted(verdicts)).items())
             ]
 
         client.exchange(self, peer.node, "record_decision", pending, absorb)

@@ -11,7 +11,7 @@ table is :data:`repro.store.dht.wire.REPLIES`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core.cache import CacheStats
 from repro.errors import StoreError
@@ -42,6 +42,16 @@ class _RingView:
         """The key's live owner followed by its live replica successors
         (successor replication's placement list, at most ``count``)."""
         return self._ring.successors(key, count, excluded=self.failed)
+
+    def by_owner(
+        self, keys: Iterable[Any], ring_key: Callable[[Any], str] = wire.txn_key
+    ) -> Dict[str, List[Any]]:
+        """``keys`` grouped by the live owner of ``ring_key(key)``, in
+        first-seen order: what a batched request sends each owner."""
+        groups: Dict[str, List[Any]] = {}
+        for key in keys:
+            groups.setdefault(self.owner(ring_key(key)), []).append(key)
+        return groups
 
 
 class _HostNode(Node):

@@ -190,15 +190,10 @@ def _pump(host, network: Network, token: str) -> None:
     for tid in sorted(batch["roots"]):
         if not batch["roots"][tid]["waiting"]:
             _finish_root(host, batch, tid)
-    queries: Dict[str, List[TransactionId]] = {}
-    for tid in sorted(batch["to_ask"]):
-        if tid in batch["asked"]:
-            continue
-        batch["asked"].add(tid)
-        queries.setdefault(host.ring.owner(wire.txn_key(tid)), []).append(tid)
+    queries = [tid for tid in sorted(batch["to_ask"]) if tid not in batch["asked"]]
+    batch["asked"].update(queries)
     batch["to_ask"] = set()
-    for controller in sorted(queries):
-        members = queries[controller]
+    for controller, members in sorted(host.ring.by_owner(queries).items()):
         network.send(
             host.name,
             controller,

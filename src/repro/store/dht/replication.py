@@ -17,8 +17,9 @@ Everything here is written once over the role table
 (:data:`repro.store.dht.wire.ROLES`).  Two shipments are not rows and
 stay special:
 
-* ``txn_decision`` — a *delta* (one participant's verdict) applied to
-  whichever copy of the transaction record the receiving host holds;
+* ``txn_decision`` — a *delta* (one participant's ``(tid, verdict)``
+  list, one message per successor — :func:`ship_verdicts`) applied to
+  whichever copy of each transaction record the receiving host holds;
 * ``epoch_counter`` — the allocator's bare integer, merged by ``max``.
   It is read through :func:`allocator_counter` and deliberately *not*
   promoted on read: promoting it would add ``replicate`` messages after
@@ -67,14 +68,28 @@ def ship(
     host, network: Network, role: str, key: Any, state: Any, *cost: int
 ) -> None:
     """Ship one copy to each live successor of the key (priced).  Called
-    directly only for the two shipments that are not role-table rows: a
-    ``txn_decision`` delta ``(participant, verdict)`` and the
-    ``epoch_counter``."""
+    directly only for the ``epoch_counter``, which is not a role-table
+    row."""
     if host.replication < 2:
         return
     for target in host.ring.owners(wire.ring_key(role, key), host.replication):
         if target != host.name:
             _send_copy(host, network, target, role, key, state, *cost)
+
+
+def ship_verdicts(host, network: Network, participant: int, entries) -> None:
+    """Ship one participant's just-recorded ``(tid, verdict)`` entries
+    to the live successors as one priced ``txn_decision`` delta each.
+    Every entry's record is this owner's (the driver batches by owner),
+    so the first entry's successors are every entry's."""
+    if host.replication < 2 or not entries:
+        return
+    for target in host.ring.owners(wire.txn_key(entries[0][0]), host.replication):
+        if target != host.name:
+            _send_copy(
+                host, network, target, "txn_decision", participant, entries,
+                **wire.verdicts_sizing(len(entries)),
+            )
 
 
 def replicate(host, network: Network, role: str, key: Any) -> None:
@@ -121,11 +136,12 @@ def on_replicate(host, network: Network, message: Message) -> None:
     payload = message.payload
     role, key, state = payload["role"], payload["key"], payload["state"]
     if role == "txn_decision":
-        # A decision delta: apply to whichever copy this host holds.
-        participant, verdict = state
-        held = held_copy(host, "txn", key)
-        if held is not None:
-            held["decisions"][participant] = verdict
+        # A decision delta, keyed by participant: apply each verdict to
+        # whichever copy of its record this host holds.
+        for tid, verdict in state:
+            held = held_copy(host, "txn", tid)
+            if held is not None:
+                held["decisions"][key] = verdict
     elif role == "epoch_counter":
         # The allocator's bare integer: merged by max wherever it is kept.
         if host.ring.owner(wire.ALLOCATOR_KEY) == host.name:

@@ -65,6 +65,19 @@ def extension_bytes(extension: UpdateExtension) -> int:
 #: of charging a whole default fragment per entry.
 TID_WIRE_BYTES = 16
 DIGEST_WIRE_BYTES = 16
+#: Wire bytes of a verdict (or a ``retired`` flag) beside its tid.
+_VERDICT_WIRE_BYTES = 1
+
+
+def verdicts_sizing(entries: int) -> Dict[str, int]:
+    """The ``Network.send`` sizing of a verdict batch — a
+    ``record_decision``, its ``decision_recorded`` ack, or a
+    ``txn_decision`` delta: a header plus a tid and a verdict byte per
+    entry, in default-sized fragments, so a large batch never counts as
+    one message."""
+    size = HEADER_WIRE_BYTES + entries * (TID_WIRE_BYTES + _VERDICT_WIRE_BYTES)
+    return {"fragments": max(1, -(-size // DEFAULT_FRAGMENT_BYTES)), "size_bytes": size}
+
 
 #: A flattened extension operation that is byte-identical to an update
 #: inside a member body the client holds (shipped in the same coalesced
@@ -211,12 +224,13 @@ KINDS = frozenset(
 #: ``_reply``, echoing the request id (``req``) that stays stable across
 #: retries; ``request_epoch`` is answered at the end of the Figure-6
 #: chain (``begin_epoch`` -> ``epoch_begun`` -> ``begin_publishing``),
-#: and ``record_decision`` is sent in bulk by ``complete_reconciliation``
-#: and matched per transaction id.  ``request_txn`` and ``nc_request``
-#: are the cascades: controllers forward them along antecedent chains,
-#: each root ends in one of several answers, and a retry travels under a
-#: fresh token.  (``cf_fetch`` and ``nc_fetch_batch`` run between
-#: controllers; no client awaits them.)
+#: and ``record_decision`` carries one controller's ``(tid, verdict)``
+#: batch, acknowledged — and re-sent — per transaction id.
+#: ``request_txn`` and ``nc_request`` are the cascades: controllers
+#: forward them along antecedent chains, each root ends in one of
+#: several answers, and a retry travels under a fresh token.
+#: (``cf_fetch`` and ``nc_fetch_batch`` run between controllers; no
+#: client awaits them.)
 REPLIES: Dict[str, Tuple[str, ...]] = {
     "register_policy": ("policy_registered",),
     "request_epoch": ("begin_publishing",),
@@ -304,8 +318,8 @@ class Role:
 
 #: The role table.  The two things successor replication also ships that
 #: are *not* rows — and must not be — are handled by name in
-#: :mod:`repro.store.dht.replication`: the ``txn_decision`` delta and the
-#: allocator's ``epoch_counter``.
+#: :mod:`repro.store.dht.replication`: the ``txn_decision`` delta (one
+#: participant's verdict batch) and the allocator's ``epoch_counter``.
 ROLES: Dict[str, Role] = {
     # transaction controller: tid -> record; decisions only accumulate
     "txn": Role(
@@ -339,4 +353,4 @@ def ring_key(role: str, key: Any) -> str:
     """The ring key a replicated ``(role, key)`` shipment routes by."""
     if role == "epoch_counter":
         return ALLOCATOR_KEY
-    return ROLES["txn" if role == "txn_decision" else role].ring_key(key)
+    return ROLES[role].ring_key(key)

@@ -10,8 +10,6 @@ until the engine decides by the definitions there.
 
 from __future__ import annotations
 
-import copy
-
 import pytest
 
 from repro.confed import Confederation, ConfederationConfig
@@ -193,22 +191,6 @@ def _own_delta_across_a_resolution():
     return confed, mirror, root
 
 
-def test_own_delta_must_flatten():
-    confed, mirror, root = _own_delta_across_a_resolution()
-    me = confed.participant(1)
-    with pytest.raises(FlattenError):
-        me.publish_and_reconcile()
-    engine, paper = copy.deepcopy(mirror.peer(1)), copy.deepcopy(mirror.peer(1))
-    recno = max(mirror.oracle.epoch.values())
-    with pytest.raises(Unflattenable):
-        engine.reconcile(recno)
-    paper.oracle.deviations -= {"own_delta_must_flatten"}
-    assert paper.reconcile(recno).decisions == {root: "accept"}
-
-
-@pytest.mark.xfail(
-    strict=True, raises=FlattenError, reason="the own delta must flatten as one sequence"
-)
 def test_an_own_delta_spanning_a_resolution_still_reconciles():
     confed, _mirror, root = _own_delta_across_a_resolution()
     assert confed.participant(1).publish_and_reconcile().decisions == {root: Decision.ACCEPT}

@@ -182,6 +182,41 @@ def test_batched_delta_protocol_masks_wire_faults(seed):
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+def test_maskable_decision_batches_byte_identical(seed):
+    """A reconcile's verdicts travel one ``record_decision`` batch per
+    controller: dropped and duplicated batches and acks, in both
+    directions, around a controller crash and its recovery, must leave
+    the decisions of the fault-free run.  A lost batch is re-sent whole
+    (recording is idempotent), to the takeover owner while its
+    controller is down.  Three drops at most, so even if all of them
+    hit one batch in a row the default budget (three retries) masks
+    them."""
+    plan = FaultPlan(
+        seed=seed,
+        crashes=(HostCrash("host:2", at_epoch=5, recover_at_epoch=10),),
+        messages=(
+            MessageFault("record_decision", "drop", probability=0.3, times=2),
+            MessageFault("record_decision", "duplicate", probability=0.5, times=3),
+            MessageFault("decision_recorded", "drop", probability=0.3, times=1),
+            MessageFault("decision_recorded", "duplicate", probability=0.5, times=3),
+        ),
+    )
+    fault_free = run_confederation("dht", DHT_K2, seed)
+    chaotic = run_confederation("dht", DHT_K2, seed, faults=plan)
+    assert chaotic[0] == fault_free[0]
+    assert chaotic[1] == fault_free[1]
+    assert chaotic[2].state_ratio == fault_free[2].state_ratio
+    summary = chaotic[2].faults
+    assert summary.injected.get("crash") == 1 and summary.recoveries == 1
+    assert summary.injected.get("drop", 0) >= 1
+    assert summary.injected.get("duplicate", 0) >= 1
+    # Each lost batch or ack costs one retry of its exchange (two drops
+    # in one attempt share it): nothing else in the plan retries.
+    extra = summary.retries - fault_free[2].faults.retries
+    assert 1 <= extra <= summary.injected["drop"]
+
+
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_durable_restart_recovers_from_disk(tmp_path, seed):
     """PR 9: a crash-restarted participant on the ``durable`` backend
     rebuilds its soft state from the database *file* — persisted

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cdss import Participant
 from repro.confed import Confederation, ConfederationConfig
+from repro.errors import FlattenError
 from repro.model import Insert
 from repro.store import (
     CentralUpdateStore,
@@ -59,6 +60,28 @@ def test_rebuilt_participant_matches_live(kind, tmp_path):
         rebuilt_groups = {g.group_id for g in rebuilt.open_conflicts()}
         live_groups = {g.group_id for g in live.open_conflicts()}
         assert rebuilt_groups == live_groups
+
+
+@pytest.mark.parametrize("kind", ["memory", "durable", "dht"])
+@pytest.mark.xfail(
+    strict=True, raises=FlattenError,
+    reason="rebuild replays applied transactions in publish order, not as the live"
+    " participant applied them (ROADMAP item 12)",
+)
+def test_rebuild_replays_an_own_edit_made_before_a_foreign_insert(kind):
+    """The shrunk case: participant 3 replaced its own row by a local
+    edit before it reconciled participant 1's insert at the same key;
+    replayed in publish order, the insert finds the old row still there,
+    and every later transaction joins a buffer that never flattens."""
+    config = ConfederationConfig.evaluation(
+        3, store=kind, reconciliation_interval=2, rounds=4,
+        workload=WorkloadConfig(transaction_size=1, seed=7),
+    )
+    with Confederation.from_config(config) as confed:
+        confed.run()
+        live = confed.participant(3)
+        rebuilt = Participant.rebuild(3, confed.store, live.policy)
+        assert rebuilt.instance.snapshot() == live.instance.snapshot()
 
 
 def test_rebuilt_participant_continues_operating():

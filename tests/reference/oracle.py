@@ -40,10 +40,6 @@ DEVIATIONS = {
     "rejects_unappliable": "an accepted root whose (residual) extension does not apply"
     " is rejected.  The paper: accepted roots are conflict-free and each"
     " passed CheckState, so it cannot happen.",
-    "own_delta_must_flatten": "CheckState line 7 flattens the own delta as one sequence,"
-    " which grows across a resolution; after one applied a foreign update to a row the"
-    " delta goes on to edit, reconcile raises.  The paper: a verdict (here: its raw"
-    " updates are compared).",
 }
 ENGINE, PAPER = frozenset(DEVIATIONS), frozenset()
 ACCEPT, REJECT, DEFER = "accept", "reject", "defer"
@@ -309,8 +305,6 @@ class Peer:
             try:
                 return log.flatten(own)
             except Unflattenable:
-                if log.deviates("own_delta_must_flatten"):
-                    raise
                 return raw(own)
 
         for tid in order:

@@ -19,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.confed import Confederation, ConfederationConfig
-from repro.errors import ConstraintViolation, FlattenError
+from repro.errors import ConstraintViolation
 from repro.model import Delete, Insert, Modify
 from repro.policy import TrustPolicy
 from repro.workload import WorkloadConfig, WorkloadGenerator, curated_schema
 
 from tests.reference.mirror import Mirror, examples
-from tests.reference.oracle import DEVIATIONS, Unflattenable
+from tests.reference.oracle import DEVIATIONS
 
 HERE = Path(__file__).resolve().parent
 BANNED = ("repro.core", "repro.instance", "repro.model.flatten", "repro.store", "repro.bench")
@@ -164,12 +164,5 @@ def test_generated_schedules_decide_as_the_oracle(seed):
             option = rng.choice([None, *range(len(group.options))])
             mirror.resolve(participant, group.group_id, option)
         else:
-            try:
-                participant.publish_and_reconcile()
-            except FlattenError:
-                # ``own_delta_must_flatten``: the delta spans a resolution
-                # (tests/core/test_deviations.py pins it); the run ends here.
-                with pytest.raises(Unflattenable):
-                    mirror.oracle.flatten(mirror.peer(participant.id).own)
-                return
+            participant.publish_and_reconcile()
     assert mirror.compared
