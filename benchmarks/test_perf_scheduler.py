@@ -1,26 +1,20 @@
-"""Epoch-scheduler perf: threaded vs serial, async vs threaded.
+"""Epoch-scheduler perf: async vs serial.
 
 The serial schedule pays every store wait end to end: while one
-participant's messages cross the (simulated) wire, fifteen others sit
-idle.  The threaded scheduler overlaps those waits — store calls stay
-serialized under the store lock, but the injected per-message latency is
-slept *outside* it (``real_latency=True`` makes the paper's injected
-delays real instead of merely accounted; see
-:meth:`repro.store.base.UpdateStore.pay_latency`).
+participant's messages cross the (simulated) wire, sixty-three others
+sit idle (``real_latency=True`` makes the paper's injected delays real
+instead of merely accounted; see
+:meth:`repro.store.base.UpdateStore.pay_latency`).  The async scheduler
+runs the same work on one event loop and lets each participant wait
+only for its own latency: each participant's lock-held store phase
+still executes in ascending id order, but the latency debt is awaited
+afterwards, overlapping participant *i*'s wait with participant
+*i+1*'s allocation — the publish barrier pipelines.  The benchmark
+point prices exactly that regime — 64 peers, 4 ms per message — and
+pins the async schedule at a fraction of the serial wall clock.
 
-What the threaded scheduler cannot overlap is its own *publish
-barrier*: epoch allocation order is the determinism anchor, so the
-publishes run one after another — at high peer counts and high
-latency the barrier is the run.  The PR 10 async scheduler pipelines
-it: each participant's lock-held store phase still executes in
-ascending id order on the single event loop, but the latency debt is
-awaited afterwards, overlapping participant *i*'s wait with
-participant *i+1*'s allocation.  The second benchmark point prices
-exactly that regime — 64 peers, 4 ms per message — and pins the
-pipelined schedule at a fraction of the threaded wall clock.
-
-Decisions are unaffected by sleeping, so both pins are pure wall
-clock on identical schedule volume.  The async point is emitted as
+Decisions are unaffected by sleeping, so the pin is pure wall clock on
+identical schedule volume.  The point is emitted as
 ``BENCH_scheduler.json`` at the repository root, gated by
 ``benchmarks/check_regression.py`` against
 ``benchmarks/BENCH_baseline.json`` and uploaded as a CI artifact.
@@ -38,34 +32,25 @@ from repro.workload import WorkloadConfig
 
 from benchmarks.conftest import emit
 
-PEERS = 16
 ROUNDS = 2
 INTERVAL = 2
-#: Per-message injected latency (4x the paper's 500us floor, so the wait
-#: regime dominates scheduling noise while the bench stays ~seconds).
-LATENCY = 0.002
-#: The threaded schedule must run in at most this fraction of the serial
-#: wall clock (conservative: the expected ratio is well under 0.7).
-WALL_CLOCK_CEILING = 0.85
-
-#: The pipelining point: enough peers that the serialized publish
-#: barrier dominates, and wide-area latency per message.
-PEERS_LARGE = 64
-LATENCY_LARGE = 0.004
-#: The async schedule must run in at most this fraction of the threaded
-#: wall clock on the 64-peer point (conservative: expected well under
-#: 0.5 — the barrier is ~64 sequential latency payments per round for
-#: the threaded schedule and ~1 for the pipelined one).
-ASYNC_WALL_CLOCK_CEILING = 0.85
+#: Enough peers that the serialized publish barrier dominates, and
+#: wide-area latency per message.
+PEERS = 64
+LATENCY = 0.004
+#: The async schedule must run in at most this fraction of the serial
+#: wall clock (measured ≈ 0.2: the serial run pays every round trip in
+#: turn, the pipelined one about one per phase).
+ASYNC_WALL_CLOCK_CEILING = 0.5
 
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
 
 
-def _run(schedule_mode: str, peers: int = PEERS, latency: float = LATENCY):
+def _run(schedule_mode: str):
     config = ConfederationConfig(
         store="memory",
-        store_options={"message_latency": latency, "real_latency": True},
-        peers=tuple(range(1, peers + 1)),
+        store_options={"message_latency": LATENCY, "real_latency": True},
+        peers=tuple(range(1, PEERS + 1)),
         reconciliation_interval=INTERVAL,
         rounds=ROUNDS,
         final_reconcile=True,
@@ -78,46 +63,18 @@ def _run(schedule_mode: str, peers: int = PEERS, latency: float = LATENCY):
     return time.perf_counter() - started, report
 
 
-def test_threaded_scheduler_beats_serial_wall_clock():
+def test_async_scheduler_pipelines_the_publish_barrier(benchmark):
     serial_wall, serial_report = _run("serial")
-    threaded_wall, threaded_report = _run("threaded")
-    ratio = threaded_wall / serial_wall
+    async_wall, async_report = benchmark.pedantic(
+        lambda: _run("async"), rounds=1, iterations=1
+    )
+    ratio = async_wall / serial_wall
+    speedup = serial_wall / async_wall
 
     emit(
         f"Epoch scheduler — {PEERS} peers, memory store with real "
         f"{LATENCY * 1000:.0f} ms/message latency:\n"
         f"  serial   : {serial_wall:7.3f} s wall\n"
-        f"  threaded : {threaded_wall:7.3f} s wall\n"
-        f"  ratio    : {ratio:7.2f} (ceiling {WALL_CLOCK_CEILING})"
-    )
-
-    # Same schedule volume either way; only the wall clock may differ.
-    assert (
-        serial_report.transactions_published
-        == threaded_report.transactions_published
-    )
-    assert ratio <= WALL_CLOCK_CEILING, (
-        f"threaded schedule took {ratio:.2f}x the serial wall clock "
-        f"(ceiling {WALL_CLOCK_CEILING})"
-    )
-
-
-def test_async_scheduler_pipelines_the_publish_barrier(benchmark):
-    threaded_wall, threaded_report = _run(
-        "threaded", peers=PEERS_LARGE, latency=LATENCY_LARGE
-    )
-    async_wall, async_report = benchmark.pedantic(
-        lambda: _run("async", peers=PEERS_LARGE, latency=LATENCY_LARGE),
-        rounds=1,
-        iterations=1,
-    )
-    ratio = async_wall / threaded_wall
-    speedup = threaded_wall / async_wall
-
-    emit(
-        f"Epoch scheduler — {PEERS_LARGE} peers, memory store with real "
-        f"{LATENCY_LARGE * 1000:.0f} ms/message latency:\n"
-        f"  threaded : {threaded_wall:7.3f} s wall\n"
         f"  async    : {async_wall:7.3f} s wall\n"
         f"  ratio    : {ratio:7.2f} (ceiling {ASYNC_WALL_CLOCK_CEILING}, "
         f"speedup {speedup:.2f}x)"
@@ -129,20 +86,20 @@ def test_async_scheduler_pipelines_the_publish_barrier(benchmark):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "config": {
-            "peers": PEERS_LARGE,
+            "peers": PEERS,
             "interval": INTERVAL,
             "rounds": ROUNDS,
             "seed": 91,
             "store": "memory",
-            "message_latency": LATENCY_LARGE,
+            "message_latency": LATENCY,
         },
-        "threaded_wall_seconds": threaded_wall,
+        "serial_wall_seconds": serial_wall,
         "async_wall_seconds": async_wall,
-        "async_vs_threaded_ratio": ratio,
+        "async_vs_serial_ratio": ratio,
         "speedup": speedup,
         "transactions_published": async_report.transactions_published,
         "state_ratio": async_report.state_ratio,
-        "budgets_note": "async_vs_threaded_ratio budget lives in the baseline",
+        "budgets_note": "async_vs_serial_ratio budget lives in the baseline",
     }
     _BENCH_JSON.write_text(json.dumps(point, indent=2) + "\n")
     benchmark.extra_info.update(point)
@@ -150,10 +107,10 @@ def test_async_scheduler_pipelines_the_publish_barrier(benchmark):
     # Same schedule volume either way; only the wall clock may differ.
     assert (
         async_report.transactions_published
-        == threaded_report.transactions_published
+        == serial_report.transactions_published
     )
     assert async_report.scheduler == "async"
     assert ratio <= ASYNC_WALL_CLOCK_CEILING, (
-        f"async schedule took {ratio:.2f}x the threaded wall clock "
+        f"async schedule took {ratio:.2f}x the serial wall clock "
         f"(ceiling {ASYNC_WALL_CLOCK_CEILING})"
     )

@@ -58,7 +58,7 @@ def run(
     with Confederation(config, hooks=hooks) as confed:
         report = confed.run()
         bytes_moved = confed.store.network.bytes_delivered
-    return report, sorted(decisions), bytes_moved
+    return report, decisions, bytes_moved
 
 
 def main() -> None:
@@ -116,16 +116,17 @@ def main() -> None:
     assert nc.state_ratio == local.state_ratio
     print("Decision streams stay byte-identical with store-computed batches.")
 
-    # The same quadrant under the threaded epoch scheduler: independent
-    # peers' sessions run concurrently between publish-order barriers,
-    # and the run stays reproducible.
-    threaded_a = run(ship_context_free=True, schedule_mode="threaded")
-    threaded_b = run(ship_context_free=True, schedule_mode="threaded")
-    assert threaded_a[1] == threaded_b[1], "threaded runs must be reproducible"
+    # The same quadrant under the async epoch scheduler: peers' phases
+    # pipeline on one event loop between publish-order barriers, and
+    # the global decision stream is reproducible.
+    async_a = run(ship_context_free=True, schedule_mode="async")
+    async_b = run(ship_context_free=True, schedule_mode="async")
+    assert async_a[1] == async_b[1], "async runs must be reproducible"
     print(
-        f"Threaded schedule: {threaded_a[0].transactions_published} "
+        f"Async schedule: {async_a[0].transactions_published} "
         f"transactions published, state ratio "
-        f"{threaded_a[0].state_ratio:.2f}, decisions reproducible across runs."
+        f"{async_a[0].state_ratio:.2f}, global decision stream "
+        f"reproducible across runs."
     )
 
 

@@ -279,16 +279,14 @@ def main() -> None:
             )
 
     # 14. Scheduling is a config knob too.  schedule_mode picks the
-    #     epoch scheduler: "serial" (the paper's round-robin),
-    #     "threaded" (edit/reconcile phases on a thread pool between
-    #     deterministic publish barriers), or "async" (PR 10:
-    #     participants as asyncio tasks on one event loop — injected
-    #     store latency is *awaited* through the store's latency clock,
-    #     so one peer's wire wait overlaps another's work and even the
-    #     publish barrier pipelines).  The determinism contract is
-    #     per participant: threaded and async runs of the same seeded
-    #     workload emit byte-identical per-participant decision
-    #     streams; the async run's *global* order is deterministic too.
+    #     epoch scheduler: "serial" (the paper's round-robin) or
+    #     "async" (edit, publish-barrier and reconcile phases with
+    #     participants as asyncio tasks on one event loop —
+    #     injected store latency is *awaited* through the store's
+    #     latency clock, so one peer's wire wait overlaps another's
+    #     work and even the publish barrier pipelines).  Both drive the
+    #     confederation from the caller's thread, and two async runs of
+    #     the same seeded workload emit the same global decision stream.
     def seeded_run(mode):
         config = ConfederationConfig(
             store="memory",
@@ -299,27 +297,27 @@ def main() -> None:
             schedule_mode=mode,
             workload=WorkloadConfig(transaction_size=2, seed=5),
         )
-        streams = {}
+        stream = []
         hooks = HookBus()
         hooks.on_decision(
-            lambda participant, tid, decision, **_: streams.setdefault(
-                participant, []
-            ).append((str(tid), str(decision)))
+            lambda participant, tid, decision, **_: stream.append(
+                (participant, str(tid), str(decision))
+            )
         )
         with Confederation(config, hooks=hooks) as confed:
             report = confed.run()
-        return streams, report
+        return stream, report
 
-    threaded_streams, _ = seeded_run("threaded")
-    async_streams, async_report = seeded_run("async")
+    first_stream, _ = seeded_run("async")
+    async_stream, async_report = seeded_run("async")
     assert async_report.scheduler == "async"
-    assert async_streams == threaded_streams
+    assert async_stream == first_stream
     print(
         f'schedule_mode="async": {async_report.scheduler} scheduler ran '
         f"{async_report.transactions_published} publishes as pipelined "
-        "asyncio tasks; per-participant decisions match the threaded "
-        "run byte-for-byte (benchmarks/test_perf_scheduler.py prices "
-        "the wall-clock win at 64 peers)."
+        "asyncio tasks; two runs emit the same global decision stream "
+        "byte-for-byte (benchmarks/test_perf_scheduler.py prices the "
+        "wall-clock win over serial at 64 peers)."
     )
 
 

@@ -77,7 +77,6 @@ from repro.confed import (
     HookBus,
     ParticipantSnapshot,
     SerialScheduler,
-    ThreadedScheduler,
 )
 from repro.core import (
     Decision,
@@ -147,7 +146,6 @@ __all__ = [
     "SerialScheduler",
     "SqliteInstance",
     "StoreCapabilities",
-    "ThreadedScheduler",
     "TrustPolicy",
     "UpdateStore",
     "WorkloadConfig",

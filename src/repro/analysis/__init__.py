@@ -1,4 +1,4 @@
-"""Determinism & lock-discipline checking for the reproduction.
+"""Determinism & store-phase-discipline checking for the reproduction.
 
 Two halves, one contract:
 
@@ -13,8 +13,8 @@ Two halves, one contract:
   instrumentation that wraps a store's lock and container state with
   owner-asserting proxies, deterministically raising
   :class:`~repro.analysis.runtime.LockDisciplineError` on any access
-  that does not hold the store lock — the race detector the static
-  rules cannot be.
+  that does not hold the store lock — the dynamic check the static
+  rules cannot make.
 """
 
 from repro.analysis.engine import (

@@ -50,7 +50,7 @@ WALL_CLOCK_ATTRS: Tuple[str, ...] = (
     "time_ns",
 )
 
-#: Mutating methods of the memo mapping that must stay behind the lock
+#: Mutating methods of the memo mapping that must stay behind the
 #: helpers in ``core/cache.py``.
 MEMO_MUTATORS: Tuple[str, ...] = (
     "pop",
@@ -208,7 +208,7 @@ def _direct_store_calls(tree: ast.Module, context: ModuleContext) -> Found:
         ):
             yield node, (
                 f"direct store call .store.{node.func.attr}(...) bypasses "
-                f"_store_call — the store lock and perf accounting are skipped"
+                f"_store_call — the store phase and perf accounting are skipped"
             )
 
 
@@ -254,8 +254,8 @@ def _memo_mutations(tree: ast.Module, context: ModuleContext) -> Found:
             for target in targets:
                 if isinstance(target, ast.Subscript) and is_entries(target.value):
                     yield node, (
-                        f"{verb} ._entries outside core/cache.py races the "
-                        f"memo's internal lock"
+                        f"{verb} ._entries outside core/cache.py — the memo "
+                        f"is mutated only by its helpers"
                     )
         elif (
             isinstance(node, ast.Call)
@@ -265,7 +265,7 @@ def _memo_mutations(tree: ast.Module, context: ModuleContext) -> Found:
         ):
             yield node, (
                 f"._entries.{node.func.attr}(...) outside core/cache.py "
-                f"races the memo's internal lock"
+                f"— the memo is mutated only by its helpers"
             )
 
 
@@ -510,9 +510,9 @@ RULES: Tuple[Rule, ...] = (
     ),
     Rule(
         "RPR004",
-        "store-call-outside-lock",
-        "direct store method call in cdss/ outside _store_call — the "
-        "transport must hold the store lock",
+        "store-call-outside-transport",
+        "direct store method call in cdss/ outside _store_call — every "
+        "store call is one measured store phase",
         applies=lambda context: _in_src(context) and context.subpackage == "cdss",
         check=_direct_store_calls,
     ),
@@ -526,9 +526,9 @@ RULES: Tuple[Rule, ...] = (
     ),
     Rule(
         "RPR006",
-        "memo-mutation-outside-lock",
-        "mutation of a memo's ._entries outside core/cache.py — shared "
-        "memos are mutated only by their lock-holding helpers",
+        "memo-mutation-outside-helpers",
+        "memo mutated outside its helpers: a write to ._entries outside "
+        "core/cache.py",
         applies=lambda context: not context.in_module("core/cache.py"),
         check=_memo_mutations,
     ),

@@ -1,6 +1,7 @@
-"""Runtime lock-discipline instrumentation (the dynamic checker half).
+"""Runtime store-phase-discipline instrumentation (the dynamic checker
+half).
 
-The static rules (:mod:`repro.analysis.rules`) catch *syntactic* lock
+The static rules (:mod:`repro.analysis.rules`) catch *syntactic*
 bypasses — a store call outside ``_store_call``, a memo poked around its
 helpers.  They cannot see a dynamically constructed call path or a
 third-party driver.  This module catches those at run time: it wraps a
@@ -9,18 +10,16 @@ plain ``dict``/``list``/``set`` attributes with **owner-asserting
 proxies** that raise :class:`LockDisciplineError` the moment any code
 touches them without holding the store lock.
 
-The discipline enforced is exactly the PR 3 transport contract: *stores
-are not internally thread-safe; every access to store state happens
-under ``store.lock``* (held by
+The discipline enforced is the transport contract: *every access to
+store state happens inside ``store.lock``* (held by
 :meth:`repro.cdss.participant.Participant._store_call`, by the
 confederation facade around snapshot/restore reads, and by the fault
-controller around lifecycle actions).  Under the serial scheduler the
-lock is uncontended, so an instrumented run is cheap enough to gate in
-CI; under the :class:`~repro.confed.scheduler.ThreadedScheduler` chaos
-matrix the proxies catch unsynchronized cross-thread access the static
-rules cannot see — and because the check is *lock-held*, not
-*race-observed*, detection is deterministic: a bypass raises on its
-first execution, no unlucky interleaving required.
+controller around lifecycle actions).  A confederation is driven from
+one thread, so the lock is never contended; what it marks is the store
+phase, the bracket the latency and perf accounting read.  A store touch
+outside it — a peek between two awaits of the async scheduler, a
+dynamically built call path the static rules cannot see — raises on
+its first execution, deterministically.
 
 Usage (tests / CI)::
 
@@ -45,7 +44,8 @@ from typing import Iterable, List
 
 
 class LockDisciplineError(RuntimeError):
-    """Store state was touched without holding the store lock."""
+    """Store state was touched outside a store phase (the store lock
+    was not held)."""
 
 
 class InstrumentedRLock:
@@ -234,8 +234,8 @@ def instrument_store(store, skip: Iterable[str] = ()) -> StoreInstrumentation:
 
     Only attributes whose value is *exactly* ``dict``/``list``/``set``
     are wrapped (richer objects like ``PerfCounters`` or the shared
-    :class:`~repro.core.cache.ConflictGraph` carry their own locking
-    discipline).  ``skip`` names attributes to leave untouched.
+    :class:`~repro.core.cache.ConflictGraph` are mutated only through
+    their own methods).  ``skip`` names attributes to leave untouched.
     """
     lock = InstrumentedRLock(store.lock)
     store.lock = lock

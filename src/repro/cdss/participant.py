@@ -9,9 +9,9 @@ together (:meth:`Participant.publish_and_reconcile`), as the paper assumes.
 The participant is the **transport layer** of the PR 3 session split: it
 is the only layer that talks to the update store.  Every store call goes
 through :meth:`Participant._store_call`, which holds the store's lock
-(so the threaded epoch scheduler can run many participants against one
-store), measures the call, and pays any configured real latency *after*
-releasing the lock.  The decisions themselves are produced by the
+(the store-phase discipline: every store touch happens in one bracketed
+call, which is what the latency and perf accounting read), measures the
+call, and pays any configured real latency *after* releasing the lock.  The decisions themselves are produced by the
 transport-free :class:`~repro.core.session.ReconcileSession`.
 
 Every reconciliation records a :class:`ReconcileTiming` splitting the cost
@@ -234,8 +234,8 @@ class Participant:
         The two phases are deliberately split.  The **store phase**
         (:meth:`_store_phase`) holds the store lock and snapshots the
         perf delta.  The **latency phase** pays that delta through
-        ``store.pay_latency`` *after* the lock is released, so
-        concurrent sessions wait in parallel — and, because the payment
+        ``store.pay_latency`` *after* the lock is released — and,
+        because the payment
         goes through the store's :class:`~repro.net.clock.LatencyClock`
         rather than an inline sleep, the asyncio epoch scheduler can
         turn the wait into an awaited ``asyncio.sleep`` without ever

@@ -18,7 +18,6 @@ This is the public entry point for building and running a CDSS:
 * :mod:`~repro.confed.scheduler` — the pluggable epoch schedulers
   ``run()`` executes the schedule through
   (:class:`~repro.confed.scheduler.SerialScheduler` /
-  :class:`~repro.confed.scheduler.ThreadedScheduler` /
   :class:`~repro.confed.scheduler.AsyncScheduler`, selected by
   ``config.schedule_mode``).
 """
@@ -37,7 +36,6 @@ from repro.confed.scheduler import (
     AsyncScheduler,
     EpochScheduler,
     SerialScheduler,
-    ThreadedScheduler,
     create_scheduler,
 )
 
@@ -55,6 +53,5 @@ __all__ = [
     "ParticipantSnapshot",
     "SCHEDULE_MODES",
     "SerialScheduler",
-    "ThreadedScheduler",
     "create_scheduler",
 ]

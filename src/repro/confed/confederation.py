@@ -127,7 +127,7 @@ class Confederation:
         ``schedule_mode="async"`` each peer waits only for its own round
         trip (``schedule_workers`` caps how many are in flight), so
         opening costs about one round trip, not one per peer; the serial
-        and threaded modes register one after another.  Opening twice,
+        mode registers one after another.  Opening twice,
         or reopening after ``close()``, raises
         :class:`~repro.errors.ConfigError`.
         """
@@ -355,9 +355,8 @@ class Confederation:
         """
         self._ensure_open()
         snapshots = {}
-        # Snapshot reads are store access like any other: take the
-        # store lock so a concurrently scheduled epoch cannot interleave
-        # (the lock is reentrant and uncontended outside threaded runs).
+        # Snapshot reads are store access like any other: inside the
+        # store lock (the store-phase discipline of repro.store.base).
         with self.store.lock:
             for participant in self.participants:
                 applied, rejected, deferred = self.store.decided_transactions(

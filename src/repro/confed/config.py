@@ -29,7 +29,7 @@ NETWORK_CENTRIC_MODES: Tuple[str, ...] = ("client", "store")
 
 #: Epoch-scheduler modes :meth:`repro.confed.Confederation.run` can use
 #: (see :mod:`repro.confed.scheduler`).
-SCHEDULE_MODES: Tuple[str, ...] = ("serial", "threaded", "async")
+SCHEDULE_MODES: Tuple[str, ...] = ("serial", "async")
 
 
 @dataclass
@@ -58,13 +58,10 @@ class ConfederationConfig:
       ``final_reconcile`` — the evaluation schedule
       :meth:`repro.confed.Confederation.run` executes;
     * ``schedule_mode`` / ``schedule_workers`` — which epoch scheduler
-      executes it: ``"serial"`` (the paper's strict round-robin),
-      ``"threaded"`` (independent participants' edit and reconcile
-      phases run concurrently on a thread pool between deterministic
-      publish-order barriers; ``schedule_workers`` caps the pool, None
-      sizes it from the peer count), or ``"async"`` (one event loop
-      runs the store segments in the same order, and each participant
-      waits only for its own injected latency, through the store's
+      executes it: ``"serial"`` (the paper's strict round-robin) or
+      ``"async"`` (edit, publish-barrier and reconcile phases on one
+      event loop; each participant waits only for its own injected
+      latency, through the store's
       :class:`~repro.net.clock.AsyncLatencyClock`; ``schedule_workers``
       caps how many participants have latency outstanding at once —
       registrations in ``open()`` too — None leaves it uncapped).  See

@@ -11,9 +11,9 @@ ticks it after every schedule step
 and it fires every pending action whose epoch the store has reached.
 
 Actions fire in ``(epoch, declaration order)`` order, serially, between
-schedule steps — never concurrently with a reconciliation, so even the
-threaded scheduler observes crashes only at step boundaries.  Execution
-is by plain delegation:
+schedule steps — never inside a reconciliation, so every scheduler
+observes crashes only at step boundaries.  Execution is by plain
+delegation:
 
 * ``crash`` → ``store.fail_host(host)`` (the host's state is wiped; the
   DHT's successor replicas keep serving — see

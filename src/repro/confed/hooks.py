@@ -59,15 +59,12 @@ best-effort logging).  Handlers must accept their payload as keyword
 arguments — accepting ``**_`` for unused entries keeps them forward
 compatible with payload growth.
 
-Emission is serialized by a reentrant lock: the threaded epoch
-scheduler emits from several worker threads, and subscribers (the
-metric collectors) must never see interleaved handler runs.  Under the
-default serial schedule the lock is uncontended.
+Every event is emitted on the thread that drives the confederation
+(see :mod:`repro.confed.scheduler`), so handler runs never interleave.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import ConfigError
@@ -86,7 +83,6 @@ class HookBus:
 
     def __init__(self) -> None:
         self._handlers: Dict[str, List[Handler]] = {}
-        self._emit_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Subscription
@@ -165,14 +161,12 @@ class HookBus:
 
     def emit(self, event: str, **payload) -> None:
         """Deliver ``payload`` to every subscriber of ``event``, in
-        subscription order.  Handler runs are serialized across threads
-        (see the module docstring)."""
+        subscription order."""
         handlers = self._handlers.get(event)
         if not handlers:
             return
-        with self._emit_lock:
-            for handler in list(handlers):
-                handler(**payload)
+        for handler in list(handlers):
+            handler(**payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         counts = {

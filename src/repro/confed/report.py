@@ -30,8 +30,7 @@ class ConfederationReport:
     transactions_published: int
     store_messages: int
     #: Which epoch scheduler identity produced the run (a
-    #: ``schedule_mode`` name: ``"serial"``, ``"threaded"`` or
-    #: ``"async"``).  Decision streams are only comparable between
+    #: ``schedule_mode`` name: ``"serial"`` or ``"async"``).  Decision streams are only comparable between
     #: runs of the same schedule, so a report names its own.
     scheduler: str = "serial"
     #: Engine cache counters summed over all participants.

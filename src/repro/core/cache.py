@@ -47,7 +47,6 @@ its :class:`~repro.core.conflicts.IncrementalConflictIndex`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -318,10 +317,8 @@ class ConflictGraph:
     other whose walk ends on it (:meth:`derived`).
 
     Roots leave by the stores' retirement signal (:meth:`discard`),
-    O(degree) per origin, with ``limit`` as the backstop.  The threaded
-    scheduler reconciles concurrently, so every write takes the lock — a
-    neighbourhood is never written while :meth:`discard` walks it.
-    Reading an edge does not: a reader sees nothing or the truth.
+    O(degree) per origin, with ``limit`` as the backstop.  Only these
+    helpers mutate the registry (rule RPR006).
     """
 
     def __init__(self, limit: Optional[int] = None) -> None:
@@ -329,7 +326,6 @@ class ConflictGraph:
         evicted root's edges and derivations are simply recomputed on
         the next miss); None = unbounded."""
         self.limit = limit
-        self._lock = threading.Lock()
         self._entries: Dict[TransactionId, List[UpdateExtension]] = {}
 
     def __len__(self) -> int:
@@ -348,17 +344,15 @@ class ConflictGraph:
     ) -> Optional[UpdateExtension]:
         """The registered extension of ``root`` over the closure
         ``members`` (in publish order), if there is one."""
-        with self._lock:
-            return self._find(root, members)
+        return self._find(root, members)
 
     def intern(self, extension: UpdateExtension) -> UpdateExtension:
         """Register a freshly derived extension as its (root, closure)'s
         one derivation; returns the registered one — ``extension``
-        unless another thread derived the same closure first."""
-        with self._lock:
-            origin = self._find(extension.root, extension.members)
-            if origin is None:
-                self._register(origin := extension)
+        unless another participant derived the same closure first."""
+        origin = self._find(extension.root, extension.members)
+        if origin is None:
+            self._register(origin := extension)
         return origin
 
     def _register(self, origin: UpdateExtension) -> None:
@@ -378,21 +372,19 @@ class ConflictGraph:
     ) -> None:
         """Hang the edge between the origins ``left`` and ``right`` on
         both (``points`` possibly empty — known too)."""
-        with self._lock:
-            if left._hood is None:
-                self._register(left)
-            if right._hood is None:
-                self._register(right)
-            # The backstop may have evicted one end to admit the other.
-            if left._hood is not None and right._hood is not None:
-                left._hood[id(right)] = (right, points)
-                right._hood[id(left)] = (left, points)
+        if left._hood is None:
+            self._register(left)
+        if right._hood is None:
+            self._register(right)
+        # The backstop may have evicted one end to admit the other.
+        if left._hood is not None and right._hood is not None:
+            left._hood[id(right)] = (right, points)
+            right._hood[id(left)] = (left, points)
 
     def discard(self, roots: Iterable[TransactionId]) -> None:
         """Unlink every origin of ``roots``, at both ends of each edge
         (retirement: the roots have been finally decided by every
         participant, so no reconciliation will hold their extensions
         again)."""
-        with self._lock:
-            for root in roots:
-                self._unlink(root)
+        for root in roots:
+            self._unlink(root)

@@ -213,8 +213,8 @@ class UpdateExtension:
     def _derived(self, slot: str, schema: Schema, derive: Callable):
         """``derive(schema, operations)``, memoized in ``slot`` for one
         schema at a time.  An extension's operations never change after
-        construction; under the threaded scheduler two participants may
-        race to write the same value."""
+        construction, so whichever participant derives first writes the
+        value every other reads."""
         holder = self._origin or self
         if holder._schema is not schema:
             holder._key_index = holder._footprint = None

@@ -85,10 +85,12 @@ class NetworkError(ReproError):
 class SchedulerError(ReproError):
     """An epoch scheduler's phase failed.
 
-    Raised by the threaded scheduler when a worker's edit or reconcile
-    phase raises: the round is aborted *before* the publish barrier (a
-    half-edited round must never publish), and the message names the
-    failing participant.  The original exception rides on ``__cause__``.
+    Raised by the async scheduler when a participant's edit, publish or
+    reconcile segment raises: the round stops at the failing participant
+    in store order (a failed edit stops the publish barrier there), and
+    the message names it.  The original exception rides on
+    ``__cause__``.  Also raised when ``run()`` under ``"async"`` is
+    called inside a running event loop.
     """
 
 

@@ -4,7 +4,7 @@ The evaluation metrics used to be gathered by reaching into participant
 internals (``participant.timings``, ``participant.reconciler.cache``).
 These collectors gather the same data by subscribing to the
 confederation's event bus (:class:`repro.confed.hooks.HookBus`) — the
-one observability surface — so adding a metric never means threading a
+one observability surface — so adding a metric never means plumbing a
 new counter through the engine.
 
 Each collector's ``attach(bus)`` subscribes it and returns it, so wiring

@@ -12,9 +12,8 @@ would stall the whole event loop).
 Two implementations:
 
 * :class:`BlockingLatencyClock` — the default on every store: pay by
-  blocking the calling thread.  Under the threaded epoch scheduler,
-  concurrent workers block *in parallel*, exactly like clients of a
-  real networked store.
+  blocking the calling thread, so the serial schedule (and any direct
+  store use) pays each round trip end to end.
 * :class:`AsyncLatencyClock` — installed by the asyncio epoch scheduler
   for the duration of a run: a payment made inside a participant's
   synchronous segment *accrues* to that segment's debt instead of

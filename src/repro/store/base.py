@@ -28,11 +28,13 @@ shared pair memo) without knowing the store's type.  Everything above
 the store boundary — :class:`~repro.core.session.ReconcileSession` and
 the engine — sees only the batch.
 
-Concurrency: every store carries a reentrant ``lock``.  Stores are not
-internally thread-safe; the transport layer
-(:class:`~repro.cdss.participant.Participant`) holds the lock around
-each store call, which is what lets the threaded epoch scheduler run
-many participants' sessions concurrently against one store.
+Store-phase discipline: every store carries a reentrant ``lock``.  A
+confederation is driven from one thread and stores are not thread-safe;
+the lock brackets each store call made by the transport layer
+(:class:`~repro.cdss.participant.Participant`), the confederation
+facade and the fault controller, so every store touch happens inside a
+measured call — what the latency and perf accounting depend on, and
+what :mod:`repro.analysis.runtime` checks.
 
 Performance accounting: every store tracks a :class:`PerfCounters` of
 messages exchanged and the simulated network latency they cost.  The
@@ -120,9 +122,8 @@ class UpdateStore(abc.ABC):
         delays for real; by default we only account them).  The wait
         happens in :meth:`pay_latency`, outside the store ``lock``, and
         is delegated to the store's :attr:`clock` — blocking by
-        default, so a threaded schedule overlaps different
-        participants' waits; the asyncio scheduler swaps in an
-        awaitable clock for the duration of a run."""
+        default; the asyncio scheduler swaps in an awaitable clock for
+        the duration of a run."""
         self._schema = schema
         self._message_latency = message_latency
         self._real_latency = real_latency
@@ -132,9 +133,7 @@ class UpdateStore(abc.ABC):
         #: while it runs, so payments accrue to the running participant
         #: instead of blocking the event loop.
         self.clock: LatencyClock = BlockingLatencyClock()
-        #: Serializes store access across the threaded epoch scheduler's
-        #: workers; uncontended (and therefore near-free) under the
-        #: default serial schedule.
+        #: Brackets each store call (the store-phase discipline above).
         self.lock = threading.RLock()
         self.perf = PerfCounters()
         #: Optional hook bus (``repro.confed.hooks.HookBus``), attached
@@ -169,14 +168,13 @@ class UpdateStore(abc.ABC):
         it; this base implementation is the default): the transport layer
         (:meth:`repro.cdss.participant.Participant._store_call`) calls it
         unconditionally with the simulated-latency delta of the store
-        call it just made, *after* releasing the store lock — concurrent
-        sessions wait in parallel, exactly like clients of a real
-        networked store.  The wait itself is delegated to :attr:`clock`
-        (never an inline ``time.sleep`` — rule RPR010): blocking under
-        the serial and threaded schedules, accrued-and-awaited under the
-        asyncio schedule.  Third-party drivers must not remove it; a
-        driver that charged latency but never paid it would silently
-        break the paper's injected-delay experiments.
+        call it just made, *after* releasing the store lock.  The wait
+        itself is delegated to :attr:`clock` (never an inline
+        ``time.sleep`` — rule RPR010): blocking under the serial
+        schedule, accrued-and-awaited under the asyncio schedule.
+        Third-party drivers must not remove it; a driver that charged
+        latency but never paid it would silently break the paper's
+        injected-delay experiments.
         """
         if self._real_latency and seconds > 0:
             self.clock.pay(seconds)

@@ -264,11 +264,9 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         if call_overhead_seconds is None:
             call_overhead_seconds = self.DEFAULT_CALL_OVERHEAD
         self._call_overhead = call_overhead_seconds
-        # The threaded epoch scheduler calls in from worker threads, each
-        # call holding the reentrant store.lock (Participant._store_call,
-        # `RPR004`): cross-thread use of the one connection is serialised
-        # and safe without sqlite's own thread-affinity check.
-        self._conn = sqlite3.connect(path, check_same_thread=False)
+        # A confederation is driven from one thread; sqlite's own
+        # thread-affinity check guards the connection.
+        self._conn = sqlite3.connect(path)
         self._conn.execute("PRAGMA journal_mode=WAL")
         # The standard WAL pairing: commits append to the WAL without an
         # fsync of the main database; the log stays consistent, so a crash

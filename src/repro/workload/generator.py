@@ -18,7 +18,6 @@ everyone works on the same popular proteins.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -103,10 +102,9 @@ class WorkloadGenerator:
     The generator is deterministic given its config seed and the sequence
     of calls; each participant gets an independent substream so adding a
     participant does not perturb the others' workloads.  The substream
-    independence is also what makes the threaded epoch scheduler
-    deterministic: concurrent edit phases draw from disjoint RNGs, so
-    worker interleaving cannot change any participant's stream (only the
-    lazily-created registry itself needs a lock).
+    independence is also what lets the async scheduler start each edit
+    as soon as its participant is free: edits draw from disjoint RNGs, so
+    their order cannot change any participant's stream.
     """
 
     def __init__(self, config: Optional[WorkloadConfig] = None) -> None:
@@ -117,7 +115,6 @@ class WorkloadGenerator:
             functions=self.config.functions,
         )
         self._streams: dict = {}
-        self._rng_lock = threading.Lock()
 
     def _stream(
         self, participant: int
@@ -126,15 +123,13 @@ class WorkloadGenerator:
         samplers that draw from it, built once: a sampler depends on
         the config alone, and building one draws nothing."""
         if participant not in self._streams:
-            with self._rng_lock:
-                if participant not in self._streams:
-                    rng = random.Random((self.config.seed, participant).__hash__())
-                    zipf_s = self.config.zipf_s
-                    self._streams[participant] = (
-                        rng,
-                        ZipfSampler(self.vocabulary.key_count(), zipf_s, rng),
-                        ZipfSampler(len(self.vocabulary.functions), zipf_s, rng),
-                    )
+            rng = random.Random((self.config.seed, participant).__hash__())
+            zipf_s = self.config.zipf_s
+            self._streams[participant] = (
+                rng,
+                ZipfSampler(self.vocabulary.key_count(), zipf_s, rng),
+                ZipfSampler(len(self.vocabulary.functions), zipf_s, rng),
+            )
         return self._streams[participant]
 
     # ------------------------------------------------------------------

@@ -1,17 +1,16 @@
-"""The dynamic checker half: runtime lock-discipline instrumentation.
+"""The dynamic checker half: runtime store-phase-discipline instrumentation.
 
 Three layers again:
 
 * **unit** — the owner-tracking lock shim and the guarded container
   proxies raise :class:`LockDisciplineError` deterministically on any
-  unlocked access, and instrumentation is fully reversible;
-* **detection** — a deliberately introduced lock bypass is caught: raw
-  under the serial scheduler, wrapped in
-  :class:`~repro.errors.SchedulerError` when a threaded worker trips it;
+  access outside a store phase, and instrumentation is fully reversible;
+* **detection** — a deliberately introduced bypass is caught: raw under
+  the serial scheduler, wrapped in
+  :class:`~repro.errors.SchedulerError` when an async task trips it;
 * **transparency** — a fully instrumented confederation run (including
-  the threaded *and async* chaos matrices with a maskable fault plan)
-  completes clean with a decision stream byte-identical to the
-  uninstrumented run.
+  the async chaos matrix with a maskable fault plan) completes clean
+  with a decision stream byte-identical to the uninstrumented run.
 """
 
 from __future__ import annotations
@@ -163,47 +162,6 @@ def test_instrumented_serial_run_is_clean_and_identical():
     assert guarded[2].state_ratio == plain[2].state_ratio
 
 
-def per_participant(log):
-    """Decision events grouped by participant, emission order kept."""
-    streams = {}
-    for event in log:
-        streams.setdefault(event[0], []).append(event)
-    return streams
-
-
-def test_instrumented_threaded_chaos_run_is_clean_and_identical():
-    """The hard case: the threaded scheduler's concurrent reconcile
-    phase over the replicated DHT with a maskable fault plan (host
-    crash + recovery, seeded drops/duplicates, a participant restart),
-    every store touch owner-checked.
-
-    The threaded mode's determinism contract is per participant — each
-    participant's decision subsequence and final instance are exactly
-    reproducible; the *global* interleaving of concurrent workers'
-    emissions is not pinned even between two uninstrumented runs — so
-    that is what instrumentation must leave byte-identical."""
-    plain = run_confederation(
-        "dht",
-        DHT_K2,
-        CHAOS_SEED,
-        faults=maskable_plan(CHAOS_SEED),
-        schedule_mode="threaded",
-    )
-    guarded = run_confederation(
-        "dht",
-        DHT_K2,
-        CHAOS_SEED,
-        instrument=True,
-        faults=maskable_plan(CHAOS_SEED),
-        schedule_mode="threaded",
-    )
-    assert per_participant(guarded[0]) == per_participant(plain[0])
-    assert guarded[1] == plain[1]
-    assert guarded[2].faults.injected.get("crash") == 1
-    assert guarded[2].faults.injected.get("duplicate", 0) >= 1
-    assert guarded[2].faults.recoveries == 2
-
-
 @pytest.mark.parametrize("store", ["memory", "central", "durable"])
 def test_shared_memo_is_guarded_from_birth(store):
     """Instrumenting a direct-log store *before its first
@@ -218,7 +176,7 @@ def test_shared_memo_is_guarded_from_birth(store):
         rounds=2,
         final_reconcile=True,
         network_centric="store",
-        schedule_mode="threaded",
+        schedule_mode="async",
         workload=WorkloadConfig(transaction_size=2, seed=CHAOS_SEED),
     )
     with Confederation(config) as confed:
@@ -236,9 +194,8 @@ def test_instrumented_async_chaos_run_is_clean_and_identical():
     the replicated DHT with the maskable fault plan, every store touch
     owner-checked.  All tasks share one thread, so the instrumented
     lock's per-thread ownership still discriminates correctly: held
-    inside ``_store_phase``, not held across awaits.  Per-participant
-    streams must match the uninstrumented async run *and* the threaded
-    run byte-for-byte."""
+    inside ``_store_phase``, not held across awaits.  The decision
+    stream must match the uninstrumented async run byte-for-byte."""
     plain = run_confederation(
         "dht",
         DHT_K2,
@@ -254,13 +211,6 @@ def test_instrumented_async_chaos_run_is_clean_and_identical():
         faults=maskable_plan(CHAOS_SEED),
         schedule_mode="async",
     )
-    threaded = run_confederation(
-        "dht",
-        DHT_K2,
-        CHAOS_SEED,
-        faults=maskable_plan(CHAOS_SEED),
-        schedule_mode="threaded",
-    )
     # Paying real latency, segments overlap under the proxies too.
     paying = run_confederation(
         "dht",
@@ -273,8 +223,7 @@ def test_instrumented_async_chaos_run_is_clean_and_identical():
     assert guarded[0] == plain[0]  # async global order is deterministic
     assert paying[0] == plain[0]  # ... and does not depend on latency
     for run in (guarded, paying):
-        assert run[1] == plain[1] == threaded[1]
-        assert per_participant(run[0]) == per_participant(threaded[0])
+        assert run[1] == plain[1]
         assert run[2].faults.injected.get("crash") == 1
         assert run[2].faults.injected.get("duplicate", 0) >= 1
         assert run[2].faults.recoveries == 2
@@ -299,43 +248,19 @@ def test_store_call_bypass_is_caught_serial(monkeypatch):
         run_confederation("memory", {}, CHAOS_SEED, instrument=True)
 
 
-def test_unsynchronized_peek_is_caught_in_threaded_worker(monkeypatch):
-    """A reconcile-phase worker peeking at store internals without the
-    lock trips the proxy; the scheduler wraps it per its error contract
-    with the root cause preserved."""
+def test_unsynchronized_peek_is_caught_in_async_task(monkeypatch):
+    """A reconcile peeking at store internals outside the store lock
+    trips the proxy; the async scheduler wraps it per its error
+    contract with the root cause preserved."""
     original = Participant.reconcile
 
     def leaky_reconcile(self):
-        len(self.store._log)  # unsynchronized cross-thread peek
+        len(self.store._log)  # peek outside the lock
         return original(self)
 
     monkeypatch.setattr(Participant, "reconcile", leaky_reconcile)
     # Without instrumentation the peek is invisible — the static rules
     # cannot see it either (dynamic attribute path, non-cdss caller).
-    run_confederation("memory", {}, CHAOS_SEED, schedule_mode="threaded")
-    with pytest.raises(SchedulerError, match="reconcile phase failed") as info:
-        run_confederation(
-            "memory",
-            {},
-            CHAOS_SEED,
-            instrument=True,
-            schedule_mode="threaded",
-        )
-    assert isinstance(info.value.__cause__, LockDisciplineError)
-
-
-def test_unsynchronized_peek_is_caught_in_async_task(monkeypatch):
-    """The same leaky reconcile under the pipelined scheduler: the
-    peek runs on the event-loop thread but *outside* the store lock,
-    so the proxy still trips, and the async scheduler wraps it with
-    the identical error surface as the threaded one."""
-    original = Participant.reconcile
-
-    def leaky_reconcile(self):
-        len(self.store._log)  # peek outside the lock, same thread
-        return original(self)
-
-    monkeypatch.setattr(Participant, "reconcile", leaky_reconcile)
     run_confederation("memory", {}, CHAOS_SEED, schedule_mode="async")
     with pytest.raises(SchedulerError, match="reconcile phase failed") as info:
         run_confederation(
@@ -346,3 +271,18 @@ def test_unsynchronized_peek_is_caught_in_async_task(monkeypatch):
             schedule_mode="async",
         )
     assert isinstance(info.value.__cause__, LockDisciplineError)
+
+
+def test_unsynchronized_peek_is_caught_serial(monkeypatch):
+    """The same peek under the serial scheduler raises the checker's
+    error raw, as every serial failure does."""
+    original = Participant.reconcile
+
+    def leaky_reconcile(self):
+        len(self.store._log)  # peek outside the lock
+        return original(self)
+
+    monkeypatch.setattr(Participant, "reconcile", leaky_reconcile)
+    run_confederation("memory", {}, CHAOS_SEED)
+    with pytest.raises(LockDisciplineError, match="store lock is not held"):
+        run_confederation("memory", {}, CHAOS_SEED, instrument=True)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import gc
+import sqlite3
+import threading
+import warnings
 from typing import NamedTuple
 
 import pytest
@@ -13,7 +17,6 @@ from repro.confed import (
     ConfederationConfig,
     HookBus,
     SerialScheduler,
-    ThreadedScheduler,
     create_scheduler,
 )
 from repro.confed import scheduler as scheduler_module
@@ -45,18 +48,7 @@ def _decision_log(config):
         snapshots = {
             p.id: p.instance.snapshot() for p in confed.participants
         }
-    # Sort by participant: the threaded schedule interleaves emission
-    # across workers, but each participant's own stream is ordered.
-    return sorted(log), snapshots, report
-
-
-def _raw_decision_log(config):
-    """Like ``_decision_log`` but keeps the global emission order."""
-    hooks = HookBus()
-    log = decision_stream(hooks)
-    with Confederation(config, hooks=hooks) as confed:
-        confed.run()
-    return log
+    return log, snapshots, report
 
 
 def _per_participant(log):
@@ -71,10 +63,6 @@ class TestSelection:
     def test_serial_is_the_default(self):
         assert ConfederationConfig().schedule_mode == "serial"
         assert isinstance(create_scheduler(ConfederationConfig()), SerialScheduler)
-
-    def test_threaded_selected_by_mode(self):
-        cfg = ConfederationConfig(schedule_mode="threaded", schedule_workers=3)
-        assert isinstance(create_scheduler(cfg), ThreadedScheduler)
 
     def test_async_selected_by_mode(self):
         cfg = ConfederationConfig(schedule_mode="async", schedule_workers=3)
@@ -99,13 +87,13 @@ class TestSelection:
             ConfederationConfig(schedule_workers=0).validate()
 
     @pytest.mark.parametrize("workers", [0, -3])
-    @pytest.mark.parametrize("scheduler_cls", [ThreadedScheduler, AsyncScheduler])
+    @pytest.mark.parametrize("scheduler_cls", [SerialScheduler, AsyncScheduler])
     def test_direct_construction_rejects_non_positive_workers(
         self, scheduler_cls, workers
     ):
         # workers=0 used to silently fall back to the default sizing
         # through `self._workers or ...`; it is a hard error at
-        # construction for both phased schedulers, with one message.
+        # construction for every scheduler, with one message.
         with pytest.raises(ConfigError, match="at least one worker"):
             scheduler_cls(workers=workers)
 
@@ -116,53 +104,16 @@ class TestSelection:
             ).validate()
 
     def test_explicit_worker_count_is_honoured(self):
-        assert ThreadedScheduler(workers=2)._workers == 2
-        assert ThreadedScheduler()._workers is None
+        assert AsyncScheduler(workers=2)._workers == 2
+        assert AsyncScheduler()._workers is None
 
-    @pytest.mark.parametrize("mode", ["threaded", "async"])
+    @pytest.mark.parametrize("mode", ["serial", "async"])
     def test_schedule_keys_round_trip(self, mode):
         cfg = ConfederationConfig(schedule_mode=mode, schedule_workers=8)
         wire = cfg.to_dict()
         assert wire["schedule_mode"] == mode
         assert wire["schedule_workers"] == 8
         assert ConfederationConfig.from_dict(wire) == cfg
-
-
-class TestThreadedSchedule:
-    def test_threaded_run_completes_and_counts(self):
-        with Confederation(_config(schedule_mode="threaded")) as confed:
-            report = confed.run()
-        assert report.transactions_published == 4 * 2 * 2
-        assert set(report.timings) == {1, 2, 3, 4}
-        for agg in report.timings.values():
-            assert agg.reconciliations == 3  # 2 rounds + final pass
-
-    def test_threaded_decisions_are_reproducible(self):
-        first = _decision_log(_config(schedule_mode="threaded"))
-        second = _decision_log(_config(schedule_mode="threaded"))
-        assert first[0] == second[0]  # decision log
-        assert first[1] == second[1]  # replica snapshots
-        assert first[2].state_ratio == second[2].state_ratio
-
-    def test_threaded_converges_like_serial_after_full_exchange(self):
-        # The two modes interleave differently (and may decide
-        # differently mid-run), but with a final reconcile pass every
-        # replica sees every accepted update under both schedules.
-        serial = _decision_log(_config(schedule_mode="serial"))
-        threaded = _decision_log(_config(schedule_mode="threaded"))
-        assert serial[2].transactions_published == threaded[2].transactions_published
-
-    def test_threaded_works_against_the_dht_store(self):
-        config = _config(
-            store="dht",
-            store_options={"hosts": 4},
-            schedule_mode="threaded",
-            rounds=1,
-        )
-        first = _decision_log(config)
-        second = _decision_log(config)
-        assert first[0] == second[0]
-        assert first[1] == second[1]
 
 
 class TestAsyncSchedule:
@@ -176,26 +127,21 @@ class TestAsyncSchedule:
         assert report.scheduler == "async"
 
     def test_async_global_stream_is_reproducible(self):
-        # Stronger than the threaded pin: one event loop interleaves
-        # whole synchronous segments in deterministic task order, so
-        # even the *global* decision stream reproduces byte-for-byte.
-        config = _config(schedule_mode="async")
-        assert _raw_decision_log(config) == _raw_decision_log(config)
+        # One event loop interleaves whole synchronous segments in
+        # deterministic task order, so even the *global* decision
+        # stream reproduces byte-for-byte.
+        first = _decision_log(_config(schedule_mode="async"))
+        second = _decision_log(_config(schedule_mode="async"))
+        assert first[0] == second[0]  # decision log, order included
+        assert first[1] == second[1]  # replica snapshots
+        assert first[2].state_ratio == second[2].state_ratio
 
-    def test_async_matches_threaded_per_participant(self):
-        # Same publish order, same RNG substreams, same three-phase
-        # rounds: each participant's decision stream is byte-identical
-        # between the threaded and async schedules.
-        threaded = _raw_decision_log(_config(schedule_mode="threaded"))
-        async_log = _raw_decision_log(_config(schedule_mode="async"))
-        assert _per_participant(async_log) == _per_participant(threaded)
-
-    def test_async_replicas_and_report_match_threaded(self):
-        threaded = _decision_log(_config(schedule_mode="threaded"))
+    def test_async_publishes_what_serial_publishes(self):
+        # The two modes interleave differently (and may decide
+        # differently mid-run), but they run the same schedule volume.
+        serial = _decision_log(_config(schedule_mode="serial"))
         async_run = _decision_log(_config(schedule_mode="async"))
-        assert async_run[0] == threaded[0]  # canonicalised decision log
-        assert async_run[1] == threaded[1]  # replica snapshots
-        assert async_run[2].state_ratio == threaded[2].state_ratio
+        assert serial[2].transactions_published == async_run[2].transactions_published
 
     def test_async_works_against_the_dht_store(self):
         config = _config(
@@ -211,14 +157,69 @@ class TestAsyncSchedule:
 
     def test_async_honours_the_in_flight_cap(self):
         config = _config(schedule_mode="async", schedule_workers=1)
-        capped = _raw_decision_log(config)
-        uncapped = _raw_decision_log(_config(schedule_mode="async"))
+        capped, _snapshots, _report = _decision_log(config)
+        uncapped, _snapshots, _report = _decision_log(_config(schedule_mode="async"))
         assert _per_participant(capped) == _per_participant(uncapped)
+
+    def test_async_run_inside_a_running_loop_is_a_scheduler_error(self):
+        async def inside():
+            with Confederation(_config(peers=(1, 2, 3), schedule_mode="async")) as confed:
+                with pytest.raises(SchedulerError, match='schedule_mode=.serial.'):
+                    confed.run()
+                return confed.report().transactions_published
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert asyncio.run(inside()) == 0
+            gc.collect()  # a coroutine built but never awaited warns here
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_async_restores_the_blocking_clock_after_the_run(self):
         with Confederation(_config(schedule_mode="async")) as confed:
             confed.run()
             assert isinstance(confed.store.clock, BlockingLatencyClock)
+
+
+class TestOneThread:
+    """A confederation is driven from the caller's thread: the store's
+    sqlite connection, the hook bus and the shared conflict graph take
+    no lock of their own because nothing ever starts a second one."""
+
+    @pytest.mark.parametrize("store", ["memory", "central", "durable", "dht"])
+    @pytest.mark.parametrize("mode", ["serial", "async"])
+    def test_every_event_comes_from_the_callers_thread(self, mode, store):
+        caller, alive = threading.get_ident(), threading.active_count()
+        seen = []
+        hooks = HookBus()
+        for event in ("publish", "decision", "reconcile"):
+            hooks.subscribe(event, lambda event=event, **_: seen.append(
+                (event, threading.get_ident(), threading.active_count())
+            ))
+        options = {"hosts": 4} if store == "dht" else {}
+        config = _config(schedule_mode=mode, store=store, store_options=options)
+        with Confederation(config, hooks=hooks) as confed:
+            confed.run()
+        assert {event for event, *_ in seen} == {"publish", "decision", "reconcile"}
+        assert {(ident, count) for _event, ident, count in seen} == {(caller, alive)}
+
+    def test_the_central_store_connection_refuses_other_threads(self):
+        # With no lock of its own around the connection, sqlite's
+        # thread-affinity check is what stops a second thread using it.
+        with Confederation(_config(store="central")) as confed:
+            confed.run()
+            errors = []
+
+            def touch():
+                try:
+                    confed.store.current_epoch()
+                except sqlite3.ProgrammingError as error:
+                    errors.append(error)
+
+            worker = threading.Thread(target=touch)
+            worker.start()
+            worker.join()
+            assert len(errors) == 1 and "thread" in str(errors[0])
+            assert confed.store.current_epoch() > 0  # the owner still can
 
 
 class Segment(NamedTuple):
@@ -378,8 +379,7 @@ def _waves(segments):
 class TestRegistration:
     """``open()`` registers the peers through the schedule's driver:
     under ``async`` each registration is one clock segment, so the pass
-    pays about one round trip; ``serial`` and ``threaded`` pay one after
-    another.  Nothing asserted here reads elapsed wall time."""
+    pays about one round trip; ``serial`` pays one after another.  Nothing asserted here reads elapsed wall time."""
 
     PEERS = tuple(range(1, 9))
     LATENCY = 0.02  # per message; a registration is one round trip
@@ -419,9 +419,8 @@ class TestRegistration:
         _store, _events, [clock] = self._open(monkeypatch, "async", workers=2)
         assert _waves(clock.segments) == 4
 
-    @pytest.mark.parametrize("mode", ["serial", "threaded"])
-    def test_serial_and_threaded_pay_each_round_trip_in_turn(self, monkeypatch, mode):
-        _store, events, clocks = self._open(monkeypatch, mode)
+    def test_serial_pays_each_round_trip_in_turn(self, monkeypatch):
+        _store, events, clocks = self._open(monkeypatch, "serial")
         assert clocks == []
         assert events[0::2] == [("register", pid) for pid in self.PEERS]
         assert [kind for kind, _ in events[1::2]] == ["pay"] * len(self.PEERS)
@@ -431,7 +430,7 @@ class TestRegistration:
 
     def test_store_side_effects_are_the_same_in_every_mode(self, monkeypatch):
         seen = set()
-        for mode in ("serial", "threaded", "async"):
+        for mode in ("serial", "async"):
             store, events, _clocks = self._open(monkeypatch, mode)
             seen.add((
                 tuple(entry for entry in events if entry[0] == "register"),
@@ -444,7 +443,7 @@ class TestRegistration:
         assert messages == 2 * len(self.PEERS)
         assert charged == pytest.approx(2 * self.LATENCY * len(self.PEERS))
 
-    @pytest.mark.parametrize("mode", ["serial", "threaded", "async"])
+    @pytest.mark.parametrize("mode", ["serial", "async"])
     def test_a_failed_registration_raises_raw_after_the_earlier_peers(
         self, monkeypatch, mode
     ):
@@ -496,16 +495,17 @@ class TestRegistration:
         assert _waves(clock.segments) == 1
 
 
-@pytest.mark.parametrize("mode", ["threaded", "async"])
 class TestFailFast:
-    def test_edit_phase_failure_aborts_before_the_publish_barrier(self, mode):
+    """The async driver stops at the first failure in store order."""
+
+    def test_edit_phase_failure_aborts_before_the_publish_barrier(self):
         # A failed edit must stop the round before participant 3 would
         # publish — a half-edited round leaking through the barrier
         # would feed every peer inconsistent epochs — and the raised
-        # error must name the failing participant.  The threaded driver
-        # never starts the barrier; the async one stops it at 3, after
-        # the lower ids published (as after a failed publish).
-        with Confederation(_config(schedule_mode=mode)) as confed:
+        # error must name the failing participant.  The barrier stops
+        # at 3, after the lower ids published (as after a failed
+        # publish).
+        with Confederation(_config(schedule_mode="async")) as confed:
             broken = confed.participant(3)
 
             def explode(updates):
@@ -517,11 +517,10 @@ class TestFailFast:
             ) as excinfo:
                 confed.run()
             assert isinstance(excinfo.value.__cause__, RuntimeError)
-            published = {"threaded": 0, "async": 2}[mode]
-            assert confed.store.current_epoch() == published
+            assert confed.store.current_epoch() == 2
             assert confed.report().transactions_published == 0
 
-    def test_a_round_two_edit_failure_stops_that_round(self, mode):
+    def test_a_round_two_edit_failure_stops_that_round(self):
         # Round 2 is where the async driver overlaps one round's
         # latency with the next round's work.
         def run():
@@ -535,7 +534,7 @@ class TestFailFast:
 
             for event in ("publish", "reconcile", "epoch_end"):
                 hooks.subscribe(event, record(event))
-            with Confederation(_config(schedule_mode=mode), hooks=hooks) as confed:
+            with Confederation(_config(schedule_mode="async"), hooks=hooks) as confed:
                 broken = confed.participant(3)
                 execute = broken.execute
 
@@ -555,24 +554,19 @@ class TestFailFast:
         round_one = [("publish", p, None) for p in (1, 2, 3, 4)]
         round_one += [("reconcile", p, None) for p in (1, 2, 3, 4)]
         round_one += [("epoch_end", p, 0) for p in (1, 2, 3, 4)]
-        if mode == "threaded":
-            # Round 2 published nothing (threaded reconciles interleave).
-            assert sorted(events) == sorted(round_one)
-        else:
-            # The lower ids' round-2 epochs stay published; no
-            # reconcile or epoch end of round 2 ran.
-            assert events == round_one + [("publish", 1, None), ("publish", 2, None)]
-            again, second = run()
-            assert again == events and str(second) == str(error)
+        # The lower ids' round-2 epochs stay published; no reconcile or
+        # epoch end of round 2 ran.
+        assert events == round_one + [("publish", 1, None), ("publish", 2, None)]
+        again, second = run()
+        assert again == events and str(second) == str(error)
 
-    def test_publish_barrier_failure_is_wrapped_and_stops_the_round(self, mode):
-        # A store error during the barrier used to escape raw from the
-        # threaded scheduler and wrapped from the async one; both now
-        # raise the wrapped form with the cause chained.
+    def test_publish_barrier_failure_is_wrapped_and_stops_the_round(self):
+        # A store error during the barrier is raised wrapped, with the
+        # cause chained.
         reconciled = []
         hooks = HookBus()
         hooks.on_reconcile(lambda **kw: reconciled.append(kw["participant"]))
-        with Confederation(_config(schedule_mode=mode), hooks=hooks) as confed:
+        with Confederation(_config(schedule_mode="async"), hooks=hooks) as confed:
             broken = confed.participant(2)
 
             def explode():
@@ -589,8 +583,8 @@ class TestFailFast:
             assert reconciled == []
             assert confed.report().transactions_published == 0
 
-    def test_reconcile_phase_failure_names_the_participant(self, mode):
-        with Confederation(_config(schedule_mode=mode)) as confed:
+    def test_reconcile_phase_failure_names_the_participant(self):
+        with Confederation(_config(schedule_mode="async")) as confed:
             broken = confed.participant(2)
 
             def explode():
@@ -604,9 +598,30 @@ class TestFailFast:
                 confed.run()
 
 
+@pytest.mark.parametrize("phase", ["execute", "publish", "reconcile"])
+def test_serial_raises_a_phase_failure_raw(phase):
+    # The serial schedule adds no wrapping: the participant's own error
+    # reaches the caller unchanged, and the participants after it in the
+    # round never publish.
+    published = []
+    hooks = HookBus()
+    hooks.on_publish(lambda **kw: published.append(kw["participant"]))
+    with Confederation(_config(schedule_mode="serial"), hooks=hooks) as confed:
+        broken = confed.participant(2)
+
+        def explode(*args):
+            raise RuntimeError(f"{phase} on fire")
+
+        setattr(broken, phase, explode)
+        with pytest.raises(RuntimeError, match=f"{phase} on fire") as excinfo:
+            confed.run()
+        assert not isinstance(excinfo.value, SchedulerError)
+        assert published == ([1, 2] if phase == "reconcile" else [1])
+
+
 class TestEpochEndHook:
     def test_epoch_end_emitted_per_schedule_step(self):
-        for mode in ("serial", "threaded", "async"):
+        for mode in ("serial", "async"):
             events = []
             hooks = HookBus()
             hooks.on_epoch_end(lambda **kw: events.append(kw))

@@ -10,14 +10,14 @@ cost messages and simulated time, never outcomes.
 Unmaskable faults must surface loudly, and the surface is pinned per
 schedule mode: an unbounded black hole raises
 :class:`~repro.errors.RetryExhaustedError` under the serial scheduler
-and is wrapped in :class:`~repro.errors.SchedulerError` by the threaded
-and async ones.
+and is wrapped in :class:`~repro.errors.SchedulerError` by the async
+one.
 
 Since PR 10 the maskable matrix has an async column too: under
-``schedule_mode="async"`` the same chaos plan must leave every
-participant's decision stream byte-identical to the fault-free async
-*and* threaded runs — pipelining the latency waits may only change
-wall-clock time, never verdicts.
+``schedule_mode="async"`` the same chaos plan must leave the decision
+stream byte-identical to the fault-free async run, paying real latency
+or not — pipelining the latency waits may only change wall-clock time,
+never verdicts.
 """
 
 from __future__ import annotations
@@ -255,24 +255,15 @@ def test_unmaskable_fault_raises_retry_exhausted_serial():
         )
 
 
-def per_participant(log):
-    """Group a decision log per participant, preserving stream order."""
-    streams = {}
-    for participant, *rest in log:
-        streams.setdefault(participant, []).append(tuple(rest))
-    return streams
-
-
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_maskable_faults_byte_identical_under_async_schedule(seed):
     """PR 10's async column of the chaos matrix: the maskable
     everything-at-once plan, replayed under the pipelined scheduler,
-    must leave each participant's decision stream byte-identical to
-    the fault-free async run — and, per the cross-schedule contract,
-    to the fault-free threaded run as well.  The async global order is
-    itself deterministic (decisions are emitted inside synchronous
-    segments that the event loop interleaves in task order), so the
-    fault-free comparison can be made on the full stream."""
+    must leave the decision stream byte-identical to the fault-free
+    async run.  The async global order is itself deterministic
+    (decisions are emitted inside synchronous segments that the event
+    loop interleaves in task order), so the comparison is made on the
+    full stream."""
     fault_free = run_confederation(
         "dht", DHT_K2, seed, schedule_mode="async"
     )
@@ -280,7 +271,6 @@ def test_maskable_faults_byte_identical_under_async_schedule(seed):
         "dht", DHT_K2, seed, faults=maskable_plan(seed),
         schedule_mode="async",
     )
-    threaded = run_confederation("dht", DHT_K2, seed, schedule_mode="threaded")
     # The same plan paying real latency, plus lost registrations: the
     # peers register as overlapping segments, the crash, recovery and
     # restart land while latency is outstanding.  The extra draws move
@@ -289,24 +279,22 @@ def test_maskable_faults_byte_identical_under_async_schedule(seed):
     plan = maskable_plan(seed)
     plan.messages += (MessageFault("register_policy", "drop", probability=0.3, times=2),)
     options = {**PAYING_K2, "max_retries": 4}
-    paying_open, threaded_open = [], []
+    paying_open, serial_open = [], []
     paying = run_confederation(
         "dht", options, seed, faults=plan, schedule_mode="async", opened=paying_open
     )
-    threaded_paying = run_confederation(
-        "dht", options, seed, faults=plan, schedule_mode="threaded",
-        opened=threaded_open,
+    run_confederation(
+        "dht", {**options, "real_latency": False}, seed, faults=plan,
+        opened=serial_open,
     )
     assert chaotic[0] == fault_free[0]  # full stream, order included
     assert chaotic[1] == fault_free[1]
     assert chaotic[2].state_ratio == fault_free[2].state_ratio
     assert paying[0] == chaotic[0]  # the order does not depend on latency
-    for run in (chaotic, paying, threaded_paying):
-        assert per_participant(run[0]) == per_participant(threaded[0])
-        assert run[1] == threaded[1]
-    # The pipelined open() sent and drew exactly what the sequential
-    # one did, lost registrations and their retries included.
-    assert paying_open == threaded_open
+    assert paying[1] == fault_free[1]
+    # The pipelined open() sent and drew exactly what the serial one
+    # did, lost registrations and their retries included.
+    assert paying_open == serial_open
     [(kinds, fired, _draws)] = paying_open
     # 5 peers x 5 hosts, each delivered once: both drops were retried.
     assert kinds == {"register_policy": 25, "policy_registered": 25}
@@ -320,10 +308,9 @@ def test_maskable_faults_byte_identical_under_async_schedule(seed):
 
 
 def test_unmaskable_fault_raises_scheduler_error_async():
-    """The async scheduler pins the same failure surface as the
-    threaded one: the first (lowest-id) per-participant reconcile
-    failure is wrapped in SchedulerError before the publish barrier of
-    the next round, with the transport error kept as the cause."""
+    """The async scheduler wraps the first per-participant reconcile
+    failure in store order in SchedulerError before the publish barrier
+    of the next round, with the transport error kept as the cause."""
     with pytest.raises(SchedulerError) as excinfo:
         run_confederation(
             "dht",
@@ -334,20 +321,6 @@ def test_unmaskable_fault_raises_scheduler_error_async():
         )
     assert "reconcile phase failed" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, RetryExhaustedError)
-
-
-def test_unmaskable_fault_raises_scheduler_error_threaded():
-    """The threaded scheduler wraps the per-participant reconcile
-    failure; the retry exhaustion stays visible in the message."""
-    with pytest.raises(SchedulerError) as excinfo:
-        run_confederation(
-            "dht",
-            {"hosts": 5, "max_retries": 2},
-            11,
-            faults=BLACK_HOLE,
-            schedule_mode="threaded",
-        )
-    assert "reconcile phase failed" in str(excinfo.value)
 
 
 def test_fault_free_plan_changes_nothing():

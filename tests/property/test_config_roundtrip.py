@@ -141,7 +141,7 @@ def confederation_configs(draw) -> ConfederationConfig:
         reconciliation_interval=draw(st.integers(min_value=0, max_value=10)),
         rounds=draw(st.integers(min_value=0, max_value=10)),
         final_reconcile=draw(st.booleans()),
-        schedule_mode=draw(st.sampled_from(("serial", "threaded", "async"))),
+        schedule_mode=draw(st.sampled_from(("serial", "async"))),
         schedule_workers=draw(
             st.none() | st.integers(min_value=1, max_value=32)
         ),

@@ -14,8 +14,8 @@ The durable backend's contract beyond the shared store interface:
 * the file holds facts, never derived data: a retired shared-memo
   entry is dropped as on every other log, and a participant registered
   after retirement recomputes it — to the same decisions as ``memory``;
-* the threaded epoch scheduler drives it safely under the runtime
-  lock-discipline proxies.
+* the async epoch scheduler drives it under the runtime store-phase
+  proxies without perturbing a decision.
 """
 
 from __future__ import annotations
@@ -471,18 +471,11 @@ def test_a_participant_registered_after_retirement_decides_as_on_memory(
 
 
 # ----------------------------------------------------------------------
-# Threaded scheduler under the runtime lock-discipline proxies
+# Async scheduler under the runtime store-phase proxies
 
 
-def per_participant(log):
-    streams = {}
-    for event in log:
-        streams.setdefault(event[0], []).append(event)
-    return streams
-
-
-def run_threaded(path, instrument):
-    config = evaluation_config(path, schedule_mode="threaded")
+def run_async(path, instrument):
+    config = evaluation_config(path, schedule_mode="async")
     hooks = HookBus()
     log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
@@ -496,16 +489,13 @@ def run_threaded(path, instrument):
     return log, snapshots
 
 
-def test_threaded_scheduler_under_lock_discipline(tmp_path):
-    """Concurrent reconcile phases against one sqlite connection, every
-    store touch owner-checked by the runtime proxies.
-
-    The threaded mode's determinism contract is per participant (the
-    global interleaving of workers' emissions is not pinned), so the
-    instrumented run must match the plain threaded run per participant
-    — the proxies and the shared connection perturb nothing.
+def test_async_scheduler_under_lock_discipline(tmp_path):
+    """Pipelined reconcile phases against one sqlite connection, every
+    store touch owner-checked by the runtime proxies: the instrumented
+    run's global decision stream and replicas match the plain async
+    run's — the proxies perturb nothing.
     """
-    plain = run_threaded(str(tmp_path / "plain.db"), instrument=False)
-    guarded = run_threaded(str(tmp_path / "guarded.db"), instrument=True)
-    assert per_participant(guarded[0]) == per_participant(plain[0])
+    plain = run_async(str(tmp_path / "plain.db"), instrument=False)
+    guarded = run_async(str(tmp_path / "guarded.db"), instrument=True)
+    assert guarded[0] == plain[0]
     assert guarded[1] == plain[1]

@@ -114,10 +114,11 @@ class TestRetention:
         assert len(pairs) == 1
         assert extension._hood is None and other._hood == {}
 
-    def _threaded_retention_run(self, schedule_mode, memo_limit=None):
+    def _retention_run(self, schedule_mode, memo_limit=None):
         """One seeded run; ``memo_limit`` shrinks the shared memos so
-        the FIFO backstop evicts *during* the run, concurrently with
-        retirement and the threaded reconcile phases."""
+        the FIFO backstop evicts *during* the run, between retirements
+        and, under ``async``, while other participants' reconciles are
+        pipelined."""
         config = ConfederationConfig(
             store="memory",
             peers=(1, 2, 3, 4),
@@ -144,28 +145,28 @@ class TestRetention:
             for participant in confed.participants:
                 open_roots |= set(participant.state.deferred)
             memo = dict(getattr(confed.store, "_nc_context_free", {}) or {})
-        return sorted(log), snapshots, memo, open_roots
+        return log, snapshots, memo, open_roots
 
-    def test_threaded_reconcile_safe_under_retirement_and_eviction(self):
-        """Concurrent reconciles + retirement + a tiny FIFO backstop:
+    def test_async_reconcile_safe_under_retirement_and_eviction(self):
+        """Pipelined reconciles + retirement + a tiny FIFO backstop:
         a reconciling participant must never be handed a retired or
         evicted entry it cannot recover from — decisions stay
-        byte-identical to the serial schedule and to an unbounded memo
-        (eviction only ever costs a recomputation on the next miss)."""
-        # The serial and threaded schedules interleave differently (two
+        byte-identical to an unbounded memo (eviction only ever costs a
+        recomputation on the next miss)."""
+        # The serial and async schedules interleave differently (two
         # distinct, equally valid schedules), so the pin is per mode:
         # shrinking the memos must change nothing.
-        serial_tiny = self._threaded_retention_run("serial", memo_limit=2)
-        serial_wide = self._threaded_retention_run("serial")
-        threaded_tiny = self._threaded_retention_run("threaded", memo_limit=2)
-        threaded_wide = self._threaded_retention_run("threaded")
+        serial_tiny = self._retention_run("serial", memo_limit=2)
+        serial_wide = self._retention_run("serial")
+        async_tiny = self._retention_run("async", memo_limit=2)
+        async_wide = self._retention_run("async")
         assert serial_tiny[0] == serial_wide[0]
         assert serial_tiny[1] == serial_wide[1]
-        assert threaded_tiny[0] == threaded_wide[0]
-        assert threaded_tiny[1] == threaded_wide[1]
-        # Retention kept up even while workers raced the memo: nothing
-        # finally decided by everyone lingers.
-        assert set(threaded_tiny[2]) <= threaded_tiny[3]
+        assert async_tiny[0] == async_wide[0]
+        assert async_tiny[1] == async_wide[1]
+        # Retention kept up across the pipelined rounds: nothing finally
+        # decided by everyone lingers.
+        assert set(async_tiny[2]) <= async_tiny[3]
 
     def test_memo_shrinks_after_a_full_confederation_round(self):
         """End to end: after every peer reconciles everything (a full

@@ -6,7 +6,9 @@ API change and must show up in review as an edit to this file.
 
 from __future__ import annotations
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -31,7 +33,6 @@ EXPECTED_ALL = {
     "Reconciler",
     "Resolution",
     "SerialScheduler",
-    "ThreadedScheduler",
     "resolve_conflicts",
     # Fault tolerance (PR 6)
     "FaultController",
@@ -118,6 +119,42 @@ def test_deleted_entry_points_stay_deleted(module):
     with pytest.raises(ImportError):
         importlib.import_module(module)
     assert repro.cdss.__all__ == ["Participant", "ReconcileTiming"]
+
+
+def test_threaded_scheduler_stays_deleted():
+    # One concurrency model: the thread-pool scheduler is gone, not
+    # shimmed — the name, the mode and the registry entry alike.
+    from repro.confed import SCHEDULE_MODES, ConfederationConfig
+    from repro.confed.scheduler import SCHEDULERS
+    from repro.errors import ConfigError
+
+    with pytest.raises(ImportError):
+        from repro import ThreadedScheduler  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.confed import ThreadedScheduler  # noqa: F401, F811
+    assert SCHEDULE_MODES == ("serial", "async") and set(SCHEDULERS) == {"serial", "async"}
+    with pytest.raises(ConfigError, match="unknown schedule mode 'threaded'"):
+        ConfederationConfig(schedule_mode="threaded").validate()
+
+
+def test_only_the_store_lock_and_its_checker_import_threading():
+    # Nothing in the package starts a thread, so only the store's
+    # reentrant lock and the runtime checker that tracks its owner
+    # need the threading module; no thread pool comes back.
+    root = pathlib.Path(repro.__file__).parent
+    importers = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in {"threading", "_thread", "concurrent"}
+                   for name in names):
+                importers.add(path.relative_to(root).as_posix())
+    assert importers == {"store/base.py", "analysis/runtime.py"}
 
 
 def test_conflict_detection_has_one_scanner_and_one_memo():

@@ -63,7 +63,7 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 14652
+SOURCE_LINE_CEILING = 14549
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (``store/central.py`` is 686).
