@@ -5,14 +5,14 @@ the rows of that figure (x-value plus measured series), plus table
 formatting shared by the benchmark scripts and EXPERIMENTS.md generation.
 """
 
-from repro.bench.figures import (
+from benchmarks.bench.figures import (
     fig8_rows,
     fig9_rows,
     fig10_rows,
     fig11_rows,
     fig12_rows,
 )
-from repro.bench.tables import format_table
+from benchmarks.bench.tables import format_table
 
 __all__ = [
     "fig10_rows",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.bench.ablations import count_conflict_pairs, naive_find_conflicts
+from benchmarks.bench.ablations import count_conflict_pairs, naive_find_conflicts
 from repro.core.conflicts import find_conflicts
 from repro.core.extensions import RelevantTransaction, compute_update_extension
 from repro.instance import MemoryInstance

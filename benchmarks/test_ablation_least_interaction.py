@@ -10,7 +10,7 @@ chains and counts conflicting pairs under both semantics.
 
 from __future__ import annotations
 
-from repro.bench.ablations import (
+from benchmarks.bench.ablations import (
     count_conflict_pairs,
     naive_find_conflicts,
     raw_update_extension,

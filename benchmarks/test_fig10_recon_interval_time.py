@@ -10,7 +10,7 @@ is negligible.  Store time dominates local time in both.
 
 from __future__ import annotations
 
-from repro.bench import fig10_rows, format_table
+from benchmarks.bench import fig10_rows, format_table
 
 from benchmarks.conftest import emit
 

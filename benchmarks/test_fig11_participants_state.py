@@ -8,7 +8,7 @@ numbers of peers".
 
 from __future__ import annotations
 
-from repro.bench import fig11_rows, format_table
+from benchmarks.bench import fig11_rows, format_table
 
 from benchmarks.conftest import emit
 

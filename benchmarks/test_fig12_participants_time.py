@@ -8,7 +8,7 @@ than the central one; reconciliation nevertheless stays inexpensive.
 
 from __future__ import annotations
 
-from repro.bench import fig12_rows, format_table
+from benchmarks.bench import fig12_rows, format_table
 
 from benchmarks.conftest import emit
 

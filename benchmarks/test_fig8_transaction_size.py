@@ -7,7 +7,7 @@ have negligible effect (the curve plateaus between roughly 2.5 and 3.5).
 
 from __future__ import annotations
 
-from repro.bench import fig8_rows, format_table
+from benchmarks.bench import fig8_rows, format_table
 
 from benchmarks.conftest import emit
 

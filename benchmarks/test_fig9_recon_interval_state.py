@@ -8,7 +8,7 @@ from about 1.2 at interval 1 to about 2 at interval 20.
 
 from __future__ import annotations
 
-from repro.bench import fig9_rows, format_table
+from benchmarks.bench import fig9_rows, format_table
 
 from benchmarks.conftest import emit
 

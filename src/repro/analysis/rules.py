@@ -69,8 +69,9 @@ TABLE_NAMES: Tuple[str, ...] = ("REPLIES", "HANDLERS")
 #: Callee -> position of its message-kind argument: ``Network.send(sender,
 #: recipient, kind)`` and the DHT request engine's entry points, through
 #: which a driver sends (``client.exchange(store, node, kind)``,
-#: ``.request(store, node, key, kind)``, ``.tell(store, sender, to, kind)``).
-KIND_POSITION = {"send": 2, "exchange": 2, "request": 3, "tell": 3}
+#: ``.batched(store, node, kind)``, ``.request(store, node, key, kind)``,
+#: ``.tell(store, sender, to, kind)``).
+KIND_POSITION = {"send": 2, "exchange": 2, "batched": 2, "request": 3, "tell": 3}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
@@ -392,31 +393,32 @@ def _literals(node: ast.AST) -> List[ast.Constant]:
     return [literal for literal in ast.walk(node) if _string(literal) is not None]
 
 
-def _declared_kinds(tree: ast.Module, context: ModuleContext) -> Optional[Set[str]]:
-    """String members of the module-level ``KINDS = frozenset({...})``
-    (or any literal collection) — the module's own, or, one hop away,
-    that of a module it imports (``from <package> import wire`` or
-    ``from <package>.wire import ...``, resolved by path under
-    ``src/``).  None when undeclared."""
+def _imported(tree: ast.Module, context: ModuleContext) -> Dict[str, ast.Module]:
+    """Name -> parsed module for the modules ``tree`` imports from under
+    ``src/`` (resolved by path, parsed on demand): ``from <package>
+    import wire`` binds ``wire``; ``from <package>.wire import ...``
+    files the module under its own name."""
     parts = Path(context.path).parts
     root = Path(*parts[: parts.index("src") + 1]) if "src" in parts else None
+    found: Dict[str, ast.Module] = {}
+    for node in tree.body:
+        if not (root and isinstance(node, ast.ImportFrom) and node.module):
+            continue
+        package = root.joinpath(*node.module.split("."))
+        sources = [package.with_suffix(".py")]
+        sources += [package / f"{alias.name}.py" for alias in node.names]
+        for source in sources:
+            if source.is_file():
+                found[source.stem] = ast.parse(source.read_text(encoding="utf-8"))
+    return found
 
-    def modules() -> Iterator[ast.Module]:
-        """This module, then (parsed on demand) the ones it imports."""
-        yield tree
-        for node in tree.body:
-            if not (root and isinstance(node, ast.ImportFrom) and node.module):
-                continue
-            package = root.joinpath(*node.module.split("."))
-            sources = [package.with_suffix(".py")]
-            sources += [package / f"{alias.name}.py" for alias in node.names]
-            for source in sources:
-                if source.is_file():
-                    yield ast.parse(source.read_text(encoding="utf-8"))
 
-    for module in modules():
-        for value in _assigned(module, ("KINDS",)):
-            return {literal.value for literal in _literals(value)}
+def _declared(tree: ast.Module, imported: Dict[str, ast.Module], name: str):
+    """The value of the module-level ``name = ...`` of this module, or,
+    one hop away, of a module it imports; None when undeclared."""
+    for module in (tree, *imported.values()):
+        for value in _assigned(module, (name,)):
+            return value
     return None
 
 
@@ -449,7 +451,9 @@ def _unregistered_kinds(tree: ast.Module, context: ModuleContext) -> Found:
                 kinds.extend(_literals(entry) if entry else ())
     if not kinds:
         return
-    declared = _declared_kinds(tree, context)
+    imported = _imported(tree, context)
+    registry = _declared(tree, imported, "KINDS")
+    declared = None if registry is None else {k.value for k in _literals(registry)}
     for kind in kinds:
         if declared is None:
             problem = (
@@ -464,6 +468,76 @@ def _unregistered_kinds(tree: ast.Module, context: ModuleContext) -> Found:
         else:
             continue
         yield kind, f"message kind {kind.value!r} {problem}"
+    yield from _unlisted_replies(tree, imported)
+
+
+def _client_bound(recipient: ast.AST) -> bool:
+    """A send addressed back to whoever asked: ``message.sender``, or a
+    ``client`` / ``reply_to`` name or field the request carried."""
+    if isinstance(recipient, ast.Subscript):
+        return _string(recipient.slice) in ("client", "reply_to")
+    name = getattr(recipient, "attr", getattr(recipient, "id", None))
+    return name in ("sender", "client", "reply_to")
+
+
+def _calls_reached(module: Optional[ast.Module], name: Optional[str]) -> Iterator[ast.Call]:
+    """Every call in ``module``'s function ``name`` and, transitively, in
+    the functions of the same module it calls by bare name."""
+    functions = {
+        node.name: node for node in getattr(module, "body", ()) if isinstance(node, _FUNCTIONS)
+    }
+    queue, seen = [name], set()
+    while queue:
+        function = functions.get(queue.pop())
+        if function is None or function.name in seen:
+            continue
+        seen.add(function.name)
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                queue.append(getattr(node.func, "id", None))
+                yield node
+
+
+def _unlisted_replies(tree: ast.Module, imported: Dict[str, ast.Module]) -> Found:
+    """RPR009's closure half: a kind a ``HANDLERS`` handler (or a helper
+    it reaches) sends back to the requesting client must be in that
+    request kind's ``REPLIES`` row, and only a kind with a row may be
+    answered through ``_reply``."""
+    handlers = _declared(tree, {}, "HANDLERS")
+    replies = _declared(tree, imported, "REPLIES")
+    if not isinstance(handlers, ast.Dict) or not isinstance(replies, ast.Dict):
+        return
+    rows = {
+        _string(key): {literal.value for literal in _literals(value)}
+        for key, value in zip(replies.keys, replies.values)
+    }
+    for key, value in zip(handlers.keys, handlers.values):
+        kind = _string(key)
+        row = rows.get(kind)
+        if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+            owner, name = imported.get(value.value.id), value.attr
+            where = f" ({value.value.id}.py"
+        else:
+            owner, name, where = tree, getattr(value, "id", None), None
+        for call in _calls_reached(owner, name):
+            callee = getattr(call.func, "attr", None)
+            if callee == "_reply" and row is None:
+                found, problem = call, (
+                    f"answers through _reply, but REPLIES has no row for {kind!r}"
+                )
+            elif callee == "send" and row is not None and len(call.args) > 1:
+                found = _send_kind(call)
+                if found is None or found.value in row or not _client_bound(call.args[1]):
+                    continue
+                problem = (
+                    f"sends {found.value!r} back to the client, but REPLIES[{kind!r}] "
+                    "does not list it — the request engine drops it and retries"
+                )
+            else:
+                continue
+            # A send in another module is reported at the table entry.
+            at = f"{where} line {found.lineno})" if where else ""
+            yield (value if where else found), f"the {kind!r} handler{at} {problem}"
 
 
 def _in_src(context: ModuleContext) -> bool:
@@ -553,8 +627,9 @@ RULES: Tuple[Rule, ...] = (
         "message-kind-registry",
         "message kinds passed to Network.send or the DHT request engine "
         "and named in the protocol tables (REPLIES, HANDLERS) must come "
-        "from the KINDS registry — a typo'd kind silently produces an "
-        "unanswered request that burns the whole retry budget",
+        "from the KINDS registry, and a handler's replies to the client "
+        "from its REPLIES row — a typo'd or unlisted kind silently "
+        "produces an unanswered request that burns the whole retry budget",
         applies=_in_src,
         check=_unregistered_kinds,
     ),

@@ -4,8 +4,9 @@ retries and gives up.
 Plain functions over the store, the shape the ``(host, network,
 message)`` handlers have: :func:`exchange` is the only retry loop and
 :func:`run` the only reader of an inbox; :func:`request` (one round
-trip) and the driver's three cascades go through them, :func:`tell`
-carries the two kinds nothing answers.  ``store.network`` is looked up
+trip), :func:`batched` (one request per owner of a batch's items) and
+the driver's two cascades go through them, :func:`tell` carries the two
+kinds nothing answers.  ``store.network`` is looked up
 per call, so whatever wraps its ``run`` on the live object sees every
 delivery.
 
@@ -171,6 +172,49 @@ def request(
 
     exchange(store, client, kind, pending, absorb, addressed=True)
     return replies[0]
+
+
+def batched(
+    store,
+    client: _ClientNode,
+    kind: str,
+    items: Iterable[Any],
+    ring_key: Callable[[Any], str],
+    fields: Callable[[List[Any]], Dict[str, Any]],
+    absorb: Optional[Callable[[List[Any], Dict[str, Any]], None]] = None,
+) -> None:
+    """One ``kind`` request per live owner of ``items``' ring keys,
+    listing its items, until every item is answered.
+
+    ``fields(mine)`` is one request's payload and sizing; its reply
+    echoes the request id and answers every item of it, positionally —
+    ``absorb(mine, payload)`` reads it.  What is still owed after an
+    attempt is regrouped by its current owner (a retry lands on the
+    takeover owner) and re-sent whole, so the handler must be
+    idempotent.
+    """
+    owed = dict.fromkeys(items)
+    asked: Dict[Any, List[Any]] = {}
+
+    def pending(_token: str) -> List[Send]:
+        """One request per current owner of what is still owed."""
+        sends = []
+        for owner, mine in sorted(store._ring.by_owner(owed, ring_key).items()):
+            store._req_counter += 1
+            asked[store._req_counter] = mine
+            sends.append((owner, mine, dict(fields(mine), req=store._req_counter)))
+        return sends
+
+    def answered(message: Message) -> None:
+        """A reply settles the items of the request whose id it echoes."""
+        mine = asked.pop(message.payload.get("req"), None)
+        if mine is not None:
+            for item in mine:
+                owed.pop(item, None)
+            if absorb is not None:
+                absorb(mine, message.payload)
+
+    exchange(store, client, kind, pending, answered)
 
 
 def tell(

@@ -60,7 +60,7 @@ from repro.model.transactions import Transaction, TransactionId
 from repro.net.simnet import Message, Network
 from repro.store.dht import wire
 from repro.store.dht.replication import (
-    allocator_counter, record, replicate, ship, ship_verdicts,
+    allocator_counter, record, replicate, ship, ship_delta,
 )
 from repro.store.network_centric import DirectLogStore
 
@@ -302,24 +302,29 @@ def on_get_epoch_contents(host, network: Network, message: Message) -> None:
 
 
 def on_lookup_producer(host, network: Network, message: Message) -> None:
-    """Which transaction produced this row value (antecedent lookup)."""
-    payload = message.payload
-    key = (payload["relation"], payload["row"])
+    """Which transaction produced each listed ``(relation, row)`` value
+    (a publish batch's antecedent lookups): one tid or ``None`` per row,
+    in request order."""
+    rows = message.payload["rows"]
     host._reply(
-        network, message, relation=payload["relation"], row=payload["row"],
-        producer=record(host, network, "producer", key),
+        network, message,
+        producers=[record(host, network, "producer", row) for row in rows],
+        **wire.batch_sizing(len(rows), wire.TID_WIRE_BYTES),
     )
 
 
 def on_register_producer(host, network: Network, message: Message) -> None:
-    """Record the transaction that now produces this row value."""
-    payload = message.payload
-    key = (payload["relation"], payload["row"])
-    host.producers[key] = payload["tid"]
-    replicate(host, network, "producer", key)
-    host._reply(
-        network, message, relation=payload["relation"], row=payload["row"]
+    """Record the transactions that now produce the listed row values
+    (one publish batch's ``(row, tid)`` entries, in publish order), ship
+    them to the successors as one ``producer_rows`` delta each, and
+    acknowledge the batch."""
+    entries = message.payload["entries"]
+    host.producers.update(entries)
+    ship_delta(
+        host, network, "producer_rows", None, entries,
+        wire.ROLES["producer"].ring_key, wire.PRODUCER_ENTRY_BYTES,
     )
+    host._reply(network, message, fragments=1, size_bytes=wire.HEADER_WIRE_BYTES)
 
 
 # -- transaction controllers ----------------------------------------------
@@ -450,8 +455,13 @@ def on_record_decision(host, network: Network, message: Message) -> None:
             held["context_free"] = None
             host.derived.pop(tid, None)
         acks.append((tid, retired))
-    ship_verdicts(host, network, participant, recorded)
-    host._reply(network, message, entries=acks, **wire.verdicts_sizing(len(acks)))
+    ship_delta(
+        host, network, "txn_decision", participant, recorded,
+        wire.txn_key, wire.VERDICT_ENTRY_BYTES,
+    )
+    host._reply(
+        network, message, entries=acks, **wire.batch_sizing(len(acks), wire.VERDICT_ENTRY_BYTES)
+    )
 
 
 # -- context-free derivation (derive once at publish) ---------------------

@@ -34,7 +34,7 @@ from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
 from repro.store.dht import client, wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.dht.replication import _install, allocator_counter, held_copy
-from repro.store.logic import compute_antecedents
+from repro.store.logic import ProducerIndex, batch_antecedents
 from repro.store.network_centric import (
     DirectLogStore,
     attach_assembled_payload,
@@ -46,7 +46,7 @@ class _Peer:
     """Everything the driver keeps for one registered participant."""
 
     __slots__ = (
-        "participant", "node", "policy", "version", "deferred", "pairs", "retained",
+        "participant", "node", "policy", "published", "version", "deferred", "pairs", "retained",
     )
 
     def __init__(self, participant: int, policy: TrustPolicy) -> None:
@@ -55,6 +55,8 @@ class _Peer:
         self.node = client._ClientNode(f"client:{participant}")
         #: Its trust conditions, re-sent to a host that recovers.
         self.policy = policy
+        #: Every tid its epochs list (only it can publish its own tids).
+        self.published: Set[TransactionId] = set()
         # Peer-coordinator bookkeeping for the fully network-centric
         # batch (PR 5), maintained from the same ``record_decision``
         # feedback the controllers receive: a monotone applied-set
@@ -244,50 +246,55 @@ class DhtUpdateStore(UpdateStore):
     def write_transactions(
         self, participant: int, epoch: int, transactions: Sequence[Transaction]
     ) -> None:
-        """Ship transactions to their controllers under an open epoch."""
-        node = self._peer(participant).node
+        """Ship transactions to their controllers under an open epoch:
+        one ``lookup_producer`` and one ``register_producer`` per value
+        controller, one ``store_txn`` per body.  A batch naming a tid
+        this peer already published, or one twice, is refused first."""
+        peer = self._peer(participant)
         ids = self._open_epochs.get((participant, epoch))
         if ids is None:
             raise StoreError(
                 f"epoch {epoch} is not being published by {participant}"
             )
+        batch: Set[TransactionId] = set()
         for transaction in transactions:
             if transaction.origin != participant:
                 raise StoreError(
                     f"participant {participant} cannot publish {transaction.tid}"
                 )
+            if transaction.tid in peer.published or transaction.tid in batch:
+                raise StoreError(f"transaction {transaction.tid} was already published")
+            batch.add(transaction.tid)
 
-        def producer_of(key: Tuple[str, Tuple]) -> Optional[TransactionId]:
-            """One round trip to the row's value controller.  Earlier
-            transactions of the same batch have already registered
-            their producers, so this resolves dependencies within a
-            batch too."""
-            relation, row = key
-            return client.request(
-                self, node, wire.value_key(relation, row), "lookup_producer",
-                relation=relation, row=row,
-            )["producer"]
+        def look_up(rows: List[Tuple[str, Tuple]]) -> ProducerIndex:
+            """One ``lookup_producer`` per value controller of ``rows``."""
+            found: ProducerIndex = {}
+            client.batched(
+                self, peer.node, "lookup_producer", rows, wire.ROLES["producer"].ring_key,
+                lambda mine: dict(rows=mine, **wire.batch_sizing(len(mine), wire.ROW_WIRE_BYTES)),
+                lambda mine, reply: found.update(zip(mine, reply["producers"])),
+            )
+            return found
 
-        for transaction in transactions:
-            antecedents = compute_antecedents(producer_of, transaction)
-            order = epoch * wire.EPOCH_STRIDE + len(ids)
+        antecedents, produced = batch_antecedents(transactions, look_up)
+        for transaction, antecedents_of in zip(transactions, antecedents):
             client.request(
-                self, node, wire.txn_key(transaction.tid), "store_txn",
+                self, peer.node, wire.txn_key(transaction.tid), "store_txn",
                 fragments=wire.payload_fragments(transaction),
                 size_bytes=wire.body_bytes(transaction),
                 transaction=transaction,
-                antecedents=antecedents,
-                order=order,
+                antecedents=antecedents_of,
+                order=epoch * wire.EPOCH_STRIDE + len(ids),
             )
-            for update in transaction.updates:
-                written = update.written_row()
-                if written is not None:
-                    client.request(
-                        self, node, wire.value_key(update.relation, written),
-                        "register_producer",
-                        relation=update.relation, row=written, tid=transaction.tid,
-                    )
             ids.append(transaction.tid)
+            peer.published.add(transaction.tid)  # the epoch will list it
+        client.batched(
+            self, peer.node, "register_producer", produced, wire.ROLES["producer"].ring_key,
+            lambda rows: dict(
+                entries=[(row, produced[row]) for row in rows],
+                **wire.batch_sizing(len(rows), wire.PRODUCER_ENTRY_BYTES),
+            ),
+        )
 
     def finish_publish(self, participant: int, epoch: int) -> None:
         """Figure 6, messages 5-6: hand the id list to the epoch controller."""
@@ -322,14 +329,11 @@ class DhtUpdateStore(UpdateStore):
         )["epoch"]
 
         per_epoch: Dict[int, Dict] = {}
-        by_controller = self._ring.by_owner(range(last + 1, current + 1), wire.epoch_key)
-        for controller, epochs in by_controller.items():
-            reply = client.request(
-                self, node, None, "get_epoch_contents",
-                recipient=controller, epochs=epochs,
-            )
-            for entry in reply["results"]:
-                per_epoch[entry["epoch"]] = entry
+        client.batched(
+            self, node, "get_epoch_contents", range(last + 1, current + 1), wire.epoch_key,
+            lambda epochs: dict(epochs=epochs),
+            lambda epochs, reply: per_epoch.update(zip(epochs, reply["results"])),
+        )
         foreign: List[TransactionId] = []
         stable = last
         for epoch in range(last + 1, current + 1):
@@ -526,7 +530,8 @@ class DhtUpdateStore(UpdateStore):
         driver, standing in for the peer coordinator, runs the pairwise
         conflict assembly
         (:func:`~repro.store.network_centric.attach_assembled_payload`)
-        and prices the adjacency shipment as one final sized message.
+        and ships the conflict edges the peer lacks as one final sized
+        ``nc_adjacency``.
 
         A root whose derivation failed (a closure member's controller
         lost its record) degrades to the classic Figure-7 retrieval so
@@ -542,6 +547,13 @@ class DhtUpdateStore(UpdateStore):
 
         graph = TransactionGraph()
         roots, derived = self._fold(data.values(), graph, "extension")
+        # Roots that came back with the digest the peer retained: an edge
+        # depends on its two extensions alone, so the peer holds last
+        # batch's edges between two of them.
+        unchanged = {
+            tid for tid, held in peer.retained.items()
+            if tid in derived and held["digest"] == data[tid].get("digest")
+        }
         # Retain this round's assembled payloads client-side: while the
         # applied-set version is unchanged, the next round's controllers
         # answer with ``nc_unchanged`` digest tokens and the retained
@@ -572,9 +584,10 @@ class DhtUpdateStore(UpdateStore):
         if self._ship_context_free:
             batch.pair_cache = self._shared_pairs
         edges = attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
-        # The assembled adjacency travels from the peer coordinator as
-        # one sized message (extensions already paid their fragments on
-        # each nc_data delivery).
+        edges -= sum(len(unchanged & n) for t, n in batch.conflicts.items() if t in unchanged) // 2
+        # The edges touching a new or changed root travel from the peer
+        # coordinator as one sized message (extensions already paid their
+        # fragments on each nc_data delivery; departures need no wire).
         client.tell(
             self, self._owner(wire.peer_key(participant)), [peer.node.name],
             "nc_adjacency", client=peer.node,
@@ -596,27 +609,14 @@ class DhtUpdateStore(UpdateStore):
         verdicts.update(dict.fromkeys(result.deferred, "deferred"))
         retired: Set[TransactionId] = set()
 
-        def absorb(message: Message) -> None:
-            """Acks are matched per transaction id."""
-            for tid, was_retired in message.payload["entries"]:
-                verdicts.pop(tid, None)
-                if was_retired:
-                    retired.add(tid)
-
-        def pending(_token: str) -> List[client.Send]:
-            """Unacknowledged decisions are re-sent (recording is
-            idempotent) up to the retry budget, regrouped by their
-            current owner: a lost batch travels whole again, to the
-            takeover owner if its controller crashed."""
-            return [
-                (controller, tids, dict(
-                    wire.verdicts_sizing(len(tids)), participant=participant,
-                    entries=[(tid, verdicts[tid]) for tid in tids],
-                ))
-                for controller, tids in sorted(self._ring.by_owner(sorted(verdicts)).items())
-            ]
-
-        client.exchange(self, peer.node, "record_decision", pending, absorb)
+        client.batched(
+            self, peer.node, "record_decision", sorted(verdicts), wire.txn_key,
+            lambda tids: dict(
+                wire.batch_sizing(len(tids), wire.VERDICT_ENTRY_BYTES), participant=participant,
+                entries=[(tid, verdicts[tid]) for tid in tids],
+            ),
+            lambda _tids, ack: retired.update(tid for tid, was in ack["entries"] if was),
+        )
         # Peer-coordinator upkeep for the store-computed batch: the open
         # deferred set re-enters every network-centric batch, and the
         # applied-set version validates the controllers' per-participant

@@ -19,8 +19,12 @@ controller has cached them).  The extensions and any bodies the
 participant lacks return *coalesced*, as one sized ``nc_data`` message
 per (controller, participant); the driver — standing in for the peer
 coordinator, as it already does for antecedent lookups — runs the
-pairwise conflict assembly and prices the adjacency as a final
-``nc_adjacency`` message.  The client then runs only ``CheckState``,
+pairwise conflict assembly and ships, as a final ``nc_adjacency``
+message sized by them, only the conflict edges the peer lacks: those
+touching a root new to the batch or whose digest changed (an edge
+depends on its two extensions alone, so one between two unchanged roots
+is last batch's; departures need no wire, the peer's own verdicts and
+digests imply them).  The client then runs only ``CheckState``,
 ``DoGroup``, and application — decisions stay byte-identical to every
 other path on the equivalence matrix.
 

@@ -14,12 +14,15 @@ sweep re-ships every record the returning host should hold,
 re-establishing the invariant.
 
 Everything here is written once over the role table
-(:data:`repro.store.dht.wire.ROLES`).  Two shipments are not rows and
+(:data:`repro.store.dht.wire.ROLES`).  Three shipments are not rows and
 stay special:
 
 * ``txn_decision`` — a *delta* (one participant's ``(tid, verdict)``
-  list, one message per successor — :func:`ship_verdicts`) applied to
+  list, one message per successor — :func:`ship_delta`) applied to
   whichever copy of each transaction record the receiving host holds;
+* ``producer_rows`` — a publish batch's ``(row, tid)`` producer-index
+  entries at one value controller, the same kind of delta, each entry
+  filed like a one-row ``producer`` copy;
 * ``epoch_counter`` — the allocator's bare integer, merged by ``max``.
   It is read through :func:`allocator_counter` and deliberately *not*
   promoted on read: promoting it would add ``replicate`` messages after
@@ -77,18 +80,20 @@ def ship(
             _send_copy(host, network, target, role, key, state, *cost)
 
 
-def ship_verdicts(host, network: Network, participant: int, entries) -> None:
-    """Ship one participant's just-recorded ``(tid, verdict)`` entries
-    to the live successors as one priced ``txn_decision`` delta each.
-    Every entry's record is this owner's (the driver batches by owner),
-    so the first entry's successors are every entry's."""
+def ship_delta(
+    host, network: Network, role: str, key: Any, entries, ring_key, entry_bytes: int
+) -> None:
+    """Ship a batch of just-written ``(key, value)`` entries to the live
+    successors as one priced ``role`` delta each.  Every entry's record
+    is this owner's (the driver batches by owner), so the successors of
+    the first entry's ``ring_key`` are every entry's."""
     if host.replication < 2 or not entries:
         return
-    for target in host.ring.owners(wire.txn_key(entries[0][0]), host.replication):
+    for target in host.ring.owners(ring_key(entries[0][0]), host.replication):
         if target != host.name:
             _send_copy(
-                host, network, target, "txn_decision", participant, entries,
-                **wire.verdicts_sizing(len(entries)),
+                host, network, target, role, key, entries,
+                **wire.batch_sizing(len(entries), entry_bytes),
             )
 
 
@@ -150,7 +155,17 @@ def on_replicate(host, network: Network, message: Message) -> None:
             host.replicas[_COUNTER_SLOT] = max(
                 host.replicas.get(_COUNTER_SLOT, 0), state
             )
-    elif host.ring.owner(wire.ring_key(role, key)) == host.name:
+    elif role == "producer_rows":
+        # A producer-index delta: each row is filed as its own copy.
+        for row, tid in state:
+            _file(host, "producer", row, tid)
+    else:
+        _file(host, role, key, state)
+
+
+def _file(host, role: str, key: Any, state: Any) -> None:
+    """File a copy as primary or replica, by current ownership."""
+    if host.ring.owner(wire.ring_key(role, key)) == host.name:
         # An equally advanced shipment never displaces a primary ...
         _install(_primaries(host, role), key, role, state, on_tie=False)
     else:

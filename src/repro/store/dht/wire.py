@@ -65,17 +65,21 @@ def extension_bytes(extension: UpdateExtension) -> int:
 #: of charging a whole default fragment per entry.
 TID_WIRE_BYTES = 16
 DIGEST_WIRE_BYTES = 16
-#: Wire bytes of a verdict (or a ``retired`` flag) beside its tid.
-_VERDICT_WIRE_BYTES = 1
+#: Wire bytes of a row value: one tuple, where an update carries up to two.
+ROW_WIRE_BYTES = _UPDATE_WIRE_BYTES // 2
+#: Entry sizes of the batch messages: a verdict (or a ``retired`` flag)
+#: byte beside its tid, and a producer-index row with its producer's tid.
+VERDICT_ENTRY_BYTES = TID_WIRE_BYTES + 1
+PRODUCER_ENTRY_BYTES = ROW_WIRE_BYTES + TID_WIRE_BYTES
 
 
-def verdicts_sizing(entries: int) -> Dict[str, int]:
-    """The ``Network.send`` sizing of a verdict batch — a
-    ``record_decision``, its ``decision_recorded`` ack, or a
-    ``txn_decision`` delta: a header plus a tid and a verdict byte per
-    entry, in default-sized fragments, so a large batch never counts as
-    one message."""
-    size = HEADER_WIRE_BYTES + entries * (TID_WIRE_BYTES + _VERDICT_WIRE_BYTES)
+def batch_sizing(entries: int, entry_bytes: int) -> Dict[str, int]:
+    """The ``Network.send`` sizing of a batch message — a verdict batch
+    (``record_decision``, its ack, a ``txn_decision`` delta), a producer
+    batch or a ``producer_rows`` delta: a header plus ``entry_bytes``
+    per entry, in default-sized fragments, so a large batch never
+    counts as one message."""
+    size = HEADER_WIRE_BYTES + entries * entry_bytes
     return {"fragments": max(1, -(-size // DEFAULT_FRAGMENT_BYTES)), "size_bytes": size}
 
 
@@ -221,11 +225,13 @@ KINDS = frozenset(
 #: that may answer it; :func:`repro.store.dht.client.exchange` hands an
 #: exchange's caller the inbox messages of exactly these kinds.  A row
 #: with one answer is a request/reply pair whose handler answers through
-#: ``_reply``, echoing the request id (``req``) that stays stable across
-#: retries; ``request_epoch`` is answered at the end of the Figure-6
-#: chain (``begin_epoch`` -> ``epoch_begun`` -> ``begin_publishing``),
-#: and ``record_decision`` carries one controller's ``(tid, verdict)``
-#: batch, acknowledged — and re-sent — per transaction id.
+#: ``_reply``, echoing the request id (``req``); ``request_epoch`` is
+#: answered at the end of the Figure-6 chain (``begin_epoch`` ->
+#: ``epoch_begun`` -> ``begin_publishing``).  ``get_epoch_contents``,
+#: ``lookup_producer``, ``register_producer`` and ``record_decision``
+#: each carry one owner's share of a batch, answered once under its
+#: request id; what is unanswered is regrouped by owner and re-sent
+#: (:func:`~repro.store.dht.client.batched`).
 #: ``request_txn`` and ``nc_request`` are the cascades: controllers
 #: forward them along antecedent chains, each root ends in one of
 #: several answers, and a retry travels under a fresh token.

@@ -7,13 +7,16 @@
   lookup);
 * :func:`register_producers` — extend the producer index with the values a
   newly published transaction produces;
+* :func:`batch_antecedents` — both over a whole publish batch, with one
+  lookup for the rows no earlier transaction of the batch produced;
 * :func:`stable_epoch` — the paper's "latest epoch not preceded by an
   unfinished epoch" rule that decouples publishing from reconciliation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import ChainMap
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.model.transactions import Transaction, TransactionId
 
@@ -69,6 +72,32 @@ def register_producers(
         written = update.written_row()
         if written is not None:
             producers[(update.relation, written)] = transaction.tid
+
+
+def batch_antecedents(
+    transactions: Sequence[Transaction],
+    look_up: Callable[[List[Tuple[str, Tuple]]], ProducerIndex],
+) -> Tuple[List[List[TransactionId]], ProducerIndex]:
+    """``ante(X)`` of every transaction of a publish batch, and the rows
+    the batch produces (its producer-index entries, in publish order).
+
+    ``look_up(rows)`` is called once, for the consumed rows no earlier
+    transaction of the batch produced, and returns the index entries it
+    found; the others resolve within the batch."""
+    earlier: ProducerIndex = {}
+    asked: Dict[Tuple[str, Tuple], None] = {}
+    for transaction in transactions:
+        compute_antecedents(
+            lambda row: None if row in earlier else asked.setdefault(row), transaction
+        )
+        register_producers(earlier, transaction)
+    found = look_up(list(asked))
+    produced: ProducerIndex = {}
+    antecedents = []
+    for transaction in transactions:
+        antecedents.append(compute_antecedents(ChainMap(produced, found).get, transaction))
+        register_producers(produced, transaction)
+    return antecedents, produced
 
 
 def stable_epoch(finished: Dict[int, bool], current: int, stable: int = 0) -> int:

@@ -90,8 +90,9 @@ def attach_assembled_payload(
     conflict graph the batch carries: the participants' indexes compare
     a pair once between them — attach extensions and adjacency (a view
     of the index) to the batch, and return the number of (undirected)
-    conflict edges — shipping the adjacency is priced at one fragment
-    each (Figures 6-7's size-bounded-message regime).
+    conflict edges.  A direct-log store prices shipping them at one
+    fragment each (Figures 6-7's size-bounded-message regime); the DHT
+    ships only the edges its peer does not already hold.
     """
     analysis = index.update(schema, batch.graph, extensions, batch.pair_cache)
     batch.extensions = extensions

@@ -49,13 +49,16 @@ FIXTURE_BY_CODE = {
     "RPR010": "rpr010_blocking_sleep.txt",
 }
 
+#: Further specimens of a rule, beyond its table entry: fixture -> code.
+MORE_FIXTURES = {"rpr009_reply_rows.txt": "RPR009"}
+
 _MARKER = re.compile(r"#\s*<-\s*(RPR\d{3})")
 
 
-def marked_findings(code):
+def marked_findings(code, fixture=None):
     """The ``(line, code)`` multiset a fixture's ``# <- RPRnnn`` markers
-    promise."""
-    text = (FIXTURES / FIXTURE_BY_CODE[code]).read_text()
+    promise (``fixture`` defaults to the code's table entry)."""
+    text = (FIXTURES / (fixture or FIXTURE_BY_CODE[code])).read_text()
     return Counter(
         (lineno, marker)
         for lineno, line in enumerate(text.splitlines(), start=1)
@@ -69,8 +72,17 @@ def test_fixture_table_covers_every_shipped_rule():
 
 @pytest.mark.parametrize("code", sorted(FIXTURE_BY_CODE))
 def test_rule_fires_on_its_fixture(code):
-    path = str(FIXTURES / FIXTURE_BY_CODE[code])
-    expected = marked_findings(code)
+    assert_fires_as_marked(code, FIXTURE_BY_CODE[code])
+
+
+@pytest.mark.parametrize("fixture", sorted(MORE_FIXTURES))
+def test_rule_fires_on_its_further_fixture(fixture):
+    assert_fires_as_marked(MORE_FIXTURES[fixture], fixture)
+
+
+def assert_fires_as_marked(code, fixture):
+    path = str(FIXTURES / fixture)
+    expected = marked_findings(code, fixture)
     assert expected, f"{path} marks no finding"
     # Exactly this rule and no other: fixtures are single-rule
     # specimens, so cross-firing means a rule lost precision.

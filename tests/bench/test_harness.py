@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
+from benchmarks.bench import (
     fig8_rows,
     fig9_rows,
     fig10_rows,

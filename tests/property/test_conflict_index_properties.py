@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.ablations import naive_find_conflicts
+from benchmarks.bench.ablations import naive_find_conflicts
 from repro.core import RelevantTransaction, TransactionGraph
 from repro.core.cache import ConflictGraph
 from repro.core.conflicts import (

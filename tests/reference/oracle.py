@@ -3,8 +3,8 @@ and Figures 4-5 (``ReconcileUpdates``, ``CheckState``, ``DoGroup``) — over
 plain data, to hold the engine to.
 
 It shares no code with the engine: nothing here imports ``repro.core``,
-``repro.instance``, ``repro.model.flatten``, ``repro.store`` or
-``repro.bench`` (``test_oracle.py`` holds it to that).  An update is read
+``repro.instance``, ``repro.model.flatten``, ``repro.store`` or the
+``benchmarks`` baselines (``test_oracle.py`` holds it to that).  An update is read
 through ``relation``, ``read_row()`` and ``written_row()`` alone, the log
 is ``{tid: (updates, antecedents)}``, and a participant is sets, a dict of
 deferred roots and a dict instance ``{(relation, key): row}``.  Slow is

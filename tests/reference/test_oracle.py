@@ -28,7 +28,7 @@ from tests.reference.mirror import Mirror, examples
 from tests.reference.oracle import DEVIATIONS
 
 HERE = Path(__file__).resolve().parent
-BANNED = ("repro.core", "repro.instance", "repro.model.flatten", "repro.store", "repro.bench")
+BANNED = ("repro.core", "repro.instance", "repro.model.flatten", "repro.store", "benchmarks")
 
 
 def banned_imports(source: str):
@@ -56,7 +56,7 @@ def test_nothing_here_imports_the_engine():
     "line",
     [
         "import repro.core",
-        "import repro.bench.ablations as ablations",
+        "import benchmarks.bench.ablations as ablations",
         "from repro.core.engine import Reconciler",
         "from repro.instance.base import Instance",
         "from repro.model import flatten",

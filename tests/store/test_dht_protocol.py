@@ -18,17 +18,20 @@ import inspect
 
 import pytest
 
+from repro.confed import Confederation, ConfederationConfig
 from repro.core.decisions import ReconcileResult
-from repro.errors import StoreError
-from repro.model import Insert
+from repro.errors import RetryExhaustedError, StoreError
+from repro.model import Insert, Modify
 from repro.model.transactions import Transaction, TransactionId
+from repro.net import FaultPlan, HostCrash
 from repro.net.simnet import DEFAULT_FRAGMENT_BYTES
 from repro.policy import TrustPolicy
 from repro.store import DhtUpdateStore
 from repro.store.dht import driver, wire
 from repro.store.dht.host import HANDLERS
 from repro.store.dht.wire import KINDS, REPLIES
-from repro.workload import curated_schema
+from repro.store.logic import batch_antecedents
+from repro.workload import WorkloadConfig, curated_schema
 
 #: What a client's inbox may hold: every kind that answers a request,
 #: plus the one no request solicits (the peer coordinator's adjacency).
@@ -157,7 +160,8 @@ def test_a_batch_is_priced_by_its_entries():
             wire.TID_WIRE_BYTES + 1
         )
         assert message.fragments == max(1, -(-message.size_bytes // DEFAULT_FRAGMENT_BYTES))
-    assert wire.verdicts_sizing(100)["fragments"] == 7  # 1,748 bytes: never one message
+    # 100 verdicts are 1,748 bytes: never one message.
+    assert wire.batch_sizing(100, wire.VERDICT_ENTRY_BYTES)["fragments"] == 7
 
 
 def test_a_lost_record_is_acknowledged_unretired_and_not_asked_again():
@@ -204,3 +208,112 @@ def test_the_unlinked_tids_are_the_all_final_rule_over_the_records():
     assert set(first[:7]) | set(second) == {
         tid for tid in first + second if ring.record(tid)["context_free"] is None
     }
+
+
+# ----------------------------------------------------------------------
+# The wire, per kind: a small store-computed schedule over a replicating
+# ring that loses a host and gets it back.  A change that moves messages
+# between kinds — even one whose totals net to zero — fails here.
+
+#: ``report().kind_counts`` (fragments delivered) of :func:`pinned_run`.
+PINNED_KIND_COUNTS = {
+    "begin_epoch": 12, "begin_publishing": 12, "cf_data": 236, "cf_fetch": 17,
+    "current_epoch": 18, "decision_recorded": 52, "epoch_begun": 12, "epoch_contents": 43,
+    "epoch_finished": 12, "get_current_epoch": 18, "get_epoch_contents": 43,
+    "get_last_recon": 18, "last_recon": 18, "lookup_producer": 7, "nc_adjacency": 360,
+    "nc_data": 3343, "nc_fetch_batch": 56, "nc_member_batch": 56, "nc_request": 53,
+    "nc_unchanged": 18, "policy_registered": 30, "producer_is": 7,
+    "producer_registered": 43, "publish_ids": 12, "rebalance": 3, "recon_recorded": 18,
+    "record_decision": 52, "record_recon": 18, "register_policy": 30,
+    "register_producer": 134, "replicate": 1034, "request_epoch": 12, "store_txn": 428,
+    "txn_stored": 36,
+}
+
+#: ``report().kind_bytes`` of the same run.
+PINNED_KIND_BYTES = {
+    "begin_epoch": 3072, "begin_publishing": 3072, "cf_data": 23472, "cf_fetch": 4352,
+    "current_epoch": 4608, "decision_recorded": 6049, "epoch_begun": 3072,
+    "epoch_contents": 11008, "epoch_finished": 3072, "get_current_epoch": 4608,
+    "get_epoch_contents": 11008, "get_last_recon": 4608, "last_recon": 4608,
+    "lookup_producer": 864, "nc_adjacency": 17280, "nc_data": 354984,
+    "nc_fetch_batch": 4256, "nc_member_batch": 4256, "nc_request": 9936,
+    "nc_unchanged": 2496, "policy_registered": 7680, "producer_is": 512,
+    "producer_registered": 2064, "publish_ids": 3072, "rebalance": 768,
+    "recon_recorded": 4608, "record_decision": 6049, "record_recon": 4608,
+    "register_policy": 7680, "register_producer": 29456, "replicate": 153921,
+    "request_epoch": 3072, "store_txn": 42816, "txn_stored": 9216,
+}
+
+
+def pinned_run():
+    """4 hosts, 6 peers, replication 2, 2 rounds, ``host:1`` failed at
+    epoch 3 and recovered at epoch 8 (``fail_host`` / ``recover_host``)."""
+    config = ConfederationConfig(
+        store="dht",
+        store_options={"hosts": 4, "replication_factor": 2},
+        peers=tuple(range(1, 7)),
+        reconciliation_interval=3,
+        rounds=2,
+        final_reconcile=True,
+        network_centric="store",
+        workload=WorkloadConfig(transaction_size=2, seed=5),
+        faults=FaultPlan(seed=3, crashes=(HostCrash("host:1", at_epoch=3, recover_at_epoch=8),)),
+    )
+    with Confederation(config) as confed:
+        return confed.run()
+
+
+def test_the_wire_is_pinned_per_kind():
+    report = pinned_run()
+    assert report.faults.injected == {"crash": 1} and report.faults.recoveries == 1
+    assert report.kind_counts == PINNED_KIND_COUNTS
+    assert report.kind_bytes == PINNED_KIND_BYTES
+
+
+def test_a_failed_publish_marks_only_what_its_epoch_lists():
+    """A batch whose second ``store_txn`` is never acknowledged fails;
+    its epoch lists the first transaction alone.  That one is then
+    published and refused again; the second may be published later."""
+    store = DhtUpdateStore(curated_schema(), hosts=3, max_retries=1)
+    trusts_1 = TrustPolicy()
+    trusts_1.trust_participant(1, 1)
+    store.register_participant(1, TrustPolicy())
+    store.register_participant(2, trusts_1)
+    stored, lost = (
+        Transaction(TransactionId(1, seq), (Insert("F", (f"k{seq}", "p", "v"), 1),))
+        for seq in range(2)
+    )
+    post = store.network.post
+
+    def drop_lost_ack(message):
+        if not (message.kind == "txn_stored" and message.payload["tid"] == lost.tid):
+            post(message)
+
+    store.network.post = drop_lost_ack
+    with pytest.raises(RetryExhaustedError):
+        store.publish(1, [stored, lost])
+    store.network.post = post
+    with pytest.raises(StoreError, match=f"transaction {stored.tid} was already published"):
+        store.publish(1, [stored])
+    store.publish(1, [lost])
+    assert [root.tid for root in store.begin_reconciliation(2).roots] == [stored.tid, lost.tid]
+
+
+def test_a_publish_batch_asks_once_for_what_it_did_not_produce():
+    """Rows an earlier transaction of the batch produced resolve within
+    it; the one lookup gets only the others — including a row a *later*
+    transaction produces, which the earlier one consumed from outside."""
+    a, b, c = (("rat", "p", f"v{n}") for n in range(3))
+    steps = [Modify("F", a, b, 1), Modify("F", b, c, 1), Modify("F", c, a, 1)]
+    batch = [Transaction(TransactionId(1, n), (step,)) for n, step in enumerate(steps)]
+    outside = TransactionId(2, 0)
+    asked = []
+
+    def look_up(rows):
+        asked.append(rows)
+        return {("F", a): outside}
+
+    antecedents, produced = batch_antecedents(batch, look_up)
+    assert asked == [[("F", a)]]
+    assert antecedents == [[outside], [batch[0].tid], [batch[1].tid]]
+    assert produced == {("F", b): batch[0].tid, ("F", c): batch[1].tid, ("F", a): batch[2].tid}

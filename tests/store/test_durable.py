@@ -31,7 +31,7 @@ from repro.core.decisions import ReconcileResult
 from repro.errors import StoreError
 from repro.model import Insert, Transaction, TransactionId
 from repro.policy import TrustPolicy
-from repro.store import DurableUpdateStore, MemoryUpdateStore
+from repro.store import DhtUpdateStore, DurableUpdateStore, MemoryUpdateStore
 from repro.workload import WorkloadConfig, curated_schema
 from tests.conftest import decision_stream
 
@@ -304,11 +304,18 @@ def test_a_publish_is_a_constant_number_of_calls():
     store.close()
 
 
-@pytest.mark.parametrize("store_cls", [MemoryUpdateStore, DurableUpdateStore])
+@pytest.mark.parametrize(
+    "store_cls", [MemoryUpdateStore, DurableUpdateStore, DhtUpdateStore]
+)
 def test_a_duplicate_publication_is_refused_alike(store_cls):
     """Already published, or twice in one batch: the same ``StoreError``
-    on every log, and nothing of the refused batch is kept."""
+    on every log, and nothing of the refused batch is kept — on the DHT
+    not a message of it is sent."""
     store = store_cls(curated_schema())
+    sent = []
+    if store_cls is DhtUpdateStore:
+        post = store.network.post
+        store.network.post = lambda message: (sent.append(message.kind), post(message))
     store.register_participant(1, TrustPolicy())
     first, second = (
         Transaction(TransactionId(1, seq), (Insert("F", (f"k{seq}", "p", "v"), 1),))
@@ -317,9 +324,13 @@ def test_a_duplicate_publication_is_refused_alike(store_cls):
     store.publish(1, [first])
     before = store.decided_transactions(1)
     for batch, named in (([second, first], first), ([second, second], second)):
+        sent.clear()
         with pytest.raises(StoreError) as refused:
             store.publish(1, batch)
         assert str(refused.value) == f"transaction {named.tid} was already published"
+        # Refused before the batch's first message: only the epoch's
+        # allocation and close travel (``publish`` finishes it anyway).
+        assert not {"lookup_producer", "store_txn", "register_producer"} & set(sent)
         assert store.transaction_count() == 1
         assert store.decided_transactions(1) == before
     store.publish(1, [second])  # the refused batch left nothing in the way

@@ -121,6 +121,16 @@ def test_deleted_entry_points_stay_deleted(module):
     assert repro.cdss.__all__ == ["Participant", "ReconcileTiming"]
 
 
+@pytest.mark.parametrize(
+    "module", ["repro.bench", "repro.bench.ablations", "repro.bench.figures", "repro.bench.tables"]
+)
+def test_the_benchmark_harness_is_not_in_the_library(module):
+    # The figure rows, tables and ablation baselines live in
+    # ``benchmarks/bench``, beside the benchmarks that use them.
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
+
+
 def test_threaded_scheduler_stays_deleted():
     # One concurrency model: the thread-pool scheduler is gone, not
     # shimmed — the name, the mode and the registry entry alike.
