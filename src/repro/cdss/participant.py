@@ -8,11 +8,11 @@ together (:meth:`Participant.publish_and_reconcile`), as the paper assumes.
 
 The participant is the **transport layer** of the PR 3 session split: it
 is the only layer that talks to the update store.  Every store call goes
-through :meth:`Participant._store_call`, which holds the store's lock
-(the store-phase discipline: every store touch happens in one bracketed
-call, which is what the latency and perf accounting read), measures the
-call, and pays any configured real latency *after* releasing the lock.  The decisions themselves are produced by the
-transport-free :class:`~repro.core.session.ReconcileSession`.
+through :meth:`Participant._store_call`: a *store phase* that holds the
+store's lock and measures the call (the store-phase discipline of
+:mod:`repro.store.base`), then a *latency phase* that pays what the call
+charged through the store's clock.  The decisions themselves are
+produced by the transport-free :class:`~repro.core.session.ReconcileSession`.
 
 Every reconciliation records a :class:`ReconcileTiming` splitting the cost
 into *store* time (wall-clock spent inside update-store calls plus the
@@ -25,18 +25,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.decisions import ReconcileResult
 from repro.core.engine import Reconciler
-from repro.core.extensions import RelevantTransaction
+from repro.core.extensions import RelevantTransaction, antecedent_closure
 from repro.core.resolution import Resolution, resolve_conflicts
 from repro.core.session import ReconcileSession
 from repro.core.state import ParticipantState
-from repro.errors import ConstraintViolation, FlattenError
+from repro.errors import StoreError
 from repro.instance.base import Instance
 from repro.instance.memory import MemoryInstance
-from repro.model.flatten import flatten
+from repro.model.flatten import flatten_transactions
 from repro.model.transactions import Transaction, TransactionId
 from repro.model.updates import Update
 from repro.policy.acceptance import TrustPolicy
@@ -56,6 +57,19 @@ class ReconcileTiming:
     def total_seconds(self) -> float:
         """Store plus local time."""
         return self.store_seconds + self.local_seconds
+
+
+def _closures(step) -> Iterator[List[Transaction]]:
+    """A reconcile or resolve step's applied entries, grouped as
+    ``Reconciler._apply_accepted`` applied them: each head (a root the step
+    accepted) with its ancestors in the step no earlier head took."""
+    at = {entry[2].tid: n for n, entry in enumerate(step)}
+    inside = {t.tid: [ante for ante in antes if ante in at] for _, _, t, antes in step}
+    replayed: Set[TransactionId] = set()
+    for tid in [entry[2].tid for entry in step if entry[1]]:
+        closure = sorted(antecedent_closure(inside.__getitem__, [tid], replayed), key=at.get)
+        replayed.update(closure)
+        yield [step[at[member]][2] for member in closure]
 
 
 class Participant:
@@ -111,86 +125,59 @@ class Participant:
 
         Section 5.2: "each client contains only soft state; it is possible
         to reconstruct the entire state of the participant, up to his or
-        her last reconciliation, from the update store."  The applied
-        transactions are replayed in publish order into a fresh instance;
-        rejected and deferred sets are restored; deferred transactions'
-        bodies and antecedent graphs are refetched so their conflict
-        groups can be rebuilt by a follow-up reconciliation pass.
-
-        Replay mirrors the engine's application semantics (flattened
-        footprints via ``apply_set``, never raw update sequences): an
-        accepted antecedent chain may span several epochs, and its
-        *intermediate* states can collide with rows applied from other
-        origins even though its net effect fits.  Transactions whose raw
-        updates do not fit yet are therefore buffered and flattened
-        together with their successors until the combined footprint
-        applies — exactly the net effect the live engine installed.
+        her last reconciliation, from the update store."  The stamped steps
+        (:meth:`UpdateStore.decided_transactions`) replay in ``(version,
+        own)`` order into a fresh instance: an own publication a transaction
+        at a time, as :meth:`execute` applied it; a reconcile or resolve
+        step one ``apply_set`` per head's closure (:func:`_closures`).
+        Rejected and deferred sets follow, and the deferred roots' groups.
         """
         participant = cls(
-            participant_id,
-            store,
-            policy,
-            instance,
-            network_centric=network_centric,
-            register=False,
-            hooks=hooks,
+            participant_id, store, policy, instance, network_centric, register=False, hooks=hooks
         )
+        state, schema = participant.state, store.schema
         (applied, rejected, deferred), _, _ = participant._store_call(
             store.decided_transactions, participant_id
         )
-        buffered: List[Update] = []
-        for transaction in applied:
-            buffered.extend(transaction.updates)
-            participant.state.record_applied([transaction.tid])
-            if transaction.origin == participant_id:
-                participant._sequence = max(
-                    participant._sequence, transaction.tid.sequence + 1
-                )
-            try:
-                operations = flatten(store.schema, buffered)
-                participant.instance.apply_set(operations)
-            except (ConstraintViolation, FlattenError):
-                continue  # a chain is still mid-flight; keep buffering
-            buffered = []
-        if buffered:
-            # The applied set is store-verified consistent; a leftover
-            # buffer that still does not fit is a real reconstruction
-            # failure and must surface, not be dropped.
-            participant.instance.apply_set(flatten(store.schema, buffered))
-        participant.state.record_rejected(rejected)
+        if any(entry[0] is None for entry in applied):
+            raise StoreError(
+                f"participant {participant_id} has applied verdicts stored without an"
+                " applied-set version (by an older store): its steps cannot be replayed"
+            )
 
-        graph = participant.state.graph
-        if rejected or deferred:
-            # Future roots may name rejected transactions as antecedents;
-            # the engine then needs their bodies and publish orders from
-            # the local graph (the store ships only undecided members);
-            # deferred roots need their closures to be reconsidered.
-            entries, _, _ = participant._store_call(
-                store.closure_entries,
-                [*rejected, *deferred],
-                participant.state.applied,
-            )
-            for entry in entries:
-                graph.add(*entry)
+        def _step(entry) -> Tuple[int, bool]:
+            return entry[0], entry[2].origin == participant_id
+
+        for (_, own), entries in groupby(sorted(applied, key=_step), key=_step):
+            step = list(entries)
+            if own:
+                for _, _, transaction, _ in step:
+                    participant.instance.apply_all(transaction.updates)
+                participant._sequence = step[-1][2].tid.sequence + 1
+            else:
+                for closure in _closures(step):
+                    participant.instance.apply_set(flatten_transactions(schema, closure))
+            state.record_applied([entry[2].tid for entry in step])
+        state.record_rejected(rejected)
+        # Future roots may name rejected transactions as antecedents; the
+        # engine then needs their bodies and publish orders from the local
+        # graph (the store ships only undecided members); deferred roots
+        # need their closures to be reconsidered.
+        closures, _, _ = participant._store_call(
+            store.closure_entries, [*rejected, *deferred], state.applied
+        )
+        for entry in closures:
+            state.graph.add(*entry)
         for tid in deferred:
-            transaction = graph.transaction(tid)
-            if transaction.origin == participant_id:  # pragma: no cover
-                participant._sequence = max(
-                    participant._sequence, transaction.tid.sequence + 1
-                )
-            participant.state.record_deferred(
-                RelevantTransaction(
-                    transaction=transaction,
-                    priority=policy.priority_of(store.schema, transaction),
-                    order=graph.order_of(tid),
-                )
+            transaction = state.graph.transaction(tid)
+            priority = policy.priority_of(schema, transaction)
+            state.record_deferred(
+                RelevantTransaction(transaction, priority, state.graph.order_of(tid))
             )
-        if deferred:
-            # Rebuild soft state (dirty keys, conflict groups) from the
-            # deferred set without re-deciding anything — re-evaluation
-            # belongs to the next real reconciliation.
-            participant.reconciler.rebuild_soft_state()
-        participant.state.last_recno, _, _ = participant._store_call(
+        # Dirty keys and conflict groups, without re-deciding anything:
+        # that belongs to the next real reconciliation.
+        participant.reconciler.rebuild_soft_state()
+        state.last_recno, _, _ = participant._store_call(
             store.last_reconciliation_epoch, participant_id
         )
         return participant
@@ -227,22 +214,18 @@ class Participant:
     # Publication and reconciliation
 
     def _store_call(self, method, *args) -> Tuple[object, PerfCounters, float]:
-        """Run one store call: a lock-held store phase, then a
-        clock-paid latency phase; returns ``(result, perf delta, wall
-        seconds inside the call)``.
+        """Run one store call: a store phase, then a latency phase;
+        returns ``(result, perf delta, wall seconds inside the call)``.
 
-        The two phases are deliberately split.  The **store phase**
-        (:meth:`_store_phase`) holds the store lock and snapshots the
-        perf delta.  The **latency phase** pays that delta through
-        ``store.pay_latency`` *after* the lock is released — and,
-        because the payment
-        goes through the store's :class:`~repro.net.clock.LatencyClock`
-        rather than an inline sleep, the asyncio epoch scheduler can
-        turn the wait into an awaited ``asyncio.sleep`` without ever
-        holding ``store.lock`` across an await.  ``pay_latency`` is
-        part of the :class:`~repro.store.base.UpdateStore` contract (it
-        used to be reached through ``getattr``, which let a third-party
-        driver missing the method skip latency payment silently).
+        The **store phase** (:meth:`_store_phase`) holds the store lock
+        and measures the call.  The **latency phase** pays the simulated
+        latency the call charged through ``store.pay_latency``, *after*
+        the lock is released: the payment goes through the store's
+        :class:`~repro.net.clock.LatencyClock`, so the asyncio epoch
+        scheduler turns the wait into an awaited ``asyncio.sleep``
+        without ever holding ``store.lock`` across an await.
+        ``pay_latency`` is part of the
+        :class:`~repro.store.base.UpdateStore` contract.
         """
         store = self.store
         result, delta, elapsed = self._store_phase(method, *args)
@@ -252,14 +235,10 @@ class Participant:
     def _store_phase(self, method, *args) -> Tuple[object, PerfCounters, float]:
         """The lock-held half of :meth:`_store_call`.
 
-        Serializes store access when a concurrent epoch scheduler
-        drives several participants at once (stores are not internally
-        thread-safe); the perf snapshot/delta must happen inside the
-        lock so concurrent callers cannot misattribute each other's
-        charges.  The wall clock starts *after* the lock is acquired —
-        contention wait is scheduling, not store cost, and counting it
-        would inflate every participant's store bars under a concurrent
-        schedule.  No latency is paid here: that is the caller's
+        The lock marks the store phase (the store-phase discipline of
+        :mod:`repro.store.base`): the call, and the perf snapshot and
+        delta around it, run inside it, so the delta is this call's
+        charge alone.  No latency is paid here: that is the caller's
         latency phase, outside the lock.
         """
         store = self.store

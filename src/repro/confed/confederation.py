@@ -364,7 +364,7 @@ class Confederation:
                 )
                 snapshots[participant.id] = ParticipantSnapshot(
                     participant=participant.id,
-                    applied=tuple(t.tid for t in applied),
+                    applied=tuple(entry[2].tid for entry in applied),
                     rejected=tuple(rejected),
                     deferred=tuple(deferred),
                     last_recno=self.store.last_reconciliation_epoch(
@@ -381,8 +381,8 @@ class Confederation:
         """Rebuild participants entirely from the update store.
 
         Wraps :meth:`Participant.rebuild`: the applied transactions are
-        replayed in publish order into a fresh instance and the
-        rejected/deferred soft state is reconstructed.  With an id,
+        replayed step by step, as the store stamped them, into a fresh
+        instance and the rejected/deferred soft state is reconstructed.  With an id,
         restores (and returns) that one participant; with none, restores
         every participant and returns them as a dict.  The restored
         objects replace the live ones and keep their policies and the

@@ -161,7 +161,7 @@ class ExtensionCache:
         if cached_version == version:
             self.stats.hits += 1
             return extension
-        if extension.member_set().isdisjoint(applied):
+        if applied.isdisjoint(extension.member_set()):  # a view iterates the smaller side
             self._entries[tid] = (version, extension)
             self.stats.revalidations += 1
             return extension
@@ -206,7 +206,7 @@ class ExtensionCache:
         extension = self.lookup(root.tid, version, applied, root.priority)
         if extension is not None:
             return extension
-        if shipped is not None and shipped.member_set().isdisjoint(applied):
+        if shipped is not None and applied.isdisjoint(shipped.member_set()):
             extension = shipped
         elif shared is not None:
             extension = shared.derived(

@@ -298,13 +298,17 @@ class UpdateStore(abc.ABC):
 
     def decided_transactions(
         self, participant: int
-    ) -> Tuple[List[Transaction], List[TransactionId], List[TransactionId]]:
-        """``(applied in publish order, rejected ids, deferred ids)``.
+    ) -> Tuple[List[Tuple], List[TransactionId], List[TransactionId]]:
+        """``(applied entries in publish order, rejected ids, deferred ids)``;
+        an applied entry is ``(version, head, transaction, antecedents)``.
 
         This is the basis of the paper's soft-state claim: "it is possible
         to reconstruct the entire state of the participant, up to his or
-        her last reconciliation, from the update store."  Stores that
-        cannot enumerate decisions raise :class:`NotImplementedError`.
+        her last reconciliation, from the update store."  An applied entry
+        carries the applied-set version after the step that applied it and
+        whether it headed its closure there (an own publication or accepted
+        root, not an ancestor a later root carried in).  Stores that cannot
+        enumerate decisions raise :class:`NotImplementedError`.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support state reconstruction"

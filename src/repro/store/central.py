@@ -121,6 +121,8 @@ CREATE TABLE IF NOT EXISTS decisions (
     participant INTEGER NOT NULL,
     ord INTEGER NOT NULL,
     verdict TEXT NOT NULL,
+    version INTEGER,
+    head INTEGER,
     PRIMARY KEY (participant, ord)
 );
 CREATE TABLE IF NOT EXISTS reconciliations (
@@ -304,10 +306,14 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         are loaded from ``applied_versions`` — no history replay.  The
         unfinished epochs are found through ``idx_epochs_unfinished``,
         which holds nothing else, and no other row is touched: a table
-        an earlier schema had and this one does not is left unread.
+        an earlier schema had and this one does not is left unread (a
+        column it lacks is added: ``decisions.version``/``head``, ``NULL``).
         """
         with self._conn:
             self._conn.execute("UPDATE epochs SET finished = 1 WHERE finished = 0")
+            have = {c[1] for c in self._conn.execute("PRAGMA table_info(decisions)")}
+            for column in [c for c in ("version", "head") if c not in have]:
+                self._conn.execute(f"ALTER TABLE decisions ADD COLUMN {column} INTEGER")
         self._applied_versions.update(
             self._conn.execute("SELECT participant, version FROM applied_versions")
         )
@@ -368,6 +374,7 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         in one ``executemany``."""
         self._validate_open_epoch(participant, epoch)
         txns, updates, edges, verdicts = [], [], [], []
+        version = self._applied_versions.get(participant, 0) + 1
         # The producer-index rows this batch adds, probed before the
         # table so a transaction sees those written earlier in its own
         # batch.  The key is ``(relation, repr(row))``: it is matched,
@@ -419,7 +426,7 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
                         produced[update.relation, repr(new_row)] = tid, ord_
                 edges += [(ord_, a.participant, a.sequence) for a in antecedents]
                 # The publisher has, by definition, applied its own.
-                verdicts.append((participant, ord_, "applied"))
+                verdicts.append((participant, ord_, "applied", version, True))
             many = self._conn.executemany  # positional: _SCHEMA_SQL's order
             many("INSERT INTO txns VALUES (?, ?, ?, ?)", txns)
             many("INSERT INTO txn_updates VALUES (?, ?, ?, ?, ?, ?)", updates)
@@ -489,7 +496,7 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         self._outstanding[participant] = {t: o for o, t in refs}, applied
         return self._entries(refs, applied)
 
-    _VERDICT_SQL = "INSERT OR REPLACE INTO decisions VALUES (?, ?, ?)"
+    _VERDICT_SQL = "INSERT OR REPLACE INTO decisions VALUES (?, ?, ?, ?, ?)"
 
     def complete_reconciliation(
         self, participant: int, result: ReconcileResult
@@ -503,10 +510,12 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         # Roots the client had cached (deferred in an earlier round) were
         # not in the batch: only their ords are still to look up.
         ords.update(self._ords_for([t for t, _ in verdicts if t not in ords]))
+        version = self._applied_versions.get(participant, 0) + bool(result.applied)
+        heads = set(result.accepted)
         with self._conn:
             self._conn.executemany(
                 self._VERDICT_SQL,
-                [(participant, ords[tid], verdict) for tid, verdict in verdicts],
+                [(participant, ords[t], v, version, t in heads) for t, v in verdicts],
             )
             if result.applied:
                 self._bump_applied_version(participant)
@@ -644,19 +653,20 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         return int(record[0])
 
     def decided_transactions(self, participant: int):
-        """Applied transactions (publish order) plus rejected/deferred ids."""
-        applied = self._entries(self._decided(participant, "applied"))
+        """See the base class; ``version`` is ``None`` if an older store wrote it."""
+        applied = self._decided(participant, "applied")
+        entries = self._entries([row[:2] for row in applied])
         return (
-            [transaction for transaction, _antecedents, _ord in applied],
-            sorted(tid for _, tid in self._decided(participant, "rejected")),
-            sorted(tid for _, tid in self._decided(participant, "deferred")),
+            [(*row[2:], *entry[:2]) for row, entry in zip(applied, entries)],
+            sorted(row[1] for row in self._decided(participant, "rejected")),
+            sorted(row[1] for row in self._decided(participant, "deferred")),
         )
 
     # ------------------------------------------------------------------
     # Log accessors (see repro.store.network_centric)
 
     def _nc_deferred_tids(self, participant: int):
-        return [tid for _, tid in self._decided(participant, "deferred")]
+        return [row[1] for row in self._decided(participant, "deferred")]
 
     def _nc_applied_tids(self, participant: int):
         return self._outstanding[participant][1]
@@ -672,13 +682,13 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
 
     def _decided(
         self, participant: int, verdict: str
-    ) -> List[Tuple[int, TransactionId]]:
-        """``(ord, tid)`` of the participant's decisions with ``verdict``,
-        in publish order: one joined query however many there are."""
+    ) -> List[Tuple[int, TransactionId, Optional[int], Optional[bool]]]:
+        """``(ord, tid, version, head)`` of the participant's decisions
+        with ``verdict``, in publish order: one joined query however many."""
         rows = self._conn.execute(
-            "SELECT d.ord, t.participant, t.seq FROM decisions d"
+            "SELECT d.ord, t.participant, t.seq, d.version, d.head FROM decisions d"
             " JOIN txns t ON t.ord = d.ord"
             " WHERE d.participant = ? AND d.verdict = ? ORDER BY d.ord",
             (participant, verdict),
         ).fetchall()
-        return [(ord_, TransactionId(p, s)) for ord_, p, s in rows]
+        return [(ord_, TransactionId(p, s), *stamp) for ord_, p, s, *stamp in rows]

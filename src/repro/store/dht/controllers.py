@@ -331,7 +331,8 @@ def on_register_producer(host, network: Network, message: Message) -> None:
 
 
 def on_store_txn(host, network: Network, message: Message) -> None:
-    """Store a published transaction; its publisher has applied it."""
+    """Store a published transaction; its publisher has applied it, at
+    the applied-set version the request carries."""
     payload = message.payload
     transaction: Transaction = payload["transaction"]
     tid = transaction.tid
@@ -342,6 +343,7 @@ def on_store_txn(host, network: Network, message: Message) -> None:
             "antecedents": tuple(payload["antecedents"]),
             "order": payload["order"],
             "decisions": {transaction.origin: "applied"},
+            "stamps": {transaction.origin: (payload["version"], True)},
             "context_free": None,
         }
         replicate(host, network, "txn", tid)
@@ -419,11 +421,12 @@ def on_request_txn(host, network: Network, message: Message) -> None:
 
 
 def on_record_decision(host, network: Network, message: Message) -> None:
-    """Record one participant's verdicts on this controller's
-    transactions (the feedback that also drives retention and the
-    network-centric memos), ship them to the successors as one delta
-    each, and acknowledge every entry as ``(tid, retired)``."""
+    """Record one participant's verdicts (and the applied-set version
+    after them) on this controller's transactions — the feedback that
+    also drives retention and the network-centric memos —, ship them to
+    the successors as one delta each, and ack each as ``(tid, retired)``."""
     participant: int = message.payload["participant"]
+    version: int = message.payload["version"]
     recorded = []
     acks = []
     for tid, verdict in message.payload["entries"]:
@@ -434,8 +437,10 @@ def on_record_decision(host, network: Network, message: Message) -> None:
             # verdict is lost with the record.
             acks.append((tid, False))
             continue
-        held["decisions"][participant] = verdict
         recorded.append((tid, verdict))
+        # Stamped: the applied-set version after the step, and ``head``.
+        held["stamps"][participant] = version, verdict != "carried"
+        verdict = held["decisions"][participant] = "applied" if verdict == "carried" else verdict
         # A final verdict retires the participant's pointer into the
         # derivation table: it can never be served this root again.  A
         # deferral keeps it — the next round is answered without a walk
@@ -456,7 +461,7 @@ def on_record_decision(host, network: Network, message: Message) -> None:
             host.derived.pop(tid, None)
         acks.append((tid, retired))
     ship_delta(
-        host, network, "txn_decision", participant, recorded,
+        host, network, "txn_decision", (participant, version), recorded,
         wire.txn_key, wire.VERDICT_ENTRY_BYTES,
     )
     host._reply(

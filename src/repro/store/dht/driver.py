@@ -284,7 +284,7 @@ class DhtUpdateStore(UpdateStore):
                 size_bytes=wire.body_bytes(transaction),
                 transaction=transaction,
                 antecedents=antecedents_of,
-                order=epoch * wire.EPOCH_STRIDE + len(ids),
+                order=epoch * wire.EPOCH_STRIDE + len(ids), version=peer.version,
             )
             ids.append(transaction.tid)
             peer.published.add(transaction.tid)  # the epoch will list it
@@ -602,9 +602,11 @@ class DhtUpdateStore(UpdateStore):
     ) -> None:
         """Notify the transaction controllers of the decisions: one
         ``record_decision`` per owning controller, listing its
-        ``(tid, verdict)`` pairs."""
+        ``(tid, verdict)`` pairs under the applied-set version after them."""
         peer = self._peer(participant)
-        verdicts: Dict[TransactionId, str] = dict.fromkeys(result.applied, "applied")
+        version = peer.version + bool(result.applied)
+        heads = set(result.accepted)  # the others were carried in by a later root
+        verdicts = {tid: "applied" if tid in heads else "carried" for tid in result.applied}
         verdicts.update(dict.fromkeys(result.rejected, "rejected"))
         verdicts.update(dict.fromkeys(result.deferred, "deferred"))
         retired: Set[TransactionId] = set()
@@ -613,7 +615,7 @@ class DhtUpdateStore(UpdateStore):
             self, peer.node, "record_decision", sorted(verdicts), wire.txn_key,
             lambda tids: dict(
                 wire.batch_sizing(len(tids), wire.VERDICT_ENTRY_BYTES), participant=participant,
-                entries=[(tid, verdicts[tid]) for tid in tids],
+                version=version, entries=[(tid, verdicts[tid]) for tid in tids],
             ),
             lambda _tids, ack: retired.update(tid for tid, was in ack["entries"] if was),
         )
@@ -625,8 +627,7 @@ class DhtUpdateStore(UpdateStore):
         peer.deferred.update(result.deferred)
         peer.deferred.difference_update(result.applied)
         peer.deferred.difference_update(result.rejected)
-        if result.applied:
-            peer.version += 1
+        peer.version = version
         # Only still-deferred roots can ever be answered with an
         # ``nc_unchanged`` token again, so the client's retained
         # payloads shrink to exactly that set; the assembly's conflict
@@ -750,10 +751,9 @@ class DhtUpdateStore(UpdateStore):
         return total
 
     def decided_transactions(self, participant: int):
-        """Applied transactions (publish order) plus rejected/deferred ids.
-
-        Aggregated across controllers by the driver (state reconstruction
-        is a maintenance operation, not part of the timed protocols).
+        """The participant's verdicts (see the base class), aggregated
+        across controllers by the driver (state reconstruction is a
+        maintenance operation, not part of the timed protocols).
         """
         self._peer(participant)  # validate registration
         # Collect the most advanced copy of each record (the merge
@@ -767,23 +767,19 @@ class DhtUpdateStore(UpdateStore):
             for (role, key), state in host.replicas.items():
                 if role == "txn":
                     _install(records, key, "txn", state, on_tie=False)
-        applied: List[Tuple[int, Transaction]] = []
+        applied: List[Tuple[int, int, bool, Transaction, Tuple[TransactionId, ...]]] = []
         rejected: List[TransactionId] = []
         deferred: List[TransactionId] = []
         for tid, record in records.items():
             verdict = record["decisions"].get(participant)
             if verdict == "applied":
-                applied.append((record["order"], record["transaction"]))
+                stamp = record["stamps"][participant]
+                applied.append((record["order"], *stamp, *wire.body(record)[:2]))
             elif verdict == "rejected":
                 rejected.append(tid)
             elif verdict == "deferred":
                 deferred.append(tid)
-        applied.sort(key=lambda pair: pair[0])
-        return (
-            [transaction for _order, transaction in applied],
-            sorted(rejected),
-            sorted(deferred),
-        )
+        return [entry[1:] for entry in sorted(applied)], sorted(rejected), sorted(deferred)
 
     def _nc_lookup(self, tid: TransactionId) -> wire.Body:
         """Driver-side transaction lookup (used by state reconstruction).

@@ -18,8 +18,8 @@ Everything here is written once over the role table
 stay special:
 
 * ``txn_decision`` — a *delta* (one participant's ``(tid, verdict)``
-  list, one message per successor — :func:`ship_delta`) applied to
-  whichever copy of each transaction record the receiving host holds;
+  list and version, one message per successor — :func:`ship_delta`)
+  applied to whichever copy of each transaction record a host holds;
 * ``producer_rows`` — a publish batch's ``(row, tid)`` producer-index
   entries at one value controller, the same kind of delta, each entry
   filed like a one-row ``producer`` copy;
@@ -141,12 +141,13 @@ def on_replicate(host, network: Network, message: Message) -> None:
     payload = message.payload
     role, key, state = payload["role"], payload["key"], payload["state"]
     if role == "txn_decision":
-        # A decision delta, keyed by participant: apply each verdict to
-        # whichever copy of its record this host holds.
+        # A decision delta, keyed by (participant, version): apply each
+        # verdict to whichever copy of its record this host holds.
         for tid, verdict in state:
             held = held_copy(host, "txn", tid)
-            if held is not None:
-                held["decisions"][key] = verdict
+            if held is not None:  # as ``on_record_decision`` files it
+                held["stamps"][key[0]] = key[1], verdict != "carried"
+                held["decisions"][key[0]] = "applied" if verdict == "carried" else verdict
     elif role == "epoch_counter":
         # The allocator's bare integer: merged by max wherever it is kept.
         if host.ring.owner(wire.ALLOCATOR_KEY) == host.name:

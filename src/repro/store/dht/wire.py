@@ -67,8 +67,8 @@ TID_WIRE_BYTES = 16
 DIGEST_WIRE_BYTES = 16
 #: Wire bytes of a row value: one tuple, where an update carries up to two.
 ROW_WIRE_BYTES = _UPDATE_WIRE_BYTES // 2
-#: Entry sizes of the batch messages: a verdict (or a ``retired`` flag)
-#: byte beside its tid, and a producer-index row with its producer's tid.
+#: Entry sizes of the batch messages: a verdict (``carried``: applied, not
+#: as a head) or ``retired`` flag byte beside its tid, and a producer row.
 VERDICT_ENTRY_BYTES = TID_WIRE_BYTES + 1
 PRODUCER_ENTRY_BYTES = ROW_WIRE_BYTES + TID_WIRE_BYTES
 
@@ -280,6 +280,7 @@ def _txn_state(record: Dict[str, Any]) -> Dict[str, Any]:
         "antecedents": record["antecedents"],
         "order": record["order"],
         "decisions": dict(record["decisions"]),
+        "stamps": dict(record["stamps"]),
         "context_free": None,
     }
 

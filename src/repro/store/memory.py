@@ -39,9 +39,12 @@ class _ParticipantRecord:
 
     policy: TrustPolicy
     last_recon_epoch: int = 0
-    applied: Set[TransactionId] = field(default_factory=set)
-    #: Bumped whenever ``applied`` grows; versions the store-side caches.
+    #: Applied tid -> the ``applied_version`` after the step applying it.
+    applied: Dict[TransactionId, int] = field(default_factory=dict)
+    #: Bumped by each step that applies; versions the store-side caches.
     applied_version: int = 0
+    #: Applied tids no accepted root: a later root of the step carried them in.
+    carried: Set[TransactionId] = field(default_factory=set)
     rejected: Set[TransactionId] = field(default_factory=set)
     deferred: Set[TransactionId] = field(default_factory=set)
 
@@ -83,7 +86,7 @@ class MemoryUpdateStore(DirectLogStore):
         # Recount: a retired tid is open again until the newcomer decides.
         self._verdicts.clear()
         self._verdicts.update(Counter(
-            tid for r in self._participants.values() for tid in r.applied | r.rejected
+            tid for r in self._participants.values() for tid in r.applied.keys() | r.rejected
         ))
         self._charge_call()
 
@@ -130,17 +133,17 @@ class MemoryUpdateStore(DirectLogStore):
             if tid in self._log or tid in batch:  # earlier, or in this batch
                 raise StoreError(f"transaction {tid} was already published")
             batch.add(tid)
-        producer_of = self._producers.get
+        producer_of, version = self._producers.get, record.applied_version + 1
         for transaction in transactions:
             antecedents = tuple(compute_antecedents(producer_of, transaction))
             self._log[transaction.tid] = (transaction, antecedents, self._order)
             self._order += 1
             self._by_epoch[epoch].append(transaction.tid)
             register_producers(self._producers, transaction)
-            record.applied.add(transaction.tid)
+            record.applied[transaction.tid] = version
         self._verdicts.update(dict.fromkeys(batch, 1))  # the publisher's verdicts
         if transactions:
-            record.applied_version += 1
+            record.applied_version = version
         self._charge_call()
 
     def finish_publish(self, participant: int, epoch: int) -> None:
@@ -178,7 +181,7 @@ class MemoryUpdateStore(DirectLogStore):
     ) -> None:
         """Record decisions; see the base class."""
         record = self._record_of(participant)
-        applied_before = len(record.applied)
+        version = record.applied_version + 1
         final, verdicts = set(result.applied).union(result.rejected), self._verdicts
         for tid in final:
             if tid not in record.applied and tid not in record.rejected:
@@ -186,11 +189,12 @@ class MemoryUpdateStore(DirectLogStore):
         for tid in result.applied:
             # One verdict per transaction: applied supersedes earlier
             # rejections (the engine's "applied wins" rule).
-            record.applied.add(tid)
+            record.applied[tid] = version
             record.deferred.discard(tid)
             record.rejected.discard(tid)
-        if len(record.applied) != applied_before:
-            record.applied_version += 1
+        if result.applied:
+            record.applied_version = version
+            record.carried.update(set(result.applied).difference(result.accepted))
         for tid in result.rejected:
             record.rejected.add(tid)
             record.deferred.discard(tid)
@@ -228,11 +232,11 @@ class MemoryUpdateStore(DirectLogStore):
     # Extra introspection used by tests
 
     def decided_transactions(self, participant: int):
-        """Applied transactions (publish order) plus rejected/deferred ids."""
+        """The participant's verdicts; see the base class."""
         record = self._record_of(participant)
         applied = sorted(record.applied, key=lambda tid: self._log[tid][2])
         return (
-            [self._log[tid][0] for tid in applied],
+            [(record.applied[t], t not in record.carried, *self._log[t][:2]) for t in applied],
             sorted(record.rejected),
             sorted(record.deferred),
         )
@@ -245,7 +249,7 @@ class MemoryUpdateStore(DirectLogStore):
         return sorted(record.deferred, key=lambda tid: self._log[tid][2])
 
     def _nc_applied_tids(self, participant: int):
-        return self._record_of(participant).applied
+        return self._record_of(participant).applied.keys()
 
     def _nc_applied_version(self, participant: int) -> int:
         return self._record_of(participant).applied_version

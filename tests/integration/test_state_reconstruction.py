@@ -5,17 +5,18 @@ entire state of the participant, up to his or her last reconciliation,
 from the update store."  A participant rebuilt via
 :meth:`Participant.rebuild` must match the live one: same instance, same
 decision sets, same open conflicts — and continue operating (publish,
-reconcile, resolve) seamlessly.  Verified over all four stores, and over
-a central store closed and reopened from disk.
+reconcile, resolve) seamlessly.  Verified over all four stores, over
+generated histories (the sweep: every participant of every run), and
+over a central store closed and reopened from disk.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cdss import Participant
 from repro.confed import Confederation, ConfederationConfig
-from repro.errors import FlattenError
 from repro.model import Insert
 from repro.store import (
     CentralUpdateStore,
@@ -37,6 +38,23 @@ def build_store(kind, schema, path=None):
     return DhtUpdateStore(schema, hosts=5)
 
 
+def assert_rebuilt_like_live(rebuilt, live):
+    """``rebuilt`` holds what ``live`` holds: instance, decision sets,
+    dirty keys and open conflict groups."""
+    assert rebuilt.instance.snapshot() == live.instance.snapshot()
+    assert rebuilt.state.applied == live.state.applied
+    assert rebuilt.state.rejected == live.state.rejected
+    assert set(rebuilt.state.deferred) == set(live.state.deferred)
+    assert rebuilt.state.dirty_keys == live.state.dirty_keys
+    rebuilt_groups = {g.group_id for g in rebuilt.open_conflicts()}
+    assert rebuilt_groups == {g.group_id for g in live.open_conflicts()}
+
+
+def assert_every_participant_rebuilds(confed):
+    for live in confed.participants:
+        assert_rebuilt_like_live(Participant.rebuild(live.id, confed.store, live.policy), live)
+
+
 @pytest.mark.parametrize("kind", ["memory", "central", "durable", "dht"])
 def test_rebuilt_participant_matches_live(kind, tmp_path):
     schema = curated_schema()
@@ -49,30 +67,15 @@ def test_rebuilt_participant_matches_live(kind, tmp_path):
     )
     confed = Confederation(config, store=store).open()
     confed.run()
-
-    for live in confed.participants:
-        rebuilt = Participant.rebuild(live.id, store, live.policy)
-        assert rebuilt.instance.snapshot() == live.instance.snapshot()
-        assert rebuilt.state.applied == live.state.applied
-        assert rebuilt.state.rejected == live.state.rejected
-        assert set(rebuilt.state.deferred) == set(live.state.deferred)
-        assert rebuilt.state.dirty_keys == live.state.dirty_keys
-        rebuilt_groups = {g.group_id for g in rebuilt.open_conflicts()}
-        live_groups = {g.group_id for g in live.open_conflicts()}
-        assert rebuilt_groups == live_groups
+    assert_every_participant_rebuilds(confed)
 
 
 @pytest.mark.parametrize("kind", ["memory", "durable", "dht"])
-@pytest.mark.xfail(
-    strict=True, raises=FlattenError,
-    reason="rebuild replays applied transactions in publish order, not as the live"
-    " participant applied them (ROADMAP item 12)",
-)
 def test_rebuild_replays_an_own_edit_made_before_a_foreign_insert(kind):
     """The shrunk case: participant 3 replaced its own row by a local
-    edit before it reconciled participant 1's insert at the same key;
-    replayed in publish order, the insert finds the old row still there,
-    and every later transaction joins a buffer that never flattens."""
+    edit before it reconciled participant 1's insert at the same key.
+    Replayed in publish order, the insert found the old row still there;
+    replayed by the steps the store stamped, the edit goes in first."""
     config = ConfederationConfig.evaluation(
         3, store=kind, reconciliation_interval=2, rounds=4,
         workload=WorkloadConfig(transaction_size=1, seed=7),
@@ -80,8 +83,53 @@ def test_rebuild_replays_an_own_edit_made_before_a_foreign_insert(kind):
     with Confederation.from_config(config) as confed:
         confed.run()
         live = confed.participant(3)
-        rebuilt = Participant.rebuild(3, confed.store, live.policy)
-        assert rebuilt.instance.snapshot() == live.instance.snapshot()
+        assert_rebuilt_like_live(Participant.rebuild(3, confed.store, live.policy), live)
+
+
+#: Seeds of the generated sweep: ten in tier-1, forty under the ``deep``
+#: Hypothesis profile (CI runs the sweep so beside the deep oracle step).
+SWEEP_SEEDS = range(40 if settings.get_current_profile_name() == "deep" else 10)
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", available_stores())
+def test_sweep_every_participant_rebuilds_as_it_lives(name, size, seed):
+    """Section 5.2 over generated histories: after a run of the
+    evaluation schedule, every participant rebuilt from the store equals
+    the live one.  Replayed in publish order with a trial-and-error
+    buffer, 45 of the 240 rebuilds at sizes 1-2 on memory, durable and
+    dht raised."""
+    config = ConfederationConfig.evaluation(
+        4, store=name, reconciliation_interval=2, rounds=4,
+        workload=WorkloadConfig(transaction_size=size, seed=seed),
+    )
+    with Confederation.from_config(config) as confed:
+        confed.run()
+        assert_every_participant_rebuilds(confed)
+
+
+def test_dht_stamps_survive_a_host_crash():
+    """The applied-set versions ride in the replicated transaction
+    records and decision deltas: with the busiest host down, and again
+    after it recovered empty, every participant rebuilds as it lives."""
+    config = ConfederationConfig.evaluation(
+        4, store="dht", store_options={"hosts": 5, "replication_factor": 2},
+        reconciliation_interval=2, rounds=4,
+        workload=WorkloadConfig(transaction_size=2, seed=3),
+    )
+    with Confederation.from_config(config) as confed:
+        confed.run()
+        store = confed.store
+        victim = max(store._hosts, key=lambda name: len(store._hosts[name].txns))
+        store.fail_host(victim)
+        confed.run()  # verdicts recorded while it is down
+        assert not store._hosts[victim].txns
+        assert_every_participant_rebuilds(confed)
+        store.recover_host(victim)
+        confed.run()
+        assert store._hosts[victim].txns
+        assert_every_participant_rebuilds(confed)
 
 
 def test_rebuilt_participant_continues_operating():

@@ -5,7 +5,11 @@
 ``reconcile`` hook), resolve and soft-state rebuild: the per-root
 decisions, the accepted / rejected / deferred / applied sets, the dirty
 keys, the conflict groups as ``(type, key) ->`` partition of tids into
-options, and the instance rows.
+options, and the instance rows.  After every reconcile and resolve it
+also rebuilds the participant from the store into a fresh instance
+(Section 5.2) and holds that to the oracle too: rebuild equals live —
+unless the participant's own edits straddled a reconcile or resolve
+before it published them (:attr:`Mirror.straddled`).
 
 Also the home of the ``deep`` Hypothesis profile:
 ``pytest --hypothesis-profile=deep`` runs each oracle comparison on
@@ -21,6 +25,7 @@ from typing import Dict, Optional
 from hypothesis import settings
 
 from repro import Resolution
+from repro.cdss import Participant
 
 from tests.reference.oracle import ENGINE, Oracle, Peer
 
@@ -45,6 +50,10 @@ class Mirror:
         self.peers: Dict[int, Peer] = {}
         self.transactions = {}
         self.compared = 0
+        #: Participants that reconciled or resolved holding unpublished
+        #: edits.  The store learns an edit when it is published, not where
+        #: it fell among those steps, so a rebuild replays it after them.
+        self.straddled = set()
         confed.hooks.on_publish(self._published)
         confed.hooks.on_reconcile(self._reconciled)
 
@@ -64,6 +73,8 @@ class Mirror:
     def resolve(self, participant, group_id, option: Optional[int]):
         group = participant.state.conflict_groups[group_id]
         chosen = None if option is None else frozenset(group.options[option].transactions)
+        if participant.unpublished:
+            self.straddled.add(participant.id)
         result = participant.resolve([Resolution(group_id, option)])
         self.check(participant, result, self.peer(participant.id).resolve({group_id: chosen}))
         return result
@@ -79,12 +90,17 @@ class Mirror:
         self.peer(participant).publish(epoch, [(txn.tid, txn.updates) for txn in transactions])
 
     def _reconciled(self, participant, recno, result, timing) -> None:
+        if self.confed.participant(participant).unpublished:
+            self.straddled.add(participant)
         expected = self.peer(participant).reconcile(recno)
         self.check(self.confed.participant(participant), result, expected)
 
     def check(self, participant, result, expected) -> None:
         peer = self.peer(participant.id)
         assert_agree(participant.state, participant.instance, peer, result, expected)
+        if result is not None and participant.id not in self.straddled:
+            rebuilt = Participant.rebuild(participant.id, self.confed.store, participant.policy)
+            assert_agree(rebuilt.state, rebuilt.instance, peer)
         self.compared += 1
 
 

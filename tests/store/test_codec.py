@@ -12,7 +12,9 @@ are pinned here:
 * a database whose rows were all written as ``repr`` text (every
   database written before the JSON form existed), or one that still
   holds the ``retired_extensions`` table derived data used to be
-  persisted in, opens and reconciles to the same decision stream.
+  persisted in, opens and reconciles to the same decision stream — and
+  so does one whose verdicts carry no stamp, though it refuses to
+  rebuild a participant from them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
+from repro.errors import StoreError
 from repro.model import (
     AttributeDef,
     Delete,
@@ -338,6 +341,60 @@ def test_a_database_holding_spilled_extensions_opens_and_ignores_them(
     assert table_rows(spilling) == before  # recovery had nothing to do
     assert second_phase(spilling) == second_phase(control)
     assert table_rows(spilling)["retired_extensions"] == before["retired_extensions"]
+
+
+def rewrite_without_stamps(path) -> int:
+    """Drop the ``decisions`` columns the parent schema did not have
+    (``version``, ``head``) with raw SQL; returns how many applied rows
+    lost their stamp."""
+    conn = sqlite3.connect(path)
+    with conn:
+        (applied,) = conn.execute(
+            "SELECT COUNT(*) FROM decisions WHERE verdict = 'applied'"
+        ).fetchone()
+        conn.execute("ALTER TABLE decisions DROP COLUMN head")
+        conn.execute("ALTER TABLE decisions DROP COLUMN version")
+    conn.close()
+    return applied
+
+
+def decision_columns(path):
+    conn = sqlite3.connect(path)
+    try:
+        return [column[1] for column in conn.execute("PRAGMA table_info(decisions)")]
+    finally:
+        conn.close()
+
+
+def test_a_database_without_verdict_stamps_carries_on_but_refuses_a_rebuild(tmp_path):
+    """A file written before verdicts were stamped: opening it adds the
+    columns (``NULL`` on the rows already there), publish and reconcile
+    decide as on a stamped file, and rebuilding a participant with an
+    unstamped applied verdict is refused with the reason, not guessed."""
+    control, legacy = str(tmp_path / "control.db"), str(tmp_path / "legacy.db")
+    first_phase(control)
+    first_phase(legacy)
+    assert rewrite_without_stamps(legacy) > 0
+    assert decision_columns(legacy) == ["participant", "ord", "verdict"]
+    outcomes = {}
+    for path in (control, legacy):
+        hooks = HookBus()
+        log = decision_stream(hooks)
+        with Confederation(config(path, (1, 2, 3, 4)), hooks=hooks) as confed:
+            four = confed.participant(4)
+            four.execute([Insert("F", ("org9", "prot", "fn"), 4)])
+            for pid in (4, 1, 2, 3):
+                confed.participant(pid).publish_and_reconcile()
+            outcomes[path] = log, four.instance.snapshot()
+            # The newcomer's verdicts are all stamped: it rebuilds.
+            assert confed.restore(4).instance.snapshot() == outcomes[path][1]
+            if path == legacy:
+                with pytest.raises(StoreError, match="without an applied-set version"):
+                    confed.restore(1)
+            else:
+                confed.restore(1)
+    assert outcomes[legacy] == outcomes[control]
+    assert decision_columns(legacy) == decision_columns(control)
 
 
 def test_float_and_nested_rows_survive_the_store(tmp_path):

@@ -149,7 +149,7 @@ class TestSuccessorReplication:
             ),
         )
         applied, _rejected, _deferred = store.decided_transactions(2)
-        assert [t.tid for t in applied] == [txn.tid]
+        assert [entry[2].tid for entry in applied] == [txn.tid]
 
     def test_unreplicated_crash_loses_the_record(self, schema):
         store = DhtUpdateStore(schema, hosts=5, replication_factor=1)

@@ -66,12 +66,12 @@ INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 SOURCE_LINE_CEILING = 14390
 
 #: Ceiling on any one file under src/repro: the largest one,
-#: ``store/dht/driver.py`` (``store/central.py`` is 686).
+#: ``store/dht/driver.py`` (``store/central.py`` is 691).
 MODULE_LINE_CEILING = 800
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
-#: to last line: the longest one, ``Participant.rebuild``.
-FUNCTION_LINE_CEILING = 96
+#: to last line: the longest one, ``DhtUpdateStore.begin_network_reconciliation``.
+FUNCTION_LINE_CEILING = 86
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
