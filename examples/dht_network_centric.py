@@ -27,7 +27,6 @@ Run with:  python examples/dht_network_centric.py
 from __future__ import annotations
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
-from repro.store import store_capabilities
 from repro.workload import WorkloadConfig
 
 
@@ -62,11 +61,10 @@ def run(
 
 
 def main() -> None:
-    print(f"dht capabilities: {store_capabilities('dht').as_dict()}")
     print(
-        "The DHT now advertises ships_context_free and shared_pair_memo:\n"
-        "extension derivation happens in the network, once per published\n"
-        "transaction, instead of at every client.\n"
+        "The DHT's batches carry context-free extensions and the shared\n"
+        "conflict graph: extension derivation happens in the network, once\n"
+        "per published transaction, instead of at every client.\n"
     )
 
     shipped, shipped_decisions, shipped_bytes = run(ship_context_free=True)

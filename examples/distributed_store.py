@@ -15,15 +15,13 @@ from __future__ import annotations
 
 from repro.confed import Confederation, ConfederationConfig
 from repro.model import Insert, Modify
-from repro.store import store_capabilities
 
 
 def main() -> None:
-    # The DHT backend by registry name.  Since PR 3 its capability flags
-    # advertise context-free shipping and the shared pair memo —
-    # extension derivation happens in the network (see
+    # The DHT backend by registry name.  Its batches carry context-free
+    # extensions and the shared conflict graph — extension derivation
+    # happens in the network (see
     # examples/dht_network_centric.py for that quadrant in depth).
-    print(f"dht capabilities: {store_capabilities('dht').as_dict()}")
     config = ConfederationConfig(
         store="dht", store_options={"hosts": 6}, peers=(1, 2, 3)
     )

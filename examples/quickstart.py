@@ -184,7 +184,7 @@ def main() -> None:
         )
 
     # 11. The determinism invariants everything above relies on (seeded
-    #     RNG substreams, capability routing, store access under the
+    #     RNG substreams, routing on the batch, store access under the
     #     store lock) are machine-checked.  CI gates on
     #
     #         PYTHONPATH=src python -m repro.analysis src tests benchmarks examples

@@ -18,12 +18,9 @@ The public API is the **unified confederation layer** (:mod:`repro.confed`):
   lifecycle (``open``/``close``, context-manager support),
   ``snapshot``/``restore`` soft-state reconstruction, the evaluation
   schedule, and metric reports;
-* the **store driver registry** (:mod:`repro.store.registry`) —
-  backends selected by name (``memory``, ``central``, ``durable``,
-  ``dht``) with
-  honest :class:`StoreCapabilities` flags the engine consults instead
-  of type checks; :func:`register_store` adds new backends without
-  engine changes;
+* the **store registry** (:mod:`repro.store.registry`) — backends
+  selected by name (``memory``, ``central``, ``durable``, ``dht``);
+  :func:`register_store` adds new backends without engine changes;
 * the **event hook bus** (:class:`HookBus`) — ``on_publish``,
   ``on_epoch_start``, ``on_decision``, ``on_conflict``,
   ``on_cache_stats``, ``on_reconcile``; the timing and cache metrics
@@ -103,12 +100,10 @@ from repro.store import (
     DhtUpdateStore,
     DurableUpdateStore,
     MemoryUpdateStore,
-    StoreCapabilities,
     UpdateStore,
     available_stores,
     create_store,
     register_store,
-    store_capabilities,
 )
 from repro.workload import (
     WorkloadConfig,
@@ -145,7 +140,6 @@ __all__ = [
     "Resolution",
     "SerialScheduler",
     "SqliteInstance",
-    "StoreCapabilities",
     "TrustPolicy",
     "UpdateStore",
     "WorkloadConfig",
@@ -160,7 +154,6 @@ __all__ = [
     "register_store",
     "resolve_conflicts",
     "state_ratio",
-    "store_capabilities",
     "AttributeDef",
     "ConfigError",
     "ConstraintViolation",

@@ -1,7 +1,7 @@
 """The AST lint engine behind ``python -m repro.analysis``.
 
-The repo's determinism and lock-discipline invariants (capability
-routing, seeded RNG substreams, ``_store_call`` transport discipline,
+The repo's determinism and lock-discipline invariants (routing
+on the batch, seeded RNG substreams, ``_store_call`` transport discipline,
 serialized hook dispatch, exact config round-trips) are enforced by
 convention — a violation only surfaces if a decision-stream pin happens
 to catch it.  This engine checks them *statically*: each invariant is a

@@ -193,7 +193,7 @@ def _store_type_checks(tree: ast.Module, context: ModuleContext) -> Found:
         if target is not None:
             yield node, (
                 f"type check against store class {target!r}; the engine "
-                f"routes on batch.capabilities, never on concrete store types"
+                f"routes on what the batch carries, never on concrete store types"
             )
 
 
@@ -551,7 +551,7 @@ RULES: Tuple[Rule, ...] = (
         "RPR001",
         "store-type-check",
         "isinstance/type() check against a store class outside store/ — "
-        "route on batch.capabilities instead",
+        "route on what the batch carries instead",
         applies=lambda context: _in_src(context) and context.subpackage != "store",
         check=_store_type_checks,
     ),

@@ -9,7 +9,7 @@ a confederation owns the participant lifecycle:
   scheduler; ``close()`` releases the store.  Both are also available
   as a context manager;
 * participants publish/reconcile/resolve exactly as before — the facade
-  adds by-name store selection, capability validation, and observability,
+  adds by-name store selection, config validation, and observability,
   not new reconciliation semantics;
 * ``snapshot()``/``restore()`` wrap the soft-state reconstruction of
   Section 5.2 (:meth:`repro.cdss.participant.Participant.rebuild`):
@@ -125,10 +125,9 @@ class Confederation:
 
         Registration is the scheduler's first ordered store phase: under
         ``schedule_mode="async"`` each peer waits only for its own round
-        trip (``schedule_workers`` caps how many are in flight), so
-        opening costs about one round trip, not one per peer; the serial
-        mode registers one after another.  Opening twice,
-        or reopening after ``close()``, raises
+        trip, so opening costs about one round trip, not one per peer;
+        the serial mode registers one after another.  Opening twice, or
+        reopening after ``close()``, raises
         :class:`~repro.errors.ConfigError`.
         """
         if self._closed:
@@ -139,15 +138,6 @@ class Confederation:
             schema = self._schema if self._schema is not None else curated_schema()
             self._store = create_store(
                 self.config.store, schema, **self.config.store_options
-            )
-        if (
-            self.config.network_centric_store
-            and not self._store.capabilities.network_centric_batches
-        ):
-            raise ConfigError(
-                f"store backend {type(self._store).__name__} does not "
-                f"support store-computed reconciliation batches "
-                f"(capabilities.network_centric_batches is False)"
             )
         # The store surfaces fault / retry / degraded / recovery events
         # on the confederation's bus.
@@ -253,9 +243,7 @@ class Confederation:
     def _policy_for(self, pid: int) -> TrustPolicy:
         """The configured trust policy of one peer."""
         if self.config.trust is None:
-            return self._mutual_policy(
-                pid, self.config.peers, self.config.trust_priority
-            )
+            return self._mutual_policy(pid, self.config.peers, 1)
         policy = TrustPolicy()
         for other, priority in self.config.trust.get(pid, {}).items():
             policy.trust_participant(other, priority)

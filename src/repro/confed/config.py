@@ -36,35 +36,31 @@ SCHEDULE_MODES: Tuple[str, ...] = ("serial", "async")
 class ConfederationConfig:
     """Everything needed to build and run one confederation.
 
-    * ``store`` — a store-driver name from
+    * ``store`` — a store name from
       :func:`repro.store.registry.available_stores`; ``store_options``
-      are passed to the driver's factory (e.g. ``path`` for the central
-      store, ``hosts`` for the DHT);
+      are passed to its factory (e.g. ``path`` for the central store,
+      ``hosts`` for the DHT; an option it does not take is a
+      :class:`~repro.errors.ConfigError` at ``open()``);
     * ``instance_backend`` — each participant's local replica:
       ``"memory"`` or ``"sqlite"``;
     * ``peers`` — participant ids, in registration order;
     * ``trust`` — explicit priorities per peer
       (``{pid: {other_pid: priority}}``); ``None`` means the evaluation
-      section's setting: every peer trusts every other at
-      ``trust_priority``, so conflicts can only be resolved manually;
+      section's setting: every peer trusts every other at priority 1,
+      so conflicts can only be resolved manually;
     * ``network_centric`` — Figure 3's reconciliation column:
       ``"client"`` (the default) computes extensions and conflicts
       at each participant; ``"store"`` asks the store for
-      fully-assembled batches
-      (``begin_network_reconciliation`` — requires a backend declaring
-      ``network_centric_batches``, which every built-in backend
-      does);
+      fully-assembled batches (``begin_network_reconciliation``, which
+      every store implements);
     * ``workload`` plus ``reconciliation_interval`` / ``rounds`` /
       ``final_reconcile`` — the evaluation schedule
       :meth:`repro.confed.Confederation.run` executes;
-    * ``schedule_mode`` / ``schedule_workers`` — which epoch scheduler
-      executes it: ``"serial"`` (the paper's strict round-robin) or
-      ``"async"`` (edit, publish-barrier and reconcile phases on one
-      event loop; each participant waits only for its own injected
-      latency, through the store's
-      :class:`~repro.net.clock.AsyncLatencyClock`; ``schedule_workers``
-      caps how many participants have latency outstanding at once —
-      registrations in ``open()`` too — None leaves it uncapped).  See
+    * ``schedule_mode`` — which epoch scheduler executes it:
+      ``"serial"`` (the paper's strict round-robin) or ``"async"``
+      (edit, publish-barrier and reconcile phases on one event loop;
+      each participant waits only for its own injected latency, through
+      the store's :class:`~repro.net.clock.AsyncLatencyClock`).  See
       :mod:`repro.confed.scheduler`;
     * ``faults`` — an optional :class:`repro.net.faults.FaultPlan`: the
       seeded, declarative chaos schedule the run should suffer (host
@@ -80,14 +76,12 @@ class ConfederationConfig:
     instance_backend: str = "memory"
     peers: Tuple[int, ...] = ()
     trust: Optional[Dict[int, Dict[int, int]]] = None
-    trust_priority: int = 1
     network_centric: str = "client"
     workload: Optional[WorkloadConfig] = None
     reconciliation_interval: int = 4
     rounds: int = 4
     final_reconcile: bool = False
     schedule_mode: str = "serial"
-    schedule_workers: Optional[int] = None
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -133,8 +127,6 @@ class ConfederationConfig:
                 f"unknown schedule mode {self.schedule_mode!r}; "
                 f"available: {', '.join(SCHEDULE_MODES)}"
             )
-        if self.schedule_workers is not None and self.schedule_workers < 1:
-            raise ConfigError("schedule_workers must be >= 1 (or None)")
         # A JSON config file from before the named modes carries a
         # boolean: refuse it naming the replacement, never coerce it.
         if self.network_centric not in NETWORK_CENTRIC_MODES:

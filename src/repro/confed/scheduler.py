@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 import asyncio
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple, Type
 
 from repro.errors import ConfigError, SchedulerError
 from repro.net.clock import AsyncLatencyClock
@@ -61,20 +61,6 @@ class EpochScheduler(abc.ABC):
 
     #: The ``schedule_mode`` name this scheduler answers to.
     name: str
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        """``workers`` caps how many participants have latency
-        outstanding at once (the serial schedule never has more than
-        one); ``None`` leaves it uncapped.
-
-        A non-positive count is a configuration error, never a silent
-        fall-back to the default sizing."""
-        if workers is not None and workers < 1:
-            raise ConfigError(
-                f"{type(self).__name__} needs at least one worker, "
-                f"got {workers}"
-            )
-        self._workers = workers
 
     @abc.abstractmethod
     def run(self, confederation: "Confederation") -> None:
@@ -138,8 +124,8 @@ class AsyncScheduler(EpochScheduler):
     Injected latency is awaited through an
     :class:`~repro.net.clock.AsyncLatencyClock`, and everything
     synchronous (store calls under the lock, session compute,
-    ``HookBus.emit``) runs on the one loop thread.  ``workers=None``
-    lets every participant have latency outstanding at once.
+    ``HookBus.emit``) runs on the one loop thread, and every
+    participant may have latency outstanding at once.
     """
 
     name = "async"
@@ -187,7 +173,7 @@ class AsyncScheduler(EpochScheduler):
         """Swap the store's latency clock for a fresh async one while the
         block runs: payments accrue to the running segment instead of
         blocking the loop."""
-        previous, store.clock = store.clock, AsyncLatencyClock(self._workers)
+        previous, store.clock = store.clock, AsyncLatencyClock()
         try:
             yield store.clock
         finally:
@@ -198,8 +184,7 @@ class AsyncScheduler(EpochScheduler):
     ) -> List["Participant"]:
         """Registration is this driver's first ordered store phase: one
         segment per peer, in the order given, each waiting only for its
-        own round trip (``workers`` caps how many are in flight), and the
-        pass settles before it returns.  A failure raises as the serial
+        own round trip, and the pass settles before it returns.  A failure raises as the serial
         pass would.  Inside a running event loop, where ``asyncio.run``
         cannot nest, it is the serial pass."""
         if _loop_running():
@@ -285,4 +270,4 @@ def create_scheduler(config: "ConfederationConfig") -> EpochScheduler:
             f"unknown schedule mode {config.schedule_mode!r}; "
             f"available: {', '.join(sorted(SCHEDULERS))}"
         )
-    return scheduler_cls(workers=config.schedule_workers)
+    return scheduler_cls()

@@ -198,18 +198,15 @@ class Reconciler:
         A network-centric batch carries the extensions, exact for this
         participant's applied set (any root it missed is computed here);
         a client-centric one may carry *context-free* ones, adopted where
-        the module docstring says they are exact.  The serving store's
-        declared capabilities decide whether its payloads are eligible at
-        all (absent flags — batches built by hand in tests — are
-        permissive).  A root whose chain does not flatten is internally
+        the module docstring says they are exact.  Whatever the batch
+        carries is used: a store that ships nothing leaves the payloads
+        off.  A root whose chain does not flatten is internally
         inconsistent, can never be applied, and is rejected.
         """
         state = self._state
-        shares = getattr(batch.capabilities, "shared_pair_memo", True)
-        ships = getattr(batch.capabilities, "ships_context_free", True)
-        self._shared_pairs = batch.pair_cache if shares else None
+        self._shared_pairs = batch.pair_cache
         precomputed = batch.extensions if batch.network_centric else {}
-        shipped = batch.extensions or {} if ships and not batch.network_centric else {}
+        shipped = {} if batch.network_centric else batch.extensions or {}
 
         @functools.cache
         def own() -> Dict[QualifiedKey, List[Update]]:

@@ -342,12 +342,6 @@ class ReconciliationBatch:
     extensions: Optional[Dict[TransactionId, "UpdateExtension"]] = None
     conflicts: Optional[Dict[TransactionId, set]] = None
     pair_cache: Optional[object] = None
-    #: The serving store's declared capability flags (a
-    #: :class:`repro.store.registry.StoreCapabilities`, typed loosely to
-    #: avoid an import cycle).  The engine consults these — not the
-    #: store's type — before adopting shipped extensions or the shared
-    #: pair memo; ``None`` (hand-built batches in tests) is permissive.
-    capabilities: Optional[object] = None
 
     @property
     def network_centric(self) -> bool:

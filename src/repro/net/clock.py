@@ -34,7 +34,7 @@ from __future__ import annotations
 import abc
 import asyncio
 import time
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable
 
 
 class LatencyClock(abc.ABC):
@@ -66,15 +66,14 @@ class AsyncLatencyClock(LatencyClock):
     the segment's end plus that debt — a recorded deadline, not a timer
     started at segment end (that would count only from when the loop
     next got control).  Only that participant's next segment waits for
-    it; ``workers`` caps how many may have latency outstanding at once.
+    it.
     Debt accrued outside any segment is awaited by :meth:`drain`; with
     no running loop (a store used standalone while this clock is
     installed) :meth:`pay` blocks, so latency is never dropped.
     """
 
-    def __init__(self, workers: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         """Start with nothing due and nothing paid."""
-        self._workers = workers
         self._due: Dict[Hashable, float] = {}
         self._debt = 0.0  # accrued since a segment last closed
         #: Total seconds charged through this clock and waited out.
@@ -97,17 +96,10 @@ class AsyncLatencyClock(LatencyClock):
 
     async def segment(self, key: Hashable, work: Callable[..., object], *args) -> None:
         """Run ``work(*args)`` as one synchronous segment of ``key``'s
-        once ``key`` is due and the ``workers`` cap admits it; the
-        segment's debt is ``key``'s alone."""
+        once ``key`` is due; the segment's debt is ``key``'s alone."""
         loop = asyncio.get_running_loop()
-        while True:
-            others = self.outstanding
-            until = others.pop(key, 0.0)
-            if self._workers is not None and len(others) >= self._workers:
-                until = max(until, sorted(others.values())[-self._workers])
-            if until <= loop.time():
-                break
-            await asyncio.sleep(until - loop.time())
+        while (wait := self._due.get(key, 0.0) - loop.time()) > 0:
+            await asyncio.sleep(wait)
         try:
             work(*args)
         finally:

@@ -14,23 +14,20 @@ into :attr:`Network.bytes_delivered` so protocols that ship derived data
 — e.g. store-computed update extensions — expose their bandwidth cost,
 not just their round-trip count).
 
-Failure injection: a node can be taken down; messages to a down node raise
-:class:`~repro.errors.NetworkError` by default, or are silently dropped
-when the network is created with ``drop_to_failed=True`` (useful for
-testing recovery protocols such as epoch-allocator reconstruction).
-Dropped messages are *not* accounted: the clock, the message counter,
-``bytes_delivered``, and ``kind_counts`` only ever reflect deliveries
-that happened.
+Failure injection: a node can be taken down; a message to a down node
+raises :class:`~repro.errors.NetworkError`.
 
 Deterministic fault injection (PR 6): an *injector* — any object with an
 ``intercept(message)`` method, e.g.
 :class:`repro.net.faults.FaultInjector` — can be attached via
 :attr:`Network.injector`.  It is consulted once per dequeued message and
 returns an action: ``"deliver"`` (the default path), ``"drop"`` (the
-message vanishes, unaccounted, like a drop to a failed node),
-``"duplicate"`` (a marked copy is re-enqueued and delivered — and
-accounted — a second time; copies are never re-intercepted), or
-``"delay"`` with extra seconds added to the simulated clock.
+message vanishes, unaccounted: the clock, the message counter,
+``bytes_delivered`` and ``kind_counts`` only ever reflect deliveries
+that happened), ``"duplicate"`` (a marked copy is re-enqueued and
+delivered — and accounted — a second time; copies are never
+re-intercepted), or ``"delay"`` with extra seconds added to the
+simulated clock.
 """
 
 from __future__ import annotations
@@ -97,16 +94,11 @@ class Node(abc.ABC):
 class Network:
     """Deterministic FIFO message bus with latency accounting."""
 
-    def __init__(
-        self,
-        latency: float = DEFAULT_LATENCY,
-        drop_to_failed: bool = False,
-    ) -> None:
+    def __init__(self, latency: float = DEFAULT_LATENCY) -> None:
         self._nodes: Dict[str, Node] = {}
         self._queue: Deque[Message] = deque()
         self._failed: set = set()
         self._latency = latency
-        self._drop_to_failed = drop_to_failed
         #: Optional fault injector consulted per dequeued message (see
         #: the module docstring and :mod:`repro.net.faults`).
         self.injector: Optional[Any] = None
@@ -190,11 +182,10 @@ class Network:
         otherwise loop forever); exceeding it raises
         :class:`~repro.errors.NetworkError`.
 
-        A message dropped in flight — addressed to a failed node under
-        ``drop_to_failed``, or dropped by the injector — counts toward
-        the return value (the sender attempted it) but leaves the
-        accounting counters untouched: the clock, message counter,
-        byte total, and kind counts only reflect actual deliveries.
+        A message the injector drops counts toward the return value (the
+        sender attempted it) but leaves the accounting counters
+        untouched: the clock, message counter, byte total, and kind
+        counts only reflect actual deliveries.
         """
         delivered = 0
         while self._queue:
@@ -222,8 +213,6 @@ class Network:
                     )
                     self._queue.append(copy)
             if message.recipient in self._failed:
-                if self._drop_to_failed:
-                    continue
                 raise NetworkError(
                     f"message {message} addressed to failed node"
                 )

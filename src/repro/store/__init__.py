@@ -6,9 +6,9 @@ reconciliation batches, and records each participant's decisions so no
 transaction is delivered twice.
 
 Three implementations share the :class:`repro.store.base.UpdateStore`
-interface and are registered under four names in the **driver
+interface and are registered under four names in the **store
 registry** (:mod:`repro.store.registry`) so backends are selected by
-name with honest capability flags.  Two of them read their own log and
+name.  Two of them read their own log and
 derive from :class:`repro.store.network_centric.DirectLogStore`, which
 holds the shared context-free/pair memos and the store-computed batch:
 
@@ -31,12 +31,11 @@ holds the shared context-free/pair memos and the store-computed batch:
   with per-message latency and byte accounting (Figures 6-7); since
   PR 3 its transaction controllers derive context-free extensions at
   publish time and ship them on fetch, with a confederation-wide pair
-  memo (``ships_context_free=True``, ``shared_pair_memo=True``;
-  ``ship_context_free=False`` restores the paper's client-compute-only
-  behaviour); since PR 5 it also serves *fully* network-centric batches
-  (``network_centric_batches=True``): controllers derive each
-  participant's extensions against that participant's applied set over
-  the ring, closing the last quadrant of Figure 3.
+  memo (``ship_context_free=False`` restores the paper's
+  client-compute-only behaviour); it also serves *fully*
+  network-centric batches: controllers derive each participant's
+  extensions against that participant's applied set over the ring,
+  closing the last quadrant of Figure 3.
 
 New backends call :func:`repro.store.registry.register_store` and become
 selectable from a :class:`repro.confed.ConfederationConfig` without any
@@ -49,13 +48,9 @@ from repro.store.dht import DhtUpdateStore
 from repro.store.durable import DurableUpdateStore
 from repro.store.memory import MemoryUpdateStore
 from repro.store.registry import (
-    StoreCapabilities,
-    StoreDriver,
     available_stores,
     create_store,
     register_store,
-    store_capabilities,
-    store_driver,
     unregister_store,
 )
 
@@ -67,7 +62,7 @@ for _name, _store_class in (
     ("dht", DhtUpdateStore),
     ("durable", DurableUpdateStore),
 ):
-    register_store(_name, _store_class, _store_class.capabilities)
+    register_store(_name, _store_class)
 
 __all__ = [
     "CentralUpdateStore",
@@ -75,13 +70,9 @@ __all__ = [
     "DurableUpdateStore",
     "MemoryUpdateStore",
     "PerfCounters",
-    "StoreCapabilities",
-    "StoreDriver",
     "UpdateStore",
     "available_stores",
     "create_store",
     "register_store",
-    "store_capabilities",
-    "store_driver",
     "unregister_store",
 ]

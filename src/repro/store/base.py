@@ -21,12 +21,12 @@ client reconciliation time."  Our interface (all implementations):
 
 The batch protocol is the **single store contract** the session layer
 consumes: :meth:`UpdateStore.reconciliation_batch` dispatches to the
-client-centric or network-centric assembly and always attaches the
-store's declared :class:`~repro.store.registry.StoreCapabilities` so the
-decision kernel can judge shipped payloads (context-free extensions, the
-shared pair memo) without knowing the store's type.  Everything above
-the store boundary — :class:`~repro.core.session.ReconcileSession` and
-the engine — sees only the batch.
+client-centric or network-centric assembly, and every store implements
+both.  Everything above the store boundary —
+:class:`~repro.core.session.ReconcileSession` and the engine — sees only
+the batch, and adopts whatever payload it carries (context-free
+extensions, the shared conflict graph) without knowing the store's
+type.
 
 Store-phase discipline: every store carries a reentrant ``lock``.  A
 confederation is driven from one thread and stores are not thread-safe;
@@ -58,7 +58,6 @@ from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.net.clock import BlockingLatencyClock, LatencyClock
 from repro.policy.acceptance import TrustPolicy
-from repro.store.registry import StoreCapabilities
 
 #: One-way latency charged per simulated message, in seconds (paper: the
 #: distributed experiments added "a delay of at least 500 microseconds ...
@@ -100,15 +99,6 @@ class PerfCounters:
 
 class UpdateStore(abc.ABC):
     """Interface every update store implements."""
-
-    #: Honest capability flags for this backend (see
-    #: :class:`repro.store.registry.StoreCapabilities`).  The engine and
-    #: the confederation facade consult these — never the store's
-    #: concrete type — when deciding whether to adopt shipped
-    #: extensions, use the shared pair memo, or request network-centric
-    #: reconciliation.  The base default declares nothing beyond the
-    #: store contract; subclasses override.
-    capabilities: StoreCapabilities = StoreCapabilities()
 
     def __init__(
         self,
@@ -238,37 +228,24 @@ class UpdateStore(abc.ABC):
     def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
         """Assemble the participant's next reconciliation batch."""
 
+    @abc.abstractmethod
     def begin_network_reconciliation(
         self, participant: int
     ) -> ReconciliationBatch:
         """Network-centric variant: the store precomputes each root's
         update extension *against this participant's applied set* and the
         pairwise conflict adjacency, returning a fully-assembled batch
-        (see :mod:`repro.store.network_centric`).  A backend implementing
-        this advertises ``network_centric_batches`` in its capability
-        flags; stores that only support client-centric reconciliation
-        keep this default and raise :class:`NotImplementedError`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} supports client-centric reconciliation only"
-        )
+        (see :mod:`repro.store.network_centric`)."""
 
     def reconciliation_batch(
         self, participant: int, network_centric: bool = False
     ) -> ReconciliationBatch:
-        """The single batch contract the session layer consumes.
-
-        Dispatches to :meth:`begin_network_reconciliation` or
-        :meth:`begin_reconciliation` and guarantees the batch carries the
-        store's declared capability flags — the engine judges shipped
-        payloads by those flags, never by the store's concrete type.
-        """
+        """The single batch contract the session layer consumes:
+        :meth:`begin_network_reconciliation` or
+        :meth:`begin_reconciliation`."""
         if network_centric:
-            batch = self.begin_network_reconciliation(participant)
-        else:
-            batch = self.begin_reconciliation(participant)
-        if batch.capabilities is None:
-            batch.capabilities = self.capabilities
-        return batch
+            return self.begin_network_reconciliation(participant)
+        return self.begin_reconciliation(participant)
 
     @abc.abstractmethod
     def complete_reconciliation(
@@ -291,11 +268,12 @@ class UpdateStore(abc.ABC):
     def last_reconciliation_epoch(self, participant: int) -> int:
         """The epoch of the participant's most recent reconciliation."""
 
+    @abc.abstractmethod
     def derivation_stats(self) -> CacheStats:
         """How often the store itself derived update extensions, and how
-        often it reused one instead (empty: this store keeps no count)."""
-        return CacheStats()
+        often it reused one instead."""
 
+    @abc.abstractmethod
     def decided_transactions(
         self, participant: int
     ) -> Tuple[List[Tuple], List[TransactionId], List[TransactionId]]:
@@ -307,12 +285,8 @@ class UpdateStore(abc.ABC):
         her last reconciliation, from the update store."  An applied entry
         carries the applied-set version after the step that applied it and
         whether it headed its closure there (an own publication or accepted
-        root, not an ancestor a later root carried in).  Stores that cannot
-        enumerate decisions raise :class:`NotImplementedError`.
+        root, not an ancestor a later root carried in).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support state reconstruction"
-        )
 
     @abc.abstractmethod
     def _nc_lookup(self, tid: TransactionId) -> LogEntry:

@@ -66,7 +66,6 @@ import ast
 import json
 import sqlite3
 from contextlib import AbstractContextManager
-from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import PageCache
@@ -229,9 +228,7 @@ class _AppliedTids(set):
 class CentralUpdateStore(DirectLogStore, AbstractContextManager):
     """The relational update store: one sqlite database, memory or file."""
 
-    capabilities = replace(DirectLogStore.capabilities, durable=True)
-
-    #: Default simulated cost per store API call, in seconds.  The paper's
+    #: Simulated cost per store API call, in seconds.  The paper's
     #: central store was a commercial RDBMS on a separate server reached
     #: over switched 100Mb Ethernet; each of the "constant number of
     #: procedures invoked during each reconciliation" paid a network round
@@ -253,19 +250,13 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         path: str = ":memory:",
         *,
         message_latency: float = DEFAULT_MESSAGE_LATENCY,
-        call_overhead_seconds: Optional[float] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         real_latency: bool = False,
     ) -> None:
         """``path`` is the database file (the default ":memory:"
-        obviously cannot survive a process restart);
-        ``call_overhead_seconds`` defaults to the class's
-        :attr:`DEFAULT_CALL_OVERHEAD`; ``cache_size`` bounds the
-        resident transaction bodies."""
+        obviously cannot survive a process restart); ``cache_size``
+        bounds the resident transaction bodies."""
         super().__init__(schema, message_latency, real_latency=real_latency)
-        if call_overhead_seconds is None:
-            call_overhead_seconds = self.DEFAULT_CALL_OVERHEAD
-        self._call_overhead = call_overhead_seconds
         # A confederation is driven from one thread; sqlite's own
         # thread-affinity check guards the connection.
         self._conn = sqlite3.connect(path)

@@ -39,7 +39,7 @@ memos use reconciliation-aware retention: once every participant holds
 a final verdict for a transaction, its controller drops the derived
 extension and the driver drops the pairs it participates in.
 ``ship_context_free=False`` restores the paper's client-compute-only
-behaviour (and honestly downgrades the instance's capability flags).
+behaviour: no payload on the batch, so the engine derives locally.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ the participant's peer coordinator where the paper leaves placement open
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ConflictGraph
@@ -39,7 +38,6 @@ from repro.store.network_centric import (
     DirectLogStore,
     attach_assembled_payload,
 )
-from repro.store.registry import StoreCapabilities
 
 
 class _Peer:
@@ -78,23 +76,17 @@ class _Peer:
 
 
 class DhtUpdateStore(UpdateStore):
-    """Distributed update store over a simulated Pastry-style ring."""
+    """Distributed update store over a simulated Pastry-style ring.
 
-    #: Honest flags: since PR 3 the DHT derives context-free extensions
-    #: at publish time and ships them on fetch, and the driver keeps the
-    #: confederation-wide pair memo — shipping parity with the central
-    #: stores.  Since PR 5 it also implements the fully store-computed
-    #: batch (``begin_network_reconciliation``): transaction controllers
-    #: derive per-participant extensions over the ring and the driver —
-    #: standing in for the participant's peer coordinator — assembles
-    #: the conflict adjacency, closing the last quadrant of Figure 3.
-    #: It is still simulated in-process, hence not durable.
-    capabilities = StoreCapabilities(
-        ships_context_free=True,
-        shared_pair_memo=True,
-        durable=False,
-        network_centric_batches=True,
-    )
+    The DHT derives context-free extensions at publish time and ships
+    them on fetch, and the driver keeps the confederation-wide pair
+    memo — shipping parity with the central stores.  It also
+    implements the fully store-computed batch
+    (``begin_network_reconciliation``): transaction controllers derive
+    per-participant extensions over the ring and the driver — standing
+    in for the participant's peer coordinator — assembles the conflict
+    adjacency, closing the last quadrant of Figure 3.
+    """
 
     #: Every message kind the store's network carries: what a fault
     #: plan's ``MessageFault.kind`` is checked against at ``open()``.
@@ -118,8 +110,7 @@ class DhtUpdateStore(UpdateStore):
         messages sent between the update store and each participant").
         ``ship_context_free=False`` restores the paper's
         client-compute-only distributed store: controllers derive and
-        ship nothing, no pair memo travels, and the instance's
-        capability flags are downgraded to match.
+        ship nothing, and no pair memo travels.
 
         ``replication_factor=k`` keeps each record on its owner plus the
         next ``k - 1`` live ring successors (priced ``replicate``
@@ -134,12 +125,6 @@ class DhtUpdateStore(UpdateStore):
             raise StoreError("replication_factor must be >= 1")
         if max_retries < 0:
             raise StoreError("max_retries must be >= 0")
-        if not ship_context_free:
-            self.capabilities = replace(
-                type(self).capabilities,
-                ships_context_free=False,
-                shared_pair_memo=False,
-            )
         self._ship_context_free = ship_context_free
         #: The underlying simulated network (counters, fault injector).
         self.network = Network(latency=message_latency)

@@ -74,7 +74,6 @@ from repro.store.base import (
     LogEntry,
     UpdateStore,
 )
-from repro.store.registry import StoreCapabilities
 
 
 def attach_assembled_payload(
@@ -117,13 +116,9 @@ class DirectLogStore(UpdateStore):
     reconciliation.
     """
 
-    #: What this class implements for every log; whether the log itself
-    #: is ``durable`` is the subclass's to declare.
-    capabilities = StoreCapabilities(
-        ships_context_free=True,
-        shared_pair_memo=True,
-        network_centric_batches=True,
-    )
+    #: Simulated seconds every API call costs on top of its two
+    #: messages; only a log that models a remote DBMS sets one.
+    DEFAULT_CALL_OVERHEAD = 0.0
 
     def __init__(
         self,
@@ -132,9 +127,6 @@ class DirectLogStore(UpdateStore):
         real_latency: bool = False,
     ) -> None:
         super().__init__(schema, message_latency, real_latency=real_latency)
-        #: Simulated seconds every API call costs on top of its two
-        #: messages; only a log that models a remote DBMS sets one.
-        self._call_overhead = 0.0
         # Created here rather than on first use: the runtime
         # lock-discipline proxies guard the containers they find in
         # ``vars(store)`` when instrumentation starts, so a memo born
@@ -154,7 +146,7 @@ class DirectLogStore(UpdateStore):
         the paper's "constant number of procedures are invoked during
         each reconciliation" — plus the log's per-call overhead."""
         self.perf.charge(2, self._message_latency)
-        self.perf.simulated_seconds += self._call_overhead
+        self.perf.simulated_seconds += self.DEFAULT_CALL_OVERHEAD
 
     @abc.abstractmethod
     def _nc_advance(self, participant: int) -> Tuple[int, int]:
@@ -323,25 +315,14 @@ class DirectLogStore(UpdateStore):
         messages, and it saves each reconciling participant from
         re-deriving the identical flattened footprint locally.  The
         shared conflict graph rides along for the same reason.
-
-        Both payloads are gated on the store's declared capabilities
-        (:class:`repro.store.registry.StoreCapabilities`): a backend
-        that does not advertise ``ships_context_free`` ships nothing,
-        and one without ``shared_pair_memo`` omits the graph —
-        keeping the declared flags and the wire behaviour in lockstep.
         """
-        if self.capabilities.ships_context_free:
-            shipped = {
-                root.tid: extension
-                for root in batch.roots
-                if (extension := self.context_free_extension(root, table))
-                is not None
-            }
-            batch.extensions = shipped or None
-        # Independent of the extension flag: the graph is useful on its
-        # own (locally derived extensions are registered in it too).
-        if self.capabilities.shared_pair_memo:
-            batch.pair_cache = self.shared_pair_cache()
+        shipped = {
+            root.tid: extension
+            for root in batch.roots
+            if (extension := self.context_free_extension(root, table)) is not None
+        }
+        batch.extensions = shipped or None
+        batch.pair_cache = self.shared_pair_cache()
 
     # ------------------------------------------------------------------
     # The batch read path

@@ -1,39 +1,20 @@
-"""The update-store driver registry: backends selected by name.
+"""The update-store registry: backends selected by name.
 
-New backends join the confederation API by registering a *driver*: a
-name, a factory ``factory(schema, **options) -> UpdateStore``, and an
-honest :class:`StoreCapabilities` record.  The engine and the
-:class:`~repro.confed.Confederation` facade consult capabilities — never
-``isinstance`` checks against store classes — to decide what a backend
-can do:
-
-* ``ships_context_free`` — the store derives context-free update
-  extensions once per published transaction and ships them with every
-  reconciliation batch (see :mod:`repro.store.network_centric`); the
-  engine only adopts shipped extensions from stores that declare this;
-* ``shared_pair_memo`` — the store keeps one confederation-wide graph
-  of pairwise conflict points, hung on the extension objects it ships;
-* ``durable`` — published state survives process restarts (backed by
-  disk rather than process memory);
-* ``network_centric_batches`` — the store implements
-  ``begin_network_reconciliation`` (Figure 3's store-computed mode):
-  it tracks every participant's applied set, derives each
-  participant's update extensions *against that applied set*, computes
-  the pairwise conflict adjacency store-side, and hands the engine a
-  fully-assembled batch.  Every built-in declares it —
-  memory/central/durable through direct log access
-  (:class:`~repro.store.network_centric.DirectLogStore`), the DHT
-  through its ring protocol (:mod:`repro.store.dht`).
+A backend joins the confederation API by registering a name and a
+factory ``factory(schema, **options) -> UpdateStore``; nothing else is
+declared.  Every store serves both of Figure 3's reconciliation columns
+(:meth:`~repro.store.base.UpdateStore.begin_network_reconciliation` is
+abstract), and the engine routes on what each batch carries — shipped
+extensions, the shared conflict graph — never on the store's type.
 
 The built-in backends (``memory``, ``central``, ``durable``, ``dht``)
-are registered
-by :mod:`repro.store` at import time; see ``register_store`` for adding
-more.
+are registered by :mod:`repro.store` at import time; see
+``register_store`` for adding more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import inspect
 from typing import Callable, Dict, List, TYPE_CHECKING
 
 from repro.errors import ConfigError
@@ -43,48 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.store.base import UpdateStore
 
 
-@dataclass(frozen=True)
-class StoreCapabilities:
-    """What an update-store backend declares it can do.
-
-    Flags are *honest* advertisements consumed by the engine and the
-    confederation facade; a backend must not declare a capability its
-    implementation does not provide, and the conservative default is
-    "nothing beyond the base contract".
-    """
-
-    ships_context_free: bool = False
-    shared_pair_memo: bool = False
-    durable: bool = False
-    network_centric_batches: bool = False
-
-    def as_dict(self) -> Dict[str, bool]:
-        """The flags as a plain dict (for reports and snapshots)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-#: Factory signature every driver provides.
+#: Factory signature every backend provides.
 StoreFactory = Callable[..., "UpdateStore"]
 
-
-@dataclass(frozen=True)
-class StoreDriver:
-    """One registered backend: name, factory, and capabilities."""
-
-    name: str
-    factory: StoreFactory = field(repr=False)
-    capabilities: StoreCapabilities
+_REGISTRY: Dict[str, StoreFactory] = {}
 
 
-_REGISTRY: Dict[str, StoreDriver] = {}
-
-
-def register_store(
-    name: str,
-    factory: StoreFactory,
-    capabilities: StoreCapabilities,
-    replace: bool = False,
-) -> StoreDriver:
+def register_store(name: str, factory: StoreFactory, replace: bool = False) -> None:
     """Register a store backend under ``name``.
 
     ``factory(schema, **options)`` must return an
@@ -99,9 +45,7 @@ def register_store(
             f"store driver {name!r} is already registered; "
             f"pass replace=True to override it"
         )
-    driver = StoreDriver(name=name, factory=factory, capabilities=capabilities)
-    _REGISTRY[name] = driver
-    return driver
+    _REGISTRY[name] = factory
 
 
 def unregister_store(name: str) -> None:
@@ -109,27 +53,36 @@ def unregister_store(name: str) -> None:
     _REGISTRY.pop(name, None)
 
 
-def store_driver(name: str) -> StoreDriver:
-    """Look up a driver by name; unknown names raise ConfigError."""
+def create_store(name: str, schema: "Schema", **options) -> "UpdateStore":
+    """Instantiate the backend registered under ``name``.
+
+    An unknown name, or an option the factory does not take, raises
+    :class:`~repro.errors.ConfigError` naming what is accepted — a typo
+    in ``store_options`` is a configuration error like any other.
+    """
     try:
-        return _REGISTRY[name]
+        factory = _REGISTRY[name]
     except KeyError:
         raise ConfigError(
             f"unknown store backend {name!r}; "
             f"available: {', '.join(available_stores()) or '(none)'}"
         ) from None
-
-
-def create_store(name: str, schema: "Schema", **options) -> "UpdateStore":
-    """Instantiate the backend registered under ``name``."""
-    return store_driver(name).factory(schema, **options)
+    signature = inspect.signature(factory)
+    try:
+        signature.bind(schema, **options)
+    except TypeError as error:
+        accepted = [
+            parameter.name
+            for parameter in list(signature.parameters.values())[1:]
+            if parameter.kind not in (parameter.VAR_POSITIONAL, parameter.VAR_KEYWORD)
+        ]
+        raise ConfigError(
+            f"store backend {name!r} rejects its options ({error}); "
+            f"it accepts: {', '.join(accepted) or '(none)'}"
+        ) from None
+    return factory(schema, **options)
 
 
 def available_stores() -> List[str]:
     """Names of every registered backend, sorted."""
     return sorted(_REGISTRY)
-
-
-def store_capabilities(name: str) -> StoreCapabilities:
-    """The capability flags a backend declared at registration."""
-    return store_driver(name).capabilities

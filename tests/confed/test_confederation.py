@@ -59,38 +59,6 @@ class TestLifecycle:
             pass
         assert not store.closed
 
-    def test_network_centric_needs_capability(self):
-        # Since PR 5 every built-in backend serves store-computed
-        # batches, so the gate is exercised with a driver that
-        # honestly declares it cannot.
-        from repro.store import (
-            MemoryUpdateStore,
-            StoreCapabilities,
-            register_store,
-            unregister_store,
-        )
-
-        class ClientOnlyStore(MemoryUpdateStore):
-            capabilities = StoreCapabilities(
-                ships_context_free=True, shared_pair_memo=True
-            )
-
-        register_store(
-            "client-only-test",
-            lambda schema, **_: ClientOnlyStore(schema),
-            ClientOnlyStore.capabilities,
-        )
-        try:
-            config = ConfederationConfig(
-                store="client-only-test",
-                network_centric="store",
-                peers=(1,),
-            )
-            with pytest.raises(ConfigError, match="network_centric_batches"):
-                Confederation(config).open()
-        finally:
-            unregister_store("client-only-test")
-
 
 class TestParticipants:
     def test_duplicate_participant_is_config_error(self, schema):
@@ -120,6 +88,31 @@ class TestParticipants:
             # ...while p2 trusts nobody: p1's insert is never delivered.
             result = p2.publish_and_reconcile()
             assert result.decisions == {}
+
+    def test_default_trust_is_everyone_at_priority_one(self, schema):
+        # With no ``trust`` map every peer trusts every other at
+        # priority 1 — the same policies as spelling that map out — so
+        # two rival inserts defer at a third peer.
+        peers = (1, 2, 3)
+        spelled = {pid: {o: 1 for o in peers if o != pid} for pid in peers}
+        with Confederation(
+            ConfederationConfig(peers=peers, trust=spelled), schema=schema
+        ) as explicit:
+            expected = {
+                pid: explicit.participant(pid).policy.rules for pid in peers
+            }
+        with Confederation(ConfederationConfig(peers=peers), schema=schema) as confed:
+            assert {
+                pid: confed.participant(pid).policy.rules for pid in peers
+            } == expected
+            p1, p2, p3 = confed.participants
+            p1.execute([Insert("F", RAT, 1)])
+            p1.publish_and_reconcile()
+            p2.execute([Insert("F", ("rat", "prot1", "cell-resp"), 2)])
+            p2.publish_and_reconcile()
+            result = p3.publish_and_reconcile()
+            assert result.accepted == []
+            assert len(p3.state.deferred) == 2
 
     def test_sqlite_instance_backend(self, schema):
         config = ConfederationConfig(peers=(1,), instance_backend="sqlite")

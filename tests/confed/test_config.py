@@ -19,11 +19,10 @@ class TestRoundTrip:
     def test_full_config_round_trips(self):
         cfg = ConfederationConfig(
             store="central",
-            store_options={"call_overhead_seconds": 0.001},
+            store_options={"cache_size": 8},
             instance_backend="sqlite",
             peers=(1, 2, 5),
             trust={1: {2: 3, 5: 1}, 2: {1: 1}},
-            trust_priority=2,
             network_centric="store",
             workload=WorkloadConfig(transaction_size=3, seed=9),
             reconciliation_interval=7,

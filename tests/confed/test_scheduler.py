@@ -51,24 +51,14 @@ def _decision_log(config):
     return log, snapshots, report
 
 
-def _per_participant(log):
-    """Group a decision log per participant, preserving each stream."""
-    streams = {}
-    for participant, *rest in log:
-        streams.setdefault(participant, []).append(tuple(rest))
-    return streams
-
-
 class TestSelection:
     def test_serial_is_the_default(self):
         assert ConfederationConfig().schedule_mode == "serial"
         assert isinstance(create_scheduler(ConfederationConfig()), SerialScheduler)
 
     def test_async_selected_by_mode(self):
-        cfg = ConfederationConfig(schedule_mode="async", schedule_workers=3)
-        scheduler = create_scheduler(cfg)
-        assert isinstance(scheduler, AsyncScheduler)
-        assert scheduler._workers == 3
+        cfg = ConfederationConfig(schedule_mode="async")
+        assert isinstance(create_scheduler(cfg), AsyncScheduler)
 
     def test_unknown_mode_rejected_by_validation(self):
         with pytest.raises(ConfigError, match="unknown schedule mode"):
@@ -82,37 +72,11 @@ class TestSelection:
 
         assert set(SCHEDULERS) == set(SCHEDULE_MODES)
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ConfigError, match="schedule_workers"):
-            ConfederationConfig(schedule_workers=0).validate()
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    @pytest.mark.parametrize("scheduler_cls", [SerialScheduler, AsyncScheduler])
-    def test_direct_construction_rejects_non_positive_workers(
-        self, scheduler_cls, workers
-    ):
-        # workers=0 used to silently fall back to the default sizing
-        # through `self._workers or ...`; it is a hard error at
-        # construction for every scheduler, with one message.
-        with pytest.raises(ConfigError, match="at least one worker"):
-            scheduler_cls(workers=workers)
-
-    def test_async_bad_worker_count_rejected_by_validation(self):
-        with pytest.raises(ConfigError, match="schedule_workers"):
-            ConfederationConfig(
-                schedule_mode="async", schedule_workers=0
-            ).validate()
-
-    def test_explicit_worker_count_is_honoured(self):
-        assert AsyncScheduler(workers=2)._workers == 2
-        assert AsyncScheduler()._workers is None
-
     @pytest.mark.parametrize("mode", ["serial", "async"])
     def test_schedule_keys_round_trip(self, mode):
-        cfg = ConfederationConfig(schedule_mode=mode, schedule_workers=8)
+        cfg = ConfederationConfig(schedule_mode=mode)
         wire = cfg.to_dict()
         assert wire["schedule_mode"] == mode
-        assert wire["schedule_workers"] == 8
         assert ConfederationConfig.from_dict(wire) == cfg
 
 
@@ -154,12 +118,6 @@ class TestAsyncSchedule:
         second = _decision_log(config)
         assert first[0] == second[0]
         assert first[1] == second[1]
-
-    def test_async_honours_the_in_flight_cap(self):
-        config = _config(schedule_mode="async", schedule_workers=1)
-        capped, _snapshots, _report = _decision_log(config)
-        uncapped, _snapshots, _report = _decision_log(_config(schedule_mode="async"))
-        assert _per_participant(capped) == _per_participant(uncapped)
 
     def test_async_run_inside_a_running_loop_is_a_scheduler_error(self):
         async def inside():
@@ -232,7 +190,7 @@ class Segment(NamedTuple):
     charged: float  # the latency the store charged inside it
 
 
-def _timeline(monkeypatch, workers=None):
+def _timeline(monkeypatch):
     """Run four peers on a real-latency ``memory`` store under the async
     scheduler, participant 4 the farthest from it, recording every
     segment (from the round plan's work) and every epoch end in the
@@ -240,7 +198,6 @@ def _timeline(monkeypatch, workers=None):
     the store charged during ``run()``."""
     config = _config(
         schedule_mode="async",
-        schedule_workers=workers,
         store_options={"message_latency": 0.005, "real_latency": True},
     )
     log, clocks = [], []
@@ -321,16 +278,6 @@ class TestAsyncTimeline:
         assert charged > 0
         assert clock.total_paid == pytest.approx(charged)
 
-    def test_one_worker_leaves_one_participant_with_latency_outstanding(
-        self, monkeypatch
-    ):
-        log, clock, charged = _timeline(monkeypatch, workers=1)
-        segments = [entry for entry in log if isinstance(entry, Segment)]
-        for before, after in zip(segments, segments[1:]):
-            assert after.start >= before.end + before.charged
-        assert clock.total_paid == pytest.approx(charged)
-
-
 class RecordingBlockingClock(BlockingLatencyClock):
     """Pays like the default clock and logs each payment in ``events``."""
 
@@ -348,8 +295,8 @@ class RecordingAsyncClock(AsyncLatencyClock):
 
     instances = []
 
-    def __init__(self, workers=None):
-        super().__init__(workers)
+    def __init__(self):
+        super().__init__()
         self.segments = []
         RecordingAsyncClock.instances.append(self)
 
@@ -384,7 +331,7 @@ class TestRegistration:
     PEERS = tuple(range(1, 9))
     LATENCY = 0.02  # per message; a registration is one round trip
 
-    def _open(self, monkeypatch, mode, workers=None, fail_at=None):
+    def _open(self, monkeypatch, mode, fail_at=None):
         """Open 8 peers on a real-latency ``memory`` store; returns the
         store, its event log and the async clocks the pass used."""
         monkeypatch.setattr(RecordingAsyncClock, "instances", [])
@@ -403,7 +350,7 @@ class TestRegistration:
             events.append(("register", participant))
 
         store.register_participant = logged
-        config = _config(peers=self.PEERS, schedule_mode=mode, schedule_workers=workers)
+        config = _config(peers=self.PEERS, schedule_mode=mode)
         Confederation(config, store=store).open()
         return store, events, RecordingAsyncClock.instances
 
@@ -414,10 +361,6 @@ class TestRegistration:
         assert clock.total_paid == pytest.approx(store.perf.simulated_seconds)
         assert [kind for kind, _ in events] == ["register"] * len(self.PEERS)
         assert isinstance(store.clock, RecordingBlockingClock)  # restored
-
-    def test_capped_async_pays_in_waves(self, monkeypatch):
-        _store, _events, [clock] = self._open(monkeypatch, "async", workers=2)
-        assert _waves(clock.segments) == 4
 
     def test_serial_pays_each_round_trip_in_turn(self, monkeypatch):
         _store, events, clocks = self._open(monkeypatch, "serial")

@@ -163,10 +163,10 @@ class TestNetworkCentricEquivalence:
         assert [str(t) for t in p3.reconcile().accepted] == ["X1:1"]
         assert store_side() == (0, 1)  # MOUSE shares no key with the open pair
 
-    def test_client_only_store_declines_network_centric(self, schema):
-        # The base contract still raises for backends that do not
-        # implement the store-computed batch (PR 5 closed the gap for
-        # every built-in, so a minimal subclass stands in).
+    def test_a_client_only_store_cannot_be_built(self, schema):
+        # Both Figure 3 columns are the store contract: a backend
+        # without the store-computed batch is refused at construction,
+        # not at its first network-centric reconcile.
         from repro.store.base import UpdateStore
 
         class ClientOnly(MemoryUpdateStore):
@@ -174,10 +174,8 @@ class TestNetworkCentricEquivalence:
                 UpdateStore.begin_network_reconciliation
             )
 
-        store = ClientOnly(schema)
-        store.register_participant(1, TrustPolicy())
-        with pytest.raises(NotImplementedError):
-            store.begin_network_reconciliation(1)
+        with pytest.raises(TypeError, match="begin_network_reconciliation"):
+            ClientOnly(schema)
 
     def test_dht_serves_store_computed_batches(self, schema):
         # The last Figure-3 quadrant: the distributed store returns a

@@ -91,25 +91,27 @@ class TestAsyncClock:
         assert times["1b"] >= due
         assert clock.total_paid == 0.04
 
-    def test_the_workers_cap_bounds_participants_with_latency_outstanding(self):
-        clock = AsyncLatencyClock(workers=1)
+    def test_every_participant_may_have_latency_outstanding_at_once(self):
+        # No cap on how many participants are in flight: each segment
+        # waits only for its own participant's debt.
+        clock = AsyncLatencyClock()
         starts = {}
 
         async def main():
             loop = asyncio.get_running_loop()
 
-            def work(name):
-                starts[name] = loop.time()
-                assert len(clock.outstanding) == 0
+            def work(key):
+                starts[key] = loop.time()
                 clock.pay(0.02)
 
-            await clock.segment(1, work, "1")
-            due = clock.outstanding[1]
-            await clock.segment(2, work, "2")
-            return due
+            for key in (1, 2, 3, 4):
+                await clock.segment(key, work, key)
+            return dict(clock.outstanding)
 
-        due = asyncio.run(main())
-        assert starts["2"] >= due
+        outstanding = asyncio.run(main())
+        assert set(outstanding) == {1, 2, 3, 4}
+        assert max(starts.values()) < min(outstanding.values())
+        assert clock.total_paid == pytest.approx(0.08)
 
     def test_a_failed_segment_still_charges_its_participant(self):
         clock = AsyncLatencyClock()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net import HashRing, Message, Network, Node
+from repro.net.faults import FaultInjector, FaultPlan, MessageFault
 
 
 class EchoNode(Node):
@@ -85,34 +86,44 @@ class TestNetwork:
         with pytest.raises(NetworkError):
             net.run()
 
-    def test_failed_node_drops_when_configured(self):
-        net = Network(drop_to_failed=True)
-        a, b = EchoNode("a"), EchoNode("b")
-        net.add_node(a)
-        net.add_node(b)
-        net.fail_node("b")
-        net.send("a", "b", "ping")
-        assert net.run() == 1
-        assert b.received == []
-
-    def test_dropped_messages_are_not_accounted(self):
-        # A drop to a failed node must leave every counter untouched:
-        # the clock, the message counter, the byte total, and the kind
-        # counts only reflect deliveries that happened.
-        net = Network(latency=0.001, drop_to_failed=True)
+    def test_a_message_to_a_failed_node_is_refused_before_accounting(self):
+        # The refusal happens before delivery: the failed node never
+        # sees the message and no counter moves.
+        net = Network(latency=0.001)
         a, b = EchoNode("a"), EchoNode("b")
         net.add_node(a)
         net.add_node(b)
         net.fail_node("b")
         net.send("a", "b", "ping", fragments=3, size_bytes=999)
-        net.run()
+        with pytest.raises(NetworkError, match="failed node"):
+            net.run()
+        assert b.received == []
+        assert net.messages_delivered == 0
+        assert net.bytes_delivered == 0
+        assert net.simulated_seconds == 0.0
+        assert net.kind_counts == {}
+
+    def test_dropped_messages_are_not_accounted(self):
+        # A message the injector drops must leave every counter
+        # untouched: the clock, the message counter, the byte total, and
+        # the kind counts only reflect deliveries that happened.
+        net = Network(latency=0.001)
+        net.injector = FaultInjector(
+            FaultPlan(messages=(MessageFault("ping", "drop", times=1),)),
+            latency=0.001,
+        )
+        a, b = EchoNode("a"), EchoNode("b")
+        net.add_node(a)
+        net.add_node(b)
+        net.send("a", "b", "ping", fragments=3, size_bytes=999)
+        assert net.run() == 1  # attempted, not delivered
+        assert b.received == []
         assert net.messages_delivered == 0
         assert net.bytes_delivered == 0
         assert net.simulated_seconds == 0.0
         assert net.kind_counts == {}
         assert net.kind_bytes == {}
-        # Recovery restores normal accounting.
-        net.recover_node("b")
+        # With the fault spent, accounting resumes as normal.
         net.send("a", "b", "ping")
         net.run()
         assert net.messages_delivered == 2  # ping + pong
@@ -120,7 +131,7 @@ class TestNetwork:
         assert net.kind_counts == {"ping": 1, "pong": 1}
 
     def test_recovery(self):
-        net = Network(drop_to_failed=True)
+        net = Network()
         a, b = EchoNode("a"), EchoNode("b")
         net.add_node(a)
         net.add_node(b)

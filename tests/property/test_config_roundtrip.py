@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import json
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.confed.config import ConfederationConfig
-from repro.errors import ConfigError
 from repro.net.faults import FaultPlan, HostCrash, MessageFault, ParticipantRestart
 from repro.workload.generator import WorkloadConfig
 
@@ -135,16 +133,12 @@ def confederation_configs(draw) -> ConfederationConfig:
         instance_backend=draw(st.sampled_from(("memory", "sqlite"))),
         peers=peers,
         trust=trust,
-        trust_priority=draw(st.integers(min_value=0, max_value=5)),
         network_centric=draw(st.sampled_from(("client", "store"))),
         workload=draw(st.none() | workload_configs()),
         reconciliation_interval=draw(st.integers(min_value=0, max_value=10)),
         rounds=draw(st.integers(min_value=0, max_value=10)),
         final_reconcile=draw(st.booleans()),
         schedule_mode=draw(st.sampled_from(("serial", "async"))),
-        schedule_workers=draw(
-            st.none() | st.integers(min_value=1, max_value=32)
-        ),
         faults=faults,
     )
 
@@ -168,19 +162,6 @@ def test_generated_configs_validate(config):
     assert config.validate() is config
     rebuilt = ConfederationConfig.from_dict(config.to_dict())
     assert rebuilt.validate() is rebuilt
-
-
-@given(confederation_configs(), st.integers(min_value=-8, max_value=0))
-@_SETTINGS
-def test_non_positive_worker_counts_never_validate(config, workers):
-    """An in-flight cap below one is meaningless for every concurrent
-    schedule; with ``schedule_mode="async"`` the same config must also
-    be rejected before it ever reaches the event loop."""
-    broken = ConfederationConfig.from_dict(
-        dict(config.to_dict(), schedule_mode="async", schedule_workers=workers)
-    )
-    with pytest.raises(ConfigError, match="schedule_workers"):
-        broken.validate()
 
 
 @given(confederation_configs())

@@ -1,22 +1,23 @@
-"""The store driver registry: lookup, capabilities, duplicate rejection."""
+"""The store registry: lookup, option checking, duplicate rejection, and
+the engine routing on what a batch carries."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.confed import Confederation, ConfederationConfig
 from repro.errors import ConfigError
 from repro.store import (
     CentralUpdateStore,
     DhtUpdateStore,
+    DurableUpdateStore,
     MemoryUpdateStore,
-    StoreCapabilities,
     available_stores,
     create_store,
     register_store,
-    store_capabilities,
-    store_driver,
     unregister_store,
 )
+from repro.store.base import UpdateStore
 from repro.workload import curated_schema
 
 
@@ -35,59 +36,45 @@ class TestBuiltinDrivers:
         assert len(store._hosts) == 7
 
     def test_unknown_backend_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown store backend"):
-            store_driver("cassandra")
-        with pytest.raises(ConfigError, match="available"):
+        with pytest.raises(ConfigError, match="unknown store backend.*available"):
             create_store("cassandra", curated_schema())
 
+    @pytest.mark.parametrize(
+        "name, options, accepted",
+        [
+            ("dht", {"host": 4}, "hosts"),
+            ("memory", {"path": "x.db"}, "message_latency"),
+            ("central", {"call_overhead_seconds": 0.5}, "cache_size"),
+        ],
+    )
+    def test_a_mistyped_option_is_a_config_error(self, name, options, accepted):
+        # Like every other config typo: a ConfigError naming the backend
+        # and what it does accept, never a raw TypeError from inside it.
+        (option,) = options
+        with pytest.raises(ConfigError, match=f"'{name}'.*'{option}'.*{accepted}"):
+            create_store(name, curated_schema(), **options)
+        config = ConfederationConfig(store=name, store_options=options, peers=(1,))
+        with pytest.raises(ConfigError, match=f"'{name}'.*'{option}'"):
+            Confederation(config).open()
 
-class TestCapabilityFlags:
-    def test_network_centric_stores_ship_context_free(self):
-        for name in ("memory", "central"):
-            caps = store_capabilities(name)
-            assert caps.ships_context_free
-            assert caps.shared_pair_memo
-            assert caps.network_centric_batches
-
-    def test_dht_flags_are_honest(self):
-        # Since PR 3 the DHT derives context-free extensions at publish
-        # and ships them on fetch, with the shared pair memo; since PR 5
-        # it assembles fully network-centric batches over the ring too.
-        caps = store_capabilities("dht")
-        assert caps.ships_context_free
-        assert caps.shared_pair_memo
-        assert caps.network_centric_batches
-
-    def test_dht_shipping_opt_out_downgrades_instance_flags(self):
-        # ship_context_free=False restores the paper's client-compute-only
-        # store; the instance's flags must honestly say so.
-        store = create_store(
-            "dht", curated_schema(), hosts=2, ship_context_free=False
-        )
-        assert not store.capabilities.ships_context_free
-        assert not store.capabilities.shared_pair_memo
-
-    def test_only_central_is_durable(self):
-        assert store_capabilities("central").durable
-        assert not store_capabilities("memory").durable
-        assert not store_capabilities("dht").durable
-
-    def test_central_and_durable_differ_only_in_a_default(self):
+    def test_central_and_durable_differ_only_in_a_constant(self):
         # One sqlite store under two cost models: the durable class
         # defines no method at all, it only zeroes the JDBC overhead.
-        from repro.store import DurableUpdateStore
-
         assert not [n for n, v in vars(DurableUpdateStore).items() if callable(v)]
-        schema = curated_schema()
-        assert create_store("central", schema)._call_overhead == 0.025
-        assert create_store("durable", schema)._call_overhead == 0.0
-        tuned = create_store("durable", schema, call_overhead_seconds=0.5)
-        assert tuned._call_overhead == 0.5
+        assert CentralUpdateStore.DEFAULT_CALL_OVERHEAD == 0.025
+        assert DurableUpdateStore.DEFAULT_CALL_OVERHEAD == 0.0
+        from repro.policy import TrustPolicy
+
+        charged = {}
+        for name in ("central", "durable"):
+            store = create_store(name, curated_schema(), message_latency=0.0)
+            store.register_participant(1, TrustPolicy())
+            charged[name] = store.perf.simulated_seconds
+        assert charged == {"central": 0.025, "durable": 0.0}
 
     def test_the_batch_read_path_is_written_once(self):
         # One begin_reconciliation for every direct log: the logs only
         # supply storage and the accessors the shared method reads.
-        from repro.store import CentralUpdateStore
         from repro.store.network_centric import DirectLogStore
 
         assert "begin_reconciliation" in vars(DirectLogStore)
@@ -107,28 +94,23 @@ class TestCapabilityFlags:
             with pytest.raises(TypeError, match=accessor):
                 incomplete(curated_schema())
 
-    def test_instances_carry_their_flags(self):
-        # The registry's flags and the class's flags are the same object
-        # of truth — batch.capabilities comes from the instance.
-        schema = curated_schema()
-        for name in ("memory", "central", "dht"):
-            store = create_store(name, schema)
-            assert store.capabilities == store_capabilities(name)
-
-    def test_unshipping_dht_batches_ship_nothing(self):
-        from repro.policy import TrustPolicy
-
-        store = create_store(
-            "dht", curated_schema(), hosts=2, ship_context_free=False
+    @pytest.mark.parametrize(
+        "method",
+        ["begin_network_reconciliation", "decided_transactions", "derivation_stats"],
+    )
+    def test_the_store_contract_has_no_defaults(self, method):
+        # Every store serves both Figure 3 columns, enumerates its
+        # decisions and counts its derivations: a store without one of
+        # them cannot be built.
+        incomplete = type(
+            "Incomplete", (MemoryUpdateStore,), {method: getattr(UpdateStore, method)}
         )
-        store.register_participant(1, TrustPolicy().trust_all(1))
-        batch = store.begin_reconciliation(1)
-        assert batch.extensions is None
-        assert batch.pair_cache is None
+        with pytest.raises(TypeError, match=method):
+            incomplete(curated_schema())
 
 
-class TestCapabilityRouting:
-    """The engine adopts shipped payloads via flags, not store types."""
+class TestPayloadRouting:
+    """Stores put payloads on the batch; the engine adopts what it finds."""
 
     def _one_published_transaction(self, store):
         from repro.model import Insert
@@ -143,38 +125,22 @@ class TestCapabilityRouting:
         store.publish(1, [transaction])
         return store.begin_reconciliation(2)
 
-    def test_declaring_stores_ship(self):
-        batch = self._one_published_transaction(
-            create_store("memory", curated_schema())
-        )
+    @pytest.mark.parametrize("name", ["memory", "central", "dht"])
+    def test_every_store_ships_both_payloads(self, name):
+        batch = self._one_published_transaction(create_store(name, curated_schema()))
         assert batch.extensions is not None
         assert batch.pair_cache is not None
 
-    def test_undeclared_capability_stops_store_side_shipping(self):
-        class NoShipStore(MemoryUpdateStore):
-            capabilities = StoreCapabilities(
-                ships_context_free=False,
-                shared_pair_memo=False,
-                network_centric_batches=True,
-            )
-
-        batch = self._one_published_transaction(NoShipStore(curated_schema()))
+    def test_unshipping_dht_batches_ship_nothing(self):
+        store = create_store(
+            "dht", curated_schema(), hosts=2, ship_context_free=False
+        )
+        batch = self._one_published_transaction(store)
         assert batch.extensions is None
         assert batch.pair_cache is None
 
-    def test_pair_memo_ships_independently_of_extensions(self):
-        class MemoOnlyStore(MemoryUpdateStore):
-            capabilities = StoreCapabilities(
-                ships_context_free=False,
-                shared_pair_memo=True,
-                network_centric_batches=True,
-            )
-
-        batch = self._one_published_transaction(MemoOnlyStore(curated_schema()))
-        assert batch.extensions is None
-        assert batch.pair_cache is not None
-
-    def test_engine_ignores_shipped_payloads_without_the_flag(self):
+    @pytest.mark.parametrize("carried", [True, False])
+    def test_the_engine_adopts_exactly_what_the_batch_carries(self, carried):
         from repro.core.engine import Reconciler
         from repro.core.state import ParticipantState
         from repro.instance.memory import MemoryInstance
@@ -182,49 +148,35 @@ class TestCapabilityRouting:
         schema = curated_schema()
         batch = self._one_published_transaction(create_store("memory", schema))
         assert batch.extensions  # the store did ship
-        # A dishonest/legacy wire: payloads present but the declared
-        # capabilities deny them — the engine must recompute locally.
-        batch.capabilities = StoreCapabilities(
-            ships_context_free=False, shared_pair_memo=False
-        )
+        if not carried:
+            # A batch without payloads: the engine derives locally.
+            batch.extensions = batch.pair_cache = None
         reconciler = Reconciler(
             schema, MemoryInstance(schema), ParticipantState(2)
         )
         result = reconciler.reconcile(batch)
         assert [str(t) for t in result.accepted] == ["X1:0"]
-        assert reconciler.cache.stats.shipped == 0
+        assert reconciler.cache.stats.shipped == int(carried)
 
 
 class TestRegistration:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
-            register_store(
-                "memory",
-                lambda schema, **_: MemoryUpdateStore(schema),
-                StoreCapabilities(),
-            )
+            register_store("memory", lambda schema, **_: MemoryUpdateStore(schema))
 
     def test_replace_allows_override_and_unregister_removes(self):
         try:
-            register_store(
-                "memory-test-double",
-                lambda schema, **_: MemoryUpdateStore(schema),
-                StoreCapabilities(durable=True),
-            )
+            register_store("memory-test-double", MemoryUpdateStore)
             assert "memory-test-double" in available_stores()
-            register_store(
-                "memory-test-double",
-                lambda schema, **_: MemoryUpdateStore(schema),
-                StoreCapabilities(),
-                replace=True,
+            register_store("memory-test-double", CentralUpdateStore, replace=True)
+            assert isinstance(
+                create_store("memory-test-double", curated_schema()),
+                CentralUpdateStore,
             )
-            assert not store_capabilities("memory-test-double").durable
         finally:
             unregister_store("memory-test-double")
         assert "memory-test-double" not in available_stores()
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ConfigError, match="non-empty string"):
-            register_store(
-                "", lambda schema, **_: MemoryUpdateStore(schema), StoreCapabilities()
-            )
+            register_store("", lambda schema, **_: MemoryUpdateStore(schema))

@@ -15,7 +15,7 @@ import pytest
 import repro
 import repro.cdss
 from repro.confed.hooks import EVENTS
-from repro.store import available_stores, store_capabilities
+from repro.store import available_stores
 
 EXPECTED_ALL = {
     # Confederation layer
@@ -45,12 +45,10 @@ EXPECTED_ALL = {
     "DhtUpdateStore",
     "DurableUpdateStore",
     "MemoryUpdateStore",
-    "StoreCapabilities",
     "UpdateStore",
     "available_stores",
     "create_store",
     "register_store",
-    "store_capabilities",
     # Instances
     "Instance",
     "MemoryInstance",
@@ -240,6 +238,59 @@ def test_the_engine_has_one_mode():
         ConfederationConfig.from_dict({"peers": [1, 2], "engine_caching": True})
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro", "StoreCapabilities"),
+        ("repro", "store_capabilities"),
+        ("repro.store", "StoreCapabilities"),
+        ("repro.store", "StoreDriver"),
+        ("repro.store", "store_capabilities"),
+        ("repro.store", "store_driver"),
+        ("repro.store.registry", "StoreCapabilities"),
+        ("repro.store.registry", "StoreDriver"),
+        ("repro.store.registry", "store_capabilities"),
+        ("repro.store.registry", "store_driver"),
+    ],
+)
+def test_the_store_capability_record_is_gone(module, name):
+    # The engine routes on what a batch carries; no flag record is left
+    # to declare, look up or import.
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+
+
+def test_the_retired_knobs_are_refused():
+    # Four options nothing set to a second value are constants now:
+    # the keywords are gone, not ignored, and a config file that still
+    # names one is refused like any typo.
+    from repro import ConfederationConfig, ConfigError, MemoryUpdateStore
+    from repro.confed.scheduler import AsyncScheduler, SerialScheduler
+    from repro.core.extensions import ReconciliationBatch
+    from repro.net import AsyncLatencyClock, Network
+    from repro.store import CentralUpdateStore, register_store
+    from repro.workload import curated_schema
+
+    with pytest.raises(TypeError):
+        register_store("capable", MemoryUpdateStore, capabilities=None)
+    with pytest.raises(TypeError):
+        ReconciliationBatch(recno=0, capabilities=None)
+    for scheduler in (SerialScheduler, AsyncScheduler):
+        with pytest.raises(TypeError):
+            scheduler(workers=2)
+    with pytest.raises(TypeError):
+        AsyncLatencyClock(workers=2)
+    with pytest.raises(TypeError):
+        Network(drop_to_failed=True)
+    with pytest.raises(TypeError):
+        CentralUpdateStore(curated_schema(), call_overhead_seconds=0.5)
+    for knob in ("schedule_workers", "trust_priority"):
+        with pytest.raises(TypeError):
+            ConfederationConfig(**{knob: 2})
+        with pytest.raises(ConfigError, match=knob):
+            ConfederationConfig.from_dict({"peers": [1, 2], knob: 2})
+
+
 def test_analyzer_rules_are_records_not_subclasses():
     # A lint rule is a row of ``RULES``: ``Rule`` is a frozen record of
     # five fields with no ``finding`` helper (the engine anchors
@@ -271,38 +322,6 @@ def test_analyzer_rules_are_records_not_subclasses():
 
 def test_builtin_registry_contents():
     assert available_stores() == ["central", "dht", "durable", "memory"]
-
-
-def test_registry_capability_snapshot():
-    assert store_capabilities("memory").as_dict() == {
-        "ships_context_free": True,
-        "shared_pair_memo": True,
-        "durable": False,
-        "network_centric_batches": True,
-    }
-    assert store_capabilities("central").as_dict() == {
-        "ships_context_free": True,
-        "shared_pair_memo": True,
-        "durable": True,
-        "network_centric_batches": True,
-    }
-    # PR 5: the DHT assembles fully network-centric batches over the
-    # ring — every built-in backend now serves Figure 3's store-computed
-    # column.
-    assert store_capabilities("dht").as_dict() == {
-        "ships_context_free": True,
-        "shared_pair_memo": True,
-        "durable": False,
-        "network_centric_batches": True,
-    }
-    # PR 9: the honest persistent backend — full history on a database
-    # file, bounded resident memory, crash recovery.
-    assert store_capabilities("durable").as_dict() == {
-        "ships_context_free": True,
-        "shared_pair_memo": True,
-        "durable": True,
-        "network_centric_batches": True,
-    }
 
 
 def test_hook_event_names_are_stable():

@@ -32,7 +32,8 @@ tool mirrors that docstring contract for environments without ruff):
    exceed ``MODULE_LINE_CEILING`` either — the size of the largest
    module — so a 1,400-line class is caught at review, and no single
    function ``FUNCTION_LINE_CEILING`` — the length of the longest one,
-   ``Participant.rebuild`` — so a 200-line method is.
+   ``DhtUpdateStore.begin_network_reconciliation`` — so a 200-line
+   method is.
 
 Usage:
     PYTHONPATH=src python tools/check_docs.py
@@ -63,11 +64,11 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 14390
+SOURCE_LINE_CEILING = 14195
 
 #: Ceiling on any one file under src/repro: the largest one,
-#: ``store/dht/driver.py`` (``store/central.py`` is 691).
-MODULE_LINE_CEILING = 800
+#: ``store/dht/driver.py`` (``store/central.py`` is 685).
+MODULE_LINE_CEILING = 781
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
 #: to last line: the longest one, ``DhtUpdateStore.begin_network_reconciliation``.
