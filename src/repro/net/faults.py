@@ -82,6 +82,11 @@ class ParticipantRestart:
     at_epoch: int
 
 
+def _ends_before(first: HostCrash, second: HostCrash) -> bool:
+    """Whether ``first``'s host has recovered before ``second`` crashes it."""
+    return first.recover_at_epoch is not None and first.recover_at_epoch < second.at_epoch
+
+
 @dataclass
 class FaultPlan:
     """Every fault one run should deterministically suffer."""
@@ -101,7 +106,7 @@ class FaultPlan:
 
     def validate(self) -> "FaultPlan":
         """Check internal consistency; returns self."""
-        for crash in self.crashes:
+        for index, crash in enumerate(self.crashes):
             if crash.at_epoch < 1:
                 raise ConfigError(
                     f"crash of {crash.host!r}: at_epoch must be >= 1"
@@ -114,6 +119,17 @@ class FaultPlan:
                     f"crash of {crash.host!r}: recover_at_epoch must be "
                     f"after at_epoch"
                 )
+            for other in self.crashes[:index]:
+                # Windows of one host that share an epoch (touching ones
+                # too) would fire in plan order: one crash is counted
+                # twice, or a recovery finds the host already up.
+                apart = _ends_before(other, crash) or _ends_before(crash, other)
+                if other.host == crash.host and not apart:
+                    raise ConfigError(
+                        f"crashes of {crash.host!r} overlap: windows [{other.at_epoch}, "
+                        f"{other.recover_at_epoch}] and [{crash.at_epoch}, "
+                        f"{crash.recover_at_epoch}] share an epoch"
+                    )
         for fault in self.messages:
             if fault.action not in MESSAGE_FAULT_ACTIONS:
                 raise ConfigError(

@@ -54,6 +54,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.core.cache import CacheStats
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import ReconciliationBatch, antecedent_closure
+from repro.errors import StoreError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.net.clock import BlockingLatencyClock, LatencyClock
@@ -114,6 +115,8 @@ class UpdateStore(abc.ABC):
         is delegated to the store's :attr:`clock` — blocking by
         default; the asyncio scheduler swaps in an awaitable clock for
         the duration of a run."""
+        if message_latency < 0:
+            raise StoreError(f"message_latency must be >= 0, not {message_latency}")
         self._schema = schema
         self._message_latency = message_latency
         self._real_latency = real_latency

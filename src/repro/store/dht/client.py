@@ -5,8 +5,8 @@ Plain functions over the store, the shape the ``(host, network,
 message)`` handlers have: :func:`exchange` is the only retry loop and
 :func:`run` the only reader of an inbox; :func:`request` (one round
 trip), :func:`batched` (one request per owner of a batch's items) and
-the driver's two cascades go through them, :func:`tell` carries the two
-kinds nothing answers.  ``store.network`` is looked up
+the driver's ``request_txn`` cascade go through them, :func:`tell`
+carries the two kinds nothing answers.  ``store.network`` is looked up
 per call, so whatever wraps its ``run`` on the live object sees every
 delivery.
 
@@ -25,10 +25,10 @@ close Section 5.2.2's failure sketch live here:
   and the epoch allocator deduplicates ``request_epoch`` by id, so
   retries and injected duplicates never burn an epoch or skew a
   decision stream.
-* **degradation** — cascaded retrievals (``request_txn``,
-  ``nc_request``) are retried batch-wise under fresh tokens (the
-  controllers' per-token dedup would silently absorb a same-token
-  re-request); a store-computed derivation that still fails falls back
+* **degradation** — a retry goes out under a fresh token
+  (``request_txn``) or request id (``nc_request``), which the
+  controllers deduplicate by, so a re-request is never silently
+  absorbed; a store-computed derivation that still fails falls back
   to the client-computed path for that root (surfaced as a
   ``degraded`` hook event), preserving byte-identical decisions.
 """
@@ -181,17 +181,19 @@ def batched(
     items: Iterable[Any],
     ring_key: Callable[[Any], str],
     fields: Callable[[List[Any]], Dict[str, Any]],
-    absorb: Optional[Callable[[List[Any], Dict[str, Any]], None]] = None,
+    absorb: Optional[Callable[[List[Any], Dict[str, Any]], Optional[Iterable[Any]]]] = None,
 ) -> None:
     """One ``kind`` request per live owner of ``items``' ring keys,
     listing its items, until every item is answered.
 
-    ``fields(mine)`` is one request's payload and sizing; its reply
-    echoes the request id and answers every item of it, positionally —
-    ``absorb(mine, payload)`` reads it.  What is still owed after an
-    attempt is regrouped by its current owner (a retry lands on the
-    takeover owner) and re-sent whole, so the handler must be
-    idempotent.
+    ``fields(mine)`` is one request's payload and sizing; each reply
+    echoes the request id — ``absorb(mine, payload)`` reads it and
+    returns the items it settled, or ``None`` for all of them.  A
+    request stays open, and its further replies reach ``absorb``, until
+    every item of it is settled; a reply to a settled request is
+    ignored.  What is still owed after an attempt is regrouped by its
+    current owner (a retry lands on the takeover owner) and re-sent, so
+    the handler must be idempotent.
     """
     owed = dict.fromkeys(items)
     asked: Dict[Any, List[Any]] = {}
@@ -206,13 +208,15 @@ def batched(
         return sends
 
     def answered(message: Message) -> None:
-        """A reply settles the items of the request whose id it echoes."""
-        mine = asked.pop(message.payload.get("req"), None)
+        """A reply settles items of the open request whose id it echoes."""
+        req = message.payload.get("req")
+        mine = asked.get(req)
         if mine is not None:
-            for item in mine:
+            settled = absorb(mine, message.payload) if absorb is not None else None
+            for item in mine if settled is None else settled:
                 owed.pop(item, None)
-            if absorb is not None:
-                absorb(mine, message.payload)
+            if owed.keys().isdisjoint(mine):
+                del asked[req]
 
     exchange(store, client, kind, pending, answered)
 

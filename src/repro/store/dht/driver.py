@@ -55,24 +55,45 @@ class _Peer:
         self.policy = policy
         #: Every tid its epochs list (only it can publish its own tids).
         self.published: Set[TransactionId] = set()
-        # Peer-coordinator bookkeeping for the fully network-centric
-        # batch (PR 5), maintained from the same ``record_decision``
-        # feedback the controllers receive: a monotone applied-set
-        # version that drives the controllers' per-participant extension
-        # memos, and the participant's open deferred set (those roots
-        # re-enter every store-computed batch).
+        # Peer-coordinator bookkeeping for the store-computed batch, kept
+        # by ``settle``: the applied-set version that drives the
+        # controllers' per-participant memos, and the open deferred set.
         self.version = 0
         self.deferred: Set[TransactionId] = set()
-        #: The conflict index of its batch assembly (the peer
-        #: coordinator's working memory, held driver-side like the other
-        #: coordinator mirrors).
+        #: The conflict index its store-computed batches are assembled on.
         self.pairs = IncrementalConflictIndex()
-        #: The client half of the delta-encoded re-ship (PR 8): the
-        #: assembled payloads it retains (``nc_data`` entries, which
-        #: carry the controller's digest), by root.  The driver echoes
-        #: the digest in ``nc_request`` and re-attaches the payload on
-        #: an ``nc_unchanged`` answer instead of receiving it again.
+        #: The client half of the delta-encoded re-ship: root -> the
+        #: ``nc_data`` entry last received, whose digest ``nc_request``
+        #: echoes and which an ``nc_unchanged`` answer re-attaches.
         self.retained: Dict[TransactionId, Dict[str, Any]] = {}
+
+    def retain(
+        self, data: Dict[TransactionId, Dict[str, Any]], derived: Dict[TransactionId, Any]
+    ) -> Set[TransactionId]:
+        """Retain this round's payloads of the ``derived`` roots that
+        carry a digest.  Returns the roots that came back with the
+        digest already held: an edge depends on its two extensions
+        alone, so the peer holds last batch's edges between two of them."""
+        unchanged = {
+            tid for tid, held in self.retained.items()
+            if tid in derived and held["digest"] == data[tid].get("digest")
+        }
+        for tid in derived:
+            if data[tid].get("digest"):
+                self.retained[tid] = data[tid]
+        return unchanged
+
+    def settle(self, schema: Schema, result: ReconcileResult, version: int) -> None:
+        """Upkeep after a reconcile: a root leaves the deferred set on its
+        final verdict (a result lists only *newly* deferred ones), only a
+        still-deferred root can be answered with a token again, and the
+        assembly index lets go of the decided roots."""
+        self.deferred.update(result.deferred)
+        self.deferred.difference_update((*result.applied, *result.rejected))
+        self.version = version
+        for tid in [t for t in self.retained if t not in self.deferred]:
+            del self.retained[tid]
+        self.pairs.discard(schema, (*result.applied, *result.rejected))
 
 
 class DhtUpdateStore(UpdateStore):
@@ -132,16 +153,11 @@ class DhtUpdateStore(UpdateStore):
         self._ring = _RingView(HashRing(host_names))
         self._hosts: Dict[str, _HostNode] = {}
         for name in host_names:
-            node = _HostNode(
-                name,
-                schema,
-                self._ring,
-                replication_factor,
-                cache_bodies=cache_bodies,
-                ship_context_free=ship_context_free,
+            self._hosts[name] = _HostNode(
+                name, schema, self._ring, replication_factor,
+                cache_bodies=cache_bodies, ship_context_free=ship_context_free,
             )
-            self._hosts[name] = node
-            self.network.add_node(node)
+            self.network.add_node(self._hosts[name])
         #: Copies kept per record (1 = primary only).
         self.replication_factor = replication_factor
         # The request engine's state (:mod:`repro.store.dht.client`):
@@ -256,7 +272,7 @@ class DhtUpdateStore(UpdateStore):
             found: ProducerIndex = {}
             client.batched(
                 self, peer.node, "lookup_producer", rows, wire.ROLES["producer"].ring_key,
-                lambda mine: dict(rows=mine, **wire.batch_sizing(len(mine), wire.ROW_WIRE_BYTES)),
+                lambda mine: dict(rows=mine, **wire.price("lookup_producer", len(mine))),
                 lambda mine, reply: found.update(zip(mine, reply["producers"])),
             )
             return found
@@ -277,7 +293,7 @@ class DhtUpdateStore(UpdateStore):
             self, peer.node, "register_producer", produced, wire.ROLES["producer"].ring_key,
             lambda rows: dict(
                 entries=[(row, produced[row]) for row in rows],
-                **wire.batch_sizing(len(rows), wire.PRODUCER_ENTRY_BYTES),
+                **wire.price("register_producer", len(rows)),
             ),
         )
 
@@ -296,7 +312,7 @@ class DhtUpdateStore(UpdateStore):
     # ------------------------------------------------------------------
     # Reconciliation (Figure 7)
 
-    def _discover_stable(self, peer: _Peer) -> Tuple[int, List[TransactionId]]:
+    def _discover(self, peer: _Peer) -> Tuple[int, List[TransactionId]]:
         """The retrieval front half shared by both reconciliation modes:
         find the most recent stable epoch, fetch the contents of every
         newly stable epoch (one batched request per distinct epoch
@@ -305,9 +321,7 @@ class DhtUpdateStore(UpdateStore):
         transactions other participants published, in publish order —
         the candidate roots."""
         participant, node = peer.participant, peer.node
-        current = client.request(
-            self, node, wire.ALLOCATOR_KEY, "get_current_epoch"
-        )["epoch"]
+        current = client.request(self, node, wire.ALLOCATOR_KEY, "get_current_epoch")["epoch"]
         last = client.request(
             self, node, wire.peer_key(participant), "get_last_recon",
             participant=participant,
@@ -341,7 +355,8 @@ class DhtUpdateStore(UpdateStore):
     ) -> Iterable[Dict[str, Any]]:
         """Figure-7 retrieval of ``root_tids``: the ``txn_data`` payload
         of every closure body delivered, a root's the one answered *as*
-        a root (``as_root``)."""
+        a root (``as_root``).  A cascade, not a batch: what it is owed
+        grows with each delivered body's antecedents."""
         roots = set(root_tids)
         bodies: Dict[TransactionId, Dict[str, Any]] = {}
         as_roots: Dict[TransactionId, Dict[str, Any]] = {}
@@ -355,14 +370,10 @@ class DhtUpdateStore(UpdateStore):
             ``txn_unknown`` and is not asked for again."""
             needed = {tid for held in bodies.values() for tid in held["antecedents"]}
             return [
-                (
-                    self._controller(tid),
-                    [tid],
-                    dict(
-                        tid=tid, participant=peer.participant,
-                        client=peer.node.name, token=token, as_root=as_root,
-                    ),
-                )
+                (self._controller(tid), [tid], dict(
+                    tid=tid, participant=peer.participant,
+                    client=peer.node.name, token=token, as_root=as_root,
+                ))
                 for tids, as_root in (
                     (roots - closed - as_roots.keys(), True),
                     (needed - closed - bodies.keys(), False),
@@ -411,17 +422,13 @@ class DhtUpdateStore(UpdateStore):
     def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
         """Assemble the next batch via the distributed retrieval protocol."""
         peer = self._peer(participant)
-        stable, foreign = self._discover_stable(peer)
+        stable, foreign = self._discover(peer)
         # Request every candidate root; controllers forward antecedents.
         graph = TransactionGraph()
         roots, shipped = self._fold(
             self._retrieve_roots(peer, foreign), graph, "context_free"
         )
-        batch = ReconciliationBatch(
-            recno=stable,
-            roots=sorted(roots, key=lambda r: r.order),
-            graph=graph,
-        )
+        batch = ReconciliationBatch(recno=stable, roots=sorted(roots, key=lambda r: r.order), graph=graph)
         if self._ship_context_free:
             batch.extensions = shipped or None
             batch.pair_cache = self._shared_pairs
@@ -430,155 +437,116 @@ class DhtUpdateStore(UpdateStore):
     # ------------------------------------------------------------------
     # Fully network-centric reconciliation (PR 5)
 
-    def _derive_roots(
+    def begin_network_reconciliation(self, participant: int) -> ReconciliationBatch:
+        """A fully store-computed batch over the ring (Figure 3's last
+        quadrant), one step per method; the protocol is described in
+        :mod:`repro.store.dht.nc`."""
+        peer = self._peer(participant)
+        stable, candidates = self._discover(peer)
+        # The open deferred set re-enters every store-computed batch.
+        candidates += sorted(peer.deferred.difference(candidates))
+        data, failed = self._derive(peer, candidates)
+        graph = TransactionGraph()
+        roots, derived = self._fold(data.values(), graph, "extension")
+        unchanged = peer.retain(data, derived)
+        roots += self._degrade(peer, failed, graph)
+        batch, edges = self._assemble(peer, stable, roots, graph, derived)
+        self._ship_adjacency(peer, batch, edges, unchanged)
+        return batch
+
+    def _derive(
         self, peer: _Peer, candidates: List[TransactionId]
     ) -> Tuple[Dict[TransactionId, Dict[str, Any]], List[TransactionId]]:
-        """The ``nc_request`` exchange.  Returns the ``data`` entries by
-        root and the roots whose derivation ``failed``."""
-        answered: Set[TransactionId] = set()
+        """One ``nc_request`` per owning controller of the candidate
+        roots.  Returns the ``data`` entries by root and the roots whose
+        derivation ``failed``."""
         data: Dict[TransactionId, Dict[str, Any]] = {}
         failed: List[TransactionId] = []
 
-        def pending(token: str) -> List[client.Send]:
-            """One request per owning controller for the roots with *no*
-            answer yet — transport losses (stale in-flight traffic of a
-            lost attempt references a dead batch key and is ignored).
-            Each root echoes the retained payload's digest even across
+        def fields(asked: List[TransactionId]) -> Dict[str, Any]:
+            """Each root echoes the retained payload's digest even across
             applied-version bumps: the controller compares it with the
             digest of the closure its walk ends on, so an unchanged one
             still comes back as a token."""
-            unanswered = [tid for tid in candidates if tid not in answered]
-            return [
-                (controller, asked, dict(
-                    size_bytes=wire.HEADER_WIRE_BYTES
-                    + len(asked) * (wire.TID_WIRE_BYTES + wire.DIGEST_WIRE_BYTES),
-                    roots=[
-                        {"tid": tid, "digest": peer.retained.get(tid, {}).get("digest")}
-                        for tid in asked
-                    ],
-                    participant=peer.participant,
-                    version=peer.version, client=peer.node.name, token=token,
-                ))
-                for controller, asked in sorted(self._ring.by_owner(unanswered).items())
-            ]
+            return dict(
+                wire.price("nc_request", len(asked)),
+                roots=[
+                    {"tid": tid, "digest": peer.retained.get(tid, {}).get("digest")}
+                    for tid in asked
+                ],
+                participant=peer.participant, version=peer.version, client=peer.node.name,
+            )
 
-        def absorb(message: Message) -> None:
-            """Each root's terminal answer arrives inside its
-            controller's coalesced reply: a ``data`` entry carries the
+        def absorb(_asked: List[TransactionId], reply: Dict[str, Any]) -> List[TransactionId]:
+            """Each root's terminal answer: a ``data`` entry carries the
             payload, an ``irrelevant``/``unknown`` entry ends the root's
-            retrieval without one (a decided/untrusted root, or one
-            whose controller lost its record, drops out of the batch
-            exactly as it does on the client-centric path), a ``failed``
-            entry degrades the root to Figure-7 retrieval, and an
-            ``nc_unchanged`` digest token re-attaches the retained
-            payload of an earlier round."""
-            for entry in message.payload["entries"]:
+            retrieval without one (a decided/untrusted root, or one whose
+            controller lost its record, drops out of the batch exactly as
+            it does on the client-centric path), a ``failed`` entry
+            degrades the root to Figure-7 retrieval, and an ``unchanged``
+            digest token re-attaches the retained payload of an earlier
+            round."""
+            settled = []
+            for entry in reply["entries"]:
                 tid = entry["tid"]
-                if message.kind == "nc_unchanged":
+                if entry["status"] == "unchanged":
                     held = peer.retained.get(tid)
                     if held is None or held["digest"] != entry["digest"]:
                         # A token for a payload the client no longer
-                        # holds is not an answer: the root stays
-                        # pending and the retry carries no digest,
-                        # forcing the full-payload fallback.
+                        # holds is not an answer: the root stays owed and
+                        # the retry carries no digest, forcing the
+                        # full-payload fallback.
                         continue
                     entry = held
-                answered.add(tid)
+                settled.append(tid)
                 if entry["status"] == "data":
                     data.setdefault(tid, entry)
-                elif entry["status"] == "failed":
-                    if tid not in data and tid not in failed:
-                        failed.append(tid)
+                elif entry["status"] == "failed" and tid not in data and tid not in failed:
+                    failed.append(tid)
+            return settled
 
-        client.exchange(self, peer.node, "nc_request", pending, absorb)
+        client.batched(self, peer.node, "nc_request", candidates, wire.txn_key, fields, absorb)
         return data, failed
 
-    def begin_network_reconciliation(
-        self, participant: int
-    ) -> ReconciliationBatch:
-        """A fully store-computed batch over the ring (Figure 3's last
-        quadrant).
+    def _degrade(
+        self, peer: _Peer, failed: List[TransactionId], graph: TransactionGraph
+    ) -> List[RelevantTransaction]:
+        """The roots whose derivation failed, by the classic Figure-7
+        retrieval: the engine recomputes their extensions locally,
+        reaching byte-identical decisions."""
+        if not failed:
+            return []
+        self._emit("degraded", participant=peer.participant, roots=[str(tid) for tid in failed])
+        return self._fold(self._retrieve_roots(peer, failed), graph, None)[0]
 
-        The epoch-discovery front half is identical to the
-        client-centric protocol.  The candidate roots — newly stable
-        transactions plus the participant's open deferred set, which the
-        store reconsiders each round exactly like the central backends —
-        are grouped by owning transaction controller and requested with
-        one ``nc_request`` per controller: the controller derives each
-        root's update extension against the participant's applied set
-        (walking the closure with batched per-member verdict queries to
-        the other controllers) and ships everything coalesced — one
-        sized ``nc_data`` per controller, plus a tiny ``nc_unchanged``
-        token for roots whose retained payload the client proved (by
-        echoing the memo digest) to be current; those re-attach the
-        retained assembled payload instead of travelling again.  The
-        driver, standing in for the peer coordinator, runs the pairwise
-        conflict assembly
-        (:func:`~repro.store.network_centric.attach_assembled_payload`)
-        and ships the conflict edges the peer lacks as one final sized
-        ``nc_adjacency``.
-
-        A root whose derivation failed (a closure member's controller
-        lost its record) degrades to the classic Figure-7 retrieval so
-        the client computes — and decides — exactly as it would have
-        client-centrically.
-        """
-        peer = self._peer(participant)
-        stable, candidates = self._discover_stable(peer)
-        for tid in sorted(peer.deferred):
-            if tid not in candidates:
-                candidates.append(tid)
-        data, failed = self._derive_roots(peer, candidates)
-
-        graph = TransactionGraph()
-        roots, derived = self._fold(data.values(), graph, "extension")
-        # Roots that came back with the digest the peer retained: an edge
-        # depends on its two extensions alone, so the peer holds last
-        # batch's edges between two of them.
-        unchanged = {
-            tid for tid, held in peer.retained.items()
-            if tid in derived and held["digest"] == data[tid].get("digest")
-        }
-        # Retain this round's assembled payloads client-side: while the
-        # applied-set version is unchanged, the next round's controllers
-        # answer with ``nc_unchanged`` digest tokens and the retained
-        # entry is re-attached instead of re-shipped — the delta
-        # encoding's client half.  (complete_reconciliation prunes the
-        # retention to the still-deferred roots.)
-        for tid in derived:
-            if data[tid].get("digest"):
-                peer.retained[tid] = data[tid]
-        if failed:
-            # Degraded roots travel the classic client-centric protocol;
-            # the engine recomputes their extensions locally, reaching
-            # byte-identical decisions.
-            self._emit(
-                "degraded",
-                participant=participant,
-                roots=[str(tid) for tid in failed],
-            )
-            roots += self._fold(self._retrieve_roots(peer, failed), graph, None)[0]
-
+    def _assemble(
+        self,
+        peer: _Peer,
+        stable: int,
+        roots: List[RelevantTransaction],
+        graph: TransactionGraph,
+        derived: Dict[TransactionId, UpdateExtension],
+    ) -> Tuple[ReconciliationBatch, int]:
+        """The peer coordinator's conflict assembly over the batch's
+        roots; returns the batch and its number of conflict edges."""
         roots.sort(key=lambda root: root.order)
         batch = ReconciliationBatch(recno=stable, roots=roots, graph=graph)
-        extensions = {
-            root.tid: derived[root.tid]
-            for root in roots
-            if root.tid in derived
-        }
+        extensions = {root.tid: derived[root.tid] for root in roots if root.tid in derived}
         if self._ship_context_free:
             batch.pair_cache = self._shared_pairs
-        edges = attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
+        return batch, attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
+
+    def _ship_adjacency(
+        self, peer: _Peer, batch: ReconciliationBatch, edges: int, unchanged: Set[TransactionId]
+    ) -> None:
+        """Ship the conflict edges the peer lacks — those touching a new
+        or changed root — as one sized ``nc_adjacency`` (extensions
+        already paid on each ``nc_data``; departures need no wire)."""
         edges -= sum(len(unchanged & n) for t, n in batch.conflicts.items() if t in unchanged) // 2
-        # The edges touching a new or changed root travel from the peer
-        # coordinator as one sized message (extensions already paid their
-        # fragments on each nc_data delivery; departures need no wire).
         client.tell(
-            self, self._owner(wire.peer_key(participant)), [peer.node.name],
-            "nc_adjacency", client=peer.node,
-            fragments=1 + edges, size_bytes=wire.HEADER_WIRE_BYTES * (1 + edges),
+            self, self._owner(wire.peer_key(peer.participant)), [peer.node.name],
+            "nc_adjacency", client=peer.node, **wire.price("nc_adjacency", edges),
         )
-        return batch
 
     # ------------------------------------------------------------------
 
@@ -599,27 +567,12 @@ class DhtUpdateStore(UpdateStore):
         client.batched(
             self, peer.node, "record_decision", sorted(verdicts), wire.txn_key,
             lambda tids: dict(
-                wire.batch_sizing(len(tids), wire.VERDICT_ENTRY_BYTES), participant=participant,
+                wire.price("record_decision", len(tids)), participant=participant,
                 version=version, entries=[(tid, verdicts[tid]) for tid in tids],
             ),
             lambda _tids, ack: retired.update(tid for tid, was in ack["entries"] if was),
         )
-        # Peer-coordinator upkeep for the store-computed batch: the open
-        # deferred set re-enters every network-centric batch, and the
-        # applied-set version validates the controllers' per-participant
-        # extension memos.  (Upstream results carry only *newly* deferred
-        # roots; removal happens on the eventual final verdict.)
-        peer.deferred.update(result.deferred)
-        peer.deferred.difference_update(result.applied)
-        peer.deferred.difference_update(result.rejected)
-        peer.version = version
-        # Only still-deferred roots can ever be answered with an
-        # ``nc_unchanged`` token again, so the client's retained
-        # payloads shrink to exactly that set; the assembly's conflict
-        # index lets go of the decided roots with them.
-        for tid in [t for t in peer.retained if t not in peer.deferred]:
-            del peer.retained[tid]
-        peer.pairs.discard(self.schema, (*result.applied, *result.rejected))
+        peer.settle(self.schema, result, version)
         if retired:
             # Controllers dropped their derived extensions; unlink the
             # same roots from the shared conflict graph.
@@ -644,6 +597,8 @@ class DhtUpdateStore(UpdateStore):
         """
         if host_name not in self._hosts:
             raise StoreError(f"unknown host {host_name!r}")
+        if host_name in self._ring.failed:
+            raise StoreError(f"host {host_name!r} is already failed")
         if not self._live_hosts(besides=host_name):
             raise StoreError("cannot fail the last live host")
         self.network.fail_node(host_name)

@@ -114,11 +114,11 @@ class _HostNode(Node):
         # small header, not the payload.
         self.delivered: Set[Tuple[int, TransactionId]] = set()
         # Fully network-centric mode (PR 5, batched wire protocol PR 8):
-        # in-flight per-(participant, token) batches of extension
-        # derivations and the tokens already accepted (so an injected
-        # duplicate ``nc_request`` cannot restart a batch).
-        self.nc_batches: Dict[str, Dict[str, Any]] = {}
-        self.nc_served: Set[str] = set()
+        # in-flight ``nc_request`` batches of extension derivations,
+        # keyed by (client, request id), and the keys already accepted
+        # (so an injected duplicate ``nc_request`` cannot restart one).
+        self.nc_batches: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        self.nc_served: Set[Tuple[str, int]] = set()
         # The derivation table, root tid -> member closure -> row: an
         # extension is a pure function of its root and member set, so a
         # closure is flattened, digested and priced once for every

@@ -54,7 +54,7 @@ too: the extension travels dictionary-encoded against the member bodies
 in the same reply, so only genuinely composed operations pay full
 update bytes.
 
-This module is the controller side: the per-token batch state machine
+This module is the controller side: the per-request batch state machine
 ``nc_request`` -> (``nc_fetch_batch`` / ``nc_member_batch``)* ->
 ``nc_unchanged`` + ``nc_data``.  The driver side is
 ``DhtUpdateStore.begin_network_reconciliation``.
@@ -62,7 +62,7 @@ This module is the controller side: the per-token batch state machine
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.model.transactions import TransactionId
 from repro.net.simnet import Message, Network
@@ -75,18 +75,21 @@ from repro.store.dht.controllers import (
 )
 from repro.store.dht.replication import record
 
+#: An ``nc_request`` batch's key: the client, and its request id (fresh
+#: per attempt, so a retry opens a new batch and a duplicate none).
+Token = Tuple[str, int]
+
 
 def on_nc_request(host, network: Network, message: Message) -> None:
     """Open one participant's batch of candidate roots."""
     payload = message.payload
-    token: str = payload["token"]
+    token: Token = (payload["client"], payload["req"])
     if token in host.nc_served:
         return  # an injected duplicate of a batch already accepted
     host.nc_served.add(token)
     participant: int = payload["participant"]
     version: int = payload["version"]
     batch: Dict[str, Any] = {
-        "client": payload["client"],
         "participant": participant,
         "version": version,
         # Per-root walk state of the roots still walking.
@@ -187,7 +190,7 @@ def _expand(host, batch: Dict[str, Any], rstate: Dict[str, Any], tids) -> None:
             worklist.extend(body[1])
 
 
-def _pump(host, network: Network, token: str) -> None:
+def _pump(host, network: Network, token: Token) -> None:
     """Finish roots whose walk completed, flush the batched member
     queries, and ship the coalesced replies once nothing is open."""
     batch = host.nc_batches[token]
@@ -384,26 +387,22 @@ def _stage(
     }
 
 
-def _flush_batch(host, network: Network, token: str) -> None:
+def _flush_batch(host, network: Network, token: Token) -> None:
     """Ship the coalesced replies: one tiny ``nc_unchanged`` token
     message for the provably-unchanged roots, and one sized
     ``nc_data`` carrying everything else this controller owes the
     participant this round."""
     batch = host.nc_batches.pop(token)
-    client = batch["client"]
+    client, req = token
     if batch["unchanged"]:
         network.send(
             host.name,
             client,
             "nc_unchanged",
-            size_bytes=(
-                wire.HEADER_WIRE_BYTES
-                + len(batch["unchanged"])
-                * (wire.TID_WIRE_BYTES + wire.DIGEST_WIRE_BYTES)
-            ),
-            token=token,
+            **wire.price("nc_unchanged", len(batch["unchanged"])),
+            req=req,
             entries=[
-                {"tid": tid, "digest": batch["unchanged"][tid]}
+                {"tid": tid, "status": "unchanged", "digest": batch["unchanged"][tid]}
                 for tid in sorted(batch["unchanged"])
             ],
         )
@@ -420,6 +419,6 @@ def _flush_batch(host, network: Network, token: str) -> None:
             "nc_data",
             fragments=max(1, batch["fragments"]),
             size_bytes=size,
-            token=token,
+            req=req,
             entries=entries,
         )

@@ -83,6 +83,24 @@ def batch_sizing(entries: int, entry_bytes: int) -> Dict[str, int]:
     return {"fragments": max(1, -(-size // DEFAULT_FRAGMENT_BYTES)), "size_bytes": size}
 
 
+def price(kind: str, entries: int) -> Dict[str, int]:
+    """The ``Network.send`` sizing of a ``kind`` message of ``entries``
+    entries: an ``nc_request`` or ``nc_unchanged`` is one fragment, a
+    header plus a tid and a digest per root; an ``nc_adjacency`` a
+    header-sized fragment per conflict edge, plus one; a batch the
+    driver sends goes by :func:`batch_sizing` at its entry size."""
+    if kind in ("nc_request", "nc_unchanged"):
+        size = HEADER_WIRE_BYTES + entries * (TID_WIRE_BYTES + DIGEST_WIRE_BYTES)
+        return {"fragments": 1, "size_bytes": size}
+    if kind == "nc_adjacency":
+        return {"fragments": 1 + entries, "size_bytes": HEADER_WIRE_BYTES * (1 + entries)}
+    return batch_sizing(entries, {
+        "lookup_producer": ROW_WIRE_BYTES,
+        "register_producer": PRODUCER_ENTRY_BYTES,
+        "record_decision": VERDICT_ENTRY_BYTES,
+    }[kind])
+
+
 #: A flattened extension operation that is byte-identical to an update
 #: inside a member body the client holds (shipped in the same coalesced
 #: reply, or delivered in an earlier round) is dictionary-encoded as a
@@ -232,9 +250,11 @@ KINDS = frozenset(
 #: each carry one owner's share of a batch, answered once under its
 #: request id; what is unanswered is regrouped by owner and re-sent
 #: (:func:`~repro.store.dht.client.batched`).
-#: ``request_txn`` and ``nc_request`` are the cascades: controllers
-#: forward them along antecedent chains, each root ends in one of
-#: several answers, and a retry travels under a fresh token.
+#: So does ``nc_request``, answered by up to two replies under its id
+#: (``nc_unchanged`` tokens and ``nc_data`` entries, each settling its
+#: roots).  ``request_txn`` is the cascade: controllers forward it
+#: along antecedent chains under the client's token, each root ends in
+#: one of several answers, and a retry travels under a fresh token.
 #: (``cf_fetch`` and ``nc_fetch_batch`` run between controllers; no
 #: client awaits them.)
 REPLIES: Dict[str, Tuple[str, ...]] = {

@@ -61,7 +61,7 @@ def test_an_oversized_function_is_named(monkeypatch):
     monkeypatch.setattr(check_docs, "FUNCTION_LINE_CEILING", sizes[longest] - 1)
     (problem,) = check_docs.check_source_lines()
     assert problem.startswith(f"{longest}: {sizes[longest]} lines exceed")
-    assert longest.endswith(": begin_network_reconciliation")
+    assert longest.endswith(": write_transactions")
 
 
 def test_gate_runs_as_a_script():

@@ -89,6 +89,28 @@ class TestFaultPlanRoundTrip:
             ).validate()
         assert FaultPlan().validate().is_empty()
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [((3, 5), (4, 6)), ((3, 8), (5, None)), ((3, 5), (5, 8)), ((6, None), (2, 6))],
+        ids=["overlapping", "open-ended", "touching", "out-of-order"],
+    )
+    def test_crash_windows_of_one_host_that_share_an_epoch_are_refused(self, first, second):
+        # Both would fire in plan order: (3, 5) + (4, 6) recovers a host
+        # that is up, (3, 8) + (5, None) counts one crash twice.
+        crashes = tuple(HostCrash("host:1", *window) for window in (first, second))
+        with pytest.raises(ConfigError, match=r"crashes of 'host:1' overlap: windows \[") as info:
+            FaultPlan(crashes=crashes).validate()
+        assert f"[{first[0]}, " in str(info.value) and f"[{second[0]}, " in str(info.value)
+
+    def test_disjoint_windows_and_other_hosts_are_accepted(self):
+        FaultPlan(
+            crashes=(
+                HostCrash("host:1", 3, 5),
+                HostCrash("host:1", 6, None),
+                HostCrash("host:2", 4, 7),
+            )
+        ).validate()
+
 
 class TestFaultInjector:
     def test_drop_skips_delivery_and_accounting(self):

@@ -10,8 +10,9 @@ depends on Python-only types (tuples, int keys) surviving
 serialisation.
 
 The strategies generate within each dataclass's validated domain
-(``at_epoch >= 1``, ``recover_at_epoch > at_epoch``, probabilities in
-[0, 1], restart participants drawn from the peer set), so every
+(``at_epoch >= 1``, ``recover_at_epoch > at_epoch``, no two crash
+windows of one host sharing an epoch, probabilities in [0, 1], restart
+participants drawn from the peer set), so every
 generated config also passes ``validate()`` — pinned as a property of
 its own, because a config that round-trips but fails validation would
 be useless in a file.
@@ -20,6 +21,7 @@ be useless in a file.
 from __future__ import annotations
 
 import json
+from typing import Tuple
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -39,19 +41,23 @@ _PEER_IDS = st.integers(min_value=1, max_value=20)
 
 
 @st.composite
-def host_crashes(draw) -> HostCrash:
-    at_epoch = draw(st.integers(min_value=1, max_value=30))
-    recovers = draw(st.booleans())
-    recover_at = (
-        draw(st.integers(min_value=at_epoch + 1, max_value=at_epoch + 20))
-        if recovers
-        else None
-    )
-    return HostCrash(
-        host=f"host:{draw(st.integers(min_value=0, max_value=9))}",
-        at_epoch=at_epoch,
-        recover_at_epoch=recover_at,
-    )
+def host_crashes(draw) -> Tuple[HostCrash, ...]:
+    """Up to three crashes.  A host crashes again only after its last
+    window closed: two windows of one host may not share an epoch."""
+    crashes = []
+    last = {}  # host -> the last epoch its latest window holds (None: open)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        host = f"host:{draw(st.integers(min_value=0, max_value=9))}"
+        if host in last and last[host] is None:
+            continue  # it never recovers
+        start = last.get(host, 0) + 1
+        at_epoch = draw(st.integers(min_value=start, max_value=start + 29))
+        recover_at = draw(
+            st.none() | st.integers(min_value=at_epoch + 1, max_value=at_epoch + 20)
+        )
+        last[host] = recover_at
+        crashes.append(HostCrash(host=host, at_epoch=at_epoch, recover_at_epoch=recover_at))
+    return tuple(crashes)
 
 
 def message_faults() -> st.SearchStrategy[MessageFault]:
@@ -84,7 +90,7 @@ def fault_plans(draw, peers) -> FaultPlan:
         )
     return FaultPlan(
         seed=draw(st.integers(min_value=0, max_value=2**31)),
-        crashes=tuple(draw(st.lists(host_crashes(), max_size=3))),
+        crashes=draw(host_crashes()),
         messages=tuple(draw(st.lists(message_faults(), max_size=4))),
         restarts=restarts,
     )

@@ -54,6 +54,19 @@ def register_trusting_peers(store, peers=(1, 2, 3), priority=1):
         store.register_participant(peer, policy)
 
 
+@pytest.mark.parametrize(
+    "factory", [MemoryUpdateStore, CentralUpdateStore, DurableUpdateStore, DhtUpdateStore]
+)
+def test_a_negative_message_latency_is_refused(schema, tmp_path, factory):
+    # It would run the simulated clock backwards; zero stays legal.
+    options = {"path": str(tmp_path / "latency.db")} if factory is DurableUpdateStore else {}
+    with pytest.raises(StoreError, match="message_latency must be >= 0"):
+        factory(schema, message_latency=-1.0, **options)
+    store = factory(schema, message_latency=0.0, **options)
+    assert store.message_latency == 0.0
+    getattr(store, "close", lambda: None)()
+
+
 class TestRegistration:
     def test_duplicate_registration_rejected(self, store):
         store.register_participant(1, TrustPolicy())

@@ -144,6 +144,47 @@ def test_an_answer_outside_the_requests_row_is_ignored(schema):
     assert node.inbox == []
 
 
+def test_a_batch_request_stays_open_until_its_replies_settle_every_item(schema):
+    # ``absorb`` returns what each reply settled: two replies under one
+    # id settle a subset, the rest is regrouped to its current owner,
+    # and a duplicate reply to a settled request never reaches absorb.
+    store, node, retries = scripted_store(schema, lambda message: [])
+    groups = store._ring.by_owner([f"key:{i}" for i in range(40)], lambda key: key)
+    primary, (a, b, *_rest) = next(
+        (owner, keys) for owner, keys in sorted(groups.items()) if len(keys) >= 2
+    )
+
+    def script(message):
+        req = message.payload["req"]
+        if message.recipient == primary:
+            store._ring.failed.add(primary)  # it crashes after answering a
+            return [
+                ("nc_data", {"req": req, "settles": [a]}),
+                ("nc_unchanged", {"req": req, "settles": []}),
+            ]
+        reply = ("nc_data", {"req": req, "settles": message.payload["items"]})
+        return [reply, reply]
+
+    store.network.script = script
+    absorbed = []
+
+    def absorb(mine, payload):
+        absorbed.append((list(mine), payload["settles"]))
+        return payload["settles"]
+
+    client.batched(
+        store, node, "nc_request", [a, b], lambda key: key, lambda mine: dict(items=mine), absorb
+    )
+    takeover = store._owner(b)
+    assert takeover != primary
+    assert [(m.recipient, m.payload["items"]) for m in store.network.sent] == [
+        (primary, [a, b]), (takeover, [b]),
+    ]
+    assert absorbed == [([a, b], [a]), ([a, b], []), ([b], [b])]
+    assert retries == [{"kind": "nc_request", "recipient": None, "attempt": 1}]
+    assert node.inbox == []
+
+
 def test_a_cascade_resends_only_what_is_unanswered_under_a_fresh_token(schema):
     lost = {"b"}  # b's first answer is lost, a and c answer at once
 

@@ -10,6 +10,8 @@ request ids, so drops and duplicates are masked up to the retry budget.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
@@ -45,6 +47,33 @@ def replicated_store(schema, hosts=5, k=2, **options):
     )
     register_trusting_peers(store)
     return store
+
+
+@pytest.mark.parametrize(
+    "method, host, failed, refusal",
+    [
+        ("fail_host", "host:9", (), "unknown host 'host:9'"),
+        ("recover_host", "host:9", (), "unknown host 'host:9'"),
+        ("fail_host", "host:1", ("host:0",), "cannot fail the last live host"),
+        ("fail_host", "host:0", ("host:0",), "host 'host:0' is already failed"),
+        ("recover_host", "host:1", (), "host 'host:1' is not failed"),
+    ],
+    ids=["fail-unknown", "recover-unknown", "fail-last-live", "fail-failed", "recover-live"],
+)
+def test_a_refused_crash_or_recovery_changes_nothing(schema, method, host, failed, refusal):
+    store = DhtUpdateStore(schema, hosts=2)
+    register_trusting_peers(store)
+    for name in failed:
+        store.fail_host(name)
+    events = []
+    store.hooks = HookBus()
+    store.hooks.on_fault(lambda **event: events.append(event))
+    store.hooks.on_recovery(lambda **event: events.append(event))
+    before = (store.network.messages_delivered, set(store._ring.failed))
+    with pytest.raises(StoreError, match=f"^{re.escape(refusal)}$"):
+        getattr(store, method)(host)
+    assert (store.network.messages_delivered, set(store._ring.failed)) == before
+    assert events == []
 
 
 def drop_plan(kind, times=1):

@@ -32,8 +32,7 @@ tool mirrors that docstring contract for environments without ruff):
    exceed ``MODULE_LINE_CEILING`` either — the size of the largest
    module — so a 1,400-line class is caught at review, and no single
    function ``FUNCTION_LINE_CEILING`` — the length of the longest one,
-   ``DhtUpdateStore.begin_network_reconciliation`` — so a 200-line
-   method is.
+   ``CentralUpdateStore.write_transactions`` — so a 200-line method is.
 
 Usage:
     PYTHONPATH=src python tools/check_docs.py
@@ -64,15 +63,16 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 14195
+SOURCE_LINE_CEILING = 14192
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (``store/central.py`` is 685).
-MODULE_LINE_CEILING = 781
+MODULE_LINE_CEILING = 736
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
-#: to last line: the longest one, ``DhtUpdateStore.begin_network_reconciliation``.
-FUNCTION_LINE_CEILING = 86
+#: to last line: the longest one, ``CentralUpdateStore.write_transactions``
+#: (``_HostNode.wipe`` is 76).
+FUNCTION_LINE_CEILING = 78
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
