@@ -15,7 +15,7 @@ import time
 from benchmarks.bench.ablations import count_conflict_pairs, naive_find_conflicts
 from repro.core.conflicts import find_conflicts
 from repro.core.extensions import RelevantTransaction, compute_update_extension
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.workload import WorkloadConfig, WorkloadGenerator, curated_schema
 
 from benchmarks.conftest import emit
@@ -32,7 +32,7 @@ def build_extension_batch(peers=12, transactions_per_peer=12):
     extensions = {}
     order = 0
     for peer in range(1, peers + 1):
-        instance = MemoryInstance(schema)
+        instance = Instance(schema)
         for seq in range(transactions_per_peer):
             updates = generator.transaction_updates(peer, instance)
             if not updates:

@@ -12,7 +12,7 @@ ratio / timing metrics of the evaluation section.
 The public API is the **unified confederation layer** (:mod:`repro.confed`):
 
 * :class:`ConfederationConfig` — declarative, dict-round-trippable
-  configuration naming the store backend, instance backend, peers,
+  configuration naming the store backend, peers,
   trust policies, workload, and engine knobs in one place;
 * :class:`Confederation` — the facade built from it: participant
   lifecycle (``open``/``close``, context-manager support),
@@ -84,7 +84,7 @@ from repro.core import (
     Resolution,
     resolve_conflicts,
 )
-from repro.instance import Instance, MemoryInstance, SqliteInstance
+from repro.instance import Instance
 from repro.metrics import state_ratio
 from repro.net import FaultPlan, HostCrash, MessageFault, ParticipantRestart
 from repro.policy import (
@@ -127,7 +127,6 @@ __all__ = [
     "HookBus",
     "HostCrash",
     "Instance",
-    "MemoryInstance",
     "MemoryUpdateStore",
     "MessageFault",
     "Participant",
@@ -139,7 +138,6 @@ __all__ = [
     "Reconciler",
     "Resolution",
     "SerialScheduler",
-    "SqliteInstance",
     "TrustPolicy",
     "UpdateStore",
     "WorkloadConfig",

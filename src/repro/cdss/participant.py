@@ -36,7 +36,6 @@ from repro.core.session import ReconcileSession
 from repro.core.state import ParticipantState
 from repro.errors import StoreError
 from repro.instance.base import Instance
-from repro.instance.memory import MemoryInstance
 from repro.model.flatten import flatten_transactions
 from repro.model.transactions import Transaction, TransactionId
 from repro.model.updates import Update
@@ -80,7 +79,7 @@ class Participant:
         participant_id: int,
         store: UpdateStore,
         policy: TrustPolicy,
-        instance: Optional[Instance] = None,
+        *,
         network_centric: bool = False,
         register: bool = True,
         hooks: Optional[object] = None,
@@ -98,7 +97,7 @@ class Participant:
         self.policy = policy
         self.network_centric = network_centric
         self.hooks = hooks
-        self.instance = instance or MemoryInstance(store.schema)
+        self.instance = Instance(store.schema)
         self.state = ParticipantState(participant_id)
         self.reconciler = Reconciler(store.schema, self.instance, self.state, hooks=hooks)
         self.session = ReconcileSession(self.reconciler, hooks=hooks)
@@ -117,7 +116,7 @@ class Participant:
         participant_id: int,
         store: UpdateStore,
         policy: TrustPolicy,
-        instance: Optional[Instance] = None,
+        *,
         network_centric: bool = False,
         hooks: Optional[object] = None,
     ) -> "Participant":
@@ -133,7 +132,8 @@ class Participant:
         Rejected and deferred sets follow, and the deferred roots' groups.
         """
         participant = cls(
-            participant_id, store, policy, instance, network_centric, register=False, hooks=hooks
+            participant_id, store, policy,
+            network_centric=network_centric, register=False, hooks=hooks,
         )
         state, schema = participant.state, store.schema
         (applied, rejected, deferred), _, _ = participant._store_call(
@@ -250,19 +250,23 @@ class Participant:
         return result, delta, time.perf_counter() - started
 
     def publish(self) -> int:
-        """Publish all unpublished transactions; returns the epoch."""
-        transactions = self._unpublished
-        self._unpublished = []
-        epoch, _delta, _elapsed = self._store_call(
-            self.store.publish, self.id, transactions
-        )
-        self.state.record_applied([t.tid for t in transactions])
+        """Publish all unpublished transactions; returns the epoch.  A
+        publish that raises keeps queued what no epoch lists
+        (:meth:`UpdateStore.unpublished`), for the next one to send."""
+        batch, self._unpublished = self._unpublished, []
+        try:
+            epoch, _delta, _elapsed = self._store_call(self.store.publish, self.id, batch)
+        except BaseException:
+            self._unpublished, _, _ = self._store_call(self.store.unpublished, self.id, batch)
+            raise
+        finally:
+            self.state.record_applied([t.tid for t in batch if t not in self._unpublished])
         if self.hooks is not None:
             self.hooks.emit(
                 "publish",
                 participant=self.id,
                 epoch=epoch,
-                transactions=tuple(transactions),
+                transactions=tuple(batch),
             )
         return epoch
 

@@ -4,8 +4,8 @@ This is the public entry point for building and running a CDSS:
 
 * :class:`~repro.confed.config.ConfederationConfig` — declarative,
   dict-round-trippable configuration naming the store backend (a driver
-  registry name), instance backend, peers, trust policies, workload,
-  and engine knobs in one place;
+  registry name), peers, trust policies, workload, and engine knobs
+  in one place;
 * :class:`~repro.confed.confederation.Confederation` — the facade built
   from it: participant lifecycle (``open``/``close``, context-manager
   support), ``snapshot``/``restore`` soft-state reconstruction, the
@@ -23,7 +23,6 @@ This is the public entry point for building and running a CDSS:
 """
 
 from repro.confed.config import (
-    INSTANCE_BACKENDS,
     NETWORK_CENTRIC_MODES,
     SCHEDULE_MODES,
     ConfederationConfig,
@@ -48,7 +47,6 @@ __all__ = [
     "EpochScheduler",
     "FaultController",
     "HookBus",
-    "INSTANCE_BACKENDS",
     "NETWORK_CENTRIC_MODES",
     "ParticipantSnapshot",
     "SCHEDULE_MODES",

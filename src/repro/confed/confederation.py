@@ -32,8 +32,6 @@ from repro.confed.hooks import HookBus
 from repro.confed.report import ConfederationReport
 from repro.confed.scheduler import create_scheduler
 from repro.errors import ConfigError
-from repro.instance.base import Instance
-from repro.instance.sqlite_instance import SqliteInstance
 from repro.metrics.state_ratio import state_ratio
 from repro.metrics.subscribers import (
     CacheStatsCollector,
@@ -249,19 +247,7 @@ class Confederation:
             policy.trust_participant(other, priority)
         return policy
 
-    def _make_instance(self) -> Optional[Instance]:
-        """A fresh local replica per the configured instance backend
-        (``None`` lets :class:`Participant` build its default)."""
-        if self.config.instance_backend == "sqlite":
-            return SqliteInstance(self.store.schema)
-        return None
-
-    def add_participant(
-        self,
-        participant_id: int,
-        policy: TrustPolicy,
-        instance: Optional[Instance] = None,
-    ) -> Participant:
+    def add_participant(self, participant_id: int, policy: TrustPolicy) -> Participant:
         """Create and register a participant.
 
         A duplicate id is a caller error —
@@ -276,7 +262,6 @@ class Confederation:
             participant_id,
             self.store,
             policy,
-            instance if instance is not None else self._make_instance(),
             network_centric=self.config.network_centric_store,
             hooks=self.hooks,
         )
@@ -361,11 +346,7 @@ class Confederation:
                 )
         return snapshots
 
-    def restore(
-        self,
-        participant_id: Optional[int] = None,
-        instance: Optional[Instance] = None,
-    ):
+    def restore(self, participant_id: Optional[int] = None):
         """Rebuild participants entirely from the update store.
 
         Wraps :meth:`Participant.rebuild`: the applied transactions are
@@ -375,44 +356,18 @@ class Confederation:
         every participant and returns them as a dict.  The restored
         objects replace the live ones and keep their policies and the
         confederation's hook bus.
-
-        The replayed-into replica is ``instance`` when given (single-id
-        form only), else a default-constructed instance of the live
-        participant's type — a replica type whose construction needs
-        more than the schema (e.g. a file-backed ``SqliteInstance``
-        path) must be supplied explicitly.
         """
         self._ensure_open()
         if participant_id is not None:
-            return self._restore_one(participant_id, instance)
-        if instance is not None:
-            raise ConfigError(
-                "pass instance= only when restoring a single participant"
-            )
+            return self._restore_one(participant_id)
         return {pid: self._restore_one(pid) for pid in sorted(self._participants)}
 
-    def _restore_one(
-        self, participant_id: int, instance: Optional[Instance] = None
-    ) -> Participant:
+    def _restore_one(self, participant_id: int) -> Participant:
         current = self.participant(participant_id)
-        if instance is None:
-            # A fresh, empty replica of the same type the live
-            # participant used — an explicitly supplied SqliteInstance
-            # must not silently downgrade to the config's default
-            # backend.
-            try:
-                instance = type(current.instance)(self.store.schema)
-            except TypeError as exc:
-                raise ConfigError(
-                    f"cannot default-construct a {type(current.instance).__name__} "
-                    f"replica for participant {participant_id}; pass one via "
-                    f"restore(participant_id, instance=...)"
-                ) from exc
         rebuilt = Participant.rebuild(
             participant_id,
             self.store,
             current.policy,
-            instance,
             network_centric=self.config.network_centric_store,
             hooks=self.hooks,
         )

@@ -2,11 +2,11 @@
 
 :class:`ConfederationConfig` names everything a confederation needs in
 one serialisable place: the store backend (a driver-registry name plus
-options), the instance backend, the peers and their trust policies, the
-synthetic workload, the engine knobs, and the evaluation schedule.  It
-round-trips through plain dicts (``from_dict(to_dict(cfg)) == cfg``) and
-the dicts are JSON-safe, so experiment configurations can live in files
-and version control instead of scattered constructor calls.
+options), the peers and their trust policies, the synthetic workload,
+the engine knobs, and the evaluation schedule.  It round-trips through
+plain dicts (``from_dict(to_dict(cfg)) == cfg``) and the dicts are
+JSON-safe, so experiment configurations can live in files and version
+control instead of scattered constructor calls.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from typing import Dict, Mapping, Optional, Tuple
 from repro.errors import ConfigError
 from repro.net.faults import FaultPlan
 from repro.workload.generator import WorkloadConfig
-
-#: Instance backends a participant's local replica can use, by name.
-INSTANCE_BACKENDS: Tuple[str, ...] = ("memory", "sqlite")
 
 #: Accepted values of ``ConfederationConfig.network_centric``:
 #: ``"client"`` (the paper's client-centric reconciliation) and
@@ -32,6 +29,15 @@ NETWORK_CENTRIC_MODES: Tuple[str, ...] = ("client", "store")
 SCHEDULE_MODES: Tuple[str, ...] = ("serial", "async")
 
 
+def _trust(value: object) -> Optional[Dict[int, Dict[int, int]]]:
+    if value is None:
+        return None
+    return {
+        int(pid): {int(other): int(pri) for other, pri in edges.items()}
+        for pid, edges in value.items()
+    }
+
+
 @dataclass
 class ConfederationConfig:
     """Everything needed to build and run one confederation.
@@ -41,8 +47,6 @@ class ConfederationConfig:
       are passed to its factory (e.g. ``path`` for the central store,
       ``hosts`` for the DHT; an option it does not take is a
       :class:`~repro.errors.ConfigError` at ``open()``);
-    * ``instance_backend`` — each participant's local replica:
-      ``"memory"`` or ``"sqlite"``;
     * ``peers`` — participant ids, in registration order;
     * ``trust`` — explicit priorities per peer
       (``{pid: {other_pid: priority}}``); ``None`` means the evaluation
@@ -73,7 +77,6 @@ class ConfederationConfig:
 
     store: str = "memory"
     store_options: Dict[str, object] = field(default_factory=dict)
-    instance_backend: str = "memory"
     peers: Tuple[int, ...] = ()
     trust: Optional[Dict[int, Dict[int, int]]] = None
     network_centric: str = "client"
@@ -85,12 +88,11 @@ class ConfederationConfig:
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        self.peers = tuple(self.peers)
-        if self.trust is not None:
-            self.trust = {
-                int(pid): {int(other): int(pri) for other, pri in edges.items()}
-                for pid, edges in self.trust.items()
-            }
+        for name, read in (("peers", tuple), ("trust", _trust)):
+            try:
+                setattr(self, name, read(getattr(self, name)))
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(f"config field {name!r} is malformed: {exc}") from None
 
     # ------------------------------------------------------------------
     # Validation
@@ -103,25 +105,28 @@ class ConfederationConfig:
         unknown backends); this checks everything that does not need
         the registry.
         """
-        if self.instance_backend not in INSTANCE_BACKENDS:
-            raise ConfigError(
-                f"unknown instance backend {self.instance_backend!r}; "
-                f"available: {', '.join(INSTANCE_BACKENDS)}"
-            )
-        if len(set(self.peers)) != len(self.peers):
-            raise ConfigError(f"duplicate peer ids in {self.peers!r}")
+        if not all(type(pid) is int for pid in self.peers):
+            raise ConfigError(f"peers must be int ids, got {self.peers!r}")
+        known = set(self.peers)
+        if len(known) != len(self.peers):
+            raise ConfigError(f"duplicate peer ids in peers {self.peers!r}")
         if self.trust is not None:
-            known = set(self.peers)
             for pid, edges in self.trust.items():
                 unknown = ({pid} | set(edges)) - known
                 if unknown:
                     raise ConfigError(
                         f"trust policy references unknown peers {sorted(unknown)}"
                     )
-        if self.reconciliation_interval < 0:
-            raise ConfigError("reconciliation_interval must be >= 0")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
+        for name in ("reconciliation_interval", "rounds"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{name} must be an int >= 0, got {value!r}")
+        for name, kinds in (
+            ("store", str), ("store_options", Mapping), ("final_reconcile", bool),
+            ("workload", (WorkloadConfig, type(None))), ("faults", (FaultPlan, type(None))),
+        ):
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
         if self.schedule_mode not in SCHEDULE_MODES:
             raise ConfigError(
                 f"unknown schedule mode {self.schedule_mode!r}; "
@@ -137,7 +142,6 @@ class ConfederationConfig:
             )
         if self.faults is not None:
             self.faults.validate()
-            known = set(self.peers)
             for restart in self.faults.restarts:
                 if known and restart.participant not in known:
                     raise ConfigError(
@@ -179,7 +183,8 @@ class ConfederationConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys raise :class:`~repro.errors.ConfigError` — a typo
-        in a config file must not silently fall back to a default.
+        in a config file must not silently fall back to a default — and
+        so does a value of the wrong shape, naming its field.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
@@ -188,8 +193,6 @@ class ConfederationConfig:
                 f"unknown config keys {sorted(unknown)}; known: {sorted(known)}"
             )
         kwargs = dict(data)
-        if kwargs.get("peers") is not None:
-            kwargs["peers"] = tuple(int(pid) for pid in kwargs["peers"])
         workload = kwargs.get("workload")
         if isinstance(workload, Mapping):
             workload_fields = {f.name for f in fields(WorkloadConfig)}

@@ -1,18 +1,13 @@
-"""Materialised local database instances.
+"""The materialised local database instance.
 
 Each CDSS participant controls a local instance of the shared schema
-(``Ii(Sigma)`` in Definition 1).  This package provides:
-
-* :class:`repro.instance.memory.MemoryInstance` — a key-indexed in-memory
-  instance, used by the reconciliation engine and the simulations;
-* :class:`repro.instance.sqlite_instance.SqliteInstance` — the same
-  interface persisted in sqlite3, standing in for the participant-local
-  relational databases of the paper's deployment;
-* :func:`repro.instance.base.apply_update` semantics shared by both.
+(``Ii(Sigma)`` in Definition 1): :class:`repro.instance.base.Instance`, a
+key-indexed in-memory replica with the update-application semantics the
+reconciliation engine relies on.  It is soft state (Section 5.2):
+:meth:`repro.cdss.participant.Participant.rebuild` re-derives it from the
+update store.
 """
 
 from repro.instance.base import Instance
-from repro.instance.memory import MemoryInstance
-from repro.instance.sqlite_instance import SqliteInstance
 
-__all__ = ["Instance", "MemoryInstance", "SqliteInstance"]
+__all__ = ["Instance"]

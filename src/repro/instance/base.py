@@ -1,4 +1,4 @@
-"""The abstract instance interface and shared update-application semantics.
+"""The local instance and its update-application semantics.
 
 An *instance* is a materialised database: for every relation in the schema,
 a set of rows indexed by key.  The reconciliation engine needs exactly four
@@ -10,7 +10,6 @@ state for metrics.
 
 from __future__ import annotations
 
-import abc
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConstraintViolation, SchemaError
@@ -127,17 +126,22 @@ def compile_footprint(schema: Schema, updates: Sequence[Update]) -> Footprint:
     )
 
 
-class Instance(abc.ABC):
-    """A materialised database instance over a fixed schema.
+class Instance:
+    """A materialised database instance over a fixed schema, held in
+    Python dictionaries.
 
-    Update *sequences* (``apply_all``: a participant's own transaction)
-    are checked update by update, each seeing its predecessors; update
-    *sets* (``apply_set``: a flattened extension) as a :class:`Footprint`,
-    given compiled or compiled on entry — one path either way.
+    Each relation is a dict from key tuple to row tuple, giving O(1)
+    lookups — the same asymptotics the paper obtains from hash-based
+    conflict detection.  Update *sequences* (``apply_all``: a
+    participant's own transaction) are checked update by update, each
+    seeing its predecessors; update *sets* (``apply_set``: a flattened
+    extension) as a :class:`Footprint`, given compiled or compiled on
+    entry — one path either way.
     """
 
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
+        self._data: Dict[str, Dict[Tuple, Tuple]] = {rel.name: {} for rel in schema}
         #: Monotone counter bumped by every successful mutation entry
         #: point (``apply`` / ``apply_all`` / ``apply_set``).  Pure
         #: read-only checks such as :meth:`can_apply_set` are functions of
@@ -150,25 +154,32 @@ class Instance(abc.ABC):
         """The schema this instance materialises."""
         return self._schema
 
-    @abc.abstractmethod
     def get(self, relation: str, key: Tuple) -> Optional[Tuple]:
         """Return the row stored under ``key`` in ``relation``, or None."""
+        return self._data[relation].get(key)
 
-    @abc.abstractmethod
     def rows(self, relation: str) -> Iterable[Tuple]:
         """Iterate over all rows of ``relation`` (order unspecified)."""
-
-    @abc.abstractmethod
-    def _set(self, relation: str, key: Tuple, row: Tuple) -> None:
-        """Store ``row`` under ``key`` (insert or overwrite)."""
-
-    @abc.abstractmethod
-    def _remove(self, relation: str, key: Tuple) -> None:
-        """Remove the row under ``key``; no-op if absent."""
+        return iter(self._data[relation].values())
 
     def count(self, relation: str) -> int:
-        """Number of rows currently in ``relation``."""
-        return sum(1 for _ in self.rows(relation))
+        """Number of rows currently in ``relation`` (O(1))."""
+        return len(self._data[relation])
+
+    def copy(self) -> "Instance":
+        """An independent deep copy of this instance."""
+        clone = Instance(self._schema)
+        for relation, rows in self._data.items():
+            clone._data[relation] = dict(rows)
+        return clone
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self._data == other._data
+
+    def __hash__(self) -> int:  # instances are mutable
+        raise TypeError("Instance is unhashable")
 
     def contains_row(self, relation: str, row: Tuple) -> bool:
         """True if exactly ``row`` is present in ``relation``."""
@@ -215,9 +226,9 @@ class Instance(abc.ABC):
             relation, read, written = update.relation, update.read_row(), update.written_row()
             key_of = self._schema.relation(relation).key_of
             if read is not None:
-                self._remove(relation, key_of(read))
+                self._data[relation].pop(key_of(read), None)
             if written is not None:
-                self._set(relation, key_of(written), written)
+                self._data[relation][key_of(written)] = written
         if updates:
             self.mutation_count += 1
 
@@ -317,10 +328,10 @@ class Instance(abc.ABC):
         stored, so renames between keys (even cyclic ones) apply cleanly.
         """
         footprint = self._check_set(updates)
-        for key, _row in footprint.consumed:
-            self._remove(*key)
-        for key, row in footprint.produced:
-            self._set(*key, row)
+        for (relation, key), _row in footprint.consumed:
+            self._data[relation].pop(key, None)
+        for (relation, key), row in footprint.produced:
+            self._data[relation][key] = row
         if footprint.consumed or footprint.produced:
             self.mutation_count += 1
 

@@ -227,6 +227,14 @@ class UpdateStore(abc.ABC):
     def finish_publish(self, participant: int, epoch: int) -> None:
         """Mark the epoch finished; it can now become stable."""
 
+    def unpublished(
+        self, participant: int, transactions: Sequence[Transaction]
+    ) -> List[Transaction]:
+        """Those of ``transactions`` no epoch of ``participant`` lists after a
+        ``publish`` that raised: all of them where ``write_transactions`` is
+        atomic.  A store that lists a batch one at a time overrides this."""
+        return list(transactions)
+
     @abc.abstractmethod
     def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
         """Assemble the participant's next reconciliation batch."""

@@ -309,6 +309,10 @@ class DhtUpdateStore(UpdateStore):
             self, node, wire.epoch_key(epoch), "publish_ids", epoch=epoch, ids=ids
         )
 
+    def unpublished(self, participant: int, transactions: Sequence[Transaction]):
+        """See the base class: an epoch lists each body once its store is acknowledged."""
+        return [t for t in transactions if t.tid not in self._peer(participant).published]
+
     # ------------------------------------------------------------------
     # Reconciliation (Figure 7)
 

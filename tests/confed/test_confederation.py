@@ -6,10 +6,10 @@ import pytest
 
 from repro.confed import Confederation, ConfederationConfig
 from repro.errors import ConfigError
-from repro.instance import SqliteInstance
+from repro.instance import Instance
 from repro.model import Insert
 from repro.policy import TrustPolicy
-from repro.store import MemoryUpdateStore
+from repro.store import MemoryUpdateStore, available_stores
 from repro.workload import WorkloadConfig, curated_schema
 
 RAT = ("rat", "prot1", "immune")
@@ -114,14 +114,6 @@ class TestParticipants:
             assert result.accepted == []
             assert len(p3.state.deferred) == 2
 
-    def test_sqlite_instance_backend(self, schema):
-        config = ConfederationConfig(peers=(1,), instance_backend="sqlite")
-        with Confederation(config, schema=schema) as confed:
-            participant = confed.participant(1)
-            assert isinstance(participant.instance, SqliteInstance)
-            participant.execute([Insert("F", RAT, 1)])
-            assert participant.instance.contains_row("F", RAT)
-
 
 class TestSnapshotRestore:
     def test_snapshot_reflects_store_decisions(self, schema):
@@ -161,18 +153,22 @@ class TestSnapshotRestore:
                 assert participant.instance.snapshot() == before[pid]
             assert set(confed.participant(3).state.deferred) == deferred_before
 
-    def test_restore_preserves_instance_type(self, schema):
-        with Confederation(ConfederationConfig(), schema=schema) as confed:
-            p1 = confed.add_participant(
-                1, TrustPolicy(), instance=SqliteInstance(schema)
-            )
-            p1.execute([Insert("F", RAT, 1)])
+    @pytest.mark.parametrize("name", available_stores())
+    def test_restore_builds_a_fresh_replica_equal_to_the_live_one(self, name):
+        # The replica is soft state: restore rebuilds it from the store,
+        # on every backend, as a new ``Instance`` holding what the old did.
+        config = ConfederationConfig(store=name, peers=(1, 2))
+        with Confederation.from_config(config) as confed:
+            p1, p2 = confed.participants
+            p1.execute([Insert("F", RAT, 1), Insert("F", MOUSE, 1)])
             p1.publish_and_reconcile()
-            restored = confed.restore(1)
-            # An explicitly supplied sqlite replica must not silently
-            # downgrade to the config's default backend.
-            assert isinstance(restored.instance, SqliteInstance)
-            assert restored.instance.contains_row("F", RAT)
+            p2.publish_and_reconcile()
+            live = {pid: p.instance for pid, p in enumerate(confed.participants, start=1)}
+            for pid, participant in confed.restore().items():
+                assert type(participant.instance) is Instance
+                assert participant.instance is not live[pid]
+                assert participant.instance == live[pid]
+                assert participant.instance.count("F") == 2
 
     def test_restored_participants_stay_on_the_bus(self, schema):
         with Confederation(

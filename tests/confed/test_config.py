@@ -20,7 +20,6 @@ class TestRoundTrip:
         cfg = ConfederationConfig(
             store="central",
             store_options={"cache_size": 8},
-            instance_backend="sqlite",
             peers=(1, 2, 5),
             trust={1: {2: 3, 5: 1}, 2: {1: 1}},
             network_centric="store",
@@ -111,9 +110,48 @@ class TestValidation:
                 == mode
             )
 
-    def test_unknown_instance_backend_rejected(self):
-        with pytest.raises(ConfigError, match="instance backend"):
-            ConfederationConfig(instance_backend="redis").validate()
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("final_reconcile", "no"),  # truthy: would run the final reconcile
+            ("final_reconcile", 1),
+            ("final_reconcile", None),
+            ("rounds", 1.5),
+            ("rounds", True),
+            ("rounds", "3"),
+            ("rounds", None),
+            ("rounds", -1),
+            ("reconciliation_interval", 2.5),
+            ("reconciliation_interval", True),
+            ("reconciliation_interval", "2"),
+            ("reconciliation_interval", -1),
+            ("peers", None),
+            ("peers", ["a"]),
+            ("peers", "12"),  # a string is iterable: would become peers 1 and 2
+            ("peers", [1.5]),
+            ("peers", [True]),
+            ("peers", 5),
+            ("peers", [1, 1]),
+            ("trust", {"x": {"1": 1}}),
+            ("trust", {"1": 5}),
+            ("trust", {"1": {"2": "high"}}),
+            ("trust", []),
+            ("store_options", None),
+            ("store_options", []),  # would become {} under dict()
+            ("store_options", [["cache_size", 8]]),
+            ("store", 5),
+            ("store", None),
+            ("workload", 5),
+            ("faults", "none"),
+            ("faults", []),
+        ],
+    )
+    def test_malformed_value_is_a_config_error_naming_its_field(self, field, value):
+        # A config file is outside input: a value of the wrong shape is
+        # refused up front, never coerced and never left to fail mid-run.
+        wire = json.loads(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            ConfederationConfig.from_dict(wire).validate()
 
     def test_unknown_store_backend_fails_at_open(self):
         config = ConfederationConfig(store="cassandra")

@@ -593,11 +593,11 @@ class TestSessionLayer:
         from repro.core.engine import Reconciler
         from repro.core.extensions import ReconciliationBatch
         from repro.core.state import ParticipantState
-        from repro.instance.memory import MemoryInstance
+        from repro.instance import Instance
         from repro.workload import curated_schema
 
         schema = curated_schema()
-        reconciler = Reconciler(schema, MemoryInstance(schema), ParticipantState(7))
+        reconciler = Reconciler(schema, Instance(schema), ParticipantState(7))
         session = ReconcileSession(reconciler)
         outcome = session.run(ReconciliationBatch(recno=3))
         assert outcome.result.recno == 3
@@ -612,13 +612,13 @@ class TestSessionLayer:
             RelevantTransaction,
         )
         from repro.core.state import ParticipantState
-        from repro.instance.memory import MemoryInstance
+        from repro.instance import Instance
         from repro.model import Insert, Transaction, TransactionId
         from repro.workload import curated_schema
 
         schema = curated_schema()
         state = ParticipantState(7)
-        reconciler = Reconciler(schema, MemoryInstance(schema), state)
+        reconciler = Reconciler(schema, Instance(schema), state)
         session = ReconcileSession(reconciler)
 
         left = Transaction(

@@ -24,7 +24,7 @@ from repro.core.extensions import (
     compute_update_extension,
 )
 from repro.errors import FlattenError
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.model import Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
 
@@ -41,7 +41,7 @@ MOUSE3 = ("mouse", "prot3", "cell-metab")
 
 
 def make_reconciler(schema, participant):
-    instance = MemoryInstance(schema)
+    instance = Instance(schema)
     state = ParticipantState(participant)
     return Reconciler(schema, instance, state), instance, state
 

@@ -17,7 +17,7 @@ from repro.core import Decision, ParticipantState, Reconciler, RelevantTransacti
 from repro.core.conflicts import find_conflicts
 from repro.core.extensions import compute_update_extension
 from repro.errors import FlattenError
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.model import Delete, Insert, Modify, make_transaction
 from repro.model.flatten import flatten
 
@@ -54,7 +54,7 @@ class Log:
         """Participant 9 reconciles ``roots`` (transaction -> priority):
         the engine's result, held to the oracle; then the decisions of an
         oracle with ``deviations``."""
-        instance, state = MemoryInstance(self.schema), ParticipantState(9)
+        instance, state = Instance(self.schema), ParticipantState(9)
         batch = self.builder.batch(1, list(roots.items()))
         result = Reconciler(self.schema, instance, state).reconcile(batch)
         new = {txn.tid: priority for txn, priority in roots.items()}

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import Decision, ParticipantState, Reconciler
 from repro.core.extensions import compute_update_extension
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.model import Delete, Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
 
@@ -23,7 +23,7 @@ MOUSE3_RESP = ("mouse", "prot3", "cell-resp")
 
 
 def make_reconciler(schema, participant):
-    instance = MemoryInstance(schema)
+    instance = Instance(schema)
     state = ParticipantState(participant)
     return Reconciler(schema, instance, state), instance, state
 

@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.core.resolution import pending_resolutions
 from repro.errors import ResolutionError
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.model import Insert, Modify, make_transaction
 
 from tests.core.helpers import GraphBuilder
@@ -29,7 +29,7 @@ RAT1_RESP = ("rat", "prot1", "cell-resp")
 
 def deferred_figure2_tail(schema):
     """p1's epoch-4 state from Figure 2: three deferred rat transactions."""
-    instance = MemoryInstance(schema)
+    instance = Instance(schema)
     state = ParticipantState(1)
     reconciler = Reconciler(schema, instance, state)
     builder = GraphBuilder()

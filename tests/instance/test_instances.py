@@ -1,15 +1,13 @@
-"""Unit tests for materialised instances (memory and sqlite variants).
-
-Both implementations must satisfy the identical contract, so every test in
-this module runs against both via the ``instance`` parametrised fixture.
-"""
+"""Unit tests for the materialised local instance: lookups, update
+sequences and sets, integrity constraints, copies and equality."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConstraintViolation
-from repro.instance import MemoryInstance, SqliteInstance
+from repro.errors import ConstraintViolation, SchemaError
+from repro.instance import Instance
+from repro.instance.base import compile_footprint
 from repro.model import Delete, Insert, Modify
 
 
@@ -18,22 +16,14 @@ RAT1_IMMUNE = ("rat", "prot1", "immune")
 MOUSE2 = ("mouse", "prot2", "immune")
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def instance(request, schema):
-    if request.param == "memory":
-        yield MemoryInstance(schema)
-    else:
-        with SqliteInstance(schema) as inst:
-            yield inst
+@pytest.fixture
+def instance(schema):
+    return Instance(schema)
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def xref_instance(request, xref_schema):
-    if request.param == "memory":
-        yield MemoryInstance(xref_schema)
-    else:
-        with SqliteInstance(xref_schema) as inst:
-            yield inst
+@pytest.fixture
+def xref_instance(xref_schema):
+    return Instance(xref_schema)
 
 
 class TestBasicOperations:
@@ -79,6 +69,25 @@ class TestBasicOperations:
     def test_all_keys(self, instance):
         instance.apply(Insert("F", RAT1, 3))
         assert instance.all_keys() == [("F", ("rat", "prot1"))]
+
+    def test_rows_yields_every_row_once(self, instance):
+        instance.apply_all([Insert("F", RAT1, 3), Insert("F", MOUSE2, 2)])
+        assert sorted(instance.rows("F")) == sorted([RAT1, MOUSE2])
+
+    def test_count_follows_a_key_changing_modify(self, instance):
+        instance.apply(Insert("F", RAT1, 3))
+        instance.apply(Modify("F", RAT1, MOUSE2, 3))
+        assert instance.count("F") == 1
+
+    def test_contains_row_is_false_for_another_row_at_the_key(self, instance):
+        instance.apply(Insert("F", RAT1, 3))
+        assert not instance.contains_row("F", RAT1_IMMUNE)
+
+    def test_an_unknown_relation_is_refused(self, instance):
+        with pytest.raises(KeyError):
+            instance.get("Nope", ("a",))
+        with pytest.raises(SchemaError):
+            instance.apply(Insert("Nope", ("a",), 3))
 
 
 class TestConstraints:
@@ -156,42 +165,71 @@ class TestSequenceApplication:
         assert not instance.can_apply(Delete("F", RAT1, 3))
 
 
-class TestMemorySpecific:
+class TestCopyAndEquality:
     def test_copy_is_independent(self, schema):
-        original = MemoryInstance(schema)
+        original = Instance(schema)
         original.apply(Insert("F", RAT1, 3))
         clone = original.copy()
+        assert clone == original and clone.schema is original.schema
         clone.apply(Delete("F", RAT1, 3))
         assert original.count("F") == 1
         assert clone.count("F") == 0
         assert original != clone
 
     def test_equality(self, schema):
-        left = MemoryInstance(schema)
-        right = MemoryInstance(schema)
+        left = Instance(schema)
+        right = Instance(schema)
         assert left == right
         left.apply(Insert("F", RAT1, 3))
         assert left != right
+        # Only an instance compares equal, not its snapshot.
+        assert left != left.snapshot() and left != object()
+
+    def test_an_instance_is_unhashable(self, instance):
+        # Mutable, and equal by content: it must not key a dict.
+        with pytest.raises(TypeError):
+            hash(instance)
 
 
-class TestSqliteSpecific:
-    def test_values_round_trip(self, schema, tmp_path):
-        path = str(tmp_path / "inst.db")
-        with SqliteInstance(schema, path) as inst:
-            inst.apply(Insert("F", ("rat", 42, ("nested", 1.5)), 3))
-        with SqliteInstance(schema, path) as inst:
-            assert inst.get("F", ("rat", 42)) == ("rat", 42, ("nested", 1.5))
+class TestMutationCount:
+    """``mutation_count`` moves once per successful mutating call and
+    never otherwise: callers memoize ``can_apply_set`` verdicts on it."""
 
-    def test_invalid_relation_name_rejected(self):
-        from repro.instance.sqlite_instance import _table_name
+    def test_one_bump_per_applied_sequence(self, instance):
+        instance.apply_all([Insert("F", RAT1, 3), Insert("F", MOUSE2, 3)])
+        instance.apply(Delete("F", MOUSE2, 3))
+        assert instance.mutation_count == 2
 
-        with pytest.raises(ValueError):
-            _table_name("evil; DROP TABLE")
+    def test_one_bump_per_applied_set(self, instance):
+        instance.apply_set([Insert("F", RAT1, 3), Insert("F", MOUSE2, 3)])
+        assert instance.mutation_count == 1
+
+    def test_empty_calls_do_not_bump(self, instance):
+        instance.apply_all([])
+        instance.apply_set([])
+        assert instance.mutation_count == 0
+
+    def test_checks_do_not_bump(self, instance):
+        update = Insert("F", RAT1, 3)
+        assert instance.can_apply(update)
+        assert instance.can_apply_all([update])
+        assert instance.can_apply_set([update])
+        assert instance.mutation_count == 0
+
+    def test_a_refused_call_neither_bumps_nor_changes_state(self, instance):
+        instance.apply(Insert("F", RAT1, 3))
+        before = instance.snapshot()
+        with pytest.raises(ConstraintViolation):
+            instance.apply(Delete("F", RAT1_IMMUNE, 3))
+        with pytest.raises(ConstraintViolation):
+            instance.apply_set([Insert("F", MOUSE2, 3), Delete("F", RAT1_IMMUNE, 3)])
+        assert instance.mutation_count == 1
+        assert instance.snapshot() == before
 
 
 class TestSetApplication:
     """An update set is tested by probing its compiled footprint: what
-    the set itself decides costs no ``get`` (a ``SELECT`` on sqlite)."""
+    the set itself decides costs no ``get``."""
 
     CHILDREN = [
         Insert("Xref", ("rat", "prot1", "db", f"a{serial}"), 3) for serial in range(7)
@@ -231,3 +269,27 @@ class TestSetApplication:
         assert xref_instance.can_apply_set(revised)
         assert len(probed) == 8
         assert probed.count(("F", ("rat", "prot1"))) == 1  # the consumed row
+
+    def test_a_cyclic_rename_applies_as_a_set_but_not_as_a_sequence(self, instance):
+        # Consume everything, then produce everything: the two rows may
+        # trade keys within one set; in order, the first lands on the second.
+        mouse1 = ("mouse", "prot1", "cell-metab")
+        instance.apply_all([Insert("F", RAT1, 3), Insert("F", mouse1, 3)])
+        swap = [
+            Modify("F", RAT1, ("mouse", "prot1", "immune"), 3),
+            Modify("F", mouse1, ("rat", "prot1", "immune"), 3),
+        ]
+        assert not instance.can_apply_all(swap)
+        instance.apply_set(swap)
+        assert instance.get("F", ("rat", "prot1")) == ("rat", "prot1", "immune")
+        assert instance.get("F", ("mouse", "prot1")) == ("mouse", "prot1", "immune")
+
+    def test_one_compiled_footprint_serves_every_state(self, schema):
+        # A footprint depends on the updates and the schema alone.
+        footprint = compile_footprint(schema, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
+        empty, holding = Instance(schema), Instance(schema)
+        holding.apply(Insert("F", RAT1, 3))
+        assert not empty.can_apply_set(footprint)
+        holding.apply_set(footprint)
+        assert holding.get("F", ("rat", "prot1")) == RAT1_IMMUNE
+        assert not holding.can_apply_set(footprint)

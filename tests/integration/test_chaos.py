@@ -26,6 +26,7 @@ import pytest
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.errors import RetryExhaustedError, SchedulerError
+from repro.model import Insert
 from repro.net import FaultPlan, HostCrash, MessageFault, ParticipantRestart
 from repro.workload import WorkloadConfig
 from tests.conftest import decision_stream
@@ -253,6 +254,71 @@ def test_unmaskable_fault_raises_retry_exhausted_serial():
         run_confederation(
             "dht", {"hosts": 5, "max_retries": 2}, 11, faults=BLACK_HOLE
         )
+
+
+#: Where a two-transaction DHT publish runs out of retries: the message
+#: kind lost and, for a body, which of the two transactions it carries;
+#: then how many of them the epoch lists by then.
+PUBLISH_LOSSES = {
+    "first store_txn": ("store_txn", 0, 0),
+    "second store_txn": ("store_txn", 1, 1),
+    "register_producer": ("register_producer", None, 2),
+}
+
+
+@pytest.mark.parametrize("loss", sorted(PUBLISH_LOSSES))
+def test_a_failed_publish_keeps_its_transactions_for_the_retry(loss):
+    """A publish whose store calls run out of retries raises, and keeps
+    queued exactly what its epoch does not list: nothing was written
+    when the first body is lost, the second stays when only it is lost,
+    and a lost producer-index batch leaves both listed.  The retry sends
+    the rest, a later publish still goes through, and the other peer
+    accepts every transaction exactly once."""
+    kind, carried, listed = PUBLISH_LOSSES[loss]
+    config = ConfederationConfig(store="dht", store_options={"hosts": 4}, peers=(1, 2))
+    with Confederation.from_config(config) as confed:
+        p1, p2 = confed.participants
+        rows = [("rat", "prot1", "immune"), ("mouse", "prot2", "immune")]
+        executed = tuple(p1.execute([Insert("F", row, 1)]) for row in rows)
+        network = confed.store.network
+        post = network.post
+
+        def lose(message):
+            if message.kind != kind or (
+                carried is not None and message.payload["transaction"] != executed[carried]
+            ):
+                post(message)
+
+        network.post = lose
+        with pytest.raises(RetryExhaustedError):
+            p1.publish()
+        network.post = post
+        assert p1.unpublished == executed[listed:]
+        p1.publish()
+        later = p1.execute([Insert("F", ("cat", "prot3", "immune"), 1)])
+        p1.publish()
+        assert p1.unpublished == ()
+        assert p2.reconcile().accepted == [t.tid for t in (*executed, later)]
+        assert p2.reconcile().accepted == []
+
+
+def test_the_lost_bodies_of_a_fault_plan_are_published_on_the_retry():
+    """The same through a seeded fault plan: the first four ``store_txn``
+    sends are dropped, so the first body runs out of retries, the
+    publish raises with nothing listed, and the retry publishes both."""
+    plan = FaultPlan(seed=1, messages=(MessageFault("store_txn", "drop", 1.0, times=4),))
+    config = ConfederationConfig(
+        store="dht", store_options={"hosts": 4}, peers=(1, 2), faults=plan
+    )
+    with Confederation.from_config(config) as confed:
+        p1, p2 = confed.participants
+        rows = [("rat", "prot1", "immune"), ("mouse", "prot2", "immune")]
+        executed = tuple(p1.execute([Insert("F", row, 1)]) for row in rows)
+        with pytest.raises(RetryExhaustedError):
+            p1.publish()
+        assert p1.unpublished == executed
+        p1.publish()
+        assert p2.reconcile().accepted == [t.tid for t in executed]
 
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.metrics import aggregate_timings, divergence_by_key, state_ratio
 from repro.model import Insert
 
@@ -16,7 +16,7 @@ class TestStateRatio:
     def test_all_agree(self, schema):
         instances = {}
         for pid in (1, 2, 3):
-            inst = MemoryInstance(schema)
+            inst = Instance(schema)
             inst.apply(Insert("F", ("rat", "p1", "immune"), pid))
             instances[pid] = inst
         assert state_ratio(instances) == 1.0
@@ -24,20 +24,20 @@ class TestStateRatio:
     def test_total_divergence(self, schema):
         instances = {}
         for pid in (1, 2, 3):
-            inst = MemoryInstance(schema)
+            inst = Instance(schema)
             inst.apply(Insert("F", ("rat", "p1", f"fn-{pid}"), pid))
             instances[pid] = inst
         assert state_ratio(instances) == 3.0
 
     def test_absence_counts_as_a_state(self, schema):
-        holder = MemoryInstance(schema)
+        holder = Instance(schema)
         holder.apply(Insert("F", ("rat", "p1", "immune"), 1))
-        empty = MemoryInstance(schema)
+        empty = Instance(schema)
         assert state_ratio({1: holder, 2: empty}) == 2.0
 
     def test_mixed_keys_average(self, schema):
-        a = MemoryInstance(schema)
-        b = MemoryInstance(schema)
+        a = Instance(schema)
+        b = Instance(schema)
         shared = ("mouse", "p2", "immune")
         a.apply(Insert("F", shared, 1))
         b.apply(Insert("F", shared, 2))
@@ -46,8 +46,8 @@ class TestStateRatio:
         assert state_ratio({1: a, 2: b}) == pytest.approx(1.5)
 
     def test_relation_filter(self, xref_schema):
-        a = MemoryInstance(xref_schema)
-        b = MemoryInstance(xref_schema)
+        a = Instance(xref_schema)
+        b = Instance(xref_schema)
         a.apply(Insert("F", ("rat", "p1", "x"), 1))
         b.apply(Insert("F", ("rat", "p1", "x"), 2))
         a.apply(Insert("Xref", ("rat", "p1", "GO", "a"), 1))
@@ -55,8 +55,8 @@ class TestStateRatio:
         assert state_ratio({1: a, 2: b}) > 1.0
 
     def test_divergence_by_key(self, schema):
-        a = MemoryInstance(schema)
-        b = MemoryInstance(schema)
+        a = Instance(schema)
+        b = Instance(schema)
         a.apply(Insert("F", ("rat", "p1", "x"), 1))
         b.apply(Insert("F", ("rat", "p1", "y"), 2))
         counts = divergence_by_key({1: a, 2: b})

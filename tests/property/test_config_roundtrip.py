@@ -136,7 +136,6 @@ def confederation_configs(draw) -> ConfederationConfig:
                 max_size=2,
             )
         ),
-        instance_backend=draw(st.sampled_from(("memory", "sqlite"))),
         peers=peers,
         trust=trust,
         network_centric=draw(st.sampled_from(("client", "store"))),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.model import Insert, updates_conflict
 
 from tests.property.strategies import (
@@ -51,7 +51,7 @@ def test_conflicting_writes_cannot_both_apply(left, right):
     if left.read_row() is not None or right.read_row() is not None:
         return
     # Both are pure inserts that conflict: same key, different rows.
-    instance = MemoryInstance(PROP_SCHEMA)
+    instance = Instance(PROP_SCHEMA)
     assert not instance.can_apply_all([left, right])
 
 
@@ -59,7 +59,7 @@ def test_conflicting_writes_cannot_both_apply(left, right):
 @settings(max_examples=150)
 def test_can_apply_all_agrees_with_apply_all(case):
     initial, updates = case
-    probe = MemoryInstance(PROP_SCHEMA)
+    probe = Instance(PROP_SCHEMA)
     for row in initial.values():
         probe.apply(Insert("R", row, 0))
     assert probe.can_apply_all(updates)
@@ -78,7 +78,7 @@ def test_apply_all_failure_leaves_instance_unchanged(case, rng):
     if not initial:
         return
     dropped = rng.choice(sorted(initial))
-    instance = MemoryInstance(PROP_SCHEMA)
+    instance = Instance(PROP_SCHEMA)
     for key, row in initial.items():
         if key != dropped:
             instance.apply(Insert("R", row, 0))

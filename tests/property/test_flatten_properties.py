@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.model import Insert, flatten
 from repro.model.flatten import keys_read, keys_touched
 
@@ -18,7 +18,7 @@ from tests.property.strategies import PROP_SCHEMA, valid_update_sequences
 
 
 def materialise(initial):
-    instance = MemoryInstance(PROP_SCHEMA)
+    instance = Instance(PROP_SCHEMA)
     for row in initial.values():
         instance.apply(Insert("R", row, 0))
     return instance

@@ -143,7 +143,7 @@ class TestPayloadRouting:
     def test_the_engine_adopts_exactly_what_the_batch_carries(self, carried):
         from repro.core.engine import Reconciler
         from repro.core.state import ParticipantState
-        from repro.instance.memory import MemoryInstance
+        from repro.instance import Instance
 
         schema = curated_schema()
         batch = self._one_published_transaction(create_store("memory", schema))
@@ -152,7 +152,7 @@ class TestPayloadRouting:
             # A batch without payloads: the engine derives locally.
             batch.extensions = batch.pair_cache = None
         reconciler = Reconciler(
-            schema, MemoryInstance(schema), ParticipantState(2)
+            schema, Instance(schema), ParticipantState(2)
         )
         result = reconciler.reconcile(batch)
         assert [str(t) for t in result.accepted] == ["X1:0"]

@@ -15,6 +15,7 @@ import pytest
 import repro
 import repro.cdss
 from repro.confed.hooks import EVENTS
+from repro.errors import ConfigError
 from repro.store import available_stores
 
 EXPECTED_ALL = {
@@ -51,8 +52,6 @@ EXPECTED_ALL = {
     "register_store",
     # Instances
     "Instance",
-    "MemoryInstance",
-    "SqliteInstance",
     # Policies
     "AcceptanceRule",
     "TrustPolicy",
@@ -221,7 +220,7 @@ def test_the_engine_has_one_mode():
     from repro.core import ParticipantState, Reconciler
     from repro.core.cache import ExtensionCache
     from repro.core.conflicts import IncrementalConflictIndex
-    from repro.instance import MemoryInstance
+    from repro.instance import Instance
     from repro.workload import curated_schema
 
     schema = curated_schema()
@@ -231,7 +230,7 @@ def test_the_engine_has_one_mode():
         IncrementalConflictIndex(enabled=False)
     assert not hasattr(IncrementalConflictIndex, "clear")
     with pytest.raises(TypeError):
-        Reconciler(schema, MemoryInstance(schema), ParticipantState(1), cache=ExtensionCache())
+        Reconciler(schema, Instance(schema), ParticipantState(1), cache=ExtensionCache())
     with pytest.raises(TypeError):
         Participant(1, MemoryUpdateStore(schema), TrustPolicy(), engine_caching=False)
     with pytest.raises(ConfigError, match="engine_caching"):
@@ -289,6 +288,96 @@ def test_the_retired_knobs_are_refused():
             ConfederationConfig(**{knob: 2})
         with pytest.raises(ConfigError, match=knob):
             ConfederationConfig.from_dict({"peers": [1, 2], knob: 2})
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "from repro import MemoryInstance",
+        "from repro import SqliteInstance",
+        "from repro.instance import MemoryInstance",
+        "from repro.instance import SqliteInstance",
+        "from repro.confed import INSTANCE_BACKENDS",
+        "import repro.instance.memory",
+        "import repro.instance.sqlite_instance",
+    ],
+)
+def test_the_second_instance_backend_is_gone(statement):
+    # A participant has one local replica, ``Instance``: the sqlite
+    # variant and the name of the dict one are deleted, not aliased.
+    with pytest.raises(ImportError):
+        exec(statement, {})
+
+
+def _replica_knobs():
+    """Each way a caller could once choose a participant's replica, as
+    a call that must now be refused."""
+    from repro import (
+        Confederation,
+        ConfederationConfig,
+        Instance,
+        MemoryUpdateStore,
+        Participant,
+        TrustPolicy,
+    )
+    from repro.workload import curated_schema
+
+    schema = curated_schema()
+
+    def on_the_facade(call):
+        with Confederation(ConfederationConfig(peers=(1,)), schema=schema) as confed:
+            try:
+                call(confed)
+            finally:
+                assert type(confed.participant(1).instance) is Instance
+
+    return {
+        "config field": lambda: ConfederationConfig(instance_backend="memory"),
+        "config dict": lambda: ConfederationConfig.from_dict({"instance_backend": "memory"}),
+        "participant": lambda: Participant(
+            1, MemoryUpdateStore(schema), TrustPolicy(), instance=Instance(schema)
+        ),
+        "rebuild": lambda: Participant.rebuild(
+            1, MemoryUpdateStore(schema), TrustPolicy(), instance=Instance(schema)
+        ),
+        "add_participant": lambda: on_the_facade(
+            lambda confed: confed.add_participant(2, TrustPolicy(), instance=Instance(schema))
+        ),
+        "restore": lambda: on_the_facade(
+            lambda confed: confed.restore(1, instance=Instance(schema))
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "knob, refusal",
+    [
+        ("config field", TypeError),
+        ("config dict", ConfigError),
+        ("participant", TypeError),
+        ("rebuild", TypeError),
+        ("add_participant", TypeError),
+        ("restore", TypeError),
+    ],
+)
+def test_the_replica_takes_no_knob(knob, refusal):
+    # Nothing chooses a participant's replica: no config field, and no
+    # ``instance=`` on the participant, its rebuild, or the facade.
+    with pytest.raises(refusal, match="instance"):
+        _replica_knobs()[knob]()
+
+
+@pytest.mark.parametrize("build", ["__init__", "rebuild"])
+def test_a_participant_takes_its_options_by_keyword(build):
+    # A replica passed where ``instance`` used to stand is refused, not
+    # read as ``network_centric``.
+    from repro import Instance, MemoryUpdateStore, Participant, TrustPolicy
+    from repro.workload import curated_schema
+
+    schema = curated_schema()
+    make = Participant if build == "__init__" else Participant.rebuild
+    with pytest.raises(TypeError, match="positional"):
+        make(1, MemoryUpdateStore(schema), TrustPolicy(), Instance(schema))
 
 
 def test_analyzer_rules_are_records_not_subclasses():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.errors import WorkloadError
-from repro.instance import MemoryInstance
+from repro.instance import Instance
 from repro.model import Insert, Modify
 from repro.workload import (
     Vocabulary,
@@ -104,7 +104,7 @@ class TestWorkloadGenerator:
     def test_updates_apply_cleanly_to_local_instance(self):
         schema = curated_schema()
         generator = WorkloadGenerator(WorkloadConfig(transaction_size=3))
-        instance = MemoryInstance(schema)
+        instance = Instance(schema)
         for _ in range(50):
             updates = generator.transaction_updates(1, instance)
             instance.apply_all(updates)  # must never raise
@@ -114,7 +114,7 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(
             WorkloadConfig(transaction_size=4, xref_mean=0)
         )
-        instance = MemoryInstance(schema)
+        instance = Instance(schema)
         updates = generator.transaction_updates(1, instance)
         f_updates = [u for u in updates if u.relation == "F"]
         assert len(f_updates) == 4
@@ -124,7 +124,7 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(
             WorkloadConfig(transaction_size=1, insert_fraction=1.0)
         )
-        instance = MemoryInstance(schema)
+        instance = Instance(schema)
         updates = generator.transaction_updates(1, instance)
         assert isinstance(updates[0], Insert) and updates[0].relation == "F"
         xrefs = [u for u in updates if u.relation == "Xref"]
@@ -135,7 +135,7 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(
             WorkloadConfig(transaction_size=1, insert_fraction=1.0)
         )
-        instance = MemoryInstance(schema)
+        instance = Instance(schema)
         counts = []
         for _ in range(120):
             updates = generator.transaction_updates(2, instance)
@@ -149,7 +149,7 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(
             WorkloadConfig(transaction_size=1, insert_fraction=0.0)
         )
-        instance = MemoryInstance(schema)
+        instance = Instance(schema)
         # Seed the instance so replacements are possible.
         seeder = WorkloadGenerator(
             WorkloadConfig(transaction_size=5, insert_fraction=1.0, xref_mean=0)
@@ -167,7 +167,7 @@ class TestWorkloadGenerator:
 
         def stream(seed):
             generator = WorkloadGenerator(WorkloadConfig(seed=seed))
-            instance = MemoryInstance(schema)
+            instance = Instance(schema)
             out = []
             for _ in range(20):
                 updates = generator.transaction_updates(1, instance)
@@ -181,8 +181,8 @@ class TestWorkloadGenerator:
     def test_participants_get_independent_streams(self):
         schema = curated_schema()
         generator = WorkloadGenerator(WorkloadConfig())
-        inst1 = MemoryInstance(schema)
-        inst2 = MemoryInstance(schema)
+        inst1 = Instance(schema)
+        inst2 = Instance(schema)
         ups1 = generator.transaction_updates(1, inst1)
         ups2 = generator.transaction_updates(2, inst2)
         # Same seed, different participants: almost surely different picks.
@@ -196,7 +196,7 @@ class TestWorkloadGenerator:
         )
         keys_by_peer = {}
         for peer in (1, 2):
-            instance = MemoryInstance(schema)
+            instance = Instance(schema)
             keys = set()
             for _ in range(60):
                 updates = generator.transaction_updates(peer, instance)
