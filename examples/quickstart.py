@@ -184,8 +184,8 @@ def main() -> None:
         )
 
     # 11. The determinism invariants everything above relies on (seeded
-    #     RNG substreams, routing on the batch, store access under the
-    #     store lock) are machine-checked.  CI gates on
+    #     RNG substreams, routing on the batch, every store call one
+    #     measured store phase) are machine-checked.  CI gates on
     #
     #         PYTHONPATH=src python -m repro.analysis src tests benchmarks examples
     #

@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            f"Determinism & lock-discipline checker: repo-specific AST "
+            f"Determinism & store-phase checker: repo-specific AST "
             f"lint rules ({rules[0].code}-{rules[-1].code}) over the given "
             f"files and directories."
         ),

@@ -1,6 +1,6 @@
 """The AST lint engine behind ``python -m repro.analysis``.
 
-The repo's determinism and lock-discipline invariants (routing
+The repo's determinism and store-phase invariants (routing
 on the batch, seeded RNG substreams, ``_store_call`` transport discipline,
 serialized hook dispatch, exact config round-trips) are enforced by
 convention — a violation only surfaces if a decision-stream pin happens

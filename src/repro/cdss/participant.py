@@ -8,11 +8,11 @@ together (:meth:`Participant.publish_and_reconcile`), as the paper assumes.
 
 The participant is the **transport layer** of the PR 3 session split: it
 is the only layer that talks to the update store.  Every store call goes
-through :meth:`Participant._store_call`: a *store phase* that holds the
-store's lock and measures the call (the store-phase discipline of
-:mod:`repro.store.base`), then a *latency phase* that pays what the call
-charged through the store's clock.  The decisions themselves are
-produced by the transport-free :class:`~repro.core.session.ReconcileSession`.
+through :meth:`Participant._store_call`, the *store phase*: it measures
+the call (the store-phase discipline of :mod:`repro.store.base`), then
+pays what the call charged through the store's clock.  The decisions
+themselves are produced by the transport-free
+:class:`~repro.core.session.ReconcileSession`.
 
 Every reconciliation records a :class:`ReconcileTiming` splitting the cost
 into *store* time (wall-clock spent inside update-store calls plus the
@@ -106,8 +106,7 @@ class Participant:
         self._unpublished: List[Transaction] = []
         self._own_delta: List[Update] = []
         if register:
-            # Registration is a store call like any other: through the
-            # transport discipline, under the store lock.
+            # Registration is a store call like any other: one store phase.
             self._store_call(store.register_participant, participant_id, policy)
 
     @classmethod
@@ -214,40 +213,26 @@ class Participant:
     # Publication and reconciliation
 
     def _store_call(self, method, *args) -> Tuple[object, PerfCounters, float]:
-        """Run one store call: a store phase, then a latency phase;
-        returns ``(result, perf delta, wall seconds inside the call)``.
+        """Run one store call as one store phase; returns ``(result, perf
+        delta, wall seconds inside the call)``.
 
-        The **store phase** (:meth:`_store_phase`) holds the store lock
-        and measures the call.  The **latency phase** pays the simulated
-        latency the call charged through ``store.pay_latency``, *after*
-        the lock is released: the payment goes through the store's
-        :class:`~repro.net.clock.LatencyClock`, so the asyncio epoch
-        scheduler turns the wait into an awaited ``asyncio.sleep``
-        without ever holding ``store.lock`` across an await.
-        ``pay_latency`` is part of the
+        The phase snapshots the store's perf counters, makes the call,
+        takes the delta (this call's charge alone: one thread drives the
+        confederation) and then pays the simulated latency the call
+        charged through ``store.pay_latency``.  The payment goes through
+        the store's :class:`~repro.net.clock.LatencyClock`, so the
+        asyncio epoch scheduler turns the wait into an awaited
+        ``asyncio.sleep``.  ``pay_latency`` is part of the
         :class:`~repro.store.base.UpdateStore` contract.
         """
         store = self.store
-        result, delta, elapsed = self._store_phase(method, *args)
+        started = time.perf_counter()
+        before = store.perf.snapshot()
+        result = method(*args)
+        delta = store.perf.minus(before)
+        elapsed = time.perf_counter() - started
         store.pay_latency(delta.simulated_seconds)
         return result, delta, elapsed
-
-    def _store_phase(self, method, *args) -> Tuple[object, PerfCounters, float]:
-        """The lock-held half of :meth:`_store_call`.
-
-        The lock marks the store phase (the store-phase discipline of
-        :mod:`repro.store.base`): the call, and the perf snapshot and
-        delta around it, run inside it, so the delta is this call's
-        charge alone.  No latency is paid here: that is the caller's
-        latency phase, outside the lock.
-        """
-        store = self.store
-        with store.lock:
-            started = time.perf_counter()
-            before = store.perf.snapshot()
-            result = method(*args)
-            delta = store.perf.minus(before)
-        return result, delta, time.perf_counter() - started
 
     def publish(self) -> int:
         """Publish all unpublished transactions; returns the epoch.  A

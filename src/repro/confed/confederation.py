@@ -328,22 +328,17 @@ class Confederation:
         """
         self._ensure_open()
         snapshots = {}
-        # Snapshot reads are store access like any other: inside the
-        # store lock (the store-phase discipline of repro.store.base).
-        with self.store.lock:
-            for participant in self.participants:
-                applied, rejected, deferred = self.store.decided_transactions(
-                    participant.id
-                )
-                snapshots[participant.id] = ParticipantSnapshot(
-                    participant=participant.id,
-                    applied=tuple(entry[2].tid for entry in applied),
-                    rejected=tuple(rejected),
-                    deferred=tuple(deferred),
-                    last_recno=self.store.last_reconciliation_epoch(
-                        participant.id
-                    ),
-                )
+        for participant in self.participants:
+            applied, rejected, deferred = self.store.decided_transactions(
+                participant.id
+            )
+            snapshots[participant.id] = ParticipantSnapshot(
+                participant=participant.id,
+                applied=tuple(entry[2].tid for entry in applied),
+                rejected=tuple(rejected),
+                deferred=tuple(deferred),
+                last_recno=self.store.last_reconciliation_epoch(participant.id),
+            )
         return snapshots
 
     def restore(self, participant_id: Optional[int] = None):
@@ -388,8 +383,6 @@ class Confederation:
         self._ensure_open()
         timings = self._timing.timings
         network = getattr(self.store, "network", None)
-        with self.store.lock:
-            store_cache_stats = self.store.derivation_stats()
         return ConfederationReport(
             config=self.config,
             state_ratio=self.state_ratio(relation=relation),
@@ -403,7 +396,7 @@ class Confederation:
             # A snapshot, not the live collector: a report's counters
             # must not mutate when the confederation keeps running.
             cache_stats=self._cache_stats.total.snapshot(),
-            store_cache_stats=store_cache_stats,
+            store_cache_stats=self.store.derivation_stats(),
             faults=self._fault_collector.snapshot(),
             kind_counts=dict(
                 getattr(network, "kind_counts", None) or {}

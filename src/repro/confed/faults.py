@@ -30,7 +30,6 @@ store surface emits the ``fault``/``recovery`` events for crashes.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.net.faults import FaultPlan
@@ -76,32 +75,14 @@ class FaultController:
         Called between schedule steps; idempotent when nothing is due.
         """
         store = confederation.store
-        # Crash/recover mutate store state directly (no participant
-        # transport in between), so hold the store lock for the check
-        # and the action.  ``restore`` runs *outside* the lock: it
-        # routes through ``_store_call`` internally (the lock is
-        # reentrant, but restore also pays simulated latency, which must
-        # never be slept under the lock).  Minimal test doubles without
-        # a ``lock`` attribute are called directly, mirroring
-        # ``Participant._store_call``.
-        lock = getattr(store, "lock", None)
-        while True:
-            with lock if lock is not None else nullcontext():
-                due = bool(
-                    self._pending
-                    and self._pending[0][0] <= store.current_epoch()
+        while self._pending and self._pending[0][0] <= store.current_epoch():
+            _epoch, _seq, action, target = self._pending.pop(0)
+            if action == "crash":
+                store.fail_host(target)
+            elif action == "recover":
+                store.recover_host(target)
+            else:
+                confederation.restore(target)
+                confederation.hooks.emit(
+                    "recovery", kind="participant", participant=target
                 )
-                if not due:
-                    return
-                _epoch, _seq, action, target = self._pending.pop(0)
-                if action == "crash":
-                    store.fail_host(target)
-                    continue
-                if action == "recover":
-                    store.recover_host(target)
-                    continue
-            # restart — outside the lock (see above)
-            confederation.restore(target)
-            confederation.hooks.emit(
-                "recovery", kind="participant", participant=target
-            )

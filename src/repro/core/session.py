@@ -21,9 +21,7 @@ The split of responsibilities:
   to the session, and reports the upstream result back.
 
 Because the session is transport-free it can be driven by anything that
-can produce a batch — a store, a replayed log, a test fixture — and the
-epoch scheduler can run many sessions concurrently while store access
-stays serialized at the transport layer.
+can produce a batch — a store, a replayed log, a test fixture.
 """
 
 from __future__ import annotations

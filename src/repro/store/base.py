@@ -28,13 +28,12 @@ the batch, and adopts whatever payload it carries (context-free
 extensions, the shared conflict graph) without knowing the store's
 type.
 
-Store-phase discipline: every store carries a reentrant ``lock``.  A
-confederation is driven from one thread and stores are not thread-safe;
-the lock brackets each store call made by the transport layer
-(:class:`~repro.cdss.participant.Participant`), the confederation
-facade and the fault controller, so every store touch happens inside a
-measured call — what the latency and perf accounting depend on, and
-what :mod:`repro.analysis.runtime` checks.
+Store-phase discipline: a confederation is driven from one thread and
+stores are not thread-safe.  Each store call the transport layer
+(:class:`~repro.cdss.participant.Participant`) makes is one measured
+store phase, ``Participant._store_call``: the perf snapshot, the call,
+its delta and the latency it charged — what the latency and perf
+accounting depend on, and what rule RPR004 checks.
 
 Performance accounting: every store tracks a :class:`PerfCounters` of
 messages exchanged and the simulated network latency they cost.  The
@@ -47,7 +46,6 @@ injected in its distributed experiments.
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -111,10 +109,10 @@ class UpdateStore(abc.ABC):
         *real*: after a store call, the transport pays the simulated
         seconds the call charged (the paper's experiments injected these
         delays for real; by default we only account them).  The wait
-        happens in :meth:`pay_latency`, outside the store ``lock``, and
-        is delegated to the store's :attr:`clock` — blocking by
-        default; the asyncio scheduler swaps in an awaitable clock for
-        the duration of a run."""
+        happens in :meth:`pay_latency`, after the call, and is
+        delegated to the store's :attr:`clock` — blocking by default;
+        the asyncio scheduler swaps in an awaitable clock for the
+        duration of a run."""
         if message_latency < 0:
             raise StoreError(f"message_latency must be >= 0, not {message_latency}")
         self._schema = schema
@@ -126,8 +124,6 @@ class UpdateStore(abc.ABC):
         #: while it runs, so payments accrue to the running participant
         #: instead of blocking the event loop.
         self.clock: LatencyClock = BlockingLatencyClock()
-        #: Brackets each store call (the store-phase discipline above).
-        self.lock = threading.RLock()
         self.perf = PerfCounters()
         #: Optional hook bus (``repro.confed.hooks.HookBus``), attached
         #: by ``Confederation.open()`` so stores can surface fault /
@@ -161,7 +157,7 @@ class UpdateStore(abc.ABC):
         it; this base implementation is the default): the transport layer
         (:meth:`repro.cdss.participant.Participant._store_call`) calls it
         unconditionally with the simulated-latency delta of the store
-        call it just made, *after* releasing the store lock.  The wait
+        call it just made, after the call returns.  The wait
         itself is delegated to :attr:`clock` (never an inline
         ``time.sleep`` — rule RPR010): blocking under the serial
         schedule, accrued-and-awaited under the asyncio schedule.

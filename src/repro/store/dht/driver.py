@@ -167,9 +167,6 @@ class DhtUpdateStore(UpdateStore):
         self._token_counter = 0
         #: Retries performed so far (surfaced by reports and tests).
         self.retries = 0
-        # One record per registered participant.  A dict on the store
-        # object, created here: the runtime lock-discipline proxies
-        # guard the containers they find in ``vars(store)``.
         self._peers: Dict[int, _Peer] = {}
         self._open_epochs: Dict[Tuple[int, int], List[TransactionId]] = {}
         # The confederation-wide conflict graph, attached to every batch
@@ -234,10 +231,12 @@ class DhtUpdateStore(UpdateStore):
         """Figure 6, messages 1-4: obtain an epoch from the allocator.
 
         The request id makes allocation at-most-once: the allocator
-        re-drives the same epoch for a retried (or duplicated) request,
-        so a lost ``begin_publishing`` reply never burns an epoch.
+        re-drives the same epoch for a retried (or duplicated) request.
+        An epoch the participant left open (its id list lost) closes first.
         """
         node = self._peer(participant).node
+        for key in [key for key in self._open_epochs if key[0] == participant]:
+            self.finish_publish(*key)
         epoch = client.request(
             self, node, wire.ALLOCATOR_KEY, "request_epoch", publisher=participant
         )["epoch"]
@@ -298,9 +297,9 @@ class DhtUpdateStore(UpdateStore):
         )
 
     def finish_publish(self, participant: int, epoch: int) -> None:
-        """Figure 6, messages 5-6: hand the id list to the epoch controller."""
+        """Figure 6, messages 5-6: the id list, kept until the epoch controller acknowledges it."""
         node = self._peer(participant).node
-        ids = self._open_epochs.pop((participant, epoch), None)
+        ids = self._open_epochs.get((participant, epoch))
         if ids is None:
             raise StoreError(
                 f"epoch {epoch} is not being published by {participant}"
@@ -308,6 +307,7 @@ class DhtUpdateStore(UpdateStore):
         client.request(
             self, node, wire.epoch_key(epoch), "publish_ids", epoch=epoch, ids=ids
         )
+        del self._open_epochs[(participant, epoch)]
 
     def unpublished(self, participant: int, transactions: Sequence[Transaction]):
         """See the base class: an epoch lists each body once its store is acknowledged."""

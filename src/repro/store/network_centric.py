@@ -127,10 +127,6 @@ class DirectLogStore(UpdateStore):
         real_latency: bool = False,
     ) -> None:
         super().__init__(schema, message_latency, real_latency=real_latency)
-        # Created here rather than on first use: the runtime
-        # lock-discipline proxies guard the containers they find in
-        # ``vars(store)`` when instrumentation starts, so a memo born
-        # during the first reconciliation would never be guarded.
         self._nc_caches: Dict[
             int, Tuple[ExtensionCache, IncrementalConflictIndex]
         ] = {}

@@ -258,11 +258,14 @@ def test_unmaskable_fault_raises_retry_exhausted_serial():
 
 #: Where a two-transaction DHT publish runs out of retries: the message
 #: kind lost and, for a body, which of the two transactions it carries;
-#: then how many of them the epoch lists by then.
+#: then how many of them the epoch lists by then.  A lost ``publish_ids``
+#: leaves the epoch unfinished, which holds back every later epoch until
+#: the publisher's next publish finishes it.
 PUBLISH_LOSSES = {
     "first store_txn": ("store_txn", 0, 0),
     "second store_txn": ("store_txn", 1, 1),
     "register_producer": ("register_producer", None, 2),
+    "publish_ids": ("publish_ids", None, 2),
 }
 
 
@@ -271,9 +274,9 @@ def test_a_failed_publish_keeps_its_transactions_for_the_retry(loss):
     """A publish whose store calls run out of retries raises, and keeps
     queued exactly what its epoch does not list: nothing was written
     when the first body is lost, the second stays when only it is lost,
-    and a lost producer-index batch leaves both listed.  The retry sends
-    the rest, a later publish still goes through, and the other peer
-    accepts every transaction exactly once."""
+    and a lost producer-index batch or epoch list leaves both listed.
+    The retry sends the rest, a later publish still goes through, and
+    the other peer accepts every transaction exactly once."""
     kind, carried, listed = PUBLISH_LOSSES[loss]
     config = ConfederationConfig(store="dht", store_options={"hosts": 4}, peers=(1, 2))
     with Confederation.from_config(config) as confed:

@@ -13,9 +13,7 @@ The durable backend's contract beyond the shared store interface:
   changes residency and cost, never decisions;
 * the file holds facts, never derived data: a retired shared-memo
   entry is dropped as on every other log, and a participant registered
-  after retirement recomputes it — to the same decisions as ``memory``;
-* the async epoch scheduler drives it under the runtime store-phase
-  proxies without perturbing a decision.
+  after retirement recomputes it — to the same decisions as ``memory``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import sqlite3
 
 import pytest
 
-from repro.analysis.runtime import lock_discipline
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.core.cache import PageCache
 from repro.core.decisions import ReconcileResult
@@ -479,34 +476,3 @@ def test_a_participant_registered_after_retirement_decides_as_on_memory(
     assert durable[4] == memory[4] > 0
     if memo_limit is not None:
         assert durable[:3] == newcomer_run("memory", tmp_path)[:3]
-
-
-# ----------------------------------------------------------------------
-# Async scheduler under the runtime store-phase proxies
-
-
-def run_async(path, instrument):
-    config = evaluation_config(path, schedule_mode="async")
-    hooks = HookBus()
-    log = decision_stream(hooks)
-    with Confederation(config, hooks=hooks) as confed:
-        if instrument:
-            with lock_discipline(confed.store) as handle:
-                assert handle.wrapped  # containers really got guarded
-                confed.run()
-        else:
-            confed.run()
-        snapshots = {p.id: p.instance.snapshot() for p in confed.participants}
-    return log, snapshots
-
-
-def test_async_scheduler_under_lock_discipline(tmp_path):
-    """Pipelined reconcile phases against one sqlite connection, every
-    store touch owner-checked by the runtime proxies: the instrumented
-    run's global decision stream and replicas match the plain async
-    run's — the proxies perturb nothing.
-    """
-    plain = run_async(str(tmp_path / "plain.db"), instrument=False)
-    guarded = run_async(str(tmp_path / "guarded.db"), instrument=True)
-    assert guarded[0] == plain[0]
-    assert guarded[1] == plain[1]

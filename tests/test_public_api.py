@@ -144,10 +144,9 @@ def test_threaded_scheduler_stays_deleted():
         ConfederationConfig(schedule_mode="threaded").validate()
 
 
-def test_only_the_store_lock_and_its_checker_import_threading():
-    # Nothing in the package starts a thread, so only the store's
-    # reentrant lock and the runtime checker that tracks its owner
-    # need the threading module; no thread pool comes back.
+def test_nothing_in_the_package_imports_threading():
+    # One thread drives a confederation and nothing starts another, so
+    # no module needs a lock, a thread or a pool.
     root = pathlib.Path(repro.__file__).parent
     importers = set()
     for path in root.rglob("*.py"):
@@ -161,7 +160,34 @@ def test_only_the_store_lock_and_its_checker_import_threading():
             if any(name.split(".")[0] in {"threading", "_thread", "concurrent"}
                    for name in names):
                 importers.add(path.relative_to(root).as_posix())
-    assert importers == {"store/base.py", "analysis/runtime.py"}
+    assert importers == set()
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro.analysis.runtime",
+        "from repro.analysis import LockDisciplineError",
+        "from repro.analysis import lock_discipline",
+        "from repro.analysis import InstrumentedRLock",
+        "from repro.analysis import StoreInstrumentation",
+        "from repro.analysis import instrument_store",
+    ],
+)
+def test_the_runtime_lock_checker_is_gone(statement):
+    # The store phase is ``Participant._store_call``, checked statically
+    # by RPR004; the owner-asserting proxies are deleted, not aliased.
+    with pytest.raises(ImportError):
+        exec(statement, {})
+
+
+@pytest.mark.parametrize("name", sorted(available_stores()))
+def test_a_store_has_no_lock(name, schema):
+    from repro.store.registry import create_store
+
+    store = create_store(name, schema)
+    assert not hasattr(store, "lock")
+    getattr(store, "close", lambda: None)()
 
 
 def test_conflict_detection_has_one_scanner_and_one_memo():
