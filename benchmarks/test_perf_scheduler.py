@@ -5,11 +5,12 @@ participant's messages cross the (simulated) wire, sixty-three others
 sit idle (``real_latency=True`` makes the paper's injected delays real
 instead of merely accounted; see
 :meth:`repro.store.base.UpdateStore.pay_latency`).  The async scheduler
-runs the same work on one event loop and lets each participant wait
-only for its own latency: each participant's store phase still
-executes in ascending id order, but the latency debt is awaited
-afterwards, overlapping participant *i*'s wait with participant
-*i+1*'s allocation — the publish barrier pipelines.  The benchmark
+runs the same work in one deadline loop on the caller's thread and lets
+each participant wait only for its own latency: each participant's
+store phase still executes in ascending id order, but its latency debt
+becomes a deadline that only its next segment sleeps until, overlapping
+participant *i*'s wait with participant *i+1*'s allocation — the
+publish barrier pipelines.  The benchmark
 point prices exactly that regime — 64 peers, 4 ms per message — and
 pins the async schedule at a fraction of the serial wall clock.
 

@@ -114,9 +114,9 @@ def main() -> None:
     assert nc.state_ratio == local.state_ratio
     print("Decision streams stay byte-identical with store-computed batches.")
 
-    # The same quadrant under the async epoch scheduler: peers' phases
-    # pipeline on one event loop between publish-order barriers, and
-    # the global decision stream is reproducible.
+    # The same quadrant under the async epoch scheduler: each peer waits
+    # only for its own latency, so the publish-order barrier pipelines,
+    # and the global decision stream is reproducible.
     async_a = run(ship_context_free=True, schedule_mode="async")
     async_b = run(ship_context_free=True, schedule_mode="async")
     assert async_a[1] == async_b[1], "async runs must be reproducible"

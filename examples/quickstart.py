@@ -280,13 +280,14 @@ def main() -> None:
 
     # 14. Scheduling is a config knob too.  schedule_mode picks the
     #     epoch scheduler: "serial" (the paper's round-robin) or
-    #     "async" (edit, publish-barrier and reconcile phases with
-    #     participants as asyncio tasks on one event loop —
-    #     injected store latency is *awaited* through the store's
-    #     latency clock, so one peer's wire wait overlaps another's
-    #     work and even the publish barrier pipelines).  Both drive the
-    #     confederation from the caller's thread, and two async runs of
-    #     the same seeded workload emit the same global decision stream.
+    #     "async" (edit, publish-barrier and reconcile phases as one
+    #     deadline loop — injected store latency becomes a deadline
+    #     only the participant that owes it waits for, through the
+    #     store's latency clock, so one peer's wire wait overlaps
+    #     another's work and even the publish barrier pipelines).  Both
+    #     drive the confederation from the caller's thread, and two
+    #     async runs of the same seeded workload emit the same global
+    #     decision stream.
     def seeded_run(mode):
         config = ConfederationConfig(
             store="memory",
@@ -314,8 +315,8 @@ def main() -> None:
     assert async_stream == first_stream
     print(
         f'schedule_mode="async": {async_report.scheduler} scheduler ran '
-        f"{async_report.transactions_published} publishes as pipelined "
-        "asyncio tasks; two runs emit the same global decision stream "
+        f"{async_report.transactions_published} publishes through a "
+        "pipelined publish barrier; two runs emit the same global decision stream "
         "byte-for-byte (benchmarks/test_perf_scheduler.py prices the "
         "wall-clock win over serial at 64 peers)."
     )

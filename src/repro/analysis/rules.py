@@ -637,15 +637,16 @@ RULES: Tuple[Rule, ...] = (
         "RPR010",
         "blocking-sleep-outside-clock",
         "direct time.sleep outside the LatencyClock implementations — "
-        "a blocking sleep stalls the async scheduler's event loop; pay "
-        "latency through the store's clock (pay_latency)",
+        "latency is paid in one place, so the async schedule can defer "
+        "it; pay latency through the store's clock (pay_latency)",
         applies=lambda context: not context.in_module("net/clock.py"),
         check=_banned(
             "time",
             lambda name: name == "sleep",
-            "outside net/clock.py is a blocking sleep — under the async "
-            "schedule it stalls the whole event loop; charge the latency "
-            "to PerfCounters and pay it through the store's LatencyClock",
+            "outside net/clock.py is a blocking sleep the async schedule "
+            "cannot defer past other participants' segments; charge the "
+            "latency to PerfCounters and pay it through the store's "
+            "LatencyClock",
         ),
     ),
 )

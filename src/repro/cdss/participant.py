@@ -221,9 +221,9 @@ class Participant:
         confederation) and then pays the simulated latency the call
         charged through ``store.pay_latency``.  The payment goes through
         the store's :class:`~repro.net.clock.LatencyClock`, so the
-        asyncio epoch scheduler turns the wait into an awaited
-        ``asyncio.sleep``.  ``pay_latency`` is part of the
-        :class:`~repro.store.base.UpdateStore` contract.
+        async epoch scheduler turns the wait into a deadline only this
+        participant's next segment waits for.  ``pay_latency`` is part
+        of the :class:`~repro.store.base.UpdateStore` contract.
         """
         store = self.store
         started = time.perf_counter()

@@ -62,9 +62,10 @@ class ConfederationConfig:
       :meth:`repro.confed.Confederation.run` executes;
     * ``schedule_mode`` — which epoch scheduler executes it:
       ``"serial"`` (the paper's strict round-robin) or ``"async"``
-      (edit, publish-barrier and reconcile phases on one event loop;
-      each participant waits only for its own injected latency, through
-      the store's :class:`~repro.net.clock.AsyncLatencyClock`).  See
+      (edit, publish-barrier and reconcile phases as one deadline loop
+      on the caller's thread; each participant waits only for its own
+      injected latency, through the store's
+      :class:`~repro.net.clock.AsyncLatencyClock`).  See
       :mod:`repro.confed.scheduler`;
     * ``faults`` — an optional :class:`repro.net.faults.FaultPlan`: the
       seeded, declarative chaos schedule the run should suffer (host

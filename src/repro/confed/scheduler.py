@@ -8,27 +8,26 @@
   per-participant **edit** (on its own RNG substream and replica), a
   **publish barrier** in ascending participant id, and a **reconcile**.
   Within a round every participant sees every other's publications of
-  that round, so the mode is a distinct, equally valid schedule.  The
-  store segments (registration in ``open()``, publish, reconcile, the
-  plan's epoch-end step) run one at a time in barrier order on one
-  event loop, each once its own participant's injected latency is paid,
-  so participant *i+1* allocates its epoch while participant *i*'s
-  latency is outstanding.  The global decision stream is reproducible
-  and independent of latency.
+  that round, so the mode is a distinct, equally valid schedule.  Every
+  segment (registration in ``open()``, an edit at its participant's
+  barrier turn just before its publish, a publish, a reconcile) runs one
+  at a time, in that global order, once its own participant's injected
+  latency is paid, so participant *i+1* allocates its epoch while
+  participant *i*'s latency is outstanding.  The global decision stream
+  is reproducible and independent of latency.
 
 Both run on the caller's thread: a confederation is driven from one
-thread, and nothing in the library starts another.  An async phase's
-failure raises :class:`~repro.errors.SchedulerError` naming the
-participant, chained from its cause (serial raises it raw).  The
-wall-clock win is overlapped store latency (``real_latency``), pinned
-by ``benchmarks/test_perf_scheduler.py``; see "Epoch schedulers and the
-latency clock" in ``docs/ARCHITECTURE.md``.
+thread, and nothing in the library starts another, or an event loop.
+An async segment's failure raises :class:`~repro.errors.SchedulerError`
+naming the participant, chained from its cause (serial raises it raw).
+The wall-clock win is overlapped store latency (``real_latency``),
+pinned by ``benchmarks/test_perf_scheduler.py``; see "Epoch schedulers
+and the latency clock" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
 import abc
-import asyncio
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple, Type
 
@@ -41,19 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.confed.config import ConfederationConfig
     from repro.policy.acceptance import TrustPolicy
 
-#: One phase of the async round: its name, the per-participant work, the
-#: roster it runs over (ascending participant id), and whether it
-#: touches the store (then its segments keep roster order).
-Phase = Tuple[str, Callable[["Participant"], object], List["Participant"], bool]
-
-
-def _loop_running() -> bool:
-    """True when the calling thread is inside a running event loop."""
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        return False
-    return True
+#: One segment of the async round: the phase it belongs to, the
+#: per-participant work, and the participant it runs for.
+Phase = Tuple[str, Callable[["Participant"], object], "Participant"]
 
 
 class EpochScheduler(abc.ABC):
@@ -119,26 +108,25 @@ class SerialScheduler(EpochScheduler):
 
 
 class AsyncScheduler(EpochScheduler):
-    """Participants on one event loop, each waiting only for itself.
+    """Participants in one deadline loop, each waiting only for itself.
 
-    Injected latency is awaited through an
-    :class:`~repro.net.clock.AsyncLatencyClock`, and everything
-    synchronous (store calls under the lock, session compute,
-    ``HookBus.emit``) runs on the one loop thread, and every
-    participant may have latency outstanding at once.
+    Injected latency is paid through an
+    :class:`~repro.net.clock.AsyncLatencyClock`: a segment's payments
+    accrue to its participant, and only that participant's next segment
+    waits them out, so every participant may have latency outstanding
+    at once.
     """
 
     name = "async"
 
     def round_plan(self, confederation: "Confederation") -> Iterator[Phase]:
-        """The phased schedule, as data.
+        """The phased schedule, as data: every segment in the order it runs.
 
-        Yields each phase for :meth:`_run` to run to completion; the
-        per-participant epoch-end step runs here, between phases.  Work
-        is written as attribute lookups on the live objects at call time
-        (``p.publish()``, not a method bound when the plan is built):
-        callers replace those methods on the instances — tests inject
-        failures that way, the end-to-end benchmark its clocks.
+        The per-participant epoch-end step runs here, between phases.
+        Work is written as attribute lookups on the live objects at call
+        time (``p.publish()``, not a method bound when the plan is
+        built): callers replace those methods on the instances — tests
+        inject failures that way, the end-to-end benchmark its clocks.
         """
         config = confederation.config
         published: Dict[int, int] = {}
@@ -155,24 +143,27 @@ class AsyncScheduler(EpochScheduler):
             # a participant object, and the phases must drive the
             # rebuilt one, not a stale reference.
             roster = confederation.participants
-            yield "edit", edit, roster, False
             # Deterministic publish-order barrier: epochs allocated in
-            # ascending participant id, every round.
-            yield "publish", lambda p: p.publish(), roster, True
-            yield "reconcile", lambda p: p.reconcile(), roster, True
+            # ascending participant id, every round, each participant
+            # editing at its turn so a failed edit stops the barrier there.
+            for participant in roster:
+                yield "edit", edit, participant
+                yield "publish", lambda p: p.publish(), participant
+            for participant in roster:
+                yield "reconcile", lambda p: p.reconcile(), participant
             for participant in roster:
                 confederation.finish_scheduled_epoch(
                     participant, round_index, published[participant.id]
                 )
         if config.final_reconcile:
-            roster = confederation.participants
-            yield "reconcile", lambda p: p.reconcile(), roster, True
+            for participant in confederation.participants:
+                yield "reconcile", lambda p: p.reconcile(), participant
 
     @contextmanager
     def _clock_on(self, store) -> Iterator[AsyncLatencyClock]:
         """Swap the store's latency clock for a fresh async one while the
         block runs: payments accrue to the running segment instead of
-        blocking the loop."""
+        blocking."""
         previous, store.clock = store.clock, AsyncLatencyClock()
         try:
             yield store.clock
@@ -184,73 +175,31 @@ class AsyncScheduler(EpochScheduler):
     ) -> List["Participant"]:
         """Registration is this driver's first ordered store phase: one
         segment per peer, in the order given, each waiting only for its
-        own round trip, and the pass settles before it returns.  A failure raises as the serial
-        pass would.  Inside a running event loop, where ``asyncio.run``
-        cannot nest, it is the serial pass."""
-        if _loop_running():
-            return super().register(confederation, peers)
-        return asyncio.run(self._register(confederation, peers))
-
-    async def _register(self, confederation: "Confederation", peers) -> List["Participant"]:
-        """The registration pass, inside the event loop ``register`` owns."""
+        own round trip, and the pass settles before it returns.  A
+        failure raises as the serial pass would."""
         with self._clock_on(confederation.store) as clock:
             for pid, policy in peers:
-                await clock.segment(pid, confederation.add_participant, pid, policy)
-            await clock.settle()
+                clock.segment(pid, confederation.add_participant, pid, policy)
+            clock.settle()
         return [confederation.participant(pid) for pid, _policy in peers]
 
-    async def _run(self, confederation: "Confederation") -> None:
-        """The schedule, inside the event loop ``run`` owns.
-
-        A store phase's segments run in roster order, each once its own
-        participant is due.  An edit is a task that runs as soon as its
-        participant is free; the publish barrier awaits it at that
-        participant's turn, so a failed edit stops the barrier there.
-        """
-        async def step(name: str, work: Callable, participant: "Participant") -> None:
-            """One participant's segment of a phase; a failure names it."""
-            try:
-                await clock.segment(participant.id, work, participant)
-            except Exception as error:
-                raise SchedulerError(
-                    f"{name} phase failed for participant {participant.id}: {error}"
-                ) from error
-
-        edits: Dict[int, "asyncio.Task[None]"] = {}
-        with self._clock_on(confederation.store) as clock:
-            try:
-                for name, work, roster, shared in self.round_plan(confederation):
-                    # The plan's epoch-end work (fault-plan restarts
-                    # rebuild replicas through the store) ran outside
-                    # any segment: pay it before the next phase.
-                    await clock.drain()
-                    for participant in roster:
-                        if not shared:
-                            edits[participant.id] = asyncio.create_task(
-                                step(name, work, participant)
-                            )
-                            continue
-                        if participant.id in edits:
-                            await edits.pop(participant.id)
-                        await step(name, work, participant)
-                await clock.drain()
-                await clock.settle()
-            finally:
-                for task in edits.values():
-                    task.cancel()
-                await asyncio.gather(*edits.values(), return_exceptions=True)
-
     def run(self, confederation: "Confederation") -> None:
-        """Drive the round plan on a fresh event loop; inside a running
-        one, where ``asyncio.run`` cannot nest, raise
-        :class:`~repro.errors.SchedulerError` before anything runs."""
-        if _loop_running():
-            raise SchedulerError(
-                "schedule_mode='async' runs its own event loop and cannot "
-                "start inside a running one: call run() from outside the "
-                "loop, or use schedule_mode='serial'"
-            )
-        asyncio.run(self._run(confederation))
+        """Run the round plan's segments in order, each once its
+        participant is due; the first failure stops the schedule there.
+
+        The plan's epoch-end work (fault-plan restarts rebuild replicas
+        through the store) runs outside any segment, so the clock pays
+        its latency at once.
+        """
+        with self._clock_on(confederation.store) as clock:
+            for name, work, participant in self.round_plan(confederation):
+                try:
+                    clock.segment(participant.id, work, participant)
+                except Exception as error:
+                    raise SchedulerError(
+                        f"{name} phase failed for participant {participant.id}: {error}"
+                    ) from error
+            clock.settle()
 
 
 #: Mode name → scheduler class.  ``ConfederationConfig.SCHEDULE_MODES``

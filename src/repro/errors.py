@@ -87,10 +87,9 @@ class SchedulerError(ReproError):
 
     Raised by the async scheduler when a participant's edit, publish or
     reconcile segment raises: the round stops at the failing participant
-    in store order (a failed edit stops the publish barrier there), and
+    in segment order (a failed edit stops the publish barrier there), and
     the message names it.  The original exception rides on
-    ``__cause__``.  Also raised when ``run()`` under ``"async"`` is
-    called inside a running event loop.
+    ``__cause__``.
     """
 
 

@@ -30,24 +30,10 @@ def state_ratio(
     relations contribute.  Returns 1.0 for an empty system (perfect,
     vacuous agreement).
     """
-    if not instances:
+    counts = divergence_by_key(instances, relation)
+    if not counts:
         return 1.0
-
-    keys: Set[QualifiedKey] = set()
-    for instance in instances.values():
-        for key in instance.all_keys():
-            if relation is None or key[0] == relation:
-                keys.add(key)
-    if not keys:
-        return 1.0
-
-    total_states = 0
-    for rel_name, key in keys:
-        states = {
-            instance.get(rel_name, key) for instance in instances.values()
-        }
-        total_states += len(states)
-    return total_states / len(keys)
+    return sum(counts.values()) / len(counts)
 
 
 def divergence_by_key(

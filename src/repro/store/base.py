@@ -111,18 +111,18 @@ class UpdateStore(abc.ABC):
         delays for real; by default we only account them).  The wait
         happens in :meth:`pay_latency`, after the call, and is
         delegated to the store's :attr:`clock` — blocking by default;
-        the asyncio scheduler swaps in an awaitable clock for the
-        duration of a run."""
+        the async scheduler swaps in a deferring clock for the duration
+        of a run."""
         if message_latency < 0:
             raise StoreError(f"message_latency must be >= 0, not {message_latency}")
         self._schema = schema
         self._message_latency = message_latency
         self._real_latency = real_latency
         #: How charged latency is paid in wall time (see
-        #: :mod:`repro.net.clock`).  The asyncio epoch scheduler swaps
+        #: :mod:`repro.net.clock`).  The async epoch scheduler swaps
         #: this for an :class:`~repro.net.clock.AsyncLatencyClock`
         #: while it runs, so payments accrue to the running participant
-        #: instead of blocking the event loop.
+        #: instead of blocking every other one.
         self.clock: LatencyClock = BlockingLatencyClock()
         self.perf = PerfCounters()
         #: Optional hook bus (``repro.confed.hooks.HookBus``), attached
@@ -160,7 +160,8 @@ class UpdateStore(abc.ABC):
         call it just made, after the call returns.  The wait
         itself is delegated to :attr:`clock` (never an inline
         ``time.sleep`` — rule RPR010): blocking under the serial
-        schedule, accrued-and-awaited under the asyncio schedule.
+        schedule, accrued to the running segment's participant under
+        the async schedule.
         Third-party drivers must not remove it; a driver that charged
         latency but never paid it would silently break the paper's
         injected-delay experiments.

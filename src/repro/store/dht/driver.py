@@ -33,7 +33,7 @@ from repro.store.base import DEFAULT_MESSAGE_LATENCY, UpdateStore
 from repro.store.dht import client, wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.dht.replication import _install, allocator_counter, held_copy
-from repro.store.logic import ProducerIndex, batch_antecedents
+from repro.store.logic import ProducerIndex, batch_antecedents, register_producers
 from repro.store.network_centric import (
     DirectLogStore,
     attach_assembled_payload,
@@ -44,7 +44,8 @@ class _Peer:
     """Everything the driver keeps for one registered participant."""
 
     __slots__ = (
-        "participant", "node", "policy", "published", "version", "deferred", "pairs", "retained",
+        "participant", "node", "policy", "published", "producers", "version", "deferred",
+        "pairs", "retained",
     )
 
     def __init__(self, participant: int, policy: TrustPolicy) -> None:
@@ -55,6 +56,8 @@ class _Peer:
         self.policy = policy
         #: Every tid its epochs list (only it can publish its own tids).
         self.published: Set[TransactionId] = set()
+        #: Producer-index entries of those tids not yet acknowledged.
+        self.producers: ProducerIndex = {}
         # Peer-coordinator bookkeeping for the store-computed batch, kept
         # by ``settle``: the applied-set version that drives the
         # controllers' per-participant memos, and the open deferred set.
@@ -176,9 +179,7 @@ class DhtUpdateStore(UpdateStore):
         # (complete_reconciliation) is the primary eviction; the FIFO
         # limit is the same backstop the direct-log stores' shared memos
         # carry.
-        self._shared_pairs = ConflictGraph(
-            limit=DirectLogStore.SHARED_MEMO_LIMIT
-        )
+        self._shared_pairs = ConflictGraph(limit=DirectLogStore.SHARED_MEMO_LIMIT)
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -187,9 +188,7 @@ class DhtUpdateStore(UpdateStore):
         try:
             return self._peers[participant]
         except KeyError:
-            raise StoreError(
-                f"participant {participant} is not registered"
-            ) from None
+            raise StoreError(f"participant {participant} is not registered") from None
 
     def _owner(self, key: str) -> str:
         return self._ring.owner(key)
@@ -198,17 +197,12 @@ class DhtUpdateStore(UpdateStore):
         return self._owner(wire.txn_key(tid))
 
     def _live_hosts(self, besides: Optional[str] = None) -> List[str]:
-        return [
-            name for name in self._hosts
-            if name not in self._ring.failed and name != besides
-        ]
+        return [name for name in self._hosts if name not in self._ring.failed and name != besides]
 
     # ------------------------------------------------------------------
     # Registration
 
-    def register_participant(
-        self, participant: int, policy: TrustPolicy
-    ) -> None:
+    def register_participant(self, participant: int, policy: TrustPolicy) -> None:
         """Join the confederation; trust conditions replicate to all hosts
         (a failed one is sent them by ``recover_host`` when it returns)."""
         if participant in self._peers:
@@ -253,9 +247,7 @@ class DhtUpdateStore(UpdateStore):
         peer = self._peer(participant)
         ids = self._open_epochs.get((participant, epoch))
         if ids is None:
-            raise StoreError(
-                f"epoch {epoch} is not being published by {participant}"
-            )
+            raise StoreError(f"epoch {epoch} is not being published by {participant}")
         batch: Set[TransactionId] = set()
         for transaction in transactions:
             if transaction.origin != participant:
@@ -276,7 +268,7 @@ class DhtUpdateStore(UpdateStore):
             )
             return found
 
-        antecedents, produced = batch_antecedents(transactions, look_up)
+        antecedents, _produced = batch_antecedents(transactions, look_up)
         for transaction, antecedents_of in zip(transactions, antecedents):
             client.request(
                 self, peer.node, wire.txn_key(transaction.tid), "store_txn",
@@ -288,25 +280,38 @@ class DhtUpdateStore(UpdateStore):
             )
             ids.append(transaction.tid)
             peer.published.add(transaction.tid)  # the epoch will list it
+            register_producers(peer.producers, transaction)
+        self._register_producers(peer)
+
+    def _register_producers(self, peer: _Peer) -> None:
+        """Send the peer's unacknowledged producer entries, one batch per value controller."""
+        pending = peer.producers
+
+        def acknowledged(rows: List[Tuple[str, Tuple]], _ack: Dict[str, Any]) -> None:
+            """An acknowledged controller holds its rows' entries."""
+            for row in rows:
+                pending.pop(row, None)
+
         client.batched(
-            self, peer.node, "register_producer", produced, wire.ROLES["producer"].ring_key,
+            self, peer.node, "register_producer", list(pending), wire.ROLES["producer"].ring_key,
             lambda rows: dict(
-                entries=[(row, produced[row]) for row in rows],
+                entries=[(row, pending[row]) for row in rows],
                 **wire.price("register_producer", len(rows)),
             ),
+            acknowledged,
         )
 
     def finish_publish(self, participant: int, epoch: int) -> None:
-        """Figure 6, messages 5-6: the id list, kept until the epoch controller acknowledges it."""
-        node = self._peer(participant).node
+        """Figure 6, messages 5-6: the id list, kept until the epoch
+        controller acknowledges it, once every producer entry of what it
+        lists is acknowledged (a lost batch is re-sent here)."""
+        peer = self._peer(participant)
         ids = self._open_epochs.get((participant, epoch))
         if ids is None:
-            raise StoreError(
-                f"epoch {epoch} is not being published by {participant}"
-            )
-        client.request(
-            self, node, wire.epoch_key(epoch), "publish_ids", epoch=epoch, ids=ids
-        )
+            raise StoreError(f"epoch {epoch} is not being published by {participant}")
+        if peer.producers:
+            self._register_producers(peer)
+        client.request(self, peer.node, wire.epoch_key(epoch), "publish_ids", epoch=epoch, ids=ids)
         del self._open_epochs[(participant, epoch)]
 
     def unpublished(self, participant: int, transactions: Sequence[Transaction]):
@@ -327,8 +332,7 @@ class DhtUpdateStore(UpdateStore):
         participant, node = peer.participant, peer.node
         current = client.request(self, node, wire.ALLOCATOR_KEY, "get_current_epoch")["epoch"]
         last = client.request(
-            self, node, wire.peer_key(participant), "get_last_recon",
-            participant=participant,
+            self, node, wire.peer_key(participant), "get_last_recon", participant=participant
         )["epoch"]
 
         per_epoch: Dict[int, Dict] = {}
@@ -554,9 +558,7 @@ class DhtUpdateStore(UpdateStore):
 
     # ------------------------------------------------------------------
 
-    def complete_reconciliation(
-        self, participant: int, result: ReconcileResult
-    ) -> None:
+    def complete_reconciliation(self, participant: int, result: ReconcileResult) -> None:
         """Notify the transaction controllers of the decisions: one
         ``record_decision`` per owning controller, listing its
         ``(tid, verdict)`` pairs under the applied-set version after them."""
@@ -656,9 +658,7 @@ class DhtUpdateStore(UpdateStore):
         node = self._peer(participant).node
         largest = 0
         for host in self._live_hosts():
-            reply = client.request(
-                self, node, None, "poll_max_epoch", recipient=host
-            )
+            reply = client.request(self, node, None, "poll_max_epoch", recipient=host)
             largest = max(largest, reply["epoch"])
         return client.request(
             self, node, wire.ALLOCATOR_KEY, "set_epoch_counter", epoch=largest

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import asyncio
-import gc
 import sqlite3
 import threading
-import warnings
+import time
 from typing import NamedTuple
 
 import pytest
@@ -91,9 +90,8 @@ class TestAsyncSchedule:
         assert report.scheduler == "async"
 
     def test_async_global_stream_is_reproducible(self):
-        # One event loop interleaves whole synchronous segments in
-        # deterministic task order, so even the *global* decision
-        # stream reproduces byte-for-byte.
+        # One loop runs whole segments in the round plan's fixed order,
+        # so even the *global* decision stream reproduces byte-for-byte.
         first = _decision_log(_config(schedule_mode="async"))
         second = _decision_log(_config(schedule_mode="async"))
         assert first[0] == second[0]  # decision log, order included
@@ -119,18 +117,24 @@ class TestAsyncSchedule:
         assert first[0] == second[0]
         assert first[1] == second[1]
 
-    def test_async_run_inside_a_running_loop_is_a_scheduler_error(self):
-        async def inside():
-            with Confederation(_config(peers=(1, 2, 3), schedule_mode="async")) as confed:
-                with pytest.raises(SchedulerError, match='schedule_mode=.serial.'):
-                    confed.run()
-                return confed.report().transactions_published
+    def test_open_and_run_inside_a_running_event_loop_decide_the_same(self):
+        # The schedule starts no event loop of its own, so a caller's
+        # running one is no obstacle: open() and run() block the
+        # coroutine that calls them, as the serial mode does, and decide
+        # exactly what they decide outside it.
+        config = _config(
+            schedule_mode="async",
+            store_options={"message_latency": 0.001, "real_latency": True},
+        )
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert asyncio.run(inside()) == 0
-            gc.collect()  # a coroutine built but never awaited warns here
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        async def inside():
+            return _decision_log(config)
+
+        outside = _decision_log(config)
+        within = asyncio.run(inside())
+        assert within[0] == outside[0]  # decision log, order included
+        assert within[1] == outside[1]  # replica snapshots
+        assert within[2].transactions_published == 4 * 2 * 2
 
     def test_async_restores_the_blocking_clock_after_the_run(self):
         with Confederation(_config(schedule_mode="async")) as confed:
@@ -219,12 +223,11 @@ def _timeline(monkeypatch):
 
         def timed(name, work):
             def run(participant):
-                loop = asyncio.get_running_loop()
                 clocks.append(store.clock)
-                charged, start = perf.simulated_seconds, loop.time()
+                charged, start = perf.simulated_seconds, time.monotonic()
                 work(participant)
                 log.append(Segment(
-                    name, participant.id, start, loop.time(),
+                    name, participant.id, start, time.monotonic(),
                     perf.simulated_seconds - charged,
                 ))
 
@@ -291,7 +294,8 @@ class RecordingBlockingClock(BlockingLatencyClock):
 
 class RecordingAsyncClock(AsyncLatencyClock):
     """An async clock that logs every segment as ``(key, start, due)``:
-    the loop time its work started and the time it left its key due."""
+    the monotonic time its work started and the time it left its key
+    due."""
 
     instances = []
 
@@ -300,14 +304,14 @@ class RecordingAsyncClock(AsyncLatencyClock):
         self.segments = []
         RecordingAsyncClock.instances.append(self)
 
-    async def segment(self, key, work, *args):
-        loop, started = asyncio.get_running_loop(), []
+    def segment(self, key, work, *args):
+        started = []
 
         def timed(*inner):
-            started.append(loop.time())
+            started.append(time.monotonic())
             return work(*inner)
 
-        await super().segment(key, timed, *args)
+        super().segment(key, timed, *args)
         self.segments.append((key, started[0], self._due[key]))
 
 
@@ -412,15 +416,6 @@ class TestRegistration:
         with pytest.raises(StoreError):
             store.last_reconciliation_epoch(5)
         assert isinstance(store.clock, RecordingBlockingClock)
-
-    def test_open_inside_a_running_event_loop_registers_in_turn(self, monkeypatch):
-        async def inside():
-            return self._open(monkeypatch, "async")
-
-        _store, events, clocks = asyncio.run(inside())
-        assert clocks == []
-        assert events[0::2] == [("register", pid) for pid in self.PEERS]
-        assert [kind for kind, _ in events[1::2]] == ["pay"] * len(self.PEERS)
 
     def test_add_mutually_trusting_participants_uses_the_same_pass(self, monkeypatch):
         monkeypatch.setattr(RecordingAsyncClock, "instances", [])

@@ -47,21 +47,42 @@ def test_source_lines_stay_under_the_ratchet():
     assert check_docs.check_source_lines() == []
 
 
+def _problem_naming(name, lines):
+    """The one problem ``check_source_lines`` reports about ``name``
+    being ``lines`` long, whatever else it reports."""
+    prefix = f"{name}: {lines} lines exceed"
+    (problem,) = [p for p in check_docs.check_source_lines() if p.startswith(prefix)]
+    return problem
+
+
 def test_an_oversized_module_is_named(monkeypatch):
     sizes = check_docs.module_lines()
     largest = max(sizes, key=sizes.get)
     monkeypatch.setattr(check_docs, "MODULE_LINE_CEILING", sizes[largest] - 1)
-    (problem,) = check_docs.check_source_lines()
-    assert problem.startswith(f"{largest}: {sizes[largest]} lines exceed")
+    assert "per-module ceiling" in _problem_naming(largest, sizes[largest])
 
 
 def test_an_oversized_function_is_named(monkeypatch):
     sizes = check_docs.function_lines()
     longest = max(sizes, key=sizes.get)
     monkeypatch.setattr(check_docs, "FUNCTION_LINE_CEILING", sizes[longest] - 1)
-    (problem,) = check_docs.check_source_lines()
-    assert problem.startswith(f"{longest}: {sizes[longest]} lines exceed")
+    assert "per-function ceiling" in _problem_naming(longest, sizes[longest])
     assert longest.endswith(": write_transactions")
+
+
+def test_every_ceiling_exceeded_at_once_is_named(monkeypatch):
+    # A tree over the total ceiling as well still names the module and
+    # the function: each problem is found by what it is about.
+    modules, functions = check_docs.module_lines(), check_docs.function_lines()
+    largest = max(modules, key=modules.get)
+    longest = max(functions, key=functions.get)
+    monkeypatch.setattr(check_docs, "MODULE_LINE_CEILING", modules[largest] - 1)
+    monkeypatch.setattr(check_docs, "FUNCTION_LINE_CEILING", functions[longest] - 1)
+    monkeypatch.setattr(check_docs, "SOURCE_LINE_CEILING", sum(modules.values()) - 1)
+    assert "per-module ceiling" in _problem_naming(largest, modules[largest])
+    assert "per-function ceiling" in _problem_naming(longest, functions[longest])
+    total = f"src/repro: {sum(modules.values())} source lines exceed"
+    assert any(p.startswith(total) for p in check_docs.check_source_lines())
 
 
 def test_gate_runs_as_a_script():

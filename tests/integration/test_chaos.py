@@ -26,7 +26,7 @@ import pytest
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.errors import RetryExhaustedError, SchedulerError
-from repro.model import Insert
+from repro.model import Insert, Modify
 from repro.net import FaultPlan, HostCrash, MessageFault, ParticipantRestart
 from repro.workload import WorkloadConfig
 from tests.conftest import decision_stream
@@ -275,8 +275,11 @@ def test_a_failed_publish_keeps_its_transactions_for_the_retry(loss):
     queued exactly what its epoch does not list: nothing was written
     when the first body is lost, the second stays when only it is lost,
     and a lost producer-index batch or epoch list leaves both listed.
-    The retry sends the rest, a later publish still goes through, and
-    the other peer accepts every transaction exactly once."""
+    The retry sends the rest, a later publish still goes through, a
+    later transaction that modifies a row the failed publish produced
+    names that row's producer as its antecedent (the DHT driver re-sends a
+    lost producer-index batch before the epoch's id list), and the other
+    peer accepts every transaction exactly once."""
     kind, carried, listed = PUBLISH_LOSSES[loss]
     config = ConfederationConfig(store="dht", store_options={"hosts": 4}, peers=(1, 2))
     with Confederation.from_config(config) as confed:
@@ -298,9 +301,10 @@ def test_a_failed_publish_keeps_its_transactions_for_the_retry(loss):
         network.post = post
         assert p1.unpublished == executed[listed:]
         p1.publish()
-        later = p1.execute([Insert("F", ("cat", "prot3", "immune"), 1)])
+        later = p1.execute([Modify("F", rows[0], ("rat", "prot1", "toxic"), 1)])
         p1.publish()
         assert p1.unpublished == ()
+        assert confed.store.antecedents_of(later.tid) == (executed[0].tid,)
         assert p2.reconcile().accepted == [t.tid for t in (*executed, later)]
         assert p2.reconcile().accepted == []
 
@@ -330,8 +334,8 @@ def test_maskable_faults_byte_identical_under_async_schedule(seed):
     everything-at-once plan, replayed under the pipelined scheduler,
     must leave the decision stream byte-identical to the fault-free
     async run.  The async global order is itself deterministic
-    (decisions are emitted inside synchronous segments that the event
-    loop interleaves in task order), so the comparison is made on the
+    (decisions are emitted inside segments that the deadline loop runs
+    in the round plan's fixed order), so the comparison is made on the
     full stream."""
     fault_free = run_confederation(
         "dht", DHT_K2, seed, schedule_mode="async"
@@ -368,7 +372,7 @@ def test_maskable_faults_byte_identical_under_async_schedule(seed):
     # 5 peers x 5 hosts, each delivered once: both drops were retried.
     assert kinds == {"register_policy": 25, "policy_registered": 25}
     assert [(e["action"], e["kind"]) for e in fired] == [("drop", "register_policy")] * 2
-    # ... and the faults really happened under the event loop too.
+    # ... and the faults really happened under the async schedule too.
     for run in (chaotic, paying):
         summary = run[2].faults
         assert summary.injected.get("crash") == 1

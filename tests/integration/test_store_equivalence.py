@@ -183,9 +183,9 @@ def test_equivalence_matrix_with_store_computed_batches(seed):
 def test_equivalence_matrix_under_async_schedule(seed):
     """The store-equivalence pin holds under ``schedule_mode="async"``:
     every backend (client- and store-computed) must emit the *same
-    global* decision stream — the single event loop interleaves whole
-    synchronous segments in deterministic task order, so even the
-    cross-participant order is pinned.  What the stream decides is held
+    global* decision stream — the deadline loop runs whole segments in
+    the round plan's fixed order, so even the cross-participant order
+    is pinned.  What the stream decides is held
     to the oracle by ``test_stores_produce_identical_outcomes``."""
     matrix = [
         run_with_decision_log(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 import pytest
@@ -67,25 +66,19 @@ class TestAsyncClock:
         clock = AsyncLatencyClock()
         starts = []
 
-        async def main():
-            loop = asyncio.get_running_loop()
+        def work(name, seconds):
+            starts.append((name, time.monotonic()))
+            clock.pay(seconds)
+            clock.pay(seconds)  # payments within a segment coalesce
 
-            def work(name, seconds):
-                starts.append((name, loop.time()))
-                clock.pay(seconds)
-                clock.pay(seconds)  # payments within a segment coalesce
-
-            await clock.segment(1, work, "1a", 0.02)
-            ended = loop.time()
-            # Due at the segment's end plus its debt: a recorded time.
-            due = clock.outstanding[1]
-            assert starts[0][1] + 0.04 <= due <= ended + 0.04
-            assert set(clock.outstanding) == {1}
-            await clock.segment(2, work, "2a", 0.0)  # not held up by 1
-            await clock.segment(1, work, "1b", 0.0)  # waits out its own
-            return due
-
-        due = asyncio.run(main())
+        clock.segment(1, work, "1a", 0.02)
+        ended = time.monotonic()
+        # Due at the segment's end plus its debt: a recorded time.
+        due = clock.outstanding[1]
+        assert starts[0][1] + 0.04 <= due <= ended + 0.04
+        assert set(clock.outstanding) == {1}
+        clock.segment(2, work, "2a", 0.0)  # not held up by 1
+        clock.segment(1, work, "1b", 0.0)  # waits out its own
         times = dict(starts)
         assert times["2a"] < due
         assert times["1b"] >= due
@@ -97,18 +90,13 @@ class TestAsyncClock:
         clock = AsyncLatencyClock()
         starts = {}
 
-        async def main():
-            loop = asyncio.get_running_loop()
+        def work(key):
+            starts[key] = time.monotonic()
+            clock.pay(0.02)
 
-            def work(key):
-                starts[key] = loop.time()
-                clock.pay(0.02)
-
-            for key in (1, 2, 3, 4):
-                await clock.segment(key, work, key)
-            return dict(clock.outstanding)
-
-        outstanding = asyncio.run(main())
+        for key in (1, 2, 3, 4):
+            clock.segment(key, work, key)
+        outstanding = dict(clock.outstanding)
         assert set(outstanding) == {1, 2, 3, 4}
         assert max(starts.values()) < min(outstanding.values())
         assert clock.total_paid == pytest.approx(0.08)
@@ -120,45 +108,28 @@ class TestAsyncClock:
             clock.pay(0.01)
             raise RuntimeError("boom")
 
-        async def main():
-            with pytest.raises(RuntimeError):
-                await clock.segment(1, work)
-            return set(clock.outstanding)
-
-        assert asyncio.run(main()) == {1}
+        with pytest.raises(RuntimeError):
+            clock.segment(1, work)
+        assert set(clock.outstanding) == {1}
         assert clock.total_paid == 0.01
-
-    def test_drain_awaits_what_was_paid_outside_any_segment(self):
-        clock = AsyncLatencyClock()
-
-        async def main():
-            clock.pay(0.02)
-            started = time.perf_counter()
-            await clock.drain()
-            return time.perf_counter() - started
-
-        assert asyncio.run(main()) >= 0.015
-        assert clock.total_paid == 0.02
 
     def test_settle_waits_until_no_latency_is_outstanding(self):
         clock = AsyncLatencyClock()
+        for key in (1, 2):
+            clock.segment(key, clock.pay, 0.01 * key)
+        due = clock.outstanding[2]
+        clock.settle()
+        assert clock.outstanding == {}
+        assert time.monotonic() >= due
 
-        async def main():
-            for key in (1, 2):
-                await clock.segment(key, clock.pay, 0.01 * key)
-            due = clock.outstanding[2]
-            await clock.settle()
-            assert clock.outstanding == {}
-            return asyncio.get_running_loop().time(), due
-
-        now, due = asyncio.run(main())
-        assert now >= due
-
-    def test_pay_outside_a_running_loop_degrades_to_blocking(self):
-        # A store used standalone while the async clock happens to be
-        # installed must still pay — latency is never silently dropped.
+    def test_pay_outside_a_segment_blocks_at_once(self):
+        # Latency charged between segments (a fault-plan restart at an
+        # epoch end, or a store used standalone while the async clock
+        # happens to be installed) is paid there and then, and counted:
+        # latency is never silently dropped.
         clock = AsyncLatencyClock()
         started = time.perf_counter()
         clock.pay(0.02)
         assert time.perf_counter() - started >= 0.015
-        assert clock.total_paid == 0.0
+        assert clock.total_paid == 0.02
+        assert clock.outstanding == {}

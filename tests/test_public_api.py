@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -146,7 +149,8 @@ def test_threaded_scheduler_stays_deleted():
 
 def test_nothing_in_the_package_imports_threading():
     # One thread drives a confederation and nothing starts another, so
-    # no module needs a lock, a thread or a pool.
+    # no module needs a lock, a thread, a pool, a process or an event
+    # loop: the async schedule is a deadline loop on the caller's thread.
     root = pathlib.Path(repro.__file__).parent
     importers = set()
     for path in root.rglob("*.py"):
@@ -157,10 +161,37 @@ def test_nothing_in_the_package_imports_threading():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] in {"threading", "_thread", "concurrent"}
-                   for name in names):
+            if any(name.split(".")[0] in {
+                "threading", "_thread", "concurrent", "asyncio", "multiprocessing",
+            } for name in names):
                 importers.add(path.relative_to(root).as_posix())
     assert importers == set()
+
+
+def test_an_async_run_leaves_asyncio_unimported():
+    # A fresh interpreter: opening and running an async confederation
+    # (real latency, so the deadline loop really waits) never loads the
+    # event-loop machinery, even indirectly.
+    script = (
+        "import sys\n"
+        "from repro.confed import Confederation, ConfederationConfig\n"
+        "config = ConfederationConfig(peers=(1, 2, 3), rounds=2,\n"
+        "    reconciliation_interval=2, final_reconcile=True,\n"
+        "    schedule_mode='async',\n"
+        "    store_options={'message_latency': 0.001, 'real_latency': True})\n"
+        "with Confederation(config) as confed:\n"
+        "    report = confed.run()\n"
+        "assert report.scheduler == 'async' and report.transactions_published\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'asyncio'))\n"
+    )
+    src = pathlib.Path(repro.__file__).parent.parent
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

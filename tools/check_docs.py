@@ -63,15 +63,16 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 13648
+SOURCE_LINE_CEILING = 13578
 
 #: Ceiling on any one file under src/repro: the largest one,
-#: ``store/dht/driver.py`` (``store/central.py`` is 685).
+#: ``store/dht/driver.py`` (``store/central.py`` is 685,
+#: ``analysis/rules.py`` 661).
 MODULE_LINE_CEILING = 740
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
 #: to last line: the longest one, ``CentralUpdateStore.write_transactions``
-#: (``_HostNode.wipe`` is 76).
+#: (``_HostNode.wipe`` is 76, ``Participant.rebuild`` 70).
 FUNCTION_LINE_CEILING = 78
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
