@@ -135,7 +135,7 @@ def test_perf_fault_tolerance(benchmark):
             "rounds": ROUNDS,
             "seed": SEED,
             "store": "dht",
-            "crash": CRASH_PLAN.to_dict()["crashes"][0],
+            "crash": ConfederationConfig(faults=CRASH_PLAN).to_dict()["faults"]["crashes"][0],
         },
         "k1_messages": k1_msgs,
         "k2_messages": k2_msgs,

@@ -15,7 +15,9 @@ point prices exactly that regime — 64 peers, 4 ms per message — and
 pins the async schedule at a fraction of the serial wall clock.
 
 Decisions are unaffected by sleeping, so the pin is pure wall clock on
-identical schedule volume.  The point is emitted as
+identical schedule volume.  It is the median of three alternating
+serial/async pairs, so one run slowed by a busy machine does not move
+it.  The point is emitted as
 ``BENCH_scheduler.json`` at the repository root, gated by
 ``benchmarks/check_regression.py`` against
 ``benchmarks/BENCH_baseline.json`` and uploaded as a CI artifact.
@@ -43,6 +45,12 @@ LATENCY = 0.004
 #: wall clock (measured ≈ 0.2: the serial run pays every round trip in
 #: turn, the pipelined one about one per phase).
 ASYNC_WALL_CLOCK_CEILING = 0.5
+#: Alternating serial/async pairs measured; the median pair (by ratio)
+#: is the point.  One pair read 0.28-0.37 instead of 0.19-0.22 when the
+#: two-core machine was busy: the async side is CPU-bound at 64 peers,
+#: so contention during one run moves its ratio more than the 20 % the
+#: regression gate tolerates.
+PAIRS = 3
 
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scheduler.json"
 
@@ -64,13 +72,18 @@ def _run(schedule_mode: str):
     return time.perf_counter() - started, report
 
 
+def _pairs():
+    """``PAIRS`` alternating (serial, async) runs, sorted by ratio."""
+    pairs = [(_run("serial"), _run("async")) for _ in range(PAIRS)]
+    return sorted(pairs, key=lambda pair: pair[1][0] / pair[0][0])
+
+
 def test_async_scheduler_pipelines_the_publish_barrier(benchmark):
-    serial_wall, serial_report = _run("serial")
-    async_wall, async_report = benchmark.pedantic(
-        lambda: _run("async"), rounds=1, iterations=1
-    )
+    pairs = benchmark.pedantic(_pairs, rounds=1, iterations=1)
+    (serial_wall, serial_report), (async_wall, async_report) = pairs[len(pairs) // 2]
     ratio = async_wall / serial_wall
     speedup = serial_wall / async_wall
+    ratios = ", ".join(f"{a[0] / s[0]:.2f}" for s, a in pairs)
 
     emit(
         f"Epoch scheduler — {PEERS} peers, memory store with real "
@@ -78,7 +91,7 @@ def test_async_scheduler_pipelines_the_publish_barrier(benchmark):
         f"  serial   : {serial_wall:7.3f} s wall\n"
         f"  async    : {async_wall:7.3f} s wall\n"
         f"  ratio    : {ratio:7.2f} (ceiling {ASYNC_WALL_CLOCK_CEILING}, "
-        f"speedup {speedup:.2f}x)"
+        f"speedup {speedup:.2f}x; median of {PAIRS} pairs: {ratios})"
     )
 
     point = {
@@ -93,6 +106,7 @@ def test_async_scheduler_pipelines_the_publish_barrier(benchmark):
             "seed": 91,
             "store": "memory",
             "message_latency": LATENCY,
+            "pairs": PAIRS,
         },
         "serial_wall_seconds": serial_wall,
         "async_wall_seconds": async_wall,

@@ -21,6 +21,8 @@ Run with:  python examples/fault_tolerance.py
 
 from __future__ import annotations
 
+import json
+
 from repro import (
     Confederation,
     ConfederationConfig,
@@ -61,7 +63,7 @@ def config_with(faults=None, **store_options):
 
 def main() -> None:
     # 1. The fault plan is declarative data — it round-trips through
-    #    plain dicts/JSON like the rest of the config, so chaos
+    #    plain dicts/JSON as part of the config, so chaos
     #    schedules live in files and version control.
     plan = FaultPlan(
         seed=6,
@@ -72,7 +74,8 @@ def main() -> None:
         ),
         restarts=(ParticipantRestart(participant=3, at_epoch=8),),
     )
-    assert FaultPlan.from_dict(plan.to_dict()) == plan
+    config = config_with(plan)
+    assert ConfederationConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
     print("Fault plan:")
     print("  crash    host:2 at epoch 5, recovery at epoch 10")
     print("  drop     up to 4 txn_stored acks (p=0.2, seeded)")

@@ -189,9 +189,9 @@ def main() -> None:
     #
     #         PYTHONPATH=src python -m repro.analysis src tests benchmarks examples
     #
-    #     which runs the repo-specific AST rules (RPR001-RPR010; add
-    #     --list-rules for the catalogue) and exits non-zero on any
-    #     finding.  A genuinely intended exception is waived in place
+    #     which runs the repo-specific AST rules (RPR001-RPR010,
+    #     RPR008 retired; add --list-rules for the catalogue) and exits
+    #     non-zero on any finding.  A genuinely intended exception is waived in place
     #     with a `# repro: allow[RPRnnn]` comment on the offending line
     #     (or the line above), keeping the justification visible in
     #     review.  The same engine is importable:

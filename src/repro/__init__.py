@@ -36,7 +36,6 @@ from repro.errors import (
     FlattenError,
     NetworkError,
     PolicyError,
-    PublicationError,
     ReconciliationError,
     ReproError,
     ResolutionError,
@@ -163,7 +162,6 @@ __all__ = [
     "Modify",
     "NetworkError",
     "PolicyError",
-    "PublicationError",
     "ReconciliationError",
     "RelationSchema",
     "ReproError",

@@ -1,7 +1,7 @@
 """Determinism & store-phase-discipline checking for the reproduction.
 
 :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules`: an AST lint
-engine with the repo-specific rules ``RPR001``–``RPR010``, one row each
+engine with the repo-specific rules ``RPR001``–``RPR010`` (``RPR008`` retired), one row each
 of :data:`~repro.analysis.rules.RULES` (``python -m repro.analysis
 --list-rules`` prints the catalogue).  Run as ``python -m repro.analysis
 src tests benchmarks examples`` (the CI gate); suppress an intended

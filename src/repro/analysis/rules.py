@@ -320,65 +320,6 @@ def _set_iterations(tree: ast.Module, context: ModuleContext) -> Found:
                     )
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    """True when a decorator of ``node`` is ``dataclass`` (bare, called,
-    or as a module attribute)."""
-    for decorator in node.decorator_list:
-        name = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if (isinstance(name, ast.Name) and name.id == "dataclass") or (
-            isinstance(name, ast.Attribute) and name.attr == "dataclass"
-        ):
-            return True
-    return False
-
-
-def _field_names(node: ast.ClassDef) -> Set[str]:
-    """Public, non-``ClassVar`` annotated fields of a class body."""
-    return {
-        stmt.target.id
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign)
-        and isinstance(stmt.target, ast.Name)
-        and not stmt.target.id.startswith("_")
-        and "ClassVar" not in ast.unparse(stmt.annotation)
-    }
-
-
-def _to_dict_keys(func: ast.AST) -> Optional[Set[str]]:
-    """Keys of the first ``return {...}`` literal; None when there is
-    none or a key is computed (not statically checkable)."""
-    for stmt in ast.walk(func):
-        if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Dict):
-            keys = [_string(key) for key in stmt.value.keys]
-            return None if None in keys else set(keys)
-    return None
-
-
-def _dict_parity(tree: ast.Module, context: ModuleContext) -> Found:
-    """RPR008: ``to_dict()``/field drift on round-trippable dataclasses."""
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
-            continue
-        methods = {stmt.name: stmt for stmt in node.body if isinstance(stmt, _FUNCTIONS)}
-        to_dict = methods.get("to_dict")
-        if to_dict is None or "from_dict" not in methods:
-            continue
-        fields = _field_names(node)
-        keys = _to_dict_keys(to_dict)
-        if not fields or keys is None:
-            continue
-        detail = "; ".join(
-            f"{label} keys: {sorted(names)}"
-            for label, names in (("missing", fields - keys), ("extra", keys - fields))
-            if names
-        )
-        if detail:
-            yield to_dict, (
-                f"{node.name}.to_dict() keys drift from the dataclass fields "
-                f"({detail}); from_dict(to_dict(x)) cannot round-trip exactly"
-            )
-
-
 def _assigned(tree: ast.Module, names: Sequence[str]) -> Iterator[ast.AST]:
     """Values of module-level ``NAME = ...`` / ``NAME: T = ...``."""
     for node in tree.body:
@@ -613,14 +554,6 @@ RULES: Tuple[Rule, ...] = (
         "in sorted(...) when the result feeds ordered decision output",
         applies=_in_src,
         check=_set_iterations,
-    ),
-    Rule(
-        "RPR008",
-        "dict-roundtrip-parity",
-        "to_dict() keys of a @dataclass with from_dict() must exactly "
-        "match its field names — drift breaks the exact round-trip",
-        applies=_in_src,
-        check=_dict_parity,
     ),
     Rule(
         "RPR009",

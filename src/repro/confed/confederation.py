@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import get_close_matches
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.cdss.participant import Participant
 from repro.confed.config import ConfederationConfig
@@ -46,6 +46,13 @@ from repro.policy.acceptance import TrustPolicy
 from repro.store.base import UpdateStore
 from repro.store.registry import create_store
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator, curated_schema
+
+
+def _refuse_unknown(store: UpdateStore, name: str, known: Collection[str], refusal: str) -> None:
+    """Refuse a fault plan naming what ``store`` lacks, with close matches."""
+    if name not in known:
+        close = ", ".join(get_close_matches(name, sorted(known))) or "none"
+        raise ConfigError(f"store backend {type(store).__name__} {refusal}; close matches: {close}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,8 @@ class Confederation:
         faults need the store's simulated network and — where the store
         says which kinds it carries (``message_kinds``) — a kind it can
         carry, host crashes need the ``fail_host``/``recover_host``
-        surface.  The checks are duck-typed (capability, not concrete
+        surface and — where the store names its hosts (``host_names``) —
+        a host it has.  The checks are duck-typed (capability, not concrete
         type) so third-party drivers qualify by exposing the same
         surface.
         """
@@ -171,13 +179,8 @@ class Confederation:
                 )
             kinds = getattr(store, "message_kinds", None)
             for fault in plan.messages if kinds is not None else ():
-                if fault.kind not in kinds:
-                    close = get_close_matches(fault.kind, sorted(kinds))
-                    raise ConfigError(
-                        f"store backend {type(store).__name__} carries no "
-                        f"{fault.kind!r} messages, so that fault would never "
-                        f"fire; close matches: {', '.join(close) or 'none'}"
-                    )
+                _refuse_unknown(store, fault.kind, kinds, f"carries no {fault.kind!r} "
+                                "messages, so that fault would never fire")
             network.injector = FaultInjector(
                 plan,
                 latency=store.message_latency,
@@ -191,6 +194,10 @@ class Confederation:
                 f"recover hosts; host-crash faults need the "
                 f"fail_host/recover_host surface (e.g. 'dht')"
             )
+        hosts = getattr(store, "host_names", None)
+        for crash in plan.crashes if hosts is not None else ():
+            _refuse_unknown(store, crash.host, hosts, f"has no host {crash.host!r}, so "
+                            "that crash would fail mid-run")
         self._fault_controller = FaultController(plan)
 
     def close(self) -> None:

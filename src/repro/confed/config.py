@@ -11,10 +11,11 @@ control instead of scattered constructor calls.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, Mapping, Optional, Tuple
+import re
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Dict, Mapping, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.net.faults import FaultPlan
 from repro.workload.generator import WorkloadConfig
 
@@ -29,13 +30,101 @@ NETWORK_CENTRIC_MODES: Tuple[str, ...] = ("client", "store")
 SCHEDULE_MODES: Tuple[str, ...] = ("serial", "async")
 
 
-def _trust(value: object) -> Optional[Dict[int, Dict[int, int]]]:
-    if value is None:
-        return None
-    return {
-        int(pid): {int(other): int(pri) for other, pri in edges.items()}
-        for pid, edges in value.items()
-    }
+# ----------------------------------------------------------------------
+# The codec: the records' dict form, read off their declared fields.
+
+
+def _hints(cls: type) -> Dict[str, object]:
+    """Field name -> declared type of the record class ``cls``."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _at(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
+def _json_key(hint: object, key: object) -> object:
+    """A JSON object key read back as ``hint``: only ``int`` keys differ."""
+    return int(key) if hint is int and isinstance(key, str) and re.fullmatch(r"-?\d+", key) else key
+
+
+def _plain(value: object) -> object:
+    """``value`` as JSON-safe data: a record becomes a dict of its
+    fields, a tuple a list, and mapping keys strings."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, Mapping):
+        return {str(key): _plain(item) for key, item in value.items()}
+    return value
+
+
+def _arguments(cls: type, data: Mapping, path: str) -> Dict[str, object]:
+    """A ``cls`` record's constructor arguments read from its plain dict
+    at ``path``: unknown keys refused, nested values rebuilt."""
+    hints = _hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ConfigError(
+            f"unknown {path or 'config'} keys {sorted(unknown)}; known: {sorted(hints)}"
+        )
+    return {name: _read(hints[name], value, _at(path, name)) for name, value in data.items()}
+
+
+def _read(hint: object, value: object, path: str) -> object:
+    """``value`` rebuilt as ``hint`` declares it: a record from a dict
+    (its values checked before its constructor sees them), a tuple from
+    a list, the string keys of ``Dict[int, ...]`` as ints.  What does
+    not fit is left as it is, for :func:`_check` to refuse."""
+    if get_origin(hint) is Union:  # Optional[X], the one union declared
+        hint = get_args(hint)[0]
+    origin, args = get_origin(hint), get_args(hint)
+    if is_dataclass(hint) and isinstance(value, Mapping):
+        arguments, hints = _arguments(hint, value, path), _hints(hint)
+        for name, item in arguments.items():
+            _check(hints[name], item, _at(path, name))
+        try:
+            return hint(**arguments)
+        except (TypeError, ReproError) as exc:  # a field missing, or out of range
+            raise ConfigError(f"{path} is malformed: {exc}") from None
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(_read(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    if origin is dict and isinstance(value, Mapping):
+        return {
+            _json_key(args[0], key): _read(args[1], item, f"{path}[{key!r}]")
+            for key, item in value.items()
+        }
+    return value
+
+
+def _check(hint: object, value: object, path: str) -> None:
+    """Refuse ``value`` unless it is what ``hint`` declares, naming
+    ``path``.  An ``int`` is not a ``bool`` here, but it is a ``float``
+    (JSON writes ``1.0`` as ``1``)."""
+    if get_origin(hint) is Union:
+        if value is None:
+            return
+        hint = get_args(hint)[0]
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is not None:
+        fits = isinstance(value, Mapping if origin is dict else origin)
+    elif hint is float:
+        fits = type(value) in (int, float)
+    else:
+        fits = hint is object or type(value) is hint
+    if not fits:
+        name = hint.__name__ if isinstance(hint, type) else re.sub(r"\w+\.", "", str(hint))
+        raise ConfigError(f"config field {path} must be {name}, got {value!r}")
+    if is_dataclass(hint):
+        for name, field_hint in _hints(hint).items():
+            _check(field_hint, getattr(value, name), _at(path, name))
+    for index, item in enumerate(value if origin is tuple else ()):
+        _check(args[0], item, f"{path}[{index}]")
+    for key, item in value.items() if origin is dict else ():
+        _check(args[0], key, f"{path} key {key!r}")
+        _check(args[1], item, f"{path}[{key!r}]")
 
 
 @dataclass
@@ -89,11 +178,8 @@ class ConfederationConfig:
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        for name, read in (("peers", tuple), ("trust", _trust)):
-            try:
-                setattr(self, name, read(getattr(self, name)))
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise ConfigError(f"config field {name!r} is malformed: {exc}") from None
+        if isinstance(self.peers, list):
+            self.peers = tuple(self.peers)
 
     # ------------------------------------------------------------------
     # Validation
@@ -106,28 +192,6 @@ class ConfederationConfig:
         unknown backends); this checks everything that does not need
         the registry.
         """
-        if not all(type(pid) is int for pid in self.peers):
-            raise ConfigError(f"peers must be int ids, got {self.peers!r}")
-        known = set(self.peers)
-        if len(known) != len(self.peers):
-            raise ConfigError(f"duplicate peer ids in peers {self.peers!r}")
-        if self.trust is not None:
-            for pid, edges in self.trust.items():
-                unknown = ({pid} | set(edges)) - known
-                if unknown:
-                    raise ConfigError(
-                        f"trust policy references unknown peers {sorted(unknown)}"
-                    )
-        for name in ("reconciliation_interval", "rounds"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ConfigError(f"{name} must be an int >= 0, got {value!r}")
-        for name, kinds in (
-            ("store", str), ("store_options", Mapping), ("final_reconcile", bool),
-            ("workload", (WorkloadConfig, type(None))), ("faults", (FaultPlan, type(None))),
-        ):
-            if not isinstance(getattr(self, name), kinds):
-                raise ConfigError(f"{name} has the wrong type: {getattr(self, name)!r}")
         if self.schedule_mode not in SCHEDULE_MODES:
             raise ConfigError(
                 f"unknown schedule mode {self.schedule_mode!r}; "
@@ -141,6 +205,20 @@ class ConfederationConfig:
                 f"accepted: 'client' (client-centric, was False), "
                 f"'store' (store-computed batches, was True)"
             )
+        _check(type(self), self, "")
+        known = set(self.peers)
+        if len(known) != len(self.peers):
+            raise ConfigError(f"duplicate peer ids in peers {self.peers!r}")
+        if self.trust is not None:
+            for pid, edges in self.trust.items():
+                unknown = ({pid} | set(edges)) - known
+                if unknown:
+                    raise ConfigError(
+                        f"trust policy references unknown peers {sorted(unknown)}"
+                    )
+        for name in ("reconciliation_interval", "rounds"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be an int >= 0, got {getattr(self, name)!r}")
         if self.faults is not None:
             self.faults.validate()
             for restart in self.faults.restarts:
@@ -162,52 +240,28 @@ class ConfederationConfig:
     def to_dict(self) -> Dict[str, object]:
         """A plain, JSON-safe dict representation.
 
-        Mapping keys become strings (JSON objects only have string
-        keys); :meth:`from_dict` converts them back, so the round trip
-        — including a ``json.dumps``/``json.loads`` detour — is exact.
+        Records become dicts of their fields, tuples lists, and mapping
+        keys strings (JSON objects only have string keys);
+        :meth:`from_dict` reads them back off the declared field types,
+        so the round trip — including a ``json.dumps``/``json.loads``
+        detour — is exact.
         """
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(
-            store_options=dict(self.store_options),
-            peers=list(self.peers),
-            trust=None if self.trust is None else {
-                str(pid): {str(other): pri for other, pri in edges.items()}
-                for pid, edges in self.trust.items()
-            },
-            workload=None if self.workload is None else asdict(self.workload),
-            faults=None if self.faults is None else self.faults.to_dict(),
-        )
-        return data
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ConfederationConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Unknown keys raise :class:`~repro.errors.ConfigError` — a typo
-        in a config file must not silently fall back to a default — and
-        so does a value of the wrong shape, naming its field.
+        Unknown keys, at any depth, raise
+        :class:`~repro.errors.ConfigError` — a typo in a config file
+        must not silently fall back to a default — and so does a nested
+        value of the wrong type, naming its dotted path
+        (``faults.crashes[0].at_epoch``); the config's own fields are
+        type-checked by :meth:`validate`.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys {sorted(unknown)}; known: {sorted(known)}"
-            )
-        kwargs = dict(data)
-        workload = kwargs.get("workload")
-        if isinstance(workload, Mapping):
-            workload_fields = {f.name for f in fields(WorkloadConfig)}
-            unknown = set(workload) - workload_fields
-            if unknown:
-                raise ConfigError(
-                    f"unknown workload keys {sorted(unknown)}; "
-                    f"known: {sorted(workload_fields)}"
-                )
-            kwargs["workload"] = WorkloadConfig(**workload)
-        faults = kwargs.get("faults")
-        if isinstance(faults, Mapping):
-            kwargs["faults"] = FaultPlan.from_dict(faults)
-        return cls(**kwargs)
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"a config must be a mapping of its fields, got {data!r}")
+        return cls(**_arguments(cls, data, ""))
 
     # ------------------------------------------------------------------
     # Convenience constructors

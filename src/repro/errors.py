@@ -66,10 +66,6 @@ class RetryExhaustedError(FaultError):
     """
 
 
-class PublicationError(StoreError):
-    """A publication violated the store's protocol (e.g. reused epoch)."""
-
-
 class ReconciliationError(ReproError):
     """The reconciliation engine detected an inconsistent internal state."""
 

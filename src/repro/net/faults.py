@@ -7,10 +7,10 @@ them deterministically.  This module provides both halves:
 * :class:`FaultPlan` — a declarative description of every fault a run
   should suffer: host crashes (and recoveries) pinned to epochs,
   message drops / duplicates / latency spikes by message kind with a
-  seeded probability, and mid-run participant crash-restarts.  Like the
-  rest of :class:`~repro.confed.config.ConfederationConfig` it
-  round-trips exactly through plain JSON-safe dicts, so chaos schedules
-  live in files and version control.
+  seeded probability, and mid-run participant crash-restarts.  As part
+  of :class:`~repro.confed.config.ConfederationConfig` it round-trips
+  exactly through plain JSON-safe dicts, so chaos schedules live in
+  files and version control.
 * :class:`FaultInjector` — the simnet-side executor: attached to
   :attr:`repro.net.simnet.Network.injector`, it is consulted once per
   dequeued message and decides — from one seeded
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -96,11 +96,6 @@ class FaultPlan:
     messages: Tuple[MessageFault, ...] = ()
     restarts: Tuple[ParticipantRestart, ...] = ()
 
-    def __post_init__(self) -> None:
-        self.crashes = tuple(self.crashes)
-        self.messages = tuple(self.messages)
-        self.restarts = tuple(self.restarts)
-
     # ------------------------------------------------------------------
     # Validation
 
@@ -158,79 +153,6 @@ class FaultPlan:
                     f"at_epoch must be >= 1"
                 )
         return self
-
-    # ------------------------------------------------------------------
-    # Dict round-trip (the ConfederationConfig idiom)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A plain, JSON-safe dict representation (lists, not tuples,
-        so a ``json.dumps``/``loads`` detour is exact)."""
-        return {
-            "seed": self.seed,
-            "crashes": [
-                {
-                    "host": c.host,
-                    "at_epoch": c.at_epoch,
-                    "recover_at_epoch": c.recover_at_epoch,
-                }
-                for c in self.crashes
-            ],
-            "messages": [
-                {
-                    "kind": m.kind,
-                    "action": m.action,
-                    "probability": m.probability,
-                    "times": m.times,
-                    "delay_factor": m.delay_factor,
-                }
-                for m in self.messages
-            ],
-            "restarts": [
-                {"participant": r.participant, "at_epoch": r.at_epoch}
-                for r in self.restarts
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output; unknown keys
-        raise :class:`~repro.errors.ConfigError`."""
-
-        def build(entry, entry_cls, what):
-            """One fault entry of ``entry_cls``, rejecting unknown keys."""
-            from dataclasses import fields as dc_fields
-
-            known = {f.name for f in dc_fields(entry_cls)}
-            unknown = set(entry) - known
-            if unknown:
-                raise ConfigError(
-                    f"unknown {what} keys {sorted(unknown)}; "
-                    f"known: {sorted(known)}"
-                )
-            return entry_cls(**entry)
-
-        known = {"seed", "crashes", "messages", "restarts"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown fault-plan keys {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        return cls(
-            seed=int(data.get("seed", 0)),
-            crashes=tuple(
-                build(entry, HostCrash, "host-crash")
-                for entry in data.get("crashes", ())
-            ),
-            messages=tuple(
-                build(entry, MessageFault, "message-fault")
-                for entry in data.get("messages", ())
-            ),
-            restarts=tuple(
-                build(entry, ParticipantRestart, "participant-restart")
-                for entry in data.get("restarts", ())
-            ),
-        )
 
     def is_empty(self) -> bool:
         """True when the plan schedules nothing."""

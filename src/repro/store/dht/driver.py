@@ -152,15 +152,15 @@ class DhtUpdateStore(UpdateStore):
         self._ship_context_free = ship_context_free
         #: The underlying simulated network (counters, fault injector).
         self.network = Network(latency=message_latency)
-        host_names = [f"host:{i}" for i in range(hosts)]
-        self._ring = _RingView(HashRing(host_names))
-        self._hosts: Dict[str, _HostNode] = {}
-        for name in host_names:
-            self._hosts[name] = _HostNode(
-                name, schema, self._ring, replication_factor,
-                cache_bodies=cache_bodies, ship_context_free=ship_context_free,
-            )
-            self.network.add_node(self._hosts[name])
+        #: The hosts a fault plan's ``HostCrash.host`` may name (checked at open()).
+        self.host_names = tuple(f"host:{i}" for i in range(hosts))
+        self._ring = _RingView(HashRing(self.host_names))
+        self._hosts = {name: _HostNode(
+            name, schema, self._ring, replication_factor,
+            cache_bodies=cache_bodies, ship_context_free=ship_context_free,
+        ) for name in self.host_names}
+        for host in self._hosts.values():
+            self.network.add_node(host)
         #: Copies kept per record (1 = primary only).
         self.replication_factor = replication_factor
         # The request engine's state (:mod:`repro.store.dht.client`):

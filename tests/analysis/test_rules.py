@@ -44,7 +44,6 @@ FIXTURE_BY_CODE = {
     "RPR005": "rpr005_hook_event.txt",
     "RPR006": "rpr006_memo_mutation.txt",
     "RPR007": "rpr007_set_iteration.txt",
-    "RPR008": "rpr008_dict_parity.txt",
     "RPR009": "rpr009_kinds_registry.txt",
     "RPR010": "rpr010_blocking_sleep.txt",
 }

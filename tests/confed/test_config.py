@@ -8,6 +8,7 @@ import pytest
 
 from repro.confed import Confederation, ConfederationConfig
 from repro.errors import ConfigError
+from repro.net import FaultPlan, HostCrash, MessageFault, ParticipantRestart
 from repro.workload import WorkloadConfig
 
 
@@ -55,6 +56,66 @@ class TestRoundTrip:
         assert ConfederationConfig(network_centric="store").network_centric_store
         assert not ConfederationConfig(network_centric="client").network_centric_store
         assert not ConfederationConfig().network_centric_store
+
+    def test_the_dict_form_is_pinned(self):
+        # The file format, written out: the codec must never move it.
+        cfg = ConfederationConfig(
+            store="dht",
+            store_options={"hosts": 4, "replication_factor": 2},
+            peers=(1, 2),
+            trust={1: {2: 3}, 2: {1: 1}},
+            workload=WorkloadConfig(transaction_size=2, seed=5),
+            faults=FaultPlan(
+                seed=7,
+                crashes=(
+                    HostCrash("host:1", at_epoch=3, recover_at_epoch=6),
+                    HostCrash("host:2", at_epoch=4),
+                ),
+                messages=(MessageFault("txn_data", "delay", probability=0.5, times=2),),
+                restarts=(ParticipantRestart(participant=2, at_epoch=5),),
+            ),
+        )
+        pinned = {
+            "store": "dht",
+            "store_options": {"hosts": 4, "replication_factor": 2},
+            "peers": [1, 2],
+            "trust": {"1": {"2": 3}, "2": {"1": 1}},
+            "network_centric": "client",
+            "workload": {
+                "transaction_size": 2,
+                "insert_fraction": 0.6,
+                "xref_mean": 7.3,
+                "zipf_s": 1.5,
+                "organisms": 12,
+                "proteins_per_organism": 400,
+                "functions": 400,
+                "seed": 5,
+            },
+            "reconciliation_interval": 4,
+            "rounds": 4,
+            "final_reconcile": False,
+            "schedule_mode": "serial",
+            "faults": {
+                "seed": 7,
+                "crashes": [
+                    {"host": "host:1", "at_epoch": 3, "recover_at_epoch": 6},
+                    {"host": "host:2", "at_epoch": 4, "recover_at_epoch": None},
+                ],
+                "messages": [
+                    {
+                        "kind": "txn_data",
+                        "action": "delay",
+                        "probability": 0.5,
+                        "times": 2,
+                        "delay_factor": 4.0,
+                    }
+                ],
+                "restarts": [{"participant": 2, "at_epoch": 5}],
+            },
+        }
+        assert cfg.to_dict() == pinned
+        assert json.dumps(cfg.to_dict()) == json.dumps(pinned)  # key order too
+        assert ConfederationConfig.from_dict(json.loads(json.dumps(pinned))) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -152,6 +213,52 @@ class TestValidation:
         wire = json.loads(json.dumps({field: value}))
         with pytest.raises(ConfigError, match=field):
             ConfederationConfig.from_dict(wire).validate()
+
+    @pytest.mark.parametrize(
+        "case, path",
+        [
+            ({"workload": {"transaction_size": "3"}}, "workload.transaction_size"),
+            ({"workload": {"transaction_size": 0}}, "workload.*transaction_size"),
+            ({"workload": {"seed": "x"}}, "workload.seed"),
+            ({"faults": {"seed": "x"}}, "faults.seed"),
+            ({"faults": {"crashes": [5]}}, r"faults.crashes\[0\]"),
+            (
+                {"faults": {"crashes": [{"host": "h", "at_epoch": "5"}]}},
+                r"faults.crashes\[0\].at_epoch",
+            ),
+            (
+                {"faults": {"messages": [{"kind": "x", "probability": "1"}]}},
+                r"faults.messages\[0\].probability",
+            ),
+            (
+                {"faults": {"restarts": [{"participant": 1, "at_epoch": None}]}},
+                r"faults.restarts\[0\].at_epoch",
+            ),
+            ({"faults": {"crashes": "abc"}}, "faults.crashes must be"),
+            ({"faults": {"crashes": [{"host": "h"}]}}, r"faults.crashes\[0\].*at_epoch"),
+        ],
+    )
+    def test_a_malformed_nested_value_is_a_config_error_naming_its_path(self, case, path):
+        wire = json.loads(json.dumps(case))
+        with pytest.raises(ConfigError, match=path):
+            ConfederationConfig.from_dict(wire).validate()
+
+    @pytest.mark.parametrize("wire", [[], "peers", None])
+    def test_a_config_that_is_not_a_mapping_is_refused(self, wire):
+        # An empty list once loaded as the default config.
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            ConfederationConfig.from_dict(wire)
+
+    def test_an_int_stands_for_a_float(self):
+        # JSON writes 1.0 as 1: an int where a float is declared loads.
+        wire = {"faults": {"messages": [{"kind": "txn_data", "probability": 1}]}}
+        cfg = ConfederationConfig.from_dict(wire).validate()
+        assert cfg.faults.messages[0].probability == 1
+
+    def test_a_constructed_config_is_type_checked_too(self):
+        cfg = ConfederationConfig(workload=WorkloadConfig(seed="x"))
+        with pytest.raises(ConfigError, match="workload.seed must be int"):
+            cfg.validate()
 
     def test_unknown_store_backend_fails_at_open(self):
         config = ConfederationConfig(store="cassandra")

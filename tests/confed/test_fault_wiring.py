@@ -97,6 +97,18 @@ class TestOpenRefusesImpossiblePlans:
         with pytest.raises(ConfigError, match="'txn_store' .* txn_stored"):
             Confederation(cfg).open()
 
+    def test_host_crashes_must_name_a_host_the_store_has(self):
+        # On the parent this opened cleanly and failed mid-run with
+        # ``StoreError: unknown host 'host:9'``.
+        cfg = ConfederationConfig(
+            store="dht",
+            store_options={"hosts": 4},
+            peers=(1, 2),
+            faults=FaultPlan(crashes=(HostCrash("host:9", at_epoch=2),)),
+        )
+        with pytest.raises(ConfigError, match="no host 'host:9'.*close matches: host:"):
+            Confederation(cfg).open()
+
     def test_empty_plan_is_inert_on_any_store(self):
         cfg = ConfederationConfig(
             store="memory", peers=(1, 2), faults=FaultPlan(seed=5)

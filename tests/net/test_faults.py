@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.confed import ConfederationConfig
 from repro.errors import ConfigError
 from repro.net import (
     FaultInjector,
@@ -51,22 +52,24 @@ class TestFaultPlanRoundTrip:
             restarts=(ParticipantRestart(participant=2, at_epoch=5),),
         )
 
+    def wire(self):
+        return ConfederationConfig(faults=self.plan()).to_dict()
+
     def test_exact_dict_round_trip(self):
-        plan = self.plan()
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        # The plan's dict form is the config's "faults" entry.
+        assert ConfederationConfig.from_dict(self.wire()).faults == self.plan()
 
     def test_json_detour_is_exact(self):
-        plan = self.plan()
-        data = json.loads(json.dumps(plan.to_dict()))
-        assert FaultPlan.from_dict(data) == plan
+        data = json.loads(json.dumps(self.wire()))
+        assert ConfederationConfig.from_dict(data).faults == self.plan()
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            FaultPlan.from_dict({"sede": 1})
-        data = self.plan().to_dict()
-        data["crashes"][0]["hots"] = data["crashes"][0].pop("host")
-        with pytest.raises(ConfigError):
-            FaultPlan.from_dict(data)
+        with pytest.raises(ConfigError, match="unknown faults keys"):
+            ConfederationConfig.from_dict({"faults": {"sede": 1}})
+        data = self.wire()
+        data["faults"]["crashes"][0]["hots"] = data["faults"]["crashes"][0].pop("host")
+        with pytest.raises(ConfigError, match=r"unknown faults\.crashes\[0\] keys \['hots'\]"):
+            ConfederationConfig.from_dict(data)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

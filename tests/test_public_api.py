@@ -89,7 +89,6 @@ EXPECTED_ALL = {
     "FlattenError",
     "NetworkError",
     "PolicyError",
-    "PublicationError",
     "ReconciliationError",
     "ReproError",
     "ResolutionError",
@@ -484,3 +483,25 @@ def test_hook_event_names_are_stable():
         "degraded",
         "recovery",
     )
+
+
+def test_publication_error_is_gone():
+    # Nothing raised it: stores refuse a reused epoch or id with a
+    # ``StoreError``.
+    import repro.errors
+
+    assert not hasattr(repro.errors, "PublicationError")
+    with pytest.raises(ImportError):
+        exec("from repro import PublicationError", {})
+
+
+def test_the_hand_written_dict_forms_are_gone():
+    # The config's dict form is read off the records' fields in one
+    # place: the fault plan round-trips as part of a config, and no
+    # analyzer rule is left to hold hand-written key lists to fields.
+    from repro.analysis import RULES_BY_CODE
+    from repro.net import FaultPlan
+
+    for gone in ("to_dict", "from_dict"):
+        assert not hasattr(FaultPlan, gone), gone
+    assert "RPR008" not in RULES_BY_CODE

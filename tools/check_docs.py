@@ -63,11 +63,11 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 13578
+SOURCE_LINE_CEILING = 13488
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (``store/central.py`` is 685,
-#: ``analysis/rules.py`` 661).
+#: ``store/dht/controllers.py`` 603).
 MODULE_LINE_CEILING = 740
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
