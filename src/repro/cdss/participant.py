@@ -219,7 +219,8 @@ class Participant:
         The phase snapshots the store's perf counters, makes the call,
         takes the delta (this call's charge alone: one thread drives the
         confederation) and then pays the simulated latency the call
-        charged through ``store.pay_latency``.  The payment goes through
+        charged through ``store.pay_latency``, also when the call
+        raises (a refused call made its round trip).  The payment goes through
         the store's :class:`~repro.net.clock.LatencyClock`, so the
         async epoch scheduler turns the wait into a deadline only this
         participant's next segment waits for.  ``pay_latency`` is part
@@ -228,10 +229,12 @@ class Participant:
         store = self.store
         started = time.perf_counter()
         before = store.perf.snapshot()
-        result = method(*args)
-        delta = store.perf.minus(before)
-        elapsed = time.perf_counter() - started
-        store.pay_latency(delta.simulated_seconds)
+        try:
+            result = method(*args)
+        finally:
+            delta = store.perf.minus(before)
+            elapsed = time.perf_counter() - started
+            store.pay_latency(delta.simulated_seconds)
         return result, delta, elapsed
 
     def publish(self) -> int:

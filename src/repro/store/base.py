@@ -36,9 +36,10 @@ its delta and the latency it charged — what the latency and perf
 accounting depend on, and what rule RPR004 checks.
 
 Performance accounting: every store tracks a :class:`PerfCounters` of
-messages exchanged and the simulated network latency they cost.  The
-central store charges one request/reply pair per API call (client-server
-round trip); the DHT store charges every protocol message of Figures 6-7.
+messages exchanged and the simulated network latency they cost.  A
+direct-log store charges one request/reply pair per API call
+(client-server round trip; ``publish`` is one); the DHT store charges
+every protocol message of Figures 6-7.
 Latency per message defaults to 500 microseconds, the floor the paper
 injected in its distributed experiments.
 """
@@ -106,23 +107,15 @@ class UpdateStore(abc.ABC):
         real_latency: bool = False,
     ) -> None:
         """``real_latency=True`` makes the injected per-message delay
-        *real*: after a store call, the transport pays the simulated
-        seconds the call charged (the paper's experiments injected these
-        delays for real; by default we only account them).  The wait
-        happens in :meth:`pay_latency`, after the call, and is
-        delegated to the store's :attr:`clock` — blocking by default;
-        the async scheduler swaps in a deferring clock for the duration
-        of a run."""
+        *real* (the paper's experiments injected these delays for real;
+        by default we only account them): see :meth:`pay_latency`."""
         if message_latency < 0:
             raise StoreError(f"message_latency must be >= 0, not {message_latency}")
         self._schema = schema
         self._message_latency = message_latency
         self._real_latency = real_latency
         #: How charged latency is paid in wall time (see
-        #: :mod:`repro.net.clock`).  The async epoch scheduler swaps
-        #: this for an :class:`~repro.net.clock.AsyncLatencyClock`
-        #: while it runs, so payments accrue to the running participant
-        #: instead of blocking every other one.
+        #: :mod:`repro.net.clock`; the async scheduler swaps it while it runs).
         self.clock: LatencyClock = BlockingLatencyClock()
         self.perf = PerfCounters()
         #: Optional hook bus (``repro.confed.hooks.HookBus``), attached
@@ -157,7 +150,7 @@ class UpdateStore(abc.ABC):
         it; this base implementation is the default): the transport layer
         (:meth:`repro.cdss.participant.Participant._store_call`) calls it
         unconditionally with the simulated-latency delta of the store
-        call it just made, after the call returns.  The wait
+        call it just made, after the call returns or raises.  The wait
         itself is delegated to :attr:`clock` (never an inline
         ``time.sleep`` — rule RPR010): blocking under the serial
         schedule, accrued to the running segment's participant under
@@ -191,7 +184,8 @@ class UpdateStore(abc.ABC):
         ``begin_publish`` + ``write_transactions`` + ``finish_publish``.
         The epoch is finished even when the write fails, so it never
         blocks the stable-epoch computation forever (a rejected batch
-        contributes an empty epoch).
+        contributes an empty epoch).  On a direct-log store it is one
+        procedure call; each step called alone is one call of its own.
         """
         epoch = self.begin_publish(participant)
         try:

@@ -9,7 +9,9 @@ hands out, so a published transaction costs the store that one tuple.
 Message accounting: one request/reply pair (2 messages) per public API
 call, matching a client talking to a single server with batched
 operations — the paper's observation that "a constant number of procedures
-are invoked during each reconciliation".
+are invoked during each reconciliation".  ``publish`` is one such call:
+the store runs begin, write and finish itself; each step called alone,
+as by a concurrent publisher, is one call of its own.
 """
 
 from __future__ import annotations
@@ -94,9 +96,7 @@ class MemoryUpdateStore(DirectLogStore):
         try:
             return self._participants[participant]
         except KeyError:
-            raise StoreError(
-                f"participant {participant} is not registered"
-            ) from None
+            raise StoreError(f"participant {participant} is not registered") from None
 
     # ------------------------------------------------------------------
 
@@ -113,9 +113,7 @@ class MemoryUpdateStore(DirectLogStore):
 
     def _validate_open_epoch(self, participant: int, epoch: int) -> None:
         if self._epoch_publisher.get(epoch) != participant:
-            raise StoreError(
-                f"epoch {epoch} is not being published by {participant}"
-            )
+            raise StoreError(f"epoch {epoch} is not being published by {participant}")
         if self._epoch_finished.get(epoch, True):
             raise StoreError(f"epoch {epoch} is already finished")
 

@@ -38,22 +38,15 @@ assembles the conflict adjacency through the same
 built-in backend serves ``begin_network_reconciliation`` (see
 :mod:`repro.store.dht`).
 
-Shared-memo retention: the context-free extension memo and the shared
-conflict graph grow with the published history, but an entry is only
-ever consulted for roots some participant has still to decide.  Both
-are therefore pruned by *reconciliation-aware retention*
-(:meth:`DirectLogStore.retire_shared_entries`): once every
-registered participant holds a final verdict (applied or rejected) for
-a root, its entry — and every extension the graph holds for it, with
-its edges — is dropped.  On every log retirement is cache eviction,
-and derived data is never persisted: a participant registered later
-simply recomputes on miss, in one closure walk over the log.
+The shared memos (context-free extensions, the conflict graph) are
+pruned by reconciliation-aware retention; see
+:meth:`DirectLogStore.retire_shared_entries`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ConflictGraph, ExtensionCache
 from repro.core.conflicts import IncrementalConflictIndex
@@ -136,13 +129,25 @@ class DirectLogStore(UpdateStore):
         self._nc_shared_pairs = ConflictGraph(limit=self.SHARED_MEMO_LIMIT)
         # Context-free memo entries let go so far, retired or evicted.
         self._nc_released = 0
+        self._publishing = False  # inside publish(): its steps are one call
 
     def _charge_call(self) -> None:
         """Account one client-server procedure call: request + reply —
         the paper's "constant number of procedures are invoked during
         each reconciliation" — plus the log's per-call overhead."""
-        self.perf.charge(2, self._message_latency)
-        self.perf.simulated_seconds += self.DEFAULT_CALL_OVERHEAD
+        if not self._publishing:
+            self.perf.charge(2, self._message_latency)
+            self.perf.simulated_seconds += self.DEFAULT_CALL_OVERHEAD
+
+    def publish(self, participant: int, transactions: Sequence[Transaction]) -> int:
+        """One procedure call: the log runs begin, write and finish
+        itself, and the call is charged once, refused or not."""
+        self._publishing = True
+        try:
+            return super().publish(participant, transactions)
+        finally:
+            self._publishing = False
+            self._charge_call()
 
     @abc.abstractmethod
     def _nc_advance(self, participant: int) -> Tuple[int, int]:

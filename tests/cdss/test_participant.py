@@ -6,8 +6,9 @@ import pytest
 
 from repro.cdss.participant import Participant
 from repro.confed import Confederation, ConfederationConfig
-from repro.errors import ConfigError, ConstraintViolation
-from repro.model import Insert, Modify
+from repro.errors import ConfigError, ConstraintViolation, StoreError
+from repro.model import Insert, Modify, make_transaction
+from repro.net.clock import LatencyClock
 from repro.policy import TrustPolicy
 from repro.store import MemoryUpdateStore, available_stores
 from repro.workload import WorkloadConfig
@@ -138,6 +139,29 @@ def test_every_charged_message_is_in_one_store_phase(store, monkeypatch):
             assert sum(delta.simulated_seconds for delta in deltas) == pytest.approx(
                 perf.simulated_seconds
             )
+
+
+def test_a_store_call_that_raises_still_pays_what_it_charged(schema):
+    """A refused call still made its round trip: the store phase pays the
+    latency it charged (and the async clock accrues it as this
+    participant's debt) whether or not the call returns."""
+
+    class RecordingClock(LatencyClock):
+        paid = 0.0
+
+        def pay(self, seconds: float) -> None:
+            self.paid += seconds
+
+    store = MemoryUpdateStore(schema, message_latency=0.001, real_latency=True)
+    p1 = Participant(1, store, TrustPolicy().trust_all(1))
+    Participant(2, store, TrustPolicy().trust_all(1))
+    store.clock = clock = RecordingClock()
+    before = store.perf.snapshot()
+    with pytest.raises(StoreError, match="cannot publish"):
+        p1._store_call(store.publish, 1, [make_transaction(2, 0, [Insert("F", RAT1, 2)])])
+    charged = store.perf.minus(before).simulated_seconds
+    assert charged > 0
+    assert clock.paid == pytest.approx(charged)
 
 
 class TestResolutionThroughParticipant:

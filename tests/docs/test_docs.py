@@ -47,11 +47,17 @@ def test_source_lines_stay_under_the_ratchet():
     assert check_docs.check_source_lines() == []
 
 
-def _problem_naming(name, lines):
-    """The one problem ``check_source_lines`` reports about ``name``
-    being ``lines`` long, whatever else it reports."""
-    prefix = f"{name}: {lines} lines exceed"
-    (problem,) = [p for p in check_docs.check_source_lines() if p.startswith(prefix)]
+def test_source_statements_stay_under_the_ratchet():
+    assert check_docs.check_source_statements() == []
+
+
+def _problem_naming(name, size, unit="lines"):
+    """The one problem the ``unit`` check reports about ``name`` being
+    ``size`` long, whatever else it reports."""
+    check = {"lines": check_docs.check_source_lines,
+             "statements": check_docs.check_source_statements}[unit]
+    prefix = f"{name}: {size} {unit} exceed"
+    (problem,) = [p for p in check() if p.startswith(prefix)]
     return problem
 
 
@@ -68,6 +74,37 @@ def test_an_oversized_function_is_named(monkeypatch):
     monkeypatch.setattr(check_docs, "FUNCTION_LINE_CEILING", sizes[longest] - 1)
     assert "per-function ceiling" in _problem_naming(longest, sizes[longest])
     assert longest.endswith(": write_transactions")
+
+
+def test_an_oversized_module_is_named_in_statements(monkeypatch):
+    sizes = check_docs.module_statements()
+    largest = max(sizes, key=sizes.get)
+    monkeypatch.setattr(check_docs, "MODULE_STATEMENT_CEILING", sizes[largest] - 1)
+    problem = _problem_naming(largest, sizes[largest], "statements")
+    assert "per-module ceiling" in problem and "MODULE_STATEMENT_CEILING" in problem
+
+
+def test_an_oversized_function_is_named_in_statements(monkeypatch):
+    sizes = check_docs.function_statements()
+    longest = max(sizes, key=sizes.get)
+    monkeypatch.setattr(check_docs, "FUNCTION_STATEMENT_CEILING", sizes[longest] - 1)
+    problem = _problem_naming(longest, sizes[longest], "statements")
+    assert "per-function ceiling" in problem and "FUNCTION_STATEMENT_CEILING" in problem
+    assert longest.endswith(": _minimise")
+
+
+def test_a_docstring_is_not_a_statement(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "m.py").write_text(
+        '"""Module."""\n\n\ndef f(x):\n    """Doc."""\n    "not a docstring"\n'
+        "    y = x; return y\n"
+    )
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "DOCSTRING_ROOT", package)
+    assert check_docs.module_statements() == {"src/repro/m.py": 4}
+    assert check_docs.function_statements() == {"src/repro/m.py:4: f": 4}
+    assert check_docs.module_lines() == {"src/repro/m.py": 7}
 
 
 def test_every_ceiling_exceeded_at_once_is_named(monkeypatch):

@@ -142,3 +142,70 @@ class TestDecoupledPublish:
         assert [str(r.tid) for r in batch.roots] == ["X1:0", "X1:1"]
         orders = [r.order for r in batch.roots]
         assert orders == sorted(orders)
+
+
+def charge_of(store, call, *args):
+    """``(messages, simulated seconds)`` ``call(*args)`` charged, and what
+    it returned — or the :class:`StoreError` it raised."""
+    before = store.perf.snapshot()
+    try:
+        outcome = call(*args)
+    except StoreError as refused:
+        outcome = refused
+    delta = store.perf.minus(before)
+    return (delta.messages, delta.simulated_seconds), outcome
+
+
+def one_call(store):
+    """What one procedure call costs: a request, a reply and the overhead."""
+    return (2, pytest.approx(2 * store.message_latency + store.DEFAULT_CALL_OVERHEAD))
+
+
+@pytest.mark.parametrize("store", ["memory", "central", "durable"], indirect=True)
+class TestOnePublishOneRoundTrip:
+    """On a log the store reads directly, ``publish()`` is one procedure
+    call: the log runs begin, write and finish itself.  Each step called
+    alone, as a concurrent publisher does, stays one call of its own."""
+
+    def test_an_empty_batch_is_one_call(self, peers):
+        charge, epoch = charge_of(peers, peers.publish, 1, [])
+        assert charge == one_call(peers)
+        assert peers.begin_reconciliation(2).recno == epoch
+
+    def test_a_batch_is_one_call(self, peers):
+        txns = [make_transaction(1, 0, [Insert("F", RAT1, 1)]),
+                make_transaction(1, 1, [Insert("F", MOUSE2, 1)])]
+        charge, epoch = charge_of(peers, peers.publish, 1, txns)
+        assert charge == one_call(peers)
+        batch = peers.begin_reconciliation(2)
+        assert (batch.recno, [str(r.tid) for r in batch.roots]) == (epoch, ["X1:0", "X1:1"])
+
+    def test_a_refused_batch_is_one_call_and_still_finishes_its_epoch(self, peers):
+        txn = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        peers.publish(1, [txn])
+        charge, refused = charge_of(peers, peers.publish, 1, [txn])
+        assert isinstance(refused, StoreError) and "already published" in str(refused)
+        assert charge == one_call(peers)
+        epoch = peers.current_epoch()
+        assert peers.begin_reconciliation(2).recno == epoch == 2
+
+    def test_each_step_alone_is_one_call(self, peers):
+        charge, epoch = charge_of(peers, peers.begin_publish, 1)
+        assert charge == one_call(peers)
+        txn = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        charge, _ = charge_of(peers, peers.write_transactions, 1, epoch, [txn])
+        assert charge == one_call(peers)
+        charge, _ = charge_of(peers, peers.finish_publish, 1, epoch)
+        assert charge == one_call(peers)
+        assert charge_of(peers, peers.publish, 3, [])[0] == one_call(peers)
+
+
+@pytest.mark.parametrize("store", ["dht"], indirect=True)
+def test_a_dht_publish_is_its_figure_6_protocol(peers):
+    """The DHT has no log to run the steps on: its publish stays the
+    multi-host protocol, message for message."""
+    txns = [make_transaction(1, 0, [Insert("F", RAT1, 1)]),
+            make_transaction(1, 1, [Insert("F", MOUSE2, 1)])]
+    charges = [charge_of(peers, peers.publish, 1, txns)[0][0],
+               charge_of(peers, peers.publish, 2, [])[0][0]]
+    assert charges == [14, 6]  # the Figure 6 messages of a 4-host ring

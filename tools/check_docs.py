@@ -33,6 +33,12 @@ tool mirrors that docstring contract for environments without ruff):
    module — so a 1,400-line class is caught at review, and no single
    function ``FUNCTION_LINE_CEILING`` — the length of the longest one,
    ``CentralUpdateStore.write_transactions`` — so a 200-line method is.
+   The same three ceilings are kept in AST *statements* too, docstrings
+   excluded (``SOURCE_STATEMENT_CEILING`` and its two twins): a line
+   count rewards packing two statements onto one line and punishes a
+   docstring, a statement count does neither.  Each unit keeps its own
+   rule: a ceiling is lowered to what this tool prints, or raised in
+   the diff that needs it.
 
 Usage:
     PYTHONPATH=src python tools/check_docs.py
@@ -74,6 +80,14 @@ MODULE_LINE_CEILING = 740
 #: to last line: the longest one, ``CentralUpdateStore.write_transactions``
 #: (``_HostNode.wipe`` is 76, ``Participant.rebuild`` 70).
 FUNCTION_LINE_CEILING = 78
+
+#: The same three ceilings in AST statements, docstrings excluded
+#: (``ast.stmt`` nodes; a function's own ``def`` counts): the total,
+#: the largest module (``store/dht/driver.py``) and the longest
+#: function (``flatten._minimise``).
+SOURCE_STATEMENT_CEILING = 5038
+MODULE_STATEMENT_CEILING = 331
+FUNCTION_STATEMENT_CEILING = 45
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -209,6 +223,32 @@ def check_cli_snippets() -> list:
     return problems
 
 
+def _trees():
+    """``(path relative to the repo, syntax tree)`` of every file under
+    src/repro."""
+    for path in sorted(DOCSTRING_ROOT.rglob("*.py")):
+        yield str(path.relative_to(REPO)), ast.parse(path.read_text())
+
+
+def _statements(node, docstrings: set) -> int:
+    """The ``ast.stmt`` nodes in ``node`` (itself included) that are not
+    one of ``docstrings``."""
+    return sum(
+        isinstance(inner, ast.stmt) and id(inner) not in docstrings
+        for inner in ast.walk(node)
+    )
+
+
+def _docstrings(tree) -> set:
+    """The ids of the docstring expressions in ``tree``."""
+    return {
+        id(node.body[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+
+
 def module_lines() -> dict:
     """Lines per file under src/repro, counted the way ``wc -l`` does."""
     return {
@@ -217,45 +257,84 @@ def module_lines() -> dict:
     }
 
 
+def module_statements() -> dict:
+    """Statements per file under src/repro, docstrings excluded."""
+    return {name: _statements(tree, _docstrings(tree)) for name, tree in _trees()}
+
+
 def source_lines() -> int:
     """Total lines under src/repro."""
     return sum(module_lines().values())
 
 
+def _functions():
+    """``(key, node, docstrings of its file)`` per function under
+    src/repro, keyed ``file:line: name``."""
+    for name, tree in _trees():
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{name}:{node.lineno}: {node.name}", node, docstrings
+
+
 def function_lines() -> dict:
     """Lines per function under src/repro (``def`` line to last line),
     keyed ``file:line: name``."""
-    sizes = {}
-    for path in sorted(DOCSTRING_ROOT.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                where = f"{path.relative_to(REPO)}:{node.lineno}: {node.name}"
-                sizes[where] = node.end_lineno - node.lineno + 1
-    return sizes
+    return {key: node.end_lineno - node.lineno + 1 for key, node, _ in _functions()}
+
+
+def function_statements() -> dict:
+    """Statements per function under src/repro (its ``def`` included,
+    docstrings excluded), keyed like :func:`function_lines`."""
+    return {key: _statements(node, docs) for key, node, docs in _functions()}
+
+
+def _over(sizes: dict, unit: str, scope: str, ceiling: str) -> list:
+    """A problem for every entry of ``sizes`` above the ceiling named
+    ``ceiling`` (a module global, read when called)."""
+    limit = globals()[ceiling]
+    return [
+        f"{name}: {size} {unit} exceed the per-{scope} ceiling {limit} "
+        f"({ceiling} in tools/check_docs.py)"
+        for name, size in sizes.items()
+        if size > limit
+    ]
 
 
 def check_source_lines() -> list:
     """The library, one module or one function of it, outgrowing its
-    ratcheted ceiling."""
+    ratcheted line ceiling."""
     sizes = module_lines()
-    problems = [
-        f"{name}: {lines} lines exceed the per-module ceiling "
-        f"{MODULE_LINE_CEILING} (MODULE_LINE_CEILING in tools/check_docs.py)"
-        for name, lines in sizes.items()
-        if lines > MODULE_LINE_CEILING
-    ]
-    problems += [
-        f"{name}: {lines} lines exceed the per-function ceiling "
-        f"{FUNCTION_LINE_CEILING} (FUNCTION_LINE_CEILING in tools/check_docs.py)"
-        for name, lines in function_lines().items()
-        if lines > FUNCTION_LINE_CEILING
-    ]
+    problems = _over(sizes, "lines", "module", "MODULE_LINE_CEILING")
+    problems += _over(function_lines(), "lines", "function", "FUNCTION_LINE_CEILING")
     if sum(sizes.values()) > SOURCE_LINE_CEILING:
         problems.append(
             f"src/repro: {sum(sizes.values())} source lines exceed the ceiling "
             f"{SOURCE_LINE_CEILING} (SOURCE_LINE_CEILING in tools/check_docs.py)"
         )
     return problems
+
+
+def check_source_statements() -> list:
+    """The library, one module or one function of it, outgrowing its
+    ratcheted statement ceiling."""
+    sizes = module_statements()
+    problems = _over(sizes, "statements", "module", "MODULE_STATEMENT_CEILING")
+    problems += _over(
+        function_statements(), "statements", "function", "FUNCTION_STATEMENT_CEILING"
+    )
+    if sum(sizes.values()) > SOURCE_STATEMENT_CEILING:
+        problems.append(
+            f"src/repro: {sum(sizes.values())} statements exceed the ceiling "
+            f"{SOURCE_STATEMENT_CEILING} (SOURCE_STATEMENT_CEILING in tools/check_docs.py)"
+        )
+    return problems
+
+
+def _largest(sizes: dict) -> str:
+    """``name is size`` for the largest entry of ``sizes``."""
+    name = max(sizes, key=sizes.get)
+    return f"{name} is {sizes[name]}"
 
 
 def main() -> int:
@@ -265,23 +344,28 @@ def main() -> int:
         + check_links()
         + check_cli_snippets()
         + check_source_lines()
+        + check_source_statements()
     )
-    sizes = module_lines()
-    largest = max(sizes, key=sizes.get)
-    functions = function_lines()
-    longest = max(functions, key=functions.get)
+    lines, statements = module_lines(), module_statements()
     print(
-        f"check_docs: src/repro is {sum(sizes.values())} lines "
-        f"(ceiling {SOURCE_LINE_CEILING}); largest module {largest} is "
-        f"{sizes[largest]} (ceiling {MODULE_LINE_CEILING}); longest function "
-        f"{longest} is {functions[longest]} (ceiling {FUNCTION_LINE_CEILING})"
+        f"check_docs: src/repro is {sum(lines.values())} lines "
+        f"(ceiling {SOURCE_LINE_CEILING}); largest module {_largest(lines)} "
+        f"(ceiling {MODULE_LINE_CEILING}); longest function "
+        f"{_largest(function_lines())} (ceiling {FUNCTION_LINE_CEILING})"
+    )
+    print(
+        f"check_docs: src/repro is {sum(statements.values())} statements "
+        f"(ceiling {SOURCE_STATEMENT_CEILING}); largest module "
+        f"{_largest(statements)} (ceiling {MODULE_STATEMENT_CEILING}); longest "
+        f"function {_largest(function_statements())} "
+        f"(ceiling {FUNCTION_STATEMENT_CEILING})"
     )
     for problem in problems:
         print(problem)
     if problems:
         print(f"check_docs: {len(problems)} problem(s)")
         return 1
-    print("check_docs: docstrings, links, CLI snippets, and line count all clean")
+    print("check_docs: docstrings, links, CLI snippets, lines and statements all clean")
     return 0
 
 
