@@ -45,7 +45,7 @@ are exposed on :attr:`ReconcileResult.cache_stats`.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConstraintViolation, FlattenError
 from repro.instance.base import Instance
@@ -209,18 +209,32 @@ class Reconciler:
         shipped = {} if batch.network_centric else batch.extensions or {}
 
         @functools.cache
-        def own() -> Dict[QualifiedKey, List[Update]]:
-            """CheckState line 7's operand — the flattened own delta,
-            indexed by the keys it touches — traced by the first root
-            that reaches that test: a run none of whose roots gets there
-            never is.  A delta spanning a resolution may not flatten as
-            one sequence; its raw updates are indexed then, as
-            Definition 4's residuals are."""
+        def own_keys() -> FrozenSet[QualifiedKey]:
+            """Every key a raw own update touches: the flattened delta's
+            keys, or the raw fallback's, are among them."""
+            schema = self._schema
+            return frozenset(
+                key for update in own_updates for key in update.keys_touched(schema)
+            )
+
+        @functools.cache
+        def own_index() -> Dict[QualifiedKey, List[Update]]:
+            """The flattened own delta, indexed by the keys it touches.
+            A delta spanning a resolution may not flatten as one
+            sequence; its raw updates are indexed then, as Definition
+            4's residuals are."""
             try:
-                delta = flatten(self._schema, own_updates) if own_updates else []
+                delta = flatten(self._schema, own_updates)
             except FlattenError:
                 delta = own_updates
             return index_by_key(self._schema, delta)
+
+        def own(touched: FrozenSet[QualifiedKey]) -> Dict[QualifiedKey, List[Update]]:
+            """CheckState line 7's operand for a root touching ``touched``:
+            the delta is traced by the first root that reaches that test
+            touching a raw own key — one touching none cannot meet it, and
+            a run none of whose roots does never traces it."""
+            return {} if touched.isdisjoint(own_keys()) else own_index()
 
         extensions: Dict[TransactionId, UpdateExtension] = {}
         decision: Dict[TransactionId, Decision] = {}
@@ -257,7 +271,7 @@ class Reconciler:
     def _check_state(
         self,
         extension: UpdateExtension,
-        own: Callable[[], Dict[QualifiedKey, List[Update]]],
+        own: Callable[[FrozenSet[QualifiedKey]], Dict[QualifiedKey, List[Update]]],
         dirty_exempt: bool,
     ) -> Decision:
         """Figure 5's ``CheckState``: defer an extension touching dirty
@@ -281,7 +295,7 @@ class Reconciler:
             return Decision.REJECT
         # Own-delta conflicts require a shared key: past the key test, the
         # same keyed comparison FindConflicts makes between two extensions.
-        own_index = own()
+        own_index = own(extension.touched)
         if not extension.touched.isdisjoint(own_index) and _conflict_points(
             self._schema, extension.key_index(self._schema), own_index
         ):

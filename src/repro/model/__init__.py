@@ -14,7 +14,6 @@ This package defines the vocabulary the rest of the library speaks:
 from repro.model.flatten import (
     flatten,
     flatten_transactions,
-    keys_read,
     keys_touched,
 )
 from repro.model.schema import (
@@ -51,7 +50,6 @@ __all__ = [
     "flatten",
     "flatten_transactions",
     "key_of",
-    "keys_read",
     "keys_touched",
     "make_transaction",
     "row_matches_schema",

@@ -39,22 +39,27 @@ A chain that returns a key to the row it started from (e.g. ``a -> b`` then
 ``b -> a``) flattens to nothing, which is exactly the paper's *least
 interaction* principle: a revised-away modification must not conflict with
 anyone.  The keys such a chain passed through are still reported by
-:func:`keys_read` / :func:`keys_touched`, because dirty-value deferral cares
-about reads even when the net effect is empty.
+:func:`keys_touched`, because dirty-value deferral cares about them even
+when the net effect is empty.
 
-Hot-path notes: :func:`flatten_once` performs a *single* chain trace and
-returns the net operations together with the read and touched key sets as
-one :class:`FlattenResult`, so callers that need all three (the engine's
-update-extension computation) pay for one trace instead of two or three.
-The legacy entry points (:func:`flatten`, :func:`keys_read`,
-:func:`keys_touched`) are thin views over it.  The module counts tracer
-runs in :func:`trace_runs` so tests can pin the one-pass guarantee.
+Hot-path notes: there is one trace, :func:`_fold`, and :func:`flatten_once`
+returns what it yields — the net operations and the touched keys — as one
+:class:`FlattenResult`; :func:`flatten` and :func:`keys_touched` are views
+of it.  The trace reads each update's memoised ``keys_touched`` instead of
+deriving keys again, keeps a chain as a small list, and collects the
+touched keys in the same loop.  A chain of one update contributes that
+update object itself, key memo warm for whoever indexes the result, as a
+one-update sequence does without any trace.  The minimisation worklist
+runs only when some key has both a net reader and a different net writer,
+and it and the final sort take their keys from the chains.  The module
+counts traces in :func:`trace_runs` so tests can pin the one-pass
+guarantee.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import FlattenError
@@ -68,160 +73,152 @@ _TRACE_RUNS = 0
 
 
 def trace_runs() -> int:
-    """How many times a :class:`_Tracer` has folded a sequence so far."""
+    """How many multi-update sequences have been traced so far."""
     return _TRACE_RUNS
 
 
-@dataclass(slots=True)
-class _Chain:
-    """One row lineage traced through an update sequence."""
-
-    first_read: Optional[Tuple]  # pre-existing row consumed, if any
-    first_key: QualifiedKey  # key where the chain began
-    final_row: Optional[Tuple] = None  # row left behind (None = dead)
-    final_key: Optional[QualifiedKey] = None  # key where final_row lives
-    last_origin: int = 0
-    touched: Set[QualifiedKey] = field(default_factory=set)
+#: A net update with the key it consumes a row at and the key it leaves a
+#: row at (``None`` where it does not).
+_Net = Tuple[Update, Optional[QualifiedKey], Optional[QualifiedKey]]
 
 
-class _Tracer:
-    """Folds an update sequence into chains, validating consistency."""
-
-    def __init__(self, schema: Schema) -> None:
-        self._schema = schema
-        self._live: Dict[QualifiedKey, _Chain] = {}
-        self.chains: List[_Chain] = []
-
-    def _key(self, relation: str, row: Tuple) -> QualifiedKey:
-        return (relation, self._schema.relation(relation).key_of(row))
-
-    def _start_chain(
-        self, key: QualifiedKey, read: Optional[Tuple], origin: int
-    ) -> _Chain:
-        chain = _Chain(first_read=read, first_key=key, last_origin=origin)
-        chain.touched.add(key)
-        self.chains.append(chain)
-        return chain
-
-    def _consume(self, key: QualifiedKey, row: Tuple, origin: int) -> _Chain:
-        """Kill the live row under ``key`` (or consume pre-existing state)."""
-        chain = self._live.pop(key, None)
-        if chain is None:
-            chain = self._start_chain(key, read=row, origin=origin)
-        elif chain.final_row != row:
-            raise FlattenError(
-                f"sequence consumes row {row!r} under key {key}, but the "
-                f"chain leaves {chain.final_row!r} there"
-            )
-        chain.final_row = None
-        chain.final_key = None
-        chain.last_origin = origin
-        chain.touched.add(key)
-        return chain
-
-    def _produce(
-        self, chain: _Chain, key: QualifiedKey, row: Tuple, origin: int
-    ) -> None:
-        if key in self._live:
-            raise FlattenError(
-                f"sequence writes {row!r} under key {key} while another "
-                "chain still holds that key"
-            )
-        chain.final_row = row
-        chain.final_key = key
-        chain.last_origin = origin
-        chain.touched.add(key)
-        self._live[key] = chain
-
-    def feed(self, update: Update) -> None:
-        """Fold one update into the chain state."""
-        if isinstance(update, Insert):
-            key = self._key(update.relation, update.row)
-            chain = self._start_chain(key, read=None, origin=update.origin)
-            self._produce(chain, key, update.row, update.origin)
-        elif isinstance(update, Delete):
-            key = self._key(update.relation, update.row)
-            self._consume(key, update.row, update.origin)
-        elif isinstance(update, Modify):
-            old_key = self._key(update.relation, update.old_row)
-            new_key = self._key(update.relation, update.new_row)
-            chain = self._consume(old_key, update.old_row, update.origin)
-            self._produce(chain, new_key, update.new_row, update.origin)
-        else:  # pragma: no cover - exhaustive over the Update union
-            raise FlattenError(f"unknown update type: {update!r}")
+def _overwrite(row: Tuple, key: QualifiedKey) -> FlattenError:
+    return FlattenError(
+        f"sequence writes {row!r} under key {key} while another "
+        "chain still holds that key"
+    )
 
 
-def _trace(schema: Schema, updates: Iterable[Update]) -> List[_Chain]:
+def _fold(
+    schema: Schema, updates: Iterable[Update]
+) -> Tuple[List[list], Set[QualifiedKey]]:
+    """Trace ``updates`` into chains, validating consistency, and collect
+    every key they touch.
+
+    A chain is ``[first read row, first key, final row, final key, last
+    origin, only update]``: the pre-existing row it consumed (``None``
+    for one begun by an insertion) and where, the row it leaves behind
+    (``None`` once consumed) and where, and the update itself while the
+    chain has just that one.
+    """
     global _TRACE_RUNS
     _TRACE_RUNS += 1
-    tracer = _Tracer(schema)
+    live: Dict[QualifiedKey, list] = {}  # key -> the chain holding its row
+    chains: List[list] = []
+    touched: Set[QualifiedKey] = set()
     for update in updates:
-        tracer.feed(update)
-    return tracer.chains
+        keys = update.keys_touched(schema)
+        kind = type(update)
+        if kind is Insert:
+            key = keys[0]
+            if key in live:
+                raise _overwrite(update.row, key)
+            live[key] = chain = [None, key, update.row, key, update.origin, update]
+            chains.append(chain)
+        else:
+            key = keys[0]
+            row = update.row if kind is Delete else update.old_row
+            chain = live.pop(key, None)
+            if chain is None:
+                # A new chain consuming pre-existing state.  At a key the
+                # sequence emptied before, the update may be one already
+                # standing for a chain (a sequence may repeat an object):
+                # it is not passed through twice.
+                only = None if key in touched else update
+                chain = [row, key, None, None, update.origin, only]
+                chains.append(chain)
+            elif chain[2] != row:
+                raise FlattenError(
+                    f"sequence consumes row {row!r} under key {key}, but the "
+                    f"chain leaves {chain[2]!r} there"
+                )
+            else:
+                chain[5] = None
+            if kind is Delete:
+                chain[2] = chain[3] = None
+            else:
+                key = keys[-1]
+                if key in live:
+                    raise _overwrite(update.new_row, key)
+                chain[2], chain[3] = update.new_row, key
+                live[key] = chain
+            chain[4] = update.origin
+        touched.update(keys)
+    return chains, touched
 
 
-def _net_update(chain: _Chain) -> Optional[Update]:
-    """The net update contributed by one chain, or None if it cancelled."""
-    relation = chain.first_key[0]
-    if chain.first_read is None:
-        if chain.final_row is None:
-            return None  # inserted then consumed
-        return Insert(relation, chain.final_row, chain.last_origin)
-    if chain.final_row is None:
-        return Delete(relation, chain.first_read, chain.last_origin)
-    if chain.final_row == chain.first_read:
-        return None  # restored to the original row
-    return Modify(relation, chain.first_read, chain.final_row, chain.last_origin)
+def _settle(chains: List[list]) -> Tuple[Update, ...]:
+    """The chains' net updates, minimised where a net reader meets a
+    different net writer, in ``(relation, repr(key))`` order of the key
+    each consumes a row at, else produces one at."""
+    nets: List[_Net] = []
+    readers: Dict[QualifiedKey, _Net] = {}
+    writers: Dict[QualifiedKey, _Net] = {}
+    for first_read, first_key, final_row, final_key, origin, only in chains:
+        relation = first_key[0]
+        if first_read is None:
+            if final_row is None:
+                continue  # inserted then consumed
+            net = (only or Insert(relation, final_row, origin), None, final_key)
+        elif final_row is None:
+            net = (only or Delete(relation, first_read, origin), first_key, None)
+        elif final_row == first_read:
+            continue  # restored to the original row
+        else:
+            update = only or Modify(relation, first_read, final_row, origin)
+            net = (update, first_key, final_key)
+        nets.append(net)
+        if net[1] is not None:
+            readers[first_key] = net
+        if final_key is not None:
+            writers[final_key] = net
+    if any(readers.get(key, net) is not net for key, net in writers.items()):
+        nets = _minimise(nets)
+    if len(nets) > 1:
+        nets.sort(key=_anchor)
+    return tuple(net[0] for net in nets)
 
 
-def _reader_at(schema: Schema, update: Update) -> Optional[QualifiedKey]:
-    row = update.read_row()
-    if row is None:
-        return None
-    return (update.relation, schema.relation(update.relation).key_of(row))
+def _anchor(net: _Net) -> Tuple[str, str]:
+    key = net[1] if net[1] is not None else net[2]
+    return key[0], repr(key[1])
 
 
-def _writer_at(schema: Schema, update: Update) -> Optional[QualifiedKey]:
-    row = update.written_row()
-    if row is None:
-        return None
-    return (update.relation, schema.relation(update.relation).key_of(row))
-
-
-def _compose_pair(reader: Update, writer: Update) -> List[Update]:
+def _compose_pair(reader: _Net, writer: _Net) -> Optional[List[_Net]]:
     """Compose a reader and a writer that meet at one key.
 
     ``reader`` consumes row ``r`` at key ``k``; ``writer`` produces a row
     at ``k``.  When the produced row equals ``r`` the pair cancels at
     ``k`` and only their *other* ends survive; when the rows differ, a
     plain delete + insert pair still merges into a replacement.  Returns
-    the replacement updates (possibly empty), or None when the pair
-    cannot be composed.
+    the replacement nets (possibly empty), or None when the pair cannot
+    be composed.
     """
-    consumed = reader.read_row()
-    produced = writer.written_row()
-    origin = writer.origin
+    read, key, read_end = reader  # (``writer`` leaves its row at ``key`` too)
+    written, written_start, _ = writer
+    consumed = read.read_row()
+    produced = written.written_row()
+    origin = written.origin
     if consumed == produced:
         # The key ends up holding exactly the row it lost: compose out.
-        if isinstance(reader, Delete) and isinstance(writer, Insert):
+        if isinstance(read, Delete) and isinstance(written, Insert):
             return []
-        if isinstance(reader, Delete) and isinstance(writer, Modify):
-            return [Delete(writer.relation, writer.old_row, origin)]
-        if isinstance(reader, Modify) and isinstance(writer, Insert):
-            return [Insert(reader.relation, reader.new_row, reader.origin)]
-        if isinstance(reader, Modify) and isinstance(writer, Modify):
-            if writer.old_row == reader.new_row:
+        if isinstance(read, Delete) and isinstance(written, Modify):
+            return [(Delete(written.relation, written.old_row, origin), written_start, None)]
+        if isinstance(read, Modify) and isinstance(written, Insert):
+            return [(Insert(read.relation, read.new_row, read.origin), None, read_end)]
+        if isinstance(read, Modify) and isinstance(written, Modify):
+            if written.old_row == read.new_row:
                 return []
-            return [
-                Modify(writer.relation, writer.old_row, reader.new_row, origin)
-            ]
-    if isinstance(reader, Delete) and isinstance(writer, Insert):
+            update = Modify(written.relation, written.old_row, read.new_row, origin)
+            return [(update, written_start, read_end)]
+    if isinstance(read, Delete) and isinstance(written, Insert):
         # Remove-then-replace expressed as two chains.
-        return [Modify(reader.relation, consumed, produced, origin)]
+        return [(Modify(read.relation, consumed, produced, origin), key, key)]
     return None
 
 
-def _minimise(schema: Schema, nets: List[Update]) -> List[Update]:
+def _minimise(nets: List[_Net]) -> List[_Net]:
     """Worklist composition of reader/writer pairs meeting at one key.
 
     Guarantees that in the result no key has both a consumer of row ``r``
@@ -233,47 +230,46 @@ def _minimise(schema: Schema, nets: List[Update]) -> List[Update]:
     update operations.
 
     The reader/writer indexes are maintained incrementally: each
-    composition removes two updates and inserts their replacements,
+    composition removes two nets and inserts their replacements,
     re-enqueueing only the keys the replacements occupy.  Valid inputs
-    carry at most one reader and one writer per key (the tracer enforces
+    carry at most one reader and one writer per key (the trace enforces
     this and :func:`_compose_pair` preserves it), so every key is examined
     O(1) times per composition that touches it instead of restarting a
     full O(n²) scan after every composition.  The worklist is first-in
     first-out and a key already waiting is not queued again, so keys are
-    visited in the order they were first (re-)enqueued.
+    visited in the order they were first (re-)enqueued.  Nets are told
+    apart by their update's identity: no update object stands for two.
     """
-    alive: Dict[int, Update] = {}  # id -> update, insertion-ordered
-    readers: Dict[QualifiedKey, Update] = {}
-    writers: Dict[QualifiedKey, Update] = {}
+    alive: Dict[int, _Net] = {}  # id(update) -> net, insertion-ordered
+    readers: Dict[QualifiedKey, _Net] = {}
+    writers: Dict[QualifiedKey, _Net] = {}
     pending: Deque[QualifiedKey] = deque()  # the key worklist ...
     waiting: Set[QualifiedKey] = set()  # ... and what is on it
 
-    def _add(update: Update) -> None:
-        alive[id(update)] = update
-        read_key = _reader_at(schema, update)
+    def _add(net: _Net) -> None:
+        update, read_key, write_key = net
+        alive[id(update)] = net
         if read_key is not None:
-            readers[read_key] = update
+            readers[read_key] = net
             if read_key not in waiting:
                 waiting.add(read_key)
                 pending.append(read_key)
-        write_key = _writer_at(schema, update)
         if write_key is not None:
-            writers[write_key] = update
+            writers[write_key] = net
             if write_key not in waiting:
                 waiting.add(write_key)
                 pending.append(write_key)
 
-    def _remove(update: Update) -> None:
+    def _remove(net: _Net) -> None:
+        update, read_key, write_key = net
         del alive[id(update)]
-        read_key = _reader_at(schema, update)
-        if read_key is not None and readers.get(read_key) is update:
+        if read_key is not None and readers.get(read_key) is net:
             del readers[read_key]
-        write_key = _writer_at(schema, update)
-        if write_key is not None and writers.get(write_key) is update:
+        if write_key is not None and writers.get(write_key) is net:
             del writers[write_key]
 
-    for update in nets:
-        _add(update)
+    for net in nets:
+        _add(net)
     while pending:
         key = pending.popleft()
         waiting.discard(key)
@@ -286,27 +282,9 @@ def _minimise(schema: Schema, nets: List[Update]) -> List[Update]:
             continue
         _remove(reader)
         _remove(writer)
-        for update in replacement:
-            _add(update)
+        for net in replacement:
+            _add(net)
     return list(alive.values())
-
-
-def _sort_key(schema: Schema, update: Update) -> Tuple:
-    relation = schema.relation(update.relation)
-    anchor = update.read_row() if update.read_row() is not None else update.written_row()
-    return (update.relation, repr(relation.key_of(anchor)))
-
-
-def _net_of_chains(schema: Schema, chains: List[_Chain]) -> List[Update]:
-    """Minimised, deterministically ordered net updates of traced chains."""
-    nets = [
-        update
-        for chain in chains
-        if (update := _net_update(chain)) is not None
-    ]
-    nets = _minimise(schema, nets)
-    nets.sort(key=lambda u: _sort_key(schema, u))
-    return nets
 
 
 @dataclass(frozen=True)
@@ -315,69 +293,37 @@ class FlattenResult:
 
     * ``operations`` — the minimal set of net updates (what
       :func:`flatten` returns);
-    * ``keys_read`` — keys whose pre-existing state the sequence consumed
-      (what :func:`keys_read` returns);
     * ``keys_touched`` — every key the sequence read or wrote, including
       intermediate steps (what :func:`keys_touched` returns).
     """
 
     operations: Tuple[Update, ...]
-    keys_read: frozenset
     keys_touched: frozenset
 
 
-_EMPTY_RESULT = None  # initialised below, after FlattenResult exists
-
-
-def _single_update_result(schema: Schema, update: Update) -> FlattenResult:
-    """FlattenResult of a one-update sequence, skipping the trace.
-
-    A single update is always its own net effect: no chain can extend,
-    cancel, or compose with it.  Its touched keys are the update's own,
-    and it reads pre-existing state iff it consumes a row.
-    """
-    read = update.read_row()
-    keys = update.keys_touched(schema)
-    return FlattenResult(
-        operations=(update,),
-        keys_read=frozenset((keys[0],)) if read is not None else frozenset(),
-        keys_touched=frozenset(keys),
-    )
+_EMPTY_RESULT = FlattenResult(operations=(), keys_touched=frozenset())
 
 
 def flatten_once(schema: Schema, updates: Iterable[Update]) -> FlattenResult:
     """Flatten a sequence and report its key footprint in a single pass.
 
-    Equivalent to calling :func:`flatten`, :func:`keys_read`, and
-    :func:`keys_touched` on the same sequence, but the chains are traced
-    exactly once.  This is the entry point for the reconciliation engine,
-    which needs all three views of every footprint it considers.
-    Zero- and one-update sequences — the bulk of a fine-grained workload —
-    short-circuit without tracing at all.
+    This is the entry point for the reconciliation engine, which needs
+    both views of every footprint it considers.  Zero- and one-update
+    sequences — the bulk of a fine-grained workload — are their own net
+    effect and return without tracing at all.
+
+    Raises :class:`FlattenError` if the sequence is internally inconsistent
+    (e.g. it deletes a row that the chain state shows is not present).
     """
     if not isinstance(updates, (list, tuple)):
         updates = list(updates)
+    if len(updates) > 1:
+        chains, touched = _fold(schema, updates)
+        return FlattenResult(_settle(chains), frozenset(touched))
     if not updates:
         return _EMPTY_RESULT
-    if len(updates) == 1:
-        return _single_update_result(schema, updates[0])
-    chains = _trace(schema, updates)
-    read = frozenset(
-        chain.first_key for chain in chains if chain.first_read is not None
-    )
-    touched: Set[QualifiedKey] = set()
-    for chain in chains:
-        touched.update(chain.touched)
-    return FlattenResult(
-        operations=tuple(_net_of_chains(schema, chains)),
-        keys_read=read,
-        keys_touched=frozenset(touched),
-    )
-
-
-_EMPTY_RESULT = FlattenResult(
-    operations=(), keys_read=frozenset(), keys_touched=frozenset()
-)
+    update = updates[0]
+    return FlattenResult((update,), frozenset(update.keys_touched(schema)))
 
 
 def flatten(schema: Schema, updates: Iterable[Update]) -> List[Update]:
@@ -390,14 +336,9 @@ def flatten(schema: Schema, updates: Iterable[Update]) -> List[Update]:
     nothing.  Apply the result with
     :meth:`~repro.instance.base.Instance.apply_set`.
 
-    Raises :class:`FlattenError` if the sequence is internally inconsistent
-    (e.g. it deletes a row that the chain state shows is not present).
+    Raises :class:`FlattenError` as :func:`flatten_once` does.
     """
-    if not isinstance(updates, (list, tuple)):
-        updates = list(updates)
-    if len(updates) <= 1:
-        return list(updates)  # a lone update is always its own net effect
-    return _net_of_chains(schema, _trace(schema, updates))
+    return list(flatten_once(schema, updates).operations)
 
 
 def flatten_transactions(schema: Schema, transactions: Iterable) -> List[Update]:
@@ -408,23 +349,6 @@ def flatten_transactions(schema: Schema, transactions: Iterable) -> List[Update]
     return flatten(schema, sequence)
 
 
-def keys_read(schema: Schema, updates: Iterable[Update]) -> Set[QualifiedKey]:
-    """Keys whose pre-existing state the sequence consumed.
-
-    Includes keys whose net effect cancelled out: a chain that read a value
-    and restored it still depends on that value, which matters for
-    dirty-value deferral.
-    """
-    return {
-        chain.first_key
-        for chain in _trace(schema, updates)
-        if chain.first_read is not None
-    }
-
-
 def keys_touched(schema: Schema, updates: Iterable[Update]) -> Set[QualifiedKey]:
     """All keys the sequence read or wrote, including intermediate steps."""
-    touched: Set[QualifiedKey] = set()
-    for chain in _trace(schema, updates):
-        touched.update(chain.touched)
-    return touched
+    return set(flatten_once(schema, updates).keys_touched)

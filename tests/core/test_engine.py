@@ -450,6 +450,28 @@ class TestOwnDeltaOnDemand:
         assert instance.snapshot()["F"] == {("rat", "prot7"): free.updates[0].row}
 
 
+    def test_roots_missing_every_raw_own_key_do_not_trace(self, schema):
+        # Two roots reach line 7, but neither touches a key an own update
+        # does: the flattened delta could not meet them, so it is never
+        # traced (the parent traced it for the first: +1).
+        reconciler, instance, _state = make_reconciler(schema, 1)
+        builder = GraphBuilder()
+        first = make_transaction(2, 0, [Insert("F", MOUSE3_RESP, 2)])
+        second = make_transaction(3, 0, [Insert("F", ("rat", "prot7", "x"), 3)])
+        for txn in (first, second):
+            builder.add(txn)
+        batch = builder.batch(1, [(first, 1), (second, 1)])
+        traced, result = self.traces(
+            lambda: reconciler.reconcile(batch, own_updates=self.OWN)
+        )
+        assert traced == 0
+        assert result.decisions == {
+            first.tid: Decision.ACCEPT,
+            second.tid: Decision.ACCEPT,
+        }
+        assert len(instance.snapshot()["F"]) == 2
+
+
 class TestFootprintCompiledOnce:
     """An extension's instance footprint is a function of its operations:
     compiled by whoever checks the object first, for everyone holding it

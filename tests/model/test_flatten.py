@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.errors import FlattenError
 from repro.model import Delete, Insert, Modify, flatten, make_transaction
-from repro.model.flatten import flatten_transactions, keys_read, keys_touched
+from repro.model.flatten import flatten_transactions, keys_touched
 
 
 RAT1 = ("rat", "prot1", "cell-metab")
@@ -149,25 +151,7 @@ class TestFlattenTransactions:
         ]
 
 
-class TestReadTracking:
-    def test_keys_read_reports_consumed_state(self, schema):
-        reads = keys_read(schema, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
-        assert reads == {("F", ("rat", "prot1"))}
-
-    def test_keys_read_survives_cancellation(self, schema):
-        # A chain that restores the original row still read it.
-        reads = keys_read(
-            schema,
-            [
-                Modify("F", RAT1, RAT1_IMMUNE, 3),
-                Modify("F", RAT1_IMMUNE, RAT1, 3),
-            ],
-        )
-        assert reads == {("F", ("rat", "prot1"))}
-
-    def test_pure_insert_reads_nothing(self, schema):
-        assert keys_read(schema, [Insert("F", RAT1, 3)]) == set()
-
+class TestKeysTouched:
     def test_keys_touched_includes_intermediate_keys(self, schema):
         touched = keys_touched(
             schema,
@@ -179,11 +163,21 @@ class TestReadTracking:
             ("F", ("mouse", "prot3")),
         }
 
+    def test_a_restored_chain_still_touches_its_key(self, schema):
+        # Dirty-value deferral cares about a key even when the chain
+        # through it nets out to nothing.
+        sequence = [
+            Modify("F", RAT1, RAT1_IMMUNE, 3),
+            Modify("F", RAT1_IMMUNE, RAT1, 3),
+        ]
+        assert flatten(schema, sequence) == []
+        assert keys_touched(schema, sequence) == {("F", ("rat", "prot1"))}
+
 
 class TestFlattenOnce:
-    """The single-pass FlattenResult view (one trace for all three sets)."""
+    """The single-pass FlattenResult view (one trace for both views)."""
 
-    def test_matches_three_call_derivation(self, schema):
+    def test_matches_the_two_views(self, schema):
         from repro.model.flatten import flatten_once
 
         sequence = [
@@ -194,7 +188,6 @@ class TestFlattenOnce:
         ]
         result = flatten_once(schema, sequence)
         assert list(result.operations) == flatten(schema, sequence)
-        assert result.keys_read == keys_read(schema, sequence)
         assert result.keys_touched == keys_touched(schema, sequence)
 
     def test_single_trace(self, schema):
@@ -213,7 +206,6 @@ class TestFlattenOnce:
         empty = flatten_once(schema, [])
         assert trace_runs() == before  # fast path: no tracer at all
         assert list(result.operations) == [Insert("F", RAT1, 3)]
-        assert result.keys_read == frozenset()
         assert result.keys_touched == {("F", ("rat", "prot1"))}
         assert empty.operations == ()
 
@@ -239,10 +231,6 @@ class TestFlattenOnce:
             Modify("F", b, b_at_1, 3),
         }
         assert ("F", ("rat", "tmp")) in result.keys_touched
-        assert result.keys_read == {
-            ("F", ("rat", "prot1")),
-            ("F", ("rat", "prot2")),
-        }
 
     def test_full_cycle_rename_flattens_to_nothing(self, schema):
         """A rename cycle that returns every row home nets out empty, but
@@ -272,9 +260,19 @@ class TestMinimiseWorklist:
     def row(key, value):
         return ("rat", key, value)
 
-    def test_key_enqueued_again_while_waiting_keeps_its_place(self, schema):
+    @staticmethod
+    def minimise(schema, updates):
+        """``_minimise`` over ``updates``, each with the keys it consumes
+        and produces a row at, as the trace hands them over."""
         from repro.model.flatten import _minimise
 
+        def key(row):
+            return None if row is None else ("F", schema.relation("F").key_of(row))
+
+        nets = [(u, key(u.read_row()), key(u.written_row())) for u in updates]
+        return [net[0] for net in _minimise(nets)]
+
+    def test_key_enqueued_again_while_waiting_keeps_its_place(self, schema):
         row = self.row
         nets = [
             Delete("F", row("k1", "a"), 3),
@@ -285,14 +283,12 @@ class TestMinimiseWorklist:
         ]
         # Visiting k1 cancels the first pair into Delete(k2, x), whose key
         # is still waiting behind k1 and ahead of k3: k2 composes first.
-        assert _minimise(schema, nets) == [
+        assert self.minimise(schema, nets) == [
             Modify("F", row("k2", "x"), row("k2", "y"), 3),
             Modify("F", row("k3", "p"), row("k3", "q"), 3),
         ]
 
     def test_key_enqueued_again_after_its_visit_goes_to_the_back(self, schema):
-        from repro.model.flatten import _minimise
-
         row = self.row
         nets = [
             Insert("F", row("k1", "a"), 3),
@@ -303,7 +299,75 @@ class TestMinimiseWorklist:
         ]
         # k1 is visited first and has nothing to compose; visiting k3
         # leaves Delete(k1, z), so k1 is queued again — behind k4.
-        assert _minimise(schema, nets) == [
+        assert self.minimise(schema, nets) == [
             Modify("F", row("k4", "p"), row("k4", "q"), 3),
             Modify("F", row("k1", "z"), row("k1", "a"), 3),
         ]
+
+
+class TestOnePass:
+    """What the one trace hands back without building it again."""
+
+    def test_a_one_update_chain_is_the_input_object(self, schema):
+        insert = Insert("F", RAT1, 3)
+        delete = Delete("F", MOUSE2, 3)
+        modify = Modify("F", MOUSE3, ("mouse", "prot3", "immune"), 3)
+        result = flatten(schema, [insert, delete, modify])
+        assert {id(update) for update in result} == {
+            id(insert), id(delete), id(modify)
+        }
+
+    def test_a_longer_chain_is_a_fresh_net(self, schema):
+        first = Insert("F", RAT1, 3)
+        second = Modify("F", RAT1, RAT1_IMMUNE, 3)
+        (net,) = flatten(schema, [first, second])
+        assert net == Insert("F", RAT1_IMMUNE, 3)
+        assert net is not first
+
+    @pytest.mark.parametrize("repeat", [True, False], ids=["same", "equal"])
+    def test_two_deletions_of_one_row_are_two_nets(self, schema, repeat):
+        # Value-based antecedents can put two chains consuming one row in
+        # one closure; a sequence may even repeat the update object.  It
+        # never stands for both nets.
+        first = Delete("F", RAT1, 3)
+        second = first if repeat else Delete("F", RAT1, 3)
+        result = flatten(schema, [first, second])
+        assert result == [first, first]
+        assert result[0] is not result[1]
+
+    def test_no_reader_meeting_a_writer_skips_the_worklist(self, schema, monkeypatch):
+        # (``repro.model.flatten`` the attribute is the function.)
+        module = importlib.import_module("repro.model.flatten")
+        calls = []
+        real = module._minimise
+        monkeypatch.setattr(
+            module, "_minimise", lambda nets: calls.append(len(nets)) or real(nets)
+        )
+        # A same-key replacement reads and writes one key: no meeting.
+        flatten(schema, [Modify("F", RAT1, RAT1_IMMUNE, 3), Insert("F", MOUSE2, 3)])
+        assert calls == []
+        result = flatten(schema, [Delete("F", RAT1, 3), Insert("F", RAT1_IMMUNE, 3)])
+        assert calls == [2]
+        assert result == [Modify("F", RAT1, RAT1_IMMUNE, 3)]
+
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            (
+                [Insert("F", RAT1, 3), Delete("F", RAT1_IMMUNE, 3)],
+                "sequence consumes row ('rat', 'prot1', 'immune') under key "
+                "('F', ('rat', 'prot1')), but the chain leaves "
+                "('rat', 'prot1', 'cell-metab') there",
+            ),
+            (
+                [Insert("F", RAT1, 3), Modify("F", MOUSE2, RAT1_IMMUNE, 3)],
+                "sequence writes ('rat', 'prot1', 'immune') under key "
+                "('F', ('rat', 'prot1')) while another chain still holds that key",
+            ),
+        ],
+        ids=["consume", "overwrite"],
+    )
+    def test_an_inconsistent_sequence_names_the_update(self, schema, sequence, message):
+        with pytest.raises(FlattenError) as raised:
+            flatten(schema, sequence)
+        assert str(raised.value) == message

@@ -11,8 +11,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.instance import Instance
-from repro.model import Insert, flatten
-from repro.model.flatten import keys_read, keys_touched
+from repro.model import Delete, Insert, Modify, flatten
+from repro.model.flatten import keys_touched
 
 from tests.property.strategies import PROP_SCHEMA, valid_update_sequences
 
@@ -61,8 +61,6 @@ def test_flatten_output_is_minimised(case):
         assert reader.read_row() != writer.written_row(), (
             "identical consume/produce pair should have been composed away"
         )
-        from repro.model import Delete, Insert
-
         assert not (
             isinstance(reader, Delete) and isinstance(writer, Insert)
         ), "Delete+Insert on one key should have merged into a Modify"
@@ -107,11 +105,13 @@ def test_flattened_keys_are_a_subset_of_touched_keys(case):
 
 @given(valid_update_sequences())
 @settings(max_examples=200)
-def test_keys_read_only_reports_preexisting_state(case):
+def test_net_reads_only_consume_preexisting_state(case):
     initial, updates = case
     initial_keys = {("R", (key,)) for key in initial}
-    for key in keys_read(PROP_SCHEMA, updates):
-        assert key in initial_keys, (
+    for update in flatten(PROP_SCHEMA, updates):
+        if update.read_row() is None:
+            continue
+        assert update.keys_touched(PROP_SCHEMA)[0] in initial_keys, (
             "a valid sequence can only consume pre-existing rows it was "
             "given; anything else is a chain-tracking bug"
         )
@@ -129,8 +129,6 @@ def test_flatten_of_noop_roundtrip_is_empty(case):
 
 
 def _invert(update):
-    from repro.model import Delete, Insert, Modify
-
     if isinstance(update, Insert):
         return Delete("R", update.row, update.origin)
     if isinstance(update, Delete):
@@ -139,14 +137,65 @@ def _invert(update):
 
 
 # ----------------------------------------------------------------------
-# Single-pass flattening (FlattenResult) against the legacy three-call
-# derivation and against a reference fixpoint minimiser.
+# Single-pass flattening (FlattenResult) against its two views and against
+# a reference written apart from it: a chain trace that derives every key
+# with ``key_of``, and the seed's O(n²)-restart fixpoint minimiser.
 
 
-def _reference_minimise(schema, nets):
+def _key(row):
+    return None if row is None else ("R", PROP_SCHEMA.relation("R").key_of(row))
+
+
+def _reference_nets(updates):
+    """One net update per chain: ``[first read, final row, origin]``."""
+    live, chains = {}, []
+    for update in updates:
+        read, written = update.read_row(), update.written_row()
+        chain = None
+        if read is not None:
+            chain = live.pop(_key(read), None)
+            if chain is None:
+                chains.append(chain := [read, read, 0])
+            assert chain[1] == read, "the reference takes valid sequences only"
+            chain[1] = None
+        if written is not None:
+            if chain is None:
+                chains.append(chain := [None, None, 0])
+            chain[1] = written
+            live[_key(written)] = chain
+        chain[2] = update.origin
+    nets = []
+    for read, final, origin in chains:
+        if read is None and final is not None:
+            nets.append(Insert("R", final, origin))
+        elif read is not None and final is None:
+            nets.append(Delete("R", read, origin))
+        elif read is not None and read != final:
+            nets.append(Modify("R", read, final, origin))
+    return nets
+
+
+def _reference_compose(reader, writer):
+    consumed, produced, origin = reader.read_row(), writer.written_row(), writer.origin
+    kinds = (type(reader), type(writer))
+    if consumed == produced:
+        if kinds == (Delete, Insert):
+            return []
+        if kinds == (Delete, Modify):
+            return [Delete("R", writer.old_row, origin)]
+        if kinds == (Modify, Insert):
+            return [Insert("R", reader.new_row, reader.origin)]
+        if kinds == (Modify, Modify):
+            if writer.old_row == reader.new_row:
+                return []
+            return [Modify("R", writer.old_row, reader.new_row, origin)]
+    if kinds == (Delete, Insert):
+        return [Modify("R", consumed, produced, origin)]
+    return None
+
+
+def _reference_minimise(nets):
     """The seed's O(n²)-restart fixpoint minimiser, kept as an oracle."""
-    from repro.model.flatten import _compose_pair, _reader_at, _writer_at
-
     updates = list(nets)
     changed = True
     while changed:
@@ -154,17 +203,15 @@ def _reference_minimise(schema, nets):
         readers = {}
         writers = {}
         for update in updates:
-            read_key = _reader_at(schema, update)
-            if read_key is not None:
+            if (read_key := _key(update.read_row())) is not None:
                 readers[read_key] = update
-            write_key = _writer_at(schema, update)
-            if write_key is not None:
+            if (write_key := _key(update.written_row())) is not None:
                 writers[write_key] = update
         for key, reader in readers.items():
             writer = writers.get(key)
             if writer is None or writer is reader:
                 continue
-            replacement = _compose_pair(reader, writer)
+            replacement = _reference_compose(reader, writer)
             if replacement is None:
                 continue
             updates = [u for u in updates if u is not reader and u is not writer]
@@ -174,16 +221,9 @@ def _reference_minimise(schema, nets):
     return updates
 
 
-def _reference_flatten(schema, updates):
-    from repro.model.flatten import _net_update, _sort_key, _trace
-
-    nets = [
-        update
-        for chain in _trace(schema, updates)
-        if (update := _net_update(chain)) is not None
-    ]
-    nets = _reference_minimise(schema, nets)
-    nets.sort(key=lambda u: _sort_key(schema, u))
+def _reference_flatten(updates):
+    nets = _reference_minimise(_reference_nets(updates))
+    nets.sort(key=lambda u: (u.relation, repr(_key(u.read_row() or u.written_row())[1])))
     return nets
 
 
@@ -191,20 +231,17 @@ def _reference_flatten(schema, updates):
 @settings(max_examples=200)
 def test_worklist_minimise_matches_reference_fixpoint(case):
     _initial, updates = case
-    assert flatten(PROP_SCHEMA, updates) == _reference_flatten(
-        PROP_SCHEMA, updates
-    )
+    assert flatten(PROP_SCHEMA, updates) == _reference_flatten(updates)
 
 
 @given(valid_update_sequences())
 @settings(max_examples=200)
-def test_flatten_once_matches_the_three_call_derivation(case):
+def test_flatten_once_matches_its_two_views(case):
     from repro.model.flatten import flatten_once
 
     _initial, updates = case
     result = flatten_once(PROP_SCHEMA, updates)
     assert list(result.operations) == flatten(PROP_SCHEMA, updates)
-    assert result.keys_read == keys_read(PROP_SCHEMA, updates)
     assert result.keys_touched == keys_touched(PROP_SCHEMA, updates)
 
 

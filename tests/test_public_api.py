@@ -505,3 +505,17 @@ def test_the_hand_written_dict_forms_are_gone():
     for gone in ("to_dict", "from_dict"):
         assert not hasattr(FaultPlan, gone), gone
     assert "RPR008" not in RULES_BY_CODE
+
+
+def test_keys_read_is_gone():
+    # Only tests read it, yet every trace built a frozenset for it:
+    # flatten yields its operations and the keys it touches.
+    import importlib
+
+    from repro.model.flatten import FlattenResult
+
+    assert not hasattr(importlib.import_module("repro.model"), "keys_read")
+    assert not hasattr(importlib.import_module("repro.model.flatten"), "keys_read")
+    assert "keys_read" not in FlattenResult.__dataclass_fields__
+    with pytest.raises(ImportError):
+        exec("from repro.model import keys_read", {})
