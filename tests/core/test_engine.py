@@ -449,7 +449,6 @@ class TestOwnDeltaOnDemand:
         }
         assert instance.snapshot()["F"] == {("rat", "prot7"): free.updates[0].row}
 
-
     def test_roots_missing_every_raw_own_key_do_not_trace(self, schema):
         # Two roots reach line 7, but neither touches a key an own update
         # does: the flattened delta could not meet them, so it is never

@@ -163,16 +163,6 @@ class TestKeysTouched:
             ("F", ("mouse", "prot3")),
         }
 
-    def test_a_restored_chain_still_touches_its_key(self, schema):
-        # Dirty-value deferral cares about a key even when the chain
-        # through it nets out to nothing.
-        sequence = [
-            Modify("F", RAT1, RAT1_IMMUNE, 3),
-            Modify("F", RAT1_IMMUNE, RAT1, 3),
-        ]
-        assert flatten(schema, sequence) == []
-        assert keys_touched(schema, sequence) == {("F", ("rat", "prot1"))}
-
 
 class TestFlattenOnce:
     """The single-pass FlattenResult view (one trace for both views)."""
@@ -316,13 +306,6 @@ class TestOnePass:
         assert {id(update) for update in result} == {
             id(insert), id(delete), id(modify)
         }
-
-    def test_a_longer_chain_is_a_fresh_net(self, schema):
-        first = Insert("F", RAT1, 3)
-        second = Modify("F", RAT1, RAT1_IMMUNE, 3)
-        (net,) = flatten(schema, [first, second])
-        assert net == Insert("F", RAT1_IMMUNE, 3)
-        assert net is not first
 
     @pytest.mark.parametrize("repeat", [True, False], ids=["same", "equal"])
     def test_two_deletions_of_one_row_are_two_nets(self, schema, repeat):

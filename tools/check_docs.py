@@ -69,7 +69,7 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 13488
+SOURCE_LINE_CEILING = 13424
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (``store/central.py`` is 685,
@@ -85,9 +85,9 @@ FUNCTION_LINE_CEILING = 78
 #: (``ast.stmt`` nodes; a function's own ``def`` counts): the total,
 #: the largest module (``store/dht/driver.py``) and the longest
 #: function (``flatten._minimise``).
-SOURCE_STATEMENT_CEILING = 5038
+SOURCE_STATEMENT_CEILING = 5004
 MODULE_STATEMENT_CEILING = 331
-FUNCTION_STATEMENT_CEILING = 45
+FUNCTION_STATEMENT_CEILING = 43
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
