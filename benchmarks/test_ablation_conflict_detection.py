@@ -39,7 +39,7 @@ def build_extension_batch(peers=12, transactions_per_peer=12):
                 continue
             instance.apply_all(updates)
             txn = Transaction(TransactionId(peer, seq), tuple(updates))
-            graph.add(txn, (), order)
+            graph.add((txn, (), order))
             root = RelevantTransaction(txn, priority=1, order=order)
             extensions[txn.tid] = compute_update_extension(
                 schema, graph, root, set()

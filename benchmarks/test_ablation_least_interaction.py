@@ -50,7 +50,7 @@ def build_revision_chains(peers=10, keys=6):
                     Modify("F", wrong, right, peer),
                 ),
             )
-            graph.add(txn, (), order)
+            graph.add((txn, (), order))
             roots.append(RelevantTransaction(txn, priority=1, order=order))
             order += 1
     return schema, graph, roots

@@ -166,7 +166,7 @@ class Participant:
             store.closure_entries, [*rejected, *deferred], state.applied
         )
         for entry in closures:
-            state.graph.add(*entry)
+            state.graph.add(entry)
         for tid in deferred:
             transaction = state.graph.transaction(tid)
             priority = policy.priority_of(schema, transaction)

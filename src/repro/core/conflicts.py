@@ -163,6 +163,17 @@ class ConflictAnalysis:
     groups: Callable[[Schema], Dict[Point, "ConflictGroup"]] = field(repr=False)
 
 
+def _filed_under(schema: Schema, extension: UpdateExtension) -> Iterable[QualifiedKey]:
+    """The keys an index files ``extension`` under, in the order of its
+    key index: a one-operation extension's are that operation's memoised
+    keys, and its index is not built for them."""
+    return (
+        extension.operations[0].keys_touched(schema)
+        if len(extension.operations) == 1
+        else extension.key_index(schema)
+    )
+
+
 def find_conflicts(
     schema: Schema,
     graph: TransactionGraph,
@@ -249,7 +260,7 @@ class IncrementalConflictIndex:
 
     def _drop(self, schema: Schema, tid: TransactionId) -> None:
         extension = self._extensions.pop(tid)
-        for key in extension.key_index(schema):  # _add filed it under each
+        for key in _filed_under(schema, extension):  # as _add filed it
             bucket = self._by_key[key]
             del bucket[tid]
             if not bucket:
@@ -275,13 +286,18 @@ class IncrementalConflictIndex:
         neighbours = self._adjacency[tid] = set()
         # Partners drawn from the key buckets — the paper's hash-based
         # candidate generation, restricted to the one new extension
-        # (dict-as-set keeps the order deterministic).
-        partners: Dict[TransactionId, None] = {}
-        keys = extension.key_index(schema)
-        for key in keys:
+        # (dict-as-set keeps the order deterministic) — as it is filed.
+        # A root that shares no key is filed and done.
+        partners: Optional[Dict[TransactionId, None]] = None
+        for key in _filed_under(schema, extension):
             bucket = self._by_key.get(key)
-            if bucket is not None:
-                partners.update(bucket)
+            if bucket is None:
+                self._by_key[key] = {tid: None}
+            else:
+                partners = dict(bucket) if partners is None else partners | bucket
+                bucket[tid] = None
+        if partners is None:
+            return
         members = extension.member_set()
         # Edges hang on the origins (re-priced twins share them), so a
         # partner visit is one probe of this origin's neighbourhood.
@@ -314,8 +330,6 @@ class IncrementalConflictIndex:
                 self._adjacency[other].add(tid)
                 if self._standing is not None:
                     self._stand(pair, points)
-        for key in keys:
-            self._by_key.setdefault(key, {})[tid] = None
 
     def _stand(self, pair: PairKey, points: Tuple[Point, ...]) -> None:
         """A pair came: it stands at each of its points."""

@@ -75,6 +75,11 @@ def antecedent_closure(
     return closure
 
 
+#: One logged transaction as a store's log hands it out and a graph
+#: keeps it: ``(transaction, direct antecedents, publish order)``.
+LogEntry = Tuple[Transaction, Tuple[TransactionId, ...], int]
+
+
 class TransactionGraph:
     """Transactions with their antecedent edges and publish order.
 
@@ -89,18 +94,12 @@ class TransactionGraph:
     """
 
     def __init__(self) -> None:
-        self._nodes: Dict[
-            TransactionId, Tuple[Transaction, Tuple[TransactionId, ...], int]
-        ] = {}
+        self._nodes: Dict[TransactionId, LogEntry] = {}
 
-    def add(
-        self,
-        transaction: Transaction,
-        antecedents: Iterable[TransactionId],
-        order: int,
-    ) -> None:
-        """Register a transaction with its direct antecedents and order."""
-        self._nodes[transaction.tid] = (transaction, tuple(antecedents), order)
+    def add(self, entry: LogEntry) -> None:
+        """Register ``(transaction, direct antecedents, publish order)`` —
+        a store's log entry, kept as the very tuple it is."""
+        self._nodes[entry[0].tid] = entry
 
     def merge(self, other: "TransactionGraph") -> None:
         """Absorb every entry of ``other`` (idempotent on duplicates)."""
@@ -271,16 +270,22 @@ def flattened_extension(
     extension in publish order — however the caller walked the closure.
 
     The footprint is traced exactly once: :func:`flatten_once` yields the
-    net operations and the touched-key set from a single chain pass.
+    net operations and the touched-key set from a single chain pass.  A
+    one-transaction closure — a root with no antecedent to carry — is
+    flattened straight from its ``updates``, with nothing concatenated.
     Raises :class:`~repro.errors.FlattenError` if the chain is internally
     inconsistent.
     """
+    alone = len(members) == 1
     flat = flatten_once(
-        schema, [update for member in members for update in member.updates]
+        schema,
+        members[0].updates
+        if alone
+        else [update for member in members for update in member.updates],
     )
     return UpdateExtension(
         root=root.tid,
-        members=tuple(member.tid for member in members),
+        members=(members[0].tid,) if alone else tuple(member.tid for member in members),
         operations=flat.operations,
         touched=flat.keys_touched,
         priority=root.priority,

@@ -310,7 +310,8 @@ def flatten_once(schema: Schema, updates: Iterable[Update]) -> FlattenResult:
     This is the entry point for the reconciliation engine, which needs
     both views of every footprint it considers.  Zero- and one-update
     sequences — the bulk of a fine-grained workload — are their own net
-    effect and return without tracing at all.
+    effect and return without tracing at all (a one-update tuple, such
+    as a one-update transaction's ``updates``, is its own operations).
 
     Raises :class:`FlattenError` if the sequence is internally inconsistent
     (e.g. it deletes a row that the chain state shows is not present).
@@ -323,7 +324,10 @@ def flatten_once(schema: Schema, updates: Iterable[Update]) -> FlattenResult:
     if not updates:
         return _EMPTY_RESULT
     update = updates[0]
-    return FlattenResult((update,), frozenset(update.keys_touched(schema)))
+    return FlattenResult(
+        updates if type(updates) is tuple else (update,),
+        frozenset(update.keys_touched(schema)),
+    )
 
 
 def flatten(schema: Schema, updates: Iterable[Update]) -> List[Update]:

@@ -52,7 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats
 from repro.core.decisions import ReconcileResult
-from repro.core.extensions import ReconciliationBatch, antecedent_closure
+from repro.core.extensions import LogEntry, ReconciliationBatch, antecedent_closure
 from repro.errors import StoreError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
@@ -63,10 +63,6 @@ from repro.policy.acceptance import TrustPolicy
 #: distributed experiments added "a delay of at least 500 microseconds ...
 #: to every message (and reply) transmission").
 DEFAULT_MESSAGE_LATENCY = 500e-6
-
-#: One logged transaction as the log hands it out:
-#: ``(transaction, antecedents, publish order)``.
-LogEntry = Tuple[Transaction, Tuple[TransactionId, ...], int]
 
 #: The entries one caller (a batch assembly) has read so far, by
 #: transaction id; see :meth:`UpdateStore.closure_entries`.

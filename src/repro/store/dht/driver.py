@@ -418,9 +418,9 @@ class DhtUpdateStore(UpdateStore):
         roots: List[RelevantTransaction] = []
         extensions: Dict[TransactionId, UpdateExtension] = {}
         for payload in payloads:
-            graph.add(*wire.body(payload))
+            graph.add(wire.body(payload))
             for member in payload.get("members", ()):
-                graph.add(*member)
+                graph.add(member)
             if payload.get("as_root", True):
                 roots.append(wire.root(payload, payload["priority"]))
                 if shipped is not None and payload[shipped] is not None:

@@ -238,20 +238,24 @@ class DirectLogStore(UpdateStore):
         FIFO backstop bounding the worst case).  A participant whose
         applied set is disjoint from the closure can adopt it as-is:
         the closure walk stops only at applied transactions, so
-        removing stops that are never reached changes nothing.  Returns
-        None when the footprint does not flatten (the engine rejects
-        such roots locally).
+        removing stops that are never reached changes nothing.  A root
+        with no antecedents is its own closure: nothing is walked or
+        sorted.  Returns None when the footprint does not flatten (the
+        engine rejects such roots locally).
         """
         memo = self._nc_context_free
         tid = root.tid
         if tid in memo:
             return memo[tid]
-        closure = self.closure_entries([tid], frozenset(), table)
-        closure.sort(key=lambda entry: entry[2])  # publish order
+        entry = table.get(tid) if table else None
+        if entry is None or entry[1]:  # walk the antecedents, in publish order
+            closure = self.closure_entries([tid], frozenset(), table)
+            closure.sort(key=lambda entry: entry[2])
+            members = [entry[0] for entry in closure]
+        else:
+            members = [entry[0]]
         try:
-            extension = flattened_extension(
-                self.schema, root, [entry[0] for entry in closure]
-            )
+            extension = flattened_extension(self.schema, root, members)
         except FlattenError:
             extension = None  # memoised as None: the engine rejects such roots
         memo[tid] = extension
@@ -350,7 +354,7 @@ class DirectLogStore(UpdateStore):
         for entry in self.closure_entries(
             [root.tid for root in roots], applied, table
         ):
-            graph.add(*entry)
+            graph.add(entry)
         self._charge_call()
         batch = ReconciliationBatch(recno=stable, roots=roots, graph=graph)
         # Derived data riding along with the closure transactions: the
@@ -378,7 +382,7 @@ class DirectLogStore(UpdateStore):
             if tid not in present
         ]
         for entry in self.closure_entries(deferred, applied, table):
-            batch.graph.add(*entry)
+            batch.graph.add(entry)
         for tid in deferred:
             transaction, _antecedents, order = table[tid]
             priority = self._nc_priority(participant, transaction)

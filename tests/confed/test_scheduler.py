@@ -624,7 +624,7 @@ class TestSessionLayer:
         )
         batch = ReconciliationBatch(recno=1)
         for order, txn in enumerate((left, right)):
-            batch.graph.add(txn, (), order)
+            batch.graph.add((txn, (), order))
             batch.roots.append(
                 RelevantTransaction(transaction=txn, priority=1, order=order)
             )

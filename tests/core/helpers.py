@@ -30,7 +30,7 @@ class GraphBuilder:
     ) -> int:
         """Register a transaction; returns its publish order index."""
         order = self._order
-        self.graph.add(transaction, antecedents, order)
+        self.graph.add((transaction, tuple(antecedents), order))
         self._order += 1
         return order
 

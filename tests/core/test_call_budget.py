@@ -14,6 +14,11 @@ the roots CheckState rejected from FindConflicts, which halved the
 pairwise comparisons, and a change that hands them back shows there
 long before it shows in the total.
 
+The accept path has a twin budget of its own: one publisher and one
+consumer, single-insert transactions on unique keys — no root shares an
+antecedent or a key, so none may be compared, and what a root costs must
+not grow with what the others share.
+
 A change that trips the budget either made the engine do more (find out
 what: the failure lists the most-called functions) or knowingly traded
 calls for something else — then re-measure and say so where the budget
@@ -30,13 +35,15 @@ import pytest
 
 from repro.confed import Confederation, ConfederationConfig
 from repro.model.transactions import TransactionId
+from repro.model.updates import Insert
 from repro.workload import WorkloadConfig
 
-#: Calls ``Confederation.run()`` makes on the schedule below: 275,714
-#: since flatten traces in one pass (327,994 in a fresh process before
-#: it, 336,323 as of PR 23, 372,491 before that, 548,882 before PR 22),
-#: plus 2 %.
-CALL_BUDGET = 281_228
+#: Calls ``Confederation.run()`` makes on the schedule below: 270,102
+#: since a root that shares nothing is filed without a key index or a
+#: partner dict (275,714 before, since flatten traces in one pass; 327,994
+#: in a fresh process before that, 336,323 as of PR 23, 372,491 before
+#: that, 548,882 before PR 22), plus 2 %.
+CALL_BUDGET = 275_504
 
 #: ``direct_conflict_points`` calls among them — pairwise comparisons,
 #: all participants: 312 as of PR 23 (538 before it), plus 2 %.
@@ -95,4 +102,62 @@ def test_the_engine_stays_inside_its_call_budget():
     assert 0 < compared <= COMPARISON_BUDGET, (
         f"{compared} pairwise comparisons, budget {COMPARISON_BUDGET}: is "
         "FindConflicts being handed roots CheckState rejected?"
+    )
+
+
+#: Calls the accept-path schedule below makes, counted per code object
+#: (``getstats``: ``pstats`` keys rows by file, line and name, so the
+#: generated dataclass ``__init__``s, all ``<string>:2``, share one row
+#: holding one of their counts, and which one can change between runs):
+#: 362,425 (177.0 per transaction), plus 2 %.  It was 401,337 (196.0)
+#: while a root with no antecedent was still walked and sorted, its
+#: updates concatenated and its key index built to be filed.
+ACCEPT_CALL_BUDGET = 369_673
+
+#: Epochs x single-insert transactions of the accept-path schedule.
+ACCEPT_EPOCHS, ACCEPT_BATCH = 8, 256
+
+
+def profiled_accept_path() -> cProfile.Profile:
+    """Peer 1 publishes ``ACCEPT_BATCH`` single-insert transactions on
+    unique keys per epoch and peer 2 reconciles them, with only the
+    participants' calls under the profiler (the inputs are built first)."""
+    batches = [
+        [
+            [Insert("F", ("org", f"P{epoch * ACCEPT_BATCH + n:07d}", "fn"), 1)]
+            for n in range(ACCEPT_BATCH)
+        ]
+        for epoch in range(ACCEPT_EPOCHS)
+    ]
+    profile = cProfile.Profile()
+    config = ConfederationConfig(store="memory", peers=(1, 2))
+    with Confederation.from_config(config) as confed:
+        publisher, consumer = confed.participants
+        for batch in batches:
+            profile.enable()
+            try:
+                for updates in batch:
+                    publisher.execute(updates)
+                publisher.publish()
+                consumer.reconcile()
+            finally:
+                profile.disable()
+    return profile
+
+
+def test_a_root_that_shares_nothing_stays_inside_its_call_budget():
+    if sys.getprofile() is not None:
+        pytest.skip("another profiler is active: counts would not be comparable")
+    profile = profiled_accept_path()
+    entries = profile.getstats()
+    calls = sum(entry.callcount for entry in entries)
+    compared = sum(
+        entry.callcount
+        for entry in entries
+        if getattr(entry.code, "co_name", None) == "direct_conflict_points"
+    )
+    assert compared == 0, f"{compared} pairwise comparisons on a schedule with no shared key"
+    assert calls <= ACCEPT_CALL_BUDGET, (
+        f"{calls} calls ({calls / (ACCEPT_EPOCHS * ACCEPT_BATCH):.1f} per transaction), "
+        f"budget {ACCEPT_CALL_BUDGET}"
     )

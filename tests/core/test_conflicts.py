@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.core import RelevantTransaction, classify_conflict
 from repro.core.conflicts import (
+    IncrementalConflictIndex,
     build_conflict_groups,
     direct_conflict_points,
     directly_conflict,
@@ -258,6 +259,66 @@ class TestFindConflicts:
         assert find_conflicts(schema, builder.graph, alone).adjacency[drop.tid] == {
             edit.tid
         }
+
+
+class TestFilingWithoutPartners:
+    """A root that shares no key is filed and nothing more; it must still
+    be found by a later root at its key, and leave no bucket behind."""
+
+    def test_a_lone_root_is_found_later_and_leaves_no_empty_bucket(self, schema):
+        builder = GraphBuilder()
+        lone = make_transaction(1, 0, [Insert("F", RAT1_IMMUNE, 1)])
+        other = make_transaction(1, 1, [Insert("F", FLY3, 1)])
+        moved = make_transaction(1, 2, [Modify("F", MOUSE2, ("rat", "prot4", "immune"), 1)])
+        pair = make_transaction(
+            1, 3, [Insert("F", RAT1_IMMUNE, 1), Insert("F", ("rat", "prot4", "cell-resp"), 1)]
+        )
+        late = make_transaction(2, 0, [Insert("F", RAT1_RESP, 2)])
+        later = make_transaction(3, 0, [Insert("F", ("rat", "prot4", "transport"), 3)])
+        for txn in (lone, other, moved, pair, late, later):
+            builder.add(txn)
+        ext = {txn.tid: extension_of(schema, builder, txn) for txn in (lone, other, late, later)}
+        ext[moved.tid] = extension_of(schema, builder, moved)
+        ext[pair.tid] = extension_of(schema, builder, pair)
+        index = IncrementalConflictIndex()
+        first = {tid: ext[tid] for tid in (lone.tid, other.tid, moved.tid)}
+        analysis = index.update(schema, builder.graph, first)
+        assert analysis.adjacency == {tid: set() for tid in first}
+        assert index.stats.pair_misses == 0
+        # Filed under every key the operation touches, none compared.
+        assert set(index._by_key) == {
+            ("F", ("rat", "prot1")), ("F", ("fruitfly", "prot3")),
+            ("F", ("mouse", "prot2")), ("F", ("rat", "prot4")),
+        }
+        assert [extension._key_index for extension in first.values()] == [None] * 3
+
+        # ``late`` meets ``lone`` at its one key; ``later`` meets
+        # ``moved`` at the second, the key ``moved`` writes to.
+        second = {**first, late.tid: ext[late.tid], later.tid: ext[later.tid]}
+        analysis = index.update(schema, builder.graph, second)
+        assert analysis.adjacency[lone.tid] == {late.tid}
+        assert analysis.adjacency[late.tid] == {lone.tid}
+        assert analysis.adjacency[moved.tid] == {later.tid}
+        assert analysis.adjacency[other.tid] == set()
+        assert analysis.points == {
+            (lone.tid, late.tid): (("insert/insert", ("F", ("rat", "prot1"))),),
+            (moved.tid, later.tid): (("insert/replace", ("F", ("rat", "prot4"))),),
+        }
+        # A two-operation root is filed through its key index (it makes
+        # ``lone``'s very insertion, so the two do not conflict).
+        third = {**second, pair.tid: ext[pair.tid]}
+        analysis = index.update(schema, builder.graph, third)
+        assert analysis.adjacency[pair.tid] == {late.tid, moved.tid, later.tid}
+
+        # Dropping leaves every bucket non-empty, and exactly the keys of
+        # what stays.
+        for keep in ({pair.tid, other.tid}, {other.tid}, set()):
+            index.update(schema, builder.graph, {tid: third[tid] for tid in keep})
+            assert all(index._by_key.values())
+            assert set(index._by_key) == {
+                key for tid in keep for key in third[tid].touched
+            }
+            assert {tid for bucket in index._by_key.values() for tid in bucket} == keep
 
 
 class TestConflictGroups:

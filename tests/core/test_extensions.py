@@ -5,9 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import RelevantTransaction, TransactionGraph
-from repro.core.extensions import compute_update_extension, update_footprint
-from repro.errors import ReconciliationError
-from repro.model import Insert, Modify, TransactionId, make_transaction
+from repro.core.extensions import (
+    compute_update_extension,
+    flattened_extension,
+    update_footprint,
+)
+from repro.errors import FlattenError, ReconciliationError
+from repro.model import Delete, Insert, Modify, TransactionId, make_transaction
+from repro.model.flatten import flatten_once
+from repro.model.transactions import Transaction
 
 from tests.core.helpers import GraphBuilder
 
@@ -124,3 +130,59 @@ class TestUpdateExtension:
             Modify("F", RAT1, RAT1_IMMUNE, 3),
             Modify("F", RAT1_IMMUNE, RAT1_RESP, 2),
         ]
+
+
+class TestOneTransactionClosure:
+    """A root with no antecedent is flattened straight from its own
+    ``updates``: the result must be the one concatenating its closure
+    gives."""
+
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            [Insert("F", RAT1, 1)],
+            [Modify("F", RAT1, ("mouse", "prot2", "immune"), 1)],
+            [Insert("F", RAT1, 1), Modify("F", RAT1, RAT1_IMMUNE, 1)],
+            [Insert("F", RAT1, 1), Delete("F", RAT1, 1)],
+            [Delete("F", RAT1, 1), Insert("F", RAT1_RESP, 1)],
+        ],
+    )
+    def test_equals_the_concatenation_path(self, schema, updates):
+        txn = make_transaction(1, 0, updates)
+        root = RelevantTransaction(txn, priority=3, order=0)
+        extension = flattened_extension(schema, root, [txn])
+        concatenated = flatten_once(schema, [u for member in [txn] for u in member.updates])
+        assert extension.root == txn.tid
+        assert extension.members == (txn.tid,)
+        assert extension.member_set() == frozenset({txn.tid})
+        assert extension.operations == concatenated.operations
+        assert extension.touched == concatenated.keys_touched
+        assert extension.priority == 3
+
+    def test_a_single_update_is_its_own_operations(self, schema):
+        txn = make_transaction(1, 0, [Insert("F", RAT1, 1)])
+        extension = flattened_extension(
+            schema, RelevantTransaction(txn, priority=1, order=0), [txn]
+        )
+        assert extension.operations is txn.updates
+        # A list is copied: the operations of an extension are a tuple.
+        assert flatten_once(schema, list(txn.updates)).operations == txn.updates
+
+    def test_an_unflattenable_transaction_raises_as_the_concatenation_does(self, schema):
+        # Two insertions at one key: no local instance would take it, but
+        # a log may hold it, and its root must be rejected.
+        txn = Transaction(
+            TransactionId(1, 0), (Insert("F", RAT1, 1), Insert("F", RAT1_RESP, 1))
+        )
+        with pytest.raises(FlattenError) as direct:
+            flattened_extension(schema, RelevantTransaction(txn, 1, 0), [txn])
+        with pytest.raises(FlattenError) as concatenated:
+            flatten_once(schema, list(txn.updates))
+        assert str(direct.value) == str(concatenated.value)
+
+    def test_a_longer_closure_still_concatenates(self, schema, chain_graph):
+        builder, x30, x31, x20 = chain_graph
+        root = RelevantTransaction(x20, priority=1, order=2)
+        extension = flattened_extension(schema, root, [x30, x31, x20])
+        assert extension.members == (x30.tid, x31.tid, x20.tid)
+        assert extension.operations == (Insert("F", RAT1_RESP, 2),)

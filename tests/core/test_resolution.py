@@ -140,7 +140,7 @@ class TestResolveConflicts:
         state.graph.merge(builder.graph)
         late = make_transaction(4, 0, [Insert("F", RAT1_IMMUNE, 4)])
         order = len(state.graph)
-        state.graph.add(late, (), order + 100)
+        state.graph.add((late, (), order + 100))
         batch = ReconciliationBatch(
             recno=3,
             roots=[RelevantTransaction(late, priority=1, order=order + 100)],
@@ -163,7 +163,7 @@ class TestGroupsOutliveTheEpoch:
         right = make_transaction(5, 0, [Insert("F", ("mouse", "prot2", "resp"), 5)])
         roots = []
         for order, txn in enumerate((left, right), start=100):
-            state.graph.add(txn, (), order)
+            state.graph.add((txn, (), order))
             roots.append(RelevantTransaction(txn, priority=1, order=order))
         rat, mouse = (
             ("insert/insert", ("F", ("rat", "prot1"))),

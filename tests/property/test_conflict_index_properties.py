@@ -83,7 +83,7 @@ def histories(draw, max_transactions: int = 7):
             target = draw(st.sampled_from([key] + [k for k in _KEYS if k not in view]))
             updates.append(Modify("R", row, (target, value), origin))
             view[target] = ((target, value), tid)
-        graph.add(make_transaction(origin, order, updates), sorted(antecedents), order)
+        graph.add((make_transaction(origin, order, updates), tuple(sorted(antecedents)), order))
         views.append(view)
         tids.append(tid)
     return graph, tids
@@ -368,8 +368,8 @@ def test_an_edge_filed_under_a_reused_id_misses_by_identity():
     graph = TransactionGraph()
     left = make_transaction(1, 0, [Insert("R", (0, 1), 1)])
     right = make_transaction(2, 1, [Insert("R", (0, 2), 2)])
-    graph.add(left, (), 0)
-    graph.add(right, (), 1)
+    graph.add((left, (), 0))
+    graph.add((right, (), 1))
     extensions = context_free(graph, [left.tid, right.tid])
     shared = ConflictGraph()
     index = IncrementalConflictIndex()

@@ -78,7 +78,7 @@ def fresh_answer(bodies, root_tid, priority, applied):
     """What the client itself would compute over the whole history."""
     graph = TransactionGraph()
     for body in bodies.values():
-        graph.add(*body)
+        graph.add(body)
     try:
         return compute_update_extension(
             PROP_SCHEMA, graph, wire.root(record_of(bodies[root_tid]), priority), applied
