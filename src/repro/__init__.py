@@ -72,7 +72,6 @@ from repro.confed import (
     FaultController,
     HookBus,
     ParticipantSnapshot,
-    SerialScheduler,
 )
 from repro.core import (
     Decision,
@@ -136,7 +135,6 @@ __all__ = [
     "ReconcileSession",
     "Reconciler",
     "Resolution",
-    "SerialScheduler",
     "TrustPolicy",
     "UpdateStore",
     "WorkloadConfig",

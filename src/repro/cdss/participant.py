@@ -222,7 +222,7 @@ class Participant:
         charged through ``store.pay_latency``, also when the call
         raises (a refused call made its round trip).  The payment goes through
         the store's :class:`~repro.net.clock.LatencyClock`, so the
-        async epoch scheduler turns the wait into a deadline only this
+        async epoch schedule turns the wait into a deadline only this
         participant's next segment waits for.  ``pay_latency`` is part
         of the :class:`~repro.store.base.UpdateStore` contract.
         """

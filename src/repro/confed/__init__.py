@@ -15,11 +15,10 @@ This is the public entry point for building and running a CDSS:
   ``on_decision``, ``on_conflict``, ``on_cache_stats``,
   ``on_reconcile``, ``on_epoch_end``); metrics are subscribers, not
   engine plumbing;
-* :mod:`~repro.confed.scheduler` — the pluggable epoch schedulers
-  ``run()`` executes the schedule through
-  (:class:`~repro.confed.scheduler.SerialScheduler` /
-  :class:`~repro.confed.scheduler.AsyncScheduler`, selected by
-  ``config.schedule_mode``).
+* :mod:`~repro.confed.scheduler` — the epoch schedule ``open()``
+  registers and ``run()`` executes through: one round plan and one loop,
+  ``config.schedule_mode`` (one of :data:`SCHEDULE_MODES`) choosing its
+  grouping, its latency clock and its error wrapping.
 """
 
 from repro.confed.config import (
@@ -31,25 +30,15 @@ from repro.confed.confederation import Confederation, ParticipantSnapshot
 from repro.confed.faults import FaultController
 from repro.confed.hooks import EVENTS, HookBus
 from repro.confed.report import ConfederationReport
-from repro.confed.scheduler import (
-    AsyncScheduler,
-    EpochScheduler,
-    SerialScheduler,
-    create_scheduler,
-)
 
 __all__ = [
-    "AsyncScheduler",
     "Confederation",
     "ConfederationConfig",
     "ConfederationReport",
     "EVENTS",
-    "EpochScheduler",
     "FaultController",
     "HookBus",
     "NETWORK_CENTRIC_MODES",
     "ParticipantSnapshot",
     "SCHEDULE_MODES",
-    "SerialScheduler",
-    "create_scheduler",
 ]

@@ -6,17 +6,18 @@ a confederation owns the participant lifecycle:
 * ``open()`` builds the store through the driver registry, wires the
   event hook bus and its metric collectors, and registers the
   configured peers with their trust policies through the epoch
-  scheduler; ``close()`` releases the store.  Both are also available
-  as a context manager;
+  schedule (:func:`repro.confed.scheduler.register`); ``close()``
+  releases the store.  Both are also available as a context manager;
 * participants publish/reconcile/resolve exactly as before — the facade
   adds by-name store selection, config validation, and observability,
   not new reconciliation semantics;
 * ``snapshot()``/``restore()`` wrap the soft-state reconstruction of
   Section 5.2 (:meth:`repro.cdss.participant.Participant.rebuild`):
   everything a participant is can be re-derived from the update store;
-* ``run()`` executes the evaluation-section schedule through a
-  pluggable epoch scheduler (:mod:`repro.confed.scheduler`) and
-  ``report()`` collects the paper's metrics from hook-bus subscribers.
+* ``run()`` executes the evaluation-section schedule — one round plan,
+  run by one loop (:mod:`repro.confed.scheduler`), in the grouping
+  ``schedule_mode`` names — and ``report()`` collects the paper's
+  metrics from hook-bus subscribers.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from difflib import get_close_matches
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.cdss.participant import Participant
+from repro.confed import scheduler
 from repro.confed.config import ConfederationConfig
 from repro.confed.faults import FaultController
 from repro.confed.hooks import HookBus
 from repro.confed.report import ConfederationReport
-from repro.confed.scheduler import create_scheduler
 from repro.errors import ConfigError
 from repro.metrics.state_ratio import state_ratio
 from repro.metrics.subscribers import (
@@ -128,11 +129,12 @@ class Confederation:
     def open(self) -> "Confederation":
         """Build the store and register the configured peers, in order.
 
-        Registration is the scheduler's first ordered store phase: under
-        ``schedule_mode="async"`` each peer waits only for its own round
-        trip, so opening costs about one round trip, not one per peer;
-        the serial mode registers one after another.  Opening twice, or
-        reopening after ``close()``, raises
+        Registration is the schedule's first ordered store phase
+        (:func:`repro.confed.scheduler.register`), one clock segment per
+        peer: under ``schedule_mode="async"`` each peer waits only for
+        its own round trip, so opening costs about one round trip, not
+        one per peer; the serial mode pays one after another.  Opening
+        twice, or reopening after ``close()``, raises
         :class:`~repro.errors.ConfigError`.
         """
         if self._closed:
@@ -150,7 +152,7 @@ class Confederation:
         if self.config.faults is not None and not self.config.faults.is_empty():
             self._install_faults(self.config.faults)
         self._opened = True
-        create_scheduler(self.config).register(
+        scheduler.register(
             self, [(pid, self._policy_for(pid)) for pid in self.config.peers]
         )
         return self
@@ -284,7 +286,7 @@ class Confederation:
         automatically resolved" — the configuration all the paper's
         experiments use.
         """
-        return create_scheduler(self.config).register(
+        return scheduler.register(
             self, [(pid, self._mutual_policy(pid, ids, priority)) for pid in ids]
         )
 
@@ -427,11 +429,13 @@ class Confederation:
         """Execute the configured schedule and return the report: every
         ``reconciliation_interval`` transactions each participant
         publishes and reconciles, for ``rounds`` cycles, plus one
-        reconcile-only pass if ``final_reconcile`` is set, driven by the
-        scheduler ``config.schedule_mode`` names
-        (:mod:`repro.confed.scheduler`)."""
+        reconcile-only pass if ``final_reconcile`` is set.  One round
+        plan, run by one loop (:func:`repro.confed.scheduler.run`);
+        ``config.schedule_mode`` picks its grouping, its latency clock
+        and whether a failure is wrapped in
+        :class:`~repro.errors.SchedulerError`."""
         self._ensure_open()
-        create_scheduler(self.config).run(self)
+        scheduler.run(self)
         return self.report(relation=relation)
 
     def finish_scheduled_epoch(
@@ -439,9 +443,10 @@ class Confederation:
     ) -> None:
         """Record one completed schedule step and announce it.
 
-        Called by the epoch scheduler after ``participant`` finished its
-        publish-and-reconcile step of round ``round_index``; ``published``
-        is the number of transactions the step published.  Emits the
+        Called by the round plan after ``participant``'s group has
+        published and reconciled in round ``round_index`` (inline,
+        outside any clock segment); ``published`` is the number of
+        transactions ``participant`` published in it.  Emits the
         ``epoch_end`` event so subscribers can observe schedule progress,
         then fires any fault-plan actions whose epoch has been reached —
         crashes, recoveries, and restarts land at step boundaries, never

@@ -149,13 +149,13 @@ class ConfederationConfig:
     * ``workload`` plus ``reconciliation_interval`` / ``rounds`` /
       ``final_reconcile`` — the evaluation schedule
       :meth:`repro.confed.Confederation.run` executes;
-    * ``schedule_mode`` — which epoch scheduler executes it:
-      ``"serial"`` (the paper's strict round-robin) or ``"async"``
-      (edit, publish-barrier and reconcile phases as one deadline loop
-      on the caller's thread; each participant waits only for its own
-      injected latency, through the store's
-      :class:`~repro.net.clock.AsyncLatencyClock`).  See
-      :mod:`repro.confed.scheduler`;
+    * ``schedule_mode`` — how the one round plan groups the
+      participants: ``"serial"`` (one at a time, the paper's strict
+      round-robin) or ``"async"`` (everyone in one group: an edit and
+      publish barrier, then a reconcile pass, on the caller's thread;
+      each participant waits only for its own injected latency, through
+      an :class:`~repro.net.clock.AsyncLatencyClock` swapped in for the
+      run).  See :mod:`repro.confed.scheduler`;
     * ``faults`` — an optional :class:`repro.net.faults.FaultPlan`: the
       seeded, declarative chaos schedule the run should suffer (host
       crashes and recoveries pinned to epochs, message drops /

@@ -1,222 +1,141 @@
-"""Pluggable epoch schedulers for :meth:`Confederation.run`, selected by
-:attr:`~repro.confed.config.ConfederationConfig.schedule_mode`:
+"""The epoch schedule of :meth:`Confederation.run`: one round plan, run
+by one loop, in either :data:`~repro.confed.config.SCHEDULE_MODES` mode.
 
-* :class:`SerialScheduler` (``"serial"``, the default) — the paper's
-  strict round-robin: one participant at a time edits, publishes, and
-  reconciles.  Byte-for-byte the historical behaviour.
-* :class:`AsyncScheduler` (``"async"``) — each round is three phases: a
-  per-participant **edit** (on its own RNG substream and replica), a
-  **publish barrier** in ascending participant id, and a **reconcile**.
-  Within a round every participant sees every other's publications of
-  that round, so the mode is a distinct, equally valid schedule.  Every
-  segment (registration in ``open()``, an edit at its participant's
-  barrier turn just before its publish, a publish, a reconcile) runs one
-  at a time, in that global order, once its own participant's injected
-  latency is paid, so participant *i+1* allocates its epoch while
-  participant *i*'s latency is outstanding.  The global decision stream
-  is reproducible and independent of latency.
+Every round puts the participants in groups, in the order they joined.
+Within a group each member **edits** (on its own RNG substream and
+replica) and **publishes**, then each member **reconciles**, then each
+member's epoch-end step runs.  ``schedule_mode`` decides three things:
 
-Both run on the caller's thread: a confederation is driven from one
-thread, and nothing in the library starts another, or an event loop.
-An async segment's failure raises :class:`~repro.errors.SchedulerError`
-naming the participant, chained from its cause (serial raises it raw).
-The wall-clock win is overlapped store latency (``real_latency``),
-pinned by ``benchmarks/test_perf_scheduler.py``; see "Epoch schedulers
-and the latency clock" in ``docs/ARCHITECTURE.md``.
+* the grouping — ``"serial"`` (the default) gives each participant a
+  group of its own: the paper's strict round-robin; ``"async"`` puts
+  everyone in one group, a publish barrier in ascending id and then a
+  reconcile pass, so every participant sees the round's publications;
+* the clock — ``"async"`` swaps the store's latency clock for a fresh
+  :class:`~repro.net.clock.AsyncLatencyClock` for the run, so every
+  segment (a registration in ``open()``, an edit, a publish, a
+  reconcile) runs once its own participant's latency is paid, and
+  participant *i+1* works while participant *i*'s is outstanding;
+* the errors — an async segment's failure raises
+  :class:`~repro.errors.SchedulerError` naming the phase and the
+  participant, chained from its cause; serial raises it raw.
+
+Both run on the caller's thread, one segment at a time in the plan's
+order, so the global decision stream is reproducible and independent of
+latency.  The async wall-clock win (``real_latency``) is pinned by
+``benchmarks/test_perf_scheduler.py``; see "Epoch schedulers and the
+latency clock" in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
 
-import abc
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple
 
-from repro.errors import ConfigError, SchedulerError
-from repro.net.clock import AsyncLatencyClock
+from repro.errors import SchedulerError
+from repro.net.clock import AsyncLatencyClock, LatencyClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from repro.cdss.participant import Participant
     from repro.confed.confederation import Confederation
-    from repro.confed.config import ConfederationConfig
     from repro.policy.acceptance import TrustPolicy
 
-#: One segment of the async round: the phase it belongs to, the
-#: per-participant work, and the participant it runs for.
-Phase = Tuple[str, Callable[["Participant"], object], "Participant"]
+#: One segment of the plan: the phase it belongs to, the per-participant
+#: work, and the id of the participant it runs for.
+Segment = Tuple[str, Callable[["Participant"], object], int]
 
 
-class EpochScheduler(abc.ABC):
-    """Executes a confederation's evaluation schedule."""
+def round_plan(confederation: "Confederation") -> Iterator[Segment]:
+    """The schedule, as data: every segment in the order it runs.
 
-    #: The ``schedule_mode`` name this scheduler answers to.
-    name: str
+    The epoch-end step runs here, between segments, so its latency (a
+    fault-plan restart rebuilds a replica through the store) is paid at
+    once.  A segment names its participant by id and the loop looks the
+    object up when it runs, so a restart's rebuilt object is the one
+    driven.  Work looks methods up on the live object at call time
+    (``p.publish()``, not a bound method): tests replace them per
+    instance to inject failures, the end-to-end benchmark its clocks.
+    """
+    config = confederation.config
+    published: Dict[int, int] = {}
 
-    @abc.abstractmethod
-    def run(self, confederation: "Confederation") -> None:
-        """Run every configured round (and the final reconcile pass)."""
-
-    def register(
-        self, confederation: "Confederation", peers: List[Tuple[int, "TrustPolicy"]]
-    ) -> List["Participant"]:
-        """Add ``peers`` (``(id, policy)`` pairs) in the order given, one
-        blocking store round trip after another."""
-        return [confederation.add_participant(pid, policy) for pid, policy in peers]
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def edit_phase(
-        confederation: "Confederation", participant: "Participant"
-    ) -> int:
-        """One participant's edit phase: generate and execute
-        ``reconciliation_interval`` transactions; returns how many were
-        actually produced (the generator may skip on a saturated
-        domain)."""
+    def edit(participant: "Participant") -> None:
+        """Generate and execute ``reconciliation_interval`` transactions,
+        noting for the epoch-end step how many were produced (the
+        generator may skip on a saturated domain)."""
         executed = 0
-        for _ in range(confederation.config.reconciliation_interval):
+        for _ in range(config.reconciliation_interval):
             updates = confederation.generator.transaction_updates(
                 participant.id, participant.instance
             )
             if updates:
                 participant.execute(updates)
                 executed += 1
-        return executed
+        published[participant.id] = executed
 
-
-class SerialScheduler(EpochScheduler):
-    """The paper's strict round-robin schedule (the default)."""
-
-    name = "serial"
-
-    def run(self, confederation: "Confederation") -> None:
-        """Drive the strict round-robin schedule to completion."""
-        config = confederation.config
-        for round_index in range(config.rounds):
-            # Resolve each participant by id at its step: a fault-plan
-            # restart earlier in the round replaces the object, and the
-            # schedule must drive the rebuilt one.
-            for pid in [p.id for p in confederation.participants]:
-                participant = confederation.participant(pid)
-                published = self.edit_phase(confederation, participant)
-                participant.publish_and_reconcile()
+    for round_index in range(config.rounds):
+        ids = [p.id for p in confederation.participants]
+        groups = [ids] if config.schedule_mode == "async" else [[pid] for pid in ids]
+        for group in groups:
+            # Epochs are allocated in ascending id, each member editing
+            # at its turn, so a failed edit stops the barrier there.
+            for pid in group:
+                yield "edit", edit, pid
+                yield "publish", lambda p: p.publish(), pid
+            for pid in group:
+                yield "reconcile", lambda p: p.reconcile(), pid
+            for pid in group:
                 confederation.finish_scheduled_epoch(
-                    participant, round_index, published
+                    confederation.participant(pid), round_index, published[pid]
                 )
-        if config.final_reconcile:
-            for participant in confederation.participants:
-                participant.reconcile()
+    if config.final_reconcile:
+        for participant in confederation.participants:
+            yield "reconcile", lambda p: p.reconcile(), participant.id
 
 
-class AsyncScheduler(EpochScheduler):
-    """Participants in one deadline loop, each waiting only for itself.
-
-    Injected latency is paid through an
-    :class:`~repro.net.clock.AsyncLatencyClock`: a segment's payments
-    accrue to its participant, and only that participant's next segment
-    waits them out, so every participant may have latency outstanding
-    at once.
-    """
-
-    name = "async"
-
-    def round_plan(self, confederation: "Confederation") -> Iterator[Phase]:
-        """The phased schedule, as data: every segment in the order it runs.
-
-        The per-participant epoch-end step runs here, between phases.
-        Work is written as attribute lookups on the live objects at call
-        time (``p.publish()``, not a method bound when the plan is
-        built): callers replace those methods on the instances — tests
-        inject failures that way, the end-to-end benchmark its clocks.
-        """
-        config = confederation.config
-        published: Dict[int, int] = {}
-
-        def edit(participant: "Participant") -> None:
-            """Edit, and note what the epoch-end step must report."""
-            published[participant.id] = self.edit_phase(
-                confederation, participant
-            )
-
-        for round_index in range(config.rounds):
-            # Re-read the roster every round: a fault-plan restart
-            # (fired at the end of the previous round's steps) replaces
-            # a participant object, and the phases must drive the
-            # rebuilt one, not a stale reference.
-            roster = confederation.participants
-            # Deterministic publish-order barrier: epochs allocated in
-            # ascending participant id, every round, each participant
-            # editing at its turn so a failed edit stops the barrier there.
-            for participant in roster:
-                yield "edit", edit, participant
-                yield "publish", lambda p: p.publish(), participant
-            for participant in roster:
-                yield "reconcile", lambda p: p.reconcile(), participant
-            for participant in roster:
-                confederation.finish_scheduled_epoch(
-                    participant, round_index, published[participant.id]
-                )
-        if config.final_reconcile:
-            for participant in confederation.participants:
-                yield "reconcile", lambda p: p.reconcile(), participant
-
-    @contextmanager
-    def _clock_on(self, store) -> Iterator[AsyncLatencyClock]:
-        """Swap the store's latency clock for a fresh async one while the
-        block runs: payments accrue to the running segment instead of
-        blocking."""
-        previous, store.clock = store.clock, AsyncLatencyClock()
-        try:
-            yield store.clock
-        finally:
-            store.clock = previous
-
-    def register(
-        self, confederation: "Confederation", peers: List[Tuple[int, "TrustPolicy"]]
-    ) -> List["Participant"]:
-        """Registration is this driver's first ordered store phase: one
-        segment per peer, in the order given, each waiting only for its
-        own round trip, and the pass settles before it returns.  A
-        failure raises as the serial pass would."""
-        with self._clock_on(confederation.store) as clock:
-            for pid, policy in peers:
-                clock.segment(pid, confederation.add_participant, pid, policy)
-            clock.settle()
-        return [confederation.participant(pid) for pid, _policy in peers]
-
-    def run(self, confederation: "Confederation") -> None:
-        """Run the round plan's segments in order, each once its
-        participant is due; the first failure stops the schedule there.
-
-        The plan's epoch-end work (fault-plan restarts rebuild replicas
-        through the store) runs outside any segment, so the clock pays
-        its latency at once.
-        """
-        with self._clock_on(confederation.store) as clock:
-            for name, work, participant in self.round_plan(confederation):
-                try:
-                    clock.segment(participant.id, work, participant)
-                except Exception as error:
-                    raise SchedulerError(
-                        f"{name} phase failed for participant {participant.id}: {error}"
-                    ) from error
-            clock.settle()
+@contextmanager
+def _clock(confederation: "Confederation") -> Iterator[LatencyClock]:
+    """The clock the schedule's segments run on: under ``async``, a fresh
+    :class:`AsyncLatencyClock` swapped into the store while the block
+    runs, so payments accrue to the running segment instead of blocking;
+    otherwise the store's own."""
+    store = confederation.store
+    if confederation.config.schedule_mode != "async":
+        yield store.clock
+        return
+    previous, store.clock = store.clock, AsyncLatencyClock()
+    try:
+        yield store.clock
+    finally:
+        store.clock = previous
 
 
-#: Mode name → scheduler class.  ``ConfederationConfig.SCHEDULE_MODES``
-#: must name exactly these keys; ``tests/confed/test_scheduler.py`` pins
-#: the two in sync.
-SCHEDULERS: Dict[str, Type[EpochScheduler]] = {
-    SerialScheduler.name: SerialScheduler,
-    AsyncScheduler.name: AsyncScheduler,
-}
+def register(
+    confederation: "Confederation", peers: List[Tuple[int, "TrustPolicy"]]
+) -> List["Participant"]:
+    """Add ``peers`` (``(id, policy)`` pairs) in the order given, one
+    segment each, and settle before returning: under ``async`` each
+    waits only for its own round trip.  A failure raises raw in every
+    mode."""
+    with _clock(confederation) as clock:
+        for pid, policy in peers:
+            clock.segment(pid, confederation.add_participant, pid, policy)
+        clock.settle()
+    return [confederation.participant(pid) for pid, _policy in peers]
 
 
-def create_scheduler(config: "ConfederationConfig") -> EpochScheduler:
-    """The scheduler a config's ``schedule_mode`` names."""
-    scheduler_cls = SCHEDULERS.get(config.schedule_mode)
-    if scheduler_cls is None:
-        raise ConfigError(
-            f"unknown schedule mode {config.schedule_mode!r}; "
-            f"available: {', '.join(sorted(SCHEDULERS))}"
-        )
-    return scheduler_cls()
+def run(confederation: "Confederation") -> None:
+    """Run every configured round (and the final reconcile pass): the
+    plan's segments in order, each once its participant is due; the
+    first failure stops the schedule there."""
+    wrap = confederation.config.schedule_mode == "async"
+    with _clock(confederation) as clock:
+        for phase, work, pid in round_plan(confederation):
+            try:
+                clock.segment(pid, work, confederation.participant(pid))
+            except Exception as error:
+                if not wrap:
+                    raise
+                raise SchedulerError(
+                    f"{phase} phase failed for participant {pid}: {error}"
+                ) from error
+        clock.settle()

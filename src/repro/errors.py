@@ -79,13 +79,14 @@ class NetworkError(ReproError):
 
 
 class SchedulerError(ReproError):
-    """An epoch scheduler's phase failed.
+    """A segment of the ``async`` epoch schedule failed.
 
-    Raised by the async scheduler when a participant's edit, publish or
+    Raised by :func:`repro.confed.scheduler.run` under
+    ``schedule_mode="async"`` when a participant's edit, publish or
     reconcile segment raises: the round stops at the failing participant
     in segment order (a failed edit stops the publish barrier there), and
-    the message names it.  The original exception rides on
-    ``__cause__``.
+    the message names the phase and the participant.  The original
+    exception rides on ``__cause__``.  The serial mode raises it raw.
     """
 
 

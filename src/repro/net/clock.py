@@ -9,12 +9,16 @@ through a :class:`LatencyClock`, never through an inline ``time.sleep``
 (rule RPR010 pins this — latency paid in one place is latency the async
 schedule can defer).
 
-Two implementations:
+The epoch schedule (:mod:`repro.confed.scheduler`) runs its work as
+*segments*, each one participant's, through :meth:`LatencyClock.segment`,
+then waits out what is left with :meth:`LatencyClock.settle`.  The base
+class runs a segment at once and has nothing to settle.  Two
+implementations:
 
 * :class:`BlockingLatencyClock` — the default on every store: pay by
   blocking the calling thread, so the serial schedule (and any direct
   store use) pays each round trip end to end.
-* :class:`AsyncLatencyClock` — installed by the async epoch scheduler
+* :class:`AsyncLatencyClock` — swapped in by the ``async`` schedule
   for the duration of a run: a payment made inside a participant's
   segment *accrues* to that segment's debt instead of blocking, and the
   segment's end plus its debt is the time the participant is *due*
@@ -41,6 +45,14 @@ class LatencyClock(abc.ABC):
     @abc.abstractmethod
     def pay(self, seconds: float) -> None:
         """Pay ``seconds`` of injected latency (caller gates ``> 0``)."""
+
+    def segment(self, key: Hashable, work: Callable[..., object], *args) -> None:
+        """Run ``work(*args)`` as one segment of ``key``'s: here at once,
+        each payment inside it made as it is charged."""
+        work(*args)
+
+    def settle(self) -> None:
+        """Wait until no latency is outstanding: here none ever is."""
 
 
 class BlockingLatencyClock(LatencyClock):

@@ -1,4 +1,4 @@
-"""The pluggable epoch schedulers and the session/transport split."""
+"""The epoch schedule (one round plan, one loop) and the session/transport split."""
 
 from __future__ import annotations
 
@@ -10,18 +10,12 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.confed import (
-    AsyncScheduler,
-    Confederation,
-    ConfederationConfig,
-    HookBus,
-    SerialScheduler,
-    create_scheduler,
-)
+from repro.confed import SCHEDULE_MODES, Confederation, ConfederationConfig, HookBus
 from repro.confed import scheduler as scheduler_module
 from repro.core.session import ReconcileSession
 from repro.errors import ConfigError, SchedulerError, StoreError
 from repro.net.clock import AsyncLatencyClock, BlockingLatencyClock
+from repro.net.faults import FaultPlan, ParticipantRestart
 from repro.store.memory import MemoryUpdateStore
 from repro.workload import WorkloadConfig, curated_schema
 from tests.conftest import decision_stream
@@ -53,23 +47,27 @@ def _decision_log(config):
 class TestSelection:
     def test_serial_is_the_default(self):
         assert ConfederationConfig().schedule_mode == "serial"
-        assert isinstance(create_scheduler(ConfederationConfig()), SerialScheduler)
 
-    def test_async_selected_by_mode(self):
-        cfg = ConfederationConfig(schedule_mode="async")
-        assert isinstance(create_scheduler(cfg), AsyncScheduler)
+    @pytest.mark.parametrize("mode", SCHEDULE_MODES)
+    def test_every_mode_runs_through_the_one_loop(self, monkeypatch, mode):
+        # No class per mode: Confederation.run() hands every mode
+        # SCHEDULE_MODES lists to the module's one run loop.
+        ran = []
+        original = scheduler_module.run
+
+        def recording(confederation):
+            ran.append(confederation.config.schedule_mode)
+            original(confederation)
+
+        monkeypatch.setattr(scheduler_module, "run", recording)
+        with Confederation(_config(schedule_mode=mode)) as confed:
+            report = confed.run()
+        assert ran == [mode] and report.scheduler == mode
+        assert report.transactions_published == 4 * 2 * 2
 
     def test_unknown_mode_rejected_by_validation(self):
         with pytest.raises(ConfigError, match="unknown schedule mode"):
             ConfederationConfig(schedule_mode="quantum").validate()
-
-    def test_mode_registry_matches_config_modes(self):
-        # SCHEDULE_MODES (what validate() accepts) and SCHEDULERS (what
-        # create_scheduler can build) must never drift apart.
-        from repro.confed import SCHEDULE_MODES
-        from repro.confed.scheduler import SCHEDULERS
-
-        assert set(SCHEDULERS) == set(SCHEDULE_MODES)
 
     @pytest.mark.parametrize("mode", ["serial", "async"])
     def test_schedule_keys_round_trip(self, mode):
@@ -207,7 +205,7 @@ def _timeline(monkeypatch):
     log, clocks = [], []
     hooks = HookBus()
     hooks.on_epoch_end(lambda **kw: log.append(("epoch_end", kw["participant"])))
-    original = AsyncScheduler.round_plan
+    original = scheduler_module.round_plan
     with Confederation(config, hooks=hooks) as confed:
         store, perf = confed.store, confed.store.perf
         complete = store.complete_reconciliation
@@ -233,11 +231,11 @@ def _timeline(monkeypatch):
 
             return run
 
-        def recording_plan(self, confederation):
-            for name, work, *rest in original(self, confederation):
-                yield (name, timed(name, work), *rest)
+        def recording_plan(confederation):
+            for name, work, pid in original(confederation):
+                yield name, timed(name, work), pid
 
-        monkeypatch.setattr(AsyncScheduler, "round_plan", recording_plan)
+        monkeypatch.setattr(scheduler_module, "round_plan", recording_plan)
         before = perf.simulated_seconds
         confed.run()
         charged = perf.simulated_seconds - before
@@ -280,6 +278,82 @@ class TestAsyncTimeline:
         )
         assert charged > 0
         assert clock.total_paid == pytest.approx(charged)
+
+
+def _plan_log(monkeypatch, mode, **overrides):
+    """Run four peers under ``mode``, recording every segment of the
+    round plan as ``(phase, id, object, live)`` — the participant object
+    its work ran on, and whether that was the live one — plus every
+    epoch end and participant restart, in the order they ran; and the
+    participant objects ``open()`` built."""
+    log = []
+    hooks = HookBus()
+    hooks.on_epoch_end(lambda **kw: log.append(("epoch_end", kw["participant"])))
+    hooks.subscribe("recovery", lambda **kw: log.append(("restart", kw["participant"])))
+    original = scheduler_module.round_plan
+
+    def recording_plan(confederation):
+        def traced(name, work):
+            def run(participant):
+                live = participant is confederation.participant(participant.id)
+                log.append((name, participant.id, participant, live))
+                return work(participant)
+
+            return run
+
+        for name, work, pid in original(confederation):
+            yield name, traced(name, work), pid
+
+    monkeypatch.setattr(scheduler_module, "round_plan", recording_plan)
+    with Confederation(_config(schedule_mode=mode, **overrides), hooks=hooks) as confed:
+        opened = {p.id: p for p in confed.participants}
+        confed.run()
+    return log, opened
+
+
+class TestOnePlan:
+    """Serial and async are two groupings of one round plan, run by one
+    loop: serial gives each participant a group of its own."""
+
+    PEERS = (1, 2, 3, 4)
+
+    def test_serial_runs_each_participant_end_to_end_in_turn(self, monkeypatch):
+        log, _opened = _plan_log(monkeypatch, "serial")
+        round_ = [
+            (step, pid)
+            for pid in self.PEERS
+            for step in ("edit", "publish", "reconcile", "epoch_end")
+        ]
+        final = [("reconcile", pid) for pid in self.PEERS]
+        assert [entry[:2] for entry in log] == round_ * 2 + final
+
+    def test_async_runs_one_group_of_everyone(self, monkeypatch):
+        log, _opened = _plan_log(monkeypatch, "async")
+        round_ = [(step, pid) for pid in self.PEERS for step in ("edit", "publish")]
+        round_ += [(step, pid) for step in ("reconcile", "epoch_end") for pid in self.PEERS]
+        final = [("reconcile", pid) for pid in self.PEERS]
+        assert [entry[:2] for entry in log] == round_ * 2 + final
+
+    @pytest.mark.parametrize("mode", ["serial", "async"])
+    def test_a_restart_mid_round_drives_the_rebuilt_participant(self, monkeypatch, mode):
+        # Epoch 1 is reached at participant 1's first epoch end: the
+        # restart of participant 3 lands there, in the middle of round 1,
+        # and every later step of 3's must run on the rebuilt object.
+        plan = FaultPlan(restarts=(ParticipantRestart(participant=3, at_epoch=1),))
+        log, opened = _plan_log(monkeypatch, mode, faults=plan)
+        restart = log.index(("restart", 3))
+        assert log[restart - 1] == ("epoch_end", 1)
+        assert ("epoch_end", 4) in log[restart:]  # the round was not over
+        assert all(entry[3] for entry in log if len(entry) == 4)
+        after = [entry[2] for entry in log[restart:] if len(entry) == 4 and entry[1] == 3]
+        # Serial: the rest of round 1 and all of round 2 (edit, publish,
+        # reconcile each) plus the final reconcile; async: round 2 and
+        # the final reconcile.
+        assert len(after) == {"serial": 7, "async": 4}[mode]
+        rebuilt = after[0]
+        assert rebuilt is not opened[3]
+        assert all(participant is rebuilt for participant in after)
+
 
 class RecordingBlockingClock(BlockingLatencyClock):
     """Pays like the default clock and logs each payment in ``events``."""

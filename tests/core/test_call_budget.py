@@ -28,8 +28,8 @@ is set.  ``.claude/skills/verify/SKILL.md`` has the recipe.
 from __future__ import annotations
 
 import cProfile
-import pstats
 import sys
+from typing import List, Tuple
 
 import pytest
 
@@ -38,12 +38,13 @@ from repro.model.transactions import TransactionId
 from repro.model.updates import Insert
 from repro.workload import WorkloadConfig
 
-#: Calls ``Confederation.run()`` makes on the schedule below: 270,102
-#: since a root that shares nothing is filed without a key index or a
-#: partner dict (275,714 before, since flatten traces in one pass; 327,994
-#: in a fresh process before that, 336,323 as of PR 23, 372,491 before
-#: that, 548,882 before PR 22), plus 2 %.
-CALL_BUDGET = 275_504
+#: Calls ``Confederation.run()`` makes on the schedule below, counted per
+#: code object (:func:`calls_per_code`): 272,809, plus 2 %.  The ``pstats``
+#: total read 270,102 on the same tree: it folds the generated dataclass
+#: ``__init__``s into one row.  Before that it read 275,714 (since flatten
+#: traces in one pass), 327,994 in a fresh process before that, 336,323
+#: as of PR 23, 372,491 before that, 548,882 before PR 22.
+CALL_BUDGET = 278_265
 
 #: ``direct_conflict_points`` calls among them — pairwise comparisons,
 #: all participants: 312 as of PR 23 (538 before it), plus 2 %.
@@ -55,7 +56,7 @@ _IDENTITY_DUNDERS = frozenset(
 )
 
 
-def profiled_schedule() -> pstats.Stats:
+def profiled_schedule() -> cProfile.Profile:
     """Run the reduced schedule with only ``run()`` under the profiler."""
     config = ConfederationConfig(
         store="memory",
@@ -72,33 +73,52 @@ def profiled_schedule() -> pstats.Stats:
             confed.run()
         finally:
             profile.disable()
-    return pstats.Stats(profile)
+    return profile
+
+
+def calls_per_code(profile: cProfile.Profile) -> List[Tuple[int, object]]:
+    """``(calls, code)`` per code object the profile saw, busiest first
+    (``code`` is a string for a builtin).  Not ``pstats``: it keys rows
+    by file, line and name, so the generated dataclass ``__init__``s,
+    all ``<string>:2``, share one row holding one of their counts, and
+    which one can change between runs."""
+    return sorted(
+        ((entry.callcount, entry.code) for entry in profile.getstats()),
+        key=lambda row: -row[0],
+    )
+
+
+def _calls_to(rows: List[Tuple[int, object]], name: str) -> int:
+    """Calls to every code object named ``name``."""
+    return sum(calls for calls, code in rows if getattr(code, "co_name", None) == name)
 
 
 def test_the_engine_stays_inside_its_call_budget():
     if sys.getprofile() is not None:
         pytest.skip("another profiler is active: counts would not be comparable")
-    stats = profiled_schedule()
-    rows = stats.stats  # (file, line, function) -> (cc, nc, tt, ct, callers)
-    interpreted = {
-        key: row[1]
-        for key, row in rows.items()
-        if key[2] in _IDENTITY_DUNDERS
-        and key[0].replace("\\", "/").endswith("model/transactions.py")
-    }
+    rows = calls_per_code(profiled_schedule())
+    interpreted = [
+        (calls, code)
+        for calls, code in rows
+        if getattr(code, "co_name", None) in _IDENTITY_DUNDERS
+        and code.co_filename.replace("\\", "/").endswith("model/transactions.py")
+    ]
     assert not interpreted, f"identity arithmetic re-entered Python: {interpreted}"
     # (Generated dunders live in "<string>", not in the module: the
     # class must not carry any of its own.)
     assert not _IDENTITY_DUNDERS & set(vars(TransactionId))
-    busiest = sorted(rows.items(), key=lambda item: -item[1][1])[:12]
     listing = "\n".join(
-        f"  {row[1]:>8}  {key[0].rsplit('/', 1)[-1]}:{key[1]} {key[2]}"
-        for key, row in busiest
+        f"  {calls:>8}  {code}"
+        if isinstance(code, str)
+        else f"  {calls:>8}  {code.co_filename.rsplit('/', 1)[-1]}:{code.co_firstlineno} "
+        f"{code.co_name}"
+        for calls, code in rows[:12]
     )
-    assert stats.total_calls <= CALL_BUDGET, (
-        f"{stats.total_calls} calls, budget {CALL_BUDGET}; most called:\n{listing}"
+    calls = sum(calls for calls, _code in rows)
+    assert calls <= CALL_BUDGET, (
+        f"{calls} calls, budget {CALL_BUDGET}; most called:\n{listing}"
     )
-    compared = sum(row[1] for key, row in rows.items() if key[2] == "direct_conflict_points")
+    compared = _calls_to(rows, "direct_conflict_points")
     assert 0 < compared <= COMPARISON_BUDGET, (
         f"{compared} pairwise comparisons, budget {COMPARISON_BUDGET}: is "
         "FindConflicts being handed roots CheckState rejected?"
@@ -106,12 +126,10 @@ def test_the_engine_stays_inside_its_call_budget():
 
 
 #: Calls the accept-path schedule below makes, counted per code object
-#: (``getstats``: ``pstats`` keys rows by file, line and name, so the
-#: generated dataclass ``__init__``s, all ``<string>:2``, share one row
-#: holding one of their counts, and which one can change between runs):
-#: 362,425 (177.0 per transaction), plus 2 %.  It was 401,337 (196.0)
-#: while a root with no antecedent was still walked and sorted, its
-#: updates concatenated and its key index built to be filed.
+#: (:func:`calls_per_code`): 362,425 (177.0 per transaction), plus 2 %.
+#: It was 401,337 (196.0) while a root with no antecedent was still
+#: walked and sorted, its updates concatenated and its key index built
+#: to be filed.
 ACCEPT_CALL_BUDGET = 369_673
 
 #: Epochs x single-insert transactions of the accept-path schedule.
@@ -148,14 +166,9 @@ def profiled_accept_path() -> cProfile.Profile:
 def test_a_root_that_shares_nothing_stays_inside_its_call_budget():
     if sys.getprofile() is not None:
         pytest.skip("another profiler is active: counts would not be comparable")
-    profile = profiled_accept_path()
-    entries = profile.getstats()
-    calls = sum(entry.callcount for entry in entries)
-    compared = sum(
-        entry.callcount
-        for entry in entries
-        if getattr(entry.code, "co_name", None) == "direct_conflict_points"
-    )
+    rows = calls_per_code(profiled_accept_path())
+    calls = sum(calls for calls, _code in rows)
+    compared = _calls_to(rows, "direct_conflict_points")
     assert compared == 0, f"{compared} pairwise comparisons on a schedule with no shared key"
     assert calls <= ACCEPT_CALL_BUDGET, (
         f"{calls} calls ({calls / (ACCEPT_EPOCHS * ACCEPT_BATCH):.1f} per transaction), "

@@ -61,6 +61,46 @@ class TestBlockingClock:
         assert hasattr(store, "clock")
 
 
+class TestBaseClock:
+    """What every clock inherits: a segment runs at once, and there is
+    nothing to settle, so the blocking clock needs no case of its own."""
+
+    def test_a_segment_runs_its_work_at_once(self):
+        clock = BlockingLatencyClock()
+        ran = []
+        clock.segment(1, lambda *args: ran.append(args), "a", 2)
+        assert ran == [("a", 2)]
+
+    def test_a_segment_propagates_its_exception(self):
+        def work():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            BlockingLatencyClock().segment(1, work)
+
+    def test_a_payment_inside_a_segment_is_made_there(self):
+        events = []
+
+        class RecordingClock(LatencyClock):
+            """Logs payments in the order they are made."""
+
+            def pay(self, seconds):
+                events.append(("pay", seconds))
+
+        clock = RecordingClock()
+        clock.segment(1, lambda: (clock.pay(0.5), events.append(("after", 1))))
+        assert events == [("pay", 0.5), ("after", 1)]
+
+    def test_settle_returns_without_waiting(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"settle slept {seconds}s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        clock = BlockingLatencyClock()
+        clock.segment(1, lambda: None)
+        assert clock.settle() is None
+
+
 class TestAsyncClock:
     def test_a_segment_makes_only_its_own_participant_wait(self):
         clock = AsyncLatencyClock()

@@ -36,7 +36,6 @@ EXPECTED_ALL = {
     "ReconcileSession",
     "Reconciler",
     "Resolution",
-    "SerialScheduler",
     "resolve_conflicts",
     # Fault tolerance (PR 6)
     "FaultController",
@@ -132,16 +131,15 @@ def test_the_benchmark_harness_is_not_in_the_library(module):
 
 def test_threaded_scheduler_stays_deleted():
     # One concurrency model: the thread-pool scheduler is gone, not
-    # shimmed — the name, the mode and the registry entry alike.
+    # shimmed — the name and the mode alike.
     from repro.confed import SCHEDULE_MODES, ConfederationConfig
-    from repro.confed.scheduler import SCHEDULERS
     from repro.errors import ConfigError
 
     with pytest.raises(ImportError):
         from repro import ThreadedScheduler  # noqa: F401
     with pytest.raises(ImportError):
         from repro.confed import ThreadedScheduler  # noqa: F401, F811
-    assert SCHEDULE_MODES == ("serial", "async") and set(SCHEDULERS) == {"serial", "async"}
+    assert SCHEDULE_MODES == ("serial", "async")
     with pytest.raises(ConfigError, match="unknown schedule mode 'threaded'"):
         ConfederationConfig(schedule_mode="threaded").validate()
 
@@ -315,12 +313,24 @@ def test_the_store_capability_record_is_gone(module, name):
         exec(f"from {module} import {name}", {})
 
 
+@pytest.mark.parametrize("module", ["repro", "repro.confed", "repro.confed.scheduler"])
+@pytest.mark.parametrize(
+    "name",
+    ["EpochScheduler", "SerialScheduler", "AsyncScheduler", "create_scheduler", "SCHEDULERS"],
+)
+def test_the_scheduler_classes_are_gone(module, name):
+    # Serial and async are two groupings of one round plan, run by the
+    # scheduler module's one loop: no class per mode, no base class, no
+    # registry beside SCHEDULE_MODES.
+    with pytest.raises(ImportError):
+        exec(f"from {module} import {name}", {})
+
+
 def test_the_retired_knobs_are_refused():
     # Four options nothing set to a second value are constants now:
     # the keywords are gone, not ignored, and a config file that still
     # names one is refused like any typo.
     from repro import ConfederationConfig, ConfigError, MemoryUpdateStore
-    from repro.confed.scheduler import AsyncScheduler, SerialScheduler
     from repro.core.extensions import ReconciliationBatch
     from repro.net import AsyncLatencyClock, Network
     from repro.store import CentralUpdateStore, register_store
@@ -330,9 +340,6 @@ def test_the_retired_knobs_are_refused():
         register_store("capable", MemoryUpdateStore, capabilities=None)
     with pytest.raises(TypeError):
         ReconciliationBatch(recno=0, capabilities=None)
-    for scheduler in (SerialScheduler, AsyncScheduler):
-        with pytest.raises(TypeError):
-            scheduler(workers=2)
     with pytest.raises(TypeError):
         AsyncLatencyClock(workers=2)
     with pytest.raises(TypeError):

@@ -69,7 +69,7 @@ MARKDOWN_FILES = (
 INVARIANTS_DOC = "docs/ARCHITECTURE.md"
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 4 above).
-SOURCE_LINE_CEILING = 13447
+SOURCE_LINE_CEILING = 13371
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (``store/central.py`` is 685,
@@ -85,7 +85,7 @@ FUNCTION_LINE_CEILING = 78
 #: (``ast.stmt`` nodes; a function's own ``def`` counts): the total,
 #: the largest module (``store/dht/driver.py``) and the longest
 #: function (``flatten._minimise``).
-SOURCE_STATEMENT_CEILING = 5012
+SOURCE_STATEMENT_CEILING = 4993
 MODULE_STATEMENT_CEILING = 331
 FUNCTION_STATEMENT_CEILING = 43
 
