@@ -318,7 +318,7 @@ class ConflictGraph:
 
     Roots leave by the stores' retirement signal (:meth:`discard`),
     O(degree) per origin, with ``limit`` as the backstop.  Only these
-    helpers mutate the registry (rule RPR006).
+    helpers mutate the registry.
     """
 
     def __init__(self, limit: Optional[int] = None) -> None:

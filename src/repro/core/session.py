@@ -85,10 +85,10 @@ class ReconcileSession:
         already_deferred = set(state.deferred)
         # Pure timing instrumentation around the kernel call — the
         # measured seconds are reported (Figures 10/12), never consulted
-        # by any decision, so the wall-clock read is allowed here.
-        started = time.perf_counter()  # repro: allow[RPR003]
+        # by any decision.
+        started = time.perf_counter()
         result = self._reconciler.reconcile(batch, own_updates=own_updates)
-        local_seconds = time.perf_counter() - started  # repro: allow[RPR003]
+        local_seconds = time.perf_counter() - started
         upstream = ReconcileResult(
             recno=result.recno,
             accepted=result.accepted,

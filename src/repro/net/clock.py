@@ -5,9 +5,8 @@ Stores *charge* injected per-message latency to their
 simulated time.  Whether the charge is also *paid* in wall time (the
 paper's experiments injected the delays for real) is a separate
 decision, and this module owns it: every payment in the tree goes
-through a :class:`LatencyClock`, never through an inline ``time.sleep``
-(rule RPR010 pins this — latency paid in one place is latency the async
-schedule can defer).
+through a :class:`LatencyClock`, never through an inline ``time.sleep``:
+latency paid in one place is latency the async schedule can defer.
 
 The epoch schedule (:mod:`repro.confed.scheduler`) runs its work as
 *segments*, each one participant's, through :meth:`LatencyClock.segment`,
@@ -63,8 +62,7 @@ class BlockingLatencyClock(LatencyClock):
 
         This module's sleeps are the only sanctioned blocking sleeps in
         the tree: every other module pays latency through a
-        :class:`LatencyClock`, and rule RPR010 flags any direct
-        ``time.sleep`` elsewhere.
+        :class:`LatencyClock`.
         """
         time.sleep(seconds)
 

@@ -33,7 +33,8 @@ stores are not thread-safe.  Each store call the transport layer
 (:class:`~repro.cdss.participant.Participant`) makes is one measured
 store phase, ``Participant._store_call``: the perf snapshot, the call,
 its delta and the latency it charged — what the latency and perf
-accounting depend on, and what rule RPR004 checks.
+accounting depend on.  ``test_every_charged_message_is_in_one_store_phase``
+holds it: the phases' deltas add up to all the store charged.
 
 Performance accounting: every store tracks a :class:`PerfCounters` of
 messages exchanged and the simulated network latency they cost.  A
@@ -148,9 +149,8 @@ class UpdateStore(abc.ABC):
         unconditionally with the simulated-latency delta of the store
         call it just made, after the call returns or raises.  The wait
         itself is delegated to :attr:`clock` (never an inline
-        ``time.sleep`` — rule RPR010): blocking under the serial
-        schedule, accrued to the running segment's participant under
-        the async schedule.
+        ``time.sleep``): blocking under the serial schedule, accrued to
+        the running segment's participant under the async schedule.
         Third-party drivers must not remove it; a driver that charged
         latency but never paid it would silently break the paper's
         injected-delay experiments.

@@ -178,12 +178,10 @@ def root(held: Dict[str, Any], priority: int) -> RelevantTransaction:
     )
 
 
-#: Every message kind this package puts on the wire or handles — the
-#: registry RPR009 checks the literals sent (``Network.send`` and the
-#: request engine's entry points) and the keys and values of the
-#: protocol tables against.  A typo'd kind would otherwise
-#: fail silently as an unanswered request that burns the whole retry
-#: budget.
+#: Every message kind this package puts on the wire or handles: the
+#: registry the keys and values of the protocol tables are checked
+#: against, and the kinds a fault plan may name.  A typo'd kind sent is
+#: an unanswered request that burns the whole retry budget.
 KINDS = frozenset(
     {
         # replication and recovery

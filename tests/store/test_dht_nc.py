@@ -11,11 +11,13 @@ degrades when a controller has lost a record.
 from __future__ import annotations
 
 from repro.cdss import Participant
+from repro.confed import Confederation, ConfederationConfig
 from repro.model import Insert, Modify
 from repro.model.transactions import TransactionId
 from repro.policy import TrustPolicy
 from repro.store import DhtUpdateStore
 from repro.workload import curated_schema
+from tests.conftest import decision_stream
 
 RAT_IMMUNE = ("rat", "prot1", "immune")
 RAT_RESP = ("rat", "prot1", "cell-resp")
@@ -202,3 +204,43 @@ class TestProtocol:
         # does client-centrically — and the surviving root decides.
         assert [str(t) for t in result.applied] == ["X2:0"]
         assert peers[3].instance.contains_row("F", RAT_RESP)
+
+
+def test_a_lost_antecedent_degrades_its_root_to_the_figure_7_retrieval():
+    """A root whose antecedent lost every copy of its controller record
+    cannot be derived on the ring: the controller answers ``failed``,
+    and the driver emits one ``degraded`` event naming that root and
+    retrieves it the client-centric way.  Participant 3 rejected the
+    antecedent, so its own graph still holds the body the ring lost and
+    both paths decide the root alike."""
+    streams = {}
+    for mode in ("client", "store"):
+        config = ConfederationConfig(
+            store="dht", store_options={"hosts": 3}, peers=(1, 2, 3),
+            trust={1: {2: 1, 3: 1}, 2: {1: 1}, 3: {1: 1, 2: 1}}, network_centric=mode,
+        )
+        degraded = []
+        with Confederation(config) as confed:
+            confed.hooks.on_degraded(lambda **event: degraded.append(event))
+            log = decision_stream(confed.hooks)
+            p1, p2, p3 = (confed.participant(pid) for pid in (1, 2, 3))
+            p3.execute([Insert("F", RAT_RESP, 3)])
+            p3.publish_and_reconcile()
+            p1.execute([Insert("F", RAT_IMMUNE, 1)])
+            p1.publish()
+            p2.reconcile()
+            p3.reconcile()
+            p2.execute([Modify("F", RAT_IMMUNE, RAT_REVISED, 2)])
+            p2.publish()
+            lost = TransactionId(1, 0)
+            for host in confed.store._hosts.values():
+                host.txns.pop(lost, None)
+                host.replicas.pop(("txn", lost), None)
+            p3.reconcile()
+            streams[mode] = log
+            faults = confed.report().faults.degraded
+        assert (degraded, faults) == (
+            ([{"participant": 3, "roots": ["X2:0"]}], 1) if mode == "store" else ([], 0)
+        )
+    assert streams["store"] == streams["client"]
+    assert [entry for entry in streams["store"] if entry[0] == 3][-1][2] == "X2:0"

@@ -1,7 +1,7 @@
 """The DHT store's protocol tables agree with each other, and the
 driver reaches the network only through the request engine.
 
-``KINDS`` (the registry RPR009 checks literals against), ``HANDLERS``
+``KINDS`` (the registry of every kind on the wire), ``HANDLERS``
 (kind -> host handler) and ``REPLIES`` (request -> the kinds that answer
 it) are three literal tables; together they must account for every kind
 exactly once.

@@ -10,6 +10,7 @@ import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -203,8 +204,9 @@ def test_an_async_run_leaves_asyncio_unimported():
     ],
 )
 def test_the_runtime_lock_checker_is_gone(statement):
-    # The store phase is ``Participant._store_call``, checked statically
-    # by RPR004; the owner-asserting proxies are deleted, not aliased.
+    # The store phase is ``Participant._store_call``, held by
+    # ``test_every_charged_message_is_in_one_store_phase``; the
+    # owner-asserting proxies are deleted, not aliased.
     with pytest.raises(ImportError):
         exec(statement, {})
 
@@ -443,33 +445,41 @@ def test_a_participant_takes_its_options_by_keyword(build):
         make(1, MemoryUpdateStore(schema), TrustPolicy(), Instance(schema))
 
 
-def test_analyzer_rules_are_records_not_subclasses():
-    # A lint rule is a row of ``RULES``: ``Rule`` is a frozen record of
-    # five fields with no ``finding`` helper (the engine anchors
-    # findings), and the ten per-rule subclasses are gone, not shimmed.
-    import dataclasses
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import repro.analysis",
+        "import repro.analysis.engine",
+        "import repro.analysis.rules",
+        "import repro.analysis.report",
+        "import repro.analysis.__main__",
+        *(
+            f"from repro.analysis import {name}"
+            for name in (
+                "Finding", "ModuleContext", "RULES_BY_CODE", "Rule", "analyze_source",
+                "collect_files", "default_rules", "render", "render_json",
+                "render_text", "run_analysis",
+            )
+        ),
+    ],
+)
+def test_the_static_analyzer_is_gone(statement):
+    # Behaviour tests hold the determinism invariants its rules guarded:
+    # each planted violation either failed one or moved nothing measured.
+    with pytest.raises(ImportError):
+        exec(statement, {})
 
-    import repro.analysis.rules as rules_module
-    from repro.analysis import RULES_BY_CODE, ModuleContext, Rule
 
-    fields = [field.name for field in dataclasses.fields(Rule)]
-    assert fields == ["code", "name", "summary", "applies", "check"]
-    assert not hasattr(Rule, "finding")
-    assert not hasattr(ModuleContext, "filename")
-    assert all(type(rule) is Rule for rule in RULES_BY_CODE.values())
-    for gone in (
-        "StoreTypeCheckRule",
-        "UnseededRandomRule",
-        "WallClockRule",
-        "DirectStoreCallRule",
-        "HookEventRule",
-        "MemoMutationRule",
-        "SetIterationRule",
-        "DictRoundTripRule",
-        "KindsRegistryRule",
-        "BlockingSleepRule",
-    ):
-        assert not hasattr(rules_module, gone), gone
+def test_no_rule_code_or_waiver_is_left_in_the_package():
+    # RPR001-RPR010 are retired with the analyzer, so no module cites one
+    # and no ``# repro: allow[...]`` waiver is left to read.
+    root = pathlib.Path(repro.__file__).parent
+    citing = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if re.search(r"RPR\d{3}|repro: allow", path.read_text())
+    }
+    assert citing == set()
 
 
 def test_builtin_registry_contents():
@@ -504,14 +514,11 @@ def test_publication_error_is_gone():
 
 def test_the_hand_written_dict_forms_are_gone():
     # The config's dict form is read off the records' fields in one
-    # place: the fault plan round-trips as part of a config, and no
-    # analyzer rule is left to hold hand-written key lists to fields.
-    from repro.analysis import RULES_BY_CODE
+    # place: the fault plan round-trips as part of a config.
     from repro.net import FaultPlan
 
     for gone in ("to_dict", "from_dict"):
         assert not hasattr(FaultPlan, gone), gone
-    assert "RPR008" not in RULES_BY_CODE
 
 
 def test_keys_read_is_gone():
