@@ -11,8 +11,8 @@ from repro.errors import ConfigError, ConstraintViolation, StoreError
 from repro.model import Insert, Modify, make_transaction
 from repro.net.clock import LatencyClock
 from repro.policy import TrustPolicy
-from repro.store import MemoryUpdateStore, available_stores
-from repro.workload import WorkloadConfig
+from repro.store import MemoryUpdateStore, available_stores, create_store
+from repro.workload import WorkloadConfig, curated_schema
 
 
 RAT1 = ("rat", "prot1", "cell-metab")
@@ -146,6 +146,76 @@ def test_every_charged_message_is_in_one_store_phase(store, monkeypatch):
             assert sum(delta.simulated_seconds for delta in deltas) == pytest.approx(
                 perf.simulated_seconds
             )
+
+
+#: Every store method a participant calls: registration, publication and
+#: its recovery read, reconciliation, and the three reads of a rebuild.
+PARTICIPANT_STORE_METHODS = (
+    "register_participant", "publish", "unpublished", "reconciliation_batch",
+    "complete_reconciliation", "decided_transactions", "closure_entries",
+    "last_reconciliation_epoch",
+)
+
+
+@pytest.mark.parametrize("store", sorted(available_stores()))
+def test_every_store_call_a_participant_makes_is_a_store_phase(store, monkeypatch):
+    """Where a store charges nothing for a call (no store charges
+    ``unpublished`` or a rebuild's reads), a call made around
+    ``_store_call`` leaves no shortfall to see.  So here every method a
+    participant calls charges one message, and one publish is refused
+    after its charge: over a run, a resolve, that refused publish and a
+    restore, the store phases still measure every message charged."""
+    deltas = []
+    measured = Participant._store_call
+
+    def recording(self, method, *args):
+        before = self.store.perf.snapshot()
+        try:
+            result = measured(self, method, *args)
+        except StoreError:
+            deltas.append(self.store.perf.minus(before))
+            raise
+        deltas.append(result[1])
+        return result
+
+    def metered(instance, name, refused):
+        call = getattr(instance, name)
+
+        def charging(*args):
+            instance.perf.charge(1, 0.0)
+            if name == "publish" and refused:
+                refused.pop()
+                raise StoreError("publish refused after its round trip")
+            return call(*args)
+
+        setattr(instance, name, charging)
+
+    monkeypatch.setattr(Participant, "_store_call", recording)
+    for mode in ("serial", "async"):
+        deltas.clear()
+        config = ConfederationConfig(
+            store=store, peers=(1, 2, 3, 4), reconciliation_interval=3, rounds=2,
+            final_reconcile=True, schedule_mode=mode,
+            workload=WorkloadConfig(transaction_size=2, seed=1),
+        )
+        instance = create_store(store, curated_schema())
+        refused = []
+        for name in PARTICIPANT_STORE_METHODS:
+            metered(instance, name, refused)
+        with Confederation(config, store=instance) as confed:
+            confed.run()
+            for participant in [p for p in confed.participants if p.open_conflicts()]:
+                group = participant.open_conflicts()[0]
+                participant.resolve([Resolution(group.group_id, 0)])
+            p1 = confed.participant(1)
+            p1.execute([Insert("F", ("newt", "prot9", "immune"), 1)])
+            refused.append(True)
+            with pytest.raises(StoreError, match="refused after its round trip"):
+                p1.publish()
+            assert len(p1.unpublished) == 1
+            confed.restore()
+            assert sum(delta.messages for delta in deltas) == instance.perf.messages > 0
+        getattr(instance, "close", lambda: None)()
 
 
 def test_a_store_call_that_raises_still_pays_what_it_charged(schema):

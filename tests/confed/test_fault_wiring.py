@@ -12,6 +12,7 @@ cannot suffer, the controller fires in epoch/declaration order, and the
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -19,8 +20,9 @@ from repro.confed import Confederation, ConfederationConfig, FaultController
 from repro.confed.hooks import HookBus
 from repro.errors import ConfigError
 from repro.metrics import FaultCollector
-from repro.net import FaultPlan, HostCrash, MessageFault, ParticipantRestart
-from repro.workload import WorkloadConfig
+from repro.net import FaultPlan, HostCrash, MessageFault, Network, ParticipantRestart
+from repro.store import MemoryUpdateStore
+from repro.workload import WorkloadConfig, curated_schema
 
 
 def plan_with_everything():
@@ -117,6 +119,63 @@ class TestOpenRefusesImpossiblePlans:
             assert confed.report().faults.total_injected == 0
 
 
+class _HostedMemoryStore(MemoryUpdateStore):
+    """A third-party store: not the DHT, but with its host-crash surface."""
+
+    host_names = ("node:a", "node:b")
+
+    def __init__(self, schema):
+        super().__init__(schema)
+        self.host_calls = []
+
+    def fail_host(self, host):
+        self.host_calls.append(("fail", host, self.current_epoch()))
+
+    def recover_host(self, host):
+        self.host_calls.append(("recover", host, self.current_epoch()))
+
+
+class TestDuckTypedFaultSurface:
+    """``open()`` and ``report()`` read a store's fault surface by
+    capability, so a store that is no DHT qualifies by exposing it."""
+
+    def config(self, faults):
+        return ConfederationConfig(
+            peers=(1, 2), reconciliation_interval=2, rounds=3,
+            workload=WorkloadConfig(transaction_size=1, seed=13), faults=faults,
+        )
+
+    def test_a_store_with_the_crash_surface_suffers_the_plans_crashes(self):
+        store = _HostedMemoryStore(curated_schema())
+        plan = FaultPlan(crashes=(HostCrash("node:b", at_epoch=2, recover_at_epoch=4),))
+        with Confederation(self.config(plan), store=store) as confed:
+            confed.run()
+        assert store.host_calls == [("fail", "node:b", 2), ("recover", "node:b", 4)]
+
+    def test_its_host_names_refuse_a_host_it_lacks(self):
+        store = _HostedMemoryStore(curated_schema())
+        plan = FaultPlan(crashes=(HostCrash("node:c", at_epoch=2),))
+        with pytest.raises(ConfigError, match="no host 'node:c'.*close matches: node:"):
+            Confederation(self.config(plan), store=store).open()
+
+    def test_a_networked_store_that_names_its_kinds_refuses_one_it_lacks(self):
+        store = MemoryUpdateStore(curated_schema())
+        store.network = Network(latency=store.message_latency)
+        store.message_kinds = ("txn_data", "txn_stored")
+        plan = FaultPlan(messages=(MessageFault("txn_dta", "drop"),))
+        with pytest.raises(ConfigError, match="'txn_dta' .* txn_data"):
+            Confederation(self.config(plan), store=store).open()
+
+    def test_report_reads_the_protocol_mix_off_any_store_network(self):
+        store = MemoryUpdateStore(curated_schema())
+        store.network = Network(latency=store.message_latency)
+        store.network.kind_counts.update({"txn_data": 3})
+        store.network.kind_bytes.update({"txn_data": 120})
+        with Confederation(self.config(None), store=store) as confed:
+            report = confed.report()
+        assert (report.kind_counts, report.kind_bytes) == ({"txn_data": 3}, {"txn_data": 120})
+
+
 class _StubStore:
     def __init__(self):
         self.epoch = 0
@@ -209,3 +268,34 @@ class TestReportSurface:
         report = self.run_report(FaultPlan(seed=2))
         report.faults.injected["crash"] = 99
         assert self.run_report(FaultPlan(seed=2)).faults.injected == {}
+
+
+@pytest.mark.parametrize("mode", ["serial", "async"])
+def test_a_delay_fault_is_simulated_time_never_a_sleep(mode, monkeypatch):
+    """A delay fault adds ``delay_factor`` latencies to the simulated
+    seconds and nothing else; any wall time is the store's latency
+    clock's to pay, so a run without real latency never sleeps."""
+
+    def sleeping(seconds):
+        raise AssertionError(f"slept {seconds} s outside a latency clock")
+
+    def run(faults):
+        cfg = ConfederationConfig(
+            store="dht", store_options={"hosts": 4}, peers=(1, 2, 3),
+            reconciliation_interval=2, rounds=2, schedule_mode=mode,
+            workload=WorkloadConfig(transaction_size=1, seed=13), faults=faults,
+        )
+        with Confederation(cfg) as confed:
+            report = confed.run()
+            return report, confed.store.perf, confed.store.message_latency
+
+    monkeypatch.setattr(time, "sleep", sleeping)
+    _, clean, _ = run(None)
+    report, delayed, latency = run(
+        FaultPlan(seed=1, messages=(MessageFault("txn_data", "delay", times=3),))
+    )
+    assert report.faults.injected == {"delay": 3}
+    assert delayed.messages == clean.messages
+    assert delayed.simulated_seconds == pytest.approx(
+        clean.simulated_seconds + 3 * 4.0 * latency
+    )

@@ -60,6 +60,12 @@ class TestZipfSampler:
             b.sample() for _ in range(100)
         ]
 
+    def test_deterministic_without_an_rng(self):
+        # The fallback stream is seeded too: an OS-seeded one would make
+        # two identically built samplers diverge from run to run.
+        a, b = ZipfSampler(50, 1.5), ZipfSampler(50, 1.5)
+        assert [a.sample() for _ in range(100)] == [b.sample() for _ in range(100)]
+
 
 class TestVocabulary:
     def test_default_sizes(self):
