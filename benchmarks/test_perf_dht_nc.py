@@ -10,8 +10,11 @@ client-side win:
 
 * **store-computed** — ``network_centric="store"`` over the default DHT;
 * **client-computed** — the paper's distributed store
-  (``ship_context_free=False``): every client derives every extension
-  and runs conflict detection locally.
+  (``network_centric="client"``): batches carry bodies alone, every
+  client derives every extension and runs conflict detection locally.
+  The store's shared conflict graph is taken off these batches
+  (:func:`_bodies_alone`): it reaches every client of the one-process
+  simulation at no message, which no deployed DHT client could.
 
 Decisions must be byte-identical (the store-side derivation is only
 legal because it provably equals the client's own computation); only
@@ -62,10 +65,23 @@ WIRE_FIELDS = ("client_messages", "store_messages", "client_bytes", "store_bytes
 _BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_dht_nc.json"
 
 
-def _run(network_centric, ship_context_free=True):
+def _bodies_alone(store):
+    """Strip the shared conflict graph from ``store``'s client-centric
+    batches, so each client derives and compares on its own."""
+    assemble = store.begin_reconciliation
+
+    def begin_reconciliation(participant):
+        batch = assemble(participant)
+        batch.pair_cache = None
+        return batch
+
+    store.begin_reconciliation = begin_reconciliation
+
+
+def _run(network_centric):
     config = ConfederationConfig(
         store="dht",
-        store_options={"hosts": HOSTS, "ship_context_free": ship_context_free},
+        store_options={"hosts": HOSTS},
         peers=tuple(range(1, PEERS + 1)),
         reconciliation_interval=INTERVAL,
         rounds=ROUNDS,
@@ -81,6 +97,8 @@ def _run(network_centric, ship_context_free=True):
         )
     )
     with Confederation(config, hooks=hooks) as confed:
+        if network_centric == "client":
+            _bodies_alone(confed.store)
         report = confed.run()
         messages = confed.store.network.messages_delivered
         bytes_moved = confed.store.network.bytes_delivered
@@ -89,7 +107,7 @@ def _run(network_centric, ship_context_free=True):
 
 def test_perf_dht_store_computed_batches(benchmark):
     client_report, client_decisions, client_msgs, client_bytes = _run(
-        network_centric="client", ship_context_free=False
+        network_centric="client"
     )
     store_report, store_decisions, store_msgs, store_bytes = benchmark.pedantic(
         lambda: _run(network_centric="store"), rounds=1, iterations=1

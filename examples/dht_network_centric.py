@@ -8,18 +8,14 @@ The paper's Figure 3 crosses two axes — where the update store lives
 shipped raw transactions and every client recomputed every update
 extension locally.
 
-Since PR 3 the simulated DHT has shipping parity with the central
-stores: transaction controllers derive each transaction's *context-free*
-update extension once, at publish time, by collecting the antecedent
-closure over the ring, and ship it with root deliveries; a
-confederation-wide pair memo lets the first peer to compare two shipped
-extensions serve all the others.  PR 5 finished the job: with
-``network_centric="store"`` the DHT serves *fully-assembled*
-per-participant batches — controllers derive each participant's
-extensions against that participant's applied set and the conflict
-adjacency arrives precomputed, so the client only checks state, groups,
-and applies.  This example runs the quadrant end to end in both flavours
-and shows the work moving off the clients.
+The simulated DHT keeps that client-centric path as the paper built it,
+and adds the other one: with ``network_centric="store"`` it serves
+*fully-assembled* per-participant batches — transaction controllers
+derive each participant's extensions against that participant's applied
+set over the ring, and the conflict adjacency arrives precomputed, so
+the client only checks state, groups, and applies.  This example runs
+the quadrant end to end both ways and shows the work moving off the
+clients, and what the network pays for it.
 
 Run with:  python examples/dht_network_centric.py
 """
@@ -30,15 +26,12 @@ from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.workload import WorkloadConfig
 
 
-def run(
-    ship_context_free: bool,
-    schedule_mode: str = "serial",
-    network_centric="client",
-):
-    """One seeded confederation over the DHT; returns (report, confed stats)."""
+def run(network_centric: str, schedule_mode: str = "serial"):
+    """One seeded confederation over the DHT; returns (report, decisions,
+    messages, bytes moved)."""
     config = ConfederationConfig(
         store="dht",
-        store_options={"hosts": 6, "ship_context_free": ship_context_free},
+        store_options={"hosts": 6},
         peers=tuple(range(1, 7)),
         reconciliation_interval=3,
         rounds=3,
@@ -56,69 +49,52 @@ def run(
     )
     with Confederation(config, hooks=hooks) as confed:
         report = confed.run()
+        messages = confed.store.network.messages_delivered
         bytes_moved = confed.store.network.bytes_delivered
-    return report, decisions, bytes_moved
+    return report, decisions, messages, bytes_moved
 
 
 def main() -> None:
     print(
-        "The DHT's batches carry context-free extensions and the shared\n"
-        "conflict graph: extension derivation happens in the network, once\n"
-        "per published transaction, instead of at every client.\n"
+        "Client-computed batches carry transaction bodies; store-computed\n"
+        "batches carry each participant's extensions and conflict edges,\n"
+        "derived by the transaction controllers over the ring.  Both carry\n"
+        "the store's shared conflict graph, where a client adopts what\n"
+        "another already derived.\n"
     )
 
-    shipped, shipped_decisions, shipped_bytes = run(ship_context_free=True)
-    local, local_decisions, local_bytes = run(ship_context_free=False)
+    client, client_decisions, client_msgs, client_bytes = run("client")
+    store, store_decisions, store_msgs, store_bytes = run("store")
 
-    s, l = shipped.cache_stats, local.cache_stats
+    c, s = client.cache_stats, store.cache_stats
     print("Client-side extension work (6 peers, 3 rounds, seeded):")
     print(
-        f"  shipping on : {s.misses:4d} local computations, "
-        f"{s.shipped:4d} adopted from the store, "
-        f"pair-memo hit rate {s.pair_hit_rate:.0%}"
+        f"  client-computed: {c.misses:4d} local computations, "
+        f"{c.shipped:4d} adopted from another client"
     )
     print(
-        f"  shipping off: {l.misses:4d} local computations, "
-        f"{l.shipped:4d} adopted from the store, "
-        f"pair-memo hit rate {l.pair_hit_rate:.0%}"
+        f"  store-computed : {s.misses:4d} local computations, "
+        f"{s.shipped:4d} adopted from the store or another client"
     )
     print(
-        f"  network bytes moved: {shipped_bytes} (shipping) vs "
-        f"{local_bytes} (client-computed) — derived data travels instead"
+        f"  network: {client_msgs} messages / {client_bytes} bytes "
+        f"(client-computed) vs {store_msgs} / {store_bytes} (store-computed)"
     )
     assert s.shipped > 0, "the store should serve derived extensions"
-    assert s.misses < l.misses, "shipping must reduce client computations"
-    assert shipped_bytes > local_bytes, "shipped extensions cost bandwidth"
+    assert s.misses < c.misses, "store-computed batches do less client work"
+    assert store_msgs > client_msgs, "derived data travels instead"
 
-    # Byte-identical decisions: adopting a shipped extension is only
-    # legal when it provably equals the local computation.
-    assert shipped_decisions == local_decisions
-    assert shipped.state_ratio == local.state_ratio
-    print("\nDecision streams are byte-identical with shipping on and off.")
-
-    # PR 5: the *fully* network-centric batch — the store derives each
-    # participant's extensions against its applied set and assembles the
-    # conflict adjacency; the client skips its two heaviest phases.
-    nc, nc_decisions, nc_bytes = run(
-        ship_context_free=True, network_centric="store"
-    )
-    n = nc.cache_stats
-    print(
-        f"\nnetwork_centric='store' (fully-assembled batches):\n"
-        f"  {n.misses:4d} local computations, "
-        f"{n.shipped:4d} adopted pre-assembled, "
-        f"network bytes {nc_bytes}"
-    )
-    assert n.misses < s.misses, "store-computed batches do the least client work"
-    assert nc_decisions == local_decisions
-    assert nc.state_ratio == local.state_ratio
-    print("Decision streams stay byte-identical with store-computed batches.")
+    # Byte-identical decisions: adopting a store-computed extension is
+    # only legal because it provably equals the local computation.
+    assert store_decisions == client_decisions
+    assert store.state_ratio == client.state_ratio
+    print("\nDecision streams are byte-identical either way.")
 
     # The same quadrant under the async epoch scheduler: each peer waits
     # only for its own latency, so the publish-order barrier pipelines,
     # and the global decision stream is reproducible.
-    async_a = run(ship_context_free=True, schedule_mode="async")
-    async_b = run(ship_context_free=True, schedule_mode="async")
+    async_a = run("store", schedule_mode="async")
+    async_b = run("store", schedule_mode="async")
     assert async_a[1] == async_b[1], "async runs must be reproducible"
     print(
         f"Async schedule: {async_a[0].transactions_published} "

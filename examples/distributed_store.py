@@ -18,10 +18,10 @@ from repro.model import Insert, Modify
 
 
 def main() -> None:
-    # The DHT backend by registry name.  Its batches carry context-free
-    # extensions and the shared conflict graph — extension derivation
-    # happens in the network (see
-    # examples/dht_network_centric.py for that quadrant in depth).
+    # The DHT backend by registry name.  Its client-centric batches
+    # carry transaction bodies, and each peer derives its extensions,
+    # as in the paper (see examples/dht_network_centric.py for batches
+    # the store computes instead).
     config = ConfederationConfig(
         store="dht", store_options={"hosts": 6}, peers=(1, 2, 3)
     )

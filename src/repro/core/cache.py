@@ -186,11 +186,12 @@ class ExtensionCache:
         """The root's extension: cached, adopted, or computed — in that
         order.
 
-        ``shipped`` is the store's *context-free* extension of the root
-        (derived against an empty applied set), if it sent one.  It
-        equals the local computation exactly when none of its members
-        is applied — the closure walk stops only at applied
-        transactions — and is then adopted.  Otherwise the closure is
+        ``shipped`` is whatever extension of the root the batch offers,
+        if any: a direct-log store's *context-free* one (derived against
+        an empty applied set) or a store-computed one.  It equals the
+        local computation exactly when none of its members is applied —
+        the closure walk stops only at applied transactions; a
+        store-computed one always qualifies — and is then adopted.  Otherwise the closure is
         walked, and ``shared`` (the batch's conflict graph, if it
         carries one) is asked for what some participant already derived
         over exactly that closure before anything is flattened; what is

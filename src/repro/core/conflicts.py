@@ -150,7 +150,8 @@ class ConflictAnalysis:
     :meth:`~IncrementalConflictIndex.update` or ``discard``.
 
     * ``adjacency`` — the symmetric direct-conflict map the greedy
-      ``DoGroup`` phase consumes;
+      ``DoGroup`` phase consumes, keyed only by roots with an edge
+      (read it with ``.get(tid, ())``);
     * ``points`` — per conflicting (unordered, lower-tid-first) pair, the
       ``(type, key)`` points at which the pair conflicts;
     * ``groups`` — that index's :meth:`~IncrementalConflictIndex.groups`:
@@ -266,7 +267,10 @@ class IncrementalConflictIndex:
             if not bucket:
                 del self._by_key[key]
         for other in self._adjacency.pop(tid, ()):  # symmetric edges
-            self._adjacency[other].discard(tid)
+            neighbours = self._adjacency[other]
+            neighbours.discard(tid)
+            if not neighbours:
+                del self._adjacency[other]
             pair = (tid, other) if tid < other else (other, tid)
             if self._standing is not None:
                 for point in self._points[pair]:  # ``groups`` sweeps an emptied one
@@ -283,7 +287,6 @@ class IncrementalConflictIndex:
         shared: Optional[ConflictGraph],
     ) -> None:
         self._extensions[tid] = extension
-        neighbours = self._adjacency[tid] = set()
         # Partners drawn from the key buckets — the paper's hash-based
         # candidate generation, restricted to the one new extension
         # (dict-as-set keeps the order deterministic) — as it is filed.
@@ -326,8 +329,8 @@ class IncrementalConflictIndex:
             if points:
                 pair = (tid, other) if tid < other else (other, tid)
                 self._points[pair] = points
-                neighbours.add(other)
-                self._adjacency[other].add(tid)
+                self._adjacency.setdefault(tid, set()).add(other)
+                self._adjacency.setdefault(other, set()).add(tid)
                 if self._standing is not None:
                     self._stand(pair, points)
 

@@ -15,9 +15,10 @@ each reuse is exact):
 
 * extensions are memoized against
   :attr:`ParticipantState.applied_version` — an untouched deferred root
-  is an O(1) hit or an O(|members|) revalidation — the store's
-  *context-free* extension of a root is adopted whenever its closure is
-  disjoint from the local applied set, and the store's conflict graph is
+  is an O(1) hit or an O(|members|) revalidation — an extension the
+  batch offers (store-computed, or a direct-log store's *context-free*
+  one) is adopted whenever its closure is disjoint from the local
+  applied set, and the store's conflict graph is
   asked for what another participant derived over the same closure;
   ``UpdateSoftState`` takes what the run derived, asking again only for
   a root whose closure this run's applications cut;
@@ -195,18 +196,16 @@ class Reconciler:
         """Each root's flattened update extension (Definition 3) and
         CheckState's verdict on it.
 
-        A network-centric batch carries the extensions, exact for this
-        participant's applied set (any root it missed is computed here);
-        a client-centric one may carry *context-free* ones, adopted where
-        the module docstring says they are exact.  Whatever the batch
-        carries is used: a store that ships nothing leaves the payloads
-        off.  A root whose chain does not flatten is internally
-        inconsistent, can never be applied, and is rejected.
+        Whatever extensions the batch offers — exact store-computed
+        ones, or *context-free* ones — go through the cache, which adopts
+        one where it is exact (its closure is disjoint from the applied
+        set, as a store-computed one is by construction); any other root
+        is computed here.  A root whose chain does not flatten is
+        internally inconsistent, can never be applied, and is rejected.
         """
         state = self._state
         self._shared_pairs = batch.pair_cache
-        precomputed = batch.extensions if batch.network_centric else {}
-        shipped = {} if batch.network_centric else batch.extensions or {}
+        offered = batch.extensions or {}
 
         @functools.cache
         def own_keys() -> FrozenSet[QualifiedKey]:
@@ -239,18 +238,11 @@ class Reconciler:
         extensions: Dict[TransactionId, UpdateExtension] = {}
         decision: Dict[TransactionId, Decision] = {}
         for root in roots:
-            extension = precomputed.get(root.tid)
-            if extension is not None:
-                # Counted with the context-free adoptions — local
-                # computations the store saved us.
-                self._cache.stats.shipped += 1
-                self._cache.store(root.tid, state.applied_version, extension)
-            else:
-                try:
-                    extension = self._extension(root, shipped.get(root.tid))
-                except FlattenError:
-                    decision[root.tid] = Decision.REJECT
-                    continue
+            try:
+                extension = self._extension(root, offered.get(root.tid))
+            except FlattenError:
+                decision[root.tid] = Decision.REJECT
+                continue
             extensions[root.tid] = extension
             decision[root.tid] = self._check_state(
                 extension, own, dirty_exempt=root.tid in state.deferred
@@ -261,7 +253,7 @@ class Reconciler:
         self, root: RelevantTransaction, shipped: Optional[UpdateExtension] = None
     ) -> UpdateExtension:
         """``root``'s extension over the participant's applied set,
-        through the cache (``shipped``: the store's context-free one)."""
+        through the cache (``shipped``: the one the batch offers)."""
         state = self._state
         return self._cache.get_or_compute(
             self._schema, state.graph, root, state.applied, state.applied_version,
@@ -318,7 +310,7 @@ class Reconciler:
         ignores it as a neighbour, keeps it out of the survivors; soft
         state is made of deferred roots), so it is never bucketed or
         compared, and one deferred until now leaves the index here."""
-        if batch.network_centric and set(batch.conflicts) >= set(extensions):
+        if batch.conflicts is not None and batch.extensions.keys() >= extensions.keys():
             return batch.conflicts
         standing = {
             tid: extension

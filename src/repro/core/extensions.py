@@ -329,13 +329,15 @@ class ReconciliationBatch:
       store-side conflict index, valid until the participant's
       ``complete_reconciliation``.
 
-    In *client-centric* mode ``extensions`` may still be populated with
-    the store's **context-free** extensions (flattened against an empty
-    applied set, computed once per published transaction); the engine
-    adopts one only when its member closure is disjoint from the local
-    applied set, which is exactly when it equals the local computation.
+    In *client-centric* mode a direct-log store still fills
+    ``extensions`` with **context-free** extensions (flattened against
+    an empty applied set, computed once per published transaction); the
+    DHT offers none.  The engine reads ``extensions`` one way, whichever
+    mode: it adopts an offered extension only when its member closure is
+    disjoint from the local applied set, which is exactly when it equals
+    the local computation (a store-computed one always is).
     ``pair_cache`` is the store's :class:`repro.core.cache.ConflictGraph`
-    — one per confederation, on every batch, client- or store-computed:
+    — one per confederation, on every batch of every store:
     conflict points are a pure function of two extension objects, so an
     edge hangs on the two objects, written by the first conflict index
     to hold both; it also keeps the one derivation per (root, closure).

@@ -28,14 +28,12 @@ holds the shared context-free/pair memos and the store-computed batch:
   convention given a real ``path`` (PR 9's persistent quadrant);
 * ``dht`` — :class:`repro.store.dht.DhtUpdateStore` — the paper's
   distributed store (Section 5.2.2), simulated over a Pastry-style ring
-  with per-message latency and byte accounting (Figures 6-7); since
-  PR 3 its transaction controllers derive context-free extensions at
-  publish time and ship them on fetch, with a confederation-wide pair
-  memo (``ship_context_free=False`` restores the paper's
-  client-compute-only behaviour); it also serves *fully*
-  network-centric batches: controllers derive each participant's
-  extensions against that participant's applied set over the ring,
-  closing the last quadrant of Figure 3.
+  with per-message latency and byte accounting (Figures 6-7); its
+  client-centric batches carry bodies and no extension, as the paper's
+  did (plus the shared conflict graph, which costs no message), and it
+  also serves *fully* network-centric batches: controllers derive each
+  participant's extensions against that participant's applied set over
+  the ring, closing the last quadrant of Figure 3.
 
 New backends call :func:`repro.store.registry.register_store` and become
 selectable from a :class:`repro.confed.ConfederationConfig` without any

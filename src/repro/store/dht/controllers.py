@@ -6,40 +6,25 @@ request/reply handlers answer through ``host._reply`` *at the point
 they reply* — send order feeds the seeded fault injector, so a reply is
 never deferred to after the handler returns.
 
-Context-free shipping (PR 3)
+Where extensions are derived
 ----------------------------
 
-The paper's distributed store left clients to compute every update
-extension locally.  Since PR 3 the DHT has shipping parity with the
-central stores — the "distributed store + network-centric" quadrant of
-Figure 3:
+The paper's distributed store leaves extension computation to the
+clients, and so does the client-centric path here: ``txn_data`` carries
+bodies only, and each client derives locally.  A controller derives an
+extension in one place, the :mod:`repro.store.dht.nc` walk of a
+store-computed batch, into its derivation table (:class:`Derivation`).
+Nothing is derived at publish: a context-free extension gathered over
+the ring at every publish costs more messages than the client work it
+saves, because on this store messages dominate the running time.
 
-* **derive once at publish** — when a transaction controller stores a
-  new transaction it collects the antecedent closure from the other
-  controllers over the simulated network (``cf_fetch``/``cf_data``
-  messages, bodies paying fragment costs) and computes the transaction's
-  *context-free* update extension (flattened against an empty applied
-  set — fixed at publish time, so derived exactly once for the whole
-  confederation);
-* **ship on fetch** — root deliveries (``txn_data``) carry the derived
-  extension, charged as extra fragments/bytes on the first delivery to
-  each participant (clients cache it in soft state like bodies);
-* **shared pair memo** — the driver keeps one confederation-wide
-  :class:`~repro.core.cache.ConflictGraph` attached to every batch;
-  because every client receives the *same* extension object for a given
-  (transaction, closure), re-priced, the first conflict index to hold a
-  pair hangs its edge there for all the others.
-
-The reconciling engine adopts a shipped extension only when its member
-closure is disjoint from the local applied set — exactly the condition
-under which it equals the local computation — so decisions are
-byte-identical to the client-computed path
-(``tests/integration/test_store_equivalence.py`` pins this).  Both
-memos use reconciliation-aware retention: once every participant holds
-a final verdict for a transaction, its controller drops the derived
-extension and the driver drops the pairs it participates in.
-``ship_context_free=False`` restores the paper's client-compute-only
-behaviour: no payload on the batch, so the engine derives locally.
+The driver's one confederation-wide
+:class:`~repro.core.cache.ConflictGraph` rides on every batch, so an
+edge or a derivation one participant (or a store-side assembly) made
+serves the others.  Retention is reconciliation-aware: once every registered
+participant holds a final verdict for a transaction, its controller
+drops the derivation-table rows and acknowledges the verdict as
+``retired``, and the driver unlinks the root from the shared graph.
 """
 
 from __future__ import annotations
@@ -336,23 +321,16 @@ def on_store_txn(host, network: Network, message: Message) -> None:
     payload = message.payload
     transaction: Transaction = payload["transaction"]
     tid = transaction.tid
-    fresh = record(host, network, "txn", tid) is None
-    if fresh:
+    if record(host, network, "txn", tid) is None:
         host.txns[tid] = {
             "transaction": transaction,
             "antecedents": tuple(payload["antecedents"]),
             "order": payload["order"],
             "decisions": {transaction.origin: "applied"},
             "stamps": {transaction.origin: (payload["version"], True)},
-            "context_free": None,
         }
         replicate(host, network, "txn", tid)
-    # Reply *before* the derivation starts: its cf_fetch sends queue
-    # behind the txn_stored reply, and send order feeds the seeded
-    # fault injector.
     host._reply(network, message, tid=tid)
-    if fresh and host.ship_context_free:
-        _begin_cf_derivation(host, network, tid)
 
 
 def on_request_txn(host, network: Network, message: Message) -> None:
@@ -387,28 +365,12 @@ def on_request_txn(host, network: Network, message: Message) -> None:
     host.served.add((token, tid))
     transaction: Transaction = held["transaction"]
     first_delivery = _first_delivery(host, participant, tid)
-    # Ship the derived context-free extension with root deliveries
-    # (the reconciling engine only consults shipped extensions for
-    # roots), re-priced for the requester by its table row — every
-    # participant at one priority receives the identical object, which
-    # the shared pair memo validates by (a row the backstop evicted
-    # ships nothing; the client computes).  It is derived data, but it
-    # still travels: the first delivery to each participant pays its
-    # fragments and bytes.
-    row = None
-    if as_root and held.get("context_free") is not None:
-        row = host.derived.get(tid, {}).get(held["context_free"].member_set())
-    context_free = row.at(priority)[0] if row is not None else None
-    fragments = wire.payload_fragments(transaction) if first_delivery else 1
-    size = wire.body_bytes(transaction) if first_delivery else wire.HEADER_WIRE_BYTES
-    if context_free is not None and first_delivery:
-        fragments += wire.extension_fragments(context_free)
-        size += wire.extension_bytes(context_free)
     network.send(
-        host.name, client, "txn_data", fragments=fragments, size_bytes=size,
+        host.name, client, "txn_data",
+        fragments=wire.payload_fragments(transaction) if first_delivery else 1,
+        size_bytes=wire.body_bytes(transaction) if first_delivery else wire.HEADER_WIRE_BYTES,
         tid=tid, transaction=transaction, antecedents=held["antecedents"],
         order=held["order"], priority=priority, as_root=as_root,
-        context_free=context_free,
     )
     # Forward requests for the antecedents directly to their
     # controllers (Figure 7, messages 3-4): the peer never has to ask.
@@ -449,15 +411,12 @@ def on_record_decision(host, network: Network, message: Message) -> None:
             host.nc_memo.pop((participant, tid), None)
         # Reconciliation-aware retention: once every registered
         # participant holds a final verdict the root can never be
-        # requested again — drop everything derived from it (the
-        # context-free extension and the table's rows) and tell the
-        # driver so it retires the shared pair-memo entries too.
-        retired = False
-        if (held.get("context_free") is not None or tid in host.derived) and all(
+        # requested again — drop the table's rows and tell the driver
+        # so it unlinks the root from the shared conflict graph too.
+        retired = all(
             held["decisions"].get(pid) in ("applied", "rejected") for pid in host.policies
-        ):
-            retired = held.get("context_free") is not None
-            held["context_free"] = None
+        )
+        if retired:
             host.derived.pop(tid, None)
         acks.append((tid, retired))
     ship_delta(
@@ -467,116 +426,6 @@ def on_record_decision(host, network: Network, message: Message) -> None:
     host._reply(
         network, message, entries=acks, **wire.batch_sizing(len(acks), wire.VERDICT_ENTRY_BYTES)
     )
-
-
-# -- context-free derivation (derive once at publish) ---------------------
-
-
-def _begin_cf_derivation(host, network: Network, tid: TransactionId) -> None:
-    """Gather the antecedent closure and derive the transaction's
-    context-free extension.
-
-    Antecedents are always published (and hence stored) before their
-    dependents, so every body this walk requests already sits at a
-    controller.  Bodies this controller already holds — its own
-    transactions, or closure bodies fetched by earlier derivations
-    (``cf_bodies``) — are absorbed locally; only the rest cross the
-    ring as ``cf_fetch``/``cf_data`` pairs, each paying the body's
-    fragment and byte costs.  With the reuse cache, a body travels
-    to this controller at most once ever, so chains cost O(new
-    members) per publish instead of refetching the whole closure.
-    """
-    held = host.txns[tid]
-    token = f"cf:{host.name}:{tid}"
-    derivation: Dict[str, Any] = {
-        "tid": tid,
-        "bodies": {tid: wire.body(held)},
-        "pending": set(),
-    }
-    host.derivations[token] = derivation
-    _cf_request(host, network, derivation, token, held["antecedents"])
-    if not derivation["pending"]:
-        _finish_cf_derivation(host, token)
-
-
-def _cf_request(
-    host, network: Network, derivation: Dict[str, Any], token: str, tids
-) -> None:
-    """Absorb locally-available bodies (walking their antecedents
-    too) and send ``cf_fetch`` for the rest."""
-    worklist = list(tids)
-    while worklist:
-        tid = worklist.pop()
-        if tid in derivation["bodies"] or tid in derivation["pending"]:
-            continue
-        held = host.txns.get(tid)
-        body = wire.body(held) if held is not None else host.cf_bodies.get(tid)
-        if body is not None:
-            derivation["bodies"][tid] = body
-            worklist.extend(body[1])
-            continue
-        derivation["pending"].add(tid)
-        network.send(
-            host.name, host.ring.owner(wire.txn_key(tid)), "cf_fetch",
-            tid=tid, token=token, reply_to=host.name,
-        )
-
-
-def on_cf_fetch(host, network: Network, message: Message) -> None:
-    """Serve a closure body to a deriving controller."""
-    payload = message.payload
-    tid: TransactionId = payload["tid"]
-    held = record(host, network, "txn", tid)
-    if held is None:
-        network.send(
-            host.name, payload["reply_to"], "cf_unknown", tid=tid, token=payload["token"]
-        )
-        return
-    transaction = held["transaction"]
-    network.send(
-        host.name, payload["reply_to"], "cf_data",
-        fragments=wire.payload_fragments(transaction),
-        size_bytes=wire.body_bytes(transaction),
-        tid=tid, transaction=transaction, antecedents=held["antecedents"],
-        order=held["order"], token=payload["token"],
-    )
-
-
-def on_cf_data(host, network: Network, message: Message) -> None:
-    """Absorb a fetched closure body and keep walking."""
-    payload = message.payload
-    derivation = host.derivations.get(payload["token"])
-    if derivation is None:
-        return  # aborted by cf_unknown, or a duplicate after it finished
-    tid: TransactionId = payload["tid"]
-    derivation["pending"].discard(tid)
-    body = wire.body(payload)
-    derivation["bodies"][tid] = body
-    host.cf_bodies.setdefault(tid, body)
-    _cf_request(
-        host, network, derivation, payload["token"], payload["antecedents"]
-    )
-    if not derivation["pending"]:
-        _finish_cf_derivation(host, payload["token"])
-
-
-def on_cf_unknown(host, network: Network, message: Message) -> None:
-    """Part of the closure is gone (e.g. its controller failed before
-    re-replication): abort — the root ships no extension and clients
-    fall back to local computation."""
-    host.derivations.pop(message.payload["token"], None)
-
-
-def _finish_cf_derivation(host, token: str) -> None:
-    """Derive against the empty applied set and file the result: on the
-    record for ``txn_data`` root deliveries, and as the derivation
-    table's full-closure row for the store-computed batches."""
-    derivation = host.derivations.pop(token)
-    held = host.txns[derivation["tid"]]
-    # Priority 0 marks "participant-agnostic"; each requester is served
-    # the row's copy at its own priority (``Derivation.at``).
-    held["context_free"] = _derivation(host, held, derivation["bodies"]).extension
-    host.derive_stats.shipped += 1
 
 
 # -- peer coordinators ----------------------------------------------------

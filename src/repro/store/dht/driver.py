@@ -102,14 +102,14 @@ class _Peer:
 class DhtUpdateStore(UpdateStore):
     """Distributed update store over a simulated Pastry-style ring.
 
-    The DHT derives context-free extensions at publish time and ships
-    them on fetch, and the driver keeps the confederation-wide pair
-    memo — shipping parity with the central stores.  It also
-    implements the fully store-computed batch
-    (``begin_network_reconciliation``): transaction controllers derive
-    per-participant extensions over the ring and the driver — standing
-    in for the participant's peer coordinator — assembles the conflict
-    adjacency, closing the last quadrant of Figure 3.
+    A client-centric batch (``begin_reconciliation``) is the paper's
+    distributed store: bodies and no extension, each derived by a client
+    or adopted from another's on the batch's shared conflict graph.  The
+    fully store-computed batch (``begin_network_reconciliation``) has
+    transaction controllers derive per-participant extensions over the
+    ring and the driver — standing in for the participant's peer
+    coordinator — assemble the conflict adjacency over that graph,
+    closing the last quadrant of Figure 3.
     """
 
     #: Every message kind the store's network carries: what a fault
@@ -122,7 +122,6 @@ class DhtUpdateStore(UpdateStore):
         hosts: int = 4,
         message_latency: float = DEFAULT_MESSAGE_LATENCY,
         cache_bodies: bool = True,
-        ship_context_free: bool = True,
         real_latency: bool = False,
         replication_factor: int = 1,
         max_retries: int = 3,
@@ -132,9 +131,6 @@ class DhtUpdateStore(UpdateStore):
         reproducing the round-trip-heavy behaviour the paper's early
         prototypes suffered from ("it was vital to reduce the number of
         messages sent between the update store and each participant").
-        ``ship_context_free=False`` restores the paper's
-        client-compute-only distributed store: controllers derive and
-        ship nothing, and no pair memo travels.
 
         ``replication_factor=k`` keeps each record on its owner plus the
         next ``k - 1`` live ring successors (priced ``replicate``
@@ -149,16 +145,15 @@ class DhtUpdateStore(UpdateStore):
             raise StoreError("replication_factor must be >= 1")
         if max_retries < 0:
             raise StoreError("max_retries must be >= 0")
-        self._ship_context_free = ship_context_free
         #: The underlying simulated network (counters, fault injector).
         self.network = Network(latency=message_latency)
         #: The hosts a fault plan's ``HostCrash.host`` may name (checked at open()).
         self.host_names = tuple(f"host:{i}" for i in range(hosts))
         self._ring = _RingView(HashRing(self.host_names))
-        self._hosts = {name: _HostNode(
-            name, schema, self._ring, replication_factor,
-            cache_bodies=cache_bodies, ship_context_free=ship_context_free,
-        ) for name in self.host_names}
+        self._hosts = {
+            name: _HostNode(name, schema, self._ring, replication_factor, cache_bodies)
+            for name in self.host_names
+        }
         for host in self._hosts.values():
             self.network.add_node(host)
         #: Copies kept per record (1 = primary only).
@@ -172,13 +167,13 @@ class DhtUpdateStore(UpdateStore):
         self.retries = 0
         self._peers: Dict[int, _Peer] = {}
         self._open_epochs: Dict[Tuple[int, int], List[TransactionId]] = {}
-        # The confederation-wide conflict graph, attached to every batch
-        # and read by every peer's assembly index: edges hang on the
-        # extension objects, and the controllers serve every participant
-        # the *same* object per (root, closure), re-priced.  Retention
-        # (complete_reconciliation) is the primary eviction; the FIFO
-        # limit is the same backstop the direct-log stores' shared memos
-        # carry.
+        # The confederation-wide conflict graph, attached to every
+        # store-computed batch and read by every peer's assembly index:
+        # edges hang on the extension objects, and the controllers serve
+        # every participant the *same* object per (root, closure),
+        # re-priced.  Retention (complete_reconciliation) is the primary
+        # eviction; the FIFO limit is the same backstop the direct-log
+        # stores' shared memos carry.
         self._shared_pairs = ConflictGraph(limit=DirectLogStore.SHARED_MEMO_LIMIT)
 
     # ------------------------------------------------------------------
@@ -404,17 +399,15 @@ class DhtUpdateStore(UpdateStore):
 
     @staticmethod
     def _fold(
-        payloads: Iterable[Dict[str, Any]],
-        graph: TransactionGraph,
-        shipped: Optional[str],
+        payloads: Iterable[Dict[str, Any]], graph: TransactionGraph
     ) -> Tuple[List[RelevantTransaction], Dict[TransactionId, UpdateExtension]]:
         """The payload -> batch fold every retrieval ends in.  Each
         payload's body joins ``graph`` (a coalesced ``nc_data`` entry
         brings its member bodies along); each one answered as a root —
         every ``nc_data`` entry, a ``txn_data`` flagged ``as_root`` —
         becomes a root at the priority its controller computed, and the
-        extension it carries under ``shipped`` (``None``: adopt none) is
-        kept by root."""
+        ``extension`` an ``nc_data`` entry carries (``txn_data`` carries
+        none) is kept by root."""
         roots: List[RelevantTransaction] = []
         extensions: Dict[TransactionId, UpdateExtension] = {}
         for payload in payloads:
@@ -423,24 +416,20 @@ class DhtUpdateStore(UpdateStore):
                 graph.add(member)
             if payload.get("as_root", True):
                 roots.append(wire.root(payload, payload["priority"]))
-                if shipped is not None and payload[shipped] is not None:
-                    extensions[payload["tid"]] = payload[shipped]
+                if payload.get("extension") is not None:
+                    extensions[payload["tid"]] = payload["extension"]
         return roots, extensions
 
     def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
-        """Assemble the next batch via the distributed retrieval protocol."""
+        """Assemble the next batch via the distributed retrieval protocol:
+        bodies, no extension, and the shared conflict graph (no message)."""
         peer = self._peer(participant)
         stable, foreign = self._discover(peer)
         # Request every candidate root; controllers forward antecedents.
         graph = TransactionGraph()
-        roots, shipped = self._fold(
-            self._retrieve_roots(peer, foreign), graph, "context_free"
-        )
-        batch = ReconciliationBatch(recno=stable, roots=sorted(roots, key=lambda r: r.order), graph=graph)
-        if self._ship_context_free:
-            batch.extensions = shipped or None
-            batch.pair_cache = self._shared_pairs
-        return batch
+        roots = self._fold(self._retrieve_roots(peer, foreign), graph)[0]
+        roots.sort(key=lambda root: root.order)
+        return ReconciliationBatch(stable, roots, graph, pair_cache=self._shared_pairs)
 
     # ------------------------------------------------------------------
     # Fully network-centric reconciliation (PR 5)
@@ -455,7 +444,7 @@ class DhtUpdateStore(UpdateStore):
         candidates += sorted(peer.deferred.difference(candidates))
         data, failed = self._derive(peer, candidates)
         graph = TransactionGraph()
-        roots, derived = self._fold(data.values(), graph, "extension")
+        roots, derived = self._fold(data.values(), graph)
         unchanged = peer.retain(data, derived)
         roots += self._degrade(peer, failed, graph)
         batch, edges = self._assemble(peer, stable, roots, graph, derived)
@@ -525,7 +514,7 @@ class DhtUpdateStore(UpdateStore):
         if not failed:
             return []
         self._emit("degraded", participant=peer.participant, roots=[str(tid) for tid in failed])
-        return self._fold(self._retrieve_roots(peer, failed), graph, None)[0]
+        return self._fold(self._retrieve_roots(peer, failed), graph)[0]
 
     def _assemble(
         self,
@@ -538,10 +527,10 @@ class DhtUpdateStore(UpdateStore):
         """The peer coordinator's conflict assembly over the batch's
         roots; returns the batch and its number of conflict edges."""
         roots.sort(key=lambda root: root.order)
-        batch = ReconciliationBatch(recno=stable, roots=roots, graph=graph)
+        batch = ReconciliationBatch(
+            recno=stable, roots=roots, graph=graph, pair_cache=self._shared_pairs
+        )
         extensions = {root.tid: derived[root.tid] for root in roots if root.tid in derived}
-        if self._ship_context_free:
-            batch.pair_cache = self._shared_pairs
         return batch, attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
 
     def _ship_adjacency(
@@ -580,8 +569,9 @@ class DhtUpdateStore(UpdateStore):
         )
         peer.settle(self.schema, result, version)
         if retired:
-            # Controllers dropped their derived extensions; unlink the
-            # same roots from the shared conflict graph.
+            # Every participant holds a final verdict on these roots and
+            # their controllers dropped the table rows; unlink the same
+            # roots from the shared conflict graph.
             self._shared_pairs.discard(sorted(retired))
 
     # ------------------------------------------------------------------

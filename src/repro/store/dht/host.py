@@ -64,7 +64,6 @@ class _HostNode(Node):
         ring: _RingView,
         replication: int,
         cache_bodies: bool = True,
-        ship_context_free: bool = True,
     ) -> None:
         super().__init__(name)
         self.schema = schema
@@ -73,7 +72,6 @@ class _HostNode(Node):
         self.ring = ring
         self.replication = replication
         self.cache_bodies = cache_bodies
-        self.ship_context_free = ship_context_free
         self.wipe()
 
     def wipe(self) -> None:
@@ -84,15 +82,12 @@ class _HostNode(Node):
         successor replicas (``replication >= 2``), the pollable epoch
         history, and the trust policies the driver re-sends on recovery.
         """
-        # In-flight context-free derivations, keyed by token: the closure
-        # bodies gathered so far and the antecedent fetches still pending.
-        self.derivations: Dict[str, Dict[str, Any]] = {}
-        # Closure bodies fetched by past derivations, kept for reuse: a
-        # dependent published later shares most of its closure with its
-        # antecedents, so each body crosses the ring to this controller
-        # at most once (bounded by the same O(history) the controllers'
-        # own transaction logs already occupy).
-        self.cf_bodies: Dict[TransactionId, wire.Body] = {}
+        # Closure bodies ``nc_member_batch`` brought to this controller,
+        # kept for reuse: a root's walk expands through them before the
+        # member verdicts are back, and each body crosses the ring to
+        # this controller at most once (bounded by the same O(history)
+        # the controllers' own transaction logs already occupy).
+        self.member_bodies: Dict[TransactionId, wire.Body] = {}
         # Epoch-allocator role.
         self.epoch_counter = 0
         # Epoch-controller role: epoch -> record.
@@ -122,11 +117,10 @@ class _HostNode(Node):
         # The derivation table, root tid -> member closure -> row: an
         # extension is a pure function of its root and member set, so a
         # closure is flattened, digested and priced once for every
-        # participant and round whose walk ends on it (the publish-time
-        # context-free derivation seeds the full-closure row).  A root's
-        # rows leave with its ``context_free`` — every registered
-        # participant final — behind a FIFO backstop.  Soft state only:
-        # never on a record, which replication ships.
+        # participant and round whose walk ends on it.  A root's rows
+        # leave once every registered participant holds a final verdict,
+        # behind a FIFO backstop.  Soft state only: never on a record,
+        # which replication ships.
         self.derived: Dict[
             TransactionId, Dict[FrozenSet[TransactionId], controllers.Derivation]
         ] = {}
@@ -140,8 +134,7 @@ class _HostNode(Node):
             Tuple[int, TransactionId], Tuple[int, controllers.Derivation]
         ] = {}
         # This controller's derivations (``misses``), table reuses after
-        # a walk (``revalidations``), walks skipped (``hits``) and rows
-        # seeded at publish (``shipped``).
+        # a walk (``revalidations``) and walks skipped (``hits``).
         self.derive_stats = CacheStats()
         # ``_standing``'s memo: (policy, its rule count, tid) -> priority.
         self.priorities: Dict[Tuple[TrustPolicy, int, TransactionId], int] = {}
@@ -199,9 +192,6 @@ HANDLERS: Dict[str, Callable[[_HostNode, Network, Message], None]] = {
     "register_producer": controllers.on_register_producer,
     # transaction controllers
     "store_txn": controllers.on_store_txn,
-    "cf_fetch": controllers.on_cf_fetch,
-    "cf_data": controllers.on_cf_data,
-    "cf_unknown": controllers.on_cf_unknown,
     "request_txn": controllers.on_request_txn,
     "record_decision": controllers.on_record_decision,
     # fully network-centric batches

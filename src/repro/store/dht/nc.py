@@ -8,8 +8,8 @@ peer's driver groups its candidate roots by owning controller and sends
 each controller one ``nc_request`` carrying all of them.  The
 controller answers each root with its update extension *against that
 participant's applied set*, walking the antecedent closure with
-*batched* verdict queries: bodies cached from earlier derivations
-(``cf_bodies``) make the closure structure locally known, so the walk
+*batched* verdict queries: bodies earlier walks brought here
+(``member_bodies``) make the closure structure locally known, so the walk
 expands through them speculatively and collects every unresolved
 member, then asks each member's controller in one
 ``nc_fetch_batch``/``nc_member_batch`` round trip per member controller
@@ -33,8 +33,7 @@ stopped at the participant's applied transactions — is all an extension
 depends on, so each controller keeps one *derivation table* keyed by
 exactly that (:class:`~repro.store.dht.controllers.Derivation`): a
 closure is flattened, digested and priced once, however many
-participants and rounds land on it, and the publish-time context-free
-derivation seeds its full-closure row.  The per-(participant, root)
+participants and rounds land on it.  The per-(participant, root)
 memo is only a pointer into the table stamped with the participant's
 applied-set version: while the version stands it answers the root with
 *no walk at all* (no ``nc_fetch_batch``); once it moved the verdicts
@@ -151,7 +150,7 @@ def _expand(host, batch: Dict[str, Any], rstate: Dict[str, Any], tids) -> None:
     """Advance one root's closure walk as far as local knowledge
     allows: resolve members whose verdict this controller holds (its
     own transactions) or that another root of this batch already
-    resolved, expand *structurally* through the ``cf_bodies`` cache
+    resolved, expand *structurally* through the ``member_bodies`` cache
     even before the member's verdict is back (the verdict only
     decides where flattening stops — fetching it is exactly what the
     batched query is for), and queue everything unresolved for the
@@ -181,7 +180,7 @@ def _expand(host, batch: Dict[str, Any], rstate: Dict[str, Any], tids) -> None:
             rstate["waiting"].add(tid)
             batch["waiters"].setdefault(tid, set()).add(rstate["tid"])
             batch["to_ask"].add(tid)
-            body = host.cf_bodies.get(tid)
+            body = host.member_bodies.get(tid)
         else:
             # An applied member stops the walk; an unknown one leaves a
             # hole that fails the root only if it is actually reachable.
@@ -210,7 +209,7 @@ def _pump(host, network: Network, token: Token) -> None:
             participant=batch["participant"],
             reply_to=host.name,
             members=[
-                {"tid": tid, "need_body": tid not in host.cf_bodies}
+                {"tid": tid, "need_body": tid not in host.member_bodies}
                 for tid in members
             ],
         )
@@ -279,9 +278,9 @@ def on_nc_member_batch(host, network: Network, message: Message) -> None:
         else:
             if entry["transaction"] is not None:
                 body = wire.body(entry)
-                host.cf_bodies.setdefault(tid, body)
+                host.member_bodies.setdefault(tid, body)
             else:
-                body = host.cf_bodies.get(tid)
+                body = host.member_bodies.get(tid)
             if body is None:  # pragma: no cover - protocol guarantee
                 resolution = ("unknown", None)
             else:
@@ -292,7 +291,7 @@ def on_nc_member_batch(host, network: Network, message: Message) -> None:
             rstate["waiting"].discard(tid)
             if resolution[0] == "body":
                 # A no-op where the speculative walk already went
-                # through this body from cf_bodies.
+                # through this body from member_bodies.
                 _expand(host, batch, rstate, resolution[1][1])
     _pump(host, network, payload["token"])
 
@@ -303,7 +302,7 @@ def _finish_root(host, batch: Dict[str, Any], root_tid: TransactionId) -> None:
     held = rstate["record"]
     # The precise closure: reachable from the root through the resolved
     # bodies, stopping at the participant's applied transactions (the
-    # speculative cf_bodies expansion may have walked past such a stop;
+    # speculative member_bodies expansion may have walked past such a stop;
     # nothing beyond it ships).
     needed: Dict[TransactionId, wire.Body] = {root_tid: wire.body(held)}
     worklist: List[TransactionId] = list(held["antecedents"])

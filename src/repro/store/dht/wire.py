@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.core.extensions import RelevantTransaction, UpdateExtension
-from repro.model.transactions import Transaction, TransactionId
+from repro.model.transactions import Transaction
 from repro.net.simnet import DEFAULT_FRAGMENT_BYTES
 from repro.store.base import LogEntry
 
@@ -47,16 +47,6 @@ def payload_fragments(transaction: Transaction) -> int:
 def body_bytes(transaction: Transaction) -> int:
     """Estimated wire size of a transaction body."""
     return HEADER_WIRE_BYTES + _UPDATE_WIRE_BYTES * len(transaction.updates)
-
-
-def extension_fragments(extension: UpdateExtension) -> int:
-    """Fragments needed to ship a derived context-free extension."""
-    return max(1, -(-len(extension.operations) // _UPDATES_PER_FRAGMENT))
-
-
-def extension_bytes(extension: UpdateExtension) -> int:
-    """Estimated wire size of a derived context-free extension."""
-    return HEADER_WIRE_BYTES + _UPDATE_WIRE_BYTES * len(extension.operations)
 
 
 #: Wire bytes of a transaction id riding in a batched request or reply
@@ -164,8 +154,8 @@ Body = LogEntry
 
 def body(held: Dict[str, Any]) -> Body:
     """The body triple of anything that holds one under the three
-    standard keys: a controller record, a ``cf_data``/``txn_data``
-    payload, or an ``nc_member_batch``/``nc_data`` entry."""
+    standard keys: a controller record, a ``txn_data`` payload, or an
+    ``nc_member_batch``/``nc_data`` entry."""
     return held["transaction"], held["antecedents"], held["order"]
 
 
@@ -211,10 +201,6 @@ KINDS = frozenset(
         "producer_registered",
         "store_txn",
         "txn_stored",
-        # context-free derivation at publish time
-        "cf_fetch",
-        "cf_data",
-        "cf_unknown",
         # client-centric retrieval (Figure 7)
         "request_txn",
         "txn_data",
@@ -253,8 +239,7 @@ KINDS = frozenset(
 #: roots).  ``request_txn`` is the cascade: controllers forward it
 #: along antecedent chains under the client's token, each root ends in
 #: one of several answers, and a retry travels under a fresh token.
-#: (``cf_fetch`` and ``nc_fetch_batch`` run between controllers; no
-#: client awaits them.)
+#: (``nc_fetch_batch`` runs between controllers; no client awaits it.)
 REPLIES: Dict[str, Tuple[str, ...]] = {
     "register_policy": ("policy_registered",),
     "request_epoch": ("begin_publishing",),
@@ -289,17 +274,13 @@ peer_key = "peer:{}".format
 
 
 def _txn_state(record: Dict[str, Any]) -> Dict[str, Any]:
-    """A detached copy of a transaction record for shipping.  The
-    derived context-free extension is not replicated: a promoted
-    replica serves bodies and verdicts, and clients recompute
-    extensions locally — the maskable degradation."""
+    """A detached copy of a transaction record for shipping."""
     return {
         "transaction": record["transaction"],
         "antecedents": record["antecedents"],
         "order": record["order"],
         "decisions": dict(record["decisions"]),
         "stamps": dict(record["stamps"]),
-        "context_free": None,
     }
 
 

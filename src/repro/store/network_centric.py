@@ -30,9 +30,10 @@ closure walk also feeds every root's context-free closure and the
 deferred roots.
 
 The distributed store does not derive from this class — it has no
-direct log access.  Its transaction controllers derive context-free
-extensions at publish time, and each participant's extensions against
-that participant's applied set over the ring protocol; the driver
+direct log access, and ships no context-free extension (gathering a
+closure costs messages there).  Its transaction controllers derive each
+participant's extensions against that participant's applied set over
+the ring protocol; the driver
 assembles the conflict adjacency through the same
 :func:`attach_assembled_payload` helper this class uses — so every
 built-in backend serves ``begin_network_reconciliation`` (see

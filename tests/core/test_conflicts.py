@@ -171,9 +171,8 @@ class TestFindConflicts:
             txn.tid: extension_of(schema, builder, txn) for txn in (a, b, c)
         }
         conflicts = find_conflicts(schema, builder.graph, extensions).adjacency
-        assert conflicts[a.tid] == {b.tid}
-        assert conflicts[b.tid] == {a.tid}
-        assert conflicts[c.tid] == set()
+        # A key per root with an edge: ``c`` shares none.
+        assert conflicts == {a.tid: {b.tid}, b.tid: {a.tid}}
 
     def test_subsumed_pairs_skipped(self, schema):
         builder = GraphBuilder()
@@ -186,8 +185,7 @@ class TestFindConflicts:
             revision.tid: extension_of(schema, builder, revision),
         }
         conflicts = find_conflicts(schema, builder.graph, extensions).adjacency
-        assert conflicts[base.tid] == set()
-        assert conflicts[revision.tid] == set()
+        assert conflicts == {}
 
 
     def test_single_update_pair_conflicts_where_both_touch(self, schema):
@@ -250,7 +248,7 @@ class TestFindConflicts:
         assert reference == {(drop.tid, edit.tid): {("delete/replace", ("F", ("rat", "prot1")))}}
         assert today == {}  # the oracle's ``flattened_key_candidates`` predicate
         analysis = find_conflicts(schema, builder.graph, extensions)
-        assert analysis.adjacency[drop.tid] == set()
+        assert drop.tid not in analysis.adjacency
         # Once the shared antecedent is applied the same pair is found.
         alone = {
             txn.tid: extension_of(schema, builder, txn, applied=[base.tid])
@@ -283,7 +281,7 @@ class TestFilingWithoutPartners:
         index = IncrementalConflictIndex()
         first = {tid: ext[tid] for tid in (lone.tid, other.tid, moved.tid)}
         analysis = index.update(schema, builder.graph, first)
-        assert analysis.adjacency == {tid: set() for tid in first}
+        assert analysis.adjacency == {}  # no edge, no key
         assert index.stats.pair_misses == 0
         # Filed under every key the operation touches, none compared.
         assert set(index._by_key) == {
@@ -299,7 +297,7 @@ class TestFilingWithoutPartners:
         assert analysis.adjacency[lone.tid] == {late.tid}
         assert analysis.adjacency[late.tid] == {lone.tid}
         assert analysis.adjacency[moved.tid] == {later.tid}
-        assert analysis.adjacency[other.tid] == set()
+        assert other.tid not in analysis.adjacency
         assert analysis.points == {
             (lone.tid, late.tid): (("insert/insert", ("F", ("rat", "prot1"))),),
             (moved.tid, later.tid): (("insert/replace", ("F", ("rat", "prot4"))),),
@@ -310,11 +308,12 @@ class TestFilingWithoutPartners:
         analysis = index.update(schema, builder.graph, third)
         assert analysis.adjacency[pair.tid] == {late.tid, moved.tid, later.tid}
 
-        # Dropping leaves every bucket non-empty, and exactly the keys of
-        # what stays.
+        # Dropping leaves every bucket and every neighbour set non-empty,
+        # and exactly the keys of what stays.
         for keep in ({pair.tid, other.tid}, {other.tid}, set()):
-            index.update(schema, builder.graph, {tid: third[tid] for tid in keep})
+            analysis = index.update(schema, builder.graph, {tid: third[tid] for tid in keep})
             assert all(index._by_key.values())
+            assert analysis.adjacency == {}  # ``pair`` lost its three partners
             assert set(index._by_key) == {
                 key for tid in keep for key in third[tid].touched
             }

@@ -195,7 +195,7 @@ class TestNetworkCentricEquivalence:
         [root] = batch.roots
         assert str(root.tid) == "X2:0"
         assert set(batch.extensions) == {root.tid}
-        assert set(batch.conflicts) == {root.tid}
+        assert batch.conflicts == {}  # a key per root with an edge
 
     def test_batch_reports_mode(self, store_factory):
         store = store_factory()

@@ -93,7 +93,8 @@ def test_stores_produce_identical_outcomes(seed, schedule, mode):
 
 
 # ----------------------------------------------------------------------
-# PR 3: byte-identical decision pins for DHT shipping parity
+# Byte-identical decision pins: the DHT's client-computed batches
+# against the central store's context-free shipping
 
 
 def run_with_decision_log(
@@ -127,18 +128,13 @@ def run_with_decision_log(
 
 
 @pytest.mark.parametrize("seed", [7, 29])
-def test_dht_shipping_decisions_byte_identical(seed):
-    shipped = run_with_decision_log("dht", {"hosts": 5}, seed)
-    client_computed = run_with_decision_log(
-        "dht", {"hosts": 5, "ship_context_free": False}, seed
-    )
+def test_dht_client_computed_decisions_match_central(seed):
+    client_computed = run_with_decision_log("dht", {"hosts": 5}, seed)
     central = run_with_decision_log("central", {}, seed)
     # The decision *stream* — order included — must match exactly:
-    # adopting a shipped extension is only legal when it provably equals
-    # the local computation.
-    assert shipped[0] == client_computed[0] == central[0]
-    assert shipped[1] == client_computed[1] == central[1]
-    assert shipped[2] == client_computed[2] == central[2]
+    # central ships context-free extensions, the DHT none, and adopting
+    # one is only legal when it provably equals the local computation.
+    assert client_computed == central
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +144,7 @@ def test_dht_shipping_decisions_byte_identical(seed):
 
 @pytest.mark.parametrize("seed", [7, 29])
 def test_equivalence_matrix_with_store_computed_batches(seed):
-    """dht-store-computed / dht-shipped / dht-client-computed / central
+    """dht-store-computed / dht-client-computed / central
     and durable (each client- and store-computed) must emit
     byte-identical decision streams: the store deriving a participant's
     extensions against its applied set is only legal because it provably
@@ -158,9 +154,6 @@ def test_equivalence_matrix_with_store_computed_batches(seed):
     matrix = [
         run_with_decision_log("dht", {"hosts": 5}, seed, network_centric="store"),
         run_with_decision_log("dht", {"hosts": 5}, seed),
-        run_with_decision_log(
-            "dht", {"hosts": 5, "ship_context_free": False}, seed
-        ),
         run_with_decision_log("central", {}, seed),
         run_with_decision_log("central", {}, seed, network_centric="store"),
         run_with_decision_log("durable", {"cache_size": 4}, seed),
@@ -193,10 +186,6 @@ def test_equivalence_matrix_under_async_schedule(seed):
             schedule_mode="async",
         ),
         run_with_decision_log("dht", {"hosts": 5}, seed, schedule_mode="async"),
-        run_with_decision_log(
-            "dht", {"hosts": 5, "ship_context_free": False}, seed,
-            schedule_mode="async",
-        ),
         run_with_decision_log("memory", {}, seed, schedule_mode="async"),
         run_with_decision_log("central", {}, seed, schedule_mode="async"),
         run_with_decision_log(

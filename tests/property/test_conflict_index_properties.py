@@ -153,7 +153,8 @@ def assert_matches_reference(graph, extensions, analysis, shared=None):
     test_key_cancelled_over_a_shared_antecedent_is_no_candidate``.)"""
     reference = naive_find_conflicts(PROP_SCHEMA, graph, extensions)
     scratch = find_conflicts(PROP_SCHEMA, graph, extensions)
-    assert set(analysis.adjacency) == set(extensions)
+    # A key per root with an edge, and no other.
+    assert set(analysis.adjacency) == {tid for pair in analysis.points for tid in pair}
     assert scratch.adjacency == analysis.adjacency
     assert set(scratch.points) == set(analysis.points)
     for pair in pairs_of(extensions):
@@ -161,9 +162,9 @@ def assert_matches_reference(graph, extensions, analysis, shared=None):
         candidate = not extensions[left].key_index(PROP_SCHEMA).keys().isdisjoint(
             extensions[right].key_index(PROP_SCHEMA)
         )
-        adjacent = right in analysis.adjacency[left]
+        adjacent = right in analysis.adjacency.get(left, ())
         assert adjacent == (candidate and right in reference[left])
-        assert adjacent == (left in analysis.adjacency[right]) == (pair in analysis.points)
+        assert adjacent == (left in analysis.adjacency.get(right, ())) == (pair in analysis.points)
         if adjacent:
             # A pair's points come in the order its later arrival met
             # them; as a set they are Definition 4's, either way round.

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
+from repro.core.cache import CacheStats
 from repro.core.decisions import ReconcileResult
 from repro.core.extensions import (
     TransactionGraph,
@@ -50,7 +51,6 @@ def record_of(body: wire.Body) -> dict:
         "antecedents": antecedents,
         "order": order,
         "decisions": {},
-        "context_free": None,
     }
 
 
@@ -247,22 +247,28 @@ class TestProtocol:
         batch, delta, stats = ring.round()
         assert set(batch.extensions) == {ring.a, ring.b, ring.c}
         assert batch.extensions[ring.b].members == (ring.a, ring.b)
-        # B's controller asked A's for the reader's verdict; all three
-        # closures are the full ones, seeded at publish: no derivation.
+        # B's controller asked A's for the reader's verdict (and A's
+        # body); nothing was derived at publish, so the first walk of
+        # each root derives.
         assert delta["nc_fetch_batch"] == delta["nc_member_batch"] == 1
-        assert (stats.misses, stats.revalidations, stats.hits) == (0, 3, 0)
+        assert (stats.misses, stats.revalidations, stats.hits) == (3, 0, 0)
         ring.decide(ring.reader, deferred=[ring.a, ring.b, ring.c])
         return ring, batch
 
-    def test_publish_seeds_the_table(self):
+    def test_publish_leaves_the_table_empty(self):
         ring = Ring()
-        stats = ring.store.derivation_stats()
-        assert (stats.misses, stats.shipped) == (3, 3)
+        assert ring.store.derivation_stats() == CacheStats()
+        assert ring.rows(ring.a) == ring.rows(ring.b) == ring.rows(ring.c) == []
+        for host in ring.store._hosts.values():
+            assert host.member_bodies == {}
+        ring.round()
         (rows,) = ring.rows(ring.b)
         assert list(rows) == [frozenset({ring.a, ring.b})]
-        controller = ring.store._hosts[ring.store._owner(wire.txn_key(ring.b))]
-        seeded = rows[frozenset({ring.a, ring.b})]
-        assert seeded.extension is controller.txns[ring.b]["context_free"]
+        # The walk brought A's body to B's controller, and only there.
+        holders = [
+            name for name, host in ring.store._hosts.items() if ring.a in host.member_bodies
+        ]
+        assert holders == [ring.store._owner(wire.txn_key(ring.b))]
 
     def test_version_equal_and_digest_echoed_is_a_token_and_no_walk(self):
         ring, first = self.deferred_ring()
@@ -313,19 +319,6 @@ class TestProtocol:
         assert ring.store.network.kind_bytes["nc_data"] > data_bytes
         assert batch.extensions[ring.b] is first.extensions[ring.b]
 
-    def test_without_context_free_shipping_the_first_walk_derives(self):
-        ring = Ring(ship_context_free=False)
-        assert ring.store.derivation_stats().misses == 0
-        _batch, _delta, stats = ring.round()
-        assert (stats.misses, stats.shipped) == (3, 0)
-        ring.decide(ring.reader, deferred=[ring.a, ring.b, ring.c])
-        ring.decide(ring.reader, applied=[ring.c])
-        _batch, _delta, stats = ring.round()
-        assert (stats.misses, stats.revalidations) == (0, 2)
-        # Retirement does not depend on a record's ``context_free``.
-        ring.decide(ring.reader, applied=[ring.a, ring.b])
-        assert ring.rows(ring.a) == ring.rows(ring.b) == ring.rows(ring.c) == []
-
     def test_the_last_final_verdict_empties_the_table_of_the_root(self):
         ring, _first = self.deferred_ring()
         ring.decide(ring.reader, applied=[ring.a])
@@ -361,7 +354,26 @@ class TestProtocol:
         with Confederation.from_config(config) as confed:
             report = confed.run()
             assert report.store_cache_stats == confed.store.derivation_stats()
-            assert report.store_cache_stats.shipped == report.transactions_published
+            assert report.store_cache_stats.misses > 0
+            assert report.store_cache_stats.shipped == 0  # nothing derived at publish
+
+
+def test_readers_of_one_priority_are_shipped_one_object():
+    """The shared pair memo validates an extension by identity, so two
+    readers that rank the author alike get the controller's one
+    derivation, not two equal ones."""
+    store = DhtUpdateStore(curated_schema(), hosts=3)
+    ids = (1, 2, 3)
+    for pid in ids:
+        store.register_participant(pid, mutual_policy(pid, ids))
+    tid = TransactionId(1, 0)
+    store.publish(1, [Transaction(tid, (Insert("F", ROW, 1),))])
+    first = store.begin_network_reconciliation(2)
+    stats = store.derivation_stats()
+    second = store.begin_network_reconciliation(3)
+    assert second.extensions[tid] is first.extensions[tid]
+    assert first.pair_cache is second.pair_cache is store._shared_pairs
+    assert store.derivation_stats().minus(stats).misses == 0
 
 
 # ----------------------------------------------------------------------
@@ -399,14 +411,12 @@ def test_a_crashed_and_recovered_host_changes_no_decision():
 
 def test_derivations_are_bounded_by_distinct_closures(monkeypatch):
     """16 peers x 8 hosts x 4 rounds, store-computed, seed 73: a
-    controller derives at most once per distinct (root, closure) a walk
-    ends on, plus once per published transaction (the seed row).
+    controller derives exactly once per distinct (root, closure) a walk
+    ends on, and nowhere else.
 
-    The count repeats exactly.  Parent (762be4f): 2,657 walks finished,
-    each one a derivation, plus 128 at publish = 2,785 ``_derive`` runs.
-    Now: 237 — the 128 at publish and one for each of the 109 partial
-    closures a walk ended on — for the same 2,657 walks, 65,909 messages
-    and 7,783,432 bytes.
+    The count repeats exactly: 2,657 walks finished and 237 derivations,
+    one per distinct (root, closure), the 128 full closures included.
+    Without the table every walk would derive.
     """
     pairs, derivation = set(), nc._derivation
 
@@ -417,7 +427,6 @@ def test_derivations_are_bounded_by_distinct_closures(monkeypatch):
     monkeypatch.setattr(nc, "_derivation", recording)
     _decisions, report = run(16, 8, 4)
     stats = report.store_cache_stats
-    assert report.transactions_published == stats.shipped == 128
-    assert stats.misses <= len(pairs) + report.transactions_published
-    assert stats.misses + stats.revalidations - stats.shipped == 2657
+    assert report.transactions_published == 128 and stats.shipped == 0
+    assert stats.misses + stats.revalidations == 2657
     assert (stats.misses, len(pairs), stats.hits) == (237, 237, 27)

@@ -50,6 +50,18 @@ def test_kind_has_exactly_one_row(kind):
     assert rows.count(True) == 1, rows
 
 
+@pytest.mark.parametrize("kind", ["cf_data", "cf_fetch", "cf_unknown"])
+def test_a_kind_of_the_deleted_publish_time_walk_has_no_row(schema, kind):
+    """Publishing derives nothing, so the closure walk's kinds are gone:
+    no table names one, and a host handed one raises like any unknown
+    kind."""
+    assert kind not in KINDS and kind not in HANDLERS and kind not in CLIENT_CONSUMED
+    store = DhtUpdateStore(schema, hosts=2)
+    store.network.send("host:0", "host:1", kind)
+    with pytest.raises(StoreError, match=kind):
+        store.network.run()
+
+
 def test_every_kind_is_dispatched_replied_or_client_consumed():
     # Every kind has a row (per kind, above), and the tables name no
     # undeclared kind ...
@@ -184,12 +196,22 @@ def test_a_lost_record_is_acknowledged_unretired_and_not_asked_again():
     assert requested.count(lost) == 1 and ring.store.retries == 0
 
 
-def test_the_unlinked_tids_are_the_all_final_rule_over_the_records():
+def test_the_unlinked_roots_are_those_the_batch_made_final_everywhere():
+    """Retention's one rule: a controller acks ``(tid, True)`` exactly
+    when the verdict it records leaves every registered participant
+    with a final one, and the driver unlinks exactly those roots from
+    the shared conflict graph — a rule tied to anything else leaks it."""
     ring = Batches()
     first, second = ring.published[1], ring.published[2]
     unlinked = []
     discard = ring.store._shared_pairs.discard
     ring.store._shared_pairs.discard = lambda tids: (unlinked.extend(tids), discard(tids))
+
+    def final_everywhere(tid):
+        decisions = ring.record(tid)["decisions"]
+        return all(decisions.get(pid) in ("applied", "rejected") for pid in ring.ids)
+
+    made_final = set()
     for pid, verdicts in (
         (3, dict(applied=first[:4], rejected=first[4:6], deferred=first[6:] + second[:4])),
         (2, dict(applied=first[:5], rejected=first[5:7], deferred=first[7:])),
@@ -197,17 +219,13 @@ def test_the_unlinked_tids_are_the_all_final_rule_over_the_records():
         (3, dict(applied=second + first[6:])),
     ):
         tids = [tid for group in verdicts.values() for tid in group]
-        derived = {tid for tid in tids if ring.record(tid)["context_free"] is not None}
         unlinked.clear()
         ring.decide(pid, **verdicts)
-        final = {
-            tid for tid in derived
-            if all(ring.record(tid)["decisions"].get(p) in ("applied", "rejected") for p in ring.ids)
-        }
-        assert set(unlinked) == final
-    assert set(first[:7]) | set(second) == {
-        tid for tid in first + second if ring.record(tid)["context_free"] is None
-    }
+        now = {tid for tid in tids if final_everywhere(tid)}
+        assert sorted(unlinked) == sorted(now)
+        made_final |= now
+    assert made_final == set(first[:7]) | set(second)
+    assert not final_everywhere(first[7])  # 2 still defers it
 
 
 # ----------------------------------------------------------------------
@@ -217,12 +235,11 @@ def test_the_unlinked_tids_are_the_all_final_rule_over_the_records():
 
 #: ``report().kind_counts`` (fragments delivered) of :func:`pinned_run`.
 PINNED_KIND_COUNTS = {
-    "begin_epoch": 12, "begin_publishing": 12, "cf_data": 236, "cf_fetch": 17,
-    "current_epoch": 18, "decision_recorded": 52, "epoch_begun": 12, "epoch_contents": 43,
-    "epoch_finished": 12, "get_current_epoch": 18, "get_epoch_contents": 43,
-    "get_last_recon": 18, "last_recon": 18, "lookup_producer": 7, "nc_adjacency": 360,
-    "nc_data": 3343, "nc_fetch_batch": 56, "nc_member_batch": 56, "nc_request": 53,
-    "nc_unchanged": 18, "policy_registered": 30, "producer_is": 7,
+    "begin_epoch": 12, "begin_publishing": 12, "current_epoch": 18, "decision_recorded": 52,
+    "epoch_begun": 12, "epoch_contents": 43, "epoch_finished": 12, "get_current_epoch": 18,
+    "get_epoch_contents": 43, "get_last_recon": 18, "last_recon": 18, "lookup_producer": 7,
+    "nc_adjacency": 360, "nc_data": 3343, "nc_fetch_batch": 58, "nc_member_batch": 277,
+    "nc_request": 53, "nc_unchanged": 18, "policy_registered": 30, "producer_is": 7,
     "producer_registered": 43, "publish_ids": 12, "rebalance": 3, "recon_recorded": 18,
     "record_decision": 52, "record_recon": 18, "register_policy": 30,
     "register_producer": 134, "replicate": 1034, "request_epoch": 12, "store_txn": 428,
@@ -231,17 +248,16 @@ PINNED_KIND_COUNTS = {
 
 #: ``report().kind_bytes`` of the same run.
 PINNED_KIND_BYTES = {
-    "begin_epoch": 3072, "begin_publishing": 3072, "cf_data": 23472, "cf_fetch": 4352,
-    "current_epoch": 4608, "decision_recorded": 6049, "epoch_begun": 3072,
-    "epoch_contents": 11008, "epoch_finished": 3072, "get_current_epoch": 4608,
-    "get_epoch_contents": 11008, "get_last_recon": 4608, "last_recon": 4608,
-    "lookup_producer": 864, "nc_adjacency": 17280, "nc_data": 354984,
-    "nc_fetch_batch": 4256, "nc_member_batch": 4256, "nc_request": 9936,
-    "nc_unchanged": 2496, "policy_registered": 7680, "producer_is": 512,
-    "producer_registered": 2064, "publish_ids": 3072, "rebalance": 768,
-    "recon_recorded": 4608, "record_decision": 6049, "record_recon": 4608,
-    "register_policy": 7680, "register_producer": 29456, "replicate": 153921,
-    "request_epoch": 3072, "store_txn": 42816, "txn_stored": 9216,
+    "begin_epoch": 3072, "begin_publishing": 3072, "current_epoch": 4608,
+    "decision_recorded": 6049, "epoch_begun": 3072, "epoch_contents": 11008,
+    "epoch_finished": 3072, "get_current_epoch": 4608, "get_epoch_contents": 11008,
+    "get_last_recon": 4608, "last_recon": 4608, "lookup_producer": 864,
+    "nc_adjacency": 17280, "nc_data": 354984, "nc_fetch_batch": 4352,
+    "nc_member_batch": 27824, "nc_request": 9936, "nc_unchanged": 2496,
+    "policy_registered": 7680, "producer_is": 512, "producer_registered": 2064,
+    "publish_ids": 3072, "rebalance": 768, "recon_recorded": 4608, "record_decision": 6049,
+    "record_recon": 4608, "register_policy": 7680, "register_producer": 29456,
+    "replicate": 153921, "request_epoch": 3072, "store_txn": 42816, "txn_stored": 9216,
 }
 
 

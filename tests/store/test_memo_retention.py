@@ -192,6 +192,28 @@ class TestRetention:
             # still registers (edges and interned derivations) is open.
             assert set(store.shared_pair_cache()._entries) <= open_roots
 
+    def test_the_dht_graph_keeps_only_open_roots_after_a_full_round(self):
+        """The DHT's client-centric batches write derivations and edges
+        into the driver's one graph; the all-final acknowledgements of
+        ``record_decision`` unlink them again."""
+        config = ConfederationConfig(
+            store="dht",
+            store_options={"hosts": 4},
+            peers=(1, 2, 3),
+            reconciliation_interval=2,
+            rounds=2,
+            final_reconcile=True,
+            workload=WorkloadConfig(transaction_size=1, seed=5),
+        )
+        with Confederation(config) as confed:
+            report = confed.run()
+            open_roots = set()
+            for participant in confed.participants:
+                open_roots |= set(participant.state.deferred)
+            registered = set(confed.store._shared_pairs._entries)
+        assert report.cache_stats.shipped > 0  # readers adopted from the graph
+        assert registered <= open_roots
+
 
 def scan_checked(store):
     """Check every ``complete_reconciliation`` of a memory store against
@@ -309,3 +331,23 @@ class TestSharedDerivations:
             first, second = self._revision_of_an_applied_row(store, **options)
             assert (first.misses, first.shipped) == (1, 0), store
             assert (second.misses, second.shipped) == (0, 1), store
+
+    def test_second_reader_adopts_the_first_readers_edge(self):
+        # Two readers defer the same conflicting pair: the first one
+        # compares it, the second reads the edge off the shared graph.
+        for store, options in (("memory", {}), ("central", {}), ("dht", {"hosts": 3})):
+            config = ConfederationConfig(
+                store=store, peers=(1, 2, 3, 4), store_options=options
+            )
+            with Confederation.from_config(config, schema=curated_schema()) as confed:
+                held = {}
+                confed.hooks.on_cache_stats(
+                    lambda participant, stats, **_: held.update({participant: stats})
+                )
+                for author, function in zip(confed.participants[:2], ("immune", "cell-resp")):
+                    author.execute([Insert("F", ("rat", "prot1", function), author.id)])
+                    author.publish()
+                for reader in confed.participants[2:]:
+                    assert len(reader.reconcile().deferred) == 2, store
+            assert (held[3].pair_hits, held[3].pair_misses) == (0, 1), store
+            assert (held[4].pair_hits, held[4].pair_misses) == (1, 0), store

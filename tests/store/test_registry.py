@@ -126,18 +126,29 @@ class TestPayloadRouting:
         return store.begin_reconciliation(2)
 
     @pytest.mark.parametrize("name", ["memory", "central", "dht"])
-    def test_every_store_ships_both_payloads(self, name):
+    def test_every_store_ships_its_shared_graph(self, name):
+        # A direct-log store also ships the context-free extension; on
+        # the DHT gathering its closure costs messages, so the
+        # client-centric batch carries bodies and the graph alone.
         batch = self._one_published_transaction(create_store(name, curated_schema()))
-        assert batch.extensions is not None
         assert batch.pair_cache is not None
+        assert (batch.extensions is not None) == (name != "dht")
 
-    def test_unshipping_dht_batches_ship_nothing(self):
-        store = create_store(
-            "dht", curated_schema(), hosts=2, ship_context_free=False
-        )
-        batch = self._one_published_transaction(store)
-        assert batch.extensions is None
-        assert batch.pair_cache is None
+    def test_dht_store_computed_batches_ship_both_payloads(self):
+        # The controllers' extensions and the driver's shared conflict
+        # graph ride on the batch a store-computed reader asks for.
+        from repro.model import Insert
+        from repro.model.transactions import Transaction, TransactionId
+        from repro.policy import TrustPolicy
+
+        store = create_store("dht", curated_schema(), hosts=2)
+        store.register_participant(1, TrustPolicy().trust_all(1))
+        store.register_participant(2, TrustPolicy().trust_all(1))
+        tid = TransactionId(1, 0)
+        store.publish(1, [Transaction(tid, (Insert("F", ("rat", "p1", "x"), 1),))])
+        batch = store.begin_network_reconciliation(2)
+        assert set(batch.extensions) == {tid}
+        assert batch.pair_cache is store._shared_pairs
 
     @pytest.mark.parametrize("carried", [True, False])
     def test_the_engine_adopts_exactly_what_the_batch_carries(self, carried):

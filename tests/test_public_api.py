@@ -353,6 +353,24 @@ def test_the_retired_knobs_are_refused():
             ConfederationConfig(**{knob: 2})
         with pytest.raises(ConfigError, match=knob):
             ConfederationConfig.from_dict({"peers": [1, 2], knob: 2})
+    # The DHT derives nothing at publish: its shipping switch and the
+    # three message kinds of the publish-time walk are gone.
+    from repro import Confederation
+    from repro.net import FaultPlan, MessageFault
+    from repro.store import DhtUpdateStore
+
+    with pytest.raises(TypeError):
+        DhtUpdateStore(curated_schema(), ship_context_free=False)
+    config = ConfederationConfig(
+        store="dht", store_options={"ship_context_free": False}, peers=(1, 2)
+    )
+    with pytest.raises(ConfigError, match="ship_context_free.*accepts: hosts, message_latency"):
+        Confederation(config).open()
+    for kind in ("cf_fetch", "cf_data", "cf_unknown"):
+        plan = FaultPlan(messages=(MessageFault(kind, "drop"),))
+        config = ConfederationConfig(store="dht", peers=(1, 2), faults=plan)
+        with pytest.raises(ConfigError, match=kind):
+            Confederation(config).open()
 
 
 @pytest.mark.parametrize(

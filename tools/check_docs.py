@@ -57,24 +57,24 @@ MARKDOWN_FILES = (
 )
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 3 above).
-SOURCE_LINE_CEILING = 12347
+SOURCE_LINE_CEILING = 12153
 
 #: Ceiling on any one file under src/repro: the largest one,
 #: ``store/dht/driver.py`` (``store/central.py`` is 685,
-#: ``store/dht/controllers.py`` 603).
-MODULE_LINE_CEILING = 740
+#: ``store/dht/controllers.py`` 452).
+MODULE_LINE_CEILING = 730
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
 #: to last line: the longest one, ``CentralUpdateStore.write_transactions``
-#: (``_HostNode.wipe`` is 76, ``Participant.rebuild`` 70).
+#: (``_HostNode.wipe`` is 71, ``Participant.rebuild`` 70).
 FUNCTION_LINE_CEILING = 78
 
 #: The same three ceilings in AST statements, docstrings excluded
 #: (``ast.stmt`` nodes; a function's own ``def`` counts): the total,
 #: the largest module (``store/dht/driver.py``) and the longest
 #: function (``flatten._minimise``).
-SOURCE_STATEMENT_CEILING = 4608
-MODULE_STATEMENT_CEILING = 331
+SOURCE_STATEMENT_CEILING = 4528
+MODULE_STATEMENT_CEILING = 325
 FUNCTION_STATEMENT_CEILING = 43
 
 _NOQA = re.compile(r"#\s*noqa:\s*([A-Z0-9, ]+)")
