@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
+from repro.core.cache import CacheStats
 from repro.workload import WorkloadConfig
 
 from benchmarks.check_regression import DEFAULT_BASELINE, baseline_points
@@ -102,15 +103,19 @@ def _run(network_centric):
         report = confed.run()
         messages = confed.store.network.messages_delivered
         bytes_moved = confed.store.network.bytes_delivered
-    return report, decisions, messages, bytes_moved
+        # The per-participant assembly indexes (``_Peer.pairs``).
+        assembly = CacheStats()
+        for peer in confed.store._peers.values():
+            assembly.add(peer.pairs.stats)
+    return report, decisions, messages, bytes_moved, assembly
 
 
 def test_perf_dht_store_computed_batches(benchmark):
-    client_report, client_decisions, client_msgs, client_bytes = _run(
+    client_report, client_decisions, client_msgs, client_bytes, _ = _run(
         network_centric="client"
     )
-    store_report, store_decisions, store_msgs, store_bytes = benchmark.pedantic(
-        lambda: _run(network_centric="store"), rounds=1, iterations=1
+    store_report, store_decisions, store_msgs, store_bytes, assembly = (
+        benchmark.pedantic(lambda: _run(network_centric="store"), rounds=1, iterations=1)
     )
 
     client_local = client_report.mean_local_seconds_per_reconciliation
@@ -190,7 +195,8 @@ def test_perf_dht_store_computed_batches(benchmark):
     assert store_stats.misses < client_stats.misses
     # ...and the network carries more — but the PR 8 wire pass keeps
     # the trade within budget, and every deferral round's pairwise
-    # conflict pricing hits the per-participant assembly memo.
+    # conflict pricing hits the per-participant assembly index, while
+    # the clients, handed the adjacency, compare no pair at all.
     assert store_bytes > client_bytes
     assert message_ratio <= MESSAGE_RATIO_CEILING, (
         f"store-computed mode paid {message_ratio:.2f}x the "
@@ -200,6 +206,7 @@ def test_perf_dht_store_computed_batches(benchmark):
         f"store-computed mode paid {byte_ratio:.2f}x the "
         f"client-computed bytes (budget {BYTE_RATIO_CEILING}x)"
     )
-    assert store_stats.pair_hits > 0
+    assert assembly.pair_hits > 0
+    assert (store_stats.pair_hits, store_stats.pair_misses) == (0, 0)
     # The delta layer really fires: digest tokens flow on the wire.
     assert store_report.kind_counts.get("nc_unchanged", 0) > 0

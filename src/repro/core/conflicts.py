@@ -10,15 +10,17 @@ keys they write or consume, so only extensions sharing a key are compared,
 and the pairwise comparison re-flattens only when the extensions actually
 share member transactions.
 
-This module also defines :class:`ConflictGroup` and :class:`Option` — the
-structures ``UpdateSoftState`` records for deferred transactions so a user
+This module also defines :class:`ConflictGroup` and :class:`Option` — how
+the deferred transactions ``UpdateSoftState`` leaves are grouped so a user
 can later resolve each conflict by picking at most one option per group.
+:func:`build_conflict_groups` builds them from scratch whenever they are
+read: no reconcile pays for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FlattenError
 from repro.model.flatten import flatten
@@ -153,15 +155,11 @@ class ConflictAnalysis:
       ``DoGroup`` phase consumes, keyed only by roots with an edge
       (read it with ``.get(tid, ())``);
     * ``points`` — per conflicting (unordered, lower-tid-first) pair, the
-      ``(type, key)`` points at which the pair conflicts;
-    * ``groups`` — that index's :meth:`~IncrementalConflictIndex.groups`:
-      the conflict groups of what it holds *when called*; one no pair
-      came to or left since the previous call is the same object.
+      ``(type, key)`` points at which the pair conflicts.
     """
 
     adjacency: Dict[TransactionId, Set[TransactionId]]
     points: Dict[PairKey, Tuple[Point, ...]]
-    groups: Callable[[Schema], Dict[Point, "ConflictGroup"]] = field(repr=False)
 
 
 def _filed_under(schema: Schema, extension: UpdateExtension) -> Iterable[QualifiedKey]:
@@ -205,12 +203,6 @@ class IncrementalConflictIndex:
     cache returns the same object while an entry stays valid), so a
     recomputed extension is removed + added.
 
-    Conflict-group membership — per point, the pairs conflicting there —
-    moves by the same delta from the first time :meth:`groups` is asked
-    (a store's assembly index never is, and keeps no such books): a
-    point whose last pair goes, goes; a group no pair came to or left is
-    not rebuilt.
-
     ``stats.pair_misses`` counts pairwise comparisons actually
     performed, ``stats.pair_hits`` the candidate pairs the ``shared``
     graph answered instead.
@@ -222,12 +214,6 @@ class IncrementalConflictIndex:
         self._by_key: Dict[QualifiedKey, Dict[TransactionId, None]] = {}
         self._adjacency: Dict[TransactionId, Set[TransactionId]] = {}
         self._points: Dict[PairKey, Tuple[Point, ...]] = {}
-        # The group view: per point, the pairs conflicting there (None
-        # until ``groups`` is first asked); the points a pair came to or
-        # left since it last was; the groups as then built.
-        self._standing: Optional[Dict[Point, Dict[PairKey, None]]] = None
-        self._moved: Dict[Point, None] = {}
-        self._groups: Dict[Point, ConflictGroup] = {}
 
     def __len__(self) -> int:
         return len(self._extensions)
@@ -257,7 +243,7 @@ class IncrementalConflictIndex:
         for tid, extension in extensions.items():
             if self._extensions.get(tid) is not extension:  # new, or replaced
                 self._add(schema, graph, tid, extension, shared)
-        return ConflictAnalysis(self._adjacency, self._points, self.groups)
+        return ConflictAnalysis(self._adjacency, self._points)
 
     def _drop(self, schema: Schema, tid: TransactionId) -> None:
         extension = self._extensions.pop(tid)
@@ -271,12 +257,7 @@ class IncrementalConflictIndex:
             neighbours.discard(tid)
             if not neighbours:
                 del self._adjacency[other]
-            pair = (tid, other) if tid < other else (other, tid)
-            if self._standing is not None:
-                for point in self._points[pair]:  # ``groups`` sweeps an emptied one
-                    self._moved[point] = None
-                    del self._standing[point][pair]
-            del self._points[pair]
+            del self._points[(tid, other) if tid < other else (other, tid)]
 
     def _add(
         self,
@@ -331,48 +312,6 @@ class IncrementalConflictIndex:
                 self._points[pair] = points
                 self._adjacency.setdefault(tid, set()).add(other)
                 self._adjacency.setdefault(other, set()).add(tid)
-                if self._standing is not None:
-                    self._stand(pair, points)
-
-    def _stand(self, pair: PairKey, points: Tuple[Point, ...]) -> None:
-        """A pair came: it stands at each of its points."""
-        for point in points:
-            self._moved[point] = None
-            self._standing.setdefault(point, {})[pair] = None
-
-    def groups(self, schema: Schema) -> Dict[Point, "ConflictGroup"]:
-        """The conflict groups of the extensions now held (Figure 5,
-        lines 7-16), by ``(type, key)``: roots standing at one point,
-        those making the same modification there (see
-        :func:`_option_signature`) sharing an option.  Only a group a
-        pair moved at since the last call is built; to an index never
-        asked before, every standing pair is one that just came."""
-        if self._standing is None:
-            self._standing = {}
-            for pair, points in self._points.items():
-                self._stand(pair, points)
-        for point in self._moved:
-            pairs = self._standing[point]
-            if not pairs:  # the last pair went: so does the point
-                del self._standing[point]
-                self._groups.pop(point, None)
-                continue
-            roots = {tid for pair in pairs for tid in pair}
-            by_signature: Dict[Tuple, List[TransactionId]] = {}
-            for tid in sorted(roots):
-                signature = _option_signature(schema, self._extensions[tid], point[1])
-                by_signature.setdefault(signature, []).append(tid)
-            self._groups[point] = ConflictGroup(
-                *point,
-                [
-                    Option(tuple(tids), signature[1] if signature[0] == "write" else None)
-                    for signature, tids in sorted(
-                        by_signature.items(), key=lambda item: repr(item[0])
-                    )
-                ],
-            )
-        self._moved.clear()
-        return dict(self._groups)
 
     def discard(self, schema: Schema, roots: Iterable[TransactionId]) -> None:
         """Drop ``roots`` (retirement: they are finally decided)."""
@@ -469,11 +408,34 @@ def build_conflict_groups(
     schema: Schema,
     graph: TransactionGraph,
     deferred: Dict[TransactionId, UpdateExtension],
-    analysis: Optional[ConflictAnalysis] = None,
 ) -> Dict[Point, ConflictGroup]:
     """The grouping step of ``UpdateSoftState`` (Figure 5, lines 7-16):
-    the groups among ``deferred``, read off ``analysis`` — that of an
-    index holding exactly those extensions — or, without one, off a
-    fresh index: the same code, every group new.
+    the conflict groups among ``deferred``, by ``(type, key)``.
+
+    The points of a fresh index over ``deferred`` are the groups: the
+    roots of every pair conflicting at one point stand in its group, and
+    those making the same modification there (see
+    :func:`_option_signature`) share an option.  The index is private
+    and reads no shared graph, so building groups moves no counter and
+    leaves no edge behind.
     """
-    return (analysis or find_conflicts(schema, graph, deferred)).groups(schema)
+    standing: Dict[Point, Set[TransactionId]] = {}
+    for pair, points in find_conflicts(schema, graph, deferred).points.items():
+        for point in points:
+            standing.setdefault(point, set()).update(pair)
+    groups: Dict[Point, ConflictGroup] = {}
+    for point, roots in standing.items():
+        by_signature: Dict[Tuple, List[TransactionId]] = {}
+        for tid in sorted(roots):
+            signature = _option_signature(schema, deferred[tid], point[1])
+            by_signature.setdefault(signature, []).append(tid)
+        groups[point] = ConflictGroup(
+            *point,
+            [
+                Option(tuple(tids), signature[1] if signature[0] == "write" else None)
+                for signature, tids in sorted(
+                    by_signature.items(), key=lambda item: repr(item[0])
+                )
+            ],
+        )
+    return groups

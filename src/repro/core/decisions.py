@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.model.transactions import TransactionId
 
@@ -29,10 +29,9 @@ class ReconcileResult:
     ``accepted`` / ``rejected`` / ``deferred`` list the *root* transactions
     by decision; ``applied`` lists every transaction whose effects reached
     the instance (roots plus antecedents applied through extensions);
-    ``updates_applied`` counts individual updates written to the instance;
-    ``conflict_groups`` summarises the open conflicts after this run, as
-    ``(group key, option count)`` pairs — full details live on the
-    participant state; ``cache_stats`` is the extension/conflict-cache
+    ``updates_applied`` counts individual updates written to the instance
+    (the open conflicts after the run are the participant state's
+    ``conflict_groups``); ``cache_stats`` is the extension/conflict-cache
     counter delta for this run (always populated by the engine; None
     only on results that never went through
     :meth:`Reconciler.reconcile`).
@@ -45,7 +44,6 @@ class ReconcileResult:
     applied: List[TransactionId] = field(default_factory=list)
     updates_applied: int = 0
     decisions: Dict[TransactionId, Decision] = field(default_factory=dict)
-    conflict_groups: List[Tuple[object, int]] = field(default_factory=list)
     cache_stats: Optional[CacheStats] = None
 
     @property

@@ -26,11 +26,12 @@ each reuse is exact):
   assembling batches keeps one per participant too): only pairs with an
   extension that changed since the previous epoch are examined — an
   edge some index anywhere already left on the two objects is read, not
-  recomputed — and ``UpdateSoftState`` shrinks the same index to the
-  deferred roots;
-* conflict-group membership is a view that index keeps by the same
-  delta, so a group no pair came to or left is last epoch's
-  :class:`~repro.core.conflicts.ConflictGroup` object;
+  recomputed — and ``UpdateSoftState`` discards the run's decided roots
+  from it; a batch whose store assembled the adjacency files nothing;
+* ``UpdateSoftState`` keeps only what the next run reads, the dirty
+  values: the conflict groups are built from the deferred extensions
+  when first read (:attr:`ParticipantState.conflict_groups`) and no
+  reconcile pays for them;
 * ``CheckState``'s ``can_apply_set`` and the application after it probe
   the extension's compiled footprint (:meth:`UpdateExtension.footprint`).
 
@@ -131,12 +132,9 @@ class Reconciler:
         applied, updates_applied = self._apply_accepted(roots, extensions, decision)
         result = self._record(batch.recno, roots, decision, applied, updates_applied)
         self._update_soft_state(roots, extensions)
-        result.conflict_groups = [
-            (group.group_id, len(group.options)) for group in state.open_conflicts()
-        ]
         # The extension cache only ever needs the still-deferred roots
-        # again (the conflict index pruned itself to the deferred set
-        # inside UpdateSoftState).
+        # again (the conflict index let the decided ones go inside
+        # UpdateSoftState).
         self._cache.prune(state.deferred)
         result.cache_stats = self._cache.stats.minus(stats_before)
         state.last_recno = batch.recno
@@ -154,7 +152,8 @@ class Reconciler:
         Ordering is deterministic: one ``decision`` event per root in
         publish order, then one ``conflict`` event per open conflict
         group (stable group order), then a single ``cache_stats`` event
-        with this run's counter delta.
+        with this run's counter delta.  Only a ``conflict`` subscriber
+        has the groups built, which moves no counter and no memo.
         """
         hooks = self._hooks
         if hooks is None:
@@ -469,8 +468,8 @@ class Reconciler:
         return result
 
     def rebuild_soft_state(self) -> None:
-        """Recompute dirty values and conflict groups from the current
-        deferred set without re-deciding anything.
+        """Recompute dirty values (and, when next read, conflict groups)
+        from the current deferred set without re-deciding anything.
 
         Used by state reconstruction (:meth:`Participant.rebuild`): the
         deferred transactions' standing must not be re-evaluated against
@@ -487,18 +486,19 @@ class Reconciler:
         roots: Sequence[RelevantTransaction],
         extensions: Dict[TransactionId, UpdateExtension],
     ) -> None:
-        """Rebuild dirty values and conflict groups for the deferred set:
-        the keys its extensions touch, and ``FindConflicts``' index
-        brought down to it.
+        """Rebuild dirty values for the deferred set — the keys its
+        extensions touch — and leave the conflict groups to be built
+        from those extensions when first read: the next ``CheckState``
+        reads the dirty values, only a user resolving reads the groups.
 
         ``roots`` holds every deferred root, in publish order, and
         ``extensions`` what the run this closes derived for them: still
         exact unless application made a member of the closure
         ``applied`` (the cache's own revalidation test), and only then —
         or for a root the run did not see (:meth:`rebuild_soft_state`) —
-        is the cache asked.  Bringing the index down to the deferred set
-        drops the decided roots and re-compares only pairs involving an
-        extension that changed; only their groups are rebuilt.
+        is the cache asked.  The run's decided roots leave
+        ``FindConflicts``' index; a deferred root stays as it was filed,
+        and the next run's ``update`` replaces an extension that moved.
         """
         state = self._state
         deferred_extensions: Dict[TransactionId, UpdateExtension] = {}
@@ -512,11 +512,13 @@ class Reconciler:
                 except FlattenError:  # pragma: no cover - defensive
                     continue
             deferred_extensions[root.tid] = extension
+        self._conflict_index.discard(
+            self._schema, [root.tid for root in roots if root.tid not in state.deferred]
+        )
         dirty = set().union(*(e.touched for e in deferred_extensions.values()))
-        analysis = self._conflict_index.update(
-            self._schema, state.graph, deferred_extensions, self._shared_pairs
+        state.replace_soft_state(
+            dirty,
+            functools.partial(
+                build_conflict_groups, self._schema, state.graph, deferred_extensions
+            ),
         )
-        groups = build_conflict_groups(
-            self._schema, state.graph, deferred_extensions, analysis=analysis
-        )
-        state.replace_soft_state(dirty, groups)

@@ -227,8 +227,8 @@ class UpdateExtension:
     def key_index(self, schema: Schema) -> Dict[QualifiedKey, List[Update]]:
         """The operations indexed by every qualified key they touch
         (:func:`index_by_key`, memoized: conflict detection consults it
-        from both ``FindConflicts`` and ``UpdateSoftState``).  Callers
-        must not mutate the returned mapping.
+        from ``FindConflicts`` and from conflict groups built when read).
+        Callers must not mutate the returned mapping.
         """
         return self._derived("_key_index", schema, index_by_key)
 

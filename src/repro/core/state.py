@@ -11,19 +11,21 @@ each reconciling peer:
   roots to reconsider them by, without re-fetching;
 * ``dirty_keys`` — keys read or written by deferred transactions; any
   transaction touching one must itself be deferred;
-* ``conflict_groups`` — the open conflicts, grouped for resolution;
+* ``conflict_groups`` — the open conflicts, grouped for resolution:
+  derived from the deferred extensions on first read after each step,
+  since only a user resolving (or someone inspecting) reads them;
 * ``graph`` — the open frontier: the transactions (plus antecedent edges)
   this participant has fetched and not applied.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.model.transactions import TransactionId
 from repro.model.tuples import QualifiedKey
 
-from repro.core.conflicts import ConflictGroup
+from repro.core.conflicts import ConflictGroup, Point
 from repro.core.extensions import RelevantTransaction, TransactionGraph
 
 
@@ -41,7 +43,9 @@ class ParticipantState:
         self.rejected: Set[TransactionId] = set()
         self.deferred: Dict[TransactionId, RelevantTransaction] = {}
         self.dirty_keys: Set[QualifiedKey] = set()
-        self.conflict_groups: Dict[Tuple[str, QualifiedKey], ConflictGroup] = {}
+        # How to build the groups the last step left, and them once read.
+        self._grouping: Callable[[], Dict[Point, ConflictGroup]] = dict
+        self._groups: Optional[Dict[Point, ConflictGroup]] = None
         self.graph = TransactionGraph()
         self.last_recno: int = 0
 
@@ -59,6 +63,14 @@ class ParticipantState:
     def deferred_roots(self) -> List[RelevantTransaction]:
         """The deferred transactions, as roots for reconsideration."""
         return sorted(self.deferred.values(), key=lambda root: root.order)
+
+    @property
+    def conflict_groups(self) -> Dict[Point, ConflictGroup]:
+        """The open conflicts by group id, built on the first read after
+        the step that left them and kept until the next one."""
+        if self._groups is None:
+            self._groups = self._grouping()
+        return self._groups
 
     def open_conflicts(self) -> List[ConflictGroup]:
         """The current conflict groups, in a stable order."""
@@ -102,11 +114,14 @@ class ParticipantState:
     def replace_soft_state(
         self,
         dirty_keys: Set[QualifiedKey],
-        conflict_groups: Dict[Tuple[str, QualifiedKey], ConflictGroup],
+        grouping: Callable[[], Dict[Point, ConflictGroup]],
     ) -> None:
-        """The paper's ``UpdateSoftState``: rebuild dirty values and groups."""
+        """The paper's ``UpdateSoftState``: rebuild dirty values; the
+        groups are ``grouping()``, called when ``conflict_groups`` is
+        next read."""
         self.dirty_keys = set(dirty_keys)
-        self.conflict_groups = dict(conflict_groups)
+        self._grouping = grouping
+        self._groups = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

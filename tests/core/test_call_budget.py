@@ -19,6 +19,12 @@ consumer, single-insert transactions on unique keys — no root shares an
 antecedent or a key, so none may be compared, and what a root costs must
 not grow with what the others share.
 
+Two more schedules nobody reads a conflict group on — the ``wan-async``
+workload's shape, and the ``eval-conflict`` one with store-computed
+batches — have budgets of their own and must build no
+:class:`~repro.core.conflicts.ConflictGroup` at all: groups are built
+when read, and a reconcile does not read them.
+
 A change that trips the budget either made the engine do more (find out
 what: the failure lists the most-called functions) or knowingly traded
 calls for something else — then re-measure and say so where the budget
@@ -29,22 +35,24 @@ from __future__ import annotations
 
 import cProfile
 import sys
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
 from repro.confed import Confederation, ConfederationConfig
+from repro.core.conflicts import ConflictGroup
 from repro.model.transactions import TransactionId
 from repro.model.updates import Insert
 from repro.workload import WorkloadConfig
 
 #: Calls ``Confederation.run()`` makes on the schedule below, counted per
-#: code object (:func:`calls_per_code`): 272,809, plus 2 %.  The ``pstats``
-#: total read 270,102 on the same tree: it folds the generated dataclass
-#: ``__init__``s into one row.  Before that it read 275,714 (since flatten
-#: traces in one pass), 327,994 in a fresh process before that, 336,323
-#: as of PR 23, 372,491 before that, 548,882 before PR 22.
-CALL_BUDGET = 278_265
+#: code object (:func:`calls_per_code`): 265,594, plus 2 %, since
+#: conflict groups are built only when read (272,743 while every
+#: reconcile kept them).  The ``pstats`` total folds the generated
+#: dataclass ``__init__``s into one row.  Before that it read 275,714
+#: (since flatten traces in one pass), 327,994 in a fresh process before
+#: that, 336,323 as of PR 23, 372,491 before that, 548,882 before PR 22.
+CALL_BUDGET = 270_906
 
 #: ``direct_conflict_points`` calls among them — pairwise comparisons,
 #: all participants: 312 as of PR 23 (538 before it), plus 2 %.
@@ -56,16 +64,37 @@ _IDENTITY_DUNDERS = frozenset(
 )
 
 
-def profiled_schedule() -> cProfile.Profile:
-    """Run the reduced schedule with only ``run()`` under the profiler."""
-    config = ConfederationConfig(
+def eval_conflict(**overrides) -> ConfederationConfig:
+    """The reduced ``eval-conflict`` schedule: 10 peers, three rounds."""
+    return ConfederationConfig(
         store="memory",
         peers=tuple(range(1, 11)),
         workload=WorkloadConfig(transaction_size=1, seed=7000),
         reconciliation_interval=4,
         rounds=3,
         final_reconcile=True,
+        **overrides,
     )
+
+
+def wan_async() -> ConfederationConfig:
+    """The ``wan-async`` workload's shape — 32 peers, interval 2, the
+    async schedule — with no real latency and three rounds."""
+    return ConfederationConfig(
+        store="memory",
+        peers=tuple(range(1, 33)),
+        workload=WorkloadConfig(transaction_size=1, seed=7000),
+        reconciliation_interval=2,
+        rounds=3,
+        final_reconcile=True,
+        schedule_mode="async",
+    )
+
+
+def profiled_schedule(config: Optional[ConfederationConfig] = None) -> cProfile.Profile:
+    """Run ``config`` (the reduced ``eval-conflict`` schedule by default)
+    with only ``run()`` under the profiler."""
+    config = config or eval_conflict()
     profile = cProfile.Profile()
     with Confederation.from_config(config) as confed:
         profile.enable()
@@ -126,11 +155,12 @@ def test_the_engine_stays_inside_its_call_budget():
 
 
 #: Calls the accept-path schedule below makes, counted per code object
-#: (:func:`calls_per_code`): 362,425 (177.0 per transaction), plus 2 %.
-#: It was 401,337 (196.0) while a root with no antecedent was still
-#: walked and sorted, its updates concatenated and its key index built
-#: to be filed.
-ACCEPT_CALL_BUDGET = 369_673
+#: (:func:`calls_per_code`): 358,224 (174.9 per transaction), plus 2 %.
+#: It was 360,353 (176.0) while every reconcile kept conflict groups,
+#: and 401,337 (196.0) while a root with no antecedent was still walked
+#: and sorted, its updates concatenated and its key index built to be
+#: filed.
+ACCEPT_CALL_BUDGET = 365_388
 
 #: Epochs x single-insert transactions of the accept-path schedule.
 ACCEPT_EPOCHS, ACCEPT_BATCH = 8, 256
@@ -173,4 +203,41 @@ def test_a_root_that_shares_nothing_stays_inside_its_call_budget():
     assert calls <= ACCEPT_CALL_BUDGET, (
         f"{calls} calls ({calls / (ACCEPT_EPOCHS * ACCEPT_BATCH):.1f} per transaction), "
         f"budget {ACCEPT_CALL_BUDGET}"
+    )
+
+
+#: The schedules nobody reads a conflict group on: per name, the config,
+#: its call budget and its ``direct_conflict_points`` budget — the
+#: counts measured once groups were built only when read, plus 2 %.
+#: ``wan-async``: 1,277,562 calls and 2,468 comparisons (1,384,056 and
+#: 2,485 while every reconcile kept groups).  ``eval-conflict`` with
+#: store-computed batches: 312,404 and 538, all of them the store's
+#: (325,848 and 538 before, when each client re-indexed its deferred set
+#: only to group it).
+GROUPLESS = {
+    "wan-async": (wan_async, 1_303_113, 2_517),
+    "eval-conflict-store": (lambda: eval_conflict(network_centric="store"), 318_652, 549),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPLESS))
+def test_a_run_that_reads_no_group_builds_none(name, monkeypatch):
+    if sys.getprofile() is not None:
+        pytest.skip("another profiler is active: counts would not be comparable")
+    config, call_budget, comparison_budget = GROUPLESS[name]
+    built = []
+    init = ConflictGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConflictGroup, "__init__", counted)
+    rows = calls_per_code(profiled_schedule(config()))
+    assert built == [], f"{len(built)} conflict groups built that nothing read"
+    calls = sum(calls for calls, _code in rows)
+    assert calls <= call_budget, f"{calls} calls, budget {call_budget}"
+    compared = _calls_to(rows, "direct_conflict_points")
+    assert 0 < compared <= comparison_budget, (
+        f"{compared} pairwise comparisons, budget {comparison_budget}"
     )

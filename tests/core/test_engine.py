@@ -410,7 +410,7 @@ class TestOwnDeltaOnDemand:
             builder.add(dirty)
             state.graph.merge(builder.graph)
             state.record_rejected([bad.tid])
-            state.replace_soft_state({("F", ("mouse", "prot3"))}, {})
+            state.replace_soft_state({("F", ("mouse", "prot3"))}, dict)
             batch = builder.batch(1, [(child, 1), (dirty, 1)])
             traced, result = self.traces(
                 lambda: reconciler.reconcile(batch, own_updates=own_updates)
@@ -426,7 +426,7 @@ class TestOwnDeltaOnDemand:
 
     def test_second_root_reaches_line_7_first_and_traces_once(self, schema):
         reconciler, instance, state = make_reconciler(schema, 1)
-        state.replace_soft_state({("F", ("mouse", "prot3"))}, {})
+        state.replace_soft_state({("F", ("mouse", "prot3"))}, dict)
         builder = GraphBuilder()
         dirty = make_transaction(2, 0, [Insert("F", MOUSE3_RESP, 2)])
         clash = make_transaction(3, 0, [Insert("F", RAT1_IMMUNE, 3)])
@@ -557,7 +557,8 @@ class TestWithheldRoots:
 
     @staticmethod
     def sets_indexed(reconciler):
-        """Record the root sets the reconciler's index is brought to."""
+        """Record the root sets the reconciler's index is brought to: once
+        per reconcile, by FindConflicts (UpdateSoftState only discards)."""
         index, seen = reconciler._conflict_index, []
         update = index.update
 
@@ -580,8 +581,8 @@ class TestWithheldRoots:
         seen = self.sets_indexed(reconciler)
         result = reconciler.reconcile(builder.batch(1, [(bad, 1), (good, 1)]))
         assert result.decisions == {bad.tid: Decision.REJECT, good.tid: Decision.ACCEPT}
-        assert seen == [{good.tid}, set()]
-        assert len(reconciler._conflict_index) == 0
+        assert seen == [{good.tid}]
+        assert len(reconciler._conflict_index) == 0  # ``good`` was decided
         stats = reconciler.cache.stats
         assert (stats.pair_hits, stats.pair_misses) == (0, 0)
 
@@ -600,7 +601,8 @@ class TestWithheldRoots:
         seen = self.sets_indexed(reconciler)
         result = reconciler.reconcile(builder.batch(2, []))
         assert set(result.rejected) == {left.tid, right.tid}
-        assert seen == [set(), set()]
+        assert seen == [set()]
+        assert len(reconciler._conflict_index) == 0
         assert reconciler.cache.stats.pair_misses == compared
         assert state.conflict_groups == {} and state.dirty_keys == set()
 

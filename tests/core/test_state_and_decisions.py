@@ -52,10 +52,27 @@ class TestParticipantState:
 
     def test_replace_soft_state(self):
         state = ParticipantState(1)
-        state.replace_soft_state({("F", ("k",))}, {})
+        state.replace_soft_state({("F", ("k",))}, dict)
         assert state.dirty_keys == {("F", ("k",))}
-        state.replace_soft_state(set(), {})
+        state.replace_soft_state(set(), dict)
         assert state.dirty_keys == set()
+
+    def test_groups_are_built_on_first_read_and_kept_until_replaced(self):
+        state = ParticipantState(1)
+        builds = []
+
+        def grouping():
+            builds.append(len(builds))
+            return {("insert/insert", ("F", ("k",))): len(builds)}
+
+        state.replace_soft_state({("F", ("k",))}, grouping)
+        assert builds == []  # nothing reads them: nothing is built
+        first = state.conflict_groups
+        assert state.conflict_groups is first and builds == [0]
+        state.replace_soft_state(set(), grouping)
+        assert builds == [0]
+        assert state.conflict_groups == {("insert/insert", ("F", ("k",))): 2}
+        assert builds == [0, 1]
 
     def test_rejection_leaves_deferred(self):
         state = ParticipantState(1)

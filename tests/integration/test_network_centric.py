@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.confed import Confederation
+from repro.confed import Confederation, ConfederationConfig
 from repro.model import Insert
 from repro.policy import TrustPolicy, policy_from_priorities
 from repro.store import (
@@ -139,10 +139,9 @@ class TestNetworkCentricEquivalence:
                 assert store.derivation_stats().pair_misses == index.stats.pair_misses
             # complete_reconciliation retired it to the open deferred set.
             assert len(index) == len(p3.state.deferred)
-            # Nobody asks an assembly index for conflict groups, so it
-            # keeps no membership books; the client's own index does.
-            assert index._standing is None
-            assert p3.reconciler._conflict_index._standing is not None
+            # The store assembled the adjacency, so the client's own
+            # index files nothing: groups are built only when read.
+            assert len(p3.reconciler._conflict_index) == 0
             return index.stats.pair_hits, index.stats.pair_misses
 
         p1.execute([Insert("F", RAT_IMMUNE, 1)])
@@ -207,3 +206,31 @@ class TestNetworkCentricEquivalence:
         assert network_batch.network_centric
         assert network_batch.extensions == {}
         assert network_batch.conflicts == {}
+
+
+@pytest.mark.parametrize("store", ["memory", "dht"])
+def test_a_store_computed_run_keeps_no_client_index(store):
+    # The store assembles every batch's adjacency, so the engine files
+    # and compares no pair of its own: the index a client-computed
+    # FindConflicts keeps holds no root after any reconcile, and the
+    # conflict groups are built from the deferred extensions when read.
+    config = ConfederationConfig(
+        store=store,
+        peers=tuple(range(1, 7)),
+        workload=WorkloadConfig(transaction_size=1, seed=7000),
+        reconciliation_interval=4,
+        rounds=3,
+        final_reconcile=True,
+        network_centric="store",
+    )
+    filed, deferred = [], []
+    with Confederation.from_config(config) as confed:
+
+        def after_reconcile(participant, result, **_event):
+            filed.append(len(confed.participant(participant).reconciler._conflict_index))
+            deferred.append(len(result.deferred))
+
+        confed.hooks.on_reconcile(after_reconcile)
+        report = confed.run()
+    assert set(filed) == {0} and sum(deferred) > 0
+    assert (report.cache_stats.pair_hits, report.cache_stats.pair_misses) == (0, 0)

@@ -13,11 +13,10 @@ same set — alone, and when two indexes work over one shared
 ``ConflictGraph`` the way sixteen participants' do: each still equals the
 reference on its own set, and what one compared the other only reads.
 
-The index's conflict *groups* move by the same delta, so the same walk
-checks them, asked at some steps and not at others: they equal a fresh
-index's over the same extensions, a point stands exactly while some
-pair conflicts there, a group no pair came to or left is the object it
-was, and one a member's extension object was replaced in is rebuilt.
+Conflict *groups* are built from scratch over a set when read, so the
+same walk checks them against the index it drove: a group stands at a
+point exactly while some pair the index holds conflicts there, and holds
+exactly the roots of those pairs.
 """
 
 from __future__ import annotations
@@ -183,39 +182,19 @@ def assert_matches_reference(graph, extensions, analysis, shared=None):
             assert edge_between(extensions[right], extensions[left]) == known
 
 
-def standing_pairs(extensions, analysis):
-    """Per point, the pairs conflicting there — each with the two
-    extension *objects* it holds between, so a replaced end shows."""
+def assert_groups_follow(graph, extensions, analysis):
+    """The groups built over ``extensions`` against the points of
+    ``analysis``, that of an index walked to them: one group per point
+    some held pair conflicts at, made of exactly those pairs' roots."""
+    groups = build_conflict_groups(PROP_SCHEMA, graph, extensions)
     standing: Dict[Tuple, set] = {}
-    for (left, right), points in analysis.points.items():
+    for pair, points in analysis.points.items():
         for point in points:
-            standing.setdefault(point, set()).add(
-                (left, right, id(extensions[left]), id(extensions[right]))
-            )
-    return standing
-
-
-def assert_groups_follow(graph, extensions, analysis, asked):
-    """``analysis.groups`` against a fresh index over ``extensions`` and
-    against ``asked``, the ``(standing pairs, groups)`` of the last time
-    the walk asked (None: never); returns the pair for the next."""
-    groups = analysis.groups(PROP_SCHEMA)
-    assert groups == build_conflict_groups(PROP_SCHEMA, graph, extensions)
-    standing = standing_pairs(extensions, analysis)
-    # When the last pair at a point goes, the point goes.
+            standing.setdefault(point, set()).update(pair)
     assert set(groups) == set(standing)
     for point, group in groups.items():
         assert group.group_id == point
-        assert sorted(group.transactions()) == sorted(
-            {tid for left, right, *_ in standing[point] for tid in (left, right)}
-        )
-    was_standing, were = asked or ({}, {})
-    for point in set(groups) & set(were):
-        if standing[point] == was_standing[point]:
-            assert groups[point] is were[point]  # untouched: not rebuilt
-        else:  # a pair, or the object at one end of one, moved
-            assert groups[point] is not were[point]
-    return standing, groups
+        assert sorted(group.transactions()) == sorted(standing[point])
 
 
 @given(histories(), st.data())
@@ -227,7 +206,6 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
     current: Dict[TransactionId, UpdateExtension] = {}
     #: Every object handed to the index stays alive: ``id`` tells them apart.
     every_object: List[UpdateExtension] = []
-    asked = None
     for step in range(data.draw(st.integers(1, 6), label="steps")):
         actions = ["add", "drop", "replace", "recut", "shrink"] if step else ["add"]
         action = data.draw(st.sampled_from(actions))
@@ -269,8 +247,7 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
         analysis = index.update(PROP_SCHEMA, graph, following, shared)
         assert len(index) == len(following)
         assert_matches_reference(graph, following, analysis, shared)
-        if data.draw(st.booleans(), label="ask for groups"):
-            asked = assert_groups_follow(graph, following, analysis, asked)
+        assert_groups_follow(graph, following, analysis)
         current = following
 
 
@@ -294,7 +271,7 @@ def test_discard_agrees_with_a_fresh_index(history):
     scratch = IncrementalConflictIndex()
     fresh = scratch.update(PROP_SCHEMA, graph, kept)
     assert (fresh.adjacency, fresh.points) == (analysis.adjacency, analysis.points)
-    assert fresh.groups(PROP_SCHEMA) == analysis.groups(PROP_SCHEMA)
+    assert_groups_follow(graph, kept, analysis)
 
 
 @given(histories(), st.data())

@@ -243,6 +243,25 @@ def test_conflict_detection_has_one_scanner_and_one_memo():
         assert not hasattr(IncrementalConflictIndex, gone), gone
 
 
+def test_conflict_groups_are_built_when_read_and_kept_nowhere_else():
+    # Groups are derived from the deferred extensions on first read of
+    # ``ParticipantState.conflict_groups``: the result's summary of them
+    # (computed every run, read by nothing) is gone, and the conflict
+    # index keeps no group books and hands out no group view.
+    from repro.core import ConflictAnalysis, ReconcileResult, TransactionGraph
+    from repro.core.conflicts import IncrementalConflictIndex, build_conflict_groups
+
+    assert "conflict_groups" not in ReconcileResult.__dataclass_fields__
+    assert not hasattr(ReconcileResult(recno=0), "conflict_groups")
+    assert set(ConflictAnalysis.__dataclass_fields__) == {"adjacency", "points"}
+    assert not hasattr(IncrementalConflictIndex, "groups")
+    index = IncrementalConflictIndex()
+    for gone in ("_standing", "_moved", "_groups", "_stand"):
+        assert not hasattr(index, gone), gone
+    with pytest.raises(TypeError):
+        build_conflict_groups(None, TransactionGraph(), {}, analysis=None)
+
+
 def test_names_the_withholding_pr_retired_stay_retired():
     # PR 23: a deferred root is parked as itself — the ``DeferredEntry``
     # wrapper and its never-read ``recno`` are gone, and with them
