@@ -10,8 +10,8 @@ prices that against the ``memory`` store on an identical schedule:
   keys — 64 publication epochs;
 * a second participant reconciles after every epoch, so every body pages
   from disk through the LRU and every fully-decided extension retires —
-  dropped from the shared memo, as on every log: the file holds facts,
-  never derived data.
+  dropped from the shared conflict graph, as on every log: the file
+  holds facts, never derived data.
 
 The runs must emit **byte-identical decision streams** — persistence may
 only cost time, never outcomes — and the durable store's resident body

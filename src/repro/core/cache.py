@@ -40,7 +40,7 @@ after each reconciliation, so they hold O(deferred) entries, not
 O(history).  There is one :class:`ConflictGraph` per store, shipped on
 every batch (see
 :meth:`repro.store.network_centric.DirectLogStore.shared_pair_cache`)
-and retired with the store's other shared memos; which pairs one
+and pruned by the store's retirement signal; which pairs one
 participant holds, client-side or in a store's batch assembly, lives in
 its :class:`~repro.core.conflicts.IncrementalConflictIndex`.
 """
@@ -48,6 +48,7 @@ its :class:`~repro.core.conflicts.IncrementalConflictIndex`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.model.schema import Schema
@@ -57,7 +58,7 @@ from repro.core.extensions import (
     RelevantTransaction,
     TransactionGraph,
     UpdateExtension,
-    compute_update_extension,
+    flattened_extension,
 )
 
 
@@ -67,10 +68,9 @@ class CacheStats:
 
     ``hits`` are O(1) version matches; ``revalidations`` are O(|members|)
     reuses after the applied set grew; ``shipped`` counts extensions
-    adopted instead of computed locally (context-free ones proven
-    disjoint from the applied set, ones another participant derived
-    over the same closure, and the per-participant extensions of a
-    fully network-centric batch); ``misses`` are full recomputations
+    adopted instead of computed locally (ones another participant
+    derived over the same closure, and the per-participant extensions
+    of a store-computed batch); ``misses`` are full recomputations
     (including cold entries).  ``pair_misses`` counts the pairwise
     comparisons a conflict index performed and ``pair_hits`` the
     candidate pairs the shared :class:`ConflictGraph` answered for it
@@ -183,21 +183,18 @@ class ExtensionCache:
         shipped: Optional[UpdateExtension] = None,
         shared: Optional["ConflictGraph"] = None,
     ) -> UpdateExtension:
-        """The root's extension: cached, adopted, or computed — in that
+        """The root's extension: cached, adopted, or derived — in that
         order.
 
-        ``shipped`` is whatever extension of the root the batch offers,
-        if any: a direct-log store's *context-free* one (derived against
-        an empty applied set) or a store-computed one.  It equals the
-        local computation exactly when none of its members is applied —
-        the closure walk stops only at applied transactions; a
-        store-computed one always qualifies — and is then adopted.  Otherwise the closure is
-        walked, and ``shared`` (the batch's conflict graph, if it
-        carries one) is asked for what some participant already derived
-        over exactly that closure before anything is flattened; what is
-        flattened here is registered there for the next.  An adopted
-        extension is re-priced to this participant's priority for the
-        root.
+        ``shipped`` is the extension a store-computed batch offers for
+        the root, derived against this participant's applied set: it is
+        adopted as it is.  Otherwise the closure is walked once, and
+        ``shared`` (the batch's conflict graph, if it carries one) is
+        asked for what some participant already derived over exactly
+        that closure; only then are the members the walk returned
+        flattened here, and the result registered there for the next.
+        An adopted extension is re-priced to this participant's
+        priority for the root.
 
         Propagates :class:`~repro.errors.FlattenError` from the underlying
         computation (the engine rejects such roots); failures are not
@@ -207,19 +204,26 @@ class ExtensionCache:
         extension = self.lookup(root.tid, version, applied, root.priority)
         if extension is not None:
             return extension
-        if shipped is not None and applied.isdisjoint(shipped.member_set()):
-            extension = shipped
-        elif shared is not None:
-            extension = shared.derived(
-                root.tid, tuple(graph.extension(root.tid, applied))
-            )
+        extension = shipped
+        if extension is None:
+            members = graph.extension(root.tid, applied)
+            if shared is not None:
+                extension = shared.derived(root.tid, tuple(members))
         if extension is not None:
             self.stats.shipped += 1
         else:
             self.stats.misses += 1
-            extension = compute_update_extension(schema, graph, root, applied)
+            extension = flattened_extension(
+                schema,
+                root,
+                # The root comes last in its closure: alone, it is the
+                # one body, and nothing is looked up.
+                (root.transaction,)
+                if len(members) == 1
+                else [graph.transaction(tid) for tid in members],
+            )
             if shared is not None:
-                extension = shared.intern(extension)
+                shared.register(extension)
         if extension.priority != root.priority:
             extension = extension.repriced(root.priority)
         self.store(root.tid, version, extension)
@@ -298,6 +302,20 @@ class PageCache:
         }
 
 
+#: Backstop capacity of a :class:`ConflictGraph` (and of the DHT
+#: controllers' derivation tables), in roots.  Retirement is the primary
+#: eviction policy; this FIFO cap only bounds worst-case memory when
+#: retirement cannot fire — e.g. a registered participant that stops
+#: reconciling would otherwise pin every root forever.  An evicted root
+#: merely costs a derivation on the next miss.
+SHARED_MEMO_LIMIT = 65536
+
+#: The neighbourhood of an origin registered with no edge yet: one shared
+#: empty mapping, never written — :meth:`ConflictGraph.link` gives an
+#: origin a dict of its own at its first edge.
+_UNLINKED = MappingProxyType({})
+
+
 class ConflictGraph:
     """The confederation-shared conflict graph: what is known about
     pairs of extension *objects*, hung on the objects themselves.
@@ -314,56 +332,63 @@ class ConflictGraph:
 
     The same registry is the one derivation per (root, closure): an
     extension is a pure function of its root and member set, so the
-    first participant to flatten a closure (:meth:`intern`) serves every
-    other whose walk ends on it (:meth:`derived`).
+    first participant to flatten a closure (:meth:`register`) serves
+    every other whose walk ends on it (:meth:`derived`).  Registering
+    allocates nothing until it must: a root's first origin is its own
+    entry and shares the empty neighbourhood, a dict of its own comes
+    with its first edge, and a list of a root's other origins with its
+    second closure.
 
     Roots leave by the stores' retirement signal (:meth:`discard`),
-    O(degree) per origin, with ``limit`` as the backstop.  Only these
-    helpers mutate the registry.
+    O(degree) per origin, with ``limit`` as the backstop; ``released``
+    counts the roots let go either way.  Only these helpers mutate the
+    registry.
     """
 
-    def __init__(self, limit: Optional[int] = None) -> None:
+    def __init__(self, limit: Optional[int] = SHARED_MEMO_LIMIT) -> None:
         """``limit`` caps the registered roots with FIFO eviction (an
         evicted root's edges and derivations are simply recomputed on
         the next miss); None = unbounded."""
         self.limit = limit
-        self._entries: Dict[TransactionId, List[UpdateExtension]] = {}
+        self.released = 0
+        self._entries: Dict[TransactionId, UpdateExtension] = {}
+        # A root's origins past its first, one per further closure.
+        self._others: Dict[TransactionId, List[UpdateExtension]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _find(
-        self, root: TransactionId, members: Tuple[TransactionId, ...]
-    ) -> Optional[UpdateExtension]:
-        for origin in self._entries.get(root, ()):
-            if origin.members == members:
-                return origin
-        return None
 
     def derived(
         self, root: TransactionId, members: Tuple[TransactionId, ...]
     ) -> Optional[UpdateExtension]:
         """The registered extension of ``root`` over the closure
         ``members`` (in publish order), if there is one."""
-        return self._find(root, members)
+        origin = self._entries.get(root)
+        if origin is None or origin.members == members:
+            return origin
+        for other in self._others.get(root, ()):
+            if other.members == members:
+                return other
+        return None
 
-    def intern(self, extension: UpdateExtension) -> UpdateExtension:
-        """Register a freshly derived extension as its (root, closure)'s
-        one derivation; returns the registered one — ``extension``
-        unless another participant derived the same closure first."""
-        origin = self._find(extension.root, extension.members)
-        if origin is None:
-            self._register(origin := extension)
-        return origin
-
-    def _register(self, origin: UpdateExtension) -> None:
-        origin._hood = {}
-        self._entries.setdefault(origin.root, []).append(origin)
-        while self.limit is not None and len(self._entries) > self.limit:
-            self._unlink(next(iter(self._entries)))
+    def register(self, origin: UpdateExtension) -> None:
+        """Register ``origin`` under its root: a derivation :meth:`derived`
+        had none of, or one end of a first edge (:meth:`link`)."""
+        origin._hood = _UNLINKED
+        root = origin.root
+        if root in self._entries:
+            self._others.setdefault(root, []).append(origin)
+        else:
+            self._entries[root] = origin
+            if self.limit is not None and len(self._entries) > self.limit:
+                self._unlink(next(iter(self._entries)))
 
     def _unlink(self, root: TransactionId) -> None:
-        for origin in self._entries.pop(root, ()):
+        first = self._entries.pop(root, None)
+        if first is None:
+            return
+        self.released += 1
+        for origin in (first, *self._others.pop(root, ())):
             hood, origin._hood = origin._hood, None
             for other, _points in hood.values():
                 del other._hood[id(origin)]
@@ -374,13 +399,17 @@ class ConflictGraph:
         """Hang the edge between the origins ``left`` and ``right`` on
         both (``points`` possibly empty — known too)."""
         if left._hood is None:
-            self._register(left)
+            self.register(left)
         if right._hood is None:
-            self._register(right)
-        # The backstop may have evicted one end to admit the other.
-        if left._hood is not None and right._hood is not None:
-            left._hood[id(right)] = (right, points)
-            right._hood[id(left)] = (left, points)
+            self.register(right)
+        if left._hood is None or right._hood is None:
+            return  # the backstop evicted one end to admit the other
+        if left._hood is _UNLINKED:
+            left._hood = {}
+        if right._hood is _UNLINKED:
+            right._hood = {}
+        left._hood[id(right)] = (right, points)
+        right._hood[id(left)] = (left, points)
 
     def discard(self, roots: Iterable[TransactionId]) -> None:
         """Unlink every origin of ``roots``, at both ends of each edge

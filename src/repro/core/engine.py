@@ -15,11 +15,10 @@ each reuse is exact):
 
 * extensions are memoized against
   :attr:`ParticipantState.applied_version` — an untouched deferred root
-  is an O(1) hit or an O(|members|) revalidation — an extension the
-  batch offers (store-computed, or a direct-log store's *context-free*
-  one) is adopted whenever its closure is disjoint from the local
-  applied set, and the store's conflict graph is
-  asked for what another participant derived over the same closure;
+  is an O(1) hit or an O(|members|) revalidation — an extension a
+  store-computed batch offers is adopted, and otherwise the store's
+  conflict graph is asked for what another participant derived over
+  the same closure before one is derived here;
   ``UpdateSoftState`` takes what the run derived, asking again only for
   a root whose closure this run's applications cut;
 * ``FindConflicts`` is one scanner, the incremental index (a store
@@ -195,12 +194,12 @@ class Reconciler:
         """Each root's flattened update extension (Definition 3) and
         CheckState's verdict on it.
 
-        Whatever extensions the batch offers — exact store-computed
-        ones, or *context-free* ones — go through the cache, which adopts
-        one where it is exact (its closure is disjoint from the applied
-        set, as a store-computed one is by construction); any other root
-        is computed here.  A root whose chain does not flatten is
-        internally inconsistent, can never be applied, and is rejected.
+        The extensions a store-computed batch offers (exact for this
+        participant's applied set by construction) go through the cache,
+        which adopts them; any other root is derived through the cache
+        and the batch's conflict graph.  A root whose chain does not
+        flatten is internally inconsistent, can never be applied, and is
+        rejected.
         """
         state = self._state
         self._shared_pairs = batch.pair_cache

@@ -51,7 +51,8 @@ def antecedent_closure(
     stop: Set[TransactionId],
 ) -> List[TransactionId]:
     """All transactions reachable from ``roots`` via antecedent edges —
-    the one closure walk, over a graph or over a store's log.
+    the one closure walk, over a graph, a store's log or a replayed
+    history.
 
     Walks ``antecedents_of(tid)`` transitively, not descending into
     transactions in ``stop`` (already applied by the requesting
@@ -144,10 +145,17 @@ class TransactionGraph:
     def extension(
         self, tid: TransactionId, applied: Set[TransactionId]
     ) -> List[TransactionId]:
-        """The transaction extension ``te_i|e(tid)``: the
-        :func:`antecedent_closure` of ``tid`` that stops at ``applied``
-        (already part of the participant's instance), in publish order.
+        """The transaction extension ``te_i|e(tid)``: the antecedent
+        closure of ``tid`` that stops at ``applied`` (already part of the
+        participant's instance), in publish order.
+
+        A root with no antecedent is its own closure: nothing is walked
+        or sorted.  Raises :class:`ReconciliationError` for a member
+        never fetched.
         """
+        nodes = self._nodes
+        if tid in nodes and not nodes[tid][1]:
+            return [tid]
         closure = antecedent_closure(self.antecedents_of, [tid], applied)
         return sorted(closure, key=self.order_of)
 
@@ -236,8 +244,9 @@ class UpdateExtension:
         """The operations' compiled instance footprint
         (:func:`~repro.instance.base.compile_footprint`, memoized): what
         ``CheckState`` and application probe the instance with.  A
-        context-free extension is one object confederation-wide, so the
-        first participant to check it compiles for all of them.
+        derivation the conflict graph shares is one object
+        confederation-wide, so the first participant to check it
+        compiles for all of them.
         """
         return self._derived("_footprint", schema, compile_footprint)
 
@@ -329,18 +338,14 @@ class ReconciliationBatch:
       store-side conflict index, valid until the participant's
       ``complete_reconciliation``.
 
-    In *client-centric* mode a direct-log store still fills
-    ``extensions`` with **context-free** extensions (flattened against
-    an empty applied set, computed once per published transaction); the
-    DHT offers none.  The engine reads ``extensions`` one way, whichever
-    mode: it adopts an offered extension only when its member closure is
-    disjoint from the local applied set, which is exactly when it equals
-    the local computation (a store-computed one always is).
-    ``pair_cache`` is the store's :class:`repro.core.cache.ConflictGraph`
-    — one per confederation, on every batch of every store:
-    conflict points are a pure function of two extension objects, so an
-    edge hangs on the two objects, written by the first conflict index
-    to hold both; it also keeps the one derivation per (root, closure).
+    A *client-centric* batch carries neither, on every store: the
+    participant derives each extension itself.  ``pair_cache`` is the
+    store's :class:`repro.core.cache.ConflictGraph` — one per
+    confederation, on every batch of every store: conflict points are a
+    pure function of two extension objects, so an edge hangs on the two
+    objects, written by the first conflict index to hold both; it also
+    keeps the one derivation per (root, closure), which is how
+    participants share what one of them derived.
     """
 
     recno: int

@@ -19,7 +19,7 @@ transactions are reconsidered immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.errors import ResolutionError
 from repro.model.transactions import TransactionId
@@ -95,9 +95,3 @@ def resolve_conflicts(
             result.rejected.append(tid)
     return result
 
-
-def pending_resolutions(reconciler: Reconciler) -> List[str]:
-    """Human-readable descriptions of every open conflict group."""
-    return [
-        group.describe() for group in reconciler.state.open_conflicts()
-    ]

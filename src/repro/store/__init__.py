@@ -10,18 +10,17 @@ interface and are registered under four names in the **store
 registry** (:mod:`repro.store.registry`) so backends are selected by
 name.  Two of them read their own log and
 derive from :class:`repro.store.network_centric.DirectLogStore`, which
-holds the shared context-free/pair memos and the store-computed batch:
+holds the shared conflict graph and the store-computed batch:
 
 * ``memory`` — :class:`repro.store.memory.MemoryUpdateStore` — plain
-  in-process state; fastest, used by the state-ratio simulations; ships
-  context-free extensions and the shared pair memo;
+  in-process state; fastest, used by the state-ratio simulations;
 * ``central`` — :class:`repro.store.central.CentralUpdateStore` — the
   paper's central relational store (Section 5.2.1), here on sqlite3
   (``:memory:`` by default, or a database file), with the epoch
   begin/finish protocol and stable-epoch computation, WAL mode, crash
   recovery and adopt-on-reopen, transaction bodies paged through a
   bounded LRU so resident memory is O(open frontier), and only facts on
-  disk (retired shared-memo entries are dropped, as on ``memory``);
+  disk (retired derivations are dropped, as on ``memory``);
   charges the simulated per-call JDBC overhead of a remote RDBMS;
 * ``durable`` — :class:`repro.store.durable.DurableUpdateStore` — the
   same sqlite store as an embedded database: no call overhead, and by

@@ -24,7 +24,7 @@ consumes: :meth:`UpdateStore.reconciliation_batch` dispatches to the
 client-centric or network-centric assembly, and every store implements
 both.  Everything above the store boundary —
 :class:`~repro.core.session.ReconcileSession` and the engine — sees only
-the batch, and adopts whatever payload it carries (context-free
+the batch, and adopts whatever payload it carries (store-computed
 extensions, the shared conflict graph) without knowing the store's
 type.
 
@@ -305,11 +305,11 @@ class UpdateStore(abc.ABC):
         antecedent closure, not descending into ``stop`` (roots are
         always included).
 
-        Batch assembly, context-free shipping and state reconstruction
-        all read the log through here.  ``table`` holds the entries a
-        caller has already read and is extended in place, so several
-        walks that share one (a batch's graph, then each root's
-        context-free closure) look every member up once.
+        Batch assembly and state reconstruction read the log through
+        here.  ``table`` holds the entries a caller has already read and
+        is extended in place, so several walks that share one (a batch's
+        graph, then its deferred roots' closures) look every member up
+        once.
         """
         if table is None:
             table = {}

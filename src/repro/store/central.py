@@ -44,7 +44,7 @@ default, on ``:memory:``, with no code path that asks which:
 * **bounded resident memory**: transaction bodies page from the
   database through a :class:`repro.core.cache.PageCache` (LRU,
   ``cache_size`` entries): O(cache) bodies in RAM, not O(history); the
-  shared context-free extension memo is retired
+  shared conflict graph's derivations are retired
   (:meth:`~repro.store.network_centric.DirectLogStore.retire_shared_entries`)
   by eviction, exactly as on every other log;
 * **crash recovery** on every open

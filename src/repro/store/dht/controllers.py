@@ -14,9 +14,9 @@ clients, and so does the client-centric path here: ``txn_data`` carries
 bodies only, and each client derives locally.  A controller derives an
 extension in one place, the :mod:`repro.store.dht.nc` walk of a
 store-computed batch, into its derivation table (:class:`Derivation`).
-Nothing is derived at publish: a context-free extension gathered over
-the ring at every publish costs more messages than the client work it
-saves, because on this store messages dominate the running time.
+Nothing is derived at publish: an extension gathered over the ring at
+every publish costs more messages than the client work it saves,
+because on this store messages dominate the running time.
 
 The driver's one confederation-wide
 :class:`~repro.core.cache.ConflictGraph` rides on every batch, so an
@@ -34,6 +34,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.core.cache import SHARED_MEMO_LIMIT
 from repro.core.extensions import (
     RelevantTransaction,
     UpdateExtension,
@@ -47,7 +48,6 @@ from repro.store.dht import wire
 from repro.store.dht.replication import (
     allocator_counter, record, replicate, ship, ship_delta,
 )
-from repro.store.network_centric import DirectLogStore
 
 # -- shared by the Figure-7 and the network-centric retrieval ------------
 
@@ -142,7 +142,7 @@ def _derivation(
     """The derivation-table row of ``held``'s transaction over the member
     closure ``bodies`` — derived on a miss, never twice."""
     rows = host.derived.setdefault(held["transaction"].tid, {})
-    if len(host.derived) > DirectLogStore.SHARED_MEMO_LIMIT:
+    if len(host.derived) > SHARED_MEMO_LIMIT:
         del host.derived[next(iter(host.derived))]  # the FIFO backstop
     closure = frozenset(bodies)
     row = rows.get(closure)

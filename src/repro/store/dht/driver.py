@@ -34,10 +34,7 @@ from repro.store.dht import client, wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.dht.replication import _install, allocator_counter, held_copy
 from repro.store.logic import ProducerIndex, batch_antecedents, register_producers
-from repro.store.network_centric import (
-    DirectLogStore,
-    attach_assembled_payload,
-)
+from repro.store.network_centric import attach_assembled_payload
 
 
 class _Peer:
@@ -172,9 +169,9 @@ class DhtUpdateStore(UpdateStore):
         # edges hang on the extension objects, and the controllers serve
         # every participant the *same* object per (root, closure),
         # re-priced.  Retention (complete_reconciliation) is the primary
-        # eviction; the FIFO limit is the same backstop the direct-log
-        # stores' shared memos carry.
-        self._shared_pairs = ConflictGraph(limit=DirectLogStore.SHARED_MEMO_LIMIT)
+        # eviction; the graph's FIFO limit is the backstop, as on every
+        # store.
+        self._shared_pairs = ConflictGraph()
 
     # ------------------------------------------------------------------
     # Plumbing

@@ -13,8 +13,8 @@ written here, once:
   epoch, take the window's undecided foreign transactions, apply the
   trust policy, and ship the trusted roots with their antecedent closure
   (:meth:`~repro.store.base.UpdateStore.closure_entries`, stopping at
-  the applied set) and their context-free extensions.  The reconciling
-  participant computes update extensions and detects conflicts itself.
+  the applied set) and the shared conflict graph.  The reconciling
+  participant derives update extensions and detects conflicts itself.
 * :meth:`DirectLogStore.begin_network_reconciliation`, Figure 3's
   *network-centric* column, which "distributes almost all of the work
   across the network" at the price of more communication (the paper
@@ -26,12 +26,10 @@ written here, once:
   cheap greedy ``DoGroup``, and application.
 
 One batch reads each log entry once: the entry table of the batch's
-closure walk also feeds every root's context-free closure and the
-deferred roots.
+closure walk also feeds the deferred roots.
 
 The distributed store does not derive from this class — it has no
-direct log access, and ships no context-free extension (gathering a
-closure costs messages there).  Its transaction controllers derive each
+direct log access.  Its transaction controllers derive each
 participant's extensions against that participant's applied set over
 the ring protocol; the driver
 assembles the conflict adjacency through the same
@@ -39,15 +37,14 @@ assembles the conflict adjacency through the same
 built-in backend serves ``begin_network_reconciliation`` (see
 :mod:`repro.store.dht`).
 
-The shared memos (context-free extensions, the conflict graph) are
-pruned by reconciliation-aware retention; see
-:meth:`DirectLogStore.retire_shared_entries`.
+The shared conflict graph is pruned by reconciliation-aware retention;
+see :meth:`DirectLogStore.retire_shared_entries`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.cache import CacheStats, ConflictGraph, ExtensionCache
 from repro.core.conflicts import IncrementalConflictIndex
@@ -56,8 +53,6 @@ from repro.core.extensions import (
     ReconciliationBatch,
     RelevantTransaction,
     TransactionGraph,
-    UpdateExtension,
-    flattened_extension,
 )
 from repro.errors import FlattenError
 from repro.model.schema import Schema
@@ -124,12 +119,7 @@ class DirectLogStore(UpdateStore):
         self._nc_caches: Dict[
             int, Tuple[ExtensionCache, IncrementalConflictIndex]
         ] = {}
-        self._nc_context_free: Dict[
-            TransactionId, Optional[UpdateExtension]
-        ] = {}
-        self._nc_shared_pairs = ConflictGraph(limit=self.SHARED_MEMO_LIMIT)
-        # Context-free memo entries let go so far, retired or evicted.
-        self._nc_released = 0
+        self._nc_shared_pairs = ConflictGraph()
         self._publishing = False  # inside publish(): its steps are one call
 
     def _charge_call(self) -> None:
@@ -212,123 +202,45 @@ class DirectLogStore(UpdateStore):
         return total
 
     # ------------------------------------------------------------------
-    # Context-free extensions: computed once per published transaction,
-    # shared by every participant.
-
-    #: Backstop capacity of the confederation-shared memos.  Retention
-    #: (:meth:`retire_shared_entries`) is the primary eviction policy;
-    #: this FIFO cap only bounds worst-case memory when retention cannot
-    #: fire — e.g. a registered participant that stops reconciling would
-    #: otherwise pin every entry forever.  An evicted entry is dropped,
-    #: on every log, and merely costs a recomputation on the next miss.
-    SHARED_MEMO_LIMIT = 65536
-
-    def context_free_extension(
-        self, root: RelevantTransaction, table: Optional[EntryTable] = None
-    ) -> Optional[UpdateExtension]:
-        """The root's update extension against an *empty* applied set
-        (``table``: the entries the calling batch has already read).
-
-        A transaction's full antecedent closure — and hence its flattened
-        extension with no applied-set filtering — is fixed at publish
-        time, so the store derives it exactly once for the whole
-        confederation (the memo is keyed by transaction id and never
-        invalidated; entries leave through
-        :meth:`retire_shared_entries` once every participant has
-        finally decided the root, with the :attr:`SHARED_MEMO_LIMIT`
-        FIFO backstop bounding the worst case).  A participant whose
-        applied set is disjoint from the closure can adopt it as-is:
-        the closure walk stops only at applied transactions, so
-        removing stops that are never reached changes nothing.  A root
-        with no antecedents is its own closure: nothing is walked or
-        sorted.  Returns None when the footprint does not flatten (the
-        engine rejects such roots locally).
-        """
-        memo = self._nc_context_free
-        tid = root.tid
-        if tid in memo:
-            return memo[tid]
-        entry = table.get(tid) if table else None
-        if entry is None or entry[1]:  # walk the antecedents, in publish order
-            closure = self.closure_entries([tid], frozenset(), table)
-            closure.sort(key=lambda entry: entry[2])
-            members = [entry[0] for entry in closure]
-        else:
-            members = [entry[0]]
-        try:
-            extension = flattened_extension(self.schema, root, members)
-        except FlattenError:
-            extension = None  # memoised as None: the engine rejects such roots
-        memo[tid] = extension
-        while len(memo) > self.SHARED_MEMO_LIMIT:  # the FIFO backstop
-            del memo[next(iter(memo))]
-            self._nc_released += 1
-        return extension
+    # The confederation-shared conflict graph
 
     def shared_pair_cache(self) -> ConflictGraph:
-        """The one confederation-wide conflict graph.
+        """The one confederation-wide conflict graph, on every batch.
 
-        Every participant receives the *same* context-free extension
-        objects (from the store's memo), so the first conflict index to
-        hold a pair — a participant's, or one this store assembles
-        batches on — hangs the edge on the two objects for all the
-        others.  An extension a participant had to derive locally is
-        registered there too, once per (root, closure), for the next.
+        The first conflict index to hold a pair — a participant's, or
+        one this store assembles batches on — hangs the edge on the two
+        extension objects for all the others, and an extension a
+        participant (or this store) derives is registered there, once
+        per (root, closure), for the next.
         """
         return self._nc_shared_pairs
 
     def retire_shared_entries(self, roots: List[TransactionId]) -> None:
-        """Reconciliation-aware retention for the shared memos.
+        """Reconciliation-aware retention for the shared conflict graph.
 
         ``roots`` are transaction ids every registered participant has
         finally decided (applied or rejected).  Such a root can never
         appear in a reconciliation batch again — the store delivers only
-        undecided transactions — so its context-free extension, and
-        everything the conflict graph holds for it (its derivations and
-        their edges, unlinked at both ends), is dead weight in RAM and
-        is dropped — on every log: it is derived data, never persisted,
-        and a later miss (a participant registered after retirement)
-        recomputes it from the log.  (Deferred roots are *not* retired:
-        in network-centric mode the store reconsiders them every round.)
+        undecided transactions — so everything the graph holds for it
+        (its derivations and their edges, unlinked at both ends) is dead
+        weight in RAM and is dropped — on every log: it is derived data,
+        never persisted, and a later miss (a participant registered
+        after retirement) derives it again.  (Deferred roots are *not*
+        retired: in network-centric mode the store reconsiders them
+        every round.)
 
         With retention as the primary policy, memory tracks the
         confederation's *open* frontier — O(undecided roots) — instead
-        of O(recent history); an entry is only FIFO-evicted (the
-        :attr:`SHARED_MEMO_LIMIT` backstop) when retention cannot keep
-        up, e.g. a registered participant that stopped reconciling.
+        of O(recent history); a root is only FIFO-evicted (the graph's
+        backstop) when retention cannot keep up, e.g. a registered
+        participant that stopped reconciling.
         """
-        memo = self._nc_context_free
-        for tid in roots:
-            if tid in memo:
-                del memo[tid]
-                self._nc_released += 1
         self._nc_shared_pairs.discard(roots)
 
     def retired_extension_count(self) -> int:
-        """How many context-free extensions the shared memo has let go
-        — retired or FIFO-evicted — since the store was opened."""
-        return self._nc_released
-
-    def ship_context_free_extensions(
-        self, batch: ReconciliationBatch, table: Optional[EntryTable] = None
-    ) -> None:
-        """Attach precomputed context-free extensions to a batch
-        (``table``: the entries its assembly has already read).
-
-        Done for every reconciliation batch (client-centric included):
-        the payload is derived data — the batch already carries the
-        closure transactions themselves — so it costs no extra store
-        messages, and it saves each reconciling participant from
-        re-deriving the identical flattened footprint locally.  The
-        shared conflict graph rides along for the same reason.
-        """
-        shipped = {
-            root.tid: extension
-            for root in batch.roots
-            if (extension := self.context_free_extension(root, table)) is not None
-        }
-        batch.extensions = shipped or None
-        batch.pair_cache = self.shared_pair_cache()
+        """How many roots' derivations the shared conflict graph has let
+        go — retired or FIFO-evicted — since the store was opened."""
+        return self._nc_shared_pairs.released
 
     # ------------------------------------------------------------------
     # The batch read path
@@ -357,11 +269,9 @@ class DirectLogStore(UpdateStore):
         ):
             graph.add(entry)
         self._charge_call()
-        batch = ReconciliationBatch(recno=stable, roots=roots, graph=graph)
-        # Derived data riding along with the closure transactions: the
-        # flattened context-free extensions, computed once per published
-        # transaction for the whole confederation.
-        self.ship_context_free_extensions(batch, table)
+        batch = ReconciliationBatch(
+            recno=stable, roots=roots, graph=graph, pair_cache=self._nc_shared_pairs
+        )
         return batch, applied, table
 
     def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
@@ -395,16 +305,10 @@ class DirectLogStore(UpdateStore):
         extensions = {}
         for root in batch.roots:
             try:
-                # Work that only depends on the applied set is shared: a
-                # context-free extension valid for this participant is
-                # adopted instead of recomputing per participant.
+                # A closure some participant derived already is adopted
+                # from the shared graph instead of flattened again.
                 extensions[root.tid] = ext_cache.get_or_compute(
-                    self.schema,
-                    batch.graph,
-                    root,
-                    applied,
-                    version,
-                    shipped=self.context_free_extension(root, table),
+                    self.schema, batch.graph, root, applied, version,
                     shared=batch.pair_cache,
                 )
             except FlattenError:

@@ -3,8 +3,8 @@
 Covers the cache contract directly (hits, revalidation, invalidation on
 applied-set growth, pruning) and its integration with the engine: the
 cached engine must decide as the reference oracle does across deferral
-and acceptance cycles, ``compute_update_extension`` must trace each
-footprint exactly once, and ``UpdateSoftState`` must not recompute
+and acceptance cycles, a derivation must trace each footprint exactly
+once, and ``UpdateSoftState`` must not recompute
 extensions it already computed in the same ``reconcile`` call.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.core import ParticipantState, Reconciler
 from repro.core.cache import CacheStats, ConflictGraph, ExtensionCache
 from repro.core.extensions import (
     RelevantTransaction,
+    TransactionGraph,
     UpdateExtension,
     compute_update_extension,
 )
@@ -52,6 +54,30 @@ def relevant(builder, txn, priority=1):
         priority=priority,
         order=builder.graph.order_of(txn.tid),
     )
+
+
+def count_derivations(monkeypatch):
+    """Record the root of every extension the cache flattens."""
+    calls, flatten = [], cache_module.flattened_extension
+
+    def counting(schema_, root, members):
+        calls.append(root.tid)
+        return flatten(schema_, root, members)
+
+    monkeypatch.setattr(cache_module, "flattened_extension", counting)
+    return calls
+
+
+def count_walks(monkeypatch):
+    """Record the root of every ``TransactionGraph.extension`` walk."""
+    walks, walk = [], TransactionGraph.extension
+
+    def counted(graph, tid, applied):
+        walks.append(tid)
+        return walk(graph, tid, applied)
+
+    monkeypatch.setattr(TransactionGraph, "extension", counted)
+    return walks
 
 
 class TestExtensionCache:
@@ -121,10 +147,10 @@ class TestExtensionCache:
         cache.prune([])
         assert len(cache) == 0
 
-    def test_adopts_a_shipped_extension_only_when_it_is_exact(self, schema):
-        """The shipped context-free extension is adopted (re-priced) when
-        none of its members is applied — it is then what a derivation
-        from scratch gives — and derived locally otherwise."""
+    def test_adopts_a_store_computed_extension_as_it_is(self, schema, monkeypatch):
+        """An extension a store-computed batch offers was derived against
+        this participant's applied set: it is adopted (re-priced), and
+        nothing is walked or flattened here."""
         builder = GraphBuilder()
         base = make_transaction(3, 0, [Insert("F", RAT1, 3)])
         revision = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
@@ -132,30 +158,39 @@ class TestExtensionCache:
         builder.add(revision, antecedents=[base.tid])
         root = relevant(builder, revision, priority=2)
         shipped = compute_update_extension(
-            schema, builder.graph, relevant(builder, revision, 1), set()
+            schema, builder.graph, relevant(builder, revision, 1), {base.tid}
         )
+        walks = count_walks(monkeypatch)
 
         cache = ExtensionCache()
         adopted = cache.get_or_compute(
-            schema, builder.graph, root, set(), 0, shipped=shipped
+            schema, builder.graph, root, {base.tid}, 1, shipped=shipped
         )
         assert adopted.operations is shipped.operations
         assert adopted.priority == 2 and shipped.priority == 1
         assert (cache.stats.shipped, cache.stats.misses) == (1, 0)
         again = cache.get_or_compute(
-            schema, builder.graph, root, set(), 0, shipped=shipped
-        )
-        assert again is adopted and cache.stats.hits == 1
-
-        derived = ExtensionCache()
-        local = derived.get_or_compute(
             schema, builder.graph, root, {base.tid}, 1, shipped=shipped
         )
-        assert set(local.members) == {revision.tid}
-        assert (derived.stats.shipped, derived.stats.misses) == (0, 1)
+        assert again is adopted and cache.stats.hits == 1
+        assert walks == []
 
-        scratch = compute_update_extension(schema, builder.graph, root, set())
-        assert scratch == adopted and scratch.operations is not adopted.operations
+    def test_a_miss_walks_the_closure_once(self, schema, monkeypatch):
+        """The members the registry is asked about are the members
+        flattened: one walk per miss, whether or not a graph is asked."""
+        builder = GraphBuilder()
+        base = make_transaction(3, 0, [Insert("F", RAT1, 3)])
+        revision = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
+        builder.add(base)
+        builder.add(revision, antecedents=[base.tid])
+        walks = count_walks(monkeypatch)
+        for shared in (None, ConflictGraph()):
+            del walks[:]
+            extension = ExtensionCache().get_or_compute(
+                schema, builder.graph, relevant(builder, revision), set(), 0, shared=shared
+            )
+            assert extension.members == (base.tid, revision.tid)
+            assert walks == [revision.tid]
 
 
 class TestInternedDerivations:
@@ -169,26 +204,23 @@ class TestInternedDerivations:
         revision = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
         builder.add(base)
         builder.add(revision, antecedents=[base.tid])
-        # What the store ships covers the base, which everyone below
-        # has applied: each must derive the root over {revision} alone.
-        shipped = compute_update_extension(
-            schema, builder.graph, relevant(builder, revision), set()
-        )
-        return builder, base, revision, shipped
+        # Everyone below has applied the base: each derives the root
+        # over {revision} alone.
+        return builder, base, revision
 
     def test_second_participant_adopts_what_the_first_derived(self, schema):
-        builder, base, revision, shipped = self._revision_over_an_applied_base(schema)
+        builder, base, revision = self._revision_over_an_applied_base(schema)
         shared = ConflictGraph()
         first, second, third = ExtensionCache(), ExtensionCache(), ExtensionCache()
 
         def derive(cache, priority):
             return cache.get_or_compute(
                 schema, builder.graph, relevant(builder, revision, priority),
-                {base.tid}, 1, shipped=shipped, shared=shared,
+                {base.tid}, 1, shared=shared,
             )
 
         origin = derive(first, 1)
-        assert origin.members == (revision.tid,) and origin is not shipped
+        assert origin.members == (revision.tid,)
         assert (first.stats.misses, first.stats.shipped) == (1, 0)
         # Same (root, closure), same price: the very same object.
         assert derive(second, 1) is origin
@@ -202,14 +234,15 @@ class TestInternedDerivations:
         assert len(shared) == 1
 
     def test_another_closure_of_the_same_root_is_another_derivation(self, schema):
-        builder, base, revision, shipped = self._revision_over_an_applied_base(schema)
+        builder, base, revision = self._revision_over_an_applied_base(schema)
         shared = ConflictGraph()
         root = relevant(builder, revision)
         cut = ExtensionCache().get_or_compute(
             schema, builder.graph, root, {base.tid}, 1, shared=shared
         )
-        # No shipped extension to adopt: the full closure is derived —
-        # and registered beside the cut one, not confused with it.
+        # A participant that has not applied the base walks the full
+        # closure: derived and registered beside the cut one, not
+        # confused with it.
         full = ExtensionCache().get_or_compute(
             schema, builder.graph, root, set(), 0, shared=shared
         )
@@ -220,11 +253,11 @@ class TestInternedDerivations:
         assert len(shared) == 1  # one root
 
     def test_the_interned_derivation_is_the_one_from_scratch(self, schema):
-        builder, base, revision, shipped = self._revision_over_an_applied_base(schema)
+        builder, base, revision = self._revision_over_an_applied_base(schema)
         shared = ConflictGraph()
         root = relevant(builder, revision)
         origin = ExtensionCache().get_or_compute(
-            schema, builder.graph, root, {base.tid}, 1, shipped=shipped, shared=shared
+            schema, builder.graph, root, {base.tid}, 1, shared=shared
         )
         fresh = compute_update_extension(schema, builder.graph, root, {base.tid})
         assert fresh == origin and fresh is not origin
@@ -287,6 +320,26 @@ class TestConflictGraph:
         assert b._hood is None and a._hood == {} and len(graph) == 1
         graph.discard([b.root, a.root])  # idempotent
         assert a._hood is None and len(graph) == 0
+
+    def test_registering_allocates_nothing_until_an_edge_or_a_second_closure(self, schema):
+        a, b = self._extensions(schema)
+        graph = ConflictGraph()
+        graph.register(a)
+        graph.register(b)
+        # Both share the one empty neighbourhood; no root has a list.
+        assert a._hood is b._hood and not a._hood
+        assert graph._others == {} and len(graph) == 2
+        graph.link(a, b, ())
+        assert a._hood is not b._hood and a._hood == {id(b): (b, ())}
+        # A second closure of a's root: only now does the root get a list.
+        wider = replace(a, members=(b.root, a.root))
+        graph.register(wider)
+        assert graph.derived(a.root, a.members) is a
+        assert graph.derived(a.root, wider.members) is wider
+        assert graph._others == {a.root: [wider]} and len(graph) == 2
+        graph.discard([a.root])
+        assert a._hood is None and wider._hood is None and b._hood == {}
+        assert graph._others == {} and graph.released == 1
 
     def test_no_conflict_is_an_edge_too(self, schema):
         a, b = self._extensions(schema)
@@ -370,16 +423,7 @@ class TestEngineIntegration:
     def test_soft_state_reuses_epoch_extensions(self, schema, monkeypatch):
         """Zero extension recomputations in UpdateSoftState for roots
         already computed in the same reconcile call."""
-        calls = []
-        real = cache_module.compute_update_extension
-
-        def counting(schema_, graph, root, applied):
-            calls.append(root.tid)
-            return real(schema_, graph, root, applied)
-
-        monkeypatch.setattr(
-            cache_module, "compute_update_extension", counting
-        )
+        calls = count_derivations(monkeypatch)
         reconciler, _instance, _state = make_reconciler(schema, 1)
         builder, a, b = self._conflicting_pair_batchset(schema)
         reconciler.reconcile(builder.batch(1, [(a, 1), (b, 1)]))
@@ -494,8 +538,9 @@ class TestEngineIntegration:
         assert result.cache_stats.reuses == 0
 
 
-class TestContextFreeShipping:
-    """Store-shipped context-free extensions and the shared pair memo."""
+class TestSharedDerivationThroughTheStore:
+    """A client-centric batch carries bodies and the shared conflict
+    graph: the first participant derives, the next adopts."""
 
     def _store(self):
         from repro.policy.acceptance import TrustPolicy
@@ -511,7 +556,7 @@ class TestContextFreeShipping:
             store.register_participant(pid, policy)
         return store
 
-    def test_context_free_extension_computed_once(self):
+    def test_a_client_centric_batch_ships_only_the_graph(self):
         from repro.model.transactions import Transaction, TransactionId
 
         store = self._store()
@@ -522,46 +567,33 @@ class TestContextFreeShipping:
         store.publish(1, [txn])
         batch2 = store.begin_reconciliation(2)
         batch3 = store.begin_reconciliation(3)
-        assert batch2.extensions is not None
-        assert batch3.extensions is not None
-        # Same object for every participant: derived once, shared.
-        assert batch2.extensions[txn.tid] is batch3.extensions[txn.tid]
-        assert batch2.pair_cache is batch3.pair_cache
+        assert batch2.extensions is None and batch3.extensions is None
+        assert batch2.pair_cache is batch3.pair_cache is store.shared_pair_cache()
 
-    def test_engine_adopts_shipped_extension_without_computing(self, monkeypatch):
-        from repro.model.transactions import Transaction, TransactionId
-
-        calls = []
-        real = cache_module.compute_update_extension
-
-        def counting(schema_, graph, root, applied):
-            calls.append(root.tid)
-            return real(schema_, graph, root, applied)
-
-        monkeypatch.setattr(cache_module, "compute_update_extension", counting)
-
-        store = self._store()
-        # Attach to a pre-registered participant directly.
+    def test_the_second_reader_adopts_the_first_readers_derivation(self, monkeypatch):
         from repro.cdss.participant import Participant
+        from repro.model.transactions import Transaction, TransactionId
         from repro.policy.acceptance import TrustPolicy
 
-        policy = TrustPolicy()
-        policy.trust_participant(1, 1)
-        receiver = Participant(2, store, policy, register=False)
+        calls = count_derivations(monkeypatch)
+        store = self._store()
+        readers = [
+            Participant(pid, store, TrustPolicy().trust_participant(1, 1), register=False)
+            for pid in (2, 3)
+        ]
         txn = Transaction(
             TransactionId(1, 0),
             (Insert("F", ("human", "p2", "fn-y"), 1),),
         )
         store.publish(1, [txn])
-        calls.clear()
-        result = receiver.reconcile()
-        assert txn.tid in result.accepted
-        # The extension came from the store's context-free shipment: the
-        # engine computed nothing locally.
-        assert calls == []
-        assert receiver.reconciler.cache.stats.shipped == 1
+        for reader in readers:
+            assert txn.tid in reader.reconcile().accepted
+        # The first reader flattened the root; the second adopted it.
+        assert calls == [txn.tid]
+        stats = [reader.reconciler.cache.stats for reader in readers]
+        assert [(s.misses, s.shipped) for s in stats] == [(1, 0), (0, 1)]
 
-    def test_shipped_extension_rejected_when_closure_applied(self):
+    def test_a_revision_of_an_applied_row_is_derived_over_the_cut_closure(self):
         from repro.cdss.participant import Participant
         from repro.model.transactions import Transaction, TransactionId
         from repro.policy.acceptance import TrustPolicy
@@ -584,8 +616,7 @@ class TestContextFreeShipping:
         store.publish(1, [revision])
         second = receiver.reconcile()
         assert revision.tid in second.accepted
-        # The context-free extension of the revision includes base, which
-        # the receiver already applied — it must have been recomputed
-        # locally (shipped counter unchanged from the first adoption).
+        # The revision's closure stops at the applied base: it modifies
+        # the row the receiver holds.
         assert receiver.instance.contains_row("F", revised_row)
         assert not receiver.instance.contains_row("F", base_row)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.extensions as extensions_module
 from repro.core import RelevantTransaction, TransactionGraph
 from repro.core.extensions import (
     compute_update_extension,
@@ -67,6 +68,55 @@ class TestTransactionGraph:
         # x30 applied but x31 not: closure keeps x31 only.
         members = builder.graph.extension(x20.tid, applied={x30.tid})
         assert members == [x31.tid, x20.tid]
+
+    def test_an_unrecorded_member_has_no_publish_order(self, chain_graph):
+        builder, x30, x31, x20 = chain_graph
+        with pytest.raises(ReconciliationError, match="has no recorded publish order"):
+            builder.graph.extension(TransactionId(9, 0), applied=set())
+        graph = TransactionGraph()
+        graph.add((x31, (x30.tid,), 1))  # its antecedent was never fetched
+        with pytest.raises(ReconciliationError, match="has no recorded publish order"):
+            graph.extension(x31.tid, applied=set())
+        assert graph.extension(x31.tid, applied={x30.tid}) == [x31.tid]
+
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            (Insert("F", RAT1, 1),),
+            (Insert("F", RAT1, 1), Insert("F", ("mouse", "prot2", "immune"), 1)),
+            (Insert("F", RAT1, 1), Modify("F", RAT1, RAT1_IMMUNE, 1)),
+        ],
+    )
+    def test_an_antecedent_free_root_is_its_own_closure(self, schema, monkeypatch, updates):
+        builder = GraphBuilder()
+        txn = Transaction(TransactionId(1, 0), updates)
+        builder.add(make_transaction(2, 0, [Insert("F", RAT1_RESP, 2)]))
+        builder.add(txn)
+        root = RelevantTransaction(txn, priority=2, order=1)
+        expected = flatten_once(schema, list(updates))
+
+        def walk(*args, **kwargs):
+            raise AssertionError("an antecedent-free root was walked")
+
+        monkeypatch.setattr(extensions_module, "antecedent_closure", walk)
+        assert builder.graph.extension(txn.tid, applied=set()) == [txn.tid]
+        extension = compute_update_extension(schema, builder.graph, root, set())
+        assert extension.members == (txn.tid,)
+        assert extension.operations == expected.operations
+        assert extension.touched == expected.keys_touched
+        assert extension.priority == 2
+
+    def test_an_antecedent_free_root_that_does_not_flatten_raises(self, schema):
+        # Two insertions at one key: the engine rejects the root.
+        builder = GraphBuilder()
+        txn = Transaction(
+            TransactionId(1, 0), (Insert("F", RAT1, 1), Insert("F", RAT1_IMMUNE, 1))
+        )
+        builder.add(txn)
+        with pytest.raises(FlattenError):
+            compute_update_extension(
+                schema, builder.graph, RelevantTransaction(txn, 1, 0), set()
+            )
 
     def test_merge(self, chain_graph):
         builder, x30, x31, x20 = chain_graph

@@ -14,7 +14,6 @@ from repro.core import (
     Resolution,
     resolve_conflicts,
 )
-from repro.core.resolution import pending_resolutions
 from repro.errors import ResolutionError
 from repro.instance import Instance
 from repro.model import Insert, Modify, make_transaction
@@ -117,12 +116,6 @@ class TestResolveConflicts:
                 reconciler,
                 [Resolution(group_id=group.group_id, chosen_option=99)],
             )
-
-    def test_pending_resolutions_describe_groups(self, schema):
-        reconciler, instance, state, _txns = deferred_figure2_tail(schema)
-        descriptions = pending_resolutions(reconciler)
-        assert len(descriptions) == 1
-        assert "rat" in descriptions[0]
 
     def test_dirty_keys_released_after_resolution(self, schema):
         reconciler, instance, state, (x30, x31, x21) = deferred_figure2_tail(

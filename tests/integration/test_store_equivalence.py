@@ -8,11 +8,10 @@ every reconcile must decide as the reference oracle
 (``tests/reference/oracle.py``) does: on ``memory`` under the serial
 schedule, on every store under the async one.
 
-Since PR 3 this also pins the DHT's shipping parity: the DHT with
-store-derived context-free extensions (and the shared pair memo), the
-DHT computing everything client-side, and the central store must make
-*byte-identical* accept/reject/defer decisions, in the same order, at
-every reconciliation.
+It also pins client-centric parity: the DHT and the central store,
+each participant deriving its extensions (sharing them through the
+store's conflict graph), must make *byte-identical* accept/reject/defer
+decisions, in the same order, at every reconciliation.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def test_stores_produce_identical_outcomes(seed, schedule, mode):
 
 # ----------------------------------------------------------------------
 # Byte-identical decision pins: the DHT's client-computed batches
-# against the central store's context-free shipping
+# against the central store's
 
 
 def run_with_decision_log(
@@ -132,8 +131,8 @@ def test_dht_client_computed_decisions_match_central(seed):
     client_computed = run_with_decision_log("dht", {"hosts": 5}, seed)
     central = run_with_decision_log("central", {}, seed)
     # The decision *stream* — order included — must match exactly:
-    # central ships context-free extensions, the DHT none, and adopting
-    # one is only legal when it provably equals the local computation.
+    # whichever store's graph a derivation is shared through, adopting
+    # one is only legal when it equals the local computation.
     assert client_computed == central
 
 

@@ -117,16 +117,16 @@ def edge_between(left: UpdateExtension, right: UpdateExtension):
     return edge[1] if edge is not None and edge[0] is right else None
 
 
-def context_free(graph: TransactionGraph, tids) -> Dict[TransactionId, UpdateExtension]:
+def full_closures(graph: TransactionGraph, tids) -> Dict[TransactionId, UpdateExtension]:
     """Every transaction's extension over its full closure, where one
     flattens."""
     return {tid: ext for tid in tids if (ext := extension_of(graph, tid, set()))}
 
 
 def reaches_residual(history) -> bool:
-    """True if two context-free extensions of ``history`` share a member
+    """True if two full-closure extensions of ``history`` share a member
     with neither subsuming the other."""
-    extensions = context_free(*history)
+    extensions = full_closures(*history)
     return any(
         not extensions[a].member_set().isdisjoint(extensions[b].member_set())
         and not extensions[a].subsumes(extensions[b])
@@ -255,7 +255,7 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
 @settings(max_examples=100, deadline=None)
 def test_discard_agrees_with_a_fresh_index(history):
     graph, _tids = history
-    extensions = context_free(*history)
+    extensions = full_closures(*history)
     index = IncrementalConflictIndex()
     index.update(PROP_SCHEMA, graph, extensions)
     gone = sorted(extensions)[::2]
@@ -284,7 +284,7 @@ def test_two_indexes_over_one_graph_compare_each_pair_once(history, data):
     graph, tids = history
     shared = ConflictGraph()
     first, second = IncrementalConflictIndex(), IncrementalConflictIndex()
-    shipped = context_free(graph, tids)
+    shipped = full_closures(graph, tids)
     every_object = list(shipped.values())
     #: What the second index held after its last update, by root.
     previous: Dict[TransactionId, UpdateExtension] = {}
@@ -348,7 +348,7 @@ def test_an_edge_filed_under_a_reused_id_misses_by_identity():
     right = make_transaction(2, 1, [Insert("R", (0, 2), 2)])
     graph.add((left, (), 0))
     graph.add((right, (), 1))
-    extensions = context_free(graph, [left.tid, right.tid])
+    extensions = full_closures(graph, [left.tid, right.tid])
     shared = ConflictGraph()
     index = IncrementalConflictIndex()
     analysis = index.update(PROP_SCHEMA, graph, extensions, shared)

@@ -155,18 +155,20 @@ def transactions(draw):
 
 
 def shipped_extension(store, transaction):
-    """The context-free extension ``store`` ships for ``transaction``."""
+    """The extension ``store``'s store-computed batch ships for
+    ``transaction``."""
     store.register_participant(1, TrustPolicy())
     store.register_participant(2, TrustPolicy().trust_participant(1, 1))
     store.publish(1, [transaction])
-    return store.begin_reconciliation(2).extensions[transaction.tid]
+    return store.begin_network_reconciliation(2).extensions[transaction.tid]
 
 
 @given(transactions())
 def test_extensions_derived_from_the_file_are_type_exact(transaction):
     """Extensions are derived from decoded rows, never stored: on the
-    sqlite store (the body read back from the database) the shipped
-    extension is the one ``memory`` derives from the original objects."""
+    sqlite store (the body read back from the database) the extension a
+    store-computed batch ships is the one ``memory`` derives from the
+    original objects."""
     from_memory = shipped_extension(MemoryUpdateStore(ANY_VALUE), transaction)
     with DurableUpdateStore(ANY_VALUE, cache_size=1) as store:
         from_file = shipped_extension(store, transaction)
@@ -319,9 +321,12 @@ def test_a_database_holding_spilled_extensions_opens_and_ignores_them(
     retire = DirectLogStore.retire_shared_entries
 
     def retire_and_spill(store, roots):
-        """Retire as the old store did: each extension to the table."""
-        memo = store._nc_context_free
-        spilled.extend((tid, memo[tid]) for tid in roots if memo.get(tid) is not None)
+        """Retire as the old store did: each derivation to the table."""
+        graph = store.shared_pair_cache()
+        for tid in roots:
+            extension = graph._entries.get(tid)
+            if extension is not None:
+                spilled.append((tid, extension))
         retire(store, roots)
 
     with monkeypatch.context() as patch:

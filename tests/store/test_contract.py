@@ -319,7 +319,7 @@ class TestClosureEntries:
         assert all(count == 1 for count in looked_up.values()), looked_up
 
         # Second round: a deferred root, an applied prefix to stop at, and
-        # a new root whose context-free closure runs through both.
+        # a new root whose full closure runs through both.
         result = ReconcileResult(recno=batch.recno)
         result.applied = result.accepted = [x10.tid, x11.tid]
         result.deferred = [x30.tid]

@@ -440,7 +440,7 @@ def test_tiny_page_cache_keeps_decisions_byte_identical(tmp_path):
 def newcomer_run(store, tmp_path, memo_limit=None):
     """Peers 1-3 run the evaluation schedule, retiring as they go; then
     peer 4 joins and reconciles the whole history, every retired (or
-    evicted) extension recomputed from the log on its miss."""
+    evicted) derivation made again from the log on its miss."""
     options = {}
     if store == "durable":
         options = {"path": str(tmp_path / "store.db"), "cache_size": 8}
@@ -448,8 +448,7 @@ def newcomer_run(store, tmp_path, memo_limit=None):
     hooks = HookBus()
     log = decision_stream(hooks)
     with Confederation(config, hooks=hooks) as confed:
-        if memo_limit is not None:  # the FIFO backstop evicts mid-run
-            confed.store.SHARED_MEMO_LIMIT = memo_limit
+        if memo_limit is not None:  # the graph's FIFO backstop evicts mid-run
             confed.store.shared_pair_cache().limit = memo_limit
         confed.run()
         retired = confed.store.retired_extension_count()

@@ -1,9 +1,9 @@
-"""Reconciliation-aware retention of the shared store-side memos.
+"""Reconciliation-aware retention of the shared conflict graph.
 
-The context-free extension memo and the shared conflict graph used to
-be FIFO-capped; they are now pruned when every registered participant
-holds a final verdict for a root — they track the confederation's open
-frontier, not its history.
+The graph — every derivation participants (or a store-side assembly)
+share, and the edges hung on them — used to be FIFO-capped; it is now
+pruned when every registered participant holds a final verdict for a
+root: it tracks the confederation's open frontier, not its history.
 """
 
 from __future__ import annotations
@@ -34,6 +34,12 @@ def mutual_store(store_cls):
     return store
 
 
+def derivation(store, txn):
+    """The derivation of ``txn`` over itself alone on the store's
+    conflict graph, if it holds one."""
+    return store.shared_pair_cache().derived(txn.tid, (txn.tid,))
+
+
 class TestRetention:
     @staticmethod
     def _publish_one(store):
@@ -46,46 +52,48 @@ class TestRetention:
     def test_memory_memo_retired_once_all_participants_decided(self):
         store = mutual_store(MemoryUpdateStore)
         txn = self._publish_one(store)
-        # Both receivers fetch (populating the memo), then decide.
-        store.begin_reconciliation(2)
-        store.begin_reconciliation(3)
-        assert txn.tid in store._nc_context_free
+        # Both receivers' store-computed batches derive (the first
+        # registers on the graph, the second adopts), then they decide.
+        store.begin_network_reconciliation(2)
+        store.begin_network_reconciliation(3)
+        assert derivation(store, txn) is not None
         store.complete_reconciliation(
             2, ReconcileResult(recno=1, applied=[txn.tid])
         )
         # Participant 3 is still undecided: the entry must survive.
-        assert txn.tid in store._nc_context_free
+        assert derivation(store, txn) is not None
         store.complete_reconciliation(
             3, ReconcileResult(recno=1, applied=[txn.tid])
         )
-        assert txn.tid not in store._nc_context_free
+        assert derivation(store, txn) is None
+        assert store.retired_extension_count() == 1
 
     def test_central_memo_retired_once_all_participants_decided(self):
         store = mutual_store(CentralUpdateStore)
         txn = self._publish_one(store)
-        store.begin_reconciliation(2)
-        store.begin_reconciliation(3)
-        assert txn.tid in store._nc_context_free
+        store.begin_network_reconciliation(2)
+        store.begin_network_reconciliation(3)
         store.complete_reconciliation(
             2, ReconcileResult(recno=1, applied=[txn.tid])
         )
-        assert txn.tid in store._nc_context_free
-        extension = store._nc_context_free[txn.tid]
+        extension = derivation(store, txn)
+        assert extension is not None
         store.complete_reconciliation(
             3, ReconcileResult(recno=1, rejected=[txn.tid])
         )
-        assert txn.tid not in store._nc_context_free
+        assert derivation(store, txn) is None
         assert store.retired_extension_count() == 1
         # Dropped, as on every log — the next miss (a participant
-        # registered after retirement) re-derives it, value-equal.
+        # registered after retirement) derives it again, value-equal.
         store.register_participant(4, TrustPolicy().trust_participant(1, 1))
-        shipped = store.begin_reconciliation(4).extensions[txn.tid]
+        shipped = store.begin_network_reconciliation(4).extensions[txn.tid]
         assert shipped == extension and shipped is not extension
+        assert derivation(store, txn) is shipped
 
     def test_deferred_roots_are_not_retired(self):
         store = mutual_store(MemoryUpdateStore)
         txn = self._publish_one(store)
-        store.begin_reconciliation(2)
+        store.begin_network_reconciliation(2)
         store.complete_reconciliation(
             2, ReconcileResult(recno=1, deferred=[txn.tid])
         )
@@ -93,16 +101,17 @@ class TestRetention:
             3, ReconcileResult(recno=1, applied=[txn.tid])
         )
         # 2's deferral keeps the root open — it will be reconsidered.
-        assert txn.tid in store._nc_context_free
+        assert derivation(store, txn) is not None
+        assert store.retired_extension_count() == 0
 
     def test_pair_memo_shrinks_with_retirement(self):
         store = mutual_store(MemoryUpdateStore)
         txn = self._publish_one(store)
-        store.begin_reconciliation(2)
+        store.begin_network_reconciliation(2)
         pairs = store.shared_pair_cache()
-        # Hang an edge on the root's extension; retirement must unlink
+        # Hang an edge on the root's derivation; retirement must unlink
         # it — at the other end too, which stays registered.
-        extension = store._nc_context_free[txn.tid]
+        extension = derivation(store, txn)
         other = replace(extension, root=TransactionId(2, 99))
         pairs.link(extension, other, ())
         assert len(pairs) == 2
@@ -132,10 +141,6 @@ class TestRetention:
         log = decision_stream(hooks)
         with Confederation(config, hooks=hooks) as confed:
             if memo_limit is not None:
-                # Instance attribute shadows the class constant: both
-                # the context-free memo's FIFO cap and the shared pair
-                # cache (created below with this limit) shrink.
-                confed.store.SHARED_MEMO_LIMIT = memo_limit
                 confed.store.shared_pair_cache().limit = memo_limit
             confed.run()
             snapshots = {
@@ -144,18 +149,18 @@ class TestRetention:
             open_roots = set()
             for participant in confed.participants:
                 open_roots |= set(participant.state.deferred)
-            memo = dict(getattr(confed.store, "_nc_context_free", {}) or {})
-        return log, snapshots, memo, open_roots
+            registered = set(confed.store.shared_pair_cache()._entries)
+        return log, snapshots, registered, open_roots
 
     def test_async_reconcile_safe_under_retirement_and_eviction(self):
         """Pipelined reconciles + retirement + a tiny FIFO backstop:
         a reconciling participant must never be handed a retired or
         evicted entry it cannot recover from — decisions stay
-        byte-identical to an unbounded memo (eviction only ever costs a
-        recomputation on the next miss)."""
+        byte-identical to an unbounded graph (eviction only ever costs
+        a derivation on the next miss)."""
         # The serial and async schedules interleave differently (two
         # distinct, equally valid schedules), so the pin is per mode:
-        # shrinking the memos must change nothing.
+        # shrinking the graph must change nothing.
         serial_tiny = self._retention_run("serial", memo_limit=2)
         serial_wide = self._retention_run("serial")
         async_tiny = self._retention_run("async", memo_limit=2)
@@ -170,7 +175,8 @@ class TestRetention:
 
     def test_memo_shrinks_after_a_full_confederation_round(self):
         """End to end: after every peer reconciles everything (a full
-        round with a final reconcile pass), the shared memo is empty."""
+        round with a final reconcile pass), the shared graph holds only
+        open roots."""
         config = ConfederationConfig(
             store="memory",
             peers=(1, 2, 3),
@@ -182,15 +188,13 @@ class TestRetention:
         with Confederation(config) as confed:
             confed.run()
             store = confed.store
-            memo = getattr(store, "_nc_context_free", {}) or {}
-            # Only roots some participant still has open may remain.
+            # Only roots some participant still has open may remain:
+            # what the graph still registers (edges and derivations).
             open_roots = set()
             for participant in confed.participants:
                 open_roots |= set(participant.state.deferred)
-            assert set(memo) <= open_roots
-            # The conflict graph retires on the same signal: what it
-            # still registers (edges and interned derivations) is open.
             assert set(store.shared_pair_cache()._entries) <= open_roots
+            assert store.retired_extension_count() > 0
 
     def test_the_dht_graph_keeps_only_open_roots_after_a_full_round(self):
         """The DHT's client-centric batches write derivations and edges
@@ -218,12 +222,15 @@ class TestRetention:
 def scan_checked(store):
     """Check every ``complete_reconciliation`` of a memory store against
     a scan of every participant's record — a root retires once each one
-    holds a final verdict on it — and return the roots each call retired."""
+    holds a final verdict on it, and leaves the conflict graph — and
+    return the roots each call retired."""
     calls, complete, retire = [], store.complete_reconciliation, store.retire_shared_entries
+    graph = store.shared_pair_cache()
 
     def record(roots):
         calls[-1].extend(roots)
         retire(roots)
+        assert graph._entries.keys().isdisjoint(roots)
 
     def checked(participant, result):
         calls.append([])
@@ -259,9 +266,20 @@ class TestVerdictCounts:
         )
         store = MemoryUpdateStore(curated_schema())
         confed = Confederation(config, store=store).open()
+        registered = []
+        graph = store.shared_pair_cache()
+        discard = graph.discard
+
+        def counted(roots):
+            registered.extend(tid for tid in roots if tid in graph._entries)
+            discard(roots)
+
+        graph.discard = counted
         calls = scan_checked(store)
         confed.run()
-        assert sum(map(len, calls)) == store.retired_extension_count() > 0
+        # What the graph held of the retired roots is what it let go.
+        assert len(registered) == store.retired_extension_count() > 0
+        assert set(registered) <= {tid for call in calls for tid in call}
 
     def test_a_late_registration_reopens_and_retires_again(self):
         config = ConfederationConfig(
@@ -299,9 +317,8 @@ class TestVerdictCounts:
 
 class TestSharedDerivations:
     """An extension is derived once per (root, closure), whoever needs
-    it: the first participant to flatten a closure the shipped
-    context-free object does not cover leaves it on the conflict graph
-    every batch carries, and the next one adopts it."""
+    it: the first participant to flatten a closure leaves it on the
+    conflict graph every batch carries, and the next one adopts it."""
 
     def _revision_of_an_applied_row(self, store, **options):
         config = ConfederationConfig(
@@ -320,8 +337,8 @@ class TestSharedDerivations:
                 assert reader.reconcile().accepted  # the base is applied
             author.execute([Modify("F", row, ("rat", "p1", "fn-b"), 1)])
             author.publish_and_reconcile()
-            # The revision's shipped closure holds the applied base, so
-            # each reader needs the revision over {revision} alone.
+            # Each reader has applied the base, so each needs the
+            # revision over {revision} alone.
             for reader in (second, third):
                 assert reader.reconcile().accepted
             return held[2], held[3]

@@ -112,7 +112,7 @@ class TestBuiltinDrivers:
 class TestPayloadRouting:
     """Stores put payloads on the batch; the engine adopts what it finds."""
 
-    def _one_published_transaction(self, store):
+    def _one_published_transaction(self, store, begin="begin_reconciliation"):
         from repro.model import Insert
         from repro.model.transactions import Transaction, TransactionId
         from repro.policy import TrustPolicy
@@ -123,16 +123,17 @@ class TestPayloadRouting:
             TransactionId(1, 0), (Insert("F", ("rat", "p1", "x"), 1),)
         )
         store.publish(1, [transaction])
-        return store.begin_reconciliation(2)
+        return getattr(store, begin)(2)
 
-    @pytest.mark.parametrize("name", ["memory", "central", "dht"])
+    @pytest.mark.parametrize("name", sorted(available_stores()))
     def test_every_store_ships_its_shared_graph(self, name):
-        # A direct-log store also ships the context-free extension; on
-        # the DHT gathering its closure costs messages, so the
-        # client-centric batch carries bodies and the graph alone.
-        batch = self._one_published_transaction(create_store(name, curated_schema()))
+        # A client-centric batch has one shape on every store: bodies
+        # and the shared graph; the participant derives each extension.
+        store = create_store(name, curated_schema())
+        batch = self._one_published_transaction(store)
         assert batch.pair_cache is not None
-        assert (batch.extensions is not None) == (name != "dht")
+        assert batch.extensions is None and batch.conflicts is None
+        getattr(store, "close", lambda: None)()
 
     def test_dht_store_computed_batches_ship_both_payloads(self):
         # The controllers' extensions and the driver's shared conflict
@@ -157,17 +158,21 @@ class TestPayloadRouting:
         from repro.instance import Instance
 
         schema = curated_schema()
-        batch = self._one_published_transaction(create_store("memory", schema))
+        batch = self._one_published_transaction(
+            create_store("memory", schema), "begin_network_reconciliation"
+        )
         assert batch.extensions  # the store did ship
         if not carried:
             # A batch without payloads: the engine derives locally.
-            batch.extensions = batch.pair_cache = None
+            batch.extensions = batch.conflicts = batch.pair_cache = None
         reconciler = Reconciler(
             schema, Instance(schema), ParticipantState(2)
         )
         result = reconciler.reconcile(batch)
         assert [str(t) for t in result.accepted] == ["X1:0"]
-        assert reconciler.cache.stats.shipped == int(carried)
+        assert (reconciler.cache.stats.shipped, reconciler.cache.stats.misses) == (
+            (1, 0) if carried else (0, 1)
+        )
 
 
 class TestRegistration:

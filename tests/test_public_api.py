@@ -238,7 +238,7 @@ def test_conflict_detection_has_one_scanner_and_one_memo():
         ConflictGraph(enabled=False)
     assert ConflictGraph(limit=4).limit == 4
     public = {name for name in vars(ConflictGraph) if not name.startswith("_")}
-    assert public == {"derived", "intern", "link", "discard"}
+    assert public == {"derived", "register", "link", "discard"}
     for gone in ("lookup", "store", "pair_key"):
         assert not hasattr(IncrementalConflictIndex, gone), gone
 
@@ -390,6 +390,39 @@ def test_the_retired_knobs_are_refused():
         config = ConfederationConfig(store="dht", peers=(1, 2), faults=plan)
         with pytest.raises(ConfigError, match=kind):
             Confederation(config).open()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "context_free_extension",
+        "ship_context_free_extensions",
+        "SHARED_MEMO_LIMIT",
+        "_nc_context_free",
+        "_nc_released",
+    ],
+)
+def test_the_direct_log_context_free_memo_is_gone(name):
+    # A client-centric batch carries bodies and the shared conflict
+    # graph on every store: the per-transaction memo, its counter and
+    # its backstop constant (now the graph's, in ``repro.core.cache``)
+    # are gone from the direct-log stores.
+    from repro.store import MemoryUpdateStore
+    from repro.store.network_centric import DirectLogStore
+    from repro.workload import curated_schema
+
+    assert not hasattr(DirectLogStore, name)
+    assert not hasattr(MemoryUpdateStore(curated_schema()), name)
+
+
+def test_the_conflict_graph_holds_the_one_backstop_and_no_intern():
+    import repro.core.cache as cache
+    import repro.core.resolution as resolution
+
+    assert cache.ConflictGraph().limit == cache.SHARED_MEMO_LIMIT
+    assert not hasattr(cache.ConflictGraph, "intern")
+    # Describing the open conflict groups is ``ConflictGroup.describe``.
+    assert not hasattr(resolution, "pending_resolutions")
 
 
 @pytest.mark.parametrize(
