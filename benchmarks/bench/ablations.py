@@ -86,7 +86,6 @@ def raw_update_extension(
         members=tuple(members),
         operations=tuple(footprint),
         touched=frozenset(keys_touched(schema, footprint)),
-        priority=root.priority,
     )
 
 

@@ -329,12 +329,9 @@ class Confederation:
     # Soft-state snapshot / restore (Section 5.2)
 
     def snapshot(self) -> Dict[int, ParticipantSnapshot]:
-        """Per-participant decision state as recorded by the store.
-
-        Requires a store that supports ``decided_transactions`` (all
-        built-in backends do; a store that cannot enumerate decisions
-        raises ``NotImplementedError`` per the base contract).
-        """
+        """Per-participant decision state as recorded by the store, read
+        through ``decided_transactions`` (abstract in the store contract,
+        so every store has it)."""
         self._ensure_open()
         snapshots = {}
         for participant in self.participants:

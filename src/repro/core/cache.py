@@ -138,26 +138,20 @@ class ExtensionCache:
         return len(self._entries)
 
     def lookup(
-        self,
-        tid: TransactionId,
-        version: int,
-        applied: Set[TransactionId],
-        priority: Optional[int] = None,
+        self, tid: TransactionId, version: int, applied: Set[TransactionId]
     ) -> Optional[UpdateExtension]:
         """The cached extension for ``tid`` if still valid, else None.
 
         A version match hits outright.  Otherwise the entry is revalidated:
         if none of its members became applied, the closure is unchanged and
         the entry is refreshed to the current version (see module
-        docstring).  ``priority`` guards against trust-policy drift: a
-        cached extension carrying a different root priority is discarded.
+        docstring).  A trust policy that moved the root's priority leaves
+        the entry valid: the extension carries none.
         """
         entry = self._entries.get(tid)
         if entry is None:
             return None
         cached_version, extension = entry
-        if priority is not None and extension.priority != priority:
-            return None
         if cached_version == version:
             self.stats.hits += 1
             return extension
@@ -193,15 +187,15 @@ class ExtensionCache:
         asked for what some participant already derived over exactly
         that closure; only then are the members the walk returned
         flattened here, and the result registered there for the next.
-        An adopted extension is re-priced to this participant's
-        priority for the root.
+        An adopted extension is kept as the very object, whatever
+        priority this participant gives the root.
 
         Propagates :class:`~repro.errors.FlattenError` from the underlying
         computation (the engine rejects such roots); failures are not
         cached — a root that fails to flatten is rejected and never
         re-requested.
         """
-        extension = self.lookup(root.tid, version, applied, root.priority)
+        extension = self.lookup(root.tid, version, applied)
         if extension is not None:
             return extension
         extension = shipped
@@ -215,7 +209,7 @@ class ExtensionCache:
             self.stats.misses += 1
             extension = flattened_extension(
                 schema,
-                root,
+                root.tid,
                 # The root comes last in its closure: alone, it is the
                 # one body, and nothing is looked up.
                 (root.transaction,)
@@ -224,8 +218,6 @@ class ExtensionCache:
             )
             if shared is not None:
                 shared.register(extension)
-        if extension.priority != root.priority:
-            extension = extension.repriced(root.priority)
         self.store(root.tid, version, extension)
         return extension
 
@@ -239,10 +231,11 @@ class ExtensionCache:
 class PageCache:
     """A bounded LRU cache paging immutable values from a backing store.
 
-    The durable store (:mod:`repro.store.durable`) keeps transaction
-    bodies on disk and pages them through one of these, so resident
-    memory stays O(cache capacity) — the open frontier — while the
-    published history grows without bound.  The cache is deliberately
+    The sqlite stores (:mod:`repro.store.central`, registered as
+    ``central`` and ``durable``) keep transaction bodies on disk and
+    page them through one of these, so resident memory stays O(cache
+    capacity) — the open frontier — while the published history grows
+    without bound.  The cache is deliberately
     dumb: keys map to immutable values, a hit refreshes recency, and
     inserting past ``capacity`` evicts the least-recently-used entry
     (an evicted body is simply re-read from disk on its next miss).
@@ -310,9 +303,9 @@ class PageCache:
 #: merely costs a derivation on the next miss.
 SHARED_MEMO_LIMIT = 65536
 
-#: The neighbourhood of an origin registered with no edge yet: one shared
-#: empty mapping, never written — :meth:`ConflictGraph.link` gives an
-#: origin a dict of its own at its first edge.
+#: The neighbourhood of an extension registered with no edge yet: one
+#: shared empty mapping, never written — :meth:`ConflictGraph.link`
+#: gives an extension a dict of its own at its first edge.
 _UNLINKED = MappingProxyType({})
 
 
@@ -320,29 +313,28 @@ class ConflictGraph:
     """The confederation-shared conflict graph: what is known about
     pairs of extension *objects*, hung on the objects themselves.
 
-    An extension is registered by its *origin* (re-priced twins share
-    one: points do not depend on the price), under its root.  A
-    registered origin carries its neighbourhood, ``id(other origin) ->
-    (other origin, points)``: an edge is written at both ends by the
-    first conflict index to hold both (:meth:`link`), says ``()`` for a
-    pair that does not conflict *or* of which one subsumes the other,
-    and is read by every later index with one probe and an identity
-    test.  An edge pins its two objects, so the ``id`` it is filed under
-    cannot be reused while it stands; a recomputed object has no edges.
+    An extension is registered under its root.  A registered extension
+    carries its neighbourhood, ``id(other) -> (other, points)``: an edge
+    is written at both ends by the first conflict index to hold both
+    (:meth:`link`), says ``()`` for a pair that does not conflict *or*
+    of which one subsumes the other, and is read by every later index
+    with one probe and an identity test.  An edge pins its two objects,
+    so the ``id`` it is filed under cannot be reused while it stands; a
+    recomputed object has no edges.
 
     The same registry is the one derivation per (root, closure): an
     extension is a pure function of its root and member set, so the
     first participant to flatten a closure (:meth:`register`) serves
-    every other whose walk ends on it (:meth:`derived`).  Registering
-    allocates nothing until it must: a root's first origin is its own
-    entry and shares the empty neighbourhood, a dict of its own comes
-    with its first edge, and a list of a root's other origins with its
-    second closure.
+    every other whose walk ends on it (:meth:`derived`), at whatever
+    priority each gives the root.  Registering allocates nothing until
+    it must: a root's first extension is its own entry and shares the
+    empty neighbourhood, a dict of its own comes with its first edge,
+    and a list of a root's other extensions with its second closure.
 
     Roots leave by the stores' retirement signal (:meth:`discard`),
-    O(degree) per origin, with ``limit`` as the backstop; ``released``
-    counts the roots let go either way.  Only these helpers mutate the
-    registry.
+    O(degree) per extension, with ``limit`` as the backstop;
+    ``released`` counts the roots let go either way.  Only these
+    helpers mutate the registry.
     """
 
     def __init__(self, limit: Optional[int] = SHARED_MEMO_LIMIT) -> None:
@@ -352,7 +344,7 @@ class ConflictGraph:
         self.limit = limit
         self.released = 0
         self._entries: Dict[TransactionId, UpdateExtension] = {}
-        # A root's origins past its first, one per further closure.
+        # A root's extensions past its first, one per further closure.
         self._others: Dict[TransactionId, List[UpdateExtension]] = {}
 
     def __len__(self) -> int:
@@ -363,23 +355,24 @@ class ConflictGraph:
     ) -> Optional[UpdateExtension]:
         """The registered extension of ``root`` over the closure
         ``members`` (in publish order), if there is one."""
-        origin = self._entries.get(root)
-        if origin is None or origin.members == members:
-            return origin
+        first = self._entries.get(root)
+        if first is None or first.members == members:
+            return first
         for other in self._others.get(root, ()):
             if other.members == members:
                 return other
         return None
 
-    def register(self, origin: UpdateExtension) -> None:
-        """Register ``origin`` under its root: a derivation :meth:`derived`
-        had none of, or one end of a first edge (:meth:`link`)."""
-        origin._hood = _UNLINKED
-        root = origin.root
+    def register(self, extension: UpdateExtension) -> None:
+        """Register ``extension`` under its root: a derivation
+        :meth:`derived` had none of, or one end of a first edge
+        (:meth:`link`)."""
+        extension._hood = _UNLINKED
+        root = extension.root
         if root in self._entries:
-            self._others.setdefault(root, []).append(origin)
+            self._others.setdefault(root, []).append(extension)
         else:
-            self._entries[root] = origin
+            self._entries[root] = extension
             if self.limit is not None and len(self._entries) > self.limit:
                 self._unlink(next(iter(self._entries)))
 
@@ -388,16 +381,16 @@ class ConflictGraph:
         if first is None:
             return
         self.released += 1
-        for origin in (first, *self._others.pop(root, ())):
-            hood, origin._hood = origin._hood, None
+        for extension in (first, *self._others.pop(root, ())):
+            hood, extension._hood = extension._hood, None
             for other, _points in hood.values():
-                del other._hood[id(origin)]
+                del other._hood[id(extension)]
 
     def link(
         self, left: UpdateExtension, right: UpdateExtension, points: Tuple
     ) -> None:
-        """Hang the edge between the origins ``left`` and ``right`` on
-        both (``points`` possibly empty — known too)."""
+        """Hang the edge between ``left`` and ``right`` on both
+        (``points`` possibly empty — known too)."""
         if left._hood is None:
             self.register(left)
         if right._hood is None:
@@ -412,7 +405,7 @@ class ConflictGraph:
         right._hood[id(left)] = (left, points)
 
     def discard(self, roots: Iterable[TransactionId]) -> None:
-        """Unlink every origin of ``roots``, at both ends of each edge
+        """Unlink every extension of ``roots``, at both ends of each edge
         (retirement: the roots have been finally decided by every
         participant, so no reconciliation will hold their extensions
         again)."""

@@ -283,15 +283,13 @@ class IncrementalConflictIndex:
         if partners is None:
             return
         members = extension.member_set()
-        # Edges hang on the origins (re-priced twins share them), so a
-        # partner visit is one probe of this origin's neighbourhood.
-        origin = extension._origin or extension
-        hood = (origin._hood if shared is not None else None) or {}
+        # Edges hang on the extensions, so a partner visit is one probe
+        # of this extension's neighbourhood.
+        hood = (extension._hood if shared is not None else None) or {}
         for other in partners:
             other_extension = self._extensions[other]
-            other_origin = other_extension._origin or other_extension
-            edge = hood.get(id(other_origin))
-            if edge is not None and edge[0] is other_origin:
+            edge = hood.get(id(other_extension))
+            if edge is not None and edge[0] is other_extension:
                 points = edge[1]
                 self.stats.pair_hits += 1
             else:
@@ -306,7 +304,7 @@ class IncrementalConflictIndex:
                         )
                     )
                 if shared is not None:
-                    shared.link(origin, other_origin, points)
+                    shared.link(extension, other_extension, points)
             if points:
                 pair = (tid, other) if tid < other else (other, tid)
                 self._points[pair] = points

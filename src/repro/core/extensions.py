@@ -14,7 +14,6 @@ This module consumes those edges through :class:`TransactionGraph`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -168,28 +167,26 @@ class UpdateExtension:
     * ``members`` — the transaction extension, in publish order;
     * ``operations`` — ``flatten`` of the members' concatenated updates;
     * ``touched`` — every qualified key the raw (unflattened) footprint
-      read or wrote, used for dirty-value deferral;
-    * ``priority`` — ``pri_i`` of the root.
+      read or wrote, used for dirty-value deferral.
 
+    No trust priority: ``pri_i`` is the participant's, on the
+    :class:`RelevantTransaction` that ``DoGroup`` reads, so one object
+    serves every participant whose walk ends on the same closure.
     Everything else it answers — the member set, the key index, the
-    instance footprint — is a function of those fields and is derived at
-    most once, also on behalf of every :meth:`repriced` copy.  Slotted:
-    a batch builds one per root.
+    instance footprint — is a function of those fields and is derived
+    at most once.  Slotted: a batch builds one per root.
     """
 
     root: TransactionId
     members: Tuple[TransactionId, ...]
     operations: Tuple[Update, ...]
     touched: frozenset
-    priority: int
     _members_set: frozenset = field(init=False, repr=False, compare=False)
-    #: What ``operations`` alone determine, as derived for ``_schema``; a
-    #: re-priced copy reads and writes them on ``_origin``, its original.
-    _origin: Optional["UpdateExtension"] = field(default=None, init=False, repr=False, compare=False)
+    #: What ``operations`` alone determine, as derived for ``_schema``.
     _schema: Optional[Schema] = field(default=None, init=False, repr=False, compare=False)
     _key_index: Optional[Dict] = field(default=None, init=False, repr=False, compare=False)
     _footprint: Optional[Footprint] = field(default=None, init=False, repr=False, compare=False)
-    #: An origin's conflict edges, ``id(other origin) -> (other origin,
+    #: Its conflict edges, ``id(other extension) -> (other extension,
     #: points)``: kept by the :class:`~repro.core.cache.ConflictGraph` it
     #: is registered with (None: with none), which alone writes them.
     _hood: Optional[Dict[int, Tuple["UpdateExtension", Tuple]]] = field(default=None, init=False, repr=False, compare=False)
@@ -205,31 +202,18 @@ class UpdateExtension:
         """True if this extension's members are a superset of ``other``'s."""
         return self.member_set() >= other.member_set()
 
-    def repriced(self, priority: int) -> "UpdateExtension":
-        """A distinct extension object at ``priority`` (memos validated by
-        object identity tell the two apart) sharing everything that is a
-        function of the operations and not of the price: the member set,
-        and the key index and footprint, whichever of the two derives first.
-        """
-        twin = copy.copy(self)  # no ``__post_init__``: the member set is shared
-        twin.priority = priority
-        twin._origin = self._origin or self
-        twin._hood = None  # edges hang on the origin alone
-        return twin
-
     def _derived(self, slot: str, schema: Schema, derive: Callable):
         """``derive(schema, operations)``, memoized in ``slot`` for one
         schema at a time.  An extension's operations never change after
         construction, so whichever participant derives first writes the
         value every other reads."""
-        holder = self._origin or self
-        if holder._schema is not schema:
-            holder._key_index = holder._footprint = None
-            holder._schema = schema
-        value = getattr(holder, slot)
+        if self._schema is not schema:
+            self._key_index = self._footprint = None
+            self._schema = schema
+        value = getattr(self, slot)
         if value is None:
             value = derive(schema, self.operations)
-            setattr(holder, slot, value)
+            setattr(self, slot, value)
         return value
 
     def key_index(self, schema: Schema) -> Dict[QualifiedKey, List[Update]]:
@@ -273,10 +257,11 @@ def update_footprint(
 
 
 def flattened_extension(
-    schema: Schema, root: RelevantTransaction, members: Sequence[Transaction]
+    schema: Schema, root: TransactionId, members: Sequence[Transaction]
 ) -> UpdateExtension:
-    """``root``'s update extension over ``members``, its transaction
-    extension in publish order — however the caller walked the closure.
+    """The update extension of the root with tid ``root`` over
+    ``members``, its transaction extension in publish order — however the
+    caller walked the closure.
 
     The footprint is traced exactly once: :func:`flatten_once` yields the
     net operations and the touched-key set from a single chain pass.  A
@@ -293,11 +278,10 @@ def flattened_extension(
         else [update for member in members for update in member.updates],
     )
     return UpdateExtension(
-        root=root.tid,
+        root=root,
         members=(members[0].tid,) if alone else tuple(member.tid for member in members),
         operations=flat.operations,
         touched=flat.keys_touched,
-        priority=root.priority,
     )
 
 
@@ -315,7 +299,7 @@ def compute_update_extension(
     """
     members = graph.extension(root.tid, applied)
     return flattened_extension(
-        schema, root, [graph.transaction(tid) for tid in members]
+        schema, root.tid, [graph.transaction(tid) for tid in members]
     )
 
 

@@ -29,17 +29,13 @@ drops the derivation-table rows and acknowledges the verdict as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.cache import SHARED_MEMO_LIMIT
-from repro.core.extensions import (
-    RelevantTransaction,
-    UpdateExtension,
-    flattened_extension,
-)
+from repro.core.extensions import UpdateExtension, flattened_extension
 from repro.errors import FlattenError, StoreError
 from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
@@ -83,11 +79,12 @@ def _first_delivery(host, participant: int, tid: TransactionId) -> bool:
 
 
 def _derive(
-    schema: Schema, root: RelevantTransaction, bodies: Sequence[wire.Body]
+    schema: Schema, root: TransactionId, bodies: Sequence[wire.Body]
 ) -> Optional[UpdateExtension]:
-    """``root``'s update extension over its member closure ``bodies``
-    (in publish order); ``None`` when the closure does not flatten (the
-    client's own computation reaches the same ``FlattenError``)."""
+    """The update extension of the root ``root`` over its member closure
+    ``bodies`` (in publish order); ``None`` when the closure does not
+    flatten (the client's own computation reaches the same
+    ``FlattenError``)."""
     try:
         return flattened_extension(schema, root, [body[0] for body in bodies])
     except FlattenError:
@@ -102,31 +99,21 @@ class Derivation:
     An extension is a pure function of its root and member set — the
     closure graph is fixed at publish, a participant's applied set only
     decides where the walk stops — so every participant whose walk ends
-    on the same closure shares the row: the priority-agnostic extension,
-    one re-priced copy and digest per priority (the pair memos validate
-    by object identity), and the dictionary-encoded shipping price.
+    on the same closure shares the row, at any priority: one extension
+    object (the pair memos validate by object identity), its content
+    digest, and the dictionary-encoded shipping price.
     """
 
     #: The closure's bodies, in publish order.
     bodies: Sequence[wire.Body]
-    #: Its extension at priority 0; ``None`` when it does not flatten —
-    #: such a root ships bodies only and the client rejects it.
+    #: Its extension; ``None`` when it does not flatten — such a root
+    #: ships bodies only and the client rejects it.
     extension: Optional[UpdateExtension]
-    _priced: Dict[int, Tuple[UpdateExtension, str]] = field(default_factory=dict, init=False)
 
-    def at(
-        self, priority: int
-    ) -> Tuple[Optional[UpdateExtension], Optional[str]]:
-        """``(extension, digest)`` as a participant at ``priority`` is
-        served them — the same objects on every call."""
-        if self.extension is None:
-            return None, None
-        priced = self._priced.get(priority)
-        if priced is None:
-            extension = self.extension.repriced(priority)
-            priced = (extension, wire.extension_digest(extension))
-            self._priced[priority] = priced
-        return priced
+    @cached_property
+    def digest(self) -> Optional[str]:
+        """``wire.extension_digest`` of the extension (``None`` without one)."""
+        return None if self.extension is None else wire.extension_digest(self.extension)
 
     @cached_property
     def cost(self) -> Tuple[int, int]:
@@ -149,7 +136,7 @@ def _derivation(
     if row is None:
         ordered = sorted(bodies.values(), key=itemgetter(2))
         row = rows[closure] = Derivation(
-            ordered, _derive(host.schema, wire.root(held, 0), ordered)
+            ordered, _derive(host.schema, held["transaction"].tid, ordered)
         )
         host.derive_stats.misses += 1
     else:

@@ -167,8 +167,8 @@ class DhtUpdateStore(UpdateStore):
         # The confederation-wide conflict graph, attached to every
         # store-computed batch and read by every peer's assembly index:
         # edges hang on the extension objects, and the controllers serve
-        # every participant the *same* object per (root, closure),
-        # re-priced.  Retention (complete_reconciliation) is the primary
+        # every participant the *same* object per (root, closure), at
+        # any priority.  Retention (complete_reconciliation) is the primary
         # eviction; the graph's FIFO limit is the backstop, as on every
         # store.
         self._shared_pairs = ConflictGraph()

@@ -33,19 +33,20 @@ stopped at the participant's applied transactions — is all an extension
 depends on, so each controller keeps one *derivation table* keyed by
 exactly that (:class:`~repro.store.dht.controllers.Derivation`): a
 closure is flattened, digested and priced once, however many
-participants and rounds land on it.  The per-(participant, root)
-memo is only a pointer into the table stamped with the participant's
-applied-set version: while the version stands it answers the root with
+participants (at whatever priorities) and rounds land on it.  The
+per-(participant, root) memo is only a pointer into the table stamped
+with the participant's applied-set version: while the version stands it answers the root with
 *no walk at all* (no ``nc_fetch_batch``); once it moved the verdicts
 are refetched and only the derivation is reused.  A final verdict
 retires the participant's pointer, the last participant's the rows.
 
 Either way the repeated-deferral rounds the paper worries about are
 *delta-encoded*: when the client proves (by echoing the row's content
-digest) that it still retains the previous round's assembled payload,
-the controller answers with a tiny ``nc_unchanged`` token instead of
-re-shipping bodies — O(delta) re-delivery cost, not O(state) — with a
-full-payload fallback when the client no longer holds it.  The
+digest, qualified by its priority for the root) that it still retains
+the previous round's assembled payload, the controller answers with a
+tiny ``nc_unchanged`` token instead of re-shipping bodies — O(delta)
+re-delivery cost, not O(state) — with a full-payload fallback when the
+client no longer holds it.  The
 comparison is by *content*, not version: a walk that ends on the same
 closure as before (disjoint from whatever was newly applied — the
 common case) still answers with the token.  First deliveries are cheap
@@ -338,11 +339,14 @@ def _stage(
     """Stage one root's answer — its closure's derivation-table row —
     into the coalesced reply: a digest token, or the full payload.
 
-    When the row's digest is the one the client echoed (``want_digest``)
-    the client retains the identical assembled payload — even if its
-    applied-set version moved, the closure the walk ended on is disjoint
-    from whatever was newly applied — and the token alone answers the
-    root; no body or extension byte travels again.
+    The token is the row's digest qualified by the participant's
+    priority for the root: the payload carries that priority, so one
+    whose priority moved is re-sent it.  When the token is the one the
+    client echoed (``want_digest``) the client retains the identical
+    assembled payload — even if its applied-set version moved, the
+    closure the walk ended on is disjoint from whatever was newly
+    applied — and the token alone answers the root; no body or
+    extension byte travels again.
 
     Otherwise the payload ships, priced like ``txn_data``: each body
     not yet delivered to the participant (as this controller knows it —
@@ -358,7 +362,8 @@ def _stage(
     """
     participant = batch["participant"]
     tid = held["transaction"].tid
-    extension, digest = row.at(priority)
+    extension = row.extension
+    digest = None if extension is None else f"{priority}:{row.digest}"
     if digest is not None and digest == want_digest:
         batch["unchanged"][tid] = digest
         return

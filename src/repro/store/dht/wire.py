@@ -130,9 +130,10 @@ def encoded_extension_cost(
 def extension_digest(extension: UpdateExtension) -> str:
     """A stable content digest of a derived extension.
 
-    This is the ``nc_unchanged`` token: the client echoes it to prove
+    Qualified by the reader's priority for the root, it is the
+    ``nc_unchanged`` token (``nc._stage``): the client echoes it to prove
     the assembled payload it retained is byte-for-byte the one the
-    controller memoized, and the controller answers with the digest
+    controller would ship, and the controller answers with the token
     alone instead of re-shipping bodies.  Built from printable content
     only — never object identities — so it is deterministic across
     processes and restarts.
@@ -140,7 +141,6 @@ def extension_digest(extension: UpdateExtension) -> str:
     content = repr(
         (
             str(extension.root),
-            extension.priority,
             tuple(str(member) for member in extension.members),
             tuple(repr(operation) for operation in extension.operations),
         )

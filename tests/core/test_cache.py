@@ -61,7 +61,7 @@ def count_derivations(monkeypatch):
     calls, flatten = [], cache_module.flattened_extension
 
     def counting(schema_, root, members):
-        calls.append(root.tid)
+        calls.append(root)
         return flatten(schema_, root, members)
 
     monkeypatch.setattr(cache_module, "flattened_extension", counting)
@@ -149,8 +149,9 @@ class TestExtensionCache:
 
     def test_adopts_a_store_computed_extension_as_it_is(self, schema, monkeypatch):
         """An extension a store-computed batch offers was derived against
-        this participant's applied set: it is adopted (re-priced), and
-        nothing is walked or flattened here."""
+        this participant's applied set: it is adopted as the very
+        object, at whatever priority the participant gives the root,
+        and nothing is walked or flattened here."""
         builder = GraphBuilder()
         base = make_transaction(3, 0, [Insert("F", RAT1, 3)])
         revision = make_transaction(3, 1, [Modify("F", RAT1, RAT1_IMMUNE, 3)])
@@ -166,8 +167,7 @@ class TestExtensionCache:
         adopted = cache.get_or_compute(
             schema, builder.graph, root, {base.tid}, 1, shipped=shipped
         )
-        assert adopted.operations is shipped.operations
-        assert adopted.priority == 2 and shipped.priority == 1
+        assert adopted is shipped
         assert (cache.stats.shipped, cache.stats.misses) == (1, 0)
         again = cache.get_or_compute(
             schema, builder.graph, root, {base.tid}, 1, shipped=shipped
@@ -219,17 +219,13 @@ class TestInternedDerivations:
                 {base.tid}, 1, shared=shared,
             )
 
-        origin = derive(first, 1)
-        assert origin.members == (revision.tid,)
+        derived = derive(first, 1)
+        assert derived.members == (revision.tid,)
         assert (first.stats.misses, first.stats.shipped) == (1, 0)
-        # Same (root, closure), same price: the very same object.
-        assert derive(second, 1) is origin
+        # Same (root, closure), at any priority: the very same object.
+        assert derive(second, 1) is derived
         assert (second.stats.misses, second.stats.shipped) == (0, 1)
-        # Another price: a re-priced twin of it, sharing what it derived.
-        twin = derive(third, 2)
-        assert twin is not origin and twin._origin is origin
-        assert twin.priority == 2 and origin.priority == 1
-        assert twin.operations is origin.operations
+        assert derive(third, 2) is derived
         assert (third.stats.misses, third.stats.shipped) == (0, 1)
         assert len(shared) == 1
 
@@ -256,13 +252,13 @@ class TestInternedDerivations:
         builder, base, revision = self._revision_over_an_applied_base(schema)
         shared = ConflictGraph()
         root = relevant(builder, revision)
-        origin = ExtensionCache().get_or_compute(
+        interned = ExtensionCache().get_or_compute(
             schema, builder.graph, root, {base.tid}, 1, shared=shared
         )
         fresh = compute_update_extension(schema, builder.graph, root, {base.tid})
-        assert fresh == origin and fresh is not origin
-        assert fresh._origin is None and fresh._hood is None  # registered nowhere
-        assert shared.derived(revision.tid, (revision.tid,)) is origin
+        assert fresh == interned and fresh is not interned
+        assert fresh._hood is None  # registered nowhere
+        assert shared.derived(revision.tid, (revision.tid,)) is interned
 
     def test_a_chain_that_does_not_flatten_is_never_registered(self, schema):
         builder = GraphBuilder()
@@ -301,7 +297,7 @@ class TestConflictGraph:
                 schema, builder.graph, relevant(builder, txn), set()
             )
             extensions.append(
-                _Tracked(plain.root, plain.members, plain.operations, plain.touched, 1)
+                _Tracked(plain.root, plain.members, plain.operations, plain.touched)
             )
         return extensions
 
@@ -313,9 +309,6 @@ class TestConflictGraph:
         assert a._hood == {id(b): (b, self.POINTS)}
         assert b._hood == {id(a): (a, self.POINTS)}
         assert len(graph) == 2
-        # A re-priced twin carries no edges of its own: its origin's do.
-        twin = b.repriced(7)
-        assert twin._hood is None and twin._origin is b
         graph.discard([b.root])
         assert b._hood is None and a._hood == {} and len(graph) == 1
         graph.discard([b.root, a.root])  # idempotent
@@ -590,6 +583,46 @@ class TestSharedDerivationThroughTheStore:
             assert txn.tid in reader.reconcile().accepted
         # The first reader flattened the root; the second adopted it.
         assert calls == [txn.tid]
+        stats = [reader.reconciler.cache.stats for reader in readers]
+        assert [(s.misses, s.shipped) for s in stats] == [(1, 0), (0, 1)]
+
+    def test_readers_at_two_priorities_adopt_one_object(self, monkeypatch):
+        """An extension carries no priority: a reader trusting the author
+        at 2 adopts the very object a reader at 1 registered for the
+        same (root, closure)."""
+        from repro.cdss.participant import Participant
+        from repro.model.transactions import Transaction, TransactionId
+        from repro.policy.acceptance import TrustPolicy
+        from repro.store.memory import MemoryUpdateStore
+        from repro.workload.generator import curated_schema
+
+        used = []
+        get_or_compute = ExtensionCache.get_or_compute
+
+        def recording(cache, *args, **kwargs):
+            used.append(get_or_compute(cache, *args, **kwargs))
+            return used[-1]
+
+        monkeypatch.setattr(ExtensionCache, "get_or_compute", recording)
+        store = MemoryUpdateStore(curated_schema())
+        Participant(1, store, TrustPolicy())
+        readers = [
+            Participant(pid, store, TrustPolicy().trust_participant(1, priority))
+            for pid, priority in ((2, 1), (3, 2))
+        ]
+        txn = Transaction(
+            TransactionId(1, 0),
+            (Insert("F", ("human", "p4", "fn-z"), 1),),
+        )
+        store.publish(1, [txn])
+        batches = []
+        for reader in readers:
+            batches.append(store.begin_reconciliation(reader.id))
+            assert txn.tid in reader.reconciler.reconcile(batches[-1]).accepted
+        assert [batch.roots[0].priority for batch in batches] == [1, 2]
+        first, second = used
+        assert second is first
+        assert store.shared_pair_cache().derived(txn.tid, (txn.tid,)) is first
         stats = [reader.reconciler.cache.stats for reader in readers]
         assert [(s.misses, s.shipped) for s in stats] == [(1, 0), (0, 1)]
 

@@ -514,25 +514,11 @@ class TestFootprintCompiledOnce:
             assert result.accepted == [txn.tid]
             assert result.cache_stats.shipped == 1
             instances.append(instance)
-        # Checked three times and applied three times, the third time as
-        # a copy re-priced to 2: compiled once.
+        # Checked three times and applied three times, the third time at
+        # priority 2: compiled once.
         assert compiled == ["extension"]
         assert instances[0] == instances[1] == instances[2]
         assert instances[0].count("F") == 2
-
-    def test_a_repriced_copy_shares_whatever_derives_first(self, schema, compiled):
-        builder = GraphBuilder()
-        txn = make_transaction(9, 0, [Insert("F", RAT1, 9)])
-        builder.add(txn)
-        [root] = builder.batch(1, [(txn, 1)]).roots
-        original = compute_update_extension(schema, builder.graph, root, set())
-        copy = original.repriced(5)
-        assert copy is not original and copy.priority == 5 and original.priority == 1
-        assert copy.member_set() is original.member_set()
-        footprint = copy.footprint(schema)  # the copy derives first ...
-        assert original.footprint(schema) is footprint  # ... for the original too
-        assert original.repriced(7).key_index(schema) is copy.key_index(schema)
-        assert compiled == ["extension"]
 
     def test_the_residual_path_compiles_its_own(self, schema, compiled):
         reconciler, instance, _state = make_reconciler(schema, 1)

@@ -104,7 +104,6 @@ class TestTransactionGraph:
         assert extension.members == (txn.tid,)
         assert extension.operations == expected.operations
         assert extension.touched == expected.keys_touched
-        assert extension.priority == 2
 
     def test_an_antecedent_free_root_that_does_not_flatten_raises(self, schema):
         # Two insertions at one key: the engine rejects the root.
@@ -135,7 +134,6 @@ class TestUpdateExtension:
         )
         assert extension.operations == (Insert("F", RAT1_RESP, 2),)
         assert extension.members == (x30.tid, x31.tid, x20.tid)
-        assert extension.priority == 1
 
     def test_extension_relative_to_applied(self, schema, chain_graph):
         builder, x30, x31, x20 = chain_graph
@@ -199,21 +197,17 @@ class TestOneTransactionClosure:
     )
     def test_equals_the_concatenation_path(self, schema, updates):
         txn = make_transaction(1, 0, updates)
-        root = RelevantTransaction(txn, priority=3, order=0)
-        extension = flattened_extension(schema, root, [txn])
+        extension = flattened_extension(schema, txn.tid, [txn])
         concatenated = flatten_once(schema, [u for member in [txn] for u in member.updates])
         assert extension.root == txn.tid
         assert extension.members == (txn.tid,)
         assert extension.member_set() == frozenset({txn.tid})
         assert extension.operations == concatenated.operations
         assert extension.touched == concatenated.keys_touched
-        assert extension.priority == 3
 
     def test_a_single_update_is_its_own_operations(self, schema):
         txn = make_transaction(1, 0, [Insert("F", RAT1, 1)])
-        extension = flattened_extension(
-            schema, RelevantTransaction(txn, priority=1, order=0), [txn]
-        )
+        extension = flattened_extension(schema, txn.tid, [txn])
         assert extension.operations is txn.updates
         # A list is copied: the operations of an extension are a tuple.
         assert flatten_once(schema, list(txn.updates)).operations == txn.updates
@@ -225,14 +219,13 @@ class TestOneTransactionClosure:
             TransactionId(1, 0), (Insert("F", RAT1, 1), Insert("F", RAT1_RESP, 1))
         )
         with pytest.raises(FlattenError) as direct:
-            flattened_extension(schema, RelevantTransaction(txn, 1, 0), [txn])
+            flattened_extension(schema, txn.tid, [txn])
         with pytest.raises(FlattenError) as concatenated:
             flatten_once(schema, list(txn.updates))
         assert str(direct.value) == str(concatenated.value)
 
     def test_a_longer_closure_still_concatenates(self, schema, chain_graph):
         builder, x30, x31, x20 = chain_graph
-        root = RelevantTransaction(x20, priority=1, order=2)
-        extension = flattened_extension(schema, root, [x30, x31, x20])
+        extension = flattened_extension(schema, x20.tid, [x30, x31, x20])
         assert extension.members == (x30.tid, x31.tid, x20.tid)
         assert extension.operations == (Insert("F", RAT1_RESP, 2),)

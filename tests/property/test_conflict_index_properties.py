@@ -104,15 +104,9 @@ def pairs_of(extensions):
     return [(a, b) for i, a in enumerate(tids) for b in tids[i + 1 :]]
 
 
-def origin_of(extension: UpdateExtension) -> UpdateExtension:
-    """The object a conflict graph hangs the extension's edges on."""
-    return extension._origin or extension
-
-
 def edge_between(left: UpdateExtension, right: UpdateExtension):
     """The graph's edge between two extensions, read the way an index
     reads it — one probe, validated by identity — or None."""
-    left, right = origin_of(left), origin_of(right)
     edge = (left._hood or {}).get(id(right))
     return edge[1] if edge is not None and edge[0] is right else None
 
@@ -278,9 +272,9 @@ def test_discard_agrees_with_a_fresh_index(history):
 @settings(max_examples=200, deadline=None)
 def test_two_indexes_over_one_graph_compare_each_pair_once(history, data):
     """Two participants' indexes over the one graph a store ships: the
-    objects are the store's (one per root, re-priced per participant),
-    the first index to hold a pair hangs the edge on them, and the
-    second — whatever it holds them as — only reads it."""
+    objects are the store's (one per root, whatever priority each
+    participant gives it), the first index to hold a pair hangs the
+    edge on them, and the second only reads it."""
     graph, tids = history
     shared = ConflictGraph()
     first, second = IncrementalConflictIndex(), IncrementalConflictIndex()
@@ -317,25 +311,21 @@ def test_two_indexes_over_one_graph_compare_each_pair_once(history, data):
         held = {tid: shipped[tid] for tid in chosen if tid in shipped}
         analysis = first.update(PROP_SCHEMA, graph, held, shared)
         assert_matches_reference(graph, held, analysis, shared)
-        # The second participant holds the same roots at its own prices.
-        priced = {
-            tid: extension.repriced(2) if data.draw(st.booleans()) else extension
-            for tid, extension in held.items()
-        }
-        # It examines each candidate pair with a side it did not hold...
+        # The second participant holds the same objects.  It examines
+        # each candidate pair with a side it did not hold...
         examined = sum(
-            edge_between(priced[a], priced[b]) is not None
-            for a, b in pairs_of(priced)
-            if previous.get(a) is not priced[a] or previous.get(b) is not priced[b]
+            edge_between(held[a], held[b]) is not None
+            for a, b in pairs_of(held)
+            if previous.get(a) is not held[a] or previous.get(b) is not held[b]
         )
         compared, answered = second.stats.pair_misses, second.stats.pair_hits
-        analysis = second.update(PROP_SCHEMA, graph, priced, shared)
-        assert_matches_reference(graph, priced, analysis, shared)
+        analysis = second.update(PROP_SCHEMA, graph, held, shared)
+        assert_matches_reference(graph, held, analysis, shared)
         # ...and the graph answers every one — subsumed pairs (``()``)
         # included — so it compares nothing.
         assert second.stats.pair_misses == compared
         assert second.stats.pair_hits == answered + examined
-        previous = priced
+        previous = held
 
 
 def test_an_edge_filed_under_a_reused_id_misses_by_identity():
@@ -355,13 +345,13 @@ def test_an_edge_filed_under_a_reused_id_misses_by_identity():
     assert index.stats.pair_misses == 1 and analysis.points
     # A fresh, equal right-hand object, with a lie filed under its id.
     fresh = extension_of(graph, right.tid, set())
-    origin = extensions[left.tid]
-    origin._hood[id(fresh)] = (extensions[right.tid], ())
+    held = extensions[left.tid]
+    held._hood[id(fresh)] = (extensions[right.tid], ())
     other = IncrementalConflictIndex()
-    # (The later arrival probes its own neighbourhood: ``origin``'s.)
+    # (The later arrival probes its own neighbourhood: ``held``'s.)
     again = other.update(
-        PROP_SCHEMA, graph, {right.tid: fresh, left.tid: origin}, shared
+        PROP_SCHEMA, graph, {right.tid: fresh, left.tid: held}, shared
     )
     assert (other.stats.pair_hits, other.stats.pair_misses) == (0, 1)
     assert again.points == analysis.points
-    assert edge_between(origin, fresh) == analysis.points[(left.tid, right.tid)]
+    assert edge_between(held, fresh) == analysis.points[(left.tid, right.tid)]

@@ -118,7 +118,6 @@ def exploded(extension):
     """An extension as nested plain data, for a type-exact comparison."""
     return (
         (extension.root.participant, extension.root.sequence),
-        extension.priority,
         tuple((m.participant, m.sequence) for m in extension.members),
         tuple(
             (type(u).__name__, u.relation, u.read_row(), u.written_row(), u.origin)
@@ -190,11 +189,13 @@ def test_a_plain_row_takes_the_json_form_on_disk():
 
 
 def legacy_payload(extension) -> str:
-    """An extension exactly as the ``repr`` codec once spilled it."""
-    root, priority, members, operations, touched = exploded(extension)
+    """An extension exactly as the ``repr`` codec once spilled it, with
+    the root priority it then carried (every participant of this
+    schedule trusts the others at 1)."""
+    root, members, operations, touched = exploded(extension)
     kinds = {"Insert": "insert", "Delete": "delete", "Modify": "modify"}
     operations = tuple((kinds[kind], *rest) for kind, *rest in operations)
-    return repr((root, priority, members, operations, tuple(sorted(touched))))
+    return repr((root, 1, members, operations, tuple(sorted(touched))))
 
 
 def rewrite_as_legacy(path) -> int:

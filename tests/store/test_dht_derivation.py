@@ -74,14 +74,14 @@ def published_histories(draw):
     return bodies
 
 
-def fresh_answer(bodies, root_tid, priority, applied):
+def fresh_answer(bodies, root_tid, applied):
     """What the client itself would compute over the whole history."""
     graph = TransactionGraph()
     for body in bodies.values():
         graph.add(body)
     try:
         return compute_update_extension(
-            PROP_SCHEMA, graph, wire.root(record_of(bodies[root_tid]), priority), applied
+            PROP_SCHEMA, graph, wire.root(record_of(bodies[root_tid]), 1), applied
         )
     except FlattenError:
         return None
@@ -95,12 +95,8 @@ def closure_of(bodies, root_tid, applied):
 
 class TestTableAnswersLikeAFreshDerivation:
     @settings(max_examples=150, deadline=None)
-    @given(
-        bodies=published_histories(),
-        data=st.data(),
-        priority=st.integers(min_value=1, max_value=3),
-    )
-    def test_field_for_field(self, bodies, data, priority):
+    @given(bodies=published_histories(), data=st.data())
+    def test_field_for_field(self, bodies, data):
         assume(bodies)
         host = lone_host()
         tids = sorted(bodies)
@@ -113,17 +109,13 @@ class TestTableAnswersLikeAFreshDerivation:
             known = frozenset(closure) in host.derived.get(root_tid, {})
             row = controllers._derivation(host, record_of(bodies[root_tid]), closure)
             assert host.derive_stats.misses == misses + (0 if known else 1)
-            extension, digest = row.at(priority)
-            fresh = fresh_answer(bodies, root_tid, priority, applied)
+            extension = row.extension
+            fresh = fresh_answer(bodies, root_tid, applied)
             if fresh is None:
-                assert (extension, digest) == (None, None)
+                assert (extension, row.digest) == (None, None)
                 continue
-            assert extension.root == fresh.root
-            assert extension.members == fresh.members
-            assert extension.operations == fresh.operations  # order included
-            assert extension.touched == fresh.touched
-            assert extension.priority == fresh.priority == priority
-            assert digest == wire.extension_digest(fresh)
+            assert extension == fresh  # root, members, operations (order included), touched
+            assert row.digest == wire.extension_digest(fresh)
             pool = {
                 repr(update)
                 for member in fresh.members
@@ -132,7 +124,11 @@ class TestTableAnswersLikeAFreshDerivation:
             assert row.cost == wire.encoded_extension_cost(fresh, pool)
             assert [body[0].tid for body in row.bodies] == list(fresh.members)
 
-    def test_same_priority_same_object_other_priority_other_digest(self):
+    def test_one_object_at_every_priority_and_a_token_per_priority(self):
+        """The row holds one extension whatever the reader's priority; the
+        ``nc_unchanged`` token is its digest qualified by the priority,
+        so a reader whose priority for the root moved is re-sent the
+        payload, and one whose priority stood is answered by the token."""
         host = lone_host()
         tid = TransactionId(1, 0)
         body = (Transaction(tid, (Insert("R", (1, 1), 1),)), (), 0)
@@ -140,12 +136,24 @@ class TestTableAnswersLikeAFreshDerivation:
         again = controllers._derivation(host, record_of(body), {tid: body})
         assert again is row
         assert (host.derive_stats.misses, host.derive_stats.revalidations) == (1, 1)
-        low, low_digest = row.at(1)
-        assert row.at(1) == (low, low_digest) and row.at(1)[0] is low
-        high, high_digest = row.at(2)
-        assert high is not low and high_digest != low_digest
-        assert (low.priority, high.priority) == (1, 2)
-        assert low.operations == high.operations == row.extension.operations
+
+        def stage(participant, priority, want):
+            batch = {
+                "participant": participant, "entries": {}, "unchanged": {},
+                "fragments": 0, "size": wire.HEADER_WIRE_BYTES,
+            }
+            nc._stage(host, batch, record_of(body), priority, row, want)
+            return batch
+
+        low = stage(2, 1, None)["entries"][tid]
+        high = stage(3, 2, None)["entries"][tid]
+        assert low["extension"] is high["extension"] is row.extension
+        assert (low["digest"], high["digest"]) == (f"1:{row.digest}", f"2:{row.digest}")
+        # The echo of the token at the same priority is the whole answer ...
+        assert stage(2, 1, low["digest"])["unchanged"] == {tid: low["digest"]}
+        # ... and one at another priority is re-sent the payload.
+        moved = stage(2, 2, low["digest"])
+        assert moved["unchanged"] == {} and moved["entries"][tid] == high
 
     def test_a_closure_that_does_not_flatten_is_none_every_time(self):
         host = lone_host()
@@ -155,10 +163,10 @@ class TestTableAnswersLikeAFreshDerivation:
             # A second insert of the same key on top of the first.
             second: (Transaction(second, (Insert("R", (1, 2), 2),)), (first,), 1),
         }
-        assert fresh_answer(bodies, second, 1, set()) is None
+        assert fresh_answer(bodies, second, set()) is None
         for _ in range(2):
             row = controllers._derivation(host, record_of(bodies[second]), bodies)
-            assert row.extension is None and row.at(1) == (None, None)
+            assert (row.extension, row.digest) == (None, None)
         assert host.derive_stats.misses == 1
 
         # Staged, such a root ships its bodies and nothing else — every
@@ -302,8 +310,8 @@ class TestProtocol:
         assert fresh.members == (ring.b,)
         assert fresh is not first.extensions[ring.b]
         retained = ring.store._peers[ring.reader].retained
-        assert retained[ring.b]["digest"] == wire.extension_digest(fresh)
-        assert retained[ring.b]["digest"] != wire.extension_digest(first.extensions[ring.b])
+        assert retained[ring.b]["digest"] == f"1:{wire.extension_digest(fresh)}"
+        assert retained[ring.b]["digest"] != f"1:{wire.extension_digest(first.extensions[ring.b])}"
         (rows,) = ring.rows(ring.b)
         assert set(rows) == {frozenset({ring.a, ring.b}), frozenset({ring.b})}
 
@@ -358,22 +366,27 @@ class TestProtocol:
             assert report.store_cache_stats.shipped == 0  # nothing derived at publish
 
 
-def test_readers_of_one_priority_are_shipped_one_object():
+def test_readers_of_any_priority_are_shipped_one_object():
     """The shared pair memo validates an extension by identity, so two
-    readers that rank the author alike get the controller's one
-    derivation, not two equal ones."""
+    readers get the controller's one derivation, not two equal ones,
+    however each ranks the author; each is sent its own token."""
     store = DhtUpdateStore(curated_schema(), hosts=3)
-    ids = (1, 2, 3)
-    for pid in ids:
-        store.register_participant(pid, mutual_policy(pid, ids))
+    store.register_participant(1, TrustPolicy())
+    for pid, priority in ((2, 1), (3, 2)):
+        store.register_participant(pid, TrustPolicy().trust_participant(1, priority))
     tid = TransactionId(1, 0)
     store.publish(1, [Transaction(tid, (Insert("F", ROW, 1),))])
     first = store.begin_network_reconciliation(2)
     stats = store.derivation_stats()
     second = store.begin_network_reconciliation(3)
+    assert [batch.roots[0].priority for batch in (first, second)] == [1, 2]
     assert second.extensions[tid] is first.extensions[tid]
     assert first.pair_cache is second.pair_cache is store._shared_pairs
     assert store.derivation_stats().minus(stats).misses == 0
+    digest = wire.extension_digest(first.extensions[tid])
+    assert [store._peers[pid].retained[tid]["digest"] for pid in (2, 3)] == [
+        f"1:{digest}", f"2:{digest}",
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,11 @@ degrades when a controller has lost a record.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cdss import Participant
 from repro.confed import Confederation, ConfederationConfig
+from repro.errors import ReconciliationError
 from repro.model import Insert, Modify
 from repro.model.transactions import TransactionId
 from repro.policy import TrustPolicy
@@ -244,3 +247,36 @@ def test_a_lost_antecedent_degrades_its_root_to_the_figure_7_retrieval():
         )
     assert streams["store"] == streams["client"]
     assert [entry for entry in streams["store"] if entry[0] == 3][-1][2] == "X2:0"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ReconciliationError,
+    reason="a root whose antecedent's record is lost beyond the replication "
+    "budget is shipped as if its closure were whole, and deriving it raises",
+)
+@pytest.mark.parametrize("mode", ["client", "store"])
+def test_a_crashed_antecedent_controller_still_lets_the_root_be_decided(mode):
+    """With 8 hosts and one copy of each record, X1:0's record lives on
+    ``host:6`` alone and X2:0's elsewhere.  Crashing ``host:6`` loses
+    the antecedent of a root participant 3 never saw; the root must
+    still get a verdict, in both modes alike, rather than make the
+    reconcile raise."""
+    config = ConfederationConfig(
+        store="dht", store_options={"hosts": 8}, peers=(1, 2, 3),
+        trust={1: {2: 1, 3: 1}, 2: {1: 1}, 3: {1: 1, 2: 1}}, network_centric=mode,
+    )
+    with Confederation(config) as confed:
+        log = decision_stream(confed.hooks)
+        p1, p2, p3 = (confed.participant(pid) for pid in (1, 2, 3))
+        p1.execute([Insert("F", RAT_IMMUNE, 1)])
+        p1.publish()
+        p2.reconcile()
+        p2.execute([Modify("F", RAT_IMMUNE, RAT_REVISED, 2)])
+        p2.publish()
+        lost, root = TransactionId(1, 0), TransactionId(2, 0)
+        store = confed.store
+        assert store._owner(f"txn:{lost}") == "host:6" != store._owner(f"txn:{root}")
+        store.fail_host("host:6")
+        p3.reconcile()
+        assert "X2:0" in {entry[2] for entry in log if entry[0] == 3}

@@ -425,6 +425,28 @@ def test_the_conflict_graph_holds_the_one_backstop_and_no_intern():
     assert not hasattr(resolution, "pending_resolutions")
 
 
+def test_an_update_extension_carries_no_priority():
+    # The trust priority is the participant's, read by ``DoGroup`` from
+    # the root: an extension is one object per (root, closure), so the
+    # re-priced copy, its origin link, the cache's priority guard and the
+    # DHT derivation row's per-priority copies are gone.
+    import dataclasses
+
+    from repro.core import ExtensionCache
+    from repro.core.extensions import UpdateExtension
+    from repro.store.dht.controllers import Derivation
+
+    fields = dataclasses.fields(UpdateExtension)
+    assert [field.name for field in fields if field.init] == [
+        "root", "members", "operations", "touched",
+    ]
+    assert not {"priority", "_origin"} & {field.name for field in fields}
+    assert not hasattr(UpdateExtension, "repriced")
+    assert not hasattr(Derivation, "at")
+    with pytest.raises(TypeError):
+        ExtensionCache().lookup(None, 0, set(), priority=1)
+
+
 @pytest.mark.parametrize(
     "statement",
     [
