@@ -55,7 +55,7 @@ def naive_find_conflicts(
 
 
 def _pairwise_conflict_no_index(schema, graph, left, right) -> bool:
-    shared = left.member_set() & right.member_set()
+    shared = left.member_set & right.member_set
     if shared:
         # Fall back to the shared-aware path; the ablation targets the
         # common no-shared-members case.

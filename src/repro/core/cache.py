@@ -155,17 +155,11 @@ class ExtensionCache:
         if cached_version == version:
             self.stats.hits += 1
             return extension
-        if applied.isdisjoint(extension.member_set()):  # a view iterates the smaller side
+        if applied.isdisjoint(extension.member_set):  # a view iterates the smaller side
             self._entries[tid] = (version, extension)
             self.stats.revalidations += 1
             return extension
         return None
-
-    def store(
-        self, tid: TransactionId, version: int, extension: UpdateExtension
-    ) -> None:
-        """Record ``extension`` as valid at applied-set ``version``."""
-        self._entries[tid] = (version, extension)
 
     def get_or_compute(
         self,
@@ -218,7 +212,7 @@ class ExtensionCache:
             )
             if shared is not None:
                 shared.register(extension)
-        self.store(root.tid, version, extension)
+        self._entries[root.tid] = (version, extension)  # valid at ``version``
         return extension
 
     def prune(self, keep: Iterable[TransactionId]) -> None:

@@ -20,6 +20,7 @@ read: no reconcile pays for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FlattenError
@@ -106,8 +107,8 @@ def direct_conflict_points(
     fallback therefore errs toward extra conflict points (more deferral),
     and is reached only where the flattened comparison had no answer.
     """
-    left_set = left.member_set()
-    right_set = right.member_set()
+    left_set = left.member_set
+    right_set = right.member_set
     if left_set.isdisjoint(right_set):  # common case: no allocation
         return _conflict_points(
             schema, left.key_index(schema), right.key_index(schema)
@@ -270,46 +271,53 @@ class IncrementalConflictIndex:
         self._extensions[tid] = extension
         # Partners drawn from the key buckets — the paper's hash-based
         # candidate generation, restricted to the one new extension
-        # (dict-as-set keeps the order deterministic) — as it is filed.
-        # A root that shares no key is filed and done.
-        partners: Optional[Dict[TransactionId, None]] = None
+        # (dict-as-set keeps the order deterministic) — before it is
+        # filed: a root sharing one key reads that bucket as it stands,
+        # and one sharing none is filed and done.
+        by_key, buckets = self._by_key, []
         for key in _filed_under(schema, extension):
-            bucket = self._by_key.get(key)
+            bucket = by_key.get(key)
             if bucket is None:
-                self._by_key[key] = {tid: None}
+                by_key[key] = {tid: None}
             else:
-                partners = dict(bucket) if partners is None else partners | bucket
-                bucket[tid] = None
-        if partners is None:
+                buckets.append(bucket)
+        if not buckets:
             return
-        members = extension.member_set()
+        partners = buckets[0] if len(buckets) == 1 else dict.fromkeys(chain(*buckets))
+        members = extension.member_set
         # Edges hang on the extensions, so a partner visit is one probe
         # of this extension's neighbourhood.
         hood = (extension._hood if shared is not None else None) or {}
+        adjacency, hits, mine = self._adjacency, 0, None
         for other in partners:
             other_extension = self._extensions[other]
             edge = hood.get(id(other_extension))
             if edge is not None and edge[0] is other_extension:
                 points = edge[1]
-                self.stats.pair_hits += 1
+                hits += 1
             else:
-                other_members = other_extension.member_set()
+                other_members = other_extension.member_set
                 if members >= other_members or other_members >= members:
                     points = ()  # FindConflicts line 4: nothing to compare
                 else:
                     self.stats.pair_misses += 1
                     points = tuple(
-                        direct_conflict_points(
-                            schema, graph, extension, other_extension
-                        )
+                        direct_conflict_points(schema, graph, extension, other_extension)
                     )
                 if shared is not None:
                     shared.link(extension, other_extension, points)
-            if points:
-                pair = (tid, other) if tid < other else (other, tid)
-                self._points[pair] = points
-                self._adjacency.setdefault(tid, set()).add(other)
-                self._adjacency.setdefault(other, set()).add(tid)
+            if points:  # both ends, as DoGroup reads them
+                self._points[(tid, other) if tid < other else (other, tid)] = points
+                if mine is None:
+                    mine = adjacency[tid] = set()
+                mine.add(other)
+                if other in adjacency:
+                    adjacency[other].add(tid)
+                else:
+                    adjacency[other] = {tid}
+        self.stats.pair_hits += hits
+        for bucket in buckets:
+            bucket[tid] = None
 
     def discard(self, schema: Schema, roots: Iterable[TransactionId]) -> None:
         """Drop ``roots`` (retirement: they are finally decided)."""

@@ -32,7 +32,11 @@ each reuse is exact):
   when first read (:attr:`ParticipantState.conflict_groups`) and no
   reconcile pays for them;
 * ``CheckState``'s ``can_apply_set`` and the application after it probe
-  the extension's compiled footprint (:meth:`UpdateExtension.footprint`).
+  the extension's compiled footprint (:meth:`UpdateExtension.footprint`);
+* ``DoGroup`` pays per root, not per clique member: a survivor whose own
+  adjacency names a surviving neighbour is deferred, one disjointness
+  test each — every producer writes both ends of an edge, so both sides
+  of a conflict are.
 
 No reuse rests on a heuristic — extensions are exact for a given applied
 set, conflict points depend only on the two objects compared (validated
@@ -235,15 +239,19 @@ class Reconciler:
 
         extensions: Dict[TransactionId, UpdateExtension] = {}
         decision: Dict[TransactionId, Decision] = {}
+        lookup, version, applied = self._cache.lookup, state.applied_version, state.applied
         for root in roots:
-            try:
-                extension = self._extension(root, offered.get(root.tid))
+            tid = root.tid
+            try:  # a hit is one lookup; a miss looks once more on its way in
+                extension = lookup(tid, version, applied) or self._extension(
+                    root, offered.get(tid)
+                )
             except FlattenError:
-                decision[root.tid] = Decision.REJECT
+                decision[tid] = Decision.REJECT
                 continue
-            extensions[root.tid] = extension
-            decision[root.tid] = self._check_state(
-                extension, own, dirty_exempt=root.tid in state.deferred
+            extensions[tid] = extension
+            decision[tid] = self._check_state(
+                extension, own, dirty_exempt=tid in state.deferred
             )
         return extensions, decision
 
@@ -279,7 +287,7 @@ class Reconciler:
         dirty = state.dirty_keys
         if not dirty_exempt and dirty and not extension.touched.isdisjoint(dirty):
             return Decision.DEFER
-        if not extension.member_set().isdisjoint(state.rejected):
+        if not extension.member_set.isdisjoint(state.rejected):
             return Decision.REJECT
         if not self._instance.can_apply_set(extension.footprint(self._schema)):
             return Decision.REJECT
@@ -348,32 +356,26 @@ class Reconciler:
     ) -> None:
         """One priority level: reject roots that conflict with accepted
         higher-priority roots, defer roots that conflict with deferred
-        higher-priority roots, and defer both sides of any conflict
-        inside the level."""
-        # Lines 4-12: interactions with higher-priority roots.
-        surviving: List[TransactionId] = []
-        for tid in sorted(tids):
-            if decision.get(tid) is Decision.REJECT:
+        higher-priority roots, and defer every survivor whose adjacency
+        names another survivor of the level."""
+        # Lines 4-12: interactions with higher-priority roots, met over
+        # the smaller side (the top level has nothing above it: no scan).
+        for tid in tids:
+            if decision[tid] is Decision.REJECT or not higher:
                 continue
-            # (The top level has nothing above it: no scan.)
-            for other in conflicts.get(tid, ()) if higher else ():
-                if other not in higher:
-                    continue
-                if decision.get(other) is Decision.ACCEPT:
-                    decision[tid] = Decision.REJECT
-                    break
-                if decision.get(other) is Decision.DEFER:
-                    decision[tid] = Decision.DEFER
-            if decision.get(tid) is not Decision.REJECT:
-                surviving.append(tid)
-        # Lines 13-17: conflicts inside the priority group defer both
-        # sides — each survivor's (sparse) adjacency met with the
-        # survivors as sets, both ends marked.
-        surviving_set = set(surviving)
+            above = {
+                decision[other] for other in higher.intersection(conflicts.get(tid, ()))
+            }
+            if Decision.ACCEPT in above:
+                decision[tid] = Decision.REJECT
+            elif Decision.DEFER in above:
+                decision[tid] = Decision.DEFER
+        # Lines 13-17: a survivor whose own adjacency names a survivor is
+        # deferred (both ends of an edge are written: both sides are).
+        surviving = {tid for tid in tids if decision[tid] is not Decision.REJECT}
         for tid in surviving:
-            inside = surviving_set.intersection(conflicts.get(tid, ()))
-            if inside:
-                decision.update(dict.fromkeys((tid, *inside), Decision.DEFER))
+            if not surviving.isdisjoint(conflicts.get(tid, ())):
+                decision[tid] = Decision.DEFER
 
     # ------------------------------------------------------------------
     # Figure 4 lines 13-19: application
@@ -505,7 +507,7 @@ class Reconciler:
             if root.tid not in state.deferred:
                 continue
             extension = extensions.get(root.tid)
-            if extension is None or not extension.member_set().isdisjoint(state.applied):
+            if extension is None or not extension.member_set.isdisjoint(state.applied):
                 try:
                     extension = self._extension(root)
                 except FlattenError:  # pragma: no cover - defensive

@@ -181,7 +181,9 @@ class UpdateExtension:
     members: Tuple[TransactionId, ...]
     operations: Tuple[Update, ...]
     touched: frozenset
-    _members_set: frozenset = field(init=False, repr=False, compare=False)
+    #: The members as a set (for subsumption and sharing tests): a
+    #: plain field, read where it is tested.
+    member_set: frozenset = field(init=False, repr=False, compare=False)
     #: What ``operations`` alone determine, as derived for ``_schema``.
     _schema: Optional[Schema] = field(default=None, init=False, repr=False, compare=False)
     _key_index: Optional[Dict] = field(default=None, init=False, repr=False, compare=False)
@@ -192,29 +194,19 @@ class UpdateExtension:
     _hood: Optional[Dict[int, Tuple["UpdateExtension", Tuple]]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._members_set = frozenset(self.members)
-
-    def member_set(self) -> frozenset:
-        """The members as a set (for subsumption and sharing tests)."""
-        return self._members_set
+        self.member_set = frozenset(self.members)
 
     def subsumes(self, other: "UpdateExtension") -> bool:
         """True if this extension's members are a superset of ``other``'s."""
-        return self.member_set() >= other.member_set()
+        return self.member_set >= other.member_set
 
-    def _derived(self, slot: str, schema: Schema, derive: Callable):
-        """``derive(schema, operations)``, memoized in ``slot`` for one
-        schema at a time.  An extension's operations never change after
-        construction, so whichever participant derives first writes the
-        value every other reads."""
+    def _for(self, schema: Schema) -> "UpdateExtension":
+        """This extension, its derived values kept for ``schema`` only:
+        whichever participant derives one first writes it for all."""
         if self._schema is not schema:
             self._key_index = self._footprint = None
             self._schema = schema
-        value = getattr(self, slot)
-        if value is None:
-            value = derive(schema, self.operations)
-            setattr(self, slot, value)
-        return value
+        return self
 
     def key_index(self, schema: Schema) -> Dict[QualifiedKey, List[Update]]:
         """The operations indexed by every qualified key they touch
@@ -222,7 +214,9 @@ class UpdateExtension:
         from ``FindConflicts`` and from conflict groups built when read).
         Callers must not mutate the returned mapping.
         """
-        return self._derived("_key_index", schema, index_by_key)
+        if self._key_index is None or self._schema is not schema:
+            self._for(schema)._key_index = index_by_key(schema, self.operations)
+        return self._key_index
 
     def footprint(self, schema: Schema) -> Footprint:
         """The operations' compiled instance footprint
@@ -232,7 +226,9 @@ class UpdateExtension:
         confederation-wide, so the first participant to check it
         compiles for all of them.
         """
-        return self._derived("_footprint", schema, compile_footprint)
+        if self._footprint is None or self._schema is not schema:
+            self._for(schema)._footprint = compile_footprint(schema, self.operations)
+        return self._footprint
 
 
 def index_by_key(

@@ -289,17 +289,17 @@ class Instance:
         footprint = updates
         if type(footprint) is not Footprint:
             footprint = compile_footprint(self._schema, updates)
-        get = self.get
+        data = self._data  # probed directly: one dict lookup per slot
         # Every consumed row must currently be present ...
-        for key, row in footprint.consumed:
-            existing = get(*key)
+        for (relation, key), row in footprint.consumed:
+            existing = data[relation].get(key)
             if existing != row:
                 raise ConstraintViolation(
                     f"update set consumes {row!r} but the instance holds {existing!r}"
                 )
         # ... every produced row land on a free (or identical) slot ...
-        for key, row in footprint.landing:
-            existing = get(*key)
+        for (relation, key), row in footprint.landing:
+            existing = data[relation].get(key)
             if existing is not None and existing != row:
                 raise ConstraintViolation(
                     f"update set writes {row!r} over existing row {existing!r}"
@@ -308,9 +308,9 @@ class Instance:
             kind, message = footprint.error
             raise kind(message)
         # ... and every foreign key hold in the final state.
-        for key in footprint.references:
-            if get(*key) is None:
-                raise ConstraintViolation(_absent(key))
+        for relation, key in footprint.references:
+            if data[relation].get(key) is None:
+                raise ConstraintViolation(_absent((relation, key)))
         return footprint
 
     def can_apply_set(self, updates: Union[Footprint, Sequence[Update]]) -> bool:

@@ -46,13 +46,16 @@ from repro.model.updates import Insert
 from repro.workload import WorkloadConfig
 
 #: Calls ``Confederation.run()`` makes on the schedule below, counted per
-#: code object (:func:`calls_per_code`): 265,594, plus 2 %, since
-#: conflict groups are built only when read (272,743 while every
+#: code object (:func:`calls_per_code`): 243,010, plus 2 %, since DoGroup
+#: tests each survivor once, the conflict index neither copies a lone
+#: bucket nor counts per pair, and CheckState probes the instance's dicts
+#: and reads the member set as a field (267,641 before).  265,594 while
+#: conflict groups were built only when read (272,743 while every
 #: reconcile kept them).  The ``pstats`` total folds the generated
 #: dataclass ``__init__``s into one row.  Before that it read 275,714
 #: (since flatten traces in one pass), 327,994 in a fresh process before
 #: that, 336,323 as of PR 23, 372,491 before that, 548,882 before PR 22.
-CALL_BUDGET = 270_906
+CALL_BUDGET = 247_870
 
 #: ``direct_conflict_points`` calls among them — pairwise comparisons,
 #: all participants: 312 as of PR 23 (538 before it), plus 2 %.
@@ -155,12 +158,14 @@ def test_the_engine_stays_inside_its_call_budget():
 
 
 #: Calls the accept-path schedule below makes, counted per code object
-#: (:func:`calls_per_code`): 358,224 (174.9 per transaction), plus 2 %.
-#: It was 360,353 (176.0) while every reconcile kept conflict groups,
+#: (:func:`calls_per_code`): 343,864 (167.9 per transaction), plus 2 %,
+#: since CheckState probes the instance's dicts and DoGroup tests each
+#: survivor once (362,296, 176.9, before).  It was 358,224 (174.9) when
+#: last set, 360,353 (176.0) while every reconcile kept conflict groups,
 #: and 401,337 (196.0) while a root with no antecedent was still walked
 #: and sorted, its updates concatenated and its key index built to be
 #: filed.
-ACCEPT_CALL_BUDGET = 365_388
+ACCEPT_CALL_BUDGET = 350_741
 
 #: Epochs x single-insert transactions of the accept-path schedule.
 ACCEPT_EPOCHS, ACCEPT_BATCH = 8, 256
@@ -208,15 +213,19 @@ def test_a_root_that_shares_nothing_stays_inside_its_call_budget():
 
 #: The schedules nobody reads a conflict group on: per name, the config,
 #: its call budget and its ``direct_conflict_points`` budget — the
-#: counts measured once groups were built only when read, plus 2 %.
-#: ``wan-async``: 1,277,562 calls and 2,468 comparisons (1,384,056 and
-#: 2,485 while every reconcile kept groups).  ``eval-conflict`` with
-#: store-computed batches: 312,404 and 538, all of them the store's
-#: (325,848 and 538 before, when each client re-indexed its deferred set
-#: only to group it).
+#: counts measured in a fresh process, plus 2 %; the comparison budgets
+#: are those set once groups were built only when read.  ``wan-async``:
+#: 1,079,682 calls since DoGroup tests each survivor once, the index
+#: copies no lone bucket and CheckState probes the instance's dicts
+#: (1,294,913 before; 1,277,562 when groups were first built only when
+#: read, 1,384,056 and 2,485 comparisons while every reconcile kept
+#: them), and 2,468 comparisons.  ``eval-conflict`` with store-computed
+#: batches: 281,581 calls (310,936 before; 312,404 when last set,
+#: 325,848 when each client re-indexed its deferred set only to group
+#: it) and 538 comparisons, all of them the store's.
 GROUPLESS = {
-    "wan-async": (wan_async, 1_303_113, 2_517),
-    "eval-conflict-store": (lambda: eval_conflict(network_centric="store"), 318_652, 549),
+    "wan-async": (wan_async, 1_101_275, 2_517),
+    "eval-conflict-store": (lambda: eval_conflict(network_centric="store"), 287_212, 549),
 }
 
 

@@ -4,14 +4,18 @@ against ``Reconciler`` with hand-built batches."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import Decision, ParticipantState, Reconciler
-from repro.core.extensions import compute_update_extension
+from repro.core.extensions import RelevantTransaction, compute_update_extension
 from repro.instance import Instance
 from repro.model import Delete, Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
 
 from tests.core.helpers import GraphBuilder
+from tests.reference.mirror import examples
+from tests.reference.oracle import Peer
 
 
 RAT1 = ("rat", "prot1", "cell-metab")
@@ -615,7 +619,11 @@ class TestWithheldRoots:
         assert instance.count("F") == 0
         assert ("insert/insert", ("F", ("mouse", "prot2"))) in state.conflict_groups
 
-    def test_do_group_defers_both_ends_of_a_one_sided_edge(self, schema):
+    def test_do_group_defers_the_end_naming_a_one_sided_edge(self, schema):
+        # Figure 5's lines 13-17 as the oracle states them: a survivor
+        # whose own adjacency names a survivor is deferred.  Every
+        # producer writes both ends, so only a hand-built adjacency
+        # tells the two ends apart.
         reconciler, _instance, _state = make_reconciler(schema, 1)
         first, second, third = (
             make_transaction(origin, 0, [Insert("F", MOUSE2, origin)]).tid
@@ -626,6 +634,60 @@ class TestWithheldRoots:
         reconciler._do_group([first, second, third], set(), {first: {second}}, decision)
         assert decision == {
             first: Decision.DEFER,
-            second: Decision.DEFER,
+            second: Decision.ACCEPT,
             third: Decision.ACCEPT,
         }
+
+
+@st.composite
+def do_group_inputs(draw):
+    """Roots over one to three priority levels, each with a CheckState
+    pre-verdict, and an adjacency among them: both ends of every edge,
+    or only the ends drawn."""
+    count = draw(st.integers(1, 8))
+    levels = draw(st.integers(1, 3))
+    priorities = draw(st.lists(st.integers(1, levels), min_size=count, max_size=count))
+    verdicts = draw(st.lists(st.sampled_from(Decision), min_size=count, max_size=count))
+    ends = draw(
+        st.sets(
+            st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)).filter(
+                lambda edge: edge[0] != edge[1]
+            )
+        )
+    )
+    if draw(st.booleans()):  # symmetric, as every producer writes it
+        ends |= {(b, a) for a, b in ends}
+    return priorities, verdicts, ends
+
+
+@settings(
+    max_examples=examples(200),
+    deadline=None,
+    # ``schema`` is read, never written: no example sees another's.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(do_group_inputs())
+def test_do_groups_decides_as_the_oracle_does(schema, inputs):
+    """``DoGroup`` verdict for verdict against the reference oracle's,
+    which shares no code with the engine — symmetric or not."""
+    priorities, verdicts, ends = inputs
+    reconciler, _instance, _state = make_reconciler(schema, 1)
+    roots = [
+        RelevantTransaction(
+            make_transaction(origin, 0, [Insert("F", MOUSE2, origin)]), priority, origin
+        )
+        for origin, priority in enumerate(priorities, start=2)
+    ]
+    tids = [root.tid for root in roots]
+    adjacency = {tid: set() for tid in tids}
+    for a, b in ends:
+        adjacency[tids[a]].add(tids[b])
+    decision = dict(zip(tids, verdicts))
+    expected = {tid: verdict.value for tid, verdict in decision.items()}
+    # The engine reads only the roots with an edge, as an index keeps them.
+    reconciler._do_groups(
+        roots, {tid: near for tid, near in adjacency.items() if near}, decision
+    )
+    # (The oracle's DoGroup reads nothing of its peer.)
+    Peer.do_groups(None, dict(zip(tids, priorities)), adjacency, expected)
+    assert {tid: verdict.value for tid, verdict in decision.items()} == expected

@@ -201,7 +201,7 @@ class TestOneTransactionClosure:
         concatenated = flatten_once(schema, [u for member in [txn] for u in member.updates])
         assert extension.root == txn.tid
         assert extension.members == (txn.tid,)
-        assert extension.member_set() == frozenset({txn.tid})
+        assert extension.member_set == frozenset({txn.tid})
         assert extension.operations == concatenated.operations
         assert extension.touched == concatenated.keys_touched
 

@@ -229,7 +229,7 @@ class TestMutationCount:
 
 class TestSetApplication:
     """An update set is tested by probing its compiled footprint: what
-    the set itself decides costs no ``get``."""
+    the set itself decides costs no probe of the instance's rows."""
 
     CHILDREN = [
         Insert("Xref", ("rat", "prot1", "db", f"a{serial}"), 3) for serial in range(7)
@@ -237,11 +237,19 @@ class TestSetApplication:
 
     @staticmethod
     def probes(instance, monkeypatch):
+        """Record every ``(relation, key)`` the instance's row dicts are
+        probed at (``get`` on a relation's dict, as a set test probes)."""
         probed = []
-        get = instance.get
-        monkeypatch.setattr(
-            instance, "get", lambda *key: probed.append(key) or get(*key)
-        )
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                probed.append((self.relation, key))
+                return super().get(key, default)
+
+        for relation, rows in list(instance._data.items()):
+            recording = Recording(rows)
+            recording.relation = relation
+            monkeypatch.setitem(instance._data, relation, recording)
         return probed
 
     def test_a_shared_parent_is_probed_once(self, xref_instance, monkeypatch):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.confed import Confederation, ConfederationConfig
+from repro.core import Reconciler
 from repro.model import Insert
 from repro.policy import TrustPolicy, policy_from_priorities
 from repro.store import (
@@ -234,3 +235,32 @@ def test_a_store_computed_run_keeps_no_client_index(store):
         report = confed.run()
     assert set(filed) == {0} and sum(deferred) > 0
     assert (report.cache_stats.pair_hits, report.cache_stats.pair_misses) == (0, 0)
+
+
+@pytest.mark.parametrize("store", ["memory", "dht"])
+def test_every_store_computed_adjacency_names_both_ends(store, monkeypatch):
+    # DoGroup defers a survivor whose own adjacency names another, so a
+    # one-sided edge would defer one end only: the store writes both.
+    config = ConfederationConfig(
+        store=store,
+        peers=tuple(range(1, 7)),
+        workload=WorkloadConfig(transaction_size=1, seed=7000),
+        reconciliation_interval=4,
+        rounds=3,
+        final_reconcile=True,
+        network_centric="store",
+    )
+    edges = []
+    reconcile = Reconciler.reconcile
+
+    def checked(reconciler, batch, *args, **kwargs):
+        conflicts = batch.conflicts
+        assert batch.network_centric
+        assert all(a in conflicts.get(b, ()) for a, near in conflicts.items() for b in near)
+        edges.append(sum(map(len, conflicts.values())))
+        return reconcile(reconciler, batch, *args, **kwargs)
+
+    monkeypatch.setattr(Reconciler, "reconcile", checked)
+    with Confederation.from_config(config) as confed:
+        confed.run()
+    assert sum(edges) > 0

@@ -30,6 +30,7 @@ from benchmarks.bench.ablations import naive_find_conflicts
 from repro.core import RelevantTransaction, TransactionGraph
 from repro.core.cache import ConflictGraph
 from repro.core.conflicts import (
+    ConflictAnalysis,
     IncrementalConflictIndex,
     build_conflict_groups,
     direct_conflict_points,
@@ -122,7 +123,7 @@ def reaches_residual(history) -> bool:
     with neither subsuming the other."""
     extensions = full_closures(*history)
     return any(
-        not extensions[a].member_set().isdisjoint(extensions[b].member_set())
+        not extensions[a].member_set.isdisjoint(extensions[b].member_set)
         and not extensions[a].subsumes(extensions[b])
         and not extensions[b].subsumes(extensions[a])
         for a, b in pairs_of(extensions)
@@ -137,6 +138,22 @@ def test_generator_reaches_the_residual_path():
     )
 
 
+def assert_symmetric(analysis):
+    """``DoGroup`` defers a survivor whose own adjacency names another,
+    so the index writes every edge at both ends — and its edges are
+    exactly the pairs it holds points for."""
+    adjacency = analysis.adjacency
+    edges = {(a, b) if a < b else (b, a) for a, near in adjacency.items() for b in near}
+    assert all(near for near in adjacency.values())
+    assert all(a in adjacency.get(b, ()) for a, near in adjacency.items() for b in near)
+    assert edges == set(analysis.points)
+
+
+def standing(index: IncrementalConflictIndex) -> ConflictAnalysis:
+    """What ``index`` holds now, as the analysis its next update returns."""
+    return ConflictAnalysis(index._adjacency, index._points)
+
+
 def assert_matches_reference(graph, extensions, analysis, shared=None):
     """The index's analysis of ``extensions`` is the reference's, over
     the pairs hash-based candidate generation compares: extensions whose
@@ -144,6 +161,7 @@ def assert_matches_reference(graph, extensions, analysis, shared=None):
     key two chains cancel above a shared antecedent — the gap pinned by
     ``tests/core/test_conflicts.py::TestFindConflicts::
     test_key_cancelled_over_a_shared_antecedent_is_no_candidate``.)"""
+    assert_symmetric(analysis)
     reference = naive_find_conflicts(PROP_SCHEMA, graph, extensions)
     scratch = find_conflicts(PROP_SCHEMA, graph, extensions)
     # A key per root with an edge, and no other.
@@ -233,7 +251,7 @@ def test_index_tracks_the_reference_over_a_sequence_of_sets(history, data):
             for tid in chosen & set(current):
                 replaced[tid] = current[tid]
                 following[tid] = extension_of(
-                    graph, tid, set(tids) - current[tid].member_set()
+                    graph, tid, set(tids) - current[tid].member_set
                 )
                 assert following[tid] == replaced[tid]
                 assert following[tid] is not replaced[tid]
@@ -251,9 +269,10 @@ def test_discard_agrees_with_a_fresh_index(history):
     graph, _tids = history
     extensions = full_closures(*history)
     index = IncrementalConflictIndex()
-    index.update(PROP_SCHEMA, graph, extensions)
+    assert_symmetric(index.update(PROP_SCHEMA, graph, extensions))
     gone = sorted(extensions)[::2]
     index.discard(PROP_SCHEMA, gone)
+    assert_symmetric(standing(index))
     kept = {t: e for t, e in extensions.items() if t not in gone}
     # What is left is already the analysis of the kept set: updating to
     # it compares nothing ...
@@ -299,6 +318,7 @@ def test_two_indexes_over_one_graph_compare_each_pair_once(history, data):
             # still references one of their objects.
             for index in (first, second):
                 index.discard(PROP_SCHEMA, chosen)
+                assert_symmetric(standing(index))
             shared.discard(chosen)
             previous = {t: e for t, e in previous.items() if t not in chosen}
             for extension in every_object:

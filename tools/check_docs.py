@@ -73,7 +73,7 @@ FUNCTION_LINE_CEILING = 78
 #: (``ast.stmt`` nodes; a function's own ``def`` counts): the total,
 #: the largest module (``store/dht/driver.py``) and the longest
 #: function (``flatten._minimise``).
-SOURCE_STATEMENT_CEILING = 4468
+SOURCE_STATEMENT_CEILING = 4467
 MODULE_STATEMENT_CEILING = 325
 FUNCTION_STATEMENT_CEILING = 43
 
