@@ -8,18 +8,21 @@ way it is:
   detection" improves on;
 * :func:`raw_update_extension` — extensions built *without* flattening,
   so intermediate states of update chains are visible to conflict
-  detection (ablating the paper's least-interaction principle).
+  detection (ablating the paper's least-interaction principle), beside
+  :func:`update_extension`, the flattened one every variant is
+  measured against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.core.conflicts import directly_conflict
+from repro.core.conflicts import direct_conflict_points
 from repro.core.extensions import (
     RelevantTransaction,
     TransactionGraph,
     UpdateExtension,
+    flattened_extension,
     update_footprint,
 )
 from repro.model.flatten import keys_touched
@@ -59,12 +62,24 @@ def _pairwise_conflict_no_index(schema, graph, left, right) -> bool:
     if shared:
         # Fall back to the shared-aware path; the ablation targets the
         # common no-shared-members case.
-        return directly_conflict(schema, graph, left, right)
+        return bool(direct_conflict_points(schema, graph, left, right))
     for left_update in left.operations:
         for right_update in right.operations:
             if updates_conflict(schema, left_update, right_update):
                 return True
     return False
+
+
+def update_extension(
+    schema: Schema,
+    graph: TransactionGraph,
+    root: RelevantTransaction,
+    applied: Set[TransactionId],
+) -> UpdateExtension:
+    """The update extension as the system derives it: the root's closure
+    stopped at ``applied``, flattened."""
+    members = graph.extension(root.tid, applied)
+    return flattened_extension(schema, root.tid, [graph.transaction(tid) for tid in members])
 
 
 def raw_update_extension(

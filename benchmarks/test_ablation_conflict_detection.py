@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.bench.ablations import count_conflict_pairs, naive_find_conflicts
+from benchmarks.bench.ablations import (
+    count_conflict_pairs,
+    naive_find_conflicts,
+    update_extension,
+)
 from repro.core.conflicts import find_conflicts
-from repro.core.extensions import RelevantTransaction, compute_update_extension
+from repro.core.extensions import RelevantTransaction
 from repro.instance import Instance
 from repro.workload import WorkloadConfig, WorkloadGenerator, curated_schema
 
@@ -41,7 +45,7 @@ def build_extension_batch(peers=12, transactions_per_peer=12):
             txn = Transaction(TransactionId(peer, seq), tuple(updates))
             graph.add((txn, (), order))
             root = RelevantTransaction(txn, priority=1, order=order)
-            extensions[txn.tid] = compute_update_extension(
+            extensions[txn.tid] = update_extension(
                 schema, graph, root, set()
             )
             order += 1

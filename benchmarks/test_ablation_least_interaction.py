@@ -14,13 +14,10 @@ from benchmarks.bench.ablations import (
     count_conflict_pairs,
     naive_find_conflicts,
     raw_update_extension,
+    update_extension,
 )
 from repro.core.conflicts import find_conflicts
-from repro.core.extensions import (
-    RelevantTransaction,
-    TransactionGraph,
-    compute_update_extension,
-)
+from repro.core.extensions import RelevantTransaction, TransactionGraph
 from repro.model import Insert, Modify, Transaction, TransactionId
 from repro.workload import curated_schema
 
@@ -61,7 +58,7 @@ def test_ablation_flattening_removes_intermediate_conflicts(benchmark):
 
     def flattened_conflicts():
         extensions = {
-            root.tid: compute_update_extension(schema, graph, root, set())
+            root.tid: update_extension(schema, graph, root, set())
             for root in roots
         }
         return find_conflicts(schema, graph, extensions).adjacency

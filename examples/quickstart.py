@@ -129,32 +129,7 @@ def main() -> None:
         )
         print("Carol restored from the store: instance matches.")
 
-    # 9. One knob flips Figure 3's reconciliation column: with
-    #    network_centric="store" the update store derives each
-    #    participant's update extensions and conflict adjacency itself
-    #    and ships a fully-assembled batch — the client only checks
-    #    state and applies.  Every built-in backend (memory, central,
-    #    durable, dht) supports it, and outcomes are identical by
-    #    construction.
-    nc_config = ConfederationConfig(
-        store="memory", peers=(1, 2, 3), network_centric="store"
-    )
-    with Confederation.from_config(nc_config, schema=schema) as nc_confed:
-        publisher, receiver, _ = nc_confed.participants
-        publisher.execute(
-            [Insert("F", ("rat", "prot9", "signaling"), publisher.id)]
-        )
-        publisher.publish_and_reconcile()
-        receiver.publish_and_reconcile()
-        assert receiver.instance.contains_row(
-            "F", ("rat", "prot9", "signaling")
-        )
-        print(
-            'network_centric="store": the store assembled the batch, '
-            "the client just applied it."
-        )
-
-    # 10. Robustness is declarative too: a seeded FaultPlan on the
+    # 9. Robustness is declarative too: a seeded FaultPlan on the
     #     config schedules host crashes, message drops/duplicates/
     #     delays, and participant restarts — executed deterministically,
     #     and masked by successor replication plus bounded retries.
@@ -183,7 +158,7 @@ def main() -> None:
             "(see examples/fault_tolerance.py for the full chaos tour)."
         )
 
-    # 11. The determinism invariants everything above relies on (seeded
+    # 10. The determinism invariants everything above relies on (seeded
     #     RNG substreams, routing on the batch, every store call one
     #     measured store phase) are held by behaviour tests: every store
     #     and mode decides alike (tests/integration/test_store_equivalence.py),
@@ -191,7 +166,13 @@ def main() -> None:
     #     (tests/integration/test_chaos.py), and the engine decides as a
     #     reference oracle that shares no code with it (tests/reference).
 
-    # 12. Reading the wire metrics: on a simulated-network store,
+    # 11. One knob flips Figure 3's reconciliation column: with
+    #     network_centric="store" the update store derives each
+    #     participant's update extensions and conflict adjacency itself
+    #     and ships a fully-assembled batch — the client only checks
+    #     state and applies, and outcomes are identical by construction.
+    #     The distributed store is the one that computes batches (open()
+    #     refuses the mode on memory, central and durable).  Its
     #     report() carries the protocol mix — `kind_counts` (fragments
     #     delivered per message kind) and `kind_bytes` (that kind's
     #     share of the delivered bytes).  This is how the Figure-3 byte
@@ -218,6 +199,11 @@ def main() -> None:
         )
         publisher.publish_and_reconcile()
         receiver.publish_and_reconcile()
+        assert receiver.instance.contains_row("F", ("rat", "prot3", "kinase"))
+        print(
+            'network_centric="store": the store assembled the batch, '
+            "the client just applied it."
+        )
         wire = wired.report()
         top = sorted(
             wire.kind_bytes, key=wire.kind_bytes.get, reverse=True
@@ -229,7 +215,7 @@ def main() -> None:
             )
         assert wire.kind_counts.get("nc_data", 0) >= 1
 
-    # 13. Durability: store="durable" keeps the append-only update
+    # 12. Durability: store="durable" keeps the append-only update
     #     store on a real database file (WAL), paging transaction
     #     bodies through a bounded LRU so RAM stays O(open frontier)
     #     while the full history lives on disk.  "Crash" the process by
@@ -268,7 +254,7 @@ def main() -> None:
                 "(see examples/durable_store.py for the crash-mid-run tour)."
             )
 
-    # 14. Scheduling is a config knob too.  schedule_mode picks the
+    # 13. Scheduling is a config knob too.  schedule_mode picks the
     #     epoch scheduler: "serial" (the paper's round-robin) or
     #     "async" (edit, publish-barrier and reconcile phases as one
     #     deadline loop — injected store latency becomes a deadline

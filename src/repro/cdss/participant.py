@@ -86,7 +86,8 @@ class Participant:
     ) -> None:
         """``network_centric=True`` delegates extension computation and
         conflict detection to the store (Figure 3's network-centric mode)
-        through ``begin_network_reconciliation``, which every store has.
+        through ``begin_network_reconciliation``, which only the DHT
+        store has.
         ``register=False`` re-attaches to an existing registration (used by
         :meth:`rebuild`).  ``hooks`` is an optional event bus
         (:class:`repro.confed.hooks.HookBus`, duck-typed to keep this

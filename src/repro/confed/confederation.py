@@ -135,7 +135,9 @@ class Confederation:
         its own round trip, so opening costs about one round trip, not
         one per peer; the serial mode pays one after another.  Opening
         twice, or reopening after ``close()``, raises
-        :class:`~repro.errors.ConfigError`.
+        :class:`~repro.errors.ConfigError`, and so does
+        ``network_centric="store"`` on a store without store-computed
+        batches (every store but ``dht``).
         """
         if self._closed:
             raise ConfigError("this confederation has been closed")
@@ -145,6 +147,16 @@ class Confederation:
             schema = self._schema if self._schema is not None else curated_schema()
             self._store = create_store(
                 self.config.store, schema, **self.config.store_options
+            )
+        # Duck-typed, as the fault checks are: a store qualifies by
+        # serving store-computed batches, not by its type.
+        if self.config.network_centric_store and not hasattr(
+            self._store, "begin_network_reconciliation"
+        ):
+            raise ConfigError(
+                f"store backend {type(self._store).__name__} does not compute "
+                f"batches; network_centric='store' needs a store with "
+                f"begin_network_reconciliation (e.g. 'dht')"
             )
         # The store surfaces fault / retry / degraded / recovery events
         # on the confederation's bus.

@@ -22,7 +22,7 @@ from repro.workload.generator import WorkloadConfig
 #: Accepted values of ``ConfederationConfig.network_centric``:
 #: ``"client"`` (the paper's client-centric reconciliation) and
 #: ``"store"`` (the store computes per-participant extensions and
-#: conflict adjacency — ``begin_network_reconciliation``).
+#: conflict adjacency — ``begin_network_reconciliation``; ``dht`` only).
 NETWORK_CENTRIC_MODES: Tuple[str, ...] = ("client", "store")
 
 #: Epoch-scheduler modes :meth:`repro.confed.Confederation.run` can use
@@ -145,7 +145,7 @@ class ConfederationConfig:
       ``"client"`` (the default) computes extensions and conflicts
       at each participant; ``"store"`` asks the store for
       fully-assembled batches (``begin_network_reconciliation``, which
-      every store implements);
+      only ``dht`` implements: ``open()`` refuses it on any other store);
     * ``workload`` plus ``reconciliation_interval`` / ``rounds`` /
       ``final_reconcile`` — the evaluation schedule
       :meth:`repro.confed.Confederation.run` executes;

@@ -36,8 +36,8 @@ class ConfederationReport:
     #: Engine cache counters summed over all participants.
     cache_stats: CacheStats = field(default_factory=CacheStats)
     #: The store's own derivation counters (``derivation_stats()``):
-    #: store-side extension caches on the direct-log stores, the
-    #: controllers' derivation tables on the DHT; empty otherwise.
+    #: the controllers' derivation tables on the DHT; empty on every
+    #: other store, which derives nothing itself.
     store_cache_stats: CacheStats = field(default_factory=CacheStats)
     #: Fault activity of the run: injected faults by action, store
     #: retries, degraded fallbacks, recoveries.  All zero on a

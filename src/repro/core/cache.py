@@ -33,16 +33,15 @@ per epoch per participant:
   exposes a per-reconciliation snapshot on
   :attr:`~repro.core.decisions.ReconcileResult.cache_stats`.
 
-:class:`ExtensionCache` instances are per-participant (client-side on
-the :class:`~repro.core.engine.Reconciler`, store-side per registered
-peer in network-centric mode) and are pruned to the still-deferred roots
-after each reconciliation, so they hold O(deferred) entries, not
-O(history).  There is one :class:`ConflictGraph` per store, shipped on
-every batch (see
-:meth:`repro.store.network_centric.DirectLogStore.shared_pair_cache`)
-and pruned by the store's retirement signal; which pairs one
-participant holds, client-side or in a store's batch assembly, lives in
-its :class:`~repro.core.conflicts.IncrementalConflictIndex`.
+An :class:`ExtensionCache` is a participant's, on its
+:class:`~repro.core.engine.Reconciler`, and is pruned to the
+still-deferred roots after each reconciliation, so it holds O(deferred)
+entries, not O(history).  There is one :class:`ConflictGraph` per store,
+shipped on every batch (see
+:meth:`repro.store.direct_log.DirectLogStore.shared_pair_cache`) and
+pruned by the store's retirement signal; which pairs one participant
+holds, client-side or in the DHT's store-computed batch assembly, lives
+in its :class:`~repro.core.conflicts.IncrementalConflictIndex`.
 """
 
 from __future__ import annotations

@@ -136,16 +136,6 @@ def _residual_ops(
         return footprint
 
 
-def directly_conflict(
-    schema: Schema,
-    graph: TransactionGraph,
-    left: UpdateExtension,
-    right: UpdateExtension,
-) -> bool:
-    """True if the two extensions directly conflict (Definition 4)."""
-    return bool(direct_conflict_points(schema, graph, left, right))
-
-
 @dataclass
 class ConflictAnalysis:
     """What ``FindConflicts`` learned about a set of extensions: a live

@@ -281,24 +281,6 @@ def flattened_extension(
     )
 
 
-def compute_update_extension(
-    schema: Schema,
-    graph: TransactionGraph,
-    root: RelevantTransaction,
-    applied: Set[TransactionId],
-) -> UpdateExtension:
-    """Build the flattened update extension of ``root`` for a participant
-    (:func:`flattened_extension` of the closure ``graph`` holds).
-
-    Raises :class:`~repro.errors.FlattenError` (propagated) if the chain is
-    internally inconsistent — the engine treats that as a rejection.
-    """
-    members = graph.extension(root.tid, applied)
-    return flattened_extension(
-        schema, root.tid, [graph.transaction(tid) for tid in members]
-    )
-
-
 @dataclass
 class ReconciliationBatch:
     """Everything the update store hands a reconciling participant.

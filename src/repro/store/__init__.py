@@ -9,8 +9,8 @@ Three implementations share the :class:`repro.store.base.UpdateStore`
 interface and are registered under four names in the **store
 registry** (:mod:`repro.store.registry`) so backends are selected by
 name.  Two of them read their own log and
-derive from :class:`repro.store.network_centric.DirectLogStore`, which
-holds the shared conflict graph and the store-computed batch:
+derive from :class:`repro.store.direct_log.DirectLogStore`, which
+holds the shared conflict graph and the client-centric batch:
 
 * ``memory`` — :class:`repro.store.memory.MemoryUpdateStore` — plain
   in-process state; fastest, used by the state-ratio simulations;
@@ -30,9 +30,10 @@ holds the shared conflict graph and the store-computed batch:
   with per-message latency and byte accounting (Figures 6-7); its
   client-centric batches carry bodies and no extension, as the paper's
   did (plus the shared conflict graph, which costs no message), and it
-  also serves *fully* network-centric batches: controllers derive each
-  participant's extensions against that participant's applied set over
-  the ring, closing the last quadrant of Figure 3.
+  is the one store that also serves *fully* network-centric batches:
+  controllers derive each participant's extensions against that
+  participant's applied set over the ring, closing the last quadrant of
+  Figure 3.
 
 New backends call :func:`repro.store.registry.register_store` and become
 selectable from a :class:`repro.confed.ConfederationConfig` without any

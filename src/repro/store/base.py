@@ -21,8 +21,10 @@ client reconciliation time."  Our interface (all implementations):
 
 The batch protocol is the **single store contract** the session layer
 consumes: :meth:`UpdateStore.reconciliation_batch` dispatches to the
-client-centric or network-centric assembly, and every store implements
-both.  Everything above the store boundary —
+client-centric assembly every store implements, or to the
+network-centric ``begin_network_reconciliation`` only the distributed
+store has (``Confederation.open()`` refuses that mode on any other).
+Everything above the store boundary —
 :class:`~repro.core.session.ReconcileSession` and the engine — sees only
 the batch, and adopts whatever payload it carries (store-computed
 extensions, the shared conflict graph) without knowing the store's
@@ -226,24 +228,23 @@ class UpdateStore(abc.ABC):
     def begin_reconciliation(self, participant: int) -> ReconciliationBatch:
         """Assemble the participant's next reconciliation batch."""
 
-    @abc.abstractmethod
-    def begin_network_reconciliation(
-        self, participant: int
-    ) -> ReconciliationBatch:
-        """Network-centric variant: the store precomputes each root's
-        update extension *against this participant's applied set* and the
-        pairwise conflict adjacency, returning a fully-assembled batch
-        (see :mod:`repro.store.network_centric`)."""
-
     def reconciliation_batch(
         self, participant: int, network_centric: bool = False
     ) -> ReconciliationBatch:
         """The single batch contract the session layer consumes:
-        :meth:`begin_network_reconciliation` or
-        :meth:`begin_reconciliation`."""
-        if network_centric:
-            return self.begin_network_reconciliation(participant)
-        return self.begin_reconciliation(participant)
+        :meth:`begin_reconciliation`, or — on a store that has it — the
+        store-computed ``begin_network_reconciliation``, whose batch
+        carries each root's extension against this participant's
+        applied set and the conflict adjacency.  Asked of a store without
+        it, a :class:`StoreError` naming ``'dht'``, before anything moves."""
+        if not network_centric:
+            return self.begin_reconciliation(participant)
+        if not hasattr(self, "begin_network_reconciliation"):
+            raise StoreError(
+                f"store backend {type(self).__name__} does not compute "
+                f"batches; network-centric reconciliation needs 'dht'"
+            )
+        return self.begin_network_reconciliation(participant)
 
     @abc.abstractmethod
     def complete_reconciliation(
@@ -266,10 +267,10 @@ class UpdateStore(abc.ABC):
     def last_reconciliation_epoch(self, participant: int) -> int:
         """The epoch of the participant's most recent reconciliation."""
 
-    @abc.abstractmethod
     def derivation_stats(self) -> CacheStats:
         """How often the store itself derived update extensions, and how
-        often it reused one instead."""
+        often it reused one instead: none, unless it computes batches."""
+        return CacheStats()
 
     @abc.abstractmethod
     def decided_transactions(
@@ -307,9 +308,9 @@ class UpdateStore(abc.ABC):
 
         Batch assembly and state reconstruction read the log through
         here.  ``table`` holds the entries a caller has already read and
-        is extended in place, so several walks that share one (a batch's
-        graph, then its deferred roots' closures) look every member up
-        once.
+        is extended in place, so a walk looks up no member the caller
+        (a batch's candidate read) or an earlier walk sharing the table
+        already has.
         """
         if table is None:
             table = {}

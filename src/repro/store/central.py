@@ -45,7 +45,7 @@ default, on ``:memory:``, with no code path that asks which:
   database through a :class:`repro.core.cache.PageCache` (LRU,
   ``cache_size`` entries): O(cache) bodies in RAM, not O(history); the
   shared conflict graph's derivations are retired
-  (:meth:`~repro.store.network_centric.DirectLogStore.retire_shared_entries`)
+  (:meth:`~repro.store.direct_log.DirectLogStore.retire_shared_entries`)
   by eviction, exactly as on every other log;
 * **crash recovery** on every open
   (:meth:`CentralUpdateStore._recover`): O(delta), never a full-history
@@ -66,7 +66,7 @@ import ast
 import json
 import sqlite3
 from contextlib import AbstractContextManager
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cache import PageCache
 from repro.core.decisions import ReconcileResult
@@ -77,7 +77,7 @@ from repro.model.updates import Delete, Insert, Modify, Update
 from repro.policy.acceptance import TrustPolicy
 from repro.store.base import DEFAULT_MESSAGE_LATENCY, LogEntry
 from repro.store.logic import compute_antecedents
-from repro.store.network_centric import DirectLogStore
+from repro.store.direct_log import DirectLogStore
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS epochs (
@@ -188,34 +188,29 @@ def _implode(kind: str, relation: str, old_row, new_row, origin: int) -> Update:
     return Modify(relation, old_row, new_row, origin)
 
 
-class _AppliedTids(set):
+class _AppliedTids:
     """One participant's applied set as one batch sees it: window-sized.
 
-    Holds the applied ids the batch has *asked about*: ``in`` asks the
-    database, once per id, and the antecedent read (``_entries``)
-    answers for a whole window beforehand.  The network-centric caches'
-    ``members & applied`` / ``members.isdisjoint(applied)`` run on what
-    is held and test only emptiness, for which that is exact: a closure
-    walk asks about every antecedent of every unapplied member it
-    reaches, so the first applied member on any path from a root is
-    held before an extension of that root is looked at.
+    Holds the answers for the ids the batch has *asked about*: ``in``
+    asks the database, once per id, and the antecedent read
+    (``_entries``) answers for a whole window beforehand.  The batch's
+    closure walk asks only ``in``.
     """
 
     def __init__(self, conn: sqlite3.Connection, participant: int) -> None:
-        self._conn = conn  # (the set itself starts empty)
+        self._conn = conn
         self.participant = participant
-        self._unapplied: Set[TransactionId] = set()
+        self._known: Dict[TransactionId, bool] = {}
 
     def learn(self, tid: TransactionId, applied: bool) -> bool:
         """Remember the database's answer for ``tid`` (and return it)."""
-        (self.add if applied else self._unapplied.add)(tid)
+        self._known[tid] = applied
         return applied
 
     def __contains__(self, tid: object) -> bool:
-        if super().__contains__(tid):
-            return True
-        if tid in self._unapplied:
-            return False
+        known = self._known.get(tid)
+        if known is not None:
+            return known
         found = self._conn.execute(
             "SELECT 1 FROM txns t JOIN decisions d ON d.ord = t.ord"
             " WHERE t.participant = ? AND t.seq = ? AND d.participant = ?"
@@ -267,8 +262,8 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA_SQL)
         self._policies: Dict[int, TrustPolicy] = {}
-        # Per-participant applied-set versions for the network-centric
-        # caches, mirrored in the ``applied_versions`` table.
+        # Per-participant applied-set versions, the stamp each applied
+        # decision carries, mirrored in the ``applied_versions`` table.
         self._applied_versions: Dict[int, int] = {}
         self._page_cache = PageCache(cache_size)
         # Kept of the batch each participant is deciding, window-sized:
@@ -512,7 +507,6 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
                 self._bump_applied_version(participant)
             decided = self._fully_decided(result, ords)
         self.retire_shared_entries(decided)
-        self._nc_retire(participant, result)
         self._charge_call()
 
     # ------------------------------------------------------------------
@@ -654,16 +648,10 @@ class CentralUpdateStore(DirectLogStore, AbstractContextManager):
         )
 
     # ------------------------------------------------------------------
-    # Log accessors (see repro.store.network_centric)
-
-    def _nc_deferred_tids(self, participant: int):
-        return [row[1] for row in self._decided(participant, "deferred")]
+    # Log accessors (see repro.store.direct_log)
 
     def _nc_applied_tids(self, participant: int):
         return self._outstanding[participant][1]
-
-    def _nc_applied_version(self, participant: int) -> int:
-        return self._applied_versions.get(participant, 0)
 
     def _nc_lookup(self, tid: TransactionId):
         return self._entries([(self._ords_for([tid])[tid], tid)])[0]

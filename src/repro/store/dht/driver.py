@@ -34,7 +34,6 @@ from repro.store.dht import client, wire
 from repro.store.dht.host import _HostNode, _RingView
 from repro.store.dht.replication import _install, allocator_counter, held_copy
 from repro.store.logic import ProducerIndex, batch_antecedents, register_producers
-from repro.store.network_centric import attach_assembled_payload
 
 
 class _Peer:
@@ -164,13 +163,11 @@ class DhtUpdateStore(UpdateStore):
         self.retries = 0
         self._peers: Dict[int, _Peer] = {}
         self._open_epochs: Dict[Tuple[int, int], List[TransactionId]] = {}
-        # The confederation-wide conflict graph, attached to every
-        # store-computed batch and read by every peer's assembly index:
-        # edges hang on the extension objects, and the controllers serve
-        # every participant the *same* object per (root, closure), at
-        # any priority.  Retention (complete_reconciliation) is the primary
-        # eviction; the graph's FIFO limit is the backstop, as on every
-        # store.
+        # The confederation-wide conflict graph, on every batch and read
+        # by every peer's assembly index: edges hang on the extension
+        # objects, which the controllers serve every participant as the
+        # *same* object per (root, closure), at any priority.  Retention
+        # (complete_reconciliation) evicts; its FIFO limit is the backstop.
         self._shared_pairs = ConflictGraph()
 
     # ------------------------------------------------------------------
@@ -521,14 +518,16 @@ class DhtUpdateStore(UpdateStore):
         graph: TransactionGraph,
         derived: Dict[TransactionId, UpdateExtension],
     ) -> Tuple[ReconciliationBatch, int]:
-        """The peer coordinator's conflict assembly over the batch's
-        roots; returns the batch and its number of conflict edges."""
+        """The peer coordinator's ``FindConflicts``: the peer's index is
+        brought to the roots' extensions over the shared graph, and the
+        batch carries its adjacency; returns that and the edge count."""
         roots.sort(key=lambda root: root.order)
-        batch = ReconciliationBatch(
-            recno=stable, roots=roots, graph=graph, pair_cache=self._shared_pairs
-        )
         extensions = {root.tid: derived[root.tid] for root in roots if root.tid in derived}
-        return batch, attach_assembled_payload(self.schema, batch, extensions, peer.pairs)
+        analysis = peer.pairs.update(self.schema, graph, extensions, self._shared_pairs)
+        batch = ReconciliationBatch(
+            stable, roots, graph, extensions, analysis.adjacency, self._shared_pairs
+        )
+        return batch, len(analysis.points)
 
     def _ship_adjacency(
         self, peer: _Peer, batch: ReconciliationBatch, edges: int, unchanged: Set[TransactionId]

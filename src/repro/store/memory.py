@@ -26,7 +26,7 @@ from repro.model.schema import Schema
 from repro.model.transactions import Transaction, TransactionId
 from repro.policy.acceptance import TrustPolicy
 from repro.store.base import DEFAULT_MESSAGE_LATENCY, EntryTable
-from repro.store.network_centric import DirectLogStore
+from repro.store.direct_log import DirectLogStore
 from repro.store.logic import (
     ProducerIndex,
     compute_antecedents,
@@ -43,7 +43,7 @@ class _ParticipantRecord:
     last_recon_epoch: int = 0
     #: Applied tid -> the ``applied_version`` after the step applying it.
     applied: Dict[TransactionId, int] = field(default_factory=dict)
-    #: Bumped by each step that applies; versions the store-side caches.
+    #: Bumped by each step that applies; stamps what that step applied.
     applied_version: int = 0
     #: Applied tids no accepted root: a later root of the step carried them in.
     carried: Set[TransactionId] = field(default_factory=set)
@@ -199,7 +199,6 @@ class MemoryUpdateStore(DirectLogStore):
         for tid in result.deferred:
             record.deferred.add(tid)
         self.retire_shared_entries(self._fully_decided(final))
-        self._nc_retire(participant, result)
         self._charge_call()
 
     def _fully_decided(self, roots: Set[TransactionId]) -> List[TransactionId]:
@@ -240,17 +239,10 @@ class MemoryUpdateStore(DirectLogStore):
         )
 
     # ------------------------------------------------------------------
-    # Network-centric accessors (see repro.store.network_centric)
-
-    def _nc_deferred_tids(self, participant: int):
-        record = self._record_of(participant)
-        return sorted(record.deferred, key=lambda tid: self._log[tid][2])
+    # Log accessors (see repro.store.direct_log)
 
     def _nc_applied_tids(self, participant: int):
         return self._record_of(participant).applied.keys()
-
-    def _nc_applied_version(self, participant: int) -> int:
-        return self._record_of(participant).applied_version
 
     def _nc_lookup(self, tid: TransactionId):
         try:

@@ -2,9 +2,7 @@
 
 A backend joins the confederation API by registering a name and a
 factory ``factory(schema, **options) -> UpdateStore``; nothing else is
-declared.  Every store serves both of Figure 3's reconciliation columns
-(:meth:`~repro.store.base.UpdateStore.begin_network_reconciliation` is
-abstract), and the engine routes on what each batch carries — shipped
+declared.  The engine routes on what each batch carries — shipped
 extensions, the shared conflict graph — never on the store's type.
 
 The built-in backends (``memory``, ``central``, ``durable``, ``dht``)

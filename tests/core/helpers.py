@@ -6,14 +6,27 @@ tests declare transactions, antecedent edges, and publish order explicitly.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Set, Tuple
 
 from repro.core import (
     ReconciliationBatch,
     RelevantTransaction,
     TransactionGraph,
 )
-from repro.model import Transaction, TransactionId
+from repro.core.extensions import UpdateExtension, flattened_extension
+from repro.model import Schema, Transaction, TransactionId
+
+
+def derive_extension(
+    schema: Schema,
+    graph: TransactionGraph,
+    root: RelevantTransaction,
+    applied: Set[TransactionId],
+) -> UpdateExtension:
+    """``root``'s update extension from scratch: its closure in ``graph``,
+    stopped at ``applied``, flattened (propagates ``FlattenError``)."""
+    members = graph.extension(root.tid, applied)
+    return flattened_extension(schema, root.tid, [graph.transaction(tid) for tid in members])
 
 
 class GraphBuilder:

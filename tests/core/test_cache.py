@@ -23,14 +23,13 @@ from repro.core.extensions import (
     RelevantTransaction,
     TransactionGraph,
     UpdateExtension,
-    compute_update_extension,
 )
 from repro.errors import FlattenError
 from repro.instance import Instance
 from repro.model import Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
 
-from tests.core.helpers import GraphBuilder
+from tests.core.helpers import GraphBuilder, derive_extension
 from tests.reference.mirror import assert_agree
 from tests.reference.oracle import Oracle, Peer
 
@@ -129,7 +128,7 @@ class TestExtensionCache:
         assert set(second.members) == {revision.tid}
         assert cache.stats.misses == 2
         # And the recomputed entry matches a fresh computation exactly.
-        fresh = compute_update_extension(
+        fresh = derive_extension(
             schema, builder.graph, root, {base.tid}
         )
         assert second.members == fresh.members
@@ -158,7 +157,7 @@ class TestExtensionCache:
         builder.add(base)
         builder.add(revision, antecedents=[base.tid])
         root = relevant(builder, revision, priority=2)
-        shipped = compute_update_extension(
+        shipped = derive_extension(
             schema, builder.graph, relevant(builder, revision, 1), {base.tid}
         )
         walks = count_walks(monkeypatch)
@@ -255,7 +254,7 @@ class TestInternedDerivations:
         interned = ExtensionCache().get_or_compute(
             schema, builder.graph, root, {base.tid}, 1, shared=shared
         )
-        fresh = compute_update_extension(schema, builder.graph, root, {base.tid})
+        fresh = derive_extension(schema, builder.graph, root, {base.tid})
         assert fresh == interned and fresh is not interned
         assert fresh._hood is None  # registered nowhere
         assert shared.derived(revision.tid, (revision.tid,)) is interned
@@ -293,7 +292,7 @@ class TestConflictGraph:
                 participant, 0, [Insert("F", ("mouse", "prot2", f"fn{participant}"), participant)]
             )
             builder.add(txn)
-            plain = compute_update_extension(
+            plain = derive_extension(
                 schema, builder.graph, relevant(builder, txn), set()
             )
             extensions.append(
@@ -424,7 +423,7 @@ class TestEngineIntegration:
         # UpdateSoftState reused both extensions.
         assert sorted(calls) == sorted([a.tid, b.tid])
 
-    def test_compute_update_extension_traces_once_per_root(self, schema):
+    def test_an_extension_is_traced_once_per_root(self, schema):
         reconciler, _instance, _state = make_reconciler(schema, 1)
         builder = GraphBuilder()
         # Multi-update footprints so the single-update fast path does not
@@ -517,7 +516,7 @@ class TestEngineIntegration:
             priority=1,
             order=builder.graph.order_of(revision.tid),
         )
-        fresh = compute_update_extension(
+        fresh = derive_extension(
             schema, builder.graph, root, state.applied
         )
         assert refreshed.operations == fresh.operations

@@ -8,13 +8,11 @@ from repro.core.conflicts import (
     IncrementalConflictIndex,
     build_conflict_groups,
     direct_conflict_points,
-    directly_conflict,
     find_conflicts,
 )
-from repro.core.extensions import compute_update_extension
 from repro.model import Delete, Insert, Modify, make_transaction
 
-from tests.core.helpers import GraphBuilder
+from tests.core.helpers import GraphBuilder, derive_extension
 from tests.reference.oracle import PAPER, Oracle
 
 
@@ -32,7 +30,7 @@ def extension_of(schema, builder, txn, priority=1, applied=()):
     root = RelevantTransaction(
         txn, priority=priority, order=builder.graph.order_of(txn.tid)
     )
-    return compute_update_extension(
+    return derive_extension(
         schema, builder.graph, root, set(applied)
     )
 
@@ -64,7 +62,6 @@ class TestDirectConflicts:
         builder.add(b)
         ext_a = extension_of(schema, builder, a)
         ext_b = extension_of(schema, builder, b)
-        assert directly_conflict(schema, builder.graph, ext_a, ext_b)
         points = direct_conflict_points(schema, builder.graph, ext_a, ext_b)
         assert points == [("insert/insert", ("F", ("rat", "prot1")))]
 
@@ -90,7 +87,7 @@ class TestDirectConflicts:
         base = make_transaction(1, 0, [Insert("F", RAT1, 1)])
         builder.add(base)
         ext = extension_of(schema, builder, base)
-        assert not directly_conflict(schema, builder.graph, ext, ext)
+        assert not direct_conflict_points(schema, builder.graph, ext, ext)
 
     def test_least_interaction_through_shared_chain(self, schema):
         # left revises the shared base's row; right extends left's result:
@@ -108,7 +105,7 @@ class TestDirectConflicts:
         ext_extend = extension_of(schema, builder, extend)
         # extend subsumes revise entirely; nothing unshared conflicts.
         assert ext_extend.subsumes(ext_revise)
-        assert not directly_conflict(
+        assert not direct_conflict_points(
             schema, builder.graph, ext_revise, ext_extend
         )
 
@@ -232,7 +229,7 @@ class TestFindConflicts:
         extensions = {
             txn.tid: extension_of(schema, builder, txn) for txn in (base, drop, edit)
         }
-        assert directly_conflict(
+        assert direct_conflict_points(
             schema, builder.graph, extensions[drop.tid], extensions[edit.tid]
         )
         paper, engine = Oracle(schema, deviations=PAPER), Oracle(schema)

@@ -15,13 +15,12 @@ import pytest
 from repro.confed import Confederation, ConfederationConfig
 from repro.core import Decision, ParticipantState, Reconciler, RelevantTransaction
 from repro.core.conflicts import find_conflicts
-from repro.core.extensions import compute_update_extension
 from repro.errors import FlattenError
 from repro.instance import Instance
 from repro.model import Delete, Insert, Modify, make_transaction
 from repro.model.flatten import flatten
 
-from tests.core.helpers import GraphBuilder
+from tests.core.helpers import GraphBuilder, derive_extension
 from tests.reference.mirror import Mirror, assert_agree
 from tests.reference.oracle import ENGINE, Oracle, Peer, Undefined, Unflattenable, raw
 
@@ -67,7 +66,7 @@ class Log:
         and the log agree), both over an empty applied set."""
         graph = self.builder.graph
         return {
-            txn.tid: compute_update_extension(
+            txn.tid: derive_extension(
                 self.schema, graph, RelevantTransaction(txn, 1, graph.order_of(txn.tid)), set()
             )
             for txn in roots

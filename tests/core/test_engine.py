@@ -8,12 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Decision, ParticipantState, Reconciler
-from repro.core.extensions import RelevantTransaction, compute_update_extension
+from repro.core.extensions import RelevantTransaction
 from repro.instance import Instance
 from repro.model import Delete, Insert, Modify, make_transaction
 from repro.model.flatten import trace_runs
 
-from tests.core.helpers import GraphBuilder
+from tests.core.helpers import GraphBuilder, derive_extension
 from tests.reference.mirror import examples
 from tests.reference.oracle import Peer
 
@@ -508,7 +508,7 @@ class TestFootprintCompiledOnce:
         txn = make_transaction(9, 0, [Insert("F", RAT1, 9), Insert("F", MOUSE2, 9)])
         builder.add(txn)
         [root] = builder.batch(1, [(txn, 1)]).roots
-        shipped = compute_update_extension(schema, builder.graph, root, set())
+        shipped = derive_extension(schema, builder.graph, root, set())
         instances = []
         for participant, priority in ((1, 1), (2, 1), (3, 2)):
             reconciler, instance, _state = make_reconciler(schema, participant)

@@ -6,17 +6,13 @@ import pytest
 
 import repro.core.extensions as extensions_module
 from repro.core import RelevantTransaction, TransactionGraph
-from repro.core.extensions import (
-    compute_update_extension,
-    flattened_extension,
-    update_footprint,
-)
+from repro.core.extensions import flattened_extension, update_footprint
 from repro.errors import FlattenError, ReconciliationError
 from repro.model import Delete, Insert, Modify, TransactionId, make_transaction
 from repro.model.flatten import flatten_once
 from repro.model.transactions import Transaction
 
-from tests.core.helpers import GraphBuilder
+from tests.core.helpers import GraphBuilder, derive_extension
 
 
 RAT1 = ("rat", "prot1", "cell-metab")
@@ -100,7 +96,7 @@ class TestTransactionGraph:
 
         monkeypatch.setattr(extensions_module, "antecedent_closure", walk)
         assert builder.graph.extension(txn.tid, applied=set()) == [txn.tid]
-        extension = compute_update_extension(schema, builder.graph, root, set())
+        extension = derive_extension(schema, builder.graph, root, set())
         assert extension.members == (txn.tid,)
         assert extension.operations == expected.operations
         assert extension.touched == expected.keys_touched
@@ -113,7 +109,7 @@ class TestTransactionGraph:
         )
         builder.add(txn)
         with pytest.raises(FlattenError):
-            compute_update_extension(
+            derive_extension(
                 schema, builder.graph, RelevantTransaction(txn, 1, 0), set()
             )
 
@@ -129,7 +125,7 @@ class TestUpdateExtension:
     def test_flattened_operations(self, schema, chain_graph):
         builder, x30, x31, x20 = chain_graph
         root = RelevantTransaction(x20, priority=1, order=2)
-        extension = compute_update_extension(
+        extension = derive_extension(
             schema, builder.graph, root, applied=set()
         )
         assert extension.operations == (Insert("F", RAT1_RESP, 2),)
@@ -138,7 +134,7 @@ class TestUpdateExtension:
     def test_extension_relative_to_applied(self, schema, chain_graph):
         builder, x30, x31, x20 = chain_graph
         root = RelevantTransaction(x20, priority=1, order=2)
-        extension = compute_update_extension(
+        extension = derive_extension(
             schema, builder.graph, root, applied={x30.tid, x31.tid}
         )
         assert extension.operations == (Modify("F", RAT1_IMMUNE, RAT1_RESP, 2),)
@@ -146,20 +142,20 @@ class TestUpdateExtension:
     def test_touched_keys_cover_whole_footprint(self, schema, chain_graph):
         builder, x30, x31, x20 = chain_graph
         root = RelevantTransaction(x20, priority=1, order=2)
-        extension = compute_update_extension(
+        extension = derive_extension(
             schema, builder.graph, root, applied=set()
         )
         assert ("F", ("rat", "prot1")) in extension.touched
 
     def test_subsumption(self, schema, chain_graph):
         builder, x30, x31, x20 = chain_graph
-        big = compute_update_extension(
+        big = derive_extension(
             schema,
             builder.graph,
             RelevantTransaction(x20, priority=1, order=2),
             applied=set(),
         )
-        small = compute_update_extension(
+        small = derive_extension(
             schema,
             builder.graph,
             RelevantTransaction(x31, priority=1, order=1),

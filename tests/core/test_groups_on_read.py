@@ -21,8 +21,8 @@ from repro.cdss.participant import Participant
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.core import Resolution
 from repro.core.conflicts import build_conflict_groups
-from repro.core.extensions import compute_update_extension
 from repro.workload import WorkloadConfig
+from tests.core.helpers import derive_extension
 
 #: The ``conflict`` events of :func:`config` (participant, recno, group id,
 #: options), measured where the groups were still kept incrementally by
@@ -31,7 +31,7 @@ from repro.workload import WorkloadConfig
 CONFLICT_EVENTS = 111
 CONFLICT_EVENTS_SHA256 = "faa010d8ba438bd887eb1e85761138be53ab30a47d2cc2fe90abb88226b6c568"
 
-MODES = [("memory", "client"), ("memory", "store"), ("dht", "store")]
+MODES = [("memory", "client"), ("dht", "client"), ("dht", "store")]
 
 
 def config(store="memory", network_centric="client") -> ConfederationConfig:
@@ -54,7 +54,7 @@ def fresh_groups(schema, state):
         schema,
         state.graph,
         {
-            root.tid: compute_update_extension(schema, state.graph, root, state.applied)
+            root.tid: derive_extension(schema, state.graph, root, state.applied)
             for root in state.deferred_roots()
         },
     )

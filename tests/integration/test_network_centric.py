@@ -2,15 +2,19 @@
 
 The defining requirement: a network-centric participant must reach
 *exactly* the same decisions and instance as a client-centric one — the
-modes trade communication for local work, never outcomes.
+modes trade communication for local work, never outcomes.  Only the
+distributed store computes batches; ``Confederation.open()`` refuses the
+mode on every other store.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cdss import Participant
 from repro.confed import Confederation, ConfederationConfig
 from repro.core import Reconciler
+from repro.errors import ConfigError, StoreError
 from repro.model import Insert
 from repro.policy import TrustPolicy, policy_from_priorities
 from repro.store import (
@@ -18,6 +22,7 @@ from repro.store import (
     DhtUpdateStore,
     DurableUpdateStore,
     MemoryUpdateStore,
+    create_store,
 )
 from repro.workload import WorkloadConfig, WorkloadGenerator, curated_schema
 
@@ -27,14 +32,21 @@ RAT_RESP = ("rat", "prot1", "cell-resp")
 MOUSE = ("mouse", "prot2", "immune")
 
 
-@pytest.fixture(params=["memory", "central", "durable", "dht"])
+DIRECT_LOG = ["memory", "central", "durable"]
+
+
+def dht_store():
+    return DhtUpdateStore(curated_schema(), hosts=4)
+
+
+@pytest.fixture(params=DIRECT_LOG + ["dht"])
 def store_factory(request):
     def factory():
         schema = curated_schema()
         if request.param == "memory":
             return MemoryUpdateStore(schema)
         if request.param == "dht":
-            return DhtUpdateStore(schema, hosts=4)
+            return dht_store()
         if request.param == "durable":
             return DurableUpdateStore(schema, path=":memory:", cache_size=8)
         return CentralUpdateStore(schema)
@@ -81,12 +93,14 @@ def run_workload(store, network_centric: bool):
 
 class TestNetworkCentricEquivalence:
     def test_same_outcomes_as_client_centric(self, store_factory):
+        # The DHT's store-computed batches decide as the client-centric
+        # read of every backend does.
         client = run_workload(store_factory(), network_centric=False)
-        network = run_workload(store_factory(), network_centric=True)
+        network = run_workload(dht_store(), network_centric=True)
         assert client == network
 
-    def test_deferred_transactions_reconsidered(self, store_factory):
-        store = store_factory()
+    def test_deferred_transactions_reconsidered(self):
+        store = dht_store()
         confed = Confederation(store=store).open()
         p1 = confed.add_participant(1, policy_from_priorities([(2, 1), (3, 1)]))
         p2 = confed.add_participant(2, policy_from_priorities([(1, 1), (3, 1)]))
@@ -118,13 +132,13 @@ class TestNetworkCentricEquivalence:
         result = p3.publish_and_reconcile()
         assert [str(t) for t in result.accepted] == ["X1:1"]
 
-    def test_a_quiet_round_examines_no_pair_store_side(self, store_factory):
+    def test_a_quiet_round_examines_no_pair_store_side(self):
         # The store-side FindConflicts is the incremental index: a batch
         # assembled with no publication since the participant's last one
         # re-delivers the same deferred extension objects, so it compares
         # no pair and looks none up (the stateless scanner it replaced
         # looked every open pair up again, counted as a ``pair_hit``).
-        store = store_factory()
+        store = dht_store()
         confed = Confederation(store=store).open()
         p1 = confed.add_participant(1, policy_from_priorities([(2, 1), (3, 1)]))
         p2 = confed.add_participant(2, policy_from_priorities([(1, 1), (3, 1)]))
@@ -132,12 +146,7 @@ class TestNetworkCentricEquivalence:
         p3.network_centric = True
 
         def store_side():
-            if isinstance(store, DhtUpdateStore):
-                index = store._peers[3].pairs
-            else:
-                index = store._nc_caches[3][1]
-                assert index.stats is store._nc_caches[3][0].stats
-                assert store.derivation_stats().pair_misses == index.stats.pair_misses
+            index = store._peers[3].pairs
             # complete_reconciliation retired it to the open deferred set.
             assert len(index) == len(p3.state.deferred)
             # The store assembled the adjacency, so the client's own
@@ -163,20 +172,6 @@ class TestNetworkCentricEquivalence:
         assert [str(t) for t in p3.reconcile().accepted] == ["X1:1"]
         assert store_side() == (0, 1)  # MOUSE shares no key with the open pair
 
-    def test_a_client_only_store_cannot_be_built(self, schema):
-        # Both Figure 3 columns are the store contract: a backend
-        # without the store-computed batch is refused at construction,
-        # not at its first network-centric reconcile.
-        from repro.store.base import UpdateStore
-
-        class ClientOnly(MemoryUpdateStore):
-            begin_network_reconciliation = (
-                UpdateStore.begin_network_reconciliation
-            )
-
-        with pytest.raises(TypeError, match="begin_network_reconciliation"):
-            ClientOnly(schema)
-
     def test_dht_serves_store_computed_batches(self, schema):
         # The last Figure-3 quadrant: the distributed store returns a
         # fully-assembled per-participant batch.
@@ -201,22 +196,29 @@ class TestNetworkCentricEquivalence:
         store = store_factory()
         store.register_participant(1, TrustPolicy().trust_participant(2, 1))
         store.register_participant(2, TrustPolicy())
-        client_batch = store.begin_reconciliation(1)
+        client_batch = store.reconciliation_batch(1, False)
         assert not client_batch.network_centric
-        network_batch = store.begin_network_reconciliation(1)
-        assert network_batch.network_centric
-        assert network_batch.extensions == {}
-        assert network_batch.conflicts == {}
+        if isinstance(store, DhtUpdateStore):
+            network_batch = store.reconciliation_batch(1, True)
+            assert network_batch.network_centric
+            assert network_batch.extensions == {}
+            assert network_batch.conflicts == {}
+        else:
+            # A direct-log store refuses the store-computed batch by
+            # name, charging nothing.
+            before = store.perf.messages
+            with pytest.raises(StoreError, match="'dht'"):
+                store.reconciliation_batch(1, True)
+            assert store.perf.messages == before
 
 
-@pytest.mark.parametrize("store", ["memory", "dht"])
-def test_a_store_computed_run_keeps_no_client_index(store):
+def test_a_store_computed_run_keeps_no_client_index():
     # The store assembles every batch's adjacency, so the engine files
     # and compares no pair of its own: the index a client-computed
     # FindConflicts keeps holds no root after any reconcile, and the
     # conflict groups are built from the deferred extensions when read.
     config = ConfederationConfig(
-        store=store,
+        store="dht",
         peers=tuple(range(1, 7)),
         workload=WorkloadConfig(transaction_size=1, seed=7000),
         reconciliation_interval=4,
@@ -237,12 +239,11 @@ def test_a_store_computed_run_keeps_no_client_index(store):
     assert (report.cache_stats.pair_hits, report.cache_stats.pair_misses) == (0, 0)
 
 
-@pytest.mark.parametrize("store", ["memory", "dht"])
-def test_every_store_computed_adjacency_names_both_ends(store, monkeypatch):
+def test_every_store_computed_adjacency_names_both_ends(monkeypatch):
     # DoGroup defers a survivor whose own adjacency names another, so a
     # one-sided edge would defer one end only: the store writes both.
     config = ConfederationConfig(
-        store=store,
+        store="dht",
         peers=tuple(range(1, 7)),
         workload=WorkloadConfig(transaction_size=1, seed=7000),
         reconciliation_interval=4,
@@ -264,3 +265,52 @@ def test_every_store_computed_adjacency_names_both_ends(store, monkeypatch):
     with Confederation.from_config(config) as confed:
         confed.run()
     assert sum(edges) > 0
+
+
+@pytest.mark.parametrize("store", ["memory", "central", "durable"])
+def test_a_direct_log_store_refuses_store_computed_batches(store):
+    # Figure 3's store-computed column is the DHT's alone: open() refuses
+    # it anywhere else, naming the store that has it, before registering
+    # anyone — from a built config and from its dict form alike.
+    config = ConfederationConfig(store=store, peers=(1, 2), network_centric="store")
+    for built in (config, ConfederationConfig.from_dict(config.to_dict())):
+        with pytest.raises(ConfigError, match="'dht'"):
+            Confederation.from_config(built)
+        prebuilt = create_store(store, curated_schema())
+        with pytest.raises(ConfigError, match="'dht'"):
+            Confederation(built, store=prebuilt).open()
+        assert prebuilt.perf.messages == 0  # no participant registered
+        getattr(prebuilt, "close", lambda: None)()
+
+
+def test_a_store_qualifies_by_serving_computed_batches():
+    # The check is duck-typed: a third-party store that serves the
+    # store-computed batch is accepted, whatever its type.
+    class Computing(MemoryUpdateStore):
+        def begin_network_reconciliation(self, participant):
+            return self.begin_reconciliation(participant)
+
+    config = ConfederationConfig(peers=(1, 2), network_centric="store")
+    with Confederation(config, store=Computing(curated_schema())) as confed:
+        assert [p.id for p in confed.participants] == [1, 2]
+
+
+@pytest.mark.parametrize("store", DIRECT_LOG)
+def test_a_participant_switched_by_hand_is_refused_by_the_store(store):
+    # open() guards the config; a participant put in the mode by hand
+    # meets the store's own refusal naming 'dht', and its window stays.
+    config = ConfederationConfig(store=store, peers=(1, 2))
+    with Confederation.from_config(config) as confed:
+        p1, p2 = confed.participants
+        p2.execute([Insert("F", RAT_IMMUNE, 2)])
+        p2.publish()
+        p1.network_centric = True
+        with pytest.raises(StoreError, match="'dht'"):
+            p1.reconcile()
+        assert confed.store.last_reconciliation_epoch(1) == 0
+        p1.network_centric = False
+        assert [str(t) for t in p1.reconcile().accepted] == ["X2:0"]
+        # So is one built in the mode outside the confederation.
+        p3 = Participant(3, confed.store, TrustPolicy(), network_centric=True)
+        with pytest.raises(StoreError, match="'dht'"):
+            p3.reconcile()

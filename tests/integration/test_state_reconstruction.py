@@ -165,7 +165,7 @@ def test_central_store_survives_restart(tmp_path):
         p2.publish_and_reconcile()
         live_snapshot = p2.instance.snapshot()
         policy1, policy2 = p1.policy, p2.policy
-        live_version = store._nc_applied_version(2)
+        live_version = store._applied_versions[2]
         assert live_version > 0
 
     # Process restart: a brand-new store object over the same file.
@@ -174,7 +174,7 @@ def test_central_store_survives_restart(tmp_path):
         # them and adopts the participant rows already on disk.
         reopened.register_participant(1, policy1)
         reopened.register_participant(2, policy2)
-        assert reopened._nc_applied_version(2) == live_version
+        assert reopened._applied_versions[2] == live_version
         rebuilt = Participant.rebuild(2, reopened, policy2)
         assert rebuilt.instance.snapshot() == live_snapshot
         assert reopened.transaction_count() == 1

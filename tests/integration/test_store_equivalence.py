@@ -143,22 +143,18 @@ def test_dht_client_computed_decisions_match_central(seed):
 
 @pytest.mark.parametrize("seed", [7, 29])
 def test_equivalence_matrix_with_store_computed_batches(seed):
-    """dht-store-computed / dht-client-computed / central
-    and durable (each client- and store-computed) must emit
-    byte-identical decision streams: the store deriving a participant's
-    extensions against its applied set is only legal because it provably
-    equals the client's own computation — and since PR 9, persisting the
-    history to a file with a tiny body page cache must not perturb a
-    single verdict either."""
+    """dht-store-computed / dht-client-computed / central / durable
+    must emit byte-identical decision streams: the store deriving a
+    participant's extensions against its applied set is only legal
+    because it provably equals the client's own computation — and
+    persisting the history to a file with a tiny body page cache must
+    not perturb a single verdict either.  Only the DHT computes
+    batches (``open()`` refuses the mode on the others)."""
     matrix = [
         run_with_decision_log("dht", {"hosts": 5}, seed, network_centric="store"),
         run_with_decision_log("dht", {"hosts": 5}, seed),
         run_with_decision_log("central", {}, seed),
-        run_with_decision_log("central", {}, seed, network_centric="store"),
         run_with_decision_log("durable", {"cache_size": 4}, seed),
-        run_with_decision_log(
-            "durable", {"cache_size": 4}, seed, network_centric="store"
-        ),
     ]
     reference = matrix[0]
     for other in matrix[1:]:
@@ -174,7 +170,7 @@ def test_equivalence_matrix_with_store_computed_batches(seed):
 @pytest.mark.parametrize("seed", [7, 29])
 def test_equivalence_matrix_under_async_schedule(seed):
     """The store-equivalence pin holds under ``schedule_mode="async"``:
-    every backend (client- and store-computed) must emit the *same
+    every backend (and the DHT's store-computed batches) must emit the *same
     global* decision stream — the deadline loop runs whole segments in
     the round plan's fixed order, so even the cross-participant order
     is pinned.  What the stream decides is held
@@ -187,9 +183,6 @@ def test_equivalence_matrix_under_async_schedule(seed):
         run_with_decision_log("dht", {"hosts": 5}, seed, schedule_mode="async"),
         run_with_decision_log("memory", {}, seed, schedule_mode="async"),
         run_with_decision_log("central", {}, seed, schedule_mode="async"),
-        run_with_decision_log(
-            "central", {}, seed, network_centric="store", schedule_mode="async"
-        ),
         run_with_decision_log(
             "durable", {"cache_size": 4}, seed, schedule_mode="async"
         ),

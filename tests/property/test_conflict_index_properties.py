@@ -36,10 +36,11 @@ from repro.core.conflicts import (
     direct_conflict_points,
     find_conflicts,
 )
-from repro.core.extensions import UpdateExtension, compute_update_extension
+from repro.core.extensions import UpdateExtension
 from repro.errors import FlattenError
 from repro.model import Delete, Insert, Modify, TransactionId, make_transaction
 
+from tests.core.helpers import derive_extension
 from tests.property.strategies import PROP_SCHEMA
 
 _KEYS = range(4)
@@ -93,7 +94,7 @@ def extension_of(graph: TransactionGraph, tid, applied):
     """A fresh extension object for ``tid``, or None if it cannot flatten."""
     root = RelevantTransaction(graph.transaction(tid), 1, graph.order_of(tid))
     try:
-        return compute_update_extension(PROP_SCHEMA, graph, root, applied)
+        return derive_extension(PROP_SCHEMA, graph, root, applied)
     except FlattenError:
         return None
 

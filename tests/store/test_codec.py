@@ -42,9 +42,10 @@ from repro.model import (
 from repro.policy import TrustPolicy
 from repro.store import DurableUpdateStore, MemoryUpdateStore
 from repro.store.central import _decode_row, _encode_row
-from repro.store.network_centric import DirectLogStore
+from repro.store.direct_log import DirectLogStore
 from repro.workload import curated_schema
 from tests.conftest import decision_stream
+from tests.core.helpers import derive_extension
 
 scalars = st.one_of(
     st.none(),
@@ -153,24 +154,25 @@ def transactions(draw):
     return Transaction(TransactionId(1, 0), tuple(updates))
 
 
-def shipped_extension(store, transaction):
-    """The extension ``store``'s store-computed batch ships for
-    ``transaction``."""
+def derived_extension(store, transaction):
+    """The extension a client derives for ``transaction`` over ``store``'s
+    client-centric batch."""
     store.register_participant(1, TrustPolicy())
     store.register_participant(2, TrustPolicy().trust_participant(1, 1))
     store.publish(1, [transaction])
-    return store.begin_network_reconciliation(2).extensions[transaction.tid]
+    batch = store.begin_reconciliation(2)
+    [root] = batch.roots
+    return derive_extension(store.schema, batch.graph, root, set())
 
 
 @given(transactions())
 def test_extensions_derived_from_the_file_are_type_exact(transaction):
-    """Extensions are derived from decoded rows, never stored: on the
-    sqlite store (the body read back from the database) the extension a
-    store-computed batch ships is the one ``memory`` derives from the
-    original objects."""
-    from_memory = shipped_extension(MemoryUpdateStore(ANY_VALUE), transaction)
+    """Extensions are derived from decoded rows, never stored: over the
+    sqlite store's batch (the body read back from the database) a client
+    derives the extension it derives over ``memory``'s original objects."""
+    from_memory = derived_extension(MemoryUpdateStore(ANY_VALUE), transaction)
     with DurableUpdateStore(ANY_VALUE, cache_size=1) as store:
-        from_file = shipped_extension(store, transaction)
+        from_file = derived_extension(store, transaction)
     assert same(exploded(from_file), exploded(from_memory))
 
 

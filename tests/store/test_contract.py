@@ -310,11 +310,10 @@ class TestClosureEntries:
         assert len(entries) == 3 and set(table) == {x10.tid, x11.tid, x30.tid}
         assert looked_up == {x30.tid: 1}
 
-    @pytest.mark.parametrize("network_centric", [False, True])
-    def test_a_batch_looks_each_entry_up_once(self, store, network_centric):
+    def test_a_batch_looks_each_entry_up_once(self, store):
         x10, x11, x30 = self._publish_chain(store)
         looked_up = count_lookups(store)
-        batch = store.reconciliation_batch(2, network_centric)
+        batch = store.begin_reconciliation(2)
         assert [root.tid for root in batch.roots] == [x10.tid, x11.tid, x30.tid]
         assert all(count == 1 for count in looked_up.values()), looked_up
 
@@ -327,7 +326,7 @@ class TestClosureEntries:
         x31 = make_transaction(3, 1, [Modify("F", RAT1_RESP, RAT1, 3)])
         store.publish(3, [x31])
         looked_up.clear()
-        batch = store.reconciliation_batch(2, network_centric)
+        batch = store.begin_reconciliation(2)
         assert x31.tid in batch.graph and x30.tid in batch.graph
         assert x11.tid not in batch.graph
         assert all(count == 1 for count in looked_up.values()), looked_up

@@ -5,7 +5,7 @@ so a controller derives it once per closure — not once per participant
 per round.  Three layers of evidence:
 
 * property tests: over generated antecedent DAGs and applied subsets the
-  table's answer is field-for-field a fresh ``compute_update_extension``;
+  table's answer is field-for-field a fresh derivation;
 * protocol tests on a 3-host ring with hand-driven ``record_decision``s:
   which messages flow and how often a controller actually derives;
 * one seeded ratchet on a 16-peer run.
@@ -19,11 +19,7 @@ from hypothesis import strategies as st
 from repro.confed import Confederation, ConfederationConfig, HookBus
 from repro.core.cache import CacheStats
 from repro.core.decisions import ReconcileResult
-from repro.core.extensions import (
-    TransactionGraph,
-    antecedent_closure,
-    compute_update_extension,
-)
+from repro.core.extensions import TransactionGraph, antecedent_closure
 from repro.errors import FlattenError
 from repro.model import Insert, Modify
 from repro.model.transactions import Transaction, TransactionId
@@ -36,6 +32,7 @@ from repro.store.dht.host import _HostNode, _RingView
 from repro.store.logic import compute_antecedents
 from repro.workload import WorkloadConfig, curated_schema
 from tests.conftest import decision_stream
+from tests.core.helpers import derive_extension
 from tests.property.strategies import PROP_SCHEMA, valid_update_sequences
 
 
@@ -80,7 +77,7 @@ def fresh_answer(bodies, root_tid, applied):
     for body in bodies.values():
         graph.add(body)
     try:
-        return compute_update_extension(
+        return derive_extension(
             PROP_SCHEMA, graph, wire.root(record_of(bodies[root_tid]), 1), applied
         )
     except FlattenError:

@@ -1,9 +1,9 @@
 """Reconciliation-aware retention of the shared conflict graph.
 
-The graph — every derivation participants (or a store-side assembly)
-share, and the edges hung on them — used to be FIFO-capped; it is now
-pruned when every registered participant holds a final verdict for a
-root: it tracks the confederation's open frontier, not its history.
+The graph — every derivation participants share, and the edges hung on
+them — used to be FIFO-capped; it is now pruned when every registered
+participant holds a final verdict for a root: it tracks the
+confederation's open frontier, not its history.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.confed import Confederation, ConfederationConfig, HookBus
+from repro.core.cache import ExtensionCache
 from repro.core.decisions import ReconcileResult
 from repro.model import Insert, Modify
 from repro.model.transactions import Transaction, TransactionId
@@ -34,6 +35,20 @@ def mutual_store(store_cls):
     return store
 
 
+def client_extensions(store, participant):
+    """``participant``'s client-centric batch, each root's extension
+    derived as its client does: adopted from the store's conflict graph,
+    or flattened there and registered for the next reader."""
+    batch = store.begin_reconciliation(participant)
+    cache = ExtensionCache()
+    return {
+        root.tid: cache.get_or_compute(
+            store.schema, batch.graph, root, set(), 0, shared=batch.pair_cache
+        )
+        for root in batch.roots
+    }
+
+
 def derivation(store, txn):
     """The derivation of ``txn`` over itself alone on the store's
     conflict graph, if it holds one."""
@@ -52,10 +67,10 @@ class TestRetention:
     def test_memory_memo_retired_once_all_participants_decided(self):
         store = mutual_store(MemoryUpdateStore)
         txn = self._publish_one(store)
-        # Both receivers' store-computed batches derive (the first
-        # registers on the graph, the second adopts), then they decide.
-        store.begin_network_reconciliation(2)
-        store.begin_network_reconciliation(3)
+        # Both receivers' clients derive (the first registers on the
+        # graph, the second adopts), then they decide.
+        client_extensions(store, 2)
+        client_extensions(store, 3)
         assert derivation(store, txn) is not None
         store.complete_reconciliation(
             2, ReconcileResult(recno=1, applied=[txn.tid])
@@ -71,8 +86,8 @@ class TestRetention:
     def test_central_memo_retired_once_all_participants_decided(self):
         store = mutual_store(CentralUpdateStore)
         txn = self._publish_one(store)
-        store.begin_network_reconciliation(2)
-        store.begin_network_reconciliation(3)
+        client_extensions(store, 2)
+        client_extensions(store, 3)
         store.complete_reconciliation(
             2, ReconcileResult(recno=1, applied=[txn.tid])
         )
@@ -86,14 +101,14 @@ class TestRetention:
         # Dropped, as on every log — the next miss (a participant
         # registered after retirement) derives it again, value-equal.
         store.register_participant(4, TrustPolicy().trust_participant(1, 1))
-        shipped = store.begin_network_reconciliation(4).extensions[txn.tid]
-        assert shipped == extension and shipped is not extension
-        assert derivation(store, txn) is shipped
+        again = client_extensions(store, 4)[txn.tid]
+        assert again == extension and again is not extension
+        assert derivation(store, txn) is again
 
     def test_deferred_roots_are_not_retired(self):
         store = mutual_store(MemoryUpdateStore)
         txn = self._publish_one(store)
-        store.begin_network_reconciliation(2)
+        client_extensions(store, 2)
         store.complete_reconciliation(
             2, ReconcileResult(recno=1, deferred=[txn.tid])
         )
@@ -107,7 +122,7 @@ class TestRetention:
     def test_pair_memo_shrinks_with_retirement(self):
         store = mutual_store(MemoryUpdateStore)
         txn = self._publish_one(store)
-        store.begin_network_reconciliation(2)
+        client_extensions(store, 2)
         pairs = store.shared_pair_cache()
         # Hang an edge on the root's derivation; retirement must unlink
         # it — at the other end too, which stays registered.

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.confed import Confederation, ConfederationConfig
+from repro.core.cache import CacheStats
 from repro.errors import ConfigError
 from repro.store import (
     CentralUpdateStore,
@@ -74,16 +75,18 @@ class TestBuiltinDrivers:
 
     def test_the_batch_read_path_is_written_once(self):
         # One begin_reconciliation for every direct log: the logs only
-        # supply storage and the accessors the shared method reads.
-        from repro.store.network_centric import DirectLogStore
+        # supply storage and the accessors the shared method reads.  A
+        # direct log computes no batch, so it derives nothing itself.
+        from repro.store.direct_log import DirectLogStore
 
         assert "begin_reconciliation" in vars(DirectLogStore)
         for log in (MemoryUpdateStore, CentralUpdateStore):
             assert "begin_reconciliation" not in vars(log)
-            assert "begin_network_reconciliation" not in vars(log)
+            assert not hasattr(log, "begin_network_reconciliation")
+            assert log(curated_schema()).derivation_stats() == CacheStats()
 
     def test_direct_log_accessors_are_abstract(self):
-        from repro.store.network_centric import DirectLogStore
+        from repro.store.direct_log import DirectLogStore
 
         for accessor in ("_nc_lookup", "_nc_advance", "_nc_candidates"):
             incomplete = type(
@@ -94,14 +97,10 @@ class TestBuiltinDrivers:
             with pytest.raises(TypeError, match=accessor):
                 incomplete(curated_schema())
 
-    @pytest.mark.parametrize(
-        "method",
-        ["begin_network_reconciliation", "decided_transactions", "derivation_stats"],
-    )
+    @pytest.mark.parametrize("method", ["begin_reconciliation", "decided_transactions"])
     def test_the_store_contract_has_no_defaults(self, method):
-        # Every store serves both Figure 3 columns, enumerates its
-        # decisions and counts its derivations: a store without one of
-        # them cannot be built.
+        # Every store serves the client-centric batch and enumerates its
+        # decisions: a store without one of them cannot be built.
         incomplete = type(
             "Incomplete", (MemoryUpdateStore,), {method: getattr(UpdateStore, method)}
         )
@@ -159,7 +158,7 @@ class TestPayloadRouting:
 
         schema = curated_schema()
         batch = self._one_published_transaction(
-            create_store("memory", schema), "begin_network_reconciliation"
+            create_store("dht", schema, hosts=2), "begin_network_reconciliation"
         )
         assert batch.extensions  # the store did ship
         if not carried:

@@ -408,11 +408,47 @@ def test_the_direct_log_context_free_memo_is_gone(name):
     # its backstop constant (now the graph's, in ``repro.core.cache``)
     # are gone from the direct-log stores.
     from repro.store import MemoryUpdateStore
-    from repro.store.network_centric import DirectLogStore
+    from repro.store.direct_log import DirectLogStore
     from repro.workload import curated_schema
 
     assert not hasattr(DirectLogStore, name)
     assert not hasattr(MemoryUpdateStore(curated_schema()), name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "begin_network_reconciliation",
+        "_nc_deferred_tids",
+        "_nc_applied_version",
+        "_nc_caches",
+        "_nc_retire",
+        "_assemble",
+    ],
+)
+def test_the_direct_log_store_computed_path_is_gone(name):
+    # Figure 3's store-computed column is the DHT's alone: the direct-log
+    # copy, its per-participant caches and the log accessors only it
+    # read are deleted, and the module is named for what is left.
+    import repro.store.direct_log as direct_log
+    from repro.store import CentralUpdateStore, MemoryUpdateStore
+
+    for store in (direct_log.DirectLogStore, MemoryUpdateStore, CentralUpdateStore):
+        assert not hasattr(store, name)
+    assert not hasattr(direct_log, "attach_assembled_payload")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.store.network_centric")
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.core.extensions", "compute_update_extension"),
+        ("repro.core.conflicts", "directly_conflict"),
+    ],
+)
+def test_kernel_helpers_only_tests_called_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)
 
 
 def test_the_conflict_graph_holds_the_one_backstop_and_no_intern():

@@ -57,12 +57,12 @@ MARKDOWN_FILES = (
 )
 
 #: Ceiling on ``wc -l`` over src/repro/**/*.py (see check 3 above).
-SOURCE_LINE_CEILING = 12021
+SOURCE_LINE_CEILING = 11831
 
 #: Ceiling on any one file under src/repro: the largest one,
-#: ``store/dht/driver.py`` (``store/central.py`` is 685,
+#: ``store/dht/driver.py`` (``store/central.py`` is 673,
 #: ``store/dht/controllers.py`` 439).
-MODULE_LINE_CEILING = 727
+MODULE_LINE_CEILING = 726
 
 #: Ceiling on any one function or method under src/repro, ``def`` line
 #: to last line: the longest one, ``CentralUpdateStore.write_transactions``
@@ -73,7 +73,7 @@ FUNCTION_LINE_CEILING = 78
 #: (``ast.stmt`` nodes; a function's own ``def`` counts): the total,
 #: the largest module (``store/dht/driver.py``) and the longest
 #: function (``flatten._minimise``).
-SOURCE_STATEMENT_CEILING = 4467
+SOURCE_STATEMENT_CEILING = 4401
 MODULE_STATEMENT_CEILING = 325
 FUNCTION_STATEMENT_CEILING = 43
 
